@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate — the same steps .github/workflows/ci.yml runs.
+# The CI gate, in one place: .github/workflows/ci.yml installs the
+# toolchain and runs this script.
 # Usage: ./ci.sh
 #
 # Everything builds offline (see README "Building offline"): the
@@ -17,8 +18,16 @@ cargo clippy --workspace --all-targets -- -W clippy::perf -D warnings
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test"
-cargo test -q
+echo "==> cargo test (whole workspace)"
+# The root package alone is 47 tests; farm, sim, the oracle and the rest
+# of the workspace hold the other ~640.
+cargo test -q --workspace
+
+echo "==> benchmark harness build"
+# benchmark/ is its own workspace root, built against crates/* by path,
+# and a PR that claims a gain may not edit it — so an API break against
+# the harness has to fail here, not in the measuring pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> fault-scenario smoke run"
 # Fixed seed: loss-free and fully event-reconciled at a zero fault

@@ -39,12 +39,48 @@
 //! served + dropped + failed + shed + migrated + rejected == arrivals
 //! ```
 //!
-//! Internally each member pairs a [`sim::EngineStepper`] with its
-//! scheduler and service model. Before an event at time `t` is applied,
-//! every member is pumped to `t` ([`EngineStepper::run_until`] excludes
-//! the horizon itself), so no engine ever dispatches at an instant whose
-//! arrivals it has not seen — the property that keeps the daemon
-//! bit-identical to the batch engines.
+//! # The event loop
+//!
+//! Each member pairs a [`sim::EngineStepper`] with its scheduler and
+//! service model. The contract is the one the batch engines keep: before
+//! an event at time `t` is applied, no member may still owe a dispatch
+//! decided strictly before `t` ([`EngineStepper::run_until`] excludes the
+//! horizon itself), so no engine ever dispatches at an instant whose
+//! arrivals it has not seen.
+//!
+//! Meeting it costs work proportional to the members the event *affects*,
+//! not to the farm's size, because of the **next-action invariant**: a
+//! member's [`EngineStepper::next_action_us`] is `None` while it has
+//! nothing submitted or queued, else its engine clock, and a pump to `t`
+//! changes a member only if that time lies strictly before `t`. A pump
+//! the loop skips was one of two things:
+//!
+//! * a no-op — the member's clock is already at or past `t` (it is busy
+//!   serving, or it jumped to an arrival at exactly `t`), and `run_until`
+//!   returns before touching anything; or
+//! * a repeated empty dequeue — the member is idle with nothing to
+//!   deliver; its clock, head position and queue are what they were at
+//!   its last pump, so the dequeue sees the same [`HeadState`] and an
+//!   empty queue again. [`DiskScheduler::dequeue`] requires that to be
+//!   idempotent and silent. The *first* empty dequeue of an idle gap is a
+//!   real interaction (the cascade's conditional dispatcher resets its
+//!   preemption anchor on it) and is never skipped: it happens when the
+//!   member is next pumped, before anything new is delivered — exactly
+//!   once per gap, which is what the batch engine does.
+//!
+//! So the daemon keeps a min-heap with one `(next_action_us, member)`
+//! entry per member that has work, and an event at `t` pumps the entries
+//! before `t` and nothing else. A member's evolution depends only on its
+//! own submitted arrivals, so the order members are pumped in is
+//! immaterial. Drain hand-offs and quarantine cooldowns sit in two timer
+//! heaps of their own; the supervisor visits only the members *touched*
+//! since it last looked (pumped, or emitted into by the router, a retune
+//! or a quarantine) — a flight-recorder dump appears only when an event is
+//! emitted — in index order, so quarantine refusals ("last shard in
+//! rotation") fall on the same member as a full scan's would.
+//! [`FarmDaemon::backlog`] is a counter: `+1` per submission, the
+//! before/after difference of every pump, minus the leftovers a closing
+//! drain migrates.
 
 use obs::{
     Anomaly, FlightRecorder, SharedSink, TelemetryConfig, TraceEvent, TraceSink, TriggerConfig,
@@ -54,6 +90,8 @@ use sim::admission::StreamGate;
 use sim::{jittered_backoff_us, DiskService, EngineStepper, Metrics, ServiceProvider, SimOptions};
 
 use crate::{FarmConfig, OnlineRouter, RoutePolicy};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Builds a shard's scheduler. The [`SharedSink`] handle is a clone of
 /// the member's flight-recorder sink: pass it to sink-carrying
@@ -102,8 +140,8 @@ pub enum DaemonEvent {
     },
     /// A control-plane retune: change a live scheduler knob on `shard`
     /// or swap the farm-wide routing policy. Applied at the safe epoch
-    /// boundary every event enjoys — all members are pumped to `at_us`
-    /// before the action runs, so no dispatch straddles the change.
+    /// boundary every event enjoys — no member owes a dispatch decided
+    /// before `at_us` when the action runs, so none straddles the change.
     Retune {
         /// Event time (µs).
         at_us: u64,
@@ -282,6 +320,31 @@ struct Member {
     strikes: u32,
 }
 
+impl Member {
+    /// Submitted-but-undelivered arrivals plus the scheduler's queue.
+    fn backlog(&self) -> usize {
+        self.stepper.pending_len() + self.scheduler.len()
+    }
+
+    /// See [`EngineStepper::next_action_us`].
+    fn next_action_us(&self) -> Option<u64> {
+        self.stepper.next_action_us(self.scheduler.len())
+    }
+}
+
+/// A min-heap of `(time µs, member)`.
+type TimerHeap = BinaryHeap<Reverse<(u64, usize)>>;
+
+/// Pop the earliest entry of `heap` if `due(time)` holds for it.
+fn pop_if(heap: &mut TimerHeap, due: impl Fn(u64) -> bool) -> Option<(u64, usize)> {
+    let &Reverse(entry) = heap.peek()?;
+    if !due(entry.0) {
+        return None;
+    }
+    heap.pop();
+    Some(entry)
+}
+
 /// The continuous-operation farm daemon. See the module docs for the
 /// architecture; drive it with [`FarmDaemon::handle`] /
 /// [`FarmDaemon::run`] and collect the [`DaemonReport`] via
@@ -301,6 +364,20 @@ pub struct FarmDaemon {
     retunes: u64,
     refused_events: u64,
     now_us: u64,
+    /// One `(next_action_us, member)` entry per member with work (see the
+    /// module docs, "The event loop").
+    wake: TimerHeap,
+    /// `(close_at_us, member)` per draining member.
+    drain_timers: TimerHeap,
+    /// `(until_us, member)` per quarantined member.
+    quarantine_timers: TimerHeap,
+    /// Members pumped or emitted into since the supervisor last looked —
+    /// the only recorders a new dump can sit in.
+    touched: Vec<usize>,
+    /// Reused storage for the members one event pumps or supervises.
+    scratch: Vec<usize>,
+    /// Σ [`Member::backlog`], maintained incrementally.
+    backlog: usize,
 }
 
 impl FarmDaemon {
@@ -353,6 +430,12 @@ impl FarmDaemon {
             retunes: 0,
             refused_events: 0,
             now_us: 0,
+            wake: BinaryHeap::new(),
+            drain_timers: BinaryHeap::new(),
+            quarantine_timers: BinaryHeap::new(),
+            touched: Vec::new(),
+            scratch: Vec::new(),
+            backlog: 0,
         }
     }
 
@@ -415,12 +498,15 @@ impl FarmDaemon {
     /// every member scheduler's pending queue, summed over the farm.
     /// This is the backpressure signal a closed-loop source watches —
     /// and the quantity that must stay bounded for a multi-hour run to
-    /// fit in memory.
+    /// fit in memory. O(1): a counter adjusted at every submit, pump and
+    /// drain close.
     pub fn backlog(&self) -> usize {
-        self.members
-            .iter()
-            .map(|m| m.stepper.pending_len() + m.scheduler.len())
-            .sum()
+        debug_assert_eq!(
+            self.backlog,
+            self.members.iter().map(Member::backlog).sum::<usize>(),
+            "the backlog counter drifted from the members' queues"
+        );
+        self.backlog
     }
 
     /// Drain a pull-based [`workload::stream::TraceSource`] through the
@@ -456,37 +542,61 @@ impl FarmDaemon {
         out
     }
 
-    /// Pump every live member's engine to `t`, closing any drain whose
-    /// handoff window ends at or before `t`.
+    /// Close every drain whose handoff window ends at or before `t`, then
+    /// pump the members whose next action lies before `t` — for every
+    /// other member a pump to `t` would be a no-op or a repeated empty
+    /// dequeue (see the module docs).
     fn advance_to(&mut self, t: u64) {
-        for idx in 0..self.members.len() {
-            match self.members[idx].status {
-                MemberStatus::Drained => {}
-                MemberStatus::Draining { close_at_us } if close_at_us <= t => {
-                    self.pump(idx, close_at_us);
-                    self.close_drain(idx, close_at_us);
-                }
-                _ => self.pump(idx, t),
+        while let Some((close_at_us, idx)) = pop_if(&mut self.drain_timers, |at| at <= t) {
+            self.close_drain(idx, close_at_us);
+        }
+        // Collect first: a pumped member re-enters the heap under its new
+        // clock, which must not be looked at again for this event.
+        let mut due = std::mem::take(&mut self.scratch);
+        while let Some((_, idx)) = pop_if(&mut self.wake, |at| at < t) {
+            due.push(idx);
+        }
+        for idx in due.drain(..) {
+            // A member drained since it was scheduled has nothing left.
+            if self.members[idx].status != MemberStatus::Drained {
+                self.pump(idx, t);
+            }
+            if let Some(at) = self.members[idx].next_action_us() {
+                self.wake.push(Reverse((at, idx)));
             }
         }
+        self.scratch = due;
     }
 
     fn pump(&mut self, idx: usize, horizon_us: u64) {
         let m = &mut self.members[idx];
+        let before = m.backlog();
         m.stepper.run_until(
             horizon_us,
             m.scheduler.as_mut(),
             &mut m.service,
             &mut m.recorder,
         );
+        self.backlog = self.backlog - before + m.backlog();
+        self.touched.push(idx);
     }
 
-    /// The handoff window closed: migrate whatever the member still
-    /// holds (queued in its scheduler or submitted but undelivered) to
-    /// the least-loaded eligible shard and retire the member. Migrated
-    /// requests are terminal in this farm's ledger — the Migrate event
-    /// records the designated target for the next tier to replay.
+    /// Emit a daemon-level event into member `idx`'s recorder, marking
+    /// the member for the supervisor's next pass.
+    fn emit(&mut self, idx: usize, event: &TraceEvent) {
+        self.members[idx].recorder.emit(event);
+        self.touched.push(idx);
+    }
+
+    /// The handoff window closed: serve residents up to the close, then
+    /// migrate whatever the member still holds (queued in its scheduler
+    /// or submitted but undelivered) to the least-loaded eligible shard
+    /// and retire the member. Migrated requests are terminal in this
+    /// farm's ledger — the Migrate event records the designated target
+    /// for the next tier to replay.
     fn close_drain(&mut self, idx: usize, close_at_us: u64) {
+        // The pump also marks the member touched, for the events below.
+        self.pump(idx, close_at_us);
         let to_shard = self.router.least_loaded_eligible() as u32;
         let cylinders = self.cfg.farm.cylinders;
         let m = &mut self.members[idx];
@@ -505,22 +615,26 @@ impl FarmDaemon {
             });
         }
         self.migrated += leftovers.len() as u64;
+        self.backlog -= leftovers.len();
         m.status = MemberStatus::Drained;
     }
 
-    /// Reinstate expired quarantines, then scan each member's fresh
-    /// flight-recorder dumps for actionable anomalies and quarantine the
-    /// offenders.
+    /// Reinstate expired quarantines, then scan the fresh flight-recorder
+    /// dumps of every touched member for actionable anomalies and
+    /// quarantine the offenders — in index order, because a quarantine
+    /// can be refused for being the last shard in rotation.
     fn supervise(&mut self, t: u64) {
-        for idx in 0..self.members.len() {
-            if let MemberStatus::Quarantined { until_us } = self.members[idx].status {
-                if t >= until_us {
-                    self.members[idx].status = MemberStatus::Active;
-                    self.router.set_eligible(idx, true);
-                }
-            }
+        while let Some((_, idx)) = pop_if(&mut self.quarantine_timers, |until| until <= t) {
+            self.members[idx].status = MemberStatus::Active;
+            self.router.set_eligible(idx, true);
         }
-        for idx in 0..self.members.len() {
+        // Swap rather than drain in place: a quarantine below touches its
+        // member again, for the next event to look at.
+        std::mem::swap(&mut self.touched, &mut self.scratch);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        for i in 0..self.scratch.len() {
+            let idx = self.scratch[i];
             let seen = self.members[idx].dumps_seen;
             let (total, actionable) = self.members[idx].recorder.with(|r| {
                 let dumps = r.dumps();
@@ -537,6 +651,7 @@ impl FarmDaemon {
                 self.quarantine_member(idx, t);
             }
         }
+        self.scratch.clear();
     }
 
     /// Quarantine `idx` at time `t` with the strike-scaled jittered
@@ -562,11 +677,15 @@ impl FarmDaemon {
             idx as u64,
         ));
         m.status = MemberStatus::Quarantined { until_us };
-        m.recorder.emit(&TraceEvent::Quarantine {
-            now_us: t,
-            shard: idx as u32,
-            until_us,
-        });
+        self.emit(
+            idx,
+            &TraceEvent::Quarantine {
+                now_us: t,
+                shard: idx as u32,
+                until_us,
+            },
+        );
+        self.quarantine_timers.push(Reverse((until_us, idx)));
         self.router.set_eligible(idx, false);
         self.quarantines += 1;
         true
@@ -599,17 +718,20 @@ impl FarmDaemon {
                 self.router.set_policy(policy, self.cfg.farm.cylinders);
             }
         }
-        self.members[shard].recorder.emit(&TraceEvent::Retune {
-            now_us: t,
-            shard: shard as u32,
-            knob: action.knob_index(),
-        });
+        self.emit(
+            shard,
+            &TraceEvent::Retune {
+                now_us: t,
+                shard: shard as u32,
+                knob: action.knob_index(),
+            },
+        );
         self.retunes += 1;
         true
     }
 
-    /// Apply one event: pump every member to the event's time, run the
-    /// supervisor, then act.
+    /// Apply one event: pump the members with work due before the
+    /// event's time, run the supervisor, then act.
     ///
     /// # Panics
     /// If events go backwards in time, or an arrival regresses a
@@ -634,10 +756,17 @@ impl FarmDaemon {
                 if let Some(ev) = decision.redirect_event(&r) {
                     // Same demux as the batch farm: the overload evidence
                     // belongs to the shard the arrival was steered from.
-                    self.members[decision.redirect_from].recorder.emit(&ev);
+                    self.emit(decision.redirect_from, &ev);
                 }
                 self.routed_per_shard[decision.shard] += 1;
-                self.members[decision.shard].stepper.submit(r);
+                let m = &mut self.members[decision.shard];
+                // A member with work already has its wake-up entry, and a
+                // submission does not move its clock.
+                if m.next_action_us().is_none() {
+                    self.wake.push(Reverse((m.stepper.now(), decision.shard)));
+                }
+                m.stepper.submit(r);
+                self.backlog += 1;
             }
             DaemonEvent::AddShard { .. } => {
                 let idx = self.members.len();
@@ -664,9 +793,9 @@ impl FarmDaemon {
                     return;
                 }
                 self.router.set_eligible(shard, false);
-                self.members[shard].status = MemberStatus::Draining {
-                    close_at_us: at_us.saturating_add(handoff_window_us),
-                };
+                let close_at_us = at_us.saturating_add(handoff_window_us);
+                self.members[shard].status = MemberStatus::Draining { close_at_us };
+                self.drain_timers.push(Reverse((close_at_us, shard)));
             }
             DaemonEvent::Quarantine { at_us, shard } => {
                 if shard >= self.members.len() {
@@ -703,10 +832,7 @@ impl FarmDaemon {
         for idx in 0..self.members.len() {
             match self.members[idx].status {
                 MemberStatus::Drained => {}
-                MemberStatus::Draining { close_at_us } => {
-                    self.pump(idx, close_at_us);
-                    self.close_drain(idx, close_at_us);
-                }
+                MemberStatus::Draining { close_at_us } => self.close_drain(idx, close_at_us),
                 _ => {
                     let m = &mut self.members[idx];
                     m.stepper
@@ -873,12 +999,19 @@ mod tests {
     use sched::{Fcfs, QosVector};
 
     fn vod(streams: u64, n: u64) -> Vec<Request> {
+        paced(streams, n, 900, 1)
+    }
+
+    /// `n` arrivals in groups of `tie` sharing one timestamp, the groups
+    /// `gap_us` apart.
+    fn paced(streams: u64, n: u64, gap_us: u64, tie: u64) -> Vec<Request> {
         (0..n)
             .map(|i| {
+                let at = i / tie * gap_us;
                 Request::read(
                     i,
-                    i * 900,
-                    i * 900 + 120_000,
+                    at,
+                    at + 120_000,
                     (i * 37 % 3832) as u32,
                     64 * 1024,
                     QosVector::single((i % 5) as u8),
@@ -899,32 +1032,106 @@ mod tests {
     #[test]
     fn quiet_daemon_matches_the_batch_farm() {
         // No membership events: placements and per-shard metrics must be
-        // bit-identical to the batch pass, for every policy.
-        let trace = vod(16, 400);
+        // bit-identical to the batch pass, for every policy — on a dense
+        // trace, on a sparse one over 32 shards (most members sit idle,
+        // unpumped, across thousands of events), and on bursts sharing
+        // one timestamp (ties at the pump horizon).
         let options = SimOptions::with_shape(1, 5).dropping();
-        for policy in [
-            RoutePolicy::HashStream,
-            RoutePolicy::CylinderRange,
-            RoutePolicy::LeastLoaded,
+        for (what, shards, trace) in [
+            ("dense", 4, vod(16, 400)),
+            ("sparse", 32, paced(256, 3_000, 5_000, 1)),
+            ("tied", 4, paced(48, 600, 30_000, 12)),
         ] {
-            let farm_cfg = FarmConfig::new(4).with_policy(policy);
-            let (batch, _) = simulate_farm(&trace, &farm_cfg, |_| Box::new(Fcfs::new()), options);
-            let daemon = FarmDaemon::new(
-                DaemonConfig::new(farm_cfg, options),
-                fcfs_factory(),
-                table1_services(),
-            );
-            let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
-            assert_eq!(report.per_shard, batch.per_shard, "{policy:?}");
-            assert_eq!(
-                report.routed_per_shard, batch.routed_per_shard,
-                "{policy:?}"
-            );
-            assert_eq!(report.redirects, batch.redirects, "{policy:?}");
-            assert_eq!(report.reroutes, 0, "{policy:?}");
-            report.ledger().expect("ledger must close");
-            report.reconcile_events().expect("events must reconcile");
+            for policy in [
+                RoutePolicy::HashStream,
+                RoutePolicy::CylinderRange,
+                RoutePolicy::LeastLoaded,
+            ] {
+                let farm_cfg = FarmConfig::new(shards).with_policy(policy);
+                let (batch, _) =
+                    simulate_farm(&trace, &farm_cfg, |_| Box::new(Fcfs::new()), options);
+                let daemon = FarmDaemon::new(
+                    DaemonConfig::new(farm_cfg, options),
+                    fcfs_factory(),
+                    table1_services(),
+                );
+                let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
+                assert_eq!(report.per_shard, batch.per_shard, "{what} {policy:?}");
+                assert_eq!(
+                    report.routed_per_shard, batch.routed_per_shard,
+                    "{what} {policy:?}"
+                );
+                assert_eq!(report.redirects, batch.redirects, "{what} {policy:?}");
+                assert_eq!(report.reroutes, 0, "{what} {policy:?}");
+                report.ledger().expect("ledger must close");
+                report.reconcile_events().expect("events must reconcile");
+            }
         }
+    }
+
+    /// Counts `dequeue` calls on an FCFS queue.
+    struct CountingFcfs {
+        inner: Fcfs,
+        dequeues: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+
+    impl DiskScheduler for CountingFcfs {
+        fn name(&self) -> &'static str {
+            "counting-fcfs"
+        }
+        fn enqueue(&mut self, req: Request, head: &HeadState) {
+            self.inner.enqueue(req, head);
+        }
+        fn dequeue(&mut self, head: &HeadState) -> Option<Request> {
+            self.dequeues.set(self.dequeues.get() + 1);
+            self.inner.dequeue(head)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn for_each_pending(&self, f: &mut dyn FnMut(&Request)) {
+            self.inner.for_each_pending(f);
+        }
+    }
+
+    /// `dequeue` calls per arrival with every shard seeing one arrival
+    /// per ~40 ms (about half the Table-1 disk's capacity).
+    fn dequeues_per_arrival(shards: u64) -> f64 {
+        let arrivals = 250 * shards;
+        let trace = paced(arrivals, arrivals, 40_000 / shards, 1);
+        let dequeues = std::rc::Rc::new(std::cell::Cell::new(0));
+        let counter = dequeues.clone();
+        let mut daemon = FarmDaemon::new(
+            DaemonConfig::new(
+                FarmConfig::new(shards as usize),
+                SimOptions::with_shape(1, 5),
+            ),
+            move |_, _| {
+                Box::new(CountingFcfs {
+                    inner: Fcfs::new(),
+                    dequeues: counter.clone(),
+                })
+            },
+            table1_services(),
+        );
+        daemon.ingest(&mut workload::VecSource::new(trace));
+        let report = daemon.shutdown();
+        assert_eq!(report.served(), arrivals);
+        dequeues.get() as f64 / arrivals as f64
+    }
+
+    #[test]
+    fn per_arrival_work_does_not_grow_with_the_farm() {
+        // The same per-shard load on 16x the shards: an event loop that
+        // pumps every member per event makes about one empty dequeue per
+        // idle shard per arrival, so the count grows with the farm; one
+        // that pumps only members with work due stays near one dequeue
+        // per served request plus one per idle gap. Counted, not timed.
+        let (narrow, wide) = (dequeues_per_arrival(4), dequeues_per_arrival(64));
+        assert!(
+            narrow >= 1.0 && wide < 1.5 * narrow,
+            "dequeue calls per arrival: {narrow:.2} on 4 shards, {wide:.2} on 64"
+        );
     }
 
     #[test]

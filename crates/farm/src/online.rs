@@ -25,59 +25,73 @@ use std::collections::BinaryHeap;
 /// Modeled shard occupancy during routing: each assignment books
 /// `est_service_us` of work onto the shard; bookings completed by the
 /// current arrival time fall out of the depth.
+///
+/// The model keeps the routers' view — one [`ShardLoad`] per shard —
+/// up to date in place, and one farm-wide heap of modeled completions,
+/// so an arrival costs the bookings it retires, not a pass over every
+/// shard.
 pub(crate) struct LoadModel {
     est_service_us: u64,
-    /// Min-heap of modeled completion times per shard.
-    completions: Vec<BinaryHeap<Reverse<u64>>>,
-    /// Modeled drain horizon per shard.
-    busy_until: Vec<u64>,
+    /// Min-heap of `(modeled completion time, shard)` over the farm.
+    completions: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Current loads, one per shard: `queue_depth` counts the shard's
+    /// bookings still in `completions`, `busy_until_us` is its modeled
+    /// drain horizon.
+    loads: Vec<ShardLoad>,
 }
 
 impl LoadModel {
-    pub(crate) fn new(shards: usize, est_service_us: u64) -> Self {
-        LoadModel {
+    pub(crate) fn new(capacities: &[Option<usize>], est_service_us: u64) -> Self {
+        let mut model = LoadModel {
             est_service_us: est_service_us.max(1),
-            completions: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            busy_until: vec![0; shards],
+            completions: BinaryHeap::new(),
+            loads: Vec::with_capacity(capacities.len()),
+        };
+        for &capacity in capacities {
+            model.add_shard(capacity);
         }
+        model
     }
 
     /// Retire bookings completed by `now`.
     pub(crate) fn advance_to(&mut self, now: u64) {
-        for heap in &mut self.completions {
-            while heap.peek().is_some_and(|Reverse(t)| *t <= now) {
-                heap.pop();
+        while let Some(&Reverse((done, shard))) = self.completions.peek() {
+            if done > now {
+                break;
             }
+            self.completions.pop();
+            self.loads[shard].queue_depth -= 1;
         }
     }
 
-    /// Current loads, one per shard, decorated with the shards' queue
-    /// capacities.
-    pub(crate) fn loads(&self, capacities: &[Option<usize>]) -> Vec<ShardLoad> {
-        self.completions
-            .iter()
-            .zip(&self.busy_until)
-            .zip(capacities)
-            .map(|((heap, &busy), &capacity)| ShardLoad {
-                queue_depth: heap.len(),
-                busy_until_us: busy,
-                capacity,
-            })
-            .collect()
+    /// Current loads, one per shard.
+    pub(crate) fn loads(&self) -> &[ShardLoad] {
+        &self.loads
     }
 
-    /// Book one request arriving at `now` onto `shard`.
+    /// Book one request arriving at `now` onto `shard`. Saturating: a
+    /// booking at the end of time completes at the end of time instead of
+    /// wrapping into the past (where it would retire at once and the
+    /// shard would look idle).
     pub(crate) fn assign(&mut self, shard: usize, now: u64) {
-        let start = self.busy_until[shard].max(now);
-        let done = start + self.est_service_us;
-        self.busy_until[shard] = done;
-        self.completions[shard].push(Reverse(done));
+        let load = &mut self.loads[shard];
+        let done = load
+            .busy_until_us
+            .max(now)
+            .saturating_add(self.est_service_us);
+        load.busy_until_us = done;
+        load.queue_depth += 1;
+        self.completions.push(Reverse((done, shard)));
     }
 
-    /// Grow the model by one idle shard.
-    pub(crate) fn add_shard(&mut self) {
-        self.completions.push(BinaryHeap::new());
-        self.busy_until.push(0);
+    /// Grow the model by one idle shard with the given bounded-queue
+    /// capacity.
+    pub(crate) fn add_shard(&mut self, capacity: Option<usize>) {
+        self.loads.push(ShardLoad {
+            queue_depth: 0,
+            busy_until_us: 0,
+            capacity,
+        });
     }
 }
 
@@ -122,8 +136,8 @@ impl RouteDecision {
 pub struct OnlineRouter {
     router: Box<dyn Router>,
     model: LoadModel,
-    capacities: Vec<Option<usize>>,
     eligible: Vec<bool>,
+    eligible_count: usize,
     redirect_on_overload: bool,
     redirects: u64,
     reroutes: u64,
@@ -138,9 +152,9 @@ impl OnlineRouter {
         assert_eq!(capacities.len(), cfg.shards);
         OnlineRouter {
             router: cfg.policy.build(cfg.cylinders),
-            model: LoadModel::new(cfg.shards, cfg.est_service_us),
-            capacities: capacities.to_vec(),
+            model: LoadModel::new(capacities, cfg.est_service_us),
             eligible: vec![true; cfg.shards],
+            eligible_count: cfg.shards,
             redirect_on_overload: cfg.redirect_on_overload,
             redirects: 0,
             reroutes: 0,
@@ -149,12 +163,12 @@ impl OnlineRouter {
 
     /// Current shard count (including ineligible members).
     pub fn shards(&self) -> usize {
-        self.capacities.len()
+        self.eligible.len()
     }
 
     /// Shards currently accepting new arrivals.
     pub fn eligible_count(&self) -> usize {
-        self.eligible.iter().filter(|&&e| e).count()
+        self.eligible_count
     }
 
     /// Whether `shard` accepts new arrivals.
@@ -170,26 +184,33 @@ impl OnlineRouter {
     /// If this would leave no eligible shard: new arrivals would have
     /// nowhere to go, which is an orchestration bug, not a decision.
     pub fn set_eligible(&mut self, shard: usize, eligible: bool) {
+        if self.eligible[shard] == eligible {
+            return;
+        }
         self.eligible[shard] = eligible;
+        if eligible {
+            self.eligible_count += 1;
+        } else {
+            self.eligible_count -= 1;
+        }
         assert!(
-            self.eligible.iter().any(|&e| e),
+            self.eligible_count > 0,
             "the last eligible shard cannot be removed"
         );
     }
 
     /// Add a fresh, idle, eligible shard; returns its index.
     pub fn add_shard(&mut self, capacity: Option<usize>) -> usize {
-        self.model.add_shard();
-        self.capacities.push(capacity);
+        self.model.add_shard(capacity);
         self.eligible.push(true);
-        self.capacities.len() - 1
+        self.eligible_count += 1;
+        self.eligible.len() - 1
     }
 
     /// The least-loaded eligible shard right now — the migration target
     /// a closing drain hands its backlog to.
     pub fn least_loaded_eligible(&self) -> usize {
-        let loads = self.model.loads(&self.capacities);
-        least_loaded_among(&loads, &self.eligible).expect("at least one eligible shard")
+        least_loaded_among(self.model.loads(), &self.eligible).expect("at least one eligible shard")
     }
 
     /// Swap the routing policy live — the control plane's router retune
@@ -222,17 +243,14 @@ impl OnlineRouter {
     /// contract the batch pass's trace argument carries).
     pub fn route(&mut self, r: &Request) -> RouteDecision {
         self.model.advance_to(r.arrival_us);
-        let loads = self.model.loads(&self.capacities);
-        let chosen = self.router.route(r, &loads);
-        assert!(
-            chosen < self.capacities.len(),
-            "router returned shard {chosen}"
-        );
+        let loads = self.model.loads();
+        let chosen = self.router.route(r, loads);
+        assert!(chosen < loads.len(), "router returned shard {chosen}");
         let mut target = chosen;
         let mut rerouted = false;
         if !self.eligible[chosen] {
             target =
-                least_loaded_among(&loads, &self.eligible).expect("at least one eligible shard");
+                least_loaded_among(loads, &self.eligible).expect("at least one eligible shard");
             rerouted = true;
             self.reroutes += 1;
         }
@@ -242,19 +260,20 @@ impl OnlineRouter {
         let mut redirected = false;
         if self.redirect_on_overload && loads[target].projected_full() {
             let alt =
-                least_loaded_among(&loads, &self.eligible).expect("at least one eligible shard");
+                least_loaded_among(loads, &self.eligible).expect("at least one eligible shard");
             if alt != target && !loads[alt].projected_full() {
                 redirected = true;
                 self.redirects += 1;
                 target = alt;
             }
         }
+        let queue_depth = loads[redirect_from].queue_depth;
         self.model.assign(target, r.arrival_us);
         RouteDecision {
             shard: target,
             policy_choice: chosen,
             redirect_from,
-            queue_depth: loads[redirect_from].queue_depth,
+            queue_depth,
             redirected,
             rerouted,
         }
@@ -325,6 +344,43 @@ mod tests {
         assert_ne!(d.shard, heavy);
         assert_eq!(router.reroutes(), 0);
         assert_eq!(router.redirects(), 0);
+    }
+
+    #[test]
+    fn bookings_at_the_end_of_time_saturate_instead_of_wrapping() {
+        // A wrapped completion time would lie in the past, retire at the
+        // next arrival and make the booked shard look idle again.
+        let cfg = FarmConfig::new(2).with_policy(RoutePolicy::LeastLoaded);
+        let mut router = OnlineRouter::new(&cfg, &[None, None]);
+        let late = u64::MAX - 1;
+        assert_eq!(router.route(&req(0, late, 0, 0)).shard, 0);
+        assert_eq!(
+            router.route(&req(1, late, 1, 0)).shard,
+            1,
+            "shard 0 is booked"
+        );
+        let d = router.route(&req(2, late, 2, 0));
+        assert_eq!(
+            (d.shard, d.queue_depth),
+            (0, 1),
+            "both booked: lowest index"
+        );
+        assert_eq!(router.eligible_count(), 2);
+    }
+
+    #[test]
+    fn eligible_count_tracks_membership_changes() {
+        let cfg = FarmConfig::new(3);
+        let mut router = OnlineRouter::new(&cfg, &[None; 3]);
+        assert_eq!(router.eligible_count(), 3);
+        router.set_eligible(1, false);
+        router.set_eligible(1, false); // repeating a state is not a change
+        assert_eq!(router.eligible_count(), 2);
+        router.add_shard(None);
+        assert_eq!(router.eligible_count(), 3);
+        router.set_eligible(1, true);
+        router.set_eligible(1, true);
+        assert_eq!(router.eligible_count(), 4);
     }
 
     #[test]

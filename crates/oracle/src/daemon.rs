@@ -189,6 +189,33 @@ fn check_against_batch(
         .map_err(|e| format!("daemon ({policy}): {e}"))
 }
 
+/// `n` single-dimension reads over `streams` streams, in groups of `tie`
+/// sharing one timestamp, the groups `gap_us` apart. The two shapes the
+/// daemon's lazy pumping has to get right: [`sparse_trace`] and
+/// [`tied_trace`].
+fn paced(n: u64, streams: u64, gap_us: u64, tie: u64) -> Vec<Request> {
+    (0..n)
+        .map(|i| {
+            let at = i / tie * gap_us;
+            let cylinder = (i * 37 % 3832) as u32;
+            let qos = sched::QosVector::single((i % 8) as u8);
+            Request::read(i, at, at + 150_000, cylinder, 64 * 1024, qos).with_stream(i % streams)
+        })
+        .collect()
+}
+
+/// Thousands of arrivals so thin over 32 shards that most members sit
+/// idle — and unpumped — across most events.
+pub(crate) fn sparse_trace() -> Vec<Request> {
+    paced(3_000, 256, 5_000, 1)
+}
+
+/// Bursts of twelve arrivals sharing one timestamp: ties at the pump
+/// horizon, where "due before `t`" and "due at `t`" part ways.
+pub(crate) fn tied_trace() -> Vec<Request> {
+    paced(720, 48, 30_000, 12)
+}
+
 /// Merge arrivals with a churn script into one time-ordered event
 /// stream. The sort is stable and arrivals are pushed first, so
 /// same-instant ties resolve arrivals-before-membership,
@@ -266,8 +293,16 @@ pub fn check_churn(seed: u64, trace: &[Request]) -> Result<(), String> {
         },
     ];
     let events = merge_events(trace, churn);
+    // `backlog()` re-derives the daemon's backlog counter from its members
+    // in debug builds, so asking after every event holds the counter to
+    // the drain, add, quarantine and every pump in between.
     let run = |events: Vec<DaemonEvent>| {
-        daemon_for(&cfg, options, Some(cap), obs::TriggerConfig::default()).run(events)
+        let mut daemon = daemon_for(&cfg, options, Some(cap), obs::TriggerConfig::default());
+        for event in events {
+            daemon.handle(event);
+            daemon.backlog();
+        }
+        daemon.shutdown()
     };
     let first = run(events.clone());
     first
@@ -346,6 +381,24 @@ mod tests {
             Some(8),
         )
         .expect("streamed parity under overload");
+    }
+
+    #[test]
+    fn sparse_and_tied_arrivals_match_the_batch_farm() {
+        let options = SimOptions::with_shape(1, 8).dropping();
+        for (shards, trace) in [(32, sparse_trace()), (4, tied_trace())] {
+            for policy in [
+                RoutePolicy::HashStream,
+                RoutePolicy::CylinderRange,
+                RoutePolicy::LeastLoaded,
+            ] {
+                let cfg = FarmConfig::new(shards).with_policy(policy);
+                diff_daemon(&trace, &cfg, options, None).expect("parity");
+            }
+            let cfg = FarmConfig::new(shards).with_redirects();
+            diff_daemon(&trace, &cfg, options, Some(8)).expect("parity, bounded cascade");
+            diff_daemon_streamed(&trace, &cfg, options, Some(8)).expect("streamed parity");
+        }
     }
 
     #[test]

@@ -114,6 +114,26 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
     report.differential_runs += 1;
     report.requests_checked += vod.len() as u64;
 
+    // The two arrival shapes the daemon's lazy pumping has to get right:
+    // a sparse trace on 32 shards (most members idle and unpumped across
+    // thousands of events) and bursts sharing one timestamp (ties at the
+    // pump horizon) — bounded cascades, so dispatcher state is in play.
+    for (what, shards, trace) in [
+        ("sparse", 32, crate::daemon::sparse_trace()),
+        ("tied", 4, crate::daemon::tied_trace()),
+    ] {
+        let cfg = FarmConfig::new(shards).with_redirects();
+        diff_daemon(
+            &trace,
+            &cfg,
+            SimOptions::with_shape(1, 8).dropping(),
+            Some(8),
+        )
+        .map_err(|e| format!("[daemon/{what}] {e}"))?;
+        report.differential_runs += 1;
+        report.requests_checked += trace.len() as u64;
+    }
+
     // The streaming ingest path (lazy iterator source) must be held to
     // the same bit-level standard as the event loop — open and bounded.
     for bounded in [None, Some(8)] {

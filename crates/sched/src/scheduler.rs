@@ -92,6 +92,15 @@ pub trait DiskScheduler {
 
     /// The disk is idle: pick the next request to serve, removing it from
     /// the queue. `None` when no request is pending.
+    ///
+    /// A dequeue on an empty queue may reset policy state (the cascade's
+    /// conditional dispatcher drops its preemption anchor), but it must
+    /// be **idempotent and silent**: repeating it, with nothing enqueued
+    /// in between, changes nothing further and emits no trace event.
+    /// Event loops rely on this to skip pumping idle shards (see
+    /// `sim::EngineStepper::next_action_us`);
+    /// `every_scheduler_tolerates_repeated_empty_dequeues` in
+    /// `tests/cross_crate.rs` holds every policy in the workspace to it.
     fn dequeue(&mut self, head: &HeadState) -> Option<Request>;
 
     /// Number of pending requests.

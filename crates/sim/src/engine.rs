@@ -633,7 +633,8 @@ fn count_inversions(scheduler: &dyn DiskScheduler, served: &Request, metrics: &m
     if dims == 0 {
         return;
     }
-    let mut per_dim = vec![0u64; dims];
+    let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
+    let per_dim = &mut per_dim[..dims];
     scheduler.for_each_pending(&mut |waiting: &Request| {
         for (k, slot) in per_dim.iter_mut().enumerate() {
             if waiting.qos.dims() > k && waiting.qos.beats_in_dim(&served.qos, k) {
@@ -641,7 +642,7 @@ fn count_inversions(scheduler: &dyn DiskScheduler, served: &Request, metrics: &m
             }
         }
     });
-    for (k, v) in per_dim.into_iter().enumerate() {
+    for (k, v) in per_dim.iter().enumerate() {
         metrics.inversions_per_dim[k] += v;
     }
 }

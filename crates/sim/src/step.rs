@@ -20,6 +20,14 @@
 //! [`crate::simulate`] over that trace — the property the oracle's
 //! daemon replay gate enforces. Stage spans are a batch-driver feature
 //! and are never sampled here.
+//!
+//! The batch loop performs that empty dequeue exactly once per idle gap.
+//! A stepper pumped again while still idle repeats it with an unchanged
+//! head state, which [`DiskScheduler::dequeue`] requires to be idempotent
+//! and silent — so extra pumps of an idle stepper are harmless, and a
+//! caller running many steppers may skip them: only a stepper whose
+//! [`EngineStepper::next_action_us`] lies before the horizon can be
+//! changed by a pump.
 
 use std::collections::VecDeque;
 
@@ -70,6 +78,20 @@ impl EngineStepper {
     /// Arrivals submitted but not yet delivered to the scheduler.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// When this stepper next has something to do, given `queued`
+    /// requests waiting in its scheduler: [`None`] when nothing is
+    /// submitted or queued, else the engine clock. A pump to a horizon at
+    /// or before the returned time is a no-op. A pump while this is
+    /// `None` has nothing to deliver or serve; all it can do is dequeue
+    /// from an empty queue, which either repeats an earlier one or can as
+    /// well wait for the next pump that has something to deliver — where
+    /// the batch loop performs it (see the module docs). So an event loop
+    /// over many steppers needs to pump only those whose next action lies
+    /// strictly before the event's time.
+    pub fn next_action_us(&self, queued: usize) -> Option<Micros> {
+        (queued > 0 || !self.pending.is_empty()).then_some(self.core.now)
     }
 
     /// Submit one arrival. Arrivals must come in non-decreasing
@@ -127,13 +149,14 @@ impl EngineStepper {
                 n += 1;
             }
             if n > 0 {
-                let chunk: Vec<Request> = self.pending.drain(..n).collect();
-                for r in &chunk {
+                let chunk = &self.pending.make_contiguous()[..n];
+                for r in chunk {
                     if self.core.measured(r) {
                         self.core.metrics.record_request(r);
                     }
                 }
-                self.core.enqueue_chunk(&chunk, scheduler, &*service, sink);
+                self.core.enqueue_chunk(chunk, scheduler, &*service, sink);
+                self.pending.drain(..n);
             }
             // Attempt a dispatch even when the queue looks empty — the
             // batch loop does, and an empty dequeue is a real scheduler
@@ -364,6 +387,34 @@ mod tests {
             t.len()
         );
         assert_eq!(m.requests_total() as usize + left.len(), t.len());
+    }
+
+    #[test]
+    fn next_action_is_the_clock_while_there_is_work() {
+        let mut service = TransferDominated::uniform(2_000, 3832);
+        let mut scheduler = Fcfs::new();
+        let mut stepper = EngineStepper::new(SimOptions::with_shape(1, 2), 3832);
+        assert_eq!(
+            stepper.next_action_us(0),
+            None,
+            "nothing submitted or queued"
+        );
+        assert_eq!(
+            stepper.next_action_us(3),
+            Some(0),
+            "work queued in the scheduler"
+        );
+        let t = trace(2);
+        stepper.submit(t[1].clone());
+        assert_eq!(stepper.next_action_us(0), Some(0), "a submission pending");
+        // Pumping up to the arrival moves the clock there and no further.
+        stepper.run_until(t[1].arrival_us, &mut scheduler, &mut service, &mut NullSink);
+        assert_eq!(
+            stepper.next_action_us(scheduler.len()),
+            Some(t[1].arrival_us)
+        );
+        stepper.finish(&mut scheduler, &mut service, &mut NullSink);
+        assert_eq!(stepper.next_action_us(scheduler.len()), None);
     }
 
     #[test]
