@@ -20,14 +20,8 @@ cargo build --release
 
 echo "==> cargo test (whole workspace)"
 # The root package alone is 47 tests; farm, sim, the oracle and the rest
-# of the workspace hold the other ~640.
+# of the workspace hold the other ~630.
 cargo test -q --workspace
-
-echo "==> benchmark harness build"
-# benchmark/ is its own workspace root, built against crates/* by path,
-# and a PR that claims a gain may not edit it — so an API break against
-# the harness has to fail here, not in the measuring pipeline.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> fault-scenario smoke run"
 # Fixed seed: loss-free and fully event-reconciled at a zero fault
@@ -92,23 +86,27 @@ cargo run -q -p oracle --release --bin oracle -- --mode perf-parity --corpus tes
 echo "==> oracle diff-batch gate"
 # The vectorized fast paths diffed against their scalar references on
 # every committed corpus trace: batched characterization elementwise
-# against per-point, and batched/4-producer-concurrent enqueue against
-# the serial loop under all four dispatcher regimes (exits 1 on any
-# divergence).
+# against per-point, and batched enqueue against the serial loop under
+# all four dispatcher regimes (exits 1 on any divergence).
 cargo run -q -p oracle --release --bin oracle -- --mode diff-batch --corpus tests/corpus
 
-echo "==> concurrency stress gate"
-# The multi-producer ingest determinism suite in release mode: optimized
-# codegen widens the thread-interleaving window the debug-mode workspace
-# test run cannot reach.
-cargo test --release -q -p sim --test concurrent_ingest
-
-echo "==> perf regression gate"
-# Fresh measurement against the committed BENCH_sched.json; exits 1
-# when any gauge (dispatch, engine, routing, daemon, controller,
-# closed-loop scenario session rate, batched characterization, 4-producer
-# concurrent ingest, SFC mapping latency) regresses past 20%.
-cargo run -q -p bench --release --bin perf -- --mode check --baseline BENCH_sched.json --tolerance 0.2
+echo "==> benchmark trajectory gate"
+# The five daemon-path workloads, end to end, against the last record
+# perf-history.jsonl holds for each: every simulated metric must be
+# equal to the last digit for the same seed — so a PR that changes
+# behaviour has to append its own records — and the host-normalised
+# cost_ratio, peak RSS and set-up time must stay within their
+# BENCHMARK.json bounds. benchmark/ is its own workspace root, built
+# against crates/* by path, and a PR that claims a gain may not edit it:
+# --workload all builds, lints and tests it first, so an API break
+# against the harness fails here, not in the measuring pipeline.
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+for w in steady deep wide surge burst; do
+    grep "\"workload\":\"$w\",.*\"trace\":0," perf-history.jsonl | tail -1 >>"$tmp/committed.jsonl"
+done
+benchmark/run.sh --workload all --trace 0 --seconds 3 --history "$tmp/fresh.jsonl" >/dev/null
+"${CARGO_TARGET_DIR:-benchmark/target}/release/daemon-bench" --compare "$tmp/committed.jsonl" "$tmp/fresh.jsonl"
 
 echo "==> telemetry smoke gate"
 # Seeded overloaded farm run: windowed-vs-plain snapshots bit-for-bit,
@@ -121,6 +119,6 @@ echo "==> telemetry overhead gate"
 # Off-vs-on measurement in one process (NullSink vs live windowed
 # sinks) on a near-saturation trace; exits 1 when instrumentation
 # costs more than 5% of engine or dispatch throughput.
-cargo run -q -p bench --release --bin perf -- --mode overhead --budget 0.05
+cargo run -q -p bench --release --bin perf -- --budget 0.05
 
 echo "ci.sh: all green"

@@ -1,8 +1,9 @@
 //! # bench — experiment harnesses for every table and figure
 //!
 //! Each module regenerates one table or figure of the paper; the
-//! binaries in `src/bin/` print the series as CSV, and the Criterion
-//! benches in `benches/` measure the implementation itself.
+//! binaries in `src/bin/` print the series as CSV. The implementation's
+//! own speed is measured by the daemon-path benchmark in `benchmark/`
+//! (its own package), not here.
 //!
 //! | Module | Paper artifact | What it shows |
 //! |---|---|---|
@@ -29,10 +30,8 @@
 //! with a closed ledger, and run-to-run bit-identity — see [`daemon`]),
 //! and `ctrl` (the self-tuning control plane's gates: the offline
 //! `(f, R, w)` convergence sweep against exhaustive grid search and the
-//! live-improvement smoke gate — see [`ctrl`]), and `perf` (the CI
-//! perf-regression gate against the
-//! committed `BENCH_sched.json` plus the telemetry overhead gate — see
-//! [`perf`]), and `obsreport` (the live telemetry plane's exposition:
+//! live-improvement smoke gate — see [`ctrl`]), and `perf` (the
+//! self-relative telemetry overhead gate — see [`perf`]), and `obsreport` (the live telemetry plane's exposition:
 //! streaming per-window JSONL, Prometheus text format, and the
 //! telemetry smoke gate — see [`obsreport`]), and `scenario` (the
 //! million-stream closed-loop gate: a bounded-memory session population

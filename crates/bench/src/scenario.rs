@@ -180,8 +180,7 @@ impl<T: TraceSource> TraceSource for Meter<T> {
 
 /// One full closed-loop pass: population → daemon, with the backlog
 /// meter in between. Returns the report plus the source-side stats.
-/// Crate-visible so the perf gate can time the pass in isolation.
-pub(crate) fn closed_loop(cfg: &Config) -> (DaemonReport, u64, usize, usize) {
+fn closed_loop(cfg: &Config) -> (DaemonReport, u64, usize, usize) {
     let mut source = Meter {
         inner: SessionSource::new(session_config(cfg), cfg.seed),
         peak_backlog: 0,

@@ -312,8 +312,8 @@ impl Dispatcher {
     /// pinned by the `bulk_insert_*` tests and the oracle `diff_batch`
     /// gate). Only the heap pushes are deferred: each queue's entries are
     /// collected and merged with one O(n) heapify-append instead of n
-    /// sift-ups, which is what makes draining a whole ingest ring cheaper
-    /// than the serial enqueue loop. A bounded queue (`max_queue`) makes
+    /// sift-ups, which is what makes a batched enqueue cheaper than the
+    /// serial enqueue loop. A bounded queue (`max_queue`) makes
     /// the shed decision depend on the live length at every arrival, so
     /// that configuration keeps the serial loop.
     pub fn insert_bulk_traced<S: TraceSink>(

@@ -237,11 +237,9 @@ impl Encapsulator {
         &self.scratch
     }
 
-    /// [`Self::map_batch`] into a caller-owned buffer, through `&self` —
-    /// the form concurrent producers share one encapsulator with (see
-    /// `sim::ingest_concurrent`). Values are *appended* to `out`, so a
-    /// producer can characterize straight into a hand-off buffer that
-    /// already holds earlier batches (`IngestRing::push_with`).
+    /// [`Self::map_batch`] into a caller-owned buffer, through `&self`.
+    /// Values are *appended* to `out`, so it may already hold earlier
+    /// batches.
     ///
     /// The whole cascade runs eight requests at a time: stage-1 points are
     /// transposed into lane arrays and mapped through

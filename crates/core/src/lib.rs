@@ -59,7 +59,6 @@ mod dispatcher;
 mod encapsulator;
 pub mod extend;
 pub mod presets;
-mod ring;
 mod scheduler;
 pub mod spec;
 
@@ -69,5 +68,4 @@ pub use config::{
 };
 pub use dispatcher::Dispatcher;
 pub use encapsulator::Encapsulator;
-pub use ring::IngestRing;
 pub use scheduler::CascadedSfc;

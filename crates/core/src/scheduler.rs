@@ -195,61 +195,6 @@ impl<S: TraceSink> CascadedSfc<S> {
         }
     }
 
-    /// Insert a request whose characterization value was computed
-    /// elsewhere (via [`Encapsulator::map_batch_into`] on a shared
-    /// reference, typically by a producer thread). Anchored at the
-    /// request's own arrival time — exactly the insertion
-    /// [`DiskScheduler::enqueue_batch`] performs after `map_batch`, so a
-    /// stream of `insert_characterized` calls in batch order is
-    /// bit-identical to `enqueue_batch` on the concatenation.
-    pub fn insert_characterized(&mut self, req: Request, v: u128) {
-        let now = req.arrival_us;
-        self.dispatcher.insert_traced(req, v, now, &mut self.sink);
-    }
-
-    /// Drain a multi-producer [`IngestRing`](crate::IngestRing) into the
-    /// dispatcher in its deterministic (producer-index, sequence) order.
-    /// When producers pushed contiguous slices of one arrival chunk, this
-    /// is bit-identical to [`DiskScheduler::enqueue_batch`] on the whole
-    /// chunk (pinned by `sim`'s concurrent-ingest tests and the oracle
-    /// `diff_batch` gate).
-    pub fn drain_ring(&mut self, ring: &mut crate::IngestRing) {
-        self.dispatcher
-            .insert_bulk_traced(ring.drain_items(), &mut self.sink);
-    }
-
-    /// Drain a value-only ingest ring against the arrival chunk its
-    /// producers characterized. Producer `p` must have pushed the
-    /// characterization values for the `p`-th contiguous slice of
-    /// `chunk`, in slice order; the (producer-index, sequence) drain then
-    /// reassembles exactly one value per request in chunk order, and the
-    /// requests are cloned straight from `chunk` — the ring never carries
-    /// them. Bit-identical to [`DiskScheduler::enqueue_batch`] on `chunk`
-    /// (pinned by `sim`'s concurrent-ingest tests and the oracle
-    /// `diff_batch` gate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ring holds a different number of values than
-    /// `chunk` has requests.
-    pub fn drain_value_ring(&mut self, chunk: &[Request], ring: &mut crate::IngestRing<u128>) {
-        assert_eq!(
-            chunk.len(),
-            ring.len(),
-            "drain_value_ring: {} requests but {} characterization values",
-            chunk.len(),
-            ring.len()
-        );
-        let lanes = ring.drain_lanes();
-        self.dispatcher.insert_bulk_traced(
-            chunk
-                .iter()
-                .zip(lanes.into_iter().flatten())
-                .map(|(r, v)| (r.clone(), v)),
-            &mut self.sink,
-        );
-    }
-
     /// The attached trace sink.
     pub fn sink(&self) -> &S {
         &self.sink
@@ -485,12 +430,29 @@ mod tests {
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
     }
 
+    /// `enqueue_batch` (batched characterization + the dispatcher's bulk
+    /// insert) against the trait-default per-request loop, under every
+    /// dispatcher regime: one cold batch, 128-request chunks with
+    /// dequeues in between (the bounded regime sheds repeatedly), and a
+    /// batch landing on a dispatcher that already holds live preemption
+    /// state.
     #[test]
     fn batch_enqueue_matches_per_request_enqueue() {
-        let cfg = CascadeConfig::paper_default(3, 3832);
-        let mut one = CascadedSfc::new(cfg.clone()).unwrap();
-        let mut batched = CascadedSfc::new(cfg).unwrap();
-        let batch: Vec<Request> = (0..60u64)
+        /// Dequeue up to `limit` requests from both, in lockstep.
+        fn pop_both(one: &mut CascadedSfc, batched: &mut CascadedSfc, limit: usize) -> u64 {
+            let h = HeadState::new(1700, 0, 3832);
+            for popped in 0..limit {
+                let a = one.dequeue(&h);
+                let b = batched.dequeue(&h);
+                assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
+                if a.is_none() {
+                    return popped as u64;
+                }
+            }
+            limit as u64
+        }
+
+        let trace: Vec<Request> = (0..1_000u64)
             .map(|i| {
                 Request::read(
                     i,
@@ -502,24 +464,55 @@ mod tests {
                 )
             })
             .collect();
-        let h = HeadState::new(1700, batch[0].arrival_us, 3832);
-        for r in &batch {
-            one.enqueue(
-                r.clone(),
-                &HeadState::new(h.cylinder, r.arrival_us, h.cylinders),
-            );
-        }
-        batched.enqueue_batch(&batch, &h);
-        assert_eq!(one.len(), batched.len());
-        loop {
-            let a = one.dequeue(&h);
-            let b = batched.dequeue(&h);
-            assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
-            if a.is_none() {
-                break;
+        for dispatch in [
+            DispatchConfig::paper_default(),
+            DispatchConfig::fully_preemptive(),
+            DispatchConfig::non_preemptive(),
+            DispatchConfig::paper_default().with_max_queue(32),
+        ] {
+            // Of `offered` requests, `preload` are enqueued one by one
+            // into both and `warmup` dispatched from both before the rest
+            // lands in chunks, with `between` dequeues after each chunk.
+            for (offered, preload, warmup, chunk_len, between) in [
+                (60, 0, 0, 60, 0),
+                (1_000, 0, 0, 128, 8),
+                (1_000, 200, 60, 800, 0),
+            ] {
+                let what = format!("{dispatch:?} chunk={chunk_len} preload={preload}");
+                let cfg = CascadeConfig::paper_default(3, 3832).with_dispatch(dispatch);
+                let mut one = CascadedSfc::new(cfg.clone()).unwrap();
+                let mut batched = CascadedSfc::new(cfg).unwrap();
+                let at = |r: &Request| HeadState::new(1700, r.arrival_us, 3832);
+
+                let (warm, rest) = trace[..offered].split_at(preload);
+                for r in warm {
+                    one.enqueue(r.clone(), &at(r));
+                    batched.enqueue(r.clone(), &at(r));
+                }
+                let mut dequeued = pop_both(&mut one, &mut batched, warmup);
+                for chunk in rest.chunks(chunk_len) {
+                    for r in chunk {
+                        one.enqueue(r.clone(), &at(r));
+                    }
+                    batched.enqueue_batch(chunk, &at(&chunk[0]));
+                    assert_eq!(one.len(), batched.len(), "{what}");
+                    assert_eq!(one.sheds(), batched.sheds(), "{what}");
+                    dequeued += pop_both(&mut one, &mut batched, between);
+                }
+                dequeued += pop_both(&mut one, &mut batched, usize::MAX);
+                assert_eq!(
+                    one.dispatch_counters(),
+                    batched.dispatch_counters(),
+                    "{what}"
+                );
+                assert_eq!(
+                    batched.sheds() > 0,
+                    dispatch.max_queue.is_some(),
+                    "only the bounded regime sheds: {what}"
+                );
+                assert_eq!(dequeued + batched.sheds(), offered as u64, "{what}");
             }
         }
-        assert_eq!(one.dispatch_counters(), batched.dispatch_counters());
     }
 
     #[test]

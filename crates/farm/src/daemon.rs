@@ -733,16 +733,16 @@ impl FarmDaemon {
     /// Apply one event: pump the members with work due before the
     /// event's time, run the supervisor, then act.
     ///
-    /// # Panics
-    /// If events go backwards in time, or an arrival regresses a
-    /// member's submission order (both orchestration bugs).
+    /// An event timed before the last handled one (an out-of-order line
+    /// from a source) is refused: counted, dropped before it touches the
+    /// clock, a member or the ledger. Every accepted arrival is therefore
+    /// at or after each member's last submission.
     pub fn handle(&mut self, event: DaemonEvent) {
         let t = event.at_us();
-        assert!(
-            t >= self.now_us,
-            "daemon events must be time-ordered: {t} after {}",
-            self.now_us
-        );
+        if t < self.now_us {
+            self.refused_events += 1;
+            return;
+        }
         self.now_us = t;
         self.advance_to(t);
         self.supervise(t);
@@ -911,8 +911,10 @@ pub struct DaemonReport {
     pub quarantines: u64,
     /// Control-plane retunes applied (knob changes + policy swaps).
     pub retunes: u64,
-    /// Membership/quarantine/retune events refused (unknown shard,
-    /// wrong state, unsupported knob, or last shard in rotation).
+    /// Events refused: membership/quarantine/retune requests the farm
+    /// cannot honour (unknown shard, wrong state, unsupported knob, or
+    /// last shard in rotation), and events of any kind — arrivals
+    /// included — timed before the last handled one.
     pub refused_events: u64,
     /// Slowest member's makespan (µs).
     pub makespan_us: u64,
@@ -1454,15 +1456,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "time-ordered")]
-    fn out_of_order_events_panic() {
-        let options = SimOptions::with_shape(1, 5);
-        let mut daemon = FarmDaemon::new(
-            DaemonConfig::new(FarmConfig::new(1), options),
-            fcfs_factory(),
-            table1_services(),
-        );
-        daemon.handle(DaemonEvent::AddShard { at_us: 1_000 });
-        daemon.handle(DaemonEvent::AddShard { at_us: 999 });
+    fn time_regressing_events_are_refused_and_the_run_finishes() {
+        let trace = vod(12, 300);
+        let options = SimOptions::with_shape(1, 5).dropping();
+        let cfg = DaemonConfig::new(FarmConfig::new(3), options);
+        let mut daemon = FarmDaemon::new(cfg.clone(), fcfs_factory(), table1_services());
+        let (head, tail) = trace.split_at(150);
+        for r in head {
+            daemon.handle(DaemonEvent::Arrival(r.clone()));
+        }
+        let (now, arrivals) = (daemon.now_us(), daemon.arrivals());
+        // One stale line of each kind: neither may move the clock, count
+        // as an arrival, or take shard 1 out of rotation.
+        daemon.handle(DaemonEvent::Arrival(head[10].clone()));
+        daemon.handle(DaemonEvent::DrainShard {
+            at_us: now - 1,
+            shard: 1,
+            handoff_window_us: 10_000,
+        });
+        assert_eq!(daemon.now_us(), now);
+        assert_eq!(daemon.arrivals(), arrivals);
+        assert_eq!(daemon.status(1), MemberStatus::Active);
+        let report = daemon.run(tail.iter().cloned().map(DaemonEvent::Arrival));
+        assert_eq!(report.refused_events, 2);
+        assert_eq!(report.arrivals, 300);
+        assert_eq!(report.migrated, 0);
+        report.ledger().expect("ledger closes");
+        report.reconcile_events().expect("events reconcile");
+        // The refused lines left no trace: same outcome as never sent.
+        let clean = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
+            .run(trace.iter().cloned().map(DaemonEvent::Arrival));
+        assert_eq!(report.per_shard, clean.per_shard);
     }
 }

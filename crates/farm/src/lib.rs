@@ -62,7 +62,7 @@ pub use router::{RoutePolicy, Router, ShardLoad};
 pub use sim::Parallelism;
 
 use obs::{Snapshot, TraceEvent, TraceSink};
-use sched::{DiskScheduler, HeadState, Request};
+use sched::{DiskScheduler, Request};
 use sim::{run_indexed, simulate_traced, DiskService, Metrics, SimOptions};
 
 /// Configuration of a farm run.
@@ -177,59 +177,6 @@ pub fn route_trace<S: TraceSink>(
         routed_per_shard,
         redirects: router.redirects(),
     }
-}
-
-/// Route `trace` across the farm and deliver each shard's backlog into
-/// its Cascaded-SFC scheduler through the multi-producer ingest path:
-/// per shard, `cfg.parallelism` router threads characterize contiguous
-/// slices of the routed sub-trace in parallel (the lane-batched
-/// encapsulator pass) and hand off through the sharded
-/// [`cascade::IngestRing`], which [`sim::ingest_concurrent`] proves
-/// bit-identical to a serial `enqueue_batch` of the same backlog.
-///
-/// `heads[i]` anchors shard `i`'s head position; each shard's chunk is
-/// time-anchored at its first routed arrival, matching the engine's
-/// chunk-delivery convention. Returns the placement (so callers can
-/// reconcile routed counts against queue depths) alongside the number of
-/// producer threads used on the busiest shard.
-pub fn ingest_routed<S: TraceSink, T: TraceSink>(
-    trace: &[Request],
-    cfg: &FarmConfig,
-    schedulers: &mut [cascade::CascadedSfc<T>],
-    heads: &[HeadState],
-    sink: &mut S,
-) -> (Placement, usize) {
-    assert_eq!(
-        schedulers.len(),
-        cfg.shards,
-        "ingest_routed: {} schedulers for {} shards",
-        schedulers.len(),
-        cfg.shards
-    );
-    assert_eq!(
-        heads.len(),
-        cfg.shards,
-        "ingest_routed: {} heads for {} shards",
-        heads.len(),
-        cfg.shards
-    );
-    let capacities: Vec<Option<usize>> = schedulers.iter().map(|s| s.queue_capacity()).collect();
-    let placement = route_trace(trace, cfg, &capacities, sink);
-    let mut max_producers = 0usize;
-    for (shard, scheduler) in schedulers.iter_mut().enumerate() {
-        let backlog = &placement.shard_traces[shard];
-        if backlog.is_empty() {
-            continue;
-        }
-        let head = HeadState::new(
-            heads[shard].cylinder,
-            backlog[0].arrival_us,
-            heads[shard].cylinders,
-        );
-        let used = sim::ingest_concurrent(scheduler, backlog, &head, cfg.parallelism);
-        max_producers = max_producers.max(used);
-    }
-    (placement, max_producers)
 }
 
 /// Result of a farm run: per-shard metrics plus farm-level accounting.
@@ -436,79 +383,6 @@ mod tests {
                 .with_stream(i % 16)
             })
             .collect()
-    }
-
-    /// The multi-producer front door: routing a trace into per-shard
-    /// Cascaded-SFC schedulers through `ingest_routed` must leave every
-    /// shard bit-identical (dequeue order and counters) to routing the
-    /// same trace and serially batch-enqueueing each shard's backlog.
-    #[test]
-    fn ingest_routed_matches_serial_per_shard_enqueue() {
-        use cascade::{CascadeConfig, CascadedSfc};
-        let trace = batch(500);
-        for policy in [
-            RoutePolicy::HashStream,
-            RoutePolicy::CylinderRange,
-            RoutePolicy::LeastLoaded,
-        ] {
-            let cfg = FarmConfig::new(3)
-                .with_policy(policy)
-                .with_parallelism(Parallelism::threads(4));
-            let mk = || {
-                (0..3)
-                    .map(|_| CascadedSfc::new(CascadeConfig::paper_default(1, 3832)).unwrap())
-                    .collect::<Vec<_>>()
-            };
-            let heads: Vec<HeadState> = (0..3).map(|s| HeadState::new(s * 900, 0, 3832)).collect();
-            let mut concurrent = mk();
-            let (placement, used) =
-                ingest_routed(&trace, &cfg, &mut concurrent, &heads, &mut obs::NullSink);
-            assert!(used > 1, "{policy:?}: producer fan-out engaged");
-
-            let mut serial = mk();
-            let reference = route_trace(&trace, &cfg, &[None; 3], &mut obs::NullSink);
-            for (shard, s) in serial.iter_mut().enumerate() {
-                let backlog = &reference.shard_traces[shard];
-                if backlog.is_empty() {
-                    continue;
-                }
-                let head = HeadState::new(
-                    heads[shard].cylinder,
-                    backlog[0].arrival_us,
-                    heads[shard].cylinders,
-                );
-                s.enqueue_batch(backlog, &head);
-            }
-
-            for shard in 0..3 {
-                assert_eq!(
-                    placement.routed_per_shard[shard], reference.routed_per_shard[shard],
-                    "{policy:?}"
-                );
-                assert_eq!(
-                    concurrent[shard].len() as u64,
-                    placement.routed_per_shard[shard],
-                    "{policy:?}"
-                );
-                loop {
-                    let a = concurrent[shard].dequeue(&heads[shard]);
-                    let b = serial[shard].dequeue(&heads[shard]);
-                    assert_eq!(
-                        a.as_ref().map(|r| r.id),
-                        b.as_ref().map(|r| r.id),
-                        "{policy:?} shard {shard}"
-                    );
-                    if a.is_none() {
-                        break;
-                    }
-                }
-                assert_eq!(
-                    concurrent[shard].dispatch_counters(),
-                    serial[shard].dispatch_counters(),
-                    "{policy:?} shard {shard}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! `S::ENABLED`, so with the default [`NullSink`] the instrumented paths
 //! monomorphize to the uninstrumented machine code — and the live plane
 //! itself is budgeted: CI gates the fully-instrumented hot path within
-//! 5% of the `NullSink` baseline (`bench perf --mode overhead`).
+//! 5% of the `NullSink` baseline (`bench perf`).
 //!
 //! ```
 //! use obs::{RingSink, Snapshot, Tee, TraceEvent, TraceSink};

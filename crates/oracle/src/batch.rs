@@ -1,8 +1,8 @@
-//! Batch/concurrent differential gate: the vectorized characterization
-//! pipeline and the multi-producer ingest path held to the scalar/serial
-//! reference bit for bit, on every committed corpus trace.
+//! Batch differential gate: the vectorized characterization pipeline
+//! and the bulk enqueue held to the scalar/serial reference bit for bit,
+//! on every committed corpus trace.
 //!
-//! Three comparisons per case:
+//! Two comparisons per case:
 //!
 //! * **characterization** — [`cascade::Encapsulator::map_batch_into`]
 //!   (the 8-lane batch pass) against per-request
@@ -10,20 +10,15 @@
 //!   values,
 //! * **batched enqueue** — [`sched::DiskScheduler::enqueue_batch`] (the
 //!   bulk heapify-append insert) against the trait-default per-request
-//!   enqueue loop, under every dispatcher regime,
-//! * **concurrent ingest** — [`sim::ingest_concurrent`] with 4 producer
-//!   threads through the sharded [`cascade::IngestRing`], against the
-//!   same serial reference.
+//!   enqueue loop, under every dispatcher regime.
 //!
 //! Agreement is judged on the full observable surface: queue depths,
-//! dequeue order, dispatch counters, and shed ledgers. This is the
-//! semantic side of the `bench perf` speedup claims — the fast paths are
-//! only admissible because this gate proves they compute the same
+//! dequeue order, dispatch counters, and shed ledgers. The fast paths
+//! are only admissible because this gate proves they compute the same
 //! schedule.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use sched::{DiskScheduler, HeadState};
-use sim::{ingest_concurrent, Parallelism};
 
 use crate::fuzz::{self, Archetype};
 use crate::smoke::SmokeReport;
@@ -38,7 +33,7 @@ fn drain_ids(s: &mut CascadedSfc, head: &HeadState) -> Vec<u64> {
     out
 }
 
-/// Diff the batch and concurrent fast paths against the scalar/serial
+/// Diff the batch fast paths against the scalar/serial
 /// reference on every `.case` file under `corpus`. Any divergence —
 /// one characterization value, one dequeued id, one counter — is the
 /// error.
@@ -91,8 +86,8 @@ pub fn diff_batch(corpus: &std::path::Path) -> Result<SmokeReport, String> {
         report.differential_runs += 1;
         report.requests_checked += trace.len() as u64;
 
-        // Batched enqueue and 4-producer concurrent ingest vs the
-        // trait-default per-request loop, under every dispatcher regime.
+        // Batched enqueue vs the trait-default per-request loop, under
+        // every dispatcher regime.
         for (regime, dispatch) in [
             ("paper", DispatchConfig::paper_default()),
             ("fully", DispatchConfig::fully_preemptive()),
@@ -103,59 +98,48 @@ pub fn diff_batch(corpus: &std::path::Path) -> Result<SmokeReport, String> {
             ),
         ] {
             let config = CascadeConfig::paper_default(dims, 3832).with_dispatch(dispatch);
-            let tag = |side: &str| format!("{}/{regime}/{side}", path.display());
-            let mut serial = CascadedSfc::new(config.clone())
-                .map_err(|e| format!("[{}] {e:?}", tag("serial")))?;
-            let mut batch = CascadedSfc::new(config.clone())
-                .map_err(|e| format!("[{}] {e:?}", tag("batch")))?;
-            let mut concurrent =
-                CascadedSfc::new(config).map_err(|e| format!("[{}] {e:?}", tag("concurrent")))?;
+            let tag = format!("{}/{regime}", path.display());
+            let mut serial =
+                CascadedSfc::new(config.clone()).map_err(|e| format!("[{tag}/serial] {e:?}"))?;
+            let mut batch = CascadedSfc::new(config).map_err(|e| format!("[{tag}/batch] {e:?}"))?;
 
             for r in &trace {
                 let h = HeadState::new(head.cylinder, r.arrival_us, head.cylinders);
                 serial.enqueue(r.clone(), &h);
             }
             batch.enqueue_batch(&trace, &head);
-            ingest_concurrent(&mut concurrent, &trace, &head, Parallelism::threads(4));
 
             let reference = drain_ids(&mut serial, &head);
             let counters = serial.dispatch_counters();
             let sheds = serial.sheds();
-            for (side, s) in [("batch", &mut batch), ("concurrent", &mut concurrent)] {
-                if s.sheds() != sheds {
-                    return Err(format!(
-                        "[{}] sheds {} != serial {}",
-                        tag(side),
-                        s.sheds(),
-                        sheds
-                    ));
-                }
-                let ids = drain_ids(s, &head);
-                if ids != reference {
-                    let at = ids
-                        .iter()
-                        .zip(&reference)
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| ids.len().min(reference.len()));
-                    return Err(format!(
-                        "[{}] dequeue order diverges from serial at position {at} \
-                         ({} vs {} served)",
-                        tag(side),
-                        ids.len(),
-                        reference.len()
-                    ));
-                }
-                if s.dispatch_counters() != counters {
-                    return Err(format!(
-                        "[{}] dispatch counters {:?} != serial {:?}",
-                        tag(side),
-                        s.dispatch_counters(),
-                        counters
-                    ));
-                }
-                report.differential_runs += 1;
-                report.requests_checked += trace.len() as u64;
+            if batch.sheds() != sheds {
+                return Err(format!(
+                    "[{tag}/batch] sheds {} != serial {sheds}",
+                    batch.sheds()
+                ));
             }
+            let ids = drain_ids(&mut batch, &head);
+            if ids != reference {
+                let at = ids
+                    .iter()
+                    .zip(&reference)
+                    .position(|(a, b)| a != b)
+                    .unwrap_or_else(|| ids.len().min(reference.len()));
+                return Err(format!(
+                    "[{tag}/batch] dequeue order diverges from serial at position {at} \
+                     ({} vs {} served)",
+                    ids.len(),
+                    reference.len()
+                ));
+            }
+            if batch.dispatch_counters() != counters {
+                return Err(format!(
+                    "[{tag}/batch] dispatch counters {:?} != serial {counters:?}",
+                    batch.dispatch_counters()
+                ));
+            }
+            report.differential_runs += 1;
+            report.requests_checked += trace.len() as u64;
         }
     }
     Ok(report)
@@ -169,9 +153,9 @@ mod tests {
     fn diff_batch_gate_passes_on_the_committed_corpus() {
         let corpus =
             std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus"));
-        let report = diff_batch(corpus).expect("batch/concurrent differential gate");
-        // 6 corpus cases: 1 characterization diff + 4 regimes x 2 sides.
-        assert!(report.differential_runs >= 6 * 9);
+        let report = diff_batch(corpus).expect("batch differential gate");
+        // 6 corpus cases: 1 characterization diff + 4 regimes.
+        assert!(report.differential_runs >= 6 * 5);
         assert!(report.requests_checked > 0);
     }
 

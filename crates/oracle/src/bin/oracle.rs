@@ -20,8 +20,8 @@
 //!   the quick semantic gate to run after a hot-path optimization.
 //! * `diff-batch` diffs the vectorized fast paths against their scalar
 //!   references on every corpus trace: batched characterization
-//!   elementwise against per-point, and batched/4-producer-concurrent
-//!   enqueue against the serial loop under all four dispatcher regimes.
+//!   elementwise against per-point, and batched enqueue against the
+//!   serial loop under all four dispatcher regimes.
 
 use bench::args::Args;
 use oracle::fuzz::{self, Scenario, ARCHETYPES};
@@ -87,8 +87,8 @@ fn main() {
         "diff-batch" => match oracle::diff_batch(&corpus) {
             Ok(report) => {
                 eprintln!(
-                    "# oracle diff-batch OK: {} batch/concurrent runs bit-identical to \
-                     the scalar/serial reference across {} requests",
+                    "# oracle diff-batch OK: {} batch runs bit-identical to the \
+                     scalar/serial reference across {} requests",
                     report.differential_runs, report.requests_checked
                 );
             }

@@ -42,11 +42,10 @@
 //! [`smoke::run`] bundles a fixed battery of all three into the CI gate
 //! wired through `ci.sh` (`oracle --mode smoke`). [`batch::diff_batch`]
 //! (`oracle --mode diff-batch`) holds the vectorized characterization
-//! pipeline and the multi-producer ingest path to the scalar/serial
-//! reference on the committed corpus — the semantic counterpart of the
-//! `bench perf` speedup claims. The perf-regression half of the gate
-//! lives in `bench` (`perf --mode check` against the committed
-//! `BENCH_sched.json`).
+//! pipeline and the bulk enqueue to the scalar/serial reference on the
+//! committed corpus. The perf-regression half of the gate is the
+//! daemon-path benchmark (`benchmark/run.sh`, compared in `ci.sh` with
+//! the committed `perf-history.jsonl`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,9 +10,6 @@
 //! fixed, the parallel path is bit-identical to the serial one — callers
 //! pick [`Parallelism`] purely on wall-clock grounds.
 
-use cascade::{CascadedSfc, IngestRing};
-use obs::TraceSink;
-use sched::{HeadState, Request};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -91,77 +88,6 @@ where
                 .expect("every index was claimed by a worker")
         })
         .collect()
-}
-
-/// Ingest one arrival chunk into a Cascaded-SFC scheduler through
-/// multiple producer threads, bit-identical to a serial
-/// [`sched::DiskScheduler::enqueue_batch`] of the same chunk.
-///
-/// The chunk is split into `producers` contiguous slices. Each producer
-/// thread characterizes its slice through the shared encapsulator
-/// ([`cascade::Encapsulator::map_batch_into`], the lane-parallel batch
-/// pass) and pushes the resulting characterization values onto its own
-/// lane of a value-only [`IngestRing`] — the requests themselves stay in
-/// the borrowed chunk, so the hot hand-off moves 16 bytes per request.
-/// The ring is then drained serially into the dispatcher in
-/// (producer-index, sequence) order against the original chunk
-/// ([`cascade::CascadedSfc::drain_value_ring`]). Contiguous slices in
-/// producer order concatenate back to the original chunk, so the drained
-/// insertion sequence — each request anchored at its own arrival time —
-/// is exactly the serial one, regardless of thread interleaving. This is
-/// what lets a farm shard accept arrivals from several router threads
-/// without forking its dispatch order from the single-threaded
-/// reference.
-///
-/// `parallelism` bounds the producer count ([`Parallelism::Serial`] or a
-/// sub-lane-width chunk short-circuits to the plain batched enqueue).
-/// Returns the number of producer threads used.
-pub fn ingest_concurrent<S: TraceSink>(
-    scheduler: &mut CascadedSfc<S>,
-    chunk: &[Request],
-    head: &HeadState,
-    parallelism: Parallelism,
-) -> usize {
-    use sched::DiskScheduler;
-    let producers = parallelism.worker_count(chunk.len());
-    if producers <= 1 || chunk.len() < 2 {
-        scheduler.enqueue_batch(chunk, head);
-        return 1;
-    }
-    let ring = IngestRing::<u128>::new(producers);
-    let enc = scheduler.encapsulator();
-    let base = chunk.len() / producers;
-    let extra = chunk.len() % producers;
-    std::thread::scope(|scope| {
-        let mut start = 0usize;
-        let mut own = None;
-        for p in 0..producers {
-            let len = base + usize::from(p < extra);
-            let slice = &chunk[start..start + len];
-            start += len;
-            // The calling thread is producer 0: it would otherwise idle
-            // in the scope join while the others characterize.
-            if p == 0 {
-                own = Some(slice);
-                continue;
-            }
-            let ring = &ring;
-            // Producer threads run a shallow, iterative batch pass; the
-            // default 8 MiB stacks would dominate the spawn cost (page
-            // table setup) for chunk-sized work, so keep them small.
-            std::thread::Builder::new()
-                .stack_size(64 * 1024)
-                .spawn_scoped(scope, move || {
-                    ring.push_with(p, |vs| enc.map_batch_into(slice, head, vs));
-                })
-                .expect("spawn ingest producer");
-        }
-        let slice = own.expect("at least one producer slice");
-        ring.push_with(0, |vs| enc.map_batch_into(slice, head, vs));
-    });
-    let mut ring = ring;
-    scheduler.drain_value_ring(chunk, &mut ring);
-    producers
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ pub use backoff::jittered_backoff_us;
 pub use engine::{
     simulate, simulate_logged, simulate_traced, RequestRecord, RetryPolicy, SimOptions,
 };
-pub use exec::{ingest_concurrent, run_indexed, Parallelism};
+pub use exec::{run_indexed, Parallelism};
 pub use metrics::{fifo_inversion_baseline, Metrics};
 pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,
