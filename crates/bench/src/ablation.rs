@@ -126,12 +126,7 @@ pub fn victim_wait_ms(dispatch: DispatchConfig, stream_len: u64) -> f64 {
     let trace = adversarial_trace(stream_len, service_us);
     let mut s = scheduler_with(dispatch);
     let mut service = TransferDominated::uniform(service_us, 3832);
-    let m: Metrics = simulate(
-        &mut s,
-        &trace,
-        &mut service,
-        SimOptions::with_shape(3, 16).without_inversions(),
-    );
+    let m: Metrics = simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 16));
     // All requests complete; the max response is the victims' (the stream
     // itself is served at arrival pace).
     m.max_response_us as f64 / 1000.0

@@ -137,15 +137,20 @@ fn median_pair(mut pairs: Vec<(f64, f64)>) -> (f64, f64) {
 /// Gate a measured [`OverheadReport`] against a fractional `budget`
 /// (0.05 = telemetry may cost at most 5% of NullSink throughput). On
 /// failure the `Err` still carries every line, so the CI log shows both
-/// paths' numbers.
+/// paths' numbers. Each line also gives the sink's absolute cost
+/// (`1e9/on − 1e9/off`, ns per request or operation): the gated ratio
+/// moves whenever the *un*instrumented path gets faster or slower, and
+/// the absolute figure is what tells that apart from a costlier sink.
 pub fn check_overhead(report: &OverheadReport, budget: f64) -> Result<Vec<String>, Vec<String>> {
     let mut lines = Vec::new();
     let mut over = false;
-    let mut gauge = |name: &str, null: f64, live: f64, overhead: f64| {
+    let mut gauge = |name: &str, unit: &str, null: f64, live: f64, overhead: f64| {
         let ok = overhead <= budget;
         over |= !ok;
         lines.push(format!(
-            "{name}: off {null:.0}/s, on {live:.0}/s, overhead {:+.2}% (budget {:.1}%) {}",
+            "{name}: off {null:.0}/s, on {live:.0}/s, sink {:+.1} ns/{unit}, \
+             overhead {:+.2}% (budget {:.1}%) {}",
+            1e9 / live.max(1e-9) - 1e9 / null.max(1e-9),
             overhead * 100.0,
             budget * 100.0,
             if ok { "ok" } else { "OVER BUDGET" }
@@ -153,12 +158,14 @@ pub fn check_overhead(report: &OverheadReport, budget: f64) -> Result<Vec<String
     };
     gauge(
         "engine",
+        "req",
         report.engine_null_reqs_per_s,
         report.engine_live_reqs_per_s,
         report.engine_overhead(),
     );
     gauge(
         "dispatch",
+        "op",
         report.dispatch_null_ops_per_s,
         report.dispatch_live_ops_per_s,
         report.dispatch_overhead(),
@@ -185,6 +192,8 @@ mod tests {
         let lines = check_overhead(&report, 0.05).expect("within budget");
         assert_eq!(lines.len(), 2);
         assert!(lines.iter().all(|l| l.ends_with("ok")));
+        // 1e9/970 - 1e9/1000 ns: the sink's absolute cost rides along.
+        assert!(lines[0].contains("sink +30927.8 ns/req"), "{}", lines[0]);
         // Telemetry *speeding things up* (noise) is never a failure.
         let noisy = OverheadReport {
             engine_live_reqs_per_s: 1010.0,

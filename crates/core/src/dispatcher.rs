@@ -110,6 +110,11 @@ pub struct Dispatcher {
     window: u128,
     /// Characterization value of the most recently dispatched request.
     current: Option<u128>,
+    /// [`Dispatcher::insert_bulk_traced`]'s per-queue staging buffers,
+    /// empty between calls; kept so a chunk of one or two requests does
+    /// not pay two allocations.
+    bulk_q: Vec<Entry>,
+    bulk_qw: Vec<Entry>,
     /// Counters for analysis.
     preemptions: u64,
     promotions: u64,
@@ -144,6 +149,8 @@ impl Dispatcher {
             base_window,
             window: base_window,
             current: None,
+            bulk_q: Vec::new(),
+            bulk_qw: Vec::new(),
             preemptions: 0,
             promotions: 0,
             swaps: 0,
@@ -335,8 +342,8 @@ impl Dispatcher {
         // times, a cost the serial path cannot avoid but a sized bulk
         // insert can.
         self.slots.reserve(n.saturating_sub(self.free.len()));
-        let mut to_q: Vec<Entry> = Vec::new();
-        let mut to_qw: Vec<Entry> = Vec::new();
+        let mut to_q = std::mem::take(&mut self.bulk_q);
+        let mut to_qw = std::mem::take(&mut self.bulk_qw);
         match self.config.mode {
             PreemptionMode::NonPreemptive => to_qw.reserve(n),
             // Conditional arrivals land in the active queue while the
@@ -377,14 +384,20 @@ impl Dispatcher {
         }
         self.q_live += to_q.len();
         self.qw_live += to_qw.len();
-        if !to_q.is_empty() {
-            let mut add = BinaryHeap::from(to_q);
-            self.q.append(&mut add);
+        self.bulk_q = Self::append_heapified(&mut self.q, to_q);
+        self.bulk_qw = Self::append_heapified(&mut self.q_wait, to_qw);
+    }
+
+    /// Merge `entries` into `heap` with one heapify-append, handing back
+    /// the emptied buffer `append` leaves behind (whichever of the two it
+    /// was) for the next chunk.
+    fn append_heapified(heap: &mut BinaryHeap<Entry>, entries: Vec<Entry>) -> Vec<Entry> {
+        if entries.is_empty() {
+            return entries;
         }
-        if !to_qw.is_empty() {
-            let mut add = BinaryHeap::from(to_qw);
-            self.q_wait.append(&mut add);
-        }
+        let mut add = BinaryHeap::from(entries);
+        heap.append(&mut add);
+        add.into_vec()
     }
 
     /// Dispatch the next request (the disk became idle).

@@ -111,8 +111,13 @@ pub trait DiskScheduler {
         self.len() == 0
     }
 
-    /// Visit every pending request (order unspecified). Metric code uses
-    /// this to count priority inversions against the waiting set.
+    /// Visit every pending request (order unspecified), exactly
+    /// [`DiskScheduler::len`] of them. Not on the per-dispatch path: the
+    /// simulator counts priority inversions from its own census of the
+    /// waiting set and calls this only to re-sync that census when
+    /// `len()` shows requests left behind its back (a bounded-queue shed,
+    /// a caller's drain); a retune uses it to collect the backlog it
+    /// re-inserts.
     fn for_each_pending(&self, f: &mut dyn FnMut(&Request));
 
     /// Requests dropped by bounded-queue overload shedding so far.

@@ -6,6 +6,28 @@
 //! disk serve the scheduler's next pick. Priority inversions are counted
 //! at each service start against the requests still waiting, per the
 //! paper's definition.
+//!
+//! ## Counting inversions without walking the queue
+//!
+//! §5.1 asks, per QoS dimension, how many waiting requests beat the one
+//! being served. The engine answers from a [`Census`] it keeps itself —
+//! per tracked dimension, the number of pending requests at each `u8`
+//! level — so a dispatch costs a prefix sum over the levels below the
+//! served request's, whatever the queue depth and whatever the policy.
+//! The census follows the scheduler's pending set: a delivered chunk is
+//! added, a dequeued request removed.
+//!
+//! Requests also leave a scheduler where the engine cannot see which
+//! one left: a bounded queue sheds a victim of its own choosing
+//! (possibly the arrival itself), and the caller owns the scheduler
+//! between pumps (the farm daemon drains a closing shard's backlog with
+//! [`DiskScheduler::drain_pending`]). One rule covers all of it:
+//! **whenever the census total disagrees with `scheduler.len()` at a
+//! point where the census is about to be used, it is rebuilt with one
+//! [`DiskScheduler::for_each_pending`] pass.** The contract this puts on
+//! a caller: between pumps it may add requests to the scheduler or
+//! remove them, but not swap one for another with the count unchanged —
+//! a change `len()` cannot show is a change the census cannot see.
 
 use crate::metrics::Metrics;
 use crate::service::{ServiceFault, ServiceProvider};
@@ -78,10 +100,10 @@ pub struct SimOptions {
     /// prior to this deadline is considered lost"). When `false`, late
     /// requests are still served and counted as late.
     pub drop_past_due: bool,
-    /// Count priority inversions (the dominant per-service cost; disable
-    /// for throughput benchmarks).
-    pub count_inversions: bool,
-    /// QoS dimensions to track in the metrics.
+    /// QoS dimensions to track in the metrics. Priority inversions are
+    /// always counted over these: the engine keeps a per-level census of
+    /// the waiting set, so a dispatch costs a prefix sum over `dims` rows
+    /// of level counts, not a walk over the queue.
     pub dims: usize,
     /// Priority levels per dimension to track in the metrics.
     pub levels: usize,
@@ -105,7 +127,6 @@ impl Default for SimOptions {
     fn default() -> Self {
         SimOptions {
             drop_past_due: false,
-            count_inversions: true,
             dims: sched::MAX_QOS_DIMS,
             levels: 16,
             warmup_us: 0,
@@ -128,12 +149,6 @@ impl SimOptions {
     /// Enable §6-style dropping of past-due requests.
     pub fn dropping(mut self) -> Self {
         self.drop_past_due = true;
-        self
-    }
-
-    /// Disable inversion accounting (for throughput benchmarks).
-    pub fn without_inversions(mut self) -> Self {
-        self.count_inversions = false;
         self
     }
 
@@ -275,6 +290,7 @@ pub(crate) struct EngineCore {
     pub(crate) now: Micros,
     pub(crate) cylinders: u32,
     spans: Option<EngineSpans>,
+    census: Census,
 }
 
 impl EngineCore {
@@ -288,6 +304,7 @@ impl EngineCore {
             } else {
                 None
             },
+            census: Census::new(options.dims, options.levels),
             options,
         }
     }
@@ -322,9 +339,19 @@ impl EngineCore {
                 });
             }
         }
+        // The caller owns the scheduler between pumps: pick up whatever
+        // it drained or pre-loaded before counting this chunk on top.
+        if self.census.total != scheduler.len() {
+            self.census.rebuild(scheduler);
+        }
         let head = HeadState::new(service.head(), chunk[0].arrival_us, self.cylinders);
         let clock = span_clock(self.spans.as_mut().map(|s| &mut s.enqueue));
         scheduler.enqueue_batch(chunk, &head);
+        // A bounded queue may have shed some of these, or queued victims
+        // in their place; the length check at the next dequeue sees that.
+        for r in chunk {
+            self.census.add(r);
+        }
         if let Some(t0) = clock {
             sink.emit(&TraceEvent::StageSpan {
                 now_us: head.now_us,
@@ -356,6 +383,11 @@ impl EngineCore {
         }
         match picked {
             Some(req) => {
+                if self.census.total == scheduler.len() + 1 {
+                    self.census.remove(&req);
+                } else {
+                    self.census.rebuild(scheduler);
+                }
                 self.serve(req, scheduler, service, log, sink);
                 true
             }
@@ -409,8 +441,20 @@ impl EngineCore {
             }
             return;
         }
-        if self.options.count_inversions && in_window {
-            count_inversions(scheduler, &req, &mut self.metrics);
+        // §5.1: serving `req` adds, per dimension, the number of waiting
+        // requests with strictly higher priority in it. With nobody
+        // waiting — most dispatches of a lightly loaded farm member —
+        // that is nothing, and neither table is touched.
+        if in_window && self.census.total > 0 {
+            let beating = self.census.beating(&req);
+            debug_assert_eq!(
+                beating,
+                beating_by_walk(scheduler, &req, self.census.dims),
+                "the census drifted from the scheduler's pending set"
+            );
+            for (slot, n) in self.metrics.inversions_per_dim.iter_mut().zip(beating) {
+                *slot += n;
+            }
         }
         if S::ENABLED {
             sink.emit(&TraceEvent::ServiceStart {
@@ -626,25 +670,117 @@ fn simulate_inner<S: TraceSink>(
     core.metrics
 }
 
-/// §5.1: serving `served` adds, per dimension, the number of waiting
-/// requests with strictly higher priority in that dimension.
-fn count_inversions(scheduler: &dyn DiskScheduler, served: &Request, metrics: &mut Metrics) {
-    let dims = served.qos.dims().min(metrics.inversions_per_dim.len());
-    if dims == 0 {
-        return;
+/// Per-level census of a scheduler's pending set: for each tracked QoS
+/// dimension, how many pending requests sit at each priority level. See
+/// the [module docs](self) for how it is kept in step with the scheduler.
+///
+/// Exact for every `u8` level, but a row starts as wide as
+/// [`SimOptions::levels`] and widens only when a higher level actually
+/// arrives, so the usual few-dimensions-by-few-levels shape is a cache
+/// line or two per engine rather than `dims` × 256 counters — a farm
+/// holds one census per member.
+struct Census {
+    /// `counts[k * width + level]`: pending requests at `level` in
+    /// dimension `k`. `u32` holds any queue that fits in memory.
+    counts: Vec<u32>,
+    /// Levels per row.
+    width: usize,
+    /// Tracked dimensions (rows).
+    dims: usize,
+    /// Requests counted, whatever their dimensionality — compared with
+    /// `scheduler.len()` to decide whether the census is still current.
+    total: usize,
+}
+
+impl Census {
+    fn new(dims: usize, levels: usize) -> Self {
+        let dims = dims.min(sched::MAX_QOS_DIMS);
+        let width = levels.clamp(1, 1 << u8::BITS);
+        Census {
+            counts: vec![0; dims * width],
+            width,
+            dims,
+            total: 0,
+        }
     }
+
+    #[inline]
+    fn add(&mut self, r: &Request) {
+        self.total += 1;
+        for (k, &level) in r.qos.levels().iter().take(self.dims).enumerate() {
+            let level = level as usize;
+            if level >= self.width {
+                self.widen(level);
+            }
+            self.counts[k * self.width + level] += 1;
+        }
+    }
+
+    /// Forget `r`, which must have been [`Census::add`]ed.
+    #[inline]
+    fn remove(&mut self, r: &Request) {
+        self.total -= 1;
+        for (k, &level) in r.qos.levels().iter().take(self.dims).enumerate() {
+            self.counts[k * self.width + level as usize] -= 1;
+        }
+    }
+
+    /// Re-lay the rows out wide enough to hold `level`.
+    #[cold]
+    fn widen(&mut self, level: usize) {
+        let width = (level + 1).next_power_of_two();
+        let mut counts = vec![0; self.dims * width];
+        for (new, old) in counts
+            .chunks_exact_mut(width)
+            .zip(self.counts.chunks_exact(self.width))
+        {
+            new[..self.width].copy_from_slice(old);
+        }
+        self.counts = counts;
+        self.width = width;
+    }
+
+    /// Recount from the scheduler itself — the re-sync pass.
+    #[cold]
+    fn rebuild(&mut self, scheduler: &dyn DiskScheduler) {
+        self.counts.fill(0);
+        self.total = 0;
+        scheduler.for_each_pending(&mut |r| self.add(r));
+    }
+
+    /// Per dimension, the pending requests that beat `served` (sit at a
+    /// strictly lower level). Dimensions `served` does not carry, or the
+    /// census does not track, read 0.
+    #[inline]
+    fn beating(&self, served: &Request) -> [u64; sched::MAX_QOS_DIMS] {
+        let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
+        for (k, &level) in served.qos.levels().iter().take(self.dims).enumerate() {
+            let below = &self.counts[k * self.width..][..(level as usize).min(self.width)];
+            per_dim[k] = below.iter().map(|&n| u64::from(n)).sum();
+        }
+        per_dim
+    }
+}
+
+/// [`Census::beating`] by definition: one pass over the scheduler's
+/// pending set, comparing every waiting request with `served` in each of
+/// its first `dims` dimensions. Debug builds hold the census to this at
+/// every measured dispatch that leaves somebody waiting.
+fn beating_by_walk(
+    scheduler: &dyn DiskScheduler,
+    served: &Request,
+    dims: usize,
+) -> [u64; sched::MAX_QOS_DIMS] {
     let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
-    let per_dim = &mut per_dim[..dims];
+    let dims = served.qos.dims().min(dims);
     scheduler.for_each_pending(&mut |waiting: &Request| {
-        for (k, slot) in per_dim.iter_mut().enumerate() {
+        for (k, slot) in per_dim[..dims].iter_mut().enumerate() {
             if waiting.qos.dims() > k && waiting.qos.beats_in_dim(&served.qos, k) {
                 *slot += 1;
             }
         }
     });
-    for (k, v) in per_dim.iter().enumerate() {
-        metrics.inversions_per_dim[k] += v;
-    }
+    per_dim
 }
 
 #[cfg(test)]

@@ -28,6 +28,21 @@
 //! caller running many steppers may skip them: only a stepper whose
 //! [`EngineStepper::next_action_us`] lies before the horizon can be
 //! changed by a pump.
+//!
+//! ## What a caller may do to the scheduler between pumps
+//!
+//! The scheduler is the caller's, and the engine counts priority
+//! inversions from a per-level census of the scheduler's pending set that
+//! it keeps alongside (see `engine`'s module docs) instead of walking the
+//! queue at every dispatch. It checks that census against
+//! [`DiskScheduler::len`] before each chunk it delivers and after every
+//! dequeue, and recounts with one [`DiskScheduler::for_each_pending`]
+//! pass when the two disagree. So between pumps a caller may pre-load the
+//! scheduler, drain it ([`DiskScheduler::drain_pending`], as a closing
+//! farm shard does), remove requests or retune it — anything that leaves
+//! the pending set unchanged or changes its size. The one thing it may
+//! not do is swap requests one for one: `len()` cannot show that, so the
+//! census would keep counting the requests that left.
 
 use std::collections::VecDeque;
 
