@@ -85,18 +85,10 @@ echo "==> oracle smoke gate"
 cargo run -q -p oracle --release --bin oracle -- --mode smoke
 
 echo "==> oracle perf-parity gate"
-# The optimized engine (LUT kernels, batched encapsulation, arena
-# dispatcher) diffed against the naive reference on every committed
-# corpus trace under all four dispatcher regimes (exits 1 on any
-# divergence).
+# The optimized engine (LUT kernels, arena dispatcher) diffed against
+# the naive reference on every committed corpus trace under all four
+# dispatcher regimes (exits 1 on any divergence).
 cargo run -q -p oracle --release --bin oracle -- --mode perf-parity --corpus tests/corpus
-
-echo "==> oracle diff-batch gate"
-# The vectorized fast paths diffed against their scalar references on
-# every committed corpus trace: batched characterization elementwise
-# against per-point, and batched enqueue against the serial loop under
-# all four dispatcher regimes (exits 1 on any divergence).
-cargo run -q -p oracle --release --bin oracle -- --mode diff-batch --corpus tests/corpus
 
 echo "==> benchmark trajectory gate"
 # The five daemon-path workloads, end to end, against the last record

@@ -192,48 +192,13 @@ pub fn print_csv(rows: &[Row]) {
 /// reconciliation. `arrivals` is the trace length.
 pub fn reconcile(m: &Metrics, snap: &Snapshot, arrivals: u64) -> Result<(), String> {
     let c = &snap.counters;
-    let checks: [(&str, u64, u64); 10] = [
-        ("arrivals vs trace length", c.arrivals, arrivals),
-        (
-            "dispatches vs served+dropped+failed",
-            c.dispatches,
-            m.served + m.dropped + m.failed,
-        ),
-        (
-            "service_starts vs served+failed",
-            c.service_starts,
-            m.served + m.failed,
-        ),
-        ("service_completes vs served", c.service_completes, m.served),
-        ("drops vs dropped", c.drops, m.dropped),
-        (
-            "media_error events vs metrics",
-            c.media_errors,
-            m.media_errors,
-        ),
-        ("retry events vs metrics", c.retries, m.retries),
-        (
-            "request_failed events vs metrics",
-            c.request_failures,
-            m.failed,
-        ),
-        (
-            "sector_remap events vs metrics",
-            c.sector_remaps,
-            m.sector_remaps,
-        ),
-        (
-            "degraded_read events vs metrics",
-            c.degraded_reads,
-            m.degraded_reads,
-        ),
-    ];
-    for (what, got, want) in checks {
-        if got != want {
-            return Err(format!("{what}: {got} != {want}"));
-        }
+    if c.arrivals != arrivals {
+        return Err(format!(
+            "arrivals vs trace length: {} != {arrivals}",
+            c.arrivals
+        ));
     }
-    Ok(())
+    m.reconcile(c)
 }
 
 /// The CI smoke gate. Returns the zero-fault and high-rate rows on

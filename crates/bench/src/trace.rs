@@ -90,40 +90,12 @@ impl Report {
     pub fn reconcile(&self) -> Result<(), String> {
         let c = &self.snapshot.counters;
         let m = &self.metrics;
-        let checks: [(&str, u64, u64); 15] = [
+        m.reconcile(c)?;
+        let checks = [
             (
                 "arrivals vs dispatches+sheds",
                 c.arrivals,
                 c.dispatches + c.sheds,
-            ),
-            (
-                "dispatches vs served+dropped+failed",
-                c.dispatches,
-                m.served + m.dropped + m.failed,
-            ),
-            (
-                "service_starts vs served+failed",
-                c.service_starts,
-                m.served + m.failed,
-            ),
-            ("service_completes vs served", c.service_completes, m.served),
-            ("drops vs dropped", c.drops, m.dropped),
-            ("late_completions vs late", c.late_completions, m.late),
-            (
-                "media_error events vs metrics",
-                c.media_errors,
-                m.media_errors,
-            ),
-            ("retry events vs metrics", c.retries, m.retries),
-            (
-                "request_failed events vs metrics",
-                c.request_failures,
-                m.failed,
-            ),
-            (
-                "sector_remap events vs metrics",
-                c.sector_remaps,
-                m.sector_remaps,
             ),
             ("shed events vs dispatcher", c.sheds, self.sheds),
             (

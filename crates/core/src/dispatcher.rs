@@ -110,11 +110,6 @@ pub struct Dispatcher {
     window: u128,
     /// Characterization value of the most recently dispatched request.
     current: Option<u128>,
-    /// [`Dispatcher::insert_bulk_traced`]'s per-queue staging buffers,
-    /// empty between calls; kept so a chunk of one or two requests does
-    /// not pay two allocations.
-    bulk_q: Vec<Entry>,
-    bulk_qw: Vec<Entry>,
     /// Counters for analysis.
     preemptions: u64,
     promotions: u64,
@@ -149,8 +144,6 @@ impl Dispatcher {
             base_window,
             window: base_window,
             current: None,
-            bulk_q: Vec::new(),
-            bulk_qw: Vec::new(),
             preemptions: 0,
             promotions: 0,
             swaps: 0,
@@ -306,98 +299,6 @@ impl Dispatcher {
                 }
             }
         }
-    }
-
-    /// Insert a characterized arrival chunk in one pass, each request
-    /// timestamped at its own arrival.
-    ///
-    /// Routing replays exactly the serial [`Dispatcher::insert_traced`]
-    /// sequence — the Conditional preemption decision, ER window
-    /// expansion, counters, and trace events all observe the same state
-    /// per entry, so the result is bit-identical to inserting the chunk
-    /// one request at a time (pop order, counters, and the event stream;
-    /// pinned by the `bulk_insert_*` tests and the oracle `diff_batch`
-    /// gate). Only the heap pushes are deferred: each queue's entries are
-    /// collected and merged with one O(n) heapify-append instead of n
-    /// sift-ups, which is what makes a batched enqueue cheaper than the
-    /// serial enqueue loop. A bounded queue (`max_queue`) makes
-    /// the shed decision depend on the live length at every arrival, so
-    /// that configuration keeps the serial loop.
-    pub fn insert_bulk_traced<S: TraceSink>(
-        &mut self,
-        items: impl Iterator<Item = (Request, u128)>,
-        sink: &mut S,
-    ) {
-        if self.config.max_queue.is_some() {
-            for (req, v) in items {
-                let now = req.arrival_us;
-                self.insert_traced(req, v, now, sink);
-            }
-            return;
-        }
-        let (lo, hi) = items.size_hint();
-        let n = hi.unwrap_or(lo);
-        // Grow the slot arena once for every entry the free list cannot
-        // absorb: per-push geometric growth re-copies the arena log(n)
-        // times, a cost the serial path cannot avoid but a sized bulk
-        // insert can.
-        self.slots.reserve(n.saturating_sub(self.free.len()));
-        let mut to_q = std::mem::take(&mut self.bulk_q);
-        let mut to_qw = std::mem::take(&mut self.bulk_qw);
-        match self.config.mode {
-            PreemptionMode::NonPreemptive => to_qw.reserve(n),
-            // Conditional arrivals land in the active queue while the
-            // disk idles, which is the bulk-ingest common case.
-            PreemptionMode::Fully | PreemptionMode::Conditional { .. } => to_q.reserve(n),
-        }
-        for (req, v) in items {
-            let now_us = req.arrival_us;
-            let id = req.id;
-            let (slot, gen) = self.alloc(req);
-            let entry = Entry { v, id, slot, gen };
-            match self.config.mode {
-                PreemptionMode::Fully => to_q.push(entry),
-                PreemptionMode::NonPreemptive => to_qw.push(entry),
-                PreemptionMode::Conditional { .. } => {
-                    let significantly_higher = match self.current {
-                        None => true,
-                        Some(cur) => v < cur.saturating_sub(self.window),
-                    };
-                    if significantly_higher {
-                        if let Some(cur) = self.current {
-                            self.preemptions += 1;
-                            if S::ENABLED {
-                                sink.emit(&TraceEvent::Preempt {
-                                    now_us,
-                                    preempted_v: cur,
-                                    by_v: v,
-                                });
-                            }
-                            self.expand_window(now_us, sink);
-                        }
-                        to_q.push(entry);
-                    } else {
-                        to_qw.push(entry);
-                    }
-                }
-            }
-        }
-        self.q_live += to_q.len();
-        self.qw_live += to_qw.len();
-        self.bulk_q = Self::append_heapified(&mut self.q, to_q);
-        self.bulk_qw = Self::append_heapified(&mut self.q_wait, to_qw);
-    }
-
-    /// Merge `entries` into `heap` with one heapify-append, handing back
-    /// the emptied buffer `append` leaves behind (whichever of the two it
-    /// was) for the next chunk.
-    fn append_heapified(heap: &mut BinaryHeap<Entry>, entries: Vec<Entry>) -> Vec<Entry> {
-        if entries.is_empty() {
-            return entries;
-        }
-        let mut add = BinaryHeap::from(entries);
-        heap.append(&mut add);
-        add.into_vec()
     }
 
     /// Dispatch the next request (the disk became idle).
@@ -579,7 +480,9 @@ impl Dispatcher {
 
     fn expand_window<S: TraceSink>(&mut self, now_us: u64, sink: &mut S) {
         if let Some(e) = self.config.expand_factor {
-            let expanded = (self.window as f64 * e).min(u64::MAX as f64) as u128;
+            // Windows live in the u128 value space; the float→u128 cast
+            // saturates.
+            let expanded = (self.window as f64 * e) as u128;
             self.window = expanded.max(self.window.saturating_add(1));
             if S::ENABLED {
                 sink.emit(&TraceEvent::ErExpand {
@@ -712,6 +615,34 @@ mod tests {
         // Queue drains, swap resets the window.
         assert_eq!(d.pop(None).unwrap().id, 4);
         assert_eq!(d.current_window(), d.base_window);
+    }
+
+    #[test]
+    fn er_expands_windows_beyond_64_bits() {
+        // A value space wider than u64 (e.g. a stage-1-only cascade of
+        // 16 dims × 5 bits): the ER step must still multiply the window.
+        let mut d = Dispatcher::new(
+            DispatchConfig {
+                mode: PreemptionMode::Conditional { window: 0.1 },
+                serve_promote: false,
+                expand_factor: Some(2.0),
+                refresh_on_swap: false,
+                max_queue: None,
+            },
+            1 << 100,
+        );
+        let base = d.current_window();
+        assert!(base > u64::MAX as u128);
+        d.insert(req(1), 1 << 99);
+        assert_eq!(d.pop(None).unwrap().id, 1);
+        d.insert(req(2), 0); // beats 2^99 by more than the window: preempts
+        assert_eq!(d.counters().0, 1);
+        assert!(
+            d.current_window() >= base * 2,
+            "one preemption must at least double the window: {} -> {}",
+            base,
+            d.current_window()
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::config::{CascadeConfig, DistanceMode, Stage2Combiner};
 use sched::{HeadState, Micros, Request};
-use sfc::{CurveKernel, SfcError, WeightedDiagonal, BATCH_LANES as LANES};
+use sfc::{CurveKernel, SfcError, WeightedDiagonal};
 
 /// The encapsulator: request → characterization value `v_c`.
 ///
@@ -44,8 +44,6 @@ pub struct Encapsulator {
     q3x: Quantizer,
     /// Reciprocal of the stage-3 strip width for the partition index.
     s3_strip_div: FixedDiv,
-    /// Scratch buffer reused by [`Encapsulator::map_batch`].
-    scratch: Vec<u128>,
 }
 
 /// Exact division by a fixed divisor via one widening multiply (the
@@ -201,7 +199,6 @@ impl Encapsulator {
             q2y: Quantizer::new(s2_horizon as u128, s2_grid_max),
             q3x: Quantizer::new(max_v2, s3_max_x),
             s3_strip_div: FixedDiv::new(s3_strip),
-            scratch: Vec::new(),
         })
     }
 
@@ -223,166 +220,20 @@ impl Encapsulator {
         self.stage3_value_of(v2, req, head)
     }
 
-    /// Characterize a batch of arrivals in one pass, reusing an internal
-    /// scratch buffer: `map_batch(batch, head)[i]` is bit-identical to
-    /// `characterize(&batch[i], head_i)` where `head_i` is `head`
+    /// Characterize a batch of arrivals: appends to `out` one value per
+    /// request, `characterize(&batch[i], head_i)` where `head_i` is `head`
     /// re-anchored to `batch[i].arrival_us` (the convention of
-    /// [`sched::DiskScheduler::enqueue_batch`]). The returned slice is
-    /// valid until the next call.
-    pub fn map_batch(&mut self, batch: &[Request], head: &HeadState) -> &[u128] {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        self.map_batch_into(batch, head, &mut scratch);
-        self.scratch = scratch;
-        &self.scratch
-    }
-
-    /// [`Self::map_batch`] into a caller-owned buffer, through `&self`.
-    /// Values are *appended* to `out`, so it may already hold earlier
-    /// batches.
+    /// [`sched::DiskScheduler::enqueue_batch`]). `out` may already hold
+    /// earlier batches.
     ///
-    /// The whole cascade runs eight requests at a time: stage-1 points are
-    /// transposed into lane arrays and mapped through
-    /// [`CurveKernel::index_batch`], the stage-2/3 reciprocal rescales
-    /// ([`Quantizer`]/[`FixedDiv`]) apply lane by lane, and the remainder
-    /// tail takes the scalar path. Bit-identity with the scalar
-    /// [`Self::characterize`] is pinned by the `map_batch_*` tests and the
-    /// oracle `diff_batch` gate.
+    /// A plain loop over [`Self::characterize`], kept with this signature
+    /// because the frozen `benchmark/` harness calls it
+    /// (`benchmark/src/trace.rs`); nothing in the workspace does.
     pub fn map_batch_into(&self, batch: &[Request], head: &HeadState, out: &mut Vec<u128>) {
-        out.reserve(batch.len());
-        let mut chunks = batch.chunks_exact(LANES);
-        for chunk in &mut chunks {
-            let reqs: &[Request; LANES] = chunk.try_into().expect("exact chunk");
-            out.extend_from_slice(&self.characterize8(reqs, head));
-        }
-        for req in chunks.remainder() {
+        out.extend(batch.iter().map(|req| {
             let at_arrival = HeadState::new(head.cylinder, req.arrival_us, head.cylinders);
-            out.push(self.characterize(req, &at_arrival));
-        }
-    }
-
-    /// Eight requests through the full cascade in lockstep, each anchored
-    /// at its own arrival time.
-    #[inline]
-    fn characterize8(&self, reqs: &[Request; LANES], head: &HeadState) -> [u128; LANES] {
-        let v1 = self.stage1_batch8(reqs);
-        let v2 = self.stage2_batch8(v1, reqs);
-        self.stage3_batch8(v2, reqs, head)
-    }
-
-    /// Lane-parallel stage 1: transpose the QoS vectors into grid points
-    /// and run the batched curve kernel.
-    #[inline]
-    fn stage1_batch8(&self, reqs: &[Request; LANES]) -> [u128; LANES] {
-        match (&self.config.stage1, &self.curve1) {
-            (Some(s1), Some(curve)) => {
-                let side = curve.side();
-                match s1.dims {
-                    1 => stage1_lanes::<1>(curve, side, reqs),
-                    2 => stage1_lanes::<2>(curve, side, reqs),
-                    3 => stage1_lanes::<3>(curve, side, reqs),
-                    // Wider QoS grids than the stage shapes the scheduler
-                    // builds: keep the scalar path per lane.
-                    _ => {
-                        let mut out = [0u128; LANES];
-                        for (lane, req) in reqs.iter().enumerate() {
-                            out[lane] = self.stage1_value(req);
-                        }
-                        out
-                    }
-                }
-            }
-            _ => {
-                let mut out = [0u128; LANES];
-                for (lane, req) in reqs.iter().enumerate() {
-                    out[lane] = if req.qos.dims() > 0 {
-                        req.qos.level(0) as u128
-                    } else {
-                        0
-                    };
-                }
-                out
-            }
-        }
-    }
-
-    /// Lane-parallel stage 2: both reciprocal rescales across lanes, then
-    /// the weighted-diagonal fold (pure integer, lane by lane) or the
-    /// batched 2-D curve.
-    #[inline]
-    fn stage2_batch8(&self, v1: [u128; LANES], reqs: &[Request; LANES]) -> [u128; LANES] {
-        let Some(s2) = &self.config.stage2 else {
-            return v1;
-        };
-        let mut xs = [0u64; LANES];
-        let mut ys = [0u64; LANES];
-        for lane in 0..LANES {
-            xs[lane] = self.q2x.apply(v1[lane]) as u64;
-            let req = &reqs[lane];
-            let slack = req.slack_us(req.arrival_us).min(s2.horizon_us);
-            ys[lane] = self.q2y.apply(slack as u128) as u64;
-        }
-        let mut out = [0u128; LANES];
-        match &self.weighted2 {
-            Some(w) => {
-                for lane in 0..LANES {
-                    out[lane] = w.value(xs[lane], ys[lane]);
-                }
-            }
-            None => {
-                let curve = self
-                    .curve2
-                    .as_ref()
-                    .expect("curve2 built for Curve combiner");
-                let mut pts = [[0u64; 2]; LANES];
-                for lane in 0..LANES {
-                    pts[lane] = [xs[lane], ys[lane]];
-                }
-                curve.index_batch(&pts, &mut out);
-            }
-        }
-        out
-    }
-
-    /// Lane-parallel stage 3: the strip formula with the hot `fits_u64`
-    /// branch hoisted out of the lane loop.
-    #[inline]
-    fn stage3_batch8(
-        &self,
-        v2: [u128; LANES],
-        reqs: &[Request; LANES],
-        head: &HeadState,
-    ) -> [u128; LANES] {
-        let Some(s3) = &self.config.stage3 else {
-            return v2;
-        };
-        let mut out = [0u128; LANES];
-        let mut ys = [0u128; LANES];
-        for lane in 0..LANES {
-            ys[lane] = match s3.distance {
-                DistanceMode::Absolute => head.distance_to(reqs[lane].cylinder) as u128,
-                DistanceMode::Circular => {
-                    let n = s3.cylinders as i64;
-                    (((reqs[lane].cylinder as i64 - head.cylinder as i64) % n + n) % n) as u128
-                }
-            };
-        }
-        let height = self.s3_height as u128;
-        if self.s3_fits_u64 && ys.iter().all(|&y| y < height) {
-            let strip = self.s3_strip;
-            for lane in 0..LANES {
-                let x = self.q3x.apply(v2[lane]) as u64;
-                let p_n = self.s3_strip_div.div(x).min(self.s3_r - 1);
-                out[lane] = (strip * p_n * self.s3_height
-                    + ys[lane] as u64 * strip
-                    + (x - strip * p_n)) as u128;
-            }
-        } else {
-            for lane in 0..LANES {
-                out[lane] = self.stage3_value_of(v2[lane], &reqs[lane], head);
-            }
-        }
-        out
+            self.characterize(req, &at_arrival)
+        }));
     }
 
     /// Stage 1: priority vector → scalar.
@@ -465,32 +316,6 @@ impl Encapsulator {
             s3.partitions,
         )
     }
-}
-
-/// Transpose eight requests' QoS vectors into `D`-dimensional grid points
-/// and map them through the batched curve kernel. Missing dimensions
-/// default to the lowest priority and levels beyond the grid clamp —
-/// mirroring `Encapsulator::stage1_value` lane for lane.
-#[inline]
-fn stage1_lanes<const D: usize>(
-    curve: &CurveKernel,
-    side: u64,
-    reqs: &[Request; LANES],
-) -> [u128; LANES] {
-    let mut pts = [[0u64; D]; LANES];
-    for (lane, req) in reqs.iter().enumerate() {
-        for (j, slot) in pts[lane].iter_mut().enumerate() {
-            let level = if j < req.qos.dims() {
-                req.qos.level(j) as u64
-            } else {
-                side - 1
-            };
-            *slot = level.min(side - 1);
-        }
-    }
-    let mut out = [0u128; LANES];
-    curve.index_batch(&pts, &mut out);
-    out
 }
 
 /// The paper's SFC3 formula (§5.3): partition the X (priority-deadline)
@@ -712,67 +537,33 @@ mod tests {
         }
     }
 
-    /// The lane-parallel batch pass must be bit-identical to the scalar
-    /// cascade per element, across configurations exercising every
-    /// batched stage shape (SmallLut / Hilbert3 stage 1, weighted and
-    /// curve stage-2 combiners, both distance modes) and batch lengths
-    /// straddling the lane width.
+    /// `map_batch_into` is a loop over `characterize`, each request
+    /// anchored at its own arrival time, appending to what `out` holds.
     #[test]
-    fn map_batch_matches_scalar_characterize() {
-        let mut hilbert_s1 = CascadeConfig::paper_default(3, 3832);
-        hilbert_s1.stage1 = Some(crate::config::Stage1 {
-            curve: CurveKind::Hilbert,
-            dims: 3,
-            level_bits: 5, // 32^3 cells: past the SmallLut cap, automaton path
-        });
-        let mut circular = CascadeConfig::paper_default(2, 3832);
-        circular.stage3.as_mut().unwrap().distance = DistanceMode::Circular;
-        let configs = [
-            CascadeConfig::paper_default(3, 3832),
-            hilbert_s1,
-            circular,
-            CascadeConfig::priority_only(CurveKind::Diagonal, 2, 4),
-            CascadeConfig::priority_deadline(
-                CurveKind::Diagonal,
-                2,
-                4,
-                Stage2Combiner::Curve(CurveKind::Hilbert),
-                1_000_000,
-            ),
-        ];
-        for (ci, cfg) in configs.into_iter().enumerate() {
-            let mut e = Encapsulator::new(cfg).unwrap();
-            for n in [0usize, 1, 7, 8, 9, 61] {
-                let batch: Vec<Request> = (0..n as u64)
-                    .map(|i| {
-                        let s = i
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add(ci as u64);
-                        Request::read(
-                            i,
-                            i * 333,
-                            if s % 5 == 0 {
-                                u64::MAX
-                            } else {
-                                1_000 + s % 2_000_000
-                            },
-                            (s % 3832) as u32,
-                            65536,
-                            QosVector::new(&[(s % 16) as u8, (s % 33) as u8, (s % 7) as u8]),
-                        )
-                    })
-                    .collect();
-                let h = HeadState::new(1700, 0, 3832);
-                let vs = e.map_batch(&batch, &h).to_vec();
-                assert_eq!(vs.len(), n);
-                for (req, &v) in batch.iter().zip(&vs) {
-                    let at = HeadState::new(h.cylinder, req.arrival_us, h.cylinders);
-                    assert_eq!(v, e.characterize(req, &at), "config {ci} req {}", req.id);
-                }
-                // The shared-reference form agrees with the &mut form.
-                let mut out = Vec::new();
-                e.map_batch_into(&batch, &h, &mut out);
-                assert_eq!(out, vs);
+    fn map_batch_into_matches_characterize() {
+        let e = Encapsulator::new(CascadeConfig::paper_default(3, 3832)).unwrap();
+        let h = HeadState::new(1700, 0, 3832);
+        let mut out = Vec::new();
+        for n in [0usize, 1, 9] {
+            let batch: Vec<Request> = (0..n as u64)
+                .map(|i| {
+                    let s = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    Request::read(
+                        i,
+                        i * 333,
+                        1_000 + s % 2_000_000,
+                        (s % 3832) as u32,
+                        65536,
+                        QosVector::new(&[(s % 16) as u8, (s % 33) as u8, (s % 7) as u8]),
+                    )
+                })
+                .collect();
+            let before = out.len();
+            e.map_batch_into(&batch, &h, &mut out);
+            assert_eq!(out.len(), before + n);
+            for (req, &v) in batch.iter().zip(&out[before..]) {
+                let at = HeadState::new(h.cylinder, req.arrival_us, h.cylinders);
+                assert_eq!(v, e.characterize(req, &at), "req {}", req.id);
             }
         }
     }

@@ -233,34 +233,6 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
         }
     }
 
-    fn enqueue_batch(&mut self, batch: &[Request], head: &HeadState) {
-        // Characterize the whole chunk through the encapsulator's scratch
-        // buffer (per-request stage invariants hoisted), then insert. Each
-        // request is anchored at its own arrival time, exactly like the
-        // trait's default loop.
-        let clock = Self::span_clock(self.spans.as_mut().map(|s| &mut s.characterize));
-        let vs = self.encapsulator.map_batch(batch, head);
-        if let Some(t0) = clock {
-            self.sink.emit(&TraceEvent::StageSpan {
-                now_us: head.now_us,
-                stage: Stage::Characterize,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-        let clock = Self::span_clock(self.spans.as_mut().map(|s| &mut s.encapsulate));
-        self.dispatcher.insert_bulk_traced(
-            batch.iter().zip(vs).map(|(r, &v)| (r.clone(), v)),
-            &mut self.sink,
-        );
-        if let Some(t0) = clock {
-            self.sink.emit(&TraceEvent::StageSpan {
-                now_us: head.now_us,
-                stage: Stage::Encapsulate,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-
     fn dequeue(&mut self, head: &HeadState) -> Option<Request> {
         let enc = &self.encapsulator;
         if enc.config().dispatch.refresh_on_swap {
@@ -430,91 +402,6 @@ mod tests {
         assert_eq!(seen, (0..50).collect::<Vec<_>>());
     }
 
-    /// `enqueue_batch` (batched characterization + the dispatcher's bulk
-    /// insert) against the trait-default per-request loop, under every
-    /// dispatcher regime: one cold batch, 128-request chunks with
-    /// dequeues in between (the bounded regime sheds repeatedly), and a
-    /// batch landing on a dispatcher that already holds live preemption
-    /// state.
-    #[test]
-    fn batch_enqueue_matches_per_request_enqueue() {
-        /// Dequeue up to `limit` requests from both, in lockstep.
-        fn pop_both(one: &mut CascadedSfc, batched: &mut CascadedSfc, limit: usize) -> u64 {
-            let h = HeadState::new(1700, 0, 3832);
-            for popped in 0..limit {
-                let a = one.dequeue(&h);
-                let b = batched.dequeue(&h);
-                assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
-                if a.is_none() {
-                    return popped as u64;
-                }
-            }
-            limit as u64
-        }
-
-        let trace: Vec<Request> = (0..1_000u64)
-            .map(|i| {
-                Request::read(
-                    i,
-                    i * 250,
-                    300_000 + i * 2_000,
-                    (i * 97 % 3832) as u32,
-                    65536,
-                    QosVector::new(&[(i % 16) as u8, ((i * 11) % 16) as u8, 5]),
-                )
-            })
-            .collect();
-        for dispatch in [
-            DispatchConfig::paper_default(),
-            DispatchConfig::fully_preemptive(),
-            DispatchConfig::non_preemptive(),
-            DispatchConfig::paper_default().with_max_queue(32),
-        ] {
-            // Of `offered` requests, `preload` are enqueued one by one
-            // into both and `warmup` dispatched from both before the rest
-            // lands in chunks, with `between` dequeues after each chunk.
-            for (offered, preload, warmup, chunk_len, between) in [
-                (60, 0, 0, 60, 0),
-                (1_000, 0, 0, 128, 8),
-                (1_000, 200, 60, 800, 0),
-            ] {
-                let what = format!("{dispatch:?} chunk={chunk_len} preload={preload}");
-                let cfg = CascadeConfig::paper_default(3, 3832).with_dispatch(dispatch);
-                let mut one = CascadedSfc::new(cfg.clone()).unwrap();
-                let mut batched = CascadedSfc::new(cfg).unwrap();
-                let at = |r: &Request| HeadState::new(1700, r.arrival_us, 3832);
-
-                let (warm, rest) = trace[..offered].split_at(preload);
-                for r in warm {
-                    one.enqueue(r.clone(), &at(r));
-                    batched.enqueue(r.clone(), &at(r));
-                }
-                let mut dequeued = pop_both(&mut one, &mut batched, warmup);
-                for chunk in rest.chunks(chunk_len) {
-                    for r in chunk {
-                        one.enqueue(r.clone(), &at(r));
-                    }
-                    batched.enqueue_batch(chunk, &at(&chunk[0]));
-                    assert_eq!(one.len(), batched.len(), "{what}");
-                    assert_eq!(one.sheds(), batched.sheds(), "{what}");
-                    dequeued += pop_both(&mut one, &mut batched, between);
-                }
-                dequeued += pop_both(&mut one, &mut batched, usize::MAX);
-                assert_eq!(
-                    one.dispatch_counters(),
-                    batched.dispatch_counters(),
-                    "{what}"
-                );
-                assert_eq!(
-                    batched.sheds() > 0,
-                    dispatch.max_queue.is_some(),
-                    "only the bounded regime sheds: {what}"
-                );
-                assert_eq!(dequeued + batched.sheds(), offered as u64, "{what}");
-            }
-        }
-    }
-
     #[test]
     fn sink_observes_dispatcher_events() {
         use obs::RingSink;
@@ -574,10 +461,10 @@ mod tests {
                 .count()
         };
         // Shift 0 samples every occurrence: one characterize + one
-        // encapsulate span per enqueue call, and one of each for the
-        // batch as a whole.
-        assert_eq!(stage_count(Stage::Characterize), 11);
-        assert_eq!(stage_count(Stage::Encapsulate), 11);
+        // encapsulate span per request, whether it arrived alone or in a
+        // chunk.
+        assert_eq!(stage_count(Stage::Characterize), 20);
+        assert_eq!(stage_count(Stage::Encapsulate), 20);
     }
 
     #[test]

@@ -103,84 +103,6 @@ proptest! {
     }
 
     #[test]
-    fn map_batch_matches_per_request_characterize(
-        kind_idx in 0usize..sfc::CurveKind::ALL.len(),
-        stage_cfg in 0usize..3,
-        seed in 0u64..u64::MAX,
-        head_cyl in 0u32..3832,
-        n in 1usize..40,
-    ) {
-        // The batched fast path must be bit-identical to the scalar path
-        // for every catalogue curve in stage 1 and every stage depth:
-        // stage 1 only, stages 1+2, and the full three-stage cascade.
-        let kind = sfc::CurveKind::ALL[kind_idx];
-        let cfg = match stage_cfg {
-            0 => CascadeConfig::priority_only(kind, 3, 4),
-            1 => CascadeConfig::priority_deadline(
-                kind,
-                3,
-                4,
-                cascade::Stage2Combiner::Weighted { f: 2.5 },
-                1_000_000,
-            ),
-            _ => {
-                let mut c = CascadeConfig::paper_default(3, 3832);
-                if let Some(s1) = c.stage1.as_mut() {
-                    s1.curve = kind;
-                }
-                c
-            }
-        };
-        let mut batched = Encapsulator::new(cfg.clone()).unwrap();
-        let scalar = Encapsulator::new(cfg).unwrap();
-        // A splitmix64-derived batch with varied arrivals, deadlines,
-        // cylinders and QoS levels.
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        let mut arrival = 0u64;
-        let batch: Vec<Request> = (0..n as u64)
-            .map(|i| {
-                arrival += next() % 5_000;
-                let deadline = if next() % 5 == 0 {
-                    u64::MAX
-                } else {
-                    arrival + 1_000 + next() % 2_000_000
-                };
-                Request::read(
-                    i,
-                    arrival,
-                    deadline,
-                    (next() % 3832) as u32,
-                    65536,
-                    QosVector::new(&[
-                        (next() % 16) as u8,
-                        (next() % 16) as u8,
-                        (next() % 16) as u8,
-                    ]),
-                )
-            })
-            .collect();
-        let head = HeadState::new(head_cyl, batch[0].arrival_us, 3832);
-        let vs = batched.map_batch(&batch, &head).to_vec();
-        prop_assert_eq!(vs.len(), batch.len());
-        for (r, v) in batch.iter().zip(vs) {
-            let h = HeadState::new(head_cyl, r.arrival_us, 3832);
-            prop_assert_eq!(v, scalar.characterize(r, &h),
-                "{} stage_cfg={} req id={}", kind, stage_cfg, r.id);
-        }
-        // Scratch reuse across calls must not leak previous results.
-        let again = batched.map_batch(&batch[..1], &head).to_vec();
-        prop_assert_eq!(again.len(), 1);
-        prop_assert_eq!(again[0], scalar.characterize(&batch[0], &head));
-    }
-
-    #[test]
     fn spec_built_schedulers_match_hand_built(
         f in 0.0f64..8.0,
         r in 1u32..8,

@@ -140,13 +140,6 @@ impl DiskGeometry {
         self.zone_sectors_per_track[self.zone_of(cylinder)]
     }
 
-    /// Bytes stored in one cylinder.
-    pub fn cylinder_bytes(&self, cylinder: u32) -> u64 {
-        self.sectors_per_track(cylinder) as u64
-            * self.tracks_per_cylinder as u64
-            * self.sector_bytes as u64
-    }
-
     /// Total formatted capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.zone_cylinders

@@ -239,6 +239,9 @@ impl Default for SupervisorConfig {
     }
 }
 
+/// Flight-recorder ring capacity per member (events).
+const RECORDER_CAPACITY: usize = 1 << 12;
+
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -252,8 +255,6 @@ pub struct DaemonConfig {
     pub max_streams: u32,
     /// A stream's slot is reclaimed after this much idle time (µs).
     pub stream_idle_timeout_us: u64,
-    /// Flight-recorder ring capacity per member (events).
-    pub recorder_capacity: usize,
     /// Windowed-telemetry shape per member recorder.
     pub telemetry: TelemetryConfig,
     /// Anomaly trigger thresholds per member recorder.
@@ -271,7 +272,6 @@ impl DaemonConfig {
             options,
             max_streams: u32::MAX,
             stream_idle_timeout_us: u64::MAX,
-            recorder_capacity: 1 << 12,
             telemetry: TelemetryConfig::exact(),
             triggers: TriggerConfig::default(),
             supervisor: SupervisorConfig::default(),
@@ -296,12 +296,6 @@ impl DaemonConfig {
     /// Set the supervisor cooldown policy.
     pub fn with_supervisor(mut self, supervisor: SupervisorConfig) -> Self {
         self.supervisor = supervisor;
-        self
-    }
-
-    /// Set the per-member flight-recorder ring capacity.
-    pub fn with_recorder_capacity(mut self, capacity: usize) -> Self {
-        self.recorder_capacity = capacity;
         self
     }
 }
@@ -446,7 +440,7 @@ impl FarmDaemon {
         cfg: &DaemonConfig,
     ) -> Member {
         let recorder = SharedSink::new(FlightRecorder::new(
-            cfg.recorder_capacity,
+            RECORDER_CAPACITY,
             cfg.telemetry,
             cfg.triggers,
         ));
@@ -959,21 +953,19 @@ impl DaemonReport {
         Ok(())
     }
 
-    /// `true` when [`DaemonReport::ledger`] closes.
-    pub fn ledger_closed(&self) -> bool {
-        self.ledger().is_ok()
-    }
-
     /// Event-vs-counter reconciliation across every member's telemetry:
-    /// traced Arrival/Shed/Redirect/Migrate/Quarantine/Retune events
-    /// must match the daemon's own counters exactly. (Requires scheduler factories
-    /// to wire the provided sink, so shed events are traced.)
+    /// the engines' traced events must match [`DaemonReport::aggregate`]
+    /// ([`Metrics::reconcile`]), and traced
+    /// Arrival/Shed/Redirect/Migrate/Quarantine/Retune events the
+    /// daemon's own counters, exactly. (Requires scheduler factories to
+    /// wire the provided sink, so shed events are traced.)
     pub fn reconcile_events(&self) -> Result<(), String> {
         let mut c = obs::Snapshot::new();
         for r in &self.recorders {
             c.merge(&r.windows().cumulative());
         }
         let counters = c.counters;
+        self.aggregate().reconcile(&counters)?;
         let delivered = self.arrivals - self.admission_rejections - self.migrated_undelivered;
         let checks = [
             ("arrival", counters.arrivals, delivered),
@@ -1209,6 +1201,11 @@ mod tests {
         );
         report.ledger().expect("ledger must close across the add");
         report.reconcile_events().expect("events reconcile");
+        // The engines' own events are part of the reconciliation.
+        let mut tampered = report;
+        tampered.per_shard[0].served += 1;
+        let err = tampered.reconcile_events().unwrap_err();
+        assert!(err.contains("vs served"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! driver, and corpus replay/regeneration.
 //!
 //! ```text
-//! cargo run -p oracle --release --bin oracle -- --mode smoke|fuzz|replay|corpus|perf-parity|diff-batch
+//! cargo run -p oracle --release --bin oracle -- --mode smoke|fuzz|replay|corpus|perf-parity
 //!     [--seed N] [--cases N] [--corpus DIR]
 //! ```
 //!
@@ -18,10 +18,6 @@
 //! * `perf-parity` diffs the optimized engine against the naive
 //!   reference on every corpus trace under all four dispatcher regimes —
 //!   the quick semantic gate to run after a hot-path optimization.
-//! * `diff-batch` diffs the vectorized fast paths against their scalar
-//!   references on every corpus trace: batched characterization
-//!   elementwise against per-point, and batched enqueue against the
-//!   serial loop under all four dispatcher regimes.
 
 use bench::args::Args;
 use oracle::fuzz::{self, Scenario, ARCHETYPES};
@@ -35,14 +31,7 @@ fn main() {
 
     match args.one_of(
         "mode",
-        &[
-            "smoke",
-            "fuzz",
-            "replay",
-            "corpus",
-            "perf-parity",
-            "diff-batch",
-        ],
+        &["smoke", "fuzz", "replay", "corpus", "perf-parity"],
     ) {
         "smoke" => match oracle::smoke::run(seed) {
             Ok(report) => {
@@ -81,19 +70,6 @@ fn main() {
             }
             Err(e) => {
                 eprintln!("# oracle perf-parity FAILED: {e}");
-                std::process::exit(1);
-            }
-        },
-        "diff-batch" => match oracle::diff_batch(&corpus) {
-            Ok(report) => {
-                eprintln!(
-                    "# oracle diff-batch OK: {} batch runs bit-identical to the \
-                     scalar/serial reference across {} requests",
-                    report.differential_runs, report.requests_checked
-                );
-            }
-            Err(e) => {
-                eprintln!("# oracle diff-batch FAILED: {e}");
                 std::process::exit(1);
             }
         },

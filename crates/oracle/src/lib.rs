@@ -40,10 +40,9 @@
 //!   replayable `.case` corpus format under `tests/corpus/`.
 //!
 //! [`smoke::run`] bundles a fixed battery of all three into the CI gate
-//! wired through `ci.sh` (`oracle --mode smoke`). [`batch::diff_batch`]
-//! (`oracle --mode diff-batch`) holds the vectorized characterization
-//! pipeline and the bulk enqueue to the scalar/serial reference on the
-//! committed corpus. The perf-regression half of the gate is the
+//! wired through `ci.sh` (`oracle --mode smoke`); [`smoke::perf_parity`]
+//! (`oracle --mode perf-parity`) replays the committed corpus under all
+//! four dispatcher regimes. The perf-regression half of the gate is the
 //! daemon-path benchmark (`benchmark/run.sh`, compared in `ci.sh` with
 //! the committed `perf-history.jsonl`).
 
@@ -51,7 +50,6 @@
 #![warn(missing_docs)]
 
 pub mod analytic;
-pub mod batch;
 pub mod ctrl;
 pub mod daemon;
 pub mod fuzz;
@@ -62,7 +60,6 @@ pub mod smoke;
 pub mod telemetry;
 
 pub use analytic::check_seek_law;
-pub use batch::diff_batch;
 pub use ctrl::{check_controller_storm, diff_ctrl};
 pub use daemon::{check_churn, diff_daemon, diff_daemon_streamed};
 pub use fuzz::{fuzz, minimize, replay_dir, replay_file, Archetype, Scenario};

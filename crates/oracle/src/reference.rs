@@ -80,7 +80,7 @@ impl ReferenceCascade {
 
     fn expand_window(&mut self) {
         if let Some(e) = self.enc.config().dispatch.expand_factor {
-            let expanded = (self.window as f64 * e).min(u64::MAX as f64) as u128;
+            let expanded = (self.window as f64 * e) as u128;
             self.window = expanded.max(self.window.saturating_add(1));
         }
     }

@@ -187,8 +187,8 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
     Ok(report)
 }
 
-/// Perf-parity gate: after a hot-path optimization (LUT kernels, batched
-/// encapsulation, the arena dispatcher), prove the optimized engine is
+/// Perf-parity gate: after a hot-path optimization (LUT kernels, the
+/// arena dispatcher), prove the optimized engine is
 /// still *semantically* identical by diffing it against the naive
 /// reference on every committed corpus trace, under all four dispatcher
 /// regimes — plus each case's own archetype oracle via replay.

@@ -81,8 +81,9 @@ pub trait DiskScheduler {
 
     /// A chunk of requests arrived together (already in arrival order).
     /// `head` carries the servo position; each request is enqueued at its
-    /// own arrival time. Policies with a batch-aware fast path override
-    /// this; the default just loops over [`DiskScheduler::enqueue`].
+    /// own arrival time. The default loops over
+    /// [`DiskScheduler::enqueue`]; wrappers around an inner policy
+    /// forward the chunk to it.
     fn enqueue_batch(&mut self, batch: &[Request], head: &HeadState) {
         for r in batch {
             let h = HeadState::new(head.cylinder, r.arrival_us, head.cylinders);

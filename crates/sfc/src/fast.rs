@@ -12,7 +12,6 @@
 
 use crate::curve::{check_point, CurveKind, SfcError, SpaceFillingCurve};
 use crate::kernels;
-use crate::simd::{self, LANES};
 
 /// Shape of a monomorphized kernel's grid.
 #[derive(Debug, Clone, Copy)]
@@ -65,12 +64,6 @@ pub enum CurveKernel {
 /// cache footprint negligible.
 pub const SMALL_LUT_MAX_CELLS: u128 = 1 << 12;
 
-/// Lane width of [`CurveKernel::index_batch`]: points are processed this
-/// many at a time by the batched kernels, with a scalar tail. Callers that
-/// stage their own lane arrays (the scheduler's encapsulator) size them
-/// with this.
-pub const BATCH_LANES: usize = LANES;
-
 impl CurveKernel {
     /// Build the kernel for `kind` over `dims` dimensions at the given
     /// order, choosing a monomorphized fast path when one exists.
@@ -116,11 +109,6 @@ impl CurveKernel {
             dims,
             name: curve.name(),
         }
-    }
-
-    /// Wrap an already-built catalogue curve without a fast path.
-    pub fn from_dyn(curve: Box<dyn SpaceFillingCurve>) -> CurveKernel {
-        CurveKernel::Dyn(curve)
     }
 
     /// Map a grid point to its curve index. Panics exactly like the
@@ -174,10 +162,9 @@ impl CurveKernel {
     /// `i`, including the same panics (first offending point wins) when a
     /// point is out of range or the arity `D` does not match the curve.
     ///
-    /// Points run through the 8-wide lane kernels of [`crate::simd`] in
-    /// chunks, with a scalar tail for the remainder; kernels without a
-    /// batched form ([`CurveKernel::Dyn`], or a `D` that does not match
-    /// the kernel shape) fall back to the scalar loop.
+    /// A plain loop over [`Self::index`], kept with this signature because
+    /// the frozen `benchmark/` harness calls it (`benchmark/src/replay.rs`);
+    /// nothing in the workspace does.
     ///
     /// # Panics
     ///
@@ -191,184 +178,7 @@ impl CurveKernel {
             pts.len(),
             out.len()
         );
-        match self {
-            CurveKernel::Hilbert2(g) if D == 2 => {
-                let bits = g.bits;
-                self.batch_chunks2(pts, out, g.side, |xs, ys| {
-                    simd::hilbert2_batch8(xs, ys, bits)
-                });
-            }
-            CurveKernel::Hilbert3(g) if D == 3 => {
-                let bits = g.bits;
-                self.batch_chunks3(pts, out, g.side, |xs, ys, zs| {
-                    simd::hilbert3_batch8(xs, ys, zs, bits)
-                });
-            }
-            CurveKernel::ZOrder2(g) if D == 2 => {
-                let bits = g.bits;
-                self.batch_chunks2(pts, out, g.side, |xs, ys| {
-                    simd::morton2_batch8(xs, ys, bits)
-                });
-            }
-            CurveKernel::ZOrder3(g) if D == 3 => {
-                let bits = g.bits;
-                self.batch_chunks3(pts, out, g.side, |xs, ys, zs| {
-                    simd::morton3_batch8(xs, ys, zs, bits)
-                });
-            }
-            CurveKernel::Gray2(g) if D == 2 => {
-                let bits = g.bits;
-                self.batch_chunks2(pts, out, g.side, |xs, ys| simd::gray2_batch8(xs, ys, bits));
-            }
-            CurveKernel::Gray3(g) if D == 3 => {
-                let bits = g.bits;
-                self.batch_chunks3(pts, out, g.side, |xs, ys, zs| {
-                    simd::gray3_batch8(xs, ys, zs, bits)
-                });
-            }
-            CurveKernel::SmallLut {
-                lut, side, dims, ..
-            } if D as u32 == *dims => {
-                let side = *side;
-                self.batch_chunks(pts, out, side, |c| {
-                    // Gather: mixed-radix offset per lane, then one table
-                    // fetch per lane.
-                    let mut offs = [0u64; LANES];
-                    for (lane, p) in c.iter().enumerate() {
-                        let mut off = 0u64;
-                        for &coord in p.iter().rev() {
-                            off = off * side + coord;
-                        }
-                        offs[lane] = off;
-                    }
-                    let mut o = [0u128; LANES];
-                    for lane in 0..LANES {
-                        o[lane] = lut[offs[lane] as usize] as u128;
-                    }
-                    o
-                });
-            }
-            // `Dyn`, or a point arity that does not match the kernel shape
-            // (the scalar path raises the exact arity panic).
-            _ => {
-                for (p, slot) in pts.iter().zip(out.iter_mut()) {
-                    *slot = self.index(p);
-                }
-            }
-        }
-    }
-
-    /// Drive a 2-D lane kernel over `pts` in chunks of [`LANES`]: one
-    /// fused pass transposes each chunk into lane arrays while OR-folding
-    /// the coordinates (the grid side is a power of two, so any
-    /// out-of-range coordinate shows as a high bit in the fold). A chunk
-    /// holding an out-of-range coordinate re-runs scalar so the panic
-    /// lands on the first offending point with the catalogue message. The
-    /// tail runs scalar.
-    #[inline]
-    fn batch_chunks2<const D: usize>(
-        &self,
-        pts: &[[u64; D]],
-        out: &mut [u128],
-        side: u64,
-        kernel: impl Fn(&[u64; LANES], &[u64; LANES]) -> [u128; LANES],
-    ) {
-        debug_assert!(side.is_power_of_two(), "grid kernels have pow2 sides");
-        let mut chunks = pts.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (chunk, slot) in (&mut chunks).zip(&mut outs) {
-            let mut xs = [0u64; LANES];
-            let mut ys = [0u64; LANES];
-            let mut fold = 0u64;
-            for (lane, p) in chunk.iter().enumerate() {
-                let p: &[u64] = p;
-                xs[lane] = p[0];
-                ys[lane] = p[1];
-                fold |= p[0] | p[1];
-            }
-            if fold >= side {
-                for (p, s) in chunk.iter().zip(slot.iter_mut()) {
-                    *s = self.index(p);
-                }
-            } else {
-                slot.copy_from_slice(&kernel(&xs, &ys));
-            }
-        }
-        for (p, slot) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *slot = self.index(p);
-        }
-    }
-
-    /// The 3-D sibling of [`Self::batch_chunks2`].
-    #[inline]
-    fn batch_chunks3<const D: usize>(
-        &self,
-        pts: &[[u64; D]],
-        out: &mut [u128],
-        side: u64,
-        kernel: impl Fn(&[u64; LANES], &[u64; LANES], &[u64; LANES]) -> [u128; LANES],
-    ) {
-        debug_assert!(side.is_power_of_two(), "grid kernels have pow2 sides");
-        let mut chunks = pts.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (chunk, slot) in (&mut chunks).zip(&mut outs) {
-            let mut xs = [0u64; LANES];
-            let mut ys = [0u64; LANES];
-            let mut zs = [0u64; LANES];
-            let mut fold = 0u64;
-            for (lane, p) in chunk.iter().enumerate() {
-                let p: &[u64] = p;
-                xs[lane] = p[0];
-                ys[lane] = p[1];
-                zs[lane] = p[2];
-                fold |= p[0] | p[1] | p[2];
-            }
-            if fold >= side {
-                for (p, s) in chunk.iter().zip(slot.iter_mut()) {
-                    *s = self.index(p);
-                }
-            } else {
-                slot.copy_from_slice(&kernel(&xs, &ys, &zs));
-            }
-        }
-        for (p, slot) in chunks.remainder().iter().zip(outs.into_remainder()) {
-            *slot = self.index(p);
-        }
-    }
-
-    /// Drive a lane kernel over `pts` in chunks of [`LANES`], validating
-    /// each chunk with one max-fold; a chunk holding an out-of-range
-    /// coordinate re-runs scalar so the panic lands on the first offending
-    /// point with the catalogue message. The tail runs scalar. (The
-    /// [`CurveKernel::SmallLut`] driver — grid kernels use the fused
-    /// transpose in [`Self::batch_chunks2`]/[`Self::batch_chunks3`].)
-    #[inline]
-    fn batch_chunks<const D: usize>(
-        &self,
-        pts: &[[u64; D]],
-        out: &mut [u128],
-        side: u64,
-        mut kernel: impl FnMut(&[[u64; D]; LANES]) -> [u128; LANES],
-    ) {
-        let mut chunks = pts.chunks_exact(LANES);
-        let mut outs = out.chunks_exact_mut(LANES);
-        for (chunk, slot) in (&mut chunks).zip(&mut outs) {
-            let chunk: &[[u64; D]; LANES] = chunk.try_into().expect("exact chunk");
-            let mut max = 0u64;
-            for p in chunk {
-                for &c in p {
-                    max = max.max(c);
-                }
-            }
-            if max >= side {
-                for (p, s) in chunk.iter().zip(slot.iter_mut()) {
-                    *s = self.index(p);
-                }
-            } else {
-                slot.copy_from_slice(&kernel(chunk));
-            }
-        }
-        for (p, slot) in chunks.remainder().iter().zip(outs.into_remainder()) {
+        for (p, slot) in pts.iter().zip(out.iter_mut()) {
             *slot = self.index(p);
         }
     }
@@ -518,64 +328,36 @@ mod tests {
     }
 
     #[test]
-    fn index_batch_matches_index_on_every_shape() {
-        let mut s = 0x5eedu64;
-        let mut next = move |side: u64| {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 33) % side
-        };
-        for kind in CurveKind::ALL {
-            for order in [2u32, 4] {
-                let kernel = CurveKernel::build(kind, 3, order).unwrap();
-                let side = kernel.side();
-                // Lengths around the lane width: empty, sub-lane, exact,
-                // exact+tail, several chunks.
-                for n in [0usize, 1, 7, 8, 9, 37] {
-                    let mut pts = vec![[0u64; 3]; n];
-                    for p in pts.iter_mut() {
-                        *p = [next(side), next(side), next(side)];
-                    }
-                    if n > 2 {
-                        pts[2] = [side - 1; 3];
-                    }
-                    let mut out = vec![0u128; n];
-                    kernel.index_batch(&pts, &mut out);
-                    for (p, &v) in pts.iter().zip(&out) {
-                        assert_eq!(v, kernel.index(p), "{kind} order={order} p={p:?}");
-                    }
-                }
+    fn index_batch_matches_index() {
+        let kernel = CurveKernel::build(CurveKind::Hilbert, 3, 4).unwrap();
+        for n in [0usize, 1, 9] {
+            let pts: Vec<[u64; 3]> = (0..n as u64)
+                .map(|i| [i % 16, (i * 7) % 16, 15 - i])
+                .collect();
+            let mut out = vec![0u128; n];
+            kernel.index_batch(&pts, &mut out);
+            for (p, &v) in pts.iter().zip(&out) {
+                assert_eq!(v, kernel.index(p), "p={p:?}");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn index_batch_panics_on_the_offending_point() {
-        let kernel = CurveKernel::build(CurveKind::Hilbert, 2, 4).unwrap();
-        let mut pts = [[1u64, 2]; 16];
-        pts[11] = [16, 0]; // out of range mid-chunk
-        let mut out = [0u128; 16];
-        kernel.index_batch(&pts, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "curve has 2 dims")]
-    fn index_batch_panics_on_arity_mismatch() {
-        let kernel = CurveKernel::build(CurveKind::Hilbert, 2, 4).unwrap();
-        let pts = [[1u64, 2, 3]; 4];
-        let mut out = [0u128; 4];
-        kernel.index_batch(&pts, &mut out);
-    }
-
-    #[test]
-    #[should_panic(expected = "output slots")]
-    fn index_batch_panics_on_length_mismatch() {
-        let kernel = CurveKernel::build(CurveKind::Hilbert, 2, 4).unwrap();
-        let pts = [[1u64, 2]; 4];
-        let mut out = [0u128; 3];
-        kernel.index_batch(&pts, &mut out);
+        // An invalid point panics with `index`'s own message.
+        let panic_text = |f: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_err();
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let bad = [[1u64, 2, 3], [16, 0, 0]];
+        let batched = panic_text(&|| kernel.index_batch(&bad, &mut [0u128; 2]));
+        assert!(batched.contains("out of range"), "{batched}");
+        assert_eq!(
+            batched,
+            panic_text(&|| {
+                kernel.index(&bad[1]);
+            })
+        );
+        let arity = panic_text(&|| kernel.index_batch(&[[1u64, 2]], &mut [0u128; 1]));
+        assert!(arity.contains("curve has 3 dims"), "{arity}");
+        let length = panic_text(&|| kernel.index_batch(&bad, &mut [0u128; 1]));
+        assert!(length.contains("output slots"), "{length}");
     }
 
     #[test]

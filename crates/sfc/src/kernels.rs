@@ -184,31 +184,6 @@ const fn build_h3_step() -> [[u16; 64]; 24] {
     table
 }
 
-/// [`H3_STEP`] flattened for the lane kernels in [`crate::simd`]: row
-/// `s` lives at offset `s * 64`, and each entry packs
-/// `(next_state * 64) << 6 | output_bits`, so the automaton chain is one
-/// add and one masked load per step — the next-state row offset comes out
-/// of the entry pre-scaled, with no bounds check (the table is padded to
-/// the power-of-two 2048 slots; offsets 24·64.. are zero and unreachable
-/// because every `next_state` the automaton emits is `< 24`).
-pub(crate) static H3_STEP_FLAT: [u32; 2048] = build_h3_step_flat();
-
-const fn build_h3_step_flat() -> [u32; 2048] {
-    let base = build_h3_step();
-    let mut table = [0u32; 2048];
-    let mut s = 0usize;
-    while s < 24 {
-        let mut b = 0usize;
-        while b < 64 {
-            let e = base[s][b] as u32;
-            table[s * 64 + b] = ((e >> 8) * 64) << 6 | (e & 0x3f);
-            b += 1;
-        }
-        s += 1;
-    }
-    table
-}
-
 /// 2-D Hilbert index of `(x, y)` on a `2^bits`-sided grid. Requires
 /// `bits >= 2` (order 1 is the Gray walk, handled by the caller) and
 /// coordinates already range-checked.

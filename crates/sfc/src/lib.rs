@@ -58,13 +58,12 @@ mod kernels;
 mod lexicographic;
 mod peano;
 pub mod quality;
-mod simd;
 mod spiral;
 mod zorder;
 
 pub use curve::{CurveKind, InvertibleCurve, SfcError, SpaceFillingCurve};
 pub use diagonal::{Diagonal, WeightedDiagonal};
-pub use fast::{CurveKernel, KernelGrid, BATCH_LANES, SMALL_LUT_MAX_CELLS};
+pub use fast::{CurveKernel, KernelGrid, SMALL_LUT_MAX_CELLS};
 pub use gray::Gray;
 pub use hilbert::Hilbert;
 pub use lexicographic::{CScan, Scan, Sweep};

@@ -312,83 +312,6 @@ proptest! {
     }
 
     #[test]
-    fn index_batch_matches_index_across_the_catalogue(
-        (kind, dims, order) in small_shape(),
-        len in 0usize..40,
-        seed in 0u64..u64::MAX,
-    ) {
-        // Both the kernel CurveKernel::build selects (fast variant or
-        // SmallLut) and the forced-Dyn wrapper must satisfy
-        // index_batch == index elementwise, over batch lengths straddling
-        // the 8-lane width (including empty) and with a max-coordinate
-        // edge point planted mid-batch.
-        let fast = sfc::CurveKernel::build(kind, dims, order).unwrap();
-        let dynk = sfc::CurveKernel::from_dyn(kind.build(dims, order).unwrap());
-        let side = fast.side();
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) % side
-        };
-        macro_rules! check_d {
-            ($d:literal) => {{
-                let mut pts = vec![[0u64; $d]; len];
-                for p in pts.iter_mut() {
-                    for c in p.iter_mut() { *c = next(); }
-                }
-                if len > 3 { pts[3] = [side - 1; $d]; }
-                let mut out_fast = vec![0u128; len];
-                let mut out_dyn = vec![0u128; len];
-                fast.index_batch(&pts, &mut out_fast);
-                dynk.index_batch(&pts, &mut out_dyn);
-                for (p, (&vf, &vd)) in pts.iter().zip(out_fast.iter().zip(&out_dyn)) {
-                    let want = fast.index(&p[..]);
-                    prop_assert_eq!(vf, want, "{} dims={} order={} p={:?}", kind, dims, order, p);
-                    prop_assert_eq!(vd, want, "{} dims={} order={} p={:?}", kind, dims, order, p);
-                }
-            }};
-        }
-        match dims {
-            1 => check_d!(1),
-            2 => check_d!(2),
-            _ => check_d!(3),
-        }
-    }
-
-    #[test]
-    fn index_batch_matches_index_on_large_fast_shapes(
-        (kind, dims, order) in fast_shape(),
-        seed in 0u64..u64::MAX,
-    ) {
-        // The lane-stepped automata at scheduler-sized orders, where the
-        // widened byte tables (and the odd-level peel) actually engage.
-        let kernel = sfc::CurveKernel::build(kind, dims, order).unwrap();
-        let side = kernel.side();
-        let mut s = seed;
-        let mut next = move || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) % side
-        };
-        macro_rules! check_d {
-            ($d:literal) => {{
-                let mut pts = vec![[0u64; $d]; 19];
-                for p in pts.iter_mut() {
-                    for c in p.iter_mut() { *c = next(); }
-                }
-                pts[5] = [side - 1; $d];
-                pts[6] = [0; $d];
-                let mut out = vec![0u128; 19];
-                kernel.index_batch(&pts, &mut out);
-                for (p, &v) in pts.iter().zip(&out) {
-                    prop_assert_eq!(v, kernel.index(&p[..]),
-                        "{} dims={} order={} p={:?}", kind, dims, order, p);
-                }
-            }};
-        }
-        if dims == 2 { check_d!(2) } else { check_d!(3) }
-    }
-
-    #[test]
     fn lexicographic_transpose_duality(
         order in 1u32..=4,
         x in 0u64..4096,

@@ -970,11 +970,7 @@ mod tests {
         // And the event counters must reconcile with the metrics exactly.
         let c = snapshot.counters;
         assert_eq!(c.arrivals, 30);
-        assert_eq!(c.dispatches, traced.served + traced.dropped);
-        assert_eq!(c.service_starts, traced.served);
-        assert_eq!(c.service_completes, traced.served);
-        assert_eq!(c.drops, traced.dropped);
-        assert_eq!(c.late_completions, traced.late);
+        traced.reconcile(&c).expect("events match metrics");
         assert!(traced.dropped > 0, "workload produced no drops");
         assert_eq!(snapshot.response_us.count(), traced.served);
         assert_eq!(snapshot.response_us.max(), Some(traced.max_response_us));
@@ -1145,13 +1141,7 @@ mod tests {
         );
         let c = snapshot.counters;
         assert!(m.media_errors > 0 && m.sector_remaps > 0);
-        assert_eq!(c.media_errors, m.media_errors);
-        assert_eq!(c.retries, m.retries);
-        assert_eq!(c.request_failures, m.failed);
-        assert_eq!(c.sector_remaps, m.sector_remaps);
-        assert_eq!(c.dispatches, m.served + m.dropped + m.failed);
-        assert_eq!(c.service_starts, m.served + m.failed);
-        assert_eq!(c.service_completes, m.served);
+        m.reconcile(&c).expect("events match metrics");
     }
 
     #[test]

@@ -131,6 +131,59 @@ impl Metrics {
         self.makespan_us = self.makespan_us.max(other.makespan_us);
     }
 
+    /// The event-vs-metric identities: what an engine's traced events,
+    /// counted by an [`obs::Snapshot`] (or several, merged), must equal in
+    /// the [`Metrics`] the same engine(s) accumulated. A mismatch means an
+    /// event was lost or emitted twice; the error names the first one.
+    pub fn reconcile(&self, c: &obs::Counters) -> Result<(), String> {
+        let checks = [
+            (
+                "dispatches vs served+dropped+failed",
+                c.dispatches,
+                self.served + self.dropped + self.failed,
+            ),
+            (
+                "service_starts vs served+failed",
+                c.service_starts,
+                self.served + self.failed,
+            ),
+            (
+                "service_completes vs served",
+                c.service_completes,
+                self.served,
+            ),
+            ("drops vs dropped", c.drops, self.dropped),
+            ("late_completions vs late", c.late_completions, self.late),
+            (
+                "media_error events vs metrics",
+                c.media_errors,
+                self.media_errors,
+            ),
+            ("retry events vs metrics", c.retries, self.retries),
+            (
+                "request_failed events vs metrics",
+                c.request_failures,
+                self.failed,
+            ),
+            (
+                "sector_remap events vs metrics",
+                c.sector_remaps,
+                self.sector_remaps,
+            ),
+            (
+                "degraded_read events vs metrics",
+                c.degraded_reads,
+                self.degraded_reads,
+            ),
+        ];
+        for (what, got, want) in checks {
+            if got != want {
+                return Err(format!("{what}: {got} != {want}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Total priority inversions over all dimensions.
     pub fn inversions_total(&self) -> u64 {
         self.inversions_per_dim.iter().sum()
@@ -303,6 +356,28 @@ mod tests {
         assert_eq!(m.requests_by_dim_level[1][7], 1);
         assert_eq!(m.losses_by_dim_level[0][0], 1);
         assert_eq!(m.losses_by_dim_level[1][7], 1);
+    }
+
+    #[test]
+    fn reconcile_names_the_first_mismatch() {
+        let m = Metrics {
+            served: 5,
+            dropped: 2,
+            late: 1,
+            ..Metrics::new(1, 4)
+        };
+        let mut c = obs::Counters {
+            dispatches: 7,
+            service_starts: 5,
+            service_completes: 5,
+            drops: 2,
+            late_completions: 1,
+            ..Default::default()
+        };
+        m.reconcile(&c).expect("identities hold");
+        c.service_completes = 4; // one ServiceComplete event lost
+        let err = m.reconcile(&c).unwrap_err();
+        assert_eq!(err, "service_completes vs served: 4 != 5");
     }
 
     #[test]

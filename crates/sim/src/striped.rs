@@ -139,8 +139,8 @@ pub fn simulate_striped_faulted(
 
 /// [`simulate_striped`] with one [`Snapshot`] sink per member, merged
 /// into a single group-level snapshot. The snapshot's event-derived
-/// counters reconcile with [`StripedOutcome::aggregate`]: dispatches ==
-/// served + dropped, service completes == served, drops == dropped.
+/// counters reconcile with [`StripedOutcome::aggregate`]
+/// ([`Metrics::reconcile`]).
 pub fn simulate_striped_observed(
     trace: &[Request],
     members: usize,
@@ -372,10 +372,7 @@ mod tests {
         let total = out.aggregate();
         let c = &snap.counters;
         assert_eq!(c.arrivals, 400);
-        assert_eq!(c.dispatches, total.served + total.dropped);
-        assert_eq!(c.service_completes, total.served);
-        assert_eq!(c.drops, total.dropped);
-        assert_eq!(c.late_completions, total.late);
+        total.reconcile(c).expect("events match metrics");
         assert_eq!(snap.response_us.count(), total.served);
         assert_eq!(snap.response_us.max(), Some(total.max_response_us));
     }
