@@ -15,12 +15,18 @@ cargo fmt --all --check
 echo "==> cargo clippy (perf lints, deny warnings)"
 cargo clippy --workspace --all-targets -- -W clippy::perf -D warnings
 
+echo "==> cargo doc (deny warnings)"
+# Intra-doc links are the only check that a deleted or renamed item is
+# not still referred to in prose. The workspace's own crates only: the
+# vendored rand/proptest shims are members by path but not ours to lint.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude rand --exclude proptest --no-deps --lib
+
 echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test (whole workspace)"
 # The root package alone is 47 tests; farm, sim, the oracle and the rest
-# of the workspace hold the other ~630.
+# of the workspace hold the other ~600.
 cargo test -q --workspace
 
 echo "==> inversion-census tests, release"
@@ -37,11 +43,10 @@ echo "==> fault-scenario smoke run"
 cargo run -q -p bench --release --bin faults -- --mode smoke --duration-ms 8000
 
 echo "==> farm smoke run"
-# Fixed seed: serial and threaded executors bit-identical for every
-# routing policy, redirect events reconciled against the outcome
-# counter, every arrival accounted for, and least-loaded routing
-# shedding strictly less than hash under overload (exits 1 on
-# violation).
+# Fixed seed: for every routing policy, redirect events reconciled
+# against the outcome counter and every arrival accounted for; and
+# least-loaded routing shedding strictly less than hash under overload
+# (exits 1 on violation).
 cargo run -q -p bench --release --bin farm -- --mode smoke --duration-ms 10000
 
 echo "==> daemon smoke run"

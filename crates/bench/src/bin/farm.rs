@@ -8,11 +8,11 @@
 //!
 //! * `sweep` (default) prints the scaling table as CSV on stdout: one
 //!   row per (shard count, routing policy) with served/loss/shed/
-//!   redirect counts and the serial-vs-threaded wall-clock ratio.
-//! * `smoke` runs the CI gate: executors bit-identical for every
-//!   policy, redirect counters reconciled against traced events, every
-//!   arrival accounted for, and least-loaded shedding strictly less
-//!   than hash under overload. Exits 1 on any violation.
+//!   redirect counts and the simulated makespan.
+//! * `smoke` runs the CI gate: for every policy, redirect counters
+//!   reconciled against traced events and every arrival accounted for,
+//!   and least-loaded shedding strictly less than hash under overload.
+//!   Exits 1 on any violation.
 
 use bench::args::Args;
 use bench::farm::{self, Config};
@@ -61,9 +61,9 @@ fn main() {
         "smoke" => match farm::smoke(&cfg) {
             Ok((hash, least_loaded, redirected)) => {
                 eprintln!(
-                    "# smoke OK: executors bit-identical; hash shed {}, \
-                     least-loaded shed {}, redirect-on-overload rerouted {} \
-                     (shed {}); all {} arrivals accounted",
+                    "# smoke OK: hash shed {}, least-loaded shed {}, \
+                     redirect-on-overload rerouted {} (shed {}); all {} \
+                     arrivals accounted",
                     hash.sheds,
                     least_loaded.sheds,
                     redirected.redirects,

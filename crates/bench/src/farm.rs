@@ -9,13 +9,9 @@
 //! * **sweep** — a fixed VoD load sized to saturate a small farm is
 //!   re-run at increasing shard counts under all three routing
 //!   policies; the CSV reports per-policy served/loss/shed/redirect
-//!   counts, the simulated makespan, and the wall-clock of the serial
-//!   vs threaded executor (their outputs are bit-identical, so the
-//!   ratio is pure harness speedup — on a single-core host it sits at
-//!   ~1.0 by design).
-//! * **smoke** — the CI gate: serial and threaded executors must agree
-//!   bit-for-bit for every policy, redirect counters must reconcile
-//!   exactly with the traced Redirect events, every arrival must be
+//!   counts and the simulated makespan.
+//! * **smoke** — the CI gate: for every policy, redirect counters must
+//!   reconcile exactly with the traced Redirect events, every arrival must be
 //!   accounted for (served + dropped + failed + shed), and least-loaded
 //!   routing must shed strictly less than hash routing at the
 //!   just-past-saturation operating point. Exits 1 on any violation.
@@ -23,11 +19,10 @@
 //! Both modes are deterministic given `--seed`.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
-use farm::{simulate_farm, FarmConfig, FarmOutcome, Parallelism, RoutePolicy};
+use farm::{simulate_farm, FarmConfig, FarmOutcome, RoutePolicy};
 use obs::Snapshot;
 use sched::DiskScheduler;
 use sim::{Metrics, SimOptions};
-use std::time::Instant;
 use workload::VodConfig;
 
 /// The three routing policies, in report order.
@@ -104,56 +99,24 @@ pub struct Row {
     pub loss_ratio: f64,
     /// Simulated farm makespan (µs).
     pub makespan_us: u64,
-    /// Wall-clock of the serial executor (ms).
-    pub serial_ms: f64,
-    /// Wall-clock of the threaded executor (ms).
-    pub parallel_ms: f64,
-    /// serial_ms / parallel_ms (≈ 1.0 on a single-core host).
-    pub speedup: f64,
 }
 
-/// Run one farm configuration under both executors; assert they agree
-/// and return the outcome plus the two wall-clock timings (ms).
+/// Run one farm configuration.
 pub fn run_point(
     cfg: &Config,
     shards: usize,
     policy: RoutePolicy,
     redirects: bool,
-) -> (FarmOutcome, Snapshot, f64, f64) {
+) -> (FarmOutcome, Snapshot) {
     let trace = vod_trace(cfg);
     let mut farm_cfg = FarmConfig::new(shards).with_policy(policy);
     if redirects {
         farm_cfg = farm_cfg.with_redirects();
     }
-    let run = |parallelism: Parallelism| {
-        let fc = farm_cfg.clone().with_parallelism(parallelism);
-        let t0 = Instant::now();
-        let (out, snap) = simulate_farm(&trace, &fc, |_| bounded_scheduler(cfg), options());
-        (out, snap, t0.elapsed().as_secs_f64() * 1_000.0)
-    };
-    let (serial_out, serial_snap, serial_ms) = run(Parallelism::Serial);
-    let (out, snap, parallel_ms) = run(Parallelism::threads(shards.max(2)));
-    assert_eq!(
-        (
-            &serial_out.per_shard,
-            &serial_out.routed_per_shard,
-            serial_out.redirects
-        ),
-        (&out.per_shard, &out.routed_per_shard, out.redirects),
-        "executors diverged"
-    );
-    assert_eq!(serial_snap, snap, "executor snapshots diverged");
-    (out, snap, serial_ms, parallel_ms)
+    simulate_farm(&trace, &farm_cfg, |_| bounded_scheduler(cfg), options())
 }
 
-fn row(
-    cfg: &Config,
-    shards: usize,
-    policy: RoutePolicy,
-    out: &FarmOutcome,
-    serial_ms: f64,
-    parallel_ms: f64,
-) -> Row {
+fn row(cfg: &Config, shards: usize, policy: RoutePolicy, out: &FarmOutcome) -> Row {
     let arrivals = vod_trace(cfg).len() as u64;
     let total = out.aggregate();
     let lost = total.losses_total() + out.sheds();
@@ -171,13 +134,6 @@ fn row(
             lost as f64 / arrivals as f64
         },
         makespan_us: out.makespan_us,
-        serial_ms,
-        parallel_ms,
-        speedup: if parallel_ms > 0.0 {
-            serial_ms / parallel_ms
-        } else {
-            1.0
-        },
     }
 }
 
@@ -186,8 +142,8 @@ pub fn sweep(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     for &shards in &cfg.shards {
         for policy in POLICIES {
-            let (out, _, serial_ms, parallel_ms) = run_point(cfg, shards, policy, false);
-            rows.push(row(cfg, shards, policy, &out, serial_ms, parallel_ms));
+            let (out, _) = run_point(cfg, shards, policy, false);
+            rows.push(row(cfg, shards, policy, &out));
         }
     }
     rows
@@ -195,13 +151,10 @@ pub fn sweep(cfg: &Config) -> Vec<Row> {
 
 /// Print the sweep as CSV.
 pub fn print_csv(rows: &[Row]) {
-    println!(
-        "shards,policy,arrivals,served,losses,sheds,redirects,loss_ratio,\
-         makespan_ms,serial_ms,parallel_ms,speedup"
-    );
+    println!("shards,policy,arrivals,served,losses,sheds,redirects,loss_ratio,makespan_ms");
     for r in rows {
         println!(
-            "{},{},{},{},{},{},{},{:.4},{},{:.1},{:.1},{:.2}",
+            "{},{},{},{},{},{},{},{:.4},{}",
             r.shards,
             r.policy,
             r.arrivals,
@@ -210,10 +163,7 @@ pub fn print_csv(rows: &[Row]) {
             r.sheds,
             r.redirects,
             r.loss_ratio,
-            r.makespan_us / 1_000,
-            r.serial_ms,
-            r.parallel_ms,
-            r.speedup
+            r.makespan_us / 1_000
         );
     }
 }
@@ -261,13 +211,12 @@ pub fn smoke(cfg: &Config) -> Result<(Row, Row, Row), String> {
     let arrivals = vod_trace(cfg).len() as u64;
     let shards = 4;
 
-    // Bit-identity across executors holds for every policy (asserted
-    // inside run_point) and the ledger must reconcile for each.
+    // The ledger must reconcile for every policy.
     let mut per_policy = Vec::new();
     for policy in POLICIES {
-        let (out, snap, serial_ms, parallel_ms) = run_point(cfg, shards, policy, false);
+        let (out, snap) = run_point(cfg, shards, policy, false);
         reconcile(&out, &snap, arrivals)?;
-        per_policy.push(row(cfg, shards, policy, &out, serial_ms, parallel_ms));
+        per_policy.push(row(cfg, shards, policy, &out));
     }
     let hash = per_policy[0].clone();
     let least_loaded = per_policy[2].clone();
@@ -288,19 +237,12 @@ pub fn smoke(cfg: &Config) -> Result<(Row, Row, Row), String> {
     }
 
     // Redirect-on-overload must fire, reconcile, and not make hash worse.
-    let (out, snap, serial_ms, parallel_ms) = run_point(cfg, shards, RoutePolicy::HashStream, true);
+    let (out, snap) = run_point(cfg, shards, RoutePolicy::HashStream, true);
     reconcile(&out, &snap, arrivals)?;
     if out.redirects == 0 {
         return Err("redirect-on-overload never fired under overload".into());
     }
-    let redirected = row(
-        cfg,
-        shards,
-        RoutePolicy::HashStream,
-        &out,
-        serial_ms,
-        parallel_ms,
-    );
+    let redirected = row(cfg, shards, RoutePolicy::HashStream, &out);
     if redirected.sheds > hash.sheds {
         return Err(format!(
             "redirects made shedding worse: {} vs {}",

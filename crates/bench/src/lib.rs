@@ -24,7 +24,7 @@
 //! `faults` (loss/seek/p99 degradation curves under injected media
 //! errors, a degraded-RAID scenario, and the CI smoke gate — see
 //! [`fault`]), and `farm` (shard-count scaling under the three routing
-//! policies, executor bit-identity, and the farm smoke gate — see
+//! policies and the farm smoke gate — see
 //! [`farm`]), and `daemon` (the continuous-operation smoke gate:
 //! quiescent-prefix parity with the batch farm, drain/quarantine churn
 //! with a closed ledger, and run-to-run bit-identity — see [`daemon`]),

@@ -12,7 +12,7 @@
 //! | [`edf`] | EDF (per batch) | SFC2 only, `f → ∞` |
 //! | [`multi_queue`] | multi-queue priority | SFC1 only, 1 dimension |
 //! | [`scan_edf`] | SCAN-EDF | SFC2 deadline-major + SFC3 `R = large`, circular |
-//! | [`priority_sstf`] | multiple-priority scheduler of [2] | SFC1 + SFC3 |
+//! | [`priority_sstf`] | multiple-priority scheduler of \[2\] | SFC1 + SFC3 |
 
 use crate::config::{
     CascadeConfig, DispatchConfig, DistanceMode, Stage1, Stage2, Stage2Combiner, Stage3,
@@ -99,7 +99,7 @@ pub fn scan_edf(horizon_us: Micros, batch_bits: u32, cylinders: u32) -> CascadeC
     }
 }
 
-/// The multiple-priority disk scheduler of Aref et al. [2]: priorities
+/// The multiple-priority disk scheduler of Aref et al. \[2\]: priorities
 /// fold through SFC1, seeks through SFC3 — no deadlines.
 pub fn priority_sstf(
     curve: CurveKind,

@@ -42,7 +42,7 @@
 //! # The event loop
 //!
 //! Each member pairs a [`sim::EngineStepper`] with its scheduler and
-//! service model. The contract is the one the batch engines keep: before
+//! service model. The contract is the one a batch run keeps: before
 //! an event at time `t` is applied, no member may still owe a dispatch
 //! decided strictly before `t` ([`EngineStepper::run_until`] excludes the
 //! horizon itself), so no engine ever dispatches at an instant whose
@@ -66,7 +66,7 @@
 //!   real interaction (the cascade's conditional dispatcher resets its
 //!   preemption anchor on it) and is never skipped: it happens when the
 //!   member is next pumped, before anything new is delivered — exactly
-//!   once per gap, which is what the batch engine does.
+//!   once per gap, which is what a batch run does.
 //!
 //! So the daemon keeps a min-heap with one `(next_action_us, member)`
 //! entry per member that has work, and an event at `t` pumps the entries

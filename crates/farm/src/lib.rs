@@ -16,10 +16,10 @@
 //!   over the arrival-ordered trace against a modeled per-shard load, so
 //!   placements never depend on execution timing.
 //! * **Execution**: once placements are fixed the shard timelines are
-//!   mutually independent, so they fan out through [`sim::run_indexed`]
-//!   — scoped threads under [`Parallelism::Threads`], the calling thread
-//!   under [`Parallelism::Serial`] — and merge in shard order. Metrics
-//!   and traced event snapshots are bit-identical across executors.
+//!   mutually independent; [`simulate_farm`] runs them one after another
+//!   in shard order, each a [`sim::simulate_traced`] over its sub-trace.
+//!   [`FarmDaemon`] interleaves the same routing and the same engine
+//!   stepper event by event, and is checked against this batch run.
 //! * **Overload handling**: shard schedulers with a bounded queue
 //!   ([`sched::DiskScheduler::queue_capacity`]) shed under overload.
 //!   With [`FarmConfig::redirect_on_overload`], the routing pass steers
@@ -59,11 +59,10 @@ pub use daemon::{
 pub use online::{OnlineRouter, RouteDecision};
 pub use router::{least_loaded, least_loaded_among, HashRouter, LeastLoadedRouter, RangeRouter};
 pub use router::{RoutePolicy, Router, ShardLoad};
-pub use sim::Parallelism;
 
 use obs::{Snapshot, TraceEvent, TraceSink};
 use sched::{DiskScheduler, Request};
-use sim::{run_indexed, simulate_traced, DiskService, Metrics, SimOptions};
+use sim::{simulate_traced, DiskService, Metrics, SimOptions};
 
 /// Configuration of a farm run.
 #[derive(Debug, Clone)]
@@ -72,9 +71,6 @@ pub struct FarmConfig {
     pub shards: usize,
     /// Routing policy placing arrivals onto shards.
     pub policy: RoutePolicy,
-    /// Executor for the shard timelines. The outcome is identical for
-    /// every value; only wall-clock differs.
-    pub parallelism: Parallelism,
     /// Steer arrivals away from projected-full shards to the least-loaded
     /// shard with room, instead of letting the bounded queue shed.
     pub redirect_on_overload: bool,
@@ -87,13 +83,11 @@ pub struct FarmConfig {
 }
 
 impl FarmConfig {
-    /// A farm of `shards` Table-1 disks, hash routing, automatic
-    /// parallelism, no redirects.
+    /// A farm of `shards` Table-1 disks, hash routing, no redirects.
     pub fn new(shards: usize) -> Self {
         FarmConfig {
             shards,
             policy: RoutePolicy::HashStream,
-            parallelism: Parallelism::auto(),
             redirect_on_overload: false,
             est_service_us: 15_000,
             cylinders: 3832,
@@ -103,12 +97,6 @@ impl FarmConfig {
     /// Set the routing policy.
     pub fn with_policy(mut self, policy: RoutePolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Set the executor.
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -229,31 +217,21 @@ impl FarmOutcome {
 /// [`sched::DiskScheduler::queue_capacity`] for the routing model. The
 /// returned [`Snapshot`] merges the router's redirect events with every
 /// shard's engine events and one [`TraceEvent::ShardReport`] per shard,
-/// in shard order — bit-identical for every [`Parallelism`] choice.
+/// in shard order.
 pub fn simulate_farm(
     trace: &[Request],
     cfg: &FarmConfig,
-    make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler> + Sync,
+    make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler>,
     options: SimOptions,
 ) -> (FarmOutcome, Snapshot) {
-    simulate_farm_with(trace, cfg, make_scheduler, options, |_| {
-        DiskService::table1()
-    })
-}
-
-/// [`simulate_farm`] with a custom per-shard service model (e.g. a
-/// fault-injected [`DiskService`] per shard).
-pub fn simulate_farm_with(
-    trace: &[Request],
-    cfg: &FarmConfig,
-    make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-    make_service: impl Fn(usize) -> DiskService + Sync,
-) -> (FarmOutcome, Snapshot) {
-    let (outcome, sinks) =
-        simulate_farm_traced(trace, cfg, make_scheduler, options, make_service, |_| {
-            Snapshot::new()
-        });
+    let (outcome, sinks) = simulate_farm_traced(
+        trace,
+        cfg,
+        make_scheduler,
+        options,
+        |_| DiskService::table1(),
+        |_| Snapshot::new(),
+    );
     // Snapshot accumulation is commutative, so folding per-shard sinks in
     // shard order reproduces the single-sink totals bit for bit.
     let mut group = Snapshot::new();
@@ -280,21 +258,23 @@ impl<S: TraceSink> TraceSink for RouterDemux<'_, S> {
     }
 }
 
-/// [`simulate_farm_with`] with one caller-built [`TraceSink`] per shard.
+/// [`simulate_farm`] with a custom per-shard service model (e.g. a
+/// fault-injected [`DiskService`] per shard) and one caller-built
+/// [`TraceSink`] per shard.
 ///
-/// `make_sink(shard)` runs serially up front; each sink then receives, in
-/// order: the routing pass's [`TraceEvent::Redirect`] events whose
-/// `from_shard` is that shard, the shard engine's full event stream, and
-/// one closing [`TraceEvent::ShardReport`]. Sinks cross into the shard
-/// workers (hence `S: Send`) and come back in shard order, so per-shard
-/// telemetry — e.g. an [`obs::WindowedSnapshot`] or a flight recorder per
-/// shard — stays deterministic for every [`Parallelism`] choice.
-pub fn simulate_farm_traced<S: TraceSink + Send>(
+/// `make_sink(shard)` runs up front for every shard; each sink then
+/// receives, in order: the routing pass's [`TraceEvent::Redirect`] events
+/// whose `from_shard` is that shard, the shard engine's full event
+/// stream, and one closing [`TraceEvent::ShardReport`]. The sinks come
+/// back in shard order, so per-shard telemetry — e.g. an
+/// [`obs::WindowedSnapshot`] or a flight recorder per shard — is a pure
+/// function of the trace and the configuration.
+pub fn simulate_farm_traced<S: TraceSink>(
     trace: &[Request],
     cfg: &FarmConfig,
-    make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler> + Sync,
+    make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler>,
     options: SimOptions,
-    make_service: impl Fn(usize) -> DiskService + Sync,
+    make_service: impl Fn(usize) -> DiskService,
     make_sink: impl Fn(usize) -> S,
 ) -> (FarmOutcome, Vec<S>) {
     let capacities: Vec<Option<usize>> = (0..cfg.shards)
@@ -307,19 +287,10 @@ pub fn simulate_farm_traced<S: TraceSink + Send>(
         route_trace(trace, cfg, &capacities, &mut demux)
     };
 
-    // Hand each worker ownership of its shard's sink; the cells are only
-    // ever locked once each, by the worker running that shard index.
-    let cells: Vec<std::sync::Mutex<Option<S>>> = sinks
-        .into_iter()
-        .map(|s| std::sync::Mutex::new(Some(s)))
-        .collect();
-
-    let results = run_indexed(cfg.shards, cfg.parallelism, |shard| {
-        let mut sink = cells[shard]
-            .lock()
-            .expect("shard sink lock poisoned")
-            .take()
-            .expect("shard sink taken twice");
+    let mut per_shard = Vec::with_capacity(cfg.shards);
+    let mut sheds_per_shard = Vec::with_capacity(cfg.shards);
+    let mut makespan = 0u64;
+    for (shard, sink) in sinks.iter_mut().enumerate() {
         let mut scheduler = make_scheduler(shard);
         let mut service = make_service(shard);
         let m = simulate_traced(
@@ -327,7 +298,7 @@ pub fn simulate_farm_traced<S: TraceSink + Send>(
             &placement.shard_traces[shard],
             &mut service,
             options,
-            &mut sink,
+            sink,
         );
         let sheds = scheduler.sheds();
         if S::ENABLED {
@@ -338,18 +309,9 @@ pub fn simulate_farm_traced<S: TraceSink + Send>(
                 sheds,
             });
         }
-        (m, sheds, sink)
-    });
-
-    let mut per_shard = Vec::with_capacity(cfg.shards);
-    let mut sheds_per_shard = Vec::with_capacity(cfg.shards);
-    let mut sinks = Vec::with_capacity(cfg.shards);
-    let mut makespan = 0u64;
-    for (m, sheds, sink) in results {
         makespan = makespan.max(m.makespan_us);
         per_shard.push(m);
         sheds_per_shard.push(sheds);
-        sinks.push(sink);
     }
 
     (

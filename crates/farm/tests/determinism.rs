@@ -1,13 +1,12 @@
-//! Routing determinism and executor bit-identity.
+//! Routing determinism and per-shard telemetry.
 //!
-//! The farm's contract: placements are a pure function of (trace,
-//! config), and the executor choice (serial vs scoped threads) never
-//! changes the outcome — metrics *and* merged trace snapshots are
-//! bit-identical. Redirect accounting must reconcile exactly between the
-//! outcome counter and the traced events.
+//! The farm's contract: placements and outcomes are a pure function of
+//! (trace, config) — metrics *and* merged trace snapshots repeat bit for
+//! bit. Redirect accounting must reconcile exactly between the outcome
+//! counter and the traced events.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
-use farm::{simulate_farm, FarmConfig, Parallelism, RoutePolicy};
+use farm::{simulate_farm, FarmConfig, RoutePolicy};
 use sched::{DiskScheduler, Fcfs};
 use sim::SimOptions;
 use workload::VodConfig;
@@ -42,33 +41,6 @@ fn bounded_cascade(cap: usize) -> Box<dyn DiskScheduler> {
 }
 
 #[test]
-fn parallel_and_serial_executors_are_bit_identical() {
-    let trace = light_trace();
-    for policy in POLICIES {
-        let base = FarmConfig::new(4).with_policy(policy);
-        let serial = base.clone().with_parallelism(Parallelism::Serial);
-        let threads = base.with_parallelism(Parallelism::threads(4));
-        let (o1, s1) = simulate_farm(
-            &trace,
-            &serial,
-            |_| Box::new(Fcfs::new()),
-            SimOptions::with_shape(1, 4),
-        );
-        let (o2, s2) = simulate_farm(
-            &trace,
-            &threads,
-            |_| Box::new(Fcfs::new()),
-            SimOptions::with_shape(1, 4),
-        );
-        assert_eq!(o1.routed_per_shard, o2.routed_per_shard, "{policy:?}");
-        assert_eq!(o1.per_shard, o2.per_shard, "{policy:?}");
-        assert_eq!(o1.makespan_us, o2.makespan_us, "{policy:?}");
-        assert_eq!(o1.redirects, o2.redirects, "{policy:?}");
-        assert_eq!(s1, s2, "merged snapshots must match for {policy:?}");
-    }
-}
-
-#[test]
 fn repeat_runs_are_deterministic() {
     let trace = light_trace();
     for policy in POLICIES {
@@ -92,9 +64,7 @@ fn repeat_runs_are_deterministic() {
 #[test]
 fn hash_routing_is_sticky_per_stream_end_to_end() {
     let trace = light_trace();
-    let cfg = FarmConfig::new(4)
-        .with_policy(RoutePolicy::HashStream)
-        .with_parallelism(Parallelism::Serial);
+    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::HashStream);
     let mut sink = obs::Snapshot::new();
     let placement = farm::route_trace(&trace, &cfg, &[None; 4], &mut sink);
     // Every stream's requests live on exactly one shard.
@@ -113,9 +83,7 @@ fn hash_routing_is_sticky_per_stream_end_to_end() {
 #[test]
 fn range_routing_bands_the_cylinder_space() {
     let trace = light_trace();
-    let cfg = FarmConfig::new(4)
-        .with_policy(RoutePolicy::CylinderRange)
-        .with_parallelism(Parallelism::Serial);
+    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::CylinderRange);
     let mut sink = obs::Snapshot::new();
     let placement = farm::route_trace(&trace, &cfg, &[None; 4], &mut sink);
     // Shard i's cylinders all precede shard i+1's.
@@ -222,33 +190,6 @@ fn per_shard_windowed_sinks_reconcile_with_the_merged_snapshot() {
         merged, plain_snap,
         "windowed per-shard telemetry must reproduce the plain farm snapshot"
     );
-}
-
-#[test]
-fn traced_farm_is_executor_independent() {
-    let trace = overload_trace();
-    let base = FarmConfig::new(4)
-        .with_policy(RoutePolicy::LeastLoaded)
-        .with_redirects();
-    let run = |parallelism| {
-        let cfg = base.clone().with_parallelism(parallelism);
-        farm::simulate_farm_traced(
-            &trace,
-            &cfg,
-            |_| bounded_cascade(24),
-            SimOptions::with_shape(1, 4),
-            |_| sim::DiskService::table1(),
-            |_| obs::WindowedSnapshot::new(19, 4),
-        )
-    };
-    let (o1, s1) = run(Parallelism::Serial);
-    let (o2, s2) = run(Parallelism::threads(4));
-    assert_eq!(o1.per_shard, o2.per_shard);
-    assert_eq!(o1.redirects, o2.redirects);
-    for (a, b) in s1.iter().zip(&s2) {
-        assert_eq!(a.cumulative(), b.cumulative());
-        assert_eq!(a.current_epoch(), b.current_epoch());
-    }
 }
 
 #[test]

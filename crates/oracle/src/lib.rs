@@ -4,7 +4,7 @@
 //! optimized schedulers, simulator and farm *should* have done, in three
 //! layers:
 //!
-//! * [`reference`] — **differential testing**: naive, obviously-correct
+//! * [`mod@reference`] — **differential testing**: naive, obviously-correct
 //!   restatements of the Cascaded-SFC dispatcher (O(n²) re-sort per
 //!   dispatch), EDF, SSTF and SCAN, run through the same simulator on
 //!   the same seeded traces and required to match the optimized
@@ -22,7 +22,7 @@
 //! * [`metamorphic`] — **metamorphic properties**: relations between
 //!   runs that need no reference — arrival-permutation invariance,
 //!   deadline monotonicity under SFC2's `f` scaling, CSV replay
-//!   idempotence, serial-vs-threaded executor equivalence. [`telemetry`]
+//!   idempotence. [`telemetry`]
 //!   adds the live-plane relations: windowed cumulative equivalence with
 //!   a plain snapshot, window-width invariance, and delta-polling
 //!   cadence invariance.
@@ -32,7 +32,7 @@
 //!   Bachmat-style closed-form expected seek distances (the
 //!   max-of-uniforms sweep law, the linear FCFS law) with no
 //!   implementation on the other side of the comparison at all.
-//! * [`fuzz`] — a **seeded fuzz driver**: adversarial workload
+//! * [`mod@fuzz`] — a **seeded fuzz driver**: adversarial workload
 //!   archetypes (deadline clusters, cylinder sweeps, shed-pressure
 //!   bursts, fault plans, membership churn, controller storms)
 //!   generated from a seed,

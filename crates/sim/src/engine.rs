@@ -1,11 +1,16 @@
-//! The discrete-event simulation loop.
+//! The discrete-event simulation engine.
 //!
-//! One disk, one scheduler, one pre-generated arrival trace. The loop
-//! alternates between delivering arrivals to the scheduler (at their
-//! arrival times, with the head state of that moment) and letting the
-//! disk serve the scheduler's next pick. Priority inversions are counted
-//! at each service start against the requests still waiting, per the
-//! paper's definition.
+//! One disk, one scheduler, one arrival stream. The engine alternates
+//! between delivering arrivals to the scheduler (at their arrival times,
+//! with the head state of that moment) and letting the disk serve the
+//! scheduler's next pick. Priority inversions are counted at each service
+//! start against the requests still waiting, per the paper's definition.
+//!
+//! This module holds the two halves of that alternation
+//! ([`EngineCore::enqueue_chunk`], [`EngineCore::step`]) and the batch
+//! entry points; the event loop that calls them is
+//! [`EngineStepper::run_until`], the only driver there is. [`simulate`]
+//! and friends feed a stepper the whole trace and run it dry.
 //!
 //! ## Counting inversions without walking the queue
 //!
@@ -31,6 +36,7 @@
 
 use crate::metrics::Metrics;
 use crate::service::{ServiceFault, ServiceProvider};
+use crate::step::EngineStepper;
 use obs::{NullSink, TraceEvent, TraceSink};
 use sched::{DiskScheduler, HeadState, Micros, Request};
 
@@ -199,34 +205,33 @@ pub struct RequestRecord {
 ///
 /// The trace must be sorted by arrival time (see
 /// [`workload::validate_trace`]); ids need not be dense.
+///
+/// # Panics
+/// At the first request whose `arrival_us` precedes its predecessor's,
+/// naming both times ([`EngineStepper::submit`]'s in-order contract).
 pub fn simulate(
     scheduler: &mut dyn DiskScheduler,
     trace: &[Request],
     service: &mut dyn ServiceProvider,
     options: SimOptions,
 ) -> Metrics {
-    simulate_inner(scheduler, trace, service, options, None, &mut NullSink)
+    simulate_traced(scheduler, trace, service, options, &mut NullSink)
 }
 
 /// Like [`simulate`], additionally returning one [`RequestRecord`] per
 /// request in service order (dropped requests included) — the raw
 /// material for response-time distributions and per-request analysis.
+///
+/// # Panics
+/// On a trace that is not arrival-sorted, as [`simulate`] does.
 pub fn simulate_logged(
     scheduler: &mut dyn DiskScheduler,
     trace: &[Request],
     service: &mut dyn ServiceProvider,
     options: SimOptions,
 ) -> (Metrics, Vec<RequestRecord>) {
-    let mut log = Vec::with_capacity(trace.len());
-    let m = simulate_inner(
-        scheduler,
-        trace,
-        service,
-        options,
-        Some(&mut log),
-        &mut NullSink,
-    );
-    (m, log)
+    let log = Vec::with_capacity(trace.len());
+    EngineStepper::run_trace(scheduler, trace, service, options, Some(log), &mut NullSink)
 }
 
 /// Like [`simulate`], additionally emitting the engine-level event
@@ -238,6 +243,9 @@ pub fn simulate_logged(
 /// the same stream, build the scheduler over an [`obs::SharedSink`]
 /// clone of `sink` — see the `trace` bench binary for the full wiring.
 /// With [`obs::NullSink`] this monomorphizes to exactly [`simulate`].
+///
+/// # Panics
+/// On a trace that is not arrival-sorted, as [`simulate`] does.
 pub fn simulate_traced<S: TraceSink>(
     scheduler: &mut dyn DiskScheduler,
     trace: &[Request],
@@ -245,11 +253,11 @@ pub fn simulate_traced<S: TraceSink>(
     options: SimOptions,
     sink: &mut S,
 ) -> Metrics {
-    simulate_inner(scheduler, trace, service, options, None, sink)
+    EngineStepper::run_trace(scheduler, trace, service, options, None, sink).0
 }
 
 /// Per-stage samplers for the engine's wall-clock spans; `None` unless
-/// [`SimOptions::stage_spans`] is set *and* the sink is live.
+/// [`SimOptions::stage_spans`] is set.
 struct EngineSpans {
     enqueue: obs::StageSampler,
     dispatch: obs::StageSampler,
@@ -267,8 +275,12 @@ impl EngineSpans {
 }
 
 /// Start a wall clock for this stage occurrence if the sampler picks it.
+/// A disabled sink ([`obs::NullSink`]) never ticks the sampler.
 #[inline]
-fn span_clock(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Instant> {
+fn span_clock<S: TraceSink>(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Instant> {
+    if !S::ENABLED {
+        return None;
+    }
     let s = sampler?;
     if s.tick() {
         Some(std::time::Instant::now())
@@ -277,13 +289,10 @@ fn span_clock(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Inst
     }
 }
 
-/// The engine's mutable spine, shared between the batch loop
-/// ([`simulate`] and friends) and the incremental stepper
-/// ([`crate::EngineStepper`]): policy knobs, accumulated metrics, the
-/// simulation clock and the span samplers. Both drivers funnel arrival
-/// delivery through [`EngineCore::enqueue_chunk`] and service through
-/// [`EngineCore::step`], so a stepper-driven run over the same arrivals
-/// is bit-identical to a batch run.
+/// The engine's mutable spine, driven by [`EngineStepper`]: policy knobs,
+/// accumulated metrics, the simulation clock, the span samplers and the
+/// inversion census. Arrival delivery is [`EngineCore::enqueue_chunk`],
+/// service is [`EngineCore::step`].
 pub(crate) struct EngineCore {
     pub(crate) options: SimOptions,
     pub(crate) metrics: Metrics,
@@ -294,16 +303,12 @@ pub(crate) struct EngineCore {
 }
 
 impl EngineCore {
-    pub(crate) fn new(options: SimOptions, cylinders: u32, sink_live: bool) -> Self {
+    pub(crate) fn new(options: SimOptions, cylinders: u32) -> Self {
         EngineCore {
             metrics: Metrics::new(options.dims, options.levels),
             now: 0,
             cylinders,
-            spans: if sink_live {
-                options.stage_spans.map(EngineSpans::new)
-            } else {
-                None
-            },
+            spans: options.stage_spans.map(EngineSpans::new),
             census: Census::new(options.dims, options.levels),
             options,
         }
@@ -345,7 +350,7 @@ impl EngineCore {
             self.census.rebuild(scheduler);
         }
         let head = HeadState::new(service.head(), chunk[0].arrival_us, self.cylinders);
-        let clock = span_clock(self.spans.as_mut().map(|s| &mut s.enqueue));
+        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.enqueue));
         scheduler.enqueue_batch(chunk, &head);
         // A bounded queue may have shed some of these, or queued victims
         // in their place; the length check at the next dequeue sees that.
@@ -372,7 +377,7 @@ impl EngineCore {
         sink: &mut S,
     ) -> bool {
         let head = HeadState::new(service.head(), self.now, self.cylinders);
-        let clock = span_clock(self.spans.as_mut().map(|s| &mut s.dispatch));
+        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.dispatch));
         let picked = scheduler.dequeue(&head);
         if let Some(t0) = clock {
             sink.emit(&TraceEvent::StageSpan {
@@ -470,7 +475,7 @@ impl EngineCore {
         // busy-time accounting covers the whole failure path.
         let max_attempts = self.options.retry.max_attempts.max(1);
         let mut attempt: u32 = 1;
-        let service_clock = span_clock(self.spans.as_mut().map(|s| &mut s.service));
+        let service_clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.service));
         let outcome = loop {
             let o = service.service_checked(&req, self.now);
             self.now += o.breakdown.total_us();
@@ -625,49 +630,6 @@ impl EngineCore {
             }
         }
     }
-}
-
-fn simulate_inner<S: TraceSink>(
-    scheduler: &mut dyn DiskScheduler,
-    trace: &[Request],
-    service: &mut dyn ServiceProvider,
-    options: SimOptions,
-    mut log: Option<&mut Vec<RequestRecord>>,
-    sink: &mut S,
-) -> Metrics {
-    let mut core = EngineCore::new(options, service.cylinders(), S::ENABLED);
-    for r in trace {
-        if core.measured(r) {
-            core.metrics.record_request(r);
-        }
-    }
-
-    let mut next_arrival = 0usize;
-    loop {
-        // Deliver every arrival up to `now` as one chunk.
-        let first_arrival = next_arrival;
-        while next_arrival < trace.len() && trace[next_arrival].arrival_us <= core.now {
-            next_arrival += 1;
-        }
-        core.enqueue_chunk(
-            &trace[first_arrival..next_arrival],
-            scheduler,
-            &*service,
-            sink,
-        );
-
-        if !core.step(scheduler, service, log.as_deref_mut(), sink) {
-            // Idle: jump to the next arrival, or finish.
-            if next_arrival < trace.len() {
-                core.now = core.now.max(trace[next_arrival].arrival_us);
-            } else if scheduler.is_empty() {
-                break;
-            } else {
-                unreachable!("scheduler returned None while non-empty");
-            }
-        }
-    }
-    core.metrics
 }
 
 /// Per-level census of a scheduler's pending set: for each tracked QoS
@@ -1224,10 +1186,48 @@ mod tests {
         // Span counts (not durations) are deterministic across runs.
         let (_, again) = run();
         assert_eq!(again.counters.stage_spans, snap.counters.stage_spans);
+        // And they do not depend on how the run is pumped: the daemon's
+        // pattern (pump to each arrival, then submit it) with extra
+        // horizons inside the busy period counts the same spans per stage.
+        let mut pumped = Snapshot::new();
+        let mut service = TransferDominated::uniform(1_000, 3832);
+        let mut scheduler = Fcfs::new();
+        let mut stepper = EngineStepper::new(options, service.cylinders());
+        for r in &trace {
+            for horizon in [r.arrival_us.saturating_sub(300), r.arrival_us] {
+                stepper.run_until(horizon, &mut scheduler, &mut service, &mut pumped);
+            }
+            stepper.submit(r.clone());
+        }
+        stepper.finish(&mut scheduler, &mut service, &mut pumped);
+        assert_eq!(stepper.into_metrics(), m);
+        for stage in engine_stages {
+            assert_eq!(
+                pumped.stage_ns[stage.index()].count(),
+                snap.stage_ns[stage.index()].count(),
+                "{stage:?}"
+            );
+        }
         // Untraced metrics are untouched by span emission.
         let mut service = TransferDominated::uniform(1_000, 3832);
         let plain = simulate(&mut Fcfs::new(), &trace, &mut service, options);
         assert_eq!(plain, m);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrivals must be submitted in order: 50 after 100")]
+    fn unsorted_trace_panics_at_the_offending_request() {
+        let trace = vec![
+            req(0, 100, u64::MAX, 0, &[0]),
+            req(1, 50, u64::MAX, 0, &[0]),
+        ];
+        let mut service = TransferDominated::uniform(1_000, 3832);
+        simulate(
+            &mut Fcfs::new(),
+            &trace,
+            &mut service,
+            SimOptions::default(),
+        );
     }
 
     #[test]

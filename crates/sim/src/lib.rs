@@ -35,7 +35,6 @@ pub mod admission;
 pub mod analysis;
 mod backoff;
 mod engine;
-mod exec;
 mod metrics;
 mod service;
 mod step;
@@ -45,15 +44,13 @@ pub use backoff::jittered_backoff_us;
 pub use engine::{
     simulate, simulate_logged, simulate_traced, RequestRecord, RetryPolicy, SimOptions,
 };
-pub use exec::{run_indexed, Parallelism};
 pub use metrics::{fifo_inversion_baseline, Metrics};
 pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,
 };
 pub use step::EngineStepper;
 pub use striped::{
-    simulate_striped, simulate_striped_faulted, simulate_striped_observed,
-    simulate_striped_observed_on, simulate_striped_on, StripedOutcome,
+    simulate_striped, simulate_striped_faulted, simulate_striped_observed, StripedOutcome,
 };
 
 pub use sched::Micros;

@@ -1,33 +1,38 @@
-//! Incremental driver for the simulation engine.
+//! The engine's event loop.
 //!
-//! [`EngineStepper`] exposes the batch engine ([`crate::simulate`]) as a
-//! push/pump state machine: a caller **submits** arrivals as it learns
-//! about them and **pumps** the engine up to a time horizon, interleaving
-//! control actions (membership churn, quarantine, migration) between
-//! pumps. The farm daemon builds on this to run one stepper per shard.
+//! [`EngineStepper`] is a push/pump state machine over the engine's
+//! delivery and service code (`engine`'s `EngineCore`): a caller
+//! **submits** arrivals as it learns about them and **pumps** the engine
+//! up to a time horizon, interleaving control actions (membership churn,
+//! quarantine, migration) between pumps. The farm daemon runs one stepper
+//! per shard; the batch entry points ([`crate::simulate`] and friends)
+//! are a stepper fed a whole trace and run to [`EngineStepper::finish`].
 //!
-//! ## Bit-identity with the batch engine
+//! ## Pump-pattern invariance
 //!
-//! Both drivers funnel through the same [`EngineCore`] delivery/serve
-//! code, and the stepper only dequeues once every arrival at or before
-//! the current clock has been submitted (callers must pump to an event's
-//! time *before* applying the event). Arrival chunks therefore break at
-//! exactly the same points as the batch loop's, and the stepper attempts
-//! a dispatch even on an apparently empty queue exactly where the batch
-//! loop would (an empty dequeue resets dispatcher-internal state such as
-//! the conditional preemption anchor), so a stepper fed a whole trace
-//! produces bit-identical metrics, events and completion times to
-//! [`crate::simulate`] over that trace — the property the oracle's
-//! daemon replay gate enforces. Stage spans are a batch-driver feature
-//! and are never sampled here.
+//! The stepper only dequeues once every arrival at or before the current
+//! clock has been submitted (callers must pump to an event's time
+//! *before* applying the event), so an arrival chunk breaks at the same
+//! point whether the arrivals were all submitted up front, dribbled in
+//! one pump at a time, or pulled from a lazy source. And in every idle
+//! gap it attempts a dispatch on the empty queue before jumping ahead (an
+//! empty dequeue resets dispatcher-internal state such as the conditional
+//! preemption anchor), wherever in the gap the caller's horizons fall.
+//! The metrics, the event stream and the request log of a run are
+//! therefore a function of the arrivals alone, not of how the run was
+//! pumped — the property the oracle's daemon replay gate leans on when it
+//! compares route-everything-then-run against route-and-pump-interleaved.
 //!
-//! The batch loop performs that empty dequeue exactly once per idle gap.
-//! A stepper pumped again while still idle repeats it with an unchanged
-//! head state, which [`DiskScheduler::dequeue`] requires to be idempotent
-//! and silent — so extra pumps of an idle stepper are harmless, and a
-//! caller running many steppers may skip them: only a stepper whose
-//! [`EngineStepper::next_action_us`] lies before the horizon can be
-//! changed by a pump.
+//! A stepper pumped again while still idle repeats that empty dequeue
+//! with an unchanged head state, which [`DiskScheduler::dequeue`]
+//! requires to be idempotent and silent — so extra pumps of an idle
+//! stepper are harmless, and a caller running many steppers may skip
+//! them: only a stepper whose [`EngineStepper::next_action_us`] lies
+//! before the horizon can be changed by a pump. (With
+//! [`SimOptions::stage_spans`] on, each repeat is one more `Dispatch`
+//! span candidate — a wall-clock observation of a call that did happen;
+//! a run pumped only where there is work has the span counts of a run
+//! pumped once.)
 //!
 //! ## What a caller may do to the scheduler between pumps
 //!
@@ -49,12 +54,12 @@ use std::collections::VecDeque;
 use obs::TraceSink;
 use sched::{DiskScheduler, Micros, Request};
 
-use crate::engine::EngineCore;
+use crate::engine::{EngineCore, RequestRecord};
 use crate::metrics::Metrics;
 use crate::service::ServiceProvider;
 use crate::SimOptions;
 
-/// The incremental engine driver: owns the engine state and the not yet
+/// The engine driver: owns the engine state and the not yet
 /// delivered arrival backlog; the caller owns the scheduler, the service
 /// model and the sink, passing them to every pump so the same stepper
 /// can outlive any one of them.
@@ -62,16 +67,44 @@ pub struct EngineStepper {
     core: EngineCore,
     pending: VecDeque<Request>,
     last_arrival_us: Micros,
+    /// One record per terminal request, for [`crate::simulate_logged`].
+    log: Option<Vec<RequestRecord>>,
 }
 
 impl EngineStepper {
     /// A fresh stepper at time 0.
     pub fn new(options: SimOptions, cylinders: u32) -> Self {
         EngineStepper {
-            core: EngineCore::new(options, cylinders, false),
+            core: EngineCore::new(options, cylinders),
             pending: VecDeque::new(),
             last_arrival_us: 0,
+            log: None,
         }
+    }
+
+    /// The batch entry points ([`crate::simulate`] and friends): a fresh
+    /// stepper submitted the whole of `trace` and run dry, filling `log`
+    /// when one is given.
+    pub(crate) fn run_trace<S: TraceSink>(
+        scheduler: &mut dyn DiskScheduler,
+        trace: &[Request],
+        service: &mut dyn ServiceProvider,
+        options: SimOptions,
+        log: Option<Vec<RequestRecord>>,
+        sink: &mut S,
+    ) -> (Metrics, Vec<RequestRecord>) {
+        let mut stepper = EngineStepper::new(options, service.cylinders());
+        stepper.log = log;
+        stepper.pending.reserve(trace.len());
+        for r in trace {
+            stepper.submit(r.clone());
+        }
+        stepper.finish(scheduler, service, sink);
+        assert!(
+            scheduler.is_empty(),
+            "scheduler returned None while non-empty"
+        );
+        (stepper.core.metrics, stepper.log.unwrap_or_default())
     }
 
     /// The engine clock: everything dispatched so far started at or
@@ -101,8 +134,8 @@ impl EngineStepper {
     /// or before the returned time is a no-op. A pump while this is
     /// `None` has nothing to deliver or serve; all it can do is dequeue
     /// from an empty queue, which either repeats an earlier one or can as
-    /// well wait for the next pump that has something to deliver — where
-    /// the batch loop performs it (see the module docs). So an event loop
+    /// well wait for the next pump that has something to deliver (see the
+    /// module docs). So an event loop
     /// over many steppers needs to pump only those whose next action lies
     /// strictly before the event's time.
     pub fn next_action_us(&self, queued: usize) -> Option<Micros> {
@@ -110,8 +143,8 @@ impl EngineStepper {
     }
 
     /// Submit one arrival. Arrivals must come in non-decreasing
-    /// `arrival_us` order (the streaming contract; violating it would
-    /// desynchronize the stepper from the batch engine).
+    /// `arrival_us` order (the streaming contract: the engine may already
+    /// have dispatched past an arrival that turns up late).
     ///
     /// # Panics
     /// If `r.arrival_us` precedes an earlier submission's.
@@ -155,10 +188,10 @@ impl EngineStepper {
             if self.core.now >= horizon_us {
                 return;
             }
-            // Deliver every submitted arrival up to `now` as one chunk —
-            // the same chunk boundaries the batch loop produces, because
-            // callers pump to an event's time before acting on it, so no
-            // later-submitted arrival could have joined this chunk.
+            // Deliver every submitted arrival up to `now` as one chunk.
+            // Callers pump to an event's time before acting on it, so no
+            // later-submitted arrival could have joined this chunk: its
+            // boundaries do not depend on how the run was pumped.
             let mut n = 0;
             while n < self.pending.len() && self.pending[n].arrival_us <= self.core.now {
                 n += 1;
@@ -173,12 +206,11 @@ impl EngineStepper {
                 self.core.enqueue_chunk(chunk, scheduler, &*service, sink);
                 self.pending.drain(..n);
             }
-            // Attempt a dispatch even when the queue looks empty — the
-            // batch loop does, and an empty dequeue is a real scheduler
-            // interaction (the conditional dispatcher resets its
-            // preemption anchor on one). Skipping it here would let the
-            // two drivers diverge after any idle period.
-            if !self.core.step(scheduler, service, None, sink) {
+            // Attempt a dispatch even when the queue looks empty: an empty
+            // dequeue is a real scheduler interaction (the conditional
+            // dispatcher resets its preemption anchor on one), and every
+            // idle gap must see it whatever horizons the caller picked.
+            if !self.core.step(scheduler, service, self.log.as_mut(), sink) {
                 // Idle: jump to the next submitted arrival inside the
                 // horizon, or yield back to the caller.
                 match self.pending.front() {
@@ -194,10 +226,9 @@ impl EngineStepper {
     /// Drain a pull-based [`workload::stream::TraceSource`] through the
     /// engine to completion — the streaming analogue of handing
     /// [`crate::simulate`] a whole trace, in memory proportional to the
-    /// in-flight backlog instead of the trace length. Each arrival is
-    /// pumped-to and submitted exactly where the batch loop would chunk
-    /// it, so a churn-free source yields bit-identical metrics and
-    /// events to the batch engine on the materialized trace. After each
+    /// in-flight backlog instead of the trace length; a churn-free source
+    /// yields the metrics and events [`crate::simulate_traced`] yields on
+    /// the materialized trace. After each
     /// absorbed arrival the source's `observe` hook is fed the engine's
     /// current backlog (undelivered submissions plus the scheduler's
     /// queue), closing the loop for adaptive sources. Returns the
@@ -220,8 +251,7 @@ impl EngineStepper {
         pulled
     }
 
-    /// Pump until both the queue and the submitted backlog are empty —
-    /// the stepper equivalent of letting the batch engine run out.
+    /// Pump until both the queue and the submitted backlog are empty.
     pub fn finish<S: TraceSink>(
         &mut self,
         scheduler: &mut dyn DiskScheduler,
@@ -236,17 +266,20 @@ impl EngineStepper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, simulate_traced, TransferDominated};
+    use crate::{simulate_logged, simulate_traced, TransferDominated};
     use obs::{NullSink, RingSink};
     use sched::{Fcfs, QosVector, ScanEdf, Sstf};
 
+    /// Overloaded bursts of 64 arrivals with an idle gap after each, so a
+    /// run sees deep queues, drops and the empty dequeue of an idle gap.
     fn trace(n: u64) -> Vec<Request> {
         (0..n)
             .map(|i| {
+                let arrival = i * 700 + (i / 64) * 400_000;
                 Request::read(
                     i,
-                    i * 700,
-                    i * 700 + 90_000,
+                    arrival,
+                    arrival + 90_000,
                     ((i * 911) % 3832) as u32,
                     64 * 1024,
                     QosVector::new(&[(i % 5) as u8]),
@@ -263,103 +296,114 @@ mod tests {
         ]
     }
 
+    /// Everything a run leaves behind: metrics, event stream, request log.
+    type Run = (Metrics, Vec<String>, Vec<RequestRecord>);
+
+    fn options() -> SimOptions {
+        SimOptions::with_shape(1, 8).dropping()
+    }
+
+    fn service() -> TransferDominated {
+        TransferDominated::scaled(1_500, 40, 3832)
+    }
+
+    fn events(ring: &RingSink) -> Vec<String> {
+        ring.events().map(|e| format!("{e:?}")).collect()
+    }
+
+    /// The batch entry points over `t`.
+    fn batch(scheduler: &mut dyn DiskScheduler, t: &[Request]) -> Run {
+        let mut ring = RingSink::new(1 << 14);
+        let metrics = simulate_traced(scheduler, t, &mut service(), options(), &mut ring);
+        assert!(scheduler.is_empty());
+        let (logged_metrics, log) = simulate_logged(scheduler, t, &mut service(), options());
+        assert_eq!(logged_metrics, metrics);
+        (metrics, events(&ring), log)
+    }
+
+    /// A logging stepper driven by `pump`, which must leave it finished.
+    fn pumped(
+        scheduler: &mut dyn DiskScheduler,
+        pump: impl FnOnce(
+            &mut EngineStepper,
+            &mut dyn DiskScheduler,
+            &mut TransferDominated,
+            &mut RingSink,
+        ),
+    ) -> Run {
+        let mut ring = RingSink::new(1 << 14);
+        let mut service = service();
+        let mut stepper = EngineStepper::new(options(), service.cylinders());
+        stepper.log = Some(Vec::new());
+        pump(&mut stepper, scheduler, &mut service, &mut ring);
+        assert!(stepper.pending.is_empty() && scheduler.is_empty());
+        (
+            stepper.core.metrics,
+            events(&ring),
+            stepper.log.expect("set above"),
+        )
+    }
+
+    // The next three tests hold one pump pattern each against the batch
+    // entry points, so the patterns agree with each other as well: the
+    // metrics, the event stream and the request log of a run do not
+    // depend on how it was pumped.
+
     #[test]
     fn full_submission_matches_batch_engine() {
         let t = trace(300);
-        let options = SimOptions::with_shape(1, 8).dropping();
-        for (mut batch_s, mut step_s) in schedulers().into_iter().zip(schedulers()) {
-            let batch = {
-                let mut service = TransferDominated::uniform(5_000, 3832);
-                simulate(batch_s.as_mut(), &t, &mut service, options)
-            };
-            let mut service = TransferDominated::uniform(5_000, 3832);
-            let mut stepper = EngineStepper::new(options, service.cylinders());
-            for r in &t {
-                stepper.submit(r.clone());
-            }
-            stepper.finish(step_s.as_mut(), &mut service, &mut NullSink);
-            assert_eq!(stepper.into_metrics(), batch, "policy {}", batch_s.name());
+        for mut s in schedulers() {
+            let expected = batch(s.as_mut(), &t);
+            assert!(expected.0.dropped > 0 && expected.0.served > 0);
+            let got = pumped(s.as_mut(), |stepper, scheduler, service, ring| {
+                for r in &t {
+                    stepper.submit(r.clone());
+                }
+                stepper.finish(scheduler, service, ring);
+            });
+            assert_eq!(got, expected, "policy {}", s.name());
         }
     }
 
     #[test]
     fn incremental_pumping_matches_batch_engine() {
-        // Submit arrivals in dribbles and pump to staggered horizons —
-        // the chunk boundaries must still match the batch run exactly,
-        // including the emitted event stream.
+        // Submit arrivals in dribbles and pump to a ragged ladder of
+        // horizons: the chunk boundaries must not move.
         let t = trace(200);
-        let options = SimOptions::with_shape(1, 8).dropping();
-        let mut batch_ring = RingSink::new(1 << 14);
-        let batch = {
-            let mut service = TransferDominated::scaled(1_500, 40, 3832);
-            simulate_traced(
-                &mut ScanEdf::new(5_000),
-                &t,
-                &mut service,
-                options,
-                &mut batch_ring,
-            )
-        };
-
-        let mut step_ring = RingSink::new(1 << 14);
-        let mut service = TransferDominated::scaled(1_500, 40, 3832);
-        let mut scheduler = ScanEdf::new(5_000);
-        let mut stepper = EngineStepper::new(options, service.cylinders());
-        for (i, r) in t.iter().enumerate() {
-            // Pump to each arrival's time before submitting it — the
-            // streaming contract — with ragged extra horizons thrown in.
-            stepper.run_until(r.arrival_us, &mut scheduler, &mut service, &mut step_ring);
-            stepper.submit(r.clone());
-            if i % 7 == 3 {
-                // An extra pump, capped at the next arrival's time so the
-                // streaming contract (all arrivals before the horizon are
-                // submitted) still holds.
-                let cap = t.get(i + 1).map_or(Micros::MAX, |n| n.arrival_us);
-                stepper.run_until(
-                    cap.min(r.arrival_us + 11_000),
-                    &mut scheduler,
-                    &mut service,
-                    &mut step_ring,
-                );
-            }
+        for mut s in schedulers() {
+            let expected = batch(s.as_mut(), &t);
+            let got = pumped(s.as_mut(), |stepper, scheduler, service, ring| {
+                for (i, r) in t.iter().enumerate() {
+                    // Pump to each arrival's time before submitting it —
+                    // the streaming contract.
+                    stepper.run_until(r.arrival_us, scheduler, service, ring);
+                    stepper.submit(r.clone());
+                    if i % 7 == 3 {
+                        // An extra pump, capped at the next arrival's time
+                        // so every arrival before the horizon is submitted.
+                        let cap = t.get(i + 1).map_or(Micros::MAX, |n| n.arrival_us);
+                        let horizon = cap.min(r.arrival_us + 11_000);
+                        stepper.run_until(horizon, scheduler, service, ring);
+                    }
+                }
+                stepper.finish(scheduler, service, ring);
+            });
+            assert_eq!(got, expected, "policy {}", s.name());
         }
-        stepper.finish(&mut scheduler, &mut service, &mut step_ring);
-        assert_eq!(stepper.metrics(), &batch);
-        let batch_events: Vec<String> = batch_ring.events().map(|e| format!("{e:?}")).collect();
-        let step_events: Vec<String> = step_ring.events().map(|e| format!("{e:?}")).collect();
-        assert_eq!(step_events, batch_events);
     }
 
     #[test]
     fn lazy_source_matches_batch_engine_bit_for_bit() {
-        // The streaming ingest pumped from a lazy iterator must be
-        // indistinguishable from the batch engine on the materialized
-        // trace: metrics AND the emitted event stream.
         let t = trace(250);
-        let options = SimOptions::with_shape(1, 8).dropping();
-        let mut batch_ring = RingSink::new(1 << 14);
-        let batch = {
-            let mut service = TransferDominated::scaled(1_500, 40, 3832);
-            simulate_traced(
-                &mut ScanEdf::new(5_000),
-                &t,
-                &mut service,
-                options,
-                &mut batch_ring,
-            )
-        };
-
-        let mut step_ring = RingSink::new(1 << 14);
-        let mut service = TransferDominated::scaled(1_500, 40, 3832);
-        let mut scheduler = ScanEdf::new(5_000);
-        let mut stepper = EngineStepper::new(options, service.cylinders());
-        let mut source = workload::VecSource::new(t.clone());
-        let pulled = stepper.run_source(&mut source, &mut scheduler, &mut service, &mut step_ring);
-        assert_eq!(pulled as usize, t.len());
-        assert_eq!(stepper.metrics(), &batch);
-        let batch_events: Vec<String> = batch_ring.events().map(|e| format!("{e:?}")).collect();
-        let step_events: Vec<String> = step_ring.events().map(|e| format!("{e:?}")).collect();
-        assert_eq!(step_events, batch_events);
+        for mut s in schedulers() {
+            let expected = batch(s.as_mut(), &t);
+            let got = pumped(s.as_mut(), |stepper, scheduler, service, ring| {
+                let mut source = workload::VecSource::new(t.clone());
+                let pulled = stepper.run_source(&mut source, scheduler, service, ring);
+                assert_eq!(pulled as usize, t.len());
+            });
+            assert_eq!(got, expected, "policy {}", s.name());
+        }
     }
 
     #[test]

@@ -12,14 +12,9 @@
 //! throughput multiplier the workload crate's NewsByte stripe accounting
 //! assumes, verified here end-to-end.
 //!
-//! Member timelines execute through [`crate::run_indexed`], the same
-//! fan-out primitive the farm layer uses: [`Parallelism::auto`] runs them
-//! on scoped threads when cores are available, and because results merge
-//! in member order the outcome (metrics *and* traced event streams) is
-//! bit-identical to the serial fallback.
+//! Member timelines run one after another, in member order.
 
 use crate::engine::{simulate_traced, SimOptions};
-use crate::exec::{run_indexed, Parallelism};
 use crate::metrics::Metrics;
 use crate::service::DiskService;
 use diskmodel::{Disk, FaultPlan, Raid5};
@@ -68,20 +63,8 @@ impl StripedOutcome {
 pub fn simulate_striped(
     trace: &[Request],
     members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
+    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
     options: SimOptions,
-) -> StripedOutcome {
-    simulate_striped_on(trace, members, make_scheduler, options, Parallelism::auto())
-}
-
-/// [`simulate_striped`] with an explicit executor choice. The outcome is
-/// identical for every [`Parallelism`] value; only wall-clock differs.
-pub fn simulate_striped_on(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-    parallelism: Parallelism,
 ) -> StripedOutcome {
     run_striped(
         trace,
@@ -89,10 +72,8 @@ pub fn simulate_striped_on(
         make_scheduler,
         options,
         |_| DiskService::table1(),
-        || NullSink,
-        parallelism,
+        &mut NullSink,
     )
-    .0
 }
 
 /// [`simulate_striped`] with a per-member fault stream of `plan`
@@ -113,7 +94,7 @@ pub fn simulate_striped_on(
 pub fn simulate_striped_faulted(
     trace: &[Request],
     members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
+    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
     options: SimOptions,
     plan: &FaultPlan,
 ) -> (StripedOutcome, Snapshot) {
@@ -121,72 +102,50 @@ pub fn simulate_striped_faulted(
         plan.member_failure.is_none(),
         "member failure needs the grouped timeline: use Raid5Service::with_faults"
     );
-    let (outcome, sinks) = run_striped(
+    let mut group = Snapshot::new();
+    let outcome = run_striped(
         trace,
         members,
         make_scheduler,
         options,
         |m| DiskService::with_faults_as_member(Disk::table1(), plan.clone(), m),
-        Snapshot::new,
-        Parallelism::auto(),
+        &mut group,
     );
-    let mut group = Snapshot::new();
-    for member in &sinks {
-        group.merge(member);
-    }
     (outcome, group)
 }
 
-/// [`simulate_striped`] with one [`Snapshot`] sink per member, merged
-/// into a single group-level snapshot. The snapshot's event-derived
+/// [`simulate_striped`] with every member's events accumulated into one
+/// group-level [`Snapshot`]. The snapshot's event-derived
 /// counters reconcile with [`StripedOutcome::aggregate`]
 /// ([`Metrics::reconcile`]).
 pub fn simulate_striped_observed(
     trace: &[Request],
     members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
+    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
     options: SimOptions,
 ) -> (StripedOutcome, Snapshot) {
-    simulate_striped_observed_on(trace, members, make_scheduler, options, Parallelism::auto())
-}
-
-/// [`simulate_striped_observed`] with an explicit executor choice. Member
-/// sinks merge in member order, so the group snapshot is bit-identical
-/// between [`Parallelism::Serial`] and any thread count.
-pub fn simulate_striped_observed_on(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
-    options: SimOptions,
-    parallelism: Parallelism,
-) -> (StripedOutcome, Snapshot) {
-    let (outcome, sinks) = run_striped(
+    let mut group = Snapshot::new();
+    let outcome = run_striped(
         trace,
         members,
         make_scheduler,
         options,
         |_| DiskService::table1(),
-        Snapshot::new,
-        parallelism,
+        &mut group,
     );
-    let mut group = Snapshot::new();
-    for member in &sinks {
-        group.merge(member);
-    }
     (outcome, group)
 }
 
-/// Shared member fan-out: route, sort, and simulate each member with its
-/// own scheduler, service model, and sink, under the chosen executor.
-fn run_striped<S: TraceSink + Send>(
+/// Shared member fan-out: route, sort, and simulate each member in turn
+/// with its own scheduler and service model, all emitting into `sink`.
+fn run_striped<S: TraceSink>(
     trace: &[Request],
     members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler> + Sync,
+    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
     options: SimOptions,
-    make_service: impl Fn(usize) -> DiskService + Sync,
-    make_sink: impl Fn() -> S + Sync,
-    parallelism: Parallelism,
-) -> (StripedOutcome, Vec<S>) {
+    make_service: impl Fn(usize) -> DiskService,
+    sink: &mut S,
+) -> StripedOutcome {
     assert!(members >= 3, "RAID-5 needs at least 3 members");
     let layout = Raid5::new(Disk::table1(), members);
     let cylinders = Disk::table1().geometry().cylinders();
@@ -219,37 +178,25 @@ fn run_striped<S: TraceSink + Send>(
         }
     }
 
-    // Member timelines share nothing, so the fan-out result — metrics and
-    // traced events alike — does not depend on the executor.
-    let results = run_indexed(members, parallelism, |member| {
+    let mut per_member = Vec::with_capacity(members);
+    let mut makespan = 0u64;
+    for (member, member_trace) in member_traces.iter().enumerate() {
         let mut scheduler = make_scheduler();
         let mut service = make_service(member);
-        let mut sink = make_sink();
         let m = simulate_traced(
             scheduler.as_mut(),
-            &member_traces[member],
+            member_trace,
             &mut service,
             options,
-            &mut sink,
+            sink,
         );
-        (m, sink)
-    });
-
-    let mut per_member = Vec::with_capacity(members);
-    let mut sinks = Vec::with_capacity(members);
-    let mut makespan = 0u64;
-    for (m, sink) in results {
         makespan = makespan.max(m.makespan_us);
         per_member.push(m);
-        sinks.push(sink);
     }
-    (
-        StripedOutcome {
-            per_member,
-            makespan_us: makespan,
-        },
-        sinks,
-    )
+    StripedOutcome {
+        per_member,
+        makespan_us: makespan,
+    }
 }
 
 #[cfg(test)]
@@ -375,29 +322,6 @@ mod tests {
         total.reconcile(c).expect("events match metrics");
         assert_eq!(snap.response_us.count(), total.served);
         assert_eq!(snap.response_us.max(), Some(total.max_response_us));
-    }
-
-    #[test]
-    fn parallel_executor_is_bit_identical_to_serial() {
-        let trace = batch(400);
-        let options = SimOptions::with_shape(1, 2);
-        let (serial, serial_snap) = simulate_striped_observed_on(
-            &trace,
-            5,
-            || Box::new(Fcfs::new()),
-            options,
-            Parallelism::Serial,
-        );
-        let (parallel, parallel_snap) = simulate_striped_observed_on(
-            &trace,
-            5,
-            || Box::new(Fcfs::new()),
-            options,
-            Parallelism::threads(4),
-        );
-        assert_eq!(serial.per_member, parallel.per_member);
-        assert_eq!(serial.makespan_us, parallel.makespan_us);
-        assert_eq!(serial_snap, parallel_snap);
     }
 
     #[test]
