@@ -89,6 +89,14 @@ echo "==> oracle smoke gate"
 # divergence).
 cargo run -q -p oracle --release --bin oracle -- --mode smoke
 
+echo "==> oracle smoke gate, release with overflow checks"
+# The same battery once more with integer-overflow checks compiled into
+# the release build (its own target directory, so the flag does not
+# invalidate the ordinary release artifacts): arithmetic on times and
+# deadlines that wraps silently in release panics here.
+RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
+    cargo run -q -p oracle --release --bin oracle -- --mode smoke
+
 echo "==> oracle perf-parity gate"
 # The optimized engine (LUT kernels, arena dispatcher) diffed against
 # the naive reference on every committed corpus trace under all four

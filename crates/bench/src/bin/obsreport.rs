@@ -8,15 +8,15 @@
 //!
 //! * `stream` (default) prints one JSONL line per completed telemetry
 //!   window per shard, then a summary line.
-//! * `prom` prints the end-of-run per-shard registry in the Prometheus
-//!   text exposition format.
+//! * `prom` prints the end-of-run per-shard cumulatives in the
+//!   Prometheus text exposition format.
 //! * `smoke` runs the telemetry CI gate (windowed-vs-plain bit-equality,
 //!   per-shard delta-sum invariant, flight-recorder dump
 //!   reconciliation) and exits 1 on any violation.
 
 use bench::args::Args;
 use bench::obsreport::{
-    render_prometheus, render_summary_jsonl, render_windows_jsonl, run, smoke, Config,
+    flush, render_prometheus, render_summary_jsonl, render_windows_jsonl, run, smoke, Config,
 };
 
 fn main() {
@@ -42,14 +42,14 @@ fn main() {
 
     match args.one_of("mode", &["stream", "prom", "smoke"]) {
         "stream" => {
-            let (outcome, mut registry) = run(&cfg);
-            let deltas = registry.flush();
+            let (outcome, mut sinks) = run(&cfg);
+            let deltas = flush(&mut sinks);
             print!("{}", render_windows_jsonl(&deltas));
-            print!("{}", render_summary_jsonl(&outcome, &registry));
+            print!("{}", render_summary_jsonl(&outcome, &sinks));
         }
         "prom" => {
-            let (_, registry) = run(&cfg);
-            print!("{}", render_prometheus(&registry));
+            let (_, sinks) = run(&cfg);
+            print!("{}", render_prometheus(&sinks));
         }
         "smoke" => match smoke(cfg.seed) {
             Ok(lines) => {

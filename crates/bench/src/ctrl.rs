@@ -302,18 +302,6 @@ pub fn sweep(cfg: &Config) -> Result<Convergence, String> {
     })
 }
 
-/// Every trigger disabled: the smoke comparison isolates the
-/// *controller's* effect, so the supervisor must not reroute either
-/// side.
-const QUIET: TriggerConfig = TriggerConfig {
-    shed_burst: 0,
-    redirect_storm: 0,
-    degraded_storm: 0,
-    p99_spike_factor: 0.0,
-    p99_min_completes: 0,
-    cooldown_windows: 0,
-};
-
 fn smoke_trace(cfg: &Config) -> Vec<Request> {
     let mut wl = VodConfig::mpeg1(cfg.smoke_streams.max(1));
     wl.duration_us = cfg.smoke_duration_us;
@@ -331,7 +319,9 @@ fn daemon_at(cfg: &Config, start: GridPoint) -> FarmDaemon {
             // stream deltas) fast enough for the controller to act
             // within the trace.
             TelemetryConfig::exact().window_log2(19).depth(2),
-            QUIET,
+            // Triggers off: the comparison isolates the *controller's*
+            // effect, so the supervisor must not reroute either side.
+            TriggerConfig::quiet(),
         ),
         move |_, sink| {
             Box::new(

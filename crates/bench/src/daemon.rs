@@ -106,18 +106,6 @@ pub struct Summary {
     pub makespan_us: u64,
 }
 
-/// Every trigger disabled — the parity check must not let the
-/// supervisor perturb routing, or the daemon would (correctly) diverge
-/// from the batch farm, which has no supervisor.
-const QUIET: TriggerConfig = TriggerConfig {
-    shed_burst: 0,
-    redirect_storm: 0,
-    degraded_storm: 0,
-    p99_spike_factor: 0.0,
-    p99_min_completes: 0,
-    cooldown_windows: 0,
-};
-
 fn vod_trace(cfg: &Config) -> Vec<sched::Request> {
     let mut wl = VodConfig::mpeg1(cfg.streams.max(1));
     wl.duration_us = cfg.duration_us;
@@ -155,7 +143,11 @@ fn prefix_parity(cfg: &Config, prefix: &[sched::Request]) -> Result<(), String> 
     );
     let local = cfg.clone();
     let daemon = FarmDaemon::new(
-        DaemonConfig::new(farm_cfg, options()).with_telemetry(TelemetryConfig::exact(), QUIET),
+        // Triggers off: the supervisor must not perturb routing, or the
+        // daemon would (correctly) diverge from the batch farm, which has
+        // no supervisor.
+        DaemonConfig::new(farm_cfg, options())
+            .with_telemetry(TelemetryConfig::exact(), TriggerConfig::quiet()),
         move |_, sink| sinked_scheduler(&local, sink),
         |_| DiskService::table1(),
     );

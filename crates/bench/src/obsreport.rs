@@ -6,15 +6,15 @@
 //! one windowed live sink per shard, and the results are reported in
 //! three modes:
 //!
-//! * **stream** — drain the per-shard [`MetricsRegistry`] and print one
-//!   JSONL line per completed window per shard (epoch, start, width,
-//!   exact counters, and response p50/p99 when the window saw
-//!   completions), followed by one `summary` line. This is the feed a
-//!   control plane would poll mid-run via
-//!   [`MetricsRegistry::take_deltas`].
-//! * **prom** — print the end-of-run registry in the Prometheus text
-//!   exposition format (`# TYPE` lines, `_total` counters and
-//!   cumulative-bucket histograms, one sample per `shard` label).
+//! * **stream** — drain the per-shard sinks and print one JSONL line
+//!   per completed window per shard (epoch, start, width, exact
+//!   counters, and response p50/p99 when the window saw completions),
+//!   followed by one `summary` line. This is the feed a control plane
+//!   polls mid-run via [`WindowedSnapshot::take_deltas`].
+//! * **prom** — print the end-of-run per-shard cumulatives in the
+//!   Prometheus text exposition format (`# TYPE` lines, `_total`
+//!   counters and cumulative-bucket histograms, one sample per `shard`
+//!   label).
 //! * **smoke** — the CI gate. Checks, on seeded runs: the merged
 //!   per-shard windowed cumulatives reproduce a plain [`Snapshot`] farm
 //!   run bit-for-bit; every shard's drained window deltas sum to its
@@ -29,8 +29,8 @@
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use farm::{simulate_farm, simulate_farm_traced, FarmConfig, FarmOutcome, RoutePolicy};
 use obs::{
-    Anomaly, FlightRecorder, MetricsRegistry, ShardDelta, SharedSink, Snapshot, TelemetryConfig,
-    TriggerConfig,
+    Anomaly, FlightRecorder, ShardDelta, SharedSink, Snapshot, TelemetryConfig, TriggerConfig,
+    WindowedSnapshot,
 };
 use sched::DiskScheduler;
 use sim::{simulate_traced, DiskService, SimOptions};
@@ -105,20 +105,38 @@ fn options() -> SimOptions {
     SimOptions::with_shape(1, 4).dropping()
 }
 
-/// Run the scenario with one windowed sink per shard and stitch the
-/// registry. The registry still holds every shard's cumulative and live
-/// state; call [`MetricsRegistry::flush`] to drain the window deltas.
-pub fn run(cfg: &Config) -> (FarmOutcome, MetricsRegistry) {
+/// Run the scenario with one windowed sink per shard. The sinks come
+/// back in shard order, still holding every shard's cumulative and live
+/// state; [`flush`] drains their window deltas.
+pub fn run(cfg: &Config) -> (FarmOutcome, Vec<WindowedSnapshot>) {
     let telemetry = cfg.telemetry();
-    let (outcome, sinks) = simulate_farm_traced(
+    simulate_farm_traced(
         &cfg.trace(),
         &cfg.farm(),
         |_| bounded_scheduler(cfg.max_queue),
         options(),
         |_| DiskService::table1(),
         |_| telemetry.sink(),
-    );
-    (outcome, MetricsRegistry::from_shards(telemetry, sinks))
+    )
+}
+
+/// Close every shard's books ([`WindowedSnapshot::flush`]) and drain
+/// everything, shard-major and oldest-first within a shard, final
+/// partial windows included.
+pub fn flush(sinks: &mut [WindowedSnapshot]) -> Vec<ShardDelta> {
+    let mut out = Vec::new();
+    for (shard, sink) in sinks.iter_mut().enumerate() {
+        out.extend(
+            sink.flush()
+                .into_iter()
+                .map(|delta| ShardDelta { shard, delta }),
+        );
+    }
+    out
+}
+
+fn cumulatives(sinks: &[WindowedSnapshot]) -> Vec<Snapshot> {
+    sinks.iter().map(WindowedSnapshot::cumulative).collect()
 }
 
 /// Render drained window deltas as JSONL, one line per window.
@@ -149,25 +167,29 @@ pub fn render_windows_jsonl(deltas: &[ShardDelta]) -> String {
 }
 
 /// Render the end-of-run summary line appended to the stream output.
-pub fn render_summary_jsonl(outcome: &FarmOutcome, registry: &MetricsRegistry) -> String {
-    let total = registry.cumulative();
+pub fn render_summary_jsonl(outcome: &FarmOutcome, sinks: &[WindowedSnapshot]) -> String {
+    let events: u64 = sinks
+        .iter()
+        .map(|s| s.cumulative().counters.total_events())
+        .sum();
     format!(
         "{{\"record\":\"summary\",\"shards\":{},\"served\":{},\"losses\":{},\
          \"sheds\":{},\"redirects\":{},\"makespan_us\":{},\"events\":{}}}\n",
-        registry.len(),
+        sinks.len(),
         outcome.served(),
         outcome.losses(),
         outcome.sheds(),
         outcome.redirects,
         outcome.makespan_us,
-        total.counters.total_events(),
+        events,
     )
 }
 
-/// Render the registry in the Prometheus text exposition format.
-pub fn render_prometheus(registry: &MetricsRegistry) -> String {
+/// Render the per-shard cumulatives in the Prometheus text exposition
+/// format.
+pub fn render_prometheus(sinks: &[WindowedSnapshot]) -> String {
     let mut out = String::with_capacity(16 * 1024);
-    obs::encode_registry(&mut out, obs::DEFAULT_PREFIX, registry);
+    obs::encode_registry(&mut out, obs::DEFAULT_PREFIX, &cumulatives(sinks));
     out
 }
 
@@ -230,14 +252,19 @@ pub fn smoke(seed: u64) -> Result<Vec<String>, Vec<String>> {
         |_| bounded_scheduler(exact_cfg.max_queue),
         options(),
     );
-    let (out, mut registry) = run(&exact_cfg);
+    let (out, mut sinks) = run(&exact_cfg);
     if out.per_shard != plain_out.per_shard || out.redirects != plain_out.redirects {
         return Err(fail(
             lines,
             "windowed and plain farm runs diverged in metrics".into(),
         ));
     }
-    if registry.cumulative() != plain_snap {
+    let per_shard_cumulative = cumulatives(&sinks);
+    let mut merged = Snapshot::new();
+    for s in &per_shard_cumulative {
+        merged.merge(s);
+    }
+    if merged != plain_snap {
         return Err(fail(
             lines,
             "merged windowed cumulative != plain farm snapshot".into(),
@@ -247,16 +274,13 @@ pub fn smoke(seed: u64) -> Result<Vec<String>, Vec<String>> {
         "windowed farm run reproduces the plain snapshot bit-for-bit \
          ({} events across {} shards)",
         plain_snap.counters.total_events(),
-        registry.len(),
+        sinks.len(),
     ));
 
     // 2. Delta-sum invariant per shard: everything ever drained sums to
     //    the cumulative aggregate.
-    let per_shard_cumulative: Vec<Snapshot> = (0..registry.len())
-        .map(|i| registry.shard_cumulative(i))
-        .collect();
-    let deltas = registry.flush();
-    let mut sums: Vec<Snapshot> = (0..registry.len()).map(|_| Snapshot::new()).collect();
+    let deltas = flush(&mut sinks);
+    let mut sums = vec![Snapshot::new(); sinks.len()];
     let mut windows = 0usize;
     for d in &deltas {
         sums[d.shard].merge(&d.delta.snapshot);
@@ -273,7 +297,7 @@ pub fn smoke(seed: u64) -> Result<Vec<String>, Vec<String>> {
     lines.push(format!(
         "per-shard window deltas sum to the cumulative snapshots \
          ({windows} windows, {} shards)",
-        registry.len(),
+        sinks.len(),
     ));
 
     // 3. Flight recorder under overload: the shed burst must fire, and
@@ -335,22 +359,22 @@ mod tests {
     #[test]
     fn stream_output_has_windows_and_a_summary() {
         let cfg = quick();
-        let (outcome, mut registry) = run(&cfg);
-        let deltas = registry.flush();
+        let (outcome, mut sinks) = run(&cfg);
+        let deltas = flush(&mut sinks);
         assert!(!deltas.is_empty());
         let jsonl = render_windows_jsonl(&deltas);
         assert!(jsonl.lines().count() >= deltas.len());
         assert!(jsonl.starts_with("{\"record\":\"window\",\"shard\":0,"));
         assert!(jsonl.contains("\"counters\":{\"arrivals\":"));
-        let summary = render_summary_jsonl(&outcome, &registry);
+        let summary = render_summary_jsonl(&outcome, &sinks);
         assert!(summary.starts_with("{\"record\":\"summary\""));
         assert!(summary.contains("\"shards\":4"));
     }
 
     #[test]
     fn prometheus_output_covers_every_shard() {
-        let (_, registry) = run(&quick());
-        let prom = render_prometheus(&registry);
+        let (_, sinks) = run(&quick());
+        let prom = render_prometheus(&sinks);
         assert!(prom.contains("# TYPE sched_arrivals_total counter"));
         for shard in 0..4 {
             assert!(prom.contains(&format!("sched_arrivals_total{{shard=\"{shard}\"}}")));

@@ -248,8 +248,7 @@ pub struct DaemonConfig {
     /// Shard count, routing policy and load model (the same
     /// configuration the batch pass takes).
     pub farm: FarmConfig,
-    /// Engine options for every member. `warmup_us` must be 0: the
-    /// daemon's ledger needs every delivered request measured.
+    /// Engine options for every member.
     pub options: SimOptions,
     /// Admission cap: concurrently active streams (`u32::MAX` = open).
     pub max_streams: u32,
@@ -383,20 +382,12 @@ impl FarmDaemon {
     /// reach the member's flight recorder (see [`SchedulerFactory`]).
     /// `make_service(shard)` builds its service model. Both factories are
     /// retained for [`DaemonEvent::AddShard`].
-    ///
-    /// # Panics
-    /// If `cfg.options.warmup_us != 0` — a warmup window would exclude
-    /// requests from the metrics and the ledger could not close.
     pub fn new(
         cfg: DaemonConfig,
         make_scheduler: impl FnMut(usize, SharedSink<FlightRecorder>) -> Box<dyn DiskScheduler>
             + 'static,
         make_service: impl FnMut(usize) -> DiskService + 'static,
     ) -> Self {
-        assert_eq!(
-            cfg.options.warmup_us, 0,
-            "the daemon ledger requires warmup_us == 0"
-        );
         let mut make_scheduler: SchedulerFactory = Box::new(make_scheduler);
         let mut make_service: ServiceFactory = Box::new(make_service);
         let members: Vec<Member> = (0..cfg.farm.shards)
@@ -709,7 +700,7 @@ impl FarmDaemon {
                 }
             }
             RetuneAction::Policy(policy) => {
-                self.router.set_policy(policy, self.cfg.farm.cylinders);
+                self.router.set_policy(policy);
             }
         }
         self.emit(
@@ -1380,19 +1371,11 @@ mod tests {
         use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
         let trace = vod(8, 300);
         let options = SimOptions::with_shape(1, 5);
-        let quiet = TriggerConfig {
-            shed_burst: 0,
-            redirect_storm: 0,
-            degraded_storm: 0,
-            p99_spike_factor: 0.0,
-            p99_min_completes: 0,
-            cooldown_windows: 1,
-        };
         let cfg = DaemonConfig::new(
             FarmConfig::new(2).with_policy(RoutePolicy::HashStream),
             options,
         )
-        .with_telemetry(TelemetryConfig::exact(), quiet);
+        .with_telemetry(TelemetryConfig::exact(), TriggerConfig::quiet());
         let mut daemon = FarmDaemon::new(
             cfg,
             |_, sink| {
@@ -1437,7 +1420,7 @@ mod tests {
         for r in &trace[150..] {
             daemon.handle(DaemonEvent::Arrival(r.clone()));
         }
-        assert_eq!(daemon.router().policy_name(), "least-loaded");
+        assert_eq!(daemon.router().policy(), RoutePolicy::LeastLoaded);
         let report = daemon.shutdown();
         assert_eq!(report.retunes, 4);
         assert_eq!(report.refused_events, 2);
@@ -1484,5 +1467,43 @@ mod tests {
         let clean = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
             .run(trace.iter().cloned().map(DaemonEvent::Arrival));
         assert_eq!(report.per_shard, clean.per_shard);
+    }
+
+    #[test]
+    fn a_finished_reports_recorders_expose_one_sample_per_member() {
+        let cfg = DaemonConfig::new(FarmConfig::new(3), SimOptions::with_shape(1, 5));
+        let report = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
+            .run(vod(12, 90).into_iter().map(DaemonEvent::Arrival));
+        let cumulatives: Vec<obs::Snapshot> = report
+            .recorders
+            .iter()
+            .map(|r| r.windows().cumulative())
+            .collect();
+        let mut text = String::new();
+        obs::encode_registry(&mut text, obs::DEFAULT_PREFIX, &cumulatives);
+        for (shard, routed) in report.routed_per_shard.iter().enumerate() {
+            let sample = format!("sched_arrivals_total{{shard=\"{shard}\"}} {routed}\n");
+            assert_eq!(text.matches(&sample).count(), 1, "{sample}");
+        }
+        assert_eq!(text.matches("sched_arrivals_total{").count(), 3);
+    }
+
+    #[test]
+    fn arrivals_at_the_end_of_time_are_served_there() {
+        // Ten ordinary arrivals, then hostile ones 10 µs before the end of
+        // time: each member's clock must saturate, not wrap into the past.
+        let hostile = u64::MAX - 10;
+        let mut trace = vod(4, 10);
+        for i in 10..14 {
+            let r = Request::read(i, hostile, u64::MAX, 7, 64 * 1024, QosVector::single(0));
+            trace.push(r.with_stream(i));
+        }
+        let cfg = DaemonConfig::new(FarmConfig::new(2), SimOptions::with_shape(1, 5));
+        let report = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
+            .run(trace.into_iter().map(DaemonEvent::Arrival));
+        assert_eq!((report.arrivals, report.served()), (14, 14));
+        assert!(report.makespan_us >= hostile, "{}", report.makespan_us);
+        report.ledger().expect("ledger closes");
+        report.reconcile_events().expect("events reconcile");
     }
 }

@@ -8,8 +8,8 @@
 //!
 //! Three pieces:
 //!
-//! * **Routing** ([`Router`]): an arriving request is placed on exactly
-//!   one shard by a pluggable policy — [`RoutePolicy::HashStream`]
+//! * **Routing** ([`RoutePolicy`]): an arriving request is placed on
+//!   exactly one shard by the configured policy — [`RoutePolicy::HashStream`]
 //!   (sticky per stream), [`RoutePolicy::CylinderRange`]
 //!   (placement-affine bands) or [`RoutePolicy::LeastLoaded`]
 //!   (queue-depth feedback). Routing runs as a serial deterministic pass
@@ -57,8 +57,7 @@ pub use daemon::{
     SupervisorConfig,
 };
 pub use online::{OnlineRouter, RouteDecision};
-pub use router::{least_loaded, least_loaded_among, HashRouter, LeastLoadedRouter, RangeRouter};
-pub use router::{RoutePolicy, Router, ShardLoad};
+pub use router::{least_loaded, least_loaded_among, RoutePolicy, ShardLoad};
 
 use obs::{Snapshot, TraceEvent, TraceSink};
 use sched::{DiskScheduler, Request};
@@ -103,12 +102,6 @@ impl FarmConfig {
     /// Enable redirect-on-overload.
     pub fn with_redirects(mut self) -> Self {
         self.redirect_on_overload = true;
-        self
-    }
-
-    /// Override the modeled per-request service time (µs).
-    pub fn with_est_service_us(mut self, est: u64) -> Self {
-        self.est_service_us = est.max(1);
         self
     }
 }

@@ -1,7 +1,7 @@
 //! The incremental routing core: one arrival in, one decision out.
 //!
 //! [`OnlineRouter`] owns exactly the state the batch routing pass
-//! ([`crate::route_trace`]) kept on its stack — the policy router and
+//! ([`crate::route_trace`]) kept on its stack — the routing policy and
 //! the modeled per-shard load — and exposes it one request at a time, so
 //! a long-running daemon can interleave routing with membership changes.
 //! The batch pass is a thin loop over this type, which is what makes the
@@ -17,8 +17,8 @@
 use obs::TraceEvent;
 use sched::Request;
 
-use crate::router::{least_loaded_among, Router, ShardLoad};
-use crate::FarmConfig;
+use crate::router::{least_loaded_among, ShardLoad};
+use crate::{FarmConfig, RoutePolicy};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -134,7 +134,8 @@ impl RouteDecision {
 /// placements that — absent membership events — are bit-identical to
 /// the batch routing pass.
 pub struct OnlineRouter {
-    router: Box<dyn Router>,
+    policy: RoutePolicy,
+    cylinders: u32,
     model: LoadModel,
     eligible: Vec<bool>,
     eligible_count: usize,
@@ -151,7 +152,8 @@ impl OnlineRouter {
         assert!(cfg.shards >= 1, "a farm needs at least one shard");
         assert_eq!(capacities.len(), cfg.shards);
         OnlineRouter {
-            router: cfg.policy.build(cfg.cylinders),
+            policy: cfg.policy,
+            cylinders: cfg.cylinders,
             model: LoadModel::new(capacities, cfg.est_service_us),
             eligible: vec![true; cfg.shards],
             eligible_count: cfg.shards,
@@ -216,15 +218,14 @@ impl OnlineRouter {
     /// Swap the routing policy live — the control plane's router retune
     /// hook. The load model, eligibility mask and counters all survive
     /// the swap; only the placement rule changes, so the swap is safe at
-    /// any event boundary. `cylinders` sizes the cylinder-range policy's
-    /// strips (pass the farm's configured value).
-    pub fn set_policy(&mut self, policy: crate::RoutePolicy, cylinders: u32) {
-        self.router = policy.build(cylinders);
+    /// any event boundary.
+    pub fn set_policy(&mut self, policy: RoutePolicy) {
+        self.policy = policy;
     }
 
-    /// The active routing policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.router.name()
+    /// The active routing policy.
+    pub fn policy(&self) -> RoutePolicy {
+        self.policy
     }
 
     /// Overload redirects taken so far (same counter the batch pass
@@ -244,8 +245,7 @@ impl OnlineRouter {
     pub fn route(&mut self, r: &Request) -> RouteDecision {
         self.model.advance_to(r.arrival_us);
         let loads = self.model.loads();
-        let chosen = self.router.route(r, loads);
-        assert!(chosen < loads.len(), "router returned shard {chosen}");
+        let chosen = self.policy.route(r, loads, self.cylinders);
         let mut target = chosen;
         let mut rerouted = false;
         if !self.eligible[chosen] {
@@ -283,7 +283,6 @@ impl OnlineRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RoutePolicy;
     use sched::QosVector;
 
     fn req(id: u64, arrival: u64, stream: u64, cyl: u32) -> Request {
@@ -335,9 +334,9 @@ mod tests {
         for i in 1..12 {
             router.route(&req(i, 0, 7, 0));
         }
-        assert_eq!(router.policy_name(), "hash");
-        router.set_policy(RoutePolicy::LeastLoaded, cfg.cylinders);
-        assert_eq!(router.policy_name(), "least-loaded");
+        assert_eq!(router.policy(), RoutePolicy::HashStream);
+        router.set_policy(RoutePolicy::LeastLoaded);
+        assert_eq!(router.policy(), RoutePolicy::LeastLoaded);
         // The surviving load model steers the next arrival off the shard
         // the old policy piled onto.
         let d = router.route(&req(12, 0, 7, 0));
@@ -396,8 +395,7 @@ mod tests {
     fn redirect_decision_carries_the_batch_event_fields() {
         let cfg = FarmConfig::new(2)
             .with_policy(RoutePolicy::HashStream)
-            .with_redirects()
-            .with_est_service_us(1_000_000);
+            .with_redirects();
         // Tiny bounded queues: the sticky stream overloads its shard.
         let mut router = OnlineRouter::new(&cfg, &[Some(2), Some(2)]);
         let mut redirected = None;

@@ -1,17 +1,19 @@
 //! Routing policies: which shard serves an arriving request.
 //!
-//! Routers see the request plus a modeled [`ShardLoad`] per shard and pick
-//! an index. The three built-in policies cover the classic trade-offs:
+//! A [`RoutePolicy`] sees the request plus a modeled [`ShardLoad`] per
+//! shard and picks an index. The three policies cover the classic
+//! trade-offs:
 //!
-//! * [`HashRouter`] — hash the stream id. Stateless and sticky (one
-//!   stream's blocks always hit one shard, preserving sequential layout),
-//!   but blind to load: colliding hot streams overload a shard.
-//! * [`RangeRouter`] — partition the cylinder space into contiguous
-//!   bands, one per shard. Placement-affine (matches content partitioned
-//!   across disks by address) and sticky per file region.
-//! * [`LeastLoadedRouter`] — queue-depth feedback: send the arrival to
-//!   the shard with the fewest modeled pending requests. Best loss rates
-//!   under overload, no stickiness.
+//! * [`RoutePolicy::HashStream`] — hash the stream id. Stateless and
+//!   sticky (one stream's blocks always hit one shard, preserving
+//!   sequential layout), but blind to load: colliding hot streams
+//!   overload a shard.
+//! * [`RoutePolicy::CylinderRange`] — partition the cylinder space into
+//!   contiguous bands, one per shard. Placement-affine (matches content
+//!   partitioned across disks by address) and sticky per file region.
+//! * [`RoutePolicy::LeastLoaded`] — queue-depth feedback: send the
+//!   arrival to the shard with the fewest modeled pending requests. Best
+//!   loss rates under overload, no stickiness.
 
 use sched::Request;
 
@@ -36,32 +38,22 @@ impl ShardLoad {
     }
 }
 
-/// A routing policy: pick the shard that serves `req`.
-///
-/// `loads` always has one entry per shard; implementations must return an
-/// index `< loads.len()`. Routers may keep state (`&mut self`) but must be
-/// deterministic — same request sequence, same placements.
-pub trait Router {
-    /// Policy name for reports (e.g. `"hash"`).
-    fn name(&self) -> &'static str;
-
-    /// Choose the shard for `req` given the current modeled loads.
-    fn route(&mut self, req: &Request, loads: &[ShardLoad]) -> usize;
-}
-
-/// The three built-in policies, as a value for configs and CLI flags.
+/// The routing policies, as a value for configs and CLI flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutePolicy {
-    /// Hash-by-stream ([`HashRouter`]).
+    /// Hash-by-stream: `splitmix64(stream) mod shards`.
     HashStream,
-    /// Cylinder-range affinity ([`RangeRouter`]).
+    /// Cylinder-range affinity: shard `i` owns the `i`-th contiguous band
+    /// of the cylinder space.
     CylinderRange,
-    /// Queue-depth feedback ([`LeastLoadedRouter`]).
+    /// Queue-depth feedback: the shard with the fewest modeled pending
+    /// requests wins; ties break toward the earlier drain time, then the
+    /// lower index (so the choice is deterministic).
     LeastLoaded,
 }
 
 impl RoutePolicy {
-    /// Stable policy name (matches the router's `name()`).
+    /// Stable policy name for reports (e.g. `"hash"`).
     pub fn name(self) -> &'static str {
         match self {
             RoutePolicy::HashStream => "hash",
@@ -70,18 +62,22 @@ impl RoutePolicy {
         }
     }
 
-    /// Build the router; `cylinders` sizes the range partition.
-    pub fn build(self, cylinders: u32) -> Box<dyn Router> {
+    /// Choose the shard for `req` given the current modeled loads (one
+    /// entry per shard; the result indexes into them). `cylinders` is the
+    /// cylinder space the range policy partitions. A pure function of its
+    /// arguments: same request sequence, same placements.
+    pub fn route(self, req: &Request, loads: &[ShardLoad], cylinders: u32) -> usize {
         match self {
-            RoutePolicy::HashStream => Box::new(HashRouter),
-            RoutePolicy::CylinderRange => Box::new(RangeRouter { cylinders }),
-            RoutePolicy::LeastLoaded => Box::new(LeastLoadedRouter),
+            RoutePolicy::HashStream => (splitmix64(req.stream) % loads.len() as u64) as usize,
+            RoutePolicy::CylinderRange => {
+                let shards = loads.len() as u64;
+                let band = u64::from(req.cylinder) * shards / u64::from(cylinders.max(1));
+                (band as usize).min(loads.len() - 1)
+            }
+            RoutePolicy::LeastLoaded => least_loaded(loads),
         }
     }
 }
-
-/// Hash-by-stream routing: `splitmix64(stream) mod shards`.
-pub struct HashRouter;
 
 /// SplitMix64 finalizer — a full-avalanche mix so that consecutive stream
 /// ids spread over shards instead of striding.
@@ -91,41 +87,6 @@ fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
 }
-
-impl Router for HashRouter {
-    fn name(&self) -> &'static str {
-        "hash"
-    }
-
-    fn route(&mut self, req: &Request, loads: &[ShardLoad]) -> usize {
-        (splitmix64(req.stream) % loads.len() as u64) as usize
-    }
-}
-
-/// Cylinder-range affinity: shard `i` owns the `i`-th contiguous band of
-/// the cylinder space.
-pub struct RangeRouter {
-    /// Total cylinders being partitioned.
-    pub cylinders: u32,
-}
-
-impl Router for RangeRouter {
-    fn name(&self) -> &'static str {
-        "range"
-    }
-
-    fn route(&mut self, req: &Request, loads: &[ShardLoad]) -> usize {
-        let shards = loads.len() as u64;
-        let cylinders = u64::from(self.cylinders.max(1));
-        let band = u64::from(req.cylinder) * shards / cylinders;
-        (band as usize).min(loads.len() - 1)
-    }
-}
-
-/// Queue-depth feedback: the shard with the fewest modeled pending
-/// requests wins; ties break toward the earlier drain time, then the
-/// lower index (so the choice is deterministic).
-pub struct LeastLoadedRouter;
 
 /// The shard with the least modeled load. Shared by the least-loaded
 /// policy and by redirect-on-overload target selection.
@@ -153,16 +114,6 @@ pub fn least_loaded_among(loads: &[ShardLoad], eligible: &[bool]) -> Option<usiz
         .map(|(i, _)| i)
 }
 
-impl Router for LeastLoadedRouter {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn route(&mut self, _req: &Request, loads: &[ShardLoad]) -> usize {
-        least_loaded(loads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,14 +136,15 @@ mod tests {
 
     #[test]
     fn hash_is_sticky_per_stream_and_spreads_streams() {
-        let mut r = HashRouter;
+        let r =
+            |req: &Request, loads: &[ShardLoad]| RoutePolicy::HashStream.route(req, loads, 3832);
         let loads = idle(8);
         let mut used = std::collections::HashSet::new();
         for stream in 0..64u64 {
-            let first = r.route(&req(stream, 0), &loads);
+            let first = r(&req(stream, 0), &loads);
             assert!(first < 8);
             // Sticky: the same stream always routes the same way.
-            assert_eq!(r.route(&req(stream, 999), &loads), first);
+            assert_eq!(r(&req(stream, 999), &loads), first);
             used.insert(first);
         }
         assert!(used.len() >= 6, "poor spread: {used:?}");
@@ -200,16 +152,16 @@ mod tests {
 
     #[test]
     fn range_partitions_the_cylinder_space_in_order() {
-        let mut r = RangeRouter { cylinders: 4000 };
         let loads = idle(4);
-        assert_eq!(r.route(&req(0, 0), &loads), 0);
-        assert_eq!(r.route(&req(0, 999), &loads), 0);
-        assert_eq!(r.route(&req(0, 1000), &loads), 1);
-        assert_eq!(r.route(&req(0, 3999), &loads), 3);
+        let r = |cyl: u32| RoutePolicy::CylinderRange.route(&req(0, cyl), &loads, 4000);
+        assert_eq!(r(0), 0);
+        assert_eq!(r(999), 0);
+        assert_eq!(r(1000), 1);
+        assert_eq!(r(3999), 3);
         // Monotone in the cylinder.
         let mut last = 0;
         for cyl in (0..4000).step_by(7) {
-            let s = r.route(&req(0, cyl), &loads);
+            let s = r(cyl);
             assert!(s >= last);
             last = s;
         }
@@ -223,9 +175,10 @@ mod tests {
         loads[2].queue_depth = 2;
         loads[2].busy_until_us = 100;
         // Depth ties break on drain horizon: shard 1 drains sooner.
-        assert_eq!(LeastLoadedRouter.route(&req(0, 0), &loads), 1);
+        let r = |loads: &[ShardLoad]| RoutePolicy::LeastLoaded.route(&req(0, 0), loads, 3832);
+        assert_eq!(r(&loads), 1);
         loads[1].queue_depth = 9;
-        assert_eq!(LeastLoadedRouter.route(&req(0, 0), &loads), 2);
+        assert_eq!(r(&loads), 2);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Prometheus-style text exposition of snapshots and registries.
+//! Prometheus-style text exposition of snapshots.
 //!
 //! The encoders render the standard text format — `# TYPE` lines,
 //! `<name>_total` counters, and cumulative-bucket histograms with
 //! `_bucket{le=…}` / `_sum` / `_count` series — from any [`Snapshot`]
-//! or per-shard [`MetricsRegistry`]. Output is metric-major (one `TYPE`
+//! or slice of per-shard snapshots. Output is metric-major (one `TYPE`
 //! line, then one sample per label set) so it scrapes cleanly, and the
 //! `le` edges are the log₂ bucket upper bounds, matching
 //! [`Histogram::bucket_high`](crate::Histogram::bucket_high).
 
 use crate::hist::{Histogram, HISTOGRAM_BUCKETS};
-use crate::registry::MetricsRegistry;
 use crate::snapshot::Snapshot;
 use std::fmt::Write as _;
 
@@ -82,12 +81,10 @@ pub fn encode_snapshot(out: &mut String, prefix: &str, labels: &[(&str, &str)], 
     }
 }
 
-/// Encode a whole registry metric-major: every counter across all
-/// shards (labelled `shard="<i>"`), then every non-empty histogram.
-pub fn encode_registry(out: &mut String, prefix: &str, registry: &MetricsRegistry) {
-    let cumulatives: Vec<Snapshot> = (0..registry.len())
-        .map(|i| registry.shard_cumulative(i))
-        .collect();
+/// Encode per-shard cumulative snapshots (index = shard) metric-major:
+/// every counter across all shards (labelled `shard="<i>"`), then every
+/// non-empty histogram.
+pub fn encode_registry(out: &mut String, prefix: &str, cumulatives: &[Snapshot]) {
     if cumulatives.is_empty() {
         return;
     }
@@ -137,7 +134,6 @@ pub fn encode_registry(out: &mut String, prefix: &str, registry: &MetricsRegistr
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
-    use crate::registry::{MetricsRegistry, TelemetryConfig};
     use crate::sink::TraceSink;
 
     fn sample_snapshot() -> Snapshot {
@@ -173,19 +169,17 @@ mod tests {
 
     #[test]
     fn registry_exposition_is_metric_major_across_shards() {
-        let cfg = TelemetryConfig::exact().window_log2(4).depth(2);
-        let mut reg = MetricsRegistry::with_shards(cfg, 2);
+        let mut shards = [Snapshot::new(), Snapshot::new()];
         for t in 0..10u64 {
-            reg.shard_mut((t % 2) as usize)
-                .emit(&TraceEvent::ServiceComplete {
-                    now_us: t * 3,
-                    req: t,
-                    response_us: 20,
-                    late: false,
-                });
+            shards[(t % 2) as usize].emit(&TraceEvent::ServiceComplete {
+                now_us: t * 3,
+                req: t,
+                response_us: 20,
+                late: false,
+            });
         }
         let mut out = String::new();
-        encode_registry(&mut out, "sched", &reg);
+        encode_registry(&mut out, "sched", &shards);
         // One TYPE line per metric, then one sample per shard.
         assert_eq!(
             out.matches("# TYPE sched_service_completes_total counter")
@@ -197,7 +191,7 @@ mod tests {
         assert_eq!(out.matches("# TYPE sched_response_us histogram").count(), 1);
         assert!(out.contains("sched_response_us_count{shard=\"1\"} 5\n"));
         let mut empty_out = String::new();
-        encode_registry(&mut empty_out, "sched", &MetricsRegistry::new(cfg));
+        encode_registry(&mut empty_out, "sched", &[]);
         assert!(empty_out.is_empty());
     }
 }

@@ -22,8 +22,8 @@
 //! * [`WindowedSnapshot`] — rotating time-window aggregation (current
 //!   window + recent live range + retired accumulator) with a lossless
 //!   [`WindowDelta`] stream for mid-run reporting;
-//! * [`MetricsRegistry`] / [`TelemetryConfig`] — per-shard windowed
-//!   sinks with registry-wide delta polling and roll-ups;
+//! * [`TelemetryConfig`] — the shape of one shard's windowed sink, and
+//!   [`ShardDelta`], the unit of the per-shard delta feed;
 //! * [`Stage`] / [`StageSampler`] — opt-in sampled wall-clock spans over
 //!   the request pipeline, recorded per stage in [`Snapshot::stage_ns`];
 //! * [`FlightRecorder`] — a bounded ring of recent events with anomaly
@@ -55,7 +55,6 @@ mod event;
 mod expo;
 mod hist;
 mod recorder;
-mod registry;
 mod sink;
 mod snapshot;
 mod span;
@@ -65,10 +64,10 @@ pub use event::TraceEvent;
 pub use expo::{encode_registry, encode_snapshot, DEFAULT_PREFIX};
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig};
-pub use registry::{MetricsRegistry, ShardDelta, TelemetryConfig, DEFAULT_SAMPLE_SHIFT};
 pub use sink::{CsvSink, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
 pub use span::{Stage, StageSampler};
 pub use window::{
-    WindowDelta, WindowedSnapshot, DEFAULT_DEPTH, DEFAULT_PENDING_CAP, DEFAULT_WINDOW_LOG2,
+    ShardDelta, TelemetryConfig, WindowDelta, WindowedSnapshot, DEFAULT_DEPTH,
+    DEFAULT_SAMPLE_SHIFT, DEFAULT_WINDOW_LOG2,
 };

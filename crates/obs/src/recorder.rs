@@ -2,22 +2,23 @@
 //! triggers that capture the moments worth a post-mortem.
 //!
 //! A [`FlightRecorder`] sits on a shard's event stream like any other
-//! sink. It keeps the last `capacity` raw events, a windowed live
-//! aggregate for baselines, and an exact since-last-dump [`Snapshot`].
+//! sink. It keeps two aggregates of the stream: the last `capacity` raw
+//! events and a windowed live aggregate, which serves the trigger
+//! baselines and, through its exact cumulative counters, the dumps.
 //! When an anomaly fires — a shed burst, a redirect storm, a
 //! degraded-read storm, or a deadline-miss p99 spike against the recent
-//! baseline — it freezes a [`DumpRecord`]: the ring contents, the delta
-//! since the previous dump, and cumulative counters, with **exact
-//! event-vs-counter reconciliation**: the retained events are replayed
-//! into a fresh snapshot and must reproduce the delta bit-for-bit
-//! (`clean` records whether they did; ring evictions since the last dump
-//! are the one legitimate reason they cannot).
+//! baseline — it freezes a [`DumpRecord`]: the ring contents, the
+//! cumulative counters, and their difference against a checkpoint taken
+//! at the previous dump, with **exact event-vs-counter reconciliation**:
+//! the retained events are replayed into fresh counters and must
+//! reproduce that delta exactly (`clean` records whether they did; ring
+//! evictions since the last dump are the one legitimate reason they
+//! cannot).
 
 use crate::event::TraceEvent;
-use crate::registry::TelemetryConfig;
 use crate::sink::{RingSink, TraceSink};
 use crate::snapshot::{Counters, Snapshot};
-use crate::window::WindowedSnapshot;
+use crate::window::{TelemetryConfig, WindowedSnapshot};
 use std::fmt::Write as _;
 
 /// What fired a flight-recorder dump.
@@ -85,6 +86,21 @@ impl Default for TriggerConfig {
     }
 }
 
+impl TriggerConfig {
+    /// Every trigger disabled: the recorder records and never fires, so
+    /// nothing downstream of a dump (the farm supervisor) can act.
+    pub const fn quiet() -> Self {
+        TriggerConfig {
+            shed_burst: 0,
+            redirect_storm: 0,
+            degraded_storm: 0,
+            p99_spike_factor: 0.0,
+            p99_min_completes: 0,
+            cooldown_windows: 0,
+        }
+    }
+}
+
 /// One frozen post-mortem capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DumpRecord {
@@ -96,16 +112,16 @@ pub struct DumpRecord {
     pub epoch: u64,
     /// The ring contents at the dump, oldest first.
     pub events: Vec<TraceEvent>,
-    /// Exact aggregate of everything since the previous dump (or the
-    /// start of the run).
-    pub delta: Snapshot,
+    /// Exactly what was counted since the previous dump (or the start
+    /// of the run).
+    pub delta: Counters,
     /// Cumulative counters over the whole run so far.
     pub cumulative: Counters,
-    /// Whether replaying the retained since-dump events reproduced
-    /// `delta` bit-for-bit.
+    /// Whether replaying the retained events reproduced `delta`
+    /// exactly.
     pub clean: bool,
     /// Ring evictions since the previous dump — when nonzero, the oldest
-    /// since-dump events are gone and `clean` cannot hold.
+    /// events `delta` counts are gone and `clean` cannot hold.
     pub evicted_since_dump: u64,
 }
 
@@ -125,7 +141,7 @@ impl DumpRecord {
             self.events.len(),
         );
         out.push_str(",\"delta\":");
-        write_counters_json(&self.delta.counters, out);
+        write_counters_json(&self.delta, out);
         out.push_str(",\"cumulative\":");
         write_counters_json(&self.cumulative, out);
         out.push_str("}\n");
@@ -152,7 +168,9 @@ fn write_counters_json(c: &Counters, out: &mut String) {
 pub struct FlightRecorder {
     ring: RingSink,
     windows: WindowedSnapshot,
-    since_dump: Snapshot,
+    /// The checkpoint a dump's delta is taken against: the cumulative
+    /// counters, and the ring's eviction count, at the previous dump.
+    counters_at_dump: Counters,
     evicted_at_dump: u64,
     triggers: TriggerConfig,
     last_fired_epoch: [Option<u64>; Anomaly::COUNT],
@@ -166,7 +184,7 @@ impl FlightRecorder {
         FlightRecorder {
             ring: RingSink::new(capacity),
             windows: telemetry.sink(),
-            since_dump: Snapshot::new(),
+            counters_at_dump: Counters::default(),
             evicted_at_dump: 0,
             triggers,
             last_fired_epoch: [None; Anomaly::COUNT],
@@ -197,11 +215,6 @@ impl FlightRecorder {
         &self.dumps
     }
 
-    /// Take ownership of the captured dumps.
-    pub fn take_dumps(&mut self) -> Vec<DumpRecord> {
-        std::mem::take(&mut self.dumps)
-    }
-
     /// Capture a dump right now, bypassing triggers and cooldowns.
     pub fn force_dump(&mut self, now_us: u64) -> &DumpRecord {
         self.capture(Anomaly::Manual, now_us);
@@ -220,7 +233,9 @@ impl FlightRecorder {
     }
 
     fn capture(&mut self, anomaly: Anomaly, now_us: u64) {
-        let delta = std::mem::take(&mut self.since_dump);
+        let cumulative = self.windows.cumulative().counters;
+        let delta = cumulative.since(&self.counters_at_dump);
+        self.counters_at_dump = cumulative;
         let evicted_since_dump = self.ring.evicted() - self.evicted_at_dump;
         self.evicted_at_dump = self.ring.evicted();
         let events = self.ring.to_vec();
@@ -231,7 +246,7 @@ impl FlightRecorder {
             epoch: self.windows.epoch_of(now_us),
             events,
             delta,
-            cumulative: self.windows.cumulative().counters,
+            cumulative,
             clean,
             evicted_since_dump,
         });
@@ -271,9 +286,8 @@ impl TraceSink for FlightRecorder {
     fn emit(&mut self, event: &TraceEvent) {
         self.ring.emit(event);
         self.windows.emit(event);
-        self.since_dump.emit(event);
-        let t = self.triggers;
-        let cur = self.windows.current().counters;
+        let t = &self.triggers;
+        let cur = &self.windows.current().counters;
         match *event {
             TraceEvent::Shed { now_us, .. } if t.shed_burst > 0 && cur.sheds >= t.shed_burst => {
                 self.fire(Anomaly::ShedBurst, now_us);
@@ -298,12 +312,11 @@ impl TraceSink for FlightRecorder {
     }
 }
 
-/// Replay `events`' tail into a fresh snapshot and check it reproduces
-/// `delta` exactly. The tail length is the event count the delta's own
-/// counters claim — the reconciliation is event-vs-counter on both
-/// axes.
-fn reconciles(events: &[TraceEvent], delta: &Snapshot) -> bool {
-    let n = delta.counters.total_events() as usize;
+/// Replay `events`' tail into fresh counters and check it reproduces
+/// `delta` exactly. The tail length is the event count the delta itself
+/// claims — the reconciliation is event-vs-counter on both axes.
+fn reconciles(events: &[TraceEvent], delta: &Counters) -> bool {
+    let n = delta.total_events() as usize;
     if n > events.len() {
         return false;
     }
@@ -311,7 +324,7 @@ fn reconciles(events: &[TraceEvent], delta: &Snapshot) -> bool {
     for e in &events[events.len() - n..] {
         replayed.emit(e);
     }
-    replayed == *delta
+    replayed.counters == *delta
 }
 
 #[cfg(test)]
@@ -348,7 +361,7 @@ mod tests {
         let d = &r.dumps()[0];
         assert_eq!(d.anomaly, Anomaly::ShedBurst);
         assert!(d.clean, "retained events must replay into the delta");
-        assert_eq!(d.delta.counters.sheds, 4);
+        assert_eq!(d.delta.sheds, 4);
         assert_eq!(d.evicted_since_dump, 0);
         // Past the cooldown the trigger rearms.
         for i in 0..40u64 {
@@ -396,12 +409,11 @@ mod tests {
         for i in 0..4u64 {
             r.emit(&shed(64 + i, i));
         }
-        let dumps = r.take_dumps();
+        let dumps = r.dumps();
         assert_eq!(dumps.len(), 2);
-        assert_eq!(dumps[1].delta.counters.sheds, 4);
+        assert_eq!(dumps[1].delta.sheds, 4);
         assert_eq!(dumps[1].cumulative.sheds, 8);
         assert!(dumps[1].clean);
-        assert!(r.dumps().is_empty());
     }
 
     #[test]
@@ -412,7 +424,12 @@ mod tests {
         }
         let d = &r.dumps()[0];
         assert!(!d.clean);
-        assert!(d.evicted_since_dump > 0);
+        assert_eq!(d.evicted_since_dump, 2);
+        // The delta comes from the counters, not the ring: it still holds
+        // all four sheds, two of which no retained event accounts for.
+        assert_eq!(d.delta.sheds, 4);
+        assert_eq!(d.delta.total_events(), 4);
+        assert_eq!(d.events.len(), 2);
     }
 
     #[test]

@@ -93,6 +93,39 @@ impl Counters {
         self.stage_spans += other.stage_spans;
     }
 
+    /// What was counted since `earlier`, an older reading of the same
+    /// counters: the inverse of [`Counters::merge`]. Counters only grow,
+    /// so every difference is exact.
+    pub fn since(&self, earlier: &Counters) -> Counters {
+        Counters {
+            arrivals: self.arrivals - earlier.arrivals,
+            dispatches: self.dispatches - earlier.dispatches,
+            service_starts: self.service_starts - earlier.service_starts,
+            service_completes: self.service_completes - earlier.service_completes,
+            late_completions: self.late_completions - earlier.late_completions,
+            drops: self.drops - earlier.drops,
+            preemptions: self.preemptions - earlier.preemptions,
+            sp_promotions: self.sp_promotions - earlier.sp_promotions,
+            er_expands: self.er_expands - earlier.er_expands,
+            er_resets: self.er_resets - earlier.er_resets,
+            queue_swaps: self.queue_swaps - earlier.queue_swaps,
+            sweep_reversals: self.sweep_reversals - earlier.sweep_reversals,
+            media_errors: self.media_errors - earlier.media_errors,
+            retries: self.retries - earlier.retries,
+            request_failures: self.request_failures - earlier.request_failures,
+            sector_remaps: self.sector_remaps - earlier.sector_remaps,
+            degraded_reads: self.degraded_reads - earlier.degraded_reads,
+            rebuild_ios: self.rebuild_ios - earlier.rebuild_ios,
+            sheds: self.sheds - earlier.sheds,
+            redirects: self.redirects - earlier.redirects,
+            shard_reports: self.shard_reports - earlier.shard_reports,
+            migrations: self.migrations - earlier.migrations,
+            quarantines: self.quarantines - earlier.quarantines,
+            retunes: self.retunes - earlier.retunes,
+            stage_spans: self.stage_spans - earlier.stage_spans,
+        }
+    }
+
     /// Every counter as a `(stable_name, value)` pair, in declaration
     /// order — the iteration base for exposition encoders and dump
     /// renderers.

@@ -7,8 +7,7 @@
 //! plane watches), and a **retired** accumulator absorbing everything
 //! older, so the cumulative view is never lost. Completed windows are
 //! additionally queued as [`WindowDelta`]s — the streaming feed a
-//! reporter drains at its own cadence — and the whole structure merges
-//! across shards exactly like [`Snapshot`] does.
+//! reporter drains at its own cadence.
 //!
 //! Two invariants hold bit-for-bit, by construction, and are enforced by
 //! property tests:
@@ -23,7 +22,7 @@
 //! The hot path is engineered for the telemetry overhead budget: one
 //! shift + compare reaches the current window, counters stay exact, and
 //! distribution samples can be decimated by a deterministic 1-in-2^k
-//! stride ([`WindowedSnapshot::with_sample_shift`]) — the same
+//! stride ([`TelemetryConfig::sample_shift`]) — the same
 //! counters-exact/histograms-sampled split production metric pipelines
 //! use.
 
@@ -40,9 +39,13 @@ pub const DEFAULT_WINDOW_LOG2: u32 = 22;
 /// Default live-range depth (current window + 7 completed).
 pub const DEFAULT_DEPTH: usize = 8;
 
-/// Default cap on undrained [`WindowDelta`]s before the oldest pair is
-/// coalesced.
-pub const DEFAULT_PENDING_CAP: usize = 1024;
+/// The live-plane default stride: 1-in-8 histogram samples.
+pub const DEFAULT_SAMPLE_SHIFT: u32 = 3;
+
+/// Cap on undrained [`WindowDelta`]s: beyond it the two oldest are
+/// coalesced, so a sink nobody drains stays bounded while the delta-sum
+/// invariant keeps holding.
+const PENDING_CAP: usize = 1024;
 
 /// One completed (or flushed) window, queued for a streaming reporter.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +64,82 @@ pub struct WindowDelta {
     pub snapshot: Snapshot,
 }
 
+/// Shape of the live telemetry plane: window width, live-range depth
+/// and histogram decimation.
+///
+/// The default is the **live** configuration the overhead gate measures:
+/// 4.2 s windows, an 8-window live range, and histogram samples
+/// decimated to a deterministic 1-in-8 stride (counters are always
+/// exact). [`TelemetryConfig::exact`] turns decimation off for
+/// verification runs where bit-for-bit equality with a plain
+/// [`Snapshot`] sink is asserted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TelemetryConfig {
+    /// log₂ of the window width in µs of simulated time.
+    pub window_log2: u32,
+    /// Live-range depth in windows (current window included).
+    pub depth: usize,
+    /// Histogram decimation: distribution samples are taken on a
+    /// 1-in-`2^sample_shift` stride per event kind (0 = exact).
+    pub sample_shift: u32,
+}
+
+impl Default for TelemetryConfig {
+    fn default() -> Self {
+        TelemetryConfig {
+            window_log2: DEFAULT_WINDOW_LOG2,
+            depth: DEFAULT_DEPTH,
+            sample_shift: DEFAULT_SAMPLE_SHIFT,
+        }
+    }
+}
+
+impl TelemetryConfig {
+    /// The default shape with decimation off: every histogram sample is
+    /// recorded, so the cumulative view is bit-for-bit a plain
+    /// [`Snapshot`] sink's.
+    pub fn exact() -> Self {
+        TelemetryConfig {
+            sample_shift: 0,
+            ..TelemetryConfig::default()
+        }
+    }
+
+    /// This shape with `2^window_log2` µs windows.
+    pub fn window_log2(mut self, window_log2: u32) -> Self {
+        self.window_log2 = window_log2;
+        self
+    }
+
+    /// This shape with a `depth`-window live range.
+    pub fn depth(mut self, depth: usize) -> Self {
+        self.depth = depth;
+        self
+    }
+
+    /// This shape with a 1-in-`2^shift` histogram stride.
+    pub fn sample_shift(mut self, shift: u32) -> Self {
+        self.sample_shift = shift;
+        self
+    }
+
+    /// One recording sink of this shape, ready to hand to a shard
+    /// timeline.
+    pub fn sink(&self) -> WindowedSnapshot {
+        WindowedSnapshot::new(self.window_log2, self.depth).with_sample_shift(self.sample_shift)
+    }
+}
+
+/// One shard's drained window, tagged with its shard index — the unit
+/// of the streaming telemetry feed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ShardDelta {
+    /// Shard index within the farm.
+    pub shard: usize,
+    /// The drained window.
+    pub delta: WindowDelta,
+}
+
 /// A rotating-window live aggregate of one event stream (see the module
 /// docs for the scheme and its invariants).
 #[derive(Debug, Clone)]
@@ -77,8 +156,6 @@ pub struct WindowedSnapshot {
     recent: VecDeque<(u64, Box<Snapshot>)>,
     retired: Snapshot,
     pending: VecDeque<Box<WindowDelta>>,
-    pending_cap: usize,
-    coalesced: u64,
 }
 
 impl WindowedSnapshot {
@@ -99,15 +176,7 @@ impl WindowedSnapshot {
             recent: VecDeque::new(),
             retired: Snapshot::new(),
             pending: VecDeque::new(),
-            pending_cap: DEFAULT_PENDING_CAP,
-            coalesced: 0,
         }
-    }
-
-    /// The workspace default shape: [`DEFAULT_WINDOW_LOG2`] windows,
-    /// [`DEFAULT_DEPTH`] live range, exact histograms.
-    pub fn paper_default() -> Self {
-        WindowedSnapshot::new(DEFAULT_WINDOW_LOG2, DEFAULT_DEPTH)
     }
 
     /// Decimate histogram samples to a deterministic 1-in-`2^shift`
@@ -119,43 +188,10 @@ impl WindowedSnapshot {
         self
     }
 
-    /// Cap the undrained [`WindowDelta`] queue at `cap` entries (at
-    /// least 2); beyond it the two oldest deltas are coalesced so memory
-    /// stays bounded while the delta-sum invariant keeps holding.
-    pub fn with_pending_cap(mut self, cap: usize) -> Self {
-        self.pending_cap = cap.max(2);
-        self
-    }
-
-    /// log₂ of the window width in µs.
-    pub fn window_log2(&self) -> u32 {
-        self.window_log2
-    }
-
-    /// Window width (µs).
-    pub fn window_us(&self) -> u64 {
-        1u64 << self.window_log2
-    }
-
-    /// Live-range depth in windows (current window included).
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// The histogram decimation stride minus one (0 = exact).
-    pub fn sample_mask(&self) -> u64 {
-        self.sample_mask
-    }
-
     /// The window index `now_us` falls into.
     #[inline]
     pub fn epoch_of(&self, now_us: u64) -> u64 {
         now_us >> self.window_log2
-    }
-
-    /// Whether any event has been recorded.
-    pub fn started(&self) -> bool {
-        self.started
     }
 
     /// The current window's epoch, once anything has been recorded.
@@ -168,11 +204,6 @@ impl WindowedSnapshot {
         &self.cur
     }
 
-    /// Times coalescing folded an undrained delta pair together.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
     /// Live windows oldest-first: completed windows still in range, then
     /// the current window.
     pub fn windows(&self) -> impl Iterator<Item = (u64, &Snapshot)> {
@@ -180,21 +211,6 @@ impl WindowedSnapshot {
             .iter()
             .map(|(e, s)| (*e, &**s))
             .chain(self.started.then_some((self.cur_epoch, &self.cur)))
-    }
-
-    /// The decaying N-window aggregate: every live window merged
-    /// (current included), excluding everything retired.
-    pub fn recent(&self) -> Snapshot {
-        let mut out = Snapshot::new();
-        for (_, s) in self.windows() {
-            out.merge(s);
-        }
-        out
-    }
-
-    /// Everything that aged out of the live range.
-    pub fn retired(&self) -> &Snapshot {
-        &self.retired
     }
 
     /// The exact cumulative aggregate: retired + every live window. With
@@ -237,69 +253,9 @@ impl WindowedSnapshot {
         self.take_deltas()
     }
 
-    /// Fold another windowed aggregate into this one, window by window:
-    /// same-epoch windows merge, the live range advances to the younger
-    /// of the two current epochs, and anything falling out of it
-    /// retires. Associative and commutative like [`Snapshot::merge`];
-    /// the recording-side delta queue is deliberately untouched (deltas
-    /// stream per recording sink, merges serve read-side fan-in).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two sinks disagree on window width, depth, or
-    /// sampling stride — merging differently-shaped windows would
-    /// silently misattribute counts.
-    pub fn merge(&mut self, other: &WindowedSnapshot) {
-        assert_eq!(
-            (self.window_log2, self.depth, self.sample_mask),
-            (other.window_log2, other.depth, other.sample_mask),
-            "windowed snapshots must share window shape to merge"
-        );
-        self.retired.merge(&other.retired);
-        if !other.started {
-            return;
-        }
-        if !self.started {
-            self.started = true;
-            self.cur_epoch = other.cur_epoch;
-            self.cur = other.cur.clone();
-            for (e, s) in &other.recent {
-                Self::fold_into_recent(&mut self.recent, *e, s.clone());
-            }
-            return;
-        }
-        if other.cur_epoch > self.cur_epoch {
-            let done = Box::new(std::mem::take(&mut self.cur));
-            Self::fold_into_recent(&mut self.recent, self.cur_epoch, done);
-            self.cur_epoch = other.cur_epoch;
-            self.cur = other.cur.clone();
-        } else if other.cur_epoch == self.cur_epoch {
-            self.cur.merge(&other.cur);
-        } else {
-            self.absorb_window(other.cur_epoch, &other.cur);
-        }
-        for (e, s) in &other.recent {
-            self.absorb_window(*e, s);
-        }
-        self.retire_out_of_range(false);
-    }
-
     /// The oldest epoch still inside the live range.
     fn min_live_epoch(&self) -> u64 {
         self.cur_epoch.saturating_sub(self.depth as u64 - 1)
-    }
-
-    /// Route a completed window from a merge: retire it when it is
-    /// older than the live range, merge it into the right slot
-    /// otherwise.
-    fn absorb_window(&mut self, epoch: u64, snap: &Snapshot) {
-        if epoch < self.min_live_epoch() {
-            self.retired.merge(snap);
-        } else if epoch == self.cur_epoch {
-            self.cur.merge(snap);
-        } else {
-            Self::fold_into_recent(&mut self.recent, epoch, Box::new(snap.clone()));
-        }
     }
 
     /// Insert a window into the epoch-sorted completed set, merging with
@@ -316,10 +272,9 @@ impl WindowedSnapshot {
         }
     }
 
-    /// Move windows older than the live range into `retired`. Recording
-    /// paths pass `with_deltas` so each retiring window also joins the
-    /// delta stream; merge paths keep the stream untouched.
-    fn retire_out_of_range(&mut self, with_deltas: bool) {
+    /// Move windows older than the live range into `retired` and onto
+    /// the delta stream.
+    fn retire_out_of_range(&mut self) {
         let min_keep = self.min_live_epoch();
         while let Some((e, _)) = self.recent.front() {
             if *e >= min_keep {
@@ -327,20 +282,17 @@ impl WindowedSnapshot {
             }
             let (epoch, snap) = self.recent.pop_front().expect("front exists");
             self.retired.merge(&snap);
-            if with_deltas {
-                self.push_delta(epoch, snap, false);
-            }
+            self.push_delta(epoch, snap, false);
         }
     }
 
     fn push_delta(&mut self, epoch: u64, snapshot: Box<Snapshot>, partial: bool) {
-        if self.pending.len() >= self.pending_cap {
+        if self.pending.len() >= PENDING_CAP {
             let mut first = self.pending.pop_front().expect("cap is at least 2");
             let second = self.pending.pop_front().expect("cap is at least 2");
             first.snapshot.merge(&second.snapshot);
             first.partial = true;
             self.pending.push_front(first);
-            self.coalesced += 1;
         }
         self.pending.push_back(Box::new(WindowDelta {
             epoch,
@@ -366,7 +318,7 @@ impl WindowedSnapshot {
             let done = Box::new(std::mem::take(&mut self.cur));
             Self::fold_into_recent(&mut self.recent, self.cur_epoch, done);
             self.cur_epoch = epoch;
-            self.retire_out_of_range(true);
+            self.retire_out_of_range();
             self.cur.emit_sampled(event, self.sample_mask);
             return;
         }
@@ -405,48 +357,6 @@ impl TraceSink for WindowedSnapshot {
     }
 }
 
-impl Default for WindowedSnapshot {
-    fn default() -> Self {
-        WindowedSnapshot::paper_default()
-    }
-}
-
-/// Canonical-content equality: two windowed aggregates are equal when
-/// they agree on shape, current epoch, retired aggregate, and the
-/// per-epoch live windows — regardless of how rotation, merging, or
-/// flushing arrived there. Delta-queue bookkeeping is excluded: it
-/// tracks what a reporter has already consumed, not what was observed.
-impl PartialEq for WindowedSnapshot {
-    fn eq(&self, other: &Self) -> bool {
-        if (self.window_log2, self.depth, self.sample_mask, self.started)
-            != (
-                other.window_log2,
-                other.depth,
-                other.sample_mask,
-                other.started,
-            )
-        {
-            return false;
-        }
-        if self.started && self.cur_epoch != other.cur_epoch {
-            return false;
-        }
-        if self.retired != other.retired {
-            return false;
-        }
-        let empty = Snapshot::new();
-        let mut mine = self.windows().filter(|(_, s)| **s != empty);
-        let mut theirs = other.windows().filter(|(_, s)| **s != empty);
-        loop {
-            match (mine.next(), theirs.next()) {
-                (None, None) => return true,
-                (Some((ea, sa)), Some((eb, sb))) if ea == eb && sa == sb => continue,
-                _ => return false,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,8 +374,6 @@ mod tests {
     fn windows_rotate_and_retire() {
         // 16 µs windows, 3-window live range.
         let mut w = WindowedSnapshot::new(4, 3);
-        assert_eq!(w.window_us(), 16);
-        assert!(!w.started());
         for t in [0u64, 5, 17, 40, 70] {
             w.emit(&complete(t, 10));
         }
@@ -474,8 +382,8 @@ mod tests {
         assert_eq!(w.current_epoch(), Some(4));
         let live: Vec<u64> = w.windows().map(|(e, _)| e).collect();
         assert_eq!(live, vec![2, 4]);
-        assert_eq!(w.retired().counters.service_completes, 3);
-        assert_eq!(w.recent().counters.service_completes, 2);
+        let live: u64 = w.windows().map(|(_, s)| s.counters.service_completes).sum();
+        assert_eq!(live, 2);
         assert_eq!(w.cumulative().counters.service_completes, 5);
     }
 
@@ -532,38 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_commutative_and_tracks_the_younger_current_window() {
-        let mut a = WindowedSnapshot::new(4, 3);
-        let mut b = WindowedSnapshot::new(4, 3);
-        for t in [0u64, 20, 35] {
-            a.emit(&complete(t, 5));
-        }
-        for t in [50u64, 90, 130] {
-            b.emit(&complete(t, 7));
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.current_epoch(), Some(8));
-        assert_eq!(ab.cumulative().counters.service_completes, 6);
-        assert_eq!(ab.cumulative(), {
-            let mut s = a.cumulative();
-            s.merge(&b.cumulative());
-            s
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "share window shape")]
-    fn merge_rejects_mismatched_shapes() {
-        let mut a = WindowedSnapshot::new(4, 3);
-        let b = WindowedSnapshot::new(5, 3);
-        a.merge(&b);
-    }
-
-    #[test]
     fn sampling_thins_histograms_but_not_counters() {
         let mut exact = WindowedSnapshot::new(8, 4);
         let mut thin = WindowedSnapshot::new(8, 4).with_sample_shift(3);
@@ -580,17 +456,34 @@ mod tests {
     }
 
     #[test]
-    fn pending_cap_coalesces_but_conserves_counts() {
-        let mut w = WindowedSnapshot::new(2, 1).with_pending_cap(4);
-        for t in 0..400u64 {
+    fn an_undrained_queue_coalesces_but_conserves_counts() {
+        let mut w = WindowedSnapshot::new(2, 1);
+        for t in 0..3 * PENDING_CAP as u64 {
             w.emit(&complete(t * 4, 1)); // one event per window
         }
-        assert!(w.coalesced() > 0);
+        let deltas = w.flush();
+        assert!(deltas.len() <= PENDING_CAP + 1, "{} deltas", deltas.len());
+        assert!(deltas[0].partial, "the oldest delta absorbed the overflow");
         let mut drained = Snapshot::new();
-        for d in w.flush() {
+        for d in &deltas {
             drained.merge(&d.snapshot);
         }
         assert_eq!(drained, w.cumulative());
+    }
+
+    #[test]
+    fn exact_config_turns_decimation_off() {
+        let mut exact = TelemetryConfig::exact().sink();
+        let mut live = TelemetryConfig::default().sink();
+        for t in 0..64u64 {
+            exact.emit(&complete(t, 50));
+            live.emit(&complete(t, 50));
+        }
+        assert_eq!(exact.cumulative().response_us.count(), 64);
+        assert_eq!(
+            live.cumulative().response_us.count(),
+            64 >> DEFAULT_SAMPLE_SHIFT
+        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! A [`WindowedSnapshot`] partitions one event stream by time but must
 //! never lose or duplicate anything: its cumulative view has to equal a
-//! plain [`Snapshot`] of the same stream bit-for-bit, draining deltas at
-//! any cadence has to sum back to the whole, and read-side merging has
-//! to behave like addition (associative and commutative). The
-//! properties are exercised over randomly drawn event streams —
-//! including out-of-order timestamps, which rotation must tolerate —
-//! and randomly drawn window shapes.
+//! plain [`Snapshot`] of the same stream bit-for-bit, and draining
+//! deltas at any cadence has to sum back to the whole. The properties
+//! are exercised over randomly drawn event streams — including
+//! out-of-order timestamps, which rotation must tolerate — and randomly
+//! drawn window shapes. The flight recorder's dump deltas lean on one
+//! more: subtracting a counter checkpoint undoes a merge exactly.
 
 use obs::{Snapshot, Stage, TraceEvent, TraceSink, WindowedSnapshot};
 use proptest::prelude::*;
@@ -79,35 +79,22 @@ fn feed<S: TraceSink>(sink: &mut S, events: &[TraceEvent]) {
     }
 }
 
-/// The read-side view of a windowed sink, for equality assertions:
-/// everything [`WindowedSnapshot::merge`] is contracted to preserve.
-fn view(w: &WindowedSnapshot) -> (Snapshot, Option<u64>, Vec<(u64, Snapshot)>) {
-    (
-        w.cumulative(),
-        w.current_epoch(),
-        w.windows().map(|(e, s)| (e, s.clone())).collect(),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Rotation, retirement and pending-queue coalescing never lose
-    /// counts: with decimation off, the windowed cumulative equals a
-    /// plain snapshot of the same stream, and so does the sum of every
-    /// flushed delta.
+    /// Rotation and retirement never lose counts: with decimation off,
+    /// the windowed cumulative equals a plain snapshot of the same
+    /// stream, and so does the sum of every flushed delta.
     #[test]
     fn rotation_never_loses_counts(
         events in stream(),
         window_log2 in 4u32..24,
         depth in 1usize..5,
-        pending_cap in 1usize..8,
     ) {
         let mut plain = Snapshot::new();
         feed(&mut plain, &events);
 
-        let mut windowed =
-            WindowedSnapshot::new(window_log2, depth).with_pending_cap(pending_cap);
+        let mut windowed = WindowedSnapshot::new(window_log2, depth);
         feed(&mut windowed, &events);
         prop_assert_eq!(windowed.cumulative(), plain.clone());
 
@@ -141,55 +128,18 @@ proptest! {
         prop_assert_eq!(polled, windowed.cumulative());
     }
 
-    /// Read-side merge is commutative: `a ∪ b` and `b ∪ a` agree on the
-    /// cumulative aggregate, the current epoch, and every live window.
+    /// `Counters::since` is the inverse of `Counters::merge`: merging
+    /// `b` into a copy of `a` and subtracting `a` gives `b` back, which
+    /// is what makes a flight-recorder dump's delta (cumulative counters
+    /// minus the checkpoint at the previous dump) exact.
     #[test]
-    fn windowed_merge_is_commutative(
-        a_events in stream(),
-        b_events in stream(),
-        window_log2 in 4u32..20,
-        depth in 1usize..5,
-    ) {
-        let build = |events: &[TraceEvent]| {
-            let mut w = WindowedSnapshot::new(window_log2, depth);
-            feed(&mut w, events);
-            w
-        };
-        let (a, b) = (build(&a_events), build(&b_events));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(view(&ab), view(&ba));
-    }
-
-    /// Read-side merge is associative: `(a ∪ b) ∪ c` equals
-    /// `a ∪ (b ∪ c)`, so farm fan-in can fold shard sinks in any shape.
-    #[test]
-    fn windowed_merge_is_associative(
-        a_events in stream(),
-        b_events in stream(),
-        c_events in stream(),
-        window_log2 in 4u32..20,
-        depth in 1usize..5,
-    ) {
-        let build = |events: &[TraceEvent]| {
-            let mut w = WindowedSnapshot::new(window_log2, depth);
-            feed(&mut w, events);
-            w
-        };
-        let (a, b, c) = (build(&a_events), build(&b_events), build(&c_events));
-
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-
-        prop_assert_eq!(view(&left), view(&right));
+    fn counters_since_inverts_merge(a_events in stream(), b_events in stream()) {
+        let (mut a, mut b) = (Snapshot::new(), Snapshot::new());
+        feed(&mut a, &a_events);
+        feed(&mut b, &b_events);
+        let mut sum = a.counters;
+        sum.merge(&b.counters);
+        prop_assert_eq!(sum.since(&a.counters), b.counters);
+        prop_assert_eq!(sum.since(&b.counters), a.counters);
     }
 }

@@ -19,7 +19,7 @@
 //!   counters, and two identical runs must be bit-identical down to the
 //!   controller's decision log.
 
-use crate::daemon::{daemon_shaped, fingerprint, merge_events, QUIET};
+use crate::daemon::{daemon_shaped, fingerprint, merge_events};
 use ctrl::{drive, Controller, ControllerConfig, Grid, GridPoint, SearchConfig};
 use farm::{DaemonEvent, FarmConfig, RetuneAction, RoutePolicy};
 use rand::rngs::StdRng;
@@ -54,9 +54,21 @@ pub fn diff_ctrl(
     cap: usize,
     cadence: usize,
 ) -> Result<u64, String> {
-    let base = daemon_shaped(cfg, options, Some(cap), QUIET, telemetry())
-        .run(trace.iter().cloned().map(DaemonEvent::Arrival));
-    let mut daemon = daemon_shaped(cfg, options, Some(cap), QUIET, telemetry());
+    let base = daemon_shaped(
+        cfg,
+        options,
+        Some(cap),
+        obs::TriggerConfig::quiet(),
+        telemetry(),
+    )
+    .run(trace.iter().cloned().map(DaemonEvent::Arrival));
+    let mut daemon = daemon_shaped(
+        cfg,
+        options,
+        Some(cap),
+        obs::TriggerConfig::quiet(),
+        telemetry(),
+    );
     let mut controller = Controller::new(
         cfg.shards,
         ControllerConfig {
@@ -231,7 +243,13 @@ mod tests {
         let trace = vod(64, 11);
         let cfg = FarmConfig::new(2).with_policy(RoutePolicy::HashStream);
         let options = SimOptions::with_shape(1, 8).dropping();
-        let mut daemon = daemon_shaped(&cfg, options, Some(8), QUIET, telemetry());
+        let mut daemon = daemon_shaped(
+            &cfg,
+            options,
+            Some(8),
+            obs::TriggerConfig::quiet(),
+            telemetry(),
+        );
         let mut controller = Controller::new(
             cfg.shards,
             ControllerConfig {

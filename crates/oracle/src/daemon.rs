@@ -29,18 +29,6 @@ use rand::{Rng, SeedableRng};
 use sched::{DiskScheduler, Fcfs, Request};
 use sim::{DiskService, SimOptions};
 
-/// Every trigger disabled: the supervisor must never fire during a
-/// parity run, or reroutes would (correctly) diverge from the batch
-/// pass, which has no supervisor.
-pub(crate) const QUIET: obs::TriggerConfig = obs::TriggerConfig {
-    shed_burst: 0,
-    redirect_storm: 0,
-    degraded_storm: 0,
-    p99_spike_factor: 0.0,
-    p99_min_completes: 0,
-    cooldown_windows: 0,
-};
-
 fn cascade_config(cylinders: u32, cap: usize) -> CascadeConfig {
     CascadeConfig::paper_default(1, cylinders)
         .with_dispatch(DispatchConfig::paper_default().with_max_queue(cap))
@@ -101,14 +89,16 @@ pub(crate) fn daemon_shaped(
 ///
 /// `bounded` selects the shard scheduler on both sides: `None` runs
 /// FCFS (unbounded), `Some(cap)` a bounded Cascaded-SFC so overload
-/// sheds and redirects are exercised too.
+/// sheds and redirects are exercised too. The daemon runs with every
+/// recorder trigger off: a supervisor reroute would (correctly) diverge
+/// from the batch pass, which has no supervisor.
 pub fn diff_daemon(
     trace: &[Request],
     cfg: &FarmConfig,
     options: SimOptions,
     bounded: Option<usize>,
 ) -> Result<(), String> {
-    let daemon = daemon_for(cfg, options, bounded, QUIET);
+    let daemon = daemon_for(cfg, options, bounded, obs::TriggerConfig::quiet());
     let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
     check_against_batch(&report, trace, cfg, options, bounded)
 }
@@ -125,7 +115,7 @@ pub fn diff_daemon_streamed(
     options: SimOptions,
     bounded: Option<usize>,
 ) -> Result<(), String> {
-    let mut daemon = daemon_for(cfg, options, bounded, QUIET);
+    let mut daemon = daemon_for(cfg, options, bounded, obs::TriggerConfig::quiet());
     let mut source = workload::VecSource::new(trace.to_vec());
     let pulled = daemon.ingest(&mut source);
     if pulled as usize != trace.len() {

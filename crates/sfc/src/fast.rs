@@ -1,43 +1,22 @@
-//! Devirtualized curve dispatch for the scheduler hot path.
+//! Table-driven curve dispatch for the scheduler hot path.
 //!
-//! The encapsulator used to hold every stage curve as a `Box<dyn
-//! SpaceFillingCurve>`, paying a virtual call (and, for Hilbert, a `Vec`
-//! round-trip) per stage per request. [`CurveKernel`] resolves the curve
-//! *shape* once at construction: the 2-D/3-D radix-2 curves the stages
-//! actually build become direct calls into the LUT kernels of
-//! [`crate::kernels`], and everything else falls back to the boxed trait
-//! object. `CurveKernel::index` is bit-identical to the catalogue curve it
+//! The encapsulator indexes its stage curves once per request.
+//! [`CurveKernel`] resolves the curve *shape* once at construction: a
+//! grid of at most [`SMALL_LUT_MAX_CELLS`] cells — every shape the
+//! scheduler's stage 1 builds — is flattened into a dense rank table, one
+//! load per request whatever the curve family; anything larger stays the
+//! boxed catalogue object (whose 2-D/3-D Hilbert, Z-order and Gray
+//! `index` already run on the LUT kernels of [`crate::kernels`]).
+//! `CurveKernel::index` is bit-identical to the catalogue curve it
 //! replaces — same value, same out-of-range panics (pinned by
 //! `tests/props.rs`).
 
 use crate::curve::{check_point, CurveKind, SfcError, SpaceFillingCurve};
-use crate::kernels;
 
-/// Shape of a monomorphized kernel's grid.
-#[derive(Debug, Clone, Copy)]
-pub struct KernelGrid {
-    /// Bits per dimension.
-    pub bits: u32,
-    /// Side length, `2^bits`.
-    pub side: u64,
-}
-
-/// A curve handle resolved at construction: monomorphized LUT kernels for
-/// the shapes the scheduler builds, `Box<dyn SpaceFillingCurve>` otherwise.
+/// A curve handle resolved at construction: a dense rank table for small
+/// grids, `Box<dyn SpaceFillingCurve>` otherwise.
 pub enum CurveKernel {
-    /// 2-D Hilbert through the 4-state byte automaton (`bits >= 2`).
-    Hilbert2(KernelGrid),
-    /// 3-D Hilbert through the 24-state automaton (`bits >= 2`).
-    Hilbert3(KernelGrid),
-    /// 2-D Z-order through the byte spread tables.
-    ZOrder2(KernelGrid),
-    /// 3-D Z-order through the byte spread tables.
-    ZOrder3(KernelGrid),
-    /// 2-D Gray: byte-spread interleave, then the Gray rank.
-    Gray2(KernelGrid),
-    /// 3-D Gray: byte-spread interleave, then the Gray rank.
-    Gray3(KernelGrid),
-    /// Dense rank table for a tiny grid (at most [`SMALL_LUT_MAX_CELLS`]
+    /// Dense rank table for a small grid (at most [`SMALL_LUT_MAX_CELLS`]
     /// cells): the whole curve, whatever its family, collapses to one
     /// array lookup. This is what the scheduler's stage-1 shapes hit —
     /// e.g. the paper-default Diagonal over 16^3 QoS levels — where the
@@ -54,7 +33,7 @@ pub enum CurveKernel {
         /// Curve name, kept for error parity with the catalogue object.
         name: &'static str,
     },
-    /// Any other curve or shape: the dimension-generic catalogue object.
+    /// Any larger grid: the dimension-generic catalogue object.
     Dyn(Box<dyn SpaceFillingCurve>),
 }
 
@@ -66,30 +45,17 @@ pub const SMALL_LUT_MAX_CELLS: u128 = 1 << 12;
 
 impl CurveKernel {
     /// Build the kernel for `kind` over `dims` dimensions at the given
-    /// order, choosing a monomorphized fast path when one exists.
+    /// order. Error cases are those of [`CurveKind::build`].
     pub fn build(kind: CurveKind, dims: u32, order: u32) -> Result<CurveKernel, SfcError> {
-        // Validate through the catalogue constructor so error cases are
-        // identical to `CurveKind::build`.
         let curve = kind.build(dims, order)?;
-        let grid = KernelGrid {
-            bits: order,
-            side: curve.side(),
-        };
-        Ok(match (kind, dims) {
-            // Order-1 Hilbert is the Gray walk special case; keep it off
-            // the automaton path (it needs bits >= 2).
-            (CurveKind::Hilbert, 2) if order >= 2 => CurveKernel::Hilbert2(grid),
-            (CurveKind::Hilbert, 3) if order >= 2 => CurveKernel::Hilbert3(grid),
-            (CurveKind::ZOrder, 2) => CurveKernel::ZOrder2(grid),
-            (CurveKind::ZOrder, 3) => CurveKernel::ZOrder3(grid),
-            (CurveKind::Gray, 2) => CurveKernel::Gray2(grid),
-            (CurveKind::Gray, 3) => CurveKernel::Gray3(grid),
-            _ if curve.cells() <= SMALL_LUT_MAX_CELLS => Self::small_lut(curve),
-            _ => CurveKernel::Dyn(curve),
+        Ok(if curve.cells() <= SMALL_LUT_MAX_CELLS {
+            Self::small_lut(curve)
+        } else {
+            CurveKernel::Dyn(curve)
         })
     }
 
-    /// Flatten a tiny catalogue curve into a dense rank table.
+    /// Flatten a small catalogue curve into a dense rank table.
     fn small_lut(curve: Box<dyn SpaceFillingCurve>) -> CurveKernel {
         let side = curve.side();
         let dims = curve.dims();
@@ -116,30 +82,6 @@ impl CurveKernel {
     #[inline]
     pub fn index(&self, point: &[u64]) -> u128 {
         match self {
-            CurveKernel::Hilbert2(g) => {
-                check_point("hilbert", 2, g.side, point);
-                kernels::hilbert2(point[0], point[1], g.bits)
-            }
-            CurveKernel::Hilbert3(g) => {
-                check_point("hilbert", 3, g.side, point);
-                kernels::hilbert3(point[0], point[1], point[2], g.bits)
-            }
-            CurveKernel::ZOrder2(g) => {
-                check_point("z-order", 2, g.side, point);
-                kernels::morton2(point[0], point[1], g.bits)
-            }
-            CurveKernel::ZOrder3(g) => {
-                check_point("z-order", 3, g.side, point);
-                kernels::morton3(point[0], point[1], point[2], g.bits)
-            }
-            CurveKernel::Gray2(g) => {
-                check_point("gray", 2, g.side, point);
-                crate::gray::gray_inverse(kernels::morton2(point[0], point[1], g.bits))
-            }
-            CurveKernel::Gray3(g) => {
-                check_point("gray", 3, g.side, point);
-                crate::gray::gray_inverse(kernels::morton3(point[0], point[1], point[2], g.bits))
-            }
             CurveKernel::SmallLut {
                 lut,
                 side,
@@ -186,8 +128,6 @@ impl CurveKernel {
     /// Number of grid dimensions.
     pub fn dims(&self) -> u32 {
         match self {
-            CurveKernel::Hilbert2(_) | CurveKernel::ZOrder2(_) | CurveKernel::Gray2(_) => 2,
-            CurveKernel::Hilbert3(_) | CurveKernel::ZOrder3(_) | CurveKernel::Gray3(_) => 3,
             CurveKernel::SmallLut { dims, .. } => *dims,
             CurveKernel::Dyn(c) => c.dims(),
         }
@@ -196,12 +136,6 @@ impl CurveKernel {
     /// Cells per dimension.
     pub fn side(&self) -> u64 {
         match self {
-            CurveKernel::Hilbert2(g)
-            | CurveKernel::Hilbert3(g)
-            | CurveKernel::ZOrder2(g)
-            | CurveKernel::ZOrder3(g)
-            | CurveKernel::Gray2(g)
-            | CurveKernel::Gray3(g) => g.side,
             CurveKernel::SmallLut { side, .. } => *side,
             CurveKernel::Dyn(c) => c.side(),
         }
@@ -219,9 +153,6 @@ impl CurveKernel {
     /// Curve name, matching `SpaceFillingCurve::name`.
     pub fn name(&self) -> &'static str {
         match self {
-            CurveKernel::Hilbert2(_) | CurveKernel::Hilbert3(_) => "hilbert",
-            CurveKernel::ZOrder2(_) | CurveKernel::ZOrder3(_) => "z-order",
-            CurveKernel::Gray2(_) | CurveKernel::Gray3(_) => "gray",
             CurveKernel::SmallLut { name, .. } => name,
             CurveKernel::Dyn(c) => c.name(),
         }
@@ -235,13 +166,6 @@ impl std::fmt::Debug for CurveKernel {
                 name, dims, side, ..
             } => write!(f, "CurveKernel::SmallLut({name}, {dims}d, side {side})"),
             CurveKernel::Dyn(c) => write!(f, "CurveKernel::Dyn({})", c.name()),
-            fast => write!(
-                f,
-                "CurveKernel::{}{}(order {})",
-                fast.name(),
-                fast.dims(),
-                fast.side().trailing_zeros()
-            ),
         }
     }
 }
@@ -293,36 +217,28 @@ mod tests {
 
     #[test]
     fn fast_variants_are_actually_selected() {
-        assert!(matches!(
-            CurveKernel::build(CurveKind::Hilbert, 2, 4).unwrap(),
-            CurveKernel::Hilbert2(_)
-        ));
-        assert!(matches!(
-            CurveKernel::build(CurveKind::Hilbert, 3, 2).unwrap(),
-            CurveKernel::Hilbert3(_)
-        ));
-        // Order-1 Hilbert skips the automaton but is tiny enough for the
-        // dense table.
-        assert!(matches!(
-            CurveKernel::build(CurveKind::Hilbert, 2, 1).unwrap(),
-            CurveKernel::SmallLut { .. }
-        ));
-        assert!(matches!(
-            CurveKernel::build(CurveKind::Gray, 2, 10).unwrap(),
-            CurveKernel::Gray2(_)
-        ));
-        assert!(matches!(
-            CurveKernel::build(CurveKind::ZOrder, 3, 5).unwrap(),
-            CurveKernel::ZOrder3(_)
-        ));
         // The paper-default stage-1 shape: Diagonal over 16^3 QoS levels.
         assert!(matches!(
             CurveKernel::build(CurveKind::Diagonal, 3, 4).unwrap(),
             CurveKernel::SmallLut { .. }
         ));
+        // The table is chosen by size, not family: exactly 4096 cells
+        // still fits, for the curves with LUT kernels of their own too.
+        assert!(matches!(
+            CurveKernel::build(CurveKind::Hilbert, 2, 6).unwrap(),
+            CurveKernel::SmallLut { .. }
+        ));
+        assert!(matches!(
+            CurveKernel::build(CurveKind::ZOrder, 3, 4).unwrap(),
+            CurveKernel::SmallLut { .. }
+        ));
         // Too many cells for the table: back to the catalogue object.
         assert!(matches!(
             CurveKernel::build(CurveKind::Diagonal, 2, 10).unwrap(),
+            CurveKernel::Dyn(_)
+        ));
+        assert!(matches!(
+            CurveKernel::build(CurveKind::Gray, 2, 7).unwrap(),
             CurveKernel::Dyn(_)
         ));
     }

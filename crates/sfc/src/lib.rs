@@ -63,7 +63,7 @@ mod zorder;
 
 pub use curve::{CurveKind, InvertibleCurve, SfcError, SpaceFillingCurve};
 pub use diagonal::{Diagonal, WeightedDiagonal};
-pub use fast::{CurveKernel, KernelGrid, SMALL_LUT_MAX_CELLS};
+pub use fast::{CurveKernel, SMALL_LUT_MAX_CELLS};
 pub use gray::Gray;
 pub use hilbert::Hilbert;
 pub use lexicographic::{CScan, Scan, Sweep};

@@ -42,9 +42,10 @@ fn small_shape() -> impl Strategy<Value = (CurveKind, u32, u32)> {
         })
 }
 
-/// Strategy: shapes with a monomorphized kernel fast path, up to the
-/// largest orders the scheduler builds (dims * order capped at 62 bits so
-/// indices stay easy to sample).
+/// Strategy: the shapes whose `index` runs on the LUT kernels, on either
+/// side of the dense-table cutoff and up to the largest orders the
+/// scheduler builds (dims * order capped at 62 bits so indices stay easy
+/// to sample).
 fn fast_shape() -> impl Strategy<Value = (CurveKind, u32, u32)> {
     (
         prop::sample::select(vec![CurveKind::Hilbert, CurveKind::ZOrder, CurveKind::Gray]),
@@ -259,11 +260,12 @@ proptest! {
         (kind, dims, order) in fast_shape(),
         seed in 0u64..u64::MAX,
     ) {
-        // The monomorphized LUT kernels must agree with the generic
-        // catalogue curve over the *whole* domain, not just the small
-        // grids the exhaustive unit tests walk: draw a curve index from
-        // the full range, invert it through the generic point(), and map
-        // back through the kernel.
+        // The kernel handle — a dense table below the cutoff, the
+        // catalogue's LUT-kernel `index` above it — must agree with the
+        // generic catalogue curve over the *whole* domain, not just the
+        // small grids the exhaustive unit tests walk: draw a curve index
+        // from the full range, invert it through the generic point(), and
+        // map back through the kernel.
         let kernel = sfc::CurveKernel::build(kind, dims, order).unwrap();
         let curve = build_invertible(kind, dims, order);
         let idx = (seed as u128).wrapping_mul(0x9e37_79b9_7f4a_7c15) % curve.cells();

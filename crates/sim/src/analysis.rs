@@ -1,19 +1,9 @@
-//! Post-run analysis over per-request logs (see
-//! [`crate::simulate_logged`]): response-time distributions and
-//! per-quantile summaries, the standard complement to the paper's
-//! aggregate metrics.
+//! The analytic seek law: "the cascade is seek-efficient at scale" as
+//! closed-form arithmetic, in the spirit of Bachmat's
+//! space-time-geometry tour-length analysis.
 //!
-//! Percentiles are exact nearest-rank over the logged samples, computed
-//! by [`obs::nearest_rank`] — the same definition the `obs` crate's
-//! [`obs::Histogram`] approximates at log2-bucket resolution, so a
-//! logged run and a traced run report comparable quantiles.
-//!
-//! ## The analytic seek law
-//!
-//! The second half of this module turns "the cascade is seek-efficient
-//! at scale" into closed-form arithmetic, in the spirit of Bachmat's
-//! space-time-geometry tour-length analysis. Serve a batch of `n`
-//! requests with independently uniform cylinders from a head parked at
+//! Serve a batch of `n` requests with independently uniform cylinders
+//! from a head parked at
 //! cylinder 0 with any *sweep-order* scheduler (the cascade's SFC3
 //! stage, SSTF, SCAN — anything that visits the batch in one ascending
 //! pass): the head's total travel is exactly the batch's **maximum**
@@ -30,92 +20,7 @@
 //! means land inside a [`seek_tolerance`] band that *shrinks* as the
 //! batch grows — the scenario suite's theory-backed gate.
 
-use crate::engine::RequestRecord;
-use obs::nearest_rank;
-use sched::{DiskScheduler, HeadState, Micros};
-
-/// Response-time distribution summary of one logged run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseSummary {
-    /// Served requests contributing to the distribution.
-    pub served: u64,
-    /// Requests dropped unserved.
-    pub dropped: u64,
-    /// Median response (µs).
-    pub p50_us: Micros,
-    /// 95th percentile response (µs).
-    pub p95_us: Micros,
-    /// 99th percentile response (µs).
-    pub p99_us: Micros,
-    /// 99.9th percentile response (µs) — the tail the paper's
-    /// starvation discussion cares about.
-    pub p999_us: Micros,
-    /// Maximum response (µs).
-    pub max_us: Micros,
-    /// Mean response (µs).
-    pub mean_us: f64,
-    /// Peak number of served requests simultaneously in flight
-    /// (arrived but not yet completed). Dropped requests are excluded:
-    /// the log does not record when they left the queue.
-    pub max_queue_depth: u64,
-}
-
-/// Response time of a served record.
-fn response(r: &RequestRecord) -> Option<Micros> {
-    r.completion_us.map(|c| c - r.arrival_us)
-}
-
-/// The response at quantile `q ∈ [0, 1]` (nearest-rank), or `None` when
-/// nothing was served.
-pub fn response_percentile(log: &[RequestRecord], q: f64) -> Option<Micros> {
-    let mut responses: Vec<Micros> = log.iter().filter_map(response).collect();
-    responses.sort_unstable();
-    nearest_rank(&responses, q)
-}
-
-/// Peak concurrency among served records: sweep +1 at each arrival and
-/// −1 at each completion, counting a completion at time `t` *before* an
-/// arrival at the same `t` (a zero-length handoff is not an overlap).
-fn max_in_flight(log: &[RequestRecord]) -> u64 {
-    let mut deltas: Vec<(Micros, i64)> = Vec::with_capacity(2 * log.len());
-    for r in log {
-        if let Some(c) = r.completion_us {
-            deltas.push((r.arrival_us, 1));
-            deltas.push((c, -1));
-        }
-    }
-    // Sort by (time, delta): at equal times −1 precedes +1.
-    deltas.sort_unstable();
-    let mut depth = 0i64;
-    let mut peak = 0i64;
-    for (_, d) in deltas {
-        depth += d;
-        peak = peak.max(depth);
-    }
-    peak as u64
-}
-
-/// Summarize a logged run; `None` when nothing was served.
-pub fn summarize(log: &[RequestRecord]) -> Option<ResponseSummary> {
-    let mut responses: Vec<Micros> = log.iter().filter_map(response).collect();
-    if responses.is_empty() {
-        return None;
-    }
-    responses.sort_unstable();
-    let dropped = log.iter().filter(|r| r.completion_us.is_none()).count() as u64;
-    let total: u128 = responses.iter().map(|&r| r as u128).sum();
-    Some(ResponseSummary {
-        served: responses.len() as u64,
-        dropped,
-        p50_us: nearest_rank(&responses, 0.50).unwrap(),
-        p95_us: nearest_rank(&responses, 0.95).unwrap(),
-        p99_us: nearest_rank(&responses, 0.99).unwrap(),
-        p999_us: nearest_rank(&responses, 0.999).unwrap(),
-        max_us: *responses.last().unwrap(),
-        mean_us: total as f64 / responses.len() as f64,
-        max_queue_depth: max_in_flight(log),
-    })
-}
+use sched::{DiskScheduler, HeadState};
 
 /// Expected total seek distance (cylinders) for a sweep-order scheduler
 /// serving `n` independently uniform requests from a head at cylinder 0:
@@ -308,99 +213,6 @@ pub fn check_convergence(
 mod tests {
     use super::*;
 
-    fn rec(id: u64, arrival: Micros, completion: Option<Micros>) -> RequestRecord {
-        RequestRecord {
-            id,
-            arrival_us: arrival,
-            completion_us: completion,
-            lost: completion.is_none(),
-        }
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        // Responses 10, 20, ..., 100.
-        let log: Vec<RequestRecord> = (1..=10).map(|i| rec(i, 0, Some(i * 10))).collect();
-        assert_eq!(response_percentile(&log, 0.50), Some(50));
-        assert_eq!(response_percentile(&log, 0.95), Some(100));
-        assert_eq!(response_percentile(&log, 0.0), Some(10));
-        assert_eq!(response_percentile(&log, 1.0), Some(100));
-    }
-
-    #[test]
-    fn summary_ignores_drops_but_counts_them() {
-        let mut log: Vec<RequestRecord> = (1..=4).map(|i| rec(i, 0, Some(i * 100))).collect();
-        log.push(rec(5, 0, None));
-        let s = summarize(&log).unwrap();
-        assert_eq!(s.served, 4);
-        assert_eq!(s.dropped, 1);
-        assert_eq!(s.max_us, 400);
-        assert_eq!(s.p999_us, 400);
-        assert!((s.mean_us - 250.0).abs() < 1e-9);
-        // All four arrive at 0 and overlap until the first completes.
-        assert_eq!(s.max_queue_depth, 4);
-    }
-
-    #[test]
-    fn tail_quantile_separates_from_p99_on_large_logs() {
-        // 10 000 samples: one extreme outlier sits between p999 and max.
-        let mut log: Vec<RequestRecord> =
-            (0..9_999).map(|i| rec(i, 0, Some(100 + i % 10))).collect();
-        log.push(rec(9_999, 0, Some(1_000_000)));
-        let s = summarize(&log).unwrap();
-        assert!(s.p99_us < 1_000_000);
-        assert!(s.p999_us < 1_000_000);
-        assert_eq!(s.max_us, 1_000_000);
-    }
-
-    #[test]
-    fn queue_depth_counts_only_true_overlaps() {
-        // Back-to-back handoffs (complete at t, arrive at t) never
-        // overlap; a genuine overlap of two does.
-        let log = vec![
-            rec(1, 0, Some(10)),
-            rec(2, 10, Some(20)),
-            rec(3, 15, Some(30)),
-        ];
-        assert_eq!(summarize(&log).unwrap().max_queue_depth, 2);
-    }
-
-    #[test]
-    fn empty_log_yields_none() {
-        assert!(summarize(&[]).is_none());
-        assert_eq!(response_percentile(&[], 0.5), None);
-        let only_drops = vec![rec(1, 0, None)];
-        assert!(summarize(&only_drops).is_none());
-    }
-
-    #[test]
-    fn end_to_end_with_logged_simulation() {
-        use crate::{simulate_logged, SimOptions, TransferDominated};
-        use sched::{Fcfs, QosVector, Request};
-        let trace: Vec<Request> = (0..10)
-            .map(|i| Request::read(i, 0, u64::MAX, 0, 512, QosVector::none()))
-            .collect();
-        let mut service = TransferDominated::uniform(1_000, 100);
-        let (_, log) = simulate_logged(
-            &mut Fcfs::new(),
-            &trace,
-            &mut service,
-            SimOptions::with_shape(1, 2),
-        );
-        let s = summarize(&log).unwrap();
-        // FCFS on a batch: responses 1, 2, ..., 10 ms.
-        assert_eq!(s.p50_us, 5_000);
-        assert_eq!(s.max_us, 10_000);
-        // The whole batch arrives at t=0 and drains one at a time.
-        assert_eq!(s.max_queue_depth, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile")]
-    fn quantile_range_checked() {
-        response_percentile(&[], 1.5);
-    }
-
     #[test]
     fn sweep_law_closed_form_sanity() {
         // n=1 over C cylinders: E[uniform] = (C−1)/2, and FCFS agrees
@@ -496,7 +308,7 @@ mod tests {
         let batch = vec![sched::Request::read(
             0,
             0,
-            Micros::MAX,
+            u64::MAX,
             7,
             512,
             QosVector::single(0),

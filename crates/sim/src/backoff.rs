@@ -1,9 +1,8 @@
 //! Seeded-deterministic jittered exponential backoff.
 //!
-//! One pure function shared by the retry engine ([`crate::RetryPolicy`])
-//! and the farm supervisor's quarantine re-probe: doubling delays with an
-//! optional bounded jitter drawn from a splitmix64 hash of
-//! `(seed, salt, attempt)`. No RNG state is threaded anywhere — the same
+//! One pure function, used by the farm supervisor's quarantine re-probe:
+//! doubling delays with an optional bounded jitter drawn from a
+//! splitmix64 hash of `(seed, salt, attempt)`. No RNG state is threaded anywhere — the same
 //! inputs always produce the same delay, so every replay (oracle
 //! differential runs, corpus cases, CI smokes) stays bit-for-bit
 //! reproducible.
@@ -21,8 +20,8 @@
 ///   attempt)`. Zero jitter keeps the pure doubling schedule.
 ///
 /// `salt` distinguishes independent backoff streams sharing one seed —
-/// the retry engine salts with the request id, the farm supervisor with
-/// the shard index — so co-failing entities do not retry in lockstep.
+/// the farm supervisor salts with the shard index — so co-failing
+/// entities do not retry in lockstep.
 pub fn jittered_backoff_us(
     base_us: u64,
     attempt: u32,

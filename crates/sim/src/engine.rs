@@ -1,102 +1,13 @@
-//! The discrete-event simulation engine.
+//! Engine options and the batch entry points.
 //!
-//! One disk, one scheduler, one arrival stream. The engine alternates
-//! between delivering arrivals to the scheduler (at their arrival times,
-//! with the head state of that moment) and letting the disk serve the
-//! scheduler's next pick. Priority inversions are counted at each service
-//! start against the requests still waiting, per the paper's definition.
-//!
-//! This module holds the two halves of that alternation
-//! ([`EngineCore::enqueue_chunk`], [`EngineCore::step`]) and the batch
-//! entry points; the event loop that calls them is
-//! [`EngineStepper::run_until`], the only driver there is. [`simulate`]
-//! and friends feed a stepper the whole trace and run it dry.
-//!
-//! ## Counting inversions without walking the queue
-//!
-//! §5.1 asks, per QoS dimension, how many waiting requests beat the one
-//! being served. The engine answers from a [`Census`] it keeps itself —
-//! per tracked dimension, the number of pending requests at each `u8`
-//! level — so a dispatch costs a prefix sum over the levels below the
-//! served request's, whatever the queue depth and whatever the policy.
-//! The census follows the scheduler's pending set: a delivered chunk is
-//! added, a dequeued request removed.
-//!
-//! Requests also leave a scheduler where the engine cannot see which
-//! one left: a bounded queue sheds a victim of its own choosing
-//! (possibly the arrival itself), and the caller owns the scheduler
-//! between pumps (the farm daemon drains a closing shard's backlog with
-//! [`DiskScheduler::drain_pending`]). One rule covers all of it:
-//! **whenever the census total disagrees with `scheduler.len()` at a
-//! point where the census is about to be used, it is rebuilt with one
-//! [`DiskScheduler::for_each_pending`] pass.** The contract this puts on
-//! a caller: between pumps it may add requests to the scheduler or
-//! remove them, but not swap one for another with the count unchanged —
-//! a change `len()` cannot show is a change the census cannot see.
+//! The engine itself is [`EngineStepper`]; [`simulate`] and friends feed
+//! one the whole trace and run it dry.
 
 use crate::metrics::Metrics;
-use crate::service::{ServiceFault, ServiceProvider};
+use crate::service::ServiceProvider;
 use crate::step::EngineStepper;
-use obs::{NullSink, TraceEvent, TraceSink};
-use sched::{DiskScheduler, HeadState, Micros, Request};
-
-/// Bounded, deadline-aware retry policy for failed service attempts.
-///
-/// A transient media error is retried only while both budgets hold:
-/// fewer than `max_attempts` attempts made, *and* the request's deadline
-/// has not yet passed — a retry that cannot possibly meet the deadline is
-/// pointless disk work, so the request is abandoned as a loss instead.
-/// An exhausted budget is a loss ([`Metrics::failed`]), never a hang.
-///
-/// Retries are immediate by default. With `backoff_base_us > 0` the
-/// engine waits a seeded-deterministic jittered exponential delay before
-/// each retry (see [`crate::jittered_backoff_us`]): the k-th retry of a
-/// request waits `base · 2^(k-1)` µs plus up to `jitter_permille`‰ of
-/// that, keyed by `(seed, request id, k)`. The deadline check accounts
-/// for the delay, so a retry is only taken when it can still *start*
-/// within the deadline. With `backoff_base_us == 0` the engine is
-/// bit-identical to the immediate-retry behavior regardless of the
-/// jitter and seed fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts allowed per request (1 = never retry).
-    pub max_attempts: u32,
-    /// Base backoff delay before the first retry (µs); 0 = retry
-    /// immediately (the default, bit-identical to the pre-backoff
-    /// engine).
-    pub backoff_base_us: u64,
-    /// Jitter amplitude in permille of the exponential delay (0 = pure
-    /// exponential).
-    pub jitter_permille: u32,
-    /// Seed keying the deterministic jitter stream.
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff_base_us: 0,
-            jitter_permille: 0,
-            seed: 0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay (µs) to wait before retry number `retry` (1-based) of
-    /// request `req_id`; 0 when backoff is disabled.
-    #[inline]
-    pub fn backoff_us(&self, retry: u32, req_id: u64) -> u64 {
-        crate::backoff::jittered_backoff_us(
-            self.backoff_base_us,
-            retry,
-            self.jitter_permille,
-            self.seed,
-            req_id,
-        )
-    }
-}
+use obs::{NullSink, TraceSink};
+use sched::{DiskScheduler, Micros, Request};
 
 /// Simulation policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -113,14 +24,15 @@ pub struct SimOptions {
     pub dims: usize,
     /// Priority levels per dimension to track in the metrics.
     pub levels: usize,
-    /// Warm-up window (µs): requests *arriving* before this instant are
-    /// simulated normally but excluded from every metric, so steady-state
-    /// measurements are not polluted by the empty-queue start-up
-    /// transient.
-    pub warmup_us: Micros,
-    /// Retry policy for transient media errors (default: never retry).
-    pub retry: RetryPolicy,
-    /// Emit wall-clock [`TraceEvent::StageSpan`]s over the engine's
+    /// Total service attempts allowed per request (1 = never retry, the
+    /// default). A transient media error is retried, immediately, only
+    /// while fewer than this many attempts were made *and* the request's
+    /// deadline has not yet passed — a retry that cannot possibly meet
+    /// the deadline is pointless disk work, so the request is abandoned
+    /// as a loss instead. An exhausted budget is a loss
+    /// ([`Metrics::failed`]), never a hang.
+    pub max_attempts: u32,
+    /// Emit wall-clock [`obs::TraceEvent::StageSpan`]s over the engine's
     /// enqueue/dispatch/service stages, sampled 1-in-`2^shift` per stage
     /// (`None` = off, the default). Span *durations* are wall-clock and
     /// therefore nondeterministic; span *counts* are a deterministic
@@ -135,8 +47,7 @@ impl Default for SimOptions {
             drop_past_due: false,
             dims: sched::MAX_QOS_DIMS,
             levels: 16,
-            warmup_us: 0,
-            retry: RetryPolicy::default(),
+            max_attempts: 1,
             stage_spans: None,
         }
     }
@@ -158,25 +69,10 @@ impl SimOptions {
         self
     }
 
-    /// Exclude requests arriving before `warmup_us` from the metrics.
-    pub fn with_warmup(mut self, warmup_us: Micros) -> Self {
-        self.warmup_us = warmup_us;
-        self
-    }
-
     /// Allow up to `max_attempts` total service attempts per request
     /// (retries stop early once the deadline has passed).
     pub fn with_retries(mut self, max_attempts: u32) -> Self {
-        self.retry.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Wait a seeded-deterministic jittered exponential backoff before
-    /// each retry instead of retrying immediately. See [`RetryPolicy`].
-    pub fn with_retry_backoff(mut self, base_us: u64, jitter_permille: u32, seed: u64) -> Self {
-        self.retry.backoff_base_us = base_us;
-        self.retry.jitter_permille = jitter_permille;
-        self.retry.seed = seed;
+        self.max_attempts = max_attempts.max(1);
         self
     }
 
@@ -235,9 +131,9 @@ pub fn simulate_logged(
 }
 
 /// Like [`simulate`], additionally emitting the engine-level event
-/// timeline ([`TraceEvent::Arrival`], [`TraceEvent::Dispatch`],
-/// [`TraceEvent::ServiceStart`], [`TraceEvent::ServiceComplete`],
-/// [`TraceEvent::Drop`]) into `sink`.
+/// timeline ([`obs::TraceEvent::Arrival`], [`obs::TraceEvent::Dispatch`],
+/// [`obs::TraceEvent::ServiceStart`], [`obs::TraceEvent::ServiceComplete`],
+/// [`obs::TraceEvent::Drop`]) into `sink`.
 ///
 /// To see scheduler-internal events (preemptions, sweep reversals) in
 /// the same stream, build the scheduler over an [`obs::SharedSink`]
@@ -254,495 +150,6 @@ pub fn simulate_traced<S: TraceSink>(
     sink: &mut S,
 ) -> Metrics {
     EngineStepper::run_trace(scheduler, trace, service, options, None, sink).0
-}
-
-/// Per-stage samplers for the engine's wall-clock spans; `None` unless
-/// [`SimOptions::stage_spans`] is set.
-struct EngineSpans {
-    enqueue: obs::StageSampler,
-    dispatch: obs::StageSampler,
-    service: obs::StageSampler,
-}
-
-impl EngineSpans {
-    fn new(shift: u32) -> Self {
-        EngineSpans {
-            enqueue: obs::StageSampler::every_pow2(shift),
-            dispatch: obs::StageSampler::every_pow2(shift),
-            service: obs::StageSampler::every_pow2(shift),
-        }
-    }
-}
-
-/// Start a wall clock for this stage occurrence if the sampler picks it.
-/// A disabled sink ([`obs::NullSink`]) never ticks the sampler.
-#[inline]
-fn span_clock<S: TraceSink>(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Instant> {
-    if !S::ENABLED {
-        return None;
-    }
-    let s = sampler?;
-    if s.tick() {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    }
-}
-
-/// The engine's mutable spine, driven by [`EngineStepper`]: policy knobs,
-/// accumulated metrics, the simulation clock, the span samplers and the
-/// inversion census. Arrival delivery is [`EngineCore::enqueue_chunk`],
-/// service is [`EngineCore::step`].
-pub(crate) struct EngineCore {
-    pub(crate) options: SimOptions,
-    pub(crate) metrics: Metrics,
-    pub(crate) now: Micros,
-    pub(crate) cylinders: u32,
-    spans: Option<EngineSpans>,
-    census: Census,
-}
-
-impl EngineCore {
-    pub(crate) fn new(options: SimOptions, cylinders: u32) -> Self {
-        EngineCore {
-            metrics: Metrics::new(options.dims, options.levels),
-            now: 0,
-            cylinders,
-            spans: options.stage_spans.map(EngineSpans::new),
-            census: Census::new(options.dims, options.levels),
-            options,
-        }
-    }
-
-    /// Whether `r` falls inside the measurement window (past warm-up).
-    #[inline]
-    pub(crate) fn measured(&self, r: &Request) -> bool {
-        r.arrival_us >= self.options.warmup_us
-    }
-
-    /// Deliver one arrival chunk. The head does not move between the
-    /// arrivals of a chunk (no service runs in between), so the whole
-    /// chunk shares one head position anchored at its first arrival; the
-    /// scheduler anchors each request at its own arrival time.
-    pub(crate) fn enqueue_chunk<S: TraceSink>(
-        &mut self,
-        chunk: &[Request],
-        scheduler: &mut dyn DiskScheduler,
-        service: &dyn ServiceProvider,
-        sink: &mut S,
-    ) {
-        if chunk.is_empty() {
-            return;
-        }
-        if S::ENABLED {
-            for r in chunk {
-                sink.emit(&TraceEvent::Arrival {
-                    now_us: r.arrival_us,
-                    req: r.id,
-                    cylinder: r.cylinder,
-                    deadline_us: r.deadline_us,
-                });
-            }
-        }
-        // The caller owns the scheduler between pumps: pick up whatever
-        // it drained or pre-loaded before counting this chunk on top.
-        if self.census.total != scheduler.len() {
-            self.census.rebuild(scheduler);
-        }
-        let head = HeadState::new(service.head(), chunk[0].arrival_us, self.cylinders);
-        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.enqueue));
-        scheduler.enqueue_batch(chunk, &head);
-        // A bounded queue may have shed some of these, or queued victims
-        // in their place; the length check at the next dequeue sees that.
-        for r in chunk {
-            self.census.add(r);
-        }
-        if let Some(t0) = clock {
-            sink.emit(&TraceEvent::StageSpan {
-                now_us: head.now_us,
-                stage: obs::Stage::Enqueue,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-    }
-
-    /// One dequeue-and-serve step at the current clock. Returns `false`
-    /// when the scheduler had nothing to dispatch (the driver decides
-    /// whether to idle-jump or stop).
-    pub(crate) fn step<S: TraceSink>(
-        &mut self,
-        scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
-        log: Option<&mut Vec<RequestRecord>>,
-        sink: &mut S,
-    ) -> bool {
-        let head = HeadState::new(service.head(), self.now, self.cylinders);
-        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.dispatch));
-        let picked = scheduler.dequeue(&head);
-        if let Some(t0) = clock {
-            sink.emit(&TraceEvent::StageSpan {
-                now_us: self.now,
-                stage: obs::Stage::Dispatch,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-        match picked {
-            Some(req) => {
-                if self.census.total == scheduler.len() + 1 {
-                    self.census.remove(&req);
-                } else {
-                    self.census.rebuild(scheduler);
-                }
-                self.serve(req, scheduler, service, log, sink);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Drive one dispatched request to its terminal fate — completed,
-    /// dropped or failed — advancing the clock past every service
-    /// attempt.
-    fn serve<S: TraceSink>(
-        &mut self,
-        req: Request,
-        scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
-        mut log: Option<&mut Vec<RequestRecord>>,
-        sink: &mut S,
-    ) {
-        let in_window = self.measured(&req);
-        if S::ENABLED {
-            let slack = (req.deadline_us as i128 - self.now as i128)
-                .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-            sink.emit(&TraceEvent::Dispatch {
-                now_us: self.now,
-                req: req.id,
-                cylinder: req.cylinder,
-                // The dispatched request itself still counts.
-                queue_depth: scheduler.len() as u64 + 1,
-                slack_us: slack,
-            });
-        }
-        if self.options.drop_past_due && req.is_late(self.now) {
-            if in_window {
-                self.metrics.dropped += 1;
-                self.metrics.record_loss(&req);
-            }
-            if S::ENABLED {
-                sink.emit(&TraceEvent::Drop {
-                    now_us: self.now,
-                    req: req.id,
-                    missed_by_us: self.now.saturating_sub(req.deadline_us),
-                });
-            }
-            if let Some(log) = log.as_mut() {
-                log.push(RequestRecord {
-                    id: req.id,
-                    arrival_us: req.arrival_us,
-                    completion_us: None,
-                    lost: true,
-                });
-            }
-            return;
-        }
-        // §5.1: serving `req` adds, per dimension, the number of waiting
-        // requests with strictly higher priority in it. With nobody
-        // waiting — most dispatches of a lightly loaded farm member —
-        // that is nothing, and neither table is touched.
-        if in_window && self.census.total > 0 {
-            let beating = self.census.beating(&req);
-            debug_assert_eq!(
-                beating,
-                beating_by_walk(scheduler, &req, self.census.dims),
-                "the census drifted from the scheduler's pending set"
-            );
-            for (slot, n) in self.metrics.inversions_per_dim.iter_mut().zip(beating) {
-                *slot += n;
-            }
-        }
-        if S::ENABLED {
-            sink.emit(&TraceEvent::ServiceStart {
-                now_us: self.now,
-                req: req.id,
-                cylinder: req.cylinder,
-                seek_cylinders: service.head().abs_diff(req.cylinder),
-            });
-        }
-        // Serve, retrying transient media errors within the bounded,
-        // deadline-aware budget. Every attempt — failed or not — pays
-        // its disk time (the head moved, the platter turned), so
-        // busy-time accounting covers the whole failure path.
-        let max_attempts = self.options.retry.max_attempts.max(1);
-        let mut attempt: u32 = 1;
-        let service_clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.service));
-        let outcome = loop {
-            let o = service.service_checked(&req, self.now);
-            self.now += o.breakdown.total_us();
-            if in_window {
-                self.metrics.seek_us += o.breakdown.seek_us;
-                self.metrics.rotation_us += o.breakdown.rotation_us;
-                self.metrics.transfer_us += o.breakdown.transfer_us;
-            }
-            let Some(fault) = o.fault else {
-                break Some(o);
-            };
-            if S::ENABLED {
-                sink.emit(&TraceEvent::MediaError {
-                    now_us: self.now,
-                    req: req.id,
-                    attempt,
-                    transient: fault == ServiceFault::Transient,
-                });
-            }
-            if in_window {
-                self.metrics.media_errors += 1;
-            }
-            // Never retry past the deadline: a retry that cannot
-            // complete in time only steals bandwidth from requests that
-            // still can. An opt-in backoff wait counts against the same
-            // budget — the retry must still *start* in time.
-            let mut delay = 0u64;
-            let retryable = fault == ServiceFault::Transient && attempt < max_attempts && {
-                delay = self.options.retry.backoff_us(attempt, req.id);
-                !req.is_late(self.now.saturating_add(delay))
-            };
-            if !retryable {
-                break None;
-            }
-            self.now += delay;
-            attempt += 1;
-            if in_window {
-                self.metrics.retries += 1;
-            }
-            if S::ENABLED {
-                let slack = (req.deadline_us as i128 - self.now as i128)
-                    .clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-                sink.emit(&TraceEvent::Retry {
-                    now_us: self.now,
-                    req: req.id,
-                    attempt,
-                    slack_us: slack,
-                });
-            }
-        };
-        if let Some(t0) = service_clock {
-            sink.emit(&TraceEvent::StageSpan {
-                now_us: self.now,
-                stage: obs::Stage::Service,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-        match outcome {
-            Some(o) => {
-                if o.remap_penalty_us > 0 {
-                    if S::ENABLED {
-                        sink.emit(&TraceEvent::SectorRemap {
-                            now_us: self.now,
-                            req: req.id,
-                            penalty_us: o.remap_penalty_us,
-                        });
-                    }
-                    if in_window {
-                        self.metrics.sector_remaps += 1;
-                    }
-                }
-                if let Some(member) = o.degraded {
-                    if S::ENABLED {
-                        sink.emit(&TraceEvent::DegradedRead {
-                            now_us: self.now,
-                            req: req.id,
-                            failed_member: member,
-                        });
-                    }
-                    if in_window {
-                        self.metrics.degraded_reads += 1;
-                    }
-                }
-                let late = req.is_late(self.now);
-                if S::ENABLED {
-                    sink.emit(&TraceEvent::ServiceComplete {
-                        now_us: self.now,
-                        req: req.id,
-                        response_us: self.now - req.arrival_us,
-                        late,
-                    });
-                }
-                if in_window {
-                    self.metrics.served += 1;
-                    let response = self.now - req.arrival_us;
-                    self.metrics.response_total_us += response as u128;
-                    self.metrics.max_response_us = self.metrics.max_response_us.max(response);
-                    self.metrics.makespan_us = self.now;
-                    if late {
-                        self.metrics.late += 1;
-                        self.metrics.record_loss(&req);
-                    }
-                }
-                if let Some(log) = log.as_mut() {
-                    log.push(RequestRecord {
-                        id: req.id,
-                        arrival_us: req.arrival_us,
-                        completion_us: Some(self.now),
-                        lost: late,
-                    });
-                }
-                // A background rebuild I/O towed behind this request
-                // occupies the member after the foreground completion.
-                if let Some((stripe, service_us)) = o.rebuild {
-                    self.now += service_us;
-                    if S::ENABLED {
-                        sink.emit(&TraceEvent::RebuildIo {
-                            now_us: self.now,
-                            stripe,
-                            service_us,
-                        });
-                    }
-                    if in_window {
-                        self.metrics.rebuild_ios += 1;
-                        self.metrics.rebuild_us += service_us;
-                    }
-                }
-            }
-            None => {
-                // Retry budget exhausted (or the error was not
-                // recoverable): the request is abandoned — a loss, never
-                // a hang.
-                if S::ENABLED {
-                    sink.emit(&TraceEvent::RequestFailed {
-                        now_us: self.now,
-                        req: req.id,
-                        attempts: attempt,
-                    });
-                }
-                if in_window {
-                    self.metrics.failed += 1;
-                    self.metrics.record_loss(&req);
-                }
-                if let Some(log) = log.as_mut() {
-                    log.push(RequestRecord {
-                        id: req.id,
-                        arrival_us: req.arrival_us,
-                        completion_us: None,
-                        lost: true,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Per-level census of a scheduler's pending set: for each tracked QoS
-/// dimension, how many pending requests sit at each priority level. See
-/// the [module docs](self) for how it is kept in step with the scheduler.
-///
-/// Exact for every `u8` level, but a row starts as wide as
-/// [`SimOptions::levels`] and widens only when a higher level actually
-/// arrives, so the usual few-dimensions-by-few-levels shape is a cache
-/// line or two per engine rather than `dims` × 256 counters — a farm
-/// holds one census per member.
-struct Census {
-    /// `counts[k * width + level]`: pending requests at `level` in
-    /// dimension `k`. `u32` holds any queue that fits in memory.
-    counts: Vec<u32>,
-    /// Levels per row.
-    width: usize,
-    /// Tracked dimensions (rows).
-    dims: usize,
-    /// Requests counted, whatever their dimensionality — compared with
-    /// `scheduler.len()` to decide whether the census is still current.
-    total: usize,
-}
-
-impl Census {
-    fn new(dims: usize, levels: usize) -> Self {
-        let dims = dims.min(sched::MAX_QOS_DIMS);
-        let width = levels.clamp(1, 1 << u8::BITS);
-        Census {
-            counts: vec![0; dims * width],
-            width,
-            dims,
-            total: 0,
-        }
-    }
-
-    #[inline]
-    fn add(&mut self, r: &Request) {
-        self.total += 1;
-        for (k, &level) in r.qos.levels().iter().take(self.dims).enumerate() {
-            let level = level as usize;
-            if level >= self.width {
-                self.widen(level);
-            }
-            self.counts[k * self.width + level] += 1;
-        }
-    }
-
-    /// Forget `r`, which must have been [`Census::add`]ed.
-    #[inline]
-    fn remove(&mut self, r: &Request) {
-        self.total -= 1;
-        for (k, &level) in r.qos.levels().iter().take(self.dims).enumerate() {
-            self.counts[k * self.width + level as usize] -= 1;
-        }
-    }
-
-    /// Re-lay the rows out wide enough to hold `level`.
-    #[cold]
-    fn widen(&mut self, level: usize) {
-        let width = (level + 1).next_power_of_two();
-        let mut counts = vec![0; self.dims * width];
-        for (new, old) in counts
-            .chunks_exact_mut(width)
-            .zip(self.counts.chunks_exact(self.width))
-        {
-            new[..self.width].copy_from_slice(old);
-        }
-        self.counts = counts;
-        self.width = width;
-    }
-
-    /// Recount from the scheduler itself — the re-sync pass.
-    #[cold]
-    fn rebuild(&mut self, scheduler: &dyn DiskScheduler) {
-        self.counts.fill(0);
-        self.total = 0;
-        scheduler.for_each_pending(&mut |r| self.add(r));
-    }
-
-    /// Per dimension, the pending requests that beat `served` (sit at a
-    /// strictly lower level). Dimensions `served` does not carry, or the
-    /// census does not track, read 0.
-    #[inline]
-    fn beating(&self, served: &Request) -> [u64; sched::MAX_QOS_DIMS] {
-        let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
-        for (k, &level) in served.qos.levels().iter().take(self.dims).enumerate() {
-            let below = &self.counts[k * self.width..][..(level as usize).min(self.width)];
-            per_dim[k] = below.iter().map(|&n| u64::from(n)).sum();
-        }
-        per_dim
-    }
-}
-
-/// [`Census::beating`] by definition: one pass over the scheduler's
-/// pending set, comparing every waiting request with `served` in each of
-/// its first `dims` dimensions. Debug builds hold the census to this at
-/// every measured dispatch that leaves somebody waiting.
-fn beating_by_walk(
-    scheduler: &dyn DiskScheduler,
-    served: &Request,
-    dims: usize,
-) -> [u64; sched::MAX_QOS_DIMS] {
-    let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
-    let dims = served.qos.dims().min(dims);
-    scheduler.for_each_pending(&mut |waiting: &Request| {
-        for (k, slot) in per_dim[..dims].iter_mut().enumerate() {
-            if waiting.qos.dims() > k && waiting.qos.beats_in_dim(&served.qos, k) {
-                *slot += 1;
-            }
-        }
-    });
-    per_dim
 }
 
 #[cfg(test)]
@@ -848,23 +255,6 @@ mod tests {
         assert_eq!(m.served, 1);
         assert_eq!(m.dropped, 9);
         assert_eq!(m.losses_total(), 10); // the served one completed late
-    }
-
-    #[test]
-    fn warmup_excludes_early_arrivals() {
-        // 10 requests at t=0..9ms, warmup at 5ms: only the last 5 count.
-        let trace: Vec<Request> = (0..10)
-            .map(|i| req(i, i * 1_000, u64::MAX, 0, &[0]))
-            .collect();
-        let mut service = TransferDominated::uniform(500, 3832);
-        let m = simulate(
-            &mut Fcfs::new(),
-            &trace,
-            &mut service,
-            SimOptions::with_shape(1, 2).with_warmup(5_000),
-        );
-        assert_eq!(m.served, 5);
-        assert_eq!(m.requests_by_dim_level[0][0], 5);
     }
 
     #[test]
@@ -1049,7 +439,7 @@ mod tests {
     fn retries_never_pass_the_deadline() {
         use crate::DiskService;
         use diskmodel::{Disk, FaultPlan};
-        use obs::RingSink;
+        use obs::{RingSink, TraceEvent};
         // Half the requests get tight deadlines; a third of attempts fail.
         let trace: Vec<Request> = (0..150)
             .map(|i| {

@@ -41,9 +41,7 @@ mod step;
 mod striped;
 
 pub use backoff::jittered_backoff_us;
-pub use engine::{
-    simulate, simulate_logged, simulate_traced, RequestRecord, RetryPolicy, SimOptions,
-};
+pub use engine::{simulate, simulate_logged, simulate_traced, RequestRecord, SimOptions};
 pub use metrics::{fifo_inversion_baseline, Metrics};
 pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,

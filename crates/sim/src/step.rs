@@ -1,12 +1,18 @@
-//! The engine's event loop.
+//! The discrete-event simulation engine.
 //!
-//! [`EngineStepper`] is a push/pump state machine over the engine's
-//! delivery and service code (`engine`'s `EngineCore`): a caller
-//! **submits** arrivals as it learns about them and **pumps** the engine
-//! up to a time horizon, interleaving control actions (membership churn,
-//! quarantine, migration) between pumps. The farm daemon runs one stepper
-//! per shard; the batch entry points ([`crate::simulate`] and friends)
-//! are a stepper fed a whole trace and run to [`EngineStepper::finish`].
+//! One disk, one scheduler, one arrival stream. The engine alternates
+//! between delivering arrivals to the scheduler (at their arrival times,
+//! with the head state of that moment) and letting the disk serve the
+//! scheduler's next pick. Priority inversions are counted at each service
+//! start against the requests still waiting, per the paper's definition.
+//!
+//! [`EngineStepper`] is that engine as a push/pump state machine: a
+//! caller **submits** arrivals as it learns about them and **pumps** the
+//! engine up to a time horizon, interleaving control actions (membership
+//! churn, quarantine, migration) between pumps. The farm daemon runs one
+//! stepper per shard; the batch entry points ([`crate::simulate`] and
+//! friends) are a stepper fed a whole trace and run to
+//! [`EngineStepper::finish`].
 //!
 //! ## Pump-pattern invariance
 //!
@@ -34,37 +40,97 @@
 //! a run pumped only where there is work has the span counts of a run
 //! pumped once.)
 //!
-//! ## What a caller may do to the scheduler between pumps
+//! ## Counting inversions without walking the queue
 //!
-//! The scheduler is the caller's, and the engine counts priority
-//! inversions from a per-level census of the scheduler's pending set that
-//! it keeps alongside (see `engine`'s module docs) instead of walking the
-//! queue at every dispatch. It checks that census against
-//! [`DiskScheduler::len`] before each chunk it delivers and after every
-//! dequeue, and recounts with one [`DiskScheduler::for_each_pending`]
-//! pass when the two disagree. So between pumps a caller may pre-load the
-//! scheduler, drain it ([`DiskScheduler::drain_pending`], as a closing
-//! farm shard does), remove requests or retune it — anything that leaves
-//! the pending set unchanged or changes its size. The one thing it may
-//! not do is swap requests one for one: `len()` cannot show that, so the
-//! census would keep counting the requests that left.
+//! §5.1 asks, per QoS dimension, how many waiting requests beat the one
+//! being served. The engine answers from a [`Census`] it keeps itself —
+//! per tracked dimension, the number of pending requests at each `u8`
+//! level — so a dispatch costs a prefix sum over the levels below the
+//! served request's, whatever the queue depth and whatever the policy.
+//! The census follows the scheduler's pending set: a delivered chunk is
+//! added, a dequeued request removed.
+//!
+//! Requests also leave a scheduler where the engine cannot see which
+//! one left: a bounded queue sheds a victim of its own choosing
+//! (possibly the arrival itself), and the caller owns the scheduler
+//! between pumps (the farm daemon drains a closing shard's backlog with
+//! [`DiskScheduler::drain_pending`]). One rule covers all of it:
+//! **whenever the census total disagrees with `scheduler.len()` at a
+//! point where the census is about to be used — before each chunk it
+//! delivers and after every dequeue — it is rebuilt with one
+//! [`DiskScheduler::for_each_pending`] pass.** So between pumps a caller
+//! may pre-load the scheduler, drain it, remove requests or retune it —
+//! anything that leaves the pending set unchanged or changes its size.
+//! The one thing it may not do is swap requests one for one: a change
+//! `len()` cannot show is a change the census cannot see.
+//!
+//! ## The clock saturates
+//!
+//! Arrival times come from outside (a trace file, a `DaemonEvent`), so
+//! every addition to the clock saturates at [`Micros::MAX`]: a request
+//! arriving at the end of time is served at the end of time, late and
+//! counted, instead of wrapping the clock into the past.
 
 use std::collections::VecDeque;
 
-use obs::TraceSink;
-use sched::{DiskScheduler, Micros, Request};
+use obs::{TraceEvent, TraceSink};
+use sched::{DiskScheduler, HeadState, Micros, Request};
 
-use crate::engine::{EngineCore, RequestRecord};
+use crate::engine::{RequestRecord, SimOptions};
 use crate::metrics::Metrics;
-use crate::service::ServiceProvider;
-use crate::SimOptions;
+use crate::service::{ServiceFault, ServiceProvider};
 
-/// The engine driver: owns the engine state and the not yet
-/// delivered arrival backlog; the caller owns the scheduler, the service
-/// model and the sink, passing them to every pump so the same stepper
-/// can outlive any one of them.
+/// Per-stage samplers for the engine's wall-clock spans; `None` unless
+/// [`SimOptions::stage_spans`] is set.
+struct EngineSpans {
+    enqueue: obs::StageSampler,
+    dispatch: obs::StageSampler,
+    service: obs::StageSampler,
+}
+
+impl EngineSpans {
+    fn new(shift: u32) -> Self {
+        EngineSpans {
+            enqueue: obs::StageSampler::every_pow2(shift),
+            dispatch: obs::StageSampler::every_pow2(shift),
+            service: obs::StageSampler::every_pow2(shift),
+        }
+    }
+}
+
+/// Start a wall clock for this stage occurrence if the sampler picks it.
+/// A disabled sink ([`obs::NullSink`]) never ticks the sampler.
+#[inline]
+fn span_clock<S: TraceSink>(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Instant> {
+    if !S::ENABLED {
+        return None;
+    }
+    let s = sampler?;
+    if s.tick() {
+        Some(std::time::Instant::now())
+    } else {
+        None
+    }
+}
+
+/// Dispatch slack as the events carry it: signed, clamped to `i64`.
+#[inline]
+fn slack_us(req: &Request, now: Micros) -> i64 {
+    (req.deadline_us as i128 - now as i128).clamp(i64::MIN as i128, i64::MAX as i128) as i64
+}
+
+/// The engine: policy knobs, accumulated metrics, the simulation clock,
+/// the span samplers, the inversion census and the not yet delivered
+/// arrival backlog. The caller owns the scheduler, the service model and
+/// the sink, passing them to every pump so the same stepper can outlive
+/// any one of them.
 pub struct EngineStepper {
-    core: EngineCore,
+    options: SimOptions,
+    metrics: Metrics,
+    now: Micros,
+    cylinders: u32,
+    spans: Option<EngineSpans>,
+    census: Census,
     pending: VecDeque<Request>,
     last_arrival_us: Micros,
     /// One record per terminal request, for [`crate::simulate_logged`].
@@ -75,7 +141,12 @@ impl EngineStepper {
     /// A fresh stepper at time 0.
     pub fn new(options: SimOptions, cylinders: u32) -> Self {
         EngineStepper {
-            core: EngineCore::new(options, cylinders),
+            metrics: Metrics::new(options.dims, options.levels),
+            now: 0,
+            cylinders,
+            spans: options.stage_spans.map(EngineSpans::new),
+            census: Census::new(options.dims, options.levels),
+            options,
             pending: VecDeque::new(),
             last_arrival_us: 0,
             log: None,
@@ -104,23 +175,23 @@ impl EngineStepper {
             scheduler.is_empty(),
             "scheduler returned None while non-empty"
         );
-        (stepper.core.metrics, stepper.log.unwrap_or_default())
+        (stepper.metrics, stepper.log.unwrap_or_default())
     }
 
     /// The engine clock: everything dispatched so far started at or
     /// before this time.
     pub fn now(&self) -> Micros {
-        self.core.now
+        self.now
     }
 
     /// Accumulated metrics (submitted-and-delivered requests only).
     pub fn metrics(&self) -> &Metrics {
-        &self.core.metrics
+        &self.metrics
     }
 
     /// Consume the stepper, yielding its metrics.
     pub fn into_metrics(self) -> Metrics {
-        self.core.metrics
+        self.metrics
     }
 
     /// Arrivals submitted but not yet delivered to the scheduler.
@@ -139,7 +210,7 @@ impl EngineStepper {
     /// over many steppers needs to pump only those whose next action lies
     /// strictly before the event's time.
     pub fn next_action_us(&self, queued: usize) -> Option<Micros> {
-        (queued > 0 || !self.pending.is_empty()).then_some(self.core.now)
+        (queued > 0 || !self.pending.is_empty()).then_some(self.now)
     }
 
     /// Submit one arrival. Arrivals must come in non-decreasing
@@ -183,9 +254,9 @@ impl EngineStepper {
         service: &mut dyn ServiceProvider,
         sink: &mut S,
     ) {
-        self.core.cylinders = service.cylinders();
+        self.cylinders = service.cylinders();
         loop {
-            if self.core.now >= horizon_us {
+            if self.now >= horizon_us {
                 return;
             }
             // Deliver every submitted arrival up to `now` as one chunk.
@@ -193,29 +264,22 @@ impl EngineStepper {
             // later-submitted arrival could have joined this chunk: its
             // boundaries do not depend on how the run was pumped.
             let mut n = 0;
-            while n < self.pending.len() && self.pending[n].arrival_us <= self.core.now {
+            while n < self.pending.len() && self.pending[n].arrival_us <= self.now {
                 n += 1;
             }
             if n > 0 {
-                let chunk = &self.pending.make_contiguous()[..n];
-                for r in chunk {
-                    if self.core.measured(r) {
-                        self.core.metrics.record_request(r);
-                    }
-                }
-                self.core.enqueue_chunk(chunk, scheduler, &*service, sink);
-                self.pending.drain(..n);
+                self.deliver(n, scheduler, &*service, sink);
             }
             // Attempt a dispatch even when the queue looks empty: an empty
             // dequeue is a real scheduler interaction (the conditional
             // dispatcher resets its preemption anchor on one), and every
             // idle gap must see it whatever horizons the caller picked.
-            if !self.core.step(scheduler, service, self.log.as_mut(), sink) {
+            if !self.dispatch(scheduler, service, sink) {
                 // Idle: jump to the next submitted arrival inside the
                 // horizon, or yield back to the caller.
                 match self.pending.front() {
                     Some(r) if r.arrival_us <= horizon_us => {
-                        self.core.now = self.core.now.max(r.arrival_us);
+                        self.now = self.now.max(r.arrival_us);
                     }
                     _ => return,
                 }
@@ -259,8 +323,395 @@ impl EngineStepper {
         sink: &mut S,
     ) {
         self.run_until(Micros::MAX, scheduler, service, sink);
+        // A clock saturated at the end of time has reached every horizon,
+        // so the pump above stops short of whatever arrived there: nothing
+        // can arrive later, deliver and serve it all at that instant.
+        if !self.pending.is_empty() {
+            self.deliver(self.pending.len(), scheduler, &*service, sink);
+        }
+        while !scheduler.is_empty() && self.dispatch(scheduler, service, sink) {}
         debug_assert!(self.pending.is_empty() && scheduler.is_empty());
     }
+
+    /// Deliver the first `n` submitted arrivals as one chunk. The head
+    /// does not move between the arrivals of a chunk (no service runs in
+    /// between), so the whole chunk shares one head position anchored at
+    /// its first arrival; the scheduler anchors each request at its own
+    /// arrival time.
+    fn deliver<S: TraceSink>(
+        &mut self,
+        n: usize,
+        scheduler: &mut dyn DiskScheduler,
+        service: &dyn ServiceProvider,
+        sink: &mut S,
+    ) {
+        let chunk = &self.pending.make_contiguous()[..n];
+        for r in chunk {
+            self.metrics.record_request(r);
+            if S::ENABLED {
+                sink.emit(&TraceEvent::Arrival {
+                    now_us: r.arrival_us,
+                    req: r.id,
+                    cylinder: r.cylinder,
+                    deadline_us: r.deadline_us,
+                });
+            }
+        }
+        // The caller owns the scheduler between pumps: pick up whatever
+        // it drained or pre-loaded before counting this chunk on top.
+        if self.census.total != scheduler.len() {
+            self.census.rebuild(scheduler);
+        }
+        let head = HeadState::new(service.head(), chunk[0].arrival_us, self.cylinders);
+        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.enqueue));
+        scheduler.enqueue_batch(chunk, &head);
+        // A bounded queue may have shed some of these, or queued victims
+        // in their place; the length check at the next dequeue sees that.
+        for r in chunk {
+            self.census.add(r);
+        }
+        if let Some(t0) = clock {
+            sink.emit(&TraceEvent::StageSpan {
+                now_us: head.now_us,
+                stage: obs::Stage::Enqueue,
+                elapsed_ns: t0.elapsed().as_nanos() as u64,
+            });
+        }
+        self.pending.drain(..n);
+    }
+
+    /// One dequeue-and-serve step at the current clock. Returns `false`
+    /// when the scheduler had nothing to dispatch.
+    fn dispatch<S: TraceSink>(
+        &mut self,
+        scheduler: &mut dyn DiskScheduler,
+        service: &mut dyn ServiceProvider,
+        sink: &mut S,
+    ) -> bool {
+        let head = HeadState::new(service.head(), self.now, self.cylinders);
+        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.dispatch));
+        let picked = scheduler.dequeue(&head);
+        if let Some(t0) = clock {
+            sink.emit(&TraceEvent::StageSpan {
+                now_us: self.now,
+                stage: obs::Stage::Dispatch,
+                elapsed_ns: t0.elapsed().as_nanos() as u64,
+            });
+        }
+        let Some(req) = picked else {
+            return false;
+        };
+        if self.census.total == scheduler.len() + 1 {
+            self.census.remove(&req);
+        } else {
+            self.census.rebuild(scheduler);
+        }
+        self.serve(req, scheduler, service, sink);
+        true
+    }
+
+    /// Append `req`'s terminal fate to the request log, when one is kept.
+    fn log_fate(&mut self, req: &Request, completion_us: Option<Micros>, lost: bool) {
+        if let Some(log) = self.log.as_mut() {
+            log.push(RequestRecord {
+                id: req.id,
+                arrival_us: req.arrival_us,
+                completion_us,
+                lost,
+            });
+        }
+    }
+
+    /// Drive one dispatched request to its terminal fate — completed,
+    /// dropped or failed — advancing the clock past every service
+    /// attempt.
+    fn serve<S: TraceSink>(
+        &mut self,
+        req: Request,
+        scheduler: &mut dyn DiskScheduler,
+        service: &mut dyn ServiceProvider,
+        sink: &mut S,
+    ) {
+        if S::ENABLED {
+            sink.emit(&TraceEvent::Dispatch {
+                now_us: self.now,
+                req: req.id,
+                cylinder: req.cylinder,
+                // The dispatched request itself still counts.
+                queue_depth: scheduler.len() as u64 + 1,
+                slack_us: slack_us(&req, self.now),
+            });
+        }
+        if self.options.drop_past_due && req.is_late(self.now) {
+            self.metrics.dropped += 1;
+            self.metrics.record_loss(&req);
+            if S::ENABLED {
+                sink.emit(&TraceEvent::Drop {
+                    now_us: self.now,
+                    req: req.id,
+                    missed_by_us: self.now.saturating_sub(req.deadline_us),
+                });
+            }
+            self.log_fate(&req, None, true);
+            return;
+        }
+        // §5.1: serving `req` adds, per dimension, the number of waiting
+        // requests with strictly higher priority in it. With nobody
+        // waiting — most dispatches of a lightly loaded farm member —
+        // that is nothing, and neither table is touched.
+        if self.census.total > 0 {
+            let beating = self.census.beating(&req);
+            debug_assert_eq!(
+                beating,
+                beating_by_walk(scheduler, &req, self.census.dims),
+                "the census drifted from the scheduler's pending set"
+            );
+            for (slot, n) in self.metrics.inversions_per_dim.iter_mut().zip(beating) {
+                *slot += n;
+            }
+        }
+        if S::ENABLED {
+            sink.emit(&TraceEvent::ServiceStart {
+                now_us: self.now,
+                req: req.id,
+                cylinder: req.cylinder,
+                seek_cylinders: service.head().abs_diff(req.cylinder),
+            });
+        }
+        // Serve, retrying transient media errors within the bounded,
+        // deadline-aware budget. Every attempt — failed or not — pays
+        // its disk time (the head moved, the platter turned), so
+        // busy-time accounting covers the whole failure path.
+        let max_attempts = self.options.max_attempts.max(1);
+        let mut attempt: u32 = 1;
+        let service_clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.service));
+        let outcome = loop {
+            let o = service.service_checked(&req, self.now);
+            self.now = self.now.saturating_add(o.breakdown.total_us());
+            self.metrics.seek_us += o.breakdown.seek_us;
+            self.metrics.rotation_us += o.breakdown.rotation_us;
+            self.metrics.transfer_us += o.breakdown.transfer_us;
+            let Some(fault) = o.fault else {
+                break Some(o);
+            };
+            if S::ENABLED {
+                sink.emit(&TraceEvent::MediaError {
+                    now_us: self.now,
+                    req: req.id,
+                    attempt,
+                    transient: fault == ServiceFault::Transient,
+                });
+            }
+            self.metrics.media_errors += 1;
+            // Never retry past the deadline: a retry that cannot
+            // complete in time only steals bandwidth from requests that
+            // still can.
+            let retryable = fault == ServiceFault::Transient
+                && attempt < max_attempts
+                && !req.is_late(self.now);
+            if !retryable {
+                break None;
+            }
+            attempt += 1;
+            self.metrics.retries += 1;
+            if S::ENABLED {
+                sink.emit(&TraceEvent::Retry {
+                    now_us: self.now,
+                    req: req.id,
+                    attempt,
+                    slack_us: slack_us(&req, self.now),
+                });
+            }
+        };
+        if let Some(t0) = service_clock {
+            sink.emit(&TraceEvent::StageSpan {
+                now_us: self.now,
+                stage: obs::Stage::Service,
+                elapsed_ns: t0.elapsed().as_nanos() as u64,
+            });
+        }
+        let Some(o) = outcome else {
+            // Retry budget exhausted (or the error was not recoverable):
+            // the request is abandoned — a loss, never a hang.
+            if S::ENABLED {
+                sink.emit(&TraceEvent::RequestFailed {
+                    now_us: self.now,
+                    req: req.id,
+                    attempts: attempt,
+                });
+            }
+            self.metrics.failed += 1;
+            self.metrics.record_loss(&req);
+            self.log_fate(&req, None, true);
+            return;
+        };
+        if o.remap_penalty_us > 0 {
+            if S::ENABLED {
+                sink.emit(&TraceEvent::SectorRemap {
+                    now_us: self.now,
+                    req: req.id,
+                    penalty_us: o.remap_penalty_us,
+                });
+            }
+            self.metrics.sector_remaps += 1;
+        }
+        if let Some(member) = o.degraded {
+            if S::ENABLED {
+                sink.emit(&TraceEvent::DegradedRead {
+                    now_us: self.now,
+                    req: req.id,
+                    failed_member: member,
+                });
+            }
+            self.metrics.degraded_reads += 1;
+        }
+        let late = req.is_late(self.now);
+        let response = self.now.saturating_sub(req.arrival_us);
+        if S::ENABLED {
+            sink.emit(&TraceEvent::ServiceComplete {
+                now_us: self.now,
+                req: req.id,
+                response_us: response,
+                late,
+            });
+        }
+        self.metrics.served += 1;
+        self.metrics.response_total_us += response as u128;
+        self.metrics.max_response_us = self.metrics.max_response_us.max(response);
+        self.metrics.makespan_us = self.now;
+        if late {
+            self.metrics.late += 1;
+            self.metrics.record_loss(&req);
+        }
+        self.log_fate(&req, Some(self.now), late);
+        // A background rebuild I/O towed behind this request occupies the
+        // member after the foreground completion.
+        if let Some((stripe, service_us)) = o.rebuild {
+            self.now = self.now.saturating_add(service_us);
+            if S::ENABLED {
+                sink.emit(&TraceEvent::RebuildIo {
+                    now_us: self.now,
+                    stripe,
+                    service_us,
+                });
+            }
+            self.metrics.rebuild_ios += 1;
+            self.metrics.rebuild_us += service_us;
+        }
+    }
+}
+
+/// Per-level census of a scheduler's pending set: for each tracked QoS
+/// dimension, how many pending requests sit at each priority level. See
+/// the [module docs](self) for how it is kept in step with the scheduler.
+///
+/// Exact for every `u8` level, but a row starts as wide as
+/// [`SimOptions::levels`] and widens only when a higher level actually
+/// arrives, so the usual few-dimensions-by-few-levels shape is a cache
+/// line or two per engine rather than `dims` × 256 counters — a farm
+/// holds one census per member.
+struct Census {
+    /// `counts[k * width + level]`: pending requests at `level` in
+    /// dimension `k`. `u32` holds any queue that fits in memory.
+    counts: Vec<u32>,
+    /// Levels per row.
+    width: usize,
+    /// Tracked dimensions (rows).
+    dims: usize,
+    /// Requests counted, whatever their dimensionality — compared with
+    /// `scheduler.len()` to decide whether the census is still current.
+    total: usize,
+}
+
+impl Census {
+    fn new(dims: usize, levels: usize) -> Self {
+        let dims = dims.min(sched::MAX_QOS_DIMS);
+        let width = levels.clamp(1, 1 << u8::BITS);
+        Census {
+            counts: vec![0; dims * width],
+            width,
+            dims,
+            total: 0,
+        }
+    }
+
+    #[inline]
+    fn add(&mut self, r: &Request) {
+        self.total += 1;
+        for (k, &level) in r.qos.levels().iter().take(self.dims).enumerate() {
+            let level = level as usize;
+            if level >= self.width {
+                self.widen(level);
+            }
+            self.counts[k * self.width + level] += 1;
+        }
+    }
+
+    /// Forget `r`, which must have been [`Census::add`]ed.
+    #[inline]
+    fn remove(&mut self, r: &Request) {
+        self.total -= 1;
+        for (k, &level) in r.qos.levels().iter().take(self.dims).enumerate() {
+            self.counts[k * self.width + level as usize] -= 1;
+        }
+    }
+
+    /// Re-lay the rows out wide enough to hold `level`.
+    #[cold]
+    fn widen(&mut self, level: usize) {
+        let width = (level + 1).next_power_of_two();
+        let mut counts = vec![0; self.dims * width];
+        for (new, old) in counts
+            .chunks_exact_mut(width)
+            .zip(self.counts.chunks_exact(self.width))
+        {
+            new[..self.width].copy_from_slice(old);
+        }
+        self.counts = counts;
+        self.width = width;
+    }
+
+    /// Recount from the scheduler itself — the re-sync pass.
+    #[cold]
+    fn rebuild(&mut self, scheduler: &dyn DiskScheduler) {
+        self.counts.fill(0);
+        self.total = 0;
+        scheduler.for_each_pending(&mut |r| self.add(r));
+    }
+
+    /// Per dimension, the pending requests that beat `served` (sit at a
+    /// strictly lower level). Dimensions `served` does not carry, or the
+    /// census does not track, read 0.
+    #[inline]
+    fn beating(&self, served: &Request) -> [u64; sched::MAX_QOS_DIMS] {
+        let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
+        for (k, &level) in served.qos.levels().iter().take(self.dims).enumerate() {
+            let below = &self.counts[k * self.width..][..(level as usize).min(self.width)];
+            per_dim[k] = below.iter().map(|&n| u64::from(n)).sum();
+        }
+        per_dim
+    }
+}
+
+/// [`Census::beating`] by definition: one pass over the scheduler's
+/// pending set, comparing every waiting request with `served` in each of
+/// its first `dims` dimensions. Debug builds hold the census to this at
+/// every measured dispatch that leaves somebody waiting.
+fn beating_by_walk(
+    scheduler: &dyn DiskScheduler,
+    served: &Request,
+    dims: usize,
+) -> [u64; sched::MAX_QOS_DIMS] {
+    let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
+    let dims = served.qos.dims().min(dims);
+    scheduler.for_each_pending(&mut |waiting: &Request| {
+        for (k, slot) in per_dim[..dims].iter_mut().enumerate() {
+            if waiting.qos.dims() > k && waiting.qos.beats_in_dim(&served.qos, k) {
+                *slot += 1;
+            }
+        }
+    });
+    per_dim
 }
 
 #[cfg(test)]
@@ -338,7 +789,7 @@ mod tests {
         pump(&mut stepper, scheduler, &mut service, &mut ring);
         assert!(stepper.pending.is_empty() && scheduler.is_empty());
         (
-            stepper.core.metrics,
+            stepper.metrics,
             events(&ring),
             stepper.log.expect("set above"),
         )
@@ -474,6 +925,40 @@ mod tests {
         );
         stepper.finish(&mut scheduler, &mut service, &mut NullSink);
         assert_eq!(stepper.next_action_us(scheduler.len()), None);
+    }
+
+    #[test]
+    fn arrivals_at_the_end_of_time_saturate_the_clock() {
+        // Ten microseconds before the end of time: the first service
+        // already runs the clock past `u64::MAX`. With a member failed at
+        // t=0 and one rebuild stripe per completion, both additions to
+        // the clock (service time, rebuild I/O) are exercised.
+        let arrival = Micros::MAX - 10;
+        let t: Vec<Request> = (0..4)
+            .map(|i| {
+                let qos = QosVector::new(&[0]);
+                Request::read(i, arrival, Micros::MAX, (i * 500) as u32, 64 * 1024, qos)
+            })
+            .collect();
+        let plan = diskmodel::FaultPlan::none()
+            .with_member_failure(2, 0)
+            .with_rebuild(4, 1);
+        let mut service = crate::Raid5Service::with_faults(plan);
+        let mut scheduler = Fcfs::new();
+        let mut stepper = EngineStepper::new(SimOptions::with_shape(1, 2), service.cylinders());
+        stepper.log = Some(Vec::new());
+        for r in &t {
+            stepper.submit(r.clone());
+        }
+        let mut snapshot = obs::Snapshot::new();
+        stepper.finish(&mut scheduler, &mut service, &mut snapshot);
+        assert_eq!(stepper.now(), Micros::MAX);
+        let log = stepper.log.take().expect("set above");
+        assert!(log.iter().all(|r| r.completion_us == Some(Micros::MAX)));
+        let m = stepper.into_metrics();
+        assert_eq!((m.served, m.rebuild_ios), (4, 4));
+        assert!(m.makespan_us >= arrival && m.max_response_us <= 10);
+        m.reconcile(&snapshot.counters).expect("ledger closed");
     }
 
     #[test]
