@@ -8,7 +8,7 @@ use sched::Micros;
 use sfc::CurveKind;
 
 /// Stage 1: the D-dimensional priority curve (SFC1).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stage1 {
     /// Which catalogue curve folds the priority vector.
     pub curve: CurveKind,

@@ -24,86 +24,186 @@
 use crate::config::{DispatchConfig, PreemptionMode};
 use obs::{NullSink, TraceEvent, TraceSink};
 use sched::Request;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Queue entry: the characterization value, the request id (the ordering
 /// tie-break), and the request's arena slot. Requests themselves live once
 /// in the dispatcher's arena; the heaps sift these 32-byte entries instead
-/// of whole `Request` structs.
+/// of whole `Request` structs, and every entry in a heap is live — a shed
+/// removes its victim's entry, so nothing is ever skipped on the way out.
 #[derive(Clone, Copy)]
 struct Entry {
     v: u128,
     id: u64,
     /// Arena slot holding the request.
     slot: u32,
-    /// Slot generation at insertion. A mismatch with the slot's current
-    /// generation marks the entry *stale* (its request was shed); stale
-    /// entries are skipped lazily instead of rebuilding the heap.
-    gen: u32,
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.v == other.v && self.id == other.id
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    /// Max-heap order inverted: the *smallest* (v, id) is the maximum, so
-    /// `BinaryHeap::pop` yields the highest-priority request.
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.v, other.id).cmp(&(self.v, self.id))
+impl Entry {
+    /// Strict `(v, id)` order, written without short-circuits so the heap's
+    /// child pick compiles to flag arithmetic instead of a branch the
+    /// predictor cannot learn.
+    #[inline]
+    fn before(&self, other: &Entry) -> bool {
+        (self.v < other.v) | ((self.v == other.v) & (self.id < other.id))
     }
 }
 
-/// One arena slot: the request (while pending) and the slot's generation,
-/// bumped every time the slot is vacated.
-struct Slot {
-    req: Option<Request>,
-    gen: u32,
+/// A binary min-heap of [`Entry`] by `(v, id)` that can also give up its
+/// *largest* entry. `std::collections::BinaryHeap` has no remove-at, which
+/// is what a shed needs; this one is the same array layout with the same
+/// bottom-first `pop`, plus [`EntryHeap::max`] and
+/// [`EntryHeap::remove_leaf`]. The maximum of a min-heap is always a leaf,
+/// so finding it reads the back half of the array in order — no arena
+/// loads — and removing it is one sift-up.
+#[derive(Default)]
+struct EntryHeap {
+    data: Vec<Entry>,
 }
 
-/// Borrow the request an entry points at, or `None` if the entry is stale.
+impl EntryHeap {
+    fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// The smallest entry.
+    fn peek(&self) -> Option<&Entry> {
+        self.data.first()
+    }
+
+    fn iter(&self) -> std::slice::Iter<'_, Entry> {
+        self.data.iter()
+    }
+
+    fn push(&mut self, e: Entry) {
+        let pos = self.data.len();
+        self.data.push(e);
+        self.sift_up(pos, e);
+    }
+
+    /// Remove and return the smallest entry. Like std's heap, the hole at
+    /// the root walks to the bottom along the smaller children without
+    /// comparing against the displaced last element (which came from the
+    /// bottom and almost always belongs there), then that element sifts up.
+    fn pop(&mut self) -> Option<Entry> {
+        let last = self.data.pop()?;
+        let Some(&top) = self.data.first() else {
+            return Some(last);
+        };
+        let n = self.data.len();
+        let mut pos = 0;
+        let mut child = 1;
+        while child + 1 < n {
+            child += self.data[child + 1].before(&self.data[child]) as usize;
+            self.data[pos] = self.data[child];
+            pos = child;
+            child = 2 * pos + 1;
+        }
+        if child + 1 == n {
+            self.data[pos] = self.data[child];
+            pos = child;
+        }
+        self.sift_up(pos, last);
+        Some(top)
+    }
+
+    /// Position and copy of the largest entry: a scan of the leaves,
+    /// `len() / 2` sequential 32-byte reads.
+    fn max(&self) -> Option<(usize, Entry)> {
+        let first_leaf = self.data.len() / 2;
+        let mut leaves = self.data[first_leaf..].iter().enumerate();
+        let (mut at, mut worst) = leaves.next()?;
+        for (i, e) in leaves {
+            if worst.before(e) {
+                (at, worst) = (i, e);
+            }
+        }
+        Some((first_leaf + at, *worst))
+    }
+
+    /// Remove the entry at leaf position `pos` (as [`EntryHeap::max`]
+    /// reports it). The last element takes the vacated leaf; it has no
+    /// children there, so it can only need to move up.
+    fn remove_leaf(&mut self, pos: usize) {
+        debug_assert!(2 * pos + 1 >= self.data.len(), "not a leaf");
+        let last = self.data.pop().expect("a leaf exists");
+        if pos < self.data.len() {
+            self.sift_up(pos, last);
+        }
+    }
+
+    /// Give every entry a new `v` and restore the heap (Floyd's bottom-up
+    /// build, O(n)).
+    fn rekey(&mut self, mut v_of: impl FnMut(&Entry) -> u128) {
+        for e in &mut self.data {
+            e.v = v_of(e);
+        }
+        for pos in (0..self.data.len() / 2).rev() {
+            self.sift_down(pos);
+        }
+    }
+
+    /// Place `e` at `pos` or at the ancestor where the heap order holds,
+    /// moving the ancestors it passes down one level.
+    fn sift_up(&mut self, mut pos: usize, e: Entry) {
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !e.before(&self.data[parent]) {
+                break;
+            }
+            self.data[pos] = self.data[parent];
+            pos = parent;
+        }
+        self.data[pos] = e;
+    }
+
+    /// Move the entry at `pos` down until both children follow it.
+    fn sift_down(&mut self, mut pos: usize) {
+        let n = self.data.len();
+        let e = self.data[pos];
+        loop {
+            let mut child = 2 * pos + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n {
+                child += self.data[child + 1].before(&self.data[child]) as usize;
+            }
+            if !self.data[child].before(&e) {
+                break;
+            }
+            self.data[pos] = self.data[child];
+            pos = child;
+        }
+        self.data[pos] = e;
+    }
+}
+
+/// The request a queued entry points at.
 #[inline]
-fn live_req<'a>(slots: &'a [Slot], e: &Entry) -> Option<&'a Request> {
-    let s = &slots[e.slot as usize];
-    if s.gen != e.gen {
-        return None;
-    }
-    s.req.as_ref()
+fn pending<'a>(slots: &'a [Option<Request>], e: &Entry) -> &'a Request {
+    slots[e.slot as usize]
+        .as_ref()
+        .expect("a queued entry's slot holds its request")
 }
 
 /// The dispatcher. Generic over nothing: values are `u128`
 /// characterization values produced by the encapsulator.
 ///
 /// Requests are stored once, in a slab arena (`slots` + `free` list); the
-/// queues hold `(v, id, slot)` entries. Shedding marks a slot stale instead
-/// of rebuilding the owning heap, and `q_live`/`qw_live` track the live
-/// entry counts the public accessors report.
+/// queues hold `(v, id, slot)` entries, exactly one per pending request.
 pub struct Dispatcher {
     config: DispatchConfig,
     /// Active queue `q`.
-    q: BinaryHeap<Entry>,
+    q: EntryHeap,
     /// Waiting queue `q'`.
-    q_wait: BinaryHeap<Entry>,
+    q_wait: EntryHeap,
     /// Request arena and its free list.
-    slots: Vec<Slot>,
+    slots: Vec<Option<Request>>,
     free: Vec<u32>,
-    /// Live (non-stale) entries in `q` and `q_wait`.
-    q_live: usize,
-    qw_live: usize,
-    /// Stale entries still sitting in either heap. Staleness only arises
-    /// when a shed vacates a queued victim's slot, so while this is zero
-    /// (always, for unbounded queues) the pop path skips every
-    /// generation check — each one is a random-access load into the
-    /// arena, and they dominate dequeue cost when they miss cache.
-    stale: usize,
     /// Base window in absolute value units.
     base_window: u128,
     /// Current (possibly ER-expanded) window.
@@ -134,13 +234,10 @@ impl Dispatcher {
         };
         Dispatcher {
             config,
-            q: BinaryHeap::new(),
-            q_wait: BinaryHeap::new(),
+            q: EntryHeap::default(),
+            q_wait: EntryHeap::default(),
             slots: Vec::new(),
             free: Vec::new(),
-            q_live: 0,
-            qw_live: 0,
-            stale: 0,
             base_window,
             window: base_window,
             current: None,
@@ -153,7 +250,7 @@ impl Dispatcher {
 
     /// Number of pending requests.
     pub fn len(&self) -> usize {
-        self.q_live + self.qw_live
+        self.q.len() + self.q_wait.len()
     }
 
     /// `true` when no requests are pending.
@@ -164,52 +261,26 @@ impl Dispatcher {
     /// Depths of the active and waiting queues, `(q, q')`. Load-aware
     /// routers read this to steer arrivals toward lightly loaded shards.
     pub fn queue_depths(&self) -> (usize, usize) {
-        (self.q_live, self.qw_live)
+        (self.q.len(), self.q_wait.len())
     }
 
-    /// Move a request into the arena, returning its slot and generation.
-    fn alloc(&mut self, req: Request) -> (u32, u32) {
+    /// Move a request into the arena, returning its slot.
+    fn alloc(&mut self, req: Request) -> u32 {
         if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            s.req = Some(req);
-            (slot, s.gen)
+            self.slots[slot as usize] = Some(req);
+            slot
         } else {
-            let slot = self.slots.len() as u32;
-            self.slots.push(Slot {
-                req: Some(req),
-                gen: 0,
-            });
-            (slot, 0)
+            self.slots.push(Some(req));
+            (self.slots.len() - 1) as u32
         }
     }
 
-    /// Take the request out of a live slot, vacating it.
+    /// Take the request out of a slot, vacating it.
     fn take(&mut self, slot: u32) -> Request {
-        let s = &mut self.slots[slot as usize];
-        let req = s.req.take().expect("slot holds a live request");
-        s.gen = s.gen.wrapping_add(1);
         self.free.push(slot);
-        req
-    }
-
-    /// Vacate a shed victim's slot; its heap entry goes stale in place.
-    fn vacate(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.req = None;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-        self.stale += 1;
-    }
-
-    /// Pop stale entries off the heap top so `peek` sees a live entry.
-    fn drop_stale_top(heap: &mut BinaryHeap<Entry>, slots: &[Slot], stale: &mut usize) {
-        while let Some(e) = heap.peek() {
-            if live_req(slots, e).is_some() {
-                break;
-            }
-            heap.pop();
-            *stale -= 1;
-        }
+        self.slots[slot as usize]
+            .take()
+            .expect("a queued entry's slot holds its request")
     }
 
     /// (preemptions, SP promotions, queue swaps) since construction.
@@ -262,17 +333,11 @@ impl Dispatcher {
             return; // the arrival itself was the victim
         }
         let id = req.id;
-        let (slot, gen) = self.alloc(req);
-        let entry = Entry { v, id, slot, gen };
+        let slot = self.alloc(req);
+        let entry = Entry { v, id, slot };
         match self.config.mode {
-            PreemptionMode::Fully => {
-                self.q.push(entry);
-                self.q_live += 1;
-            }
-            PreemptionMode::NonPreemptive => {
-                self.q_wait.push(entry);
-                self.qw_live += 1;
-            }
+            PreemptionMode::Fully => self.q.push(entry),
+            PreemptionMode::NonPreemptive => self.q_wait.push(entry),
             PreemptionMode::Conditional { .. } => {
                 let significantly_higher = match self.current {
                     // Idle disk: nothing to preempt, join the active queue.
@@ -292,10 +357,8 @@ impl Dispatcher {
                         self.expand_window(now_us, sink);
                     }
                     self.q.push(entry);
-                    self.q_live += 1;
                 } else {
                     self.q_wait.push(entry);
-                    self.qw_live += 1;
                 }
             }
         }
@@ -321,24 +384,17 @@ impl Dispatcher {
         sink: &mut S,
     ) -> Option<Request> {
         // Swap empty active queue with the waiting queue.
-        if self.q_live == 0 {
-            if self.qw_live == 0 {
-                // Fully drained: clear any stale residue so the heaps
-                // don't accumulate dead entries across idle periods.
-                self.q.clear();
-                self.q_wait.clear();
-                self.stale = 0;
+        if self.q.is_empty() {
+            if self.q_wait.is_empty() {
                 self.current = None;
                 return None;
             }
-            self.q.clear();
             std::mem::swap(&mut self.q, &mut self.q_wait);
-            std::mem::swap(&mut self.q_live, &mut self.qw_live);
             self.swaps += 1;
             if S::ENABLED {
                 sink.emit(&TraceEvent::QueueSwap {
                     now_us,
-                    batch: self.q_live as u64,
+                    batch: self.q.len() as u64,
                 });
             }
             // ER: the active queue turned over — reset the window.
@@ -352,61 +408,31 @@ impl Dispatcher {
             self.window = self.base_window;
             if self.config.refresh_on_swap {
                 if let Some(f) = refresh.as_mut() {
-                    let entries = std::mem::take(&mut self.q).into_vec();
-                    let mut rebuilt = Vec::with_capacity(self.q_live);
-                    for mut e in entries {
-                        let Some(req) = live_req(&self.slots, &e) else {
-                            self.stale -= 1; // dropped during the rebuild
-                            continue;
-                        };
-                        e.v = f(req);
-                        rebuilt.push(e);
-                    }
-                    self.q = rebuilt.into();
+                    let slots = &self.slots;
+                    self.q.rekey(|e| f(pending(slots, e)));
                 }
             }
         }
 
         // SP: promote waiting requests that now significantly beat the
         // next candidate.
-        if self.config.serve_promote && self.qw_live > 0 {
-            loop {
-                if self.stale > 0 {
-                    Self::drop_stale_top(&mut self.q, &self.slots, &mut self.stale);
-                    Self::drop_stale_top(&mut self.q_wait, &self.slots, &mut self.stale);
-                }
+        if self.config.serve_promote {
+            while let Some(wait_top) = self.q_wait.peek() {
                 let next_v = self.q.peek().expect("q non-empty").v;
-                let Some(wait_top) = self.q_wait.peek() else {
-                    break;
-                };
-                if wait_top.v < next_v.saturating_sub(self.window) {
-                    let e = self.q_wait.pop().expect("peeked");
-                    self.qw_live -= 1;
-                    self.promotions += 1;
-                    if S::ENABLED {
-                        sink.emit(&TraceEvent::SpPromote { now_us, v: e.v });
-                    }
-                    self.expand_window(now_us, sink);
-                    self.q.push(e);
-                    self.q_live += 1;
-                } else {
+                if wait_top.v >= next_v.saturating_sub(self.window) {
                     break;
                 }
+                let e = self.q_wait.pop().expect("peeked");
+                self.promotions += 1;
+                if S::ENABLED {
+                    sink.emit(&TraceEvent::SpPromote { now_us, v: e.v });
+                }
+                self.expand_window(now_us, sink);
+                self.q.push(e);
             }
         }
 
-        let entry = if self.stale == 0 {
-            self.q.pop().expect("q has a live entry")
-        } else {
-            loop {
-                let e = self.q.pop().expect("q has a live entry");
-                if live_req(&self.slots, &e).is_some() {
-                    break e;
-                }
-                self.stale -= 1;
-            }
-        };
-        self.q_live -= 1;
+        let entry = self.q.pop().expect("q non-empty");
         self.current = Some(entry.v);
         Some(self.take(entry.slot))
     }
@@ -414,56 +440,41 @@ impl Dispatcher {
     /// Visit every pending request.
     pub fn for_each_pending(&self, f: &mut dyn FnMut(&Request)) {
         for e in self.q.iter().chain(self.q_wait.iter()) {
-            if let Some(r) = live_req(&self.slots, e) {
-                f(r);
-            }
+            f(pending(&self.slots, e));
         }
     }
 
-    /// Overload victim selection: find the globally *worst* live pending
+    /// Overload victim selection: find the globally *worst* pending
     /// request (largest `(v, id)` — SFC2's victim-selection order, ties
     /// broken against the newer request) across both queues and the
     /// incoming `(v, id)`. Returns `true` when a queued request was
     /// evicted to make room, `false` when the arrival itself is the
-    /// victim. Eviction just vacates the victim's arena slot — its heap
-    /// entry goes stale and is skipped lazily — so shedding is O(queue)
-    /// scan with no heap rebuild.
+    /// victim. Each queue's worst is a leaf of its heap, so the search
+    /// reads the back halves of two arrays and the eviction removes the
+    /// victim's entry outright.
     fn shed_worst<S: TraceSink>(&mut self, v: u128, id: u64, now_us: u64, sink: &mut S) -> bool {
-        let worst_of = |h: &BinaryHeap<Entry>, slots: &[Slot]| {
-            h.iter()
-                .filter(|e| live_req(slots, e).is_some())
-                .map(|e| (e.v, e.id, e.slot))
-                .max_by_key(|&(v, id, _)| (v, id))
-        };
-        let worst_q = worst_of(&self.q, &self.slots);
-        let worst_wait = worst_of(&self.q_wait, &self.slots);
         // On a cross-queue tie prefer the q victim (matches the historical
         // eviction order; ties cannot actually occur — ids are unique).
-        let (victim, from_q) = match (worst_q, worst_wait) {
-            (Some(a), Some(b)) => {
-                if (a.0, a.1) >= (b.0, b.1) {
-                    (Some(a), true)
-                } else {
-                    (Some(b), false)
-                }
-            }
-            (Some(a), None) => (Some(a), true),
-            (None, b) => (b, false),
+        let victim = match (self.q.max(), self.q_wait.max()) {
+            (Some(a), Some(b)) if a.1.before(&b.1) => Some((b, false)),
+            (Some(a), _) => Some((a, true)),
+            (None, b) => b.map(|b| (b, false)),
         };
         self.sheds += 1;
+        let arrival = Entry { v, id, slot: 0 };
         match victim {
-            Some((wv, wid, wslot)) if (wv, wid) > (v, id) => {
-                self.vacate(wslot);
+            Some(((pos, worst), from_q)) if arrival.before(&worst) => {
                 if from_q {
-                    self.q_live -= 1;
+                    self.q.remove_leaf(pos);
                 } else {
-                    self.qw_live -= 1;
+                    self.q_wait.remove_leaf(pos);
                 }
+                self.take(worst.slot);
                 if S::ENABLED {
                     sink.emit(&TraceEvent::Shed {
                         now_us,
-                        req: wid,
-                        v: wv,
+                        req: worst.id,
+                        v: worst.v,
                     });
                 }
                 true
@@ -785,6 +796,280 @@ mod tests {
         }
         assert_eq!(d.sheds(), 0);
         assert_eq!(d.len(), 1000);
+    }
+
+    /// Min-heap order at every parent/child pair.
+    fn assert_heap(h: &EntryHeap) {
+        for (i, e) in h.data.iter().enumerate().skip(1) {
+            let parent = &h.data[(i - 1) / 2];
+            assert!(!e.before(parent), "entry {i} precedes its parent");
+        }
+    }
+
+    /// The same `(v, id)` multiset drained from the front by `pop` and
+    /// from the back by `max` + `remove_leaf` comes out sorted both ways,
+    /// with the invariant intact after every removal.
+    #[test]
+    fn heap_gives_up_both_ends_in_order() {
+        let n = 97u64;
+        let inputs: [(&str, Vec<u128>); 4] = [
+            ("all equal", vec![7; n as usize]),
+            ("ascending", (0..n as u128).collect()),
+            ("descending", (0..n as u128).rev().collect()),
+            ("mixed", (0..n as u128).map(|i| i * 7919 % 31).collect()),
+        ];
+        for (name, values) in &inputs {
+            let mut sorted: Vec<(u128, u64)> = values.iter().copied().zip(0..n).collect();
+            sorted.sort_unstable();
+            let build = || {
+                let mut h = EntryHeap::default();
+                for (id, &v) in values.iter().enumerate() {
+                    h.push(Entry {
+                        v,
+                        id: id as u64,
+                        slot: 0,
+                    });
+                    assert_heap(&h);
+                }
+                h
+            };
+            let mut h = build();
+            for want in &sorted {
+                let e = h.pop().unwrap();
+                assert_eq!((e.v, e.id), *want, "{name}: pop");
+                assert_heap(&h);
+            }
+            assert!(h.pop().is_none() && h.max().is_none());
+            // From the back, alternating with pops from the front so
+            // `remove_leaf` meets heaps of every shape.
+            let mut h = build();
+            let (mut lo, mut hi) = (0, sorted.len());
+            while lo < hi {
+                let (pos, worst) = h.max().unwrap();
+                h.remove_leaf(pos);
+                hi -= 1;
+                assert_eq!((worst.v, worst.id), sorted[hi], "{name}: max");
+                assert_heap(&h);
+                if hi % 3 == 0 && lo < hi {
+                    let e = h.pop().unwrap();
+                    assert_eq!((e.v, e.id), sorted[lo], "{name}: pop between");
+                    lo += 1;
+                    assert_heap(&h);
+                }
+            }
+            assert!(h.is_empty());
+        }
+    }
+
+    /// The dispatcher's rules over two sorted `Vec`s: front = next to
+    /// serve, back = shed victim.
+    struct Model {
+        cfg: DispatchConfig,
+        q: Vec<(u128, u64)>,
+        q_wait: Vec<(u128, u64)>,
+        base_window: u128,
+        window: u128,
+        current: Option<u128>,
+        sheds: u64,
+        shed_log: Vec<(u64, u128)>,
+    }
+
+    fn insert_sorted(q: &mut Vec<(u128, u64)>, e: (u128, u64)) {
+        let at = q.partition_point(|x| *x < e);
+        q.insert(at, e);
+    }
+
+    impl Model {
+        fn expand(&mut self) {
+            if let Some(e) = self.cfg.expand_factor {
+                self.window = ((self.window as f64 * e) as u128).max(self.window.saturating_add(1));
+            }
+        }
+
+        fn insert(&mut self, id: u64, v: u128) {
+            if matches!(self.cfg.max_queue, Some(cap) if self.q.len() + self.q_wait.len() >= cap) {
+                self.sheds += 1;
+                let from_q = match (self.q.last(), self.q_wait.last()) {
+                    (Some(a), Some(b)) => a >= b,
+                    (a, _) => a.is_some(),
+                };
+                let side = if from_q {
+                    &mut self.q
+                } else {
+                    &mut self.q_wait
+                };
+                match side.last() {
+                    Some(&worst) if worst > (v, id) => {
+                        side.pop();
+                        self.shed_log.push((worst.1, worst.0));
+                    }
+                    _ => {
+                        self.shed_log.push((id, v));
+                        return;
+                    }
+                }
+            }
+            let active = match self.cfg.mode {
+                PreemptionMode::Fully => true,
+                PreemptionMode::NonPreemptive => false,
+                PreemptionMode::Conditional { .. } => match self.current {
+                    None => true,
+                    Some(cur) => {
+                        let preempts = v < cur.saturating_sub(self.window);
+                        if preempts {
+                            self.expand();
+                        }
+                        preempts
+                    }
+                },
+            };
+            insert_sorted(
+                if active {
+                    &mut self.q
+                } else {
+                    &mut self.q_wait
+                },
+                (v, id),
+            );
+        }
+
+        fn pop(&mut self, refresh: Option<fn(u64) -> u128>) -> Option<u64> {
+            if self.q.is_empty() {
+                if self.q_wait.is_empty() {
+                    self.current = None;
+                    return None;
+                }
+                std::mem::swap(&mut self.q, &mut self.q_wait);
+                self.window = self.base_window;
+                if let (true, Some(f)) = (self.cfg.refresh_on_swap, refresh) {
+                    for e in &mut self.q {
+                        e.0 = f(e.1);
+                    }
+                    self.q.sort_unstable();
+                }
+            }
+            if self.cfg.serve_promote {
+                while let Some(&top) = self.q_wait.first() {
+                    if top.0 >= self.q[0].0.saturating_sub(self.window) {
+                        break;
+                    }
+                    self.q_wait.remove(0);
+                    self.expand();
+                    insert_sorted(&mut self.q, top);
+                }
+            }
+            let (v, id) = self.q.remove(0);
+            self.current = Some(v);
+            Some(id)
+        }
+    }
+
+    /// Collects the `(req, v)` of every shed event, in order.
+    struct ShedLog(Vec<(u64, u128)>);
+
+    impl TraceSink for ShedLog {
+        fn emit(&mut self, event: &TraceEvent) {
+            if let TraceEvent::Shed { req, v, .. } = *event {
+                self.0.push((req, v));
+            }
+        }
+    }
+
+    /// Random interleavings of inserts and pops, every regime, every cap:
+    /// the dispatcher and the sorted-`Vec` model agree on pop order, on
+    /// `(q, q')` depths after every call, on who is shed and in which
+    /// order, and `for_each_pending` visits exactly the pending set.
+    #[test]
+    fn dispatcher_matches_a_sorted_vec_model() {
+        fn refreshed(id: u64) -> u128 {
+            (id as u128).wrapping_mul(0x9e37_79b9) % 1000
+        }
+        let conditional = |sp: bool, er: Option<f64>, refresh: bool| DispatchConfig {
+            mode: PreemptionMode::Conditional { window: 0.1 },
+            serve_promote: sp,
+            expand_factor: er,
+            refresh_on_swap: refresh,
+            max_queue: None,
+        };
+        let regimes = [
+            DispatchConfig::fully_preemptive(),
+            DispatchConfig::non_preemptive(),
+            conditional(false, None, false),
+            conditional(true, None, true),
+            conditional(false, Some(2.0), true),
+            conditional(true, Some(2.0), true),
+        ];
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for base in regimes {
+            for cap in [Some(1), Some(2), Some(16), None] {
+                for with_refresh in [false, true] {
+                    let cfg = DispatchConfig {
+                        max_queue: cap,
+                        ..base
+                    };
+                    let mut d = Dispatcher::new(cfg, 1000);
+                    let mut m = Model {
+                        cfg,
+                        q: Vec::new(),
+                        q_wait: Vec::new(),
+                        base_window: d.base_window,
+                        window: d.base_window,
+                        current: None,
+                        sheds: 0,
+                        shed_log: Vec::new(),
+                    };
+                    let mut log = ShedLog(Vec::new());
+                    let what = format!("{cfg:?} refresh={with_refresh}");
+                    // Phases of mostly-insert and mostly-pop, so bounded
+                    // queues fill and shed, and every queue drains dry.
+                    for step in 0..1_500u64 {
+                        let filling = (step / 100) % 2 == 0;
+                        if next() % 10 < if filling { 7 } else { 3 } {
+                            // Few distinct values, so ties on `v` are common.
+                            let v = (next() % 40 * 25) as u128;
+                            d.insert_traced(req(step), v, step, &mut log);
+                            m.insert(step, v);
+                        } else {
+                            let mut f = |r: &Request| refreshed(r.id);
+                            let got = d.pop_traced(
+                                with_refresh.then_some(&mut f as &mut dyn FnMut(&Request) -> u128),
+                                step,
+                                &mut log,
+                            );
+                            let want = m.pop(with_refresh.then_some(refreshed));
+                            assert_eq!(got.map(|r| r.id), want, "{what}: pop at step {step}");
+                        }
+                        assert_eq!(
+                            d.queue_depths(),
+                            (m.q.len(), m.q_wait.len()),
+                            "{what}: depths at step {step}"
+                        );
+                        assert_eq!(d.current_window(), m.window, "{what}: window at {step}");
+                        if step % 16 == 0 {
+                            let mut seen = Vec::new();
+                            d.for_each_pending(&mut |r| seen.push(r.id));
+                            assert_eq!(seen.len(), d.len());
+                            seen.sort_unstable();
+                            let mut pending: Vec<u64> =
+                                m.q.iter().chain(&m.q_wait).map(|e| e.1).collect();
+                            pending.sort_unstable();
+                            assert_eq!(seen, pending, "{what}: pending set at step {step}");
+                        }
+                    }
+                    assert_eq!(d.sheds(), m.sheds, "{what}");
+                    assert_eq!(log.0, m.shed_log, "{what}");
+                    assert_eq!(cap.is_some(), m.sheds > 0, "{what}: sheds {}", m.sheds);
+                }
+            }
+        }
     }
 
     #[test]

@@ -126,16 +126,32 @@ impl Quantizer {
 impl Encapsulator {
     /// Build the encapsulator, instantiating the configured curves.
     pub fn new(config: CascadeConfig) -> Result<Self, SfcError> {
-        let mut curve1 = None;
-        let max_v1: u128 = if let Some(s1) = &config.stage1 {
-            let c = CurveKernel::build(s1.curve, s1.dims, s1.level_bits)?;
-            let max = c.cells() - 1;
-            curve1 = Some(c);
-            max
+        let mut curve1 = config
+            .stage1
+            .map(|s1| CurveKernel::build(s1.curve, s1.dims, s1.level_bits))
+            .transpose()?;
+        Self::assemble(config, &mut curve1)
+    }
+
+    /// Switch to `config` in place. An unchanged stage 1 keeps its kernel
+    /// — building one fills a rank table of up to 4096 cells, and none of
+    /// the runtime knobs (`f`, `R`, `w`) can alter it. On `Err` the
+    /// encapsulator is exactly as it was.
+    pub(crate) fn reconfigure(&mut self, config: CascadeConfig) -> Result<(), SfcError> {
+        *self = if config.stage1 == self.config.stage1 {
+            Self::assemble(config, &mut self.curve1)?
         } else {
-            // Without SFC1 the first priority level is used directly.
-            u8::MAX as u128
+            Self::new(config)?
         };
+        Ok(())
+    }
+
+    /// Resolve everything downstream of stage 1. `curve1` is the kernel of
+    /// `config.stage1`; it is taken only once nothing can fail any more,
+    /// so an `Err` leaves it with the caller.
+    fn assemble(config: CascadeConfig, curve1: &mut Option<CurveKernel>) -> Result<Self, SfcError> {
+        // Without SFC1 the first priority level is used directly.
+        let max_v1 = curve1.as_ref().map_or(u8::MAX as u128, |c| c.cells() - 1);
 
         let mut curve2 = None;
         let mut weighted2 = None;
@@ -186,7 +202,7 @@ impl Encapsulator {
 
         Ok(Encapsulator {
             config,
-            curve1,
+            curve1: curve1.take(),
             curve2,
             weighted2,
             max_vc,
@@ -566,6 +582,52 @@ mod tests {
                 assert_eq!(v, e.characterize(req, &at), "req {}", req.id);
             }
         }
+    }
+
+    /// A configuration whose stage-2 curve cannot be built is refused with
+    /// the stage-1 kernel — moved out for the attempt — back in place: a
+    /// lost kernel would characterize on the first QoS level alone. An
+    /// accepted one carries the kernel across and matches a fresh build.
+    #[test]
+    fn refused_reconfigure_leaves_the_encapsulator_intact() {
+        let mut e = Encapsulator::new(CascadeConfig::paper_default(3, 3832)).unwrap();
+        let sample: Vec<Request> = (0..64u64)
+            .map(|i| {
+                let s = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                Request::read(
+                    i,
+                    0,
+                    1_000 + s % 2_000_000,
+                    (s % 3832) as u32,
+                    65536,
+                    QosVector::new(&[(s % 16) as u8, (s % 13) as u8, (s % 7) as u8]),
+                )
+            })
+            .collect();
+        let values = |e: &Encapsulator| -> Vec<u128> {
+            sample.iter().map(|r| e.characterize(r, &head())).collect()
+        };
+        let before = values(&e);
+
+        let mut unbuildable = e.config().clone();
+        let s2 = unbuildable.stage2.as_mut().unwrap();
+        s2.combiner = Stage2Combiner::Curve(CurveKind::Hilbert);
+        s2.resolution_bits = 64; // a 2^64 side does not fit the curve's u64
+        assert!(matches!(
+            e.reconfigure(unbuildable),
+            Err(SfcError::TooLarge { .. })
+        ));
+        assert_eq!(values(&e), before);
+        assert_eq!(e.config().stage2.unwrap().resolution_bits, 10);
+
+        let mut retuned = e.config().clone();
+        retuned.stage2.as_mut().unwrap().combiner = Stage2Combiner::Weighted { f: 2.5 };
+        retuned.stage3.as_mut().unwrap().partitions = 5;
+        e.reconfigure(retuned.clone()).unwrap();
+        let fresh = Encapsulator::new(retuned).unwrap();
+        assert_eq!(values(&e), values(&fresh));
+        assert_eq!(e.max_value(), fresh.max_value());
+        assert_ne!(values(&e), before);
     }
 
     #[test]

@@ -101,32 +101,31 @@ impl<S: TraceSink> CascadedSfc<S> {
         self.dispatcher.queue_depths()
     }
 
-    /// Rebuild the encapsulator and dispatcher around a mutated
-    /// configuration, re-inserting the pending backlog in `(arrival, id)`
-    /// order anchored at the current head position. Because the rebuilt
-    /// dispatcher starts idle (`current == None`), every re-insert joins
-    /// the active queue directly — exactly the state a *fresh* scheduler
-    /// reaches when fed the same backlog, which is what makes a retune
-    /// equivalent to restarting with the new values. Lifetime counters
-    /// (preemptions/promotions/swaps/sheds) carry over so ledgers stay
-    /// continuous. Returns `false` (leaving the scheduler untouched) when
-    /// the mutated configuration is invalid.
+    /// Reconfigure the encapsulator in place and rebuild the dispatcher
+    /// around a mutated configuration, re-inserting the pending backlog in
+    /// `(arrival, id)` order anchored at the current head position. Because
+    /// the rebuilt dispatcher starts idle (`current == None`), every
+    /// re-insert joins the active queue directly — exactly the state a
+    /// *fresh* scheduler reaches when fed the same backlog, which is what
+    /// makes a retune equivalent to restarting with the new values.
+    /// Lifetime counters (preemptions/promotions/swaps/sheds) carry over so
+    /// ledgers stay continuous. Returns `false` (leaving the scheduler
+    /// untouched) when the mutated configuration is invalid.
     fn retune_with(&mut self, head: &HeadState, mutate: impl FnOnce(&mut CascadeConfig)) -> bool {
         let mut config = self.encapsulator.config().clone();
         mutate(&mut config);
-        let Ok(encapsulator) = Encapsulator::new(config) else {
+        if self.encapsulator.reconfigure(config).is_err() {
             return false;
-        };
+        }
         let mut dispatcher = Dispatcher::new(
-            encapsulator.config().dispatch,
-            encapsulator.max_value().max(1),
+            self.encapsulator.config().dispatch,
+            self.encapsulator.max_value().max(1),
         );
         dispatcher.carry_counters_from(&self.dispatcher);
         let mut backlog = Vec::with_capacity(self.dispatcher.len());
         self.dispatcher
             .for_each_pending(&mut |r| backlog.push(r.clone()));
         backlog.sort_by_key(|r| (r.arrival_us, r.id));
-        self.encapsulator = encapsulator;
         self.dispatcher = dispatcher;
         for r in backlog {
             let h = HeadState::new(head.cylinder, r.arrival_us, head.cylinders);
@@ -599,6 +598,51 @@ mod tests {
         assert!(s.retune(&Retune::ScanPartitions(4), &at));
         assert!(s.retune(&Retune::Window(0.5), &at));
         assert!(!s.retune(&Retune::ScanPartitions(0), &at));
+    }
+
+    /// The three invalid knob values, refused mid-trace with both queues
+    /// populated, change nothing: the rest of the trace is served in the
+    /// order an untouched twin serves it, with the same counters.
+    #[test]
+    fn refused_retunes_mid_trace_change_nothing() {
+        let mut live = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
+        let mut twin = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
+        let mut cylinder = 0;
+        for i in 0..120u64 {
+            if i == 60 {
+                assert!(live.queue_depths().1 > 0, "need a waiting queue");
+                let at = HeadState::new(cylinder, i * 1_500, 3832);
+                assert!(!live.retune(&Retune::ScanPartitions(0), &at));
+                assert!(!live.retune(&Retune::BalanceFactor(f64::NAN), &at));
+                assert!(!live.retune(&Retune::Window(2.0), &at));
+            }
+            let h = HeadState::new(cylinder, i * 1_500, 3832);
+            let r = req(
+                i,
+                &[(i % 16) as u8, ((i * 7) % 16) as u8, ((i * 3) % 16) as u8],
+                200_000 + i * 9_000,
+                (i * 173 % 3832) as u32,
+            );
+            live.enqueue(r.clone(), &h);
+            twin.enqueue(r, &h);
+            if i % 3 == 2 {
+                let h = HeadState::new(cylinder, i * 1_500 + 700, 3832);
+                let (a, b) = (live.dequeue(&h), twin.dequeue(&h));
+                assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
+                cylinder = a.map_or(cylinder, |r| r.cylinder);
+            }
+            assert_eq!(live.queue_depths(), twin.queue_depths());
+        }
+        let mut h = HeadState::new(cylinder, 200_000, 3832);
+        loop {
+            let (a, b) = (live.dequeue(&h), twin.dequeue(&h));
+            assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
+            match a {
+                Some(r) => h.cylinder = r.cylinder,
+                None => break,
+            }
+        }
+        assert_eq!(live.dispatch_counters(), twin.dispatch_counters());
     }
 
     #[test]

@@ -255,10 +255,12 @@ impl OnlineRouter {
             self.reroutes += 1;
         }
         // Overload redirect — the exact batch-pass decision applied to
-        // the (possibly rerouted) target, constrained to eligible shards.
+        // the policy's target, constrained to eligible shards. A rerouted
+        // target already is the least-loaded eligible shard, so probing
+        // again could only find `alt == target`.
         let redirect_from = target;
         let mut redirected = false;
-        if self.redirect_on_overload && loads[target].projected_full() {
+        if self.redirect_on_overload && !rerouted && loads[target].projected_full() {
             let alt =
                 least_loaded_among(loads, &self.eligible).expect("at least one eligible shard");
             if alt != target && !loads[alt].projected_full() {

@@ -17,8 +17,20 @@
 //!
 //! The bound is validated against the discrete-event simulator by the
 //! VoD scenario tests: admitted loads must simulate loss-free.
+//!
+//! [`StreamGate`] enforces such a count at run time: the farm daemon asks
+//! it about every arrival. Its state is one map entry and one expiry-heap
+//! entry per stream *holding a slot* — a stream that keeps sending only
+//! overwrites its `last_seen`, and the expiry entry is corrected when it
+//! surfaces — so a request costs the same whether the stream has sent ten
+//! requests within the idle timeout or ten thousand.
 
 use diskmodel::{DiskGeometry, SeekModel};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Worst-case duration of one service round of `n` block requests under a
 /// sweep-order scheduler, in milliseconds.
@@ -103,15 +115,47 @@ pub fn admissible_streams(
 /// beyond the capacity are rejected at the door (never reaching a
 /// scheduler queue). Entirely deterministic: the decision depends only
 /// on the arrival sequence, never on wall-clock or iteration order.
+///
+/// The bookkeeping grows with the streams holding a slot, not with the
+/// traffic they send: a request from a stream that already holds a slot
+/// is one map lookup and one store.
 #[derive(Debug, Clone)]
 pub struct StreamGate {
     max_streams: u32,
     idle_timeout_us: u64,
-    last_seen: std::collections::HashMap<u64, u64>,
-    // Min-heap of (candidate expiry, stream); stale entries are skipped
-    // lazily when a stream refreshes — each admit is amortized O(log n).
-    expiries: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u64)>>,
+    last_seen: HashMap<u64, u64, BuildHasherDefault<StreamIdHasher>>,
+    // Min-heap of (expiry, stream), exactly one entry per stream holding a
+    // slot. A refresh does not touch it, so an entry's expiry is a lower
+    // bound on its stream's true one; the true one is worked out from
+    // `last_seen` when the entry surfaces.
+    expiries: BinaryHeap<Reverse<(u64, u64)>>,
     rejections: u64,
+}
+
+/// Hashes a stream id with one multiply. Stream ids are dense integers
+/// the workload generators hand out, not keys an adversary picks, and the
+/// map never holds more than `max_streams` of them (a rejected stream is
+/// not stored), so SipHash's collision resistance buys nothing here and
+/// costs most of a lookup. Only `write_u64` is ever called: the map's
+/// keys are `u64`.
+#[derive(Debug, Default, Clone, Copy)]
+struct StreamIdHasher(u64);
+
+impl Hasher for StreamIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("stream ids are hashed through write_u64");
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        // The odd constant is 2^64 / φ; the product's high bits depend on
+        // every bit of the id and the map indexes by the low bits, hence
+        // the rotation.
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(32);
+    }
 }
 
 impl StreamGate {
@@ -122,8 +166,8 @@ impl StreamGate {
         StreamGate {
             max_streams,
             idle_timeout_us,
-            last_seen: std::collections::HashMap::new(),
-            expiries: std::collections::BinaryHeap::new(),
+            last_seen: HashMap::default(),
+            expiries: BinaryHeap::new(),
             rejections: 0,
         }
     }
@@ -135,34 +179,33 @@ impl StreamGate {
 
     /// Decide a request from `stream` arriving at `now_us`. `true`
     /// admits (and occupies/refreshes the stream's slot); `false`
-    /// rejects.
+    /// rejects. Calls must come in non-decreasing `now_us` order — the
+    /// daemon's arrival order.
     pub fn admit(&mut self, stream: u64, now_us: u64) -> bool {
         if self.max_streams == u32::MAX {
             return true; // open gate: admit without tracking
         }
-        // Retire streams idle past the timeout, lazily skipping entries
-        // superseded by a later refresh (an entry is current only if it
-        // matches the stream's latest activity).
-        while let Some(&std::cmp::Reverse((expiry, s))) = self.expiries.peek() {
+        // Retire streams idle past the timeout. An entry that surfaces
+        // early — its stream refreshed since it was armed — goes back in
+        // at the true expiry, which is in the future, so this terminates.
+        while let Some(mut top) = self.expiries.peek_mut() {
+            let Reverse((expiry, s)) = *top;
             if expiry > now_us {
                 break;
             }
-            self.expiries.pop();
-            let current = self
-                .last_seen
-                .get(&s)
-                .map(|t| t.saturating_add(self.idle_timeout_us))
-                == Some(expiry);
-            if current {
-                self.last_seen.remove(&s);
+            let Entry::Occupied(seen) = self.last_seen.entry(s) else {
+                unreachable!("an expiry entry's stream holds a slot");
+            };
+            let true_expiry = seen.get().saturating_add(self.idle_timeout_us);
+            if true_expiry <= now_us {
+                PeekMut::pop(top);
+                seen.remove();
+            } else {
+                *top = Reverse((true_expiry, s));
             }
         }
         if let Some(seen) = self.last_seen.get_mut(&stream) {
             *seen = now_us;
-            self.expiries.push(std::cmp::Reverse((
-                now_us.saturating_add(self.idle_timeout_us),
-                stream,
-            )));
             return true;
         }
         if self.last_seen.len() as u64 >= self.max_streams as u64 {
@@ -170,7 +213,7 @@ impl StreamGate {
             return false;
         }
         self.last_seen.insert(stream, now_us);
-        self.expiries.push(std::cmp::Reverse((
+        self.expiries.push(Reverse((
             now_us.saturating_add(self.idle_timeout_us),
             stream,
         )));
@@ -368,6 +411,100 @@ mod tests {
         assert!(g.admit(1, 2_400));
         assert_eq!(g.active_streams(), 1);
         assert_eq!(g.rejections(), 2);
+    }
+
+    /// The gate by definition: a list of `(stream, last_seen)` scanned end
+    /// to end on every request.
+    struct ScanGate {
+        max_streams: u32,
+        idle_timeout_us: u64,
+        live: Vec<(u64, u64)>,
+        rejections: u64,
+    }
+
+    impl ScanGate {
+        fn admit(&mut self, stream: u64, now_us: u64) -> bool {
+            let idle = self.idle_timeout_us;
+            self.live
+                .retain(|&(_, seen)| seen.saturating_add(idle) > now_us);
+            if let Some(slot) = self.live.iter_mut().find(|(s, _)| *s == stream) {
+                slot.1 = now_us;
+                return true;
+            }
+            if self.live.len() as u64 >= self.max_streams as u64 {
+                self.rejections += 1;
+                return false;
+            }
+            self.live.push((stream, now_us));
+            true
+        }
+    }
+
+    #[test]
+    fn gate_matches_a_linear_scan_model() {
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut pairs = 0u64;
+        for max_streams in [0u32, 1, 64] {
+            for idle in [1u64, 1_000, u64::MAX] {
+                // The second start runs into the end of time about three
+                // quarters of the way through: expiries saturate, slots
+                // are held across the last timeout, and `now` ends pinned
+                // at u64::MAX — the only instant an infinite timeout
+                // expires.
+                for start in [0u64, u64::MAX - 400_000] {
+                    let mut gate = StreamGate::new(max_streams, idle);
+                    let mut model = ScanGate {
+                        max_streams,
+                        idle_timeout_us: idle,
+                        live: Vec::new(),
+                        rejections: 0,
+                    };
+                    let mut now = start;
+                    for step in 0..6_000u64 {
+                        // Mostly a fiftieth of a timeout, so a hot stream
+                        // refreshes many times per timeout; now and then
+                        // several timeouts at once — but not across the
+                        // last few, where slots held through a saturated
+                        // expiry are the point.
+                        let step_us = match next() % 100 {
+                            0..=9 => 0,
+                            10..=96 => next() % 40,
+                            _ => next() % 5_000,
+                        };
+                        let to_end = u64::MAX - now;
+                        now += step_us
+                            .min(if to_end < 5_000 { 40 } else { u64::MAX })
+                            .min(to_end);
+                        // A few hot streams (more than one slot, fewer
+                        // than 64) and a long tail of cold ones.
+                        let stream = if next() % 4 != 0 {
+                            next() % 6
+                        } else {
+                            1_000 + next() % 500
+                        };
+                        // (cap, idle, start, step, stream, now), printed on failure.
+                        let at = (max_streams, idle, start, step, stream, now);
+                        assert_eq!(gate.admit(stream, now), model.admit(stream, now), "{at:?}");
+                        assert_eq!(gate.active_streams(), model.live.len(), "{at:?}");
+                        assert_eq!(gate.rejections(), model.rejections, "{at:?}");
+                        // One expiry entry per stream holding a slot,
+                        // however often it refreshed.
+                        assert_eq!(gate.expiries.len(), gate.last_seen.len(), "{at:?}");
+                        pairs += 1;
+                    }
+                    assert_eq!(now == u64::MAX, start != 0);
+                }
+            }
+        }
+        assert!(pairs >= 100_000);
     }
 
     #[test]
