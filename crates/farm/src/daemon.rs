@@ -22,7 +22,8 @@
 //!   then migrates the leftover backlog (emitting one
 //!   [`TraceEvent::Migrate`] per request) and closes the drain.
 //! * **Supervision** — each member runs behind its own
-//!   [`FlightRecorder`]; when a fresh dump carries an actionable
+//!   [`FlightRecorder`], all of them writing their raw events into the
+//!   farm's one [`FlightRing`]; when a fresh dump carries an actionable
 //!   anomaly (shed burst, degraded-read storm, or p99 spike) the
 //!   supervisor quarantines the member with a strike-scaled, seeded,
 //!   jittered exponential cooldown ([`sim::jittered_backoff_us`]) and
@@ -83,7 +84,8 @@
 //! drain migrates.
 
 use obs::{
-    Anomaly, FlightRecorder, SharedSink, TelemetryConfig, TraceEvent, TraceSink, TriggerConfig,
+    Anomaly, FlightRecorder, FlightRing, SharedSink, TelemetryConfig, TraceEvent, TraceSink,
+    TriggerConfig,
 };
 use sched::{DiskScheduler, HeadState, Request, Retune};
 use sim::admission::StreamGate;
@@ -96,7 +98,7 @@ use std::collections::BinaryHeap;
 /// Builds a shard's scheduler. The [`SharedSink`] handle is a clone of
 /// the member's flight-recorder sink: pass it to sink-carrying
 /// constructors (cascade's `CascadedSfc::with_sink`) so bounded-queue
-/// shed events land in the same ring the engine writes — the
+/// shed events land in the same recorder the engine writes — the
 /// supervisor's shed-burst trigger (and the event-vs-counter
 /// reconciliation) depends on that wiring. Factories for sink-less
 /// policies may ignore the handle.
@@ -114,7 +116,8 @@ pub type ServiceFactory = Box<dyn FnMut(usize) -> DiskService>;
 pub enum DaemonEvent {
     /// A request arrived at the farm's front door.
     Arrival(Request),
-    /// Grow the farm by one fresh, idle, eligible shard.
+    /// Grow the farm by one fresh, idle, eligible shard (refused once
+    /// the flight ring has no member tag left to give it).
     AddShard {
         /// Event time (µs).
         at_us: u64,
@@ -239,7 +242,8 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Flight-recorder ring capacity per member (events).
+/// What each member adds to the farm's flight ring, and the most one of
+/// its dumps copies out (events).
 const RECORDER_CAPACITY: usize = 1 << 12;
 
 /// Full daemon configuration.
@@ -263,7 +267,8 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults: open admission gate, 4096-event rings, exact telemetry,
+    /// Defaults: open admission gate, 4096 flight-ring events per member,
+    /// exact telemetry,
     /// paper-default triggers, 2 s base cooldown.
     pub fn new(farm: FarmConfig, options: SimOptions) -> Self {
         DaemonConfig {
@@ -347,6 +352,8 @@ pub struct FarmDaemon {
     router: OnlineRouter,
     gate: StreamGate,
     members: Vec<Member>,
+    /// The one ring every member's recorder writes its raw events into.
+    ring: FlightRing,
     routed_per_shard: Vec<u64>,
     make_scheduler: SchedulerFactory,
     make_service: ServiceFactory,
@@ -390,8 +397,12 @@ impl FarmDaemon {
     ) -> Self {
         let mut make_scheduler: SchedulerFactory = Box::new(make_scheduler);
         let mut make_service: ServiceFactory = Box::new(make_service);
+        let ring = FlightRing::new();
         let members: Vec<Member> = (0..cfg.farm.shards)
-            .map(|i| Self::build_member(&mut make_scheduler, &mut make_service, i, &cfg))
+            .map(|i| {
+                Self::build_member(&mut make_scheduler, &mut make_service, i, &cfg, &ring)
+                    .expect("a new ring has a tag for every initial member")
+            })
             .collect();
         let capacities: Vec<Option<usize>> = members
             .iter()
@@ -405,6 +416,7 @@ impl FarmDaemon {
             router,
             gate,
             members,
+            ring,
             routed_per_shard,
             make_scheduler,
             make_service,
@@ -424,21 +436,25 @@ impl FarmDaemon {
         }
     }
 
+    /// Build member `idx` with its recorder attached to `ring`. `None`,
+    /// before either factory has run, when the ring has no tag left.
     fn build_member(
         make_scheduler: &mut SchedulerFactory,
         make_service: &mut ServiceFactory,
         idx: usize,
         cfg: &DaemonConfig,
-    ) -> Member {
-        let recorder = SharedSink::new(FlightRecorder::new(
+        ring: &FlightRing,
+    ) -> Option<Member> {
+        let recorder = SharedSink::new(FlightRecorder::attach(
+            ring,
             RECORDER_CAPACITY,
             cfg.telemetry,
             cfg.triggers,
-        ));
+        )?);
         let scheduler = make_scheduler(idx, recorder.clone());
         let service = make_service(idx);
         let stepper = EngineStepper::new(cfg.options, service.cylinders());
-        Member {
+        Some(Member {
             scheduler,
             service,
             stepper,
@@ -446,7 +462,7 @@ impl FarmDaemon {
             status: MemberStatus::Active,
             dumps_seen: 0,
             strikes: 0,
-        }
+        })
     }
 
     /// Current farm size, including drained members.
@@ -755,12 +771,16 @@ impl FarmDaemon {
             }
             DaemonEvent::AddShard { .. } => {
                 let idx = self.members.len();
-                let member = Self::build_member(
+                let Some(member) = Self::build_member(
                     &mut self.make_scheduler,
                     &mut self.make_service,
                     idx,
                     &self.cfg,
-                );
+                    &self.ring,
+                ) else {
+                    self.refused_events += 1;
+                    return;
+                };
                 self.router.add_shard(member.scheduler.queue_capacity());
                 self.members.push(member);
                 self.routed_per_shard.push(0);
@@ -897,9 +917,10 @@ pub struct DaemonReport {
     /// Control-plane retunes applied (knob changes + policy swaps).
     pub retunes: u64,
     /// Events refused: membership/quarantine/retune requests the farm
-    /// cannot honour (unknown shard, wrong state, unsupported knob, or
-    /// last shard in rotation), and events of any kind — arrivals
-    /// included — timed before the last handled one.
+    /// cannot honour (unknown shard, wrong state, unsupported knob,
+    /// last shard in rotation, or a shard past the flight ring's member
+    /// tags), and events of any kind — arrivals included — timed before
+    /// the last handled one.
     pub refused_events: u64,
     /// Slowest member's makespan (µs).
     pub makespan_us: u64,
@@ -1364,6 +1385,171 @@ mod tests {
             .any(|d| d.anomaly == Anomaly::ShedBurst));
         report.ledger().expect("ledger closes under supervision");
         report.reconcile_events().expect("shed events reconcile");
+    }
+
+    /// Forwards to a scheduler, noting every request enqueued on it.
+    struct Placed {
+        inner: Box<dyn DiskScheduler>,
+        seen: std::rc::Rc<std::cell::RefCell<std::collections::HashSet<u64>>>,
+    }
+
+    impl DiskScheduler for Placed {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn enqueue(&mut self, req: Request, head: &HeadState) {
+            self.seen.borrow_mut().insert(req.id);
+            self.inner.enqueue(req, head);
+        }
+        fn dequeue(&mut self, head: &HeadState) -> Option<Request> {
+            self.inner.dequeue(head)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn for_each_pending(&self, f: &mut dyn FnMut(&Request)) {
+            self.inner.for_each_pending(f);
+        }
+        fn sheds(&self) -> u64 {
+            self.inner.sheds()
+        }
+        fn queue_capacity(&self) -> Option<usize> {
+            self.inner.queue_capacity()
+        }
+        fn retune(&mut self, knob: &Retune, head: &HeadState) -> bool {
+            self.inner.retune(knob, head)
+        }
+        fn drain_pending(&mut self, head: &HeadState) -> Vec<Request> {
+            self.inner.drain_pending(head)
+        }
+    }
+
+    #[test]
+    fn a_members_dumps_hold_only_its_own_events() {
+        use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+        use std::collections::HashSet;
+        // Four members writing one ring, overloaded through tiny bounded
+        // queues until the ring has wrapped, with an add, a drain, a
+        // retune and the supervisor's quarantines on the way: whatever a
+        // member's dump copies out of the ring must be that member's.
+        let trace = vod(9, 20_000);
+        let triggers = TriggerConfig {
+            shed_burst: 4,
+            redirect_storm: 0,
+            degraded_storm: 0,
+            p99_spike_factor: 0.0,
+            p99_min_completes: 0,
+            cooldown_windows: 8,
+        };
+        let cfg = DaemonConfig::new(
+            FarmConfig::new(3).with_policy(RoutePolicy::LeastLoaded),
+            SimOptions::with_shape(1, 5),
+        )
+        .with_telemetry(TelemetryConfig::exact().window_log2(16).depth(4), triggers)
+        .with_supervisor(SupervisorConfig {
+            cooldown_us: 50_000,
+            jitter_permille: 0,
+            seed: 3,
+        });
+        let placed: std::rc::Rc<std::cell::RefCell<Vec<_>>> = Default::default();
+        let log = placed.clone();
+        let mut daemon = FarmDaemon::new(
+            cfg,
+            move |idx, sink| {
+                let cascade = CascadeConfig::paper_default(1, 3832)
+                    .with_dispatch(DispatchConfig::paper_default().with_max_queue(4));
+                let seen = std::rc::Rc::new(std::cell::RefCell::new(HashSet::new()));
+                assert_eq!(log.borrow().len(), idx);
+                log.borrow_mut().push(seen.clone());
+                Box::new(Placed {
+                    inner: Box::new(CascadedSfc::with_sink(cascade, sink).expect("valid config")),
+                    seen,
+                })
+            },
+            table1_services(),
+        );
+        let added = 3;
+        let mut drained = None;
+        for (i, r) in trace.iter().enumerate() {
+            let at_us = r.arrival_us;
+            match i {
+                500 => daemon.handle(DaemonEvent::AddShard { at_us }),
+                1_000 => daemon.handle(DaemonEvent::Retune {
+                    at_us,
+                    shard: added,
+                    action: RetuneAction::Knob(Retune::Window(0.3)),
+                }),
+                _ => {}
+            }
+            // Drain the first original member the supervisor has left in
+            // rotation (a quarantined one would refuse).
+            if i >= 1_500 && drained.is_none() && daemon.router().eligible_count() > 1 {
+                drained = (0..added).find(|&s| daemon.status(s) == MemberStatus::Active);
+                if let Some(shard) = drained {
+                    daemon.handle(DaemonEvent::DrainShard {
+                        at_us,
+                        shard,
+                        handoff_window_us: 10_000,
+                    });
+                }
+            }
+            daemon.handle(DaemonEvent::Arrival(r.clone()));
+        }
+        let drained = drained.expect("some original member was in rotation to drain");
+        let mut report = daemon.shutdown();
+        assert_eq!(report.statuses[drained], MemberStatus::Drained);
+        assert_eq!(report.retunes, 1);
+        assert!(report.quarantines > 0 && report.migrated > 0);
+        report.ledger().expect("ledger closes");
+        report.reconcile_events().expect("events reconcile");
+        let emitted: u64 = report
+            .recorders
+            .iter()
+            .map(|r| r.windows().cumulative().counters.total_events())
+            .sum();
+        assert!(
+            emitted > 2 * 4 * RECORDER_CAPACITY as u64,
+            "the shared ring must have wrapped: {emitted} events"
+        );
+        let placed: Vec<HashSet<u64>> =
+            placed.borrow().iter().map(|s| s.borrow().clone()).collect();
+        let end = report.makespan_us;
+        for (k, recorder) in report.recorders.iter_mut().enumerate() {
+            recorder.force_dump(end);
+            assert!(
+                recorder
+                    .dumps()
+                    .iter()
+                    .any(|d| d.anomaly == Anomaly::ShedBurst),
+                "member {k} must have shed its way to a dump"
+            );
+            for e in recorder.dumps().iter().flat_map(|d| &d.events) {
+                let own = match *e {
+                    TraceEvent::Migrate { from_shard, .. }
+                    | TraceEvent::Redirect { from_shard, .. } => from_shard as usize == k,
+                    TraceEvent::Quarantine { shard, .. } | TraceEvent::Retune { shard, .. } => {
+                        shard as usize == k
+                    }
+                    _ => e.req().is_none_or(|req| placed[k].contains(&req)),
+                };
+                assert!(own, "member {k}'s dump holds a neighbour's {e:?}");
+            }
+        }
+        // The member added to a ring already in use sees none of what
+        // was there before it.
+        let newcomer = &report.recorders[added];
+        let named: Vec<u64> = newcomer
+            .dumps()
+            .iter()
+            .flat_map(|d| d.events.iter().filter_map(TraceEvent::req))
+            .collect();
+        assert!(!named.is_empty());
+        for (k, theirs) in placed.iter().enumerate().filter(|&(k, _)| k != added) {
+            assert!(
+                named.iter().all(|req| !theirs.contains(req)),
+                "the newcomer's dumps name a request placed on member {k}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!   [`ShardDelta`], the unit of the per-shard delta feed;
 //! * [`Stage`] / [`StageSampler`] — opt-in sampled wall-clock spans over
 //!   the request pipeline, recorded per stage in [`Snapshot::stage_ns`];
-//! * [`FlightRecorder`] — a bounded ring of recent events with anomaly
+//! * [`FlightRecorder`] — a bounded tail of recent events, kept in a
+//!   [`FlightRing`] that a farm's recorders share, with anomaly
 //!   triggers ([`TriggerConfig`]) that freeze reconciled [`DumpRecord`]s
 //!   for post-mortems;
 //! * [`encode_snapshot`] / [`encode_registry`] — Prometheus-style text
@@ -64,7 +65,7 @@ pub use event::TraceEvent;
 pub use expo::{encode_registry, encode_snapshot, DEFAULT_PREFIX};
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig};
-pub use sink::{CsvSink, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
+pub use sink::{CsvSink, FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
 pub use span::{Stage, StageSampler};
 pub use window::{

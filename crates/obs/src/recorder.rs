@@ -2,21 +2,27 @@
 //! triggers that capture the moments worth a post-mortem.
 //!
 //! A [`FlightRecorder`] sits on a shard's event stream like any other
-//! sink. It keeps two aggregates of the stream: the last `capacity` raw
-//! events and a windowed live aggregate, which serves the trigger
-//! baselines and, through its exact cumulative counters, the dumps.
+//! sink. It keeps two aggregates of the stream: its recent raw events
+//! and a windowed live aggregate, which serves the trigger baselines
+//! and, through its exact cumulative counters, the dumps. The raw events
+//! go into a [`FlightRing`] under the recorder's tag. The ring may be
+//! shared — a farm's recorders all write into one, each bringing
+//! `capacity` entries of room ([`FlightRecorder::attach`]) — or the
+//! recorder's alone ([`FlightRecorder::new`]); it is the same code
+//! either way, a stand-alone recorder being a farm of one.
 //! When an anomaly fires — a shed burst, a redirect storm, a
 //! degraded-read storm, or a deadline-miss p99 spike against the recent
-//! baseline — it freezes a [`DumpRecord`]: the ring contents, the
-//! cumulative counters, and their difference against a checkpoint taken
-//! at the previous dump, with **exact event-vs-counter reconciliation**:
-//! the retained events are replayed into fresh counters and must
-//! reproduce that delta exactly (`clean` records whether they did; ring
-//! evictions since the last dump are the one legitimate reason they
-//! cannot).
+//! baseline — it freezes a [`DumpRecord`]: the recorder's newest events
+//! still in the ring (at most `capacity` of them), the cumulative
+//! counters, and their difference against a checkpoint taken at the
+//! previous dump, with **exact event-vs-counter reconciliation**: the
+//! retained events are replayed into fresh counters and must reproduce
+//! that delta exactly (`clean` records whether they did; events the
+//! delta counts that the ring no longer holds are the one legitimate
+//! reason they cannot).
 
 use crate::event::TraceEvent;
-use crate::sink::{RingSink, TraceSink};
+use crate::sink::{FlightRing, TraceSink};
 use crate::snapshot::{Counters, Snapshot};
 use crate::window::{TelemetryConfig, WindowedSnapshot};
 use std::fmt::Write as _;
@@ -110,7 +116,8 @@ pub struct DumpRecord {
     pub now_us: u64,
     /// Window epoch of the triggering event.
     pub epoch: u64,
-    /// The ring contents at the dump, oldest first.
+    /// The recorder's newest events still in the ring at the dump, at
+    /// most its own capacity of them, oldest first.
     pub events: Vec<TraceEvent>,
     /// Exactly what was counted since the previous dump (or the start
     /// of the run).
@@ -120,8 +127,8 @@ pub struct DumpRecord {
     /// Whether replaying the retained events reproduced `delta`
     /// exactly.
     pub clean: bool,
-    /// Ring evictions since the previous dump — when nonzero, the oldest
-    /// events `delta` counts are gone and `clean` cannot hold.
+    /// How many of the events `delta` counts are missing from `events`,
+    /// overwritten in the ring — when nonzero, `clean` cannot hold.
     pub evicted_since_dump: u64,
 }
 
@@ -163,33 +170,55 @@ fn write_counters_json(c: &Counters, out: &mut String) {
     out.push('}');
 }
 
-/// A per-shard flight recorder (see the module docs).
-#[derive(Debug, Clone)]
+/// A per-shard flight recorder (see the module docs). Not `Clone`: a
+/// copy would write under the same tag into the same ring.
+#[derive(Debug)]
 pub struct FlightRecorder {
-    ring: RingSink,
+    ring: FlightRing,
+    tag: u32,
+    /// The room this recorder brought to the ring, and the most events
+    /// one of its dumps copies out.
+    capacity: usize,
     windows: WindowedSnapshot,
     /// The checkpoint a dump's delta is taken against: the cumulative
-    /// counters, and the ring's eviction count, at the previous dump.
+    /// counters at the previous dump.
     counters_at_dump: Counters,
-    evicted_at_dump: u64,
     triggers: TriggerConfig,
     last_fired_epoch: [Option<u64>; Anomaly::COUNT],
     dumps: Vec<DumpRecord>,
 }
 
 impl FlightRecorder {
-    /// A recorder retaining `capacity` events, aggregating over
-    /// `telemetry`-shaped windows, firing on `triggers`.
+    /// A recorder retaining `capacity` events in a ring of its own,
+    /// aggregating over `telemetry`-shaped windows, firing on `triggers`.
     pub fn new(capacity: usize, telemetry: TelemetryConfig, triggers: TriggerConfig) -> Self {
-        FlightRecorder {
-            ring: RingSink::new(capacity),
+        FlightRecorder::attach(&FlightRing::new(), capacity, telemetry, triggers)
+            .expect("a new ring has every tag free")
+    }
+
+    /// A recorder writing into `ring` beside the ones already attached.
+    /// The ring grows by `capacity` entries, so together the recorders
+    /// retain what they would apart, and no dump of this one copies out
+    /// more than `capacity` events however much of the ring it has come
+    /// to fill. `None` when the ring has no tag left to tell this
+    /// recorder's entries from the others'.
+    pub fn attach(
+        ring: &FlightRing,
+        capacity: usize,
+        telemetry: TelemetryConfig,
+        triggers: TriggerConfig,
+    ) -> Option<Self> {
+        let capacity = capacity.max(1);
+        Some(FlightRecorder {
+            tag: ring.attach(capacity)?,
+            ring: ring.clone(),
+            capacity,
             windows: telemetry.sink(),
             counters_at_dump: Counters::default(),
-            evicted_at_dump: 0,
             triggers,
             last_fired_epoch: [None; Anomaly::COUNT],
             dumps: Vec::new(),
-        }
+        })
     }
 
     /// A recorder with the default window shape (decimation off, so p99
@@ -236,9 +265,8 @@ impl FlightRecorder {
         let cumulative = self.windows.cumulative().counters;
         let delta = cumulative.since(&self.counters_at_dump);
         self.counters_at_dump = cumulative;
-        let evicted_since_dump = self.ring.evicted() - self.evicted_at_dump;
-        self.evicted_at_dump = self.ring.evicted();
-        let events = self.ring.to_vec();
+        let events = self.ring.newest(self.tag, self.capacity);
+        let evicted_since_dump = delta.total_events().saturating_sub(events.len() as u64);
         let clean = evicted_since_dump == 0 && reconciles(&events, &delta);
         self.dumps.push(DumpRecord {
             anomaly,
@@ -284,7 +312,7 @@ impl FlightRecorder {
 
 impl TraceSink for FlightRecorder {
     fn emit(&mut self, event: &TraceEvent) {
-        self.ring.emit(event);
+        self.ring.push(self.tag, event);
         self.windows.emit(event);
         let t = &self.triggers;
         let cur = &self.windows.current().counters;
@@ -430,6 +458,130 @@ mod tests {
         assert_eq!(d.delta.sheds, 4);
         assert_eq!(d.delta.total_events(), 4);
         assert_eq!(d.events.len(), 2);
+    }
+
+    #[test]
+    fn a_full_ring_still_reconciles_a_short_gap() {
+        // A full ring overwrites on every emit, so "anything overwritten
+        // since the last dump" is true forever; what a dump is missing is
+        // what its delta counts beyond the events it holds.
+        let mut r = FlightRecorder::new(8, TelemetryConfig::exact(), TriggerConfig::quiet());
+        for i in 0..20u64 {
+            r.emit(&shed(i, i));
+        }
+        let d = r.force_dump(20).clone();
+        assert_eq!((d.delta.total_events(), d.events.len()), (20, 8));
+        assert_eq!(d.evicted_since_dump, 12);
+        assert!(!d.clean);
+        for i in 20..23u64 {
+            r.emit(&shed(i, i));
+        }
+        let d = r.force_dump(23).clone();
+        assert_eq!((d.delta.total_events(), d.events.len()), (3, 8));
+        assert_eq!(d.evicted_since_dump, 0);
+        assert!(d.clean, "the three events of the gap are all held");
+    }
+
+    /// One emission of the model test: unique by `step`, so a dump's
+    /// events can be compared against a stream position by position.
+    fn step_event(step: usize, tag: usize) -> TraceEvent {
+        TraceEvent::QueueSwap {
+            now_us: step as u64,
+            batch: tag as u64,
+        }
+    }
+
+    /// Drive three recorders on one ring — the `i`-th emission made by
+    /// recorder `who(i)`, the third recorder attached only at step `join`
+    /// — and check every dump against one unbounded `Vec` per recorder.
+    fn check_against_model(cap: usize, join: usize, who: impl Fn(usize) -> usize) {
+        let attach = |ring: &FlightRing| {
+            FlightRecorder::attach(ring, cap, TelemetryConfig::exact(), TriggerConfig::quiet())
+                .expect("tags to spare")
+        };
+        let ring = FlightRing::new();
+        let mut recorders = vec![attach(&ring), attach(&ring)];
+        let mut streams: Vec<Vec<TraceEvent>> = vec![Vec::new(); 3];
+        let mut dumped = [0usize; 3];
+        let mut log: Vec<usize> = Vec::new();
+        let steps = 15 * cap;
+        let dump_every = cap + cap / 2 + 1;
+        for i in 0..steps {
+            if i == join {
+                recorders.push(attach(&ring));
+            }
+            let tag = who(i);
+            let event = step_event(i, tag);
+            recorders[tag].emit(&event);
+            streams[tag].push(event);
+            log.push(tag);
+            assert!(ring.len() <= ring.capacity());
+            if join == 0 {
+                assert_eq!(ring.len(), log.len().min(3 * cap));
+            }
+            if i % dump_every != dump_every - 1 && i + 1 != steps {
+                continue;
+            }
+            for (tag, r) in recorders.iter_mut().enumerate() {
+                let d = r.force_dump(i as u64).clone();
+                let held = log[log.len() - ring.len()..]
+                    .iter()
+                    .filter(|&&t| t == tag)
+                    .count();
+                let stream = &streams[tag];
+                let what = format!("cap {cap}, step {i}, recorder {tag}");
+                assert_eq!(d.events.len(), held.min(cap), "{what}");
+                assert_eq!(d.events, stream[stream.len() - d.events.len()..], "{what}");
+                let gap = stream.len() - dumped[tag];
+                dumped[tag] = stream.len();
+                assert_eq!(d.delta.total_events(), gap as u64, "{what}");
+                let missing = gap.saturating_sub(d.events.len());
+                assert_eq!(d.evicted_since_dump, missing as u64, "{what}");
+                assert_eq!(d.clean, missing == 0, "{what}");
+            }
+        }
+        assert_eq!(
+            ring.len(),
+            3 * cap,
+            "a late joiner's room is used in the end"
+        );
+    }
+
+    #[test]
+    fn tagged_dumps_match_one_unbounded_stream_per_recorder() {
+        for cap in [1usize, 8, 4096] {
+            let third = 5 * cap;
+            // Round-robin.
+            check_against_model(cap, 0, |i| i % 3);
+            // One hot recorder: its gaps outgrow `cap`, the others' dumps
+            // must not grow into the room it fills.
+            check_against_model(cap, 0, |i| if i % 16 == 0 { 1 + i / 16 % 2 } else { 0 });
+            // A recorder joining a ring that is full and mid-wrap.
+            check_against_model(cap, third, |i| if i < third { i % 2 } else { i % 3 });
+            // A recorder going silent while the others overwrite it.
+            check_against_model(cap, 0, |i| if i < third { i % 3 } else { i % 2 });
+        }
+    }
+
+    #[test]
+    fn a_private_ring_is_the_ring_sink_it_replaced() {
+        use crate::sink::RingSink;
+        for cap in [1usize, 8, 4096] {
+            let mut r = FlightRecorder::new(cap, TelemetryConfig::exact(), TriggerConfig::quiet());
+            let mut reference = RingSink::new(cap);
+            for i in 0..3 * cap + 5 {
+                let event = step_event(i, 0);
+                r.emit(&event);
+                reference.emit(&event);
+                if i % (cap / 2 + 1) == 0 {
+                    assert_eq!(
+                        r.force_dump(i as u64).events,
+                        reference.to_vec(),
+                        "cap {cap}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

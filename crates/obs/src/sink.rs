@@ -114,6 +114,142 @@ impl TraceSink for RingSink {
     }
 }
 
+/// One bounded ring of recent events shared by several writers, each
+/// entry tagged with the writer it came from — the storage under every
+/// [`crate::FlightRecorder`] of a farm.
+///
+/// Unlike [`RingSink`] it is a handle: a clone writes into the same
+/// slab. The slab is preallocated and overwritten at a cursor, with the
+/// tags in a parallel array (a `(u32, TraceEvent)` pair would pad each
+/// entry from 48 to 56 bytes), so N writers lay down one sequential
+/// stream instead of N interleaved ones.
+#[derive(Clone)]
+pub struct FlightRing(Rc<RefCell<Slab>>);
+
+struct Slab {
+    events: Vec<TraceEvent>,
+    tags: Vec<u32>,
+    /// Where the next entry goes; the newest one sits just before it.
+    cursor: usize,
+    capacity: usize,
+    next_tag: Option<u32>,
+}
+
+impl Slab {
+    /// Append while the slab is short of its capacity. Out of line: a
+    /// ring fills once and is overwritten ever after, and `Vec::push`'s
+    /// growth path inlined into every recorder's `emit` is what made the
+    /// one-shard `deep` workload dearer than a private `VecDeque` ring.
+    #[cold]
+    fn extend(&mut self, tag: u32, event: &TraceEvent) {
+        self.events.push(*event);
+        self.tags.push(tag);
+        self.cursor = self.events.len();
+    }
+}
+
+impl FlightRing {
+    /// An empty ring with no room yet: every [`FlightRing::attach`]
+    /// brings its own.
+    pub fn new() -> Self {
+        FlightRing(Rc::new(RefCell::new(Slab {
+            events: Vec::new(),
+            tags: Vec::new(),
+            cursor: 0,
+            capacity: 0,
+            next_tag: Some(0),
+        })))
+    }
+
+    /// Admit one more writer: the ring grows by `retention` entries (at
+    /// least 1) and hands out a tag no other writer has or will have.
+    /// `None`, with nothing changed, once the tag space is used up.
+    ///
+    /// Growing never evicts or reorders: the slab extends the next time
+    /// the cursor reaches its end, which is the one place new slots can
+    /// go without breaking the newest-to-oldest order.
+    pub fn attach(&self, retention: usize) -> Option<u32> {
+        let slab = &mut *self.0.borrow_mut();
+        let tag = slab.next_tag?;
+        slab.next_tag = tag.checked_add(1);
+        slab.capacity = slab.capacity.saturating_add(retention.max(1));
+        // Preallocate while there is nothing to move, which covers the
+        // writers a farm starts with. A ring in use grows by `Vec`'s
+        // doubling instead: reserving here would copy the whole slab on
+        // every attach (`AddShard` 198 -> 1383 us on `surge`).
+        if slab.events.is_empty() {
+            slab.events.reserve_exact(slab.capacity);
+            slab.tags.reserve_exact(slab.capacity);
+        }
+        Some(tag)
+    }
+
+    /// Record `event` as written by `tag`, over the oldest entry when
+    /// the ring is full: one event store and one tag store.
+    #[inline]
+    pub fn push(&self, tag: u32, event: &TraceEvent) {
+        let slab = &mut *self.0.borrow_mut();
+        let mut at = slab.cursor;
+        if at == slab.events.len() {
+            if at < slab.capacity {
+                return slab.extend(tag, event);
+            }
+            at = 0;
+        }
+        slab.events[at] = *event;
+        slab.tags[at] = tag;
+        slab.cursor = at + 1;
+    }
+
+    /// The newest `limit` entries `tag` still has in the ring (fewer if
+    /// it has fewer), oldest first.
+    pub fn newest(&self, tag: u32, limit: usize) -> Vec<TraceEvent> {
+        let slab = self.0.borrow();
+        let newest_first = (0..slab.cursor)
+            .rev()
+            .chain((slab.cursor..slab.events.len()).rev());
+        let mut out: Vec<TraceEvent> = newest_first
+            .filter(|&i| slab.tags[i] == tag)
+            .take(limit)
+            .map(|i| slab.events[i])
+            .collect();
+        out.reverse();
+        out
+    }
+
+    /// Entries currently held, all writers together.
+    pub fn len(&self) -> usize {
+        self.0.borrow().events.len()
+    }
+
+    /// `true` when nothing has been retained.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The sum of the attached writers' retentions.
+    pub fn capacity(&self) -> usize {
+        self.0.borrow().capacity
+    }
+}
+
+impl Default for FlightRing {
+    fn default() -> Self {
+        FlightRing::new()
+    }
+}
+
+/// Sizes only: a recorder's `Debug` output must not print the whole
+/// farm's events once per member.
+impl std::fmt::Debug for FlightRing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FlightRing")
+            .field("len", &self.len())
+            .field("capacity", &self.capacity())
+            .finish_non_exhaustive()
+    }
+}
+
 /// A sink rendering every event as one JSON object per line (JSONL) into
 /// any [`Write`] target.
 ///
@@ -357,6 +493,18 @@ mod tests {
         assert_eq!(clamped.capacity(), 1);
         assert_eq!(clamped.to_vec()[0].now_us(), 2);
         assert_eq!(clamped.evicted(), 1);
+    }
+
+    #[test]
+    fn flight_ring_refuses_a_writer_once_tags_run_out() {
+        let ring = FlightRing::new();
+        ring.0.borrow_mut().next_tag = Some(u32::MAX);
+        assert_eq!(ring.attach(4), Some(u32::MAX));
+        assert_eq!(ring.attach(4), None, "no wrap back to a tag in use");
+        assert_eq!(ring.capacity(), 4, "a refused writer brings no room");
+        ring.push(u32::MAX, &swap(1));
+        assert_eq!(ring.newest(u32::MAX, 4).len(), 1);
+        assert!(ring.newest(0, 4).is_empty());
     }
 
     #[test]
