@@ -9,6 +9,11 @@
 //! eligible, [`OnlineRouter::route`] runs the very same code the batch
 //! pass always ran.
 //!
+//! The modeled load is one number per shard — the time at which its
+//! bookings drain ([`ShardLoad`]) — and depth and fullness are computed
+//! from it at each arrival, so the router's state is the size of the
+//! farm however many requests it has placed.
+//!
 //! On top of the batch semantics it adds an **eligibility mask** for the
 //! daemon: a draining or quarantined shard stays in the load model (its
 //! residents still drain) but receives no new arrivals — the policy's
@@ -19,24 +24,31 @@ use sched::Request;
 
 use crate::router::{least_loaded_among, ShardLoad};
 use crate::{FarmConfig, RoutePolicy};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
-/// Modeled shard occupancy during routing: each assignment books
-/// `est_service_us` of work onto the shard; bookings completed by the
-/// current arrival time fall out of the depth.
+/// Modeled shard occupancy during routing, in closed form: each
+/// assignment books `est_service_us` of work onto the shard, and the
+/// model stores one number per shard — the horizon at which everything
+/// booked so far has drained.
 ///
-/// The model keeps the routers' view — one [`ShardLoad`] per shard —
-/// up to date in place, and one farm-wide heap of modeled completions,
-/// so an arrival costs the bookings it retires, not a pass over every
-/// shard.
+/// That number is the whole state because every booking costs the same
+/// and arrivals come in order: a booking starts at `max(horizon, now)`,
+/// so inside a busy period the shard's completions sit `est_service_us`
+/// apart, counted back from the horizon, and a booking made while idle
+/// starts a new period whose only completion is the new horizon. The
+/// bookings completed by an arrival time are the ones at or before it,
+/// which leaves `⌈(horizon − now) / est_service_us⌉` pending
+/// ([`ShardLoad::depth_at`]). Nothing is retired, because nothing per
+/// booking is kept: the model's size is the shard count, whatever the
+/// traffic.
+///
+/// **Saturation.** [`LoadModel::assign`] saturates, so a horizon can
+/// reach `u64::MAX`; bookings are no longer evenly spaced behind it and
+/// their count is lost. The model reads such a shard as full and never
+/// idle again (depth `usize::MAX`, projected full for every bounded
+/// capacity): there is no later time at which it could have drained.
 pub(crate) struct LoadModel {
     est_service_us: u64,
-    /// Min-heap of `(modeled completion time, shard)` over the farm.
-    completions: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Current loads, one per shard: `queue_depth` counts the shard's
-    /// bookings still in `completions`, `busy_until_us` is its modeled
-    /// drain horizon.
+    /// Current loads, one per shard.
     loads: Vec<ShardLoad>,
 }
 
@@ -44,7 +56,6 @@ impl LoadModel {
     pub(crate) fn new(capacities: &[Option<usize>], est_service_us: u64) -> Self {
         let mut model = LoadModel {
             est_service_us: est_service_us.max(1),
-            completions: BinaryHeap::new(),
             loads: Vec::with_capacity(capacities.len()),
         };
         for &capacity in capacities {
@@ -53,42 +64,36 @@ impl LoadModel {
         model
     }
 
-    /// Retire bookings completed by `now`.
-    pub(crate) fn advance_to(&mut self, now: u64) {
-        while let Some(&Reverse((done, shard))) = self.completions.peek() {
-            if done > now {
-                break;
-            }
-            self.completions.pop();
-            self.loads[shard].queue_depth -= 1;
-        }
-    }
-
     /// Current loads, one per shard.
     pub(crate) fn loads(&self) -> &[ShardLoad] {
         &self.loads
     }
 
+    /// Modeled pending bookings on `shard` at `now`.
+    pub(crate) fn depth(&self, shard: usize, now: u64) -> usize {
+        self.loads[shard].depth_at(now, self.est_service_us)
+    }
+
+    /// Whether `shard`'s bounded queue is projected full at `now`.
+    pub(crate) fn projected_full(&self, shard: usize, now: u64) -> bool {
+        self.loads[shard].projected_full_at(now, self.est_service_us)
+    }
+
     /// Book one request arriving at `now` onto `shard`. Saturating: a
     /// booking at the end of time completes at the end of time instead of
-    /// wrapping into the past (where it would retire at once and the
-    /// shard would look idle).
+    /// wrapping into the past (where the shard would look idle).
     pub(crate) fn assign(&mut self, shard: usize, now: u64) {
         let load = &mut self.loads[shard];
-        let done = load
+        load.busy_until_us = load
             .busy_until_us
             .max(now)
             .saturating_add(self.est_service_us);
-        load.busy_until_us = done;
-        load.queue_depth += 1;
-        self.completions.push(Reverse((done, shard)));
     }
 
     /// Grow the model by one idle shard with the given bounded-queue
     /// capacity.
     pub(crate) fn add_shard(&mut self, capacity: Option<usize>) {
         self.loads.push(ShardLoad {
-            queue_depth: 0,
             busy_until_us: 0,
             capacity,
         });
@@ -243,7 +248,7 @@ impl OnlineRouter {
     /// Route one arrival. Requests must come in arrival order (the same
     /// contract the batch pass's trace argument carries).
     pub fn route(&mut self, r: &Request) -> RouteDecision {
-        self.model.advance_to(r.arrival_us);
+        let now = r.arrival_us;
         let loads = self.model.loads();
         let chosen = self.policy.route(r, loads, self.cylinders);
         let mut target = chosen;
@@ -260,17 +265,17 @@ impl OnlineRouter {
         // again could only find `alt == target`.
         let redirect_from = target;
         let mut redirected = false;
-        if self.redirect_on_overload && !rerouted && loads[target].projected_full() {
+        if self.redirect_on_overload && !rerouted && self.model.projected_full(target, now) {
             let alt =
                 least_loaded_among(loads, &self.eligible).expect("at least one eligible shard");
-            if alt != target && !loads[alt].projected_full() {
+            if alt != target && !self.model.projected_full(alt, now) {
                 redirected = true;
                 self.redirects += 1;
                 target = alt;
             }
         }
-        let queue_depth = loads[redirect_from].queue_depth;
-        self.model.assign(target, r.arrival_us);
+        let queue_depth = self.model.depth(redirect_from, now);
+        self.model.assign(target, now);
         RouteDecision {
             shard: target,
             policy_choice: chosen,
@@ -349,8 +354,8 @@ mod tests {
 
     #[test]
     fn bookings_at_the_end_of_time_saturate_instead_of_wrapping() {
-        // A wrapped completion time would lie in the past, retire at the
-        // next arrival and make the booked shard look idle again.
+        // A wrapped horizon would lie in the past and make the booked
+        // shard look idle again; a saturated one reads full for good.
         let cfg = FarmConfig::new(2).with_policy(RoutePolicy::LeastLoaded);
         let mut router = OnlineRouter::new(&cfg, &[None, None]);
         let late = u64::MAX - 1;
@@ -360,13 +365,109 @@ mod tests {
             1,
             "shard 0 is booked"
         );
-        let d = router.route(&req(2, late, 2, 0));
-        assert_eq!(
-            (d.shard, d.queue_depth),
-            (0, 1),
-            "both booked: lowest index"
-        );
+        for now in [late, u64::MAX] {
+            let d = router.route(&req(2, now, 2, 0));
+            assert_eq!(
+                (d.shard, d.queue_depth),
+                (0, usize::MAX),
+                "both saturated: lowest index, never idle again"
+            );
+        }
         assert_eq!(router.eligible_count(), 2);
+    }
+
+    #[test]
+    fn a_saturated_bounded_shard_is_full_and_redirects_while_room_remains() {
+        let cfg = FarmConfig::new(2).with_redirects();
+        let mut router = OnlineRouter::new(&cfg, &[Some(1_000), Some(1_000)]);
+        let home = router.route(&req(0, u64::MAX - 1, 7, 0)).shard;
+        // One booking saturated the sticky shard: it reads full although
+        // its capacity is 1000, and the stream is steered to the other.
+        let d = router.route(&req(1, u64::MAX - 1, 7, 0));
+        assert!(d.redirected);
+        assert_eq!((d.redirect_from, d.shard), (home, 1 - home));
+        assert_eq!(d.queue_depth, usize::MAX);
+        // Now both are saturated: nowhere has room, the stream stays home.
+        let d = router.route(&req(2, u64::MAX, 7, 0));
+        assert_eq!((d.shard, d.redirected), (home, false));
+        assert_eq!(router.redirects(), 1);
+    }
+
+    #[test]
+    fn service_estimates_of_zero_and_of_all_time_are_readable() {
+        // 0 is clamped to 1 µs: a booking is pending until the next tick.
+        let mut cfg = FarmConfig::new(1);
+        cfg.est_service_us = 0;
+        let mut router = OnlineRouter::new(&cfg, &[None]);
+        let depths: Vec<usize> = [10, 10, 10, 11, 12, 20]
+            .iter()
+            .map(|&t| router.route(&req(0, t, 0, 0)).queue_depth)
+            .collect();
+        assert_eq!(depths, [0, 1, 2, 2, 2, 0]);
+        // u64::MAX: the first booking made after time 0 saturates the
+        // horizon; one made at time 0 ends exactly at the end of time,
+        // which is the same reading.
+        cfg.est_service_us = u64::MAX;
+        for first in [0, 5] {
+            let mut router = OnlineRouter::new(&cfg, &[None]);
+            assert_eq!(router.route(&req(0, first, 0, 0)).queue_depth, 0);
+            assert_eq!(router.route(&req(1, first, 0, 0)).queue_depth, usize::MAX);
+        }
+    }
+
+    #[test]
+    fn a_shard_out_of_rotation_keeps_draining_in_the_model() {
+        let cfg = FarmConfig::new(2);
+        let est = cfg.est_service_us;
+        let mut router = OnlineRouter::new(&cfg, &[None, None]);
+        // Three bookings of one sticky stream: its shard is busy to 3·est.
+        let home = router.route(&req(0, 0, 7, 0)).shard;
+        router.route(&req(1, 0, 7, 0));
+        assert_eq!(router.route(&req(2, 0, 7, 0)).queue_depth, 2);
+        // Out of rotation while busy: the stream goes elsewhere, and the
+        // depth reported is the stand-in's.
+        router.set_eligible(home, false);
+        let d = router.route(&req(3, est, 7, 0));
+        assert_eq!((d.shard, d.rerouted, d.queue_depth), (1 - home, true, 0));
+        // Reinstated after two of the three completions: one is left.
+        router.set_eligible(home, true);
+        let d = router.route(&req(4, 2 * est, 7, 0));
+        assert_eq!((d.shard, d.rerouted, d.queue_depth), (home, false, 1));
+    }
+
+    #[test]
+    fn a_shard_added_mid_run_starts_its_first_busy_period_at_its_first_booking() {
+        let cfg = FarmConfig::new(1).with_policy(RoutePolicy::LeastLoaded);
+        let est = cfg.est_service_us;
+        let mut router = OnlineRouter::new(&cfg, &[Some(2)]);
+        let t = 1_000 * est;
+        router.route(&req(0, t, 0, 0));
+        router.route(&req(1, t, 1, 0));
+        let new = router.add_shard(Some(2));
+        // Idle since time 0, not since it joined: one booking at `t` is
+        // one pending request, not t / est of them.
+        assert_eq!(router.route(&req(2, t, 2, 0)).shard, new);
+        let d = router.route(&req(3, t, 3, 0));
+        assert_eq!((d.shard, d.queue_depth), (new, 1));
+        let d = router.route(&req(4, t + est, 4, 0));
+        assert_eq!((d.shard, d.queue_depth), (0, 1), "both drained one");
+    }
+
+    #[test]
+    fn a_million_overloaded_arrivals_leave_the_model_the_size_of_the_farm() {
+        let cfg = FarmConfig::new(4).with_redirects();
+        let mut router = OnlineRouter::new(&cfg, &[Some(64); 4]);
+        let footprint = |r: &OnlineRouter| (r.model.loads.len(), r.model.loads.capacity());
+        let before = footprint(&router);
+        // Ten times what four shards can serve: the model falls behind by
+        // 0.9 bookings per arrival and never catches up.
+        let gap = cfg.est_service_us / 40;
+        let mut deepest = 0;
+        for i in 0..1_000_000u64 {
+            deepest = deepest.max(router.route(&req(i, i * gap, i, 0)).queue_depth);
+        }
+        assert!(deepest > 200_000, "the backlog is modeled: {deepest}");
+        assert_eq!(footprint(&router), before);
     }
 
     #[test]

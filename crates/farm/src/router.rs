@@ -12,18 +12,26 @@
 //!   contiguous bands, one per shard. Placement-affine (matches content
 //!   partitioned across disks by address) and sticky per file region.
 //! * [`RoutePolicy::LeastLoaded`] — queue-depth feedback: send the
-//!   arrival to the shard with the fewest modeled pending requests. Best
-//!   loss rates under overload, no stickiness.
+//!   arrival to the shard with the fewest modeled pending requests, which
+//!   is the shard with the earliest modeled drain horizon. Best loss
+//!   rates under overload, no stickiness.
 
 use sched::Request;
 
-/// Modeled load of one shard at a routing decision.
+/// Modeled load of one shard: the one number the load model stores per
+/// shard, plus the shard's queue bound.
+///
+/// Every booking costs the same `est` µs and arrivals come in order, so
+/// inside a busy period a shard's modeled completions sit `est` apart,
+/// counted back from `busy_until_us`. The bookings still pending at `now`
+/// are the ones completing after it, and their number follows from the
+/// horizon alone — see [`ShardLoad::depth_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardLoad {
-    /// Requests routed to the shard and not yet (modeled as) completed.
-    pub queue_depth: usize,
     /// Modeled time at which the shard drains everything assigned so far
-    /// (µs).
+    /// (µs). `u64::MAX` is the saturated horizon: bookings ran past the
+    /// end of time, their spacing is lost, and the shard reads as full
+    /// and never idle again.
     pub busy_until_us: u64,
     /// Bounded-queue capacity of the shard's scheduler, if it has one
     /// (probed via [`sched::DiskScheduler::queue_capacity`]).
@@ -31,10 +39,41 @@ pub struct ShardLoad {
 }
 
 impl ShardLoad {
-    /// `true` when the shard's bounded queue is projected full — routing
-    /// one more request there would likely shed.
-    pub fn projected_full(&self) -> bool {
-        self.capacity.is_some_and(|cap| self.queue_depth >= cap)
+    /// Requests routed to the shard and not yet (modeled as) completed at
+    /// `now`, given `est` µs of service per booking (`est ≥ 1`):
+    /// `⌈(busy_until_us − now) / est⌉`, 0 once the horizon has passed,
+    /// `usize::MAX` on a saturated horizon.
+    ///
+    /// # Panics
+    /// If `est` is 0 and the shard is busy.
+    pub fn depth_at(&self, now: u64, est: u64) -> usize {
+        if self.busy_until_us == u64::MAX {
+            return usize::MAX;
+        }
+        if self.busy_until_us <= now {
+            return 0;
+        }
+        usize::try_from((self.busy_until_us - now).div_ceil(est)).unwrap_or(usize::MAX)
+    }
+
+    /// `true` when the shard's bounded queue is projected full at `now` —
+    /// routing one more request there would likely shed. It is
+    /// `depth_at(now, est) ≥ cap` without the division: `cap` bookings
+    /// are pending exactly when the horizon lies more than `cap − 1`
+    /// service times ahead.
+    pub fn projected_full_at(&self, now: u64, est: u64) -> bool {
+        let Some(cap) = self.capacity else {
+            return false;
+        };
+        if cap == 0 || self.busy_until_us == u64::MAX {
+            return true;
+        }
+        // A threshold past the end of time is one no unsaturated horizon
+        // exceeds, so both steps may saturate.
+        let room = u64::try_from(cap - 1)
+            .unwrap_or(u64::MAX)
+            .saturating_mul(est);
+        self.busy_until_us > now.saturating_add(room)
     }
 }
 
@@ -46,9 +85,13 @@ pub enum RoutePolicy {
     /// Cylinder-range affinity: shard `i` owns the `i`-th contiguous band
     /// of the cylinder space.
     CylinderRange,
-    /// Queue-depth feedback: the shard with the fewest modeled pending
-    /// requests wins; ties break toward the earlier drain time, then the
-    /// lower index (so the choice is deterministic).
+    /// Queue-depth feedback: the shard with the earliest modeled horizon
+    /// wins, then the lower index (so the choice is deterministic). That
+    /// is the order "fewest modeled pending requests, ties toward the
+    /// earlier drain time, then the lower index": depth is non-decreasing
+    /// in the horizon ([`ShardLoad::depth_at`]), so a shard with an
+    /// earlier horizon has no more pending and wins either the depth
+    /// comparison or its tie-break.
     LeastLoaded,
 }
 
@@ -88,13 +131,15 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The shard with the least modeled load. Shared by the least-loaded
-/// policy and by redirect-on-overload target selection.
+/// The shard with the least modeled load: earliest horizon, then lowest
+/// index (see [`RoutePolicy::LeastLoaded`] for why no depth is needed).
+/// Shared by the least-loaded policy and by redirect-on-overload target
+/// selection.
 pub fn least_loaded(loads: &[ShardLoad]) -> usize {
     loads
         .iter()
         .enumerate()
-        .min_by_key(|(i, l)| (l.queue_depth, l.busy_until_us, *i))
+        .min_by_key(|(i, l)| (l.busy_until_us, *i))
         .map(|(i, _)| i)
         .expect("at least one shard")
 }
@@ -110,7 +155,7 @@ pub fn least_loaded_among(loads: &[ShardLoad], eligible: &[bool]) -> Option<usiz
         .iter()
         .enumerate()
         .filter(|(i, _)| eligible.get(*i).copied().unwrap_or(false))
-        .min_by_key(|(i, l)| (l.queue_depth, l.busy_until_us, *i))
+        .min_by_key(|(i, l)| (l.busy_until_us, *i))
         .map(|(i, _)| i)
 }
 
@@ -126,7 +171,6 @@ mod tests {
     fn idle(shards: usize) -> Vec<ShardLoad> {
         vec![
             ShardLoad {
-                queue_depth: 0,
                 busy_until_us: 0,
                 capacity: None,
             };
@@ -167,26 +211,60 @@ mod tests {
         }
     }
 
+    /// The tests' clock and service estimate: a horizon of
+    /// `NOW + k * EST` is a queue of depth `k`.
+    const NOW: u64 = 1_000;
+    const EST: u64 = 100;
+
     #[test]
     fn least_loaded_picks_the_shallowest_queue() {
         let mut loads = idle(3);
-        loads[0].queue_depth = 5;
-        loads[1].queue_depth = 2;
-        loads[2].queue_depth = 2;
-        loads[2].busy_until_us = 100;
+        loads[0].busy_until_us = NOW + 5 * EST;
+        loads[1].busy_until_us = NOW + EST + 1;
+        loads[2].busy_until_us = NOW + 2 * EST;
+        let depths = |loads: &[ShardLoad]| -> Vec<usize> {
+            loads.iter().map(|l| l.depth_at(NOW, EST)).collect()
+        };
+        assert_eq!(depths(&loads), [5, 2, 2]);
         // Depth ties break on drain horizon: shard 1 drains sooner.
         let r = |loads: &[ShardLoad]| RoutePolicy::LeastLoaded.route(&req(0, 0), loads, 3832);
         assert_eq!(r(&loads), 1);
-        loads[1].queue_depth = 9;
+        loads[1].busy_until_us = NOW + 9 * EST;
+        assert_eq!(depths(&loads), [5, 9, 2]);
         assert_eq!(r(&loads), 2);
+        // Horizons already passed are all depth 0; the earliest still wins.
+        let past = [NOW, NOW - 1, NOW - 1].map(|busy_until_us| ShardLoad {
+            busy_until_us,
+            capacity: None,
+        });
+        assert_eq!(depths(&past), [0, 0, 0]);
+        assert_eq!(r(&past), 1);
+    }
+
+    #[test]
+    fn horizon_order_is_depth_then_horizon_then_index_order() {
+        // Every multiset of four horizons around NOW, saturation included.
+        let horizons = [0, NOW - 1, NOW, NOW + 1, NOW + EST, NOW + EST + 1, u64::MAX];
+        let n = horizons.len();
+        for code in 0..n.pow(4) {
+            let loads: Vec<ShardLoad> = (0..4)
+                .map(|i| ShardLoad {
+                    busy_until_us: horizons[code / n.pow(i) % n],
+                    capacity: None,
+                })
+                .collect();
+            let explicit = (0..4)
+                .min_by_key(|&i| (loads[i].depth_at(NOW, EST), loads[i].busy_until_us, i))
+                .unwrap();
+            assert_eq!(least_loaded(&loads), explicit, "{loads:?}");
+        }
     }
 
     #[test]
     fn least_loaded_among_matches_unrestricted_when_all_eligible() {
         let mut loads = idle(5);
         for (i, l) in loads.iter_mut().enumerate() {
-            l.queue_depth = (i * 13 + 7) % 5;
-            l.busy_until_us = (i as u64 * 31) % 3;
+            l.busy_until_us = NOW + ((i as u64 * 13 + 7) % 5) * EST + (i as u64 * 31) % 3;
         }
         let all = vec![true; 5];
         assert_eq!(least_loaded_among(&loads, &all), Some(least_loaded(&loads)));
@@ -197,16 +275,83 @@ mod tests {
     }
 
     #[test]
+    fn depth_is_the_ceiling_of_the_backlog_in_service_times() {
+        let at = |busy_until_us: u64| {
+            ShardLoad {
+                busy_until_us,
+                capacity: None,
+            }
+            .depth_at(NOW, EST)
+        };
+        assert_eq!(at(0), 0);
+        assert_eq!(at(NOW), 0, "a booking done by now has retired");
+        assert_eq!(at(NOW + 1), 1, "the last booking completes after now");
+        assert_eq!(at(NOW + EST), 1);
+        assert_eq!(at(NOW + EST + 1), 2);
+        assert_eq!(at(NOW + 7 * EST), 7);
+        assert_eq!(
+            at(u64::MAX - 1),
+            ((u64::MAX - 1 - NOW).div_ceil(EST)) as usize
+        );
+        assert_eq!(at(u64::MAX), usize::MAX, "saturated");
+    }
+
+    #[test]
     fn projected_full_requires_a_capacity() {
         let mut l = ShardLoad {
-            queue_depth: 10,
-            busy_until_us: 0,
+            busy_until_us: NOW + 10 * EST,
             capacity: None,
         };
-        assert!(!l.projected_full());
+        assert_eq!(l.depth_at(NOW, EST), 10);
+        assert!(!l.projected_full_at(NOW, EST));
         l.capacity = Some(10);
-        assert!(l.projected_full());
+        assert!(l.projected_full_at(NOW, EST));
         l.capacity = Some(11);
-        assert!(!l.projected_full());
+        assert!(!l.projected_full_at(NOW, EST));
+    }
+
+    #[test]
+    fn projected_full_is_depth_at_least_capacity_at_every_edge() {
+        let horizons = [
+            0,
+            NOW - 1,
+            NOW,
+            NOW + 1,
+            NOW + EST - 1,
+            NOW + EST,
+            NOW + EST + 1,
+            NOW + 2 * EST,
+            NOW + 2 * EST + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let capacities = [0, 1, 2, 3, usize::MAX - 1, usize::MAX];
+        for busy_until_us in horizons {
+            for cap in capacities {
+                for (now, est) in [(NOW, EST), (NOW, 1), (NOW, u64::MAX), (u64::MAX, EST)] {
+                    let l = ShardLoad {
+                        busy_until_us,
+                        capacity: Some(cap),
+                    };
+                    assert_eq!(
+                        l.projected_full_at(now, est),
+                        l.depth_at(now, est) >= cap,
+                        "{l:?} at {now} est {est}"
+                    );
+                }
+            }
+        }
+        // Capacity 0 is full even when idle; capacity 1 exactly when busy.
+        let idle = ShardLoad {
+            busy_until_us: 0,
+            capacity: Some(0),
+        };
+        assert!(idle.projected_full_at(NOW, EST));
+        let one = |busy_until_us| ShardLoad {
+            busy_until_us,
+            capacity: Some(1),
+        };
+        assert!(!one(NOW).projected_full_at(NOW, EST));
+        assert!(one(NOW + 1).projected_full_at(NOW, EST));
     }
 }

@@ -44,8 +44,10 @@ pub const DEFAULT_SAMPLE_SHIFT: u32 = 3;
 
 /// Cap on undrained [`WindowDelta`]s: beyond it the two oldest are
 /// coalesced, so a sink nobody drains stays bounded while the delta-sum
-/// invariant keeps holding.
-const PENDING_CAP: usize = 1024;
+/// invariant keeps holding. Four live ranges: a reader that drains at
+/// least once per 32 completed windows only ever sees whole windows, and
+/// a sink nobody reads holds 32 snapshots (~170 KB), not a thousand.
+const PENDING_CAP: usize = 4 * DEFAULT_DEPTH;
 
 /// One completed (or flushed) window, queued for a streaming reporter.
 #[derive(Debug, Clone, PartialEq)]
@@ -469,6 +471,36 @@ mod tests {
             drained.merge(&d.snapshot);
         }
         assert_eq!(drained, w.cumulative());
+    }
+
+    #[test]
+    fn a_drain_within_the_cap_sees_only_whole_windows() {
+        // One event per 4 µs window. A control loop draining every few
+        // windows (every window, the live controller's 1–5, and the cap
+        // itself) must never be handed a coalesced delta: the only
+        // partial one is the open window `flush` closes.
+        for cadence in [1, 2, 5, PENDING_CAP as u64] {
+            let mut w = TelemetryConfig::default().window_log2(2).sink();
+            for window in 0..10 * PENDING_CAP as u64 {
+                w.emit(&complete(window * 4, 1));
+                if (window + 1) % cadence == 0 {
+                    let deltas = w.take_deltas();
+                    assert!(deltas.len() as u64 <= cadence);
+                    assert!(deltas.iter().all(|d| !d.partial), "cadence {cadence}");
+                }
+            }
+            let rest = w.flush();
+            let partial: Vec<u64> = rest.iter().filter(|d| d.partial).map(|d| d.epoch).collect();
+            assert_eq!(partial, [10 * PENDING_CAP as u64 - 1], "cadence {cadence}");
+        }
+        // One window past the cap between drains is where coalescing starts.
+        let mut w = TelemetryConfig::default().window_log2(2).sink();
+        for window in 0..(DEFAULT_DEPTH + PENDING_CAP) as u64 + 1 {
+            w.emit(&complete(window * 4, 1));
+        }
+        let deltas = w.take_deltas();
+        assert_eq!(deltas.len(), PENDING_CAP);
+        assert!(deltas[0].partial && deltas[1..].iter().all(|d| !d.partial));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! bands, least-loaded with `(depth, drain horizon, index)` tie-breaks,
 //! redirect-on-overload — over a naive load model (a plain `Vec` of
 //! completion times per shard, linearly retired) instead of the farm's
-//! min-heaps. Agreement on every shard's sub-trace, the routed counts and
+//! closed form, which keeps one drain horizon per shard and derives depth
+//! from it. Agreement on every shard's sub-trace, the routed counts and
 //! the redirect count proves the optimized pass implements its spec.
 
 use farm::{FarmConfig, RoutePolicy};
@@ -175,5 +176,43 @@ mod tests {
         let replay = replay_route(&trace, &cfg, &caps);
         assert!(replay.redirects > 0, "capacity 4 should overload");
         diff_routing(&trace, &cfg, &caps).expect("replay matches");
+    }
+
+    #[test]
+    fn replay_agrees_up_to_the_last_unsaturated_horizon() {
+        // One shard, 49 bookings in a burst and a 50th arriving the
+        // instant the 49th completes: the model retires everything and
+        // books a horizon of exactly u64::MAX − 1, the last one the
+        // farm's closed form does not read as saturated (and the last the
+        // replay's unchecked `start + est` can hold).
+        let (est, n) = (3, 50);
+        let burst_at = u64::MAX - 1 - n * est;
+        let trace: Vec<Request> = (0..n)
+            .map(|i| {
+                let at = if i < n - 1 {
+                    burst_at
+                } else {
+                    burst_at + (n - 1) * est
+                };
+                let cylinder = (i * 97 % 3832) as u32;
+                Request::read(i, at, u64::MAX, cylinder, 65536, sched::QosVector::none())
+                    .with_stream(i % 7)
+            })
+            .collect();
+        for shards in [1, 3] {
+            for policy in [
+                RoutePolicy::HashStream,
+                RoutePolicy::CylinderRange,
+                RoutePolicy::LeastLoaded,
+            ] {
+                let mut cfg = FarmConfig::new(shards).with_policy(policy).with_redirects();
+                cfg.est_service_us = est;
+                // 1000 × est past these arrivals would overflow: the full
+                // test's threshold must saturate, not wrap.
+                for cap in [None, Some(4), Some(1_000)] {
+                    diff_routing(&trace, &cfg, &vec![cap; shards]).expect("replay matches");
+                }
+            }
+        }
     }
 }

@@ -37,7 +37,7 @@
 //! [`sim::EngineStepper`]: ../sim/struct.EngineStepper.html
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -287,6 +287,52 @@ impl Ord for Pending {
     }
 }
 
+impl Pending {
+    /// Build the request due at `at_us` (with the given id) and advance
+    /// the session past it: `at_us` becomes its next block time, unless
+    /// that was its last block (`blocks_left == 0`).
+    fn play(&mut self, cfg: &SessionConfig, pressure: f64, id: u64) -> Request {
+        let s = &mut self.session;
+        let arrival = self.at_us;
+        let period = match s.tenant {
+            Tenant::Vod => VOD_PERIOD_US,
+            Tenant::NewsByte => NEWSBYTE_PERIOD_US,
+        };
+        let deadline = match s.tenant {
+            Tenant::Vod => arrival + period,
+            Tenant::NewsByte => arrival + s.rng.gen_range(75_000..=150_000),
+        };
+        let cylinder = match s.tenant {
+            Tenant::Vod => (s.cylinder + s.block_index) % cfg.cylinders,
+            Tenant::NewsByte => (s.cylinder + s.block_index % 32) % cfg.cylinders,
+        };
+        let mut r = Request::read(
+            id,
+            arrival,
+            deadline,
+            cylinder,
+            cfg.block_bytes,
+            QosVector::single(s.level),
+        )
+        .with_stream(s.sid);
+        if s.writes && s.block_index % 2 == 1 {
+            r.kind = OpKind::Write;
+        }
+        s.blocks_left -= 1;
+        s.block_index += 1;
+        if s.blocks_left > 0 {
+            let think_mean = (cfg.think_mean_us as f64 * pressure).round() as u64;
+            let think = if think_mean == 0 {
+                0
+            } else {
+                dist::exp_us(&mut s.rng, think_mean)
+            };
+            self.at_us = arrival + period + think;
+        }
+        r
+    }
+}
+
 /// MPEG-1 block period: 64 KB × 8 / 1.5 Mb/s ≈ 349.5 ms.
 const VOD_PERIOD_US: Micros = 349_525;
 /// The NewsByte on-disk period: one block in four lands here (RAID-5
@@ -430,50 +476,18 @@ impl SessionSource {
         self.advance_birth(at_us);
     }
 
-    /// Emit the pending session's next request, then either reschedule
-    /// or retire the session.
-    fn emit(&mut self, mut p: Pending) -> Request {
-        let s = &mut p.session;
-        let arrival = p.at_us;
-        let period = match s.tenant {
-            Tenant::Vod => VOD_PERIOD_US,
-            Tenant::NewsByte => NEWSBYTE_PERIOD_US,
-        };
-        let deadline = match s.tenant {
-            Tenant::Vod => arrival + period,
-            Tenant::NewsByte => arrival + s.rng.gen_range(75_000..=150_000),
-        };
-        let cylinder = match s.tenant {
-            Tenant::Vod => (s.cylinder + s.block_index) % self.cfg.cylinders,
-            Tenant::NewsByte => (s.cylinder + s.block_index % 32) % self.cfg.cylinders,
-        };
-        let mut r = Request::read(
-            self.emitted,
-            arrival,
-            deadline,
-            cylinder,
-            self.cfg.block_bytes,
-            QosVector::single(s.level),
-        )
-        .with_stream(s.sid);
-        if s.writes && s.block_index % 2 == 1 {
-            r.kind = OpKind::Write;
+    /// Emit the earliest pending session's next request, then either
+    /// reschedule it in place — one sift when the guard drops, where a
+    /// pop and a push make three — or retire it.
+    fn emit(&mut self) -> Request {
+        let mut top = self.heap.peek_mut().expect("peeked entry");
+        let r = top.play(&self.cfg, self.pressure, self.emitted);
+        if top.session.blocks_left == 0 {
+            // A retired session's slot is gone.
+            PeekMut::pop(top);
         }
         self.emitted += 1;
-        self.last_emitted_us = arrival;
-        s.blocks_left -= 1;
-        s.block_index += 1;
-        if s.blocks_left > 0 {
-            let think_mean = (self.cfg.think_mean_us as f64 * self.pressure).round() as u64;
-            let think = if think_mean == 0 {
-                0
-            } else {
-                dist::exp_us(&mut s.rng, think_mean)
-            };
-            p.at_us = arrival + period + think;
-            self.heap.push(p);
-        }
-        // A retired session simply isn't pushed back: its slot is gone.
+        self.last_emitted_us = r.arrival_us;
         r
     }
 }
@@ -490,10 +504,7 @@ impl Iterator for SessionSource {
                 (Some(b), Some(top)) if b <= top.at_us => self.spawn(b),
                 (Some(b), None) => self.spawn(b),
                 (None, None) => return None,
-                _ => {
-                    let p = self.heap.pop().expect("peeked entry");
-                    return Some(self.emit(p));
-                }
+                _ => return Some(self.emit()),
             }
         }
     }
@@ -577,6 +588,54 @@ mod tests {
         let c: Vec<Request> = SessionSource::new(small(), 8).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// `Iterator::next` as it was before the in-place reschedule: take
+    /// the earliest entry out, play it, put it back.
+    fn next_pop_then_push(src: &mut SessionSource) -> Option<Request> {
+        loop {
+            match (src.next_birth_us, src.heap.peek()) {
+                (Some(b), Some(top)) if b <= top.at_us => src.spawn(b),
+                (Some(b), None) => src.spawn(b),
+                (None, None) => return None,
+                _ => {
+                    let mut p = src.heap.pop().expect("peeked entry");
+                    let r = p.play(&src.cfg, src.pressure, src.emitted);
+                    if p.session.blocks_left > 0 {
+                        src.heap.push(p);
+                    }
+                    src.emitted += 1;
+                    src.last_emitted_us = r.arrival_us;
+                    return Some(r);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rescheduling_in_place_emits_the_pop_then_push_stream() {
+        // Enough concurrent sessions that equal block times occur and the
+        // heap is a few levels deep; long sessions so reschedules dominate.
+        let mut cfg = SessionConfig::mixed(20_000, 600_000_000);
+        cfg.blocks = (2, 30);
+        let mut in_place = SessionSource::new(cfg.clone(), 20040330);
+        let mut reference = SessionSource::new(cfg, 20040330);
+        let mut backlog = 0usize;
+        for i in 0..200_000u64 {
+            let want = next_pop_then_push(&mut reference).expect("200k requests");
+            assert_eq!(in_place.next().as_ref(), Some(&want), "request {i}");
+            // A consumer whose backlog wanders over the whole stretch
+            // range, so think times (hence the order) depend on it.
+            backlog = (backlog * 31 + want.cylinder as usize) % 9_000;
+            in_place.observe(backlog);
+            reference.observe(backlog);
+        }
+        assert_eq!(in_place.live_sessions(), reference.live_sessions());
+        assert_eq!(
+            in_place.peak_live_sessions(),
+            reference.peak_live_sessions()
+        );
+        assert!(in_place.peak_live_sessions() > 100);
     }
 
     #[test]
