@@ -37,6 +37,14 @@ echo "==> inversion-census tests, release"
 # in the test is the only reference.
 cargo test -q --release --test cross_crate inversion_census
 
+echo "==> bounded-state census gate, release"
+# One surge-shaped daemon scenario (flash crowd, admission gate, bounded
+# queues, churn, supervisor, live controller) at 1x and 10x arrivals:
+# what the daemon and the controller hold at rest, counted structure by
+# structure, must be equal — state sized by the farm's shape, never by
+# the traffic that has passed through. Prints the census.
+cargo test -q --release -p bench --test state_census -- --nocapture
+
 echo "==> fault-scenario smoke run"
 # Fixed seed: loss-free and fully event-reconciled at a zero fault
 # rate, lossy-but-terminating at a high rate (exits 1 on violation).
@@ -72,7 +80,7 @@ echo "==> ctrl smoke run"
 # and without the live controller: the controlled run must beat the
 # static deadline-miss rate, hold p99 response within the survivorship
 # slack, and two controlled runs must be bit-identical down to the
-# decision log (exits 1 on violation).
+# fingerprint of every decision taken (exits 1 on violation).
 cargo run -q -p bench --release --bin ctrl -- --mode smoke
 
 echo "==> ctrl convergence sweep"

@@ -45,11 +45,12 @@ fn main() {
     match scenario::smoke(&cfg) {
         Ok(s) => {
             let last = s.convergence.last().expect("non-empty sweep");
+            let census: Vec<String> = s.census.iter().map(|(k, n)| format!("{k} {n}")).collect();
             eprintln!(
                 "# {mode} OK: {} sessions ({:.0}/s wall) emitted {} requests over \
                  {:.1} simulated hours; served {}, shed {}, rejected {}; peak live \
-                 {} ({}x below total), peak backlog {}; seek law converged to rel \
-                 err {:.5} at n={}",
+                 {} ({}x below total), peak backlog {}, entries held at the end: {}; \
+                 seek law converged to rel err {:.5} at n={}",
                 s.sessions,
                 s.sessions_per_s,
                 s.arrivals,
@@ -60,6 +61,7 @@ fn main() {
                 s.peak_live,
                 s.sessions as usize / s.peak_live.max(1),
                 s.peak_backlog,
+                census.join(", "),
                 last.rel_err(),
                 last.batch
             );

@@ -502,6 +502,17 @@ mod tests {
     }
 
     #[test]
+    fn the_gates_own_run_keeps_the_fingerprint_of_the_whole_log() {
+        // `bench ctrl --mode smoke` as `ci.sh` runs it. The value is the
+        // one the controller computed over its full decision log when it
+        // still kept one; it now folds each of the 65 actions — twice
+        // what its tail holds — as it is taken.
+        let s = smoke(&Config::default()).expect("ctrl smoke gate");
+        assert_eq!((s.decisions, s.retunes), (28, 65));
+        assert_eq!(s.fingerprint, 0x062a_d3c5_23f0_5d04);
+    }
+
+    #[test]
     fn smoke_gate_passes_and_improves_on_detuned_static() {
         let s = smoke(&small()).expect("ctrl smoke gate");
         assert!(s.tuned_miss_rate < s.static_miss_rate);

@@ -325,6 +325,20 @@ pub fn smoke(seed: u64) -> Result<Vec<String>, Vec<String>> {
             ),
         ));
     }
+    // The recorder holds only its newest dumps; its lifetime count says
+    // whether one it has already let go failed too.
+    if recorder.dumps_unclean() != 0 {
+        return Err(fail(
+            lines,
+            format!(
+                "{} of {} dumps failed event-vs-counter reconciliation \
+                 ({} no longer held)",
+                recorder.dumps_unclean(),
+                recorder.dumps_total(),
+                recorder.dumps_evicted()
+            ),
+        ));
+    }
     let last = dumps.last().expect("force_dump always captures");
     if last.anomaly != Anomaly::Manual {
         return Err(fail(lines, "final forced dump missing".into()));
@@ -337,7 +351,7 @@ pub fn smoke(seed: u64) -> Result<Vec<String>, Vec<String>> {
     lines.push(format!(
         "flight recorder fired {} dump(s) under overload, all reconciled \
          exactly (cumulative sheds {})",
-        dumps.len(),
+        recorder.dumps_total(),
         last.cumulative.sheds,
     ));
 

@@ -11,7 +11,10 @@
 //!    [`farm::FarmDaemon::ingest`] over a multi-hour simulated horizon
 //!    with the peak *live* session count and the farm backlog both
 //!    orders of magnitude below the session total — nothing is ever
-//!    materialized;
+//!    materialized — and what the daemon itself holds when the
+//!    population runs out reported structure by structure
+//!    ([`farm::FarmDaemon::state_census`]; the equality gate on it is
+//!    `tests/state_census.rs`);
 //! 2. **ledger closure** — every emitted request is accounted for:
 //!    served + deadline-dropped + shed + admission-rejected equals
 //!    arrivals, exactly, and the traced events reconcile with the
@@ -111,6 +114,9 @@ pub struct Summary {
     pub peak_live: usize,
     /// Peak farm backlog observed by the closed loop (requests).
     pub peak_backlog: usize,
+    /// What the daemon held when the population ran out, structure by
+    /// structure ([`FarmDaemon::state_census`]), in entries.
+    pub census: Vec<(&'static str, usize)>,
     /// Slowest member's makespan (µs of simulated time).
     pub makespan_us: u64,
     /// Sessions driven per wall-clock second, end to end.
@@ -178,19 +184,31 @@ impl<T: TraceSource> TraceSource for Meter<T> {
     }
 }
 
+/// The source-side witnesses of one closed-loop pass, plus the daemon's
+/// own census taken as the population ran out.
+struct Witness {
+    started: u64,
+    peak_live: usize,
+    peak_backlog: usize,
+    census: Vec<(&'static str, usize)>,
+}
+
 /// One full closed-loop pass: population → daemon, with the backlog
-/// meter in between. Returns the report plus the source-side stats.
-fn closed_loop(cfg: &Config) -> (DaemonReport, u64, usize, usize) {
+/// meter in between. Returns the report plus the witnesses.
+fn closed_loop(cfg: &Config) -> (DaemonReport, Witness) {
     let mut source = Meter {
         inner: SessionSource::new(session_config(cfg), cfg.seed),
         peak_backlog: 0,
     };
     let mut farm = daemon(cfg);
     farm.ingest(&mut source);
-    let report = farm.shutdown();
-    let started = source.inner.sessions_started();
-    let peak_live = source.inner.peak_live_sessions();
-    (report, started, peak_live, source.peak_backlog)
+    let witness = Witness {
+        started: source.inner.sessions_started(),
+        peak_live: source.inner.peak_live_sessions(),
+        peak_backlog: source.peak_backlog,
+        census: farm.state_census(),
+    };
+    (farm.shutdown(), witness)
 }
 
 fn fingerprint(r: &DaemonReport) -> impl PartialEq + std::fmt::Debug {
@@ -223,16 +241,22 @@ pub fn smoke(cfg: &Config) -> Result<Summary, String> {
         horizon_us: cfg.horizon_us / 50,
         ..cfg.clone()
     };
-    let (first, ..) = closed_loop(&small);
-    let (second, ..) = closed_loop(&small);
+    let (first, _) = closed_loop(&small);
+    let (second, _) = closed_loop(&small);
     if fingerprint(&first) != fingerprint(&second) {
         return Err("two identical closed-loop runs diverge — nondeterministic".into());
     }
 
     // 1–3. The full population.
     let start = std::time::Instant::now();
-    let (report, started, peak_live, peak_backlog) = closed_loop(cfg);
+    let (report, witness) = closed_loop(cfg);
     let elapsed = start.elapsed().as_secs_f64().max(1e-9);
+    let Witness {
+        started,
+        peak_live,
+        peak_backlog,
+        census,
+    } = witness;
 
     if started != cfg.sessions {
         return Err(format!(
@@ -282,6 +306,7 @@ pub fn smoke(cfg: &Config) -> Result<Summary, String> {
         rejections: report.admission_rejections,
         peak_live,
         peak_backlog,
+        census,
         makespan_us: report.makespan_us,
         sessions_per_s: started as f64 / elapsed,
         convergence: points,

@@ -264,6 +264,14 @@ impl Dispatcher {
         (self.q.len(), self.q_wait.len())
     }
 
+    /// Entries held: arena slots (vacant ones included), the free list,
+    /// and both queues. The arena only grows to the deepest backlog the
+    /// dispatcher has held, so under a bounded queue this is bounded
+    /// however much traffic has passed through.
+    pub fn state_len(&self) -> usize {
+        self.slots.len() + self.free.len() + self.len()
+    }
+
     /// Move a request into the arena, returning its slot.
     fn alloc(&mut self, req: Request) -> u32 {
         if let Some(slot) = self.free.pop() {

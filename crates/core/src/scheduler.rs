@@ -252,6 +252,10 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
         self.dispatcher.for_each_pending(f);
     }
 
+    fn state_len(&self) -> usize {
+        self.dispatcher.state_len()
+    }
+
     fn sheds(&self) -> u64 {
         self.dispatcher.sheds()
     }

@@ -16,10 +16,14 @@
 //!    [`TuningAction`]s for the host to apply
 //!    ([`TuningAction::into_event`] → [`DaemonEvent::Retune`]).
 //!
-//! Every decision appends to a log whose [`Controller::fingerprint`] is
-//! a pure function of the telemetry stream: two runs over the same
-//! trace produce bit-identical logs, which the oracle and the CI smoke
-//! gate both assert. A controller built over [`Grid::pinned`] can never
+//! Every action is folded, as it is taken, into a running
+//! [`Controller::fingerprint`] that is a pure function of the telemetry
+//! stream: two runs over the same trace act identically and end on equal
+//! fingerprints, which the oracle and the CI smoke gate both assert. The
+//! actions themselves are kept only as a bounded tail
+//! ([`Controller::decision_log`]) — a controller left running holds what
+//! its farm's size dictates, not what its history does. A controller
+//! built over [`Grid::pinned`] can never
 //! propose a move — pinning it to the seed configuration must leave the
 //! daemon bit-identical to an uncontrolled run.
 //!
@@ -90,7 +94,7 @@ impl TuningAction {
     }
 }
 
-/// One appended decision-log entry (see [`Controller::decision_log`]).
+/// One decision-log entry (see [`Controller::decision_log`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// Decision time (µs).
@@ -107,6 +111,18 @@ pub struct Decision {
     pub score: f64,
 }
 
+/// Decisions [`Controller::decision_log`] keeps.
+const DECISION_TAIL: usize = 32;
+
+/// FNV-1a over `bytes`, continuing from `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Per-shard search state plus the farm-wide policy table (module docs).
 #[derive(Debug, Clone)]
 pub struct Controller {
@@ -117,7 +133,10 @@ pub struct Controller {
     policy_ewma: Vec<Option<f64>>,
     policy_current: usize,
     farm_pending: Snapshot,
-    log: Vec<Decision>,
+    /// The newest [`DECISION_TAIL`] actions, oldest first.
+    tail: Vec<Decision>,
+    /// FNV-1a over every action ever taken, in order.
+    fingerprint: u64,
     decisions: u64,
 }
 
@@ -143,7 +162,8 @@ impl Controller {
             policy_ewma: vec![None; cfg.policies.len()],
             policy_current: 0,
             farm_pending: Snapshot::new(),
-            log: Vec::new(),
+            tail: Vec::new(),
+            fingerprint: 0xcbf2_9ce4_8422_2325,
             decisions: 0,
             tuners,
             cfg,
@@ -203,7 +223,7 @@ impl Controller {
                 shard,
                 action: RetuneAction::Knob(action),
             });
-            self.log.push(Decision {
+            self.log(Decision {
                 at_us: now_us,
                 shard: shard as u32,
                 knob,
@@ -262,7 +282,7 @@ impl Controller {
                 shard: 0,
                 action: RetuneAction::Policy(self.cfg.policies[best]),
             });
-            self.log.push(Decision {
+            self.log(Decision {
                 at_us: now_us,
                 shard: 0,
                 knob: 3,
@@ -270,6 +290,20 @@ impl Controller {
                 score,
             });
         }
+    }
+
+    /// Fold `d` into the fingerprint and keep it as the tail's newest.
+    fn log(&mut self, d: Decision) {
+        let mut h = self.fingerprint;
+        h = fnv1a(h, &d.at_us.to_le_bytes());
+        h = fnv1a(h, &d.shard.to_le_bytes());
+        h = fnv1a(h, &d.knob.to_le_bytes());
+        h = fnv1a(h, &d.value_bits.to_le_bytes());
+        self.fingerprint = fnv1a(h, &d.score.to_bits().to_le_bytes());
+        if self.tail.len() >= DECISION_TAIL {
+            self.tail.remove(0);
+        }
+        self.tail.push(d);
     }
 
     /// The currently applied grid point for `shard`.
@@ -282,29 +316,33 @@ impl Controller {
         self.decisions
     }
 
-    /// Every decision in order.
+    /// The newest decisions (at most 32 of them), oldest first; empty
+    /// only if none was ever taken.
     pub fn decision_log(&self) -> &[Decision] {
-        &self.log
+        &self.tail
     }
 
-    /// FNV-1a over the decision log — bit-identical logs, equal
-    /// fingerprints. The determinism gates compare this across runs.
+    /// FNV-1a over every decision ever taken, in order — the same
+    /// decisions, equal fingerprints. The determinism gates compare this
+    /// across runs.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for d in &self.log {
-            eat(&d.at_us.to_le_bytes());
-            eat(&d.shard.to_le_bytes());
-            eat(&d.knob.to_le_bytes());
-            eat(&d.value_bits.to_le_bytes());
-            eat(&d.score.to_bits().to_le_bytes());
-        }
-        h
+        self.fingerprint
+    }
+
+    /// Entries held: the decision tail and the per-shard tables (pending
+    /// windows, applied points, each search's pheromone and evaluation
+    /// tables) plus the policy table — sized by the farm and the grid,
+    /// not by how many rounds have run.
+    pub fn state_len(&self) -> usize {
+        self.tail.len()
+            + self.pending.len()
+            + self.applied.len()
+            + self.policy_ewma.len()
+            + self
+                .tuners
+                .iter()
+                .map(TunerSearch::state_len)
+                .sum::<usize>()
     }
 }
 
@@ -432,6 +470,55 @@ mod tests {
         let (fb, lb) = run();
         assert_eq!(la, lb, "decision logs must be bit-identical");
         assert_eq!(fa, fb);
+    }
+
+    #[test]
+    fn the_fingerprint_covers_the_whole_log_and_the_tail_stays_bounded() {
+        // Many shards in lasting pain: far more actions than the tail
+        // holds. The unbounded log is rebuilt from what each round
+        // appends, and hashed the way `fingerprint` used to hash it.
+        let shards = 8;
+        let mut c = Controller::new(
+            shards,
+            ControllerConfig {
+                policies: vec![RoutePolicy::HashStream, RoutePolicy::LeastLoaded],
+                ..ControllerConfig::default()
+            },
+        );
+        let mut log: Vec<Decision> = Vec::new();
+        let mut state_after_budget = None;
+        for round in 1..=40u64 {
+            for shard in 0..shards {
+                c.observe(&delta(shard, 10 + (round + shard as u64) % 9, 20));
+            }
+            let acted = c.decide(round * 1_000_000).len();
+            assert!(acted <= DECISION_TAIL, "one round fits the tail");
+            let tail = c.decision_log();
+            log.extend_from_slice(&tail[tail.len() - acted..]);
+            assert_eq!(tail, &log[log.len().saturating_sub(DECISION_TAIL)..]);
+            // The default budget is 16 evaluations a shard: from there on
+            // nothing the controller holds may grow.
+            if round >= 20 {
+                assert_eq!(
+                    *state_after_budget.get_or_insert(c.state_len()),
+                    c.state_len()
+                );
+            }
+        }
+        assert!(log.len() > 3 * DECISION_TAIL, "{} actions", log.len());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for d in &log {
+            for bytes in [
+                &d.at_us.to_le_bytes()[..],
+                &d.shard.to_le_bytes(),
+                &d.knob.to_le_bytes(),
+                &d.value_bits.to_le_bytes(),
+                &d.score.to_bits().to_le_bytes(),
+            ] {
+                h = fnv1a(h, bytes);
+            }
+        }
+        assert_eq!(c.fingerprint(), h);
     }
 
     #[test]

@@ -98,6 +98,12 @@ impl TunerSearch {
         self.evaluated.len()
     }
 
+    /// Entries held: a pheromone per grid point and a score per point
+    /// evaluated, so at most twice the grid.
+    pub fn state_len(&self) -> usize {
+        self.pheromone.len() + self.evaluated.len()
+    }
+
     /// Best `(grid index, score)` observed so far.
     pub fn best(&self) -> Option<(usize, f64)> {
         self.best

@@ -2,7 +2,7 @@
 
 use crate::geometry::DiskGeometry;
 use crate::seek::SeekModel;
-use crate::{ms_to_us, Micros};
+use crate::{fract, ms_to_us, Micros};
 
 /// Per-request service-time breakdown, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -120,6 +120,7 @@ impl Disk {
     ///
     /// Panics if `cylinder` is out of range.
     pub fn service(&mut self, cylinder: u32, bytes: u64) -> ServiceBreakdown {
+        // One zone lookup serves the sector layout and the transfer rate.
         let spt = self.geometry.sectors_per_track(cylinder); // validates range
         let rev_ms = self.geometry.revolution_ms();
 
@@ -141,7 +142,7 @@ impl Disk {
         self.advance(rotation_ms);
 
         // Transfer.
-        let transfer_ms = self.geometry.transfer_ms(cylinder, bytes);
+        let transfer_ms = self.geometry.transfer_ms_at(spt, bytes);
         self.advance(transfer_ms);
 
         let b = ServiceBreakdown {
@@ -159,7 +160,7 @@ impl Disk {
     /// Let the platter spin for `ms` milliseconds (used for idle time too).
     pub fn advance(&mut self, ms: f64) {
         let rev = self.geometry.revolution_ms();
-        self.angle = (self.angle + ms / rev).fract();
+        self.angle = fract(self.angle + ms / rev);
         if self.angle < 0.0 {
             self.angle += 1.0;
         }

@@ -153,7 +153,13 @@ impl DiskGeometry {
 
     /// Sustained media transfer rate at `cylinder`, bytes per second.
     pub fn transfer_rate(&self, cylinder: u32) -> f64 {
-        let per_rev = self.sectors_per_track(cylinder) as f64 * self.sector_bytes as f64;
+        self.rate_at(self.sectors_per_track(cylinder))
+    }
+
+    /// [`DiskGeometry::transfer_rate`] of a zone with `spt` sectors per
+    /// track.
+    fn rate_at(&self, spt: u32) -> f64 {
+        let per_rev = spt as f64 * self.sector_bytes as f64;
         per_rev * self.rpm as f64 / 60.0
     }
 
@@ -161,7 +167,13 @@ impl DiskGeometry {
     /// (media time only, no seeks or rotational positioning; track and
     /// cylinder switches are assumed free as in the paper's model).
     pub fn transfer_ms(&self, cylinder: u32, bytes: u64) -> f64 {
-        bytes as f64 / self.transfer_rate(cylinder) * 1000.0
+        self.transfer_ms_at(self.sectors_per_track(cylinder), bytes)
+    }
+
+    /// [`DiskGeometry::transfer_ms`] for a caller that has already looked
+    /// up the cylinder's `spt` sectors per track.
+    pub(crate) fn transfer_ms_at(&self, spt: u32, bytes: u64) -> f64 {
+        bytes as f64 / self.rate_at(spt) * 1000.0
     }
 }
 

@@ -78,10 +78,25 @@
 //! since it last looked (pumped, or emitted into by the router, a retune
 //! or a quarantine) — a flight-recorder dump appears only when an event is
 //! emitted — in index order, so quarantine refusals ("last shard in
-//! rotation") fall on the same member as a full scan's would.
+//! rotation") fall on the same member as a full scan's would. A recorder
+//! keeps only its newest [`obs::DUMP_RETENTION`] dumps, so the supervisor
+//! remembers, per member, the sequence number of the next dump it has not
+//! seen, reads from there, and counts what was evicted before it looked
+//! ([`DaemonReport::dumps_missed`] — 0 on every run the gates make,
+//! because it looks at a touched member at the very next event).
 //! [`FarmDaemon::backlog`] is a counter: `+1` per submission, the
 //! before/after difference of every pump, minus the leftovers a closing
 //! drain migrates.
+//!
+//! # What the daemon holds
+//!
+//! Everything above is sized by the farm — members, streams holding a
+//! gate slot, queue bounds, ring and window depths — and not by how many
+//! requests have passed through. [`FarmDaemon::state_census`] counts it,
+//! structure by structure, so that claim is a test
+//! (`crates/bench/tests/state_census.rs`) rather than a reading of the
+//! code: the same scenario run ten times longer must end on the same
+//! census.
 
 use obs::{
     Anomaly, FlightRecorder, FlightRing, SharedSink, TelemetryConfig, TraceEvent, TraceSink,
@@ -243,7 +258,9 @@ impl Default for SupervisorConfig {
 }
 
 /// What each member adds to the farm's flight ring, and the most one of
-/// its dumps copies out (events).
+/// its dumps copies out (events). How many such dumps a member's recorder
+/// keeps is the recorder's own constant, [`obs::DUMP_RETENTION`]; the two
+/// together bound what a member's post-mortems can weigh.
 const RECORDER_CAPACITY: usize = 1 << 12;
 
 /// Full daemon configuration.
@@ -312,8 +329,9 @@ struct Member {
     stepper: EngineStepper,
     recorder: SharedSink<FlightRecorder>,
     status: MemberStatus,
-    /// Flight-recorder dumps already inspected by the supervisor.
-    dumps_seen: usize,
+    /// Sequence number of the first flight-recorder dump the supervisor
+    /// has not inspected yet.
+    dumps_seen: u64,
     /// Lifetime anomaly strikes (scales the quarantine backoff).
     strikes: u32,
 }
@@ -363,6 +381,7 @@ pub struct FarmDaemon {
     quarantines: u64,
     retunes: u64,
     refused_events: u64,
+    dumps_missed: u64,
     now_us: u64,
     /// One `(next_action_us, member)` entry per member with work (see the
     /// module docs, "The event loop").
@@ -426,6 +445,7 @@ impl FarmDaemon {
             quarantines: 0,
             retunes: 0,
             refused_events: 0,
+            dumps_missed: 0,
             now_us: 0,
             wake: BinaryHeap::new(),
             drain_timers: BinaryHeap::new(),
@@ -508,6 +528,47 @@ impl FarmDaemon {
             "the backlog counter drifted from the members' queues"
         );
         self.backlog
+    }
+
+    /// What the daemon holds, counted in entries (not bytes) and folded
+    /// by structure over the members: the admission gate's map and expiry
+    /// heap, the router's per-shard tables, the steppers' undelivered
+    /// arrivals and inversion censuses, the schedulers' queues and
+    /// arenas, the shared flight ring, the recorders' retained dumps and
+    /// live and undrained windows, the member table, the wake heap, the
+    /// two timer heaps, and the supervisor's touched and scratch lists.
+    ///
+    /// All of it is *state*: sized by the farm's shape, the gate and
+    /// queue bounds and the telemetry depths. None of it may be
+    /// *traffic*: a structure that gains an entry per request, per
+    /// anomaly or per control action and never gives it back. Run the
+    /// same scenario ten times longer, bring both runs to rest, and the
+    /// two censuses must be equal — see the module docs.
+    pub fn state_census(&self) -> Vec<(&'static str, usize)> {
+        let over_members =
+            |held: fn(&Member) -> usize| self.members.iter().map(held).sum::<usize>();
+        vec![
+            ("gate", self.gate.state_len()),
+            ("router", self.router.state_len()),
+            ("steppers", over_members(|m| m.stepper.state_len())),
+            ("schedulers", over_members(|m| m.scheduler.state_len())),
+            ("flight_ring", self.ring.len()),
+            (
+                "dumps",
+                over_members(|m| m.recorder.with(|r| r.dumps().len())),
+            ),
+            (
+                "windows",
+                over_members(|m| m.recorder.with(|r| r.windows().state_len())),
+            ),
+            ("members", self.members.len() + self.routed_per_shard.len()),
+            ("wake", self.wake.len()),
+            (
+                "timers",
+                self.drain_timers.len() + self.quarantine_timers.len(),
+            ),
+            ("touched", self.touched.len() + self.scratch.len()),
+        ]
     }
 
     /// Drain a pull-based [`workload::stream::TraceSource`] through the
@@ -637,17 +698,18 @@ impl FarmDaemon {
         for i in 0..self.scratch.len() {
             let idx = self.scratch[i];
             let seen = self.members[idx].dumps_seen;
-            let (total, actionable) = self.members[idx].recorder.with(|r| {
-                let dumps = r.dumps();
-                let actionable = dumps[seen.min(dumps.len())..].iter().any(|d| {
+            let (total, missed, actionable) = self.members[idx].recorder.with(|r| {
+                let actionable = r.dumps_from(seen).iter().any(|d| {
                     matches!(
                         d.anomaly,
                         Anomaly::ShedBurst | Anomaly::DegradedStorm | Anomaly::P99Spike
                     )
                 });
-                (dumps.len(), actionable)
+                let missed = r.dumps_evicted().saturating_sub(seen);
+                (r.dumps_total(), missed, actionable)
             });
             self.members[idx].dumps_seen = total;
+            self.dumps_missed += missed;
             if actionable && self.members[idx].status == MemberStatus::Active {
                 self.quarantine_member(idx, t);
             }
@@ -880,6 +942,7 @@ impl FarmDaemon {
             quarantines: self.quarantines,
             retunes: self.retunes,
             refused_events: self.refused_events,
+            dumps_missed: self.dumps_missed,
             makespan_us,
         }
     }
@@ -922,6 +985,11 @@ pub struct DaemonReport {
     /// tags), and events of any kind — arrivals included — timed before
     /// the last handled one.
     pub refused_events: u64,
+    /// Flight-recorder dumps evicted from a member's bounded dump ring
+    /// before the supervisor had looked at them — anomalies it never got
+    /// to act on. 0 unless one pump fired more dumps than a recorder
+    /// keeps.
+    pub dumps_missed: u64,
     /// Slowest member's makespan (µs).
     pub makespan_us: u64,
 }
@@ -972,11 +1040,10 @@ impl DaemonReport {
     /// daemon's own counters, exactly. (Requires scheduler factories to
     /// wire the provided sink, so shed events are traced.)
     pub fn reconcile_events(&self) -> Result<(), String> {
-        let mut c = obs::Snapshot::new();
+        let mut counters = obs::Counters::default();
         for r in &self.recorders {
-            c.merge(&r.windows().cumulative());
+            counters.merge(&r.windows().cumulative_counters());
         }
-        let counters = c.counters;
         self.aggregate().reconcile(&counters)?;
         let delivered = self.arrivals - self.admission_rejections - self.migrated_undelivered;
         let checks = [
@@ -1366,6 +1433,11 @@ mod tests {
         );
         let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
         assert_eq!(report.quarantines, 1, "the shed burst must strike once");
+        // Placement follows the moment of the strike: these are the
+        // figures of the supervisor that indexed an unbounded dump list.
+        assert_eq!((report.reroutes, report.refused_events), (373, 1));
+        assert_eq!(report.routed_per_shard, [373, 27]);
+        assert_eq!(report.dumps_missed, 0);
         // The victim is whichever member ended up quarantined; the other
         // shard may shed too once the sticky stream reroutes onto it.
         let victim = (0..2)
@@ -1500,6 +1572,17 @@ mod tests {
         assert_eq!(report.statuses[drained], MemberStatus::Drained);
         assert_eq!(report.retunes, 1);
         assert!(report.quarantines > 0 && report.migrated > 0);
+        // Most of the members' dumps are gone from their recorders by now
+        // (3, 9, 9 and 34 taken, `obs::DUMP_RETENTION` kept), yet the
+        // supervisor saw each one once: the strikes, the refusals and the
+        // placements that follow from their timing are those of the
+        // supervisor that indexed an unbounded dump list.
+        let taken: Vec<u64> = report.recorders.iter().map(|r| r.dumps_total()).collect();
+        assert_eq!(taken, [3, 9, 9, 34]);
+        assert_eq!((report.quarantines, report.refused_events), (22, 33));
+        assert_eq!(report.reroutes, 18_902);
+        assert_eq!(report.routed_per_shard, [396, 648, 666, 18_290]);
+        assert_eq!(report.dumps_missed, 0);
         report.ledger().expect("ledger closes");
         report.reconcile_events().expect("events reconcile");
         let emitted: u64 = report

@@ -173,6 +173,12 @@ impl OnlineRouter {
         self.eligible.len()
     }
 
+    /// Entries held: one modeled drain horizon and one eligibility flag
+    /// per shard, whatever the traffic.
+    pub fn state_len(&self) -> usize {
+        self.model.loads.len() + self.eligible.len()
+    }
+
     /// Shards currently accepting new arrivals.
     pub fn eligible_count(&self) -> usize {
         self.eligible_count

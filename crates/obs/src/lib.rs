@@ -64,7 +64,7 @@ mod window;
 pub use event::TraceEvent;
 pub use expo::{encode_registry, encode_snapshot, DEFAULT_PREFIX};
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
-pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig};
+pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig, DUMP_RETENTION};
 pub use sink::{CsvSink, FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
 pub use span::{Stage, StageSampler};

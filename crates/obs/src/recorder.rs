@@ -20,6 +20,14 @@
 //! that delta exactly (`clean` records whether they did; events the
 //! delta counts that the ring no longer holds are the one legitimate
 //! reason they cannot).
+//!
+//! The dumps are a ring too: a recorder keeps its newest
+//! [`DUMP_RETENTION`] records and counts the rest. Every dump carries its
+//! lifetime sequence number, so a reader that remembers the last one it
+//! saw ([`FlightRecorder::dumps_from`]) can tell a dump it has handled
+//! from one it never got to see, and an eviction takes nothing out of the
+//! chain the next dump reconciles against: `delta` and `cumulative` come
+//! from the recorder's counters, not from the records before it.
 
 use crate::event::TraceEvent;
 use crate::sink::{FlightRing, TraceSink};
@@ -107,9 +115,19 @@ impl TriggerConfig {
     }
 }
 
+/// Dumps a [`FlightRecorder`] keeps. Each one copies up to the
+/// recorder's capacity of events out of the ring, so a list nobody trims
+/// is memory in proportion to how long an overload has lasted. A reader
+/// that looks after every few events (the farm's supervisor looks at the
+/// next daemon event) finds one new dump, rarely two; it can count the
+/// times four was not enough ([`FlightRecorder::dumps_from`]).
+pub const DUMP_RETENTION: usize = 4;
+
 /// One frozen post-mortem capture.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DumpRecord {
+    /// Position among all the dumps its recorder ever took, from 0.
+    pub seq: u64,
     /// What fired.
     pub anomaly: Anomaly,
     /// Simulation time of the triggering event (µs).
@@ -138,9 +156,10 @@ impl DumpRecord {
     pub fn write_jsonl(&self, out: &mut String) {
         let _ = write!(
             out,
-            "{{\"record\":\"flight_dump\",\"anomaly\":\"{}\",\"now_us\":{},\
+            "{{\"record\":\"flight_dump\",\"anomaly\":\"{}\",\"seq\":{},\"now_us\":{},\
              \"epoch\":{},\"clean\":{},\"evicted_since_dump\":{},\"events\":{}",
             self.anomaly.name(),
+            self.seq,
             self.now_us,
             self.epoch,
             self.clean,
@@ -185,7 +204,10 @@ pub struct FlightRecorder {
     counters_at_dump: Counters,
     triggers: TriggerConfig,
     last_fired_epoch: [Option<u64>; Anomaly::COUNT],
+    /// The newest [`DUMP_RETENTION`] dumps, oldest first.
     dumps: Vec<DumpRecord>,
+    dumps_total: u64,
+    dumps_unclean: u64,
 }
 
 impl FlightRecorder {
@@ -218,6 +240,8 @@ impl FlightRecorder {
             triggers,
             last_fired_epoch: [None; Anomaly::COUNT],
             dumps: Vec::new(),
+            dumps_total: 0,
+            dumps_unclean: 0,
         })
     }
 
@@ -239,9 +263,35 @@ impl FlightRecorder {
         &mut self.windows
     }
 
-    /// Dumps captured so far, oldest first.
+    /// The dumps still held — the newest [`DUMP_RETENTION`] — oldest
+    /// first.
     pub fn dumps(&self) -> &[DumpRecord] {
         &self.dumps
+    }
+
+    /// The held dumps numbered `seq` and up: what a reader that has seen
+    /// everything before `seq` has left to look at. Whatever it missed is
+    /// `dumps_evicted().saturating_sub(seq)` dumps.
+    pub fn dumps_from(&self, seq: u64) -> &[DumpRecord] {
+        let skip = seq.saturating_sub(self.dumps_evicted()) as usize;
+        &self.dumps[skip.min(self.dumps.len())..]
+    }
+
+    /// Dumps ever taken; the next one's sequence number.
+    pub fn dumps_total(&self) -> u64 {
+        self.dumps_total
+    }
+
+    /// Dumps taken and since dropped to make room; the sequence number
+    /// of the oldest one still held.
+    pub fn dumps_evicted(&self) -> u64 {
+        self.dumps_total - self.dumps.len() as u64
+    }
+
+    /// Dumps ever taken whose retained events failed to replay into
+    /// their delta, held or not.
+    pub fn dumps_unclean(&self) -> u64 {
+        self.dumps_unclean
     }
 
     /// Capture a dump right now, bypassing triggers and cooldowns.
@@ -262,13 +312,19 @@ impl FlightRecorder {
     }
 
     fn capture(&mut self, anomaly: Anomaly, now_us: u64) {
-        let cumulative = self.windows.cumulative().counters;
+        let cumulative = self.windows.cumulative_counters();
         let delta = cumulative.since(&self.counters_at_dump);
         self.counters_at_dump = cumulative;
         let events = self.ring.newest(self.tag, self.capacity);
         let evicted_since_dump = delta.total_events().saturating_sub(events.len() as u64);
         let clean = evicted_since_dump == 0 && reconciles(&events, &delta);
+        if self.dumps.len() >= DUMP_RETENTION {
+            self.dumps.remove(0);
+        }
+        self.dumps_unclean += u64::from(!clean);
+        self.dumps_total += 1;
         self.dumps.push(DumpRecord {
+            seq: self.dumps_total - 1,
             anomaly,
             now_us,
             epoch: self.windows.epoch_of(now_us),
@@ -582,6 +638,162 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// What the recorder must have done, worked out from the whole event
+    /// stream and an unbounded list of dumps.
+    #[derive(Default)]
+    struct UnboundedModel {
+        stream: Vec<TraceEvent>,
+        /// A plain cumulative sink over the stream.
+        total: Snapshot,
+        /// `(anomaly, now_us, stream length at the dump)`.
+        dumps: Vec<(Anomaly, u64, usize)>,
+        /// Per anomaly: the epoch being counted, the count in it, and
+        /// the epoch it last fired in.
+        kinds: [(u64, u64, Option<u64>); Anomaly::COUNT],
+    }
+
+    impl UnboundedModel {
+        const WINDOW_LOG2: u32 = 4;
+        const THRESHOLD: u64 = 3;
+        const COOLDOWN: u64 = 2;
+
+        fn counters(events: &[TraceEvent]) -> Counters {
+            let mut s = Snapshot::new();
+            events.iter().for_each(|e| s.emit(e));
+            s.counters
+        }
+
+        fn emit(&mut self, event: &TraceEvent) {
+            self.stream.push(*event);
+            self.total.emit(event);
+            let anomaly = match event {
+                TraceEvent::Shed { .. } => Anomaly::ShedBurst,
+                TraceEvent::Redirect { .. } => Anomaly::RedirectStorm,
+                TraceEvent::DegradedRead { .. } => Anomaly::DegradedStorm,
+                _ => return,
+            };
+            let epoch = event.now_us() >> Self::WINDOW_LOG2;
+            let (counting, count, last) = &mut self.kinds[anomaly as usize];
+            if *counting != epoch {
+                (*counting, *count) = (epoch, 0);
+            }
+            *count += 1;
+            let rearmed = last.is_none_or(|l| epoch - l >= Self::COOLDOWN);
+            if *count >= Self::THRESHOLD && rearmed {
+                *last = Some(epoch);
+                self.dumps
+                    .push((anomaly, event.now_us(), self.stream.len()));
+            }
+        }
+
+        /// Hold dump `i` of the model, just taken, against the record the
+        /// recorder made of it.
+        fn check(&self, i: usize, d: &DumpRecord, cap: usize, what: &str) {
+            let (anomaly, now_us, at) = self.dumps[i];
+            let since = if i == 0 { 0 } else { self.dumps[i - 1].2 };
+            assert_eq!((d.seq, d.anomaly, d.now_us), (i as u64, anomaly, now_us));
+            assert_eq!(d.epoch, now_us >> Self::WINDOW_LOG2, "{what}");
+            assert_eq!(d.delta, Self::counters(&self.stream[since..at]), "{what}");
+            assert_eq!((at, d.cumulative), (self.stream.len(), self.total.counters));
+            assert_eq!(d.events, self.stream[at - at.min(cap)..at], "{what}");
+            assert_eq!(d.clean, at - since <= cap, "{what}");
+        }
+    }
+
+    #[test]
+    fn the_dump_ring_is_the_tail_of_an_unbounded_list() {
+        let mut unclean_seen = false;
+        for (seed, cap) in [(1u64, 4096usize), (2, 64), (3, 16), (20040330, 5)] {
+            let mut r = FlightRecorder::new(
+                cap,
+                TelemetryConfig::exact()
+                    .window_log2(UnboundedModel::WINDOW_LOG2)
+                    .depth(3),
+                TriggerConfig {
+                    shed_burst: UnboundedModel::THRESHOLD,
+                    redirect_storm: UnboundedModel::THRESHOLD,
+                    degraded_storm: UnboundedModel::THRESHOLD,
+                    p99_spike_factor: 0.0,
+                    p99_min_completes: 0,
+                    cooldown_windows: UnboundedModel::COOLDOWN,
+                },
+            );
+            let mut model = UnboundedModel::default();
+            let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let (mut now_us, mut checked) = (0u64, 0usize);
+            for req in 0..6_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                now_us += x >> 61; // 0..8 µs a step, 16 µs windows
+                let event = match (x >> 32) % 8 {
+                    0 | 1 => TraceEvent::Shed { now_us, req, v: 1 },
+                    2 => TraceEvent::Redirect {
+                        now_us,
+                        req,
+                        from_shard: 0,
+                        to_shard: 1,
+                        queue_depth: 9,
+                    },
+                    3 => TraceEvent::DegradedRead {
+                        now_us,
+                        req,
+                        failed_member: 2,
+                    },
+                    _ => TraceEvent::QueueSwap { now_us, batch: req },
+                };
+                let what = format!("seed {seed}, cap {cap}, step {req}");
+                r.emit(&event);
+                model.emit(&event);
+                if (x >> 40) % 97 == 0 {
+                    r.force_dump(now_us);
+                    model
+                        .dumps
+                        .push((Anomaly::Manual, now_us, model.stream.len()));
+                }
+                // The same dumps, in the same order, at the same events…
+                assert_eq!(r.dumps_total(), model.dumps.len() as u64, "{what}");
+                // …of which the recorder holds the tail.
+                let held = r.dumps();
+                assert_eq!(held.len(), model.dumps.len().min(DUMP_RETENTION), "{what}");
+                assert_eq!(r.dumps_total() - r.dumps_evicted(), held.len() as u64);
+                let first = model.dumps.len() - held.len();
+                let seqs: Vec<u64> = held.iter().map(|d| d.seq).collect();
+                assert!(seqs.iter().copied().eq(first as u64..r.dumps_total()));
+                // A record does not change once made: checking each one as
+                // it appears checks them all, evicted or not.
+                // (A step adds at most a triggered and a forced one.)
+                while checked < model.dumps.len() {
+                    let d = &held[held.len() - (model.dumps.len() - checked)];
+                    model.check(checked, d, cap, &what);
+                    checked += 1;
+                }
+                // A reader that keeps up misses nothing; one that stopped
+                // looking at `seen` is told what it has left.
+                let seen = model.dumps.len().saturating_sub(DUMP_RETENTION + 2) as u64;
+                assert_eq!(r.dumps_from(seen).len(), held.len(), "{what}");
+                assert_eq!(r.dumps_evicted().saturating_sub(seen), first as u64 - seen);
+                let newest = r.dumps_from(r.dumps_total().saturating_sub(1));
+                assert_eq!(newest.first().map(|d| d.seq), held.last().map(|d| d.seq));
+                assert!(r.dumps_from(r.dumps_total()).is_empty());
+            }
+            let unclean = (0..model.dumps.len())
+                .filter(|&i| {
+                    let since = if i == 0 { 0 } else { model.dumps[i - 1].2 };
+                    model.dumps[i].2 - since > cap
+                })
+                .count();
+            assert_eq!(r.dumps_unclean(), unclean as u64, "seed {seed}, cap {cap}");
+            assert!(
+                model.dumps.len() > 10 * DUMP_RETENTION,
+                "seed {seed}: only {} dumps",
+                model.dumps.len()
+            );
+            unclean_seen |= unclean > 0;
+        }
+        assert!(unclean_seen, "no stream outran its ring between two dumps");
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Counters, Snapshot};
 use std::collections::VecDeque;
 
 /// Default window width: 2²² µs ≈ 4.2 s of simulated time — coarse
@@ -226,6 +226,26 @@ impl WindowedSnapshot {
         out
     }
 
+    /// The counters of [`WindowedSnapshot::cumulative`] — always exact,
+    /// sampled or not — without cloning and merging the histograms around
+    /// them: what a flight-recorder dump and an end-of-run reconciliation
+    /// read.
+    pub fn cumulative_counters(&self) -> Counters {
+        let mut out = self.retired.counters;
+        for (_, s) in self.windows() {
+            out.merge(&s.counters);
+        }
+        out
+    }
+
+    /// Windows held — completed ones in the live range plus undrained
+    /// deltas. Bounded by the live depth and the pending cap however long
+    /// the run; the current window and the retired aggregate are one
+    /// snapshot each, always.
+    pub fn state_len(&self) -> usize {
+        self.recent.len() + self.pending.len()
+    }
+
     /// Drain the completed-window delta queue (oldest first). Draining
     /// at any cadence — every window, every N windows, or only at the
     /// end — yields the same totals.
@@ -405,6 +425,7 @@ mod tests {
             plain.emit(&e);
         }
         assert_eq!(w.cumulative(), plain);
+        assert_eq!(w.cumulative_counters(), plain.counters);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   counters, and two identical runs must be bit-identical down to the
 //!   controller's decision log.
 
-use crate::daemon::{daemon_shaped, fingerprint, merge_events};
+use crate::daemon::{daemon_shaped, fingerprint, merge_events, supervisor_kept_up};
 use ctrl::{drive, Controller, ControllerConfig, Grid, GridPoint, SearchConfig};
 use farm::{DaemonEvent, FarmConfig, RetuneAction, RoutePolicy};
 use rand::rngs::StdRng;
@@ -187,6 +187,7 @@ pub fn check_controller_storm(seed: u64, trace: &[Request]) -> Result<(), String
     first
         .reconcile_events()
         .map_err(|e| format!("controller storm ({}): {e}", policy.name()))?;
+    supervisor_kept_up(&first).map_err(|e| format!("controller storm ({}): {e}", policy.name()))?;
     let (second, ctrl_b) = run(events);
     if fingerprint(&first) != fingerprint(&second) {
         return Err(format!(

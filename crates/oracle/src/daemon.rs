@@ -217,6 +217,15 @@ pub(crate) fn merge_events(trace: &[Request], churn: Vec<DaemonEvent>) -> Vec<Da
     events
 }
 
+/// Every flight-recorder dump must have been in front of the supervisor
+/// before its member's bounded dump ring let it go.
+pub(crate) fn supervisor_kept_up(r: &DaemonReport) -> Result<(), String> {
+    match r.dumps_missed {
+        0 => Ok(()),
+        n => Err(format!("{n} dump(s) evicted before the supervisor looked")),
+    }
+}
+
 pub(crate) fn fingerprint(r: &DaemonReport) -> impl PartialEq + std::fmt::Debug {
     (
         r.per_shard.clone(),
@@ -301,6 +310,7 @@ pub fn check_churn(seed: u64, trace: &[Request]) -> Result<(), String> {
     first
         .reconcile_events()
         .map_err(|e| format!("churn ({}): {e}", policy.name()))?;
+    supervisor_kept_up(&first).map_err(|e| format!("churn ({}): {e}", policy.name()))?;
     let second = run(events);
     if fingerprint(&first) != fingerprint(&second) {
         return Err(format!(

@@ -142,6 +142,15 @@ pub trait DiskScheduler {
         false
     }
 
+    /// Entries the policy holds in its own structures, for a census of
+    /// what a long-running daemon keeps (`farm::FarmDaemon::state_census`):
+    /// a count, not bytes. The default is the pending queue; a policy
+    /// that keeps more than one entry per pending request (an arena with
+    /// vacant slots, an index beside the queue) says so.
+    fn state_len(&self) -> usize {
+        self.len()
+    }
+
     /// Remove and return every pending request, emptying the queue — the
     /// migration hook a draining farm shard uses to hand its resident
     /// backlog off. The default repeatedly dequeues at `head` and then

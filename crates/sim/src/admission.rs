@@ -225,6 +225,13 @@ impl StreamGate {
         self.last_seen.len()
     }
 
+    /// Entries held: one map entry and one expiry entry per stream
+    /// holding a slot (see the type's docs), so never more than twice the
+    /// cap.
+    pub fn state_len(&self) -> usize {
+        self.last_seen.len() + self.expiries.len()
+    }
+
     /// Requests turned away so far.
     pub fn rejections(&self) -> u64 {
         self.rejections

@@ -199,6 +199,14 @@ impl EngineStepper {
         self.pending.len()
     }
 
+    /// Entries held: the undelivered backlog, the inversion census's
+    /// level counters and, when one is kept, the request log. The first
+    /// is transient and the second fixed by the QoS shape; only the log —
+    /// which no daemon member keeps — grows with the requests served.
+    pub fn state_len(&self) -> usize {
+        self.pending.len() + self.census.counts.len() + self.log.as_ref().map_or(0, Vec::len)
+    }
+
     /// When this stepper next has something to do, given `queued`
     /// requests waiting in its scheduler: [`None`] when nothing is
     /// submitted or queued, else the engine clock. A pump to a horizon at
@@ -460,15 +468,13 @@ impl EngineStepper {
         // waiting — most dispatches of a lightly loaded farm member —
         // that is nothing, and neither table is touched.
         if self.census.total > 0 {
-            let beating = self.census.beating(&req);
             debug_assert_eq!(
-                beating,
+                self.census.beating(&req),
                 beating_by_walk(scheduler, &req, self.census.dims),
                 "the census drifted from the scheduler's pending set"
             );
-            for (slot, n) in self.metrics.inversions_per_dim.iter_mut().zip(beating) {
-                *slot += n;
-            }
+            self.census
+                .add_beating(&req, &mut self.metrics.inversions_per_dim);
         }
         if S::ENABLED {
             sink.emit(&TraceEvent::ServiceStart {
@@ -679,16 +685,24 @@ impl Census {
         scheduler.for_each_pending(&mut |r| self.add(r));
     }
 
-    /// Per dimension, the pending requests that beat `served` (sit at a
-    /// strictly lower level). Dimensions `served` does not carry, or the
-    /// census does not track, read 0.
+    /// Add to `per_dim[k]`, for each dimension `k` it has a slot for, the
+    /// pending requests that beat `served` there (sit at a strictly lower
+    /// level). Dimensions `served` does not carry, or the census does not
+    /// track, add nothing.
     #[inline]
+    fn add_beating(&self, served: &Request, per_dim: &mut [u64]) {
+        let levels = served.qos.levels().iter().take(self.dims);
+        for ((k, &level), slot) in levels.enumerate().zip(per_dim) {
+            let below = &self.counts[k * self.width..][..(level as usize).min(self.width)];
+            *slot += below.iter().map(|&n| u64::from(n)).sum::<u64>();
+        }
+    }
+
+    /// [`Census::add_beating`] into a fresh array, the shape
+    /// [`beating_by_walk`] answers in — the debug-build check's form.
     fn beating(&self, served: &Request) -> [u64; sched::MAX_QOS_DIMS] {
         let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
-        for (k, &level) in served.qos.levels().iter().take(self.dims).enumerate() {
-            let below = &self.counts[k * self.width..][..(level as usize).min(self.width)];
-            per_dim[k] = below.iter().map(|&n| u64::from(n)).sum();
-        }
+        self.add_beating(served, &mut per_dim);
         per_dim
     }
 }
