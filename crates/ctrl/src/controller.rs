@@ -190,8 +190,8 @@ impl Controller {
             if self.pending[shard].counters.total_events() < self.cfg.min_window_events {
                 continue;
             }
-            let window = std::mem::take(&mut self.pending[shard]);
-            let score = self.cfg.objective.score(&window);
+            let score = self.cfg.objective.score(&self.pending[shard]);
+            self.pending[shard].clear();
             self.decisions += 1;
             self.tuners[shard].observe(self.applied[shard], score);
             // Mid-budget: walk to the next proposal. Budget spent:
@@ -252,14 +252,14 @@ impl Controller {
     /// so two equally bad presets cannot ping-pong).
     fn decide_policy(&mut self, now_us: u64, actions: &mut Vec<TuningAction>) {
         if self.cfg.policies.len() < 2 {
-            self.farm_pending = Snapshot::new();
+            self.farm_pending.clear();
             return;
         }
         if self.farm_pending.counters.total_events() < self.cfg.min_window_events {
             return;
         }
-        let window = std::mem::take(&mut self.farm_pending);
-        let score = self.cfg.objective.score(&window);
+        let score = self.cfg.objective.score(&self.farm_pending);
+        self.farm_pending.clear();
         self.decisions += 1;
         let alpha = 0.5;
         let cur = &mut self.policy_ewma[self.policy_current];

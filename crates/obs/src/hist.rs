@@ -46,7 +46,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Histogram {
             buckets: [0; HISTOGRAM_BUCKETS],
             count: 0,
@@ -171,16 +171,47 @@ impl Histogram {
         self.quantile(0.999)
     }
 
+    /// The buckets that can hold a sample: every recorded value lies in
+    /// `[min, max]`, so every bucket outside their bit lengths is zero.
+    /// Only meaningful when `count > 0`.
+    #[inline]
+    fn populated(&self) -> std::ops::RangeInclusive<usize> {
+        Self::bucket_of(self.min)..=Self::bucket_of(self.max)
+    }
+
     /// Fold another histogram into this one. The result is exactly the
-    /// histogram of the concatenated sample streams.
+    /// histogram of the concatenated sample streams. Costs what `other`
+    /// holds: nothing when it is empty, otherwise one add per bucket
+    /// between its smallest and its largest sample.
     pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        if other.count == 0 {
+            return;
+        }
+        let span = other.populated();
+        for (mine, theirs) in self.buckets[span.clone()]
+            .iter_mut()
+            .zip(&other.buckets[span])
+        {
             *mine += theirs;
         }
         self.count += other.count;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+
+    /// Forget every sample: afterwards the histogram equals
+    /// [`Histogram::new`], having zeroed only the buckets it had filled.
+    pub fn clear(&mut self) {
+        if self.count == 0 {
+            return;
+        }
+        let span = self.populated();
+        self.buckets[span].fill(0);
+        self.count = 0;
+        self.sum = 0;
+        self.min = u64::MAX;
+        self.max = 0;
     }
 }
 
@@ -309,5 +340,77 @@ mod tests {
         }
         a.merge(&b);
         assert_eq!(a, all);
+    }
+
+    /// Sample sets whose populated bucket ranges are empty, one bucket
+    /// (at either end of the array and in the middle), disjoint from one
+    /// another, nested and overlapping.
+    fn sample_sets() -> Vec<Vec<u64>> {
+        let mut sets: Vec<Vec<u64>> = vec![
+            vec![],
+            vec![0],
+            vec![0, 0, 0],
+            vec![1],
+            vec![u64::MAX],
+            vec![u64::MAX, u64::MAX - 1],
+            vec![0, u64::MAX],
+            vec![12_345],
+            vec![3, 5, 7, 2, 6],
+            vec![1 << 40, (1 << 41) + 9, 1 << 43],
+        ];
+        let mut x = 20040330u64;
+        for (lo, width) in [(0u32, 64u32), (0, 8), (20, 3), (50, 14), (63, 1)] {
+            let mut set = Vec::new();
+            for _ in 0..200 {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Bit length `shift + 1`, so bucket `shift + 1`.
+                let shift = lo + (x >> 58) as u32 % width;
+                set.push((x | 1 << 63) >> (63 - shift));
+            }
+            sets.push(set);
+        }
+        sets
+    }
+
+    fn of(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        samples.iter().for_each(|&v| h.record(v));
+        h
+    }
+
+    #[test]
+    fn bounded_merge_and_clear_match_the_dense_loops() {
+        let sets = sample_sets();
+        for a in &sets {
+            for b in &sets {
+                let what = format!("{a:?} + {b:?}");
+                let (ha, hb) = (of(a), of(b));
+                // The definition: every bucket added, whatever it holds.
+                let mut dense = ha.clone();
+                for (mine, theirs) in dense.buckets.iter_mut().zip(hb.buckets.iter()) {
+                    *mine += theirs;
+                }
+                dense.count += hb.count;
+                dense.sum += hb.sum;
+                dense.min = dense.min.min(hb.min);
+                dense.max = dense.max.max(hb.max);
+                let mut merged = ha.clone();
+                merged.merge(&hb);
+                assert_eq!(merged, dense, "{what}");
+                let both: Vec<u64> = a.iter().chain(b).copied().collect();
+                assert_eq!(merged, of(&both), "{what}");
+                // Cleared is new — all 65 buckets compared — and stays so
+                // through reuse.
+                merged.clear();
+                assert_eq!(merged, Histogram::new(), "{what}");
+                b.iter().for_each(|&v| merged.record(v));
+                assert_eq!(merged, hb, "{what}");
+                merged.clear();
+                merged.merge(&ha);
+                assert_eq!(merged, ha, "{what}");
+            }
+        }
     }
 }

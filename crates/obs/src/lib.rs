@@ -25,7 +25,7 @@
 //! * [`TelemetryConfig`] — the shape of one shard's windowed sink, and
 //!   [`ShardDelta`], the unit of the per-shard delta feed;
 //! * [`Stage`] / [`StageSampler`] — opt-in sampled wall-clock spans over
-//!   the request pipeline, recorded per stage in [`Snapshot::stage_ns`];
+//!   the request pipeline, recorded per stage and read through [`Snapshot::stage`];
 //! * [`FlightRecorder`] — a bounded tail of recent events, kept in a
 //!   [`FlightRing`] that a farm's recorders share, with anomaly
 //!   triggers ([`TriggerConfig`]) that freeze reconciled [`DumpRecord`]s

@@ -30,6 +30,7 @@
 //! from the recorder's counters, not from the records before it.
 
 use crate::event::TraceEvent;
+use crate::hist::Histogram;
 use crate::sink::{FlightRing, TraceSink};
 use crate::snapshot::{Counters, Snapshot};
 use crate::window::{TelemetryConfig, WindowedSnapshot};
@@ -348,16 +349,16 @@ impl FlightRecorder {
             return false;
         }
         let cur_epoch = self.windows.current_epoch();
-        let mut baseline = Snapshot::new();
+        let mut baseline = Histogram::new();
         for (epoch, s) in self.windows.windows() {
             if Some(epoch) != cur_epoch {
-                baseline.merge(s);
+                baseline.merge(&s.response_us);
             }
         }
-        if baseline.response_us.count() < t.p99_min_completes {
+        if baseline.count() < t.p99_min_completes {
             return false;
         }
-        match (cur.response_us.p99(), baseline.response_us.p99()) {
+        match (cur.response_us.p99(), baseline.p99()) {
             (Some(cur_p99), Some(base_p99)) => {
                 cur_p99 as f64 > base_p99 as f64 * t.p99_spike_factor
             }
@@ -815,10 +816,26 @@ mod tests {
         assert!(r.dumps().is_empty());
         for i in 0..8u64 {
             r.emit(&complete(32 + i, 50_000));
+            // The comparison is made once, at the window's
+            // `p99_min_completes`-th completion.
+            assert_eq!(r.dumps().len(), usize::from(i == 7), "completion {i}");
         }
-        assert_eq!(r.dumps().len(), 1);
-        assert_eq!(r.dumps()[0].anomaly, Anomaly::P99Spike);
-        assert!(r.dumps()[0].clean);
+        let d = &r.dumps()[0];
+        assert_eq!(
+            (d.seq, d.anomaly, d.now_us, d.epoch),
+            (0, Anomaly::P99Spike, 39, 2)
+        );
+        assert_eq!(d.delta.service_completes, 24);
+        assert!(d.clean);
+        // A baseline short of samples is not trusted, whatever it reads.
+        let mut r = recorder(1024);
+        for i in 0..7u64 {
+            r.emit(&complete(i, 100));
+        }
+        for i in 0..8u64 {
+            r.emit(&complete(32 + i, 50_000));
+        }
+        assert!(r.dumps().is_empty());
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use crate::event::TraceEvent;
 use crate::hist::Histogram;
 use crate::sink::TraceSink;
+use crate::span::Stage;
 use std::fmt::Write as _;
 
 /// One counter per event kind (plus late completions, split out of
@@ -177,7 +178,13 @@ impl Counters {
 ///
 /// Mergeability is the point: the striped/RAID path runs one simulation
 /// per member disk and folds the members' snapshots into one group view.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The per-stage histograms are allocated by the first `StageSpan` that
+/// lands in one; a snapshot of a run without stage spans — every farm
+/// member — never carries them. **Absent is empty**: [`Snapshot::stage`]
+/// answers an empty histogram, and two snapshots are equal when every
+/// stage compares equal through it, allocated or not.
+#[derive(Debug, Clone, Default)]
 pub struct Snapshot {
     /// Event counts.
     pub counters: Counters,
@@ -190,15 +197,36 @@ pub struct Snapshot {
     /// Slack at dispatch (µs, from `Dispatch`), clamped at 0: past-due
     /// dispatches record 0.
     pub slack_us: Histogram,
-    /// Sampled wall-clock cost per pipeline stage (ns, from `StageSpan`),
-    /// indexed by [`Stage::index`](crate::Stage::index).
-    pub stage_ns: [Histogram; crate::Stage::COUNT],
+    /// Per-stage histograms by [`Stage::index`], once a `StageSpan` was
+    /// recorded; read through [`Snapshot::stage`].
+    stage_ns: Option<Box<[Histogram; Stage::COUNT]>>,
+}
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Snapshot) -> bool {
+        self.counters == other.counters
+            && self.response_us == other.response_us
+            && self.seek_cylinders == other.seek_cylinders
+            && self.queue_depth == other.queue_depth
+            && self.slack_us == other.slack_us
+            && Stage::ALL.iter().all(|&s| self.stage(s) == other.stage(s))
+    }
 }
 
 impl Snapshot {
     /// An empty snapshot.
     pub fn new() -> Self {
         Snapshot::default()
+    }
+
+    /// Sampled wall-clock cost of one pipeline stage (ns, from
+    /// `StageSpan`); empty when no span was ever recorded.
+    pub fn stage(&self, stage: Stage) -> &Histogram {
+        static EMPTY: Histogram = Histogram::new();
+        match &self.stage_ns {
+            Some(stages) => &stages[stage.index()],
+            None => &EMPTY,
+        }
     }
 
     /// Fold another snapshot into this one (exact: counters add,
@@ -209,25 +237,55 @@ impl Snapshot {
         self.seek_cylinders.merge(&other.seek_cylinders);
         self.queue_depth.merge(&other.queue_depth);
         self.slack_us.merge(&other.slack_us);
-        for (mine, theirs) in self.stage_ns.iter_mut().zip(other.stage_ns.iter()) {
-            mine.merge(theirs);
+        if let Some(theirs) = &other.stage_ns {
+            let mine = self.stage_ns.get_or_insert_with(Default::default);
+            for (mine, theirs) in mine.iter_mut().zip(theirs.iter()) {
+                mine.merge(theirs);
+            }
         }
+    }
+
+    /// Forget everything recorded: afterwards the snapshot equals
+    /// [`Snapshot::new`], having touched only the buckets it had filled
+    /// ([`Histogram::clear`]). Stage histograms stay allocated for the
+    /// next window to record into.
+    pub fn clear(&mut self) {
+        self.counters = Counters::default();
+        self.response_us.clear();
+        self.seek_cylinders.clear();
+        self.queue_depth.clear();
+        self.slack_us.clear();
+        for stage in self.stage_ns.iter_mut().flat_map(|s| s.iter_mut()) {
+            stage.clear();
+        }
+    }
+
+    /// The `StageSpan` arm of [`Snapshot::emit_sampled`], out of line:
+    /// no farm member emits one, and inline its allocation check costs
+    /// every other event.
+    #[cold]
+    #[inline(never)]
+    fn record_stage_span(&mut self, stage: Stage, elapsed_ns: u64, mask: u64) {
+        if self.counters.stage_spans & mask == 0 {
+            self.stage_ns.get_or_insert_with(Default::default)[stage.index()].record(elapsed_ns);
+        }
+        self.counters.stage_spans += 1;
     }
 
     /// Every distribution as a `(stable_name, histogram)` pair: the four
     /// paper-analysis distributions followed by one `stage_<name>_ns`
     /// entry per pipeline stage.
-    pub fn histograms(&self) -> [(&'static str, &Histogram); 4 + crate::Stage::COUNT] {
+    pub fn histograms(&self) -> [(&'static str, &Histogram); 4 + Stage::COUNT] {
         [
             ("response_us", &self.response_us),
             ("seek_cylinders", &self.seek_cylinders),
             ("queue_depth", &self.queue_depth),
             ("slack_us", &self.slack_us),
-            ("stage_characterize_ns", &self.stage_ns[0]),
-            ("stage_encapsulate_ns", &self.stage_ns[1]),
-            ("stage_enqueue_ns", &self.stage_ns[2]),
-            ("stage_dispatch_ns", &self.stage_ns[3]),
-            ("stage_service_ns", &self.stage_ns[4]),
+            ("stage_characterize_ns", self.stage(Stage::Characterize)),
+            ("stage_encapsulate_ns", self.stage(Stage::Encapsulate)),
+            ("stage_enqueue_ns", self.stage(Stage::Enqueue)),
+            ("stage_dispatch_ns", self.stage(Stage::Dispatch)),
+            ("stage_service_ns", self.stage(Stage::Service)),
         ]
     }
 
@@ -291,12 +349,7 @@ impl Snapshot {
             TraceEvent::Retune { .. } => c.retunes += 1,
             TraceEvent::StageSpan {
                 stage, elapsed_ns, ..
-            } => {
-                if c.stage_spans & mask == 0 {
-                    self.stage_ns[stage.index()].record(elapsed_ns);
-                }
-                c.stage_spans += 1;
-            }
+            } => self.record_stage_span(stage, elapsed_ns, mask),
         }
     }
 
@@ -378,9 +431,9 @@ impl Snapshot {
         hist(&mut out, "queue_depth", "", &self.queue_depth);
         hist(&mut out, "slack_us", "µs", &self.slack_us);
         if c.stage_spans > 0 {
-            for stage in crate::Stage::ALL {
+            for stage in Stage::ALL {
                 let name = format!("stage_{}_ns", stage.name());
-                hist(&mut out, &name, "ns", &self.stage_ns[stage.index()]);
+                hist(&mut out, &name, "ns", self.stage(stage));
             }
         }
         out
@@ -399,6 +452,17 @@ mod tests {
     use super::*;
 
     fn feed(s: &mut Snapshot) {
+        feed_without_spans(s);
+        s.emit(&TraceEvent::StageSpan {
+            now_us: 87,
+            stage: Stage::Dispatch,
+            elapsed_ns: 250,
+        });
+    }
+
+    /// One event of every kind a farm member emits: everything but the
+    /// opt-in `StageSpan`.
+    fn feed_without_spans(s: &mut Snapshot) {
         s.emit(&TraceEvent::Arrival {
             now_us: 0,
             req: 1,
@@ -517,11 +581,6 @@ mod tests {
             shard: 1,
             knob: 2,
         });
-        s.emit(&TraceEvent::StageSpan {
-            now_us: 87,
-            stage: crate::Stage::Dispatch,
-            elapsed_ns: 250,
-        });
     }
 
     #[test]
@@ -553,7 +612,7 @@ mod tests {
         assert_eq!((c.migrations, c.quarantines, c.retunes), (1, 1, 1));
         assert_eq!(c.stage_spans, 1);
         assert_eq!(c.total_events(), 24);
-        assert_eq!(s.stage_ns[crate::Stage::Dispatch.index()].max(), Some(250));
+        assert_eq!(s.stage(Stage::Dispatch).max(), Some(250));
         assert_eq!(s.response_us.count(), 1);
         assert_eq!(s.seek_cylinders.max(), Some(40));
         assert_eq!(s.queue_depth.max(), Some(3));
@@ -610,5 +669,114 @@ mod tests {
         let empty = Snapshot::new().report();
         assert!(empty.contains("(no samples)"));
         assert!(!empty.contains("media-errors"));
+    }
+
+    #[test]
+    fn a_snapshot_stays_under_two_and_a_half_kilobytes() {
+        // Four inline histograms and the counters; the five stage
+        // histograms (2,800 bytes) are behind a pointer. A farm holds 41
+        // of these a member.
+        assert!(std::mem::size_of::<Snapshot>() <= 2_560);
+    }
+
+    #[test]
+    fn absent_stage_histograms_are_empty_ones() {
+        let mut absent = Snapshot::new();
+        feed_without_spans(&mut absent);
+        assert!(absent.stage_ns.is_none());
+        assert_eq!(absent.stage(Stage::Service), &Histogram::new());
+        // Present but never recorded into: a window that held a span,
+        // recycled.
+        let mut emptied = Snapshot::new();
+        feed(&mut emptied);
+        emptied.clear();
+        assert!(emptied.stage_ns.is_some());
+        assert_eq!(emptied, Snapshot::new());
+        assert_eq!(Snapshot::new(), emptied);
+        feed_without_spans(&mut emptied);
+        assert_eq!(emptied, absent);
+        // Present and recorded into differs, from either side.
+        let mut spanned = Snapshot::new();
+        feed(&mut spanned);
+        assert_ne!(spanned, absent);
+        assert_ne!(absent, spanned);
+        assert_ne!(spanned, emptied);
+        // Merging across the three: the spans arrive whichever side held
+        // them, and an empty operand adds nothing.
+        let mut twice = Snapshot::new();
+        feed(&mut twice);
+        feed_without_spans(&mut twice);
+        for (mut into, from) in [
+            (absent.clone(), &spanned),
+            (spanned.clone(), &absent),
+            (spanned.clone(), &emptied),
+            (emptied.clone(), &spanned),
+        ] {
+            into.merge(from);
+            assert_eq!(into, twice);
+        }
+        let mut both_absent = absent.clone();
+        both_absent.merge(&absent);
+        assert!(both_absent.stage_ns.is_none(), "nothing to allocate for");
+        both_absent.merge(&emptied);
+        let mut thrice = Snapshot::new();
+        (0..3).for_each(|_| feed_without_spans(&mut thrice));
+        assert_eq!(both_absent, thrice);
+    }
+
+    /// What PR 22's dense snapshot rendered for `feed_without_spans`,
+    /// after its 50 counter lines.
+    const EXPOSITION_TAIL: &str = "\
+# TYPE sched_response_us histogram
+sched_response_us_bucket{shard=\"3\",le=\"31\"} 1
+sched_response_us_bucket{shard=\"3\",le=\"+Inf\"} 1
+sched_response_us_sum{shard=\"3\"} 30
+sched_response_us_count{shard=\"3\"} 1
+# TYPE sched_seek_cylinders histogram
+sched_seek_cylinders_bucket{shard=\"3\",le=\"63\"} 1
+sched_seek_cylinders_bucket{shard=\"3\",le=\"+Inf\"} 1
+sched_seek_cylinders_sum{shard=\"3\"} 40
+sched_seek_cylinders_count{shard=\"3\"} 1
+# TYPE sched_queue_depth histogram
+sched_queue_depth_bucket{shard=\"3\",le=\"3\"} 1
+sched_queue_depth_bucket{shard=\"3\",le=\"+Inf\"} 1
+sched_queue_depth_sum{shard=\"3\"} 3
+sched_queue_depth_count{shard=\"3\"} 1
+# TYPE sched_slack_us histogram
+sched_slack_us_bucket{shard=\"3\",le=\"0\"} 1
+sched_slack_us_bucket{shard=\"3\",le=\"+Inf\"} 1
+sched_slack_us_sum{shard=\"3\"} 0
+sched_slack_us_count{shard=\"3\"} 1
+";
+
+    /// And its `report()` of the same.
+    const REPORT: &str = "\
+events
+  arrivals 1  dispatches 1  service 1/1  late 1  drops 1
+  preemptions 1  sp-promotions 1  er-expands 1  er-resets 1  queue-swaps 1  sweep-reversals 1
+  media-errors 1  retries 1  failures 1  remaps 1  degraded-reads 1  rebuild-ios 1  sheds 1
+  redirects 1  shard-reports 1  migrations 1  quarantines 1  retunes 1
+response_us: n 1  mean 30.0µs  p50 30  p95 30  p99 30  p999 30  min 30  max 30
+seek_cylinders: n 1  mean 40.0cyl  p50 40  p95 40  p99 40  p999 40  min 40  max 40
+queue_depth: n 1  mean 3.0  p50 3  p95 3  p99 3  p999 3  min 3  max 3
+slack_us: n 1  mean 0.0µs  p50 0  p95 0  p99 0  p999 0  min 0  max 0
+";
+
+    #[test]
+    fn a_snapshot_without_spans_renders_as_the_dense_one_did() {
+        let mut absent = Snapshot::new();
+        feed_without_spans(&mut absent);
+        let mut emptied = Snapshot::new();
+        feed(&mut emptied);
+        emptied.clear();
+        feed_without_spans(&mut emptied);
+        for s in [&absent, &emptied] {
+            assert_eq!(s.report(), REPORT);
+            let mut out = String::new();
+            crate::encode_snapshot(&mut out, "sched", &[("shard", "3")], s);
+            assert!(out.ends_with(EXPOSITION_TAIL), "{out}");
+            assert_eq!(out.lines().count(), 50 + EXPOSITION_TAIL.lines().count());
+            assert!(!out.contains("_ns"), "no stage series without a span");
+        }
     }
 }

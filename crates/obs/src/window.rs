@@ -24,7 +24,11 @@
 //! distribution samples can be decimated by a deterministic 1-in-2^k
 //! stride ([`TelemetryConfig::sample_shift`]) — the same
 //! counters-exact/histograms-sampled split production metric pipelines
-//! use.
+//! use. A window boundary costs what the window holds: the window stays
+//! in the box it was recorded into from rotation to drain, retiring it
+//! adds only the buckets it filled ([`crate::Histogram::merge`]), and a
+//! sink nobody drains reopens the boxes its coalescing empties instead
+//! of allocating.
 
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;
@@ -46,7 +50,7 @@ pub const DEFAULT_SAMPLE_SHIFT: u32 = 3;
 /// coalesced, so a sink nobody drains stays bounded while the delta-sum
 /// invariant keeps holding. Four live ranges: a reader that drains at
 /// least once per 32 completed windows only ever sees whole windows, and
-/// a sink nobody reads holds 32 snapshots (~170 KB), not a thousand.
+/// a sink nobody reads holds 32 snapshots (~80 KB), not a thousand.
 const PENDING_CAP: usize = 4 * DEFAULT_DEPTH;
 
 /// One completed (or flushed) window, queued for a streaming reporter.
@@ -151,13 +155,24 @@ pub struct WindowedSnapshot {
     sample_mask: u64,
     started: bool,
     cur_epoch: u64,
-    cur: Snapshot,
+    /// The open window. A window lives in one box from its first event
+    /// to its drain: rotation swaps this pointer for a spare, `recent`
+    /// and `pending` hand the same box along.
+    cur: Box<Snapshot>,
     /// Completed live windows, epoch-ascending, all within
-    /// `(cur_epoch - depth, cur_epoch)`. Boxed so rotation and
-    /// retirement shuffle pointers, not multi-KB snapshots.
+    /// `(cur_epoch - depth, cur_epoch)`.
     recent: VecDeque<(u64, Box<Snapshot>)>,
     retired: Snapshot,
-    pending: VecDeque<Box<WindowDelta>>,
+    /// Undrained completed windows as `(epoch, partial, aggregate)`,
+    /// oldest first; [`WindowedSnapshot::take_deltas`] makes
+    /// [`WindowDelta`]s of them.
+    pending: VecDeque<(u64, bool, Box<Snapshot>)>,
+    /// Cleared boxes of windows that were merged away (the second of a
+    /// coalesced pending pair), for the next rotations to open; at most
+    /// [`PENDING_CAP`] of them. A `Vec` of boxes on purpose: it is the
+    /// box that moves on into `cur`.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<Snapshot>>,
 }
 
 impl WindowedSnapshot {
@@ -174,10 +189,11 @@ impl WindowedSnapshot {
             // `now_us >> log2` with log2 >= 1): the hot path needs only
             // one compare to cover both "same window" and "started".
             cur_epoch: u64::MAX,
-            cur: Snapshot::new(),
+            cur: Box::default(),
             recent: VecDeque::new(),
             retired: Snapshot::new(),
             pending: VecDeque::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -212,7 +228,7 @@ impl WindowedSnapshot {
         self.recent
             .iter()
             .map(|(e, s)| (*e, &**s))
-            .chain(self.started.then_some((self.cur_epoch, &self.cur)))
+            .chain(self.started.then_some((self.cur_epoch, &*self.cur)))
     }
 
     /// The exact cumulative aggregate: retired + every live window. With
@@ -241,7 +257,9 @@ impl WindowedSnapshot {
     /// Windows held — completed ones in the live range plus undrained
     /// deltas. Bounded by the live depth and the pending cap however long
     /// the run; the current window and the retired aggregate are one
-    /// snapshot each, always.
+    /// snapshot each, always. Spare boxes are not windows and are not
+    /// counted: they hold nothing, and there are never more of them
+    /// than the pending cap.
     pub fn state_len(&self) -> usize {
         self.recent.len() + self.pending.len()
     }
@@ -250,9 +268,16 @@ impl WindowedSnapshot {
     /// at any cadence — every window, every N windows, or only at the
     /// end — yields the same totals.
     pub fn take_deltas(&mut self) -> Vec<WindowDelta> {
-        std::mem::take(&mut self.pending)
-            .into_iter()
-            .map(|d| *d)
+        let window_log2 = self.window_log2;
+        self.pending
+            .drain(..)
+            .map(|(epoch, partial, snapshot)| WindowDelta {
+                epoch,
+                start_us: epoch << window_log2,
+                window_us: 1u64 << window_log2,
+                partial,
+                snapshot: *snapshot,
+            })
             .collect()
     }
 
@@ -267,31 +292,34 @@ impl WindowedSnapshot {
             self.retired.merge(&snap);
             self.push_delta(epoch, snap, false);
         }
-        if self.started && self.cur != Snapshot::new() {
-            let done = Box::new(std::mem::take(&mut self.cur));
+        // Every histogram sample comes with a counted event, so zero
+        // counters mean an empty window.
+        if self.started && self.cur.counters != Counters::default() {
+            let done = self.swap_cur();
             self.retired.merge(&done);
             self.push_delta(self.cur_epoch, done, true);
         }
         self.take_deltas()
     }
 
+    /// Open an empty window as the current one and hand back the one it
+    /// replaces.
+    fn swap_cur(&mut self) -> Box<Snapshot> {
+        let fresh = self.spare.pop().unwrap_or_default();
+        std::mem::replace(&mut self.cur, fresh)
+    }
+
+    /// Keep the box of a window that was merged into another, emptied.
+    fn recycle(&mut self, mut snap: Box<Snapshot>) {
+        if self.spare.len() < PENDING_CAP {
+            snap.clear();
+            self.spare.push(snap);
+        }
+    }
+
     /// The oldest epoch still inside the live range.
     fn min_live_epoch(&self) -> u64 {
         self.cur_epoch.saturating_sub(self.depth as u64 - 1)
-    }
-
-    /// Insert a window into the epoch-sorted completed set, merging with
-    /// an existing same-epoch entry.
-    fn fold_into_recent(
-        recent: &mut VecDeque<(u64, Box<Snapshot>)>,
-        epoch: u64,
-        snap: Box<Snapshot>,
-    ) {
-        let at = recent.partition_point(|(e, _)| *e < epoch);
-        match recent.get_mut(at) {
-            Some((e, s)) if *e == epoch => s.merge(&snap),
-            _ => recent.insert(at, (epoch, snap)),
-        }
     }
 
     /// Move windows older than the live range into `retired` and onto
@@ -310,19 +338,13 @@ impl WindowedSnapshot {
 
     fn push_delta(&mut self, epoch: u64, snapshot: Box<Snapshot>, partial: bool) {
         if self.pending.len() >= PENDING_CAP {
-            let mut first = self.pending.pop_front().expect("cap is at least 2");
-            let second = self.pending.pop_front().expect("cap is at least 2");
-            first.snapshot.merge(&second.snapshot);
-            first.partial = true;
-            self.pending.push_front(first);
+            let (_, _, second) = self.pending.remove(1).expect("cap is at least 2");
+            let (_, coalesced, first) = &mut self.pending[0];
+            first.merge(&second);
+            *coalesced = true;
+            self.recycle(second);
         }
-        self.pending.push_back(Box::new(WindowDelta {
-            epoch,
-            start_us: epoch << self.window_log2,
-            window_us: 1u64 << self.window_log2,
-            partial,
-            snapshot: *snapshot,
-        }));
+        self.pending.push_back((epoch, partial, snapshot));
     }
 
     /// Out-of-line slow path: first event, window rotation, or an event
@@ -336,9 +358,10 @@ impl WindowedSnapshot {
             return;
         }
         if epoch > self.cur_epoch {
-            // Rotate: the current window is complete.
-            let done = Box::new(std::mem::take(&mut self.cur));
-            Self::fold_into_recent(&mut self.recent, self.cur_epoch, done);
+            // Rotate: the current window is complete, and newer than
+            // every completed one.
+            let done = self.swap_cur();
+            self.recent.push_back((self.cur_epoch, done));
             self.cur_epoch = epoch;
             self.retire_out_of_range();
             self.cur.emit_sampled(event, self.sample_mask);
@@ -350,14 +373,11 @@ impl WindowedSnapshot {
         // otherwise, so no count is ever lost from the delta stream.
         if epoch >= self.min_live_epoch() {
             let at = self.recent.partition_point(|(e, _)| *e < epoch);
-            match self.recent.get_mut(at) {
-                Some((e, s)) if *e == epoch => s.emit_sampled(event, self.sample_mask),
-                _ => {
-                    let mut snap = Box::new(Snapshot::new());
-                    snap.emit_sampled(event, self.sample_mask);
-                    self.recent.insert(at, (epoch, snap));
-                }
+            if self.recent.get(at).is_none_or(|(e, _)| *e != epoch) {
+                let empty = self.spare.pop().unwrap_or_default();
+                self.recent.insert(at, (epoch, empty));
             }
+            self.recent[at].1.emit_sampled(event, self.sample_mask);
         } else {
             match self.recent.front_mut() {
                 Some((_, s)) => s.emit_sampled(event, self.sample_mask),
@@ -522,6 +542,123 @@ mod tests {
         let deltas = w.take_deltas();
         assert_eq!(deltas.len(), PENDING_CAP);
         assert!(deltas[0].partial && deltas[1..].iter().all(|d| !d.partial));
+    }
+
+    /// One event of every histogram-feeding kind (and one counter-only
+    /// kind) by turns, with magnitudes spread over the bucket array so
+    /// consecutive windows fill different bucket ranges.
+    fn mixed(now_us: u64, x: u64) -> TraceEvent {
+        let wide = x >> (x % 59);
+        match x % 5 {
+            0 => TraceEvent::Dispatch {
+                now_us,
+                req: x,
+                cylinder: 7,
+                queue_depth: wide % 4096,
+                slack_us: (wide % 1_000_000) as i64 - 1000,
+            },
+            1 => TraceEvent::ServiceStart {
+                now_us,
+                req: x,
+                cylinder: 7,
+                seek_cylinders: wide as u32,
+            },
+            2 => complete(now_us, wide),
+            3 => TraceEvent::StageSpan {
+                now_us,
+                stage: crate::Stage::ALL[(x >> 32) as usize % crate::Stage::COUNT],
+                elapsed_ns: wide,
+            },
+            _ => TraceEvent::Arrival {
+                now_us,
+                req: x,
+                cylinder: 7,
+                deadline_us: now_us + 5,
+            },
+        }
+    }
+
+    /// Run `3 * PENDING_CAP + 8` windows of 16 µs through a depth-4 sink
+    /// — every seventh epoch skipped, every fifth window followed by a
+    /// late event two epochs back (which opens a slot for a skipped
+    /// epoch) — draining every `drain_every` windows, and hold every
+    /// delta, the cumulative view and the flush against one
+    /// never-recycled [`Snapshot`] per epoch.
+    fn check_against_fresh_snapshots(sample_shift: u32, drain_every: Option<u64>) {
+        let what = format!("shift {sample_shift}, drained {drain_every:?}");
+        let mask = (1u64 << sample_shift) - 1;
+        let mut w = WindowedSnapshot::new(4, 4).with_sample_shift(sample_shift);
+        let mut fresh: std::collections::BTreeMap<u64, Snapshot> = Default::default();
+        let mut plain = Snapshot::new();
+        let mut deltas: Vec<WindowDelta> = Vec::new();
+        let mut recycled = false;
+        let mut x = 20040330u64;
+        for window in 0..3 * PENDING_CAP as u64 + 8 {
+            let late = (window % 5 == 0 && window >= 2).then(|| (window - 2, 1));
+            let own = (window % 7 != 3).then(|| (window, 3 + x % 20));
+            for (epoch, n) in own.into_iter().chain(late) {
+                for i in 0..n {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let event = mixed(epoch * 16 + i % 16, x >> 3);
+                    w.emit(&event);
+                    fresh.entry(epoch).or_default().emit_sampled(&event, mask);
+                    plain.emit(&event);
+                }
+            }
+            recycled |= !w.spare.is_empty();
+            assert!(w.spare.len() <= PENDING_CAP, "{what}");
+            if drain_every.is_some_and(|n| (window + 1) % n == 0) {
+                deltas.extend(w.take_deltas());
+            }
+        }
+        let mut whole = Snapshot::new();
+        fresh.values().for_each(|s| whole.merge(s));
+        if sample_shift == 0 {
+            assert_eq!(whole, plain, "{what}");
+        }
+        assert_eq!(w.cumulative(), whole, "{what}");
+        deltas.extend(w.flush());
+        assert_eq!(w.cumulative(), whole, "{what}: a flush moves nothing");
+        assert_eq!(w.state_len(), 0, "{what}");
+        // Delta `i` is the windows from its epoch up to the next delta's:
+        // one window, unless it is marked partial.
+        for (i, d) in deltas.iter().enumerate() {
+            let until = deltas.get(i + 1).map_or(u64::MAX, |next| next.epoch);
+            assert!(d.epoch < until, "{what}: deltas come oldest first");
+            let mut covered = Snapshot::new();
+            let mut windows = 0;
+            for (_, s) in fresh.range(d.epoch..until) {
+                covered.merge(s);
+                windows += 1;
+            }
+            assert_eq!(d.snapshot, covered, "{what}: delta {i}, epoch {}", d.epoch);
+            assert_eq!((d.start_us, d.window_us), (d.epoch * 16, 16), "{what}");
+            assert!(d.partial || windows == 1, "{what}: delta {i}");
+        }
+        match drain_every {
+            None => {
+                assert!(recycled, "an undrained queue coalesces, which recycles");
+                assert!(
+                    deltas[0].partial && deltas.len() <= PENDING_CAP + 4,
+                    "{what}"
+                );
+            }
+            Some(_) => {
+                let partial = deltas.iter().filter(|d| d.partial).count();
+                assert_eq!(partial, 1, "{what}: only the window the flush closed");
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_boxes_are_indistinguishable_from_fresh_ones() {
+        for sample_shift in [0, 3] {
+            for drain_every in [None, Some(1), Some(5)] {
+                check_against_fresh_snapshots(sample_shift, drain_every);
+            }
+        }
     }
 
     #[test]

@@ -566,13 +566,10 @@ mod tests {
         // Shift 0 samples every occurrence: one dispatch span per
         // dequeue attempt, one service span per service.
         let engine_stages = [Stage::Enqueue, Stage::Dispatch, Stage::Service];
-        let span_total: u64 = engine_stages
-            .iter()
-            .map(|s| snap.stage_ns[s.index()].count())
-            .sum();
+        let span_total: u64 = engine_stages.iter().map(|&s| snap.stage(s).count()).sum();
         assert_eq!(span_total, snap.counters.stage_spans);
-        assert_eq!(snap.stage_ns[Stage::Service.index()].count(), m.served);
-        assert!(snap.stage_ns[Stage::Enqueue.index()].count() > 0);
+        assert_eq!(snap.stage(Stage::Service).count(), m.served);
+        assert!(snap.stage(Stage::Enqueue).count() > 0);
         // Span counts (not durations) are deterministic across runs.
         let (_, again) = run();
         assert_eq!(again.counters.stage_spans, snap.counters.stage_spans);
@@ -593,8 +590,8 @@ mod tests {
         assert_eq!(stepper.into_metrics(), m);
         for stage in engine_stages {
             assert_eq!(
-                pumped.stage_ns[stage.index()].count(),
-                snap.stage_ns[stage.index()].count(),
+                pumped.stage(stage).count(),
+                snap.stage(stage).count(),
                 "{stage:?}"
             );
         }

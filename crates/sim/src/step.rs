@@ -116,7 +116,11 @@ fn span_clock<S: TraceSink>(sampler: Option<&mut obs::StageSampler>) -> Option<s
 /// Dispatch slack as the events carry it: signed, clamped to `i64`.
 #[inline]
 fn slack_us(req: &Request, now: Micros) -> i64 {
-    (req.deadline_us as i128 - now as i128).clamp(i64::MIN as i128, i64::MAX as i128) as i64
+    if req.deadline_us >= now {
+        i64::try_from(req.deadline_us - now).unwrap_or(i64::MAX)
+    } else {
+        0i64.saturating_sub_unsigned(now - req.deadline_us)
+    }
 }
 
 /// The engine: policy knobs, accumulated metrics, the simulation clock,
@@ -409,12 +413,13 @@ impl EngineStepper {
         let Some(req) = picked else {
             return false;
         };
-        if self.census.total == scheduler.len() + 1 {
+        let waiting = scheduler.len();
+        if self.census.total == waiting + 1 {
             self.census.remove(&req);
         } else {
             self.census.rebuild(scheduler);
         }
-        self.serve(req, scheduler, service, sink);
+        self.serve(req, waiting, head.cylinder, scheduler, service, sink);
         true
     }
 
@@ -432,10 +437,14 @@ impl EngineStepper {
 
     /// Drive one dispatched request to its terminal fate — completed,
     /// dropped or failed — advancing the clock past every service
-    /// attempt.
+    /// attempt. `waiting` requests stay queued behind it and the head is
+    /// at `head_cylinder`: what `dispatch` read to pick it, so the events
+    /// cost no second trip through either vtable.
     fn serve<S: TraceSink>(
         &mut self,
         req: Request,
+        waiting: usize,
+        head_cylinder: u32,
         scheduler: &mut dyn DiskScheduler,
         service: &mut dyn ServiceProvider,
         sink: &mut S,
@@ -446,7 +455,7 @@ impl EngineStepper {
                 req: req.id,
                 cylinder: req.cylinder,
                 // The dispatched request itself still counts.
-                queue_depth: scheduler.len() as u64 + 1,
+                queue_depth: waiting as u64 + 1,
                 slack_us: slack_us(&req, self.now),
             });
         }
@@ -481,7 +490,7 @@ impl EngineStepper {
                 now_us: self.now,
                 req: req.id,
                 cylinder: req.cylinder,
-                seek_cylinders: service.head().abs_diff(req.cylinder),
+                seek_cylinders: head_cylinder.abs_diff(req.cylinder),
             });
         }
         // Serve, retrying transient media errors within the bounded,
@@ -751,6 +760,26 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn slack_saturates_like_the_wide_subtraction() {
+        let edges = [
+            0,
+            1,
+            90_000,
+            i64::MAX as u64,
+            1 << 63,
+            (1 << 63) + 1,
+            u64::MAX,
+        ];
+        for deadline in edges {
+            for now in edges {
+                let req = Request::read(0, 0, deadline, 0, 512, QosVector::new(&[0]));
+                let wide = (deadline as i128 - now as i128).clamp(i64::MIN.into(), i64::MAX.into());
+                assert_eq!(slack_us(&req, now) as i128, wide, "{deadline} - {now}");
+            }
+        }
     }
 
     fn schedulers() -> Vec<Box<dyn DiskScheduler>> {
