@@ -48,14 +48,14 @@ cargo test -q --release -p bench --test state_census -- --nocapture
 echo "==> fault-scenario smoke run"
 # Fixed seed: loss-free and fully event-reconciled at a zero fault
 # rate, lossy-but-terminating at a high rate (exits 1 on violation).
-cargo run -q -p bench --release --bin faults -- --mode smoke --duration-ms 8000
+cargo run -q -p bench --release --bin bench -- faults --mode smoke --duration-ms 8000
 
 echo "==> farm smoke run"
 # Fixed seed: for every routing policy, redirect events reconciled
 # against the outcome counter and every arrival accounted for; and
 # least-loaded routing shedding strictly less than hash under overload
 # (exits 1 on violation).
-cargo run -q -p bench --release --bin farm -- --mode smoke --duration-ms 10000
+cargo run -q -p bench --release --bin bench -- farm --mode smoke --duration-ms 10000
 
 echo "==> daemon smoke run"
 # Seeded churn script at the overloaded operating point: the daemon's
@@ -64,7 +64,7 @@ echo "==> daemon smoke run"
 # member quarantined by the supervisor, traced events reconciled
 # against the daemon's counters, and two identical runs bit-identical
 # (exits 1 on violation).
-cargo run -q -p bench --release --bin daemon -- --mode smoke
+cargo run -q -p bench --release --bin bench -- daemon --mode smoke
 
 echo "==> scenario smoke run"
 # Million-session closed-loop population (diurnal base + flash crowd,
@@ -73,7 +73,7 @@ echo "==> scenario smoke run"
 # queues both exercised by the surge, reduced-scale bit-identity, and
 # the cascade's measured batch seek converging monotonically onto the
 # analytic closed form (exits 1 on violation).
-cargo run -q -p bench --release --bin scenario -- --mode smoke
+cargo run -q -p bench --release --bin bench -- scenario --mode smoke
 
 echo "==> ctrl smoke run"
 # Overloaded farm started from a detuned static configuration, run with
@@ -81,14 +81,14 @@ echo "==> ctrl smoke run"
 # static deadline-miss rate, hold p99 response within the survivorship
 # slack, and two controlled runs must be bit-identical down to the
 # fingerprint of every decision taken (exits 1 on violation).
-cargo run -q -p bench --release --bin ctrl -- --mode smoke
+cargo run -q -p bench --release --bin bench -- ctrl --mode smoke
 
 echo "==> ctrl convergence sweep"
 # Exhaustive (f, R, w) grid scores vs the guided search on the same
 # seeded overloaded trace: the search must land within 10% of the
 # exhaustive optimum in at most 5% of the grid's evaluations,
 # deterministically (exits 1 on violation).
-cargo run -q -p bench --release --bin ctrl -- --mode sweep
+cargo run -q -p bench --release --bin bench -- ctrl --mode sweep
 
 echo "==> oracle smoke gate"
 # Differential + metamorphic battery: optimized cascade, baselines and
@@ -134,12 +134,20 @@ echo "==> telemetry smoke gate"
 # per-shard delta streams summing to the cumulative aggregate, and the
 # flight recorder firing on the shed burst with every dump reconciling
 # exactly against its delta counters (exits 1 on violation).
-cargo run -q -p bench --release --bin obsreport -- --mode smoke
+cargo run -q -p bench --release --bin bench -- obsreport --mode smoke
+
+echo "==> paper figures"
+# Every table and figure of the paper regenerated at the default seed
+# (~2 s) and byte-compared with the committed results/: any change in
+# simulated behaviour fails here until the CSVs — and the claims
+# crates/bench/tests/paper_claims.rs asserts over them — are re-read.
+cargo run -q -p bench --release --bin bench -- experiments --out "$tmp/results"
+diff -r results "$tmp/results"
 
 echo "==> telemetry overhead gate"
 # Off-vs-on measurement in one process (NullSink vs live windowed
 # sinks) on a near-saturation trace; exits 1 when instrumentation
 # costs more than 5% of engine or dispatch throughput.
-cargo run -q -p bench --release --bin perf -- --budget 0.05
+cargo run -q -p bench --release --bin bench -- perf --budget 0.05
 
 echo "ci.sh: all green"

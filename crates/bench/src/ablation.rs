@@ -17,6 +17,7 @@
 //!   ER expands the window until the scheduler turns effectively
 //!   non-preemptive, bounding the victims' wait.
 
+use crate::fig5::run_fifo;
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, PreemptionMode};
 use sched::{Micros, QosVector, Request};
 use sfc::CurveKind;
@@ -67,12 +68,7 @@ fn scheduler_with(dispatch: DispatchConfig) -> CascadedSfc {
 /// Run the mixed-load scenario.
 pub fn mixed_load(seed: u64, requests: usize) -> Vec<MixedRow> {
     let trace = PoissonConfig::figure5(3, requests).generate(seed);
-    let fifo = {
-        let mut s = sched::Fcfs::new();
-        let mut service = TransferDominated::uniform(20_000, 3832);
-        simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 16))
-    };
-    let base = fifo.inversions_total().max(1) as f64;
+    let base = run_fifo(&trace, 3, 20_000).inversions_total().max(1) as f64;
     variants()
         .into_iter()
         .map(|(name, dispatch)| {
@@ -151,12 +147,7 @@ pub fn tuning_sweep(seed: u64, requests: usize) -> Vec<TuningRow> {
     let windows = [0.0, 0.05, 0.10, 0.20, 0.40];
     let ers = [None, Some(1.5), Some(2.0), Some(4.0)];
     let trace = PoissonConfig::figure5(3, requests).generate(seed);
-    let fifo = {
-        let mut s = sched::Fcfs::new();
-        let mut service = TransferDominated::uniform(20_000, 3832);
-        simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 16))
-    };
-    let base = fifo.inversions_total().max(1) as f64;
+    let base = run_fifo(&trace, 3, 20_000).inversions_total().max(1) as f64;
 
     let mut rows = Vec::new();
     for &window in &windows {
@@ -182,8 +173,9 @@ pub fn tuning_sweep(seed: u64, requests: usize) -> Vec<TuningRow> {
     rows
 }
 
-/// Print both scenario reports.
-pub fn print_report(seed: u64, requests: usize) {
+/// Print both scenario reports, from a 10 000-request mixed load.
+pub fn print_report(seed: u64) {
+    let requests = 10_000;
     println!("# mixed load: inversion vs response-tail trade-off");
     println!("variant,inversion_pct_of_fifo,max_response_ms,preemptions,promotions,swaps");
     for r in mixed_load(seed, requests) {

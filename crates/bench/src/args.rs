@@ -1,7 +1,8 @@
-//! Minimal command-line parsing shared by the figure binaries.
+//! Minimal command-line parsing shared by the `bench` subcommands and
+//! the `oracle` binary.
 //!
-//! Flags are `--name value` pairs; unknown flags abort with a message so
-//! typos never silently fall back to defaults.
+//! Flags are `--name value` pairs; unknown and repeated flags abort with
+//! a message so typos never silently fall back to defaults.
 
 use std::collections::HashMap;
 
@@ -24,6 +25,8 @@ pub enum ArgsError {
     UnknownFlag(String),
     /// A flag appeared without a following value.
     MissingValue(String),
+    /// A flag appeared twice.
+    DuplicateFlag(String),
 }
 
 impl std::fmt::Display for ArgsError {
@@ -33,29 +36,25 @@ impl std::fmt::Display for ArgsError {
             ArgsError::NotAFlag(a) => write!(f, "unexpected argument: {a}"),
             ArgsError::UnknownFlag(n) => write!(f, "unknown flag: --{n}"),
             ArgsError::MissingValue(n) => write!(f, "flag --{n} needs a value"),
+            ArgsError::DuplicateFlag(n) => write!(f, "flag --{n} given twice"),
         }
     }
 }
 
 impl Args {
-    /// Parse `std::env::args`, accepting only the listed flag names
-    /// (without the `--` prefix). Exits with a usage message on error or
-    /// on `--help`.
-    pub fn parse(allowed: &[&'static str]) -> Args {
-        let mut argv = std::env::args();
-        let binary = argv.next().unwrap_or_else(|| "bench".into());
-        match Self::parse_from(&binary, argv.collect(), allowed) {
-            Ok(args) => args,
-            Err(ArgsError::HelpRequested) => {
-                Self::usage(&binary, allowed);
-                std::process::exit(0);
-            }
-            Err(e) => {
+    /// Parse `argv` — what follows `binary` on the command line, a
+    /// program name or `bench <subcommand>` — accepting only the listed
+    /// flag names (without the `--` prefix). Exits with a usage message
+    /// on error or on `--help`.
+    pub fn parse(binary: &str, argv: Vec<String>, allowed: &[&'static str]) -> Args {
+        Self::parse_from(binary, argv, allowed).unwrap_or_else(|e| {
+            let help = e == ArgsError::HelpRequested;
+            if !help {
                 eprintln!("{e}");
-                Self::usage(&binary, allowed);
-                std::process::exit(2);
             }
-        }
+            Self::usage(binary, allowed);
+            std::process::exit(if help { 0 } else { 2 })
+        })
     }
 
     /// Testable core: parse an explicit argument vector.
@@ -80,7 +79,9 @@ impl Args {
             let Some(value) = argv.get(i + 1) else {
                 return Err(ArgsError::MissingValue(name.to_string()));
             };
-            values.insert(name.to_string(), value.clone());
+            if values.insert(name.to_string(), value.clone()).is_some() {
+                return Err(ArgsError::DuplicateFlag(name.to_string()));
+            }
             i += 2;
         }
         Ok(Args {
@@ -203,6 +204,13 @@ mod tests {
     fn rejects_missing_value() {
         let e = Args::parse_from("t", argv(&["--seed"]), &["seed"]).unwrap_err();
         assert_eq!(e, ArgsError::MissingValue("seed".into()));
+    }
+
+    #[test]
+    fn rejects_repeated_flags() {
+        let e =
+            Args::parse_from("t", argv(&["--seed", "1", "--seed", "2"]), &["seed"]).unwrap_err();
+        assert_eq!(e, ArgsError::DuplicateFlag("seed".into()));
     }
 
     #[test]

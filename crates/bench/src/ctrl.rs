@@ -25,7 +25,8 @@
 //!
 //! Everything is deterministic given `--seed`.
 
-use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, PreemptionMode, Stage2Combiner};
+use crate::vod;
+use cascade::{CascadeConfig, CascadedSfc, PreemptionMode, Stage2Combiner};
 use ctrl::{
     drive, Controller, ControllerConfig, Grid, GridPoint, Objective, SearchConfig, TunerSearch,
 };
@@ -33,7 +34,6 @@ use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, Rout
 use obs::{Snapshot, TelemetryConfig, TriggerConfig};
 use sched::Request;
 use sim::{simulate_traced, DiskService, SimOptions};
-use workload::VodConfig;
 
 /// Harness parameters, shared by both modes.
 #[derive(Debug, Clone)]
@@ -46,18 +46,12 @@ pub struct Config {
     pub streams: u32,
     /// Sweep-mode simulated duration (µs).
     pub duration_us: u64,
-    /// Bounded-queue capacity per scheduler (sheds on overflow).
-    pub max_queue: usize,
-    /// Smoke mode: farm members.
-    pub shards: usize,
     /// Smoke mode: concurrent streams feeding the whole farm (past
     /// aggregate capacity).
     pub smoke_streams: u32,
     /// Smoke-mode simulated duration (µs) — long enough for several
     /// telemetry windows to retire per shard.
     pub smoke_duration_us: u64,
-    /// Smoke mode: events between controller decision points.
-    pub cadence: usize,
     /// `f` axis of the sweep grid (strictly ascending).
     pub f_axis: Vec<f64>,
     /// `R` axis of the sweep grid.
@@ -72,11 +66,8 @@ impl Default for Config {
             seed: crate::DEFAULT_SEED,
             streams: 30,
             duration_us: 2_000_000,
-            max_queue: 24,
-            shards: 2,
             smoke_streams: 56,
             smoke_duration_us: 8_000_000,
-            cadence: 16,
             // The ctrl crate's default 336-point grid, restated here so
             // `--f/--r/--w` list flags can override any axis.
             f_axis: vec![0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0],
@@ -85,6 +76,13 @@ impl Default for Config {
         }
     }
 }
+
+/// Bounded-queue capacity per scheduler (sheds on overflow).
+const MAX_QUEUE: usize = 24;
+/// Smoke mode: farm members.
+const SHARDS: usize = 2;
+/// Smoke mode: events between controller decision points.
+const CADENCE: usize = 16;
 
 /// One exhaustively evaluated grid point.
 #[derive(Debug, Clone, Copy)]
@@ -149,9 +147,8 @@ pub struct SmokeSummary {
 /// A full cascade configuration at one grid point: the paper's
 /// single-dimension VoD shape with the three searched knobs substituted
 /// and a bounded queue so overload sheds.
-fn cascade_at(p: GridPoint, max_queue: usize) -> CascadeConfig {
-    let mut cfg = CascadeConfig::paper_default(1, 3832)
-        .with_dispatch(DispatchConfig::paper_default().with_max_queue(max_queue));
+fn cascade_at(p: GridPoint) -> CascadeConfig {
+    let mut cfg = vod::bounded_cascade(MAX_QUEUE);
     if let Some(s2) = cfg.stage2.as_mut() {
         s2.combiner = Stage2Combiner::Weighted { f: p.f };
     }
@@ -163,17 +160,15 @@ fn cascade_at(p: GridPoint, max_queue: usize) -> CascadeConfig {
 }
 
 fn sweep_trace(cfg: &Config) -> Vec<Request> {
-    let mut wl = VodConfig::mpeg1(cfg.streams.max(1));
-    wl.duration_us = cfg.duration_us;
-    wl.generate(cfg.seed)
+    vod::trace(cfg.streams, cfg.duration_us, cfg.seed)
 }
 
 /// Evaluate one grid point: re-simulate the trace on a Table-1 disk
 /// under that configuration and score the cumulative window. The shared
 /// evaluator of both the exhaustive and the guided pass, so their
 /// scores are directly comparable.
-fn evaluate(trace: &[Request], p: GridPoint, max_queue: usize, objective: &Objective) -> f64 {
-    let mut s = CascadedSfc::new(cascade_at(p, max_queue)).expect("grid points are valid configs");
+fn evaluate(trace: &[Request], p: GridPoint, objective: &Objective) -> f64 {
+    let mut s = CascadedSfc::new(cascade_at(p)).expect("grid points are valid configs");
     let mut service = DiskService::table1();
     let mut sink = TelemetryConfig::exact().sink();
     simulate_traced(
@@ -218,7 +213,7 @@ fn guided(
         }
     };
     while let Some(idx) = search.propose() {
-        let score = evaluate(trace, grid.point(idx), cfg.max_queue, objective);
+        let score = evaluate(trace, grid.point(idx), objective);
         eat(&(idx as u64).to_le_bytes());
         eat(&score.to_bits().to_le_bytes());
         search.observe(idx, score);
@@ -250,7 +245,7 @@ pub fn sweep(cfg: &Config) -> Result<Convergence, String> {
     };
     for idx in 0..grid.len() {
         let p = grid.point(idx);
-        let score = evaluate(&trace, p, cfg.max_queue, &objective);
+        let score = evaluate(&trace, p, &objective);
         let row = SweepRow {
             f: p.f,
             r: p.r,
@@ -302,17 +297,10 @@ pub fn sweep(cfg: &Config) -> Result<Convergence, String> {
     })
 }
 
-fn smoke_trace(cfg: &Config) -> Vec<Request> {
-    let mut wl = VodConfig::mpeg1(cfg.smoke_streams.max(1));
-    wl.duration_us = cfg.smoke_duration_us;
-    wl.generate(cfg.seed)
-}
-
-fn daemon_at(cfg: &Config, start: GridPoint) -> FarmDaemon {
-    let farm = FarmConfig::new(cfg.shards)
+fn daemon_at(start: GridPoint) -> FarmDaemon {
+    let farm = FarmConfig::new(SHARDS)
         .with_policy(RoutePolicy::HashStream)
         .with_redirects();
-    let max_queue = cfg.max_queue;
     FarmDaemon::new(
         DaemonConfig::new(farm, SimOptions::with_shape(1, 8).dropping()).with_telemetry(
             // ~0.5 s windows, two-window live range: windows retire (and
@@ -324,10 +312,7 @@ fn daemon_at(cfg: &Config, start: GridPoint) -> FarmDaemon {
             TriggerConfig::quiet(),
         ),
         move |_, sink| {
-            Box::new(
-                CascadedSfc::with_sink(cascade_at(start, max_queue), sink)
-                    .expect("valid cascade config"),
-            )
+            Box::new(CascadedSfc::with_sink(cascade_at(start), sink).expect("valid cascade config"))
         },
         |_| DiskService::table1(),
     )
@@ -356,9 +341,9 @@ fn daemon_fingerprint(r: &DaemonReport) -> impl PartialEq + std::fmt::Debug {
 }
 
 fn controlled_run(cfg: &Config, trace: &[Request]) -> (DaemonReport, Controller) {
-    let mut daemon = daemon_at(cfg, DETUNED);
+    let mut daemon = daemon_at(DETUNED);
     let mut controller = Controller::new(
-        cfg.shards,
+        SHARDS,
         ControllerConfig {
             seed_point: DETUNED,
             search: SearchConfig {
@@ -372,7 +357,7 @@ fn controlled_run(cfg: &Config, trace: &[Request]) -> (DaemonReport, Controller)
         &mut daemon,
         &mut controller,
         trace.iter().cloned().map(DaemonEvent::Arrival),
-        cfg.cadence,
+        CADENCE,
     );
     (daemon.shutdown(), controller)
 }
@@ -380,10 +365,9 @@ fn controlled_run(cfg: &Config, trace: &[Request]) -> (DaemonReport, Controller)
 /// The `ctrl` CI smoke gate (module docs). Returns the measured
 /// [`SmokeSummary`] on success; the error names the violated claim.
 pub fn smoke(cfg: &Config) -> Result<SmokeSummary, String> {
-    let trace = smoke_trace(cfg);
+    let trace = vod::trace(cfg.smoke_streams, cfg.smoke_duration_us, cfg.seed);
 
-    let static_report =
-        daemon_at(cfg, DETUNED).run(trace.iter().cloned().map(DaemonEvent::Arrival));
+    let static_report = daemon_at(DETUNED).run(trace.iter().cloned().map(DaemonEvent::Arrival));
     let (static_miss, static_p99) = run_metrics(&static_report);
 
     let (tuned_report, controller) = controlled_run(cfg, &trace);
@@ -475,10 +459,9 @@ mod tests {
                 r: 3,
                 w: 0.10,
             },
-            cfg.max_queue,
             &objective,
         );
-        let bad = evaluate(&trace, DETUNED, cfg.max_queue, &objective);
+        let bad = evaluate(&trace, DETUNED, &objective);
         assert!(
             good.is_finite() && bad.is_finite(),
             "objective scores must be finite"

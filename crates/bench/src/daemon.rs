@@ -26,16 +26,14 @@
 //!
 //! Everything is deterministic given `--seed`.
 
-use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+use crate::vod;
 use diskmodel::{Disk, FaultPlan};
 use farm::{
     simulate_farm, DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, MemberStatus,
     RoutePolicy,
 };
-use obs::{FlightRecorder, SharedSink, TelemetryConfig, TriggerConfig};
-use sched::DiskScheduler;
-use sim::{DiskService, SimOptions};
-use workload::VodConfig;
+use obs::{TelemetryConfig, TriggerConfig};
+use sim::DiskService;
 
 /// Daemon-scenario parameters.
 #[derive(Debug, Clone)]
@@ -44,12 +42,8 @@ pub struct Config {
     pub seed: u64,
     /// Members at start of run.
     pub shards: usize,
-    /// Concurrent MPEG-1 streams feeding the whole farm.
-    pub streams: u32,
     /// Simulated duration (µs).
     pub duration_us: u64,
-    /// Bounded-queue capacity per shard scheduler (sheds on overflow).
-    pub max_queue: usize,
     /// The member whose disk limps (service times scaled up).
     pub limp_shard: usize,
     /// Limp factor in permille (2500 = 2.5× service time).
@@ -59,26 +53,28 @@ pub struct Config {
     /// When the drain begins (µs); arrivals before this form the
     /// quiescent prefix of check 1.
     pub drain_at_us: u64,
-    /// How long the draining member may keep serving residents (µs).
-    pub handoff_window_us: u64,
 }
+
+/// Concurrent MPEG-1 streams feeding the whole farm — the farm harness's
+/// operating point: 90 sit just past the aggregate capacity of four
+/// Table-1 disks, so a 2.5×-limping member is hopelessly behind and must
+/// shed.
+const STREAMS: u32 = 90;
+/// Bounded-queue capacity per shard scheduler (sheds on overflow).
+const MAX_QUEUE: usize = 24;
+/// How long the draining member may keep serving residents (µs).
+const HANDOFF_WINDOW_US: u64 = 25_000;
 
 impl Default for Config {
     fn default() -> Self {
         Config {
             seed: crate::DEFAULT_SEED,
             shards: 4,
-            // The farm harness's operating point: 90 MPEG-1 streams sit
-            // just past the aggregate capacity of four Table-1 disks, so
-            // a 2.5×-limping member is hopelessly behind and must shed.
-            streams: 90,
             duration_us: 10_000_000,
-            max_queue: 24,
             limp_shard: 1,
             limp_permille: 2_500,
             drain_shard: 3,
             drain_at_us: 3_000_000,
-            handoff_window_us: 25_000,
         }
     }
 }
@@ -106,29 +102,10 @@ pub struct Summary {
     pub makespan_us: u64,
 }
 
-fn vod_trace(cfg: &Config) -> Vec<sched::Request> {
-    let mut wl = VodConfig::mpeg1(cfg.streams.max(1));
-    wl.duration_us = cfg.duration_us;
-    wl.generate(cfg.seed)
-}
-
 fn farm_config(cfg: &Config) -> FarmConfig {
     FarmConfig::new(cfg.shards)
         .with_policy(RoutePolicy::HashStream)
         .with_redirects()
-}
-
-fn cascade(cfg: &Config) -> CascadeConfig {
-    CascadeConfig::paper_default(1, 3832)
-        .with_dispatch(DispatchConfig::paper_default().with_max_queue(cfg.max_queue))
-}
-
-fn options() -> SimOptions {
-    SimOptions::with_shape(1, 4).dropping()
-}
-
-fn sinked_scheduler(cfg: &Config, sink: SharedSink<FlightRecorder>) -> Box<dyn DiskScheduler> {
-    Box::new(CascadedSfc::with_sink(cascade(cfg), sink).expect("valid cascade config"))
 }
 
 /// Check 1: on the churn-free prefix, a supervision-disabled daemon with
@@ -138,17 +115,16 @@ fn prefix_parity(cfg: &Config, prefix: &[sched::Request]) -> Result<(), String> 
     let (batch, _) = simulate_farm(
         prefix,
         &farm_cfg,
-        |_| Box::new(CascadedSfc::new(cascade(cfg)).expect("valid cascade config")),
-        options(),
+        |_| vod::bounded_scheduler(MAX_QUEUE),
+        vod::options(),
     );
-    let local = cfg.clone();
     let daemon = FarmDaemon::new(
         // Triggers off: the supervisor must not perturb routing, or the
         // daemon would (correctly) diverge from the batch farm, which has
         // no supervisor.
-        DaemonConfig::new(farm_cfg, options())
+        DaemonConfig::new(farm_cfg, vod::options())
             .with_telemetry(TelemetryConfig::exact(), TriggerConfig::quiet()),
-        move |_, sink| sinked_scheduler(&local, sink),
+        |_, sink| vod::sinked_scheduler(MAX_QUEUE, sink),
         |_| DiskService::table1(),
     );
     let report = daemon.run(prefix.iter().cloned().map(DaemonEvent::Arrival));
@@ -193,15 +169,14 @@ fn churn_run(cfg: &Config, trace: &[sched::Request]) -> DaemonReport {
     events.push(DaemonEvent::DrainShard {
         at_us: cfg.drain_at_us,
         shard: cfg.drain_shard,
-        handoff_window_us: cfg.handoff_window_us,
+        handoff_window_us: HANDOFF_WINDOW_US,
     });
     events.sort_by_key(DaemonEvent::at_us);
-    let local = cfg.clone();
     let services = cfg.clone();
     let daemon = FarmDaemon::new(
-        DaemonConfig::new(farm_config(cfg), options())
+        DaemonConfig::new(farm_config(cfg), vod::options())
             .with_telemetry(TelemetryConfig::exact(), TriggerConfig::default()),
-        move |_, sink| sinked_scheduler(&local, sink),
+        |_, sink| vod::sinked_scheduler(MAX_QUEUE, sink),
         move |shard| {
             if shard == services.limp_shard {
                 DiskService::with_faults(
@@ -234,7 +209,7 @@ pub fn smoke(cfg: &Config) -> Result<Summary, String> {
         "the script drains a healthy member and leaves the limping one \
          to the supervisor"
     );
-    let trace = vod_trace(cfg);
+    let trace = vod::trace(STREAMS, cfg.duration_us, cfg.seed);
 
     // 1. Quiescent-prefix parity against the batch farm.
     let prefix: Vec<sched::Request> = trace
@@ -262,9 +237,8 @@ pub fn smoke(cfg: &Config) -> Result<Summary, String> {
     }
     if report.migrated == 0 {
         return Err(format!(
-            "drain closed with nothing to migrate — a {} µs handoff window \
-             under overload must leave a backlog",
-            cfg.handoff_window_us
+            "drain closed with nothing to migrate — a {HANDOFF_WINDOW_US} µs handoff \
+             window under overload must leave a backlog"
         ));
     }
     if report.quarantines == 0 {

@@ -18,12 +18,10 @@
 //!
 //! Both modes are deterministic given `--seed`.
 
-use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+use crate::vod;
 use farm::{simulate_farm, FarmConfig, FarmOutcome, RoutePolicy};
 use obs::Snapshot;
-use sched::DiskScheduler;
-use sim::{Metrics, SimOptions};
-use workload::VodConfig;
+use sim::Metrics;
 
 /// The three routing policies, in report order.
 pub const POLICIES: [RoutePolicy; 3] = [
@@ -63,19 +61,7 @@ impl Default for Config {
 }
 
 fn vod_trace(cfg: &Config) -> Vec<sched::Request> {
-    let mut wl = VodConfig::mpeg1(cfg.streams.max(1));
-    wl.duration_us = cfg.duration_us;
-    wl.generate(cfg.seed)
-}
-
-fn bounded_scheduler(cfg: &Config) -> Box<dyn DiskScheduler> {
-    let cascade = CascadeConfig::paper_default(1, 3832)
-        .with_dispatch(DispatchConfig::paper_default().with_max_queue(cfg.max_queue));
-    Box::new(CascadedSfc::new(cascade).expect("valid cascade config"))
-}
-
-fn options() -> SimOptions {
-    SimOptions::with_shape(1, 4).dropping()
+    vod::trace(cfg.streams, cfg.duration_us, cfg.seed)
 }
 
 /// One measured point of the sweep.
@@ -113,7 +99,12 @@ pub fn run_point(
     if redirects {
         farm_cfg = farm_cfg.with_redirects();
     }
-    simulate_farm(&trace, &farm_cfg, |_| bounded_scheduler(cfg), options())
+    simulate_farm(
+        &trace,
+        &farm_cfg,
+        |_| vod::bounded_scheduler(cfg.max_queue),
+        vod::options(),
+    )
 }
 
 fn row(cfg: &Config, shards: usize, policy: RoutePolicy, out: &FarmOutcome) -> Row {

@@ -19,13 +19,11 @@
 //!
 //! All three modes are deterministic given `--seed`.
 
-use cascade::{CascadeConfig, CascadedSfc};
+use crate::vod;
 use diskmodel::{DiskGeometry, FaultPlan, SeekModel};
 use obs::Snapshot;
-use sched::DiskScheduler;
 use sim::admission;
 use sim::{simulate_striped_faulted, simulate_traced, Metrics, Raid5Service, SimOptions};
-use workload::VodConfig;
 
 /// Fault-scenario parameters.
 #[derive(Debug, Clone)]
@@ -59,6 +57,16 @@ impl Default for Config {
     }
 }
 
+/// MPEG-1 streams of 64-KB blocks one Table-1 disk admits.
+fn per_disk_streams() -> u32 {
+    admission::admissible_streams(
+        &DiskGeometry::table1(),
+        &SeekModel::table1(),
+        64 * 1024,
+        1_500_000,
+    )
+}
+
 impl Config {
     /// The stream count actually used: explicit, or two thirds of the
     /// per-disk admission bound times the data-disk count.
@@ -66,13 +74,7 @@ impl Config {
         if self.streams > 0 {
             return self.streams;
         }
-        let per_disk = admission::admissible_streams(
-            &DiskGeometry::table1(),
-            &SeekModel::table1(),
-            64 * 1024,
-            1_500_000,
-        );
-        (per_disk * (self.members as u32 - 1) * 2 / 3).max(1)
+        (per_disk_streams() * (self.members as u32 - 1) * 2 / 3).max(1)
     }
 }
 
@@ -104,19 +106,11 @@ pub struct Row {
 }
 
 fn vod_trace(cfg: &Config) -> Vec<sched::Request> {
-    let mut wl = VodConfig::mpeg1(cfg.effective_streams());
-    wl.duration_us = cfg.duration_us;
-    wl.generate(cfg.seed)
+    vod::trace(cfg.effective_streams(), cfg.duration_us, cfg.seed)
 }
 
 fn options(cfg: &Config) -> SimOptions {
-    SimOptions::with_shape(1, 4)
-        .dropping()
-        .with_retries(cfg.retries)
-}
-
-fn paper_scheduler() -> Box<dyn DiskScheduler> {
-    Box::new(CascadedSfc::new(CascadeConfig::paper_default(1, 3832)).expect("valid cascade config"))
+    vod::options().with_retries(cfg.retries)
 }
 
 /// Run one sweep point: the VoD load over the striped group under a
@@ -126,7 +120,7 @@ pub fn run_point(cfg: &Config, transient_ppm: u32) -> (sim::StripedOutcome, Snap
     simulate_striped_faulted(
         &vod_trace(cfg),
         cfg.members,
-        paper_scheduler,
+        vod::unbounded_scheduler,
         options(cfg),
         &plan,
     )
@@ -278,21 +272,14 @@ pub fn degraded(cfg: &Config) -> Result<DegradedReport, String> {
 
     // The grouped service serializes the whole group on one timeline, so
     // size the load for a single disk, not for the striped multiplier.
-    let per_disk = admission::admissible_streams(
-        &DiskGeometry::table1(),
-        &SeekModel::table1(),
-        64 * 1024,
-        1_500_000,
-    );
-    let mut wl = VodConfig::mpeg1(if cfg.streams > 0 {
+    let streams = if cfg.streams > 0 {
         cfg.streams
     } else {
-        (per_disk * 2 / 3).max(1)
-    });
-    wl.duration_us = cfg.duration_us;
-    let trace = wl.generate(cfg.seed);
+        per_disk_streams() * 2 / 3
+    };
+    let trace = vod::trace(streams, cfg.duration_us, cfg.seed);
 
-    let mut scheduler = paper_scheduler();
+    let mut scheduler = vod::unbounded_scheduler();
     let mut service = Raid5Service::with_faults(plan);
     let mut snapshot = Snapshot::new();
     let metrics = simulate_traced(

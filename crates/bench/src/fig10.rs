@@ -37,9 +37,6 @@ pub struct Config {
     pub seed: u64,
     /// Number of bursts to generate.
     pub bursts: usize,
-    /// Requests per burst; at ~9 ms per 4-KB request a 45-request burst
-    /// takes ≈400 ms to drain, past the 250–350 ms deadlines.
-    pub burst_size: u32,
     /// Time between bursts (µs).
     pub burst_gap_us: Micros,
     /// Block size (small, so seeks matter).
@@ -57,7 +54,6 @@ impl Default for Config {
         Config {
             seed: crate::DEFAULT_SEED,
             bursts: 400,
-            burst_size: 45,
             burst_gap_us: 420_000,
             block_bytes: 4 * 1024,
             deadline_lo_us: 150_000,
@@ -66,6 +62,10 @@ impl Default for Config {
         }
     }
 }
+
+/// Requests per burst; at ~9 ms per 4-KB request a 45-request burst
+/// takes ≈400 ms to drain, past the 250–350 ms deadlines.
+const BURST_SIZE: u32 = 45;
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -83,36 +83,16 @@ pub struct Row {
 }
 
 fn trace_of(cfg: &Config) -> Vec<Request> {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    use sched::QosVector;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut trace = Vec::with_capacity(cfg.bursts * cfg.burst_size as usize);
-    let mut id = 0u64;
-    for b in 0..cfg.bursts as u64 {
-        let base = b * cfg.burst_gap_us;
-        for _ in 0..cfg.burst_size {
-            let arrival = base + rng.gen_range(0..1_000);
-            let qos = QosVector::new(&[
-                rng.gen_range(0..8u8),
-                rng.gen_range(0..8u8),
-                rng.gen_range(0..8u8),
-            ]);
-            let deadline = arrival + rng.gen_range(cfg.deadline_lo_us..=cfg.deadline_hi_us);
-            let cylinder = rng.gen_range(0..3832);
-            trace.push(Request::read(
-                id,
-                arrival,
-                deadline,
-                cylinder,
-                cfg.block_bytes,
-                qos,
-            ));
-            id += 1;
-        }
-    }
-    trace.sort_by_key(|r| (r.arrival_us, r.id));
-    trace
+    let deadlines = cfg.deadline_lo_us..=cfg.deadline_hi_us;
+    let bursts = cfg.bursts as u64;
+    crate::fig8::bursty_trace(
+        cfg.seed,
+        bursts,
+        BURST_SIZE,
+        cfg.burst_gap_us,
+        deadlines,
+        |_| cfg.block_bytes,
+    )
 }
 
 /// Run one scheduler over the Figure-10 trace on the Table-1 disk.
@@ -183,16 +163,18 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// Print the three panels as CSV.
-pub fn print_csv(rows: &[Row]) {
-    println!("series,r,inversion_pct_of_cscan,losses_pct_of_cscan,mean_seek_ms");
+/// Render the three panels as `results/fig10.csv` holds them.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out =
+        String::from("series,r,inversion_pct_of_cscan,losses_pct_of_cscan,mean_seek_ms\n");
     for r in rows {
         let rv = r.r.map(|v| v.to_string()).unwrap_or_default();
-        println!(
-            "{},{rv},{:.1},{:.1},{:.3}",
+        out.push_str(&format!(
+            "{},{rv},{:.2},{:.2},{:.3}\n",
             r.series, r.inversion_pct_of_cscan, r.losses_pct_of_cscan, r.mean_seek_ms
-        );
+        ));
     }
+    out
 }
 
 #[cfg(test)]

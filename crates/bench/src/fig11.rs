@@ -142,25 +142,16 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// Print the series as CSV (one column per scheduler).
-pub fn print_csv(cfg: &Config, rows: &[Row]) {
-    let labels: Vec<String> = schedulers().into_iter().map(|(l, _)| l).collect();
-    print!("users");
-    for l in &labels {
-        print!(",{l}");
+/// Render the series as `results/fig11.csv` holds it, one row per point.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("users,scheduler,aggregate_loss,loss_ratio\n");
+    for r in rows {
+        out.push_str(&format!(
+            "{},{},{:.3},{:.4}\n",
+            r.users, r.scheduler, r.aggregate_loss, r.loss_ratio
+        ));
     }
-    println!();
-    for &u in &cfg.users {
-        print!("{u}");
-        for l in &labels {
-            let row = rows
-                .iter()
-                .find(|r| &r.scheduler == l && r.users == u)
-                .expect("complete grid");
-            print!(",{:.3}", row.aggregate_loss);
-        }
-        println!();
-    }
+    out
 }
 
 #[cfg(test)]

@@ -26,8 +26,6 @@ pub struct Config {
     pub seed: u64,
     /// Requests per simulation run.
     pub requests: usize,
-    /// QoS dimensions.
-    pub dims: u32,
     /// Per-request service time (µs); 25 ms mean interarrival makes
     /// 20 ms ≈ "normal" load and 24 ms ≈ "high" load.
     pub service_us: u64,
@@ -40,12 +38,14 @@ impl Default for Config {
         Config {
             seed: crate::DEFAULT_SEED,
             requests: 20_000,
-            dims: 4,
             service_us: 20_000,
             windows_pct: (0..=100).step_by(10).collect(),
         }
     }
 }
+
+/// QoS dimensions of the §5.1 setup.
+const DIMS: u32 = 4;
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -101,14 +101,14 @@ pub fn run_fifo(trace: &[Request], dims: u32, service_us: u64) -> Metrics {
 
 /// Produce the Figure-5 series.
 pub fn run(cfg: &Config) -> Vec<Row> {
-    let trace = PoissonConfig::figure5(cfg.dims, cfg.requests).generate(cfg.seed);
-    let fifo = run_fifo(&trace, cfg.dims, cfg.service_us);
+    let trace = PoissonConfig::figure5(DIMS, cfg.requests).generate(cfg.seed);
+    let fifo = run_fifo(&trace, DIMS, cfg.service_us);
     let baseline = fifo.inversions_total().max(1) as f64;
 
     let mut rows = Vec::new();
     for curve in CurveKind::FIGURE1 {
         for &w in &cfg.windows_pct {
-            let m = run_priority_sim(&trace, curve, cfg.dims, 4, w, cfg.service_us);
+            let m = run_priority_sim(&trace, curve, DIMS, 4, w, cfg.service_us);
             rows.push(Row {
                 curve,
                 window_pct: w,
@@ -119,24 +119,16 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// Print the series as CSV (one column per curve).
-pub fn print_csv(cfg: &Config, rows: &[Row]) {
-    print!("window_pct");
-    for c in CurveKind::FIGURE1 {
-        print!(",{c}");
+/// Render the series as `results/fig5.csv` holds it, one row per point.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("window_pct,curve,inversion_pct_of_fifo\n");
+    for r in rows {
+        out.push_str(&format!(
+            "{},{},{:.2}\n",
+            r.window_pct, r.curve, r.inversion_pct_of_fifo
+        ));
     }
-    println!();
-    for &w in &cfg.windows_pct {
-        print!("{w}");
-        for c in CurveKind::FIGURE1 {
-            let row = rows
-                .iter()
-                .find(|r| r.curve == c && r.window_pct == w)
-                .expect("complete grid");
-            print!(",{:.1}", row.inversion_pct_of_fifo);
-        }
-        println!();
-    }
+    out
 }
 
 #[cfg(test)]
@@ -225,7 +217,7 @@ mod tests {
         let geometric: Vec<(CurveKind, f64)> = CurveKind::FIGURE1
             .into_iter()
             .map(|c| {
-                let curve = c.build(cfg.dims, 4).unwrap();
+                let curve = c.build(DIMS, 4).unwrap();
                 let bias = sfc::quality::dimension_bias(curve.as_ref(), 20_000);
                 let mean =
                     bias.inversion_rate.iter().sum::<f64>() / bias.inversion_rate.len() as f64;

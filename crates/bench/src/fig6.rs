@@ -21,9 +21,6 @@ pub struct Config {
     pub dims: Vec<u32>,
     /// Per-request service time (µs).
     pub service_us: u64,
-    /// Blocking window (percent of the space) for the conditional
-    /// dispatcher.
-    pub window_pct: u32,
 }
 
 impl Default for Config {
@@ -33,10 +30,12 @@ impl Default for Config {
             requests: 20_000,
             dims: (1..=12).collect(),
             service_us: 20_000,
-            window_pct: 10,
         }
     }
 }
+
+/// Blocking window (percent of the space) of the conditional dispatcher.
+const WINDOW_PCT: u32 = 10;
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -57,7 +56,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         let fifo = run_fifo(&trace, dims, cfg.service_us);
         let baseline = fifo.inversions_total().max(1) as f64;
         for curve in CurveKind::FIGURE1 {
-            let m = run_priority_sim(&trace, curve, dims, 4, cfg.window_pct, cfg.service_us);
+            let m = run_priority_sim(&trace, curve, dims, 4, WINDOW_PCT, cfg.service_us);
             rows.push(Row {
                 curve,
                 dims,
@@ -68,24 +67,16 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// Print the series as CSV (one column per curve).
-pub fn print_csv(cfg: &Config, rows: &[Row]) {
-    print!("dims");
-    for c in CurveKind::FIGURE1 {
-        print!(",{c}");
+/// Render the series as `results/fig6.csv` holds it, one row per point.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("dims,curve,inversion_pct_of_fifo\n");
+    for r in rows {
+        out.push_str(&format!(
+            "{},{},{:.2}\n",
+            r.dims, r.curve, r.inversion_pct_of_fifo
+        ));
     }
-    println!();
-    for &d in &cfg.dims {
-        print!("{d}");
-        for c in CurveKind::FIGURE1 {
-            let row = rows
-                .iter()
-                .find(|r| r.curve == c && r.dims == d)
-                .expect("complete grid");
-            print!(",{:.1}", row.inversion_pct_of_fifo);
-        }
-        println!();
-    }
+    out
 }
 
 #[cfg(test)]

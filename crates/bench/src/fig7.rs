@@ -89,32 +89,17 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// Print both panels as CSV.
-pub fn print_csv(cfg: &Config, rows: &[Row]) {
-    for (panel, field) in [("stddev", 0), ("favored_dimension_pct", 1)] {
-        println!("# figure 7{} — {panel}", if field == 0 { 'a' } else { 'b' });
-        print!("window_pct");
-        for c in CurveKind::FIGURE1 {
-            print!(",{c}");
-        }
-        println!();
-        for &w in &cfg.windows_pct {
-            print!("{w}");
-            for c in CurveKind::FIGURE1 {
-                let row = rows
-                    .iter()
-                    .find(|r| r.curve == c && r.window_pct == w)
-                    .expect("complete grid");
-                let v = if field == 0 {
-                    row.stddev
-                } else {
-                    row.favored_pct
-                };
-                print!(",{v:.1}");
-            }
-            println!();
-        }
+/// Render both panels as `results/fig7.csv` holds them, one row per
+/// point.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("window_pct,curve,stddev,favored_pct\n");
+    for r in rows {
+        out.push_str(&format!(
+            "{},{},{:.2},{:.2}\n",
+            r.window_pct, r.curve, r.stddev, r.favored_pct
+        ));
     }
+    out
 }
 
 #[cfg(test)]

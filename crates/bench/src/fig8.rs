@@ -32,18 +32,8 @@ pub struct Config {
     pub seed: u64,
     /// Requests per simulation run (rounded down to whole bursts).
     pub requests: usize,
-    /// Requests per burst: ~16 ms of service each, so 42 requests are
-    /// ~690 ms of work against deadlines that end at 700 ms — the burst
-    /// is barely infeasible, so EDF misses few while deadline-blind
-    /// orders miss many.
-    pub burst_size: u32,
     /// Time between bursts (µs); must exceed the burst drain time.
     pub burst_gap_us: Micros,
-    /// Deadline window after arrival (µs) — DESIGN.md reconstruction 4
-    /// (lower end widened to 300 ms so EDF has reordering room).
-    pub deadline_lo_us: Micros,
-    /// Upper end of the deadline window.
-    pub deadline_hi_us: Micros,
     /// Balance factors to sweep.
     pub fs: Vec<f64>,
 }
@@ -53,14 +43,22 @@ impl Default for Config {
         Config {
             seed: crate::DEFAULT_SEED,
             requests: 20_000,
-            burst_size: 42,
             burst_gap_us: 900_000,
-            deadline_lo_us: 300_000,
-            deadline_hi_us: 700_000,
             fs: vec![0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0],
         }
     }
 }
+
+/// Requests per burst: ~16 ms of service each, so 42 requests are
+/// ~690 ms of work against deadlines that end at 700 ms — the burst is
+/// barely infeasible, so EDF misses few while deadline-blind orders miss
+/// many.
+const BURST_SIZE: u32 = 42;
+/// Deadline window after arrival (µs) — DESIGN.md reconstruction 4
+/// (lower end widened to 300 ms so EDF has reordering room).
+const DEADLINE_LO_US: Micros = 300_000;
+/// Upper end of the deadline window, and SFC2's deadline horizon.
+const DEADLINE_HI_US: Micros = 700_000;
 
 /// One measured point.
 #[derive(Debug, Clone)]
@@ -78,35 +76,51 @@ pub struct Row {
 /// Build the bursty §5.2 trace: priority-scaled sizes, uniform
 /// priorities over 3 dimensions of 8 levels. Exposed for Figure 9.
 pub fn trace_of(cfg: &Config) -> Vec<Request> {
+    let bursts = (cfg.requests / BURST_SIZE as usize).max(1) as u64;
+    // §5.2: high-priority requests are small (audio/video chunks),
+    // low-priority ones large (FTP) — 16 KB + 24 KB per level.
+    let bytes = |level: u8| 16 * 1024 + level as u64 * 24 * 1024;
+    let deadlines = DEADLINE_LO_US..=DEADLINE_HI_US;
+    bursty_trace(
+        cfg.seed,
+        bursts,
+        BURST_SIZE,
+        cfg.burst_gap_us,
+        deadlines,
+        bytes,
+    )
+}
+
+/// The periodic-burst trace of Figures 8–10: `bursts` bursts of
+/// `burst_size` requests `gap_us` apart, uniform priorities over 3
+/// dimensions of 8 levels, a deadline drawn from `deadlines` after each
+/// arrival, a uniform cylinder, and `bytes(level in dimension 0)` to read.
+pub(crate) fn bursty_trace(
+    seed: u64,
+    bursts: u64,
+    burst_size: u32,
+    gap_us: Micros,
+    deadlines: std::ops::RangeInclusive<Micros>,
+    bytes: impl Fn(u8) -> u64,
+) -> Vec<Request> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use sched::QosVector;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let bursts = (cfg.requests / cfg.burst_size as usize).max(1) as u64;
-    let mut trace = Vec::with_capacity(cfg.requests);
-    let mut id = 0u64;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut trace = Vec::with_capacity((bursts * burst_size as u64) as usize);
     for b in 0..bursts {
-        let base = b * cfg.burst_gap_us;
-        for _ in 0..cfg.burst_size {
-            let arrival = base + rng.gen_range(0..1_000);
+        for _ in 0..burst_size {
+            let arrival = b * gap_us + rng.gen_range(0..1_000);
             let qos = QosVector::new(&[
                 rng.gen_range(0..8u8),
                 rng.gen_range(0..8u8),
                 rng.gen_range(0..8u8),
             ]);
-            let deadline = arrival + rng.gen_range(cfg.deadline_lo_us..=cfg.deadline_hi_us);
-            // §5.2: high-priority requests are small (audio/video chunks),
-            // low-priority ones large (FTP) — 16 KB + 24 KB per level.
-            let bytes = 16 * 1024 + qos.level(0) as u64 * 24 * 1024;
-            trace.push(Request::read(
-                id,
-                arrival,
-                deadline,
-                rng.gen_range(0..3832),
-                bytes,
-                qos,
-            ));
-            id += 1;
+            let deadline = arrival + rng.gen_range(deadlines.clone());
+            let cylinder = rng.gen_range(0..3832);
+            let id = trace.len() as u64;
+            let size = bytes(qos.level(0));
+            trace.push(Request::read(id, arrival, deadline, cylinder, size, qos));
         }
     }
     trace.sort_by_key(|r| (r.arrival_us, r.id));
@@ -121,8 +135,10 @@ pub fn run_sim(trace: &[Request], sched: &mut dyn DiskScheduler) -> Metrics {
     simulate(sched, trace, &mut service, SimOptions::with_shape(3, 8))
 }
 
-fn cascade_with(combiner: Stage2Combiner, horizon_us: Micros) -> CascadedSfc {
-    let cfg = CascadeConfig::priority_deadline(CurveKind::Diagonal, 3, 3, combiner, horizon_us)
+/// The §5.2 cascade: SFC1 = `curve` over 3 dimensions of 8 levels, SFC2 =
+/// `combiner` out to the last deadline, SFC3 skipped, served in batches.
+pub(crate) fn cascade_with(curve: CurveKind, combiner: Stage2Combiner) -> CascadedSfc {
+    let cfg = CascadeConfig::priority_deadline(curve, 3, 3, combiner, DEADLINE_HI_US)
         .with_dispatch(DispatchConfig::non_preemptive());
     CascadedSfc::new(cfg).expect("valid cascade config")
 }
@@ -130,14 +146,13 @@ fn cascade_with(combiner: Stage2Combiner, horizon_us: Micros) -> CascadedSfc {
 /// Produce the Figure-8 series.
 pub fn run(cfg: &Config) -> Vec<Row> {
     let trace = trace_of(cfg);
-    let horizon = cfg.deadline_hi_us;
     let edf = run_sim(&trace, &mut Edf::new());
     let inv_base = edf.inversions_total().max(1) as f64;
     let loss_base = edf.losses_total().max(1) as f64;
 
     let mut rows = Vec::new();
     for &f in &cfg.fs {
-        let mut s = cascade_with(Stage2Combiner::Weighted { f }, horizon);
+        let mut s = cascade_with(CurveKind::Diagonal, Stage2Combiner::Weighted { f });
         let m = run_sim(&trace, &mut s);
         rows.push(Row {
             series: format!("weighted f={f}"),
@@ -147,7 +162,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         });
     }
     for kind in [CurveKind::Hilbert, CurveKind::Gray] {
-        let mut s = cascade_with(Stage2Combiner::Curve(kind), horizon);
+        let mut s = cascade_with(CurveKind::Diagonal, Stage2Combiner::Curve(kind));
         let m = run_sim(&trace, &mut s);
         rows.push(Row {
             series: kind.name().to_string(),
@@ -159,16 +174,17 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows
 }
 
-/// Print both panels as CSV.
-pub fn print_csv(rows: &[Row]) {
-    println!("series,f,inversion_pct_of_edf,losses_pct_of_edf");
+/// Render both panels as `results/fig8.csv` holds them.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("series,f,inversion_pct_of_edf,losses_pct_of_edf\n");
     for r in rows {
         let f = r.f.map(|f| f.to_string()).unwrap_or_default();
-        println!(
-            "{},{f},{:.1},{:.1}",
+        out.push_str(&format!(
+            "{},{f},{:.2},{:.2}\n",
             r.series, r.inversion_pct_of_edf, r.losses_pct_of_edf
-        );
+        ));
     }
+    out
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //!   last dimension while behaving EDF-like in the others;
 //! * Sweep does the same for the *first* dimension.
 
-use crate::fig8::{run_sim, Config as Fig8Config};
-use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, Stage2Combiner};
+use crate::fig8::{cascade_with, run_sim, Config as Fig8Config};
+use cascade::Stage2Combiner;
 use sched::Edf;
 use sfc::CurveKind;
 use sim::Metrics;
@@ -26,8 +26,6 @@ pub struct Config {
     pub base: Fig8Config,
     /// SFC1 curves to compare against EDF.
     pub curves: Vec<CurveKind>,
-    /// The fixed balance factor.
-    pub f: f64,
 }
 
 impl Default for Config {
@@ -40,10 +38,12 @@ impl Default for Config {
                 CurveKind::Sweep,
                 CurveKind::Gray,
             ],
-            f: 1.0,
         }
     }
 }
+
+/// The fixed balance factor.
+const F: f64 = 1.0;
 
 /// Loss breakdown of one scheduler.
 #[derive(Debug, Clone)]
@@ -73,30 +73,39 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     rows.push(breakdown("edf", &run_sim(&trace, &mut edf)));
 
     for &curve in &cfg.curves {
-        let cascade_cfg = CascadeConfig::priority_deadline(
-            curve,
-            3,
-            3,
-            Stage2Combiner::Weighted { f: cfg.f },
-            cfg.base.deadline_hi_us,
-        )
-        .with_dispatch(DispatchConfig::non_preemptive());
-        let mut s = CascadedSfc::new(cascade_cfg).expect("valid cascade config");
+        let mut s = cascade_with(curve, Stage2Combiner::Weighted { f: F });
         rows.push(breakdown(curve.name(), &run_sim(&trace, &mut s)));
     }
     rows
 }
 
-/// Print the per-level losses as CSV.
-pub fn print_csv(rows: &[Row]) {
-    println!("scheduler,dimension,level,losses");
+/// Render the per-level losses as `results/fig9.csv` holds them.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("scheduler,dimension,level,losses\n");
     for r in rows {
         for (dim, levels) in r.losses.iter().enumerate() {
             for (level, &n) in levels.iter().enumerate() {
-                println!("{},{dim},{level},{n}", r.scheduler);
+                out.push_str(&format!("{},{dim},{level},{n}\n", r.scheduler));
             }
         }
     }
+    out
+}
+
+/// Render each scheduler's [`loss_centroid`] per dimension as
+/// `results/fig9_centroids.csv` holds them.
+pub fn centroids_csv(rows: &[Row]) -> String {
+    let mut out = String::from("scheduler,centroid_dim0,centroid_dim1,centroid_dim2\n");
+    for r in rows {
+        out.push_str(&format!(
+            "{},{:.2},{:.2},{:.2}\n",
+            r.scheduler,
+            loss_centroid(r, 0),
+            loss_centroid(r, 1),
+            loss_centroid(r, 2)
+        ));
+    }
+    out
 }
 
 /// Weighted center of the loss distribution over levels for one

@@ -26,32 +26,27 @@
 //! All modes are deterministic given `--seed` (span timing is off, so
 //! no wall-clock enters the event stream).
 
-use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+use crate::vod;
+use cascade::CascadedSfc;
 use farm::{simulate_farm, simulate_farm_traced, FarmConfig, FarmOutcome, RoutePolicy};
 use obs::{
     Anomaly, FlightRecorder, ShardDelta, SharedSink, Snapshot, TelemetryConfig, TriggerConfig,
     WindowedSnapshot,
 };
-use sched::DiskScheduler;
-use sim::{simulate_traced, DiskService, SimOptions};
+use sim::{simulate_traced, DiskService};
 use std::fmt::Write as _;
-use workload::VodConfig;
 
 /// Scenario parameters shared by all three modes.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// RNG seed (workload generation).
     pub seed: u64,
-    /// Farm shards.
-    pub shards: usize,
     /// Concurrent MPEG-1 streams feeding the farm.
     pub streams: u32,
     /// Simulated duration (µs).
     pub duration_us: u64,
     /// Bounded-queue capacity per shard scheduler.
     pub max_queue: usize,
-    /// log₂ of the telemetry window width (µs of simulated time).
-    pub window_log2: u32,
     /// Histogram decimation stride shift (0 = exact).
     pub sample_shift: u32,
 }
@@ -60,61 +55,48 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             seed: crate::DEFAULT_SEED,
-            shards: 4,
             // Just past the aggregate capacity of four Table-1 disks, so
             // the stream carries sheds and redirects, not just happy-path
             // service events.
             streams: 90,
             duration_us: 10_000_000,
             max_queue: 24,
-            // 2^19 µs ≈ 0.52 s windows: ~19 completed windows over the
-            // run, enough to make the stream a stream.
-            window_log2: 19,
             sample_shift: obs::DEFAULT_SAMPLE_SHIFT,
         }
     }
 }
 
-impl Config {
-    fn telemetry(&self) -> TelemetryConfig {
-        TelemetryConfig::default()
-            .window_log2(self.window_log2)
-            .sample_shift(self.sample_shift)
-    }
+/// Farm shards.
+const SHARDS: usize = 4;
+/// log₂ of the telemetry window width (µs of simulated time): 2^19 µs ≈
+/// 0.52 s windows, ~19 completed windows over the run, enough to make
+/// the stream a stream.
+const WINDOW_LOG2: u32 = 19;
 
+impl Config {
     fn farm(&self) -> FarmConfig {
-        FarmConfig::new(self.shards)
+        FarmConfig::new(SHARDS)
             .with_policy(RoutePolicy::HashStream)
             .with_redirects()
     }
 
     fn trace(&self) -> Vec<sched::Request> {
-        let mut wl = VodConfig::mpeg1(self.streams.max(1));
-        wl.duration_us = self.duration_us;
-        wl.generate(self.seed)
+        vod::trace(self.streams, self.duration_us, self.seed)
     }
-}
-
-fn bounded_scheduler(max_queue: usize) -> Box<dyn DiskScheduler> {
-    let cascade = CascadeConfig::paper_default(1, 3832)
-        .with_dispatch(DispatchConfig::paper_default().with_max_queue(max_queue));
-    Box::new(CascadedSfc::new(cascade).expect("valid cascade config"))
-}
-
-fn options() -> SimOptions {
-    SimOptions::with_shape(1, 4).dropping()
 }
 
 /// Run the scenario with one windowed sink per shard. The sinks come
 /// back in shard order, still holding every shard's cumulative and live
 /// state; [`flush`] drains their window deltas.
 pub fn run(cfg: &Config) -> (FarmOutcome, Vec<WindowedSnapshot>) {
-    let telemetry = cfg.telemetry();
+    let telemetry = TelemetryConfig::default()
+        .window_log2(WINDOW_LOG2)
+        .sample_shift(cfg.sample_shift);
     simulate_farm_traced(
         &cfg.trace(),
         &cfg.farm(),
-        |_| bounded_scheduler(cfg.max_queue),
-        options(),
+        |_| vod::bounded_scheduler(cfg.max_queue),
+        vod::options(),
         |_| DiskService::table1(),
         |_| telemetry.sink(),
     )
@@ -201,12 +183,8 @@ fn record_overload(cfg: &Config) -> FlightRecorder {
     // reconcile, making any unclean dump a real defect.
     let recorder = FlightRecorder::new(1 << 17, TelemetryConfig::exact(), TriggerConfig::default());
     let shared = SharedSink::new(recorder);
-    let mut scheduler = CascadedSfc::with_sink(
-        CascadeConfig::paper_default(1, 3832)
-            .with_dispatch(DispatchConfig::paper_default().with_max_queue(cfg.max_queue)),
-        shared.clone(),
-    )
-    .expect("valid cascade config");
+    let mut scheduler = CascadedSfc::with_sink(vod::bounded_cascade(cfg.max_queue), shared.clone())
+        .expect("valid cascade config");
     let mut service = DiskService::table1();
     let trace = cfg.trace();
     let mut engine_handle = shared.clone();
@@ -214,7 +192,7 @@ fn record_overload(cfg: &Config) -> FlightRecorder {
         &mut scheduler,
         &trace,
         &mut service,
-        options(),
+        vod::options(),
         &mut engine_handle,
     );
     drop(engine_handle);
@@ -249,8 +227,8 @@ pub fn smoke(seed: u64) -> Result<Vec<String>, Vec<String>> {
     let (plain_out, plain_snap) = simulate_farm(
         &exact_cfg.trace(),
         &exact_cfg.farm(),
-        |_| bounded_scheduler(exact_cfg.max_queue),
-        options(),
+        |_| vod::bounded_scheduler(exact_cfg.max_queue),
+        vod::options(),
     );
     let (out, mut sinks) = run(&exact_cfg);
     if out.per_shard != plain_out.per_shard || out.redirects != plain_out.redirects {

@@ -34,12 +34,11 @@
 //! prints the convergence table as CSV. Everything is deterministic
 //! given `--seed`.
 
-use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+use crate::vod::{self, CYLINDERS};
 use farm::{DaemonConfig, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
-use obs::{FlightRecorder, SharedSink, TelemetryConfig, TriggerConfig};
-use sched::DiskScheduler;
+use obs::{TelemetryConfig, TriggerConfig};
 use sim::analysis::{check_convergence, sweep_convergence, ConvergencePoint};
-use sim::{DiskService, SimOptions};
+use sim::DiskService;
 use workload::{SessionConfig, SessionSource, TraceSource};
 
 /// Scenario parameters.
@@ -125,8 +124,6 @@ pub struct Summary {
     pub convergence: Vec<ConvergencePoint>,
 }
 
-/// The disk geometry shared by the population and the analytic sweep.
-const CYLINDERS: u32 = 3832;
 /// Relative-error ceiling at the largest batch of the convergence sweep.
 const FINAL_REL_ERR: f64 = 0.005;
 
@@ -137,28 +134,16 @@ fn session_config(cfg: &Config) -> SessionConfig {
     sc
 }
 
-fn bounded_cascade(max_queue: usize, sink: SharedSink<FlightRecorder>) -> Box<dyn DiskScheduler> {
-    let config = CascadeConfig::paper_default(1, CYLINDERS)
-        .with_dispatch(DispatchConfig::paper_default().with_max_queue(max_queue));
-    Box::new(CascadedSfc::with_sink(config, sink).expect("valid cascade config"))
-}
-
-fn unbounded_cascade() -> Box<dyn DiskScheduler> {
-    Box::new(
-        CascadedSfc::new(CascadeConfig::paper_default(1, CYLINDERS)).expect("valid cascade config"),
-    )
-}
-
 fn daemon(cfg: &Config) -> FarmDaemon {
     let farm_cfg = FarmConfig::new(cfg.shards)
         .with_policy(RoutePolicy::LeastLoaded)
         .with_redirects();
     let max_queue = cfg.max_queue;
     FarmDaemon::new(
-        DaemonConfig::new(farm_cfg, SimOptions::with_shape(1, 4).dropping())
+        DaemonConfig::new(farm_cfg, vod::options())
             .with_admission(cfg.max_streams, cfg.idle_timeout_us)
             .with_telemetry(TelemetryConfig::exact(), TriggerConfig::default()),
-        move |_, sink| bounded_cascade(max_queue, sink),
+        move |_, sink| vod::sinked_scheduler(max_queue, sink),
         |_| DiskService::table1(),
     )
 }
@@ -226,7 +211,7 @@ pub fn smoke(cfg: &Config) -> Result<Summary, String> {
     // 4. The analytic convergence sweep (cheap — run it first so a
     // broken scheduler fails fast).
     let points = sweep_convergence(
-        &mut unbounded_cascade,
+        &mut vod::unbounded_scheduler,
         cfg.seed,
         &cfg.batches,
         cfg.trials,

@@ -1,12 +1,11 @@
 //! Table 1 — the disk model and its calibration.
 //!
-//! Prints the modeled drive parameters next to the paper's values, plus
-//! the measured seek calibration (average over random pairs, full
-//! stroke) and an example service-time breakdown — the evidence that the
-//! reconstructed seek-cost function and zone layout match the table's
-//! anchors.
+//! The modeled drive parameters next to the paper's values, with the
+//! measured seek calibration (average over random pairs, full stroke) —
+//! the evidence that the reconstructed seek-cost function and zone
+//! layout match the table's anchors.
 
-use diskmodel::{Disk, DiskGeometry, Raid5, SeekModel};
+use diskmodel::{DiskGeometry, Raid5, SeekModel};
 
 /// A single parameter comparison row.
 #[derive(Debug, Clone)]
@@ -86,24 +85,13 @@ pub fn run() -> Vec<Row> {
     ]
 }
 
-/// Print the comparison plus a sample service breakdown.
-pub fn print_table() {
-    println!("parameter,paper,model");
-    for r in run() {
-        println!("{},{},{}", r.parameter, r.paper, r.model);
+/// Render the comparison as `results/table1.csv` holds it.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from("parameter,paper,model\n");
+    for r in rows {
+        out.push_str(&format!("{},{},{}\n", r.parameter, r.paper, r.model));
     }
-    println!();
-    println!("# sample 64-KB block services (cylinder, seek ms, rotation ms, transfer ms)");
-    let mut d = Disk::table1();
-    for cyl in [0u32, 500, 1916, 3000, 3831] {
-        let b = d.service(cyl, 64 * 1024);
-        println!(
-            "{cyl},{:.2},{:.2},{:.2}",
-            b.seek_us as f64 / 1000.0,
-            b.rotation_us as f64 / 1000.0,
-            b.transfer_us as f64 / 1000.0
-        );
-    }
+    out
 }
 
 #[cfg(test)]

@@ -24,7 +24,11 @@ use oracle::fuzz::{self, Scenario, ARCHETYPES};
 use std::path::PathBuf;
 
 fn main() {
-    let args = Args::parse(&["mode", "seed", "cases", "corpus"]);
+    let args = Args::parse(
+        "oracle",
+        std::env::args().skip(1).collect(),
+        &["mode", "seed", "cases", "corpus"],
+    );
     let seed = args.get("seed", bench::DEFAULT_SEED);
     let cases: u64 = args.get("cases", 24u64);
     let corpus: PathBuf = PathBuf::from(args.get("corpus", "tests/corpus".to_string()));
