@@ -25,25 +25,51 @@ use crate::config::{DispatchConfig, PreemptionMode};
 use obs::{NullSink, TraceEvent, TraceSink};
 use sched::Request;
 
+/// A characterization value the queues can hold: `u64` or `u128` (the
+/// trait is not exported). The scheduler picks `u64` whenever every value
+/// its encapsulator can emit fits, so each entry is 24 bytes instead of 32;
+/// windows, the in-service value and every traced value stay `u128`
+/// whichever width the entries use.
+pub trait Key: Copy + Ord + Into<u128> {
+    /// A value known to fit the width.
+    fn from_wide(v: u128) -> Self;
+}
+
+impl Key for u64 {
+    #[inline]
+    fn from_wide(v: u128) -> u64 {
+        debug_assert!(v <= u64::MAX as u128, "{v} does not fit a u64 key");
+        v as u64
+    }
+}
+
+impl Key for u128 {
+    #[inline]
+    fn from_wide(v: u128) -> u128 {
+        v
+    }
+}
+
 /// Queue entry: the characterization value, the request id (the ordering
 /// tie-break), and the request's arena slot. Requests themselves live once
-/// in the dispatcher's arena; the heaps sift these 32-byte entries instead
-/// of whole `Request` structs, and every entry in a heap is live — a shed
-/// removes its victim's entry, so nothing is ever skipped on the way out.
+/// in the dispatcher's arena; the heaps sift these entries (24 bytes with a
+/// `u64` value, 32 with a `u128`) instead of whole `Request` structs, and
+/// every entry in a heap is live — a shed removes its victim's entry, so
+/// nothing is ever skipped on the way out.
 #[derive(Clone, Copy)]
-struct Entry {
-    v: u128,
+struct Entry<V> {
+    v: V,
     id: u64,
     /// Arena slot holding the request.
     slot: u32,
 }
 
-impl Entry {
+impl<V: Key> Entry<V> {
     /// Strict `(v, id)` order, written without short-circuits so the heap's
     /// child pick compiles to flag arithmetic instead of a branch the
     /// predictor cannot learn.
     #[inline]
-    fn before(&self, other: &Entry) -> bool {
+    fn before(&self, other: &Entry<V>) -> bool {
         (self.v < other.v) | ((self.v == other.v) & (self.id < other.id))
     }
 }
@@ -55,12 +81,17 @@ impl Entry {
 /// [`EntryHeap::remove_leaf`]. The maximum of a min-heap is always a leaf,
 /// so finding it reads the back half of the array in order — no arena
 /// loads — and removing it is one sift-up.
-#[derive(Default)]
-struct EntryHeap {
-    data: Vec<Entry>,
+struct EntryHeap<V> {
+    data: Vec<Entry<V>>,
 }
 
-impl EntryHeap {
+impl<V> Default for EntryHeap<V> {
+    fn default() -> Self {
+        EntryHeap { data: Vec::new() }
+    }
+}
+
+impl<V: Key> EntryHeap<V> {
     fn len(&self) -> usize {
         self.data.len()
     }
@@ -70,15 +101,15 @@ impl EntryHeap {
     }
 
     /// The smallest entry.
-    fn peek(&self) -> Option<&Entry> {
+    fn peek(&self) -> Option<&Entry<V>> {
         self.data.first()
     }
 
-    fn iter(&self) -> std::slice::Iter<'_, Entry> {
+    fn iter(&self) -> std::slice::Iter<'_, Entry<V>> {
         self.data.iter()
     }
 
-    fn push(&mut self, e: Entry) {
+    fn push(&mut self, e: Entry<V>) {
         let pos = self.data.len();
         self.data.push(e);
         self.sift_up(pos, e);
@@ -88,7 +119,7 @@ impl EntryHeap {
     /// the root walks to the bottom along the smaller children without
     /// comparing against the displaced last element (which came from the
     /// bottom and almost always belongs there), then that element sifts up.
-    fn pop(&mut self) -> Option<Entry> {
+    fn pop(&mut self) -> Option<Entry<V>> {
         let last = self.data.pop()?;
         let Some(&top) = self.data.first() else {
             return Some(last);
@@ -111,8 +142,8 @@ impl EntryHeap {
     }
 
     /// Position and copy of the largest entry: a scan of the leaves,
-    /// `len() / 2` sequential 32-byte reads.
-    fn max(&self) -> Option<(usize, Entry)> {
+    /// `len() / 2` sequential entry reads.
+    fn max(&self) -> Option<(usize, Entry<V>)> {
         let first_leaf = self.data.len() / 2;
         let mut leaves = self.data[first_leaf..].iter().enumerate();
         let (mut at, mut worst) = leaves.next()?;
@@ -137,7 +168,7 @@ impl EntryHeap {
 
     /// Give every entry a new `v` and restore the heap (Floyd's bottom-up
     /// build, O(n)).
-    fn rekey(&mut self, mut v_of: impl FnMut(&Entry) -> u128) {
+    fn rekey(&mut self, mut v_of: impl FnMut(&Entry<V>) -> V) {
         for e in &mut self.data {
             e.v = v_of(e);
         }
@@ -148,7 +179,7 @@ impl EntryHeap {
 
     /// Place `e` at `pos` or at the ancestor where the heap order holds,
     /// moving the ancestors it passes down one level.
-    fn sift_up(&mut self, mut pos: usize, e: Entry) {
+    fn sift_up(&mut self, mut pos: usize, e: Entry<V>) {
         while pos > 0 {
             let parent = (pos - 1) / 2;
             if !e.before(&self.data[parent]) {
@@ -184,23 +215,23 @@ impl EntryHeap {
 
 /// The request a queued entry points at.
 #[inline]
-fn pending<'a>(slots: &'a [Option<Request>], e: &Entry) -> &'a Request {
+fn pending<'a, V>(slots: &'a [Option<Request>], e: &Entry<V>) -> &'a Request {
     slots[e.slot as usize]
         .as_ref()
         .expect("a queued entry's slot holds its request")
 }
 
-/// The dispatcher. Generic over nothing: values are `u128`
-/// characterization values produced by the encapsulator.
+/// The dispatcher, over characterization values of width `V` (`u128`, or
+/// `u64` when every value of the configuration fits it).
 ///
 /// Requests are stored once, in a slab arena (`slots` + `free` list); the
 /// queues hold `(v, id, slot)` entries, exactly one per pending request.
-pub struct Dispatcher {
+pub struct Dispatcher<V = u128> {
     config: DispatchConfig,
     /// Active queue `q`.
-    q: EntryHeap,
+    q: EntryHeap<V>,
     /// Waiting queue `q'`.
-    q_wait: EntryHeap,
+    q_wait: EntryHeap<V>,
     /// Request arena and its free list.
     slots: Vec<Option<Request>>,
     free: Vec<u32>,
@@ -217,7 +248,7 @@ pub struct Dispatcher {
     sheds: u64,
 }
 
-impl Dispatcher {
+impl<V: Key> Dispatcher<V> {
     /// Build a dispatcher; `max_value` is the size of the scheduling space
     /// (used to resolve the fractional window of
     /// [`PreemptionMode::Conditional`]).
@@ -300,7 +331,7 @@ impl Dispatcher {
     /// rebuilds the dispatcher from scratch; carrying the counters over
     /// keeps shed/preemption ledgers (and the event-vs-counter
     /// reconciliation built on them) continuous across the swap.
-    pub(crate) fn carry_counters_from(&mut self, old: &Dispatcher) {
+    pub(crate) fn carry_counters_from<W>(&mut self, old: &Dispatcher<W>) {
         self.preemptions = old.preemptions;
         self.promotions = old.promotions;
         self.swaps = old.swaps;
@@ -318,20 +349,14 @@ impl Dispatcher {
     }
 
     /// Insert an arriving request with characterization value `v`.
-    pub fn insert(&mut self, req: Request, v: u128) {
+    pub fn insert(&mut self, req: Request, v: V) {
         self.insert_traced(req, v, 0, &mut NullSink);
     }
 
     /// [`Dispatcher::insert`], additionally reporting preemption and ER
     /// window events to `sink`, timestamped `now_us`. With
     /// [`obs::NullSink`] this compiles to exactly [`Dispatcher::insert`].
-    pub fn insert_traced<S: TraceSink>(
-        &mut self,
-        req: Request,
-        v: u128,
-        now_us: u64,
-        sink: &mut S,
-    ) {
+    pub fn insert_traced<S: TraceSink>(&mut self, req: Request, v: V, now_us: u64, sink: &mut S) {
         // Bounded queue: a full dispatcher sheds the lowest-priority
         // pending request — possibly the arrival itself — before (or
         // instead of) inserting.
@@ -350,7 +375,7 @@ impl Dispatcher {
                 let significantly_higher = match self.current {
                     // Idle disk: nothing to preempt, join the active queue.
                     None => true,
-                    Some(cur) => v < cur.saturating_sub(self.window),
+                    Some(cur) => v.into() < cur.saturating_sub(self.window),
                 };
                 if significantly_higher {
                     if let Some(cur) = self.current {
@@ -359,7 +384,7 @@ impl Dispatcher {
                             sink.emit(&TraceEvent::Preempt {
                                 now_us,
                                 preempted_v: cur,
-                                by_v: v,
+                                by_v: v.into(),
                             });
                         }
                         self.expand_window(now_us, sink);
@@ -378,7 +403,7 @@ impl Dispatcher {
     /// [`DispatchConfig::refresh_on_swap`]) recomputes characterization
     /// values for the whole waiting queue at the swap boundary,
     /// re-anchoring time-dependent coordinates.
-    pub fn pop(&mut self, refresh: Option<&mut dyn FnMut(&Request) -> u128>) -> Option<Request> {
+    pub fn pop(&mut self, refresh: Option<&mut dyn FnMut(&Request) -> V>) -> Option<Request> {
         self.pop_traced(refresh, 0, &mut NullSink)
     }
 
@@ -387,7 +412,7 @@ impl Dispatcher {
     /// [`obs::NullSink`] this compiles to exactly [`Dispatcher::pop`].
     pub fn pop_traced<S: TraceSink>(
         &mut self,
-        mut refresh: Option<&mut dyn FnMut(&Request) -> u128>,
+        mut refresh: Option<&mut dyn FnMut(&Request) -> V>,
         now_us: u64,
         sink: &mut S,
     ) -> Option<Request> {
@@ -426,14 +451,17 @@ impl Dispatcher {
         // next candidate.
         if self.config.serve_promote {
             while let Some(wait_top) = self.q_wait.peek() {
-                let next_v = self.q.peek().expect("q non-empty").v;
-                if wait_top.v >= next_v.saturating_sub(self.window) {
+                let next_v: u128 = self.q.peek().expect("q non-empty").v.into();
+                if wait_top.v.into() >= next_v.saturating_sub(self.window) {
                     break;
                 }
                 let e = self.q_wait.pop().expect("peeked");
                 self.promotions += 1;
                 if S::ENABLED {
-                    sink.emit(&TraceEvent::SpPromote { now_us, v: e.v });
+                    sink.emit(&TraceEvent::SpPromote {
+                        now_us,
+                        v: e.v.into(),
+                    });
                 }
                 self.expand_window(now_us, sink);
                 self.q.push(e);
@@ -441,7 +469,7 @@ impl Dispatcher {
         }
 
         let entry = self.q.pop().expect("q non-empty");
-        self.current = Some(entry.v);
+        self.current = Some(entry.v.into());
         Some(self.take(entry.slot))
     }
 
@@ -460,7 +488,7 @@ impl Dispatcher {
     /// victim. Each queue's worst is a leaf of its heap, so the search
     /// reads the back halves of two arrays and the eviction removes the
     /// victim's entry outright.
-    fn shed_worst<S: TraceSink>(&mut self, v: u128, id: u64, now_us: u64, sink: &mut S) -> bool {
+    fn shed_worst<S: TraceSink>(&mut self, v: V, id: u64, now_us: u64, sink: &mut S) -> bool {
         // On a cross-queue tie prefer the q victim (matches the historical
         // eviction order; ties cannot actually occur — ids are unique).
         let victim = match (self.q.max(), self.q_wait.max()) {
@@ -482,7 +510,7 @@ impl Dispatcher {
                     sink.emit(&TraceEvent::Shed {
                         now_us,
                         req: worst.id,
-                        v: worst.v,
+                        v: worst.v.into(),
                     });
                 }
                 true
@@ -490,7 +518,11 @@ impl Dispatcher {
             _ => {
                 // The arrival is the worst of the lot: shed it unqueued.
                 if S::ENABLED {
-                    sink.emit(&TraceEvent::Shed { now_us, req: id, v });
+                    sink.emit(&TraceEvent::Shed {
+                        now_us,
+                        req: id,
+                        v: v.into(),
+                    });
                 }
                 false
             }
@@ -542,7 +574,7 @@ mod tests {
 
     #[test]
     fn non_preemptive_batches_by_swap() {
-        let mut d = Dispatcher::new(DispatchConfig::non_preemptive(), 1000);
+        let mut d: Dispatcher = Dispatcher::new(DispatchConfig::non_preemptive(), 1000);
         d.insert(req(1), 50);
         d.insert(req(2), 80);
         assert_eq!(d.pop(None).unwrap().id, 1); // swap happened
@@ -640,7 +672,7 @@ mod tests {
     fn er_expands_windows_beyond_64_bits() {
         // A value space wider than u64 (e.g. a stage-1-only cascade of
         // 16 dims × 5 bits): the ER step must still multiply the window.
-        let mut d = Dispatcher::new(
+        let mut d: Dispatcher = Dispatcher::new(
             DispatchConfig {
                 mode: PreemptionMode::Conditional { window: 0.1 },
                 serve_promote: false,
@@ -719,7 +751,7 @@ mod tests {
 
     #[test]
     fn window_fraction_resolution() {
-        let d = Dispatcher::new(
+        let d: Dispatcher = Dispatcher::new(
             DispatchConfig {
                 mode: PreemptionMode::Conditional { window: 0.25 },
                 serve_promote: false,
@@ -734,7 +766,8 @@ mod tests {
 
     #[test]
     fn bounded_queue_sheds_worst_victim() {
-        let mut d = Dispatcher::new(DispatchConfig::fully_preemptive().with_max_queue(3), 1000);
+        let mut d: Dispatcher =
+            Dispatcher::new(DispatchConfig::fully_preemptive().with_max_queue(3), 1000);
         d.insert(req(1), 50);
         d.insert(req(2), 900); // the eventual victim
         d.insert(req(3), 10);
@@ -754,7 +787,8 @@ mod tests {
 
     #[test]
     fn shed_ties_evict_the_newer_request() {
-        let mut d = Dispatcher::new(DispatchConfig::fully_preemptive().with_max_queue(2), 1000);
+        let mut d: Dispatcher =
+            Dispatcher::new(DispatchConfig::fully_preemptive().with_max_queue(2), 1000);
         d.insert(req(1), 700);
         d.insert(req(2), 700);
         d.insert(req(3), 700); // same v: newest id loses
@@ -766,7 +800,7 @@ mod tests {
     #[test]
     fn shedding_spans_both_queues_of_the_conditional_mode() {
         use obs::RingSink;
-        let mut d = Dispatcher::new(
+        let mut d: Dispatcher = Dispatcher::new(
             DispatchConfig {
                 mode: PreemptionMode::Conditional { window: 0.1 },
                 serve_promote: false,
@@ -806,8 +840,16 @@ mod tests {
         assert_eq!(d.len(), 1000);
     }
 
+    /// A `u64` entry is 24 bytes, a `u128` one 32: what the width choice
+    /// buys every sift.
+    #[test]
+    fn entry_sizes() {
+        assert_eq!(std::mem::size_of::<Entry<u64>>(), 24);
+        assert_eq!(std::mem::size_of::<Entry<u128>>(), 32);
+    }
+
     /// Min-heap order at every parent/child pair.
-    fn assert_heap(h: &EntryHeap) {
+    fn assert_heap<V: Key>(h: &EntryHeap<V>) {
         for (i, e) in h.data.iter().enumerate().skip(1) {
             let parent = &h.data[(i - 1) / 2];
             assert!(!e.before(parent), "entry {i} precedes its parent");
@@ -816,9 +858,14 @@ mod tests {
 
     /// The same `(v, id)` multiset drained from the front by `pop` and
     /// from the back by `max` + `remove_leaf` comes out sorted both ways,
-    /// with the invariant intact after every removal.
+    /// with the invariant intact after every removal — at both widths.
     #[test]
     fn heap_gives_up_both_ends_in_order() {
+        heap_gives_up_both_ends_in_order_at::<u64>();
+        heap_gives_up_both_ends_in_order_at::<u128>();
+    }
+
+    fn heap_gives_up_both_ends_in_order_at<V: Key>() {
         let n = 97u64;
         let inputs: [(&str, Vec<u128>); 4] = [
             ("all equal", vec![7; n as usize]),
@@ -833,7 +880,7 @@ mod tests {
                 let mut h = EntryHeap::default();
                 for (id, &v) in values.iter().enumerate() {
                     h.push(Entry {
-                        v,
+                        v: V::from_wide(v),
                         id: id as u64,
                         slot: 0,
                     });
@@ -844,7 +891,7 @@ mod tests {
             let mut h = build();
             for want in &sorted {
                 let e = h.pop().unwrap();
-                assert_eq!((e.v, e.id), *want, "{name}: pop");
+                assert_eq!((e.v.into(), e.id), *want, "{name}: pop");
                 assert_heap(&h);
             }
             assert!(h.pop().is_none() && h.max().is_none());
@@ -856,11 +903,11 @@ mod tests {
                 let (pos, worst) = h.max().unwrap();
                 h.remove_leaf(pos);
                 hi -= 1;
-                assert_eq!((worst.v, worst.id), sorted[hi], "{name}: max");
+                assert_eq!((worst.v.into(), worst.id), sorted[hi], "{name}: max");
                 assert_heap(&h);
                 if hi % 3 == 0 && lo < hi {
                     let e = h.pop().unwrap();
-                    assert_eq!((e.v, e.id), sorted[lo], "{name}: pop between");
+                    assert_eq!((e.v.into(), e.id), sorted[lo], "{name}: pop between");
                     lo += 1;
                     assert_heap(&h);
                 }
@@ -986,9 +1033,15 @@ mod tests {
     /// Random interleavings of inserts and pops, every regime, every cap:
     /// the dispatcher and the sorted-`Vec` model agree on pop order, on
     /// `(q, q')` depths after every call, on who is shed and in which
-    /// order, and `for_each_pending` visits exactly the pending set.
+    /// order, and `for_each_pending` visits exactly the pending set — at
+    /// both widths.
     #[test]
     fn dispatcher_matches_a_sorted_vec_model() {
+        dispatcher_matches_a_sorted_vec_model_at::<u64>();
+        dispatcher_matches_a_sorted_vec_model_at::<u128>();
+    }
+
+    fn dispatcher_matches_a_sorted_vec_model_at<V: Key>() {
         fn refreshed(id: u64) -> u128 {
             (id as u128).wrapping_mul(0x9e37_79b9) % 1000
         }
@@ -1023,7 +1076,7 @@ mod tests {
                         max_queue: cap,
                         ..base
                     };
-                    let mut d = Dispatcher::new(cfg, 1000);
+                    let mut d = Dispatcher::<V>::new(cfg, 1000);
                     let mut m = Model {
                         cfg,
                         q: Vec::new(),
@@ -1043,12 +1096,12 @@ mod tests {
                         if next() % 10 < if filling { 7 } else { 3 } {
                             // Few distinct values, so ties on `v` are common.
                             let v = (next() % 40 * 25) as u128;
-                            d.insert_traced(req(step), v, step, &mut log);
+                            d.insert_traced(req(step), V::from_wide(v), step, &mut log);
                             m.insert(step, v);
                         } else {
-                            let mut f = |r: &Request| refreshed(r.id);
+                            let mut f = |r: &Request| V::from_wide(refreshed(r.id));
                             let got = d.pop_traced(
-                                with_refresh.then_some(&mut f as &mut dyn FnMut(&Request) -> u128),
+                                with_refresh.then_some(&mut f as &mut dyn FnMut(&Request) -> V),
                                 step,
                                 &mut log,
                             );

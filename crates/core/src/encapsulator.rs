@@ -6,7 +6,7 @@
 //! exactly as in the paper (the deadline slack and head distance are
 //! sampled when the request joins the queue).
 
-use crate::config::{CascadeConfig, DistanceMode, Stage2Combiner};
+use crate::config::{CascadeConfig, DistanceMode, Stage2, Stage2Combiner, Stage3};
 use sched::{HeadState, Micros, Request};
 use sfc::{CurveKernel, SfcError, WeightedDiagonal};
 
@@ -18,16 +18,28 @@ use sfc::{CurveKernel, SfcError, WeightedDiagonal};
 /// [`Encapsulator::characterize`] is straight-line integer arithmetic.
 pub struct Encapsulator {
     config: CascadeConfig,
-    /// SFC1 instance (when stage 1 is configured), devirtualized.
+    /// SFC1 instance (when stage 1 is configured and not folded into
+    /// `x2`), devirtualized.
     curve1: Option<CurveKernel>,
+    /// A `SmallLut` SFC1 feeding SFC2, folded with the stage-2 rescale into
+    /// one table; it replaces `curve1`.
+    x2: Option<AbscissaTable>,
     /// SFC2 catalogue-curve instance (when stage 2 uses `Curve`).
     curve2: Option<CurveKernel>,
     /// SFC2 weighted-diagonal order (when stage 2 uses `Weighted`), built
     /// once instead of per request.
     weighted2: Option<WeightedDiagonal>,
+    /// The whole cascade up to the stage-3 abscissa in 64-bit arithmetic,
+    /// when construction certified it exact (the paper-default shape).
+    narrow: Option<Narrow>,
     /// Maximum possible output of the full cascade (stage maxima feeding
     /// the rescales live inside the precomputed quantizers below).
     max_vc: u128,
+    /// Largest value `characterize` can return for any request: `max_vc`,
+    /// or with an absolute-distance stage 3 the sweep value at the
+    /// farthest cylinder a `u32` names (a cylinder beyond the configured
+    /// disk lies past `max_vc`).
+    max_emitted: u128,
     /// Stage-3 strip geometry: grid maximum, strip width `p_s`, strip
     /// count `r`, and sweep height (`cylinders.max(2)`).
     s3_max_x: u128,
@@ -123,35 +135,184 @@ impl Quantizer {
     }
 }
 
+/// Stage 1 as the stage-2 abscissa it feeds: `x2[off] = q2x(rank[off])`,
+/// a `SmallLut` kernel's ranks with the stage-2 rescale applied in place at
+/// build time, by the QoS point's mixed-radix offset — one load, no
+/// rescale, and the rank table's own allocation.
+#[derive(Debug)]
+struct AbscissaTable {
+    x2: Box<[u16]>,
+    /// Stage-1 grid side and dimensions.
+    side: u64,
+    dims: usize,
+}
+
+impl AbscissaTable {
+    /// Fold `kernel` and `q2x` into a table when `kernel` is a `SmallLut`
+    /// and the stage-2 grid fits `u16`; otherwise hand the kernel back.
+    fn fold(kernel: CurveKernel, q2x: &Quantizer) -> Result<AbscissaTable, CurveKernel> {
+        match kernel {
+            CurveKernel::SmallLut {
+                lut: mut x2,
+                side,
+                dims,
+                ..
+            } if q2x.max_out <= u16::MAX.into() => {
+                for cell in x2.iter_mut() {
+                    *cell = q2x.apply((*cell).into()) as u16;
+                }
+                Ok(AbscissaTable {
+                    x2,
+                    side,
+                    dims: dims as usize,
+                })
+            }
+            kernel => Err(kernel),
+        }
+    }
+
+    /// Stage-1 cells, `side^dims`.
+    fn cells(&self) -> u128 {
+        self.x2.len() as u128
+    }
+
+    /// The stage-2 abscissa of a request.
+    #[inline]
+    fn abscissa(&self, req: &Request) -> u64 {
+        // Missing dimensions default to the lowest priority; levels beyond
+        // the grid are clamped.
+        let levels = req.qos.levels();
+        let top = self.side - 1;
+        let mut off = 0;
+        for j in (0..self.dims).rev() {
+            off = off * self.side + levels.get(j).map_or(top, |&l| u64::from(l).min(top));
+        }
+        self.x2[off as usize].into()
+    }
+}
+
+/// Stage 2 and the stage-3 rescale of an [`AbscissaTable`] stage 1, a
+/// weighted stage 2 and a stage 3, in `u64` — bit-identical to the general
+/// path wherever [`Narrow::certify`] admits it.
+///
+/// The general path builds SFC2's 75-bit composite `v2 = A·2³² + x`, with
+/// `A = x·2³² + fx·y`, and divides `v2·M` by its maximum `D` in `u128`.
+/// Here `g = 2^min(tz(fx), 32)` divides both terms of `A`, so `A = g·A'`
+/// with `A' = a_x·x + a_y·y` (for `f = 1` at 10 bits, `A' = x + y`,
+/// `A'_max = 2046`), and with `G·M < 2³² ≤ g·2³²` both minor terms stay
+/// below the base `g·2³²`: `k·D ≤ v2·M` holds exactly when
+/// `(k·A'_max, k·G) ≤lex (A'·M, x·M)`. The abscissa `⌊v2·M/D⌋` is the
+/// largest such `k`: `q = ⌊A'·M/A'_max⌋`, less one exactly when the majors
+/// tie and `q·G > x·M`. (`A'_max·M < 2⁶⁴` also keeps `v2·M` below `2¹²⁸`,
+/// so the general path divides exactly there too, never through `f64`.)
+#[derive(Debug)]
+struct Narrow {
+    /// Stage-2 grid maximum `G`, slack horizon, and `⌊·/max(horizon, 1)⌋`.
+    g: u64,
+    horizon: Micros,
+    per_horizon: FixedDiv,
+    /// `A' = a_x·x + a_y·y`.
+    a_x: u64,
+    a_y: u64,
+    /// Stage-3 grid maximum `M`, `A'_max = G·(a_x + a_y)`, and
+    /// `⌊·/A'_max⌋`.
+    m: u64,
+    a_max: u64,
+    per_a_max: FixedDiv,
+}
+
+impl Narrow {
+    /// The 64-bit evaluation when it is exact: `0 < G ≤ u16::MAX` (the
+    /// table's grid), `G·M < 2³²` (the lexicographic split) and `horizon·G`,
+    /// `A'_max·M` in `u64`.
+    fn certify(s2: &Stage2, g: u128, fx: u128, m: u128) -> Option<Narrow> {
+        let g = u64::from(u16::try_from(g).ok().filter(|&g| g > 0)?);
+        let m = u64::try_from(m).ok()?;
+        if g.checked_mul(m)? >= 1 << 32 {
+            return None;
+        }
+        let shift = fx.trailing_zeros().min(32);
+        let a_x = 1u64 << (32 - shift);
+        let a_y = u64::try_from(fx >> shift).ok()?;
+        let a_max = a_x.checked_add(a_y)?.checked_mul(g)?;
+        a_max.checked_mul(m)?;
+        s2.horizon_us.checked_mul(g)?;
+        Some(Narrow {
+            g,
+            horizon: s2.horizon_us,
+            per_horizon: FixedDiv::new(s2.horizon_us.max(1)),
+            a_x,
+            a_y,
+            m,
+            a_max,
+            per_a_max: FixedDiv::new(a_max),
+        })
+    }
+
+    /// The stage-3 abscissa of a request whose stage-2 abscissa is `x`:
+    /// `q3x(w.value(x, y))`.
+    #[inline]
+    fn abscissa(&self, x: u64, req: &Request, now: Micros) -> u64 {
+        let y = self
+            .per_horizon
+            .div(req.slack_us(now).min(self.horizon) * self.g);
+        self.rescale(x, y)
+    }
+
+    /// `⌊w.value(x, y)·M / w.value(G, G)⌋` for `x, y ≤ G`.
+    #[inline]
+    fn rescale(&self, x: u64, y: u64) -> u64 {
+        let major = (self.a_x * x + self.a_y * y) * self.m;
+        let q = self.per_a_max.div(major);
+        q - u64::from((q * self.a_max == major) & (q * self.g > x * self.m))
+    }
+}
+
 impl Encapsulator {
     /// Build the encapsulator, instantiating the configured curves.
+    ///
+    /// A stage whose arithmetic would overflow — a grid of 128 bits or
+    /// more, a weighted composite beyond `u128` (e.g. a balance factor of
+    /// `1e300`), a sweep beyond `u128` at the farthest cylinder a request
+    /// can name — is refused with [`SfcError::TooLarge`].
     pub fn new(config: CascadeConfig) -> Result<Self, SfcError> {
         let mut curve1 = config
             .stage1
             .map(|s1| CurveKernel::build(s1.curve, s1.dims, s1.level_bits))
             .transpose()?;
-        Self::assemble(config, &mut curve1)
+        Self::assemble(config, &mut curve1, &mut None)
     }
 
-    /// Switch to `config` in place. An unchanged stage 1 keeps its kernel
-    /// — building one fills a rank table of up to 4096 cells, and none of
-    /// the runtime knobs (`f`, `R`, `w`) can alter it. On `Err` the
-    /// encapsulator is exactly as it was.
+    /// Switch to `config` in place. Unchanged stage 1 and stage-2 grid keep
+    /// stage 1's kernel or table — building one fills up to 4096 cells, and
+    /// none of the runtime knobs (`f`, `R`, `w`) can alter either. On `Err`
+    /// the encapsulator is exactly as it was.
     pub(crate) fn reconfigure(&mut self, config: CascadeConfig) -> Result<(), SfcError> {
-        *self = if config.stage1 == self.config.stage1 {
-            Self::assemble(config, &mut self.curve1)?
+        let grid = |c: &CascadeConfig| c.stage2.map(|s2| s2.resolution_bits);
+        *self = if config.stage1 == self.config.stage1 && grid(&config) == grid(&self.config) {
+            Self::assemble(config, &mut self.curve1, &mut self.x2)?
         } else {
             Self::new(config)?
         };
         Ok(())
     }
 
-    /// Resolve everything downstream of stage 1. `curve1` is the kernel of
-    /// `config.stage1`; it is taken only once nothing can fail any more,
-    /// so an `Err` leaves it with the caller.
-    fn assemble(config: CascadeConfig, curve1: &mut Option<CurveKernel>) -> Result<Self, SfcError> {
+    /// Resolve everything downstream of stage 1. `curve1` and `x2` hold
+    /// stage 1 for `config` — its kernel, or its table when one was already
+    /// folded for the same stage-2 grid; both are taken only once nothing
+    /// can fail any more, so an `Err` leaves them with the caller.
+    fn assemble(
+        config: CascadeConfig,
+        curve1: &mut Option<CurveKernel>,
+        x2: &mut Option<AbscissaTable>,
+    ) -> Result<Self, SfcError> {
+        let too_large = |order| SfcError::TooLarge { dims: 2, order };
         // Without SFC1 the first priority level is used directly.
-        let max_v1 = curve1.as_ref().map_or(u8::MAX as u128, |c| c.cells() - 1);
+        let max_v1 = match (curve1.as_ref(), x2.as_ref()) {
+            (Some(c), _) => c.cells() - 1,
+            (None, Some(t)) => t.cells() - 1,
+            (None, None) => u8::MAX as u128,
+        };
 
         let mut curve2 = None;
         let mut weighted2 = None;
@@ -159,17 +320,18 @@ impl Encapsulator {
         let mut s2_grid_max = 0u128;
         let mut s2_horizon = 1u64;
         if let Some(s2) = &config.stage2 {
-            s2_grid_max = (1u128 << s2.resolution_bits) - 1;
+            let bits = s2.resolution_bits;
+            s2_grid_max = grid_max(bits).ok_or(too_large(bits))?;
             s2_horizon = s2.horizon_us.max(1);
             max_v2 = match s2.combiner {
                 Stage2Combiner::Weighted { f } => {
                     let w = WeightedDiagonal::new(f);
-                    let max = w.value(s2_grid_max as u64, s2_grid_max as u64);
+                    let max = weighted_max(&w, s2_grid_max).ok_or(too_large(bits))?;
                     weighted2 = Some(w);
                     max
                 }
                 Stage2Combiner::Curve(kind) => {
-                    let c = CurveKernel::build(kind, 2, s2.resolution_bits)?;
+                    let c = CurveKernel::build(kind, 2, bits)?;
                     let cells = c.cells();
                     curve2 = Some(c);
                     cells - 1
@@ -177,20 +339,27 @@ impl Encapsulator {
             };
         }
 
+        let mut max_emitted = max_v2;
         let mut s3_max_x = 0u128;
         let mut s3_strip = 1u64;
         let mut s3_r = 1u64;
         let mut s3_height = 2u64;
         let mut s3_fits_u64 = false;
         let max_vc = if let Some(s3) = &config.stage3 {
-            let max_x = (1u128 << s3.resolution_bits) - 1;
-            let max_y = (s3.cylinders.max(2) - 1) as u128;
-            let max = stage3_value(max_x, max_y, max_x + 1, max_y + 1, s3.partitions);
+            let bits = s3.resolution_bits;
+            let max_x = grid_max(bits).ok_or(too_large(bits))?;
+            let height = s3.cylinders.max(2) as u128;
+            let sweep = |y| stage3_value(max_x, y, max_x + 1, height, s3.partitions);
+            let max = sweep(height - 1).ok_or(too_large(bits))?;
+            max_emitted = match s3.distance {
+                DistanceMode::Absolute => sweep(u32::MAX.into()).ok_or(too_large(bits))?,
+                DistanceMode::Circular => max,
+            };
             s3_max_x = max_x;
             let r = s3.partitions.max(1) as u128;
             s3_strip = (((max_x + 1) / r).max(1)) as u64;
             s3_r = r as u64;
-            s3_height = s3.cylinders.max(2) as u64;
+            s3_height = height as u64;
             // Every term of the formula is bounded by the full-corner value,
             // so `max <= u64::MAX` makes 64-bit evaluation exact for all
             // in-range (x, y).
@@ -200,18 +369,37 @@ impl Encapsulator {
             max_v2
         };
 
+        let q2x = Quantizer::new(max_v1, s2_grid_max);
+        let (mut curve1, mut x2) = (curve1.take(), x2.take());
+        if config.stage2.is_some() {
+            if let Some(kernel) = curve1.take() {
+                match AbscissaTable::fold(kernel, &q2x) {
+                    Ok(table) => x2 = Some(table),
+                    Err(kernel) => curve1 = Some(kernel),
+                }
+            }
+        }
+        let narrow = match (&x2, &config.stage2, &weighted2) {
+            (Some(_), Some(s2), Some(w)) if s3_fits_u64 => {
+                Narrow::certify(s2, s2_grid_max, w.fixed_factor(), s3_max_x)
+            }
+            _ => None,
+        };
         Ok(Encapsulator {
             config,
-            curve1: curve1.take(),
+            curve1,
+            x2,
             curve2,
             weighted2,
+            narrow,
             max_vc,
+            max_emitted,
             s3_max_x,
             s3_strip,
             s3_r,
             s3_height,
             s3_fits_u64,
-            q2x: Quantizer::new(max_v1, s2_grid_max),
+            q2x,
             q2y: Quantizer::new(s2_horizon as u128, s2_grid_max),
             q3x: Quantizer::new(max_v2, s3_max_x),
             s3_strip_div: FixedDiv::new(s3_strip),
@@ -223,6 +411,12 @@ impl Encapsulator {
         self.max_vc
     }
 
+    /// `true` when every value [`Self::characterize`] can return fits
+    /// `u64`, requests with cylinders beyond the configured disk included.
+    pub(crate) fn fits_u64(&self) -> bool {
+        self.max_emitted <= u64::MAX as u128
+    }
+
     /// The configuration this encapsulator was built from.
     pub fn config(&self) -> &CascadeConfig {
         &self.config
@@ -231,9 +425,16 @@ impl Encapsulator {
     /// Characterize a request at insertion time: lower `v_c` = served
     /// sooner.
     pub fn characterize(&self, req: &Request, head: &HeadState) -> u128 {
-        let v1 = self.stage1_value(req);
-        let v2 = self.stage2_value(v1, req, head.now_us);
-        self.stage3_value_of(v2, req, head)
+        let Some(s3) = &self.config.stage3 else {
+            return self.stage2_value(req, head.now_us);
+        };
+        let x = match (&self.narrow, &self.x2) {
+            (Some(narrow), Some(table)) => narrow
+                .abscissa(table.abscissa(req), req, head.now_us)
+                .into(),
+            _ => self.q3x.apply(self.stage2_value(req, head.now_us)),
+        };
+        self.sweep(s3, x, req, head)
     }
 
     /// Characterize a batch of arrivals: appends to `out` one value per
@@ -281,12 +482,16 @@ impl Encapsulator {
         }
     }
 
-    /// Stage 2: fold the deadline slack in.
-    fn stage2_value(&self, v1: u128, req: &Request, now: Micros) -> u128 {
+    /// Stages 1 and 2: the priority value with the deadline slack folded
+    /// in.
+    fn stage2_value(&self, req: &Request, now: Micros) -> u128 {
         let Some(s2) = &self.config.stage2 else {
-            return v1;
+            return self.stage1_value(req);
         };
-        let x = self.q2x.apply(v1) as u64;
+        let x = match &self.x2 {
+            Some(table) => table.abscissa(req),
+            None => self.q2x.apply(self.stage1_value(req)) as u64,
+        };
         let slack = req.slack_us(now).min(s2.horizon_us);
         let y = self.q2y.apply(slack as u128) as u64;
         match &self.weighted2 {
@@ -299,39 +504,51 @@ impl Encapsulator {
         }
     }
 
-    /// Stage 3: fold the cylinder distance in (the paper's partitioned
-    /// sweep, tuned by `R`).
-    fn stage3_value_of(&self, v2: u128, req: &Request, head: &HeadState) -> u128 {
-        let Some(s3) = &self.config.stage3 else {
-            return v2;
-        };
-        let x = self.q3x.apply(v2);
+    /// Stage 3: fold the cylinder distance into the abscissa `x` (the
+    /// paper's partitioned sweep, tuned by `R`).
+    fn sweep(&self, s3: &Stage3, x: u128, req: &Request, head: &HeadState) -> u128 {
         let y = match s3.distance {
-            DistanceMode::Absolute => head.distance_to(req.cylinder) as u128,
+            DistanceMode::Absolute => head.distance_to(req.cylinder) as u64,
             DistanceMode::Circular => {
                 let n = s3.cylinders as i64;
-                (((req.cylinder as i64 - head.cylinder as i64) % n + n) % n) as u128
+                (((req.cylinder as i64 - head.cylinder as i64) % n + n) % n) as u64
             }
         };
         // 64-bit evaluation of the same formula when the corner value fits
         // (in-range y only: a cylinder beyond the configured disk keeps the
         // wide path).
-        if self.s3_fits_u64 && y < self.s3_height as u128 {
+        if self.s3_fits_u64 && y < self.s3_height {
             let x = x as u64;
             let strip = self.s3_strip;
             let p_n = self.s3_strip_div.div(x).min(self.s3_r - 1);
             // `strip * p_n` first: every partial product stays below the
             // corner value the fits-u64 flag certified.
-            return (strip * p_n * self.s3_height + y as u64 * strip + (x - strip * p_n)) as u128;
+            return (strip * p_n * self.s3_height + y * strip + (x - strip * p_n)) as u128;
         }
         stage3_value(
             x,
-            y,
+            y.into(),
             self.s3_max_x + 1,
             self.s3_height as u128,
             s3.partitions,
         )
+        .expect("construction bounded the sweep at the farthest cylinder")
     }
+}
+
+/// `2^bits − 1`, the largest coordinate of a `bits`-bit grid axis, when it
+/// fits `u128`.
+fn grid_max(bits: u32) -> Option<u128> {
+    1u128.checked_shl(bits).map(|side| side - 1)
+}
+
+/// `w.value(g, g)`, the weighted stage's largest composite, when it fits
+/// `u128` (and `g` fits the `u64` that `value` takes); every value of the
+/// grid lies below it.
+fn weighted_max(w: &WeightedDiagonal, g: u128) -> Option<u128> {
+    u64::try_from(g).ok()?;
+    let main = (g << 32).checked_add(w.fixed_factor().checked_mul(g)?)?;
+    main.checked_mul(1 << 32).map(|v| v | (g & 0xFFFF_FFFF))
 }
 
 /// The paper's SFC3 formula (§5.3): partition the X (priority-deadline)
@@ -343,12 +560,16 @@ impl Encapsulator {
 /// v_c = max_y·p_s·p_n + y·p_s + (x − p_s·p_n)
 /// ```
 ///
-/// `r = 1` reduces to the plain sweep `v_c = y·max_x + x`.
-fn stage3_value(x: u128, y: u128, width_x: u128, height_y: u128, r: u32) -> u128 {
+/// `r = 1` reduces to the plain sweep `v_c = y·max_x + x`. `None` when the
+/// value does not fit `u128`.
+fn stage3_value(x: u128, y: u128, width_x: u128, height_y: u128, r: u32) -> Option<u128> {
     let r = r.max(1) as u128;
     let p_s = (width_x / r).max(1);
     let p_n = (x / p_s).min(r - 1);
-    height_y * p_s * p_n + y * p_s + (x - p_s * p_n)
+    let strips = height_y.checked_mul(p_s)?.checked_mul(p_n)?;
+    strips
+        .checked_add(y.checked_mul(p_s)?)?
+        .checked_add(x - p_s * p_n)
 }
 
 /// Scale `v ∈ [0, max_in]` to `[0, max_out]`, preserving order.
@@ -517,10 +738,10 @@ mod tests {
     #[test]
     fn stage3_formula_reduces_at_r1() {
         // r = 1: v = y*max_x + x (the plain sweep).
-        assert_eq!(stage3_value(5, 7, 16, 100, 1), 7 * 16 + 5);
+        assert_eq!(stage3_value(5, 7, 16, 100, 1), Some(7 * 16 + 5));
         // r = 4 partitions of width 4: x = 5 is in partition 1.
         // v = 100*4*1 + 7*4 + (5-4) = 429.
-        assert_eq!(stage3_value(5, 7, 16, 100, 4), 429);
+        assert_eq!(stage3_value(5, 7, 16, 100, 4), Some(429));
     }
 
     #[test]
@@ -585,9 +806,9 @@ mod tests {
     }
 
     /// A configuration whose stage-2 curve cannot be built is refused with
-    /// the stage-1 kernel — moved out for the attempt — back in place: a
-    /// lost kernel would characterize on the first QoS level alone. An
-    /// accepted one carries the kernel across and matches a fresh build.
+    /// stage 1's table in place: a lost stage 1 would characterize on the
+    /// first QoS level alone. An accepted one carries the table across and
+    /// matches a fresh build.
     #[test]
     fn refused_reconfigure_leaves_the_encapsulator_intact() {
         let mut e = Encapsulator::new(CascadeConfig::paper_default(3, 3832)).unwrap();
@@ -608,6 +829,9 @@ mod tests {
             sample.iter().map(|r| e.characterize(r, &head())).collect()
         };
         let before = values(&e);
+        let table = |e: &Encapsulator| e.x2.as_ref().map(|t| t.x2.as_ptr());
+        let carried = table(&e);
+        assert!(carried.is_some());
 
         let mut unbuildable = e.config().clone();
         let s2 = unbuildable.stage2.as_mut().unwrap();
@@ -619,6 +843,7 @@ mod tests {
         ));
         assert_eq!(values(&e), before);
         assert_eq!(e.config().stage2.unwrap().resolution_bits, 10);
+        assert_eq!(table(&e), carried);
 
         let mut retuned = e.config().clone();
         retuned.stage2.as_mut().unwrap().combiner = Stage2Combiner::Weighted { f: 2.5 };
@@ -628,6 +853,36 @@ mod tests {
         assert_eq!(values(&e), values(&fresh));
         assert_eq!(e.max_value(), fresh.max_value());
         assert_ne!(values(&e), before);
+        // The stage-1 table came across, not rebuilt.
+        assert_eq!(table(&e), carried);
+    }
+
+    /// The lexicographic rescale of the 64-bit path against the `u128`
+    /// quantizer of the general one, over every `(x, y)` of the paper
+    /// default's 10-bit stage-2 grid, at each balance factor of
+    /// `ctrl::Grid::default()` and the EDF presets' `1e12` — all of which
+    /// the paper-default shape certifies.
+    #[test]
+    fn lexicographic_rescale_is_exact_on_the_controller_grid() {
+        for f in [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 1e12] {
+            let mut cfg = CascadeConfig::paper_default(3, 3832);
+            cfg.stage2.as_mut().unwrap().combiner = Stage2Combiner::Weighted { f };
+            let e = Encapsulator::new(cfg).unwrap();
+            let narrow = e
+                .narrow
+                .as_ref()
+                .expect("the paper default runs in 64 bits");
+            let w = e.weighted2.unwrap();
+            for x in 0..1024 {
+                for y in 0..1024 {
+                    assert_eq!(
+                        u128::from(narrow.rescale(x, y)),
+                        e.q3x.apply(w.value(x, y)),
+                        "f={f} x={x} y={y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! workspace-wide [`DiskScheduler`] trait.
 
 use crate::config::{CascadeConfig, PreemptionMode, Stage2Combiner};
-use crate::dispatcher::Dispatcher;
+use crate::dispatcher::{Dispatcher, Key};
 use crate::encapsulator::Encapsulator;
 use obs::{NullSink, Stage, StageSampler, TraceEvent, TraceSink};
 use sched::{DiskScheduler, HeadState, Request, Retune};
@@ -17,9 +17,43 @@ use sfc::SfcError;
 /// preemption/SP/ER/swap events.
 pub struct CascadedSfc<S: TraceSink = NullSink> {
     encapsulator: Encapsulator,
-    dispatcher: Dispatcher,
+    queues: Queues,
     sink: S,
     spans: Option<SchedulerSpans>,
+}
+
+/// The dispatcher at the width the configuration's values need, chosen
+/// at construction and at every retune rebuild: `u64` whenever every value
+/// the encapsulator can emit fits — every stage-3 shape short of a stage-3
+/// grid tens of bits wide (the paper default tops out near 2²² on the disk
+/// and 2⁴¹ at the farthest cylinder a `u32` names) — and `u128` otherwise:
+/// stage-2-only shapes such as Fig. 8/9's 75-bit composite and
+/// [`crate::presets::edf`].
+enum Queues {
+    U64(Dispatcher<u64>),
+    U128(Dispatcher<u128>),
+}
+
+/// Run `$body` with `$d` bound to whichever dispatcher `$queues` holds.
+macro_rules! with_dispatcher {
+    ($queues:expr, $d:ident => $body:expr) => {
+        match $queues {
+            Queues::U64($d) => $body,
+            Queues::U128($d) => $body,
+        }
+    };
+}
+
+impl Queues {
+    fn new(encapsulator: &Encapsulator) -> Queues {
+        let dispatch = encapsulator.config().dispatch;
+        let max_value = encapsulator.max_value().max(1);
+        if encapsulator.fits_u64() {
+            Queues::U64(Dispatcher::new(dispatch, max_value))
+        } else {
+            Queues::U128(Dispatcher::new(dispatch, max_value))
+        }
+    }
 }
 
 /// Per-stage samplers for the scheduler's opt-in wall-clock spans.
@@ -39,13 +73,9 @@ impl<S: TraceSink> CascadedSfc<S> {
     /// Build the scheduler with a trace sink receiving dispatcher events.
     pub fn with_sink(config: CascadeConfig, sink: S) -> Result<Self, SfcError> {
         let encapsulator = Encapsulator::new(config)?;
-        let dispatcher = Dispatcher::new(
-            encapsulator.config().dispatch,
-            encapsulator.max_value().max(1),
-        );
         Ok(CascadedSfc {
+            queues: Queues::new(&encapsulator),
             encapsulator,
-            dispatcher,
             sink,
             spans: None,
         })
@@ -86,19 +116,25 @@ impl<S: TraceSink> CascadedSfc<S> {
 
     /// Dispatcher counters: (preemptions, SP promotions, queue swaps).
     pub fn dispatch_counters(&self) -> (u64, u64, u64) {
-        self.dispatcher.counters()
+        with_dispatcher!(&self.queues, d => d.counters())
     }
 
     /// Requests shed by the bounded queue
     /// ([`crate::config::DispatchConfig::with_max_queue`]) since
     /// construction.
     pub fn sheds(&self) -> u64 {
-        self.dispatcher.sheds()
+        with_dispatcher!(&self.queues, d => d.sheds())
     }
 
     /// Depths of the dispatcher's active and waiting queues, `(q, q')`.
     pub fn queue_depths(&self) -> (usize, usize) {
-        self.dispatcher.queue_depths()
+        with_dispatcher!(&self.queues, d => d.queue_depths())
+    }
+
+    /// Insert `req` with characterization value `v`.
+    fn insert(&mut self, req: Request, v: u128, now_us: u64) {
+        let sink = &mut self.sink;
+        with_dispatcher!(&mut self.queues, d => d.insert_traced(req, Key::from_wide(v), now_us, sink));
     }
 
     /// Reconfigure the encapsulator in place and rebuild the dispatcher
@@ -117,21 +153,18 @@ impl<S: TraceSink> CascadedSfc<S> {
         if self.encapsulator.reconfigure(config).is_err() {
             return false;
         }
-        let mut dispatcher = Dispatcher::new(
-            self.encapsulator.config().dispatch,
-            self.encapsulator.max_value().max(1),
-        );
-        dispatcher.carry_counters_from(&self.dispatcher);
-        let mut backlog = Vec::with_capacity(self.dispatcher.len());
-        self.dispatcher
-            .for_each_pending(&mut |r| backlog.push(r.clone()));
+        let mut queues = Queues::new(&self.encapsulator);
+        with_dispatcher!(&mut queues, new => {
+            with_dispatcher!(&self.queues, old => new.carry_counters_from(old))
+        });
+        let mut backlog = Vec::with_capacity(self.len());
+        self.for_each_pending(&mut |r| backlog.push(r.clone()));
         backlog.sort_by_key(|r| (r.arrival_us, r.id));
-        self.dispatcher = dispatcher;
+        self.queues = queues;
         for r in backlog {
             let h = HeadState::new(head.cylinder, r.arrival_us, head.cylinders);
             let v = self.encapsulator.characterize(&r, &h);
-            self.dispatcher
-                .insert_traced(r, v, head.now_us, &mut self.sink);
+            self.insert(r, v, head.now_us);
         }
         true
     }
@@ -221,8 +254,7 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
             });
         }
         let clock = Self::span_clock(self.spans.as_mut().map(|s| &mut s.encapsulate));
-        self.dispatcher
-            .insert_traced(req, v, head.now_us, &mut self.sink);
+        self.insert(req, v, head.now_us);
         if let Some(t0) = clock {
             self.sink.emit(&TraceEvent::StageSpan {
                 now_us: head.now_us,
@@ -234,30 +266,31 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
 
     fn dequeue(&mut self, head: &HeadState) -> Option<Request> {
         let enc = &self.encapsulator;
-        if enc.config().dispatch.refresh_on_swap {
-            let mut refresh = |r: &Request| enc.characterize(r, head);
-            self.dispatcher
-                .pop_traced(Some(&mut refresh), head.now_us, &mut self.sink)
-        } else {
-            self.dispatcher
-                .pop_traced(None, head.now_us, &mut self.sink)
-        }
+        let sink = &mut self.sink;
+        with_dispatcher!(&mut self.queues, d => {
+            if enc.config().dispatch.refresh_on_swap {
+                let mut refresh = |r: &Request| Key::from_wide(enc.characterize(r, head));
+                d.pop_traced(Some(&mut refresh), head.now_us, sink)
+            } else {
+                d.pop_traced(None, head.now_us, sink)
+            }
+        })
     }
 
     fn len(&self) -> usize {
-        self.dispatcher.len()
+        with_dispatcher!(&self.queues, d => d.len())
     }
 
     fn for_each_pending(&self, f: &mut dyn FnMut(&Request)) {
-        self.dispatcher.for_each_pending(f);
+        with_dispatcher!(&self.queues, d => d.for_each_pending(f))
     }
 
     fn state_len(&self) -> usize {
-        self.dispatcher.state_len()
+        with_dispatcher!(&self.queues, d => d.state_len())
     }
 
     fn sheds(&self) -> u64 {
-        self.dispatcher.sheds()
+        CascadedSfc::sheds(self)
     }
 
     fn queue_capacity(&self) -> Option<usize> {
@@ -548,6 +581,103 @@ mod tests {
         }
     }
 
+    /// Feed `config` a trace with interleaved dispatches, retune `knob`
+    /// mid-way, and require the rest to be served exactly as a fresh
+    /// `retuned` scheduler fed the same backlog serves it. Returns whether
+    /// the dispatcher held `u128` values before and after the retune.
+    fn retune_matches_fresh(
+        config: CascadeConfig,
+        knob: Retune,
+        retuned: CascadeConfig,
+    ) -> (bool, bool) {
+        let wide = |s: &CascadedSfc| matches!(s.queues, Queues::U128(_));
+        let mut live = CascadedSfc::new(config).unwrap();
+        let before = wide(&live);
+        let mut cylinder = 0;
+        for i in 0..60u64 {
+            let r = req(
+                i,
+                &[(i % 16) as u8],
+                200_000 + i * 9_000,
+                (i * 173 % 3832) as u32,
+            );
+            live.enqueue(r, &HeadState::new(cylinder, i * 1_500, 3832));
+            if i % 3 == 2 {
+                let h = HeadState::new(cylinder, i * 1_500 + 700, 3832);
+                cylinder = live.dequeue(&h).map_or(cylinder, |r| r.cylinder);
+            }
+        }
+        let at = HeadState::new(cylinder, 120_000, 3832);
+        let mut backlog = Vec::new();
+        live.for_each_pending(&mut |r| backlog.push(r.clone()));
+        backlog.sort_by_key(|r| (r.arrival_us, r.id));
+        assert!(live.retune(&knob, &at), "{knob:?} refused");
+        let mut fresh = CascadedSfc::new(retuned).unwrap();
+        for r in backlog {
+            let h = HeadState::new(at.cylinder, r.arrival_us, at.cylinders);
+            fresh.enqueue(r, &h);
+        }
+        let mut h = at;
+        loop {
+            let (a, b) = (live.dequeue(&h), fresh.dequeue(&h));
+            assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
+            match a {
+                Some(r) => h.cylinder = r.cylinder,
+                None => break,
+            }
+        }
+        assert_eq!(wide(&live), wide(&fresh));
+        (before, wide(&live))
+    }
+
+    /// The dispatcher's width follows the reach of the values: `u128` for
+    /// the stage-2-only composite (at least `G·2⁶⁴` for every `f`, so no
+    /// retune of it leaves `u128`), `u64` for the paper default — and a
+    /// retune that moves the reach across `2⁶⁴`, `R` on a 40-bit stage-3
+    /// grid (the farthest cylinder's sweep value is ≈ 2⁷² at `R = 1`,
+    /// ≈ 2⁶⁰ at `R = 4096`), rebuilds at the new width in either direction.
+    #[test]
+    fn dispatcher_width_follows_the_value_reach() {
+        let wide =
+            |cfg: CascadeConfig| matches!(CascadedSfc::new(cfg).unwrap().queues, Queues::U128(_));
+        assert!(!wide(CascadeConfig::paper_default(3, 3832)));
+        assert!(wide(crate::presets::edf(1_000_000)));
+
+        let stage2_only = |f| {
+            CascadeConfig::priority_deadline(
+                CurveKind::Diagonal,
+                1,
+                4,
+                Stage2Combiner::Weighted { f },
+                1_000_000,
+            )
+            .with_dispatch(DispatchConfig::paper_default())
+        };
+        let knob = Retune::BalanceFactor(3.0);
+        assert_eq!(
+            retune_matches_fresh(stage2_only(1.0), knob, stage2_only(3.0)),
+            (true, true)
+        );
+
+        let grid40 = |r| {
+            let mut cfg = CascadeConfig::paper_default(1, 3832);
+            let s3 = cfg.stage3.as_mut().unwrap();
+            s3.resolution_bits = 40;
+            s3.partitions = r;
+            cfg
+        };
+        let knob = Retune::ScanPartitions(4096);
+        assert_eq!(
+            retune_matches_fresh(grid40(1), knob, grid40(4096)),
+            (true, false)
+        );
+        let knob = Retune::ScanPartitions(1);
+        assert_eq!(
+            retune_matches_fresh(grid40(4096), knob, grid40(1)),
+            (false, true)
+        );
+    }
+
     /// Retuning a knob to its current value is a no-op: no rebuild, so
     /// the `(q, q')` split is untouched (a rebuild would collapse the
     /// waiting queue into the active one).
@@ -604,7 +734,7 @@ mod tests {
         assert!(!s.retune(&Retune::ScanPartitions(0), &at));
     }
 
-    /// The three invalid knob values, refused mid-trace with both queues
+    /// The invalid knob values, refused mid-trace with both queues
     /// populated, change nothing: the rest of the trace is served in the
     /// order an untouched twin serves it, with the same counters.
     #[test]
@@ -618,6 +748,8 @@ mod tests {
                 let at = HeadState::new(cylinder, i * 1_500, 3832);
                 assert!(!live.retune(&Retune::ScanPartitions(0), &at));
                 assert!(!live.retune(&Retune::BalanceFactor(f64::NAN), &at));
+                // Finite, but its composite overflows: refused at assembly.
+                assert!(!live.retune(&Retune::BalanceFactor(1e300), &at));
                 assert!(!live.retune(&Retune::Window(2.0), &at));
             }
             let h = HeadState::new(cylinder, i * 1_500, 3832);

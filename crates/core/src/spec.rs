@@ -358,6 +358,26 @@ mod tests {
         }
     }
 
+    /// Specs whose stage arithmetic would overflow `u128` parse, and are
+    /// refused when built instead of wrapping (or panicking, in a debug
+    /// build): a 128-bit stage-2 or stage-3 grid, a stage-3 sweep whose
+    /// corner overflows, a balance factor whose composite does.
+    #[test]
+    fn overflowing_stages_are_refused_when_built() {
+        for spec in [
+            "sfc2 = weighted : f=1, bits=128",
+            "sfc3 = r=3 : cylinders=100, bits=128",
+            "sfc3 = r=3 : cylinders=100, bits=127",
+            "sfc2 = weighted : f=1e300",
+        ] {
+            let built = CascadedSfc::new(parse(spec).unwrap());
+            assert!(
+                matches!(built, Err(sfc::SfcError::TooLarge { .. })),
+                "{spec}"
+            );
+        }
+    }
+
     #[test]
     fn empty_spec_is_the_bare_dispatcher() {
         let cfg = parse("").unwrap();

@@ -64,8 +64,8 @@ pub use ctrl::{check_controller_storm, diff_ctrl};
 pub use daemon::{check_churn, diff_daemon, diff_daemon_streamed};
 pub use fuzz::{fuzz, minimize, replay_dir, replay_file, Archetype, Scenario};
 pub use reference::{
-    diff_baselines, diff_cascade, diff_pair, ReferenceCascade, ReferenceEdf, ReferenceScan,
-    ReferenceSstf,
+    diff_baselines, diff_cascade, diff_pair, reference_characterize, ReferenceCascade,
+    ReferenceEdf, ReferenceScan, ReferenceSstf,
 };
 pub use routing::{diff_routing, replay_route};
 pub use telemetry::diff_telemetry;

@@ -13,15 +13,90 @@
 //! [`sim::simulate_logged`] on the *same* trace against identical disk
 //! models and demands bit-identical metrics and per-request service logs.
 
-use cascade::{CascadeConfig, CascadedSfc, Encapsulator, PreemptionMode};
+use cascade::{
+    CascadeConfig, CascadedSfc, DistanceMode, Encapsulator, PreemptionMode, Stage2Combiner,
+};
 use sched::{DiskScheduler, Edf, HeadState, Request, Scan, Sstf, SweepDirection};
-use sfc::SfcError;
+use sfc::{SfcError, WeightedDiagonal};
 use sim::{simulate_logged, DiskService, Metrics, RequestRecord, SimOptions};
+
+/// The characterization value of `req` under `config`, restated from the
+/// paper with nothing shared with [`cascade::Encapsulator`]: the catalogue
+/// curve (`CurveKind::build(..).index`) over the QoS point for SFC1, the
+/// weighted order's [`WeightedDiagonal::value`] or the catalogue curve's
+/// index for SFC2, the §5.3 partitioned sweep for SFC3, and between stages
+/// the plain rescale `⌊v·M/D⌋` of `[0, D]` onto `[0, M]` in `u128`.
+///
+/// `None` when a rescale's product `v·M` does not fit `u128` (the
+/// encapsulator rounds those through `f64`, which no exact restatement
+/// reproduces). `config` must be one `Encapsulator::new` accepts.
+pub fn reference_characterize(
+    config: &CascadeConfig,
+    req: &Request,
+    head: &HeadState,
+) -> Option<u128> {
+    let rescale = |v: u128, d: u128, m: u128| match d {
+        0 => Some(0),
+        _ => Some(v.min(d).checked_mul(m)? / d),
+    };
+    // SFC1: missing QoS dimensions are the lowest priority, levels beyond
+    // the grid clamp to its edge; without SFC1, the first level.
+    let levels = req.qos.levels();
+    let (v1, max_v1) = match &config.stage1 {
+        Some(s1) => {
+            let curve = s1.curve.build(s1.dims, s1.level_bits).ok()?;
+            let top = curve.side() - 1;
+            let point: Vec<u64> = (0..s1.dims as usize)
+                .map(|j| levels.get(j).map_or(top, |&l| u64::from(l).min(top)))
+                .collect();
+            (curve.index(&point), curve.cells() - 1)
+        }
+        None => (levels.first().map_or(0, |&l| l.into()), u8::MAX.into()),
+    };
+    // SFC2: priority and deadline slack (clamped to the horizon), each
+    // rescaled onto the stage's grid.
+    let (v2, max_v2) = match &config.stage2 {
+        None => (v1, max_v1),
+        Some(s2) => {
+            let g = (1u128 << s2.resolution_bits) - 1;
+            let x = rescale(v1, max_v1, g)? as u64;
+            let slack = req.slack_us(head.now_us).min(s2.horizon_us);
+            let y = rescale(slack.into(), s2.horizon_us.max(1).into(), g)? as u64;
+            match s2.combiner {
+                Stage2Combiner::Weighted { f } => {
+                    let w = WeightedDiagonal::new(f);
+                    (w.value(x, y), w.value(g as u64, g as u64))
+                }
+                Stage2Combiner::Curve(kind) => {
+                    let curve = kind.build(2, s2.resolution_bits).ok()?;
+                    (curve.index(&[x, y]), curve.cells() - 1)
+                }
+            }
+        }
+    };
+    // SFC3 (§5.3): `r` strips of width `p_s` over the rescaled abscissa,
+    // each swept by head distance first.
+    let Some(s3) = &config.stage3 else {
+        return Some(v2);
+    };
+    let max_x = (1u128 << s3.resolution_bits) - 1;
+    let x = rescale(v2, max_v2, max_x)?;
+    let y: u128 = match s3.distance {
+        DistanceMode::Absolute => req.cylinder.abs_diff(head.cylinder).into(),
+        DistanceMode::Circular => (i64::from(req.cylinder) - i64::from(head.cylinder))
+            .rem_euclid(s3.cylinders.into()) as u128,
+    };
+    let height = u128::from(s3.cylinders.max(2));
+    let r = u128::from(s3.partitions.max(1));
+    let p_s = ((max_x + 1) / r).max(1);
+    let p_n = (x / p_s).min(r - 1);
+    Some(height * p_s * p_n + y * p_s + (x - p_s * p_n))
+}
 
 /// O(n²) re-sort-per-dispatch reference for [`cascade::CascadedSfc`].
 ///
 /// Same encapsulator (the three SFC stages are shared — they are the
-/// *subject* of the curve property tests, not of this oracle), but the
+/// *subject* of [`reference_characterize`], not of this oracle), but the
 /// dispatcher is restated naively: two plain `Vec`s for `q`/`q'`, a full
 /// sort before every dispatch, linear scans for SP promotion and shed
 /// victim selection. Mirrors the documented semantics of
@@ -485,6 +560,44 @@ pub fn diff_cascade(
     Ok(m)
 }
 
+/// Differential oracle for the encapsulator alone:
+/// [`cascade::Encapsulator::characterize`] against
+/// [`reference_characterize`] on every request of `trace`, each at its
+/// arrival with the head on the previous request's cylinder, under the
+/// paper-default cascade over `dims` QoS dimensions at every balance
+/// factor of the controller's grid plus `1e12`, and every partition count
+/// of the grid at `f = 1`.
+pub(crate) fn diff_characterize(trace: &[Request], dims: u32) -> Result<(), String> {
+    let grid = ctrl::Grid::default();
+    let points: Vec<ctrl::GridPoint> = (0..grid.len()).map(|i| grid.point(i)).collect();
+    let mut knobs: Vec<(f64, u32)> = points.iter().map(|p| (p.f, 3)).collect();
+    knobs.push((1e12, 3));
+    knobs.extend(points.iter().map(|p| (1.0, p.r)));
+    knobs.sort_by(|a, b| a.partial_cmp(b).expect("finite knobs"));
+    knobs.dedup();
+    for (f, r) in knobs {
+        let mut config = CascadeConfig::paper_default(dims, 3832);
+        config.stage2.as_mut().expect("paper default").combiner = Stage2Combiner::Weighted { f };
+        config.stage3.as_mut().expect("paper default").partitions = r;
+        let enc = Encapsulator::new(config.clone()).map_err(|e| format!("f={f} R={r}: {e}"))?;
+        let mut cylinder = 0;
+        for req in trace {
+            let head = HeadState::new(cylinder, req.arrival_us, 3832);
+            let got = enc.characterize(req, &head);
+            let want = reference_characterize(&config, req, &head);
+            if want != Some(got) {
+                return Err(format!(
+                    "characterize: f={f} R={r} req {} at head {cylinder}: encapsulator {got}, \
+                     reference {want:?}",
+                    req.id
+                ));
+            }
+            cylinder = req.cylinder;
+        }
+    }
+    Ok(())
+}
+
 /// Differential oracle for the brute-force baselines: EDF, SSTF and SCAN
 /// against their optimized counterparts on the same trace.
 pub fn diff_baselines(trace: &[Request], options: SimOptions) -> Result<(), String> {
@@ -580,6 +693,99 @@ mod tests {
         assert_eq!(DiskScheduler::sheds(&s), 2);
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(&head()).map(|r| r.id)).collect();
         assert_eq!(order, vec![1, 3]);
+    }
+
+    /// [`reference_characterize`] against `Encapsulator::characterize` on
+    /// seeded random cascades: every curve for SFC1 over 1–4 dimensions or
+    /// none; SFC2 weighted at every balance factor of the controller's
+    /// grid plus 0 and `1e12`, or a catalogue curve, or none; stage-2 and
+    /// stage-3 grids of 1–16 bits; both distance modes — and requests with
+    /// missing, surplus and out-of-range QoS levels, `u64::MAX` deadlines,
+    /// arrivals past their deadline and cylinders beyond the disk.
+    #[test]
+    fn reference_characterize_matches_the_encapsulator() {
+        use cascade::{DistanceMode, Stage1, Stage2, Stage3};
+        use sfc::CurveKind;
+        let mut seed = 0x0c4a_7c7e_u64;
+        let mut next = move |n: u64| {
+            // splitmix64
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let grid = ctrl::Grid::default();
+        let mut fs: Vec<f64> = (0..grid.len()).map(|i| grid.point(i).f).collect();
+        fs.dedup();
+        fs.push(1e12);
+        assert!(fs.contains(&0.0));
+        let curves = CurveKind::ALL;
+        let (mut compared, mut overflowed) = (0u64, 0u64);
+        for _ in 0..2_000 {
+            let mut pick = |n: usize| next(n as u64) as usize;
+            let config = CascadeConfig {
+                stage1: (pick(5) > 0).then(|| Stage1 {
+                    curve: curves[pick(curves.len())],
+                    dims: 1 + pick(4) as u32,
+                    level_bits: 1 + pick(4) as u32,
+                }),
+                stage2: (pick(5) > 0).then(|| Stage2 {
+                    combiner: if pick(5) > 0 {
+                        Stage2Combiner::Weighted {
+                            f: fs[pick(fs.len())],
+                        }
+                    } else {
+                        Stage2Combiner::Curve(curves[pick(curves.len())])
+                    },
+                    horizon_us: [0, 1, 250_000, 1_000_000, u64::MAX][pick(5)],
+                    resolution_bits: 1 + pick(16) as u32,
+                }),
+                stage3: (pick(5) > 0).then(|| Stage3 {
+                    partitions: 1 + pick(8) as u32,
+                    resolution_bits: 1 + pick(16) as u32,
+                    cylinders: [1, 2, 100, 3832, 70_000][pick(5)],
+                    distance: [DistanceMode::Absolute, DistanceMode::Circular][pick(2)],
+                }),
+                dispatch: cascade::DispatchConfig::fully_preemptive(),
+            };
+            let enc = Encapsulator::new(config.clone()).expect("every sampled cascade builds");
+            let cylinders = config.stage3.map_or(3832, |s3| s3.cylinders);
+            for id in 0..16 {
+                let levels: Vec<u8> = (0..next(7)).map(|_| next(41) as u8).collect();
+                let now = next(10_000_000);
+                let deadline = match next(5) {
+                    0 => u64::MAX,
+                    1 => now.saturating_sub(next(1_000_000)), // already late
+                    _ => now + next(3_000_000),
+                };
+                let cylinder = match next(5) {
+                    0 => u32::MAX - next(3) as u32,
+                    1 => cylinders + next(10_000) as u32, // beyond the disk
+                    _ => next(cylinders.into()) as u32,
+                };
+                let r = Request::read(id, now, deadline, cylinder, 512, QosVector::new(&levels));
+                let head = HeadState::new(next(cylinders.into()) as u32, now, cylinders);
+                match reference_characterize(&config, &r, &head) {
+                    Some(want) => {
+                        assert_eq!(
+                            enc.characterize(&r, &head),
+                            want,
+                            "{config:?} {r:?} {head:?}"
+                        );
+                        compared += 1;
+                    }
+                    None => overflowed += 1,
+                }
+            }
+        }
+        // Overflows are the 1e12 composites rescaled onto wide stage-3
+        // grids (198 of 32,000 at this seed).
+        assert!(compared > 30_000, "compared {compared}");
+        assert!(
+            overflowed * 100 < compared,
+            "{overflowed} of {compared} overflowed"
+        );
     }
 
     #[test]

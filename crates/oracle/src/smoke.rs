@@ -10,7 +10,7 @@ use crate::ctrl::diff_ctrl;
 use crate::daemon::{diff_daemon, diff_daemon_streamed};
 use crate::fuzz::{Archetype, Scenario, ARCHETYPES};
 use crate::metamorphic;
-use crate::reference::{diff_baselines, diff_cascade};
+use crate::reference::{diff_baselines, diff_cascade, diff_characterize};
 use crate::routing::diff_routing;
 
 /// What the smoke gate verified, for the one-line report.
@@ -188,10 +188,12 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
 }
 
 /// Perf-parity gate: after a hot-path optimization (LUT kernels, the
-/// arena dispatcher), prove the optimized engine is
+/// arena dispatcher, the 64-bit cascade), prove the optimized engine is
 /// still *semantically* identical by diffing it against the naive
 /// reference on every committed corpus trace, under all four dispatcher
-/// regimes — plus each case's own archetype oracle via replay.
+/// regimes, and its characterization against
+/// [`crate::reference_characterize`] — plus each case's own archetype
+/// oracle via replay.
 pub fn perf_parity(corpus: &std::path::Path) -> Result<SmokeReport, String> {
     let mut report = SmokeReport::default();
 
@@ -238,6 +240,9 @@ pub fn perf_parity(corpus: &std::path::Path) -> Result<SmokeReport, String> {
             report.differential_runs += 1;
             report.requests_checked += trace.len() as u64;
         }
+        // …and every request's characterization against the from-scratch
+        // restatement of the three stages.
+        diff_characterize(&trace, dims).map_err(|e| format!("[{}] {e}", path.display()))?;
     }
     Ok(report)
 }

@@ -271,6 +271,13 @@ impl WeightedDiagonal {
         self.f
     }
 
+    /// The fixed-point factor [`WeightedDiagonal::value`] multiplies `y`
+    /// by: `f·2³²` rounded, saturating at `u128::MAX` for an `f` too large
+    /// to represent.
+    pub fn fixed_factor(&self) -> u128 {
+        self.fx
+    }
+
     /// Composite value preserving the order of `x + f·y`, with ties broken
     /// by smaller `x` first (the paper breaks the `f = 0` tie by earliest
     /// deadline, i.e. smaller `y`; since `x + f·y` equal and `f = 0` make
