@@ -23,7 +23,7 @@ use crate::vod;
 use diskmodel::{DiskGeometry, FaultPlan, SeekModel};
 use obs::Snapshot;
 use sim::admission;
-use sim::{simulate_striped_faulted, simulate_traced, Metrics, Raid5Service, SimOptions};
+use sim::{simulate_striped, simulate_traced, Metrics, Raid5Service, SimOptions};
 
 /// Fault-scenario parameters.
 #[derive(Debug, Clone)]
@@ -117,13 +117,16 @@ fn options(cfg: &Config) -> SimOptions {
 /// media-fault plan of `transient_ppm` (bad sectors at a quarter of it).
 pub fn run_point(cfg: &Config, transient_ppm: u32) -> (sim::StripedOutcome, Snapshot) {
     let plan = FaultPlan::media(cfg.seed, transient_ppm, transient_ppm / 4);
-    simulate_striped_faulted(
+    let mut group = Snapshot::new();
+    let outcome = simulate_striped(
         &vod_trace(cfg),
         cfg.members,
         vod::unbounded_scheduler,
         options(cfg),
         &plan,
-    )
+        &mut group,
+    );
+    (outcome, group)
 }
 
 fn row(transient_ppm: u32, total: &Metrics, snap: &Snapshot) -> Row {

@@ -4,7 +4,7 @@
 use crate::config::{CascadeConfig, PreemptionMode, Stage2Combiner};
 use crate::dispatcher::{Dispatcher, Key};
 use crate::encapsulator::Encapsulator;
-use obs::{NullSink, Stage, StageSampler, TraceEvent, TraceSink};
+use obs::{NullSink, TraceSink};
 use sched::{DiskScheduler, HeadState, Request, Retune};
 use sfc::SfcError;
 
@@ -19,7 +19,6 @@ pub struct CascadedSfc<S: TraceSink = NullSink> {
     encapsulator: Encapsulator,
     queues: Queues,
     sink: S,
-    spans: Option<SchedulerSpans>,
 }
 
 /// The dispatcher at the width the configuration's values need, chosen
@@ -56,12 +55,6 @@ impl Queues {
     }
 }
 
-/// Per-stage samplers for the scheduler's opt-in wall-clock spans.
-struct SchedulerSpans {
-    characterize: StageSampler,
-    encapsulate: StageSampler,
-}
-
 impl CascadedSfc {
     /// Build the (untraced) scheduler from a configuration.
     pub fn new(config: CascadeConfig) -> Result<Self, SfcError> {
@@ -77,36 +70,7 @@ impl<S: TraceSink> CascadedSfc<S> {
             queues: Queues::new(&encapsulator),
             encapsulator,
             sink,
-            spans: None,
         })
-    }
-
-    /// Emit sampled wall-clock [`TraceEvent::StageSpan`]s (1-in-`2^shift`
-    /// per stage) over the characterize (SFC mapping) and encapsulate
-    /// (dispatcher insert) stages. Span durations are wall-clock and thus
-    /// nondeterministic; span counts are a deterministic function of the
-    /// request stream. A no-op with a [`NullSink`].
-    pub fn with_stage_spans(mut self, shift: u32) -> Self {
-        self.spans = Some(SchedulerSpans {
-            characterize: StageSampler::every_pow2(shift),
-            encapsulate: StageSampler::every_pow2(shift),
-        });
-        self
-    }
-
-    /// Start a wall clock for this stage occurrence if tracing is live
-    /// and the sampler picks it.
-    #[inline]
-    fn span_clock(sampler: Option<&mut StageSampler>) -> Option<std::time::Instant> {
-        if !S::ENABLED {
-            return None;
-        }
-        let s = sampler?;
-        if s.tick() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        }
     }
 
     /// The encapsulator (e.g. to characterize hypothetical requests).
@@ -244,24 +208,8 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
     }
 
     fn enqueue(&mut self, req: Request, head: &HeadState) {
-        let clock = Self::span_clock(self.spans.as_mut().map(|s| &mut s.characterize));
         let v = self.encapsulator.characterize(&req, head);
-        if let Some(t0) = clock {
-            self.sink.emit(&TraceEvent::StageSpan {
-                now_us: head.now_us,
-                stage: Stage::Characterize,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-        let clock = Self::span_clock(self.spans.as_mut().map(|s| &mut s.encapsulate));
         self.insert(req, v, head.now_us);
-        if let Some(t0) = clock {
-            self.sink.emit(&TraceEvent::StageSpan {
-                now_us: head.now_us,
-                stage: Stage::Encapsulate,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
     }
 
     fn dequeue(&mut self, head: &HeadState) -> Option<Request> {
@@ -466,41 +414,6 @@ mod tests {
         assert_eq!(count("sp_promote"), promotions);
         assert_eq!(count("queue_swap"), swaps);
         assert!(swaps > 0, "no dispatch activity traced");
-    }
-
-    #[test]
-    fn stage_spans_cover_characterize_and_encapsulate() {
-        use obs::{RingSink, Stage};
-        let mut s =
-            CascadedSfc::with_sink(CascadeConfig::paper_default(2, 3832), RingSink::new(4096))
-                .unwrap()
-                .with_stage_spans(0);
-        let batch: Vec<Request> = (0..20u64)
-            .map(|i| {
-                req(
-                    i,
-                    &[(i % 16) as u8, ((i * 5) % 16) as u8],
-                    200_000,
-                    (i * 131 % 3832) as u32,
-                )
-            })
-            .collect();
-        let h = head();
-        for r in &batch[..10] {
-            s.enqueue(r.clone(), &h);
-        }
-        s.enqueue_batch(&batch[10..], &h);
-        let ring = s.into_sink();
-        let stage_count = |want: Stage| {
-            ring.events()
-                .filter(|e| matches!(e, TraceEvent::StageSpan { stage, .. } if *stage == want))
-                .count()
-        };
-        // Shift 0 samples every occurrence: one characterize + one
-        // encapsulate span per request, whether it arrived alone or in a
-        // chunk.
-        assert_eq!(stage_count(Stage::Characterize), 20);
-        assert_eq!(stage_count(Stage::Encapsulate), 20);
     }
 
     #[test]

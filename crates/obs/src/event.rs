@@ -283,17 +283,6 @@ pub enum TraceEvent {
         /// partitions `R`, 2 = blocking window `w`, 3 = routing policy.
         knob: u32,
     },
-    /// A sampled wall-clock timing of one pipeline stage (opt-in; see
-    /// [`crate::Stage`]). Span values come from the host clock, so they
-    /// are nondeterministic and never emitted unless explicitly enabled.
-    StageSpan {
-        /// Simulation time (µs) at which the timed operation ran.
-        now_us: u64,
-        /// The pipeline stage that was timed.
-        stage: crate::Stage,
-        /// Wall-clock cost of the operation (ns).
-        elapsed_ns: u64,
-    },
 }
 
 impl TraceEvent {
@@ -324,7 +313,6 @@ impl TraceEvent {
             TraceEvent::Migrate { .. } => "migrate",
             TraceEvent::Quarantine { .. } => "quarantine",
             TraceEvent::Retune { .. } => "retune",
-            TraceEvent::StageSpan { .. } => "stage_span",
         }
     }
 
@@ -354,8 +342,7 @@ impl TraceEvent {
             | TraceEvent::ShardReport { now_us, .. }
             | TraceEvent::Migrate { now_us, .. }
             | TraceEvent::Quarantine { now_us, .. }
-            | TraceEvent::Retune { now_us, .. }
-            | TraceEvent::StageSpan { now_us, .. } => now_us,
+            | TraceEvent::Retune { now_us, .. } => now_us,
         }
     }
 
@@ -616,18 +603,6 @@ impl TraceEvent {
                      \"knob\":{knob}}}"
                 );
             }
-            TraceEvent::StageSpan {
-                now_us,
-                stage,
-                elapsed_ns,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"event\":\"{name}\",\"now_us\":{now_us},\
-                     \"stage\":\"{}\",\"elapsed_ns\":{elapsed_ns}}}",
-                    stage.name()
-                );
-            }
         }
     }
 
@@ -651,8 +626,8 @@ impl TraceEvent {
     /// index in the `cylinder` column), `to_shard` (migrate, with
     /// `from_shard` in the `cylinder` column), `until_us` (quarantine,
     /// with the shard index in the `cylinder` column), the knob index
-    /// (retune, with the shard index in the `cylinder` column), the stage's
-    /// pipeline index/`elapsed_ns` (stage_span). Unused cells are empty.
+    /// (retune, with the shard index in the `cylinder` column). Unused
+    /// cells are empty.
     pub fn write_csv(&self, out: &mut String) {
         let name = self.name();
         let now = self.now_us();
@@ -788,11 +763,6 @@ impl TraceEvent {
             TraceEvent::Retune { shard, knob, .. } => {
                 let _ = write!(out, "{name},{now},,{shard},{knob},");
             }
-            TraceEvent::StageSpan {
-                stage, elapsed_ns, ..
-            } => {
-                let _ = write!(out, "{name},{now},,,{},{elapsed_ns}", stage.index());
-            }
         }
     }
 }
@@ -838,24 +808,6 @@ mod tests {
         .write_json(&mut s);
         assert!(s.contains(&format!("\"{}\"", u128::MAX)));
         assert!(s.contains("\"by_v\":\"7\""));
-    }
-
-    #[test]
-    fn stage_span_renders_stage_by_name() {
-        let mut s = String::new();
-        let e = TraceEvent::StageSpan {
-            now_us: 4,
-            stage: crate::Stage::Characterize,
-            elapsed_ns: 85,
-        };
-        e.write_json(&mut s);
-        assert_eq!(
-            s,
-            "{\"event\":\"stage_span\",\"now_us\":4,\
-             \"stage\":\"characterize\",\"elapsed_ns\":85}"
-        );
-        assert_eq!(e.name(), "stage_span");
-        assert_eq!(e.req(), None);
     }
 
     #[test]
@@ -910,11 +862,6 @@ mod tests {
                 now_us: 11,
                 shard: 1,
                 knob: 0,
-            },
-            TraceEvent::StageSpan {
-                now_us: 9,
-                stage: crate::Stage::Dispatch,
-                elapsed_ns: 120,
             },
         ];
         for e in events {

@@ -24,8 +24,6 @@
 //!   [`WindowDelta`] stream for mid-run reporting;
 //! * [`TelemetryConfig`] — the shape of one shard's windowed sink, and
 //!   [`ShardDelta`], the unit of the per-shard delta feed;
-//! * [`Stage`] / [`StageSampler`] — opt-in sampled wall-clock spans over
-//!   the request pipeline, recorded per stage and read through [`Snapshot::stage`];
 //! * [`FlightRecorder`] — a bounded tail of recent events, kept in a
 //!   [`FlightRing`] that a farm's recorders share, with anomaly
 //!   triggers ([`TriggerConfig`]) that freeze reconciled [`DumpRecord`]s
@@ -58,7 +56,6 @@ mod hist;
 mod recorder;
 mod sink;
 mod snapshot;
-mod span;
 mod window;
 
 pub use event::TraceEvent;
@@ -67,7 +64,6 @@ pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig, DUMP_RETENTION};
 pub use sink::{CsvSink, FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
-pub use span::{Stage, StageSampler};
 pub use window::{
     ShardDelta, TelemetryConfig, WindowDelta, WindowedSnapshot, DEFAULT_DEPTH,
     DEFAULT_SAMPLE_SHIFT, DEFAULT_WINDOW_LOG2,

@@ -5,7 +5,6 @@
 use crate::event::TraceEvent;
 use crate::hist::Histogram;
 use crate::sink::TraceSink;
-use crate::span::Stage;
 use std::fmt::Write as _;
 
 /// One counter per event kind (plus late completions, split out of
@@ -60,8 +59,6 @@ pub struct Counters {
     pub quarantines: u64,
     /// `Retune` events (control plane applied a live knob/policy change).
     pub retunes: u64,
-    /// `StageSpan` events (sampled pipeline-stage timings).
-    pub stage_spans: u64,
 }
 
 impl Counters {
@@ -91,7 +88,6 @@ impl Counters {
         self.migrations += other.migrations;
         self.quarantines += other.quarantines;
         self.retunes += other.retunes;
-        self.stage_spans += other.stage_spans;
     }
 
     /// What was counted since `earlier`, an older reading of the same
@@ -123,14 +119,13 @@ impl Counters {
             migrations: self.migrations - earlier.migrations,
             quarantines: self.quarantines - earlier.quarantines,
             retunes: self.retunes - earlier.retunes,
-            stage_spans: self.stage_spans - earlier.stage_spans,
         }
     }
 
     /// Every counter as a `(stable_name, value)` pair, in declaration
     /// order — the iteration base for exposition encoders and dump
     /// renderers.
-    pub fn items(&self) -> [(&'static str, u64); 25] {
+    pub fn items(&self) -> [(&'static str, u64); 24] {
         [
             ("arrivals", self.arrivals),
             ("dispatches", self.dispatches),
@@ -156,7 +151,6 @@ impl Counters {
             ("migrations", self.migrations),
             ("quarantines", self.quarantines),
             ("retunes", self.retunes),
-            ("stage_spans", self.stage_spans),
         ]
     }
 
@@ -178,13 +172,7 @@ impl Counters {
 ///
 /// Mergeability is the point: the striped/RAID path runs one simulation
 /// per member disk and folds the members' snapshots into one group view.
-///
-/// The per-stage histograms are allocated by the first `StageSpan` that
-/// lands in one; a snapshot of a run without stage spans — every farm
-/// member — never carries them. **Absent is empty**: [`Snapshot::stage`]
-/// answers an empty histogram, and two snapshots are equal when every
-/// stage compares equal through it, allocated or not.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Event counts.
     pub counters: Counters,
@@ -197,36 +185,12 @@ pub struct Snapshot {
     /// Slack at dispatch (µs, from `Dispatch`), clamped at 0: past-due
     /// dispatches record 0.
     pub slack_us: Histogram,
-    /// Per-stage histograms by [`Stage::index`], once a `StageSpan` was
-    /// recorded; read through [`Snapshot::stage`].
-    stage_ns: Option<Box<[Histogram; Stage::COUNT]>>,
-}
-
-impl PartialEq for Snapshot {
-    fn eq(&self, other: &Snapshot) -> bool {
-        self.counters == other.counters
-            && self.response_us == other.response_us
-            && self.seek_cylinders == other.seek_cylinders
-            && self.queue_depth == other.queue_depth
-            && self.slack_us == other.slack_us
-            && Stage::ALL.iter().all(|&s| self.stage(s) == other.stage(s))
-    }
 }
 
 impl Snapshot {
     /// An empty snapshot.
     pub fn new() -> Self {
         Snapshot::default()
-    }
-
-    /// Sampled wall-clock cost of one pipeline stage (ns, from
-    /// `StageSpan`); empty when no span was ever recorded.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        static EMPTY: Histogram = Histogram::new();
-        match &self.stage_ns {
-            Some(stages) => &stages[stage.index()],
-            None => &EMPTY,
-        }
     }
 
     /// Fold another snapshot into this one (exact: counters add,
@@ -237,55 +201,27 @@ impl Snapshot {
         self.seek_cylinders.merge(&other.seek_cylinders);
         self.queue_depth.merge(&other.queue_depth);
         self.slack_us.merge(&other.slack_us);
-        if let Some(theirs) = &other.stage_ns {
-            let mine = self.stage_ns.get_or_insert_with(Default::default);
-            for (mine, theirs) in mine.iter_mut().zip(theirs.iter()) {
-                mine.merge(theirs);
-            }
-        }
     }
 
     /// Forget everything recorded: afterwards the snapshot equals
     /// [`Snapshot::new`], having touched only the buckets it had filled
-    /// ([`Histogram::clear`]). Stage histograms stay allocated for the
-    /// next window to record into.
+    /// ([`Histogram::clear`]).
     pub fn clear(&mut self) {
         self.counters = Counters::default();
         self.response_us.clear();
         self.seek_cylinders.clear();
         self.queue_depth.clear();
         self.slack_us.clear();
-        for stage in self.stage_ns.iter_mut().flat_map(|s| s.iter_mut()) {
-            stage.clear();
-        }
-    }
-
-    /// The `StageSpan` arm of [`Snapshot::emit_sampled`], out of line:
-    /// no farm member emits one, and inline its allocation check costs
-    /// every other event.
-    #[cold]
-    #[inline(never)]
-    fn record_stage_span(&mut self, stage: Stage, elapsed_ns: u64, mask: u64) {
-        if self.counters.stage_spans & mask == 0 {
-            self.stage_ns.get_or_insert_with(Default::default)[stage.index()].record(elapsed_ns);
-        }
-        self.counters.stage_spans += 1;
     }
 
     /// Every distribution as a `(stable_name, histogram)` pair: the four
-    /// paper-analysis distributions followed by one `stage_<name>_ns`
-    /// entry per pipeline stage.
-    pub fn histograms(&self) -> [(&'static str, &Histogram); 4 + Stage::COUNT] {
+    /// paper-analysis distributions.
+    pub fn histograms(&self) -> [(&'static str, &Histogram); 4] {
         [
             ("response_us", &self.response_us),
             ("seek_cylinders", &self.seek_cylinders),
             ("queue_depth", &self.queue_depth),
             ("slack_us", &self.slack_us),
-            ("stage_characterize_ns", self.stage(Stage::Characterize)),
-            ("stage_encapsulate_ns", self.stage(Stage::Encapsulate)),
-            ("stage_enqueue_ns", self.stage(Stage::Enqueue)),
-            ("stage_dispatch_ns", self.stage(Stage::Dispatch)),
-            ("stage_service_ns", self.stage(Stage::Service)),
         ]
     }
 
@@ -347,9 +283,6 @@ impl Snapshot {
             TraceEvent::Migrate { .. } => c.migrations += 1,
             TraceEvent::Quarantine { .. } => c.quarantines += 1,
             TraceEvent::Retune { .. } => c.retunes += 1,
-            TraceEvent::StageSpan {
-                stage, elapsed_ns, ..
-            } => self.record_stage_span(stage, elapsed_ns, mask),
         }
     }
 
@@ -430,12 +363,6 @@ impl Snapshot {
         hist(&mut out, "seek_cylinders", "cyl", &self.seek_cylinders);
         hist(&mut out, "queue_depth", "", &self.queue_depth);
         hist(&mut out, "slack_us", "µs", &self.slack_us);
-        if c.stage_spans > 0 {
-            for stage in Stage::ALL {
-                let name = format!("stage_{}_ns", stage.name());
-                hist(&mut out, &name, "ns", self.stage(stage));
-            }
-        }
         out
     }
 }
@@ -451,18 +378,8 @@ impl TraceSink for Snapshot {
 mod tests {
     use super::*;
 
+    /// One event of every kind.
     fn feed(s: &mut Snapshot) {
-        feed_without_spans(s);
-        s.emit(&TraceEvent::StageSpan {
-            now_us: 87,
-            stage: Stage::Dispatch,
-            elapsed_ns: 250,
-        });
-    }
-
-    /// One event of every kind a farm member emits: everything but the
-    /// opt-in `StageSpan`.
-    fn feed_without_spans(s: &mut Snapshot) {
         s.emit(&TraceEvent::Arrival {
             now_us: 0,
             req: 1,
@@ -610,9 +527,7 @@ mod tests {
         );
         assert_eq!((c.redirects, c.shard_reports), (1, 1));
         assert_eq!((c.migrations, c.quarantines, c.retunes), (1, 1, 1));
-        assert_eq!(c.stage_spans, 1);
-        assert_eq!(c.total_events(), 24);
-        assert_eq!(s.stage(Stage::Dispatch).max(), Some(250));
+        assert_eq!(c.total_events(), 23);
         assert_eq!(s.response_us.count(), 1);
         assert_eq!(s.seek_cylinders.max(), Some(40));
         assert_eq!(s.queue_depth.max(), Some(3));
@@ -651,6 +566,11 @@ mod tests {
         feed(&mut both);
         a.merge(&b);
         assert_eq!(a, both);
+        // Clearing restores `new()`, and an emptied operand adds nothing.
+        b.clear();
+        assert_eq!(b, Snapshot::new());
+        a.merge(&b);
+        assert_eq!(a, both);
     }
 
     #[test]
@@ -673,59 +593,12 @@ mod tests {
 
     #[test]
     fn a_snapshot_stays_under_two_and_a_half_kilobytes() {
-        // Four inline histograms and the counters; the five stage
-        // histograms (2,800 bytes) are behind a pointer. A farm holds 41
-        // of these a member.
-        assert!(std::mem::size_of::<Snapshot>() <= 2_560);
+        // Four 560-byte histograms and 24 counters. A farm holds 41 of
+        // these a member.
+        assert!(std::mem::size_of::<Snapshot>() <= 2_432);
     }
 
-    #[test]
-    fn absent_stage_histograms_are_empty_ones() {
-        let mut absent = Snapshot::new();
-        feed_without_spans(&mut absent);
-        assert!(absent.stage_ns.is_none());
-        assert_eq!(absent.stage(Stage::Service), &Histogram::new());
-        // Present but never recorded into: a window that held a span,
-        // recycled.
-        let mut emptied = Snapshot::new();
-        feed(&mut emptied);
-        emptied.clear();
-        assert!(emptied.stage_ns.is_some());
-        assert_eq!(emptied, Snapshot::new());
-        assert_eq!(Snapshot::new(), emptied);
-        feed_without_spans(&mut emptied);
-        assert_eq!(emptied, absent);
-        // Present and recorded into differs, from either side.
-        let mut spanned = Snapshot::new();
-        feed(&mut spanned);
-        assert_ne!(spanned, absent);
-        assert_ne!(absent, spanned);
-        assert_ne!(spanned, emptied);
-        // Merging across the three: the spans arrive whichever side held
-        // them, and an empty operand adds nothing.
-        let mut twice = Snapshot::new();
-        feed(&mut twice);
-        feed_without_spans(&mut twice);
-        for (mut into, from) in [
-            (absent.clone(), &spanned),
-            (spanned.clone(), &absent),
-            (spanned.clone(), &emptied),
-            (emptied.clone(), &spanned),
-        ] {
-            into.merge(from);
-            assert_eq!(into, twice);
-        }
-        let mut both_absent = absent.clone();
-        both_absent.merge(&absent);
-        assert!(both_absent.stage_ns.is_none(), "nothing to allocate for");
-        both_absent.merge(&emptied);
-        let mut thrice = Snapshot::new();
-        (0..3).for_each(|_| feed_without_spans(&mut thrice));
-        assert_eq!(both_absent, thrice);
-    }
-
-    /// What PR 22's dense snapshot rendered for `feed_without_spans`,
-    /// after its 50 counter lines.
+    /// The exposition of `feed`'s snapshot after its 48 counter lines.
     const EXPOSITION_TAIL: &str = "\
 # TYPE sched_response_us histogram
 sched_response_us_bucket{shard=\"3\",le=\"31\"} 1
@@ -763,20 +636,19 @@ slack_us: n 1  mean 0.0µs  p50 0  p95 0  p99 0  p999 0  min 0  max 0
 ";
 
     #[test]
-    fn a_snapshot_without_spans_renders_as_the_dense_one_did() {
-        let mut absent = Snapshot::new();
-        feed_without_spans(&mut absent);
-        let mut emptied = Snapshot::new();
-        feed(&mut emptied);
-        emptied.clear();
-        feed_without_spans(&mut emptied);
-        for s in [&absent, &emptied] {
+    fn fresh_and_recycled_snapshots_render_the_same_goldens() {
+        let mut fresh = Snapshot::new();
+        feed(&mut fresh);
+        let mut recycled = Snapshot::new();
+        feed(&mut recycled);
+        recycled.clear();
+        feed(&mut recycled);
+        for s in [&fresh, &recycled] {
             assert_eq!(s.report(), REPORT);
             let mut out = String::new();
             crate::encode_snapshot(&mut out, "sched", &[("shard", "3")], s);
             assert!(out.ends_with(EXPOSITION_TAIL), "{out}");
-            assert_eq!(out.lines().count(), 50 + EXPOSITION_TAIL.lines().count());
-            assert!(!out.contains("_ns"), "no stage series without a span");
+            assert_eq!(out.lines().count(), 48 + EXPOSITION_TAIL.lines().count());
         }
     }
 }

@@ -544,8 +544,8 @@ mod tests {
         assert!(deltas[0].partial && deltas[1..].iter().all(|d| !d.partial));
     }
 
-    /// One event of every histogram-feeding kind (and one counter-only
-    /// kind) by turns, with magnitudes spread over the bucket array so
+    /// One event of every histogram-feeding kind (and two counter-only
+    /// kinds) by turns, with magnitudes spread over the bucket array so
     /// consecutive windows fill different bucket ranges.
     fn mixed(now_us: u64, x: u64) -> TraceEvent {
         let wide = x >> (x % 59);
@@ -564,10 +564,9 @@ mod tests {
                 seek_cylinders: wide as u32,
             },
             2 => complete(now_us, wide),
-            3 => TraceEvent::StageSpan {
+            3 => TraceEvent::QueueSwap {
                 now_us,
-                stage: crate::Stage::ALL[(x >> 32) as usize % crate::Stage::COUNT],
-                elapsed_ns: wide,
+                batch: wide,
             },
             _ => TraceEvent::Arrival {
                 now_us,

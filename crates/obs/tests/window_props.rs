@@ -9,15 +9,14 @@
 //! drawn window shapes. The flight recorder's dump deltas lean on one
 //! more: subtracting a counter checkpoint undoes a merge exactly.
 
-use obs::{Snapshot, Stage, TraceEvent, TraceSink, WindowedSnapshot};
+use obs::{Snapshot, TraceEvent, TraceSink, WindowedSnapshot};
 use proptest::prelude::*;
 
 /// Strategy: one trace event with an arbitrary timestamp. Covers the
 /// variants that exercise every aggregation path: counters only
 /// (`Arrival`, `Shed`, `Redirect`), histogram feeders (`ServiceComplete`
 /// for response/lateness, `Dispatch` for queue depth and slack,
-/// `ServiceStart` for seeks, `StageSpan` for stage timings), and the
-/// farm roll-up (`ShardReport`).
+/// `ServiceStart` for seeks), and the farm roll-up (`ShardReport`).
 fn event() -> impl Strategy<Value = TraceEvent> {
     (0u8..7, 0u64..200_000, any::<u64>(), any::<u32>()).prop_map(
         |(kind, now_us, a, b)| match kind {
@@ -58,10 +57,11 @@ fn event() -> impl Strategy<Value = TraceEvent> {
                 to_shard: (b + 1) % 8,
                 queue_depth: a % 64,
             },
-            _ => TraceEvent::StageSpan {
+            _ => TraceEvent::ShardReport {
                 now_us,
-                stage: Stage::ALL[(b as usize) % Stage::ALL.len()],
-                elapsed_ns: a % 1_000_000,
+                shard: b % 8,
+                served: a % 1_000_000,
+                sheds: a % 64,
             },
         },
     )

@@ -32,13 +32,6 @@ pub struct SimOptions {
     /// as a loss instead. An exhausted budget is a loss
     /// ([`Metrics::failed`]), never a hang.
     pub max_attempts: u32,
-    /// Emit wall-clock [`obs::TraceEvent::StageSpan`]s over the engine's
-    /// enqueue/dispatch/service stages, sampled 1-in-`2^shift` per stage
-    /// (`None` = off, the default). Span *durations* are wall-clock and
-    /// therefore nondeterministic; span *counts* are a deterministic
-    /// function of the trace, so event-reconciliation invariants still
-    /// hold. Ignored when the sink is [`obs::NullSink`].
-    pub stage_spans: Option<u32>,
 }
 
 impl Default for SimOptions {
@@ -48,7 +41,6 @@ impl Default for SimOptions {
             dims: sched::MAX_QOS_DIMS,
             levels: 16,
             max_attempts: 1,
-            stage_spans: None,
         }
     }
 }
@@ -73,13 +65,6 @@ impl SimOptions {
     /// (retries stop early once the deadline has passed).
     pub fn with_retries(mut self, max_attempts: u32) -> Self {
         self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Emit sampled wall-clock stage spans (1-in-`2^shift` per stage)
-    /// into the trace sink. See [`SimOptions::stage_spans`].
-    pub fn with_stage_spans(mut self, shift: u32) -> Self {
-        self.stage_spans = Some(shift);
         self
     }
 }
@@ -546,59 +531,6 @@ mod tests {
             limping.busy_us(),
             healthy.busy_us()
         );
-    }
-
-    #[test]
-    fn stage_spans_populate_stage_histograms_deterministically() {
-        use obs::{Snapshot, Stage};
-        let trace: Vec<Request> = (0..40)
-            .map(|i| req(i, i * 700, u64::MAX, ((i * 433) % 3832) as u32, &[0]))
-            .collect();
-        let options = SimOptions::with_shape(1, 2).with_stage_spans(0);
-        let run = || {
-            let mut snap = Snapshot::new();
-            let mut service = TransferDominated::uniform(1_000, 3832);
-            let m = simulate_traced(&mut Fcfs::new(), &trace, &mut service, options, &mut snap);
-            (m, snap)
-        };
-        let (m, snap) = run();
-        assert!(snap.counters.stage_spans > 0);
-        // Shift 0 samples every occurrence: one dispatch span per
-        // dequeue attempt, one service span per service.
-        let engine_stages = [Stage::Enqueue, Stage::Dispatch, Stage::Service];
-        let span_total: u64 = engine_stages.iter().map(|&s| snap.stage(s).count()).sum();
-        assert_eq!(span_total, snap.counters.stage_spans);
-        assert_eq!(snap.stage(Stage::Service).count(), m.served);
-        assert!(snap.stage(Stage::Enqueue).count() > 0);
-        // Span counts (not durations) are deterministic across runs.
-        let (_, again) = run();
-        assert_eq!(again.counters.stage_spans, snap.counters.stage_spans);
-        // And they do not depend on how the run is pumped: the daemon's
-        // pattern (pump to each arrival, then submit it) with extra
-        // horizons inside the busy period counts the same spans per stage.
-        let mut pumped = Snapshot::new();
-        let mut service = TransferDominated::uniform(1_000, 3832);
-        let mut scheduler = Fcfs::new();
-        let mut stepper = EngineStepper::new(options, service.cylinders());
-        for r in &trace {
-            for horizon in [r.arrival_us.saturating_sub(300), r.arrival_us] {
-                stepper.run_until(horizon, &mut scheduler, &mut service, &mut pumped);
-            }
-            stepper.submit(r.clone());
-        }
-        stepper.finish(&mut scheduler, &mut service, &mut pumped);
-        assert_eq!(stepper.into_metrics(), m);
-        for stage in engine_stages {
-            assert_eq!(
-                pumped.stage(stage).count(),
-                snap.stage(stage).count(),
-                "{stage:?}"
-            );
-        }
-        // Untraced metrics are untouched by span emission.
-        let mut service = TransferDominated::uniform(1_000, 3832);
-        let plain = simulate(&mut Fcfs::new(), &trace, &mut service, options);
-        assert_eq!(plain, m);
     }
 
     #[test]

@@ -47,8 +47,6 @@ pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,
 };
 pub use step::EngineStepper;
-pub use striped::{
-    simulate_striped, simulate_striped_faulted, simulate_striped_observed, StripedOutcome,
-};
+pub use striped::{simulate_striped, StripedOutcome};
 
 pub use sched::Micros;

@@ -34,11 +34,7 @@
 //! requires to be idempotent and silent — so extra pumps of an idle
 //! stepper are harmless, and a caller running many steppers may skip
 //! them: only a stepper whose [`EngineStepper::next_action_us`] lies
-//! before the horizon can be changed by a pump. (With
-//! [`SimOptions::stage_spans`] on, each repeat is one more `Dispatch`
-//! span candidate — a wall-clock observation of a call that did happen;
-//! a run pumped only where there is work has the span counts of a run
-//! pumped once.)
+//! before the horizon can be changed by a pump.
 //!
 //! ## Counting inversions without walking the queue
 //!
@@ -80,39 +76,6 @@ use crate::engine::{RequestRecord, SimOptions};
 use crate::metrics::Metrics;
 use crate::service::{ServiceFault, ServiceProvider};
 
-/// Per-stage samplers for the engine's wall-clock spans; `None` unless
-/// [`SimOptions::stage_spans`] is set.
-struct EngineSpans {
-    enqueue: obs::StageSampler,
-    dispatch: obs::StageSampler,
-    service: obs::StageSampler,
-}
-
-impl EngineSpans {
-    fn new(shift: u32) -> Self {
-        EngineSpans {
-            enqueue: obs::StageSampler::every_pow2(shift),
-            dispatch: obs::StageSampler::every_pow2(shift),
-            service: obs::StageSampler::every_pow2(shift),
-        }
-    }
-}
-
-/// Start a wall clock for this stage occurrence if the sampler picks it.
-/// A disabled sink ([`obs::NullSink`]) never ticks the sampler.
-#[inline]
-fn span_clock<S: TraceSink>(sampler: Option<&mut obs::StageSampler>) -> Option<std::time::Instant> {
-    if !S::ENABLED {
-        return None;
-    }
-    let s = sampler?;
-    if s.tick() {
-        Some(std::time::Instant::now())
-    } else {
-        None
-    }
-}
-
 /// Dispatch slack as the events carry it: signed, clamped to `i64`.
 #[inline]
 fn slack_us(req: &Request, now: Micros) -> i64 {
@@ -124,7 +87,7 @@ fn slack_us(req: &Request, now: Micros) -> i64 {
 }
 
 /// The engine: policy knobs, accumulated metrics, the simulation clock,
-/// the span samplers, the inversion census and the not yet delivered
+/// the inversion census and the not yet delivered
 /// arrival backlog. The caller owns the scheduler, the service model and
 /// the sink, passing them to every pump so the same stepper can outlive
 /// any one of them.
@@ -133,7 +96,6 @@ pub struct EngineStepper {
     metrics: Metrics,
     now: Micros,
     cylinders: u32,
-    spans: Option<EngineSpans>,
     census: Census,
     pending: VecDeque<Request>,
     last_arrival_us: Micros,
@@ -148,7 +110,6 @@ impl EngineStepper {
             metrics: Metrics::new(options.dims, options.levels),
             now: 0,
             cylinders,
-            spans: options.stage_spans.map(EngineSpans::new),
             census: Census::new(options.dims, options.levels),
             options,
             pending: VecDeque::new(),
@@ -375,19 +336,11 @@ impl EngineStepper {
             self.census.rebuild(scheduler);
         }
         let head = HeadState::new(service.head(), chunk[0].arrival_us, self.cylinders);
-        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.enqueue));
         scheduler.enqueue_batch(chunk, &head);
         // A bounded queue may have shed some of these, or queued victims
         // in their place; the length check at the next dequeue sees that.
         for r in chunk {
             self.census.add(r);
-        }
-        if let Some(t0) = clock {
-            sink.emit(&TraceEvent::StageSpan {
-                now_us: head.now_us,
-                stage: obs::Stage::Enqueue,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
         }
         self.pending.drain(..n);
     }
@@ -401,16 +354,7 @@ impl EngineStepper {
         sink: &mut S,
     ) -> bool {
         let head = HeadState::new(service.head(), self.now, self.cylinders);
-        let clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.dispatch));
-        let picked = scheduler.dequeue(&head);
-        if let Some(t0) = clock {
-            sink.emit(&TraceEvent::StageSpan {
-                now_us: self.now,
-                stage: obs::Stage::Dispatch,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-        let Some(req) = picked else {
+        let Some(req) = scheduler.dequeue(&head) else {
             return false;
         };
         let waiting = scheduler.len();
@@ -499,7 +443,6 @@ impl EngineStepper {
         // busy-time accounting covers the whole failure path.
         let max_attempts = self.options.max_attempts.max(1);
         let mut attempt: u32 = 1;
-        let service_clock = span_clock::<S>(self.spans.as_mut().map(|s| &mut s.service));
         let outcome = loop {
             let o = service.service_checked(&req, self.now);
             self.now = self.now.saturating_add(o.breakdown.total_us());
@@ -538,13 +481,6 @@ impl EngineStepper {
                 });
             }
         };
-        if let Some(t0) = service_clock {
-            sink.emit(&TraceEvent::StageSpan {
-                now_us: self.now,
-                stage: obs::Stage::Service,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
         let Some(o) = outcome else {
             // Retry budget exhausted (or the error was not recoverable):
             // the request is abandoned — a loss, never a hang.

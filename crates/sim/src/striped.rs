@@ -18,7 +18,7 @@ use crate::engine::{simulate_traced, SimOptions};
 use crate::metrics::Metrics;
 use crate::service::DiskService;
 use diskmodel::{Disk, FaultPlan, Raid5};
-use obs::{NullSink, Snapshot, TraceSink};
+use obs::TraceSink;
 use sched::{DiskScheduler, Request};
 
 /// Result of a striped run: per-member metrics plus the aggregate.
@@ -59,28 +59,16 @@ impl StripedOutcome {
 /// their `cylinder` field (reinterpreted as an LBA group, matching
 /// [`crate::Raid5Service`]); each request is routed to the member disk
 /// that owns its data block and the member's own scheduler+disk pair
-/// simulates it. `make_scheduler` builds one scheduler per member.
-pub fn simulate_striped(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
-    options: SimOptions,
-) -> StripedOutcome {
-    run_striped(
-        trace,
-        members,
-        make_scheduler,
-        options,
-        |_| DiskService::table1(),
-        &mut NullSink,
-    )
-}
-
-/// [`simulate_striped`] with a per-member fault stream of `plan`
-/// (transient media errors, bad-sector remaps, limping members): member
-/// `m`'s disk draws from stream `m`, so the group sees independent but
-/// fully deterministic fault sequences. Combine with
-/// [`SimOptions::with_retries`] for the recovery policy.
+/// simulates it, emitting into `sink`. `make_scheduler` builds one
+/// scheduler per member.
+///
+/// Member `m`'s disk draws from fault stream `m` of `plan` (transient
+/// media errors, bad-sector remaps, limping members), so the group sees
+/// independent but fully deterministic fault sequences; with
+/// [`FaultPlan::none`] every member is a healthy Table-1 disk. Combine
+/// with [`SimOptions::with_retries`] for the recovery policy. Pass a
+/// [`obs::Snapshot`] as `sink` for a group-level view whose counters
+/// reconcile with [`StripedOutcome::aggregate`] ([`Metrics::reconcile`]).
 ///
 /// Full member failure, degraded reads, and background rebuild are *not*
 /// available here: the striped model runs each member on an independent
@@ -90,62 +78,19 @@ pub fn simulate_striped(
 ///
 /// # Panics
 ///
-/// Panics if `plan` schedules a member failure.
-pub fn simulate_striped_faulted(
+/// Panics if `plan` schedules a member failure, or if `members < 3`.
+pub fn simulate_striped<S: TraceSink>(
     trace: &[Request],
     members: usize,
     make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
     options: SimOptions,
     plan: &FaultPlan,
-) -> (StripedOutcome, Snapshot) {
+    sink: &mut S,
+) -> StripedOutcome {
     assert!(
         plan.member_failure.is_none(),
         "member failure needs the grouped timeline: use Raid5Service::with_faults"
     );
-    let mut group = Snapshot::new();
-    let outcome = run_striped(
-        trace,
-        members,
-        make_scheduler,
-        options,
-        |m| DiskService::with_faults_as_member(Disk::table1(), plan.clone(), m),
-        &mut group,
-    );
-    (outcome, group)
-}
-
-/// [`simulate_striped`] with every member's events accumulated into one
-/// group-level [`Snapshot`]. The snapshot's event-derived
-/// counters reconcile with [`StripedOutcome::aggregate`]
-/// ([`Metrics::reconcile`]).
-pub fn simulate_striped_observed(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
-    options: SimOptions,
-) -> (StripedOutcome, Snapshot) {
-    let mut group = Snapshot::new();
-    let outcome = run_striped(
-        trace,
-        members,
-        make_scheduler,
-        options,
-        |_| DiskService::table1(),
-        &mut group,
-    );
-    (outcome, group)
-}
-
-/// Shared member fan-out: route, sort, and simulate each member in turn
-/// with its own scheduler and service model, all emitting into `sink`.
-fn run_striped<S: TraceSink>(
-    trace: &[Request],
-    members: usize,
-    make_scheduler: impl Fn() -> Box<dyn DiskScheduler>,
-    options: SimOptions,
-    make_service: impl Fn(usize) -> DiskService,
-    sink: &mut S,
-) -> StripedOutcome {
     assert!(members >= 3, "RAID-5 needs at least 3 members");
     let layout = Raid5::new(Disk::table1(), members);
     let cylinders = Disk::table1().geometry().cylinders();
@@ -182,7 +127,7 @@ fn run_striped<S: TraceSink>(
     let mut makespan = 0u64;
     for (member, member_trace) in member_traces.iter().enumerate() {
         let mut scheduler = make_scheduler();
-        let mut service = make_service(member);
+        let mut service = DiskService::with_faults_as_member(Disk::table1(), plan.clone(), member);
         let m = simulate_traced(
             scheduler.as_mut(),
             member_trace,
@@ -203,6 +148,7 @@ fn run_striped<S: TraceSink>(
 mod tests {
     use super::*;
     use crate::engine::simulate;
+    use obs::{NullSink, Snapshot};
     use sched::{Fcfs, QosVector};
 
     /// A saturating batch of single-block reads over many logical blocks.
@@ -229,6 +175,8 @@ mod tests {
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2),
+            &FaultPlan::none(),
+            &mut NullSink,
         );
         assert_eq!(out.served(), 400);
         assert_eq!(out.per_member.len(), 5);
@@ -253,6 +201,8 @@ mod tests {
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2),
+            &FaultPlan::none(),
+            &mut NullSink,
         );
         let speedup = single.makespan_us as f64 / group.makespan_us as f64;
         assert!(
@@ -273,6 +223,8 @@ mod tests {
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2).dropping(),
+            &FaultPlan::none(),
+            &mut NullSink,
         );
         // Hopeless deadlines: almost everything lost, ratio near 1.
         assert!(out.loss_ratio() > 0.9);
@@ -293,6 +245,8 @@ mod tests {
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2),
+            &FaultPlan::none(),
+            &mut NullSink,
         );
         let total = out.aggregate();
         assert_eq!(total.served, out.served());
@@ -310,11 +264,14 @@ mod tests {
     #[test]
     fn observed_snapshot_reconciles_with_aggregate_metrics() {
         let trace = batch(400);
-        let (out, snap) = simulate_striped_observed(
+        let mut snap = Snapshot::new();
+        let out = simulate_striped(
             &trace,
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2),
+            &FaultPlan::none(),
+            &mut snap,
         );
         let total = out.aggregate();
         let c = &snap.counters;
@@ -328,13 +285,23 @@ mod tests {
     fn faulted_group_with_zero_plan_matches_healthy_run() {
         let trace = batch(200);
         let options = SimOptions::with_shape(1, 2);
-        let healthy = simulate_striped(&trace, 5, || Box::new(Fcfs::new()), options);
-        let (faulted, snap) = simulate_striped_faulted(
+        let healthy = simulate_striped(
             &trace,
             5,
             || Box::new(Fcfs::new()),
             options,
             &FaultPlan::none(),
+            &mut NullSink,
+        );
+        // A seeded plan whose rates are all zero draws nothing.
+        let mut snap = Snapshot::new();
+        let faulted = simulate_striped(
+            &trace,
+            5,
+            || Box::new(Fcfs::new()),
+            options,
+            &FaultPlan::media(77, 0, 0),
+            &mut snap,
         );
         assert_eq!(healthy.aggregate(), faulted.aggregate());
         assert_eq!(snap.counters.media_errors, 0);
@@ -343,12 +310,14 @@ mod tests {
     #[test]
     fn faulted_group_sees_member_distinct_media_errors() {
         let trace = batch(400);
-        let (out, snap) = simulate_striped_faulted(
+        let mut snap = Snapshot::new();
+        let out = simulate_striped(
             &trace,
             5,
             || Box::new(Fcfs::new()),
             SimOptions::with_shape(1, 2).with_retries(4),
             &FaultPlan::media(77, 150_000, 40_000),
+            &mut snap,
         );
         let total = out.aggregate();
         assert!(total.media_errors > 0, "rate should fire");
@@ -361,12 +330,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "grouped timeline")]
     fn faulted_group_rejects_member_failure_plans() {
-        simulate_striped_faulted(
+        simulate_striped(
             &batch(10),
             5,
             || Box::new(Fcfs::new()),
             SimOptions::default(),
             &FaultPlan::none().with_member_failure(1, 0),
+            &mut NullSink,
         );
     }
 
@@ -378,6 +348,8 @@ mod tests {
             2,
             || Box::new(Fcfs::new()),
             SimOptions::default(),
+            &FaultPlan::none(),
+            &mut NullSink,
         );
     }
 }

@@ -3,6 +3,8 @@
 //! receiving `1/stripe_width` of every stream. Here the *whole group* is
 //! simulated instead, and the two views must agree on the loss picture.
 
+use cascaded_sfc::diskmodel::FaultPlan;
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{Batched, CScan, DiskScheduler};
 use cascaded_sfc::sim::{simulate, simulate_striped, DiskService, SimOptions};
 use cascaded_sfc::workload::NewsByteConfig;
@@ -42,6 +44,8 @@ fn one_member_view_approximates_the_full_group() {
             5,
             scheduler,
             SimOptions::with_shape(1, 8).dropping(),
+            &FaultPlan::none(),
+            &mut NullSink,
         )
     };
 
@@ -84,6 +88,8 @@ fn group_members_share_the_load_evenly() {
         5,
         scheduler,
         SimOptions::with_shape(1, 8).dropping(),
+        &FaultPlan::none(),
+        &mut NullSink,
     );
     let loads: Vec<u64> = out.per_member.iter().map(|m| m.requests_total()).collect();
     let max = *loads.iter().max().unwrap() as f64;
@@ -103,19 +109,17 @@ fn group_members_share_the_load_evenly() {
     expected = "member failure needs the grouped timeline: use Raid5Service::with_faults"
 )]
 fn striped_faulted_rejects_member_failure_plans() {
-    use cascaded_sfc::diskmodel::FaultPlan;
-    use cascaded_sfc::sim::simulate_striped_faulted;
-
     let mut wl = NewsByteConfig::paper(10);
     wl.stripe_width = 1;
     wl.duration_us = 2_000_000;
     let trace = wl.generate(11);
     let plan = FaultPlan::none().with_member_failure(1, 0);
-    simulate_striped_faulted(
+    simulate_striped(
         &trace,
         5,
         scheduler,
         SimOptions::with_shape(1, 8).dropping(),
         &plan,
+        &mut NullSink,
     );
 }
