@@ -1,27 +1,20 @@
-//! Farm harness — shard-count scaling, routing-policy quality, and the
-//! farm CI smoke gate.
+//! Farm harness — shard-count scaling under the three routing policies.
 //!
-//! Not a paper figure: §5–6 evaluate one disk (and PR 2's striping one
+//! Not a paper figure: §5–6 evaluate one disk (and the striped path one
 //! RAID group). The farm crate scales the same workload across N
-//! independent shards, and this harness measures what that buys, in two
-//! modes (the `farm` binary):
+//! independent shards, and this harness measures what that buys (the
+//! `farm` subcommand): a fixed VoD load sized to saturate a small farm
+//! is re-run at increasing shard counts under all three routing
+//! policies, and the CSV reports per-policy served/loss/shed/redirect
+//! counts and the simulated makespan. Deterministic given `--seed`.
 //!
-//! * **sweep** — a fixed VoD load sized to saturate a small farm is
-//!   re-run at increasing shard counts under all three routing
-//!   policies; the CSV reports per-policy served/loss/shed/redirect
-//!   counts and the simulated makespan.
-//! * **smoke** — the CI gate: for every policy, redirect counters must
-//!   reconcile exactly with the traced Redirect events, every arrival must be
-//!   accounted for (served + dropped + failed + shed), and least-loaded
-//!   routing must shed strictly less than hash routing at the
-//!   just-past-saturation operating point. Exits 1 on any violation.
-//!
-//! Both modes are deterministic given `--seed`.
+//! What the farm guarantees at the overloaded operating point — the
+//! ledger and event counts under every policy, least-loaded shedding
+//! less than hash, redirects reconciling — is asserted by the farm
+//! crate's own `tests/determinism.rs`.
 
 use crate::vod;
 use farm::{simulate_farm, FarmConfig, FarmOutcome, RoutePolicy};
-use obs::Snapshot;
-use sim::Metrics;
 
 /// The three routing policies, in report order.
 pub const POLICIES: [RoutePolicy; 3] = [
@@ -60,10 +53,6 @@ impl Default for Config {
     }
 }
 
-fn vod_trace(cfg: &Config) -> Vec<sched::Request> {
-    vod::trace(cfg.streams, cfg.duration_us, cfg.seed)
-}
-
 /// One measured point of the sweep.
 #[derive(Debug, Clone)]
 pub struct Row {
@@ -87,28 +76,7 @@ pub struct Row {
     pub makespan_us: u64,
 }
 
-/// Run one farm configuration.
-pub fn run_point(
-    cfg: &Config,
-    shards: usize,
-    policy: RoutePolicy,
-    redirects: bool,
-) -> (FarmOutcome, Snapshot) {
-    let trace = vod_trace(cfg);
-    let mut farm_cfg = FarmConfig::new(shards).with_policy(policy);
-    if redirects {
-        farm_cfg = farm_cfg.with_redirects();
-    }
-    simulate_farm(
-        &trace,
-        &farm_cfg,
-        |_| vod::bounded_scheduler(cfg.max_queue),
-        vod::options(),
-    )
-}
-
-fn row(cfg: &Config, shards: usize, policy: RoutePolicy, out: &FarmOutcome) -> Row {
-    let arrivals = vod_trace(cfg).len() as u64;
+fn row(shards: usize, policy: RoutePolicy, arrivals: u64, out: &FarmOutcome) -> Row {
     let total = out.aggregate();
     let lost = total.losses_total() + out.sheds();
     Row {
@@ -130,11 +98,17 @@ fn row(cfg: &Config, shards: usize, policy: RoutePolicy, out: &FarmOutcome) -> R
 
 /// Produce the scaling table: one [`Row`] per (shard count, policy).
 pub fn sweep(cfg: &Config) -> Vec<Row> {
+    let trace = vod::trace(cfg.streams, cfg.duration_us, cfg.seed);
     let mut rows = Vec::new();
     for &shards in &cfg.shards {
         for policy in POLICIES {
-            let (out, _) = run_point(cfg, shards, policy, false);
-            rows.push(row(cfg, shards, policy, &out));
+            let (out, _) = simulate_farm(
+                &trace,
+                &FarmConfig::new(shards).with_policy(policy),
+                |_| vod::bounded_scheduler(cfg.max_queue),
+                vod::options(),
+            );
+            rows.push(row(shards, policy, trace.len() as u64, &out));
         }
     }
     rows
@@ -159,90 +133,6 @@ pub fn print_csv(rows: &[Row]) {
     }
 }
 
-/// Check the arrival ledger: every request is inside some shard's engine
-/// metrics (served + dropped + failed) or was shed by a bounded queue.
-pub fn reconcile(out: &FarmOutcome, snap: &Snapshot, arrivals: u64) -> Result<(), String> {
-    let total = Metrics::merged(&out.per_shard);
-    let accounted = total.requests_total() + out.sheds();
-    if accounted != arrivals {
-        return Err(format!(
-            "arrival ledger: {accounted} accounted of {arrivals} \
-             (served {} dropped {} failed {} shed {})",
-            total.served,
-            total.dropped,
-            total.failed,
-            out.sheds()
-        ));
-    }
-    if snap.counters.arrivals != arrivals {
-        return Err(format!(
-            "arrival events: {} != {arrivals}",
-            snap.counters.arrivals
-        ));
-    }
-    if snap.counters.redirects != out.redirects {
-        return Err(format!(
-            "redirect events vs outcome counter: {} != {}",
-            snap.counters.redirects, out.redirects
-        ));
-    }
-    if snap.counters.shard_reports != out.per_shard.len() as u64 {
-        return Err(format!(
-            "shard_report events: {} != {} shards",
-            snap.counters.shard_reports,
-            out.per_shard.len()
-        ));
-    }
-    Ok(())
-}
-
-/// The CI smoke gate. Returns the (hash, least-loaded, redirected-hash)
-/// rows at 4 shards on success; the error names the violated guarantee.
-pub fn smoke(cfg: &Config) -> Result<(Row, Row, Row), String> {
-    let arrivals = vod_trace(cfg).len() as u64;
-    let shards = 4;
-
-    // The ledger must reconcile for every policy.
-    let mut per_policy = Vec::new();
-    for policy in POLICIES {
-        let (out, snap) = run_point(cfg, shards, policy, false);
-        reconcile(&out, &snap, arrivals)?;
-        per_policy.push(row(cfg, shards, policy, &out));
-    }
-    let hash = per_policy[0].clone();
-    let least_loaded = per_policy[2].clone();
-
-    // Load-aware routing must beat load-blind hashing under overload.
-    if hash.sheds == 0 {
-        return Err(format!(
-            "operating point is not overloaded: hash routing shed nothing \
-             ({} streams, {} shards, queue {})",
-            cfg.streams, shards, cfg.max_queue
-        ));
-    }
-    if least_loaded.sheds >= hash.sheds {
-        return Err(format!(
-            "least-loaded should shed strictly less than hash: {} vs {}",
-            least_loaded.sheds, hash.sheds
-        ));
-    }
-
-    // Redirect-on-overload must fire, reconcile, and not make hash worse.
-    let (out, snap) = run_point(cfg, shards, RoutePolicy::HashStream, true);
-    reconcile(&out, &snap, arrivals)?;
-    if out.redirects == 0 {
-        return Err("redirect-on-overload never fired under overload".into());
-    }
-    let redirected = row(cfg, shards, RoutePolicy::HashStream, &out);
-    if redirected.sheds > hash.sheds {
-        return Err(format!(
-            "redirects made shedding worse: {} vs {}",
-            redirected.sheds, hash.sheds
-        ));
-    }
-    Ok((hash, least_loaded, redirected))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,14 +142,6 @@ mod tests {
             duration_us: 6_000_000,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn smoke_gate_passes() {
-        let (hash, least_loaded, redirected) = smoke(&small()).expect("farm smoke gate");
-        assert!(hash.sheds > 0);
-        assert!(least_loaded.sheds < hash.sheds);
-        assert!(redirected.redirects > 0);
     }
 
     #[test]

@@ -3,21 +3,17 @@
 //! Not a paper figure: the PanaViss deployment the paper targets runs
 //! every stream over RAID-5 precisely because member disks fail, but
 //! §5–6 only evaluate the healthy path. This harness measures what the
-//! fault layer adds, in three modes (the `faults` binary):
+//! fault layer adds, in two modes (the `faults` subcommand):
 //!
 //! * **sweep** — a VoD load sized well inside the admission bound is
 //!   re-run over a striped group at increasing transient media-error
 //!   rates; the CSV reports the loss / seek / p99-response degradation
 //!   curves.
-//! * **smoke** — the CI gate: the zero-fault point must stay loss-free
-//!   and bit-reconciled with its event stream, and a high-rate point
-//!   must lose requests *gracefully* — every request accounted for as
-//!   served, dropped, or failed; nothing hangs or leaks.
 //! * **degraded** — the grouped RAID-5 timeline: one member dies
 //!   mid-run, reads reconstruct from the survivors, and a background
 //!   rebuild competes with foreground service.
 //!
-//! All three modes are deterministic given `--seed`.
+//! Both modes are deterministic given `--seed`.
 
 use crate::vod;
 use diskmodel::{DiskGeometry, FaultPlan, SeekModel};
@@ -198,56 +194,6 @@ pub fn reconcile(m: &Metrics, snap: &Snapshot, arrivals: u64) -> Result<(), Stri
     m.reconcile(c)
 }
 
-/// The CI smoke gate. Returns the zero-fault and high-rate rows on
-/// success; the error names the violated guarantee.
-pub fn smoke(cfg: &Config) -> Result<(Row, Row), String> {
-    let arrivals = vod_trace(cfg).len() as u64;
-
-    // Zero fault rate: the admission-sized load must be loss-free, the
-    // fault layer completely silent.
-    let (out, snap) = run_point(cfg, 0);
-    let total = out.aggregate();
-    reconcile(&total, &snap, arrivals)?;
-    if total.losses_total() != 0 {
-        return Err(format!(
-            "zero-fault run lost {} of {} requests",
-            total.losses_total(),
-            total.requests_total()
-        ));
-    }
-    if total.media_errors != 0 || total.sector_remaps != 0 || total.retries != 0 {
-        return Err("zero-fault run reported fault activity".into());
-    }
-    let zero = row(0, &total, &snap);
-
-    // High fault rate: losses are expected — what matters is that the
-    // run terminates with every request accounted for, and that the
-    // event stream still reconciles exactly.
-    let high_ppm = cfg
-        .rates_ppm
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(250_000)
-        .max(100_000);
-    let (out, snap) = run_point(cfg, high_ppm);
-    let total = out.aggregate();
-    reconcile(&total, &snap, arrivals)?;
-    if total.media_errors == 0 {
-        return Err(format!("{high_ppm} ppm injected no media errors"));
-    }
-    if total.losses_total() == 0 {
-        return Err(format!("{high_ppm} ppm run was implausibly loss-free"));
-    }
-    if total.requests_total() != arrivals {
-        return Err(format!(
-            "high-rate run leaked requests: {} accounted of {arrivals}",
-            total.requests_total()
-        ));
-    }
-    Ok((zero, row(high_ppm, &total, &snap)))
-}
-
 /// Everything the degraded-mode run produced.
 #[derive(Debug)]
 pub struct DegradedReport {
@@ -320,15 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn smoke_gate_passes() {
-        let (zero, high) = smoke(&small()).expect("smoke gate");
-        assert_eq!(zero.losses, 0);
-        assert_eq!(zero.media_errors, 0);
-        assert!(high.media_errors > 0);
-        assert!(high.losses > 0);
-    }
-
-    #[test]
     fn losses_and_tail_latency_degrade_with_the_fault_rate() {
         let cfg = Config {
             rates_ppm: vec![0, 250_000],
@@ -337,6 +274,8 @@ mod tests {
         let rows = sweep(&cfg);
         assert_eq!(rows.len(), 2);
         assert!(rows[0].losses == 0, "healthy point lost {}", rows[0].losses);
+        let r = &rows[0];
+        assert_eq!((r.media_errors, r.sector_remaps, r.retries), (0, 0, 0));
         assert!(rows[1].losses > rows[0].losses);
         assert!(rows[1].media_errors > 0);
         assert!(rows[1].retries > 0);
@@ -346,6 +285,15 @@ mod tests {
             rows[1].p99_response_us,
             rows[0].p99_response_us
         );
+        // At both ends every request is accounted for and the group's
+        // event stream reconciles with its metrics.
+        let arrivals = vod_trace(&cfg).len() as u64;
+        for &ppm in &cfg.rates_ppm {
+            let (out, snap) = run_point(&cfg, ppm);
+            let total = out.aggregate();
+            assert_eq!(total.requests_total(), arrivals, "{ppm} ppm");
+            reconcile(&total, &snap, arrivals).expect("events match metrics");
+        }
     }
 
     #[test]

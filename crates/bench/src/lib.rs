@@ -32,12 +32,11 @@
 //! | `ablation` | `--seed` | [`ablation`]: preemption regimes and SP/ER under a mixed load and the adversarial starvation stream |
 //! | `curves` | | [`sfc::quality`]: the geometric quality table of the whole curve catalogue (2-D, order 4) |
 //! | `trace` | `--seed --requests --dims --service-us --window --transient-ppm --bad-sector-ppm --retries --max-queue --out --format jsonl\|csv` | [`trace`]: a fully-instrumented run's per-request event timeline into `--out`; histogram summary and reconciliation verdict on stderr |
-//! | `faults` | `--mode sweep\|smoke\|degraded --seed --members --streams --duration-ms --retries --rate-ppm` | [`fault`]: loss/seek/p99 degradation curves under injected media errors, the fault smoke gate, or the degraded-RAID report |
-//! | `farm` | `--mode sweep\|smoke --seed --shards 1,2,4,8 --streams --duration-ms --max-queue` | [`farm`]: shard-count scaling under the three routing policies, or the farm smoke gate |
-//! | `daemon` | `--mode smoke --seed` | [`daemon`]: the continuous-operation smoke gate — prefix parity with the batch farm, drain/quarantine churn with a closed ledger, bit-identity |
+//! | `faults` | `--mode sweep\|degraded --seed --members --streams --duration-ms --retries --rate-ppm` | [`fault`]: loss/seek/p99 degradation curves under injected media errors, or the degraded-RAID report |
+//! | `farm` | `--seed --shards 1,2,4,8 --streams --duration-ms --max-queue` | [`farm`]: shard-count scaling under the three routing policies |
 //! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |
 //! | `ctrl` | `--mode smoke\|sweep --seed --csv true --f 0,0.5 --r 1,3 --w 0,0.1` | [`ctrl`]: the live-improvement smoke gate, or the `(f, R, w)` convergence sweep against exhaustive search (`--csv true` prints its table) |
-//! | `obsreport` | `--mode stream\|prom\|smoke --seed` | [`obsreport`]: per-window telemetry JSONL, the Prometheus text format, or the telemetry smoke gate |
+//! | `obsreport` | `--mode stream\|prom --seed` | [`obsreport`]: per-window telemetry JSONL, or the Prometheus text format |
 //! | `perf` | `--seed --budget` | [`perf`]: the self-relative telemetry overhead gate; exits 1 when the live sink costs more than `--budget` (default 0.05) of NullSink throughput |
 //!
 //! All experiments are deterministic given a seed; every subcommand that
@@ -49,7 +48,6 @@
 pub mod ablation;
 pub mod args;
 pub mod ctrl;
-pub mod daemon;
 pub mod farm;
 pub mod fault;
 pub mod fig10;

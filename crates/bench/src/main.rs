@@ -9,7 +9,7 @@
 //! violation and names it; a malformed command line exits 2.
 
 use bench::args::Args;
-use bench::{ablation, ctrl, daemon, farm, fault, obsreport, perf, scenario, trace};
+use bench::{ablation, ctrl, farm, fault, obsreport, perf, scenario, trace};
 use bench::{DEFAULT_SEED, FIGURES};
 use obs::{CsvSink, JsonlSink};
 use sfc::{quality, CurveKind};
@@ -60,14 +60,12 @@ fn main() {
             "rate-ppm",
         ])),
         "farm" => run_farm(&parse(&[
-            "mode",
             "seed",
             "shards",
             "streams",
             "duration-ms",
             "max-queue",
         ])),
-        "daemon" => run_daemon(&parse(&["mode", "seed"])),
         "scenario" => run_scenario(&parse(&[
             "mode",
             "seed",
@@ -85,7 +83,7 @@ fn main() {
             let figures: Vec<&str> = FIGURES.iter().map(|(file, _)| stem(file)).collect();
             eprintln!(
                 "usage: bench <subcommand> [--flag value]...\nsubcommands: {} experiments \
-                 ablation curves trace faults farm daemon scenario ctrl obsreport perf",
+                 ablation curves trace faults farm scenario ctrl obsreport perf",
                 figures.join(" ")
             );
             exit(if cmd == "--help" || cmd == "-h" { 0 } else { 2 });
@@ -208,8 +206,7 @@ fn run_trace(args: &Args) {
     eprintln!("# reconciliation: events match Metrics and dispatcher counters");
 }
 
-/// `--rate-ppm` replaces the swept rate list with a single rate (sweep)
-/// or sets the high rate (smoke).
+/// `--rate-ppm` replaces the swept rate list with a single rate.
 fn faults(args: &Args) {
     let mut cfg = fault::Config {
         seed: args.get("seed", DEFAULT_SEED),
@@ -222,7 +219,7 @@ fn faults(args: &Args) {
     if args.provided("rate-ppm") {
         cfg.rates_ppm = vec![args.get("rate-ppm", 250_000u32)];
     }
-    match args.one_of("mode", &["sweep", "smoke", "degraded"]) {
+    match args.one_of("mode", &["sweep", "degraded"]) {
         "sweep" => {
             eprintln!(
                 "# faults sweep — {} members, {} streams, {} ms, {} attempts, seed {}",
@@ -233,19 +230,6 @@ fn faults(args: &Args) {
                 cfg.seed
             );
             fault::print_csv(&fault::sweep(&cfg));
-        }
-        "smoke" => {
-            let (zero, high) = pass("smoke", fault::smoke(&cfg));
-            eprintln!(
-                "# smoke OK: zero-fault loss-free ({} served), \
-                 {} ppm lost {}/{} gracefully ({} media errors, {} retries)",
-                zero.served,
-                high.transient_ppm,
-                high.losses,
-                high.served + high.losses,
-                high.media_errors,
-                high.retries
-            );
         }
         _ => {
             let report = pass("degraded run", fault::degraded(&cfg));
@@ -282,41 +266,15 @@ fn run_farm(args: &Args) {
         duration_us: args.get("duration-ms", 10_000u64) * 1_000,
         max_queue: args.get("max-queue", defaults.max_queue),
     };
-    if args.one_of("mode", &["sweep", "smoke"]) == "sweep" {
-        eprintln!(
-            "# farm sweep — shards {:?}, {} streams, {} ms, queue {}, seed {}",
-            cfg.shards,
-            cfg.streams,
-            cfg.duration_us / 1_000,
-            cfg.max_queue,
-            cfg.seed
-        );
-        farm::print_csv(&farm::sweep(&cfg));
-    } else {
-        let (hash, least_loaded, redirected) = pass("smoke", farm::smoke(&cfg));
-        eprintln!(
-            "# smoke OK: hash shed {}, least-loaded shed {}, \
-             redirect-on-overload rerouted {} (shed {}); all {} \
-             arrivals accounted",
-            hash.sheds, least_loaded.sheds, redirected.redirects, redirected.sheds, hash.arrivals
-        );
-    }
-}
-
-fn run_daemon(args: &Args) {
-    let cfg = daemon::Config {
-        seed: args.get("seed", DEFAULT_SEED),
-        ..Default::default()
-    };
-    args.one_of("mode", &["smoke"]);
-    let s = pass("smoke", daemon::smoke(&cfg));
     eprintln!(
-        "# smoke OK: prefix of {} arrivals bit-identical to the \
-         batch farm; drain migrated {}, supervisor quarantined {} \
-         time(s), {} reroutes, {} redirects, {} sheds; all {} \
-         arrivals accounted; two runs bit-identical",
-        s.prefix_arrivals, s.migrated, s.quarantines, s.reroutes, s.redirects, s.sheds, s.arrivals
+        "# farm sweep — shards {:?}, {} streams, {} ms, queue {}, seed {}",
+        cfg.shards,
+        cfg.streams,
+        cfg.duration_us / 1_000,
+        cfg.max_queue,
+        cfg.seed
     );
+    farm::print_csv(&farm::sweep(&cfg));
 }
 
 fn run_scenario(args: &Args) {
@@ -413,18 +371,14 @@ fn run_obsreport(args: &Args) {
         seed: args.get("seed", DEFAULT_SEED),
         ..Default::default()
     };
-    match args.one_of("mode", &["stream", "prom", "smoke"]) {
-        "stream" => {
-            let (outcome, mut sinks) = obsreport::run(&cfg);
-            let deltas = obsreport::flush(&mut sinks);
-            print!("{}", obsreport::render_windows_jsonl(&deltas));
-            print!("{}", obsreport::render_summary_jsonl(&outcome, &sinks));
-        }
-        "prom" => {
-            let (_, sinks) = obsreport::run(&cfg);
-            print!("{}", obsreport::render_prometheus(&sinks));
-        }
-        _ => report_lines("telemetry smoke", obsreport::smoke(cfg.seed)),
+    if args.one_of("mode", &["stream", "prom"]) == "stream" {
+        let (outcome, mut sinks) = obsreport::run(&cfg);
+        let deltas = obsreport::flush(&mut sinks);
+        print!("{}", obsreport::render_windows_jsonl(&deltas));
+        print!("{}", obsreport::render_summary_jsonl(&outcome, &sinks));
+    } else {
+        let (_, sinks) = obsreport::run(&cfg);
+        print!("{}", obsreport::render_prometheus(&sinks));
     }
 }
 

@@ -1,4 +1,4 @@
-//! What the farm-side harnesses (`farm`, `daemon`, `fault`, `obsreport`,
+//! What the farm-side harnesses (`farm`, `fault`, `obsreport`,
 //! `scenario`, `ctrl`) share: the MPEG-1 VoD load, the engine options of
 //! its one-dimensional, four-level priority shape, and the paper-default
 //! cascade over the Table-1 disk, with or without a bounded queue.

@@ -1045,7 +1045,16 @@ impl DaemonReport {
             counters.merge(&r.windows().cumulative_counters());
         }
         self.aggregate().reconcile(&counters)?;
-        let delivered = self.arrivals - self.admission_rejections - self.migrated_undelivered;
+        let delivered = self
+            .arrivals
+            .checked_sub(self.admission_rejections)
+            .and_then(|admitted| admitted.checked_sub(self.migrated_undelivered))
+            .ok_or_else(|| {
+                format!(
+                    "{} admission rejections + {} undelivered migrations exceed {} arrivals",
+                    self.admission_rejections, self.migrated_undelivered, self.arrivals
+                )
+            })?;
         let checks = [
             ("arrival", counters.arrivals, delivered),
             ("shed", counters.sheds, self.sheds()),
@@ -1285,6 +1294,11 @@ mod tests {
         tampered.per_shard[0].served += 1;
         let err = tampered.reconcile_events().unwrap_err();
         assert!(err.contains("vs served"), "{err}");
+        // More rejections than arrivals is an error, not an underflow.
+        tampered.per_shard[0].served -= 1;
+        tampered.admission_rejections = tampered.arrivals + 1;
+        let err = tampered.reconcile_events().unwrap_err();
+        assert!(err.contains("admission rejections"), "{err}");
     }
 
     #[test]
@@ -1398,6 +1412,7 @@ mod tests {
     #[test]
     fn supervisor_quarantines_a_shedding_member() {
         use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+        use diskmodel::{Disk, FaultPlan};
         // One sticky stream hammers its hash shard through a tiny bounded
         // queue: shed events stream into the member's flight recorder,
         // the shed-burst dump fires, and the supervisor takes the shard
@@ -1422,16 +1437,35 @@ mod tests {
             jitter_permille: 0,
             seed: 11,
         });
-        let daemon = FarmDaemon::new(
-            cfg,
-            |_, sink| {
-                let cascade = CascadeConfig::paper_default(1, 3832)
-                    .with_dispatch(DispatchConfig::paper_default().with_max_queue(8));
-                Box::new(CascadedSfc::with_sink(cascade, sink).expect("valid cascade config"))
-            },
-            table1_services(),
-        );
-        let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
+        // `limping` serves at 2.5x the Table-1 disk's service times.
+        let run = |trace: &[Request], limping: Option<usize>| {
+            let daemon = FarmDaemon::new(
+                cfg.clone(),
+                |_, sink| {
+                    let cascade = CascadeConfig::paper_default(1, 3832)
+                        .with_dispatch(DispatchConfig::paper_default().with_max_queue(8));
+                    Box::new(CascadedSfc::with_sink(cascade, sink).expect("valid cascade config"))
+                },
+                move |shard| {
+                    if limping == Some(shard) {
+                        let plan = FaultPlan::none().with_limp(0, 2_500);
+                        DiskService::with_faults(Disk::table1(), plan)
+                    } else {
+                        DiskService::table1()
+                    }
+                },
+            );
+            let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
+            report.ledger().expect("ledger closes under supervision");
+            report.reconcile_events().expect("shed events reconcile");
+            // Every dump the overload fired balances its events against
+            // its counters: the ring never lost one a dump needed.
+            for recorder in &report.recorders {
+                assert_eq!(recorder.dumps_unclean(), 0);
+            }
+            report
+        };
+        let report = run(&trace, None);
         assert_eq!(report.quarantines, 1, "the shed burst must strike once");
         // Placement follows the moment of the strike: these are the
         // figures of the supervisor that indexed an unbounded dump list.
@@ -1455,8 +1489,22 @@ mod tests {
             .dumps()
             .iter()
             .any(|d| d.anomaly == Anomaly::ShedBurst));
-        report.ledger().expect("ledger closes under supervision");
-        report.reconcile_events().expect("shed events reconcile");
+
+        // A slow disk, not a hot stream: sixteen streams split evenly over
+        // the two members at a rate a healthy pair serves without a shed.
+        // Lamed to 2.5x its service times, member 1 floods its queue, and
+        // the supervisor takes it, and only it, out of rotation.
+        let spread = paced(16, 400, 10_000, 1);
+        let healthy = run(&spread, None);
+        assert_eq!((healthy.sheds(), healthy.quarantines), (0, 0));
+        let limped = run(&spread, Some(1));
+        assert_eq!(limped.quarantines, 1);
+        assert!(matches!(
+            limped.statuses[1],
+            MemberStatus::Quarantined { .. }
+        ));
+        assert_eq!(limped.statuses[0], MemberStatus::Active);
+        assert!(limped.reroutes > 0);
     }
 
     /// Forwards to a scheduler, noting every request enqueued on it.

@@ -217,14 +217,8 @@ pub fn simulate_farm(
     make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler>,
     options: SimOptions,
 ) -> (FarmOutcome, Snapshot) {
-    let (outcome, sinks) = simulate_farm_traced(
-        trace,
-        cfg,
-        make_scheduler,
-        options,
-        |_| DiskService::table1(),
-        |_| Snapshot::new(),
-    );
+    let (outcome, sinks) =
+        simulate_farm_traced(trace, cfg, make_scheduler, options, |_| Snapshot::new());
     // Snapshot accumulation is commutative, so folding per-shard sinks in
     // shard order reproduces the single-sink totals bit for bit.
     let mut group = Snapshot::new();
@@ -251,9 +245,7 @@ impl<S: TraceSink> TraceSink for RouterDemux<'_, S> {
     }
 }
 
-/// [`simulate_farm`] with a custom per-shard service model (e.g. a
-/// fault-injected [`DiskService`] per shard) and one caller-built
-/// [`TraceSink`] per shard.
+/// [`simulate_farm`] with one caller-built [`TraceSink`] per shard.
 ///
 /// `make_sink(shard)` runs up front for every shard; each sink then
 /// receives, in order: the routing pass's [`TraceEvent::Redirect`] events
@@ -267,7 +259,6 @@ pub fn simulate_farm_traced<S: TraceSink>(
     cfg: &FarmConfig,
     make_scheduler: impl Fn(usize) -> Box<dyn DiskScheduler>,
     options: SimOptions,
-    make_service: impl Fn(usize) -> DiskService,
     make_sink: impl Fn(usize) -> S,
 ) -> (FarmOutcome, Vec<S>) {
     let capacities: Vec<Option<usize>> = (0..cfg.shards)
@@ -285,7 +276,7 @@ pub fn simulate_farm_traced<S: TraceSink>(
     let mut makespan = 0u64;
     for (shard, sink) in sinks.iter_mut().enumerate() {
         let mut scheduler = make_scheduler(shard);
-        let mut service = make_service(shard);
+        let mut service = DiskService::table1();
         let m = simulate_traced(
             scheduler.as_mut(),
             &placement.shard_traces[shard],

@@ -104,17 +104,25 @@ fn range_routing_bands_the_cylinder_space() {
 #[test]
 fn least_loaded_routing_sheds_less_than_hash_under_overload() {
     let trace = overload_trace();
-    let run = |policy| {
+    let arrivals = trace.len() as u64;
+    let outcomes = POLICIES.map(|policy| {
         let cfg = FarmConfig::new(4).with_policy(policy);
-        simulate_farm(
+        let (out, snap) = simulate_farm(
             &trace,
             &cfg,
             |_| bounded_cascade(24),
             SimOptions::with_shape(1, 4),
-        )
-    };
-    let (hash, _) = run(RoutePolicy::HashStream);
-    let (ll, _) = run(RoutePolicy::LeastLoaded);
+        );
+        // Under every policy each arrival is inside a shard's engine
+        // metrics or was shed, and the traced events count the same.
+        let accounted = out.aggregate().requests_total() + out.sheds();
+        assert_eq!(accounted, arrivals, "{policy:?}");
+        assert_eq!(snap.counters.arrivals, arrivals, "{policy:?}");
+        assert_eq!(snap.counters.shard_reports, 4, "{policy:?}");
+        assert_eq!(snap.counters.redirects, out.redirects, "{policy:?}");
+        out
+    });
+    let [hash, _, ll] = &outcomes;
     assert!(hash.sheds() > 0, "overload workload must actually shed");
     assert!(
         ll.sheds() < hash.sheds(),
@@ -142,6 +150,7 @@ fn redirect_counter_reconciles_with_traced_events() {
         "traced Redirect events must reconcile with the outcome counter"
     );
     assert_eq!(snap.counters.shard_reports, 4);
+    assert_eq!(snap.counters.arrivals, trace.len() as u64);
     // Ledger: every arrival is either inside a shard's engine metrics or
     // was shed by a bounded queue.
     let accounted = out.aggregate().requests_total() + out.sheds();
@@ -165,7 +174,6 @@ fn per_shard_windowed_sinks_reconcile_with_the_merged_snapshot() {
         &cfg,
         |_| bounded_cascade(24),
         SimOptions::with_shape(1, 4),
-        |_| sim::DiskService::table1(),
         |_| obs::WindowedSnapshot::new(19, 4),
     );
     assert_eq!(plain_out.per_shard, out.per_shard);
