@@ -2,7 +2,8 @@
 //!
 //! Runs the paper-default three-stage scheduler over a Figure-5 Poisson
 //! workload with *every* trace hook live: the engine's request
-//! lifecycle events (arrival → dispatch → service → complete/drop) and
+//! lifecycle events (arrival → service start or drop at the dispatch →
+//! complete) and
 //! the dispatcher's internal events (preemptions, SP promotions, ER
 //! expansions/resets, queue swaps) interleave into one stream. A
 //! [`obs::SharedSink`] fans the stream into a [`obs::Snapshot`] (for
@@ -12,7 +13,7 @@
 //! The run double-checks itself: [`Report::reconcile`] verifies that
 //! the event-derived counters agree exactly with the simulator's
 //! [`Metrics`] and the dispatcher's own counters, so a timeline on disk
-//! is guaranteed complete — every served request really has its four
+//! is guaranteed complete — every served request really has its three
 //! lifecycle events, every preemption its event.
 
 use cascade::{CascadeConfig, CascadedSfc, PreemptionMode};
@@ -93,9 +94,9 @@ impl Report {
         m.reconcile(c)?;
         let checks = [
             (
-                "arrivals vs dispatches+sheds",
+                "arrivals vs service_starts+drops+sheds",
                 c.arrivals,
-                c.dispatches + c.sheds,
+                c.service_starts + c.drops + c.sheds,
             ),
             ("shed events vs dispatcher", c.sheds, self.sheds),
             (
@@ -218,26 +219,7 @@ mod tests {
         let buf = sink.into_inner();
         let text = String::from_utf8(buf).expect("utf-8 jsonl");
         let lines = text.lines().count() as u64;
-        let c = &report.snapshot.counters;
-        let events = c.arrivals
-            + c.dispatches
-            + c.service_starts
-            + c.service_completes
-            + c.drops
-            + c.preemptions
-            + c.sp_promotions
-            + c.er_expands
-            + c.er_resets
-            + c.queue_swaps
-            + c.sweep_reversals
-            + c.media_errors
-            + c.retries
-            + c.request_failures
-            + c.sector_remaps
-            + c.degraded_reads
-            + c.rebuild_ios
-            + c.sheds;
-        assert_eq!(lines, events);
+        assert_eq!(lines, report.snapshot.counters.total_events());
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 
@@ -257,6 +239,8 @@ mod tests {
         assert!(m.sector_remaps > 0);
         assert_eq!(m.served + m.dropped + m.failed, 800);
         let text = String::from_utf8(sink.into_inner()).expect("utf-8 jsonl");
+        let lines = text.lines().count() as u64;
+        assert_eq!(lines, report.snapshot.counters.total_events());
         assert!(text.contains("\"media_error\""));
         assert!(text.contains("\"retry\""));
         assert!(text.contains("\"sector_remap\""));
@@ -275,7 +259,7 @@ mod tests {
         report.reconcile().expect("shedding run reconciles");
         assert!(report.sheds > 0, "a saturating run must overflow cap 16");
         assert_eq!(
-            report.snapshot.counters.dispatches + report.sheds,
+            report.snapshot.counters.service_starts + report.snapshot.counters.drops + report.sheds,
             800,
             "every request either dispatched or shed"
         );

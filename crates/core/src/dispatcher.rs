@@ -166,17 +166,6 @@ impl<V: Key> EntryHeap<V> {
         }
     }
 
-    /// Give every entry a new `v` and restore the heap (Floyd's bottom-up
-    /// build, O(n)).
-    fn rekey(&mut self, mut v_of: impl FnMut(&Entry<V>) -> V) {
-        for e in &mut self.data {
-            e.v = v_of(e);
-        }
-        for pos in (0..self.data.len() / 2).rev() {
-            self.sift_down(pos);
-        }
-    }
-
     /// Place `e` at `pos` or at the ancestor where the heap order holds,
     /// moving the ancestors it passes down one level.
     fn sift_up(&mut self, mut pos: usize, e: Entry<V>) {
@@ -190,27 +179,103 @@ impl<V: Key> EntryHeap<V> {
         }
         self.data[pos] = e;
     }
+}
 
-    /// Move the entry at `pos` down until both children follow it.
-    fn sift_down(&mut self, mut pos: usize) {
-        let n = self.data.len();
-        let e = self.data[pos];
-        loop {
-            let mut child = 2 * pos + 1;
-            if child >= n {
-                break;
-            }
-            if child + 1 < n {
-                child += self.data[child + 1].before(&self.data[child]) as usize;
-            }
-            if !self.data[child].before(&e) {
-                break;
-            }
-            self.data[pos] = self.data[child];
-            pos = child;
+/// The active queue `q`: the batch swapped in from `q'`, sorted once by
+/// `(v, id)` and served from its front, plus a small [`EntryHeap`] for the
+/// requests that join `q` mid-batch (a preemption, an SP promotion, an
+/// arrival to an idle disk, every arrival of the fully-preemptive mode).
+/// A pop takes the smaller of the two heads, so serving the batch costs
+/// one O(n log n) sort at the swap instead of an O(log n) heap pop per
+/// dispatch, and the order is the one a single heap would give.
+struct ActiveQueue<V> {
+    /// The swapped-in batch, ascending; `batch[head..]` is still pending.
+    batch: Vec<Entry<V>>,
+    head: usize,
+    /// Entries that joined after the swap.
+    joined: EntryHeap<V>,
+}
+
+impl<V> Default for ActiveQueue<V> {
+    fn default() -> Self {
+        ActiveQueue {
+            batch: Vec::new(),
+            head: 0,
+            joined: EntryHeap::default(),
         }
-        self.data[pos] = e;
     }
+}
+
+impl<V: Key> ActiveQueue<V> {
+    fn len(&self) -> usize {
+        self.batch.len() - self.head + self.joined.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The smallest entry.
+    fn peek(&self) -> Option<&Entry<V>> {
+        match (self.batch.get(self.head), self.joined.peek()) {
+            (Some(b), Some(j)) if j.before(b) => Some(j),
+            (b, j) => b.or(j),
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Entry<V>> {
+        self.batch[self.head..].iter().chain(self.joined.iter())
+    }
+
+    /// Join mid-batch.
+    fn push(&mut self, e: Entry<V>) {
+        self.joined.push(e);
+    }
+
+    /// Remove and return the smallest entry.
+    fn pop(&mut self) -> Option<Entry<V>> {
+        match (self.batch.get(self.head), self.joined.peek()) {
+            (Some(b), Some(j)) if j.before(b) => self.joined.pop(),
+            (Some(&b), _) => {
+                self.head += 1;
+                Some(b)
+            }
+            (None, _) => self.joined.pop(),
+        }
+    }
+
+    /// The batch's largest pending entry: its far end.
+    fn batch_max(&self) -> Option<Entry<V>> {
+        (self.head < self.batch.len()).then(|| self.batch[self.batch.len() - 1])
+    }
+
+    /// Drop the entry [`ActiveQueue::batch_max`] reports.
+    fn remove_batch_max(&mut self) {
+        debug_assert!(self.head < self.batch.len(), "the batch is drained");
+        self.batch.pop();
+    }
+
+    /// Swap `waiting`'s entries in as the new batch: `rekey` may give them
+    /// new values, then they are sorted once. The drained batch's buffer
+    /// becomes `waiting`'s, so neither side allocates.
+    fn swap_in(&mut self, waiting: &mut EntryHeap<V>, rekey: impl FnOnce(&mut [Entry<V>])) {
+        debug_assert!(self.is_empty(), "swap with a non-empty active queue");
+        self.batch.clear();
+        std::mem::swap(&mut self.batch, &mut waiting.data);
+        self.head = 0;
+        rekey(&mut self.batch);
+        self.batch.sort_unstable_by_key(|e| (e.v, e.id));
+    }
+}
+
+/// Where a shed victim sits.
+enum Victim {
+    /// The far end of `q`'s batch.
+    Batch,
+    /// A leaf of `q`'s joined heap.
+    Joined(usize),
+    /// A leaf of `q'`.
+    Waiting(usize),
 }
 
 /// The request a queued entry points at.
@@ -229,8 +294,9 @@ fn pending<'a, V>(slots: &'a [Option<Request>], e: &Entry<V>) -> &'a Request {
 pub struct Dispatcher<V = u128> {
     config: DispatchConfig,
     /// Active queue `q`.
-    q: EntryHeap<V>,
-    /// Waiting queue `q'`.
+    q: ActiveQueue<V>,
+    /// Waiting queue `q'`: a heap, because SP reads its minimum before
+    /// every dispatch.
     q_wait: EntryHeap<V>,
     /// Request arena and its free list.
     slots: Vec<Option<Request>>,
@@ -265,7 +331,7 @@ impl<V: Key> Dispatcher<V> {
         };
         Dispatcher {
             config,
-            q: EntryHeap::default(),
+            q: ActiveQueue::default(),
             q_wait: EntryHeap::default(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -422,7 +488,15 @@ impl<V: Key> Dispatcher<V> {
                 self.current = None;
                 return None;
             }
-            std::mem::swap(&mut self.q, &mut self.q_wait);
+            let slots = &self.slots;
+            let rekey = refresh.as_mut().filter(|_| self.config.refresh_on_swap);
+            self.q.swap_in(&mut self.q_wait, |batch| {
+                if let Some(f) = rekey {
+                    for e in batch {
+                        e.v = f(pending(slots, e));
+                    }
+                }
+            });
             self.swaps += 1;
             if S::ENABLED {
                 sink.emit(&TraceEvent::QueueSwap {
@@ -439,12 +513,6 @@ impl<V: Key> Dispatcher<V> {
                 });
             }
             self.window = self.base_window;
-            if self.config.refresh_on_swap {
-                if let Some(f) = refresh.as_mut() {
-                    let slots = &self.slots;
-                    self.q.rekey(|e| f(pending(slots, e)));
-                }
-            }
         }
 
         // SP: promote waiting requests that now significantly beat the
@@ -485,25 +553,29 @@ impl<V: Key> Dispatcher<V> {
     /// broken against the newer request) across both queues and the
     /// incoming `(v, id)`. Returns `true` when a queued request was
     /// evicted to make room, `false` when the arrival itself is the
-    /// victim. Each queue's worst is a leaf of its heap, so the search
-    /// reads the back halves of two arrays and the eviction removes the
-    /// victim's entry outright.
+    /// victim. `q`'s batch is sorted, so its worst is its far end; each
+    /// heap's worst is one of its leaves, so the search reads the back
+    /// halves of two arrays and the eviction removes the victim's entry
+    /// outright.
     fn shed_worst<S: TraceSink>(&mut self, v: V, id: u64, now_us: u64, sink: &mut S) -> bool {
-        // On a cross-queue tie prefer the q victim (matches the historical
-        // eviction order; ties cannot actually occur — ids are unique).
-        let victim = match (self.q.max(), self.q_wait.max()) {
-            (Some(a), Some(b)) if a.1.before(&b.1) => Some((b, false)),
-            (Some(a), _) => Some((a, true)),
-            (None, b) => b.map(|b| (b, false)),
-        };
+        // On a tie the earlier candidate wins, `q` before `q'` (ties cannot
+        // actually occur — ids are unique).
+        let victim = [
+            self.q.batch_max().map(|e| (Victim::Batch, e)),
+            self.q.joined.max().map(|(pos, e)| (Victim::Joined(pos), e)),
+            self.q_wait.max().map(|(pos, e)| (Victim::Waiting(pos), e)),
+        ]
+        .into_iter()
+        .flatten()
+        .reduce(|a, b| if a.1.before(&b.1) { b } else { a });
         self.sheds += 1;
         let arrival = Entry { v, id, slot: 0 };
         match victim {
-            Some(((pos, worst), from_q)) if arrival.before(&worst) => {
-                if from_q {
-                    self.q.remove_leaf(pos);
-                } else {
-                    self.q_wait.remove_leaf(pos);
+            Some((at, worst)) if arrival.before(&worst) => {
+                match at {
+                    Victim::Batch => self.q.remove_batch_max(),
+                    Victim::Joined(pos) => self.q.joined.remove_leaf(pos),
+                    Victim::Waiting(pos) => self.q_wait.remove_leaf(pos),
                 }
                 self.take(worst.slot);
                 if S::ENABLED {

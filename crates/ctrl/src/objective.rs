@@ -105,6 +105,8 @@ mod tests {
             req: 1,
             cylinder: 50,
             seek_cylinders: 50,
+            queue_depth: 1,
+            slack_us: 5,
         });
         s.emit(&TraceEvent::ServiceComplete {
             now_us: 20,
@@ -130,6 +132,7 @@ mod tests {
             now_us: 5,
             req: 1,
             missed_by_us: 3,
+            queue_depth: 1,
         });
         let obj = Objective {
             w_miss: 1.0,

@@ -14,10 +14,12 @@ use std::fmt::Write as _;
 /// Emission points, by layer:
 ///
 /// * the **simulation engine** emits [`Arrival`](TraceEvent::Arrival),
-///   [`Dispatch`](TraceEvent::Dispatch),
-///   [`ServiceStart`](TraceEvent::ServiceStart),
-///   [`ServiceComplete`](TraceEvent::ServiceComplete) and
-///   [`Drop`](TraceEvent::Drop);
+///   then, at the dispatch instant, exactly one of
+///   [`ServiceStart`](TraceEvent::ServiceStart) and
+///   [`Drop`](TraceEvent::Drop) per dequeued request (each carries the
+///   queue depth it was picked from), and
+///   [`ServiceComplete`](TraceEvent::ServiceComplete) when a started
+///   service succeeds;
 /// * the **cascade dispatcher** emits [`Preempt`](TraceEvent::Preempt),
 ///   [`SpPromote`](TraceEvent::SpPromote),
 ///   [`ErExpand`](TraceEvent::ErExpand),
@@ -54,24 +56,9 @@ pub enum TraceEvent {
         /// Absolute deadline (µs); `u64::MAX` when none.
         deadline_us: u64,
     },
-    /// The scheduler picked a request to serve next.
-    Dispatch {
-        /// Simulation time (µs).
-        now_us: u64,
-        /// Request id.
-        req: u64,
-        /// Target cylinder.
-        cylinder: u32,
-        /// Pending requests at the dispatch instant (the dispatched one
-        /// included).
-        queue_depth: u64,
-        /// Deadline minus now at dispatch (µs); negative when already
-        /// past due. Saturated at the `i64` range.
-        slack_us: i64,
-    },
-    /// The disk began serving a dispatched request.
+    /// The scheduler dispatched a request and the disk began serving it.
     ServiceStart {
-        /// Simulation time (µs).
+        /// Simulation time (µs): the dispatch instant.
         now_us: u64,
         /// Request id.
         req: u64,
@@ -79,6 +66,12 @@ pub enum TraceEvent {
         cylinder: u32,
         /// Seek distance from the head position (cylinders).
         seek_cylinders: u32,
+        /// Pending requests at the dispatch instant (the dispatched one
+        /// included).
+        queue_depth: u64,
+        /// Deadline minus now at dispatch (µs); negative when already
+        /// past due. Saturated at the `i64` range.
+        slack_us: i64,
     },
     /// The disk finished serving a request.
     ServiceComplete {
@@ -91,14 +84,18 @@ pub enum TraceEvent {
         /// Whether the deadline had passed at completion.
         late: bool,
     },
-    /// A past-due request was dropped unserved (§6 losses).
+    /// The scheduler dispatched a past-due request and the engine dropped
+    /// it unserved (§6 losses). Its slack at dispatch is `−missed_by_us`.
     Drop {
-        /// Simulation time (µs).
+        /// Simulation time (µs): the dispatch instant.
         now_us: u64,
         /// Request id.
         req: u64,
         /// How far past the deadline the drop happened (µs).
         missed_by_us: u64,
+        /// Pending requests at the dispatch instant (the dropped one
+        /// included).
+        queue_depth: u64,
     },
     /// A conditional-mode arrival beat the in-service value by more than
     /// the blocking window and entered the active queue (§3.1).
@@ -291,7 +288,6 @@ impl TraceEvent {
     pub fn name(&self) -> &'static str {
         match self {
             TraceEvent::Arrival { .. } => "arrival",
-            TraceEvent::Dispatch { .. } => "dispatch",
             TraceEvent::ServiceStart { .. } => "service_start",
             TraceEvent::ServiceComplete { .. } => "service_complete",
             TraceEvent::Drop { .. } => "drop",
@@ -321,7 +317,6 @@ impl TraceEvent {
     pub fn now_us(&self) -> u64 {
         match *self {
             TraceEvent::Arrival { now_us, .. }
-            | TraceEvent::Dispatch { now_us, .. }
             | TraceEvent::ServiceStart { now_us, .. }
             | TraceEvent::ServiceComplete { now_us, .. }
             | TraceEvent::Drop { now_us, .. }
@@ -350,7 +345,6 @@ impl TraceEvent {
     pub fn req(&self) -> Option<u64> {
         match *self {
             TraceEvent::Arrival { req, .. }
-            | TraceEvent::Dispatch { req, .. }
             | TraceEvent::ServiceStart { req, .. }
             | TraceEvent::ServiceComplete { req, .. }
             | TraceEvent::Drop { req, .. }
@@ -385,30 +379,19 @@ impl TraceEvent {
                      \"cylinder\":{cylinder},\"deadline_us\":{deadline_us}}}"
                 );
             }
-            TraceEvent::Dispatch {
+            TraceEvent::ServiceStart {
                 now_us,
                 req,
                 cylinder,
+                seek_cylinders,
                 queue_depth,
                 slack_us,
             } => {
                 let _ = write!(
                     out,
                     "{{\"event\":\"{name}\",\"now_us\":{now_us},\"req\":{req},\
-                     \"cylinder\":{cylinder},\"queue_depth\":{queue_depth},\
-                     \"slack_us\":{slack_us}}}"
-                );
-            }
-            TraceEvent::ServiceStart {
-                now_us,
-                req,
-                cylinder,
-                seek_cylinders,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"event\":\"{name}\",\"now_us\":{now_us},\"req\":{req},\
-                     \"cylinder\":{cylinder},\"seek_cylinders\":{seek_cylinders}}}"
+                     \"cylinder\":{cylinder},\"seek_cylinders\":{seek_cylinders},\
+                     \"queue_depth\":{queue_depth},\"slack_us\":{slack_us}}}"
                 );
             }
             TraceEvent::ServiceComplete {
@@ -427,11 +410,12 @@ impl TraceEvent {
                 now_us,
                 req,
                 missed_by_us,
+                queue_depth,
             } => {
                 let _ = write!(
                     out,
                     "{{\"event\":\"{name}\",\"now_us\":{now_us},\"req\":{req},\
-                     \"missed_by_us\":{missed_by_us}}}"
+                     \"missed_by_us\":{missed_by_us},\"queue_depth\":{queue_depth}}}"
                 );
             }
             TraceEvent::Preempt {
@@ -614,8 +598,9 @@ impl TraceEvent {
     /// Append the event as one CSV row (no trailing newline).
     ///
     /// The `a`/`b` columns are event-specific: `deadline_us` (arrival),
-    /// `queue_depth`/`slack_us` (dispatch), `seek_cylinders` (service
-    /// start), `response_us`/`late` (service complete), `missed_by_us`
+    /// `seek_cylinders`/`queue_depth` (service start; its `slack_us` is the
+    /// request's arrival-row `deadline_us` minus `now_us`),
+    /// `response_us`/`late` (service complete), `missed_by_us`/`queue_depth`
     /// (drop), `preempted_v`/`by_v` (preempt), `v` (sp_promote), `window`
     /// (er_expand/er_reset), `batch` (queue_swap), `attempt`/`transient`
     /// (media_error), `attempt`/`slack_us` (retry), `attempts`
@@ -640,25 +625,17 @@ impl TraceEvent {
             } => {
                 let _ = write!(out, "{name},{now},{req},{cylinder},{deadline_us},");
             }
-            TraceEvent::Dispatch {
-                req,
-                cylinder,
-                queue_depth,
-                slack_us,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    "{name},{now},{req},{cylinder},{queue_depth},{slack_us}"
-                );
-            }
             TraceEvent::ServiceStart {
                 req,
                 cylinder,
                 seek_cylinders,
+                queue_depth,
                 ..
             } => {
-                let _ = write!(out, "{name},{now},{req},{cylinder},{seek_cylinders},");
+                let _ = write!(
+                    out,
+                    "{name},{now},{req},{cylinder},{seek_cylinders},{queue_depth}"
+                );
             }
             TraceEvent::ServiceComplete {
                 req,
@@ -669,9 +646,12 @@ impl TraceEvent {
                 let _ = write!(out, "{name},{now},{req},,{response_us},{}", u8::from(late));
             }
             TraceEvent::Drop {
-                req, missed_by_us, ..
+                req,
+                missed_by_us,
+                queue_depth,
+                ..
             } => {
-                let _ = write!(out, "{name},{now},{req},,{missed_by_us},");
+                let _ = write!(out, "{name},{now},{req},,{missed_by_us},{queue_depth}");
             }
             TraceEvent::Preempt {
                 preempted_v, by_v, ..
@@ -782,18 +762,19 @@ mod tests {
     #[test]
     fn json_rendering_is_one_object() {
         let mut s = String::new();
-        TraceEvent::Dispatch {
+        TraceEvent::ServiceStart {
             now_us: 10,
             req: 3,
             cylinder: 77,
+            seek_cylinders: 12,
             queue_depth: 4,
             slack_us: -5,
         }
         .write_json(&mut s);
         assert_eq!(
             s,
-            "{\"event\":\"dispatch\",\"now_us\":10,\"req\":3,\
-             \"cylinder\":77,\"queue_depth\":4,\"slack_us\":-5}"
+            "{\"event\":\"service_start\",\"now_us\":10,\"req\":3,\
+             \"cylinder\":77,\"seek_cylinders\":12,\"queue_depth\":4,\"slack_us\":-5}"
         );
     }
 
@@ -819,6 +800,20 @@ mod tests {
                 req: 1,
                 cylinder: 2,
                 deadline_us: 3,
+            },
+            TraceEvent::ServiceStart {
+                now_us: 1,
+                req: 1,
+                cylinder: 2,
+                seek_cylinders: 2,
+                queue_depth: 1,
+                slack_us: 2,
+            },
+            TraceEvent::Drop {
+                now_us: 4,
+                req: 2,
+                missed_by_us: 1,
+                queue_depth: 3,
             },
             TraceEvent::ServiceComplete {
                 now_us: 9,

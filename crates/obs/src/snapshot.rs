@@ -13,8 +13,6 @@ use std::fmt::Write as _;
 pub struct Counters {
     /// `Arrival` events.
     pub arrivals: u64,
-    /// `Dispatch` events.
-    pub dispatches: u64,
     /// `ServiceStart` events.
     pub service_starts: u64,
     /// `ServiceComplete` events.
@@ -65,7 +63,6 @@ impl Counters {
     /// Add another set of counters into this one.
     pub fn merge(&mut self, other: &Counters) {
         self.arrivals += other.arrivals;
-        self.dispatches += other.dispatches;
         self.service_starts += other.service_starts;
         self.service_completes += other.service_completes;
         self.late_completions += other.late_completions;
@@ -96,7 +93,6 @@ impl Counters {
     pub fn since(&self, earlier: &Counters) -> Counters {
         Counters {
             arrivals: self.arrivals - earlier.arrivals,
-            dispatches: self.dispatches - earlier.dispatches,
             service_starts: self.service_starts - earlier.service_starts,
             service_completes: self.service_completes - earlier.service_completes,
             late_completions: self.late_completions - earlier.late_completions,
@@ -125,10 +121,9 @@ impl Counters {
     /// Every counter as a `(stable_name, value)` pair, in declaration
     /// order — the iteration base for exposition encoders and dump
     /// renderers.
-    pub fn items(&self) -> [(&'static str, u64); 24] {
+    pub fn items(&self) -> [(&'static str, u64); 23] {
         [
             ("arrivals", self.arrivals),
-            ("dispatches", self.dispatches),
             ("service_starts", self.service_starts),
             ("service_completes", self.service_completes),
             ("late_completions", self.late_completions),
@@ -180,10 +175,11 @@ pub struct Snapshot {
     pub response_us: Histogram,
     /// Seek distance per service (cylinders, from `ServiceStart`).
     pub seek_cylinders: Histogram,
-    /// Pending-queue depth at each dispatch (from `Dispatch`).
+    /// Pending-queue depth at each dispatch (from `ServiceStart` and
+    /// `Drop`).
     pub queue_depth: Histogram,
-    /// Slack at dispatch (µs, from `Dispatch`), clamped at 0: past-due
-    /// dispatches record 0.
+    /// Slack at dispatch (µs, from `ServiceStart` and `Drop`), clamped at
+    /// 0: past-due dispatches, every drop among them, record 0.
     pub slack_us: Histogram,
 }
 
@@ -231,23 +227,25 @@ impl Snapshot {
     /// (`mask` must be `2^k - 1`; 0 records every sample and is exactly
     /// [`TraceSink::emit`]). This is the hot-path variant the windowed
     /// live sinks use to stay inside the telemetry overhead budget.
+    ///
+    /// Every dispatch ends in one `ServiceStart` or one `Drop`, so the
+    /// queue-depth and slack samples stride over their sum, the number of
+    /// dispatches so far.
     #[inline(always)]
     pub fn emit_sampled(&mut self, event: &TraceEvent, mask: u64) {
         let c = &mut self.counters;
         match *event {
             TraceEvent::Arrival { .. } => c.arrivals += 1,
-            TraceEvent::Dispatch {
+            TraceEvent::ServiceStart {
+                seek_cylinders,
                 queue_depth,
                 slack_us,
                 ..
             } => {
-                if c.dispatches & mask == 0 {
+                if (c.service_starts + c.drops) & mask == 0 {
                     self.queue_depth.record(queue_depth);
                     self.slack_us.record(slack_us.max(0) as u64);
                 }
-                c.dispatches += 1;
-            }
-            TraceEvent::ServiceStart { seek_cylinders, .. } => {
                 if c.service_starts & mask == 0 {
                     self.seek_cylinders.record(seek_cylinders as u64);
                 }
@@ -264,7 +262,14 @@ impl Snapshot {
                     c.late_completions += 1;
                 }
             }
-            TraceEvent::Drop { .. } => c.drops += 1,
+            TraceEvent::Drop { queue_depth, .. } => {
+                if (c.service_starts + c.drops) & mask == 0 {
+                    self.queue_depth.record(queue_depth);
+                    // Slack `−missed_by_us` clamps to 0.
+                    self.slack_us.record(0);
+                }
+                c.drops += 1;
+            }
             TraceEvent::Preempt { .. } => c.preemptions += 1,
             TraceEvent::SpPromote { .. } => c.sp_promotions += 1,
             TraceEvent::ErExpand { .. } => c.er_expands += 1,
@@ -293,13 +298,8 @@ impl Snapshot {
         let _ = writeln!(out, "events");
         let _ = writeln!(
             out,
-            "  arrivals {}  dispatches {}  service {}/{}  late {}  drops {}",
-            c.arrivals,
-            c.dispatches,
-            c.service_starts,
-            c.service_completes,
-            c.late_completions,
-            c.drops
+            "  arrivals {}  service {}/{}  late {}  drops {}",
+            c.arrivals, c.service_starts, c.service_completes, c.late_completions, c.drops
         );
         let _ = writeln!(
             out,
@@ -386,18 +386,13 @@ mod tests {
             cylinder: 5,
             deadline_us: 100,
         });
-        s.emit(&TraceEvent::Dispatch {
-            now_us: 10,
-            req: 1,
-            cylinder: 5,
-            queue_depth: 3,
-            slack_us: -7,
-        });
         s.emit(&TraceEvent::ServiceStart {
             now_us: 10,
             req: 1,
             cylinder: 5,
             seek_cylinders: 40,
+            queue_depth: 3,
+            slack_us: -7,
         });
         s.emit(&TraceEvent::ServiceComplete {
             now_us: 30,
@@ -427,6 +422,7 @@ mod tests {
             now_us: 50,
             req: 2,
             missed_by_us: 6,
+            queue_depth: 3,
         });
         s.emit(&TraceEvent::SweepReverse {
             now_us: 60,
@@ -506,13 +502,8 @@ mod tests {
         feed(&mut s);
         let c = s.counters;
         assert_eq!(
-            (
-                c.arrivals,
-                c.dispatches,
-                c.service_starts,
-                c.service_completes
-            ),
-            (1, 1, 1, 1)
+            (c.arrivals, c.service_starts, c.service_completes),
+            (1, 1, 1)
         );
         assert_eq!((c.late_completions, c.drops), (1, 1));
         assert_eq!(
@@ -527,10 +518,12 @@ mod tests {
         );
         assert_eq!((c.redirects, c.shard_reports), (1, 1));
         assert_eq!((c.migrations, c.quarantines, c.retunes), (1, 1, 1));
-        assert_eq!(c.total_events(), 23);
+        assert_eq!(c.total_events(), 22);
         assert_eq!(s.response_us.count(), 1);
         assert_eq!(s.seek_cylinders.max(), Some(40));
-        assert_eq!(s.queue_depth.max(), Some(3));
+        // The service start and the drop both sample the dispatch-time
+        // distributions.
+        assert_eq!((s.queue_depth.count(), s.queue_depth.max()), (2, Some(3)));
         // Negative slack clamps to 0.
         assert_eq!(s.slack_us.max(), Some(0));
     }
@@ -593,12 +586,12 @@ mod tests {
 
     #[test]
     fn a_snapshot_stays_under_two_and_a_half_kilobytes() {
-        // Four 560-byte histograms and 24 counters. A farm holds 41 of
+        // Four 560-byte histograms and 23 counters. A farm holds 41 of
         // these a member.
         assert!(std::mem::size_of::<Snapshot>() <= 2_432);
     }
 
-    /// The exposition of `feed`'s snapshot after its 48 counter lines.
+    /// The exposition of `feed`'s snapshot after its 46 counter lines.
     const EXPOSITION_TAIL: &str = "\
 # TYPE sched_response_us histogram
 sched_response_us_bucket{shard=\"3\",le=\"31\"} 1
@@ -611,28 +604,28 @@ sched_seek_cylinders_bucket{shard=\"3\",le=\"+Inf\"} 1
 sched_seek_cylinders_sum{shard=\"3\"} 40
 sched_seek_cylinders_count{shard=\"3\"} 1
 # TYPE sched_queue_depth histogram
-sched_queue_depth_bucket{shard=\"3\",le=\"3\"} 1
-sched_queue_depth_bucket{shard=\"3\",le=\"+Inf\"} 1
-sched_queue_depth_sum{shard=\"3\"} 3
-sched_queue_depth_count{shard=\"3\"} 1
+sched_queue_depth_bucket{shard=\"3\",le=\"3\"} 2
+sched_queue_depth_bucket{shard=\"3\",le=\"+Inf\"} 2
+sched_queue_depth_sum{shard=\"3\"} 6
+sched_queue_depth_count{shard=\"3\"} 2
 # TYPE sched_slack_us histogram
-sched_slack_us_bucket{shard=\"3\",le=\"0\"} 1
-sched_slack_us_bucket{shard=\"3\",le=\"+Inf\"} 1
+sched_slack_us_bucket{shard=\"3\",le=\"0\"} 2
+sched_slack_us_bucket{shard=\"3\",le=\"+Inf\"} 2
 sched_slack_us_sum{shard=\"3\"} 0
-sched_slack_us_count{shard=\"3\"} 1
+sched_slack_us_count{shard=\"3\"} 2
 ";
 
     /// And its `report()` of the same.
     const REPORT: &str = "\
 events
-  arrivals 1  dispatches 1  service 1/1  late 1  drops 1
+  arrivals 1  service 1/1  late 1  drops 1
   preemptions 1  sp-promotions 1  er-expands 1  er-resets 1  queue-swaps 1  sweep-reversals 1
   media-errors 1  retries 1  failures 1  remaps 1  degraded-reads 1  rebuild-ios 1  sheds 1
   redirects 1  shard-reports 1  migrations 1  quarantines 1  retunes 1
 response_us: n 1  mean 30.0µs  p50 30  p95 30  p99 30  p999 30  min 30  max 30
 seek_cylinders: n 1  mean 40.0cyl  p50 40  p95 40  p99 40  p999 40  min 40  max 40
-queue_depth: n 1  mean 3.0  p50 3  p95 3  p99 3  p999 3  min 3  max 3
-slack_us: n 1  mean 0.0µs  p50 0  p95 0  p99 0  p999 0  min 0  max 0
+queue_depth: n 2  mean 3.0  p50 3  p95 3  p99 3  p999 3  min 3  max 3
+slack_us: n 2  mean 0.0µs  p50 0  p95 0  p99 0  p999 0  min 0  max 0
 ";
 
     #[test]
@@ -648,7 +641,7 @@ slack_us: n 1  mean 0.0µs  p50 0  p95 0  p99 0  p999 0  min 0  max 0
             let mut out = String::new();
             crate::encode_snapshot(&mut out, "sched", &[("shard", "3")], s);
             assert!(out.ends_with(EXPOSITION_TAIL), "{out}");
-            assert_eq!(out.lines().count(), 48 + EXPOSITION_TAIL.lines().count());
+            assert_eq!(out.lines().count(), 46 + EXPOSITION_TAIL.lines().count());
         }
     }
 }

@@ -550,18 +550,19 @@ mod tests {
     fn mixed(now_us: u64, x: u64) -> TraceEvent {
         let wide = x >> (x % 59);
         match x % 5 {
-            0 => TraceEvent::Dispatch {
+            0 => TraceEvent::Drop {
                 now_us,
                 req: x,
-                cylinder: 7,
+                missed_by_us: wide,
                 queue_depth: wide % 4096,
-                slack_us: (wide % 1_000_000) as i64 - 1000,
             },
             1 => TraceEvent::ServiceStart {
                 now_us,
                 req: x,
                 cylinder: 7,
                 seek_cylinders: wide as u32,
+                queue_depth: wide % 4096,
+                slack_us: (wide % 1_000_000) as i64 - 1000,
             },
             2 => complete(now_us, wide),
             3 => TraceEvent::QueueSwap {

@@ -15,8 +15,9 @@ use proptest::prelude::*;
 /// Strategy: one trace event with an arbitrary timestamp. Covers the
 /// variants that exercise every aggregation path: counters only
 /// (`Arrival`, `Shed`, `Redirect`), histogram feeders (`ServiceComplete`
-/// for response/lateness, `Dispatch` for queue depth and slack,
-/// `ServiceStart` for seeks), and the farm roll-up (`ShardReport`).
+/// for response/lateness, `ServiceStart` for seeks, queue depth and
+/// slack, `Drop` for queue depth and slack), and the farm roll-up
+/// (`ShardReport`).
 fn event() -> impl Strategy<Value = TraceEvent> {
     (0u8..7, 0u64..200_000, any::<u64>(), any::<u32>()).prop_map(
         |(kind, now_us, a, b)| match kind {
@@ -26,18 +27,19 @@ fn event() -> impl Strategy<Value = TraceEvent> {
                 cylinder: b,
                 deadline_us: now_us + 1000,
             },
-            1 => TraceEvent::Dispatch {
+            1 => TraceEvent::Drop {
                 now_us,
                 req: a,
-                cylinder: b,
+                missed_by_us: a % 10_000,
                 queue_depth: a % 64,
-                slack_us: (a % 10_000) as i64 - 5000,
             },
             2 => TraceEvent::ServiceStart {
                 now_us,
                 req: a,
                 cylinder: b,
                 seek_cylinders: b % 4000,
+                queue_depth: a % 64,
+                slack_us: (a % 10_000) as i64 - 5000,
             },
             3 => TraceEvent::ServiceComplete {
                 now_us,

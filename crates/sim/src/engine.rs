@@ -116,9 +116,9 @@ pub fn simulate_logged(
 }
 
 /// Like [`simulate`], additionally emitting the engine-level event
-/// timeline ([`obs::TraceEvent::Arrival`], [`obs::TraceEvent::Dispatch`],
-/// [`obs::TraceEvent::ServiceStart`], [`obs::TraceEvent::ServiceComplete`],
-/// [`obs::TraceEvent::Drop`]) into `sink`.
+/// timeline ([`obs::TraceEvent::Arrival`], [`obs::TraceEvent::ServiceStart`]
+/// or [`obs::TraceEvent::Drop`] at each dispatch,
+/// [`obs::TraceEvent::ServiceComplete`]) into `sink`.
 ///
 /// To see scheduler-internal events (preemptions, sweep reversals) in
 /// the same stream, build the scheduler over an [`obs::SharedSink`]
@@ -312,7 +312,7 @@ mod tests {
         assert_eq!(snapshot.response_us.count(), traced.served);
         assert_eq!(snapshot.response_us.max(), Some(traced.max_response_us));
         assert_eq!(snapshot.seek_cylinders.count(), traced.served);
-        assert_eq!(snapshot.queue_depth.count(), c.dispatches);
+        assert_eq!(snapshot.queue_depth.count(), c.service_starts + c.drops);
     }
 
     #[test]
@@ -330,7 +330,7 @@ mod tests {
             SimOptions::with_shape(1, 2),
             &mut ring,
         );
-        // Per request: arrival <= dispatch == service_start <= complete.
+        // Per request: arrival <= service_start (the dispatch) <= complete.
         for id in 0..10u64 {
             let times: Vec<(&'static str, u64)> = ring
                 .events()
@@ -340,7 +340,7 @@ mod tests {
             let names: Vec<&str> = times.iter().map(|(n, _)| *n).collect();
             assert_eq!(
                 names,
-                vec!["arrival", "dispatch", "service_start", "service_complete"],
+                vec!["arrival", "service_start", "service_complete"],
                 "request {id}"
             );
             assert!(times.windows(2).all(|w| w[0].1 <= w[1].1), "request {id}");

@@ -138,11 +138,6 @@ impl Metrics {
     pub fn reconcile(&self, c: &obs::Counters) -> Result<(), String> {
         let checks = [
             (
-                "dispatches vs served+dropped+failed",
-                c.dispatches,
-                self.served + self.dropped + self.failed,
-            ),
-            (
                 "service_starts vs served+failed",
                 c.service_starts,
                 self.served + self.failed,
@@ -367,7 +362,6 @@ mod tests {
             ..Metrics::new(1, 4)
         };
         let mut c = obs::Counters {
-            dispatches: 7,
             service_starts: 5,
             service_completes: 5,
             drops: 2,

@@ -393,16 +393,8 @@ impl EngineStepper {
         service: &mut dyn ServiceProvider,
         sink: &mut S,
     ) {
-        if S::ENABLED {
-            sink.emit(&TraceEvent::Dispatch {
-                now_us: self.now,
-                req: req.id,
-                cylinder: req.cylinder,
-                // The dispatched request itself still counts.
-                queue_depth: waiting as u64 + 1,
-                slack_us: slack_us(&req, self.now),
-            });
-        }
+        // The dispatched request itself still counts.
+        let queue_depth = waiting as u64 + 1;
         if self.options.drop_past_due && req.is_late(self.now) {
             self.metrics.dropped += 1;
             self.metrics.record_loss(&req);
@@ -411,6 +403,7 @@ impl EngineStepper {
                     now_us: self.now,
                     req: req.id,
                     missed_by_us: self.now.saturating_sub(req.deadline_us),
+                    queue_depth,
                 });
             }
             self.log_fate(&req, None, true);
@@ -435,6 +428,8 @@ impl EngineStepper {
                 req: req.id,
                 cylinder: req.cylinder,
                 seek_cylinders: head_cylinder.abs_diff(req.cylinder),
+                queue_depth,
+                slack_us: slack_us(&req, self.now),
             });
         }
         // Serve, retrying transient media errors within the bounded,

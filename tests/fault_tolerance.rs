@@ -241,7 +241,7 @@ proptest! {
         let (m, snap, sheds) = run(cap);
         let c = &snap.counters;
         prop_assert_eq!(c.sheds, sheds);
-        prop_assert_eq!(c.arrivals, c.dispatches + c.sheds);
+        prop_assert_eq!(c.arrivals, c.service_starts + c.drops + c.sheds);
         prop_assert_eq!(m.served + m.dropped + sheds, trace.len() as u64);
 
         let (_, _, sheds) = run(trace.len() + 1);

@@ -124,8 +124,8 @@ proptest! {
         for (id, events) in &per_req {
             let names: Vec<&str> = events.iter().map(|(n, _)| *n).collect();
             match names.as_slice() {
-                ["arrival", "dispatch", "service_start", "service_complete"] => served += 1,
-                ["arrival", "dispatch", "drop"] => dropped += 1,
+                ["arrival", "service_start", "service_complete"] => served += 1,
+                ["arrival", "drop"] => dropped += 1,
                 other => prop_assert!(false, "request {} lifecycle: {:?}", id, other),
             }
             let stamps: Vec<u64> = events.iter().map(|&(_, t)| t).collect();
