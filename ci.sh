@@ -38,8 +38,8 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test (whole workspace)"
-# 677 tests: the root package holds 49 of them; farm, sim, the oracle
-# and the rest of the workspace the other 628. The farm's ledger and
+# 679 tests: the root package holds 49 of them; farm, sim, the oracle
+# and the rest of the workspace the other 630. The farm's ledger and
 # routing quality, the daemon's drain and supervision, the fault sweep's
 # reconciliation and the windowed telemetry's bit-identity are checked
 # here (and by the oracle below), not by a smoke run of their own.
@@ -50,8 +50,10 @@ step "inversion-census tests, release"
 # assert it equals the engine's census, so there the "no walk on an
 # unbounded queue" test can only count those checks. In release the
 # check is compiled out: the count must be zero, and the naive recount
-# in the test is the only reference.
+# in the test is the only reference. The same goes for the census's
+# masked sum, which `sim`'s census unit test holds to a recount.
 cargo test -q --release --test cross_crate inversion_census
+cargo test -q --release -p sim census
 
 step "bounded-state census gate, release"
 # One surge-shaped daemon scenario (flash crowd, admission gate, bounded

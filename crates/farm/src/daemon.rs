@@ -473,6 +473,12 @@ impl FarmDaemon {
         )?);
         let scheduler = make_scheduler(idx, recorder.clone());
         let service = make_service(idx);
+        assert!(
+            service.cylinders() >= cfg.farm.cylinders,
+            "shard {idx}'s disk has {} cylinders, the farm config {}",
+            service.cylinders(),
+            cfg.farm.cylinders
+        );
         let stepper = EngineStepper::new(cfg.options, service.cylinders());
         Some(Member {
             scheduler,
@@ -797,12 +803,16 @@ impl FarmDaemon {
     /// event's time, run the supervisor, then act.
     ///
     /// An event timed before the last handled one (an out-of-order line
-    /// from a source) is refused: counted, dropped before it touches the
-    /// clock, a member or the ledger. Every accepted arrival is therefore
-    /// at or after each member's last submission.
+    /// from a source), or an arrival for a cylinder past the end of the
+    /// farm's disks, is refused: counted, dropped before it touches the
+    /// clock, the gate, a member or the ledger. Every accepted arrival is
+    /// therefore at or after each member's last submission, and on a
+    /// cylinder its disk has.
     pub fn handle(&mut self, event: DaemonEvent) {
         let t = event.at_us();
-        if t < self.now_us {
+        let off_disk =
+            matches!(&event, DaemonEvent::Arrival(r) if r.cylinder >= self.cfg.farm.cylinders);
+        if t < self.now_us || off_disk {
             self.refused_events += 1;
             return;
         }
@@ -982,8 +992,9 @@ pub struct DaemonReport {
     /// Events refused: membership/quarantine/retune requests the farm
     /// cannot honour (unknown shard, wrong state, unsupported knob,
     /// last shard in rotation, or a shard past the flight ring's member
-    /// tags), and events of any kind — arrivals included — timed before
-    /// the last handled one.
+    /// tags), arrivals for a cylinder past the end of the farm's disks,
+    /// and events of any kind — arrivals included — timed before the last
+    /// handled one.
     pub refused_events: u64,
     /// Flight-recorder dumps evicted from a member's bounded dump ring
     /// before the supervisor had looked at them — anomalies it never got
@@ -1781,6 +1792,33 @@ mod tests {
         report.ledger().expect("ledger closes");
         report.reconcile_events().expect("events reconcile");
         // The refused lines left no trace: same outcome as never sent.
+        let clean = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
+            .run(trace.iter().cloned().map(DaemonEvent::Arrival));
+        assert_eq!(report.per_shard, clean.per_shard);
+    }
+
+    #[test]
+    fn off_disk_arrivals_are_refused_and_the_run_finishes() {
+        let trace = vod(12, 200);
+        let cfg = DaemonConfig::new(FarmConfig::new(2), SimOptions::with_shape(1, 5).dropping());
+        let mut daemon = FarmDaemon::new(cfg.clone(), fcfs_factory(), table1_services());
+        let (head, tail) = trace.split_at(100);
+        for r in head {
+            daemon.handle(DaemonEvent::Arrival(r.clone()));
+        }
+        let (now, arrivals) = (daemon.now_us(), daemon.arrivals());
+        // Dispatched, this arrival would panic the disk model.
+        let mut off_disk = tail[0].clone();
+        off_disk.cylinder = 1_000_000;
+        off_disk.arrival_us = now + 1;
+        daemon.handle(DaemonEvent::Arrival(off_disk));
+        assert_eq!(daemon.now_us(), now);
+        assert_eq!(daemon.arrivals(), arrivals);
+        let report = daemon.run(tail.iter().cloned().map(DaemonEvent::Arrival));
+        assert_eq!(report.refused_events, 1);
+        assert_eq!(report.arrivals, 200);
+        report.ledger().expect("ledger closes");
+        report.reconcile_events().expect("events reconcile");
         let clean = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
             .run(trace.iter().cloned().map(DaemonEvent::Arrival));
         assert_eq!(report.per_shard, clean.per_shard);

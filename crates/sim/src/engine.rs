@@ -19,8 +19,9 @@ pub struct SimOptions {
     pub drop_past_due: bool,
     /// QoS dimensions to track in the metrics. Priority inversions are
     /// always counted over these: the engine keeps a per-level census of
-    /// the waiting set, so a dispatch costs a prefix sum over `dims` rows
-    /// of level counts, not a walk over the queue.
+    /// the waiting set, so a dispatch costs one fixed-width masked sum
+    /// over each of `dims` rows of level counts (O(dims · width), no
+    /// branch on the served level), not a walk over the queue.
     pub dims: usize,
     /// Priority levels per dimension to track in the metrics.
     pub levels: usize,

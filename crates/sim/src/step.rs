@@ -41,8 +41,10 @@
 //! §5.1 asks, per QoS dimension, how many waiting requests beat the one
 //! being served. The engine answers from a [`Census`] it keeps itself —
 //! per tracked dimension, the number of pending requests at each `u8`
-//! level — so a dispatch costs a prefix sum over the levels below the
-//! served request's, whatever the queue depth and whatever the policy.
+//! level — so a dispatch costs, per dimension, one fixed-width masked sum
+//! over the row (the counts below the served request's level), with no
+//! branch on that level: O(dims · width), whatever the queue depth and
+//! whatever the policy.
 //! The census follows the scheduler's pending set: a delivered chunk is
 //! added, a dequeued request removed.
 //!
@@ -629,12 +631,20 @@ impl Census {
     /// pending requests that beat `served` there (sit at a strictly lower
     /// level). Dimensions `served` does not carry, or the census does not
     /// track, add nothing.
+    ///
+    /// Each row is summed whole under a `[i < level]` mask, so the trip
+    /// count is the row width rather than the served level: no
+    /// data-dependent exit branch, and a loop the compiler unrolls.
     #[inline]
     fn add_beating(&self, served: &Request, per_dim: &mut [u64]) {
-        let levels = served.qos.levels().iter().take(self.dims);
-        for ((k, &level), slot) in levels.enumerate().zip(per_dim) {
-            let below = &self.counts[k * self.width..][..(level as usize).min(self.width)];
-            *slot += below.iter().map(|&n| u64::from(n)).sum::<u64>();
+        let rows = self.counts.chunks_exact(self.width);
+        for ((row, &level), slot) in rows.zip(served.qos.levels()).zip(per_dim) {
+            let level = usize::from(level);
+            *slot += row
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| u64::from(n) * u64::from(i < level))
+                .sum::<u64>();
         }
     }
 
@@ -942,5 +952,67 @@ mod tests {
         let t = trace(2);
         stepper.submit(t[1].clone());
         stepper.submit(t[0].clone());
+    }
+
+    /// `add_beating` against a recount from the requests themselves: every
+    /// served level at row widths 8, 16 and 256, with empty rows, and with
+    /// served requests carrying fewer or more dimensions than are tracked.
+    #[test]
+    fn census_masked_sum_matches_a_recount() {
+        const DIMS: usize = 3;
+        let recount = |waiting: &[Request], served: &Request| {
+            let mut per_dim = [0u64; sched::MAX_QOS_DIMS];
+            for (k, slot) in per_dim[..served.qos.dims().min(DIMS)]
+                .iter_mut()
+                .enumerate()
+            {
+                *slot = waiting
+                    .iter()
+                    .filter(|w| w.qos.dims() > k && w.qos.beats_in_dim(&served.qos, k))
+                    .count() as u64;
+            }
+            per_dim
+        };
+        let request =
+            |id: u64, levels: &[u8]| Request::read(id, 0, 1, 0, 512, QosVector::new(levels));
+        let mut census = Census::new(DIMS, 8);
+        let mut waiting = Vec::new();
+        // Each stage's arrivals widen the rows to its width. Row 1 is empty
+        // at width 8, row 2 until width 256.
+        let stages: [(usize, &[&[u8]]); 3] = [
+            (8, &[&[0], &[3], &[3], &[7]]),
+            (16, &[&[15, 2], &[9, 0]]),
+            (256, &[&[255, 4, 200], &[128, 128, 0, 9], &[]]),
+        ];
+        for (width, arrivals) in stages {
+            for levels in arrivals {
+                let r = request(waiting.len() as u64, levels);
+                census.add(&r);
+                waiting.push(r);
+            }
+            assert_eq!(census.width, width);
+            for level in 0..=u8::MAX {
+                let shapes: [&[u8]; 5] = [
+                    &[],
+                    &[level],
+                    &[level, level],
+                    &[level, 255 - level, level / 2],
+                    &[level, 0, 255, level, level, 1],
+                ];
+                for shape in shapes {
+                    let served = request(u64::MAX, shape);
+                    let expected = recount(&waiting, &served);
+                    assert_eq!(
+                        census.beating(&served),
+                        expected,
+                        "width {width}, {shape:?}"
+                    );
+                    assert_eq!(
+                        Census::new(DIMS, width).beating(&served),
+                        [0; sched::MAX_QOS_DIMS]
+                    );
+                }
+            }
+        }
     }
 }
