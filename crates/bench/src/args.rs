@@ -146,8 +146,8 @@ impl Args {
 
     /// Fetch an enumerated flag: the value must be one of `options`, the
     /// first of which is the default. Anything else lists the choices
-    /// and exits 2 — shared by `--format`, `--mode`, `--policy`, … so
-    /// every binary rejects typos the same way.
+    /// and exits 2 — shared by every `--mode`, so every subcommand
+    /// rejects typos the same way.
     pub fn one_of(&self, name: &str, options: &[&'static str]) -> &'static str {
         debug_assert!(self.allowed.contains(&name), "undeclared flag {name}");
         debug_assert!(!options.is_empty(), "one_of needs at least one option");
@@ -221,9 +221,9 @@ mod tests {
 
     #[test]
     fn one_of_defaults_and_matches() {
-        let a = Args::parse_from("t", argv(&["--mode", "smoke"]), &["mode", "format"]).unwrap();
+        let a = Args::parse_from("t", argv(&["--mode", "smoke"]), &["mode", "policy"]).unwrap();
         assert_eq!(a.one_of("mode", &["sweep", "smoke"]), "smoke");
-        assert_eq!(a.one_of("format", &["jsonl", "csv"]), "jsonl"); // default
+        assert_eq!(a.one_of("policy", &["hash", "least-loaded"]), "hash"); // default
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! | `experiments` | `--seed --out` | every row of [`FIGURES`] written into `--out` (default `results`) |
 //! | `ablation` | `--seed` | [`ablation`]: preemption regimes and SP/ER under a mixed load and the adversarial starvation stream |
 //! | `curves` | | [`sfc::quality`]: the geometric quality table of the whole curve catalogue (2-D, order 4) |
-//! | `trace` | `--seed --requests --dims --service-us --window --transient-ppm --bad-sector-ppm --retries --max-queue --out --format jsonl\|csv` | [`trace`]: a fully-instrumented run's per-request event timeline into `--out`; histogram summary and reconciliation verdict on stderr |
+//! | `trace` | `--seed --requests --dims --service-us --window --transient-ppm --bad-sector-ppm --retries --max-queue --out` | [`trace`]: a fully-instrumented run's per-request JSONL event timeline into `--out`; histogram summary and reconciliation verdict on stderr |
 //! | `faults` | `--mode sweep\|degraded --seed --members --streams --duration-ms --retries --rate-ppm` | [`fault`]: loss/seek/p99 degradation curves under injected media errors, or the degraded-RAID report |
 //! | `farm` | `--seed --shards 1,2,4,8 --streams --duration-ms --max-queue` | [`farm`]: shard-count scaling under the three routing policies |
 //! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |

@@ -11,7 +11,7 @@
 use bench::args::Args;
 use bench::{ablation, ctrl, farm, fault, obsreport, perf, scenario, trace};
 use bench::{DEFAULT_SEED, FIGURES};
-use obs::{CsvSink, JsonlSink};
+use obs::JsonlSink;
 use sfc::{quality, CurveKind};
 use std::io::Write;
 use std::process::exit;
@@ -48,7 +48,6 @@ fn main() {
             "retries",
             "max-queue",
             "out",
-            "format",
         ])),
         "faults" => faults(&parse(&[
             "mode",
@@ -164,9 +163,9 @@ fn curves() {
 /// Nonzero fault rates switch the service model to the Table-1 disk
 /// behind a fault injector (media errors, retries, remaps appear in the
 /// timeline); `--max-queue` bounds the dispatcher queue and sheds the
-/// lowest-priority victim on overflow. The timeline goes to `--out` and
-/// everything else to stderr, so the command composes with `jq`/`awk`
-/// pipelines over the timeline file.
+/// lowest-priority victim on overflow. The JSONL timeline goes to
+/// `--out` and everything else to stderr, so the command composes with
+/// `jq` pipelines over the timeline file.
 fn run_trace(args: &Args) {
     let cfg = trace::Config {
         seed: args.get("seed", DEFAULT_SEED),
@@ -179,8 +178,7 @@ fn run_trace(args: &Args) {
         retries: args.get("retries", 1),
         max_queue: args.get("max-queue", 0),
     };
-    let format = args.one_of("format", &["jsonl", "csv"]);
-    let out: String = args.get("out", format!("trace.{format}"));
+    let out: String = args.get("out", "trace.jsonl".to_string());
     let file = std::fs::File::create(&out).unwrap_or_else(|e| {
         eprintln!("cannot create {out}: {e}");
         exit(2);
@@ -191,14 +189,9 @@ fn run_trace(args: &Args) {
         "# trace — paper-default cascade, {} requests, {} dims, window {}%, seed {}",
         cfg.requests, cfg.dims, cfg.window_pct, cfg.seed
     );
-    let (report, events, mut writer) = if format == "jsonl" {
-        let (report, sink) = trace::run_with_sink(&cfg, JsonlSink::new(writer));
-        (report, sink.lines(), sink.into_inner())
-    } else {
-        let (report, sink) = trace::run_with_sink(&cfg, CsvSink::new(writer));
-        (report, sink.rows(), sink.into_inner())
-    };
-    writer.flush().expect("flush timeline");
+    let (report, sink) = trace::run_with_sink(&cfg, JsonlSink::new(writer));
+    let events = sink.lines();
+    sink.into_inner().flush().expect("flush timeline");
 
     eprintln!("# {events} events -> {out}");
     eprint!("{}", report.snapshot.report());

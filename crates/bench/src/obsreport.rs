@@ -111,14 +111,9 @@ pub fn render_windows_jsonl(deltas: &[ShardDelta]) -> String {
         {
             let _ = write!(out, ",\"response_p50_us\":{p50},\"response_p99_us\":{p99}");
         }
-        out.push_str(",\"counters\":{");
-        for (i, (name, value)) in w.snapshot.counters.items().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("}}\n");
+        let _ = write!(out, ",\"counters\":");
+        w.snapshot.counters.write_json(&mut out);
+        out.push_str("}\n");
     }
     out
 }

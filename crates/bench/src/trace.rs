@@ -7,8 +7,8 @@
 //! the dispatcher's internal events (preemptions, SP promotions, ER
 //! expansions/resets, queue swaps) interleave into one stream. A
 //! [`obs::SharedSink`] fans the stream into a [`obs::Snapshot`] (for
-//! the printed summary) *and* the caller's own sink (JSONL or CSV on
-//! disk for the `trace` binary).
+//! the printed summary) *and* the caller's own sink (a JSONL file for
+//! `bench trace`).
 //!
 //! The run double-checks itself: [`Report::reconcile`] verifies that
 //! the event-derived counters agree exactly with the simulator's

@@ -3,14 +3,17 @@
 //! A zero-dependency layer the rest of the workspace threads through the
 //! dispatcher, the baseline schedulers and the simulation engine:
 //!
-//! * [`TraceEvent`] — the event taxonomy (arrivals, dispatches, service
-//!   starts/completions, drops, preemptions, SP promotions, ER
-//!   expand/reset, queue swaps, sweep reversals);
+//! * [`TraceEvent`] — the event taxonomy, 22 kinds generated from one
+//!   table: arrivals, service starts/completions, drops, preemptions, SP
+//!   promotions, ER expand/reset, queue swaps, sweep reversals, the
+//!   fault path (media errors, retries, failures, remaps, degraded
+//!   reads, rebuild I/O), sheds, and the farm's redirects, shard
+//!   reports, migrations, quarantines and retunes;
 //! * [`TraceSink`] — the consumer contract, with
 //!   [`NullSink`] (free: instrumentation compiles out),
-//!   [`RingSink`] (bounded in-memory tail), [`JsonlSink`] / [`CsvSink`]
-//!   (raw timelines), [`Tee`] (duplicate), and [`SharedSink`]
-//!   (one stream shared by several layers);
+//!   [`RingSink`] (bounded in-memory tail), [`JsonlSink`] (the raw
+//!   timeline, one JSON object per line), [`Tee`] (duplicate), and
+//!   [`SharedSink`] (one stream shared by several layers);
 //! * [`Histogram`] — log₂-bucketed distributions with
 //!   p50/p95/p99/p999, and [`nearest_rank`], the exact percentile the
 //!   analysis code shares;
@@ -62,7 +65,7 @@ pub use event::TraceEvent;
 pub use expo::{encode_registry, encode_snapshot, DEFAULT_PREFIX};
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig, DUMP_RETENTION};
-pub use sink::{CsvSink, FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
+pub use sink::{FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
 pub use window::{
     ShardDelta, TelemetryConfig, WindowDelta, WindowedSnapshot, DEFAULT_DEPTH,

@@ -168,26 +168,15 @@ impl DumpRecord {
             self.events.len(),
         );
         out.push_str(",\"delta\":");
-        write_counters_json(&self.delta, out);
+        self.delta.write_json(out);
         out.push_str(",\"cumulative\":");
-        write_counters_json(&self.cumulative, out);
+        self.cumulative.write_json(out);
         out.push_str("}\n");
         for e in &self.events {
             e.write_json(out);
             out.push('\n');
         }
     }
-}
-
-fn write_counters_json(c: &Counters, out: &mut String) {
-    out.push('{');
-    for (i, (name, value)) in c.items().into_iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{value}");
-    }
-    out.push('}');
 }
 
 /// A per-shard flight recorder (see the module docs). Not `Clone`: a
@@ -849,9 +838,22 @@ mod tests {
         d.write_jsonl(&mut out);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"record\":\"flight_dump\",\"anomaly\":\"manual\""));
-        assert!(lines[0].contains("\"delta\":{\"arrivals\":0"));
-        assert!(lines[0].contains("\"sheds\":1"));
+        // One shed, so the delta and the cumulative counters agree.
+        let counters = "{\"arrivals\":0,\"service_starts\":0,\"service_completes\":0,\
+                        \"late_completions\":0,\"drops\":0,\"preemptions\":0,\"sp_promotions\":0,\
+                        \"er_expands\":0,\"er_resets\":0,\"queue_swaps\":0,\"sweep_reversals\":0,\
+                        \"media_errors\":0,\"retries\":0,\"request_failures\":0,\
+                        \"sector_remaps\":0,\"degraded_reads\":0,\"rebuild_ios\":0,\"sheds\":1,\
+                        \"redirects\":0,\"shard_reports\":0,\"migrations\":0,\"quarantines\":0,\
+                        \"retunes\":0}";
+        assert_eq!(
+            lines[0],
+            format!(
+                "{{\"record\":\"flight_dump\",\"anomaly\":\"manual\",\"seq\":0,\"now_us\":5,\
+                 \"epoch\":0,\"clean\":true,\"evicted_since_dump\":0,\"events\":1,\
+                 \"delta\":{counters},\"cumulative\":{counters}}}"
+            )
+        );
         assert!(lines[1].starts_with("{\"event\":\"shed\""));
     }
 }

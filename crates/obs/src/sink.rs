@@ -299,60 +299,6 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// A sink rendering events as CSV rows (header emitted before the first
-/// row; see [`TraceEvent::write_csv`] for the column contract).
-///
-/// # Panics
-///
-/// `emit` panics if the underlying writer fails, like [`JsonlSink`].
-#[derive(Debug)]
-pub struct CsvSink<W: Write> {
-    writer: W,
-    buf: String,
-    wrote_header: bool,
-    rows: u64,
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Wrap a writer (buffer it yourself when it is a raw file).
-    pub fn new(writer: W) -> Self {
-        CsvSink {
-            writer,
-            buf: String::with_capacity(128),
-            wrote_header: false,
-            rows: 0,
-        }
-    }
-
-    /// Data rows written so far (the header is not counted).
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        self.writer.flush().expect("trace sink flush failed");
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for CsvSink<W> {
-    fn emit(&mut self, event: &TraceEvent) {
-        self.buf.clear();
-        if !self.wrote_header {
-            self.buf.push_str(TraceEvent::csv_header());
-            self.buf.push('\n');
-            self.wrote_header = true;
-        }
-        event.write_csv(&mut self.buf);
-        self.buf.push('\n');
-        self.writer
-            .write_all(self.buf.as_bytes())
-            .expect("trace sink write failed");
-        self.rows += 1;
-    }
-}
-
 /// A sink duplicating every event into two sinks (e.g. a
 /// [`crate::Snapshot`] for aggregates plus a [`JsonlSink`] for the raw
 /// timeline).
@@ -517,18 +463,6 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"event\":\"queue_swap\""));
-    }
-
-    #[test]
-    fn csv_emits_header_once() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.emit(&swap(1));
-        sink.emit(&swap(2));
-        assert_eq!(sink.rows(), 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], TraceEvent::csv_header());
     }
 
     #[test]

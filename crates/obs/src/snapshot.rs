@@ -7,157 +7,124 @@ use crate::hist::Histogram;
 use crate::sink::TraceSink;
 use std::fmt::Write as _;
 
-/// One counter per event kind (plus late completions, split out of
-/// `service_completes` because they are the §6 loss signal).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// `Arrival` events.
-    pub arrivals: u64,
-    /// `ServiceStart` events.
-    pub service_starts: u64,
-    /// `ServiceComplete` events.
-    pub service_completes: u64,
-    /// `ServiceComplete` events with `late` set.
-    pub late_completions: u64,
-    /// `Drop` events.
-    pub drops: u64,
-    /// `Preempt` events.
-    pub preemptions: u64,
-    /// `SpPromote` events.
-    pub sp_promotions: u64,
-    /// `ErExpand` events.
-    pub er_expands: u64,
-    /// `ErReset` events.
-    pub er_resets: u64,
-    /// `QueueSwap` events.
-    pub queue_swaps: u64,
-    /// `SweepReverse` events.
-    pub sweep_reversals: u64,
-    /// `MediaError` events (transient + bad-sector discoveries).
-    pub media_errors: u64,
-    /// `Retry` events.
-    pub retries: u64,
-    /// `RequestFailed` events (retry budget exhausted).
-    pub request_failures: u64,
-    /// `SectorRemap` events.
-    pub sector_remaps: u64,
-    /// `DegradedRead` events.
-    pub degraded_reads: u64,
-    /// `RebuildIo` events.
-    pub rebuild_ios: u64,
-    /// `Shed` events (bounded-queue overload drops).
-    pub sheds: u64,
-    /// `Redirect` events (farm router overload redirections).
-    pub redirects: u64,
-    /// `ShardReport` events (one per finished farm shard timeline).
-    pub shard_reports: u64,
-    /// `Migrate` events (drained-shard in-flight handoffs).
-    pub migrations: u64,
-    /// `Quarantine` events (supervisor pulled a shard from routing).
-    pub quarantines: u64,
-    /// `Retune` events (control plane applied a live knob/policy change).
-    pub retunes: u64,
+/// Generates [`Counters`] and its per-field methods from one row per
+/// counter, in [`Counters::items`] order.
+macro_rules! counter_table {
+    (
+        $(#[$meta:meta])*
+        pub struct Counters {
+            $( $(#[$fmeta:meta])* $field:ident, )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct Counters {
+            $( $(#[$fmeta])* pub $field: u64, )*
+        }
+
+        /// How many counters [`Counters`] holds.
+        const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+        impl Counters {
+            /// Add another set of counters into this one.
+            pub fn merge(&mut self, other: &Counters) {
+                $( self.$field += other.$field; )*
+            }
+
+            /// What was counted since `earlier`, an older reading of the
+            /// same counters: the inverse of [`Counters::merge`]. Counters
+            /// only grow, so every difference is exact.
+            pub fn since(&self, earlier: &Counters) -> Counters {
+                Counters {
+                    $( $field: self.$field - earlier.$field, )*
+                }
+            }
+
+            /// Every counter as a `(stable_name, value)` pair, in
+            /// declaration order — the iteration base for exposition
+            /// encoders and dump renderers.
+            pub fn items(&self) -> [(&'static str, u64); COUNTERS] {
+                [ $( (stringify!($field), self.$field), )* ]
+            }
+        }
+    };
+}
+
+counter_table! {
+    /// One counter per event kind (plus late completions, split out of
+    /// `service_completes` because they are the §6 loss signal).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct Counters {
+        /// `Arrival` events.
+        arrivals,
+        /// `ServiceStart` events.
+        service_starts,
+        /// `ServiceComplete` events.
+        service_completes,
+        /// `ServiceComplete` events with `late` set.
+        late_completions,
+        /// `Drop` events.
+        drops,
+        /// `Preempt` events.
+        preemptions,
+        /// `SpPromote` events.
+        sp_promotions,
+        /// `ErExpand` events.
+        er_expands,
+        /// `ErReset` events.
+        er_resets,
+        /// `QueueSwap` events.
+        queue_swaps,
+        /// `SweepReverse` events.
+        sweep_reversals,
+        /// `MediaError` events (transient + bad-sector discoveries).
+        media_errors,
+        /// `Retry` events.
+        retries,
+        /// `RequestFailed` events (retry budget exhausted).
+        request_failures,
+        /// `SectorRemap` events.
+        sector_remaps,
+        /// `DegradedRead` events.
+        degraded_reads,
+        /// `RebuildIo` events.
+        rebuild_ios,
+        /// `Shed` events (bounded-queue overload drops).
+        sheds,
+        /// `Redirect` events (farm router overload redirections).
+        redirects,
+        /// `ShardReport` events (one per finished farm shard timeline).
+        shard_reports,
+        /// `Migrate` events (drained-shard in-flight handoffs).
+        migrations,
+        /// `Quarantine` events (supervisor pulled a shard from routing).
+        quarantines,
+        /// `Retune` events (control plane applied a live knob/policy change).
+        retunes,
+    }
 }
 
 impl Counters {
-    /// Add another set of counters into this one.
-    pub fn merge(&mut self, other: &Counters) {
-        self.arrivals += other.arrivals;
-        self.service_starts += other.service_starts;
-        self.service_completes += other.service_completes;
-        self.late_completions += other.late_completions;
-        self.drops += other.drops;
-        self.preemptions += other.preemptions;
-        self.sp_promotions += other.sp_promotions;
-        self.er_expands += other.er_expands;
-        self.er_resets += other.er_resets;
-        self.queue_swaps += other.queue_swaps;
-        self.sweep_reversals += other.sweep_reversals;
-        self.media_errors += other.media_errors;
-        self.retries += other.retries;
-        self.request_failures += other.request_failures;
-        self.sector_remaps += other.sector_remaps;
-        self.degraded_reads += other.degraded_reads;
-        self.rebuild_ios += other.rebuild_ios;
-        self.sheds += other.sheds;
-        self.redirects += other.redirects;
-        self.shard_reports += other.shard_reports;
-        self.migrations += other.migrations;
-        self.quarantines += other.quarantines;
-        self.retunes += other.retunes;
-    }
-
-    /// What was counted since `earlier`, an older reading of the same
-    /// counters: the inverse of [`Counters::merge`]. Counters only grow,
-    /// so every difference is exact.
-    pub fn since(&self, earlier: &Counters) -> Counters {
-        Counters {
-            arrivals: self.arrivals - earlier.arrivals,
-            service_starts: self.service_starts - earlier.service_starts,
-            service_completes: self.service_completes - earlier.service_completes,
-            late_completions: self.late_completions - earlier.late_completions,
-            drops: self.drops - earlier.drops,
-            preemptions: self.preemptions - earlier.preemptions,
-            sp_promotions: self.sp_promotions - earlier.sp_promotions,
-            er_expands: self.er_expands - earlier.er_expands,
-            er_resets: self.er_resets - earlier.er_resets,
-            queue_swaps: self.queue_swaps - earlier.queue_swaps,
-            sweep_reversals: self.sweep_reversals - earlier.sweep_reversals,
-            media_errors: self.media_errors - earlier.media_errors,
-            retries: self.retries - earlier.retries,
-            request_failures: self.request_failures - earlier.request_failures,
-            sector_remaps: self.sector_remaps - earlier.sector_remaps,
-            degraded_reads: self.degraded_reads - earlier.degraded_reads,
-            rebuild_ios: self.rebuild_ios - earlier.rebuild_ios,
-            sheds: self.sheds - earlier.sheds,
-            redirects: self.redirects - earlier.redirects,
-            shard_reports: self.shard_reports - earlier.shard_reports,
-            migrations: self.migrations - earlier.migrations,
-            quarantines: self.quarantines - earlier.quarantines,
-            retunes: self.retunes - earlier.retunes,
-        }
-    }
-
-    /// Every counter as a `(stable_name, value)` pair, in declaration
-    /// order — the iteration base for exposition encoders and dump
-    /// renderers.
-    pub fn items(&self) -> [(&'static str, u64); 23] {
-        [
-            ("arrivals", self.arrivals),
-            ("service_starts", self.service_starts),
-            ("service_completes", self.service_completes),
-            ("late_completions", self.late_completions),
-            ("drops", self.drops),
-            ("preemptions", self.preemptions),
-            ("sp_promotions", self.sp_promotions),
-            ("er_expands", self.er_expands),
-            ("er_resets", self.er_resets),
-            ("queue_swaps", self.queue_swaps),
-            ("sweep_reversals", self.sweep_reversals),
-            ("media_errors", self.media_errors),
-            ("retries", self.retries),
-            ("request_failures", self.request_failures),
-            ("sector_remaps", self.sector_remaps),
-            ("degraded_reads", self.degraded_reads),
-            ("rebuild_ios", self.rebuild_ios),
-            ("sheds", self.sheds),
-            ("redirects", self.redirects),
-            ("shard_reports", self.shard_reports),
-            ("migrations", self.migrations),
-            ("quarantines", self.quarantines),
-            ("retunes", self.retunes),
-        ]
-    }
-
     /// Total events these counters witnessed. Every event increments
-    /// exactly one counter; `late_completions` is excluded because it is
-    /// a sub-count of `service_completes`, not an event kind of its own.
+    /// exactly one counter; `late_completions` is taken back out because
+    /// it is a sub-count of `service_completes`, not an event kind of its
+    /// own.
     pub fn total_events(&self) -> u64 {
-        self.items()
-            .into_iter()
-            .filter(|(name, _)| *name != "late_completions")
-            .map(|(_, v)| v)
-            .sum()
+        let all: u64 = self.items().iter().map(|&(_, v)| v).sum();
+        all - self.late_completions
+    }
+
+    /// Append the counters as one JSON object of `"name":value` pairs in
+    /// [`Counters::items`] order (no trailing newline): the one rendering
+    /// flight dumps and window streams share.
+    pub fn write_json(&self, out: &mut String) {
+        out.push('{');
+        for (i, (name, value)) in self.items().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "\"{name}\":{value}");
+        }
+        out.push('}');
     }
 }
 
@@ -380,120 +347,9 @@ mod tests {
 
     /// One event of every kind.
     fn feed(s: &mut Snapshot) {
-        s.emit(&TraceEvent::Arrival {
-            now_us: 0,
-            req: 1,
-            cylinder: 5,
-            deadline_us: 100,
-        });
-        s.emit(&TraceEvent::ServiceStart {
-            now_us: 10,
-            req: 1,
-            cylinder: 5,
-            seek_cylinders: 40,
-            queue_depth: 3,
-            slack_us: -7,
-        });
-        s.emit(&TraceEvent::ServiceComplete {
-            now_us: 30,
-            req: 1,
-            response_us: 30,
-            late: true,
-        });
-        s.emit(&TraceEvent::Preempt {
-            now_us: 31,
-            preempted_v: 9,
-            by_v: 2,
-        });
-        s.emit(&TraceEvent::ErExpand {
-            now_us: 31,
-            window: 8,
-        });
-        s.emit(&TraceEvent::QueueSwap {
-            now_us: 40,
-            batch: 2,
-        });
-        s.emit(&TraceEvent::ErReset {
-            now_us: 40,
-            window: 4,
-        });
-        s.emit(&TraceEvent::SpPromote { now_us: 41, v: 3 });
-        s.emit(&TraceEvent::Drop {
-            now_us: 50,
-            req: 2,
-            missed_by_us: 6,
-            queue_depth: 3,
-        });
-        s.emit(&TraceEvent::SweepReverse {
-            now_us: 60,
-            cylinder: 5,
-        });
-        s.emit(&TraceEvent::MediaError {
-            now_us: 70,
-            req: 3,
-            attempt: 1,
-            transient: true,
-        });
-        s.emit(&TraceEvent::Retry {
-            now_us: 71,
-            req: 3,
-            attempt: 2,
-            slack_us: 12,
-        });
-        s.emit(&TraceEvent::RequestFailed {
-            now_us: 80,
-            req: 3,
-            attempts: 2,
-        });
-        s.emit(&TraceEvent::SectorRemap {
-            now_us: 81,
-            req: 4,
-            penalty_us: 5_000,
-        });
-        s.emit(&TraceEvent::DegradedRead {
-            now_us: 82,
-            req: 5,
-            failed_member: 2,
-        });
-        s.emit(&TraceEvent::RebuildIo {
-            now_us: 83,
-            stripe: 9,
-            service_us: 1_500,
-        });
-        s.emit(&TraceEvent::Shed {
-            now_us: 84,
-            req: 6,
-            v: 77,
-        });
-        s.emit(&TraceEvent::Redirect {
-            now_us: 85,
-            req: 7,
-            from_shard: 0,
-            to_shard: 3,
-            queue_depth: 16,
-        });
-        s.emit(&TraceEvent::ShardReport {
-            now_us: 86,
-            shard: 3,
-            served: 42,
-            sheds: 1,
-        });
-        s.emit(&TraceEvent::Migrate {
-            now_us: 86,
-            req: 8,
-            from_shard: 1,
-            to_shard: 2,
-        });
-        s.emit(&TraceEvent::Quarantine {
-            now_us: 87,
-            shard: 2,
-            until_us: 187,
-        });
-        s.emit(&TraceEvent::Retune {
-            now_us: 88,
-            shard: 1,
-            knob: 2,
-        });
+        for (e, _, _) in crate::event::tests::GOLDEN {
+            s.emit(&e);
+        }
     }
 
     #[test]
