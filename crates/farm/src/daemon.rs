@@ -537,12 +537,13 @@ impl FarmDaemon {
     }
 
     /// What the daemon holds, counted in entries (not bytes) and folded
-    /// by structure over the members: the admission gate's map and expiry
-    /// heap, the router's per-shard tables, the steppers' undelivered
-    /// arrivals and inversion censuses, the schedulers' queues and
-    /// arenas, the shared flight ring, the recorders' retained dumps and
-    /// live and undrained windows, the member table, the wake heap, the
-    /// two timer heaps, and the supervisor's touched and scratch lists.
+    /// by structure over the members: the admission gate's recency list
+    /// and stream index, the router's per-shard tables and rotation list,
+    /// the steppers' undelivered arrivals and inversion censuses, the
+    /// schedulers' queues and arenas, the shared flight ring, the
+    /// recorders' retained dumps and live and undrained windows, the
+    /// member table, the wake heap, the two timer heaps, and the
+    /// supervisor's touched and scratch lists.
     ///
     /// All of it is *state*: sized by the farm's shape, the gate and
     /// queue bounds and the telemetry depths. None of it may be

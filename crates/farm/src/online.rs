@@ -17,7 +17,9 @@
 //! On top of the batch semantics it adds an **eligibility mask** for the
 //! daemon: a draining or quarantined shard stays in the load model (its
 //! residents still drain) but receives no new arrivals — the policy's
-//! choice is then rerouted to the least-loaded eligible shard.
+//! choice is then rerouted to the least-loaded eligible shard. The shards
+//! in rotation are also kept as an ascending index list, so that search
+//! scans only them, however many members have drained out.
 
 use obs::TraceEvent;
 use sched::Request;
@@ -143,7 +145,8 @@ pub struct OnlineRouter {
     cylinders: u32,
     model: LoadModel,
     eligible: Vec<bool>,
-    eligible_count: usize,
+    /// The eligible shards, ascending: what a reroute or a redirect scans.
+    rotation: Vec<usize>,
     redirect_on_overload: bool,
     redirects: u64,
     reroutes: u64,
@@ -161,7 +164,7 @@ impl OnlineRouter {
             cylinders: cfg.cylinders,
             model: LoadModel::new(capacities, cfg.est_service_us),
             eligible: vec![true; cfg.shards],
-            eligible_count: cfg.shards,
+            rotation: (0..cfg.shards).collect(),
             redirect_on_overload: cfg.redirect_on_overload,
             redirects: 0,
             reroutes: 0,
@@ -174,14 +177,15 @@ impl OnlineRouter {
     }
 
     /// Entries held: one modeled drain horizon and one eligibility flag
-    /// per shard, whatever the traffic.
+    /// per shard, and one rotation entry per eligible shard, whatever the
+    /// traffic.
     pub fn state_len(&self) -> usize {
-        self.model.loads.len() + self.eligible.len()
+        self.model.loads.len() + self.eligible.len() + self.rotation.len()
     }
 
     /// Shards currently accepting new arrivals.
     pub fn eligible_count(&self) -> usize {
-        self.eligible_count
+        self.rotation.len()
     }
 
     /// Whether `shard` accepts new arrivals.
@@ -200,30 +204,34 @@ impl OnlineRouter {
         if self.eligible[shard] == eligible {
             return;
         }
-        self.eligible[shard] = eligible;
-        if eligible {
-            self.eligible_count += 1;
-        } else {
-            self.eligible_count -= 1;
-        }
         assert!(
-            self.eligible_count > 0,
+            eligible || self.rotation.len() > 1,
             "the last eligible shard cannot be removed"
         );
+        self.eligible[shard] = eligible;
+        match (self.rotation.binary_search(&shard), eligible) {
+            (Err(at), true) => self.rotation.insert(at, shard),
+            (Ok(at), false) => {
+                self.rotation.remove(at);
+            }
+            _ => unreachable!("the rotation list mirrors the eligibility flags"),
+        }
     }
 
     /// Add a fresh, idle, eligible shard; returns its index.
     pub fn add_shard(&mut self, capacity: Option<usize>) -> usize {
         self.model.add_shard(capacity);
         self.eligible.push(true);
-        self.eligible_count += 1;
+        // The highest index yet: the list stays ascending.
+        self.rotation.push(self.eligible.len() - 1);
         self.eligible.len() - 1
     }
 
-    /// The least-loaded eligible shard right now — the migration target
-    /// a closing drain hands its backlog to.
+    /// The least-loaded eligible shard right now — where a reroute or an
+    /// overload redirect goes, and the migration target a closing drain
+    /// hands its backlog to.
     pub fn least_loaded_eligible(&self) -> usize {
-        least_loaded_among(self.model.loads(), &self.eligible).expect("at least one eligible shard")
+        least_loaded_among(self.model.loads(), &self.rotation).expect("at least one eligible shard")
     }
 
     /// Swap the routing policy live — the control plane's router retune
@@ -255,13 +263,11 @@ impl OnlineRouter {
     /// contract the batch pass's trace argument carries).
     pub fn route(&mut self, r: &Request) -> RouteDecision {
         let now = r.arrival_us;
-        let loads = self.model.loads();
-        let chosen = self.policy.route(r, loads, self.cylinders);
+        let chosen = self.policy.route(r, self.model.loads(), self.cylinders);
         let mut target = chosen;
         let mut rerouted = false;
         if !self.eligible[chosen] {
-            target =
-                least_loaded_among(loads, &self.eligible).expect("at least one eligible shard");
+            target = self.least_loaded_eligible();
             rerouted = true;
             self.reroutes += 1;
         }
@@ -272,8 +278,7 @@ impl OnlineRouter {
         let redirect_from = target;
         let mut redirected = false;
         if self.redirect_on_overload && !rerouted && self.model.projected_full(target, now) {
-            let alt =
-                least_loaded_among(loads, &self.eligible).expect("at least one eligible shard");
+            let alt = self.least_loaded_eligible();
             if alt != target && !self.model.projected_full(alt, now) {
                 redirected = true;
                 self.redirects += 1;
@@ -477,18 +482,27 @@ mod tests {
     }
 
     #[test]
-    fn eligible_count_tracks_membership_changes() {
+    fn the_rotation_list_tracks_membership_changes() {
         let cfg = FarmConfig::new(3);
         let mut router = OnlineRouter::new(&cfg, &[None; 3]);
-        assert_eq!(router.eligible_count(), 3);
+        assert_eq!(router.rotation, [0, 1, 2]);
         router.set_eligible(1, false);
         router.set_eligible(1, false); // repeating a state is not a change
-        assert_eq!(router.eligible_count(), 2);
+        assert_eq!(
+            (router.eligible_count(), &router.rotation[..]),
+            (2, &[0, 2][..])
+        );
         router.add_shard(None);
-        assert_eq!(router.eligible_count(), 3);
+        router.set_eligible(0, false);
+        assert_eq!(router.rotation, [2, 3]);
+        // Reinstated out of index order, each lands in its place.
         router.set_eligible(1, true);
         router.set_eligible(1, true);
-        assert_eq!(router.eligible_count(), 4);
+        router.set_eligible(0, true);
+        assert_eq!(
+            (router.eligible_count(), &router.rotation[..]),
+            (4, &[0, 1, 2, 3][..])
+        );
     }
 
     #[test]

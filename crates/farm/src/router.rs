@@ -144,19 +144,18 @@ pub fn least_loaded(loads: &[ShardLoad]) -> usize {
         .expect("at least one shard")
 }
 
-/// [`least_loaded`] restricted to the shards `eligible` marks `true` —
-/// the selection the online router uses when membership events have
-/// taken shards out of rotation. `None` when nothing is eligible. With
-/// every shard eligible this is exactly [`least_loaded`] (same tie
-/// breaks), which the parity tests pin down.
-pub fn least_loaded_among(loads: &[ShardLoad], eligible: &[bool]) -> Option<usize> {
-    debug_assert_eq!(loads.len(), eligible.len());
-    loads
+/// [`least_loaded`] restricted to the shards listed in `among` — the
+/// selection the online router uses when membership events have taken
+/// shards out of rotation, over its list of the shards still in it. Same
+/// order, `(busy_until_us, index)`, whatever the list's order; `None`
+/// when the list is empty. With every shard listed this is exactly
+/// [`least_loaded`], which the parity tests pin down.
+pub fn least_loaded_among(loads: &[ShardLoad], among: &[usize]) -> Option<usize> {
+    among
         .iter()
-        .enumerate()
-        .filter(|(i, _)| eligible.get(*i).copied().unwrap_or(false))
-        .min_by_key(|(i, l)| (l.busy_until_us, *i))
-        .map(|(i, _)| i)
+        .map(|&i| (loads[i].busy_until_us, i))
+        .min()
+        .map(|(_, i)| i)
 }
 
 #[cfg(test)]
@@ -261,17 +260,23 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_among_matches_unrestricted_when_all_eligible() {
+    fn least_loaded_among_matches_unrestricted_when_all_listed() {
         let mut loads = idle(5);
         for (i, l) in loads.iter_mut().enumerate() {
             l.busy_until_us = NOW + ((i as u64 * 13 + 7) % 5) * EST + (i as u64 * 31) % 3;
         }
-        let all = vec![true; 5];
-        assert_eq!(least_loaded_among(&loads, &all), Some(least_loaded(&loads)));
+        assert_eq!(
+            least_loaded_among(&loads, &[0, 1, 2, 3, 4]),
+            Some(least_loaded(&loads))
+        );
         // Restricting to one shard picks it, and to none picks nothing.
-        let only3 = vec![false, false, false, true, false];
-        assert_eq!(least_loaded_among(&loads, &only3), Some(3));
-        assert_eq!(least_loaded_among(&loads, &[false; 5]), None);
+        assert_eq!(least_loaded_among(&loads, &[3]), Some(3));
+        assert_eq!(least_loaded_among(&loads, &[]), None);
+        // Equal horizons go to the lowest index, in whatever order the
+        // shards are listed.
+        let tied = idle(5);
+        assert_eq!(least_loaded_among(&tied, &[4, 2, 3]), Some(2));
+        assert_eq!(least_loaded_among(&tied, &[1, 4]), Some(1));
     }
 
     #[test]

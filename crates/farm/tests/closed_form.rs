@@ -229,3 +229,89 @@ fn every_decision_equals_the_explicit_models_on_random_sequences() {
     assert!(redirects > 10_000, "redirect path starved: {redirects}");
     assert!(reroutes > 10_000, "reroute path starved: {reroutes}");
 }
+
+/// `surge`'s membership script against the explicit model: four members
+/// grow to nineteen as one joins and the oldest drains, fifteen times, so
+/// the sticky hash keeps choosing drained members and most arrivals are
+/// rerouted. On top, groups of members are quarantined together and
+/// reinstated in a shuffled order. Bursts of equal arrival times give
+/// members equal horizons, so the least-loaded search's lowest-index
+/// tie-break is reached among members that rejoined in any order.
+#[test]
+fn a_surge_shaped_membership_script_matches_the_explicit_model() {
+    let mut rng = Rng(0x5ca1e);
+    let cfg = FarmConfig::new(4)
+        .with_policy(RoutePolicy::HashStream)
+        .with_redirects();
+    let est = cfg.est_service_us;
+    let mut router = OnlineRouter::new(&cfg, &[Some(16); 4]);
+    let mut explicit = ExplicitRouter {
+        policy: RoutePolicy::HashStream,
+        est,
+        redirect_on_overload: true,
+        shards: (0..4).map(|_| ExplicitShard::idle(Some(16))).collect(),
+        redirects: 0,
+        reroutes: 0,
+    };
+    let set_eligible = |router: &mut OnlineRouter, explicit: &mut ExplicitRouter, shard, to| {
+        router.set_eligible(shard, to);
+        explicit.shards[shard].eligible = to;
+    };
+    let (mut oldest, mut now, mut quarantined) = (0, 0, Vec::new());
+    for id in 0..30_000u64 {
+        if id % 2_000 == 1_999 && explicit.shards.len() < 19 {
+            assert_eq!(router.add_shard(Some(16)), explicit.shards.len());
+            explicit.shards.push(ExplicitShard::idle(Some(16)));
+            if explicit.shards[oldest].eligible {
+                set_eligible(&mut router, &mut explicit, oldest, false);
+            }
+            oldest += 1;
+        }
+        if id % 500 == 250 {
+            if quarantined.is_empty() {
+                // Up to three members in rotation, lowest first, keeping one.
+                for shard in oldest..explicit.shards.len() {
+                    if quarantined.len() < 3 && router.eligible_count() > 1 {
+                        set_eligible(&mut router, &mut explicit, shard, false);
+                        quarantined.push(shard);
+                    }
+                }
+            } else {
+                // Reinstated out of index order: reversed after a random
+                // rotation, which never leaves a group of three ascending.
+                let turn = rng.below(quarantined.len() as u64) as usize;
+                quarantined.rotate_left(turn);
+                quarantined.reverse();
+                for shard in quarantined.drain(..) {
+                    set_eligible(&mut router, &mut explicit, shard, true);
+                }
+            }
+        }
+        // About the rate four members serve, in bursts, with an idle gap
+        // now and then that drains them all.
+        now += match rng.below(500) {
+            0 => est * 100,
+            1..=250 => 0,
+            _ => rng.below(est / 4),
+        };
+        let r = Request::read(id, now, u64::MAX, 0, 65536, QosVector::none())
+            .with_stream(rng.below(400));
+        let want = explicit.route(&r);
+        assert_eq!(router.route(&r), want, "request {id} at {now}");
+        assert_eq!(
+            router.least_loaded_eligible(),
+            explicit.least_loaded_eligible(),
+            "after request {id}"
+        );
+    }
+    assert_eq!(explicit.shards.len(), 19);
+    assert_eq!(oldest, 15);
+    assert_eq!(router.redirects(), explicit.redirects);
+    assert_eq!(router.reroutes(), explicit.reroutes);
+    assert!(
+        explicit.reroutes > 15_000 && explicit.redirects > 100,
+        "{} reroutes, {} redirects",
+        explicit.reroutes,
+        explicit.redirects
+    );
+}

@@ -66,4 +66,40 @@ mod tests {
         let mut q: Vec<Request> = Vec::new();
         assert!(take_min_by_key(&mut q, |r| r.cylinder).is_none());
     }
+
+    /// The textbook head-movement exercise: the queue 98, 183, 37, 122,
+    /// 14, 124, 65, 67 on a 200-cylinder disk, the head at 53. Each
+    /// policy's service order and the total cylinders it moves the head
+    /// are worked out by hand from the usual rules: FCFS in queue order;
+    /// SSTF always to the nearest pending cylinder; SCAN sweeping up
+    /// first. `Scan` turns at the last pending cylinder (LOOK), so it
+    /// moves 130 + 169 = 299; the classroom SCAN that runs on to the last
+    /// cylinder, 199, before turning would move 146 + 185 = 331.
+    #[test]
+    fn textbook_queue_service_orders_and_head_movement() {
+        use crate::{DiskScheduler, Fcfs, HeadState, Scan, Sstf};
+        const QUEUE: [u32; 8] = [98, 183, 37, 122, 14, 124, 65, 67];
+        let serve = |s: &mut dyn DiskScheduler| -> (Vec<u32>, u32) {
+            let mut head = HeadState::new(53, 0, 200);
+            for (id, &cyl) in QUEUE.iter().enumerate() {
+                s.enqueue(req(id as u64, cyl), &head);
+            }
+            let (mut order, mut moved) = (Vec::new(), 0);
+            while let Some(r) = s.dequeue(&head) {
+                moved += head.distance_to(r.cylinder);
+                order.push(r.cylinder);
+                head = HeadState::new(r.cylinder, 0, 200);
+            }
+            (order, moved)
+        };
+        assert_eq!(serve(&mut Fcfs::new()), (QUEUE.to_vec(), 640));
+        assert_eq!(
+            serve(&mut Sstf::new()),
+            (vec![65, 67, 37, 14, 98, 122, 124, 183], 236)
+        );
+        assert_eq!(
+            serve(&mut Scan::new()),
+            (vec![65, 67, 98, 122, 124, 183, 37, 14], 299)
+        );
+    }
 }
