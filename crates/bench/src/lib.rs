@@ -36,7 +36,7 @@
 //! | `farm` | `--seed --shards 1,2,4,8 --streams --duration-ms --max-queue` | [`farm`]: shard-count scaling under the three routing policies |
 //! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |
 //! | `ctrl` | `--mode smoke\|sweep --seed --csv true --f 0,0.5 --r 1,3 --w 0,0.1` | [`ctrl`]: the live-improvement smoke gate, or the `(f, R, w)` convergence sweep against exhaustive search (`--csv true` prints its table) |
-//! | `obsreport` | `--mode stream\|prom --seed` | [`obsreport`]: per-window telemetry JSONL, or the Prometheus text format |
+//! | `obsreport` | `--seed` | [`obsreport`]: per-window telemetry JSONL and a summary line |
 //! | `perf` | `--seed --budget` | [`perf`]: the self-relative telemetry overhead gate; exits 1 when the live sink costs more than `--budget` (default 0.05) of NullSink throughput |
 //!
 //! All experiments are deterministic given a seed; every subcommand that

@@ -76,7 +76,7 @@ fn main() {
             "trials",
         ])),
         "ctrl" => run_ctrl(&parse(&["mode", "seed", "csv", "f", "r", "w"])),
-        "obsreport" => run_obsreport(&parse(&["mode", "seed"])),
+        "obsreport" => run_obsreport(&parse(&["seed"])),
         "perf" => run_perf(&parse(&["seed", "budget"])),
         _ => {
             let figures: Vec<&str> = FIGURES.iter().map(|(file, _)| stem(file)).collect();
@@ -364,15 +364,10 @@ fn run_obsreport(args: &Args) {
         seed: args.get("seed", DEFAULT_SEED),
         ..Default::default()
     };
-    if args.one_of("mode", &["stream", "prom"]) == "stream" {
-        let (outcome, mut sinks) = obsreport::run(&cfg);
-        let deltas = obsreport::flush(&mut sinks);
-        print!("{}", obsreport::render_windows_jsonl(&deltas));
-        print!("{}", obsreport::render_summary_jsonl(&outcome, &sinks));
-    } else {
-        let (_, sinks) = obsreport::run(&cfg);
-        print!("{}", obsreport::render_prometheus(&sinks));
-    }
+    let (outcome, mut sinks) = obsreport::run(&cfg);
+    let deltas = obsreport::flush(&mut sinks);
+    print!("{}", obsreport::render_windows_jsonl(&deltas));
+    print!("{}", obsreport::render_summary_jsonl(&outcome, &sinks));
 }
 
 /// Self-relative: telemetry-off vs telemetry-on throughput on the engine

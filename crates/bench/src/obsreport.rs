@@ -1,33 +1,27 @@
-//! Telemetry exposition harness — the `obsreport` subcommand.
+//! Telemetry stream harness — the `obsreport` subcommand.
 //!
 //! Not a paper figure: this is the operational face of the live
 //! telemetry plane. One seeded overloaded farm run (bounded-queue
 //! cascades, hash routing with redirect-on-overload) is executed with
 //! one windowed live sink per shard at the live plane's default
-//! histogram stride ([`obs::DEFAULT_SAMPLE_SHIFT`]), and the results are
-//! reported in two modes:
+//! histogram stride ([`obs::DEFAULT_SAMPLE_SHIFT`]). The per-shard sinks
+//! are then drained and printed as one JSONL line per completed window
+//! per shard (epoch, start, width, exact counters, and response p50/p99
+//! when the window saw completions), followed by one `summary` line.
+//! This is the feed a control plane polls mid-run via
+//! [`WindowedSnapshot::take_deltas`].
 //!
-//! * **stream** — drain the per-shard sinks and print one JSONL line
-//!   per completed window per shard (epoch, start, width, exact
-//!   counters, and response p50/p99 when the window saw completions),
-//!   followed by one `summary` line. This is the feed a control plane
-//!   polls mid-run via [`WindowedSnapshot::take_deltas`].
-//! * **prom** — print the end-of-run per-shard cumulatives in the
-//!   Prometheus text exposition format (`# TYPE` lines, `_total`
-//!   counters and cumulative-bucket histograms, one sample per `shard`
-//!   label).
-//!
-//! Both modes are deterministic given `--seed`. That the windowed sinks
-//! reproduce a plain [`Snapshot`] farm run bit for bit, and that every
-//! shard's window deltas sum to its cumulative, is asserted by the farm
-//! crate's `per_shard_windowed_sinks_reconcile_with_the_merged_snapshot`.
+//! The output is deterministic given `--seed`. That the windowed sinks
+//! reproduce a plain [`obs::Snapshot`] farm run bit for bit, and that
+//! every shard's window deltas sum to its cumulative, is asserted by the
+//! farm crate's `per_shard_windowed_sinks_reconcile_with_the_merged_snapshot`.
 
 use crate::vod;
 use farm::{simulate_farm_traced, FarmConfig, FarmOutcome, RoutePolicy};
-use obs::{ShardDelta, Snapshot, TelemetryConfig, WindowedSnapshot};
+use obs::{ShardDelta, TelemetryConfig, WindowedSnapshot};
 use std::fmt::Write as _;
 
-/// Scenario parameters shared by both modes.
+/// Scenario parameters.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// RNG seed (workload generation).
@@ -92,10 +86,6 @@ pub fn flush(sinks: &mut [WindowedSnapshot]) -> Vec<ShardDelta> {
     out
 }
 
-fn cumulatives(sinks: &[WindowedSnapshot]) -> Vec<Snapshot> {
-    sinks.iter().map(WindowedSnapshot::cumulative).collect()
-}
-
 /// Render drained window deltas as JSONL, one line per window.
 pub fn render_windows_jsonl(deltas: &[ShardDelta]) -> String {
     let mut out = String::with_capacity(deltas.len() * 256);
@@ -137,14 +127,6 @@ pub fn render_summary_jsonl(outcome: &FarmOutcome, sinks: &[WindowedSnapshot]) -
     )
 }
 
-/// Render the per-shard cumulatives in the Prometheus text exposition
-/// format.
-pub fn render_prometheus(sinks: &[WindowedSnapshot]) -> String {
-    let mut out = String::with_capacity(16 * 1024);
-    obs::encode_registry(&mut out, obs::DEFAULT_PREFIX, &cumulatives(sinks));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,16 +152,5 @@ mod tests {
         let summary = render_summary_jsonl(&outcome, &sinks);
         assert!(summary.starts_with("{\"record\":\"summary\""));
         assert!(summary.contains("\"shards\":4"));
-    }
-
-    #[test]
-    fn prometheus_output_covers_every_shard() {
-        let (_, sinks) = run(&quick());
-        let prom = render_prometheus(&sinks);
-        assert!(prom.contains("# TYPE sched_arrivals_total counter"));
-        for shard in 0..4 {
-            assert!(prom.contains(&format!("sched_arrivals_total{{shard=\"{shard}\"}}")));
-        }
-        assert!(prom.contains("# TYPE sched_response_us histogram"));
     }
 }

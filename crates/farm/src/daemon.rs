@@ -1826,22 +1826,21 @@ mod tests {
     }
 
     #[test]
-    fn a_finished_reports_recorders_expose_one_sample_per_member() {
+    fn a_finished_reports_recorders_count_each_members_routed_arrivals() {
         let cfg = DaemonConfig::new(FarmConfig::new(3), SimOptions::with_shape(1, 5));
         let report = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
             .run(vod(12, 90).into_iter().map(DaemonEvent::Arrival));
-        let cumulatives: Vec<obs::Snapshot> = report
+        assert_eq!(report.recorders.len(), 3);
+        assert_eq!(report.routed_per_shard.len(), 3);
+        for (shard, (recorder, &routed)) in report
             .recorders
             .iter()
-            .map(|r| r.windows().cumulative())
-            .collect();
-        let mut text = String::new();
-        obs::encode_registry(&mut text, obs::DEFAULT_PREFIX, &cumulatives);
-        for (shard, routed) in report.routed_per_shard.iter().enumerate() {
-            let sample = format!("sched_arrivals_total{{shard=\"{shard}\"}} {routed}\n");
-            assert_eq!(text.matches(&sample).count(), 1, "{sample}");
+            .zip(&report.routed_per_shard)
+            .enumerate()
+        {
+            let arrivals = recorder.windows().cumulative().counters.arrivals;
+            assert_eq!(arrivals, routed, "shard {shard}");
         }
-        assert_eq!(text.matches("sched_arrivals_total{").count(), 3);
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //! * [`FlightRecorder`] — a bounded tail of recent events, kept in a
 //!   [`FlightRing`] that a farm's recorders share, with anomaly
 //!   triggers ([`TriggerConfig`]) that freeze reconciled [`DumpRecord`]s
-//!   for post-mortems;
-//! * [`encode_snapshot`] / [`encode_registry`] — Prometheus-style text
-//!   exposition.
+//!   for post-mortems.
 //!
 //! The overhead contract: instrumented code guards every emission on
 //! `S::ENABLED`, so with the default [`NullSink`] the instrumented paths
@@ -54,7 +52,6 @@
 #![deny(missing_docs)]
 
 mod event;
-mod expo;
 mod hist;
 mod recorder;
 mod sink;
@@ -62,7 +59,6 @@ mod snapshot;
 mod window;
 
 pub use event::TraceEvent;
-pub use expo::{encode_registry, encode_snapshot, DEFAULT_PREFIX};
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig, DUMP_RETENTION};
 pub use sink::{FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};

@@ -40,8 +40,8 @@ macro_rules! counter_table {
             }
 
             /// Every counter as a `(stable_name, value)` pair, in
-            /// declaration order — the iteration base for exposition
-            /// encoders and dump renderers.
+            /// declaration order — the iteration base for the event
+            /// total and the JSON rendering.
             pub fn items(&self) -> [(&'static str, u64); COUNTERS] {
                 [ $( (stringify!($field), self.$field), )* ]
             }
@@ -175,17 +175,6 @@ impl Snapshot {
         self.seek_cylinders.clear();
         self.queue_depth.clear();
         self.slack_us.clear();
-    }
-
-    /// Every distribution as a `(stable_name, histogram)` pair: the four
-    /// paper-analysis distributions.
-    pub fn histograms(&self) -> [(&'static str, &Histogram); 4] {
-        [
-            ("response_us", &self.response_us),
-            ("seek_cylinders", &self.seek_cylinders),
-            ("queue_depth", &self.queue_depth),
-            ("slack_us", &self.slack_us),
-        ]
     }
 
     /// Record one event with the histogram updates gated by `mask`: the
@@ -447,31 +436,7 @@ mod tests {
         assert!(std::mem::size_of::<Snapshot>() <= 2_432);
     }
 
-    /// The exposition of `feed`'s snapshot after its 46 counter lines.
-    const EXPOSITION_TAIL: &str = "\
-# TYPE sched_response_us histogram
-sched_response_us_bucket{shard=\"3\",le=\"31\"} 1
-sched_response_us_bucket{shard=\"3\",le=\"+Inf\"} 1
-sched_response_us_sum{shard=\"3\"} 30
-sched_response_us_count{shard=\"3\"} 1
-# TYPE sched_seek_cylinders histogram
-sched_seek_cylinders_bucket{shard=\"3\",le=\"63\"} 1
-sched_seek_cylinders_bucket{shard=\"3\",le=\"+Inf\"} 1
-sched_seek_cylinders_sum{shard=\"3\"} 40
-sched_seek_cylinders_count{shard=\"3\"} 1
-# TYPE sched_queue_depth histogram
-sched_queue_depth_bucket{shard=\"3\",le=\"3\"} 2
-sched_queue_depth_bucket{shard=\"3\",le=\"+Inf\"} 2
-sched_queue_depth_sum{shard=\"3\"} 6
-sched_queue_depth_count{shard=\"3\"} 2
-# TYPE sched_slack_us histogram
-sched_slack_us_bucket{shard=\"3\",le=\"0\"} 2
-sched_slack_us_bucket{shard=\"3\",le=\"+Inf\"} 2
-sched_slack_us_sum{shard=\"3\"} 0
-sched_slack_us_count{shard=\"3\"} 2
-";
-
-    /// And its `report()` of the same.
+    /// The `report()` of `feed`'s snapshot.
     const REPORT: &str = "\
 events
   arrivals 1  service 1/1  late 1  drops 1
@@ -494,10 +459,6 @@ slack_us: n 2  mean 0.0µs  p50 0  p95 0  p99 0  p999 0  min 0  max 0
         feed(&mut recycled);
         for s in [&fresh, &recycled] {
             assert_eq!(s.report(), REPORT);
-            let mut out = String::new();
-            crate::encode_snapshot(&mut out, "sched", &[("shard", "3")], s);
-            assert!(out.ends_with(EXPOSITION_TAIL), "{out}");
-            assert_eq!(out.lines().count(), 46 + EXPOSITION_TAIL.lines().count());
         }
     }
 }

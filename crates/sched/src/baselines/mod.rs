@@ -2,16 +2,12 @@
 
 pub mod batched;
 pub mod bucket;
-pub mod cello;
 pub mod deadline_driven;
 pub mod edf;
 pub mod fcfs;
-pub mod fd_scan;
 pub mod multi_queue;
 pub mod scan;
 pub mod scan_edf;
-pub mod scan_rt;
-pub mod ssedo;
 pub mod sstf;
 
 use crate::Request;

@@ -1,7 +1,7 @@
 //! Service-time estimation for feasibility-aware schedulers.
 //!
-//! FD-SCAN, SCAN-RT, SSEDO/SSEDV and the deadline-driven scheduler all need
-//! to *predict* how long a request will take before deciding where to place
+//! The deadline-driven scheduler ([`crate::DeadlineDriven`]) needs to
+//! *predict* how long a request will take before deciding where to place
 //! it. [`CostModel`] provides that estimate from the seek curve plus an
 //! average rotational latency and transfer rate — intentionally the same
 //! level of fidelity the original algorithms assumed (they predate zoned
@@ -43,11 +43,6 @@ impl CostModel {
         let seek = ms_to_us(self.seek.seek_ms(from_cylinder.abs_diff(to_cylinder)));
         let transfer = (bytes as f64 / self.bytes_per_sec * 1e6).round() as Micros;
         seek + self.half_rev_us + transfer
-    }
-
-    /// The underlying seek model.
-    pub fn seek_model(&self) -> &SeekModel {
-        &self.seek
     }
 }
 

@@ -11,12 +11,8 @@
 //! | [`Scan`] / [`CScan`] | seek time (elevator) | Denning 1967 |
 //! | [`Edf`] | deadlines | Liu & Layland 1973 |
 //! | [`ScanEdf`] | deadlines, then seek | Reddy & Wyllie 1993 |
-//! | [`FdScan`] | feasible deadlines | Abbott & Garcia-Molina 1990 |
-//! | [`ScanRt`] | seek unless deadlines break | Kamel & Ito 1995 |
-//! | [`Ssedo`] / [`Ssedv`] | seek+deadline blend | Chen, Stankovic et al. 1991 |
 //! | [`MultiQueue`] | one priority dimension | Carey, Jauhari & Livny 1989 |
 //! | [`Bucket`] | value + deadline | Haritsa, Carey & Livny 1993 |
-//! | [`Cello`] | per-class weights, two levels | Shenoy & Vin 1998 |
 //! | [`DeadlineDriven`] | priority + deadline + seek | Kamel, Niranjan & Ghandeharizadeh, ICDE 2000 |
 //!
 //! The Cascaded-SFC scheduler itself lives in the `cascade` crate and
@@ -43,16 +39,12 @@ mod scheduler;
 
 pub use baselines::batched::Batched;
 pub use baselines::bucket::Bucket;
-pub use baselines::cello::Cello;
 pub use baselines::deadline_driven::DeadlineDriven;
 pub use baselines::edf::Edf;
 pub use baselines::fcfs::Fcfs;
-pub use baselines::fd_scan::FdScan;
 pub use baselines::multi_queue::MultiQueue;
 pub use baselines::scan::{CScan, Scan};
 pub use baselines::scan_edf::ScanEdf;
-pub use baselines::scan_rt::ScanRt;
-pub use baselines::ssedo::{Ssedo, Ssedv};
 pub use baselines::sstf::Sstf;
 pub use cost::CostModel;
 pub use request::{OpKind, QosVector, Request, MAX_QOS_DIMS};

@@ -10,7 +10,7 @@
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc};
 use cascaded_sfc::obs::{SharedSink, Snapshot};
-use cascaded_sfc::sched::{Batched, CScan, CostModel, DiskScheduler, Edf, Fcfs, ScanEdf, Sstf};
+use cascaded_sfc::sched::{Batched, CScan, DiskScheduler, Edf, Fcfs, ScanEdf, Sstf};
 use cascaded_sfc::sim::{simulate, simulate_traced, DiskService, SimOptions};
 use cascaded_sfc::workload::{DeadlineDist, PoissonConfig, Sizing};
 
@@ -32,7 +32,7 @@ fn main() {
     };
     let trace = wl.generate(7);
 
-    let mut schedulers: Vec<(&str, Box<dyn DiskScheduler>)> = vec![
+    let schedulers: Vec<(&str, Box<dyn DiskScheduler>)> = vec![
         ("fcfs", Box::new(Fcfs::new())),
         ("sstf", Box::new(Sstf::new())),
         ("edf", Box::new(Edf::new())),
@@ -46,11 +46,6 @@ fn main() {
             Box::new(CascadedSfc::new(CascadeConfig::paper_default(2, 3832)).unwrap()),
         ),
     ];
-    // SCAN-RT needs a cost model; add it too.
-    schedulers.push((
-        "scan-rt",
-        Box::new(cascaded_sfc::sched::ScanRt::new(CostModel::table1())),
-    ));
 
     println!(
         "{:<14} {:>8} {:>10} {:>12} {:>12} {:>12}",

@@ -6,8 +6,8 @@
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use cascaded_sfc::obs::{RingSink, SharedSink, TraceEvent};
 use cascaded_sfc::sched::{
-    Batched, Bucket, CScan, Cello, CostModel, DeadlineDriven, DiskScheduler, Edf, Fcfs, FdScan,
-    HeadState, MultiQueue, QosVector, Request, Retune, Scan, ScanEdf, ScanRt, Ssedo, Ssedv, Sstf,
+    Batched, Bucket, CScan, CostModel, DeadlineDriven, DiskScheduler, Edf, Fcfs, HeadState,
+    MultiQueue, QosVector, Request, Retune, Scan, ScanEdf, Sstf,
 };
 use cascaded_sfc::sim::{
     simulate, DiskService, EngineStepper, Metrics, ServiceProvider, SimOptions, TransferDominated,
@@ -16,7 +16,6 @@ use cascaded_sfc::workload::{NewsByteConfig, PoissonConfig};
 
 /// Every scheduler in the workspace, freshly built.
 fn all_schedulers() -> Vec<Box<dyn DiskScheduler>> {
-    let cost = CostModel::table1;
     vec![
         Box::new(Fcfs::new()),
         Box::new(Sstf::new()),
@@ -24,14 +23,9 @@ fn all_schedulers() -> Vec<Box<dyn DiskScheduler>> {
         Box::new(CScan::new()),
         Box::new(Edf::new()),
         Box::new(ScanEdf::new(20_000)),
-        Box::new(FdScan::new(cost())),
-        Box::new(ScanRt::new(cost())),
-        Box::new(Ssedo::new(0.5)),
-        Box::new(Ssedv::new(0.5, cost())),
         Box::new(MultiQueue::new(0)),
         Box::new(Bucket::new(1.0, 0.01, 8)),
-        Box::new(DeadlineDriven::new(cost())),
-        Box::new(Cello::realtime_throughput(cost())),
+        Box::new(DeadlineDriven::new(CostModel::table1())),
         Box::new(Batched::new(CScan::new(), "batched-c-scan")),
         Box::new(CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap()),
     ]

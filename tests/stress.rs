@@ -5,8 +5,8 @@
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc};
 use cascaded_sfc::sched::{
-    Batched, Bucket, CScan, Cello, CostModel, DeadlineDriven, DiskScheduler, Edf, Fcfs, FdScan,
-    MultiQueue, QosVector, Request, Scan, ScanEdf, ScanRt, Ssedo, Ssedv, Sstf,
+    Batched, Bucket, CScan, CostModel, DeadlineDriven, DiskScheduler, Edf, Fcfs, MultiQueue,
+    QosVector, Request, Scan, ScanEdf, Sstf,
 };
 use cascaded_sfc::sim::{simulate, simulate_logged, DiskService, SimOptions, TransferDominated};
 use proptest::prelude::*;
@@ -50,7 +50,6 @@ fn arb_trace() -> impl Strategy<Value = Vec<Request>> {
 }
 
 fn all_schedulers() -> Vec<Box<dyn DiskScheduler>> {
-    let cost = CostModel::table1;
     vec![
         Box::new(Fcfs::new()),
         Box::new(Sstf::new()),
@@ -58,14 +57,9 @@ fn all_schedulers() -> Vec<Box<dyn DiskScheduler>> {
         Box::new(CScan::new()),
         Box::new(Edf::new()),
         Box::new(ScanEdf::new(10_000)),
-        Box::new(FdScan::new(cost())),
-        Box::new(ScanRt::new(cost())),
-        Box::new(Ssedo::new(0.7)),
-        Box::new(Ssedv::new(0.3, cost())),
         Box::new(MultiQueue::new(0)),
         Box::new(Bucket::new(1.0, 0.01, 16)),
-        Box::new(DeadlineDriven::new(cost())),
-        Box::new(Cello::realtime_throughput(cost())),
+        Box::new(DeadlineDriven::new(CostModel::table1())),
         Box::new(Batched::new(Edf::new(), "batched-edf")),
         Box::new(CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap()),
     ]
