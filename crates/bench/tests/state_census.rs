@@ -18,7 +18,8 @@
 //! Mutation check, tried on this file: setting `obs::DUMP_RETENTION` to
 //! `usize::MAX` fails it on "dumps" (66 entries against 843), and a
 //! flight ring that never wraps (`FlightRing::push` always extending)
-//! on "flight_ring" (84 319 against 1 158 479) — an entry per anomaly
+//! on "flight_ring" (65 441 against 895 062, at 1024 or 4096 events a
+//! member alike: such a ring holds every event) — an entry per anomaly
 //! and an entry per event. Restoring `ctrl`'s unbounded decision
 //! log (`DECISION_TAIL` = `usize::MAX`) does **not**: a search stops
 //! acting once its evaluation budget is spent, so both runs take the

@@ -261,7 +261,13 @@ impl Default for SupervisorConfig {
 /// its dumps copies out (events). How many such dumps a member's recorder
 /// keeps is the recorder's own constant, [`obs::DUMP_RETENTION`]; the two
 /// together bound what a member's post-mortems can weigh.
-const RECORDER_CAPACITY: usize = 1 << 12;
+///
+/// Sized by what a dump carries: every dump measured on the benchmark
+/// workloads keeps as many events of its trigger window at 1024 events a
+/// member as at 65,536 (at most 883 of them, on `surge`); only history
+/// from before the window is shorter (DESIGN.md §6g). A ring entry is a
+/// 48-byte event and a 4-byte tag, so this is 52 KB a member.
+const RECORDER_CAPACITY: usize = 1 << 10;
 
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
@@ -284,7 +290,7 @@ pub struct DaemonConfig {
 }
 
 impl DaemonConfig {
-    /// Defaults: open admission gate, 4096 flight-ring events per member,
+    /// Defaults: open admission gate, 1024 flight-ring events per member,
     /// exact telemetry,
     /// paper-default triggers, 2 s base cooldown.
     pub fn new(farm: FarmConfig, options: SimOptions) -> Self {
@@ -1643,6 +1649,34 @@ mod tests {
         assert_eq!(report.reroutes, 18_902);
         assert_eq!(report.routed_per_shard, [396, 648, 666, 18_290]);
         assert_eq!(report.dumps_missed, 0);
+        // Every held dump keeps its whole trigger window: these in-epoch
+        // event counts are the same at 4096 and 65,536 events a member,
+        // and a member's ring of 16 falls short of them.
+        let in_window: Vec<Vec<usize>> = report
+            .recorders
+            .iter()
+            .map(|r| {
+                r.dumps()
+                    .iter()
+                    .map(|d| {
+                        assert!(d.events.len() <= RECORDER_CAPACITY);
+                        d.events
+                            .iter()
+                            .filter(|e| e.now_us() >> 16 == d.epoch)
+                            .count()
+                    })
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            in_window,
+            [
+                &[28, 19, 12][..],
+                &[20, 31, 30, 15],
+                &[24, 30, 29, 25],
+                &[19, 16, 24, 18]
+            ]
+        );
         report.ledger().expect("ledger closes");
         report.reconcile_events().expect("events reconcile");
         let emitted: u64 = report

@@ -209,11 +209,14 @@ impl FlightRecorder {
     }
 
     /// A recorder writing into `ring` beside the ones already attached.
-    /// The ring grows by `capacity` entries, so together the recorders
-    /// retain what they would apart, and no dump of this one copies out
-    /// more than `capacity` events however much of the ring it has come
-    /// to fill. `None` when the ring has no tag left to tell this
-    /// recorder's entries from the others'.
+    /// The ring grows by `capacity` entries, and a dump of this recorder
+    /// holds its newest events still in the ring, at most `capacity` of
+    /// them however much of the ring it has come to fill. That is not
+    /// what a private ring of `capacity` would keep: a busier neighbour
+    /// overwrites a quiet recorder's older entries sooner, so the history
+    /// before a dump's trigger window can be shorter. `None` when the
+    /// ring has no tag left to tell this recorder's entries from the
+    /// others'.
     pub fn attach(
         ring: &FlightRing,
         capacity: usize,

@@ -121,8 +121,8 @@ impl TraceSink for RingSink {
 /// Unlike [`RingSink`] it is a handle: a clone writes into the same
 /// slab. The slab is preallocated and overwritten at a cursor, with the
 /// tags in a parallel array (a `(u32, TraceEvent)` pair would pad each
-/// entry from 48 to 56 bytes), so N writers lay down one sequential
-/// stream instead of N interleaved ones.
+/// entry from 48 to 64 bytes; apart, an entry is 52), so N writers lay
+/// down one sequential stream instead of N interleaved ones.
 #[derive(Clone)]
 pub struct FlightRing(Rc<RefCell<Slab>>);
 

@@ -436,6 +436,14 @@ mod tests {
         assert!(std::mem::size_of::<Snapshot>() <= 2_432);
     }
 
+    #[test]
+    fn a_trace_event_is_forty_eight_bytes() {
+        // A flight-ring entry is an event and a 4-byte tag, so a farm
+        // member's ring is its capacity × 52 B: one fatter variant would
+        // grow every farm's ring with it.
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
+    }
+
     /// The `report()` of `feed`'s snapshot.
     const REPORT: &str = "\
 events
