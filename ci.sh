@@ -38,8 +38,8 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test (whole workspace)"
-# 659 tests: the root package holds 49 of them; farm, sim, the oracle
-# and the rest of the workspace the other 610. The farm's ledger and
+# 660 tests: the root package holds 49 of them; farm, sim, the oracle
+# and the rest of the workspace the other 611. The farm's ledger and
 # routing quality, the daemon's drain and supervision, the fault sweep's
 # reconciliation and the windowed telemetry's bit-identity are checked
 # here (and by the oracle below), not by a smoke run of their own.

@@ -1,12 +1,16 @@
 //! Log₂-bucketed histograms and the workspace's shared nearest-rank
 //! percentile.
 //!
-//! A [`Histogram`] is a fixed 65-slot array — bucket `i` counts values
-//! whose bit length is `i` (bucket 0 holds only the value 0, bucket `i`
-//! holds `[2^(i-1), 2^i)`). Recording is a few instructions and never
-//! allocates, so histograms are cheap enough to update per event; the
-//! price is that quantiles are resolved to bucket granularity (a factor
-//! of 2), which is the right trade for latency-style distributions.
+//! A [`Histogram`] has 65 buckets — bucket `i` counts values whose bit
+//! length is `i` (bucket 0 holds only the value 0, bucket `i` holds
+//! `[2^(i-1), 2^i)`) — but stores only the span of them between its
+//! smallest and its largest sample, a handful on latency-style data.
+//! Recording inside the span is a subtract, a compare and an increment;
+//! a sample outside it widens the span out of line, and `clear` keeps
+//! the span, so a histogram that is cleared and refilled over a similar
+//! range stops allocating. The price of the log₂ buckets is that
+//! quantiles are resolved to bucket granularity (a factor of 2), which
+//! is the right trade for latency-style distributions.
 
 /// Number of buckets: one per possible bit length of a `u64`, plus the
 /// zero bucket.
@@ -29,9 +33,15 @@ pub fn nearest_rank(sorted: &[u64], q: f64) -> Option<u64> {
 }
 
 /// A log₂-bucketed histogram of `u64` samples.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Only the buckets between the smallest and the largest sample are
+/// stored: `span[i]` counts bucket `lo + i`, and every bucket outside the
+/// span is zero. Equality is logical — two histograms of the same samples
+/// are equal whatever span each has kept.
+#[derive(Debug, Clone)]
 pub struct Histogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
+    lo: usize,
+    span: Vec<u64>,
     count: u64,
     sum: u128,
     min: u64,
@@ -44,11 +54,23 @@ impl Default for Histogram {
     }
 }
 
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        // Equal extremes mean equal populated ranges; every bucket
+        // outside them is zero on both sides.
+        (self.count, self.sum, self.min, self.max) == (other.count, other.sum, other.min, other.max)
+            && (self.count == 0 || self.populated() == other.populated())
+    }
+}
+
+impl Eq for Histogram {}
+
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram. Holds no buckets, so it does not allocate.
     pub const fn new() -> Self {
         Histogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
+            lo: 0,
+            span: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -77,11 +99,40 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
+        let bucket = Self::bucket_of(value);
+        match self.span.get_mut(bucket.wrapping_sub(self.lo)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(bucket),
+        }
         self.count += 1;
         self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
+    }
+
+    /// Out-of-line slow path of [`Histogram::record`]: a sample whose
+    /// bucket lies outside the span.
+    #[cold]
+    #[inline(never)]
+    fn record_outside(&mut self, bucket: usize) {
+        self.widen(bucket, bucket);
+        self.span[bucket - self.lo] += 1;
+    }
+
+    /// Grow the span, with zeroes, until it covers buckets `lo..=hi`.
+    #[cold]
+    #[inline(never)]
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.span.is_empty() {
+            self.lo = lo;
+        } else if lo < self.lo {
+            let pad = self.lo - lo;
+            self.span.resize(self.span.len() + pad, 0);
+            self.span.rotate_right(pad);
+            self.lo = lo;
+        }
+        let len = (hi + 1 - self.lo).max(self.span.len());
+        self.span.resize(len, 0);
     }
 
     /// Number of recorded samples.
@@ -113,9 +164,12 @@ impl Histogram {
         }
     }
 
-    /// The raw bucket counts (index = bit length of the sample).
-    pub fn buckets(&self) -> &[u64; HISTOGRAM_BUCKETS] {
-        &self.buckets
+    /// The bucket counts, all 65 of them (index = bit length of the
+    /// sample).
+    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
+        let mut dense = [0; HISTOGRAM_BUCKETS];
+        dense[self.lo..self.lo + self.span.len()].copy_from_slice(&self.span);
+        dense
     }
 
     /// Nearest-rank quantile at bucket resolution: the upper bound of the
@@ -142,10 +196,10 @@ impl Histogram {
             return Some(self.max);
         }
         let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, &c) in self.span.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(Self::bucket_high(i).clamp(self.min, self.max));
+                return Some(Self::bucket_high(self.lo + i).clamp(self.min, self.max));
             }
         }
         unreachable!("bucket counts sum to self.count");
@@ -171,27 +225,37 @@ impl Histogram {
         self.quantile(0.999)
     }
 
-    /// The buckets that can hold a sample: every recorded value lies in
-    /// `[min, max]`, so every bucket outside their bit lengths is zero.
-    /// Only meaningful when `count > 0`.
+    /// Where in the span the buckets that can hold a sample lie: every
+    /// recorded value is in `[min, max]`, so every bucket outside their
+    /// bit lengths is zero. Only meaningful when `count > 0`.
     #[inline]
-    fn populated(&self) -> std::ops::RangeInclusive<usize> {
-        Self::bucket_of(self.min)..=Self::bucket_of(self.max)
+    fn populated_at(&self) -> std::ops::RangeInclusive<usize> {
+        Self::bucket_of(self.min) - self.lo..=Self::bucket_of(self.max) - self.lo
+    }
+
+    /// The counts of the populated buckets ([`Histogram::populated_at`]).
+    #[inline]
+    fn populated(&self) -> &[u64] {
+        &self.span[self.populated_at()]
     }
 
     /// Fold another histogram into this one. The result is exactly the
     /// histogram of the concatenated sample streams. Costs what `other`
     /// holds: nothing when it is empty, otherwise one add per bucket
-    /// between its smallest and its largest sample.
+    /// between its smallest and its largest sample, after widening the
+    /// span to cover them.
     pub fn merge(&mut self, other: &Histogram) {
         if other.count == 0 {
             return;
         }
-        let span = other.populated();
-        for (mine, theirs) in self.buckets[span.clone()]
-            .iter_mut()
-            .zip(&other.buckets[span])
-        {
+        let lo = Self::bucket_of(other.min);
+        let hi = Self::bucket_of(other.max);
+        if lo < self.lo || hi >= self.lo + self.span.len() {
+            self.widen(lo, hi);
+        }
+        let at = lo - self.lo;
+        let theirs = other.populated();
+        for (mine, theirs) in self.span[at..at + theirs.len()].iter_mut().zip(theirs) {
             *mine += theirs;
         }
         self.count += other.count;
@@ -202,12 +266,14 @@ impl Histogram {
 
     /// Forget every sample: afterwards the histogram equals
     /// [`Histogram::new`], having zeroed only the buckets it had filled.
+    /// The span is kept, so refilling it over the same range neither
+    /// widens nor allocates.
     pub fn clear(&mut self) {
         if self.count == 0 {
             return;
         }
-        let span = self.populated();
-        self.buckets[span].fill(0);
+        let at = self.populated_at();
+        self.span[at].fill(0);
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -381,36 +447,111 @@ mod tests {
     }
 
     #[test]
+    fn a_histogram_holds_only_the_buckets_between_its_extremes() {
+        for set in sample_sets() {
+            let h = of(&set);
+            match (set.iter().min(), set.iter().max()) {
+                (Some(&min), Some(&max)) => {
+                    let (lo, hi) = (Histogram::bucket_of(min), Histogram::bucket_of(max));
+                    assert_eq!((h.lo, h.span.len()), (lo, hi - lo + 1), "{set:?}");
+                }
+                _ => assert_eq!(h.span.capacity(), 0, "{set:?}"),
+            }
+        }
+        // A cleared histogram refilled inside the span it kept reuses
+        // that span as it is: no widening and no reallocation.
+        let mut h = of(&[100, 1 << 20]);
+        let kept = (h.lo, h.span.len(), h.span.as_ptr(), h.span.capacity());
+        let inside = of(&[1 << 10, 1 << 15, 1 << 20]);
+        for _ in 0..3 {
+            h.clear();
+            [1000, 1 << 12, 100, 1 << 20]
+                .iter()
+                .for_each(|&v| h.record(v));
+            h.merge(&inside);
+            let now = (h.lo, h.span.len(), h.span.as_ptr(), h.span.capacity());
+            assert_eq!(now, kept);
+        }
+    }
+
+    #[test]
     fn bounded_merge_and_clear_match_the_dense_loops() {
+        // Every pair of sets: among them a wider histogram merged into a
+        // narrower one and the reverse, disjoint ones, and a set whose
+        // samples lie below what was recorded before them.
         let sets = sample_sets();
+        let mut different_spans = 0;
         for a in &sets {
             for b in &sets {
                 let what = format!("{a:?} + {b:?}");
                 let (ha, hb) = (of(a), of(b));
-                // The definition: every bucket added, whatever it holds.
-                let mut dense = ha.clone();
-                for (mine, theirs) in dense.buckets.iter_mut().zip(hb.buckets.iter()) {
+                // The definition: all 65 buckets added, whatever each
+                // holds.
+                let mut dense = ha.buckets();
+                for (mine, theirs) in dense.iter_mut().zip(hb.buckets()) {
                     *mine += theirs;
                 }
-                dense.count += hb.count;
-                dense.sum += hb.sum;
-                dense.min = dense.min.min(hb.min);
-                dense.max = dense.max.max(hb.max);
+                let moments = (
+                    ha.count + hb.count,
+                    ha.sum + hb.sum,
+                    ha.min.min(hb.min),
+                    ha.max.max(hb.max),
+                );
                 let mut merged = ha.clone();
                 merged.merge(&hb);
-                assert_eq!(merged, dense, "{what}");
+                assert_eq!(merged.buckets(), dense, "{what}");
+                assert_eq!(
+                    (merged.count, merged.sum, merged.min, merged.max),
+                    moments,
+                    "{what}"
+                );
                 let both: Vec<u64> = a.iter().chain(b).copied().collect();
                 assert_eq!(merged, of(&both), "{what}");
+                // Recording `b` after `a` one sample at a time widens the
+                // span at either end and lands on the same buckets.
+                let mut sequential = ha.clone();
+                b.iter().for_each(|&v| sequential.record(v));
+                assert_eq!(sequential.buckets(), dense, "{what}");
+                assert_eq!(sequential, merged, "{what}");
                 // Cleared is new — all 65 buckets compared — and stays so
                 // through reuse.
                 merged.clear();
                 assert_eq!(merged, Histogram::new(), "{what}");
+                assert_eq!(merged.buckets(), [0; HISTOGRAM_BUCKETS], "{what}");
                 b.iter().for_each(|&v| merged.record(v));
                 assert_eq!(merged, hb, "{what}");
+                assert_eq!(merged.buckets(), hb.buckets(), "{what}");
                 merged.clear();
                 merged.merge(&ha);
                 assert_eq!(merged, ha, "{what}");
+                assert_eq!(merged.buckets(), ha.buckets(), "{what}");
+                // A histogram cleared after `a` and refilled with `b`,
+                // disjoint or not, equals one that only ever saw `b`,
+                // whatever span each kept.
+                let mut reused = ha.clone();
+                reused.clear();
+                b.iter().for_each(|&v| reused.record(v));
+                assert_eq!(reused, hb, "{what}");
+                assert_eq!(reused.buckets(), hb.buckets(), "{what}");
+                if (reused.lo, reused.span.len()) != (hb.lo, hb.span.len()) {
+                    different_spans += 1;
+                }
             }
         }
+        assert!(different_spans > 0, "no pair kept a different span");
+        // The smallest case of prepending: a small sample after a large
+        // one.
+        let mut h = of(&[1 << 30]);
+        h.record(3);
+        assert_eq!((h.lo, h.span.len()), (2, 30));
+        assert_eq!(h, of(&[3, 1 << 30]));
+        // Same samples, different spans: equal.
+        let mut wide = of(&[0, u64::MAX]);
+        wide.clear();
+        wide.record(12_345);
+        assert_ne!(wide.span.len(), of(&[12_345]).span.len());
+        assert_eq!(wide, of(&[12_345]));
+        wide.record(12_346);
+        assert_ne!(wide, of(&[12_345]));
     }
 }

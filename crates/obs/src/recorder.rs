@@ -198,6 +198,10 @@ pub struct FlightRecorder {
     dumps: Vec<DumpRecord>,
     dumps_total: u64,
     dumps_unclean: u64,
+    /// The p99 trigger's baseline, cleared and refilled at each check: a
+    /// histogram kept across checks keeps its bucket span, so a check
+    /// does not allocate one.
+    p99_baseline: Histogram,
 }
 
 impl FlightRecorder {
@@ -235,6 +239,7 @@ impl FlightRecorder {
             dumps: Vec::new(),
             dumps_total: 0,
             dumps_unclean: 0,
+            p99_baseline: Histogram::new(),
         })
     }
 
@@ -331,7 +336,7 @@ impl FlightRecorder {
 
     /// The current window's response p99 against the completed recent
     /// windows' p99, when both sides have enough samples.
-    fn p99_spiked(&self) -> bool {
+    fn p99_spiked(&mut self) -> bool {
         let t = &self.triggers;
         if t.p99_spike_factor <= 0.0 {
             return false;
@@ -341,7 +346,8 @@ impl FlightRecorder {
             return false;
         }
         let cur_epoch = self.windows.current_epoch();
-        let mut baseline = Histogram::new();
+        let baseline = &mut self.p99_baseline;
+        baseline.clear();
         for (epoch, s) in self.windows.windows() {
             if Some(epoch) != cur_epoch {
                 baseline.merge(&s.response_us);

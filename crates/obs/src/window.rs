@@ -50,7 +50,8 @@ pub const DEFAULT_SAMPLE_SHIFT: u32 = 3;
 /// coalesced, so a sink nobody drains stays bounded while the delta-sum
 /// invariant keeps holding. Four live ranges: a reader that drains at
 /// least once per 32 completed windows only ever sees whole windows, and
-/// a sink nobody reads holds 32 snapshots (~80 KB), not a thousand.
+/// a sink nobody reads holds 32 snapshots (16 KB inline plus their
+/// histograms' bucket spans), not a thousand.
 const PENDING_CAP: usize = 4 * DEFAULT_DEPTH;
 
 /// One completed (or flushed) window, queued for a streaming reporter.
