@@ -39,8 +39,8 @@ cargo build --release
 
 step "cargo test (whole workspace)"
 # 660 tests: the root package holds 49 of them; farm, sim, the oracle
-# and the rest of the workspace the other 611. The farm's ledger and
-# routing quality, the daemon's drain and supervision, the fault sweep's
+# and the rest of the workspace the other 611. The daemon farm's ledger
+# and routing quality, its drain and supervision, the fault sweep's
 # reconciliation and the windowed telemetry's bit-identity are checked
 # here (and by the oracle below), not by a smoke run of their own.
 cargo test -q --workspace
@@ -89,9 +89,10 @@ cargo run -q -p bench --release --bin bench -- ctrl --mode sweep
 
 step "oracle smoke gate"
 # Differential + metamorphic battery: optimized cascade, baselines and
-# farm routing vs naive references on seeded workloads, one fuzz case
-# per archetype, and the metamorphic quick pass (exits 1 on any
-# divergence).
+# farm router vs naive references, and the quiet farm daemon vs a judge
+# built from the naive router replay and one plain simulation per shard,
+# on seeded workloads; one fuzz case per archetype, and the metamorphic
+# quick pass (exits 1 on any divergence).
 cargo run -q -p oracle --release --bin oracle -- --mode smoke
 
 step "oracle smoke gate, release with overflow checks"

@@ -33,10 +33,9 @@
 //! | `curves` | | [`sfc::quality`]: the geometric quality table of the whole curve catalogue (2-D, order 4) |
 //! | `trace` | `--seed --requests --dims --service-us --window --transient-ppm --bad-sector-ppm --retries --max-queue --out` | [`trace`]: a fully-instrumented run's per-request JSONL event timeline into `--out`; histogram summary and reconciliation verdict on stderr |
 //! | `faults` | `--mode sweep\|degraded --seed --members --streams --duration-ms --retries --rate-ppm` | [`fault`]: loss/seek/p99 degradation curves under injected media errors, or the degraded-RAID report |
-//! | `farm` | `--seed --shards 1,2,4,8 --streams --duration-ms --max-queue` | [`farm`]: shard-count scaling under the three routing policies |
 //! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |
 //! | `ctrl` | `--mode smoke\|sweep --seed --csv true --f 0,0.5 --r 1,3 --w 0,0.1` | [`ctrl`]: the live-improvement smoke gate, or the `(f, R, w)` convergence sweep against exhaustive search (`--csv true` prints its table) |
-//! | `obsreport` | `--seed` | [`obsreport`]: per-window telemetry JSONL and a summary line |
+//! | `obsreport` | `--seed` | [`obsreport`]: a quiet daemon farm's per-shard window telemetry as JSONL, and a summary line |
 //! | `perf` | `--seed --budget` | [`perf`]: the self-relative telemetry overhead gate; exits 1 when the live sink costs more than `--budget` (default 0.05) of NullSink throughput |
 //!
 //! All experiments are deterministic given a seed; every subcommand that
@@ -48,7 +47,6 @@
 pub mod ablation;
 pub mod args;
 pub mod ctrl;
-pub mod farm;
 pub mod fault;
 pub mod fig10;
 pub mod fig11;

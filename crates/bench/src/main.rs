@@ -9,7 +9,7 @@
 //! violation and names it; a malformed command line exits 2.
 
 use bench::args::Args;
-use bench::{ablation, ctrl, farm, fault, obsreport, perf, scenario, trace};
+use bench::{ablation, ctrl, fault, obsreport, perf, scenario, trace};
 use bench::{DEFAULT_SEED, FIGURES};
 use obs::JsonlSink;
 use sfc::{quality, CurveKind};
@@ -58,13 +58,6 @@ fn main() {
             "retries",
             "rate-ppm",
         ])),
-        "farm" => run_farm(&parse(&[
-            "seed",
-            "shards",
-            "streams",
-            "duration-ms",
-            "max-queue",
-        ])),
         "scenario" => run_scenario(&parse(&[
             "mode",
             "seed",
@@ -82,7 +75,7 @@ fn main() {
             let figures: Vec<&str> = FIGURES.iter().map(|(file, _)| stem(file)).collect();
             eprintln!(
                 "usage: bench <subcommand> [--flag value]...\nsubcommands: {} experiments \
-                 ablation curves trace faults farm scenario ctrl obsreport perf",
+                 ablation curves trace faults scenario ctrl obsreport perf",
                 figures.join(" ")
             );
             exit(if cmd == "--help" || cmd == "-h" { 0 } else { 2 });
@@ -250,26 +243,6 @@ fn faults(args: &Args) {
     }
 }
 
-fn run_farm(args: &Args) {
-    let defaults = farm::Config::default();
-    let cfg = farm::Config {
-        seed: args.get("seed", DEFAULT_SEED),
-        shards: args.list("shards", &defaults.shards),
-        streams: args.get("streams", defaults.streams),
-        duration_us: args.get("duration-ms", 10_000u64) * 1_000,
-        max_queue: args.get("max-queue", defaults.max_queue),
-    };
-    eprintln!(
-        "# farm sweep — shards {:?}, {} streams, {} ms, queue {}, seed {}",
-        cfg.shards,
-        cfg.streams,
-        cfg.duration_us / 1_000,
-        cfg.max_queue,
-        cfg.seed
-    );
-    farm::print_csv(&farm::sweep(&cfg));
-}
-
 fn run_scenario(args: &Args) {
     let defaults = scenario::Config::default();
     let cfg = scenario::Config {
@@ -364,10 +337,10 @@ fn run_obsreport(args: &Args) {
         seed: args.get("seed", DEFAULT_SEED),
         ..Default::default()
     };
-    let (outcome, mut sinks) = obsreport::run(&cfg);
-    let deltas = obsreport::flush(&mut sinks);
+    let mut report = obsreport::run(&cfg);
+    let deltas = obsreport::flush(&mut report);
     print!("{}", obsreport::render_windows_jsonl(&deltas));
-    print!("{}", obsreport::render_summary_jsonl(&outcome, &sinks));
+    print!("{}", obsreport::render_summary_jsonl(&report));
 }
 
 /// Self-relative: telemetry-off vs telemetry-on throughput on the engine

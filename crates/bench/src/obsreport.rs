@@ -1,24 +1,25 @@
 //! Telemetry stream harness — the `obsreport` subcommand.
 //!
 //! Not a paper figure: this is the operational face of the live
-//! telemetry plane. One seeded overloaded farm run (bounded-queue
-//! cascades, hash routing with redirect-on-overload) is executed with
-//! one windowed live sink per shard at the live plane's default
-//! histogram stride ([`obs::DEFAULT_SAMPLE_SHIFT`]). The per-shard sinks
-//! are then drained and printed as one JSONL line per completed window
-//! per shard (epoch, start, width, exact counters, and response p50/p99
-//! when the window saw completions), followed by one `summary` line.
-//! This is the feed a control plane polls mid-run via
-//! [`WindowedSnapshot::take_deltas`].
+//! telemetry plane. One seeded overloaded farm (bounded-queue cascades,
+//! hash routing with redirect-on-overload) runs on the farm daemon with
+//! its anomaly triggers off, each member's recorder keeping windowed
+//! telemetry at the live plane's default histogram stride
+//! ([`obs::DEFAULT_SAMPLE_SHIFT`]). Every recorder's windows are then
+//! flushed and printed as one JSONL line per window per shard (epoch,
+//! start, width, exact counters, and response p50/p99 when the window
+//! saw completions), followed by one `summary` line. This is the feed a
+//! control plane polls mid-run via [`farm::FarmDaemon::take_shard_deltas`].
 //!
-//! The output is deterministic given `--seed`. That the windowed sinks
-//! reproduce a plain [`obs::Snapshot`] farm run bit for bit, and that
-//! every shard's window deltas sum to its cumulative, is asserted by the
-//! farm crate's `per_shard_windowed_sinks_reconcile_with_the_merged_snapshot`.
+//! The output is deterministic given `--seed`. Every event lands in the
+//! window of its own time: each shard prints every epoch of the run, and
+//! the windows' arrivals and sheds add up to the trace and the report
+//! (this module's tests).
 
 use crate::vod;
-use farm::{simulate_farm_traced, FarmConfig, FarmOutcome, RoutePolicy};
-use obs::{ShardDelta, TelemetryConfig, WindowedSnapshot};
+use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
+use obs::{ShardDelta, TelemetryConfig, TriggerConfig};
+use sim::{DiskService, Metrics};
 use std::fmt::Write as _;
 
 /// Scenario parameters.
@@ -51,34 +52,38 @@ impl Default for Config {
 /// Farm shards.
 const SHARDS: usize = 4;
 /// log₂ of the telemetry window width (µs of simulated time): 2^19 µs ≈
-/// 0.52 s windows, ~19 completed windows over the run, enough to make
-/// the stream a stream.
+/// 0.52 s windows, 20 windows over the run, enough to make the stream a
+/// stream.
 const WINDOW_LOG2: u32 = 19;
 
-/// Run the scenario with one windowed sink per shard. The sinks come
-/// back in shard order, still holding every shard's cumulative and live
-/// state; [`flush`] drains their window deltas.
-pub fn run(cfg: &Config) -> (FarmOutcome, Vec<WindowedSnapshot>) {
+/// Run the scenario on the daemon. The report's recorders come back in
+/// shard order, still holding every shard's cumulative and live
+/// telemetry; [`flush`] drains their window deltas.
+pub fn run(cfg: &Config) -> DaemonReport {
     let telemetry = TelemetryConfig::default().window_log2(WINDOW_LOG2);
-    simulate_farm_traced(
-        &vod::trace(cfg.streams, cfg.duration_us, cfg.seed),
-        &FarmConfig::new(SHARDS)
-            .with_policy(RoutePolicy::HashStream)
-            .with_redirects(),
-        |_| vod::bounded_scheduler(cfg.max_queue),
-        vod::options(),
-        |_| telemetry.sink(),
-    )
+    let farm = FarmConfig::new(SHARDS)
+        .with_policy(RoutePolicy::HashStream)
+        .with_redirects();
+    let max_queue = cfg.max_queue;
+    let daemon = FarmDaemon::new(
+        DaemonConfig::new(farm, vod::options()).with_telemetry(telemetry, TriggerConfig::quiet()),
+        move |_, sink| vod::sinked_scheduler(max_queue, sink),
+        |_| DiskService::table1(),
+    );
+    let trace = vod::trace(cfg.streams, cfg.duration_us, cfg.seed);
+    daemon.run(trace.into_iter().map(DaemonEvent::Arrival))
 }
 
-/// Close every shard's books ([`WindowedSnapshot::flush`]) and drain
+/// Close every shard's books ([`obs::WindowedSnapshot::flush`]) and drain
 /// everything, shard-major and oldest-first within a shard, final
 /// partial windows included.
-pub fn flush(sinks: &mut [WindowedSnapshot]) -> Vec<ShardDelta> {
+pub fn flush(report: &mut DaemonReport) -> Vec<ShardDelta> {
     let mut out = Vec::new();
-    for (shard, sink) in sinks.iter_mut().enumerate() {
+    for (shard, recorder) in report.recorders.iter_mut().enumerate() {
         out.extend(
-            sink.flush()
+            recorder
+                .windows_mut()
+                .flush()
                 .into_iter()
                 .map(|delta| ShardDelta { shard, delta }),
         );
@@ -109,20 +114,21 @@ pub fn render_windows_jsonl(deltas: &[ShardDelta]) -> String {
 }
 
 /// Render the end-of-run summary line appended to the stream output.
-pub fn render_summary_jsonl(outcome: &FarmOutcome, sinks: &[WindowedSnapshot]) -> String {
-    let events: u64 = sinks
+pub fn render_summary_jsonl(report: &DaemonReport) -> String {
+    let events: u64 = report
+        .recorders
         .iter()
-        .map(|s| s.cumulative().counters.total_events())
+        .map(|r| r.windows().cumulative_counters().total_events())
         .sum();
     format!(
         "{{\"record\":\"summary\",\"shards\":{},\"served\":{},\"losses\":{},\
          \"sheds\":{},\"redirects\":{},\"makespan_us\":{},\"events\":{}}}\n",
-        sinks.len(),
-        outcome.served(),
-        outcome.losses(),
-        outcome.sheds(),
-        outcome.redirects,
-        outcome.makespan_us,
+        report.recorders.len(),
+        report.served(),
+        Metrics::total_losses(&report.per_shard),
+        report.sheds(),
+        report.redirects,
+        report.makespan_us,
         events,
     )
 }
@@ -131,26 +137,64 @@ pub fn render_summary_jsonl(outcome: &FarmOutcome, sinks: &[WindowedSnapshot]) -
 mod tests {
     use super::*;
 
-    fn quick() -> Config {
-        Config {
+    #[test]
+    fn stream_output_has_windows_and_a_summary() {
+        let cfg = Config {
             streams: 40,
             duration_us: 2_000_000,
             ..Config::default()
-        }
-    }
-
-    #[test]
-    fn stream_output_has_windows_and_a_summary() {
-        let cfg = quick();
-        let (outcome, mut sinks) = run(&cfg);
-        let deltas = flush(&mut sinks);
+        };
+        let mut report = run(&cfg);
+        let deltas = flush(&mut report);
         assert!(!deltas.is_empty());
         let jsonl = render_windows_jsonl(&deltas);
         assert!(jsonl.lines().count() >= deltas.len());
         assert!(jsonl.starts_with("{\"record\":\"window\",\"shard\":0,"));
         assert!(jsonl.contains("\"counters\":{\"arrivals\":"));
-        let summary = render_summary_jsonl(&outcome, &sinks);
+        let summary = render_summary_jsonl(&report);
         assert!(summary.starts_with("{\"record\":\"summary\""));
         assert!(summary.contains("\"shards\":4"));
+    }
+
+    /// Every event is counted in the window of its own time: each shard
+    /// reports every epoch of the run, each epoch's arrivals over the
+    /// shards are the trace's arrivals in that epoch, and the stream
+    /// counts every shed the report does.
+    #[test]
+    fn every_event_lands_in_the_window_of_its_time() {
+        let cfg = Config::default();
+        let trace = vod::trace(cfg.streams, cfg.duration_us, cfg.seed);
+        let mut report = run(&cfg);
+        let deltas = flush(&mut report);
+        for shard in 0..SHARDS {
+            let epochs: Vec<u64> = deltas
+                .iter()
+                .filter(|d| d.shard == shard)
+                .map(|d| d.delta.epoch)
+                .collect();
+            assert_eq!(epochs, (0..=19).collect::<Vec<u64>>(), "shard {shard}");
+        }
+        let mut arrivals = [0u64; 20];
+        for d in &deltas {
+            arrivals[d.delta.epoch as usize] += d.delta.snapshot.counters.arrivals;
+        }
+        let mut expected = [0u64; 20];
+        for r in &trace {
+            expected[(r.arrival_us >> WINDOW_LOG2) as usize] += 1;
+        }
+        assert_eq!(arrivals, expected);
+        let sheds: u64 = deltas.iter().map(|d| d.delta.snapshot.counters.sheds).sum();
+        assert_eq!(sheds, report.sheds());
+    }
+
+    #[test]
+    fn the_summary_at_the_default_seed_is_pinned() {
+        let mut report = run(&Config::default());
+        flush(&mut report);
+        assert_eq!(
+            render_summary_jsonl(&report),
+            "{\"record\":\"summary\",\"shards\":4,\"served\":2136,\"losses\":549,\
+             \"sheds\":1,\"redirects\":59,\"makespan_us\":10311314,\"events\":8307}\n"
+        );
     }
 }

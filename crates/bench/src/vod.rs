@@ -1,5 +1,5 @@
-//! What the farm-side harnesses (`farm`, `fault`, `obsreport`,
-//! `scenario`, `ctrl`) share: the MPEG-1 VoD load, the engine options of
+//! What the farm-side harnesses (`fault`, `obsreport`, `scenario`,
+//! `ctrl`) share: the MPEG-1 VoD load, the engine options of
 //! its one-dimensional, four-level priority shape, and the paper-default
 //! cascade over the Table-1 disk, with or without a bounded queue.
 
@@ -30,11 +30,8 @@ pub(crate) fn bounded_cascade(max_queue: usize) -> CascadeConfig {
         .with_dispatch(DispatchConfig::paper_default().with_max_queue(max_queue))
 }
 
-pub(crate) fn bounded_scheduler(max_queue: usize) -> Box<dyn DiskScheduler> {
-    Box::new(CascadedSfc::new(bounded_cascade(max_queue)).expect("valid cascade config"))
-}
-
-/// [`bounded_scheduler`] emitting into a daemon member's flight recorder.
+/// The [`bounded_cascade`] emitting into a daemon member's flight
+/// recorder.
 pub(crate) fn sinked_scheduler(
     max_queue: usize,
     sink: SharedSink<FlightRecorder>,

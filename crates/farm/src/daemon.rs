@@ -1,18 +1,18 @@
 //! Continuous-operation farm daemon: online routing, live membership
 //! churn, and failure-aware supervision.
 //!
-//! The batch entry points ([`crate::simulate_farm`]) assume a closed
-//! world: the whole trace and the full shard set are known up front. A
-//! production farm is never that lucky — streams arrive for as long as
-//! the service is up, shards are added and retired while requests are in
-//! flight, and a limping disk has to be routed around before it melts
-//! the tail. [`FarmDaemon`] runs the *same* decision code under those
-//! conditions:
+//! A single-group simulation assumes a closed world: the whole trace and
+//! the one disk are known up front. A production farm is never that
+//! lucky — streams arrive for as long as the service is up, shards are
+//! added and retired while requests are in flight, and a limping disk has
+//! to be routed around before it melts the tail. [`FarmDaemon`] is the
+//! farm, and runs under those conditions:
 //!
-//! * **Online routing** — one [`crate::OnlineRouter`] (the exact core
-//!   the batch pass wraps) places each admitted arrival; with no
-//!   membership events the placements are bit-identical to
-//!   [`crate::route_trace`], which the oracle's replay gate enforces.
+//! * **Online routing** — one [`crate::OnlineRouter`] places each
+//!   admitted arrival; with no membership events the placements equal an
+//!   independent naive replay of the routing policies, and every shard's
+//!   metrics equal a plain simulation of its sub-trace, which the
+//!   oracle's daemon gate enforces.
 //! * **Admission at ingest** — a [`StreamGate`] caps concurrently
 //!   active streams; rejected requests never reach a scheduler queue
 //!   and are accounted in the ledger as admission rejections.
@@ -43,7 +43,8 @@
 //! # The event loop
 //!
 //! Each member pairs a [`sim::EngineStepper`] with its scheduler and
-//! service model. The contract is the one a batch run keeps: before
+//! service model. The contract is the one a plain [`sim::simulate`] run
+//! keeps: before
 //! an event at time `t` is applied, no member may still owe a dispatch
 //! decided strictly before `t` ([`EngineStepper::run_until`] excludes the
 //! horizon itself), so no engine ever dispatches at an instant whose
@@ -67,7 +68,7 @@
 //!   real interaction (the cascade's conditional dispatcher resets its
 //!   preemption anchor on it) and is never skipped: it happens when the
 //!   member is next pumped, before anything new is delivered — exactly
-//!   once per gap, which is what a batch run does.
+//!   once per gap, which is what a plain run does.
 //!
 //! So the daemon keeps a min-heap with one `(next_action_us, member)`
 //! entry per member that has work, and an event at `t` pumps the entries
@@ -272,8 +273,7 @@ const RECORDER_CAPACITY: usize = 1 << 10;
 /// Full daemon configuration.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Shard count, routing policy and load model (the same
-    /// configuration the batch pass takes).
+    /// Shard count, routing policy and load model.
     pub farm: FarmConfig,
     /// Engine options for every member.
     pub options: SimOptions,
@@ -834,8 +834,8 @@ impl FarmDaemon {
                 }
                 let decision = self.router.route(&r);
                 if let Some(ev) = decision.redirect_event(&r) {
-                    // Same demux as the batch farm: the overload evidence
-                    // belongs to the shard the arrival was steered from.
+                    // The overload evidence belongs to the shard the
+                    // arrival was steered from.
                     self.emit(decision.redirect_from, &ev);
                 }
                 self.routed_per_shard[decision.shard] += 1;
@@ -1095,7 +1095,7 @@ impl DaemonReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_farm, RoutePolicy};
+    use crate::RoutePolicy;
     use sched::{Fcfs, QosVector};
 
     fn vod(streams: u64, n: u64) -> Vec<Request> {
@@ -1127,46 +1127,6 @@ mod tests {
 
     fn table1_services() -> impl FnMut(usize) -> DiskService {
         |_| DiskService::table1()
-    }
-
-    #[test]
-    fn quiet_daemon_matches_the_batch_farm() {
-        // No membership events: placements and per-shard metrics must be
-        // bit-identical to the batch pass, for every policy — on a dense
-        // trace, on a sparse one over 32 shards (most members sit idle,
-        // unpumped, across thousands of events), and on bursts sharing
-        // one timestamp (ties at the pump horizon).
-        let options = SimOptions::with_shape(1, 5).dropping();
-        for (what, shards, trace) in [
-            ("dense", 4, vod(16, 400)),
-            ("sparse", 32, paced(256, 3_000, 5_000, 1)),
-            ("tied", 4, paced(48, 600, 30_000, 12)),
-        ] {
-            for policy in [
-                RoutePolicy::HashStream,
-                RoutePolicy::CylinderRange,
-                RoutePolicy::LeastLoaded,
-            ] {
-                let farm_cfg = FarmConfig::new(shards).with_policy(policy);
-                let (batch, _) =
-                    simulate_farm(&trace, &farm_cfg, |_| Box::new(Fcfs::new()), options);
-                let daemon = FarmDaemon::new(
-                    DaemonConfig::new(farm_cfg, options),
-                    fcfs_factory(),
-                    table1_services(),
-                );
-                let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
-                assert_eq!(report.per_shard, batch.per_shard, "{what} {policy:?}");
-                assert_eq!(
-                    report.routed_per_shard, batch.routed_per_shard,
-                    "{what} {policy:?}"
-                );
-                assert_eq!(report.redirects, batch.redirects, "{what} {policy:?}");
-                assert_eq!(report.reroutes, 0, "{what} {policy:?}");
-                report.ledger().expect("ledger must close");
-                report.reconcile_events().expect("events must reconcile");
-            }
-        }
     }
 
     /// Counts `dequeue` calls on an FCFS queue.

@@ -1,20 +1,19 @@
 //! The incremental routing core: one arrival in, one decision out.
 //!
-//! [`OnlineRouter`] owns exactly the state the batch routing pass
-//! ([`crate::route_trace`]) kept on its stack — the routing policy and
+//! [`OnlineRouter`] owns the routing state — the routing policy and
 //! the modeled per-shard load — and exposes it one request at a time, so
 //! a long-running daemon can interleave routing with membership changes.
-//! The batch pass is a thin loop over this type, which is what makes the
-//! offline/online parity gate hold *by construction*: with every shard
-//! eligible, [`OnlineRouter::route`] runs the very same code the batch
-//! pass always ran.
+//! With every shard eligible its placements are a pure function of the
+//! arrival-ordered trace and the configuration; the oracle re-derives
+//! them from the policy documentation over a naive load model
+//! (`oracle::routing`) and requires the two to agree.
 //!
 //! The modeled load is one number per shard — the time at which its
 //! bookings drain ([`ShardLoad`]) — and depth and fullness are computed
 //! from it at each arrival, so the router's state is the size of the
 //! farm however many requests it has placed.
 //!
-//! On top of the batch semantics it adds an **eligibility mask** for the
+//! On top of the policies it keeps an **eligibility mask** for the
 //! daemon: a draining or quarantined shard stays in the load model (its
 //! residents still drain) but receives no new arrivals — the policy's
 //! choice is then rerouted to the least-loaded eligible shard. The shards
@@ -124,8 +123,7 @@ pub struct RouteDecision {
 
 impl RouteDecision {
     /// The [`TraceEvent::Redirect`] this decision owes the telemetry
-    /// plane, if its overload redirect fired — identical to the event
-    /// the batch routing pass emits.
+    /// plane, if its overload redirect fired.
     pub fn redirect_event(&self, r: &Request) -> Option<TraceEvent> {
         self.redirected.then_some(TraceEvent::Redirect {
             now_us: r.arrival_us,
@@ -137,9 +135,9 @@ impl RouteDecision {
     }
 }
 
-/// The event-driven router: feed it arrival-ordered requests, get
-/// placements that — absent membership events — are bit-identical to
-/// the batch routing pass.
+/// The event-driven router: feed it arrival-ordered requests, get one
+/// placement per request — absent membership events, a pure function of
+/// the trace and the configuration.
 pub struct OnlineRouter {
     policy: RoutePolicy,
     cylinders: u32,
@@ -247,8 +245,8 @@ impl OnlineRouter {
         self.policy
     }
 
-    /// Overload redirects taken so far (same counter the batch pass
-    /// reports in [`crate::Placement::redirects`]).
+    /// Overload redirects taken so far (reported as
+    /// [`crate::DaemonReport::redirects`]).
     pub fn redirects(&self) -> u64 {
         self.redirects
     }
@@ -259,8 +257,7 @@ impl OnlineRouter {
         self.reroutes
     }
 
-    /// Route one arrival. Requests must come in arrival order (the same
-    /// contract the batch pass's trace argument carries).
+    /// Route one arrival. Requests must come in arrival order.
     pub fn route(&mut self, r: &Request) -> RouteDecision {
         let now = r.arrival_us;
         let chosen = self.policy.route(r, self.model.loads(), self.cylinders);
@@ -271,8 +268,8 @@ impl OnlineRouter {
             rerouted = true;
             self.reroutes += 1;
         }
-        // Overload redirect — the exact batch-pass decision applied to
-        // the policy's target, constrained to eligible shards. A rerouted
+        // Overload redirect — applied to the policy's target,
+        // constrained to eligible shards. A rerouted
         // target already is the least-loaded eligible shard, so probing
         // again could only find `alt == target`.
         let redirect_from = target;
@@ -515,7 +512,7 @@ mod tests {
     }
 
     #[test]
-    fn redirect_decision_carries_the_batch_event_fields() {
+    fn redirect_decision_carries_the_event_fields() {
         let cfg = FarmConfig::new(2)
             .with_policy(RoutePolicy::HashStream)
             .with_redirects();

@@ -1,14 +1,20 @@
-//! Routing determinism and per-shard telemetry.
+//! Routing determinism, routing quality and per-shard telemetry.
 //!
 //! The farm's contract: placements and outcomes are a pure function of
-//! (trace, config) — metrics *and* merged trace snapshots repeat bit for
-//! bit. Redirect accounting must reconcile exactly between the outcome
-//! counter and the traced events.
+//! (trace, config) — metrics *and* every member's telemetry repeat bit
+//! for bit. Redirect and shed accounting must reconcile exactly between
+//! the report's counters and the traced events. Tests that check where
+//! requests land drive the [`OnlineRouter`] alone; the rest run the
+//! [`FarmDaemon`] with its anomaly triggers off, so no supervisor
+//! quarantine moves a placement.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
-use farm::{simulate_farm, FarmConfig, RoutePolicy};
-use sched::{DiskScheduler, Fcfs};
-use sim::SimOptions;
+use farm::{
+    DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, OnlineRouter, RoutePolicy,
+};
+use obs::{Snapshot, TelemetryConfig, TriggerConfig};
+use sched::{DiskScheduler, Fcfs, QosVector, Request};
+use sim::{DiskService, SimOptions};
 use workload::VodConfig;
 
 const POLICIES: [RoutePolicy; 3] = [
@@ -18,7 +24,7 @@ const POLICIES: [RoutePolicy; 3] = [
 ];
 
 /// A VoD mix light enough that an unbounded farm serves everything.
-fn light_trace() -> Vec<sched::Request> {
+fn light_trace() -> Vec<Request> {
     let mut cfg = VodConfig::mpeg1(32);
     cfg.duration_us = 10_000_000;
     cfg.generate(42)
@@ -28,16 +34,79 @@ fn light_trace() -> Vec<sched::Request> {
 /// it every policy sheds the same capacity-bound excess; *near* it the
 /// sheds come from hash collisions piling streams onto one shard, which
 /// balanced routing avoids — the regime where routing quality shows.
-fn overload_trace() -> Vec<sched::Request> {
+fn overload_trace() -> Vec<Request> {
     let mut cfg = VodConfig::mpeg1(90);
     cfg.duration_us = 10_000_000;
     cfg.generate(7)
 }
 
-fn bounded_cascade(cap: usize) -> Box<dyn DiskScheduler> {
-    let cfg = CascadeConfig::paper_default(1, 3832)
-        .with_dispatch(DispatchConfig::paper_default().with_max_queue(cap));
-    Box::new(CascadedSfc::new(cfg).expect("valid config"))
+/// `n` reads 200 µs apart over 16 streams, with no deadline.
+fn batch(n: u64) -> Vec<Request> {
+    (0..n)
+        .map(|i| {
+            let cylinder = (i * 37 % 3832) as u32;
+            Request::read(
+                i,
+                i * 200,
+                u64::MAX,
+                cylinder,
+                64 * 1024,
+                QosVector::single(0),
+            )
+            .with_stream(i % 16)
+        })
+        .collect()
+}
+
+/// Run `trace` through a quiet daemon: FCFS shards, or bounded cascades
+/// whose sheds reach the member's recorder.
+fn run(
+    trace: &[Request],
+    cfg: &FarmConfig,
+    bounded: Option<usize>,
+    telemetry: TelemetryConfig,
+) -> DaemonReport {
+    let daemon = FarmDaemon::new(
+        DaemonConfig::new(cfg.clone(), SimOptions::with_shape(1, 4))
+            .with_telemetry(telemetry, TriggerConfig::quiet()),
+        move |_, sink| -> Box<dyn DiskScheduler> {
+            match bounded {
+                None => Box::new(Fcfs::new()),
+                Some(cap) => {
+                    let cfg = CascadeConfig::paper_default(1, 3832)
+                        .with_dispatch(DispatchConfig::paper_default().with_max_queue(cap));
+                    Box::new(CascadedSfc::with_sink(cfg, sink).expect("valid config"))
+                }
+            }
+        },
+        |_| DiskService::table1(),
+    );
+    daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival))
+}
+
+/// Every member's cumulative telemetry, in shard order.
+fn telemetry(report: &DaemonReport) -> Vec<Snapshot> {
+    report
+        .recorders
+        .iter()
+        .map(|r| r.windows().cumulative())
+        .collect()
+}
+
+/// All members' cumulative telemetry folded into one snapshot.
+fn merged(report: &DaemonReport) -> Snapshot {
+    let mut all = Snapshot::new();
+    for snap in telemetry(report) {
+        all.merge(&snap);
+    }
+    all
+}
+
+/// Shard of each request, routed by a fresh router with every shard
+/// eligible and unbounded.
+fn placements(trace: &[Request], cfg: &FarmConfig) -> Vec<usize> {
+    let mut router = OnlineRouter::new(cfg, &vec![None; cfg.shards]);
+    trace.iter().map(|r| router.route(r).shard).collect()
 }
 
 #[test]
@@ -45,57 +114,96 @@ fn repeat_runs_are_deterministic() {
     let trace = light_trace();
     for policy in POLICIES {
         let cfg = FarmConfig::new(3).with_policy(policy);
-        let run = || {
-            simulate_farm(
-                &trace,
-                &cfg,
-                |_| Box::new(Fcfs::new()),
-                SimOptions::with_shape(1, 4),
-            )
-        };
-        let (oa, sa) = run();
-        let (ob, sb) = run();
-        assert_eq!(oa.routed_per_shard, ob.routed_per_shard, "{policy:?}");
-        assert_eq!(oa.per_shard, ob.per_shard, "{policy:?}");
-        assert_eq!(sa, sb, "{policy:?}");
+        let a = run(&trace, &cfg, None, TelemetryConfig::exact());
+        let b = run(&trace, &cfg, None, TelemetryConfig::exact());
+        assert_eq!(a.routed_per_shard, b.routed_per_shard, "{policy:?}");
+        assert_eq!(a.per_shard, b.per_shard, "{policy:?}");
+        assert_eq!(telemetry(&a), telemetry(&b), "{policy:?}");
     }
 }
 
 #[test]
-fn hash_routing_is_sticky_per_stream_end_to_end() {
+fn every_request_lands_on_exactly_one_shard() {
+    let trace = batch(300);
+    for policy in POLICIES {
+        let cfg = FarmConfig::new(4).with_policy(policy);
+        let report = run(&trace, &cfg, None, TelemetryConfig::exact());
+        assert_eq!(
+            report.routed_per_shard.iter().sum::<u64>(),
+            300,
+            "{policy:?}"
+        );
+        assert_eq!(report.served(), 300, "{policy:?}");
+        assert_eq!(merged(&report).counters.arrivals, 300, "{policy:?}");
+    }
+}
+
+#[test]
+fn a_single_shard_farm_is_a_plain_simulation() {
+    let trace = batch(200);
+    let report = run(&trace, &FarmConfig::new(1), None, TelemetryConfig::exact());
+    let direct = sim::simulate(
+        &mut Fcfs::new(),
+        &trace,
+        &mut DiskService::table1(),
+        SimOptions::with_shape(1, 4),
+    );
+    assert_eq!(report.per_shard, [direct]);
+}
+
+#[test]
+fn sharding_shortens_the_makespan() {
+    let trace = batch(600);
+    let one = run(&trace, &FarmConfig::new(1), None, TelemetryConfig::exact());
+    let four = FarmConfig::new(4).with_policy(RoutePolicy::LeastLoaded);
+    let four = run(&trace, &four, None, TelemetryConfig::exact());
+    let speedup = one.makespan_us as f64 / four.makespan_us as f64;
+    assert!(
+        speedup > 2.0,
+        "4 shards should beat 1 disk: speedup {speedup:.2}"
+    );
+}
+
+#[test]
+fn least_loaded_balances_the_load() {
+    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::LeastLoaded);
+    let mut routed = [0u64; 4];
+    for shard in placements(&batch(400), &cfg) {
+        routed[shard] += 1;
+    }
+    let (min, max) = (routed.iter().min().unwrap(), routed.iter().max().unwrap());
+    assert!(
+        max - min <= 8,
+        "feedback routing should balance: {routed:?}"
+    );
+}
+
+#[test]
+fn hash_routing_is_sticky_per_stream() {
     let trace = light_trace();
     let cfg = FarmConfig::new(4).with_policy(RoutePolicy::HashStream);
-    let mut sink = obs::Snapshot::new();
-    let placement = farm::route_trace(&trace, &cfg, &[None; 4], &mut sink);
-    // Every stream's requests live on exactly one shard.
-    for (shard, sub) in placement.shard_traces.iter().enumerate() {
-        for r in sub {
-            let home = placement
-                .shard_traces
-                .iter()
-                .position(|s| s.iter().any(|q| q.stream == r.stream))
-                .unwrap();
-            assert_eq!(home, shard, "stream {} split across shards", r.stream);
-        }
+    let mut home = std::collections::HashMap::new();
+    for (r, shard) in trace.iter().zip(placements(&trace, &cfg)) {
+        let first = *home.entry(r.stream).or_insert(shard);
+        assert_eq!(first, shard, "stream {} split across shards", r.stream);
     }
+    assert!(home.len() > 1);
 }
 
 #[test]
 fn range_routing_bands_the_cylinder_space() {
     let trace = light_trace();
     let cfg = FarmConfig::new(4).with_policy(RoutePolicy::CylinderRange);
-    let mut sink = obs::Snapshot::new();
-    let placement = farm::route_trace(&trace, &cfg, &[None; 4], &mut sink);
-    // Shard i's cylinders all precede shard i+1's.
-    let ranges: Vec<(u32, u32)> = placement
-        .shard_traces
-        .iter()
-        .map(|sub| {
-            let lo = sub.iter().map(|r| r.cylinder).min().unwrap_or(0);
-            let hi = sub.iter().map(|r| r.cylinder).max().unwrap_or(0);
-            (lo, hi)
-        })
-        .collect();
+    let mut ranges = [(u32::MAX, 0u32); 4];
+    for (r, shard) in trace.iter().zip(placements(&trace, &cfg)) {
+        let (lo, hi) = &mut ranges[shard];
+        (*lo, *hi) = ((*lo).min(r.cylinder), (*hi).max(r.cylinder));
+    }
+    // Every shard gets a band, and shard i's cylinders all precede shard i+1's.
+    assert!(
+        ranges.iter().all(|&(lo, hi)| lo <= hi),
+        "a shard received no request: {ranges:?}"
+    );
     for w in ranges.windows(2) {
         assert!(w[0].1 <= w[1].0, "bands overlap: {ranges:?}");
     }
@@ -104,25 +212,22 @@ fn range_routing_bands_the_cylinder_space() {
 #[test]
 fn least_loaded_routing_sheds_less_than_hash_under_overload() {
     let trace = overload_trace();
-    let arrivals = trace.len() as u64;
-    let outcomes = POLICIES.map(|policy| {
+    let reports = POLICIES.map(|policy| {
         let cfg = FarmConfig::new(4).with_policy(policy);
-        let (out, snap) = simulate_farm(
-            &trace,
-            &cfg,
-            |_| bounded_cascade(24),
-            SimOptions::with_shape(1, 4),
-        );
+        let report = run(&trace, &cfg, Some(24), TelemetryConfig::exact());
         // Under every policy each arrival is inside a shard's engine
-        // metrics or was shed, and the traced events count the same.
-        let accounted = out.aggregate().requests_total() + out.sheds();
-        assert_eq!(accounted, arrivals, "{policy:?}");
-        assert_eq!(snap.counters.arrivals, arrivals, "{policy:?}");
-        assert_eq!(snap.counters.shard_reports, 4, "{policy:?}");
-        assert_eq!(snap.counters.redirects, out.redirects, "{policy:?}");
-        out
+        // metrics or was shed, and the traced arrivals, sheds and
+        // redirects count the same as the report's counters.
+        report.ledger().expect("ledger must close");
+        report.reconcile_events().expect("events must reconcile");
+        assert_eq!(
+            merged(&report).counters.arrivals,
+            trace.len() as u64,
+            "{policy:?}"
+        );
+        report
     });
-    let [hash, _, ll] = &outcomes;
+    let [hash, _, ll] = &reports;
     assert!(hash.sheds() > 0, "overload workload must actually shed");
     assert!(
         ll.sheds() < hash.sheds(),
@@ -138,85 +243,72 @@ fn redirect_counter_reconciles_with_traced_events() {
     let cfg = FarmConfig::new(4)
         .with_policy(RoutePolicy::HashStream)
         .with_redirects();
-    let (out, snap) = simulate_farm(
-        &trace,
-        &cfg,
-        |_| bounded_cascade(24),
-        SimOptions::with_shape(1, 4),
+    let report = run(&trace, &cfg, Some(24), TelemetryConfig::exact());
+    assert!(
+        report.redirects > 0,
+        "overloaded hash routing should redirect"
     );
-    assert!(out.redirects > 0, "overloaded hash routing should redirect");
+    let counters = merged(&report).counters;
     assert_eq!(
-        snap.counters.redirects, out.redirects,
-        "traced Redirect events must reconcile with the outcome counter"
+        counters.redirects, report.redirects,
+        "traced Redirect events must reconcile with the report's counter"
     );
-    assert_eq!(snap.counters.shard_reports, 4);
-    assert_eq!(snap.counters.arrivals, trace.len() as u64);
-    // Ledger: every arrival is either inside a shard's engine metrics or
-    // was shed by a bounded queue.
-    let accounted = out.aggregate().requests_total() + out.sheds();
-    assert_eq!(accounted, trace.len() as u64);
+    assert_eq!(counters.arrivals, trace.len() as u64);
+    report.ledger().expect("ledger must close");
+    report.reconcile_events().expect("events must reconcile");
 }
 
 #[test]
-fn per_shard_windowed_sinks_reconcile_with_the_merged_snapshot() {
+fn per_shard_windows_sum_to_a_cumulative_any_window_width_agrees_on() {
     let trace = overload_trace();
     let cfg = FarmConfig::new(4)
         .with_policy(RoutePolicy::HashStream)
         .with_redirects();
-    let (plain_out, plain_snap) = simulate_farm(
+    let narrow = run(
         &trace,
         &cfg,
-        |_| bounded_cascade(24),
-        SimOptions::with_shape(1, 4),
+        Some(24),
+        TelemetryConfig::exact().window_log2(19),
     );
-    let (out, sinks) = farm::simulate_farm_traced(
+    let wide = run(
         &trace,
         &cfg,
-        |_| bounded_cascade(24),
-        SimOptions::with_shape(1, 4),
-        |_| obs::WindowedSnapshot::new(19, 4),
+        Some(24),
+        TelemetryConfig::exact().window_log2(24),
     );
-    assert_eq!(plain_out.per_shard, out.per_shard);
-    assert_eq!(plain_out.redirects, out.redirects);
-    assert_eq!(sinks.len(), 4);
-    let mut merged = obs::Snapshot::new();
-    for mut w in sinks {
-        let deltas = w.flush();
+    assert_eq!(narrow.per_shard, wide.per_shard);
+    assert_eq!(narrow.redirects, wide.redirects);
+    assert_eq!(
+        telemetry(&narrow),
+        telemetry(&wide),
+        "a member's cumulative telemetry must not depend on its window width"
+    );
+    for mut recorder in narrow.recorders {
+        let cumulative = recorder.windows().cumulative();
+        let deltas = recorder.windows_mut().flush();
         assert!(deltas.len() > 1, "a 10 s shard run spans several windows");
-        let mut delta_sum = obs::Snapshot::new();
+        let mut delta_sum = Snapshot::new();
         for d in &deltas {
             delta_sum.merge(&d.snapshot);
         }
-        let cumulative = w.cumulative();
         assert_eq!(
             delta_sum, cumulative,
             "window deltas must sum to the shard's cumulative snapshot"
         );
-        merged.merge(&cumulative);
     }
-    assert_eq!(
-        merged, plain_snap,
-        "windowed per-shard telemetry must reproduce the plain farm snapshot"
-    );
 }
 
 #[test]
 fn redirects_reduce_sheds_for_hash_routing() {
     let trace = overload_trace();
-    let run = |redirect: bool| {
-        let mut cfg = FarmConfig::new(4).with_policy(RoutePolicy::HashStream);
-        if redirect {
-            cfg = cfg.with_redirects();
-        }
-        simulate_farm(
-            &trace,
-            &cfg,
-            |_| bounded_cascade(24),
-            SimOptions::with_shape(1, 4),
-        )
-    };
-    let (plain, _) = run(false);
-    let (redirected, _) = run(true);
+    let hash = FarmConfig::new(4).with_policy(RoutePolicy::HashStream);
+    let plain = run(&trace, &hash, Some(24), TelemetryConfig::exact());
+    let redirected = run(
+        &trace,
+        &hash.with_redirects(),
+        Some(24),
+        TelemetryConfig::exact(),
+    );
     assert!(
         redirected.sheds() < plain.sheds(),
         "redirect-on-overload should cut sheds: {} vs {}",

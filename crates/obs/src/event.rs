@@ -122,8 +122,9 @@ event_table! {
     ///   [`SectorRemap`](TraceEvent::SectorRemap),
     ///   [`DegradedRead`](TraceEvent::DegradedRead) and
     ///   [`RebuildIo`](TraceEvent::RebuildIo);
-    /// * the **farm router** emits [`Redirect`](TraceEvent::Redirect) and,
-    ///   once per shard timeline, [`ShardReport`](TraceEvent::ShardReport);
+    /// * the **farm router** emits [`Redirect`](TraceEvent::Redirect)
+    ///   ([`ShardReport`](TraceEvent::ShardReport) has no producer; ROADMAP
+    ///   item 8(c));
     /// * the **farm daemon** emits [`Migrate`](TraceEvent::Migrate) when a
     ///   drained shard hands off a resident request,
     ///   [`Quarantine`](TraceEvent::Quarantine) when the health supervisor
@@ -320,7 +321,8 @@ event_table! {
             /// Modeled queue depth of the overloaded shard at the decision.
             queue_depth: u64,
         },
-        /// Per-shard roll-up emitted when a farm shard finishes its timeline.
+        /// Per-shard roll-up of a farm shard timeline. Nothing produces it
+        /// (ROADMAP item 8(c)).
         ShardReport "shard_report" {
             /// The shard's makespan (µs).
             now_us: u64,

@@ -92,7 +92,7 @@ counter_table! {
         sheds,
         /// `Redirect` events (farm router overload redirections).
         redirects,
-        /// `ShardReport` events (one per finished farm shard timeline).
+        /// `ShardReport` events. Nothing produces them (ROADMAP item 8(c)).
         shard_reports,
         /// `Migrate` events (drained-shard in-flight handoffs).
         migrations,

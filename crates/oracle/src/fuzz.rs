@@ -39,7 +39,7 @@ pub enum Archetype {
     /// A steady request train interleaved with a seed-derived membership
     /// script (drain + add + quarantine) — stresses the farm daemon's
     /// ledger, event reconciliation, determinism, and its quiescent
-    /// parity with the batch farm.
+    /// agreement with the independent judge.
     MembershipChurn,
     /// Overload waves interleaved with a seed-derived storm of operator
     /// retunes (valid and invalid) plus a drain, under a live

@@ -10,9 +10,10 @@
 //!   the same seeded traces and required to match the optimized
 //!   implementations bit-for-bit (service logs, metrics, counters).
 //!   [`routing`] extends this to the farm: a single-threaded replay of
-//!   the routing pass checked against [`farm::route_trace`]. [`daemon`]
-//!   extends it again to continuous operation: the farm daemon fed only
-//!   arrivals must match the batch farm bit-for-bit, and under a
+//!   the routing policies checked against [`farm::OnlineRouter`].
+//!   [`daemon`] extends it again to continuous operation: the farm
+//!   daemon fed only arrivals must match a judge composed of that replay
+//!   and one plain simulation per shard bit-for-bit, and under a
 //!   membership-churn script it must stay deterministic with a closed
 //!   request ledger and reconciled events. [`ctrl`] extends it to the
 //!   control plane: a self-tuning controller pinned to the seed

@@ -1,5 +1,5 @@
 //! Single-threaded farm-router replay: an independent restatement of
-//! [`farm::route_trace`] checked against the real routing pass.
+//! the farm's routing, checked against [`farm::OnlineRouter`].
 //!
 //! The replay re-derives every placement decision from the documented
 //! policy semantics — SplitMix64 stream hashing, contiguous cylinder
@@ -7,11 +7,11 @@
 //! redirect-on-overload — over a naive load model (a plain `Vec` of
 //! completion times per shard, linearly retired) instead of the farm's
 //! closed form, which keeps one drain horizon per shard and derives depth
-//! from it. Agreement on every shard's sub-trace, the routed counts and
-//! the redirect count proves the optimized pass implements its spec.
+//! from it. Agreement on every placement and the redirect count
+//! proves the optimized router implements its spec. The same replay is
+//! the placement half of the daemon's judge ([`crate::daemon`]).
 
-use farm::{FarmConfig, RoutePolicy};
-use obs::NullSink;
+use farm::{FarmConfig, OnlineRouter, RoutePolicy};
 use sched::Request;
 
 /// SplitMix64 finalizer, restated independently of `farm::router`.
@@ -25,17 +25,6 @@ fn splitmix64(mut x: u64) -> u64 {
 struct NaiveShard {
     pending: Vec<u64>, // modeled completion times, unordered
     busy_until: u64,
-}
-
-/// What the naive replay decided: request ids per shard, routed counts,
-/// and how many arrivals were redirected away from a full shard.
-pub struct Replay {
-    /// Request ids placed on each shard, in arrival order.
-    pub ids_per_shard: Vec<Vec<u64>>,
-    /// Requests placed on each shard.
-    pub routed_per_shard: Vec<u64>,
-    /// Arrivals steered away from a projected-full shard.
-    pub redirects: u64,
 }
 
 fn least_loaded(shards: &[NaiveShard]) -> usize {
@@ -56,7 +45,13 @@ fn projected_full(shard: &NaiveShard, capacity: Option<usize>) -> bool {
 
 /// Replay the routing pass naively: one linear sweep over the
 /// arrival-ordered trace, retiring completed bookings by linear scan.
-pub fn replay_route(trace: &[Request], cfg: &FarmConfig, capacities: &[Option<usize>]) -> Replay {
+/// Returns the shard each request lands on, in trace order, and how many
+/// arrivals were redirected away from a projected-full shard.
+pub fn replay_route(
+    trace: &[Request],
+    cfg: &FarmConfig,
+    capacities: &[Option<usize>],
+) -> (Vec<usize>, u64) {
     assert_eq!(capacities.len(), cfg.shards);
     let est = cfg.est_service_us.max(1);
     let mut shards: Vec<NaiveShard> = (0..cfg.shards)
@@ -65,11 +60,8 @@ pub fn replay_route(trace: &[Request], cfg: &FarmConfig, capacities: &[Option<us
             busy_until: 0,
         })
         .collect();
-    let mut replay = Replay {
-        ids_per_shard: vec![Vec::new(); cfg.shards],
-        routed_per_shard: vec![0; cfg.shards],
-        redirects: 0,
-    };
+    let mut targets = Vec::with_capacity(trace.len());
+    let mut redirects = 0;
 
     for r in trace {
         for s in &mut shards {
@@ -88,59 +80,46 @@ pub fn replay_route(trace: &[Request], cfg: &FarmConfig, capacities: &[Option<us
         if cfg.redirect_on_overload && projected_full(&shards[chosen], capacities[chosen]) {
             let alt = least_loaded(&shards);
             if alt != chosen && !projected_full(&shards[alt], capacities[alt]) {
-                replay.redirects += 1;
+                redirects += 1;
                 target = alt;
             }
         }
         let start = shards[target].busy_until.max(r.arrival_us);
         shards[target].busy_until = start + est;
         shards[target].pending.push(start + est);
-        replay.routed_per_shard[target] += 1;
-        replay.ids_per_shard[target].push(r.id);
+        targets.push(target);
     }
-    replay
+    (targets, redirects)
 }
 
-/// Differential oracle for the routing pass: [`farm::route_trace`] must
-/// place every request exactly where the naive replay does.
+/// Differential oracle for the router: an [`OnlineRouter`] with every
+/// shard eligible, fed the trace one arrival at a time, must place every
+/// request exactly where the naive replay does and redirect as often.
+/// It drives the router alone, with no engine behind it, so it reaches
+/// arrival times (up to the saturating horizon near `u64::MAX`) that no
+/// simulated disk can serve.
 pub fn diff_routing(
     trace: &[Request],
     cfg: &FarmConfig,
     capacities: &[Option<usize>],
 ) -> Result<(), String> {
-    let placement = farm::route_trace(trace, cfg, capacities, &mut NullSink);
-    let replay = replay_route(trace, cfg, capacities);
-    for shard in 0..cfg.shards {
-        let optimized: Vec<u64> = placement.shard_traces[shard].iter().map(|r| r.id).collect();
-        if optimized != replay.ids_per_shard[shard] {
-            let at = optimized
-                .iter()
-                .zip(&replay.ids_per_shard[shard])
-                .position(|(a, b)| a != b)
-                .unwrap_or(optimized.len().min(replay.ids_per_shard[shard].len()));
+    let mut router = OnlineRouter::new(cfg, capacities);
+    let (naive, redirects) = replay_route(trace, cfg, capacities);
+    for (r, &expected) in trace.iter().zip(&naive) {
+        let placed = router.route(r).shard;
+        if placed != expected {
             return Err(format!(
-                "routing ({}): shard {shard} sub-traces diverge at position {at}: \
-                 optimized {:?} vs replay {:?}",
+                "routing ({}): request {} placed on shard {placed}, the replay places it on {expected}",
                 cfg.policy.name(),
-                optimized.get(at),
-                replay.ids_per_shard[shard].get(at)
+                r.id
             ));
         }
     }
-    if placement.routed_per_shard != replay.routed_per_shard {
+    if router.redirects() != redirects {
         return Err(format!(
-            "routing ({}): routed counts diverge: {:?} vs {:?}",
+            "routing ({}): redirect counts diverge: {} vs {redirects}",
             cfg.policy.name(),
-            placement.routed_per_shard,
-            replay.routed_per_shard
-        ));
-    }
-    if placement.redirects != replay.redirects {
-        return Err(format!(
-            "routing ({}): redirect counts diverge: {} vs {}",
-            cfg.policy.name(),
-            placement.redirects,
-            replay.redirects
+            router.redirects()
         ));
     }
     Ok(())
@@ -152,7 +131,7 @@ mod tests {
     use workload::VodConfig;
 
     #[test]
-    fn replay_agrees_with_route_trace_across_policies() {
+    fn replay_agrees_with_the_router_across_policies() {
         let mut wl = VodConfig::mpeg1(40);
         wl.duration_us = 4_000_000;
         let trace = wl.generate(11);
@@ -173,8 +152,8 @@ mod tests {
         let trace = wl.generate(12);
         let cfg = FarmConfig::new(3).with_redirects();
         let caps = [Some(4), Some(4), Some(4)];
-        let replay = replay_route(&trace, &cfg, &caps);
-        assert!(replay.redirects > 0, "capacity 4 should overload");
+        let (_, redirects) = replay_route(&trace, &cfg, &caps);
+        assert!(redirects > 0, "capacity 4 should overload");
         diff_routing(&trace, &cfg, &caps).expect("replay matches");
     }
 

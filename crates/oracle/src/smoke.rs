@@ -26,9 +26,9 @@ pub struct SmokeReport {
 /// three seeded workload families under four dispatcher regimes, the
 /// brute-force baseline oracles, the farm routing replay under every
 /// policy (with and without redirects), the daemon replay gate (the
-/// online daemon bit-identical to the batch farm on churn-free
-/// streams, through both the event loop and the streaming ingest
-/// path), the analytic seek-law battery (measured sweep totals against
+/// online daemon bit-identical to the naive routing replay followed by
+/// one plain simulation per shard on churn-free streams, through both
+/// the event loop and the streaming ingest path), the analytic seek-law battery (measured sweep totals against
 /// closed-form expectations), the control-plane neutrality gate (a
 /// controller pinned to
 /// the seed knobs leaves the daemon bit-identical to an uncontrolled
@@ -78,7 +78,7 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
         report.requests_checked += 3 * trace.len() as u64;
     }
 
-    // Farm routing replay: every policy, then redirect-on-overload.
+    // Router replay: every policy, then redirect-on-overload.
     for policy in [
         RoutePolicy::HashStream,
         RoutePolicy::CylinderRange,
@@ -95,8 +95,9 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
     report.requests_checked += vod.len() as u64;
 
     // Daemon replay gate: the continuous-operation daemon fed only
-    // arrivals must be bit-identical to the batch farm — every policy,
-    // then bounded queues with redirect-on-overload.
+    // arrivals must be bit-identical to its judge (the naive routing
+    // replay, then one plain simulation per shard) — every policy, then
+    // bounded queues with redirect-on-overload.
     for policy in [
         RoutePolicy::HashStream,
         RoutePolicy::CylinderRange,

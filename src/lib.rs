@@ -13,7 +13,7 @@
 //! * [`obs`] — the zero-dependency event-trace and histogram
 //!   observability layer (sinks, log2 histograms, snapshots),
 //! * [`farm`] — the sharded multi-disk scheduling farm (routing
-//!   policies, redirect-on-overload, the batch farm and the daemon).
+//!   policies, redirect-on-overload, the daemon).
 //!
 //! See `README.md` for a tour and `examples/` for runnable entry points.
 
