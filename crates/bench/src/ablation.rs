@@ -67,7 +67,7 @@ fn scheduler_with(dispatch: DispatchConfig) -> CascadedSfc {
 
 /// Run the mixed-load scenario.
 pub fn mixed_load(seed: u64, requests: usize) -> Vec<MixedRow> {
-    let trace = PoissonConfig::figure5(3, requests).generate(seed);
+    let trace: Vec<_> = PoissonConfig::figure5(3, requests).generate(seed).collect();
     let base = run_fifo(&trace, 3, 20_000).inversions_total().max(1) as f64;
     variants()
         .into_iter()
@@ -146,7 +146,7 @@ pub struct TuningRow {
 pub fn tuning_sweep(seed: u64, requests: usize) -> Vec<TuningRow> {
     let windows = [0.0, 0.05, 0.10, 0.20, 0.40];
     let ers = [None, Some(1.5), Some(2.0), Some(4.0)];
-    let trace = PoissonConfig::figure5(3, requests).generate(seed);
+    let trace: Vec<_> = PoissonConfig::figure5(3, requests).generate(seed).collect();
     let base = run_fifo(&trace, 3, 20_000).inversions_total().max(1) as f64;
 
     let mut rows = Vec::new();

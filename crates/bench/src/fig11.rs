@@ -90,7 +90,7 @@ fn curve_scheduler(kind: CurveKind) -> CascadedSfc {
 pub fn run_sim(cfg: &Config, users: u32, sched: &mut dyn DiskScheduler) -> Metrics {
     let mut wl = NewsByteConfig::paper(users);
     wl.duration_us = cfg.duration_us;
-    let trace = wl.generate(cfg.seed ^ users as u64);
+    let trace: Vec<_> = wl.generate(cfg.seed ^ users as u64).collect();
     let mut service = DiskService::table1();
     simulate(
         sched,

@@ -101,7 +101,9 @@ pub fn run_fifo(trace: &[Request], dims: u32, service_us: u64) -> Metrics {
 
 /// Produce the Figure-5 series.
 pub fn run(cfg: &Config) -> Vec<Row> {
-    let trace = PoissonConfig::figure5(DIMS, cfg.requests).generate(cfg.seed);
+    let trace: Vec<_> = PoissonConfig::figure5(DIMS, cfg.requests)
+        .generate(cfg.seed)
+        .collect();
     let fifo = run_fifo(&trace, DIMS, cfg.service_us);
     let baseline = fifo.inversions_total().max(1) as f64;
 

@@ -52,7 +52,9 @@ pub struct Row {
 pub fn run(cfg: &Config) -> Vec<Row> {
     let mut rows = Vec::new();
     for &dims in &cfg.dims {
-        let trace = PoissonConfig::figure5(dims, cfg.requests).generate(cfg.seed);
+        let trace: Vec<_> = PoissonConfig::figure5(dims, cfg.requests)
+            .generate(cfg.seed)
+            .collect();
         let fifo = run_fifo(&trace, dims, cfg.service_us);
         let baseline = fifo.inversions_total().max(1) as f64;
         for curve in CurveKind::FIGURE1 {

@@ -59,7 +59,9 @@ pub struct Row {
 
 /// Produce the Figure-7 series.
 pub fn run(cfg: &Config) -> Vec<Row> {
-    let trace = PoissonConfig::figure5(cfg.dims, cfg.requests).generate(cfg.seed);
+    let trace: Vec<_> = PoissonConfig::figure5(cfg.dims, cfg.requests)
+        .generate(cfg.seed)
+        .collect();
     let fifo = run_fifo(&trace, cfg.dims, cfg.service_us);
     let mut rows = Vec::new();
     for curve in CurveKind::FIGURE1 {

@@ -53,7 +53,7 @@ impl OverheadReport {
 fn overhead_trace(seed: u64) -> Vec<Request> {
     let mut cfg = PoissonConfig::figure8(60_000);
     cfg.mean_interarrival_us = 18_000;
-    cfg.generate(seed)
+    cfg.generate(seed).collect()
 }
 
 fn overhead_engine_run<S: TraceSink>(trace: &[Request], sink: &mut S) -> f64 {
@@ -101,7 +101,7 @@ fn overhead_dispatch_run<S: TraceSink>(trace: &[Request], sink: S) -> f64 {
 /// lands asymmetrically on either side.
 pub fn measure_overhead(seed: u64, samples: u32) -> OverheadReport {
     let trace = overhead_trace(seed);
-    let dispatch_trace = PoissonConfig::figure8(8_000).generate(seed);
+    let dispatch_trace: Vec<_> = PoissonConfig::figure8(8_000).generate(seed).collect();
     let mut engine = Vec::new();
     let mut dispatch = Vec::new();
     // Round 0 is the warmup.

@@ -150,7 +150,9 @@ pub fn run_with_sink<E: TraceSink>(cfg: &Config, event_sink: E) -> (Report, E) {
     let mut scheduler =
         CascadedSfc::with_sink(cascade_cfg, shared.clone()).expect("valid cascade config");
 
-    let trace = PoissonConfig::figure5(cfg.dims, cfg.requests).generate(cfg.seed);
+    let trace: Vec<_> = PoissonConfig::figure5(cfg.dims, cfg.requests)
+        .generate(cfg.seed)
+        .collect();
     // Fault injection needs a disk with real per-attempt timing (the
     // retry pays another revolution); the healthy run keeps the
     // transfer-dominated abstraction the Figure-5 setting assumes.

@@ -16,7 +16,7 @@ pub(crate) const CYLINDERS: u32 = 3832;
 pub(crate) fn trace(streams: u32, duration_us: u64, seed: u64) -> Vec<Request> {
     let mut wl = VodConfig::mpeg1(streams.max(1));
     wl.duration_us = duration_us;
-    wl.generate(seed)
+    wl.generate(seed).collect()
 }
 
 /// Past-due requests are dropped at dispatch (the video-server regime).

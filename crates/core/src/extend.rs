@@ -213,7 +213,7 @@ mod tests {
         use workload::PoissonConfig;
         let mut wl = PoissonConfig::figure8(3_000);
         wl.mean_interarrival_us = 10_000;
-        let trace = wl.generate(41);
+        let trace: Vec<_> = wl.generate(41).collect();
 
         let run = |s: &mut dyn DiskScheduler| {
             let mut service = DiskService::table1();

@@ -34,15 +34,17 @@
 //! use sim::{DiskService, SimOptions};
 //! use workload::VodConfig;
 //!
+//! // A generator is a lazy stream: the daemon pulls it one arrival at a time.
 //! let trace = VodConfig::mpeg1(24).generate(42);
+//! let arrivals = trace.len() as u64;
 //! let cfg = FarmConfig::new(4).with_policy(RoutePolicy::HashStream);
 //! let daemon = FarmDaemon::new(
 //!     DaemonConfig::new(cfg, SimOptions::with_shape(1, 4)),
 //!     |_shard, _sink| Box::new(Fcfs::new()),
 //!     |_shard| DiskService::table1(),
 //! );
-//! let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
-//! assert_eq!(report.served(), trace.len() as u64);
+//! let report = daemon.run(trace.map(DaemonEvent::Arrival));
+//! assert_eq!(report.served(), arrivals);
 //! report.ledger().unwrap();
 //! ```
 

@@ -15,7 +15,7 @@ use farm::{
 use obs::{Snapshot, TelemetryConfig, TriggerConfig};
 use sched::{DiskScheduler, Fcfs, QosVector, Request};
 use sim::{DiskService, SimOptions};
-use workload::VodConfig;
+use workload::{NewsByteConfig, PoissonConfig, TraceSource, VecSource, VodConfig};
 
 const POLICIES: [RoutePolicy; 3] = [
     RoutePolicy::HashStream,
@@ -27,7 +27,7 @@ const POLICIES: [RoutePolicy; 3] = [
 fn light_trace() -> Vec<Request> {
     let mut cfg = VodConfig::mpeg1(32);
     cfg.duration_us = 10_000_000;
-    cfg.generate(42)
+    cfg.generate(42).collect()
 }
 
 /// 90 streams against four Table-1 disks: just past saturation. Far past
@@ -37,7 +37,7 @@ fn light_trace() -> Vec<Request> {
 fn overload_trace() -> Vec<Request> {
     let mut cfg = VodConfig::mpeg1(90);
     cfg.duration_us = 10_000_000;
-    cfg.generate(7)
+    cfg.generate(7).collect()
 }
 
 /// `n` reads 200 µs apart over 16 streams, with no deadline.
@@ -66,7 +66,12 @@ fn run(
     bounded: Option<usize>,
     telemetry: TelemetryConfig,
 ) -> DaemonReport {
-    let daemon = FarmDaemon::new(
+    daemon(cfg, bounded, telemetry).run(trace.iter().cloned().map(DaemonEvent::Arrival))
+}
+
+/// The quiet daemon [`run`] drives.
+fn daemon(cfg: &FarmConfig, bounded: Option<usize>, telemetry: TelemetryConfig) -> FarmDaemon {
+    FarmDaemon::new(
         DaemonConfig::new(cfg.clone(), SimOptions::with_shape(1, 4))
             .with_telemetry(telemetry, TriggerConfig::quiet()),
         move |_, sink| -> Box<dyn DiskScheduler> {
@@ -80,8 +85,7 @@ fn run(
             }
         },
         |_| DiskService::table1(),
-    );
-    daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival))
+    )
 }
 
 /// Every member's cumulative telemetry, in shard order.
@@ -315,4 +319,64 @@ fn redirects_reduce_sheds_for_hash_routing() {
         redirected.sheds(),
         plain.sheds()
     );
+}
+
+/// `source` ingested by the quiet daemon, which must pull all `len` of it.
+fn ingested(
+    mut source: impl TraceSource,
+    len: usize,
+    cfg: &FarmConfig,
+    bounded: Option<usize>,
+) -> DaemonReport {
+    let mut daemon = daemon(cfg, bounded, TelemetryConfig::exact());
+    assert_eq!(daemon.ingest(&mut source), len as u64);
+    daemon.shutdown()
+}
+
+fn assert_same_report(streamed: &DaemonReport, collected: &DaemonReport, what: &str) {
+    streamed.ledger().unwrap();
+    assert_eq!(streamed.arrivals, collected.arrivals, "{what}");
+    assert_eq!(streamed.per_shard, collected.per_shard, "{what}");
+    assert_eq!(
+        streamed.routed_per_shard, collected.routed_per_shard,
+        "{what}"
+    );
+    assert_eq!(
+        streamed.sheds_per_shard, collected.sheds_per_shard,
+        "{what}"
+    );
+    assert_eq!(
+        streamed.admission_rejections, collected.admission_rejections,
+        "{what}"
+    );
+    assert_eq!(streamed.migrated, collected.migrated, "{what}");
+    assert_eq!(streamed.makespan_us, collected.makespan_us, "{what}");
+    assert_eq!(telemetry(streamed), telemetry(collected), "{what}");
+}
+
+#[test]
+fn a_streamed_generator_ingests_like_its_collected_trace() {
+    let poisson = PoissonConfig {
+        mean_interarrival_us: 8_000,
+        ..PoissonConfig::figure8(2_000)
+    };
+    let news = NewsByteConfig {
+        duration_us: 15_000_000,
+        ..NewsByteConfig::paper(192)
+    };
+    let cfg = FarmConfig::new(3).with_policy(RoutePolicy::LeastLoaded);
+    for seed in [5, 6] {
+        let trace: Vec<Request> = poisson.generate(seed).collect();
+        let n = trace.len();
+        let streamed = ingested(poisson.generate(seed), n, &cfg, None);
+        let collected = ingested(VecSource::new(trace), n, &cfg, None);
+        assert_same_report(&streamed, &collected, "poisson");
+
+        let trace: Vec<Request> = news.generate(seed).collect();
+        let n = trace.len();
+        let streamed = ingested(news.generate(seed), n, &cfg, Some(6));
+        let collected = ingested(VecSource::new(trace), n, &cfg, Some(6));
+        assert!(streamed.sheds() > 0, "bursts past the bound are shed");
+        assert_same_report(&streamed, &collected, "newsbyte");
+    }
 }

@@ -353,7 +353,7 @@ mod tests {
     fn vod(streams: u32, seed: u64) -> Vec<Request> {
         let mut wl = VodConfig::mpeg1(streams);
         wl.duration_us = 3_000_000;
-        wl.generate(seed)
+        wl.generate(seed).collect()
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub fn deadline_monotonicity() -> Result<(), String> {
 pub fn csv_idempotence(seed: u64) -> Result<(), String> {
     let mut wl = VodConfig::mpeg1(6);
     wl.duration_us = 2_000_000;
-    let mut trace = wl.generate(seed);
+    let mut trace: Vec<_> = wl.generate(seed).collect();
     trace.truncate(200);
     if trace.len() < 3 {
         return Err("csv idempotence: workload generator returned a trivial trace".into());

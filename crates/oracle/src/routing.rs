@@ -134,7 +134,7 @@ mod tests {
     fn replay_agrees_with_the_router_across_policies() {
         let mut wl = VodConfig::mpeg1(40);
         wl.duration_us = 4_000_000;
-        let trace = wl.generate(11);
+        let trace: Vec<_> = wl.generate(11).collect();
         for policy in [
             RoutePolicy::HashStream,
             RoutePolicy::CylinderRange,
@@ -149,7 +149,7 @@ mod tests {
     fn replay_agrees_under_redirects() {
         let mut wl = VodConfig::mpeg1(60);
         wl.duration_us = 4_000_000;
-        let trace = wl.generate(12);
+        let trace: Vec<_> = wl.generate(12).collect();
         let cfg = FarmConfig::new(3).with_redirects();
         let caps = [Some(4), Some(4), Some(4)];
         let (_, redirects) = replay_route(&trace, &cfg, &caps);

@@ -40,10 +40,10 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
 
     // Three seeded workloads for the headline claim: the optimized
     // cascade's dispatch order is bit-identical to the naive reference.
-    let poisson = PoissonConfig::figure8(400).generate(seed);
+    let poisson: Vec<_> = PoissonConfig::figure8(400).generate(seed).collect();
     let mut wl = VodConfig::mpeg1(24);
     wl.duration_us = 4_000_000;
-    let vod = wl.generate(seed.wrapping_add(1));
+    let vod: Vec<_> = wl.generate(seed.wrapping_add(1)).collect();
     let clusters = Scenario {
         archetype: crate::fuzz::Archetype::DeadlineClusters,
         seed: seed.wrapping_add(2),

@@ -97,7 +97,7 @@ mod tests {
 
     #[test]
     fn telemetry_oracle_passes_on_a_seeded_trace() {
-        let trace = PoissonConfig::figure8(600).generate(7);
+        let trace: Vec<_> = PoissonConfig::figure8(600).generate(7).collect();
         let options = SimOptions::with_shape(1, 16).dropping();
         diff_telemetry(&trace, options, 64).expect("telemetry relations hold");
     }

@@ -445,7 +445,7 @@ mod tests {
         let n = admissible_streams(&g, &s, 64 * 1024, 1_500_000);
         let mut cfg = VodConfig::mpeg1(n);
         cfg.duration_us = 20_000_000;
-        let trace = cfg.generate(3);
+        let trace: Vec<_> = cfg.generate(3).collect();
         let mut sched = Batched::new(CScan::new(), "batched-c-scan");
         let mut service = DiskService::table1();
         let m = simulate(

@@ -22,7 +22,7 @@
 //! use sim::{simulate, SimOptions, TransferDominated};
 //! use workload::PoissonConfig;
 //!
-//! let trace = PoissonConfig::figure5(2, 500).generate(42);
+//! let trace: Vec<_> = PoissonConfig::figure5(2, 500).generate(42).collect();
 //! let mut service = TransferDominated::uniform(20_000, 3832);
 //! let m = simulate(&mut Fcfs::new(), &trace, &mut service, SimOptions::default());
 //! assert_eq!(m.served + m.dropped, 500);

@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn roundtrip_poisson() {
-        let trace = PoissonConfig::figure8(200).generate(5);
+        let trace: Vec<_> = PoissonConfig::figure8(200).generate(5).collect();
         let csv = to_csv(&trace);
         let back = from_csv(&csv).unwrap();
         assert_eq!(trace, back);
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn roundtrip_newsbyte_with_writes_and_relaxed() {
-        let mut trace = NewsByteConfig::paper(70).generate(6);
+        let mut trace: Vec<_> = NewsByteConfig::paper(70).generate(6).collect();
         trace.truncate(300);
         // Mix in a relaxed, QoS-less request.
         trace[0].deadline_us = u64::MAX;
@@ -209,7 +209,7 @@ mod tests {
 
     #[test]
     fn stream_column_roundtrips_and_legacy_defaults_to_id() {
-        let trace = NewsByteConfig::paper(70).generate(6);
+        let trace: Vec<_> = NewsByteConfig::paper(70).generate(6).collect();
         // The generator assigns real per-user stream ids distinct from the
         // (reassigned) request ids, so a roundtrip proves the column.
         assert!(trace.iter().any(|r| r.stream != r.id));

@@ -14,24 +14,32 @@
 //!   requests (striped over a 4-data-disk RAID-5, so one simulated disk
 //!   sees a quarter of the blocks), 8 priority levels with a normal
 //!   distribution, deadlines uniform in 75–150 ms, and a read/write mix.
-//! * [`stream`] — pull-based sources for horizons too long to
-//!   materialize: [`SessionSource`] grows a closed-loop population of
-//!   mixed VoD/NewsByte sessions (diurnal and flash-crowd arrival
-//!   curves, think times, consumer backpressure) in memory proportional
-//!   to the *live* session count, and [`VecSource`] adapts any batch
-//!   trace to the same [`TraceSource`] iterator interface.
+//! * [`stream`] — the pull-based [`TraceSource`] interface every
+//!   generator implements: [`SessionSource`] grows a closed-loop
+//!   population of mixed VoD/NewsByte sessions (diurnal and flash-crowd
+//!   arrival curves, think times, consumer backpressure) in memory
+//!   proportional to the *live* session count, and [`VecSource`] adapts
+//!   any materialized trace to the same interface.
+//!
+//! `generate(seed)` returns a stream — [`PoissonStream`],
+//! [`NewsByteStream`], [`VodStream`] — not a `Vec`: it holds one chunk or
+//! burst tick at a time, knows its exact remaining length, and emits the
+//! requests, order and ids the materialized [`Trace`] would hold.
+//! `.collect()` it where a [`Trace`] is needed; hand it straight to a
+//! streaming consumer where it is not.
 //!
 //! All generators are fully deterministic given a seed. The distribution
 //! primitives in [`dist`] are derived from `rand`'s uniform source, so no
 //! extra distribution crates are needed.
 //!
 //! ```
-//! use workload::{PoissonConfig, validate_trace};
+//! use workload::{PoissonConfig, Trace, validate_trace};
 //!
-//! let trace = PoissonConfig::figure5(4, 100).generate(42);
-//! assert_eq!(trace.len(), 100);
+//! let stream = PoissonConfig::figure5(4, 100).generate(42);
+//! assert_eq!(stream.len(), 100);
+//! let trace: Trace = stream.collect();
 //! assert!(validate_trace(&trace));
-//! assert_eq!(trace, PoissonConfig::figure5(4, 100).generate(42)); // deterministic
+//! assert!(PoissonConfig::figure5(4, 100).generate(42).eq(trace)); // deterministic
 //! ```
 
 #![forbid(unsafe_code)]
@@ -42,12 +50,13 @@ pub mod io;
 mod newsbyte;
 mod poisson;
 pub mod stream;
+mod ticks;
 mod vod;
 
-pub use newsbyte::NewsByteConfig;
-pub use poisson::{DeadlineDist, LevelDist, PoissonConfig, Sizing};
+pub use newsbyte::{NewsByteConfig, NewsByteStream};
+pub use poisson::{DeadlineDist, LevelDist, PoissonConfig, PoissonStream, Sizing};
 pub use stream::{uniform_batch, RateCurve, SessionConfig, SessionSource, TraceSource, VecSource};
-pub use vod::VodConfig;
+pub use vod::{VodConfig, VodStream};
 
 use sched::Request;
 
@@ -80,11 +89,11 @@ mod tests {
 
     #[test]
     fn merge_interleaves_and_renumbers() {
-        let vod = VodConfig::mpeg1(4).generate(1);
-        let pois = {
+        let vod: Vec<_> = VodConfig::mpeg1(4).generate(1).collect();
+        let pois: Vec<_> = {
             let mut cfg = PoissonConfig::figure5(2, 200);
             cfg.mean_interarrival_us = 100_000;
-            cfg.generate(2)
+            cfg.generate(2).collect()
         };
         let total = vod.len() + pois.len();
         let merged = merge_traces(vec![vod, pois]);

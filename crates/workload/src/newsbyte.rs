@@ -10,7 +10,8 @@
 //! 75–150 ms.
 
 use crate::dist;
-use crate::Trace;
+use crate::ticks::Ticks;
+use crate::TraceSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched::{Micros, OpKind, QosVector, Request};
@@ -71,22 +72,14 @@ impl NewsByteConfig {
         (per_block_us * self.stripe_width as f64).round() as Micros
     }
 
-    /// Generate the trace deterministically from `seed`.
-    pub fn generate(&self, seed: u64) -> Trace {
+    /// The trace of `seed`, streamed one burst tick at a time.
+    /// Deterministic per seed; `.collect()` it where a [`crate::Trace`]
+    /// is needed.
+    pub fn generate(&self, seed: u64) -> NewsByteStream {
         assert!(self.users > 0 && self.levels > 0 && self.burst_groups > 0);
         let mut rng = StdRng::seed_from_u64(seed);
         let period = self.period_us().max(1);
         let group_offset = period / self.burst_groups as u64;
-
-        // Per-user static properties.
-        struct User {
-            level: u8,
-            offset: Micros,
-            /// Streams are laid out contiguously: each user walks a
-            /// cylinder neighbourhood.
-            base_cylinder: u32,
-            writes: bool,
-        }
         let users: Vec<User> = (0..self.users)
             .map(|u| User {
                 level: dist::normal_level(&mut rng, self.levels),
@@ -95,51 +88,112 @@ impl NewsByteConfig {
                 writes: rng.gen::<f64>() < self.write_fraction,
             })
             .collect();
+        NewsByteStream {
+            ticks: Ticks::new(period, self.duration_us, users.iter().map(|u| u.offset)),
+            cfg: self.clone(),
+            rng,
+            users,
+        }
+    }
+}
 
-        let mut trace = Vec::new();
-        let mut id = 0u64;
-        let mut tick = 0u64;
+/// One user's static properties.
+#[derive(Debug, Clone)]
+struct User {
+    level: u8,
+    /// Arrival offset inside each period: the burst group's share of the
+    /// period plus sub-millisecond jitter.
+    offset: Micros,
+    /// Streams are laid out contiguously: each user walks a cylinder
+    /// neighbourhood.
+    base_cylinder: u32,
+    writes: bool,
+}
+
+/// A [`NewsByteConfig`]'s trace as a [`TraceSource`]: the requests, order
+/// and ids of the materialized trace, generated one burst tick (every
+/// user once) at a time. Jitter that spills past the next tick's base is
+/// carried into that tick, so what it holds is sized by the shape (one
+/// tick, plus as many more as the 500 µs jitter spans periods), never by
+/// the horizon.
+#[derive(Debug, Clone)]
+pub struct NewsByteStream {
+    cfg: NewsByteConfig,
+    rng: StdRng,
+    users: Vec<User>,
+    ticks: Ticks,
+}
+
+impl NewsByteStream {
+    /// Requests still to come; `usize::MAX` for a horizon with more.
+    pub fn len(&self) -> usize {
+        self.ticks.size_hint().0
+    }
+
+    /// `true` once every request has been emitted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Generate ticks until one releases a request, or the horizon ends
+    /// the trace.
+    fn next_tick(&mut self) -> Option<Request> {
         loop {
-            let burst_base = tick * period;
-            if burst_base >= self.duration_us {
-                break;
-            }
-            for (uid, user) in users.iter().enumerate() {
-                let arrival = burst_base + user.offset;
-                if arrival >= self.duration_us {
+            let (tick, base) = self.ticks.begin()?;
+            for (uid, user) in self.users.iter().enumerate() {
+                let Some(arrival) = self.ticks.arrival(base, user.offset) else {
                     continue;
-                }
-                let deadline = arrival + rng.gen_range(self.deadline_lo_us..=self.deadline_hi_us);
+                };
+                let deadline = arrival
+                    + self
+                        .rng
+                        .gen_range(self.cfg.deadline_lo_us..=self.cfg.deadline_hi_us);
                 // Sequential layout with slight spread: tick-th block of
                 // the stream sits a few cylinders along.
-                let cylinder = (user.base_cylinder + (tick as u32 % 32)) % self.cylinders;
+                let cylinder = (user.base_cylinder + (tick as u32 % 32)) % self.cfg.cylinders;
                 let kind = if user.writes {
                     OpKind::Write
                 } else {
                     OpKind::Read
                 };
-                trace.push(Request {
-                    id,
+                self.ticks.push(Request {
+                    id: 0,
                     arrival_us: arrival,
                     deadline_us: deadline,
                     cylinder,
-                    bytes: self.block_bytes,
+                    bytes: self.cfg.block_bytes,
                     qos: QosVector::single(user.level),
                     kind,
                     stream: uid as u64,
                 });
-                id += 1;
             }
-            tick += 1;
+            self.ticks.end();
+            if let Some(r) = self.ticks.pop() {
+                return Some(r);
+            }
         }
-        trace.sort_by_key(|r| (r.arrival_us, r.id));
-        // Re-assign dense ids in arrival order (the trace invariant).
-        for (i, r) in trace.iter_mut().enumerate() {
-            r.id = i as u64;
-        }
-        trace
     }
 }
+
+impl Iterator for NewsByteStream {
+    type Item = Request;
+
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        match self.ticks.pop() {
+            Some(r) => Some(r),
+            None => self.next_tick(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ticks.size_hint()
+    }
+}
+
+impl ExactSizeIterator for NewsByteStream {}
+
+impl TraceSource for NewsByteStream {}
 
 #[cfg(test)]
 mod tests {
@@ -157,7 +211,7 @@ mod tests {
     #[test]
     fn trace_is_valid_and_sized() {
         let cfg = NewsByteConfig::paper(80);
-        let t = cfg.generate(3);
+        let t: Vec<_> = cfg.generate(3).collect();
         assert!(validate_trace(&t));
         // ~80 users × (60 s / 1.4 s) ≈ 3.4 k requests.
         assert!((3_000..4_000).contains(&t.len()), "len {}", t.len());
@@ -166,7 +220,7 @@ mod tests {
     #[test]
     fn deadlines_in_window_and_levels_bounded() {
         let cfg = NewsByteConfig::paper(70);
-        let t = cfg.generate(5);
+        let t: Vec<_> = cfg.generate(5).collect();
         for r in &t {
             let off = r.deadline_us - r.arrival_us;
             assert!((75_000..=150_000).contains(&off));
@@ -183,7 +237,7 @@ mod tests {
         // a uniform spread: check that inter-arrival gaps are bimodal
         // (many sub-millisecond gaps inside bursts).
         let cfg = NewsByteConfig::paper(80);
-        let t = cfg.generate(9);
+        let t: Vec<_> = cfg.generate(9).collect();
         let tiny_gaps = t
             .windows(2)
             .filter(|w| w[1].arrival_us - w[0].arrival_us < 1_000)

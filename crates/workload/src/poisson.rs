@@ -1,7 +1,7 @@
 //! The §5 micro-benchmark workload: Poisson arrivals over a QoS grid.
 
 use crate::dist;
-use crate::Trace;
+use crate::TraceSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched::{Micros, QosVector, Request};
@@ -104,42 +104,121 @@ impl PoissonConfig {
         }
     }
 
-    /// Generate the trace deterministically from `seed`.
-    pub fn generate(&self, seed: u64) -> Trace {
+    /// The trace of `seed`, streamed: `count` requests, generated a
+    /// chunk at a time. Deterministic per seed; `.collect()` it where a
+    /// [`crate::Trace`] is needed.
+    pub fn generate(&self, seed: u64) -> PoissonStream {
         assert!(self.dims as usize <= sched::MAX_QOS_DIMS);
         assert!(self.levels > 0 && self.cylinders > 0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut now: Micros = 0;
-        let mut trace = Vec::with_capacity(self.count);
-        for id in 0..self.count as u64 {
-            now += dist::exp_us(&mut rng, self.mean_interarrival_us);
+        PoissonStream {
+            rng: StdRng::seed_from_u64(seed),
+            now: 0,
+            left: self.count,
+            chunk: Vec::with_capacity(self.count.min(CHUNK)),
+            pos: 0,
+            cfg: self.clone(),
+        }
+    }
+}
+
+/// Requests a [`PoissonStream`] generates per refill: enough that the
+/// generation loop stays as tight as the materialized trace's, few
+/// enough that the buffer is a rounding error next to any consumer.
+const CHUNK: usize = 256;
+
+/// A [`PoissonConfig`]'s trace as a [`TraceSource`]: the requests, order
+/// and ids of the materialized trace, held 256 at a time.
+#[derive(Debug, Clone)]
+pub struct PoissonStream {
+    cfg: PoissonConfig,
+    rng: StdRng,
+    /// Arrival time of the last request generated.
+    now: Micros,
+    /// Requests still to generate.
+    left: usize,
+    chunk: Vec<Request>,
+    /// Next request of `chunk` to emit.
+    pos: usize,
+}
+
+impl PoissonStream {
+    /// Requests still to come.
+    pub fn len(&self) -> usize {
+        self.left + (self.chunk.len() - self.pos)
+    }
+
+    /// `true` once every request has been emitted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Generate the next chunk, in the loop the materialized trace used.
+    fn refill(&mut self) {
+        let first = (self.cfg.count - self.left) as u64;
+        let n = self.left.min(CHUNK);
+        self.left -= n;
+        let ids = first..first + n as u64;
+        // The clock and the generator state stay in locals for the loop.
+        let mut now = self.now;
+        let mut rng = self.rng.clone();
+        let cfg = &self.cfg;
+        self.chunk.clear();
+        self.pos = 0;
+        self.chunk.extend(ids.map(|id| {
+            now += dist::exp_us(&mut rng, cfg.mean_interarrival_us);
             let mut levels = [0u8; sched::MAX_QOS_DIMS];
-            for slot in levels.iter_mut().take(self.dims as usize) {
-                *slot = match self.level_dist {
-                    LevelDist::Uniform => dist::uniform_level(&mut rng, self.levels),
-                    LevelDist::Normal => dist::normal_level(&mut rng, self.levels),
+            for slot in levels.iter_mut().take(cfg.dims as usize) {
+                *slot = match cfg.level_dist {
+                    LevelDist::Uniform => dist::uniform_level(&mut rng, cfg.levels),
+                    LevelDist::Normal => dist::normal_level(&mut rng, cfg.levels),
                 };
             }
-            let qos = QosVector::new(&levels[..self.dims as usize]);
-            let deadline = match self.deadline {
+            let qos = QosVector::new(&levels[..cfg.dims as usize]);
+            let deadline = match cfg.deadline {
                 DeadlineDist::Relaxed => Micros::MAX,
                 DeadlineDist::Uniform { lo_us, hi_us } => {
                     now + rng.gen_range(lo_us..=hi_us.max(lo_us))
                 }
             };
-            let bytes = match self.sizing {
+            let bytes = match cfg.sizing {
                 Sizing::Fixed(b) => b,
                 Sizing::PriorityScaled {
                     base_bytes,
                     per_level_bytes,
                 } => base_bytes + qos.level(0) as u64 * per_level_bytes,
             };
-            let cylinder = rng.gen_range(0..self.cylinders);
-            trace.push(Request::read(id, now, deadline, cylinder, bytes, qos));
-        }
-        trace
+            let cylinder = rng.gen_range(0..cfg.cylinders);
+            Request::read(id, now, deadline, cylinder, bytes, qos)
+        }));
+        self.now = now;
+        self.rng = rng;
     }
 }
+
+impl Iterator for PoissonStream {
+    type Item = Request;
+
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        if self.pos == self.chunk.len() {
+            if self.left == 0 {
+                return None;
+            }
+            self.refill();
+        }
+        let r = self.chunk.get(self.pos).cloned();
+        self.pos += 1;
+        r
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.len(), Some(self.len()))
+    }
+}
+
+impl ExactSizeIterator for PoissonStream {}
+
+impl TraceSource for PoissonStream {}
 
 #[cfg(test)]
 mod tests {
@@ -149,7 +228,7 @@ mod tests {
     #[test]
     fn figure5_trace_shape() {
         let cfg = PoissonConfig::figure5(4, 2_000);
-        let t = cfg.generate(7);
+        let t: Vec<_> = cfg.generate(7).collect();
         assert_eq!(t.len(), 2_000);
         assert!(validate_trace(&t));
         assert!(t.iter().all(|r| r.qos.dims() == 4));
@@ -165,7 +244,7 @@ mod tests {
     #[test]
     fn figure8_deadlines_and_sizes() {
         let cfg = PoissonConfig::figure8(1_000);
-        let t = cfg.generate(11);
+        let t: Vec<_> = cfg.generate(11).collect();
         for r in &t {
             let offset = r.deadline_us - r.arrival_us;
             assert!((500_000..=700_000).contains(&offset));
@@ -181,7 +260,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed_distinct_across_seeds() {
         let cfg = PoissonConfig::figure5(2, 100);
-        assert_eq!(cfg.generate(1), cfg.generate(1));
-        assert_ne!(cfg.generate(1), cfg.generate(2));
+        assert!(cfg.generate(1).eq(cfg.generate(1)));
+        assert!(cfg.generate(1).ne(cfg.generate(2)));
     }
 }

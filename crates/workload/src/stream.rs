@@ -1,20 +1,27 @@
 //! Streaming trace sources: pull-based request generation for horizons
 //! too long to materialize.
 //!
-//! Every generator in this crate so far returns a [`crate::Trace`] — a
-//! fully materialized `Vec<Request>`. That is fine for a 30-second
-//! figure reproduction and hopeless for the ROADMAP's north star: a
-//! farm serving **millions of sessions over multi-hour horizons**, where
-//! the trace would be gigabytes. [`TraceSource`] is the pull-based
-//! alternative: a time-ordered iterator of requests that the consumer
-//! (the [`sim::EngineStepper`] pump or the farm daemon's ingest loop)
-//! drains one arrival at a time, in bounded memory.
+//! A materialized trace — a [`crate::Trace`], a `Vec<Request>` — is fine
+//! for a 30-second figure reproduction and hopeless for the ROADMAP's
+//! north star: a farm serving **millions of sessions over multi-hour
+//! horizons**, where the trace would be gigabytes. [`TraceSource`] is
+//! the pull-based alternative: a time-ordered iterator of requests that
+//! the consumer (the [`sim::EngineStepper`] pump or the farm daemon's
+//! ingest loop) drains one arrival at a time, in bounded memory.
 //!
-//! Two sources are provided:
+//! Every generator in this crate is a source, and so is any materialized
+//! trace:
 //!
+//! * the open-loop generators — [`crate::PoissonConfig::generate`],
+//!   [`crate::NewsByteConfig::generate`] and
+//!   [`crate::VodConfig::generate`] — return streams that hold one small
+//!   buffer (a chunk of Poisson arrivals, one burst tick of NewsByte or
+//!   VoD requests) and emit exactly the requests, order and ids a
+//!   materialized trace would; `.collect()` one where a [`crate::Trace`]
+//!   is needed;
 //! * [`VecSource`] — the adapter: any materialized trace becomes a
 //!   source, which is how the oracle proves the streaming ingest paths
-//!   bit-identical to the batch engines.
+//!   bit-identical to the batch engines;
 //! * [`SessionSource`] — the **closed-loop client population**: stream
 //!   sessions are born from a non-homogeneous Poisson process over a
 //!   [`RateCurve`] (constant, diurnal, flash-crowd — curves compose by
@@ -551,7 +558,7 @@ mod tests {
 
     #[test]
     fn vec_source_streams_a_trace_verbatim() {
-        let trace = crate::VodConfig::mpeg1(6).generate(3);
+        let trace: Vec<_> = crate::VodConfig::mpeg1(6).generate(3).collect();
         let out: Vec<Request> = VecSource::new(trace.clone()).collect();
         assert_eq!(out, trace);
     }
@@ -559,7 +566,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arrival-sorted")]
     fn vec_source_rejects_unsorted_input() {
-        let mut trace = crate::VodConfig::mpeg1(4).generate(1);
+        let mut trace: Vec<_> = crate::VodConfig::mpeg1(4).generate(1).collect();
         let last = trace.len() - 1;
         trace.swap(0, last);
         let _: Vec<Request> = VecSource::new(trace).collect();

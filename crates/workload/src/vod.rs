@@ -8,7 +8,8 @@
 //! walk neighbouring cylinders — the locality a SCAN-family scheduler
 //! exploits.
 
-use crate::Trace;
+use crate::ticks::Ticks;
+use crate::TraceSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched::{Micros, QosVector, Request};
@@ -57,20 +58,15 @@ impl VodConfig {
         (self.block_bytes as f64 * 8.0 / self.stream_bps as f64 * 1e6).round() as Micros
     }
 
-    /// Generate the trace deterministically from `seed`.
-    pub fn generate(&self, seed: u64) -> Trace {
+    /// The trace of `seed`, streamed one period at a time.
+    /// Deterministic per seed; `.collect()` it where a [`crate::Trace`]
+    /// is needed.
+    pub fn generate(&self, seed: u64) -> VodStream {
         assert!(self.streams > 0 && self.levels > 0);
         assert!(self.deadline_periods > 0.0);
         let mut rng = StdRng::seed_from_u64(seed);
         let period = self.period_us().max(1);
-        let deadline_off = (period as f64 * self.deadline_periods).round() as Micros;
-
-        struct Stream {
-            level: u8,
-            phase: Micros,
-            cylinder: u32,
-        }
-        let mut streams: Vec<Stream> = (0..self.streams)
+        let streams: Vec<Stream> = (0..self.streams)
             .map(|_| Stream {
                 level: rng.gen_range(0..self.levels),
                 // Free-running phases spread arrivals across the period.
@@ -78,42 +74,97 @@ impl VodConfig {
                 cylinder: rng.gen_range(0..self.cylinders),
             })
             .collect();
+        VodStream {
+            ticks: Ticks::new(period, self.duration_us, streams.iter().map(|s| s.phase)),
+            deadline_off: (period as f64 * self.deadline_periods).round() as Micros,
+            cfg: self.clone(),
+            streams,
+        }
+    }
+}
 
-        let mut trace = Vec::new();
-        let mut id = 0u64;
-        for tick in 0.. {
-            let base = tick * period;
-            if base >= self.duration_us {
-                break;
-            }
-            for (sid, s) in streams.iter_mut().enumerate() {
-                let arrival = base + s.phase;
-                if arrival >= self.duration_us {
+/// One stream's state.
+#[derive(Debug, Clone)]
+struct Stream {
+    level: u8,
+    phase: Micros,
+    /// Cylinder of the stream's next block.
+    cylinder: u32,
+}
+
+/// A [`VodConfig`]'s trace as a [`TraceSource`]: the requests, order and
+/// ids of the materialized trace, generated one period (every stream
+/// once) at a time. Phases lie inside the period, so each period is
+/// released whole.
+#[derive(Debug, Clone)]
+pub struct VodStream {
+    cfg: VodConfig,
+    streams: Vec<Stream>,
+    deadline_off: Micros,
+    ticks: Ticks,
+}
+
+impl VodStream {
+    /// Requests still to come; `usize::MAX` for a horizon with more.
+    pub fn len(&self) -> usize {
+        self.ticks.size_hint().0
+    }
+
+    /// `true` once every request has been emitted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Generate periods until one releases a request, or the horizon
+    /// ends the trace.
+    fn next_tick(&mut self) -> Option<Request> {
+        loop {
+            let (_, base) = self.ticks.begin()?;
+            for (sid, s) in self.streams.iter_mut().enumerate() {
+                let Some(arrival) = self.ticks.arrival(base, s.phase) else {
                     continue;
-                }
-                trace.push(
+                };
+                self.ticks.push(
                     Request::read(
-                        id,
+                        0,
                         arrival,
-                        arrival + deadline_off,
+                        arrival + self.deadline_off,
                         s.cylinder,
-                        self.block_bytes,
+                        self.cfg.block_bytes,
                         QosVector::single(s.level),
                     )
                     .with_stream(sid as u64),
                 );
-                id += 1;
                 // Sequential layout: the next block sits a little inward.
-                s.cylinder = (s.cylinder + self.cylinders_per_block) % self.cylinders;
+                s.cylinder = (s.cylinder + self.cfg.cylinders_per_block) % self.cfg.cylinders;
+            }
+            self.ticks.end();
+            if let Some(r) = self.ticks.pop() {
+                return Some(r);
             }
         }
-        trace.sort_by_key(|r| (r.arrival_us, r.id));
-        for (i, r) in trace.iter_mut().enumerate() {
-            r.id = i as u64;
-        }
-        trace
     }
 }
+
+impl Iterator for VodStream {
+    type Item = Request;
+
+    #[inline]
+    fn next(&mut self) -> Option<Request> {
+        match self.ticks.pop() {
+            Some(r) => Some(r),
+            None => self.next_tick(),
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.ticks.size_hint()
+    }
+}
+
+impl ExactSizeIterator for VodStream {}
+
+impl TraceSource for VodStream {}
 
 #[cfg(test)]
 mod tests {
@@ -130,7 +181,7 @@ mod tests {
     #[test]
     fn trace_is_valid_and_spread() {
         let cfg = VodConfig::mpeg1(40);
-        let t = cfg.generate(3);
+        let t: Vec<_> = cfg.generate(3).collect();
         assert!(validate_trace(&t));
         // ~40 streams × (30 s / 0.35 s) ≈ 3.4 k requests.
         assert!((3_000..3_800).contains(&t.len()), "len {}", t.len());
@@ -149,7 +200,7 @@ mod tests {
     #[test]
     fn streams_are_periodic_and_sequential() {
         let cfg = VodConfig::mpeg1(3);
-        let t = cfg.generate(7);
+        let t: Vec<_> = cfg.generate(7).collect();
         let period = cfg.period_us();
         // Group requests by (level, phase-class): every stream's arrivals
         // are exactly one period apart. Reconstruct per-stream sequences
@@ -173,7 +224,7 @@ mod tests {
     #[test]
     fn deadline_is_one_period() {
         let cfg = VodConfig::mpeg1(5);
-        let t = cfg.generate(9);
+        let t: Vec<_> = cfg.generate(9).collect();
         for r in &t {
             assert_eq!(r.deadline_us - r.arrival_us, cfg.period_us());
         }

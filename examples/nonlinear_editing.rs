@@ -42,7 +42,7 @@ fn main() {
 
     let mut wl = NewsByteConfig::paper(users);
     wl.duration_us = 45_000_000;
-    let trace = wl.generate(11);
+    let trace: Vec<_> = wl.generate(11).collect();
     println!(
         "NewsByte5 editing server: {users} users, {} requests over {} s, deadlines 75-150 ms\n",
         trace.len(),

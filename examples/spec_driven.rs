@@ -47,7 +47,7 @@ fn main() {
 
     let mut wl = PoissonConfig::figure8(10_000);
     wl.mean_interarrival_us = 22_000;
-    let trace = wl.generate(23);
+    let trace: Vec<_> = wl.generate(23).collect();
     let mut service = DiskService::table1();
     let m = simulate(
         &mut scheduler,

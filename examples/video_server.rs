@@ -30,7 +30,7 @@ fn main() {
         lo_us: 300_000,
         hi_us: 500_000,
     };
-    let trace = wl.generate(7);
+    let trace: Vec<_> = wl.generate(7).collect();
 
     let schedulers: Vec<(&str, Box<dyn DiskScheduler>)> = vec![
         ("fcfs", Box::new(Fcfs::new())),

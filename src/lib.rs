@@ -35,7 +35,7 @@ pub use workload;
 /// use cascaded_sfc::prelude::*;
 ///
 /// let mut s = CascadedSfc::new(CascadeConfig::paper_default(2, 3832)).unwrap();
-/// let trace = PoissonConfig::figure5(2, 200).generate(1);
+/// let trace: Vec<Request> = PoissonConfig::figure5(2, 200).generate(1).collect();
 /// let mut disk = DiskService::table1();
 /// let m = simulate(&mut s, &trace, &mut disk, SimOptions::with_shape(2, 16));
 /// assert_eq!(m.served, 200);

@@ -34,7 +34,7 @@ fn all_schedulers() -> Vec<Box<dyn DiskScheduler>> {
 fn poisson_trace(n: usize) -> Vec<cascaded_sfc::sched::Request> {
     let mut wl = PoissonConfig::figure8(n);
     wl.mean_interarrival_us = 15_000;
-    wl.generate(99)
+    wl.generate(99).collect()
 }
 
 #[test]
@@ -96,7 +96,7 @@ fn simulation_is_deterministic() {
 fn newsbyte_workload_drives_all_schedulers() {
     let mut wl = NewsByteConfig::paper(72);
     wl.duration_us = 10_000_000;
-    let trace = wl.generate(5);
+    let trace: Vec<_> = wl.generate(5).collect();
     assert!(!trace.is_empty());
     for mut s in all_schedulers() {
         let mut service = DiskService::table1();

@@ -17,7 +17,7 @@ fn run(s: &mut dyn DiskScheduler, trace: &[Request], dims: usize) -> Metrics {
 fn single_priority_queue_has_zero_inversion_in_its_dimension() {
     // A priority scheduler on one dimension cannot invert that dimension
     // when everything is in one queue: the metric must read zero.
-    let trace = PoissonConfig::figure5(1, 3_000).generate(21);
+    let trace: Vec<_> = PoissonConfig::figure5(1, 3_000).generate(21).collect();
     let mut mq = MultiQueue::new(0);
     let m = run(&mut mq, &trace, 1);
     assert_eq!(
@@ -28,7 +28,7 @@ fn single_priority_queue_has_zero_inversion_in_its_dimension() {
 
 #[test]
 fn fifo_inversion_is_positive_under_load() {
-    let trace = PoissonConfig::figure5(3, 3_000).generate(22);
+    let trace: Vec<_> = PoissonConfig::figure5(3, 3_000).generate(22).collect();
     let m = run(&mut Fcfs::new(), &trace, 3);
     assert!(m.inversions_total() > 0);
     // All tracked dimensions see some inversion under FIFO.
@@ -39,7 +39,7 @@ fn fifo_inversion_is_positive_under_load() {
 
 #[test]
 fn per_dimension_counts_sum_to_total() {
-    let trace = PoissonConfig::figure5(4, 2_000).generate(23);
+    let trace: Vec<_> = PoissonConfig::figure5(4, 2_000).generate(23).collect();
     let mut s = CascadedSfc::new(CascadeConfig::priority_only(CurveKind::Diagonal, 4, 4)).unwrap();
     let m = run(&mut s, &trace, 4);
     assert_eq!(
@@ -50,7 +50,7 @@ fn per_dimension_counts_sum_to_total() {
 
 #[test]
 fn fully_preemptive_diagonal_beats_fifo() {
-    let trace = PoissonConfig::figure5(4, 4_000).generate(24);
+    let trace: Vec<_> = PoissonConfig::figure5(4, 4_000).generate(24).collect();
     let fifo = run(&mut Fcfs::new(), &trace, 4);
     let mut cascade = CascadedSfc::new(
         CascadeConfig::priority_only(CurveKind::Diagonal, 4, 4)
@@ -70,7 +70,7 @@ fn fully_preemptive_diagonal_beats_fifo() {
 fn sp_policy_reduces_inversion_of_the_window() {
     // Same conditional window, with and without Serve-and-Promote: SP may
     // only help.
-    let trace = PoissonConfig::figure5(3, 5_000).generate(25);
+    let trace: Vec<_> = PoissonConfig::figure5(3, 5_000).generate(25).collect();
     let run_with = |sp: bool| {
         let cfg =
             CascadeConfig::priority_only(CurveKind::Diagonal, 3, 4).with_dispatch(DispatchConfig {

@@ -32,7 +32,7 @@ fn cascade_matches_naive_reference_on_three_seeds() {
     use cascaded_sfc::workload::PoissonConfig;
 
     for seed in [101, 202, 20040330] {
-        let trace = PoissonConfig::figure8(500).generate(seed);
+        let trace: Vec<_> = PoissonConfig::figure8(500).generate(seed).collect();
         let options = SimOptions::with_shape(3, 8).dropping();
         let config = CascadeConfig::paper_default(3, 3832);
         diff_cascade(&config, &trace, options, DiskService::table1)

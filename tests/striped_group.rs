@@ -21,7 +21,7 @@ fn one_member_view_approximates_the_full_group() {
     let single_view = {
         let mut wl = NewsByteConfig::paper(users); // stripe_width = 4
         wl.duration_us = 30_000_000;
-        let trace = wl.generate(7);
+        let trace: Vec<_> = wl.generate(7).collect();
         let mut s = scheduler();
         let mut service = DiskService::table1();
         simulate(
@@ -38,7 +38,7 @@ fn one_member_view_approximates_the_full_group() {
         let mut wl = NewsByteConfig::paper(users);
         wl.stripe_width = 1; // full stream hits the group
         wl.duration_us = 30_000_000;
-        let trace = wl.generate(7);
+        let trace: Vec<_> = wl.generate(7).collect();
         simulate_striped(
             &trace,
             5,
@@ -82,7 +82,7 @@ fn group_members_share_the_load_evenly() {
     let mut wl = NewsByteConfig::paper(75);
     wl.stripe_width = 1;
     wl.duration_us = 20_000_000;
-    let trace = wl.generate(9);
+    let trace: Vec<_> = wl.generate(9).collect();
     let out = simulate_striped(
         &trace,
         5,
@@ -112,7 +112,7 @@ fn striped_faulted_rejects_member_failure_plans() {
     let mut wl = NewsByteConfig::paper(10);
     wl.stripe_width = 1;
     wl.duration_us = 2_000_000;
-    let trace = wl.generate(11);
+    let trace: Vec<_> = wl.generate(11).collect();
     let plan = FaultPlan::none().with_member_failure(1, 0);
     simulate_striped(
         &trace,

@@ -12,7 +12,7 @@ use cascaded_sfc::workload::VodConfig;
 fn run(s: &mut dyn DiskScheduler, streams: u32, seed: u64) -> Metrics {
     let mut cfg = VodConfig::mpeg1(streams);
     cfg.duration_us = 20_000_000;
-    let trace = cfg.generate(seed);
+    let trace: Vec<_> = cfg.generate(seed).collect();
     let mut service = DiskService::table1();
     simulate(
         s,
