@@ -6,9 +6,11 @@
 //! exactly as in the paper (the deadline slack and head distance are
 //! sampled when the request joins the queue).
 
-use crate::config::{CascadeConfig, DistanceMode, Stage2, Stage2Combiner, Stage3};
+use crate::config::{CascadeConfig, DistanceMode, Stage1, Stage2, Stage2Combiner, Stage3};
 use sched::{HeadState, Micros, Request};
 use sfc::{CurveKernel, SfcError, WeightedDiagonal};
+use std::cell::RefCell;
+use std::sync::{Arc, Weak};
 
 /// The encapsulator: request → characterization value `v_c`.
 ///
@@ -136,37 +138,79 @@ impl Quantizer {
 }
 
 /// Stage 1 as the stage-2 abscissa it feeds: `x2[off] = q2x(rank[off])`,
-/// a `SmallLut` kernel's ranks with the stage-2 rescale applied in place at
-/// build time, by the QoS point's mixed-radix offset — one load, no
-/// rescale, and the rank table's own allocation.
+/// a `SmallLut` kernel's ranks with the stage-2 rescale applied at build
+/// time, by the QoS point's mixed-radix offset — one load, no rescale.
+///
+/// The cells depend only on the table's [`TableShape`], so every
+/// encapsulator of one shape on a thread holds the same cells: a build
+/// folds a table only when no live encapsulator of its shape holds one.
 #[derive(Debug)]
 struct AbscissaTable {
-    x2: Box<[u16]>,
+    x2: Arc<[u16]>,
     /// Stage-1 grid side and dimensions.
     side: u64,
     dims: usize,
 }
 
+/// What an [`AbscissaTable`]'s cells are a function of: the stage-1 curve
+/// and the stage-2 grid (`resolution_bits`) its ranks are rescaled onto.
+type TableShape = (Stage1, u32);
+
+/// A registered table: its shape, its grid side and its cells. Weak, so
+/// the registry keeps no table alive: the last encapsulator holding one
+/// frees it.
+type SharedTable = (TableShape, u64, Weak<[u16]>);
+
+thread_local! {
+    /// The tables folded on this thread.
+    static TABLES: RefCell<Vec<SharedTable>> = const { RefCell::new(Vec::new()) };
+}
+
 impl AbscissaTable {
+    /// The shape of `config`'s table: stage 1 feeding a stage 2.
+    fn shape(config: &CascadeConfig) -> Option<TableShape> {
+        Some((config.stage1?, config.stage2?.resolution_bits))
+    }
+
+    /// The table of `shape` a live encapsulator on this thread holds.
+    fn shared(shape: TableShape) -> Option<AbscissaTable> {
+        TABLES.with_borrow(|tables| {
+            tables
+                .iter()
+                .filter(|(s, ..)| *s == shape)
+                .find_map(|(_, side, x2)| {
+                    Some(AbscissaTable {
+                        x2: x2.upgrade()?,
+                        side: *side,
+                        dims: shape.0.dims as usize,
+                    })
+                })
+        })
+    }
+
+    /// Offer this table to later builds of `shape` on this thread,
+    /// pruning the entries whose tables are gone.
+    fn share(&self, shape: TableShape) {
+        TABLES.with_borrow_mut(|tables| {
+            tables.retain(|(.., x2)| x2.strong_count() > 0);
+            tables.push((shape, self.side, Arc::downgrade(&self.x2)));
+        });
+    }
+
     /// Fold `kernel` and `q2x` into a table when `kernel` is a `SmallLut`
     /// and the stage-2 grid fits `u16`; otherwise hand the kernel back.
     fn fold(kernel: CurveKernel, q2x: &Quantizer) -> Result<AbscissaTable, CurveKernel> {
         match kernel {
             CurveKernel::SmallLut {
-                lut: mut x2,
+                lut, side, dims, ..
+            } if q2x.max_out <= u16::MAX.into() => Ok(AbscissaTable {
+                x2: lut
+                    .iter()
+                    .map(|&rank| q2x.apply(rank.into()) as u16)
+                    .collect(),
                 side,
-                dims,
-                ..
-            } if q2x.max_out <= u16::MAX.into() => {
-                for cell in x2.iter_mut() {
-                    *cell = q2x.apply((*cell).into()) as u16;
-                }
-                Ok(AbscissaTable {
-                    x2,
-                    side,
-                    dims: dims as usize,
-                })
-            }
+                dims: dims as usize,
+            }),
             kernel => Err(kernel),
         }
     }
@@ -275,12 +319,16 @@ impl Encapsulator {
     /// more, a weighted composite beyond `u128` (e.g. a balance factor of
     /// `1e300`), a sweep beyond `u128` at the farthest cylinder a request
     /// can name — is refused with [`SfcError::TooLarge`].
+    ///
+    /// Stage 1 is built only when no live encapsulator on this thread
+    /// holds the stage-1 table this configuration folds.
     pub fn new(config: CascadeConfig) -> Result<Self, SfcError> {
-        let mut curve1 = config
-            .stage1
-            .map(|s1| CurveKernel::build(s1.curve, s1.dims, s1.level_bits))
-            .transpose()?;
-        Self::assemble(config, &mut curve1, &mut None)
+        let mut x2 = AbscissaTable::shape(&config).and_then(AbscissaTable::shared);
+        let mut curve1 = match config.stage1 {
+            Some(s1) if x2.is_none() => Some(CurveKernel::build(s1.curve, s1.dims, s1.level_bits)?),
+            _ => None,
+        };
+        Self::assemble(config, &mut curve1, &mut x2)
     }
 
     /// Switch to `config` in place. Unchanged stage 1 and stage-2 grid keep
@@ -371,10 +419,13 @@ impl Encapsulator {
 
         let q2x = Quantizer::new(max_v1, s2_grid_max);
         let (mut curve1, mut x2) = (curve1.take(), x2.take());
-        if config.stage2.is_some() {
+        if let Some(shape) = AbscissaTable::shape(&config) {
             if let Some(kernel) = curve1.take() {
                 match AbscissaTable::fold(kernel, &q2x) {
-                    Ok(table) => x2 = Some(table),
+                    Ok(table) => {
+                        table.share(shape);
+                        x2 = Some(table);
+                    }
                     Err(kernel) => curve1 = Some(kernel),
                 }
             }
@@ -420,6 +471,12 @@ impl Encapsulator {
     /// The configuration this encapsulator was built from.
     pub fn config(&self) -> &CascadeConfig {
         &self.config
+    }
+
+    /// Stage 1's folded table, when it has one.
+    #[cfg(test)]
+    fn stage1_table(&self) -> Option<&Arc<[u16]>> {
+        self.x2.as_ref().map(|t| &t.x2)
     }
 
     /// Characterize a request at insertion time: lower `v_c` = served
@@ -829,7 +886,7 @@ mod tests {
             sample.iter().map(|r| e.characterize(r, &head())).collect()
         };
         let before = values(&e);
-        let table = |e: &Encapsulator| e.x2.as_ref().map(|t| t.x2.as_ptr());
+        let table = |e: &Encapsulator| e.stage1_table().map(|t| t.as_ptr());
         let carried = table(&e);
         assert!(carried.is_some());
 
@@ -855,6 +912,103 @@ mod tests {
         assert_ne!(values(&e), before);
         // The stage-1 table came across, not rebuilt.
         assert_eq!(table(&e), carried);
+    }
+
+    /// Schedulers of one shape on a thread hold one stage-1 table, and
+    /// the registry holds none of it: the strong count is the holders.
+    #[test]
+    fn schedulers_of_one_shape_share_one_stage1_table() {
+        let farm: Vec<crate::CascadedSfc> = (0..64)
+            .map(|_| crate::CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap())
+            .collect();
+        let table = farm[0].encapsulator().stage1_table().unwrap().clone();
+        for shard in &farm {
+            assert!(Arc::ptr_eq(
+                shard.encapsulator().stage1_table().unwrap(),
+                &table
+            ));
+        }
+        assert_eq!(Arc::strong_count(&table), 65);
+        drop(farm);
+        assert_eq!(Arc::strong_count(&table), 1);
+    }
+
+    /// Every coordinate of the table's shape separates tables.
+    #[test]
+    fn each_stage1_shape_gets_its_own_table() {
+        let base = CascadeConfig::paper_default(3, 3832);
+        let held = Encapsulator::new(base.clone()).unwrap();
+        let table = held.stage1_table().unwrap();
+        let variants: [fn(&mut CascadeConfig); 4] = [
+            |c| c.stage1.as_mut().unwrap().curve = CurveKind::Hilbert,
+            |c| c.stage1.as_mut().unwrap().dims = 2,
+            |c| c.stage1.as_mut().unwrap().level_bits = 3,
+            |c| c.stage2.as_mut().unwrap().resolution_bits = 9,
+        ];
+        let others: Vec<Encapsulator> = variants
+            .iter()
+            .map(|vary| {
+                let mut cfg = base.clone();
+                vary(&mut cfg);
+                Encapsulator::new(cfg).unwrap()
+            })
+            .collect();
+        for (i, e) in others.iter().enumerate() {
+            let own = e.stage1_table().unwrap();
+            assert!(!Arc::ptr_eq(own, table), "variant {i}");
+            for later in &others[i + 1..] {
+                assert!(!Arc::ptr_eq(own, later.stage1_table().unwrap()));
+            }
+        }
+        // Runtime knobs are not part of the shape.
+        let mut knobs = base;
+        knobs.stage2.as_mut().unwrap().combiner = Stage2Combiner::Weighted { f: 3.0 };
+        knobs.stage3.as_mut().unwrap().partitions = 7;
+        let e = Encapsulator::new(knobs).unwrap();
+        assert!(Arc::ptr_eq(e.stage1_table().unwrap(), table));
+    }
+
+    /// A retune that keeps stage 1 keeps the table its siblings share.
+    #[test]
+    fn a_retune_keeps_the_shared_table() {
+        use sched::{DiskScheduler, Retune};
+        let cfg = CascadeConfig::paper_default(3, 3832);
+        let sibling = crate::CascadedSfc::new(cfg.clone()).unwrap();
+        let mut tuned = crate::CascadedSfc::new(cfg).unwrap();
+        for knob in [Retune::BalanceFactor(2.0), Retune::ScanPartitions(5)] {
+            assert!(tuned.retune(&knob, &head()));
+            assert!(Arc::ptr_eq(
+                tuned.encapsulator().stage1_table().unwrap(),
+                sibling.encapsulator().stage1_table().unwrap()
+            ));
+        }
+    }
+
+    /// With every holder gone nothing is upgraded, and the next build
+    /// folds afresh the same cells a private fold gives.
+    #[test]
+    fn a_table_outlives_no_holder() {
+        let cfg = CascadeConfig::paper_default(3, 3832);
+        let shape = AbscissaTable::shape(&cfg).unwrap();
+        let first = Encapsulator::new(cfg.clone()).unwrap();
+        let weak = Arc::downgrade(first.stage1_table().unwrap());
+        drop(first);
+        assert!(weak.upgrade().is_none());
+        assert!(AbscissaTable::shared(shape).is_none());
+
+        let next = Encapsulator::new(cfg.clone()).unwrap();
+        let s1 = cfg.stage1.unwrap();
+        let kernel = CurveKernel::build(s1.curve, s1.dims, s1.level_bits).unwrap();
+        let private = AbscissaTable::fold(kernel, &next.q2x).unwrap();
+        assert_eq!(next.stage1_table().unwrap()[..], private.x2[..]);
+        // The dead entry was pruned when the new table was offered.
+        TABLES.with_borrow(|tables| assert_eq!(tables.len(), 1));
+    }
+
+    #[test]
+    fn an_encapsulator_crosses_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Encapsulator>();
     }
 
     /// The lexicographic rescale of the 64-bit path against the `u128`

@@ -98,6 +98,13 @@
 //! (`crates/bench/tests/state_census.rs`) rather than a reading of the
 //! code: the same scenario run ten times longer must end on the same
 //! census.
+//!
+//! Some of it is sized by the farm's *shapes*, not its members: a
+//! cascade's stage-1 table (4096 `u16` cells in the paper default) is
+//! held once per scheduler shape on the daemon's thread and shared by
+//! every member built with that shape, so a 64-shard farm of one shape
+//! holds one table and a [`DaemonEvent::AddShard`] of a shape already
+//! present folds none.
 
 use obs::{
     Anomaly, FlightRecorder, FlightRing, SharedSink, TelemetryConfig, TraceEvent, TraceSink,
@@ -425,8 +432,15 @@ impl FarmDaemon {
         let ring = FlightRing::new();
         let members: Vec<Member> = (0..cfg.farm.shards)
             .map(|i| {
+                // A new ring has a tag for every initial member, so only
+                // a disk short of the farm's cylinders is refused here.
                 Self::build_member(&mut make_scheduler, &mut make_service, i, &cfg, &ring)
-                    .expect("a new ring has a tag for every initial member")
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "shard {i}'s disk has fewer cylinders than the farm config's {}",
+                            cfg.farm.cylinders
+                        )
+                    })
             })
             .collect();
         let capacities: Vec<Option<usize>> = members
@@ -463,7 +477,9 @@ impl FarmDaemon {
     }
 
     /// Build member `idx` with its recorder attached to `ring`. `None`,
-    /// before either factory has run, when the ring has no tag left.
+    /// before a recorder attaches or the scheduler factory runs, when the
+    /// service factory's disk has fewer cylinders than the farm or the
+    /// ring has no tag left.
     fn build_member(
         make_scheduler: &mut SchedulerFactory,
         make_service: &mut ServiceFactory,
@@ -471,6 +487,10 @@ impl FarmDaemon {
         cfg: &DaemonConfig,
         ring: &FlightRing,
     ) -> Option<Member> {
+        let service = make_service(idx);
+        if service.cylinders() < cfg.farm.cylinders {
+            return None;
+        }
         let recorder = SharedSink::new(FlightRecorder::attach(
             ring,
             RECORDER_CAPACITY,
@@ -478,13 +498,6 @@ impl FarmDaemon {
             cfg.triggers,
         )?);
         let scheduler = make_scheduler(idx, recorder.clone());
-        let service = make_service(idx);
-        assert!(
-            service.cylinders() >= cfg.farm.cylinders,
-            "shard {idx}'s disk has {} cylinders, the farm config {}",
-            service.cylinders(),
-            cfg.farm.cylinders
-        );
         let stepper = EngineStepper::new(cfg.options, service.cylinders());
         Some(Member {
             scheduler,
@@ -1817,6 +1830,57 @@ mod tests {
         let clean = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
             .run(trace.iter().cloned().map(DaemonEvent::Arrival));
         assert_eq!(report.per_shard, clean.per_shard);
+    }
+
+    /// Table-1 disks for shards 0 and 1, a 100-cylinder disk from shard 2
+    /// on: short of the farm's 3832 cylinders.
+    fn short_from_shard_2() -> impl FnMut(usize) -> DiskService {
+        |shard| {
+            if shard < 2 {
+                return DiskService::table1();
+            }
+            let geometry = diskmodel::DiskGeometry::new(10, 512, 7200, vec![100], vec![130])
+                .expect("valid geometry");
+            DiskService::new(diskmodel::Disk::new(
+                geometry,
+                diskmodel::SeekModel::table1(),
+            ))
+        }
+    }
+
+    #[test]
+    fn an_added_shard_on_a_short_disk_is_refused_and_the_run_finishes() {
+        let trace = vod(12, 240);
+        let cfg = DaemonConfig::new(FarmConfig::new(2), SimOptions::with_shape(1, 5));
+        let mut daemon = FarmDaemon::new(cfg.clone(), fcfs_factory(), short_from_shard_2());
+        let (head, tail) = trace.split_at(120);
+        for r in head {
+            daemon.handle(DaemonEvent::Arrival(r.clone()));
+        }
+        let capacity = daemon.ring.capacity();
+        for at_us in [head[119].arrival_us, head[119].arrival_us + 1] {
+            // Dispatched there, a request past cylinder 99 would panic the
+            // disk model.
+            daemon.handle(DaemonEvent::AddShard { at_us });
+        }
+        assert_eq!(daemon.shards(), 2);
+        assert_eq!(daemon.router().shards(), 2);
+        assert_eq!(daemon.ring.capacity(), capacity);
+        let report = daemon.run(tail.iter().cloned().map(DaemonEvent::Arrival));
+        assert_eq!(report.refused_events, 2);
+        assert_eq!(report.arrivals, 240);
+        report.ledger().expect("ledger closes");
+        report.reconcile_events().expect("events reconcile");
+        let clean = FarmDaemon::new(cfg, fcfs_factory(), table1_services())
+            .run(trace.iter().cloned().map(DaemonEvent::Arrival));
+        assert_eq!(report.per_shard, clean.per_shard);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2's disk has fewer cylinders")]
+    fn a_short_initial_disk_is_a_configuration_error() {
+        let cfg = DaemonConfig::new(FarmConfig::new(3), SimOptions::with_shape(1, 5));
+        FarmDaemon::new(cfg, fcfs_factory(), short_from_shard_2());
     }
 
     #[test]

@@ -123,8 +123,8 @@ event_table! {
     ///   [`DegradedRead`](TraceEvent::DegradedRead) and
     ///   [`RebuildIo`](TraceEvent::RebuildIo);
     /// * the **farm router** emits [`Redirect`](TraceEvent::Redirect)
-    ///   ([`ShardReport`](TraceEvent::ShardReport) has no producer; ROADMAP
-    ///   item 8(c));
+    ///   ([`ShardReport`](TraceEvent::ShardReport) has no producer;
+    ///   ROADMAP "Count each thing once");
     /// * the **farm daemon** emits [`Migrate`](TraceEvent::Migrate) when a
     ///   drained shard hands off a resident request,
     ///   [`Quarantine`](TraceEvent::Quarantine) when the health supervisor
@@ -322,7 +322,7 @@ event_table! {
             queue_depth: u64,
         },
         /// Per-shard roll-up of a farm shard timeline. Nothing produces it
-        /// (ROADMAP item 8(c)).
+        /// (ROADMAP "Count each thing once").
         ShardReport "shard_report" {
             /// The shard's makespan (µs).
             now_us: u64,

@@ -92,7 +92,8 @@ counter_table! {
         sheds,
         /// `Redirect` events (farm router overload redirections).
         redirects,
-        /// `ShardReport` events. Nothing produces them (ROADMAP item 8(c)).
+        /// `ShardReport` events. Nothing produces them
+        /// (ROADMAP "Count each thing once").
         shard_reports,
         /// `Migrate` events (drained-shard in-flight handoffs).
         migrations,
