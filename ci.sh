@@ -38,11 +38,13 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test (whole workspace)"
-# 674 tests: the root package holds 49 of them; farm, sim, the oracle
-# and the rest of the workspace the other 625. The daemon farm's ledger
+# 672 tests: the root package holds 49 of them; farm, sim, the oracle
+# and the rest of the workspace the other 623. The daemon farm's ledger
 # and routing quality, its drain and supervision, the fault sweep's
-# reconciliation and the windowed telemetry's bit-identity are checked
-# here (and by the oracle below), not by a smoke run of their own.
+# reconciliation (its arrival, drop and failure events against the
+# engine's metrics; fault counts exist only as events) and the windowed
+# telemetry's bit-identity are checked here (and by the oracle below),
+# not by a smoke run of their own.
 cargo test -q --workspace
 
 step "inversion-census tests, release"

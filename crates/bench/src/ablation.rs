@@ -19,7 +19,8 @@
 
 use crate::fig5::run_fifo;
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, PreemptionMode};
-use sched::{Micros, QosVector, Request};
+use obs::{NullSink, Snapshot, TraceSink};
+use sched::{DiskScheduler, Micros, QosVector, Request};
 use sfc::CurveKind;
 use sim::{simulate, Metrics, SimOptions, TransferDominated};
 use workload::PoissonConfig;
@@ -54,15 +55,23 @@ pub struct MixedRow {
     pub inversion_pct_of_fifo: f64,
     /// Largest response time (ms).
     pub max_response_ms: f64,
-    /// Dispatcher counters: (preemptions, promotions, swaps).
+    /// The dispatcher's events, counted: (preemptions, promotions, swaps).
     pub counters: (u64, u64, u64),
 }
 
-fn scheduler_with(dispatch: DispatchConfig) -> CascadedSfc {
-    CascadedSfc::new(
+fn scheduler_with<S: TraceSink>(dispatch: DispatchConfig, sink: S) -> CascadedSfc<S> {
+    CascadedSfc::with_sink(
         CascadeConfig::priority_only(CurveKind::Diagonal, 3, 4).with_dispatch(dispatch),
+        sink,
     )
     .expect("valid cascade config")
+}
+
+/// `s` over `trace` at `service_us` per request, untraced.
+fn run(s: &mut dyn DiskScheduler, trace: &[Request], service_us: Micros) -> Metrics {
+    let mut service = TransferDominated::uniform(service_us, 3832);
+    let options = SimOptions::with_shape(3, 16);
+    simulate(s, trace, &mut service, options, &mut NullSink)
 }
 
 /// Run the mixed-load scenario.
@@ -72,14 +81,14 @@ pub fn mixed_load(seed: u64, requests: usize) -> Vec<MixedRow> {
     variants()
         .into_iter()
         .map(|(name, dispatch)| {
-            let mut s = scheduler_with(dispatch);
-            let mut service = TransferDominated::uniform(20_000, 3832);
-            let m = simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 16));
+            let mut s = scheduler_with(dispatch, Snapshot::new());
+            let m = run(&mut s, &trace, 20_000);
+            let c = s.sink().counters;
             MixedRow {
                 variant: name,
                 inversion_pct_of_fifo: m.inversions_total() as f64 / base * 100.0,
                 max_response_ms: m.max_response_us as f64 / 1000.0,
-                counters: s.dispatch_counters(),
+                counters: (c.preemptions, c.sp_promotions, c.queue_swaps),
             }
         })
         .collect()
@@ -120,9 +129,7 @@ pub fn adversarial_trace(stream_len: u64, service_us: Micros) -> Vec<Request> {
 pub fn victim_wait_ms(dispatch: DispatchConfig, stream_len: u64) -> f64 {
     let service_us: Micros = 10_000;
     let trace = adversarial_trace(stream_len, service_us);
-    let mut s = scheduler_with(dispatch);
-    let mut service = TransferDominated::uniform(service_us, 3832);
-    let m: Metrics = simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 16));
+    let m = run(&mut scheduler_with(dispatch, NullSink), &trace, service_us);
     // All requests complete; the max response is the victims' (the stream
     // itself is served at arrival pace).
     m.max_response_us as f64 / 1000.0
@@ -159,9 +166,7 @@ pub fn tuning_sweep(seed: u64, requests: usize) -> Vec<TuningRow> {
                 refresh_on_swap: false,
                 max_queue: None,
             };
-            let mut s = scheduler_with(dispatch);
-            let mut service = TransferDominated::uniform(20_000, 3832);
-            let m = simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 16));
+            let m = run(&mut scheduler_with(dispatch, NullSink), &trace, 20_000);
             rows.push(TuningRow {
                 window,
                 er,

@@ -33,7 +33,7 @@ use ctrl::{
 use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
 use obs::{Snapshot, TelemetryConfig, TriggerConfig};
 use sched::Request;
-use sim::{simulate_traced, DiskService, SimOptions};
+use sim::{simulate, DiskService, SimOptions};
 
 /// Harness parameters, shared by both modes.
 #[derive(Debug, Clone)]
@@ -171,7 +171,7 @@ fn evaluate(trace: &[Request], p: GridPoint, objective: &Objective) -> f64 {
     let mut s = CascadedSfc::new(cascade_at(p)).expect("grid points are valid configs");
     let mut service = DiskService::table1();
     let mut sink = TelemetryConfig::exact().sink();
-    simulate_traced(
+    simulate(
         &mut s,
         trace,
         &mut service,

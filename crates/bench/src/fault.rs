@@ -19,7 +19,7 @@ use crate::vod;
 use diskmodel::{DiskGeometry, FaultPlan, SeekModel};
 use obs::Snapshot;
 use sim::admission;
-use sim::{simulate_striped, simulate_traced, Metrics, Raid5Service, SimOptions};
+use sim::{simulate, simulate_striped, Metrics, Raid5Service, SimOptions};
 
 /// Fault-scenario parameters.
 #[derive(Debug, Clone)]
@@ -126,15 +126,16 @@ pub fn run_point(cfg: &Config, transient_ppm: u32) -> (sim::StripedOutcome, Snap
 }
 
 fn row(transient_ppm: u32, total: &Metrics, snap: &Snapshot) -> Row {
+    let c = &snap.counters;
     Row {
         transient_ppm,
         served: total.served,
         failed: total.failed,
         losses: total.losses_total(),
         loss_ratio: total.loss_ratio(),
-        media_errors: total.media_errors,
-        retries: total.retries,
-        sector_remaps: total.sector_remaps,
+        media_errors: c.media_errors,
+        retries: c.retries,
+        sector_remaps: c.sector_remaps,
         mean_seek_us: if total.served == 0 {
             0.0
         } else {
@@ -180,9 +181,10 @@ pub fn print_csv(rows: &[Row]) {
     }
 }
 
-/// Cross-check an event-derived [`Snapshot`] against independently-kept
-/// [`Metrics`] — the fault-layer extension of the `trace` harness'
-/// reconciliation. `arrivals` is the trace length.
+/// Cross-check an event-derived [`Snapshot`] against the engine's
+/// [`Metrics`]: every arrival of the trace was traced, and the engine's
+/// dispatch and loss events match its loss classes
+/// ([`Metrics::reconcile`]). `arrivals` is the trace length.
 pub fn reconcile(m: &Metrics, snap: &Snapshot, arrivals: u64) -> Result<(), String> {
     let c = &snap.counters;
     if c.arrivals != arrivals {
@@ -199,7 +201,8 @@ pub fn reconcile(m: &Metrics, snap: &Snapshot, arrivals: u64) -> Result<(), Stri
 pub struct DegradedReport {
     /// Engine metrics of the grouped run.
     pub metrics: Metrics,
-    /// Event-derived counters and histograms.
+    /// Event-derived counters and histograms: the degraded reads and
+    /// rebuild I/Os are counted here.
     pub snapshot: Snapshot,
     /// Stripes the background rebuild reconstructed.
     pub rebuilt_stripes: u64,
@@ -231,7 +234,7 @@ pub fn degraded(cfg: &Config) -> Result<DegradedReport, String> {
     let mut scheduler = vod::unbounded_scheduler();
     let mut service = Raid5Service::with_faults(plan);
     let mut snapshot = Snapshot::new();
-    let metrics = simulate_traced(
+    let metrics = simulate(
         scheduler.as_mut(),
         &trace,
         &mut service,
@@ -239,12 +242,6 @@ pub fn degraded(cfg: &Config) -> Result<DegradedReport, String> {
         &mut snapshot,
     );
     reconcile(&metrics, &snapshot, trace.len() as u64)?;
-    if snapshot.counters.rebuild_ios != metrics.rebuild_ios {
-        return Err(format!(
-            "rebuild_io events vs metrics: {} != {}",
-            snapshot.counters.rebuild_ios, metrics.rebuild_ios
-        ));
-    }
     Ok(DegradedReport {
         metrics,
         snapshot,
@@ -299,11 +296,11 @@ mod tests {
     #[test]
     fn degraded_run_reconstructs_and_rebuilds() {
         let report = degraded(&small()).expect("degraded run reconciles");
-        let m = &report.metrics;
-        assert!(m.degraded_reads > 0, "no reads hit the dead member");
-        assert!(m.rebuild_ios > 0, "rebuild never ran");
-        assert!(report.rebuilt_stripes > 0);
-        assert_eq!(m.media_errors, 0, "plan had no media faults");
-        assert_eq!(report.snapshot.counters.degraded_reads, m.degraded_reads);
+        let c = &report.snapshot.counters;
+        assert!(c.degraded_reads > 0, "no reads hit the dead member");
+        assert!(c.rebuild_ios > 0, "rebuild never ran");
+        // One RebuildIo event per stripe the service reconstructed.
+        assert_eq!(c.rebuild_ios, report.rebuilt_stripes);
+        assert_eq!(c.media_errors, 0, "plan had no media faults");
     }
 }

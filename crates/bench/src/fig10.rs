@@ -20,6 +20,7 @@ use cascade::{
     CascadeConfig, CascadedSfc, DispatchConfig, DistanceMode, Stage1, Stage2, Stage2Combiner,
     Stage3,
 };
+use obs::NullSink;
 use sched::{Batched, CScan, DiskScheduler, Edf, Micros, Request};
 use sfc::CurveKind;
 use sim::{simulate, DiskService, Metrics, SimOptions};
@@ -106,6 +107,7 @@ pub fn run_sim(trace: &[Request], sched: &mut dyn DiskScheduler) -> Metrics {
         trace,
         &mut service,
         SimOptions::with_shape(3, 8).dropping(),
+        &mut NullSink,
     )
 }
 

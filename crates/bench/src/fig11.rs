@@ -21,6 +21,7 @@
 //! across levels while favoring high priorities.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, Stage1, Stage2, Stage2Combiner};
+use obs::NullSink;
 use sched::{DiskScheduler, Fcfs};
 use sfc::CurveKind;
 use sim::{simulate, DiskService, Metrics, SimOptions};
@@ -97,6 +98,7 @@ pub fn run_sim(cfg: &Config, users: u32, sched: &mut dyn DiskScheduler) -> Metri
         &trace,
         &mut service,
         SimOptions::with_shape(1, 8).dropping(),
+        &mut NullSink,
     )
 }
 

@@ -14,6 +14,7 @@
 //!   the non-preemptive regime).
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, PreemptionMode};
+use obs::NullSink;
 use sched::Request;
 use sfc::CurveKind;
 use sim::{simulate, Metrics, SimOptions, TransferDominated};
@@ -84,6 +85,7 @@ pub fn run_priority_sim(
         trace,
         &mut service,
         SimOptions::with_shape(dims as usize, 16),
+        &mut NullSink,
     )
 }
 
@@ -96,6 +98,7 @@ pub fn run_fifo(trace: &[Request], dims: u32, service_us: u64) -> Metrics {
         trace,
         &mut service,
         SimOptions::with_shape(dims as usize, 16),
+        &mut NullSink,
     )
 }
 

@@ -21,6 +21,7 @@
 //!   keeping inversion around 90 % of EDF's.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, Stage2Combiner};
+use obs::NullSink;
 use sched::{DiskScheduler, Edf, Micros, Request};
 use sfc::CurveKind;
 use sim::{simulate, Metrics, SimOptions, TransferDominated};
@@ -132,7 +133,13 @@ pub fn run_sim(trace: &[Request], sched: &mut dyn DiskScheduler) -> Metrics {
     // ~6.7 MB/s transfer-dominated service: sizes span 16–184 KB, so
     // service spans ~3.4–28.6 ms (mean ≈ 16 ms).
     let mut service = TransferDominated::scaled(1_000, 150, 3832);
-    simulate(sched, trace, &mut service, SimOptions::with_shape(3, 8))
+    simulate(
+        sched,
+        trace,
+        &mut service,
+        SimOptions::with_shape(3, 8),
+        &mut NullSink,
+    )
 }
 
 /// The §5.2 cascade: SFC1 = `curve` over 3 dimensions of 8 levels, SFC2 =

@@ -189,7 +189,7 @@ fn run_trace(args: &Args) {
     eprintln!("# {events} events -> {out}");
     eprint!("{}", report.snapshot.report());
     pass("reconciliation", report.reconcile());
-    eprintln!("# reconciliation: events match Metrics and dispatcher counters");
+    eprintln!("# reconciliation: events match Metrics and the dispatcher's shed count");
 }
 
 /// `--rate-ppm` replaces the swept rate list with a single rate.
@@ -220,6 +220,7 @@ fn faults(args: &Args) {
         _ => {
             let report = pass("degraded run", fault::degraded(&cfg));
             let m = &report.metrics;
+            let c = &report.snapshot.counters;
             eprintln!(
                 "# degraded — member {} died at {} ms; rebuild interleaved",
                 report.failed_member,
@@ -232,8 +233,8 @@ fn faults(args: &Args) {
                 m.served,
                 m.failed,
                 m.losses_total(),
-                m.degraded_reads,
-                m.rebuild_ios,
+                c.degraded_reads,
+                c.rebuild_ios,
                 report.rebuilt_stripes,
                 m.rebuild_us / 1_000,
                 report.snapshot.response_us.p99().unwrap_or(0),

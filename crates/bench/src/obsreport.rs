@@ -19,7 +19,7 @@
 use crate::vod;
 use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
 use obs::{ShardDelta, TelemetryConfig, TriggerConfig};
-use sim::{DiskService, Metrics};
+use sim::DiskService;
 use std::fmt::Write as _;
 
 /// Scenario parameters.
@@ -125,7 +125,7 @@ pub fn render_summary_jsonl(report: &DaemonReport) -> String {
          \"sheds\":{},\"redirects\":{},\"makespan_us\":{},\"events\":{}}}\n",
         report.recorders.len(),
         report.served(),
-        Metrics::total_losses(&report.per_shard),
+        report.aggregate().losses_total(),
         report.sheds(),
         report.redirects,
         report.makespan_us,

@@ -14,7 +14,7 @@ use std::time::Instant;
 use cascade::{CascadeConfig, CascadedSfc};
 use obs::{NullSink, TelemetryConfig, TraceSink};
 use sched::{DiskScheduler, HeadState, Request};
-use sim::{simulate_traced, DiskService, SimOptions};
+use sim::{simulate, DiskService, SimOptions};
 use workload::PoissonConfig;
 
 /// Telemetry off-vs-on throughput on the two hot paths the live sink
@@ -61,7 +61,7 @@ fn overhead_engine_run<S: TraceSink>(trace: &[Request], sink: &mut S) -> f64 {
     let mut service = DiskService::table1();
     let options = SimOptions::with_shape(3, 16).dropping();
     let start = Instant::now();
-    let m = simulate_traced(&mut s, trace, &mut service, options, sink);
+    let m = simulate(&mut s, trace, &mut service, options, sink);
     black_box(m.served);
     trace.len() as f64 / start.elapsed().as_secs_f64().max(1e-9)
 }

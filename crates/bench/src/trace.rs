@@ -12,14 +12,16 @@
 //!
 //! The run double-checks itself: [`Report::reconcile`] verifies that
 //! the event-derived counters agree exactly with the simulator's
-//! [`Metrics`] and the dispatcher's own counters, so a timeline on disk
-//! is guaranteed complete — every served request really has its three
-//! lifecycle events, every preemption its event.
+//! [`Metrics`] and the dispatcher's shed count, and that every arrival
+//! ended in a dispatch or a shed, so a timeline on disk is guaranteed
+//! complete — every served request really has its three lifecycle
+//! events. Preemptions, promotions and queue swaps are counted by their
+//! events alone.
 
 use cascade::{CascadeConfig, CascadedSfc, PreemptionMode};
 use diskmodel::{Disk, FaultPlan};
 use obs::{SharedSink, Snapshot, Tee, TraceSink};
-use sim::{simulate_traced, DiskService, Metrics, ServiceProvider, SimOptions, TransferDominated};
+use sim::{simulate, DiskService, Metrics, ServiceProvider, SimOptions, TransferDominated};
 use workload::PoissonConfig;
 
 /// Traced-run parameters.
@@ -73,21 +75,14 @@ pub struct Report {
     pub metrics: Metrics,
     /// Histograms and counters distilled from the event stream.
     pub snapshot: Snapshot,
-    /// Dispatcher's own count of preemptions.
-    pub preemptions: u64,
-    /// Dispatcher's own count of serve-promote promotions.
-    pub promotions: u64,
-    /// Dispatcher's own count of queue swaps.
-    pub swaps: u64,
     /// Dispatcher's own count of shed requests (bounded queue).
     pub sheds: u64,
 }
 
 impl Report {
-    /// Cross-check the event stream against the independently-kept
-    /// [`Metrics`] and dispatcher counters. Any mismatch means events
-    /// were lost or double-emitted; the error names the first
-    /// discrepancy.
+    /// Cross-check the event stream against the engine's [`Metrics`] and
+    /// the dispatcher's shed count. Any mismatch means events were lost
+    /// or double-emitted; the error names the first discrepancy.
     pub fn reconcile(&self) -> Result<(), String> {
         let c = &self.snapshot.counters;
         let m = &self.metrics;
@@ -99,23 +94,12 @@ impl Report {
                 c.service_starts + c.drops + c.sheds,
             ),
             ("shed events vs dispatcher", c.sheds, self.sheds),
-            (
-                "preempt events vs dispatcher",
-                c.preemptions,
-                self.preemptions,
-            ),
-            (
-                "sp_promote events vs dispatcher",
-                c.sp_promotions,
-                self.promotions,
-            ),
-            ("queue_swap events vs dispatcher", c.queue_swaps, self.swaps),
             // paper_default has ER on: the window expands at every
             // blocked preemption and every SP promotion.
             (
                 "er_expands vs preempts+promotions",
                 c.er_expands,
-                self.preemptions + self.promotions,
+                c.preemptions + c.sp_promotions,
             ),
         ];
         for (what, got, want) in checks {
@@ -162,7 +146,7 @@ pub fn run_with_sink<E: TraceSink>(cfg: &Config, event_sink: E) -> (Report, E) {
     } else {
         Box::new(TransferDominated::uniform(cfg.service_us, 3832))
     };
-    let metrics = simulate_traced(
+    let metrics = simulate(
         &mut scheduler,
         &trace,
         service.as_mut(),
@@ -170,7 +154,6 @@ pub fn run_with_sink<E: TraceSink>(cfg: &Config, event_sink: E) -> (Report, E) {
         &mut engine_sink,
     );
 
-    let (preemptions, promotions, swaps) = scheduler.dispatch_counters();
     let sheds = scheduler.sheds();
     drop(engine_sink);
     drop(scheduler.into_sink());
@@ -182,9 +165,6 @@ pub fn run_with_sink<E: TraceSink>(cfg: &Config, event_sink: E) -> (Report, E) {
         Report {
             metrics,
             snapshot,
-            preemptions,
-            promotions,
-            swaps,
             sheds,
         },
         event_sink,
@@ -212,7 +192,10 @@ mod tests {
             800,
             "every request accounted for"
         );
-        assert!(report.swaps > 0, "a saturating run swaps queues");
+        assert!(
+            report.snapshot.counters.queue_swaps > 0,
+            "a saturating run swaps queues"
+        );
     }
 
     #[test]
@@ -236,9 +219,10 @@ mod tests {
         let (report, sink) = run_with_sink(&cfg, JsonlSink::new(Vec::new()));
         report.reconcile().expect("faulted events reconcile");
         let m = &report.metrics;
-        assert!(m.media_errors > 0, "rate should fire");
-        assert!(m.retries > 0);
-        assert!(m.sector_remaps > 0);
+        let c = &report.snapshot.counters;
+        assert!(c.media_errors > 0, "rate should fire");
+        assert!(c.retries > 0);
+        assert!(c.sector_remaps > 0);
         assert_eq!(m.served + m.dropped + m.failed, 800);
         let text = String::from_utf8(sink.into_inner()).expect("utf-8 jsonl");
         let lines = text.lines().count() as u64;

@@ -307,10 +307,8 @@ pub struct Dispatcher<V = u128> {
     window: u128,
     /// Characterization value of the most recently dispatched request.
     current: Option<u128>,
-    /// Counters for analysis.
-    preemptions: u64,
-    promotions: u64,
-    swaps: u64,
+    /// Requests shed by the bounded queue. Every other dispatcher
+    /// decision is counted by its event alone.
     sheds: u64,
 }
 
@@ -338,9 +336,6 @@ impl<V: Key> Dispatcher<V> {
             base_window,
             window: base_window,
             current: None,
-            preemptions: 0,
-            promotions: 0,
-            swaps: 0,
             sheds: 0,
         }
     }
@@ -388,19 +383,11 @@ impl<V: Key> Dispatcher<V> {
             .expect("a queued entry's slot holds its request")
     }
 
-    /// (preemptions, SP promotions, queue swaps) since construction.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.preemptions, self.promotions, self.swaps)
-    }
-
-    /// Inherit another dispatcher's lifetime counters. A runtime retune
-    /// rebuilds the dispatcher from scratch; carrying the counters over
-    /// keeps shed/preemption ledgers (and the event-vs-counter
-    /// reconciliation built on them) continuous across the swap.
+    /// Inherit another dispatcher's shed count. A runtime retune
+    /// rebuilds the dispatcher from scratch; carrying the count over keeps
+    /// the shed ledger (and its reconciliation with the `Shed` events)
+    /// continuous across the swap.
     pub(crate) fn carry_counters_from<W>(&mut self, old: &Dispatcher<W>) {
-        self.preemptions = old.preemptions;
-        self.promotions = old.promotions;
-        self.swaps = old.swaps;
         self.sheds = old.sheds;
     }
 
@@ -445,7 +432,6 @@ impl<V: Key> Dispatcher<V> {
                 };
                 if significantly_higher {
                     if let Some(cur) = self.current {
-                        self.preemptions += 1;
                         if S::ENABLED {
                             sink.emit(&TraceEvent::Preempt {
                                 now_us,
@@ -497,7 +483,6 @@ impl<V: Key> Dispatcher<V> {
                     }
                 }
             });
-            self.swaps += 1;
             if S::ENABLED {
                 sink.emit(&TraceEvent::QueueSwap {
                     now_us,
@@ -524,7 +509,6 @@ impl<V: Key> Dispatcher<V> {
                     break;
                 }
                 let e = self.q_wait.pop().expect("peeked");
-                self.promotions += 1;
                 if S::ENABLED {
                     sink.emit(&TraceEvent::SpPromote {
                         now_us,
@@ -671,13 +655,14 @@ mod tests {
     #[test]
     fn conditional_window_blocks_marginal_arrivals() {
         let mut d = conditional(0.1, false, None); // window = 100
-        d.insert(req(1), 500);
+        let mut seen = obs::Snapshot::new();
+        d.insert_traced(req(1), 500, 0, &mut seen);
         assert_eq!(d.pop(None).unwrap().id, 1); // current = 500
-        d.insert(req(2), 450); // higher, but within the window
-        d.insert(req(3), 350); // significantly higher: preempts
+        d.insert_traced(req(2), 450, 0, &mut seen); // higher, but within the window
+        d.insert_traced(req(3), 350, 0, &mut seen); // significantly higher: preempts
         assert_eq!(d.pop(None).unwrap().id, 3);
         assert_eq!(d.pop(None).unwrap().id, 2);
-        assert_eq!(d.counters().0, 1); // one preemption
+        assert_eq!(seen.counters.preemptions, 1);
     }
 
     #[test]
@@ -725,16 +710,17 @@ mod tests {
     #[test]
     fn er_expands_until_non_preemptive() {
         let mut d = conditional(0.05, false, Some(4.0)); // window 50, e=4
-        d.insert(req(1), 900);
+        let mut seen = obs::Snapshot::new();
+        d.insert_traced(req(1), 900, 0, &mut seen);
         assert_eq!(d.pop(None).unwrap().id, 1);
         // A stream of ever-higher priorities: each preemption expands w.
-        d.insert(req(2), 700); // 700 < 900-50: preempts, w -> 200
+        d.insert_traced(req(2), 700, 0, &mut seen); // 700 < 900-50: preempts, w -> 200
         assert_eq!(d.pop(None).unwrap().id, 2); // current = 700
-        d.insert(req(3), 480); // 480 < 700-200: preempts, w -> 800
+        d.insert_traced(req(3), 480, 0, &mut seen); // 480 < 700-200: preempts, w -> 800
         assert_eq!(d.pop(None).unwrap().id, 3); // current = 480
-        d.insert(req(4), 1); // 1 > 480-800 (saturates to 0): blocked!
+        d.insert_traced(req(4), 1, 0, &mut seen); // 1 > 480-800 (saturates to 0): blocked!
         assert_eq!(d.len(), 1);
-        assert_eq!(d.counters().0, 2);
+        assert_eq!(seen.counters.preemptions, 2);
         // Queue drains, swap resets the window.
         assert_eq!(d.pop(None).unwrap().id, 4);
         assert_eq!(d.current_window(), d.base_window);
@@ -756,10 +742,11 @@ mod tests {
         );
         let base = d.current_window();
         assert!(base > u64::MAX as u128);
-        d.insert(req(1), 1 << 99);
+        let mut seen = obs::Snapshot::new();
+        d.insert_traced(req(1), 1 << 99, 0, &mut seen);
         assert_eq!(d.pop(None).unwrap().id, 1);
-        d.insert(req(2), 0); // beats 2^99 by more than the window: preempts
-        assert_eq!(d.counters().0, 1);
+        d.insert_traced(req(2), 0, 0, &mut seen); // beats 2^99 by more than the window: preempts
+        assert_eq!(seen.counters.preemptions, 1);
         assert!(
             d.current_window() >= base * 2,
             "one preemption must at least double the window: {} -> {}",
@@ -769,13 +756,12 @@ mod tests {
     }
 
     #[test]
-    fn traced_events_reconcile_with_counters() {
-        use obs::RingSink;
+    fn er_expands_at_every_preemption_and_promotion() {
         let mut d = conditional(0.05, true, Some(4.0));
-        let mut sink = RingSink::new(1024);
+        let mut sink = obs::Snapshot::new();
         let mut t = 0u64;
         // A descending-priority stream drives preemptions, promotions and
-        // swaps; every counter increment must emit a matching event.
+        // swaps.
         let values = [900u128, 700, 480, 820, 10, 650, 5, 999, 300];
         for (i, &v) in values.iter().enumerate() {
             d.insert_traced(req(i as u64), v, t, &mut sink);
@@ -788,16 +774,15 @@ mod tests {
         while d.pop_traced(None, t, &mut sink).is_some() {
             t += 10;
         }
-        let (preempts, promotions, swaps) = d.counters();
-        let count = |name: &str| sink.events().filter(|e| e.name() == name).count() as u64;
-        assert_eq!(count("preempt"), preempts);
-        assert_eq!(count("sp_promote"), promotions);
-        assert_eq!(count("queue_swap"), swaps);
-        assert!(preempts > 0 && swaps > 0, "workload too tame to test");
+        let c = sink.counters;
+        assert!(
+            c.preemptions > 0 && c.queue_swaps > 0,
+            "workload too tame to test"
+        );
         // Each preemption/promotion expanded the window (e is set).
-        assert_eq!(count("er_expand"), preempts + promotions);
+        assert_eq!(c.er_expands, c.preemptions + c.sp_promotions);
         // Resets only happen at swaps after an expansion.
-        assert!(count("er_reset") <= swaps);
+        assert!(c.er_resets <= c.queue_swaps);
     }
 
     #[test]
@@ -818,7 +803,8 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(plain.counters(), traced.counters());
+        // Both end in the same ER state.
+        assert_eq!(plain.current_window(), traced.current_window());
     }
 
     #[test]

@@ -209,6 +209,7 @@ mod tests {
 
     #[test]
     fn bucket_with_sfc3_reduces_seeks_vs_plain_bucket() {
+        use obs::NullSink;
         use sim::{simulate, DiskService, SimOptions};
         use workload::PoissonConfig;
         let mut wl = PoissonConfig::figure8(3_000);
@@ -217,7 +218,13 @@ mod tests {
 
         let run = |s: &mut dyn DiskScheduler| {
             let mut service = DiskService::table1();
-            simulate(s, &trace, &mut service, SimOptions::with_shape(3, 8))
+            simulate(
+                s,
+                &trace,
+                &mut service,
+                SimOptions::with_shape(3, 8),
+                &mut NullSink,
+            )
         };
         let plain = run(&mut Bucket::new(1.0, 0.001, 8));
         let mut extended = Sfc3Extended::new(

@@ -125,10 +125,11 @@ proptest! {
             },
             1000,
         );
+        let mut seen = obs::Snapshot::new();
         d.insert(req(0), cur as u128);
         d.pop(None);
-        d.insert(req(1), newcomer as u128);
-        let preempted = d.counters().0 == 1;
+        d.insert_traced(req(1), newcomer as u128, 0, &mut seen);
+        let preempted = seen.counters.preemptions == 1;
         prop_assert_eq!(
             preempted,
             (newcomer as u128) < (cur as u128).saturating_sub(100),

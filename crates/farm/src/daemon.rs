@@ -1028,7 +1028,7 @@ pub struct DaemonReport {
 impl DaemonReport {
     /// Total requests served.
     pub fn served(&self) -> u64 {
-        Metrics::total_served(&self.per_shard)
+        self.per_shard.iter().map(|m| m.served).sum()
     }
 
     /// Total bounded-queue sheds.

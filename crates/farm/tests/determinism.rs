@@ -12,7 +12,7 @@ use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use farm::{
     DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, OnlineRouter, RoutePolicy,
 };
-use obs::{Snapshot, TelemetryConfig, TriggerConfig};
+use obs::{NullSink, Snapshot, TelemetryConfig, TriggerConfig};
 use sched::{DiskScheduler, Fcfs, QosVector, Request};
 use sim::{DiskService, SimOptions};
 use workload::{NewsByteConfig, PoissonConfig, TraceSource, VecSource, VodConfig};
@@ -151,6 +151,7 @@ fn a_single_shard_farm_is_a_plain_simulation() {
         &trace,
         &mut DiskService::table1(),
         SimOptions::with_shape(1, 4),
+        &mut NullSink,
     );
     assert_eq!(report.per_shard, [direct]);
 }

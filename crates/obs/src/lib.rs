@@ -18,7 +18,12 @@
 //!   p50/p95/p99/p999, and [`nearest_rank`], the exact percentile the
 //!   analysis code shares;
 //! * [`Snapshot`] — counters + histograms, itself a sink, mergeable
-//!   across the striped/RAID members.
+//!   across the striped/RAID members. Its [`Counters`] are the only
+//!   count of what the events carry: the engine's `sim::Metrics` keeps
+//!   no media-error, retry, remap, degraded-read or rebuild-I/O count,
+//!   and the cascade dispatcher none of its preemptions, SP promotions
+//!   or queue swaps, so a caller that wants them attaches a `Snapshot`
+//!   as the sink.
 //!
 //! On top of the cumulative layer sits the **live telemetry plane**:
 //!

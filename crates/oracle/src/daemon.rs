@@ -27,6 +27,7 @@
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
+use obs::NullSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched::{DiskScheduler, Fcfs, Request};
@@ -160,7 +161,13 @@ fn check_against_judge(
         .iter_mut()
         .zip(&sub_traces)
         .map(|(scheduler, sub)| {
-            sim::simulate(scheduler.as_mut(), sub, &mut DiskService::table1(), options)
+            sim::simulate(
+                scheduler.as_mut(),
+                sub,
+                &mut DiskService::table1(),
+                options,
+                &mut NullSink,
+            )
         })
         .collect();
     let sheds_per_shard: Vec<u64> = schedulers.iter().map(|s| s.sheds()).collect();

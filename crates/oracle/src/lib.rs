@@ -8,7 +8,8 @@
 //!   restatements of the Cascaded-SFC dispatcher (O(n²) re-sort per
 //!   dispatch), EDF, SSTF and SCAN, run through the same simulator on
 //!   the same seeded traces and required to match the optimized
-//!   implementations bit-for-bit (service logs, metrics, counters).
+//!   implementations bit-for-bit (engine event streams, metrics, and
+//!   the dispatcher events counted against the reference's counters).
 //!   [`routing`] extends this to the farm: a single-threaded replay of
 //!   the routing policies checked against [`farm::OnlineRouter`].
 //!   [`daemon`] extends it again to continuous operation: the farm

@@ -10,15 +10,17 @@
 //! machinery cannot also hide here.
 //!
 //! The differential harness runs both implementations through
-//! [`sim::simulate_logged`] on the *same* trace against identical disk
-//! models and demands bit-identical metrics and per-request service logs.
+//! [`sim::simulate`] on the *same* trace against identical disk models
+//! and demands bit-identical metrics and engine event streams: every
+//! arrival, dispatch, fault and terminal fate, in order, with its time.
 
 use cascade::{
     CascadeConfig, CascadedSfc, DistanceMode, Encapsulator, PreemptionMode, Stage2Combiner,
 };
+use obs::{Snapshot, TraceEvent, TraceSink};
 use sched::{DiskScheduler, Edf, HeadState, Request, Scan, Sstf, SweepDirection};
 use sfc::{SfcError, WeightedDiagonal};
-use sim::{simulate_logged, DiskService, Metrics, RequestRecord, SimOptions};
+use sim::{simulate, DiskService, Metrics, SimOptions};
 
 /// The characterization value of `req` under `config`, restated from the
 /// paper with nothing shared with [`cascade::Encapsulator`]: the catalogue
@@ -147,8 +149,9 @@ impl ReferenceCascade {
         })
     }
 
-    /// (preemptions, SP promotions, queue swaps) — comparable with
-    /// [`cascade::CascadedSfc::dispatch_counters`].
+    /// (preemptions, SP promotions, queue swaps) — what the optimized
+    /// dispatcher's `Preempt`, `SpPromote` and `QueueSwap` events count
+    /// ([`obs::Counters`]).
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.preemptions, self.promotions, self.swaps)
     }
@@ -456,33 +459,25 @@ impl DiskScheduler for ReferenceScan {
     }
 }
 
-/// Report the first divergence between two per-request service logs.
-pub fn compare_logs(
+/// Report the first divergence between two engine event streams: the
+/// index of the first differing event and both events, or the lengths
+/// when one stream is a prefix of the other.
+pub fn compare_events(
     what: &str,
-    optimized: &[RequestRecord],
-    reference: &[RequestRecord],
+    optimized: &[TraceEvent],
+    reference: &[TraceEvent],
 ) -> Result<(), String> {
     if let Some(i) =
         (0..optimized.len().min(reference.len())).find(|&i| optimized[i] != reference[i])
     {
-        let (a, b) = (&optimized[i], &reference[i]);
         return Err(format!(
-            "{what}: dispatch order diverges at position {i}: optimized served \
-             req {} (arrival {}, completion {:?}, lost {}) but reference served \
-             req {} (arrival {}, completion {:?}, lost {})",
-            a.id,
-            a.arrival_us,
-            a.completion_us,
-            a.lost,
-            b.id,
-            b.arrival_us,
-            b.completion_us,
-            b.lost
+            "{what}: event streams diverge at event {i}: optimized {:?} but reference {:?}",
+            optimized[i], reference[i]
         ));
     }
     if optimized.len() != reference.len() {
         return Err(format!(
-            "{what}: log lengths diverge: optimized {} vs reference {}",
+            "{what}: event stream lengths diverge: optimized {} vs reference {}",
             optimized.len(),
             reference.len()
         ));
@@ -490,19 +485,47 @@ pub fn compare_logs(
     Ok(())
 }
 
+/// Every event the engine emits, in order: the run's full timeline.
+struct Timeline(Vec<TraceEvent>);
+
+impl TraceSink for Timeline {
+    fn emit(&mut self, event: &TraceEvent) {
+        self.0.push(*event);
+    }
+}
+
+/// One engine run's metrics and event timeline.
+type Run = (Metrics, Vec<TraceEvent>);
+
 fn run_one(
     scheduler: &mut dyn DiskScheduler,
     trace: &[Request],
     options: SimOptions,
     make_service: &impl Fn() -> DiskService,
-) -> (Metrics, Vec<RequestRecord>) {
+) -> Run {
     let mut service = make_service();
-    simulate_logged(scheduler, trace, &mut service, options)
+    let mut timeline = Timeline(Vec::with_capacity(3 * trace.len()));
+    let metrics = simulate(scheduler, trace, &mut service, options, &mut timeline);
+    (metrics, timeline.0)
+}
+
+/// Hold an optimized run to the reference run: the same event timeline,
+/// then the same metrics.
+fn compare_runs(what: &str, optimized: &Run, reference: &Run) -> Result<(), String> {
+    compare_events(what, &optimized.1, &reference.1)?;
+    if optimized.0 != reference.0 {
+        return Err(format!(
+            "{what}: metrics diverge with identical events: {:?} vs {:?}",
+            optimized.0, reference.0
+        ));
+    }
+    Ok(())
 }
 
 /// Differential oracle for one scheduler pair: run `optimized` and
-/// `reference` through [`sim::simulate_logged`] on the same trace against
-/// identical fresh disk models and demand bit-identical metrics and logs.
+/// `reference` through [`sim::simulate`] on the same trace against
+/// identical fresh disk models and demand bit-identical event streams and
+/// metrics.
 pub fn diff_pair(
     what: &str,
     optimized: &mut dyn DiskScheduler,
@@ -511,53 +534,53 @@ pub fn diff_pair(
     options: SimOptions,
     make_service: impl Fn() -> DiskService,
 ) -> Result<Metrics, String> {
-    let (m_opt, log_opt) = run_one(optimized, trace, options, &make_service);
-    let (m_ref, log_ref) = run_one(reference, trace, options, &make_service);
-    compare_logs(what, &log_opt, &log_ref)?;
-    if m_opt != m_ref {
-        return Err(format!(
-            "{what}: metrics diverge with identical logs: {m_opt:?} vs {m_ref:?}"
-        ));
-    }
-    Ok(m_opt)
+    let expected = run_one(reference, trace, options, &make_service);
+    compare_runs(
+        what,
+        &run_one(optimized, trace, options, &make_service),
+        &expected,
+    )?;
+    Ok(expected.0)
 }
 
 /// Differential oracle for the cascade: optimized [`cascade::CascadedSfc`]
-/// vs [`ReferenceCascade`] built from the same configuration, compared on
-/// metrics, service logs, dispatcher counters and shed counts.
+/// vs [`ReferenceCascade`] built from the same configuration. The
+/// untraced scheduler, as callers run it, must match the reference's
+/// event stream, metrics and shed count. A twin built over an
+/// [`obs::Snapshot`] must match them too, and its `Preempt`, `SpPromote`
+/// and `QueueSwap` events must count what the reference counted.
 pub fn diff_cascade(
     config: &CascadeConfig,
     trace: &[Request],
     options: SimOptions,
     make_service: impl Fn() -> DiskService,
 ) -> Result<Metrics, String> {
-    let mut optimized =
-        CascadedSfc::new(config.clone()).map_err(|e| format!("cascade config rejected: {e}"))?;
-    let mut reference = ReferenceCascade::new(config.clone())
-        .map_err(|e| format!("cascade config rejected: {e}"))?;
-    let m = diff_pair(
-        "cascaded-sfc",
-        &mut optimized,
-        &mut reference,
-        trace,
-        options,
-        make_service,
-    )?;
-    if optimized.dispatch_counters() != reference.counters() {
-        return Err(format!(
-            "cascaded-sfc: (preemptions, promotions, swaps) diverge: {:?} vs {:?}",
-            optimized.dispatch_counters(),
-            reference.counters()
-        ));
-    }
-    if optimized.sheds() != DiskScheduler::sheds(&reference) {
+    let rejected = |e: SfcError| format!("cascade config rejected: {e}");
+    let mut reference = ReferenceCascade::new(config.clone()).map_err(rejected)?;
+    let expected = run_one(&mut reference, trace, options, &make_service);
+    let mut plain = CascadedSfc::new(config.clone()).map_err(rejected)?;
+    let got = run_one(&mut plain, trace, options, &make_service);
+    compare_runs("cascaded-sfc", &got, &expected)?;
+    if plain.sheds() != DiskScheduler::sheds(&reference) {
         return Err(format!(
             "cascaded-sfc: shed counts diverge: {} vs {}",
-            optimized.sheds(),
+            plain.sheds(),
             DiskScheduler::sheds(&reference)
         ));
     }
-    Ok(m)
+    let mut traced = CascadedSfc::with_sink(config.clone(), Snapshot::new()).map_err(rejected)?;
+    let got = run_one(&mut traced, trace, options, &make_service);
+    compare_runs("cascaded-sfc (traced)", &got, &expected)?;
+    let c = traced.sink().counters;
+    let counted = (c.preemptions, c.sp_promotions, c.queue_swaps);
+    if counted != reference.counters() {
+        return Err(format!(
+            "cascaded-sfc: (preemptions, promotions, swaps) events diverge from the reference: \
+             {counted:?} vs {:?}",
+            reference.counters()
+        ));
+    }
+    Ok(expected.0)
 }
 
 /// Differential oracle for the encapsulator alone:

@@ -16,13 +16,13 @@
 use cascade::{CascadeConfig, CascadedSfc};
 use obs::{Snapshot, TelemetryConfig, WindowedSnapshot};
 use sched::Request;
-use sim::{simulate_traced, DiskService, SimOptions};
+use sim::{simulate, DiskService, SimOptions};
 
 fn run_with<S: obs::TraceSink>(trace: &[Request], options: SimOptions, sink: &mut S) {
     let mut scheduler =
         CascadedSfc::new(CascadeConfig::paper_default(1, 3832)).expect("valid cascade config");
     let mut service = DiskService::table1();
-    simulate_traced(&mut scheduler, trace, &mut service, options, sink);
+    simulate(&mut scheduler, trace, &mut service, options, sink);
 }
 
 fn drain_summed(sink: &mut WindowedSnapshot) -> Snapshot {
@@ -71,7 +71,7 @@ pub fn diff_telemetry(
             CascadedSfc::new(CascadeConfig::paper_default(1, 3832)).expect("valid cascade config");
         let mut service = DiskService::table1();
         for chunk in trace.chunks(poll_every.max(1)) {
-            simulate_traced(&mut scheduler, chunk, &mut service, options, &mut windowed);
+            simulate(&mut scheduler, chunk, &mut service, options, &mut windowed);
             for d in windowed.take_deltas() {
                 polled.merge(&d.snapshot);
             }

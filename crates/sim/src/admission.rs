@@ -438,6 +438,7 @@ mod tests {
         // survive the simulator under a SCAN-family scheduler, even with
         // deadlines of one period.
         use crate::{simulate, DiskService, SimOptions};
+        use obs::NullSink;
         use sched::{Batched, CScan};
         use workload::VodConfig;
 
@@ -453,6 +454,7 @@ mod tests {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 4).dropping(),
+            &mut NullSink,
         );
         assert_eq!(
             m.losses_total(),

@@ -1,13 +1,13 @@
-//! Engine options and the batch entry points.
+//! Engine options and the batch entry point.
 //!
-//! The engine itself is [`EngineStepper`]; [`simulate`] and friends feed
-//! one the whole trace and run it dry.
+//! The engine itself is [`EngineStepper`]; [`simulate`] feeds one the
+//! whole trace and runs it dry.
 
 use crate::metrics::Metrics;
 use crate::service::ServiceProvider;
 use crate::step::EngineStepper;
-use obs::{NullSink, TraceSink};
-use sched::{DiskScheduler, Micros, Request};
+use obs::TraceSink;
+use sched::{DiskScheduler, Request};
 
 /// Simulation policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -70,20 +70,19 @@ impl SimOptions {
     }
 }
 
-/// The fate of one request, produced by [`simulate_logged`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestRecord {
-    /// Request id from the trace.
-    pub id: u64,
-    /// Arrival time (µs).
-    pub arrival_us: Micros,
-    /// Completion time (µs); `None` when the request was dropped unserved.
-    pub completion_us: Option<Micros>,
-    /// Whether the deadline was lost (dropped, or completed late).
-    pub lost: bool,
-}
-
-/// Run `scheduler` over `trace` against `service`; returns the metrics.
+/// Run `scheduler` over `trace` against `service`, emitting the engine's
+/// event timeline into `sink`; returns the metrics.
+///
+/// The timeline is [`obs::TraceEvent::Arrival`] per request, then
+/// [`obs::TraceEvent::ServiceStart`] or [`obs::TraceEvent::Drop`] at its
+/// dispatch, the fault-path events of its service attempts, and one
+/// terminal [`obs::TraceEvent::ServiceComplete`],
+/// [`obs::TraceEvent::Drop`] or [`obs::TraceEvent::RequestFailed`]. Pass
+/// [`obs::NullSink`] for a run with no events: the emission sites
+/// compile away. To see scheduler-internal events (preemptions, sweep
+/// reversals) in the same stream, build the scheduler over an
+/// [`obs::SharedSink`] clone of `sink` — see the `trace` bench binary for
+/// the full wiring.
 ///
 /// The trace must be sorted by arrival time (see
 /// [`workload::validate_trace`]); ids need not be dense.
@@ -91,58 +90,22 @@ pub struct RequestRecord {
 /// # Panics
 /// At the first request whose `arrival_us` precedes its predecessor's,
 /// naming both times ([`EngineStepper::submit`]'s in-order contract).
-pub fn simulate(
-    scheduler: &mut dyn DiskScheduler,
-    trace: &[Request],
-    service: &mut dyn ServiceProvider,
-    options: SimOptions,
-) -> Metrics {
-    simulate_traced(scheduler, trace, service, options, &mut NullSink)
-}
-
-/// Like [`simulate`], additionally returning one [`RequestRecord`] per
-/// request in service order (dropped requests included) — the raw
-/// material for response-time distributions and per-request analysis.
-///
-/// # Panics
-/// On a trace that is not arrival-sorted, as [`simulate`] does.
-pub fn simulate_logged(
-    scheduler: &mut dyn DiskScheduler,
-    trace: &[Request],
-    service: &mut dyn ServiceProvider,
-    options: SimOptions,
-) -> (Metrics, Vec<RequestRecord>) {
-    let log = Vec::with_capacity(trace.len());
-    EngineStepper::run_trace(scheduler, trace, service, options, Some(log), &mut NullSink)
-}
-
-/// Like [`simulate`], additionally emitting the engine-level event
-/// timeline ([`obs::TraceEvent::Arrival`], [`obs::TraceEvent::ServiceStart`]
-/// or [`obs::TraceEvent::Drop`] at each dispatch,
-/// [`obs::TraceEvent::ServiceComplete`]) into `sink`.
-///
-/// To see scheduler-internal events (preemptions, sweep reversals) in
-/// the same stream, build the scheduler over an [`obs::SharedSink`]
-/// clone of `sink` — see the `trace` bench binary for the full wiring.
-/// With [`obs::NullSink`] this monomorphizes to exactly [`simulate`].
-///
-/// # Panics
-/// On a trace that is not arrival-sorted, as [`simulate`] does.
-pub fn simulate_traced<S: TraceSink>(
+pub fn simulate<S: TraceSink>(
     scheduler: &mut dyn DiskScheduler,
     trace: &[Request],
     service: &mut dyn ServiceProvider,
     options: SimOptions,
     sink: &mut S,
 ) -> Metrics {
-    EngineStepper::run_trace(scheduler, trace, service, options, None, sink).0
+    EngineStepper::run_trace(scheduler, trace, service, options, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::TransferDominated;
-    use sched::{Edf, Fcfs, QosVector, Sstf};
+    use obs::NullSink;
+    use sched::{Edf, Fcfs, Micros, QosVector, Sstf};
 
     fn req(id: u64, arrival: Micros, deadline: Micros, cyl: u32, qos: &[u8]) -> Request {
         Request::read(id, arrival, deadline, cyl, 512, QosVector::new(qos))
@@ -159,6 +122,7 @@ mod tests {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 16),
+            &mut NullSink,
         );
         assert_eq!(m.served, 20);
         assert_eq!(m.dropped, 0);
@@ -178,6 +142,7 @@ mod tests {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 2),
+            &mut NullSink,
         );
         assert!(m.inversions_per_dim[0] > 0);
     }
@@ -195,7 +160,13 @@ mod tests {
             .collect();
         let run = |s: &mut dyn DiskScheduler| {
             let mut service = TransferDominated::uniform(1_500, 3832);
-            simulate(s, &trace, &mut service, SimOptions::with_shape(1, 2))
+            simulate(
+                s,
+                &trace,
+                &mut service,
+                SimOptions::with_shape(1, 2),
+                &mut NullSink,
+            )
         };
         let fcfs = run(&mut Fcfs::new());
         let edf = run(&mut Edf::new());
@@ -214,7 +185,13 @@ mod tests {
             .collect();
         let run = |s: &mut dyn DiskScheduler| {
             let mut service = crate::DiskService::table1();
-            simulate(s, &trace, &mut service, SimOptions::with_shape(1, 2))
+            simulate(
+                s,
+                &trace,
+                &mut service,
+                SimOptions::with_shape(1, 2),
+                &mut NullSink,
+            )
         };
         let fcfs = run(&mut Fcfs::new());
         let sstf = run(&mut Sstf::new());
@@ -236,6 +213,7 @@ mod tests {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 2).dropping(),
+            &mut NullSink,
         );
         // The first is dispatched at t=0 (not yet late), the rest drop.
         assert_eq!(m.served, 1);
@@ -243,38 +221,82 @@ mod tests {
         assert_eq!(m.losses_total(), 10); // the served one completed late
     }
 
+    /// Each request's terminal event, in service order.
+    fn terminal_events(ring: &obs::RingSink) -> Vec<obs::TraceEvent> {
+        use obs::TraceEvent;
+        ring.events()
+            .filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::ServiceComplete { .. }
+                        | TraceEvent::Drop { .. }
+                        | TraceEvent::RequestFailed { .. }
+                )
+            })
+            .copied()
+            .collect()
+    }
+
     #[test]
-    fn logged_records_every_request_in_service_order() {
+    fn events_close_every_request_in_service_order() {
+        use obs::{RingSink, TraceEvent};
         let trace: Vec<Request> = (0..8)
             .map(|i| req(i, 0, u64::MAX, (i * 400) as u32, &[0]))
             .collect();
         let mut service = TransferDominated::uniform(1_000, 3832);
-        let mut s = Sstf::new();
-        let (m, log) = simulate_logged(&mut s, &trace, &mut service, SimOptions::with_shape(1, 2));
+        let mut ring = RingSink::new(1024);
+        let m = simulate(
+            &mut Sstf::new(),
+            &trace,
+            &mut service,
+            SimOptions::with_shape(1, 2),
+            &mut ring,
+        );
         assert_eq!(m.served, 8);
-        assert_eq!(log.len(), 8);
+        let done: Vec<(u64, Micros, bool)> = terminal_events(&ring)
+            .iter()
+            .map(|e| match *e {
+                TraceEvent::ServiceComplete {
+                    req, now_us, late, ..
+                } => (req, now_us, late),
+                other => panic!("unexpected terminal event {other:?}"),
+            })
+            .collect();
+        assert_eq!(done.len(), 8);
         // Completion times are strictly increasing in service order.
-        let times: Vec<_> = log.iter().map(|r| r.completion_us.unwrap()).collect();
-        assert!(times.windows(2).all(|w| w[0] < w[1]));
+        assert!(done.windows(2).all(|w| w[0].1 < w[1].1));
         // SSTF from cylinder 0 serves in cylinder order here.
-        let ids: Vec<u64> = log.iter().map(|r| r.id).collect();
+        let ids: Vec<u64> = done.iter().map(|d| d.0).collect();
         assert_eq!(ids, (0..8).collect::<Vec<_>>());
-        assert!(log.iter().all(|r| !r.lost));
+        assert!(done.iter().all(|d| !d.2));
     }
 
     #[test]
-    fn logged_marks_drops() {
+    fn events_mark_drops() {
+        use obs::{RingSink, TraceEvent};
         let trace: Vec<Request> = (0..5).map(|i| req(i, 0, 1, 0, &[0])).collect();
         let mut service = TransferDominated::uniform(1_000, 3832);
-        let (m, log) = simulate_logged(
+        let mut ring = RingSink::new(1024);
+        let m = simulate(
             &mut Fcfs::new(),
             &trace,
             &mut service,
             SimOptions::with_shape(1, 2).dropping(),
+            &mut ring,
         );
         assert_eq!(m.dropped, 4);
-        assert_eq!(log.iter().filter(|r| r.completion_us.is_none()).count(), 4);
-        assert!(log.iter().all(|r| r.lost));
+        let done = terminal_events(&ring);
+        assert_eq!(done.len(), 5);
+        let drops = done
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Drop { .. }))
+            .count();
+        assert_eq!(drops, 4);
+        // Every request lost: four dropped, the served one completed late.
+        assert!(done.iter().all(|e| match *e {
+            TraceEvent::ServiceComplete { late, .. } => late,
+            _ => true,
+        }));
     }
 
     #[test]
@@ -290,12 +312,18 @@ mod tests {
         let options = SimOptions::with_shape(1, 2).dropping();
         let plain = {
             let mut service = TransferDominated::uniform(2_000, 3832);
-            simulate(&mut Fcfs::new(), &trace, &mut service, options)
+            simulate(
+                &mut Fcfs::new(),
+                &trace,
+                &mut service,
+                options,
+                &mut NullSink,
+            )
         };
         let mut snapshot = Snapshot::new();
         let traced = {
             let mut service = TransferDominated::uniform(2_000, 3832);
-            simulate_traced(
+            simulate(
                 &mut Fcfs::new(),
                 &trace,
                 &mut service,
@@ -324,7 +352,7 @@ mod tests {
             .collect();
         let mut ring = RingSink::new(4096);
         let mut service = TransferDominated::uniform(1_000, 3832);
-        simulate_traced(
+        simulate(
             &mut Sstf::new(),
             &trace,
             &mut service,
@@ -376,14 +404,27 @@ mod tests {
         let options = SimOptions::with_shape(1, 2).dropping().with_retries(3);
         let plain = {
             let mut service = DiskService::table1();
-            simulate(&mut Fcfs::new(), &trace, &mut service, options)
+            simulate(
+                &mut Fcfs::new(),
+                &trace,
+                &mut service,
+                options,
+                &mut NullSink,
+            )
         };
+        let mut snapshot = obs::Snapshot::new();
         let faulted = {
             let mut service = DiskService::with_faults(Disk::table1(), FaultPlan::none());
-            simulate(&mut Fcfs::new(), &trace, &mut service, options)
+            simulate(
+                &mut Fcfs::new(),
+                &trace,
+                &mut service,
+                options,
+                &mut snapshot,
+            )
         };
         assert_eq!(plain, faulted, "zero-fault plan must cost nothing");
-        assert_eq!(faulted.media_errors, 0);
+        assert_eq!(snapshot.counters.media_errors, 0);
         assert_eq!(faulted.failed, 0);
     }
 
@@ -398,20 +439,23 @@ mod tests {
         let plan = FaultPlan::media(99, 200_000, 0);
         let run = |retries: u32| {
             let mut service = DiskService::with_faults(Disk::table1(), plan.clone());
-            simulate(
+            let mut snapshot = obs::Snapshot::new();
+            let m = simulate(
                 &mut Fcfs::new(),
                 &trace,
                 &mut service,
                 SimOptions::with_shape(1, 2).with_retries(retries),
-            )
+                &mut snapshot,
+            );
+            (m, snapshot.counters)
         };
-        let no_retry = run(1);
-        assert!(no_retry.media_errors > 10, "rate should fire");
-        assert_eq!(no_retry.failed, no_retry.media_errors, "every error fatal");
-        assert_eq!(no_retry.retries, 0);
+        let (no_retry, c) = run(1);
+        assert!(c.media_errors > 10, "rate should fire");
+        assert_eq!(no_retry.failed, c.media_errors, "every error fatal");
+        assert_eq!(c.retries, 0);
         assert_eq!(no_retry.served + no_retry.failed, 200);
-        let with_retry = run(5);
-        assert!(with_retry.retries > 0);
+        let (with_retry, c) = run(5);
+        assert!(c.retries > 0);
         assert!(
             with_retry.failed < no_retry.failed / 4,
             "retries should recover most transients: {} vs {}",
@@ -439,14 +483,18 @@ mod tests {
             .collect();
         let mut ring = RingSink::new(1 << 16);
         let mut service = DiskService::with_faults(Disk::table1(), FaultPlan::media(5, 330_000, 0));
-        let m = simulate_traced(
+        let m = simulate(
             &mut Fcfs::new(),
             &trace,
             &mut service,
             SimOptions::with_shape(1, 2).with_retries(8),
             &mut ring,
         );
-        assert!(m.retries > 0, "workload produced no retries");
+        let retries = ring
+            .events()
+            .filter(|e| matches!(e, TraceEvent::Retry { .. }))
+            .count();
+        assert!(retries > 0, "workload produced no retries");
         // Every retry was issued with non-negative slack: the engine
         // never spends disk time on a request that is already late.
         for e in ring.events() {
@@ -470,7 +518,7 @@ mod tests {
         let mut snapshot = Snapshot::new();
         let mut service =
             DiskService::with_faults(Disk::table1(), FaultPlan::media(11, 100_000, 50_000));
-        let m = simulate_traced(
+        let m = simulate(
             &mut Fcfs::new(),
             &trace,
             &mut service,
@@ -478,7 +526,7 @@ mod tests {
             &mut snapshot,
         );
         let c = snapshot.counters;
-        assert!(m.media_errors > 0 && m.sector_remaps > 0);
+        assert!(c.media_errors > 0 && c.sector_remaps > 0);
         m.reconcile(&c).expect("events match metrics");
     }
 
@@ -495,15 +543,18 @@ mod tests {
             .map(|i| req(i, i * 2_000, u64::MAX, (i % 500) as u32, &[0]))
             .collect();
         let mut service = Raid5Service::with_faults(plan);
+        let mut snapshot = obs::Snapshot::new();
         let m = simulate(
             &mut Fcfs::new(),
             &trace,
             &mut service,
             SimOptions::with_shape(1, 2),
+            &mut snapshot,
         );
+        let c = snapshot.counters;
         assert_eq!(m.served, 160, "degraded group must still serve");
-        assert!(m.degraded_reads > 0, "no read hit the failed member");
-        assert_eq!(m.rebuild_ios, 20, "rebuild should finish its stripes");
+        assert!(c.degraded_reads > 0, "no read hit the failed member");
+        assert_eq!(c.rebuild_ios, 20, "rebuild should finish its stripes");
         assert!(m.rebuild_us > 0);
         assert_eq!(service.rebuilt_stripes(), 20);
     }
@@ -522,6 +573,7 @@ mod tests {
                 &trace,
                 &mut service,
                 SimOptions::with_shape(1, 2),
+                &mut NullSink,
             )
         };
         let healthy = run(FaultPlan::none());
@@ -547,6 +599,7 @@ mod tests {
             &trace,
             &mut service,
             SimOptions::default(),
+            &mut NullSink,
         );
     }
 
@@ -559,6 +612,7 @@ mod tests {
             &trace,
             &mut service,
             SimOptions::default(),
+            &mut NullSink,
         );
         assert_eq!(m.mean_response_us(), 7_000.0);
     }

@@ -18,14 +18,24 @@
 //! requests dominate the seek time").
 //!
 //! ```
+//! use obs::{NullSink, Snapshot};
 //! use sched::Fcfs;
 //! use sim::{simulate, SimOptions, TransferDominated};
 //! use workload::PoissonConfig;
 //!
 //! let trace: Vec<_> = PoissonConfig::figure5(2, 500).generate(42).collect();
 //! let mut service = TransferDominated::uniform(20_000, 3832);
-//! let m = simulate(&mut Fcfs::new(), &trace, &mut service, SimOptions::default());
+//! let options = SimOptions::default();
+//! let m = simulate(&mut Fcfs::new(), &trace, &mut service, options, &mut NullSink);
 //! assert_eq!(m.served + m.dropped, 500);
+//!
+//! // The same run with its event timeline counted: what the events
+//! // carry (arrivals, drops, media errors, ...) is read from the counters.
+//! let mut snapshot = Snapshot::new();
+//! let mut service = TransferDominated::uniform(20_000, 3832);
+//! let traced = simulate(&mut Fcfs::new(), &trace, &mut service, options, &mut snapshot);
+//! assert_eq!(traced, m);
+//! assert_eq!(snapshot.counters.arrivals, 500);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -41,7 +51,7 @@ mod step;
 mod striped;
 
 pub use backoff::jittered_backoff_us;
-pub use engine::{simulate, simulate_logged, simulate_traced, RequestRecord, SimOptions};
+pub use engine::{simulate, SimOptions};
 pub use metrics::{fifo_inversion_baseline, Metrics};
 pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,

@@ -2,7 +2,15 @@
 
 use sched::{Micros, Request};
 
-/// Everything the paper measures, in one accumulator.
+/// The paper's evaluation metrics, in one accumulator: priority
+/// inversions per dimension (§5.1), deadline losses per level (§6), the
+/// disk-time breakdown and response times, and the loss classes an
+/// engine run ends each request in.
+///
+/// It holds only what no event carries. How many media errors, retries,
+/// sector remaps, degraded reads and rebuild I/Os a run saw is counted
+/// once, by the event stream: attach an [`obs::Snapshot`] as the run's
+/// sink and read its [`obs::Counters`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Requests actually serviced by the disk.
@@ -15,16 +23,6 @@ pub struct Metrics {
     /// Requests abandoned after exhausting their retry budget (or hitting
     /// an unrecoverable fault) — the fault-layer loss class.
     pub failed: u64,
-    /// Media errors observed (failed service attempts, transient or not).
-    pub media_errors: u64,
-    /// Retries issued after transient media errors.
-    pub retries: u64,
-    /// Reads reconstructed from parity around a failed member.
-    pub degraded_reads: u64,
-    /// Latent bad sectors remapped (with their relocation penalty paid).
-    pub sector_remaps: u64,
-    /// Background rebuild I/Os interleaved with foreground service.
-    pub rebuild_ios: u64,
     /// Member time consumed by background rebuild I/Os (µs).
     pub rebuild_us: Micros,
     /// Priority inversions per QoS dimension: serving `T` counts, for
@@ -92,11 +90,6 @@ impl Metrics {
         self.dropped += other.dropped;
         self.late += other.late;
         self.failed += other.failed;
-        self.media_errors += other.media_errors;
-        self.retries += other.retries;
-        self.degraded_reads += other.degraded_reads;
-        self.sector_remaps += other.sector_remaps;
-        self.rebuild_ios += other.rebuild_ios;
         self.rebuild_us += other.rebuild_us;
         if self.inversions_per_dim.len() < other.inversions_per_dim.len() {
             self.inversions_per_dim
@@ -150,25 +143,9 @@ impl Metrics {
             ("drops vs dropped", c.drops, self.dropped),
             ("late_completions vs late", c.late_completions, self.late),
             (
-                "media_error events vs metrics",
-                c.media_errors,
-                self.media_errors,
-            ),
-            ("retry events vs metrics", c.retries, self.retries),
-            (
                 "request_failed events vs metrics",
                 c.request_failures,
                 self.failed,
-            ),
-            (
-                "sector_remap events vs metrics",
-                c.sector_remaps,
-                self.sector_remaps,
-            ),
-            (
-                "degraded_read events vs metrics",
-                c.degraded_reads,
-                self.degraded_reads,
             ),
         ];
         for (what, got, want) in checks {
@@ -230,16 +207,6 @@ impl Metrics {
         var.sqrt()
     }
 
-    /// The most-favored dimension: index and inversion count of the
-    /// dimension with the fewest inversions (Figure 7b).
-    pub fn favored_dimension(&self) -> Option<(usize, u64)> {
-        self.inversions_per_dim
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by_key(|&(_, v)| v)
-    }
-
     /// §6's aggregate cost: the weighted sum of per-level miss ratios on
     /// QoS dimension `dim`, with weights decreasing linearly so that the
     /// highest level costs `top_to_bottom` times the lowest (the paper
@@ -277,31 +244,6 @@ impl Metrics {
         total
     }
 
-    /// Requests served across a set of per-member runs.
-    pub fn total_served<'a>(parts: impl IntoIterator<Item = &'a Metrics>) -> u64 {
-        parts.into_iter().map(|m| m.served).sum()
-    }
-
-    /// Deadline losses (dropped + late + failed) across a set of runs.
-    pub fn total_losses<'a>(parts: impl IntoIterator<Item = &'a Metrics>) -> u64 {
-        parts.into_iter().map(|m| m.losses_total()).sum()
-    }
-
-    /// Requests seen across a set of runs.
-    pub fn total_requests<'a>(parts: impl IntoIterator<Item = &'a Metrics>) -> u64 {
-        parts.into_iter().map(|m| m.requests_total()).sum()
-    }
-
-    /// Loss ratio across a set of runs (0 when the set is empty).
-    pub fn group_loss_ratio<'a>(parts: impl IntoIterator<Item = &'a Metrics> + Clone) -> f64 {
-        let n = Self::total_requests(parts.clone());
-        if n == 0 {
-            0.0
-        } else {
-            Self::total_losses(parts) as f64 / n as f64
-        }
-    }
-
     /// Total disk busy time, µs.
     pub fn busy_us(&self) -> Micros {
         self.seek_us + self.rotation_us + self.transfer_us
@@ -328,7 +270,13 @@ pub fn fifo_inversion_baseline(
 ) -> u64 {
     let mut fifo = sched::Fcfs::new();
     let mut service = make_service();
-    let m = crate::simulate(&mut fifo, trace, service.as_mut(), options);
+    let m = crate::simulate(
+        &mut fifo,
+        trace,
+        service.as_mut(),
+        options,
+        &mut obs::NullSink,
+    );
     m.inversions_total()
 }
 
@@ -381,7 +329,6 @@ mod tests {
         assert_eq!(m.inversion_stddev(), 0.0);
         m.inversions_per_dim = vec![0, 10, 20];
         assert!(m.inversion_stddev() > 0.0);
-        assert_eq!(m.favored_dimension(), Some((0, 0)));
     }
 
     #[test]
@@ -453,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_helpers_match_pairwise_merge() {
+    fn merged_folds_a_group_like_pairwise_merge() {
         let mut a = Metrics::new(1, 2);
         a.served = 8;
         a.dropped = 2;
@@ -464,15 +411,16 @@ mod tests {
         b.failed = 1;
         b.makespan_us = 900;
         let parts = [a.clone(), b.clone()];
-        assert_eq!(Metrics::total_served(&parts), 12);
-        assert_eq!(Metrics::total_losses(&parts), 4);
+        let group = Metrics::merged(&parts);
+        assert_eq!(group.served, 12);
+        assert_eq!(group.losses_total(), 4);
         // requests = served + dropped + failed (late completions are
         // already inside served).
-        assert_eq!(Metrics::total_requests(&parts), 15);
-        assert!((Metrics::group_loss_ratio(&parts) - 4.0 / 15.0).abs() < 1e-12);
+        assert_eq!(group.requests_total(), 15);
+        assert!((group.loss_ratio() - 4.0 / 15.0).abs() < 1e-12);
         let mut pairwise = a;
         pairwise.merge(&b);
-        assert_eq!(Metrics::merged(&parts), pairwise);
+        assert_eq!(group, pairwise);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! caller **submits** arrivals as it learns about them and **pumps** the
 //! engine up to a time horizon, interleaving control actions (membership
 //! churn, quarantine, migration) between pumps. The farm daemon runs one
-//! stepper per shard; the batch entry points ([`crate::simulate`] and
-//! friends) are a stepper fed a whole trace and run to
-//! [`EngineStepper::finish`].
+//! stepper per shard; the batch entry point ([`crate::simulate`]) is a
+//! stepper fed a whole trace and run to [`EngineStepper::finish`].
 //!
 //! ## Pump-pattern invariance
 //!
@@ -24,10 +23,10 @@
 //! gap it attempts a dispatch on the empty queue before jumping ahead (an
 //! empty dequeue resets dispatcher-internal state such as the conditional
 //! preemption anchor), wherever in the gap the caller's horizons fall.
-//! The metrics, the event stream and the request log of a run are
-//! therefore a function of the arrivals alone, not of how the run was
-//! pumped — the property the oracle's daemon replay gate leans on when it
-//! compares route-everything-then-run against route-and-pump-interleaved.
+//! The metrics and the event stream of a run are therefore a function
+//! of the arrivals alone, not of how the run was pumped — the property
+//! the oracle's daemon replay gate leans on when it compares
+//! route-everything-then-run against route-and-pump-interleaved.
 //!
 //! A stepper pumped again while still idle repeats that empty dequeue
 //! with an unchanged head state, which [`DiskScheduler::dequeue`]
@@ -74,7 +73,7 @@ use std::collections::VecDeque;
 use obs::{TraceEvent, TraceSink};
 use sched::{DiskScheduler, HeadState, Micros, Request};
 
-use crate::engine::{RequestRecord, SimOptions};
+use crate::engine::SimOptions;
 use crate::metrics::Metrics;
 use crate::service::{ServiceFault, ServiceProvider};
 
@@ -101,8 +100,6 @@ pub struct EngineStepper {
     census: Census,
     pending: VecDeque<Request>,
     last_arrival_us: Micros,
-    /// One record per terminal request, for [`crate::simulate_logged`].
-    log: Option<Vec<RequestRecord>>,
 }
 
 impl EngineStepper {
@@ -116,23 +113,19 @@ impl EngineStepper {
             options,
             pending: VecDeque::new(),
             last_arrival_us: 0,
-            log: None,
         }
     }
 
-    /// The batch entry points ([`crate::simulate`] and friends): a fresh
-    /// stepper submitted the whole of `trace` and run dry, filling `log`
-    /// when one is given.
+    /// The batch entry point ([`crate::simulate`]): a fresh stepper
+    /// submitted the whole of `trace` and run dry.
     pub(crate) fn run_trace<S: TraceSink>(
         scheduler: &mut dyn DiskScheduler,
         trace: &[Request],
         service: &mut dyn ServiceProvider,
         options: SimOptions,
-        log: Option<Vec<RequestRecord>>,
         sink: &mut S,
-    ) -> (Metrics, Vec<RequestRecord>) {
+    ) -> Metrics {
         let mut stepper = EngineStepper::new(options, service.cylinders());
-        stepper.log = log;
         stepper.pending.reserve(trace.len());
         for r in trace {
             stepper.submit(r.clone());
@@ -142,7 +135,7 @@ impl EngineStepper {
             scheduler.is_empty(),
             "scheduler returned None while non-empty"
         );
-        (stepper.metrics, stepper.log.unwrap_or_default())
+        stepper.metrics
     }
 
     /// The engine clock: everything dispatched so far started at or
@@ -166,12 +159,11 @@ impl EngineStepper {
         self.pending.len()
     }
 
-    /// Entries held: the undelivered backlog, the inversion census's
-    /// level counters and, when one is kept, the request log. The first
-    /// is transient and the second fixed by the QoS shape; only the log —
-    /// which no daemon member keeps — grows with the requests served.
+    /// Entries held: the undelivered backlog and the inversion census's
+    /// level counters. The first is transient and the second fixed by the
+    /// QoS shape.
     pub fn state_len(&self) -> usize {
-        self.pending.len() + self.census.counts.len() + self.log.as_ref().map_or(0, Vec::len)
+        self.pending.len() + self.census.counts.len()
     }
 
     /// When this stepper next has something to do, given `queued`
@@ -266,8 +258,8 @@ impl EngineStepper {
     /// engine to completion — the streaming analogue of handing
     /// [`crate::simulate`] a whole trace, in memory proportional to the
     /// in-flight backlog instead of the trace length; a churn-free source
-    /// yields the metrics and events [`crate::simulate_traced`] yields on
-    /// the materialized trace. After each
+    /// yields the metrics and events [`crate::simulate`] yields on the
+    /// materialized trace. After each
     /// absorbed arrival the source's `observe` hook is fed the engine's
     /// current backlog (undelivered submissions plus the scheduler's
     /// queue), closing the loop for adaptive sources. Returns the
@@ -369,18 +361,6 @@ impl EngineStepper {
         true
     }
 
-    /// Append `req`'s terminal fate to the request log, when one is kept.
-    fn log_fate(&mut self, req: &Request, completion_us: Option<Micros>, lost: bool) {
-        if let Some(log) = self.log.as_mut() {
-            log.push(RequestRecord {
-                id: req.id,
-                arrival_us: req.arrival_us,
-                completion_us,
-                lost,
-            });
-        }
-    }
-
     /// Drive one dispatched request to its terminal fate — completed,
     /// dropped or failed — advancing the clock past every service
     /// attempt. `waiting` requests stay queued behind it and the head is
@@ -408,7 +388,6 @@ impl EngineStepper {
                     queue_depth,
                 });
             }
-            self.log_fate(&req, None, true);
             return;
         }
         // §5.1: serving `req` adds, per dimension, the number of waiting
@@ -457,7 +436,6 @@ impl EngineStepper {
                     transient: fault == ServiceFault::Transient,
                 });
             }
-            self.metrics.media_errors += 1;
             // Never retry past the deadline: a retry that cannot
             // complete in time only steals bandwidth from requests that
             // still can.
@@ -468,7 +446,6 @@ impl EngineStepper {
                 break None;
             }
             attempt += 1;
-            self.metrics.retries += 1;
             if S::ENABLED {
                 sink.emit(&TraceEvent::Retry {
                     now_us: self.now,
@@ -490,18 +467,14 @@ impl EngineStepper {
             }
             self.metrics.failed += 1;
             self.metrics.record_loss(&req);
-            self.log_fate(&req, None, true);
             return;
         };
-        if o.remap_penalty_us > 0 {
-            if S::ENABLED {
-                sink.emit(&TraceEvent::SectorRemap {
-                    now_us: self.now,
-                    req: req.id,
-                    penalty_us: o.remap_penalty_us,
-                });
-            }
-            self.metrics.sector_remaps += 1;
+        if S::ENABLED && o.remap_penalty_us > 0 {
+            sink.emit(&TraceEvent::SectorRemap {
+                now_us: self.now,
+                req: req.id,
+                penalty_us: o.remap_penalty_us,
+            });
         }
         if let Some(member) = o.degraded {
             if S::ENABLED {
@@ -511,7 +484,6 @@ impl EngineStepper {
                     failed_member: member,
                 });
             }
-            self.metrics.degraded_reads += 1;
         }
         let late = req.is_late(self.now);
         let response = self.now.saturating_sub(req.arrival_us);
@@ -531,7 +503,6 @@ impl EngineStepper {
             self.metrics.late += 1;
             self.metrics.record_loss(&req);
         }
-        self.log_fate(&req, Some(self.now), late);
         // A background rebuild I/O towed behind this request occupies the
         // member after the foreground completion.
         if let Some((stripe, service_us)) = o.rebuild {
@@ -543,7 +514,6 @@ impl EngineStepper {
                     service_us,
                 });
             }
-            self.metrics.rebuild_ios += 1;
             self.metrics.rebuild_us += service_us;
         }
     }
@@ -681,7 +651,7 @@ fn beating_by_walk(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate_logged, simulate_traced, TransferDominated};
+    use crate::{simulate, TransferDominated};
     use obs::{NullSink, RingSink};
     use sched::{Fcfs, QosVector, ScanEdf, Sstf};
 
@@ -731,8 +701,8 @@ mod tests {
         ]
     }
 
-    /// Everything a run leaves behind: metrics, event stream, request log.
-    type Run = (Metrics, Vec<String>, Vec<RequestRecord>);
+    /// Everything a run leaves behind: metrics and event stream.
+    type Run = (Metrics, Vec<String>);
 
     fn options() -> SimOptions {
         SimOptions::with_shape(1, 8).dropping()
@@ -746,17 +716,16 @@ mod tests {
         ring.events().map(|e| format!("{e:?}")).collect()
     }
 
-    /// The batch entry points over `t`.
+    /// The batch entry point over `t`.
     fn batch(scheduler: &mut dyn DiskScheduler, t: &[Request]) -> Run {
         let mut ring = RingSink::new(1 << 14);
-        let metrics = simulate_traced(scheduler, t, &mut service(), options(), &mut ring);
+        let metrics = simulate(scheduler, t, &mut service(), options(), &mut ring);
         assert!(scheduler.is_empty());
-        let (logged_metrics, log) = simulate_logged(scheduler, t, &mut service(), options());
-        assert_eq!(logged_metrics, metrics);
-        (metrics, events(&ring), log)
+        assert_eq!(ring.evicted(), 0, "ring sized for the whole run");
+        (metrics, events(&ring))
     }
 
-    /// A logging stepper driven by `pump`, which must leave it finished.
+    /// A stepper driven by `pump`, which must leave it finished.
     fn pumped(
         scheduler: &mut dyn DiskScheduler,
         pump: impl FnOnce(
@@ -769,20 +738,15 @@ mod tests {
         let mut ring = RingSink::new(1 << 14);
         let mut service = service();
         let mut stepper = EngineStepper::new(options(), service.cylinders());
-        stepper.log = Some(Vec::new());
         pump(&mut stepper, scheduler, &mut service, &mut ring);
         assert!(stepper.pending.is_empty() && scheduler.is_empty());
-        (
-            stepper.metrics,
-            events(&ring),
-            stepper.log.expect("set above"),
-        )
+        (stepper.metrics, events(&ring))
     }
 
     // The next three tests hold one pump pattern each against the batch
     // entry points, so the patterns agree with each other as well: the
-    // metrics, the event stream and the request log of a run do not
-    // depend on how it was pumped.
+    // metrics and the event stream of a run do not depend on how it was
+    // pumped.
 
     #[test]
     fn full_submission_matches_batch_engine() {
@@ -930,17 +894,25 @@ mod tests {
         let mut service = crate::Raid5Service::with_faults(plan);
         let mut scheduler = Fcfs::new();
         let mut stepper = EngineStepper::new(SimOptions::with_shape(1, 2), service.cylinders());
-        stepper.log = Some(Vec::new());
         for r in &t {
             stepper.submit(r.clone());
         }
+        let mut ring = RingSink::new(64);
         let mut snapshot = obs::Snapshot::new();
-        stepper.finish(&mut scheduler, &mut service, &mut snapshot);
+        stepper.finish(
+            &mut scheduler,
+            &mut service,
+            &mut obs::Tee::new(&mut ring, &mut snapshot),
+        );
         assert_eq!(stepper.now(), Micros::MAX);
-        let log = stepper.log.take().expect("set above");
-        assert!(log.iter().all(|r| r.completion_us == Some(Micros::MAX)));
+        let completions: Vec<Micros> = ring
+            .events()
+            .filter(|e| e.name() == "service_complete")
+            .map(obs::TraceEvent::now_us)
+            .collect();
+        assert_eq!(completions, [Micros::MAX; 4]);
         let m = stepper.into_metrics();
-        assert_eq!((m.served, m.rebuild_ios), (4, 4));
+        assert_eq!((m.served, snapshot.counters.rebuild_ios), (4, 4));
         assert!(m.makespan_us >= arrival && m.max_response_us <= 10);
         m.reconcile(&snapshot.counters).expect("ledger closed");
     }

@@ -14,7 +14,7 @@
 //!
 //! Member timelines run one after another, in member order.
 
-use crate::engine::{simulate_traced, SimOptions};
+use crate::engine::{simulate, SimOptions};
 use crate::metrics::Metrics;
 use crate::service::DiskService;
 use diskmodel::{Disk, FaultPlan, Raid5};
@@ -31,21 +31,6 @@ pub struct StripedOutcome {
 }
 
 impl StripedOutcome {
-    /// Total requests served across members.
-    pub fn served(&self) -> u64 {
-        Metrics::total_served(&self.per_member)
-    }
-
-    /// Total deadline losses across members.
-    pub fn losses(&self) -> u64 {
-        Metrics::total_losses(&self.per_member)
-    }
-
-    /// Aggregate loss ratio.
-    pub fn loss_ratio(&self) -> f64 {
-        Metrics::group_loss_ratio(&self.per_member)
-    }
-
     /// The members folded into one group-level [`Metrics`] via
     /// [`Metrics::merge`] (counts add, `makespan_us` is the slowest
     /// member's).
@@ -128,7 +113,7 @@ pub fn simulate_striped<S: TraceSink>(
     for (member, member_trace) in member_traces.iter().enumerate() {
         let mut scheduler = make_scheduler();
         let mut service = DiskService::with_faults_as_member(Disk::table1(), plan.clone(), member);
-        let m = simulate_traced(
+        let m = simulate(
             scheduler.as_mut(),
             member_trace,
             &mut service,
@@ -147,7 +132,6 @@ pub fn simulate_striped<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
     use obs::{NullSink, Snapshot};
     use sched::{Fcfs, QosVector};
 
@@ -178,7 +162,7 @@ mod tests {
             &FaultPlan::none(),
             &mut NullSink,
         );
-        assert_eq!(out.served(), 400);
+        assert_eq!(out.aggregate().served, 400);
         assert_eq!(out.per_member.len(), 5);
         // Four data disks share the load; the parity rotation spreads it
         // over all five members.
@@ -194,7 +178,13 @@ mod tests {
         let single = {
             let mut s = Fcfs::new();
             let mut service = DiskService::table1();
-            simulate(&mut s, &trace, &mut service, SimOptions::with_shape(1, 2))
+            simulate(
+                &mut s,
+                &trace,
+                &mut service,
+                SimOptions::with_shape(1, 2),
+                &mut NullSink,
+            )
         };
         let group = simulate_striped(
             &trace,
@@ -227,7 +217,7 @@ mod tests {
             &mut NullSink,
         );
         // Hopeless deadlines: almost everything lost, ratio near 1.
-        assert!(out.loss_ratio() > 0.9);
+        assert!(out.aggregate().loss_ratio() > 0.9);
         assert_eq!(
             out.per_member
                 .iter()
@@ -249,8 +239,14 @@ mod tests {
             &mut NullSink,
         );
         let total = out.aggregate();
-        assert_eq!(total.served, out.served());
-        assert_eq!(total.losses_total(), out.losses());
+        assert_eq!(
+            total.served,
+            out.per_member.iter().map(|m| m.served).sum::<u64>()
+        );
+        assert_eq!(
+            total.losses_total(),
+            out.per_member.iter().map(|m| m.losses_total()).sum::<u64>()
+        );
         assert_eq!(total.makespan_us, out.makespan_us);
         assert_eq!(
             total.response_total_us,
@@ -320,10 +316,10 @@ mod tests {
             &mut snap,
         );
         let total = out.aggregate();
-        assert!(total.media_errors > 0, "rate should fire");
-        assert!(total.sector_remaps > 0);
-        assert_eq!(snap.counters.media_errors, total.media_errors);
-        assert_eq!(snap.counters.request_failures, total.failed);
+        let c = &snap.counters;
+        assert!(c.media_errors > 0, "rate should fire");
+        assert!(c.sector_remaps > 0);
+        assert_eq!(c.request_failures, total.failed);
         assert_eq!(total.served + total.failed, 400);
     }
 

@@ -69,41 +69,3 @@ pub fn validate_trace(trace: &Trace) -> bool {
     trace.windows(2).all(|w| w[0].arrival_us <= w[1].arrival_us)
         && trace.iter().enumerate().all(|(i, r)| r.id == i as u64)
 }
-
-/// Merge several traces into one (mixed workloads, e.g. VoD streams plus
-/// best-effort FTP): arrivals interleave by time and ids are re-assigned
-/// densely in the merged order. Stable: equal arrival times keep the
-/// input-trace order.
-pub fn merge_traces(traces: Vec<Trace>) -> Trace {
-    let mut merged: Vec<Request> = traces.into_iter().flatten().collect();
-    merged.sort_by_key(|r| r.arrival_us);
-    for (i, r) in merged.iter_mut().enumerate() {
-        r.id = i as u64;
-    }
-    merged
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_interleaves_and_renumbers() {
-        let vod: Vec<_> = VodConfig::mpeg1(4).generate(1).collect();
-        let pois: Vec<_> = {
-            let mut cfg = PoissonConfig::figure5(2, 200);
-            cfg.mean_interarrival_us = 100_000;
-            cfg.generate(2).collect()
-        };
-        let total = vod.len() + pois.len();
-        let merged = merge_traces(vec![vod, pois]);
-        assert_eq!(merged.len(), total);
-        assert!(validate_trace(&merged));
-    }
-
-    #[test]
-    fn merge_of_nothing_is_empty() {
-        assert!(merge_traces(vec![]).is_empty());
-        assert!(merge_traces(vec![vec![], vec![]]).is_empty());
-    }
-}

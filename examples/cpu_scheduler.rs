@@ -13,6 +13,7 @@
 //! ```
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc, DispatchConfig, Stage2Combiner};
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{DiskScheduler, Edf, QosVector, Request};
 use cascaded_sfc::sfc::CurveKind;
 use cascaded_sfc::sim::{simulate, Metrics, SimOptions, TransferDominated};
@@ -53,7 +54,13 @@ fn task_set(seed: u64) -> Vec<Request> {
 fn run(s: &mut dyn DiskScheduler, jobs: &[Request]) -> Metrics {
     // 1 ns of CPU per "byte": a pure computation-time service model.
     let mut cpu = TransferDominated::scaled(0, 1, 1);
-    simulate(s, jobs, &mut cpu, SimOptions::with_shape(2, 8).dropping())
+    simulate(
+        s,
+        jobs,
+        &mut cpu,
+        SimOptions::with_shape(2, 8).dropping(),
+        &mut NullSink,
+    )
 }
 
 fn main() {

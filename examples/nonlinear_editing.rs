@@ -11,6 +11,7 @@
 use cascaded_sfc::cascade::{
     CascadeConfig, CascadedSfc, DispatchConfig, Stage1, Stage2, Stage2Combiner,
 };
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{DiskScheduler, Fcfs};
 use cascaded_sfc::sfc::CurveKind;
 use cascaded_sfc::sim::{simulate, DiskService, SimOptions};
@@ -74,6 +75,7 @@ fn main() {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 8).dropping(),
+            &mut NullSink,
         );
         let levels: Vec<String> = m.losses_by_dim_level[0]
             .iter()

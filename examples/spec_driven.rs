@@ -12,6 +12,7 @@
 //! ```
 
 use cascaded_sfc::cascade::{spec, CascadedSfc};
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sim::{simulate, DiskService, SimOptions};
 use cascaded_sfc::workload::PoissonConfig;
 
@@ -54,6 +55,7 @@ fn main() {
         &trace,
         &mut service,
         SimOptions::with_shape(3, 8).dropping(),
+        &mut NullSink,
     );
     println!("requests      {}", m.requests_total());
     println!(

@@ -9,9 +9,9 @@
 //! ```
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc};
-use cascaded_sfc::obs::{SharedSink, Snapshot};
+use cascaded_sfc::obs::{NullSink, SharedSink, Snapshot};
 use cascaded_sfc::sched::{Batched, CScan, DiskScheduler, Edf, Fcfs, ScanEdf, Sstf};
-use cascaded_sfc::sim::{simulate, simulate_traced, DiskService, SimOptions};
+use cascaded_sfc::sim::{simulate, DiskService, SimOptions};
 use cascaded_sfc::workload::{DeadlineDist, PoissonConfig, Sizing};
 
 fn main() {
@@ -58,6 +58,7 @@ fn main() {
             &trace,
             &mut service,
             SimOptions::with_shape(2, 8).dropping(),
+            &mut NullSink,
         );
         println!(
             "{:<14} {:>8} {:>9.1}% {:>12.2} {:>12.1} {:>12}",
@@ -82,7 +83,7 @@ fn main() {
     let mut s =
         CascadedSfc::with_sink(CascadeConfig::paper_default(2, 3832), sink.clone()).unwrap();
     let mut service = DiskService::table1();
-    simulate_traced(
+    simulate(
         &mut s,
         &trace,
         &mut service,

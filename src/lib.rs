@@ -32,12 +32,14 @@ pub use workload;
 /// workload, simulate, read the metrics.
 ///
 /// ```
+/// use cascaded_sfc::obs::NullSink;
 /// use cascaded_sfc::prelude::*;
 ///
 /// let mut s = CascadedSfc::new(CascadeConfig::paper_default(2, 3832)).unwrap();
 /// let trace: Vec<Request> = PoissonConfig::figure5(2, 200).generate(1).collect();
 /// let mut disk = DiskService::table1();
-/// let m = simulate(&mut s, &trace, &mut disk, SimOptions::with_shape(2, 16));
+/// let options = SimOptions::with_shape(2, 16);
+/// let m = simulate(&mut s, &trace, &mut disk, options, &mut NullSink);
 /// assert_eq!(m.served, 200);
 /// ```
 pub mod prelude {

@@ -4,7 +4,7 @@
 //! on.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
-use cascaded_sfc::obs::{RingSink, SharedSink, TraceEvent};
+use cascaded_sfc::obs::{NullSink, RingSink, SharedSink, TraceEvent};
 use cascaded_sfc::sched::{
     Batched, Bucket, CScan, CostModel, DeadlineDriven, DiskScheduler, Edf, Fcfs, HeadState,
     MultiQueue, QosVector, Request, Retune, Scan, ScanEdf, Sstf,
@@ -47,6 +47,7 @@ fn every_scheduler_conserves_requests() {
             &trace,
             &mut service,
             SimOptions::with_shape(3, 8),
+            &mut NullSink,
         );
         assert_eq!(
             m.served + m.dropped,
@@ -69,6 +70,7 @@ fn every_scheduler_conserves_requests_with_dropping() {
             &trace,
             &mut service,
             SimOptions::with_shape(3, 8).dropping(),
+            &mut NullSink,
         );
         assert_eq!(
             m.served + m.dropped,
@@ -85,7 +87,13 @@ fn simulation_is_deterministic() {
     let run = || {
         let mut s = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
         let mut service = DiskService::table1();
-        simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 8))
+        simulate(
+            &mut s,
+            &trace,
+            &mut service,
+            SimOptions::with_shape(3, 8),
+            &mut NullSink,
+        )
     };
     let a: Metrics = run();
     let b: Metrics = run();
@@ -105,6 +113,7 @@ fn newsbyte_workload_drives_all_schedulers() {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 8).dropping(),
+            &mut NullSink,
         );
         assert_eq!(m.served + m.dropped, trace.len() as u64, "{}", s.name());
     }
@@ -123,6 +132,7 @@ fn transfer_dominated_service_matches_disk_free_schedulers() {
             &trace,
             &mut service,
             SimOptions::with_shape(3, 8),
+            &mut NullSink,
         );
         totals.push((s.name().to_string(), m.busy_us()));
     }
@@ -137,7 +147,13 @@ fn utilization_is_sane() {
     let trace = poisson_trace(3_000);
     let mut s = Sstf::new();
     let mut service = DiskService::table1();
-    let m = simulate(&mut s, &trace, &mut service, SimOptions::with_shape(3, 8));
+    let m = simulate(
+        &mut s,
+        &trace,
+        &mut service,
+        SimOptions::with_shape(3, 8),
+        &mut NullSink,
+    );
     let u = m.utilization();
     assert!(u > 0.3 && u <= 1.0, "utilization {u}");
 }
@@ -484,6 +500,7 @@ fn inversion_census_never_walks_an_unbounded_queue() {
         &trace,
         &mut service,
         SimOptions::with_shape(3, 8),
+        &mut NullSink,
     );
     assert_eq!(m.served, 5_000);
     let audit = audit.borrow();

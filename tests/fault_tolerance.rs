@@ -8,8 +8,8 @@
 //!   RAID-5 service,
 //! * tracing a fault-injected run changes nothing — `NullSink` and
 //!   snapshot-sink runs produce identical metrics,
-//! * media-error bookkeeping balances exactly: every error either
-//!   triggered a retry or failed the request,
+//! * media-error bookkeeping balances exactly: every `MediaError` event
+//!   either triggered a `Retry` or failed the request,
 //! * bounded-queue shedding accounts for every arrival: dispatched or
 //!   shed, never both, never neither.
 
@@ -18,7 +18,7 @@ use cascaded_sfc::diskmodel::{Disk, FaultPlan, Raid5, ServiceBreakdown};
 use cascaded_sfc::obs::{NullSink, SharedSink, Snapshot};
 use cascaded_sfc::sched::{QosVector, Request};
 use cascaded_sfc::sim::{
-    simulate, simulate_traced, DiskService, Metrics, Raid5Service, ServiceProvider, SimOptions,
+    simulate, DiskService, Metrics, Raid5Service, ServiceProvider, SimOptions,
 };
 use proptest::prelude::*;
 
@@ -131,8 +131,10 @@ proptest! {
             if dropping { o = o.dropping(); }
             o
         };
-        let run = |mut service: Box<dyn ServiceProvider>| -> Metrics {
-            simulate(&mut paper_scheduler(), &trace, service.as_mut(), options)
+        let run = |mut service: Box<dyn ServiceProvider>| -> (Metrics, u64) {
+            let mut snap = Snapshot::new();
+            let m = simulate(&mut paper_scheduler(), &trace, service.as_mut(), options, &mut snap);
+            (m, snap.counters.media_errors)
         };
         let plain = run(Box::new(DiskService::table1()));
         let zeroed = run(Box::new(DiskService::with_faults(
@@ -140,7 +142,7 @@ proptest! {
             FaultPlan::none(),
         )));
         prop_assert_eq!(&plain, &zeroed, "single-disk zero plan diverged");
-        prop_assert_eq!(plain.media_errors, 0);
+        prop_assert_eq!(plain.1, 0);
 
         let plain = run(Box::new(Raid5Service::table1()));
         let zeroed = run(Box::new(Raid5Service::with_faults(FaultPlan::none())));
@@ -149,7 +151,8 @@ proptest! {
 
     /// Observers never change outcomes: a fault-injected run through a
     /// `NullSink` equals the same run streaming into a live snapshot —
-    /// and the snapshot's fault counters agree with the metrics.
+    /// and the snapshot's dispatch and loss counters agree with the
+    /// metrics.
     #[test]
     fn traced_faulted_run_is_bit_identical_to_untraced(
         trace in arb_trace(),
@@ -159,7 +162,7 @@ proptest! {
         let options = SimOptions::with_shape(1, 16).dropping().with_retries(retries);
         let untraced = {
             let mut service = DiskService::with_faults(Disk::table1(), plan.clone());
-            simulate_traced(
+            simulate(
                 &mut paper_scheduler(),
                 &trace,
                 &mut service,
@@ -170,7 +173,7 @@ proptest! {
         let (traced, snap) = {
             let mut service = DiskService::with_faults(Disk::table1(), plan);
             let mut snap = Snapshot::new();
-            let m = simulate_traced(
+            let m = simulate(
                 &mut paper_scheduler(),
                 &trace,
                 &mut service,
@@ -181,10 +184,8 @@ proptest! {
         };
         prop_assert_eq!(&untraced, &traced);
         let c = &snap.counters;
-        prop_assert_eq!(c.media_errors, traced.media_errors);
-        prop_assert_eq!(c.retries, traced.retries);
         prop_assert_eq!(c.request_failures, traced.failed);
-        prop_assert_eq!(c.sector_remaps, traced.sector_remaps);
+        prop_assert_eq!(traced.reconcile(c), Ok(()));
     }
 
     /// The retry ledger balances: every media error either bought a
@@ -197,15 +198,18 @@ proptest! {
         retries in 1u32..6,
     ) {
         let mut service = DiskService::with_faults(Disk::table1(), plan);
+        let mut snap = Snapshot::new();
         let m = simulate(
             &mut paper_scheduler(),
             &trace,
             &mut service,
             SimOptions::with_shape(1, 16).dropping().with_retries(retries),
+            &mut snap,
         );
-        prop_assert_eq!(m.media_errors, m.retries + m.failed);
+        let c = &snap.counters;
+        prop_assert_eq!(c.media_errors, c.retries + m.failed);
         prop_assert_eq!(m.served + m.dropped + m.failed, trace.len() as u64);
-        prop_assert!(m.retries <= (retries as u64 - 1) * trace.len() as u64);
+        prop_assert!(c.retries <= (retries as u64 - 1) * trace.len() as u64);
     }
 
     /// Bounded-queue shedding: every arrival is either dispatched or
@@ -222,7 +226,7 @@ proptest! {
             let mut engine_sink = shared.clone();
             let mut s = CascadedSfc::with_sink(cfg, shared.clone()).unwrap();
             let mut service = DiskService::table1();
-            let m = simulate_traced(
+            let m = simulate(
                 &mut s,
                 &trace,
                 &mut service,

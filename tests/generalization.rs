@@ -8,6 +8,7 @@ use cascaded_sfc::cascade::{
     CascadeConfig, CascadedSfc, DispatchConfig, DistanceMode, Stage1, Stage2, Stage2Combiner,
     Stage3,
 };
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{
     Batched, CScan, DiskScheduler, Edf, HeadState, MultiQueue, QosVector, Request,
 };
@@ -62,7 +63,13 @@ fn cascade_r1_circular_is_exactly_batch_cscan() {
 
     let run = |s: &mut dyn DiskScheduler| {
         let mut service = DiskService::table1();
-        simulate(s, &trace, &mut service, SimOptions::with_shape(1, 8))
+        simulate(
+            s,
+            &trace,
+            &mut service,
+            SimOptions::with_shape(1, 8),
+            &mut NullSink,
+        )
     };
     let a = run(&mut cascade);
     let b = run(&mut baseline);

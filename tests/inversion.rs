@@ -3,6 +3,7 @@
 //! measures.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{DiskScheduler, Fcfs, MultiQueue, QosVector, Request};
 use cascaded_sfc::sfc::CurveKind;
 use cascaded_sfc::sim::{simulate, Metrics, SimOptions, TransferDominated};
@@ -10,7 +11,13 @@ use cascaded_sfc::workload::PoissonConfig;
 
 fn run(s: &mut dyn DiskScheduler, trace: &[Request], dims: usize) -> Metrics {
     let mut service = TransferDominated::uniform(20_000, 3832);
-    simulate(s, trace, &mut service, SimOptions::with_shape(dims, 16))
+    simulate(
+        s,
+        trace,
+        &mut service,
+        SimOptions::with_shape(dims, 16),
+        &mut NullSink,
+    )
 }
 
 #[test]
@@ -125,6 +132,12 @@ fn inversion_definition_matches_hand_count() {
         .collect();
     let mut s = Scripted { queue: Vec::new() };
     let mut service = TransferDominated::uniform(1_000, 3832);
-    let m = simulate(&mut s, &trace, &mut service, SimOptions::with_shape(1, 16));
+    let m = simulate(
+        &mut s,
+        &trace,
+        &mut service,
+        SimOptions::with_shape(1, 16),
+        &mut NullSink,
+    );
     assert_eq!(m.inversions_per_dim[0], 6);
 }

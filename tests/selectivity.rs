@@ -3,6 +3,7 @@
 //! end checks over an overloaded system.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc, DispatchConfig, Stage2Combiner};
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{DiskScheduler, Edf, QosVector, Request};
 use cascaded_sfc::sfc::CurveKind;
 use cascaded_sfc::sim::{simulate, Metrics, SimOptions, TransferDominated};
@@ -43,6 +44,7 @@ fn run(s: &mut dyn DiskScheduler, trace: &[Request]) -> Metrics {
         trace,
         &mut service,
         SimOptions::with_shape(1, 8).dropping(),
+        &mut NullSink,
     )
 }
 

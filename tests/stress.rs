@@ -4,11 +4,12 @@
 //! under any input" contract.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc};
+use cascaded_sfc::obs::{NullSink, RingSink, TraceEvent};
 use cascaded_sfc::sched::{
     Batched, Bucket, CScan, CostModel, DeadlineDriven, DiskScheduler, Edf, Fcfs, MultiQueue,
     QosVector, Request, Scan, ScanEdf, Sstf,
 };
-use cascaded_sfc::sim::{simulate, simulate_logged, DiskService, SimOptions, TransferDominated};
+use cascaded_sfc::sim::{simulate, DiskService, SimOptions, TransferDominated};
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary (sorted, dense-id) trace of up to 120 requests
@@ -49,6 +50,20 @@ fn arb_trace() -> impl Strategy<Value = Vec<Request>> {
     })
 }
 
+/// Requests with no QoS vector break Bucket/MultiQueue by contract;
+/// give everything at least one level.
+fn with_a_level(trace: Vec<Request>) -> Vec<Request> {
+    trace
+        .into_iter()
+        .map(|mut r| {
+            if r.qos.dims() == 0 {
+                r.qos = QosVector::single(0);
+            }
+            r
+        })
+        .collect()
+}
+
 fn all_schedulers() -> Vec<Box<dyn DiskScheduler>> {
     vec![
         Box::new(Fcfs::new()),
@@ -70,24 +85,14 @@ proptest! {
 
     #[test]
     fn conservation_under_arbitrary_traces(trace in arb_trace(), drop in any::<bool>()) {
-        // Requests with no QoS vector break Bucket/MultiQueue by contract;
-        // give everything at least one level.
-        let trace: Vec<Request> = trace
-            .into_iter()
-            .map(|mut r| {
-                if r.qos.dims() == 0 {
-                    r.qos = QosVector::single(0);
-                }
-                r
-            })
-            .collect();
+        let trace = with_a_level(trace);
         let mut options = SimOptions::with_shape(3, 16);
         if drop {
             options = options.dropping();
         }
         for mut s in all_schedulers() {
             let mut service = DiskService::table1();
-            let m = simulate(s.as_mut(), &trace, &mut service, options);
+            let m = simulate(s.as_mut(), &trace, &mut service, options, &mut NullSink);
             prop_assert_eq!(
                 m.served + m.dropped,
                 trace.len() as u64,
@@ -102,20 +107,40 @@ proptest! {
 
     #[test]
     fn logged_run_covers_every_request(trace in arb_trace()) {
-        let mut s = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
-        let mut service = TransferDominated::uniform(5_000, 3832);
-        let (m, log) = simulate_logged(
-            &mut s,
-            &trace,
-            &mut service,
-            SimOptions::with_shape(3, 16).dropping(),
-        );
-        prop_assert_eq!(log.len(), trace.len());
-        let mut ids: Vec<u64> = log.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<_>>());
-        let lost = log.iter().filter(|r| r.lost).count() as u64;
-        prop_assert_eq!(lost, m.losses_total());
+        // Every request's timeline ends in exactly one terminal event, and
+        // the lost ones are the metrics' losses, under every policy.
+        let trace = with_a_level(trace);
+        for mut s in all_schedulers() {
+            let mut service = TransferDominated::uniform(5_000, 3832);
+            // Arrival, then ServiceStart and ServiceComplete, or Drop.
+            let mut ring = RingSink::new(3 * trace.len());
+            let m = simulate(
+                s.as_mut(),
+                &trace,
+                &mut service,
+                SimOptions::with_shape(3, 16).dropping(),
+                &mut ring,
+            );
+            prop_assert_eq!(ring.evicted(), 0);
+            let mut ids = Vec::new();
+            let mut lost = 0u64;
+            for e in ring.events() {
+                match *e {
+                    TraceEvent::ServiceComplete { req, late, .. } => {
+                        ids.push(req);
+                        lost += u64::from(late);
+                    }
+                    TraceEvent::Drop { req, .. } | TraceEvent::RequestFailed { req, .. } => {
+                        ids.push(req);
+                        lost += 1;
+                    }
+                    _ => {}
+                }
+            }
+            ids.sort_unstable();
+            prop_assert_eq!(ids, (0..trace.len() as u64).collect::<Vec<_>>(), "{}", s.name());
+            prop_assert_eq!(lost, m.losses_total(), "{}", s.name());
+        }
     }
 
     #[test]
@@ -127,8 +152,7 @@ proptest! {
                 &mut s,
                 &trace,
                 &mut service,
-                SimOptions::with_shape(2, 16),
-            )
+                SimOptions::with_shape(2, 16), &mut NullSink)
         };
         prop_assert_eq!(run(), run());
     }

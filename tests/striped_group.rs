@@ -29,6 +29,7 @@ fn one_member_view_approximates_the_full_group() {
             &trace,
             &mut service,
             SimOptions::with_shape(1, 8).dropping(),
+            &mut NullSink,
         )
     };
 
@@ -50,7 +51,7 @@ fn one_member_view_approximates_the_full_group() {
     };
 
     let single_ratio = single_view.loss_ratio();
-    let group_ratio = group_view.loss_ratio();
+    let group_ratio = group_view.aggregate().loss_ratio();
     // The group sees 4x the requests...
     let singles = single_view.requests_total();
     let groups: u64 = group_view

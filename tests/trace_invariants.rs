@@ -1,14 +1,15 @@
 //! Property-based invariants of the observability layer: whatever the
 //! workload, the event stream must (a) change nothing — a `NullSink`
-//! run is bit-identical to an untraced run, (b) tell a coherent story —
+//! run is bit-identical to a fully traced one, (b) tell a coherent story —
 //! every request's lifecycle events appear exactly once, in order, with
-//! monotone timestamps, and (c) agree with the independently-kept
-//! counters in [`sim::Metrics`] and the cascade dispatcher.
+//! monotone timestamps, and (c) agree with what [`sim::Metrics`] keeps
+//! and with the counts of the oracle's naive reference dispatcher.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc};
-use cascaded_sfc::obs::{Histogram, RingSink, SharedSink, Snapshot, TraceSink};
+use cascaded_sfc::obs::{Histogram, NullSink, RingSink, SharedSink, Snapshot, TraceSink};
 use cascaded_sfc::sched::{QosVector, Request};
-use cascaded_sfc::sim::{simulate, simulate_traced, SimOptions, TransferDominated};
+use cascaded_sfc::sim::{simulate, SimOptions, TransferDominated};
+use oracle::ReferenceCascade;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -50,10 +51,7 @@ fn arb_trace() -> impl Strategy<Value = Vec<Request>> {
 
 /// One fully-traced paper-default run: the shared ring sees both the
 /// engine's lifecycle events and the dispatcher's internal events.
-fn traced_run(
-    trace: &[Request],
-    drop: bool,
-) -> (cascaded_sfc::sim::Metrics, RingSink, (u64, u64, u64)) {
+fn traced_run(trace: &[Request], drop: bool) -> (cascaded_sfc::sim::Metrics, RingSink) {
     let shared = SharedSink::new(RingSink::new(1 << 16));
     let mut engine_sink = shared.clone();
     let mut s =
@@ -63,13 +61,12 @@ fn traced_run(
     if drop {
         options = options.dropping();
     }
-    let m = simulate_traced(&mut s, trace, &mut service, options, &mut engine_sink);
-    let counters = s.dispatch_counters();
+    let m = simulate(&mut s, trace, &mut service, options, &mut engine_sink);
     drop_sinks(engine_sink, s);
     let ring = shared
         .try_unwrap()
         .unwrap_or_else(|_| panic!("all clones dropped"));
-    (m, ring, counters)
+    (m, ring)
 }
 
 fn drop_sinks<S: TraceSink>(engine: SharedSink<S>, scheduler: CascadedSfc<SharedSink<S>>) {
@@ -82,32 +79,19 @@ proptest! {
 
     #[test]
     fn null_sink_changes_nothing(trace in arb_trace(), drop in any::<bool>()) {
-        let run_plain = || {
-            let mut s = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
-            let mut service = TransferDominated::uniform(5_000, 3832);
-            let mut options = SimOptions::with_shape(3, 16);
-            if drop { options = options.dropping(); }
-            simulate(&mut s, &trace, &mut service, options)
-        };
-        let run_traced = || {
-            let mut s = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
-            let mut service = TransferDominated::uniform(5_000, 3832);
-            let mut options = SimOptions::with_shape(3, 16);
-            if drop { options = options.dropping(); }
-            simulate_traced(
-                &mut s,
-                &trace,
-                &mut service,
-                options,
-                &mut cascaded_sfc::obs::NullSink,
-            )
-        };
-        prop_assert_eq!(run_plain(), run_traced());
+        // The same run with every hook live: the engine and the scheduler
+        // both emitting into one ring.
+        let mut s = CascadedSfc::new(CascadeConfig::paper_default(3, 3832)).unwrap();
+        let mut service = TransferDominated::uniform(5_000, 3832);
+        let mut options = SimOptions::with_shape(3, 16);
+        if drop { options = options.dropping(); }
+        let plain = simulate(&mut s, &trace, &mut service, options, &mut NullSink);
+        prop_assert_eq!(plain, traced_run(&trace, drop).0);
     }
 
     #[test]
     fn every_request_tells_a_coherent_story(trace in arb_trace(), drop in any::<bool>()) {
-        let (m, ring, _) = traced_run(&trace, drop);
+        let (m, ring) = traced_run(&trace, drop);
         prop_assert_eq!(ring.evicted(), 0, "ring sized for the whole run");
 
         // Group lifecycle events (the ones that carry a request id).
@@ -139,8 +123,15 @@ proptest! {
     }
 
     #[test]
-    fn dispatcher_events_match_its_counters(trace in arb_trace()) {
-        let (_, ring, (preempts, promotions, swaps)) = traced_run(&trace, false);
+    fn dispatcher_events_match_the_reference_counters(trace in arb_trace()) {
+        let (_, ring) = traced_run(&trace, false);
+        // The naive reference dispatcher, run on the same trace, counts
+        // its preemptions, promotions and swaps itself.
+        let mut reference =
+            ReferenceCascade::new(CascadeConfig::paper_default(3, 3832)).unwrap();
+        let mut service = TransferDominated::uniform(5_000, 3832);
+        simulate(&mut reference, &trace, &mut service, SimOptions::with_shape(3, 16), &mut NullSink);
+        let (preempts, promotions, swaps) = reference.counters();
         let count = |name: &str| ring.events().filter(|e| e.name() == name).count() as u64;
         prop_assert_eq!(count("preempt"), preempts);
         prop_assert_eq!(count("sp_promote"), promotions);
@@ -156,7 +147,7 @@ proptest! {
         // Splitting the stream and merging the halves' snapshots is the
         // same as one snapshot over the whole stream — the property the
         // striped/RAID path relies on.
-        let (_, ring, _) = traced_run(&trace, false);
+        let (_, ring) = traced_run(&trace, false);
         let events = ring.to_vec();
         let mut whole = Snapshot::new();
         for e in &events {

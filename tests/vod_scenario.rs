@@ -5,6 +5,7 @@
 //! it should.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc};
+use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{CScan, DiskScheduler, Fcfs, Scan, Sstf};
 use cascaded_sfc::sim::{simulate, DiskService, Metrics, SimOptions};
 use cascaded_sfc::workload::VodConfig;
@@ -19,6 +20,7 @@ fn run(s: &mut dyn DiskScheduler, streams: u32, seed: u64) -> Metrics {
         &trace,
         &mut service,
         SimOptions::with_shape(1, 4).dropping(),
+        &mut NullSink,
     )
 }
 
