@@ -219,12 +219,12 @@ fn ten_times_the_traffic_leaves_the_same_state() {
             "members",
             "wake",
             "timers",
-            "touched",
+            "scratch",
             "controller"
         ]
     );
     let empty: Vec<&str> = short.iter().filter(|e| e.1 == 0).map(|e| e.0).collect();
-    assert_eq!(empty, ["wake", "timers", "touched"]);
+    assert_eq!(empty, ["wake", "timers", "scratch"]);
 
     // ...the scenario is the overload it claims to be, and the long run
     // is more of all of it: more than the bounded structures keep.

@@ -397,6 +397,7 @@ impl<V: Key> Dispatcher<V> {
     }
 
     /// The current (possibly ER-expanded) blocking window.
+    #[cfg(test)]
     pub fn current_window(&self) -> u128 {
         self.window
     }

@@ -87,11 +87,6 @@ impl Disk {
         &self.geometry
     }
 
-    /// The disk's seek model.
-    pub fn seek_model(&self) -> &SeekModel {
-        &self.seek
-    }
-
     /// Accumulated service statistics.
     pub fn stats(&self) -> DiskStats {
         self.stats
@@ -100,12 +95,6 @@ impl Disk {
     /// Absolute cylinder distance from the head to `cylinder`.
     pub fn distance_to(&self, cylinder: u32) -> u32 {
         self.head.abs_diff(cylinder)
-    }
-
-    /// Seek time (µs) the head *would* incur moving to `cylinder`, without
-    /// moving it. Schedulers use this for shortest-seek decisions.
-    pub fn seek_cost_us(&self, cylinder: u32) -> Micros {
-        ms_to_us(self.seek.seek_ms(self.distance_to(cylinder)))
     }
 
     /// Service a request for `bytes` at `cylinder`: seek there, wait for
@@ -220,18 +209,6 @@ mod tests {
         assert_eq!(s.requests, 2);
         assert!(s.busy_us() > 0);
         assert_eq!(s.busy_us(), s.seek_us + s.rotation_us + s.transfer_us);
-    }
-
-    #[test]
-    fn seek_cost_probe_does_not_move_head() {
-        let d = {
-            let mut d = Disk::table1();
-            d.service(1000, 512);
-            d
-        };
-        let before = d.head();
-        let _ = d.seek_cost_us(3000);
-        assert_eq!(d.head(), before);
     }
 
     #[test]

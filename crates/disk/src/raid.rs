@@ -211,12 +211,6 @@ impl Raid5 {
         worst
     }
 
-    /// Total stripes needed to cover one member disk with `block_bytes`
-    /// blocks — the rebuild workload after a member failure.
-    pub fn stripes_per_member(&self, block_bytes: u64) -> u64 {
-        (self.disks[0].geometry().capacity_bytes() / block_bytes.max(1)).max(1)
-    }
-
     /// Access a member disk (e.g. for per-disk statistics).
     pub fn disk(&self, member: usize) -> &Disk {
         &self.disks[member]
@@ -322,7 +316,6 @@ mod tests {
             assert_eq!(r.disk(m).stats().requests, 1, "member {m} idle");
         }
         assert_eq!(r.disk(2).stats().requests, 0, "failed member touched");
-        assert!(r.stripes_per_member(65536) > 1000);
     }
 
     #[test]

@@ -75,16 +75,23 @@
 //! before `t` and nothing else. A member's evolution depends only on its
 //! own submitted arrivals, so the order members are pumped in is
 //! immaterial. Drain hand-offs and quarantine cooldowns sit in two timer
-//! heaps of their own; the supervisor visits only the members *touched*
-//! since it last looked (pumped, or emitted into by the router, a retune
-//! or a quarantine) — a flight-recorder dump appears only when an event is
-//! emitted — in index order, so quarantine refusals ("last shard in
-//! rotation") fall on the same member as a full scan's would. A recorder
+//! heaps of their own.
+//!
+//! The supervisor needs no list of its own to find fresh dumps. The
+//! farm's [`FlightRing`] counts the dumps its recorders take
+//! ([`FlightRing::dumps_total`]); while that count has not moved since
+//! the supervisor's last look, an event costs it one read. When it has,
+//! the supervisor reads, in index order, each member's dumps from the
+//! first it has not seen — only the members whose
+//! [`FlightRecorder::dumps_total`] moved have any — so quarantine
+//! refusals ("last shard in rotation") fall on the same member as a full
+//! scan's would. A dump is taken only inside an emit, so a member with a
+//! new dump is one the last event pumped or emitted into. A recorder
 //! keeps only its newest [`obs::DUMP_RETENTION`] dumps, so the supervisor
 //! remembers, per member, the sequence number of the next dump it has not
 //! seen, reads from there, and counts what was evicted before it looked
 //! ([`DaemonReport::dumps_missed`] — 0 on every run the gates make,
-//! because it looks at a touched member at the very next event).
+//! because it looks at the very next event).
 //! [`FarmDaemon::backlog`] is a counter: `+1` per submission, the
 //! before/after difference of every pump, minus the leftovers a closing
 //! drain migrates.
@@ -389,12 +396,12 @@ pub struct FarmDaemon {
     make_scheduler: SchedulerFactory,
     make_service: ServiceFactory,
     arrivals: u64,
-    migrated: u64,
     migrated_undelivered: u64,
-    quarantines: u64,
-    retunes: u64,
     refused_events: u64,
     dumps_missed: u64,
+    /// The ring's [`FlightRing::dumps_total`] when the supervisor last
+    /// looked: while it has not moved, no member has a dump to read.
+    ring_dumps_seen: u64,
     now_us: u64,
     /// One `(next_action_us, member)` entry per member with work (see the
     /// module docs, "The event loop").
@@ -403,10 +410,7 @@ pub struct FarmDaemon {
     drain_timers: TimerHeap,
     /// `(until_us, member)` per quarantined member.
     quarantine_timers: TimerHeap,
-    /// Members pumped or emitted into since the supervisor last looked —
-    /// the only recorders a new dump can sit in.
-    touched: Vec<usize>,
-    /// Reused storage for the members one event pumps or supervises.
+    /// Reused storage for the members one event pumps.
     scratch: Vec<usize>,
     /// Σ [`Member::backlog`], maintained incrementally.
     backlog: usize,
@@ -460,17 +464,14 @@ impl FarmDaemon {
             make_scheduler,
             make_service,
             arrivals: 0,
-            migrated: 0,
             migrated_undelivered: 0,
-            quarantines: 0,
-            retunes: 0,
             refused_events: 0,
             dumps_missed: 0,
+            ring_dumps_seen: 0,
             now_us: 0,
             wake: BinaryHeap::new(),
             drain_timers: BinaryHeap::new(),
             quarantine_timers: BinaryHeap::new(),
-            touched: Vec::new(),
             scratch: Vec::new(),
             backlog: 0,
         }
@@ -561,8 +562,8 @@ impl FarmDaemon {
     /// the steppers' undelivered arrivals and inversion censuses, the
     /// schedulers' queues and arenas, the shared flight ring, the
     /// recorders' retained dumps and live and undrained windows, the
-    /// member table, the wake heap, the two timer heaps, and the
-    /// supervisor's touched and scratch lists.
+    /// member table, the wake heap, the two timer heaps, and the event
+    /// loop's scratch list.
     ///
     /// All of it is *state*: sized by the farm's shape, the gate and
     /// queue bounds and the telemetry depths. None of it may be
@@ -593,7 +594,7 @@ impl FarmDaemon {
                 "timers",
                 self.drain_timers.len() + self.quarantine_timers.len(),
             ),
-            ("touched", self.touched.len() + self.scratch.len()),
+            ("scratch", self.scratch.len()),
         ]
     }
 
@@ -666,14 +667,6 @@ impl FarmDaemon {
             &mut m.recorder,
         );
         self.backlog = self.backlog - before + m.backlog();
-        self.touched.push(idx);
-    }
-
-    /// Emit a daemon-level event into member `idx`'s recorder, marking
-    /// the member for the supervisor's next pass.
-    fn emit(&mut self, idx: usize, event: &TraceEvent) {
-        self.members[idx].recorder.emit(event);
-        self.touched.push(idx);
     }
 
     /// The handoff window closed: serve residents up to the close, then
@@ -683,7 +676,6 @@ impl FarmDaemon {
     /// farm's ledger — the Migrate event records the designated target
     /// for the next tier to replay.
     fn close_drain(&mut self, idx: usize, close_at_us: u64) {
-        // The pump also marks the member touched, for the events below.
         self.pump(idx, close_at_us);
         let to_shard = self.router.least_loaded_eligible() as u32;
         let cylinders = self.cfg.farm.cylinders;
@@ -702,27 +694,26 @@ impl FarmDaemon {
                 to_shard,
             });
         }
-        self.migrated += leftovers.len() as u64;
         self.backlog -= leftovers.len();
         m.status = MemberStatus::Drained;
     }
 
-    /// Reinstate expired quarantines, then scan the fresh flight-recorder
-    /// dumps of every touched member for actionable anomalies and
-    /// quarantine the offenders — in index order, because a quarantine
-    /// can be refused for being the last shard in rotation.
+    /// Reinstate expired quarantines; then, if any recorder has dumped
+    /// since the last look, scan the fresh dumps of every member that
+    /// took one for actionable anomalies and quarantine the offenders —
+    /// in index order, because a quarantine can be refused for being the
+    /// last shard in rotation.
     fn supervise(&mut self, t: u64) {
         while let Some((_, idx)) = pop_if(&mut self.quarantine_timers, |until| until <= t) {
             self.members[idx].status = MemberStatus::Active;
             self.router.set_eligible(idx, true);
         }
-        // Swap rather than drain in place: a quarantine below touches its
-        // member again, for the next event to look at.
-        std::mem::swap(&mut self.touched, &mut self.scratch);
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        for i in 0..self.scratch.len() {
-            let idx = self.scratch[i];
+        let ring_dumps = self.ring.dumps_total();
+        if ring_dumps == self.ring_dumps_seen {
+            return;
+        }
+        self.ring_dumps_seen = ring_dumps;
+        for idx in 0..self.members.len() {
             let seen = self.members[idx].dumps_seen;
             let (total, missed, actionable) = self.members[idx].recorder.with(|r| {
                 let actionable = r.dumps_from(seen).iter().any(|d| {
@@ -740,7 +731,6 @@ impl FarmDaemon {
                 self.quarantine_member(idx, t);
             }
         }
-        self.scratch.clear();
     }
 
     /// Quarantine `idx` at time `t` with the strike-scaled jittered
@@ -766,17 +756,13 @@ impl FarmDaemon {
             idx as u64,
         ));
         m.status = MemberStatus::Quarantined { until_us };
-        self.emit(
-            idx,
-            &TraceEvent::Quarantine {
-                now_us: t,
-                shard: idx as u32,
-                until_us,
-            },
-        );
+        m.recorder.emit(&TraceEvent::Quarantine {
+            now_us: t,
+            shard: idx as u32,
+            until_us,
+        });
         self.quarantine_timers.push(Reverse((until_us, idx)));
         self.router.set_eligible(idx, false);
-        self.quarantines += 1;
         true
     }
 
@@ -807,15 +793,11 @@ impl FarmDaemon {
                 self.router.set_policy(policy);
             }
         }
-        self.emit(
-            shard,
-            &TraceEvent::Retune {
-                now_us: t,
-                shard: shard as u32,
-                knob: action.knob_index(),
-            },
-        );
-        self.retunes += 1;
+        self.members[shard].recorder.emit(&TraceEvent::Retune {
+            now_us: t,
+            shard: shard as u32,
+            knob: action.knob_index(),
+        });
         true
     }
 
@@ -849,7 +831,7 @@ impl FarmDaemon {
                 if let Some(ev) = decision.redirect_event(&r) {
                     // The overload evidence belongs to the shard the
                     // arrival was steered from.
-                    self.emit(decision.redirect_from, &ev);
+                    self.members[decision.redirect_from].recorder.emit(&ev);
                 }
                 self.routed_per_shard[decision.shard] += 1;
                 let m = &mut self.members[decision.shard];
@@ -957,6 +939,9 @@ impl FarmDaemon {
             );
         }
         let makespan_us = per_shard.iter().map(|m| m.makespan_us).max().unwrap_or(0);
+        // Migrations, quarantines and retunes are counted once, by their
+        // events in the members' recorders.
+        let decisions = traced_counters(&recorders);
         DaemonReport {
             per_shard,
             routed_per_shard: self.routed_per_shard,
@@ -965,17 +950,26 @@ impl FarmDaemon {
             recorders,
             arrivals: self.arrivals,
             admission_rejections: self.gate.rejections(),
-            migrated: self.migrated,
+            migrated: decisions.migrations,
             migrated_undelivered: self.migrated_undelivered,
             redirects: self.router.redirects(),
             reroutes: self.router.reroutes(),
-            quarantines: self.quarantines,
-            retunes: self.retunes,
+            quarantines: decisions.quarantines,
+            retunes: decisions.retunes,
             refused_events: self.refused_events,
             dumps_missed: self.dumps_missed,
             makespan_us,
         }
     }
+}
+
+/// Every event the recorders saw over the whole run, counted by kind.
+fn traced_counters(recorders: &[FlightRecorder]) -> obs::Counters {
+    let mut counters = obs::Counters::default();
+    for r in recorders {
+        counters.merge(&r.windows().cumulative_counters());
+    }
+    counters
 }
 
 /// Everything a daemon run produced, with the closed-ledger and
@@ -996,7 +990,8 @@ pub struct DaemonReport {
     pub arrivals: u64,
     /// Requests rejected at the admission gate.
     pub admission_rejections: u64,
-    /// Requests migrated off draining shards (terminal here).
+    /// Requests migrated off draining shards (terminal here): the
+    /// members' `Migrate` events, summed.
     pub migrated: u64,
     /// The subset of `migrated` never delivered to a scheduler (still
     /// in the stepper's submission backlog at drain close).
@@ -1005,9 +1000,11 @@ pub struct DaemonReport {
     pub redirects: u64,
     /// Arrivals rerouted off ineligible shards.
     pub reroutes: u64,
-    /// Quarantines imposed (supervisor or operator).
+    /// Quarantines imposed (supervisor or operator): the members'
+    /// `Quarantine` events, summed.
     pub quarantines: u64,
-    /// Control-plane retunes applied (knob changes + policy swaps).
+    /// Control-plane retunes applied (knob changes + policy swaps): the
+    /// members' `Retune` events, summed.
     pub retunes: u64,
     /// Events refused: membership/quarantine/retune requests the farm
     /// cannot honour (unknown shard, wrong state, unsupported knob,
@@ -1066,15 +1063,17 @@ impl DaemonReport {
 
     /// Event-vs-counter reconciliation across every member's telemetry:
     /// the engines' traced events must match [`DaemonReport::aggregate`]
-    /// ([`Metrics::reconcile`]), and traced
-    /// Arrival/Shed/Redirect/Migrate/Quarantine/Retune events the
-    /// daemon's own counters, exactly. (Requires scheduler factories to
-    /// wire the provided sink, so shed events are traced.)
+    /// ([`Metrics::reconcile`]), and traced Arrival/Shed/Redirect events
+    /// the counts kept apart from them, exactly: the arrivals the daemon
+    /// delivered, the dispatchers' sheds and the router's redirects.
+    /// (Requires scheduler factories to wire the provided sink, so shed
+    /// events are traced.) Migrations, quarantines and retunes have no
+    /// second count to hold them to: [`DaemonReport::migrated`],
+    /// [`DaemonReport::quarantines`] and [`DaemonReport::retunes`] are
+    /// their events, summed, and [`DaemonReport::ledger`] still fails on
+    /// a missing `Migrate`.
     pub fn reconcile_events(&self) -> Result<(), String> {
-        let mut counters = obs::Counters::default();
-        for r in &self.recorders {
-            counters.merge(&r.windows().cumulative_counters());
-        }
+        let counters = traced_counters(&self.recorders);
         self.aggregate().reconcile(&counters)?;
         let delivered = self
             .arrivals
@@ -1090,9 +1089,6 @@ impl DaemonReport {
             ("arrival", counters.arrivals, delivered),
             ("shed", counters.sheds, self.sheds()),
             ("redirect", counters.redirects, self.redirects),
-            ("migrate", counters.migrations, self.migrated),
-            ("quarantine", counters.quarantines, self.quarantines),
-            ("retune", counters.retunes, self.retunes),
         ];
         for (name, events, counter) in checks {
             if events != counter {
@@ -1496,6 +1492,98 @@ mod tests {
         ));
         assert_eq!(limped.statuses[0], MemberStatus::Active);
         assert!(limped.reroutes > 0);
+    }
+
+    #[test]
+    fn a_dump_taken_while_pumping_for_a_neighbours_arrival_is_acted_on_at_that_event() {
+        use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+        // Three members behind four-deep queues, hash-routed streams in
+        // turn: a member's arrivals are delivered — and shed — when the
+        // next event pumps it, and that event is mostly an arrival for
+        // another member. The supervisor must act on the shed burst's
+        // dump at the very event whose pump took it.
+        let trace = vod(7, 3_000);
+        let triggers = TriggerConfig {
+            shed_burst: 4,
+            redirect_storm: 0,
+            degraded_storm: 0,
+            p99_spike_factor: 0.0,
+            p99_min_completes: 0,
+            cooldown_windows: 1,
+        };
+        let cfg = DaemonConfig::new(
+            FarmConfig::new(3).with_policy(RoutePolicy::HashStream),
+            SimOptions::with_shape(1, 5),
+        )
+        .with_telemetry(TelemetryConfig::exact().window_log2(16).depth(4), triggers)
+        .with_supervisor(SupervisorConfig {
+            cooldown_us: 50_000,
+            jitter_permille: 0,
+            seed: 5,
+        });
+        let mut daemon = FarmDaemon::new(
+            cfg,
+            |_, sink| {
+                let cascade = CascadeConfig::paper_default(1, 3832)
+                    .with_dispatch(DispatchConfig::paper_default().with_max_queue(4));
+                Box::new(CascadedSfc::with_sink(cascade, sink).expect("valid cascade config"))
+            },
+            table1_services(),
+        );
+        let dumps_of = |d: &FarmDaemon| -> Vec<u64> {
+            d.members
+                .iter()
+                .map(|m| m.recorder.with(|r| r.dumps_total()))
+                .collect()
+        };
+        // (event, quarantined member, member the event's arrival went to)
+        let mut struck = Vec::new();
+        for (i, r) in trace.iter().enumerate() {
+            let (dumps_before, routed_before) =
+                (dumps_of(&daemon), daemon.routed_per_shard.clone());
+            let was_active: Vec<bool> = (0..3)
+                .map(|s| daemon.status(s) == MemberStatus::Active)
+                .collect();
+            daemon.handle(DaemonEvent::Arrival(r.clone()));
+            let to = (0..3).find(|&s| daemon.routed_per_shard[s] > routed_before[s]);
+            let dumps_after = dumps_of(&daemon);
+            for s in 0..3 {
+                if was_active[s] && matches!(daemon.status(s), MemberStatus::Quarantined { .. }) {
+                    assert!(
+                        dumps_after[s] > dumps_before[s],
+                        "member {s} was struck at event {i} on a dump of an earlier one"
+                    );
+                    struck.push((i, s, to));
+                }
+            }
+        }
+        // Every strike fell on an arrival for another member. These are
+        // the strikes, in order, of the supervisor that walked a list of
+        // the members each event touched.
+        assert_eq!(
+            struck,
+            [
+                (25, 1, Some(0)),
+                (31, 2, Some(0)),
+                (87, 0, Some(2)),
+                (124, 1, Some(2)),
+                (151, 2, Some(0)),
+                (269, 1, Some(0)),
+                (283, 2, Some(0)),
+                (526, 1, Some(2)),
+                (540, 2, Some(0)),
+                (998, 1, Some(2)),
+                (1017, 2, Some(0)),
+                (1910, 1, Some(2)),
+                (1933, 0, Some(2)),
+                (2140, 2, Some(0))
+            ]
+        );
+        let report = daemon.shutdown();
+        assert_eq!((report.quarantines, report.refused_events), (14, 42));
+        assert_eq!(report.dumps_missed, 0);
+        report.ledger().expect("ledger closes");
+        report.reconcile_events().expect("events reconcile");
     }
 
     /// Forwards to a scheduler, noting every request enqueued on it.

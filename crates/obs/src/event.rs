@@ -122,9 +122,7 @@ event_table! {
     ///   [`SectorRemap`](TraceEvent::SectorRemap),
     ///   [`DegradedRead`](TraceEvent::DegradedRead) and
     ///   [`RebuildIo`](TraceEvent::RebuildIo);
-    /// * the **farm router** emits [`Redirect`](TraceEvent::Redirect)
-    ///   ([`ShardReport`](TraceEvent::ShardReport) has no producer;
-    ///   ROADMAP "Count each thing once");
+    /// * the **farm router** emits [`Redirect`](TraceEvent::Redirect);
     /// * the **farm daemon** emits [`Migrate`](TraceEvent::Migrate) when a
     ///   drained shard hands off a resident request,
     ///   [`Quarantine`](TraceEvent::Quarantine) when the health supervisor
@@ -321,18 +319,6 @@ event_table! {
             /// Modeled queue depth of the overloaded shard at the decision.
             queue_depth: u64,
         },
-        /// Per-shard roll-up of a farm shard timeline. Nothing produces it
-        /// (ROADMAP "Count each thing once").
-        ShardReport "shard_report" {
-            /// The shard's makespan (µs).
-            now_us: u64,
-            /// Shard index within the farm.
-            shard: u32,
-            /// Requests the shard served to completion.
-            served: u64,
-            /// Requests the shard's bounded queue shed.
-            sheds: u64,
-        },
         /// A drained shard's bounded in-flight handoff window closed with
         /// this request still resident; the daemon hands it off to a peer and
         /// retires it from the farm's ledger as migrated-in-flight.
@@ -395,7 +381,6 @@ impl TraceEvent {
             | TraceEvent::QueueSwap { .. }
             | TraceEvent::SweepReverse { .. }
             | TraceEvent::RebuildIo { .. }
-            | TraceEvent::ShardReport { .. }
             | TraceEvent::Quarantine { .. }
             | TraceEvent::Retune { .. } => None,
         }
@@ -409,7 +394,7 @@ pub(crate) mod tests {
     /// One event of every kind, with its exact JSONL line and request id:
     /// the rendering contract, and the `Snapshot` tests' "every kind"
     /// feed.
-    pub(crate) const GOLDEN: [(TraceEvent, &str, Option<u64>); 22] = [
+    pub(crate) const GOLDEN: [(TraceEvent, &str, Option<u64>); 21] = [
         (
             TraceEvent::Arrival {
                 now_us: 0,
@@ -573,16 +558,6 @@ pub(crate) mod tests {
             },
             r#"{"event":"redirect","now_us":85,"req":7,"from_shard":0,"to_shard":3,"queue_depth":16}"#,
             Some(7),
-        ),
-        (
-            TraceEvent::ShardReport {
-                now_us: 86,
-                shard: 3,
-                served: 42,
-                sheds: 1,
-            },
-            r#"{"event":"shard_report","now_us":86,"shard":3,"served":42,"sheds":1}"#,
-            None,
         ),
         (
             TraceEvent::Migrate {

@@ -321,6 +321,7 @@ impl FlightRecorder {
         }
         self.dumps_unclean += u64::from(!clean);
         self.dumps_total += 1;
+        self.ring.count_dump();
         self.dumps.push(DumpRecord {
             seq: self.dumps_total - 1,
             anomaly,
@@ -619,6 +620,34 @@ mod tests {
     }
 
     #[test]
+    fn a_rings_dump_count_is_the_sum_of_its_recorders() {
+        let ring = FlightRing::new();
+        let triggers = recorder(1).triggers;
+        let telemetry = TelemetryConfig::exact().window_log2(4).depth(4);
+        let mut recorders: Vec<FlightRecorder> = (0..3)
+            .map(|_| FlightRecorder::attach(&ring, 64, telemetry, triggers).expect("tags"))
+            .collect();
+        let sum = |rs: &[FlightRecorder]| rs.iter().map(FlightRecorder::dumps_total).sum::<u64>();
+        for i in 0..400u64 {
+            // Recorder 0 sheds in bursts, recorder 1 trickles, recorder 2
+            // only ever dumps when forced.
+            let who = if i % 5 == 0 { 1 } else { 0 };
+            recorders[who].emit(&shed(i, i));
+            recorders[2].emit(&step_event(i as usize, 2));
+            if i % 37 == 0 {
+                recorders[(i / 37 % 3) as usize].force_dump(i);
+            }
+            assert_eq!(ring.dumps_total(), sum(&recorders), "step {i}");
+        }
+        assert!(recorders[0].dumps_evicted() > 0, "past the dump retention");
+        assert!(recorders.iter().all(|r| r.dumps_total() > 0));
+        // A recorder in a ring of its own counts into that ring only.
+        let mut alone = recorder(8);
+        alone.force_dump(0);
+        assert_eq!(ring.dumps_total(), sum(&recorders));
+    }
+
+    #[test]
     fn a_private_ring_is_the_ring_sink_it_replaced() {
         use crate::sink::RingSink;
         for cap in [1usize, 8, 4096] {
@@ -853,7 +882,7 @@ mod tests {
                         \"er_expands\":0,\"er_resets\":0,\"queue_swaps\":0,\"sweep_reversals\":0,\
                         \"media_errors\":0,\"retries\":0,\"request_failures\":0,\
                         \"sector_remaps\":0,\"degraded_reads\":0,\"rebuild_ios\":0,\"sheds\":1,\
-                        \"redirects\":0,\"shard_reports\":0,\"migrations\":0,\"quarantines\":0,\
+                        \"redirects\":0,\"migrations\":0,\"quarantines\":0,\
                         \"retunes\":0}";
         assert_eq!(
             lines[0],

@@ -133,6 +133,8 @@ struct Slab {
     cursor: usize,
     capacity: usize,
     next_tag: Option<u32>,
+    /// Dumps taken by the attached recorders, all of them together.
+    dumps_total: u64,
 }
 
 impl Slab {
@@ -158,6 +160,7 @@ impl FlightRing {
             cursor: 0,
             capacity: 0,
             next_tag: Some(0),
+            dumps_total: 0,
         })))
     }
 
@@ -230,6 +233,19 @@ impl FlightRing {
     /// The sum of the attached writers' retentions.
     pub fn capacity(&self) -> usize {
         self.0.borrow().capacity
+    }
+
+    /// Dumps taken by the recorders attached to this ring, forced ones
+    /// included: the sum of their [`crate::FlightRecorder::dumps_total`].
+    /// A reader that remembers it can tell, in one look, whether any
+    /// recorder of the ring has dumped since.
+    pub fn dumps_total(&self) -> u64 {
+        self.0.borrow().dumps_total
+    }
+
+    /// Count one dump taken by a recorder of this ring.
+    pub(crate) fn count_dump(&self) {
+        self.0.borrow_mut().dumps_total += 1;
     }
 }
 

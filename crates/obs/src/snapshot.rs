@@ -92,9 +92,6 @@ counter_table! {
         sheds,
         /// `Redirect` events (farm router overload redirections).
         redirects,
-        /// `ShardReport` events. Nothing produces them
-        /// (ROADMAP "Count each thing once").
-        shard_reports,
         /// `Migrate` events (drained-shard in-flight handoffs).
         migrations,
         /// `Quarantine` events (supervisor pulled a shard from routing).
@@ -241,7 +238,6 @@ impl Snapshot {
             TraceEvent::RebuildIo { .. } => c.rebuild_ios += 1,
             TraceEvent::Shed { .. } => c.sheds += 1,
             TraceEvent::Redirect { .. } => c.redirects += 1,
-            TraceEvent::ShardReport { .. } => c.shard_reports += 1,
             TraceEvent::Migrate { .. } => c.migrations += 1,
             TraceEvent::Quarantine { .. } => c.quarantines += 1,
             TraceEvent::Retune { .. } => c.retunes += 1,
@@ -290,11 +286,11 @@ impl Snapshot {
                 c.sheds
             );
         }
-        if c.redirects + c.shard_reports + c.migrations + c.quarantines + c.retunes > 0 {
+        if c.redirects + c.migrations + c.quarantines + c.retunes > 0 {
             let _ = writeln!(
                 out,
-                "  redirects {}  shard-reports {}  migrations {}  quarantines {}  retunes {}",
-                c.redirects, c.shard_reports, c.migrations, c.quarantines, c.retunes
+                "  redirects {}  migrations {}  quarantines {}  retunes {}",
+                c.redirects, c.migrations, c.quarantines, c.retunes
             );
         }
         let hist =
@@ -362,9 +358,9 @@ mod tests {
             (c.sector_remaps, c.degraded_reads, c.rebuild_ios, c.sheds),
             (1, 1, 1, 1)
         );
-        assert_eq!((c.redirects, c.shard_reports), (1, 1));
+        assert_eq!(c.redirects, 1);
         assert_eq!((c.migrations, c.quarantines, c.retunes), (1, 1, 1));
-        assert_eq!(c.total_events(), 22);
+        assert_eq!(c.total_events(), 21);
         assert_eq!(s.response_us.count(), 1);
         assert_eq!(s.seek_cylinders.max(), Some(40));
         // The service start and the drop both sample the dispatch-time
@@ -431,10 +427,13 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_is_at_most_half_a_kilobyte() {
-        // Four 80-byte histogram headers, whose buckets live in spans on
-        // the heap, and 23 counters. A farm holds 41 of these a member.
-        assert!(std::mem::size_of::<Snapshot>() <= 512);
+    fn a_snapshot_is_its_counters_and_four_histogram_headers() {
+        // 22 eight-byte counters and four 80-byte histogram headers, whose
+        // buckets live in spans on the heap: 22 × 8 + 4 × 80 = 496 bytes.
+        // A farm holds 41 of these a member, so a counter more is 328
+        // bytes a member and has to show up here.
+        assert_eq!(std::mem::size_of::<Counters>(), 22 * 8);
+        assert_eq!(std::mem::size_of::<Snapshot>(), 496);
     }
 
     #[test]
@@ -451,7 +450,7 @@ events
   arrivals 1  service 1/1  late 1  drops 1
   preemptions 1  sp-promotions 1  er-expands 1  er-resets 1  queue-swaps 1  sweep-reversals 1
   media-errors 1  retries 1  failures 1  remaps 1  degraded-reads 1  rebuild-ios 1  sheds 1
-  redirects 1  shard-reports 1  migrations 1  quarantines 1  retunes 1
+  redirects 1  migrations 1  quarantines 1  retunes 1
 response_us: n 1  mean 30.0µs  p50 30  p95 30  p99 30  p999 30  min 30  max 30
 seek_cylinders: n 1  mean 40.0cyl  p50 40  p95 40  p99 40  p999 40  min 40  max 40
 queue_depth: n 2  mean 3.0  p50 3  p95 3  p99 3  p999 3  min 3  max 3

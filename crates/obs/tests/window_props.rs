@@ -16,8 +16,8 @@ use proptest::prelude::*;
 /// variants that exercise every aggregation path: counters only
 /// (`Arrival`, `Shed`, `Redirect`), histogram feeders (`ServiceComplete`
 /// for response/lateness, `ServiceStart` for seeks, queue depth and
-/// slack, `Drop` for queue depth and slack), and the farm roll-up
-/// (`ShardReport`).
+/// slack, `Drop` for queue depth and slack), and a daemon decision
+/// (`Migrate`).
 fn event() -> impl Strategy<Value = TraceEvent> {
     (0u8..7, 0u64..200_000, any::<u64>(), any::<u32>()).prop_map(
         |(kind, now_us, a, b)| match kind {
@@ -59,11 +59,11 @@ fn event() -> impl Strategy<Value = TraceEvent> {
                 to_shard: (b + 1) % 8,
                 queue_depth: a % 64,
             },
-            _ => TraceEvent::ShardReport {
+            _ => TraceEvent::Migrate {
                 now_us,
-                shard: b % 8,
-                served: a % 1_000_000,
-                sheds: a % 64,
+                req: a,
+                from_shard: b % 8,
+                to_shard: (b + 1) % 8,
             },
         },
     )

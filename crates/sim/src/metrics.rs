@@ -190,23 +190,6 @@ impl Metrics {
         }
     }
 
-    /// Standard deviation of per-dimension inversion counts — the paper's
-    /// fairness measure (Figure 7a): lower is fairer.
-    pub fn inversion_stddev(&self) -> f64 {
-        let d = self.inversions_per_dim.len();
-        if d == 0 {
-            return 0.0;
-        }
-        let mean = self.inversions_total() as f64 / d as f64;
-        let var = self
-            .inversions_per_dim
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / d as f64;
-        var.sqrt()
-    }
-
     /// §6's aggregate cost: the weighted sum of per-level miss ratios on
     /// QoS dimension `dim`, with weights decreasing linearly so that the
     /// highest level costs `top_to_bottom` times the lowest (the paper
@@ -320,15 +303,6 @@ mod tests {
         c.service_completes = 4; // one ServiceComplete event lost
         let err = m.reconcile(&c).unwrap_err();
         assert_eq!(err, "service_completes vs served: 4 != 5");
-    }
-
-    #[test]
-    fn stddev_zero_when_balanced() {
-        let mut m = Metrics::new(3, 4);
-        m.inversions_per_dim = vec![10, 10, 10];
-        assert_eq!(m.inversion_stddev(), 0.0);
-        m.inversions_per_dim = vec![0, 10, 20];
-        assert!(m.inversion_stddev() > 0.0);
     }
 
     #[test]

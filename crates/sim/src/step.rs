@@ -12,6 +12,9 @@
 //! churn, quarantine, migration) between pumps. The farm daemon runs one
 //! stepper per shard; the batch entry point ([`crate::simulate`]) is a
 //! stepper fed a whole trace and run to [`EngineStepper::finish`].
+//! The pump methods are generic over the service model, so a caller
+//! holding a concrete one (the daemon's [`crate::DiskService`]) calls it
+//! directly, and one holding a `dyn ServiceProvider` through its vtable.
 //!
 //! ## Pump-pattern invariance
 //!
@@ -214,11 +217,11 @@ impl EngineStepper {
     ///
     /// Streaming contract: every arrival with `arrival_us < horizon_us`
     /// must have been submitted before the pump.
-    pub fn run_until<S: TraceSink>(
+    pub fn run_until<P: ServiceProvider + ?Sized, S: TraceSink>(
         &mut self,
         horizon_us: Micros,
         scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
+        service: &mut P,
         sink: &mut S,
     ) {
         self.cylinders = service.cylinders();
@@ -264,11 +267,11 @@ impl EngineStepper {
     /// current backlog (undelivered submissions plus the scheduler's
     /// queue), closing the loop for adaptive sources. Returns the
     /// number of requests pulled.
-    pub fn run_source<T: workload::TraceSource, S: TraceSink>(
+    pub fn run_source<T: workload::TraceSource, P: ServiceProvider + ?Sized, S: TraceSink>(
         &mut self,
         source: &mut T,
         scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
+        service: &mut P,
         sink: &mut S,
     ) -> u64 {
         let mut pulled = 0;
@@ -283,10 +286,10 @@ impl EngineStepper {
     }
 
     /// Pump until both the queue and the submitted backlog are empty.
-    pub fn finish<S: TraceSink>(
+    pub fn finish<P: ServiceProvider + ?Sized, S: TraceSink>(
         &mut self,
         scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
+        service: &mut P,
         sink: &mut S,
     ) {
         self.run_until(Micros::MAX, scheduler, service, sink);
@@ -305,11 +308,11 @@ impl EngineStepper {
     /// between), so the whole chunk shares one head position anchored at
     /// its first arrival; the scheduler anchors each request at its own
     /// arrival time.
-    fn deliver<S: TraceSink>(
+    fn deliver<P: ServiceProvider + ?Sized, S: TraceSink>(
         &mut self,
         n: usize,
         scheduler: &mut dyn DiskScheduler,
-        service: &dyn ServiceProvider,
+        service: &P,
         sink: &mut S,
     ) {
         let chunk = &self.pending.make_contiguous()[..n];
@@ -341,10 +344,10 @@ impl EngineStepper {
 
     /// One dequeue-and-serve step at the current clock. Returns `false`
     /// when the scheduler had nothing to dispatch.
-    fn dispatch<S: TraceSink>(
+    fn dispatch<P: ServiceProvider + ?Sized, S: TraceSink>(
         &mut self,
         scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
+        service: &mut P,
         sink: &mut S,
     ) -> bool {
         let head = HeadState::new(service.head(), self.now, self.cylinders);
@@ -365,14 +368,14 @@ impl EngineStepper {
     /// dropped or failed — advancing the clock past every service
     /// attempt. `waiting` requests stay queued behind it and the head is
     /// at `head_cylinder`: what `dispatch` read to pick it, so the events
-    /// cost no second trip through either vtable.
-    fn serve<S: TraceSink>(
+    /// cost no second call into the scheduler or the service model.
+    fn serve<P: ServiceProvider + ?Sized, S: TraceSink>(
         &mut self,
         req: Request,
         waiting: usize,
         head_cylinder: u32,
         scheduler: &mut dyn DiskScheduler,
-        service: &mut dyn ServiceProvider,
+        service: &mut P,
         sink: &mut S,
     ) {
         // The dispatched request itself still counts.

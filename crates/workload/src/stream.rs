@@ -398,11 +398,6 @@ impl SessionSource {
         self.sessions_started
     }
 
-    /// Sessions currently holding playback state.
-    pub fn live_sessions(&self) -> usize {
-        self.heap.len()
-    }
-
     /// High-water mark of simultaneously live sessions — the
     /// bounded-memory witness: this, not the total session count, is
     /// what the source keeps in memory.
@@ -579,7 +574,7 @@ mod tests {
         assert!(validate_trace(&trace), "sorted arrivals, dense ids");
         assert_eq!(src.sessions_started(), 500, "the cap binds");
         assert_eq!(src.emitted() as usize, trace.len());
-        assert_eq!(src.live_sessions(), 0, "every session retired");
+        assert_eq!(src.heap.len(), 0, "every session retired");
         // 2–4 blocks per session.
         assert!(
             trace.len() >= 1_000 && trace.len() <= 2_000,
@@ -637,7 +632,7 @@ mod tests {
             in_place.observe(backlog);
             reference.observe(backlog);
         }
-        assert_eq!(in_place.live_sessions(), reference.live_sessions());
+        assert_eq!(in_place.heap.len(), reference.heap.len());
         assert_eq!(
             in_place.peak_live_sessions(),
             reference.peak_live_sessions()
