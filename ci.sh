@@ -38,8 +38,8 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test (whole workspace)"
-# 672 tests: the root package holds 49 of them; farm, sim, the oracle
-# and the rest of the workspace the other 623. The daemon farm's ledger
+# 671 tests: the root package holds 49 of them; farm, sim, the oracle
+# and the rest of the workspace the other 622. The daemon farm's ledger
 # and routing quality, its drain and supervision, the fault sweep's
 # reconciliation (its arrival, drop and failure events against the
 # engine's metrics; fault counts exist only as events) and the windowed

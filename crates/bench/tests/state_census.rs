@@ -167,16 +167,16 @@ fn census_after(arrivals: u64) -> (Census, farm::DaemonReport, u64) {
     for i in 0..2 * u64::from(MAX_STREAMS) {
         daemon.handle(DaemonEvent::Arrival(probe(i)));
     }
-    // Then, long after: an event into every member's recorder (a policy
-    // swap to the policy in force; retired members refuse it), which
-    // runs every queue dry on the way and closes every telemetry window
-    // that was open; and one more event, which the daemon refuses, for
-    // the supervisor to look at what that shook loose.
+    // Then, long after: an event into every member's recorder (a retune
+    // of the window to the value in force; retired members refuse it),
+    // which runs every queue dry on the way and closes every telemetry
+    // window that was open; and one more event, which the daemon
+    // refuses, for the supervisor to look at what that shook loose.
     for shard in 0..daemon.shards() {
         daemon.handle(DaemonEvent::Retune {
             at_us: u64::MAX / 2,
             shard,
-            action: farm::RetuneAction::Policy(daemon.router().policy()),
+            knob: sched::Retune::Window(controller.applied(shard).w),
         });
     }
     daemon.handle(DaemonEvent::Quarantine {

@@ -1,8 +1,7 @@
 //! The live control loop: windowed telemetry in, retune proposals out.
 //!
-//! A [`Controller`] owns one [`TunerSearch`] per shard plus a single
-//! farm-wide routing-policy pheromone table. The host (usually the farm
-//! daemon's driver) pumps it in two beats:
+//! A [`Controller`] owns one [`TunerSearch`] per shard. The host
+//! (usually the farm daemon's driver) pumps it in two beats:
 //!
 //! 1. **Observe** — feed every [`obs::ShardDelta`] drained from the
 //!    daemon ([`FarmDaemon::take_shard_deltas`]) into
@@ -32,7 +31,7 @@
 use crate::grid::{Grid, GridPoint};
 use crate::objective::Objective;
 use crate::search::{SearchConfig, TunerSearch};
-use farm::{DaemonEvent, RetuneAction, RoutePolicy};
+use farm::DaemonEvent;
 use obs::{ShardDelta, Snapshot};
 use sched::Retune;
 
@@ -47,16 +46,13 @@ pub struct ControllerConfig {
     pub search: SearchConfig,
     /// The statically configured knobs every shard starts from.
     pub seed_point: GridPoint,
-    /// Routing-policy presets to select among (empty: never touch the
-    /// router; the first entry must be the farm's starting policy).
-    pub policies: Vec<RoutePolicy>,
     /// Windows with fewer total events than this are held until more
     /// telemetry accumulates (tiny windows score noisily).
     pub min_window_events: u64,
 }
 
 impl Default for ControllerConfig {
-    /// Paper-default seed knobs over the default grid, knobs only.
+    /// Paper-default seed knobs over the default grid.
     fn default() -> Self {
         ControllerConfig {
             objective: Objective::default(),
@@ -67,20 +63,18 @@ impl Default for ControllerConfig {
                 r: 3,
                 w: 0.10,
             },
-            policies: Vec::new(),
             min_window_events: 16,
         }
     }
 }
 
-/// One proposed live change, ready to become a daemon event.
+/// One proposed live knob change, ready to become a daemon event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningAction {
-    /// Target shard (for policy swaps: any live shard; the router is
-    /// farm-global).
+    /// Target shard.
     pub shard: usize,
-    /// The change itself.
-    pub action: RetuneAction,
+    /// The knob and its new value.
+    pub knob: Retune,
 }
 
 impl TuningAction {
@@ -89,7 +83,7 @@ impl TuningAction {
         DaemonEvent::Retune {
             at_us,
             shard: self.shard,
-            action: self.action,
+            knob: self.knob,
         }
     }
 }
@@ -101,11 +95,10 @@ pub struct Decision {
     pub at_us: u64,
     /// Target shard.
     pub shard: u32,
-    /// Knob index: 0 = `f`, 1 = `R`, 2 = `w`, 3 = policy (matches
-    /// [`RetuneAction::knob_index`] and the trace-event encoding).
+    /// Knob code, [`Retune::knob_index`]: the code the daemon's retune
+    /// trace event carries.
     pub knob: u32,
-    /// New value: `f64::to_bits` for `f`/`w`, the raw count for `R`,
-    /// the preset index for policy.
+    /// New value: `f64::to_bits` for `f`/`w`, the raw count for `R`.
     pub value_bits: u64,
     /// The window score that drove the decision.
     pub score: f64,
@@ -123,16 +116,13 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Per-shard search state plus the farm-wide policy table (module docs).
+/// Per-shard search state (module docs).
 #[derive(Debug, Clone)]
 pub struct Controller {
     cfg: ControllerConfig,
     tuners: Vec<TunerSearch>,
     pending: Vec<Snapshot>,
     applied: Vec<usize>,
-    policy_ewma: Vec<Option<f64>>,
-    policy_current: usize,
-    farm_pending: Snapshot,
     /// The newest [`DECISION_TAIL`] actions, oldest first.
     tail: Vec<Decision>,
     /// FNV-1a over every action ever taken, in order.
@@ -159,9 +149,6 @@ impl Controller {
         Controller {
             pending: vec![Snapshot::new(); shards],
             applied: vec![start; shards],
-            policy_ewma: vec![None; cfg.policies.len()],
-            policy_current: 0,
-            farm_pending: Snapshot::new(),
             tail: Vec::new(),
             fingerprint: 0xcbf2_9ce4_8422_2325,
             decisions: 0,
@@ -176,7 +163,6 @@ impl Controller {
     pub fn observe(&mut self, delta: &ShardDelta) {
         if let Some(pending) = self.pending.get_mut(delta.shard) {
             pending.merge(&delta.delta.snapshot);
-            self.farm_pending.merge(&delta.delta.snapshot);
         }
     }
 
@@ -204,7 +190,6 @@ impl Controller {
                 self.retune_shard(shard, next, score, now_us, &mut actions);
             }
         }
-        self.decide_policy(now_us, &mut actions);
         actions
     }
 
@@ -218,78 +203,26 @@ impl Controller {
     ) {
         let from = self.cfg.grid.point(self.applied[shard]);
         let to = self.cfg.grid.point(next);
-        let mut push = |knob: u32, action: Retune, value_bits: u64| {
-            actions.push(TuningAction {
-                shard,
-                action: RetuneAction::Knob(action),
-            });
+        let mut push = |knob: Retune, value_bits: u64| {
+            actions.push(TuningAction { shard, knob });
             self.log(Decision {
                 at_us: now_us,
                 shard: shard as u32,
-                knob,
+                knob: knob.knob_index(),
                 value_bits,
                 score,
             });
         };
         if to.f != from.f {
-            push(0, Retune::BalanceFactor(to.f), to.f.to_bits());
+            push(Retune::BalanceFactor(to.f), to.f.to_bits());
         }
         if to.r != from.r {
-            push(1, Retune::ScanPartitions(to.r), u64::from(to.r));
+            push(Retune::ScanPartitions(to.r), u64::from(to.r));
         }
         if to.w != from.w {
-            push(2, Retune::Window(to.w), to.w.to_bits());
+            push(Retune::Window(to.w), to.w.to_bits());
         }
         self.applied[shard] = next;
-    }
-
-    /// Farm-wide policy selection over the presets: each preset carries
-    /// an exponentially-weighted mean of the aggregate window scores
-    /// observed while it was routing, with optimistic initialization —
-    /// an untried preset scores a perfect 0, so any preset performing
-    /// worse than perfect eventually yields to the unexplored. The farm
-    /// switches to the strictly-best preset (ties keep the incumbent,
-    /// so two equally bad presets cannot ping-pong).
-    fn decide_policy(&mut self, now_us: u64, actions: &mut Vec<TuningAction>) {
-        if self.cfg.policies.len() < 2 {
-            self.farm_pending.clear();
-            return;
-        }
-        if self.farm_pending.counters.total_events() < self.cfg.min_window_events {
-            return;
-        }
-        let score = self.cfg.objective.score(&self.farm_pending);
-        self.farm_pending.clear();
-        self.decisions += 1;
-        let alpha = 0.5;
-        let cur = &mut self.policy_ewma[self.policy_current];
-        *cur = Some(match *cur {
-            Some(prev) => (1.0 - alpha) * prev + alpha * score,
-            None => score,
-        });
-        let eff = |s: Option<f64>| s.unwrap_or(0.0);
-        let best = (0..self.policy_ewma.len())
-            .min_by(|&a, &b| {
-                eff(self.policy_ewma[a])
-                    .partial_cmp(&eff(self.policy_ewma[b]))
-                    .expect("scores are finite")
-                    .then(a.cmp(&b))
-            })
-            .expect("at least two presets");
-        if eff(self.policy_ewma[best]) < eff(self.policy_ewma[self.policy_current]) {
-            self.policy_current = best;
-            actions.push(TuningAction {
-                shard: 0,
-                action: RetuneAction::Policy(self.cfg.policies[best]),
-            });
-            self.log(Decision {
-                at_us: now_us,
-                shard: 0,
-                knob: 3,
-                value_bits: best as u64,
-                score,
-            });
-        }
     }
 
     /// Fold `d` into the fingerprint and keep it as the tail's newest.
@@ -331,13 +264,12 @@ impl Controller {
 
     /// Entries held: the decision tail and the per-shard tables (pending
     /// windows, applied points, each search's pheromone and evaluation
-    /// tables) plus the policy table — sized by the farm and the grid,
-    /// not by how many rounds have run.
+    /// tables) — sized by the farm and the grid, not by how many rounds
+    /// have run.
     pub fn state_len(&self) -> usize {
         self.tail.len()
             + self.pending.len()
             + self.applied.len()
-            + self.policy_ewma.len()
             + self
                 .tuners
                 .iter()
@@ -452,13 +384,7 @@ mod tests {
     #[test]
     fn identical_streams_produce_identical_fingerprints() {
         let run = || {
-            let mut c = Controller::new(
-                2,
-                ControllerConfig {
-                    policies: vec![RoutePolicy::HashStream, RoutePolicy::LeastLoaded],
-                    ..ControllerConfig::default()
-                },
-            );
+            let mut c = Controller::new(2, ControllerConfig::default());
             for round in 1..=10u64 {
                 c.observe(&delta(0, 15, 20));
                 c.observe(&delta(1, 2, 20));
@@ -478,13 +404,7 @@ mod tests {
         // holds. The unbounded log is rebuilt from what each round
         // appends, and hashed the way `fingerprint` used to hash it.
         let shards = 8;
-        let mut c = Controller::new(
-            shards,
-            ControllerConfig {
-                policies: vec![RoutePolicy::HashStream, RoutePolicy::LeastLoaded],
-                ..ControllerConfig::default()
-            },
-        );
+        let mut c = Controller::new(shards, ControllerConfig::default());
         let mut log: Vec<Decision> = Vec::new();
         let mut state_after_budget = None;
         for round in 1..=40u64 {
@@ -519,35 +439,5 @@ mod tests {
             }
         }
         assert_eq!(c.fingerprint(), h);
-    }
-
-    #[test]
-    fn policy_table_swaps_under_sustained_pain() {
-        let mut c = Controller::new(
-            1,
-            ControllerConfig {
-                grid: Grid::pinned(GridPoint {
-                    f: 1.0,
-                    r: 3,
-                    w: 0.10,
-                }),
-                policies: vec![RoutePolicy::HashStream, RoutePolicy::LeastLoaded],
-                ..ControllerConfig::default()
-            },
-        );
-        let mut swapped = false;
-        for round in 1..=30u64 {
-            c.observe(&delta(0, 20, 20)); // everything late, forever
-            for a in c.decide(round * 1_000_000) {
-                if let RetuneAction::Policy(p) = a.action {
-                    assert_eq!(p, RoutePolicy::LeastLoaded);
-                    swapped = true;
-                }
-            }
-        }
-        assert!(
-            swapped,
-            "sustained pain must eventually evict the starting policy"
-        );
     }
 }

@@ -8,9 +8,10 @@
 //! window with a weighted [`Objective`] over deadline misses, seek work
 //! and shedding, and drives a seeded [`TunerSearch`] — hill-climbing
 //! over a discrete `(f, R, w)` [`Grid`] with ACO-style pheromone-guided
-//! escape restarts — plus a routing-policy preset table. Its proposals
-//! come back as [`TuningAction`]s the daemon applies live at safe epoch
-//! boundaries via [`farm::DaemonEvent::Retune`].
+//! escape restarts. Its proposals come back as [`TuningAction`]s the
+//! daemon applies live at safe epoch boundaries via
+//! [`farm::DaemonEvent::Retune`]. The routing policy is not a knob: it
+//! is fixed when the farm is built ([`farm::FarmConfig::policy`]).
 //!
 //! The whole plane is deterministic: same trace, same seed → the same
 //! decisions, bit for bit ([`Controller::fingerprint`]). The oracle

@@ -121,7 +121,7 @@ use sched::{DiskScheduler, HeadState, Request, Retune};
 use sim::admission::StreamGate;
 use sim::{jittered_backoff_us, DiskService, EngineStepper, Metrics, ServiceProvider, SimOptions};
 
-use crate::{FarmConfig, OnlineRouter, RoutePolicy};
+use crate::{FarmConfig, OnlineRouter};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -171,45 +171,20 @@ pub enum DaemonEvent {
         /// The shard to quarantine.
         shard: usize,
     },
-    /// A control-plane retune: change a live scheduler knob on `shard`
-    /// or swap the farm-wide routing policy. Applied at the safe epoch
-    /// boundary every event enjoys — no member owes a dispatch decided
-    /// before `at_us` when the action runs, so none straddles the change.
+    /// A control-plane retune: change a live scheduler knob on `shard`.
+    /// Applied at the safe epoch boundary every event enjoys — no member
+    /// owes a dispatch decided before `at_us` when the knob changes, so
+    /// none straddles the change. Refused when the shard is unknown or
+    /// retired, or its policy does not take the knob or the value (see
+    /// [`DiskScheduler::retune`]).
     Retune {
         /// Event time (µs).
         at_us: u64,
-        /// Target shard (for policy swaps: the shard whose recorder
-        /// logs the farm-wide change).
+        /// Target shard.
         shard: usize,
-        /// What to change.
-        action: RetuneAction,
+        /// The knob and its new value.
+        knob: Retune,
     },
-}
-
-/// The payload of a [`DaemonEvent::Retune`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum RetuneAction {
-    /// Retune one scheduler knob on the target shard (refused when the
-    /// shard's policy does not expose the knob — see
-    /// [`DiskScheduler::retune`]).
-    Knob(Retune),
-    /// Swap the farm-wide routing policy; the load model, eligibility
-    /// mask and redirect counters survive the swap.
-    Policy(RoutePolicy),
-}
-
-impl RetuneAction {
-    /// Stable knob index carried by [`TraceEvent::Retune`]: 0 = balance
-    /// factor `f`, 1 = scan partitions `R`, 2 = blocking window `w`,
-    /// 3 = routing policy.
-    pub fn knob_index(&self) -> u32 {
-        match self {
-            RetuneAction::Knob(Retune::BalanceFactor(_)) => 0,
-            RetuneAction::Knob(Retune::ScanPartitions(_)) => 1,
-            RetuneAction::Knob(Retune::Window(_)) => 2,
-            RetuneAction::Policy(_) => 3,
-        }
-    }
 }
 
 impl DaemonEvent {
@@ -767,38 +742,28 @@ impl FarmDaemon {
     }
 
     /// Apply a control-plane retune at the current (post-pump) epoch
-    /// boundary. Knob retunes target one member's scheduler, anchored at
-    /// its *actual* head position; policy swaps rebuild the router's
-    /// placement rule in place. Refused — counting a refused event and
-    /// returning `false` — when the target shard is unknown or retired,
-    /// or the scheduler rejects the knob.
-    fn apply_retune(&mut self, shard: usize, action: RetuneAction, t: u64) -> bool {
+    /// boundary, anchored at the member's *actual* head position.
+    /// Refused, counting a refused event, when the target shard is
+    /// unknown or retired, or the scheduler rejects the knob.
+    fn apply_retune(&mut self, shard: usize, knob: Retune, t: u64) {
         let retired =
             |s: MemberStatus| matches!(s, MemberStatus::Drained | MemberStatus::Draining { .. });
         if shard >= self.members.len() || retired(self.members[shard].status) {
             self.refused_events += 1;
-            return false;
+            return;
         }
-        match action {
-            RetuneAction::Knob(knob) => {
-                let cylinders = self.cfg.farm.cylinders;
-                let m = &mut self.members[shard];
-                let head = HeadState::new(m.service.head(), t, cylinders);
-                if !m.scheduler.retune(&knob, &head) {
-                    self.refused_events += 1;
-                    return false;
-                }
-            }
-            RetuneAction::Policy(policy) => {
-                self.router.set_policy(policy);
-            }
+        let cylinders = self.cfg.farm.cylinders;
+        let m = &mut self.members[shard];
+        let head = HeadState::new(m.service.head(), t, cylinders);
+        if !m.scheduler.retune(&knob, &head) {
+            self.refused_events += 1;
+            return;
         }
-        self.members[shard].recorder.emit(&TraceEvent::Retune {
+        m.recorder.emit(&TraceEvent::Retune {
             now_us: t,
             shard: shard as u32,
-            knob: action.knob_index(),
+            knob: knob.knob_index(),
         });
-        true
     }
 
     /// Apply one event: pump the members with work due before the
@@ -883,12 +848,8 @@ impl FarmDaemon {
                 }
                 self.quarantine_member(shard, at_us);
             }
-            DaemonEvent::Retune {
-                at_us,
-                shard,
-                action,
-            } => {
-                self.apply_retune(shard, action, at_us);
+            DaemonEvent::Retune { at_us, shard, knob } => {
+                self.apply_retune(shard, knob, at_us);
             }
         }
     }
@@ -1003,8 +964,8 @@ pub struct DaemonReport {
     /// Quarantines imposed (supervisor or operator): the members'
     /// `Quarantine` events, summed.
     pub quarantines: u64,
-    /// Control-plane retunes applied (knob changes + policy swaps): the
-    /// members' `Retune` events, summed.
+    /// Control-plane knob retunes applied: the members' `Retune` events,
+    /// summed.
     pub retunes: u64,
     /// Events refused: membership/quarantine/retune requests the farm
     /// cannot honour (unknown shard, wrong state, unsupported knob,
@@ -1676,7 +1637,7 @@ mod tests {
                 1_000 => daemon.handle(DaemonEvent::Retune {
                     at_us,
                     shard: added,
-                    action: RetuneAction::Knob(Retune::Window(0.3)),
+                    knob: Retune::Window(0.3),
                 }),
                 _ => {}
             }
@@ -1813,14 +1774,12 @@ mod tests {
             daemon.handle(DaemonEvent::Arrival(r.clone()));
         }
         let t = trace[149].arrival_us;
-        // Three knob retunes on shard 0, one policy swap, plus three
-        // refusals: unknown shard, a knob the value space rejects, and a
-        // retired target.
-        for (i, action) in [
-            RetuneAction::Knob(Retune::BalanceFactor(2.0)),
-            RetuneAction::Knob(Retune::ScanPartitions(5)),
-            RetuneAction::Knob(Retune::Window(0.3)),
-            RetuneAction::Policy(RoutePolicy::LeastLoaded),
+        // Three knob retunes on shard 0, plus two refusals: an unknown
+        // shard and a knob the value space rejects.
+        for (i, knob) in [
+            Retune::BalanceFactor(2.0),
+            Retune::ScanPartitions(5),
+            Retune::Window(0.3),
         ]
         .into_iter()
         .enumerate()
@@ -1828,25 +1787,24 @@ mod tests {
             daemon.handle(DaemonEvent::Retune {
                 at_us: t + i as u64,
                 shard: 0,
-                action,
+                knob,
             });
         }
         daemon.handle(DaemonEvent::Retune {
             at_us: t + 10,
             shard: 9, // unknown shard
-            action: RetuneAction::Knob(Retune::Window(0.5)),
+            knob: Retune::Window(0.5),
         });
         daemon.handle(DaemonEvent::Retune {
             at_us: t + 11,
             shard: 1,
-            action: RetuneAction::Knob(Retune::ScanPartitions(0)), // invalid R
+            knob: Retune::ScanPartitions(0), // invalid R
         });
         for r in &trace[150..] {
             daemon.handle(DaemonEvent::Arrival(r.clone()));
         }
-        assert_eq!(daemon.router().policy(), RoutePolicy::LeastLoaded);
         let report = daemon.shutdown();
-        assert_eq!(report.retunes, 4);
+        assert_eq!(report.retunes, 3);
         assert_eq!(report.refused_events, 2);
         report.ledger().expect("ledger closes across retunes");
         report.reconcile_events().expect("retune events reconcile");
@@ -1856,7 +1814,7 @@ mod tests {
             .iter()
             .map(|r| r.windows().cumulative().counters.retunes)
             .sum();
-        assert_eq!(traced, 4);
+        assert_eq!(traced, 3);
     }
 
     #[test]

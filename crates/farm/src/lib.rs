@@ -56,8 +56,7 @@ mod online;
 mod router;
 
 pub use daemon::{
-    DaemonConfig, DaemonEvent, DaemonReport, FarmDaemon, MemberStatus, RetuneAction,
-    SupervisorConfig,
+    DaemonConfig, DaemonEvent, DaemonReport, FarmDaemon, MemberStatus, SupervisorConfig,
 };
 pub use online::{OnlineRouter, RouteDecision};
 pub use router::{least_loaded, least_loaded_among, RoutePolicy, ShardLoad};

@@ -232,19 +232,6 @@ impl OnlineRouter {
         least_loaded_among(self.model.loads(), &self.rotation).expect("at least one eligible shard")
     }
 
-    /// Swap the routing policy live — the control plane's router retune
-    /// hook. The load model, eligibility mask and counters all survive
-    /// the swap; only the placement rule changes, so the swap is safe at
-    /// any event boundary.
-    pub fn set_policy(&mut self, policy: RoutePolicy) {
-        self.policy = policy;
-    }
-
-    /// The active routing policy.
-    pub fn policy(&self) -> RoutePolicy {
-        self.policy
-    }
-
     /// Overload redirects taken so far (reported as
     /// [`crate::DaemonReport::redirects`]).
     pub fn redirects(&self) -> u64 {
@@ -338,26 +325,6 @@ mod tests {
         assert_eq!(router.shards(), 3);
         // The idle newcomer is now the least-loaded choice.
         assert_eq!(router.route(&req(10, 0, 10, 0)).shard, new);
-    }
-
-    #[test]
-    fn policy_swap_preserves_load_model_and_counters() {
-        let cfg = FarmConfig::new(3).with_policy(RoutePolicy::HashStream);
-        let mut router = OnlineRouter::new(&cfg, &[None; 3]);
-        // Load shard 0 heavily through the sticky hash policy.
-        let heavy = router.route(&req(0, 0, 7, 0)).shard;
-        for i in 1..12 {
-            router.route(&req(i, 0, 7, 0));
-        }
-        assert_eq!(router.policy(), RoutePolicy::HashStream);
-        router.set_policy(RoutePolicy::LeastLoaded);
-        assert_eq!(router.policy(), RoutePolicy::LeastLoaded);
-        // The surviving load model steers the next arrival off the shard
-        // the old policy piled onto.
-        let d = router.route(&req(12, 0, 7, 0));
-        assert_ne!(d.shard, heavy);
-        assert_eq!(router.reroutes(), 0);
-        assert_eq!(router.redirects(), 0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn run_sequence(seed: u64) -> (u64, u64) {
 
     let mut now = rng.below(3) * est;
     for id in 0..40 + rng.below(80) {
-        // Membership and policy changes between arrivals.
+        // Membership changes between arrivals.
         match rng.below(20) {
             0 => {
                 let shard = rng.below(explicit.shards.len() as u64) as usize;
@@ -179,11 +179,6 @@ fn run_sequence(seed: u64) -> (u64, u64) {
                 let c = capacity(&mut rng);
                 assert_eq!(router.add_shard(c), explicit.shards.len());
                 explicit.shards.push(ExplicitShard::idle(c));
-            }
-            2 => {
-                let policy = rng.pick(&POLICIES);
-                router.set_policy(policy);
-                explicit.policy = policy;
             }
             _ => {}
         }

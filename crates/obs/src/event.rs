@@ -127,8 +127,8 @@ event_table! {
     ///   drained shard hands off a resident request,
     ///   [`Quarantine`](TraceEvent::Quarantine) when the health supervisor
     ///   (or an operator) pulls a shard out of the routing pool, and
-    ///   [`Retune`](TraceEvent::Retune) when the control plane applies a
-    ///   live knob or policy change at a safe epoch boundary.
+    ///   [`Retune`](TraceEvent::Retune) when the control plane changes a
+    ///   scheduler knob live at a safe epoch boundary.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum TraceEvent {
         /// A request reached the scheduler queue.
@@ -343,16 +343,16 @@ event_table! {
             /// strike-scaled, jittered cooldown.
             until_us: u64,
         },
-        /// The control plane retuned a shard at a safe epoch boundary: a
-        /// scheduler knob changed live, or the farm swapped routing policy.
+        /// The control plane changed a scheduler knob live at a safe
+        /// epoch boundary.
         Retune "retune" {
             /// Retune application time (µs).
             now_us: u64,
-            /// The retuned shard (for policy swaps: the shard whose recorder
-            /// logs the farm-wide change).
+            /// The retuned shard.
             shard: u32,
-            /// Which knob changed: 0 = balance factor `f`, 1 = scan
-            /// partitions `R`, 2 = blocking window `w`, 3 = routing policy.
+            /// Which knob changed (`sched::Retune::knob_index`): 0 =
+            /// balance factor `f`, 1 = scan partitions `R`, 2 = blocking
+            /// window `w`.
             knob: u32,
         },
     }

@@ -13,7 +13,7 @@
 //!   being true no-ops in the scheduler.
 //! * [`check_controller_storm`] — **retune-under-churn**: a
 //!   seed-derived storm of operator retunes (valid and invalid knob
-//!   values, dead shard indices, policy swaps) plus a mid-run drain,
+//!   values, dead shard indices) plus a mid-run drain,
 //!   with a live controller retuning on top. The run must close its
 //!   request ledger, reconcile its traced events with the daemon's
 //!   counters, and two identical runs must be bit-identical down to the
@@ -21,7 +21,7 @@
 
 use crate::daemon::{daemon_shaped, fingerprint, merge_events, supervisor_kept_up};
 use ctrl::{drive, Controller, ControllerConfig, Grid, GridPoint, SearchConfig};
-use farm::{DaemonEvent, FarmConfig, RetuneAction, RoutePolicy};
+use farm::{DaemonEvent, FarmConfig, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched::{Request, Retune};
@@ -127,28 +127,19 @@ pub fn check_controller_storm(seed: u64, trace: &[Request]) -> Result<(), String
     let options = SimOptions::with_shape(1, 8).dropping();
 
     // A dozen operator retunes: knob values off the grid, out-of-range
-    // values the setters must refuse, dead shard indices, policy swaps —
-    // plus one mid-run drain so retunes land on a Draining/Drained
-    // member and get refused without disturbing the ledger.
+    // values the setters must refuse, dead shard indices — plus one
+    // mid-run drain so retunes land on a Draining/Drained member and get
+    // refused without disturbing the ledger.
     let mut script = Vec::new();
     for _ in 0..12 {
         let at_us = rng.gen_range(100_000..1_600_000u64);
         let shard = rng.gen_range(0..4usize); // 3 = out of range, refused
-        let action = match rng.gen_range(0..4u8) {
-            0 => RetuneAction::Knob(Retune::BalanceFactor(rng.gen_range(-1.0..5.0))),
-            1 => RetuneAction::Knob(Retune::ScanPartitions(rng.gen_range(0..8u32))),
-            2 => RetuneAction::Knob(Retune::Window(rng.gen_range(-0.2..1.2))),
-            _ => RetuneAction::Policy(match rng.gen_range(0..3u8) {
-                0 => RoutePolicy::HashStream,
-                1 => RoutePolicy::CylinderRange,
-                _ => RoutePolicy::LeastLoaded,
-            }),
+        let knob = match rng.gen_range(0..3u8) {
+            0 => Retune::BalanceFactor(rng.gen_range(-1.0..5.0)),
+            1 => Retune::ScanPartitions(rng.gen_range(0..8u32)),
+            _ => Retune::Window(rng.gen_range(-0.2..1.2)),
         };
-        script.push(DaemonEvent::Retune {
-            at_us,
-            shard,
-            action,
-        });
+        script.push(DaemonEvent::Retune { at_us, shard, knob });
     }
     script.push(DaemonEvent::DrainShard {
         at_us: rng.gen_range(400_000..900_000u64),
@@ -173,7 +164,6 @@ pub fn check_controller_storm(seed: u64, trace: &[Request]) -> Result<(), String
                     seed,
                     ..SearchConfig::default()
                 },
-                policies: vec![policy],
                 ..ControllerConfig::default()
             },
         );
@@ -272,5 +262,66 @@ mod tests {
         assert!(!controller.decision_log().is_empty());
         report.ledger().expect("ledger closes under live retuning");
         report.reconcile_events().expect("retune events reconcile");
+    }
+
+    #[test]
+    fn each_decision_carries_the_knob_code_of_the_retune_event_it_causes() {
+        // Small enough that no member's ring wraps and the decision log
+        // is never trimmed: every retune the daemon applied is still in
+        // a dump, and every decision the controller took is in its log.
+        let trace: Vec<Request> = vod(64, 11).into_iter().take(150).collect();
+        let cfg = FarmConfig::new(2).with_policy(RoutePolicy::HashStream);
+        let mut daemon = daemon_shaped(
+            &cfg,
+            SimOptions::with_shape(1, 8).dropping(),
+            Some(8),
+            obs::TriggerConfig::quiet(),
+            obs::TelemetryConfig::exact().window_log2(17).depth(2),
+        );
+        let mut controller = Controller::new(
+            cfg.shards,
+            ControllerConfig {
+                seed_point: SEED_POINT,
+                ..ControllerConfig::default()
+            },
+        );
+        drive(
+            &mut daemon,
+            &mut controller,
+            trace.iter().cloned().map(DaemonEvent::Arrival),
+            8,
+        );
+        let mut report = daemon.shutdown();
+        let log = controller.decision_log();
+        assert!(log.len() < 32, "the log was trimmed: {}", log.len());
+        for knob in 0..3 {
+            assert!(
+                log.iter().any(|d| d.knob == knob),
+                "knob {knob} never moved"
+            );
+        }
+        assert_eq!(report.retunes, log.len() as u64);
+        let end = report.makespan_us;
+        for (k, recorder) in report.recorders.iter_mut().enumerate() {
+            let dump = recorder.force_dump(end);
+            assert!(
+                dump.clean && dump.evicted_since_dump == 0,
+                "member {k}'s ring wrapped"
+            );
+            let traced: Vec<u32> = dump
+                .events
+                .iter()
+                .filter_map(|e| match *e {
+                    obs::TraceEvent::Retune { knob, .. } => Some(knob),
+                    _ => None,
+                })
+                .collect();
+            let decided: Vec<u32> = log
+                .iter()
+                .filter(|d| d.shard as usize == k)
+                .map(|d| d.knob)
+                .collect();
+            assert_eq!(decided, traced, "member {k}");
+        }
     }
 }

@@ -67,6 +67,19 @@ pub enum Retune {
     Window(f64),
 }
 
+impl Retune {
+    /// The knob's stable code: 0 = balance factor `f`, 1 = scan
+    /// partitions `R`, 2 = blocking window `w`. The only source of the
+    /// code a retune trace event and a controller decision carry.
+    pub fn knob_index(&self) -> u32 {
+        match self {
+            Retune::BalanceFactor(_) => 0,
+            Retune::ScanPartitions(_) => 1,
+            Retune::Window(_) => 2,
+        }
+    }
+}
+
 /// A disk scheduler: accepts arriving requests, and when the disk becomes
 /// idle hands back the next request to serve.
 ///

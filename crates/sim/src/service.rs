@@ -45,6 +45,14 @@ impl ServiceOutcome {
             rebuild: None,
         }
     }
+
+    /// A failed attempt that paid `breakdown`.
+    fn failed(breakdown: ServiceBreakdown, fault: ServiceFault) -> Self {
+        ServiceOutcome {
+            fault: Some(fault),
+            ..ServiceOutcome::ok(breakdown)
+        }
+    }
 }
 
 /// Something that can serve a request and report where its head is.
@@ -53,14 +61,17 @@ pub trait ServiceProvider {
     fn head(&self) -> u32;
     /// Number of cylinders (for [`sched::HeadState`]).
     fn cylinders(&self) -> u32;
-    /// Serve `req`, advancing internal state; returns the time breakdown.
-    fn service(&mut self, req: &Request) -> ServiceBreakdown;
-    /// Serve `req` through the fault layer at simulation time `now_us`.
-    /// The default forwards to [`ServiceProvider::service`] and never
-    /// faults — providers without an injector cost nothing extra.
-    fn service_checked(&mut self, req: &Request, _now_us: Micros) -> ServiceOutcome {
-        ServiceOutcome::ok(self.service(req))
-    }
+    /// Serve `req` at simulation time `now_us`, advancing internal
+    /// state. Without a fault plan there are no draws, no failed member
+    /// and no rebuild: the outcome is always [`ServiceOutcome::ok`].
+    fn service(&mut self, req: &Request, now_us: Micros) -> ServiceOutcome;
+}
+
+/// Add `b` to `total`, component by component.
+fn add(total: &mut ServiceBreakdown, b: ServiceBreakdown) {
+    total.seek_us += b.seek_us;
+    total.rotation_us += b.rotation_us;
+    total.transfer_us += b.transfer_us;
 }
 
 /// Scale a breakdown by a limping member's service-time multiplier.
@@ -120,11 +131,7 @@ impl ServiceProvider for DiskService {
         self.disk.geometry().cylinders()
     }
 
-    fn service(&mut self, req: &Request) -> ServiceBreakdown {
-        self.disk.service(req.cylinder, req.bytes)
-    }
-
-    fn service_checked(&mut self, req: &Request, now_us: Micros) -> ServiceOutcome {
+    fn service(&mut self, req: &Request, now_us: Micros) -> ServiceOutcome {
         let Some(inj) = self.faults.as_mut() else {
             return ServiceOutcome::ok(self.disk.service(req.cylinder, req.bytes));
         };
@@ -132,13 +139,7 @@ impl ServiceProvider for DiskService {
             // A single disk has no parity path: the request cannot be
             // served at any cost. Zero-time failure keeps the retry
             // budget (not the clock) in charge of termination.
-            return ServiceOutcome {
-                breakdown: ServiceBreakdown::default(),
-                fault: Some(ServiceFault::Down),
-                remap_penalty_us: 0,
-                degraded: None,
-                rebuild: None,
-            };
+            return ServiceOutcome::failed(ServiceBreakdown::default(), ServiceFault::Down);
         }
         let draw = inj.draw();
         let mut b = limp(inj, self.disk.service(req.cylinder, req.bytes));
@@ -147,13 +148,7 @@ impl ServiceProvider for DiskService {
             // the platter turned — but returns no data. A retry re-pays
             // rotation from the disk's tracked angle: one extra
             // revolution, exactly the paper's recoverable-error cost.
-            return ServiceOutcome {
-                breakdown: b,
-                fault: Some(ServiceFault::Transient),
-                remap_penalty_us: 0,
-                degraded: None,
-                rebuild: None,
-            };
+            return ServiceOutcome::failed(b, ServiceFault::Transient);
         }
         let mut remap = 0;
         if draw.bad_sector {
@@ -161,11 +156,8 @@ impl ServiceProvider for DiskService {
             b.seek_us += remap;
         }
         ServiceOutcome {
-            breakdown: b,
-            fault: None,
             remap_penalty_us: remap,
-            degraded: None,
-            rebuild: None,
+            ..ServiceOutcome::ok(b)
         }
     }
 }
@@ -214,13 +206,13 @@ impl ServiceProvider for TransferDominated {
         self.cylinders
     }
 
-    fn service(&mut self, req: &Request) -> ServiceBreakdown {
+    fn service(&mut self, req: &Request, _now_us: Micros) -> ServiceOutcome {
         self.head = req.cylinder;
-        ServiceBreakdown {
+        ServiceOutcome::ok(ServiceBreakdown {
             seek_us: 0,
             rotation_us: 0,
             transfer_us: self.fixed_us + req.bytes * self.ns_per_byte / 1000,
-        }
+        })
     }
 }
 
@@ -291,6 +283,33 @@ impl Raid5Service {
     pub fn rebuilt_stripes(&self) -> u64 {
         self.faults.as_ref().map_or(0, |f| f.rebuilt_stripes)
     }
+
+    /// One access to `member` that cost `b` on a healthy disk, through
+    /// the member's fault stream: `Ok` with the cost (limped, plus the
+    /// remap penalty of a latent bad sector) and that penalty, or `Err`
+    /// with the time paid by a transient error. Without a fault plan,
+    /// `Ok((b, 0))`.
+    fn access(
+        &mut self,
+        member: usize,
+        b: ServiceBreakdown,
+    ) -> Result<(ServiceBreakdown, Micros), ServiceBreakdown> {
+        let Some(state) = self.faults.as_mut() else {
+            return Ok((b, 0));
+        };
+        let inj = &mut state.injectors[member];
+        let draw = inj.draw();
+        let mut b = limp(inj, b);
+        if draw.transient {
+            return Err(b);
+        }
+        let mut penalty = 0;
+        if draw.bad_sector {
+            penalty = inj.plan().remap_penalty_us;
+            b.seek_us += penalty;
+        }
+        Ok((b, penalty))
+    }
 }
 
 impl ServiceProvider for Raid5Service {
@@ -302,133 +321,88 @@ impl ServiceProvider for Raid5Service {
         self.raid.disk(0).geometry().cylinders()
     }
 
-    fn service(&mut self, req: &Request) -> ServiceBreakdown {
+    fn service(&mut self, req: &Request, now_us: Micros) -> ServiceOutcome {
         self.last_cylinder = req.cylinder;
         let lba = req.cylinder as u64;
-        match req.kind {
-            sched::OpKind::Read => {
-                let blocks = req.bytes.div_ceil(self.block_bytes).max(1);
-                let mut total = ServiceBreakdown::default();
-                for i in 0..blocks {
-                    let b = self.raid.read(lba + i, self.block_bytes.min(req.bytes));
-                    total.seek_us += b.seek_us;
-                    total.rotation_us += b.rotation_us;
-                    total.transfer_us += b.transfer_us;
-                }
-                total
-            }
-            sched::OpKind::Write => {
-                // The write completes when the slower of the data/parity
-                // RMW pairs does; attribute seek vs. rotation to that
-                // gating member.
-                self.raid
-                    .write(lba, self.block_bytes.min(req.bytes.max(1)))
-                    .critical()
-            }
-        }
-    }
-
-    fn service_checked(&mut self, req: &Request, now_us: Micros) -> ServiceOutcome {
-        if self.faults.is_none() {
-            return ServiceOutcome::ok(self.service(req));
-        }
-        self.last_cylinder = req.cylinder;
-        let lba = req.cylinder as u64;
-        let state = self.faults.as_mut().expect("checked above");
-        let plan = state.injectors[0].plan().clone();
-        let failed_member = plan
-            .member_failure
+        let failed_member = self
+            .faults
+            .as_ref()
+            .and_then(|f| f.injectors[0].plan().member_failure)
             .filter(|f| now_us >= f.at_us)
             .map(|f| f.member);
 
         let mut total = ServiceBreakdown::default();
         let mut degraded: Option<u32> = None;
         let mut remap_total: Micros = 0;
-        if matches!(req.kind, sched::OpKind::Read) {
-            let blocks = req.bytes.div_ceil(self.block_bytes).max(1);
-            let bytes = self.block_bytes.min(req.bytes);
-            for i in 0..blocks {
-                let block_lba = lba + i;
-                let member = self.raid.locate(block_lba).data_disk;
-                if failed_member == Some(member) {
-                    // Reconstruct from the N−1 survivors; pays the max of
-                    // their services. Survivors draw no media faults here
-                    // — a reconstruction-time error would need two
-                    // concurrent failures, outside this model's scope.
-                    let b = self.raid.degraded_read(block_lba, bytes, member);
-                    degraded = Some(member as u32);
-                    total.seek_us += b.seek_us;
-                    total.rotation_us += b.rotation_us;
-                    total.transfer_us += b.transfer_us;
-                    continue;
+        match req.kind {
+            sched::OpKind::Read => {
+                let blocks = req.bytes.div_ceil(self.block_bytes).max(1);
+                let bytes = self.block_bytes.min(req.bytes);
+                for i in 0..blocks {
+                    let block_lba = lba + i;
+                    let member = self.raid.locate(block_lba).data_disk;
+                    if failed_member == Some(member) {
+                        // Reconstruct from the N−1 survivors; pays the max
+                        // of their services. Survivors draw no media faults
+                        // here — a reconstruction-time error would need two
+                        // concurrent failures, outside this model's scope.
+                        let b = self.raid.degraded_read(block_lba, bytes, member);
+                        degraded = Some(member as u32);
+                        add(&mut total, b);
+                        continue;
+                    }
+                    let b = self.raid.read(block_lba, bytes);
+                    match self.access(member, b) {
+                        Ok((b, penalty)) => {
+                            add(&mut total, b);
+                            remap_total += penalty;
+                        }
+                        Err(paid) => {
+                            add(&mut total, paid);
+                            return ServiceOutcome {
+                                degraded,
+                                ..ServiceOutcome::failed(total, ServiceFault::Transient)
+                            };
+                        }
+                    }
                 }
-                let inj = &mut state.injectors[member];
-                let draw = inj.draw();
-                let mut b = limp(inj, self.raid.read(block_lba, bytes));
-                if draw.transient {
-                    total.seek_us += b.seek_us;
-                    total.rotation_us += b.rotation_us;
-                    total.transfer_us += b.transfer_us;
-                    return ServiceOutcome {
-                        breakdown: total,
-                        fault: Some(ServiceFault::Transient),
-                        remap_penalty_us: 0,
-                        degraded,
-                        rebuild: None,
-                    };
-                }
-                if draw.bad_sector {
-                    let penalty = plan.remap_penalty_us;
-                    b.seek_us += penalty;
-                    remap_total += penalty;
-                }
-                total.seek_us += b.seek_us;
-                total.rotation_us += b.rotation_us;
-                total.transfer_us += b.transfer_us;
             }
-        } else {
-            // Writes: the fault stream of the data member covers the RMW
-            // pair; degraded writes (data or parity member down) are
-            // served at healthy cost — the array's write-back buffering
-            // is outside this model (see DESIGN.md §6d).
-            let member = self.raid.locate(lba).data_disk;
-            let inj = &mut state.injectors[member];
-            let draw = inj.draw();
-            let mut b = limp(
-                inj,
-                self.raid
+            sched::OpKind::Write => {
+                // The write completes when the slower of the data/parity
+                // RMW pairs does; attribute seek vs. rotation to that
+                // gating member, whose fault stream covers the pair.
+                // Degraded writes (data or parity member down) are served
+                // at healthy cost — the array's write-back buffering is
+                // outside this model (see DESIGN.md §6d).
+                let member = self.raid.locate(lba).data_disk;
+                let b = self
+                    .raid
                     .write(lba, self.block_bytes.min(req.bytes.max(1)))
-                    .critical(),
-            );
-            if draw.transient {
-                return ServiceOutcome {
-                    breakdown: b,
-                    fault: Some(ServiceFault::Transient),
-                    remap_penalty_us: 0,
-                    degraded: None,
-                    rebuild: None,
-                };
+                    .critical();
+                match self.access(member, b) {
+                    Ok((b, penalty)) => {
+                        total = b;
+                        remap_total = penalty;
+                    }
+                    Err(paid) => return ServiceOutcome::failed(paid, ServiceFault::Transient),
+                }
             }
-            if draw.bad_sector {
-                let penalty = plan.remap_penalty_us;
-                b.seek_us += penalty;
-                remap_total += penalty;
-            }
-            total = b;
         }
 
         // Background rebuild: once the member is down, every `every`-th
         // foreground completion tows one stripe reconstruction behind it.
         let mut rebuild = None;
-        if let (Some(failed), Some(spec)) = (failed_member, plan.rebuild) {
-            if state.rebuilt_stripes < spec.stripes {
-                state.since_rebuild += 1;
-                if state.since_rebuild >= spec.every {
-                    state.since_rebuild = 0;
-                    let stripe = state.rebuilt_stripes;
-                    state.rebuilt_stripes += 1;
-                    let b = self.raid.rebuild_stripe(stripe, self.block_bytes, failed);
-                    rebuild = Some((stripe, b.total_us()));
+        if let (Some(failed), Some(state)) = (failed_member, self.faults.as_mut()) {
+            if let Some(spec) = state.injectors[0].plan().rebuild {
+                if state.rebuilt_stripes < spec.stripes {
+                    state.since_rebuild += 1;
+                    if state.since_rebuild >= spec.every {
+                        state.since_rebuild = 0;
+                        let stripe = state.rebuilt_stripes;
+                        state.rebuilt_stripes += 1;
+                        let b = self.raid.rebuild_stripe(stripe, self.block_bytes, failed);
+                        rebuild = Some((stripe, b.total_us()));
+                    }
                 }
             }
         }
@@ -455,7 +429,7 @@ mod tests {
     #[test]
     fn transfer_dominated_uniform() {
         let mut s = TransferDominated::uniform(20_000, 3832);
-        let b = s.service(&req(100, 64 * 1024));
+        let b = s.service(&req(100, 64 * 1024), 0).breakdown;
         assert_eq!(b.total_us(), 20_000);
         assert_eq!(s.head(), 100);
     }
@@ -464,20 +438,20 @@ mod tests {
     fn transfer_dominated_scales_with_bytes() {
         // 150 ns/byte ≈ 6.7 MB/s.
         let mut s = TransferDominated::scaled(1_000, 150, 3832);
-        let small = s.service(&req(0, 16 * 1024)).total_us();
-        let large = s.service(&req(0, 128 * 1024)).total_us();
+        let small = s.service(&req(0, 16 * 1024), 0).breakdown.total_us();
+        let large = s.service(&req(0, 128 * 1024), 0).breakdown.total_us();
         assert!(large > 7 * small / 2, "large {large} vs small {small}");
     }
 
     #[test]
     fn raid_service_reads_and_writes() {
         let mut s = Raid5Service::table1();
-        let read = s.service(&req(100, 64 * 1024));
+        let read = s.service(&req(100, 64 * 1024), 0).breakdown;
         assert!(read.total_us() > 0);
         assert_eq!(s.head(), 100);
         let mut w = Request::read(1, 0, u64::MAX, 200, 64 * 1024, QosVector::none());
         w.kind = sched::OpKind::Write;
-        let write = s.service(&w);
+        let write = s.service(&w, 0).breakdown;
         assert!(
             write.total_us() > read.total_us(),
             "RMW write {} should cost more than a read {}",
@@ -489,15 +463,15 @@ mod tests {
     #[test]
     fn raid_large_read_spans_blocks() {
         let mut s = Raid5Service::table1();
-        let one = s.service(&req(0, 64 * 1024)).total_us();
-        let four = s.service(&req(0, 256 * 1024)).total_us();
+        let one = s.service(&req(0, 64 * 1024), 0).breakdown.total_us();
+        let four = s.service(&req(0, 256 * 1024), 0).breakdown.total_us();
         assert!(four > 2 * one, "4-block read {four} vs 1-block {one}");
     }
 
     #[test]
     fn disk_service_moves_head() {
         let mut s = DiskService::table1();
-        s.service(&req(1234, 512));
+        s.service(&req(1234, 512), 0);
         assert_eq!(s.head(), 1234);
         assert_eq!(s.cylinders(), 3832);
         assert_eq!(s.disk().stats().requests, 1);

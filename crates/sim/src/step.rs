@@ -423,7 +423,7 @@ impl EngineStepper {
         let max_attempts = self.options.max_attempts.max(1);
         let mut attempt: u32 = 1;
         let outcome = loop {
-            let o = service.service_checked(&req, self.now);
+            let o = service.service(&req, self.now);
             self.now = self.now.saturating_add(o.breakdown.total_us());
             self.metrics.seek_us += o.breakdown.seek_us;
             self.metrics.rotation_us += o.breakdown.rotation_us;
