@@ -38,13 +38,12 @@ step "cargo build --release"
 cargo build --release
 
 step "cargo test (whole workspace)"
-# 671 tests: the root package holds 49 of them; farm, sim, the oracle
-# and the rest of the workspace the other 622. The daemon farm's ledger
-# and routing quality, its drain and supervision, the fault sweep's
-# reconciliation (its arrival, drop and failure events against the
-# engine's metrics; fault counts exist only as events) and the windowed
-# telemetry's bit-identity are checked here (and by the oracle below),
-# not by a smoke run of their own.
+# The root package's tests, then farm, sim, the oracle and the rest of
+# the workspace. The daemon farm's ledger and routing quality, its drain
+# and supervision, the fault sweep's reconciliation (its arrival, drop
+# and failure events against the engine's metrics; fault counts exist
+# only as events) and the windowed telemetry's bit-identity are checked
+# here (and by the oracle below), not by a smoke run of their own.
 cargo test -q --workspace
 
 step "inversion-census tests, release"

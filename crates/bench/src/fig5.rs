@@ -111,7 +111,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
     let baseline = fifo.inversions_total().max(1) as f64;
 
     let mut rows = Vec::new();
-    for curve in CurveKind::FIGURE1 {
+    for curve in CurveKind::ALL {
         for &w in &cfg.windows_pct {
             let m = run_priority_sim(&trace, curve, DIMS, 4, w, cfg.service_us);
             rows.push(Row {
@@ -208,7 +208,7 @@ mod tests {
         // does at w = 0. Spearman rank correlation must be strong.
         let cfg = small();
         let rows = run(&cfg);
-        let simulated: Vec<(CurveKind, f64)> = CurveKind::FIGURE1
+        let simulated: Vec<(CurveKind, f64)> = CurveKind::ALL
             .into_iter()
             .map(|c| {
                 let v = rows
@@ -219,7 +219,7 @@ mod tests {
                 (c, v)
             })
             .collect();
-        let geometric: Vec<(CurveKind, f64)> = CurveKind::FIGURE1
+        let geometric: Vec<(CurveKind, f64)> = CurveKind::ALL
             .into_iter()
             .map(|c| {
                 let curve = c.build(DIMS, 4).unwrap();

@@ -57,7 +57,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
             .collect();
         let fifo = run_fifo(&trace, dims, cfg.service_us);
         let baseline = fifo.inversions_total().max(1) as f64;
-        for curve in CurveKind::FIGURE1 {
+        for curve in CurveKind::ALL {
             let m = run_priority_sim(&trace, curve, dims, 4, WINDOW_PCT, cfg.service_us);
             rows.push(Row {
                 curve,

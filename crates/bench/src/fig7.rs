@@ -64,7 +64,7 @@ pub fn run(cfg: &Config) -> Vec<Row> {
         .collect();
     let fifo = run_fifo(&trace, cfg.dims, cfg.service_us);
     let mut rows = Vec::new();
-    for curve in CurveKind::FIGURE1 {
+    for curve in CurveKind::ALL {
         for &w in &cfg.windows_pct {
             let m = run_priority_sim(&trace, curve, cfg.dims, 4, w, cfg.service_us);
             let per_dim_pct: Vec<f64> = m

@@ -30,7 +30,6 @@
 //! | `table1`, `fig5`, `fig5_high_load`, `fig6`, `fig7`, `fig8`, `fig9`, `fig9_centroids`, `fig10`, `fig11` | `--seed` | one row of [`FIGURES`] each: the bytes of `results/<name>.csv` on stdout |
 //! | `experiments` | `--seed --out` | every row of [`FIGURES`] written into `--out` (default `results`) |
 //! | `ablation` | `--seed` | [`ablation`]: preemption regimes and SP/ER under a mixed load and the adversarial starvation stream |
-//! | `curves` | | [`sfc::quality`]: the geometric quality table of the whole curve catalogue (2-D, order 4) |
 //! | `trace` | `--seed --requests --dims --service-us --window --transient-ppm --bad-sector-ppm --retries --max-queue --out` | [`trace`]: a fully-instrumented run's per-request JSONL event timeline into `--out`; histogram summary and reconciliation verdict on stderr |
 //! | `faults` | `--mode sweep\|degraded --seed --members --streams --duration-ms --retries --rate-ppm` | [`fault`]: loss/seek/p99 degradation curves under injected media errors, or the degraded-RAID report |
 //! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |

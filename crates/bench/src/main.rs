@@ -12,7 +12,6 @@ use bench::args::Args;
 use bench::{ablation, ctrl, fault, obsreport, perf, scenario, trace};
 use bench::{DEFAULT_SEED, FIGURES};
 use obs::JsonlSink;
-use sfc::{quality, CurveKind};
 use std::io::Write;
 use std::process::exit;
 
@@ -32,10 +31,6 @@ fn main() {
             let seed = parse(&["seed"]).get("seed", DEFAULT_SEED);
             eprintln!("# dispatcher ablation (seed {seed})");
             ablation::print_report(seed);
-        }
-        "curves" => {
-            parse(&[]);
-            curves();
         }
         "trace" => run_trace(&parse(&[
             "seed",
@@ -75,7 +70,7 @@ fn main() {
             let figures: Vec<&str> = FIGURES.iter().map(|(file, _)| stem(file)).collect();
             eprintln!(
                 "usage: bench <subcommand> [--flag value]...\nsubcommands: {} experiments \
-                 ablation curves trace faults scenario ctrl obsreport perf",
+                 ablation trace faults scenario ctrl obsreport perf",
                 figures.join(" ")
             );
             exit(if cmd == "--help" || cmd == "-h" { 0 } else { 2 });
@@ -106,51 +101,6 @@ fn experiments(args: &Args) {
         eprintln!("wrote {}", path.display());
     }
     eprintln!("all experiments complete");
-}
-
-/// The geometric numbers behind the paper's scheduler rankings (and the
-/// subject of its companion papers [18, 19]).
-fn curves() {
-    let (dims, order) = (2, 4);
-    println!(
-        "curve,continuous,max_jump,mean_jump,mean_clusters_4,irregularity_per_dim,bias_per_dim"
-    );
-    for kind in CurveKind::ALL {
-        // Peano's radix-3 grid: pick the order that keeps sizes comparable.
-        let order = if kind == CurveKind::Peano {
-            (order * 2_u32).div_ceil(3)
-        } else {
-            order
-        };
-        let curve = kind.build(dims, order).expect("every curve has a 2-D grid");
-        let cont = quality::continuity(curve.as_ref()).expect("a 256-cell grid is walkable");
-        let clusters = quality::mean_clusters(curve.as_ref(), 4).expect("grid fits");
-        let irr = quality::irregularity(curve.as_ref()).expect("grid fits");
-        let bias = quality::dimension_bias(curve.as_ref(), 20_000);
-        let irr_s: Vec<String> = irr.iter().map(|x| x.to_string()).collect();
-        let bias_s: Vec<String> = bias
-            .inversion_rate
-            .iter()
-            .map(|x| format!("{x:.3}"))
-            .collect();
-        println!(
-            "{},{},{},{:.2},{:.2},{},{}",
-            kind,
-            cont.is_continuous(),
-            cont.max_jump,
-            cont.mean_jump,
-            clusters,
-            irr_s.join("|"),
-            bias_s.join("|"),
-        );
-    }
-    eprintln!();
-    eprintln!("# reading guide:");
-    eprintln!("#  - continuous/max_jump: seek behaviour when the curve orders cylinders (SFC3)");
-    eprintln!("#  - mean_clusters (4-wide boxes): locality, Hilbert's specialty");
-    eprintln!("#  - irregularity: backward steps per dimension (CIKM'01)");
-    eprintln!("#  - bias: pairwise inversion rate per dimension; 0.0 = dimension fully respected,");
-    eprintln!("#    equal values = fair (the Diagonal), skewed = favoring (Sweep/C-Scan)");
 }
 
 /// Nonzero fault rates switch the service model to the Table-1 disk

@@ -85,6 +85,20 @@ fn table1_matches_the_papers_calibration_anchors() {
     assert_eq!(model("Disk size"), "2.11 GB"); // paper: 2.1 GB
 }
 
+/// The curve catalogue is what Figures 5–7 plot, no more and no less: a
+/// curve that no figure reads has no place in it.
+#[test]
+fn figs_5_to_7_plot_exactly_the_curve_catalogue() {
+    use std::collections::BTreeSet;
+    let catalogue: BTreeSet<&str> = bench::CurveKind::ALL.iter().map(|k| k.name()).collect();
+    for file in ["fig5.csv", "fig6.csv", "fig7.csv"] {
+        let t = load(file);
+        let curve = t.column("curve");
+        let plotted: BTreeSet<&str> = t.rows.iter().map(|r| r[curve].as_str()).collect();
+        assert_eq!(plotted, catalogue, "{file}");
+    }
+}
+
 #[test]
 fn fig5_diagonal_minimizes_inversion_at_small_windows() {
     for file in ["fig5.csv", "fig5_high_load.csv"] {

@@ -60,7 +60,6 @@ mod encapsulator;
 pub mod extend;
 pub mod presets;
 mod scheduler;
-pub mod spec;
 
 pub use config::{
     CascadeConfig, DispatchConfig, DistanceMode, PreemptionMode, Stage1, Stage2, Stage2Combiner,

@@ -1,9 +1,11 @@
 //! §4.2 — ready-made degenerate configurations: the Cascaded-SFC
 //! scheduler *is* many classic schedulers under the right settings.
 //!
-//! Each preset returns a [`CascadeConfig`] whose behaviour matches the
-//! named classic (the equivalences are pinned by `tests/generalization.rs`
-//! and the unit tests below):
+//! Each preset returns a [`CascadeConfig`] meant to behave as the named
+//! classic. What pins them: the unit tests below check each preset's
+//! order on a few hand-placed requests, and `scheduler.rs`'s
+//! `dispatcher_width_follows_the_value_reach` builds [`edf`] to check its
+//! value width. No test compares a preset with its classic over a trace.
 //!
 //! | Preset | Classic | Construction |
 //! |---|---|---|

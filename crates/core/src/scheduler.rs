@@ -539,6 +539,48 @@ mod tests {
         (before, wide(&live))
     }
 
+    /// Configurations whose stage arithmetic would overflow `u128` are
+    /// refused when built instead of wrapping (or panicking, in a debug
+    /// build): a 128-bit stage-2 or stage-3 grid, a stage-3 sweep whose
+    /// corner overflows, a balance factor whose composite does.
+    #[test]
+    fn overflowing_stages_are_refused_when_built() {
+        use crate::config::{DistanceMode, Stage2, Stage3};
+        let stage2 = |resolution_bits, f| CascadeConfig {
+            stage1: None,
+            stage2: Some(Stage2 {
+                combiner: Stage2Combiner::Weighted { f },
+                horizon_us: 1_000_000,
+                resolution_bits,
+            }),
+            stage3: None,
+            dispatch: DispatchConfig::paper_default(),
+        };
+        let stage3 = |resolution_bits| CascadeConfig {
+            stage1: None,
+            stage2: None,
+            stage3: Some(Stage3 {
+                partitions: 3,
+                resolution_bits,
+                cylinders: 100,
+                distance: DistanceMode::Absolute,
+            }),
+            dispatch: DispatchConfig::paper_default(),
+        };
+        for config in [
+            stage2(128, 1.0),
+            stage3(128),
+            stage3(127),
+            stage2(10, 1e300),
+        ] {
+            let built = CascadedSfc::new(config.clone());
+            assert!(
+                matches!(built, Err(SfcError::TooLarge { .. })),
+                "{config:?}"
+            );
+        }
+    }
+
     /// The dispatcher's width follows the reach of the values: `u128` for
     /// the stage-2-only composite (at least `G·2⁶⁴` for every `f`, so no
     /// retune of it leaves `u128`), `u64` for the paper default — and a

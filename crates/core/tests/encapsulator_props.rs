@@ -101,33 +101,4 @@ proptest! {
         let r = req(levels, deadline, cyl);
         prop_assert_eq!(e1.characterize(&r, &head), e2.characterize(&r, &head));
     }
-
-    #[test]
-    fn spec_built_schedulers_match_hand_built(
-        f in 0.0f64..8.0,
-        r in 1u32..8,
-    ) {
-        // The spec DSL and the struct literals describe the same machine.
-        let spec = format!(
-            "sfc1 = diagonal : dims=3, levels=16\n\
-             sfc2 = weighted : f={f}, horizon=1s\n\
-             sfc3 = r={r} : cylinders=3832\n\
-             dispatch = batch"
-        );
-        let from_spec = Encapsulator::new(cascade::spec::parse(&spec).unwrap()).unwrap();
-        let mut cfg = CascadeConfig::paper_default(3, 3832);
-        if let Some(s2) = cfg.stage2.as_mut() {
-            s2.combiner = cascade::Stage2Combiner::Weighted { f };
-        }
-        if let Some(s3) = cfg.stage3.as_mut() {
-            s3.partitions = r;
-        }
-        let by_hand = Encapsulator::new(cfg).unwrap();
-        let head = HeadState::new(1000, 0, 3832);
-        let probe = req([3, 7, 1], 450_000, 2222);
-        prop_assert_eq!(
-            from_spec.characterize(&probe, &head),
-            by_hand.characterize(&probe, &head)
-        );
-    }
 }

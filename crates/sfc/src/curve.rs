@@ -7,14 +7,14 @@ use std::fmt;
 pub enum SfcError {
     /// `dims` was zero.
     ZeroDims,
-    /// `order` (bits or base-3 digits per dimension) was zero.
+    /// `order` (bits per dimension) was zero.
     ZeroOrder,
     /// The requested grid has more than `2^128` cells and indices would not
     /// fit in `u128`.
     TooLarge {
         /// Number of dimensions requested.
         dims: u32,
-        /// Order (bits per dimension, or base-3 digits for Peano).
+        /// Order (bits per dimension).
         order: u32,
     },
 }
@@ -67,16 +67,6 @@ pub trait SpaceFillingCurve: Send + Sync {
     /// Scheduling code quantizes coordinates before calling this, so an
     /// out-of-range coordinate is a logic error, not an input error.
     fn index(&self, point: &[u64]) -> u128;
-}
-
-/// A curve that also exposes the exact inverse mapping (index → point).
-pub trait InvertibleCurve: SpaceFillingCurve {
-    /// Recover the grid point at position `index` along the curve.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= cells()` or `out.len() != dims()`.
-    fn point(&self, index: u128, out: &mut [u64]);
 }
 
 /// Validate the common `(dims, order)` constructor arguments for a radix-2
@@ -133,31 +123,12 @@ pub enum CurveKind {
     Hilbert,
     /// Outward spiral around the grid center.
     Spiral,
-    /// Peano curve (radix 3: the side length is `3^order`).
-    Peano,
-    /// Z-order (Morton) curve: plain bit-interleaving.
-    ZOrder,
 }
 
 impl CurveKind {
-    /// All catalogue members, in the paper's Figure-1 order (the extras,
-    /// Peano and Z-order, last).
-    pub const ALL: [CurveKind; 9] = [
-        CurveKind::Sweep,
-        CurveKind::CScan,
-        CurveKind::Scan,
-        CurveKind::Gray,
-        CurveKind::Hilbert,
-        CurveKind::Spiral,
-        CurveKind::Diagonal,
-        CurveKind::Peano,
-        CurveKind::ZOrder,
-    ];
-
-    /// The seven curves used by the paper's scheduling experiments
-    /// (Peano is excluded there because the scheduling grids are powers of
-    /// two while Peano needs a power-of-three side).
-    pub const FIGURE1: [CurveKind; 7] = [
+    /// The whole catalogue: the seven curves of the paper's Figure 1, in
+    /// its order. Figures 5–7 plot one series per member.
+    pub const ALL: [CurveKind; 7] = [
         CurveKind::Sweep,
         CurveKind::CScan,
         CurveKind::Scan,
@@ -177,30 +148,11 @@ impl CurveKind {
             CurveKind::Gray => "gray",
             CurveKind::Hilbert => "hilbert",
             CurveKind::Spiral => "spiral",
-            CurveKind::Peano => "peano",
-            CurveKind::ZOrder => "z-order",
         }
     }
 
-    /// Parse a curve name as produced by [`CurveKind::name`].
-    pub fn parse(s: &str) -> Option<CurveKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "sweep" => Some(CurveKind::Sweep),
-            "scan" => Some(CurveKind::Scan),
-            "c-scan" | "cscan" => Some(CurveKind::CScan),
-            "diagonal" => Some(CurveKind::Diagonal),
-            "gray" => Some(CurveKind::Gray),
-            "hilbert" => Some(CurveKind::Hilbert),
-            "spiral" => Some(CurveKind::Spiral),
-            "peano" => Some(CurveKind::Peano),
-            "z-order" | "zorder" | "morton" => Some(CurveKind::ZOrder),
-            _ => None,
-        }
-    }
-
-    /// Construct the curve over `dims` dimensions with the given per-
-    /// dimension order. For every curve except [`CurveKind::Peano`] the
-    /// grid side is `2^order`; for Peano it is `3^order`.
+    /// Construct the curve over `dims` dimensions with `order` bits per
+    /// dimension: the grid side is `2^order`.
     pub fn build(self, dims: u32, order: u32) -> Result<Box<dyn SpaceFillingCurve>, SfcError> {
         Ok(match self {
             CurveKind::Sweep => Box::new(crate::Sweep::new(dims, order)?),
@@ -210,8 +162,6 @@ impl CurveKind {
             CurveKind::Gray => Box::new(crate::Gray::new(dims, order)?),
             CurveKind::Hilbert => Box::new(crate::Hilbert::new(dims, order)?),
             CurveKind::Spiral => Box::new(crate::Spiral::new(dims, order)?),
-            CurveKind::Peano => Box::new(crate::Peano::new(dims, order)?),
-            CurveKind::ZOrder => Box::new(crate::ZOrder::new(dims, order)?),
         })
     }
 }
@@ -241,15 +191,6 @@ mod tests {
             check_radix2(2, 64),
             Err(SfcError::TooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn kind_roundtrip_names() {
-        for k in CurveKind::ALL {
-            assert_eq!(CurveKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(CurveKind::parse("nope"), None);
-        assert_eq!(CurveKind::parse("CSCAN"), Some(CurveKind::CScan));
     }
 
     #[test]

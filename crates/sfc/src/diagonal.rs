@@ -20,7 +20,7 @@
 //! `index()` query is `O(d)` using prefix sums of `N_m`. For `d ≤ 2` the
 //! closed forms are used and no tables are allocated.
 
-use crate::curve::{check_point, check_radix2, InvertibleCurve, SfcError, SpaceFillingCurve};
+use crate::curve::{check_point, check_radix2, SfcError, SpaceFillingCurve};
 
 /// Upper bound on the total DP-table entries `Diagonal::new` may allocate
 /// (keeps the worst case around 256 MiB of `u128`s).
@@ -179,52 +179,6 @@ impl SpaceFillingCurve for Diagonal {
     }
 }
 
-impl InvertibleCurve for Diagonal {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "diagonal: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        let d = self.dims as usize;
-        // Find the anti-diagonal: smallest s with C_d(s) > index.
-        let smax = (self.side - 1) * self.dims as u64;
-        let (mut lo, mut hi) = (0u64, smax);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.cum_m(d, mid as i128) > index {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let s = lo;
-        let before = self.cum_m(d, s as i128 - 1);
-        let in_diag = self.count_m(d, s as i128);
-        let mut lex = index - before;
-        if s & 1 == 1 {
-            lex = in_diag - 1 - lex;
-        }
-        // Unrank lexicographically within the anti-diagonal.
-        let mut rem_sum = s as i128;
-        for (j, out_j) in out.iter_mut().enumerate() {
-            let m = d - j - 1;
-            // Choose the smallest v such that the block of points with
-            // coord j == v contains rank `lex`.
-            let mut v: u64 = 0;
-            loop {
-                let block = self.count_m(m, rem_sum - v as i128);
-                if lex < block {
-                    break;
-                }
-                lex -= block;
-                v += 1;
-                debug_assert!(v < self.side, "diagonal unrank overran side");
-            }
-            *out_j = v;
-            rem_sum -= v as i128;
-        }
-        debug_assert_eq!(rem_sum, 0);
-    }
-}
-
 /// The weighted diagonal family of the paper's deadline stage (SFC2):
 /// `v = x + f·y`.
 ///
@@ -319,9 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn bijective_and_invertible_4d() {
+    fn bijective_4d() {
         let c = Diagonal::new(4, 2).unwrap();
-        let mut p = vec![0u64; 4];
         let mut seen = vec![false; 256];
         for a in 0..4u64 {
             for b in 0..4 {
@@ -331,8 +284,6 @@ mod tests {
                         let i = c.index(&pt);
                         assert!(!seen[i as usize]);
                         seen[i as usize] = true;
-                        c.point(i, &mut p);
-                        assert_eq!(p, pt);
                     }
                 }
             }

@@ -5,8 +5,8 @@
 //! grid of at most [`SMALL_LUT_MAX_CELLS`] cells — every shape the
 //! scheduler's stage 1 builds — is flattened into a dense rank table, one
 //! load per request whatever the curve family; anything larger stays the
-//! boxed catalogue object (whose 2-D/3-D Hilbert, Z-order and Gray
-//! `index` already run on the LUT kernels of [`crate::kernels`]).
+//! boxed catalogue object (whose 2-D/3-D Hilbert and Gray `index`
+//! already run on the LUT kernels of [`crate::kernels`]).
 //! `CurveKernel::index` is bit-identical to the catalogue curve it
 //! replaces — same value, same out-of-range panics (pinned by
 //! `tests/props.rs`).
@@ -25,8 +25,7 @@ pub enum CurveKernel {
         /// `lut[off]` is the curve index of the point whose mixed-radix
         /// offset is `off = Σ pⱼ·sideʲ`.
         lut: Box<[u16]>,
-        /// Cells per dimension (not necessarily a power of two: Peano
-        /// grids are 3-adic).
+        /// Cells per dimension.
         side: u64,
         /// Number of grid dimensions.
         dims: u32,
@@ -229,7 +228,7 @@ mod tests {
             CurveKernel::SmallLut { .. }
         ));
         assert!(matches!(
-            CurveKernel::build(CurveKind::ZOrder, 3, 4).unwrap(),
+            CurveKernel::build(CurveKind::Gray, 3, 4).unwrap(),
             CurveKernel::SmallLut { .. }
         ));
         // Too many cells for the table: back to the catalogue object.

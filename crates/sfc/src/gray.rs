@@ -1,15 +1,15 @@
 //! The reflected Gray-code curve.
 //!
 //! Coordinates are bit-interleaved into a single word `w` (dimension 0
-//! contributes the most significant bit of each group, as in a Z-order /
-//! Morton code), and the curve index is the *rank* of `w` in the binary
+//! contributes the most significant bit of each group, as in a Morton
+//! code), and the curve index is the *rank* of `w` in the binary
 //! reflected Gray code: `index = gray⁻¹(w)`.
 //!
 //! Stepping along the curve flips exactly one bit of the interleaved word,
 //! so consecutive cells differ in exactly one coordinate by a power of two
 //! — strong clustering, but not unit-step continuity (paper [18,19]).
 
-use crate::curve::{check_point, check_radix2, InvertibleCurve, SfcError, SpaceFillingCurve};
+use crate::curve::{check_point, check_radix2, SfcError, SpaceFillingCurve};
 
 /// The reflected Gray-code curve. See module docs.
 #[derive(Debug, Clone)]
@@ -44,24 +44,6 @@ impl Gray {
             }
         }
     }
-
-    fn deinterleave(&self, w: u128, out: &mut [u64]) {
-        out.iter_mut().for_each(|c| *c = 0);
-        let total = self.bits * self.dims;
-        let mut pos = total;
-        for level in (0..self.bits).rev() {
-            for c in out.iter_mut() {
-                pos -= 1;
-                *c |= (((w >> pos) & 1) as u64) << level;
-            }
-        }
-    }
-}
-
-/// Binary reflected Gray code of `b`.
-#[inline]
-pub(crate) fn gray(b: u128) -> u128 {
-    b ^ (b >> 1)
 }
 
 /// Inverse of the binary reflected Gray code.
@@ -94,17 +76,14 @@ impl SpaceFillingCurve for Gray {
     }
 }
 
-impl InvertibleCurve for Gray {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "gray: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        self.deinterleave(gray(index), out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Binary reflected Gray code of `b`.
+    fn gray(b: u128) -> u128 {
+        b ^ (b >> 1)
+    }
 
     #[test]
     fn gray_code_basics() {
@@ -118,17 +97,15 @@ mod tests {
     #[test]
     fn consecutive_cells_differ_in_one_coordinate() {
         let c = Gray::new(3, 2).unwrap();
-        let mut prev = vec![0u64; 3];
-        let mut cur = vec![0u64; 3];
-        for i in 1..c.cells() {
-            c.point(i - 1, &mut prev);
-            c.point(i, &mut cur);
-            let changed = prev.iter().zip(&cur).filter(|(a, b)| a != b).count();
-            assert_eq!(changed, 1, "step {i}: {prev:?} -> {cur:?}");
+        let cells = crate::quality::walk(&c).unwrap();
+        for (i, w) in cells.windows(2).enumerate() {
+            let (prev, cur) = (&w[0], &w[1]);
+            let changed = prev.iter().zip(cur).filter(|(a, b)| a != b).count();
+            assert_eq!(changed, 1, "step {}: {prev:?} -> {cur:?}", i + 1);
             // ... and the change is a power of two.
             let delta = prev
                 .iter()
-                .zip(&cur)
+                .zip(cur)
                 .map(|(&a, &b)| a.abs_diff(b))
                 .max()
                 .unwrap();
@@ -137,12 +114,17 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_2d() {
-        let c = Gray::new(2, 4).unwrap();
-        let mut p = vec![0u64; 2];
-        for i in 0..c.cells() {
-            c.point(i, &mut p);
-            assert_eq!(c.index(&p), i);
+    fn index_is_the_gray_rank_of_the_morton_word() {
+        // Gray = inverse Gray code of the Morton word: dimension 0 is the
+        // most significant bit of each level.
+        let g = Gray::new(2, 2).unwrap();
+        for x in 0..4u64 {
+            for y in 0..4 {
+                let morton = (0..2).rev().fold(0u128, |w, level| {
+                    (w << 2) | (((x >> level) & 1) << 1 | ((y >> level) & 1)) as u128
+                });
+                assert_eq!(gray(g.index(&[x, y])), morton, "at ({x},{y})");
+            }
         }
     }
 

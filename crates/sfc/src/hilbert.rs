@@ -2,7 +2,7 @@
 //!
 //! Implementation of the compact Butz/Lawder algorithm in the "transpose"
 //! formulation published by John Skilling ("Programming the Hilbert curve",
-//! AIP Conf. Proc. 707, 2004). Coordinates are converted to/from the
+//! AIP Conf. Proc. 707, 2004). Coordinates are converted to the
 //! *transpose* of the Hilbert index (the index's bits distributed across
 //! `n` words), which bit-interleaves into the `u128` index.
 //!
@@ -10,7 +10,7 @@
 //! moves to a grid neighbour (unit-step continuity), verified exhaustively
 //! by the tests below.
 
-use crate::curve::{check_point, check_radix2, InvertibleCurve, SfcError, SpaceFillingCurve};
+use crate::curve::{check_point, check_radix2, SfcError, SpaceFillingCurve};
 
 /// The Hilbert curve. See module docs.
 #[derive(Debug, Clone)]
@@ -65,35 +65,6 @@ impl Hilbert {
         }
     }
 
-    /// Convert the Hilbert transpose (in place) back to coordinate axes.
-    fn transpose_to_axes(&self, x: &mut [u64]) {
-        let n = x.len();
-        let m = 1u64 << (self.bits - 1);
-
-        // Gray decode by H ^ (H/2).
-        let mut t = x[n - 1] >> 1;
-        for i in (1..n).rev() {
-            x[i] ^= x[i - 1];
-        }
-        x[0] ^= t;
-
-        // Undo excess work.
-        let mut q = 2u64;
-        while q != m << 1 {
-            let p = q - 1;
-            for i in (0..n).rev() {
-                if x[i] & q != 0 {
-                    x[0] ^= p;
-                } else {
-                    t = (x[0] ^ x[i]) & p;
-                    x[0] ^= t;
-                    x[i] ^= t;
-                }
-            }
-            q <<= 1;
-        }
-    }
-
     /// Bit-interleave the transpose into the scalar index. The transpose
     /// convention is: bit `b` of the index (counting from the most
     /// significant of `dims*bits`) is bit `bits-1-b/dims` of `x[b % dims]`.
@@ -116,17 +87,6 @@ impl Hilbert {
         x.copy_from_slice(point);
         self.axes_to_transpose(x);
         self.transpose_to_index(x)
-    }
-
-    fn index_to_transpose(&self, h: u128, x: &mut [u64]) {
-        x.iter_mut().for_each(|xi| *xi = 0);
-        let mut pos = self.bits * self.dims;
-        for level in (0..self.bits).rev() {
-            for xi in x.iter_mut() {
-                pos -= 1;
-                *xi |= (((h >> pos) & 1) as u64) << level;
-            }
-        }
     }
 }
 
@@ -161,35 +121,10 @@ impl SpaceFillingCurve for Hilbert {
     }
 }
 
-impl InvertibleCurve for Hilbert {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "hilbert: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        if self.dims == 1 {
-            out[0] = index as u64;
-            return;
-        }
-        if self.bits == 1 {
-            self.index_to_transpose(crate::gray::gray(index), out);
-            return;
-        }
-        self.index_to_transpose(index, out);
-        self.transpose_to_axes(out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn walk(curve: &Hilbert) -> Vec<Vec<u64>> {
-        // Decode straight into pre-sized rows: no per-cell clone.
-        let mut pts = vec![vec![0u64; curve.dims() as usize]; curve.cells() as usize];
-        for (i, p) in pts.iter_mut().enumerate() {
-            curve.point(i as u128, p);
-        }
-        pts
-    }
+    use crate::quality::{is_bijective, walk};
 
     #[test]
     fn hilbert_2d_order2_reference() {
@@ -197,7 +132,7 @@ mod tests {
         // unit steps and the known property that start and end lie on
         // opposite corners of one axis.
         let c = Hilbert::new(2, 2).unwrap();
-        let pts = walk(&c);
+        let pts = walk(&c).unwrap();
         assert_eq!(pts.len(), 16);
         assert_eq!(pts[0], vec![0, 0]);
         for w in pts.windows(2) {
@@ -210,32 +145,18 @@ mod tests {
     fn unit_steps_in_higher_dims() {
         for (dims, bits) in [(2u32, 4u32), (3, 3), (4, 2), (5, 2)] {
             let c = Hilbert::new(dims, bits).unwrap();
-            let mut prev = vec![0u64; dims as usize];
-            let mut cur = vec![0u64; dims as usize];
-            c.point(0, &mut prev);
-            for i in 1..c.cells() {
-                c.point(i, &mut cur);
-                let d: u64 = prev.iter().zip(&cur).map(|(&a, &b)| a.abs_diff(b)).sum();
-                assert_eq!(d, 1, "dims={dims} bits={bits} step {i}");
-                std::mem::swap(&mut prev, &mut cur);
+            for (i, w) in walk(&c).unwrap().windows(2).enumerate() {
+                let d: u64 = w[0].iter().zip(&w[1]).map(|(&a, &b)| a.abs_diff(b)).sum();
+                assert_eq!(d, 1, "dims={dims} bits={bits} step {}", i + 1);
             }
         }
     }
 
     #[test]
-    fn roundtrip() {
+    fn bijective_in_higher_dims() {
         for (dims, bits) in [(2u32, 5u32), (3, 3), (6, 2), (12, 1)] {
             let c = Hilbert::new(dims, bits).unwrap();
-            let mut p = vec![0u64; dims as usize];
-            // Exhaustive for small grids, strided for larger ones.
-            let cells = c.cells();
-            let stride = (cells / 4096).max(1);
-            let mut i = 0u128;
-            while i < cells {
-                c.point(i, &mut p);
-                assert_eq!(c.index(&p), i, "dims={dims} bits={bits} i={i}");
-                i += stride;
-            }
+            assert!(is_bijective(&c).unwrap(), "dims={dims} bits={bits}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Table-driven bit kernels for the 2-D and 3-D radix-2 curves.
 //!
-//! The catalogue implementations ([`crate::Hilbert`], [`crate::ZOrder`],
-//! [`crate::Gray`]) are dimension-generic and pay for it on the hot path:
+//! The catalogue implementations ([`crate::Hilbert`], [`crate::Gray`]) are
+//! dimension-generic and pay for it on the hot path:
 //! per-point `Vec` staging and a per-bit Skilling transpose. The encapsulator
 //! only ever builds 2-D and 3-D stage curves, so those shapes get
 //! monomorphized kernels here, in the Butz/Lawder LUT style:

@@ -17,7 +17,7 @@
 //! high inversion in all other dimensions — the worst fairness of the
 //! catalogue, but ideal when one QoS parameter must dominate.
 
-use crate::curve::{check_point, check_radix2, InvertibleCurve, SfcError, SpaceFillingCurve};
+use crate::curve::{check_point, check_radix2, SfcError, SpaceFillingCurve};
 
 /// Lexicographic curve, dimension 0 most significant. See module docs.
 #[derive(Debug, Clone)]
@@ -63,19 +63,6 @@ impl SpaceFillingCurve for Sweep {
     }
 }
 
-impl InvertibleCurve for Sweep {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "sweep: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        let mask = (self.side - 1) as u128;
-        let mut rest = index;
-        for c in out.iter_mut().rev() {
-            *c = (rest & mask) as u64;
-            rest >>= self.bits;
-        }
-    }
-}
-
 /// Lexicographic curve, **last** dimension most significant, with fly-back.
 /// See module docs.
 #[derive(Debug, Clone)]
@@ -113,19 +100,6 @@ impl SpaceFillingCurve for CScan {
             idx = (idx << self.bits) | c as u128;
         }
         idx
-    }
-}
-
-impl InvertibleCurve for CScan {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "c-scan: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        let mask = (self.side - 1) as u128;
-        let mut rest = index;
-        for c in out.iter_mut() {
-            *c = (rest & mask) as u64;
-            rest >>= self.bits;
-        }
     }
 }
 
@@ -178,28 +152,6 @@ impl SpaceFillingCurve for Scan {
     }
 }
 
-impl InvertibleCurve for Scan {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "scan: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        let mask = (self.side - 1) as u128;
-        let mut higher_sum: u64 = 0;
-        let d = self.dims as usize;
-        for j in (0..d).rev() {
-            // Digit for dimension j sits at bit offset j*bits (dimension
-            // d-1 is most significant).
-            let digit = ((index >> (self.bits * j as u32)) & mask) as u64;
-            let orig = if higher_sum & 1 == 1 {
-                self.side - 1 - digit
-            } else {
-                digit
-            };
-            out[j] = orig;
-            higher_sum = higher_sum.wrapping_add(orig);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,29 +190,11 @@ mod tests {
     #[test]
     fn scan_consecutive_cells_are_neighbours() {
         let c = Scan::new(3, 2).unwrap();
-        let mut prev = vec![0u64; 3];
-        let mut cur = vec![0u64; 3];
-        for i in 1..c.cells() {
-            c.point(i - 1, &mut prev);
-            c.point(i, &mut cur);
-            let dist: u64 = prev.iter().zip(&cur).map(|(&a, &b)| a.abs_diff(b)).sum();
-            assert_eq!(dist, 1, "step {i} jumps from {prev:?} to {cur:?}");
-        }
-    }
-
-    #[test]
-    fn inverses_roundtrip() {
-        let sweep = Sweep::new(3, 3).unwrap();
-        let cscan = CScan::new(3, 3).unwrap();
-        let scan = Scan::new(3, 3).unwrap();
-        let mut p = vec![0u64; 3];
-        for i in 0..sweep.cells() {
-            sweep.point(i, &mut p);
-            assert_eq!(sweep.index(&p), i);
-            cscan.point(i, &mut p);
-            assert_eq!(cscan.index(&p), i);
-            scan.point(i, &mut p);
-            assert_eq!(scan.index(&p), i);
+        let cells = crate::quality::walk(&c).unwrap();
+        for (i, w) in cells.windows(2).enumerate() {
+            let (prev, cur) = (&w[0], &w[1]);
+            let dist: u64 = prev.iter().zip(cur).map(|(&a, &b)| a.abs_diff(b)).sum();
+            assert_eq!(dist, 1, "step {} jumps from {prev:?} to {cur:?}", i + 1);
         }
     }
 

@@ -12,9 +12,9 @@
 //!
 //! ## Curve catalogue
 //!
-//! The eight curves of the authors' catalogue (CIKM 2001; GeoInformatica
-//! 2003) are provided, each in `n` dimensions where the construction
-//! generalizes:
+//! The seven curves of the paper's Figure 1, each in `n` dimensions where
+//! the construction generalizes. Each maps a point to its index; no curve
+//! carries an inverse, because the scheduler never needs one.
 //!
 //! | Curve | Order | Character |
 //! |---|---|---|
@@ -25,8 +25,9 @@
 //! | [`Gray`] | reflected Gray code over interleaved bits | one interleaved bit flips per step |
 //! | [`Hilbert`] | Hilbert curve (Skilling/Butz transform) | continuous, strong locality |
 //! | [`Spiral`] | rings around the grid center, outward | favors mid-range values |
-//! | [`Peano`] | radix-3 serpentine recursion | continuous, needs side `3^k` |
-//! | [`ZOrder`] | Morton bit-interleave | cheapest mapping, long jumps |
+//!
+//! [`quality`] walks a small grid in curve order, checks bijectivity and
+//! samples the per-dimension order bias that Figure 5's ranking reads.
 //!
 //! ## Quick example
 //!
@@ -56,17 +57,13 @@ mod gray;
 mod hilbert;
 mod kernels;
 mod lexicographic;
-mod peano;
 pub mod quality;
 mod spiral;
-mod zorder;
 
-pub use curve::{CurveKind, InvertibleCurve, SfcError, SpaceFillingCurve};
+pub use curve::{CurveKind, SfcError, SpaceFillingCurve};
 pub use diagonal::{Diagonal, WeightedDiagonal};
 pub use fast::{CurveKernel, SMALL_LUT_MAX_CELLS};
 pub use gray::Gray;
 pub use hilbert::Hilbert;
 pub use lexicographic::{CScan, Scan, Sweep};
-pub use peano::Peano;
 pub use spiral::Spiral;
-pub use zorder::ZOrder;

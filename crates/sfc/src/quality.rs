@@ -2,11 +2,11 @@
 //!
 //! One of the paper's arguments for SFC-based scheduling is that the
 //! quality of the generated schedules can be *analyzed* instead of
-//! guessed: the curve's geometric properties (continuity, jump sizes,
-//! dimension bias) translate directly into scheduling properties
-//! (seek behaviour, priority-inversion bias). This module provides those
-//! measurements for any [`SpaceFillingCurve`], by exhaustive enumeration of
-//! small grids.
+//! guessed: a curve's per-dimension order bias translates directly into
+//! the priority inversion it schedules with (Figure 5's geometric ranking
+//! reads [`dimension_bias`]). [`walk`] and [`is_bijective`] enumerate a
+//! small grid exhaustively; the curve tests build their continuity and
+//! golden-order checks on them.
 
 use crate::curve::SpaceFillingCurve;
 
@@ -34,8 +34,8 @@ impl std::error::Error for GridTooLarge {}
 
 /// Walk every cell of the curve's grid in curve order.
 ///
-/// Works for *any* curve (no inverse needed): enumerates all grid points,
-/// computes their indices, and sorts. `O(N log N)` in the number of cells.
+/// Enumerates all grid points, computes their indices, and sorts:
+/// `O(N log N)` in the number of cells.
 pub fn walk(curve: &dyn SpaceFillingCurve) -> Result<Vec<Vec<u64>>, GridTooLarge> {
     let cells = curve.cells();
     if cells > MAX_ANALYZED_CELLS {
@@ -122,53 +122,6 @@ pub fn is_bijective(curve: &dyn SpaceFillingCurve) -> Result<bool, GridTooLarge>
     }
 }
 
-/// Geometric statistics of one full traversal of the curve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ContinuityReport {
-    /// Number of steps taken (`cells - 1`).
-    pub steps: u128,
-    /// Steps that move to a Manhattan-distance-1 grid neighbour.
-    pub unit_steps: u128,
-    /// Largest Manhattan jump along the traversal.
-    pub max_jump: u64,
-    /// Mean Manhattan jump.
-    pub mean_jump: f64,
-}
-
-impl ContinuityReport {
-    /// A curve is *continuous* when every step is a unit step.
-    pub fn is_continuous(&self) -> bool {
-        self.steps == self.unit_steps
-    }
-}
-
-/// Measure the traversal continuity of a curve (exhaustive).
-pub fn continuity(curve: &dyn SpaceFillingCurve) -> Result<ContinuityReport, GridTooLarge> {
-    let cells = walk(curve)?;
-    let mut unit_steps: u128 = 0;
-    let mut max_jump: u64 = 0;
-    let mut total_jump: u128 = 0;
-    for w in cells.windows(2) {
-        let d: u64 = w[0].iter().zip(&w[1]).map(|(&a, &b)| a.abs_diff(b)).sum();
-        if d == 1 {
-            unit_steps += 1;
-        }
-        max_jump = max_jump.max(d);
-        total_jump += d as u128;
-    }
-    let steps = (cells.len() - 1) as u128;
-    Ok(ContinuityReport {
-        steps,
-        unit_steps,
-        max_jump,
-        mean_jump: if steps == 0 {
-            0.0
-        } else {
-            total_jump as f64 / steps as f64
-        },
-    })
-}
-
 /// Per-dimension order bias of a curve.
 ///
 /// For each dimension `k`, counts over all *ordered pairs* of cells `(a,
@@ -231,90 +184,6 @@ pub fn dimension_bias(curve: &dyn SpaceFillingCurve, pairs: u32) -> BiasReport {
     }
 }
 
-/// Per-dimension irregularity (Mokbel & Aref, CIKM 2001): the number of
-/// curve steps that move *backward* in each dimension.
-///
-/// A curve with zero irregularity in dimension `k` sweeps that dimension
-/// monotonically; the companion paper shows irregularity predicts how a
-/// curve behaves as a scheduler — a dimension with low irregularity is
-/// "respected" (few priority inversions), one with high irregularity is
-/// traded away for locality.
-pub fn irregularity(curve: &dyn SpaceFillingCurve) -> Result<Vec<u64>, GridTooLarge> {
-    let cells = walk(curve)?;
-    let d = curve.dims() as usize;
-    let mut backward = vec![0u64; d];
-    for w in cells.windows(2) {
-        for k in 0..d {
-            if w[1][k] < w[0][k] {
-                backward[k] += 1;
-            }
-        }
-    }
-    Ok(backward)
-}
-
-/// Clustering quality: the mean number of contiguous curve runs ("curve
-/// segments", Moon et al.) needed to cover an axis-aligned query box.
-///
-/// One run means the box's cells are consecutive on the curve — ideal for
-/// a scheduler, because requests that are close in QoS space are then
-/// close in service order. The authors' companion papers (CIKM 2001,
-/// GeoInformatica 2003) analyze exactly this measure; Hilbert is the
-/// known champion.
-///
-/// `box_side` is the query box edge length; boxes are slid over every
-/// position (exhaustive), so keep the grid small.
-pub fn mean_clusters(curve: &dyn SpaceFillingCurve, box_side: u64) -> Result<f64, GridTooLarge> {
-    let cells = curve.cells();
-    if cells > MAX_ANALYZED_CELLS {
-        return Err(GridTooLarge { cells });
-    }
-    let d = curve.dims() as usize;
-    let side = curve.side();
-    let box_side = box_side.min(side);
-    let positions = side - box_side + 1;
-
-    // Odometer increment; returns false on wrap-around (enumeration done).
-    fn advance(digits: &mut [u64], limit: u64) -> bool {
-        for d in digits.iter_mut().rev() {
-            *d += 1;
-            if *d < limit {
-                return true;
-            }
-            *d = 0;
-        }
-        false
-    }
-
-    let mut total_clusters: u64 = 0;
-    let mut boxes: u64 = 0;
-    let mut origin = vec![0u64; d];
-    let mut indices = Vec::with_capacity((box_side as usize).pow(d as u32));
-    let mut p = vec![0u64; d];
-    loop {
-        // Collect the curve indices of every cell in the box at `origin`
-        // and count the contiguous runs among them.
-        indices.clear();
-        let mut off = vec![0u64; d];
-        loop {
-            for j in 0..d {
-                p[j] = origin[j] + off[j];
-            }
-            indices.push(curve.index(&p));
-            if !advance(&mut off, box_side) {
-                break;
-            }
-        }
-        indices.sort_unstable();
-        let runs = 1 + indices.windows(2).filter(|w| w[1] != w[0] + 1).count() as u64;
-        total_clusters += runs;
-        boxes += 1;
-        if !advance(&mut origin, positions) {
-            return Ok(total_clusters as f64 / boxes as f64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,34 +192,43 @@ mod tests {
     #[test]
     fn all_catalogue_curves_are_bijective() {
         for k in CurveKind::ALL {
-            for dims in [1u32, 2, 3] {
-                let c = k.build(dims, 2).unwrap();
+            for (dims, order) in [(1u32, 2u32), (2, 2), (3, 2), (4, 2), (2, 4)] {
+                let c = k.build(dims, order).unwrap();
                 assert!(
                     is_bijective(c.as_ref()).unwrap(),
-                    "{k} dims={dims} is not bijective"
+                    "{k} dims={dims} order={order} is not bijective"
                 );
             }
         }
     }
 
+    /// The Manhattan length of every step of the curve's walk.
+    fn jumps(kind: CurveKind, order: u32) -> Vec<u64> {
+        let c = kind.build(2, order).unwrap();
+        let cells = walk(c.as_ref()).unwrap();
+        cells
+            .windows(2)
+            .map(|w| w[0].iter().zip(&w[1]).map(|(&a, &b)| a.abs_diff(b)).sum())
+            .collect()
+    }
+
     #[test]
     fn continuous_curves() {
-        for k in [CurveKind::Scan, CurveKind::Hilbert, CurveKind::Peano] {
-            let c = k.build(2, 2).unwrap();
-            let rep = continuity(c.as_ref()).unwrap();
-            assert!(rep.is_continuous(), "{k} should be continuous: {rep:?}");
+        for k in [CurveKind::Scan, CurveKind::Hilbert] {
+            let steps = jumps(k, 2);
+            assert!(
+                steps.iter().all(|&d| d == 1),
+                "{k} should be continuous: {steps:?}"
+            );
         }
-        let spiral = CurveKind::Spiral.build(2, 3).unwrap();
-        assert!(continuity(spiral.as_ref()).unwrap().is_continuous());
+        assert!(jumps(CurveKind::Spiral, 3).iter().all(|&d| d == 1));
     }
 
     #[test]
     fn discontinuous_curves_have_jumps() {
         for k in [CurveKind::Sweep, CurveKind::CScan, CurveKind::Gray] {
-            let c = k.build(2, 3).unwrap();
-            let rep = continuity(c.as_ref()).unwrap();
-            assert!(!rep.is_continuous(), "{k} is unexpectedly continuous");
-            assert!(rep.max_jump > 1);
+            let max_jump = jumps(k, 3).into_iter().max().unwrap();
+            assert!(max_jump > 1, "{k} is unexpectedly continuous");
         }
     }
 
@@ -389,68 +267,5 @@ mod tests {
         let c = CurveKind::Hilbert.build(2, 20).unwrap();
         assert!(walk(c.as_ref()).is_err());
         assert!(is_bijective(c.as_ref()).is_err());
-        assert!(mean_clusters(c.as_ref(), 4).is_err());
-    }
-
-    #[test]
-    fn sweep_has_zero_irregularity_in_its_major_dimension() {
-        let sweep = CurveKind::Sweep.build(2, 3).unwrap();
-        let irr = irregularity(sweep.as_ref()).unwrap();
-        // Dimension 0 is the major axis: never a backward step.
-        assert_eq!(irr[0], 0);
-        assert!(irr[1] > 0);
-        let cscan = CurveKind::CScan.build(2, 3).unwrap();
-        let irr = irregularity(cscan.as_ref()).unwrap();
-        assert!(irr[0] > 0);
-        assert_eq!(irr[1], 0);
-    }
-
-    #[test]
-    fn diagonal_is_irregular_in_every_dimension() {
-        // Step-level irregularity is *not* symmetric for the Diagonal (the
-        // within-anti-diagonal tie-break is lexicographic) — its fairness
-        // shows up in the pairwise bias, not the step statistics. What
-        // must hold: no dimension is swept monotonically.
-        let c = CurveKind::Diagonal.build(3, 2).unwrap();
-        let irr = irregularity(c.as_ref()).unwrap();
-        assert!(irr.iter().all(|&x| x > 0), "{irr:?}");
-        // ...while the pairwise bias stays balanced (checked in
-        // `diagonal_is_symmetric` above).
-    }
-
-    #[test]
-    fn recursive_curves_are_irregular_everywhere() {
-        for k in [CurveKind::Gray, CurveKind::Hilbert, CurveKind::ZOrder] {
-            let c = k.build(2, 3).unwrap();
-            let irr = irregularity(c.as_ref()).unwrap();
-            assert!(irr.iter().all(|&x| x > 0), "{k}: {irr:?}");
-        }
-    }
-
-    #[test]
-    fn hilbert_clusters_better_than_sweep() {
-        // The classic clustering result: Hilbert needs fewer contiguous
-        // curve runs per query box than row-major orders.
-        let hilbert = CurveKind::Hilbert.build(2, 4).unwrap();
-        let sweep = CurveKind::Sweep.build(2, 4).unwrap();
-        let h = mean_clusters(hilbert.as_ref(), 4).unwrap();
-        let s = mean_clusters(sweep.as_ref(), 4).unwrap();
-        assert!(h < s, "hilbert {h:.2} vs sweep {s:.2}");
-    }
-
-    #[test]
-    fn full_grid_box_is_one_cluster() {
-        // A box covering the whole grid is a single run for any
-        // bijective curve.
-        for k in CurveKind::FIGURE1 {
-            let c = k.build(2, 2).unwrap();
-            assert_eq!(mean_clusters(c.as_ref(), 4).unwrap(), 1.0, "{k}");
-        }
-    }
-
-    #[test]
-    fn unit_boxes_are_single_clusters() {
-        let c = CurveKind::Gray.build(3, 2).unwrap();
-        assert_eq!(mean_clusters(c.as_ref(), 1).unwrap(), 1.0);
     }
 }

@@ -13,7 +13,7 @@
 //! every dimension, giving it middling fairness between the lexicographic
 //! curves and the Diagonal.
 
-use crate::curve::{check_point, check_radix2, InvertibleCurve, SfcError, SpaceFillingCurve};
+use crate::curve::{check_point, check_radix2, SfcError, SpaceFillingCurve};
 
 /// The Spiral curve. See module docs.
 #[derive(Debug, Clone)]
@@ -86,11 +86,6 @@ impl Spiral {
     /// never clipped because the core is centered and the grid is a cube).
     fn cells_within(&self, r: u64) -> u128 {
         pow_u128(self.box_side(r) as u128, self.dims)
-    }
-
-    /// Maximum ring index on this grid.
-    fn max_ring(&self) -> u64 {
-        self.c_lo
     }
 
     /// Rank of `point` inside ring `r` (2-D: perimeter walk; d≥3: lex).
@@ -207,102 +202,6 @@ impl SpaceFillingCurve for Spiral {
     }
 }
 
-impl InvertibleCurve for Spiral {
-    fn point(&self, index: u128, out: &mut [u64]) {
-        assert!(index < self.cells(), "spiral: index out of range");
-        assert_eq!(out.len(), self.dims as usize);
-        // Find the ring by binary search over cumulative counts.
-        let (mut lo_r, mut hi_r) = (0u64, self.max_ring());
-        while lo_r < hi_r {
-            let mid = lo_r + (hi_r - lo_r) / 2;
-            if self.cells_within(mid) > index {
-                hi_r = mid;
-            } else {
-                lo_r = mid + 1;
-            }
-        }
-        let r = lo_r;
-        let before = if r == 0 { 0 } else { self.cells_within(r - 1) };
-        let mut rank = index - before;
-        let lo = self.c_lo - r;
-        let hi = self.c_hi + r;
-
-        if self.dims == 1 {
-            out[0] = if r == 0 {
-                self.c_lo + rank as u64
-            } else if rank == 0 {
-                lo
-            } else {
-                hi
-            };
-            return;
-        }
-
-        if self.dims == 2 {
-            // Invert the perimeter walk.
-            if r == 0 {
-                if self.c_lo == self.c_hi {
-                    out[0] = self.c_lo;
-                    out[1] = self.c_lo;
-                } else {
-                    let (x, y) = match rank {
-                        0 => (lo, lo),
-                        1 => (lo, hi),
-                        2 => (hi, hi),
-                        _ => (hi, lo),
-                    };
-                    out[0] = x;
-                    out[1] = y;
-                }
-                return;
-            }
-            let w = hi - lo + 1;
-            let edge = (w - 1) as u128;
-            let (x, y) = if rank < edge {
-                (hi, lo + 1 + rank as u64)
-            } else if rank < 2 * edge {
-                (hi - 1 - (rank - edge) as u64, hi)
-            } else if rank < 3 * edge {
-                (lo, hi - 1 - (rank - 2 * edge) as u64)
-            } else {
-                (lo + 1 + (rank - 3 * edge) as u64, lo)
-            };
-            out[0] = x;
-            out[1] = y;
-            return;
-        }
-
-        // d >= 3: invert the lexicographic shell rank dimension by
-        // dimension, scanning candidate values.
-        let d = self.dims as usize;
-        let w = (hi - lo + 1) as u128;
-        let inner = w.saturating_sub(2);
-        let mut touched = r == 0; // ring 0 is a full box, treat as touched
-        for (j, out_j) in out.iter_mut().enumerate() {
-            let m = (d - j - 1) as u32;
-            let full = pow_u128(w, m);
-            let shell = full - if r == 0 { full } else { pow_u128(inner, m) };
-            let mut chosen = None;
-            for v in lo..=hi {
-                let is_boundary = r > 0 && (v == lo || v == hi);
-                let block = if touched || is_boundary || r == 0 {
-                    full
-                } else {
-                    shell
-                };
-                if rank < block {
-                    chosen = Some((v, is_boundary));
-                    break;
-                }
-                rank -= block;
-            }
-            let (v, is_boundary) = chosen.expect("spiral unrank overran the ring");
-            *out_j = v;
-            touched |= is_boundary;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,14 +221,10 @@ mod tests {
     fn two_d_walk_is_continuous() {
         for bits in 1..=4u32 {
             let c = Spiral::new(2, bits).unwrap();
-            let mut prev = vec![0u64; 2];
-            let mut cur = vec![0u64; 2];
-            c.point(0, &mut prev);
-            for i in 1..c.cells() {
-                c.point(i, &mut cur);
-                let d: u64 = prev.iter().zip(&cur).map(|(&a, &b)| a.abs_diff(b)).sum();
-                assert_eq!(d, 1, "bits={bits} step {i}: {prev:?} -> {cur:?}");
-                std::mem::swap(&mut prev, &mut cur);
+            for (i, w) in crate::quality::walk(&c).unwrap().windows(2).enumerate() {
+                let (prev, cur) = (&w[0], &w[1]);
+                let d: u64 = prev.iter().zip(cur).map(|(&a, &b)| a.abs_diff(b)).sum();
+                assert_eq!(d, 1, "bits={bits} step {}: {prev:?} -> {cur:?}", i + 1);
             }
         }
     }
@@ -350,10 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn bijective_and_invertible_3d() {
+    fn bijective_3d() {
         let c = Spiral::new(3, 2).unwrap();
         let mut seen = [false; 64];
-        let mut p = vec![0u64; 3];
         for x in 0..4u64 {
             for y in 0..4 {
                 for z in 0..4 {
@@ -361,8 +255,6 @@ mod tests {
                     let i = c.index(&pt);
                     assert!(!seen[i as usize], "duplicate at {pt:?}");
                     seen[i as usize] = true;
-                    c.point(i, &mut p);
-                    assert_eq!(p, pt);
                 }
             }
         }
@@ -386,10 +278,5 @@ mod tests {
         assert_eq!(c.index(&[4]), 3);
         assert_eq!(c.index(&[0]), 4);
         assert_eq!(c.index(&[5]), 5);
-        let mut p = vec![0u64; 1];
-        for i in 0..6 {
-            c.point(i as u128, &mut p);
-            assert_eq!(c.index(&p), i as u128);
-        }
     }
 }

@@ -4,20 +4,13 @@
 //! a refactor cannot silently rotate or mirror a curve — which would
 //! silently change every scheduling experiment downstream.
 
-use sfc::CurveKind;
+use sfc::{quality, CurveKind};
 
 /// Walk a 2-D curve and return the visit order as (x, y) pairs.
 fn walk2(kind: CurveKind, order: u32) -> Vec<(u64, u64)> {
     let c = kind.build(2, order).unwrap();
-    let side = c.side();
-    let mut cells: Vec<(u128, (u64, u64))> = Vec::new();
-    for x in 0..side {
-        for y in 0..side {
-            cells.push((c.index(&[x, y]), (x, y)));
-        }
-    }
-    cells.sort_unstable_by_key(|&(i, _)| i);
-    cells.into_iter().map(|(_, p)| p).collect()
+    let cells = quality::walk(c.as_ref()).unwrap();
+    cells.into_iter().map(|p| (p[0], p[1])).collect()
 }
 
 #[test]
@@ -133,69 +126,9 @@ fn spiral_4x4() {
 }
 
 #[test]
-fn zorder_4x4() {
-    let expected: Vec<(u64, u64)> = vec![
-        (0, 0),
-        (0, 1),
-        (1, 0),
-        (1, 1),
-        (0, 2),
-        (0, 3),
-        (1, 2),
-        (1, 3),
-        (2, 0),
-        (2, 1),
-        (3, 0),
-        (3, 1),
-        (2, 2),
-        (2, 3),
-        (3, 2),
-        (3, 3),
-    ];
-    assert_eq!(walk2(CurveKind::ZOrder, 2), expected);
-}
-
-#[test]
-fn peano_9x9_opening_and_corners() {
-    // Order-2 Peano opens with the level-1 serpentine inside the first
-    // 3x3 sub-square, then climbs into the one above; it ends at the far
-    // corner (8,8).
-    let c = CurveKind::Peano.build(2, 2).unwrap();
-    let side = c.side();
-    assert_eq!(side, 9);
-    let mut cells: Vec<(u128, (u64, u64))> = Vec::new();
-    for x in 0..side {
-        for y in 0..side {
-            cells.push((c.index(&[x, y]), (x, y)));
-        }
-    }
-    cells.sort_unstable_by_key(|&(i, _)| i);
-    let w: Vec<(u64, u64)> = cells.into_iter().map(|(_, p)| p).collect();
-    assert_eq!(
-        &w[..9],
-        &[
-            (0, 0),
-            (0, 1),
-            (0, 2),
-            (1, 2),
-            (1, 1),
-            (1, 0),
-            (2, 0),
-            (2, 1),
-            (2, 2)
-        ]
-    );
-    // The 10th cell steps up into the next 3x3 block: continuity across
-    // sub-squares.
-    assert_eq!(w[9], (2, 3));
-    assert_eq!(w[80], (8, 8));
-}
-
-#[test]
 fn all_walks_are_permutations() {
     for kind in CurveKind::ALL {
-        let order = if kind == CurveKind::Peano { 1 } else { 2 };
-        let c = kind.build(2, order).unwrap();
+        let c = kind.build(2, 2).unwrap();
         let side = c.side();
         let mut seen = vec![false; (side * side) as usize];
         for x in 0..side {
