@@ -1014,7 +1014,7 @@ mod tests {
     /// The lexicographic rescale of the 64-bit path against the `u128`
     /// quantizer of the general one, over every `(x, y)` of the paper
     /// default's 10-bit stage-2 grid, at each balance factor of
-    /// `ctrl::Grid::default()` and the EDF presets' `1e12` — all of which
+    /// `ctrl::Grid::default()` and the EDF preset's `1e12` — all of which
     /// the paper-default shape certifies.
     #[test]
     fn lexicographic_rescale_is_exact_on_the_controller_grid() {

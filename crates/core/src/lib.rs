@@ -57,7 +57,6 @@
 mod config;
 mod dispatcher;
 mod encapsulator;
-pub mod extend;
 pub mod presets;
 mod scheduler;
 

@@ -12,8 +12,8 @@
 //!
 //! Priority is a *single* absolute value per request. §4.3 of the
 //! Cascaded-SFC paper extends this scheduler to multiple priority
-//! dimensions by feeding the QoS vector through SFC1 first; the `cascade`
-//! crate provides that composition via [`DeadlineDriven::with_priority`].
+//! dimensions by feeding the QoS vector through SFC1 first: pass a
+//! curve's index of the QoS levels to [`DeadlineDriven::with_priority`].
 
 use crate::{CostModel, DiskScheduler, HeadState, Micros, Request};
 use std::collections::VecDeque;

@@ -2,9 +2,10 @@
 //!
 //! One queue per priority level of a single designated QoS dimension;
 //! requests in higher-priority queues are always served first; within a
-//! queue, requests are served in SCAN order. The paper's §4.2 shows this
-//! is the Cascaded-SFC degenerate case "SFC3 only, with the priority on
-//! the Y axis" — and §6 plots it as `Sweep-Y`.
+//! queue, requests are served in SCAN order. The paper's §4.2 counts it
+//! among the classics a degenerate cascade emulates; here stage 1 alone
+//! matches only its level order, since the cascade has no scan inside a
+//! level (DESIGN.md §4). §6 plots it as `Sweep-Y`.
 
 use crate::baselines::scan::Scan;
 use crate::{DiskScheduler, HeadState, Request};

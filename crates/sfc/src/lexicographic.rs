@@ -33,11 +33,6 @@ impl Sweep {
         let side = check_radix2(dims, bits)?;
         Ok(Sweep { dims, bits, side })
     }
-
-    /// Bits per dimension.
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
 }
 
 impl SpaceFillingCurve for Sweep {

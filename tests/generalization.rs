@@ -1,19 +1,21 @@
 //! §4.2 of the paper: the Cascaded-SFC scheduler *generalizes* classic
-//! disk schedulers. These tests pin the strongest form of that claim we
-//! can make executable: specific degenerate cascade configurations
-//! produce byte-identical simulation metrics (or service orders) to the
-//! hand-written baselines.
+//! disk schedulers. Each `cascade::presets` row runs against the classic
+//! it names through `oracle::reference::diff_pair`, which demands
+//! identical engine event streams and metrics, on ten seeds; §4.3's
+//! extensions run through the code that states them.
 
 use cascaded_sfc::cascade::{
-    CascadeConfig, CascadedSfc, DispatchConfig, DistanceMode, Stage1, Stage2, Stage2Combiner,
-    Stage3,
+    presets, CascadeConfig, CascadedSfc, DispatchConfig, DistanceMode, Stage1, Stage2,
+    Stage2Combiner, Stage3,
 };
 use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{
-    Batched, CScan, DiskScheduler, Edf, HeadState, MultiQueue, QosVector, Request,
+    Batched, Bucket, CScan, DiskScheduler, Edf, HeadState, MultiQueue, QosVector, Request,
 };
 use cascaded_sfc::sfc::CurveKind;
-use cascaded_sfc::sim::{simulate, DiskService, SimOptions};
+use cascaded_sfc::sim::{simulate, DiskService, Metrics, SimOptions};
+use cascaded_sfc::workload::PoissonConfig;
+use oracle::reference::diff_pair;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,88 +42,61 @@ fn bursty_trace(bursts: u64, per_burst: u32, seed: u64) -> Vec<Request> {
     trace
 }
 
-/// SFC3 only, `R = 1`, circular distance, non-preemptive batches —
-/// the cascade *is* batch C-SCAN, to the microsecond.
-#[test]
-fn cascade_r1_circular_is_exactly_batch_cscan() {
-    let trace = bursty_trace(60, 40, 3);
-    let cascade_cfg = CascadeConfig {
-        stage1: None,
-        stage2: None,
-        stage3: Some(Stage3 {
-            partitions: 1,
-            resolution_bits: 10,
-            cylinders: 3832,
-            distance: DistanceMode::Circular,
-        }),
-        dispatch: DispatchConfig::non_preemptive(),
-    };
-    // With stages 1-2 skipped and R=1, v_c = distance_circular * width + x
-    // where x is constant per batch — pure circular-scan order.
-    let mut cascade = CascadedSfc::new(cascade_cfg).unwrap();
-    let mut baseline = Batched::new(CScan::new(), "batched-c-scan");
-
-    let run = |s: &mut dyn DiskScheduler| {
-        let mut service = DiskService::table1();
-        simulate(
-            s,
-            &trace,
-            &mut service,
-            SimOptions::with_shape(1, 8),
-            &mut NullSink,
-        )
-    };
-    let a = run(&mut cascade);
-    let b = run(&mut baseline);
-    assert_eq!(a.seek_us, b.seek_us, "seek profiles must be identical");
-    assert_eq!(a.makespan_us, b.makespan_us);
-    assert_eq!(a.late, b.late);
+/// Run `preset` against `classic` on seeds 1–10 of `trace`: identical
+/// event streams and metrics, or a panic naming the seed and the first
+/// divergence. Returns each seed's metrics.
+fn assert_event_identical(
+    what: &str,
+    preset: CascadeConfig,
+    classic: impl Fn() -> Box<dyn DiskScheduler>,
+    trace: impl Fn(u64) -> Vec<Request>,
+) -> Vec<Metrics> {
+    (1..=10)
+        .map(|seed| {
+            let mut cascade = CascadedSfc::new(preset.clone()).unwrap();
+            diff_pair(
+                what,
+                &mut cascade,
+                &mut *classic(),
+                &trace(seed),
+                SimOptions::with_shape(1, 8),
+                DiskService::table1,
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"))
+        })
+        .collect()
 }
 
-/// SFC2 only with `f → ∞`: EDF order within every batch.
+/// `presets::batch_cscan` is batch C-SCAN. Requests carry no QoS levels,
+/// so two on one cylinder tie on id in both schedulers.
+#[test]
+fn cascade_r1_circular_is_exactly_batch_cscan() {
+    assert_event_identical(
+        "batch c-scan",
+        presets::batch_cscan(3832),
+        || Box::new(Batched::new(CScan::new(), "batched-c-scan")),
+        |seed| {
+            let mut trace = bursty_trace(60, 40, seed);
+            for r in &mut trace {
+                r.qos = QosVector::none();
+            }
+            trace
+        },
+    );
+}
+
+/// `presets::edf` is batch EDF among requests not yet past due: at 25
+/// requests per burst nothing is late, so no two requests tie at zero
+/// slack.
 #[test]
 fn cascade_deadline_major_matches_edf_on_batches() {
-    // A single batch arriving at t=0: the cascade (huge f) and EDF agree
-    // on the complete service order.
-    let mut rng = StdRng::seed_from_u64(4);
-    let head = HeadState::new(0, 0, 3832);
-    let mut cascade = CascadedSfc::new(
-        CascadeConfig::priority_deadline(
-            CurveKind::Diagonal,
-            1,
-            3,
-            Stage2Combiner::Weighted { f: 1e9 },
-            1_000_000,
-        )
-        .with_dispatch(DispatchConfig::fully_preemptive()),
-    )
-    .unwrap();
-    let mut edf = Edf::new();
-    // Deadlines on a ~1 ms lattice, all distinct: SFC2 quantizes slack
-    // into 2^10 buckets over the 1 s horizon, so same-bucket deadlines
-    // would tie-break differently than exact EDF (the cascade breaks ties
-    // by priority, EDF by id). Distinct lattice-aligned deadlines make
-    // the two orders comparable bucket-for-bucket.
-    use rand::seq::SliceRandom;
-    let mut ks: Vec<u64> = (1..=200).collect();
-    ks.shuffle(&mut rng);
-    for (id, k) in ks.into_iter().enumerate() {
-        let r = Request::read(
-            id as u64,
-            0,
-            k * 977 * 4,
-            rng.gen_range(0..3832),
-            512,
-            QosVector::single(rng.gen_range(0..8)),
-        );
-        cascade.enqueue(r.clone(), &head);
-        edf.enqueue(r, &head);
-    }
-    for _ in 0..200 {
-        let a = cascade.dequeue(&head).unwrap().id;
-        let b = edf.dequeue(&head).unwrap().id;
-        assert_eq!(a, b);
-    }
+    let runs = assert_event_identical(
+        "batch edf",
+        presets::edf(1_000_000),
+        || Box::new(Batched::new(Edf::new(), "batched-edf")),
+        |seed| bursty_trace(60, 25, seed),
+    );
+    assert!(runs.iter().all(|m| m.late == 0));
 }
 
 /// SFC1 only on one dimension: multi-queue priority order (modulo the
@@ -182,6 +157,55 @@ fn deadline_driven_extended_with_sfc1() {
     );
     assert_eq!(s.dequeue(&head).unwrap().id, 2);
     assert_eq!(s.dequeue(&head).unwrap().id, 1);
+}
+
+/// §4.3 extensibility the other way: BUCKET's level-major order fed into
+/// SFC3 with the cylinder position seeks less than BUCKET alone.
+#[test]
+fn bucket_with_sfc3_reduces_seeks_vs_plain_bucket() {
+    let mut wl = PoissonConfig::figure8(3_000);
+    wl.mean_interarrival_us = 10_000;
+    let trace: Vec<_> = wl.generate(41).collect();
+    let run = |s: &mut dyn DiskScheduler| {
+        let mut service = DiskService::table1();
+        simulate(
+            s,
+            &trace,
+            &mut service,
+            SimOptions::with_shape(3, 8),
+            &mut NullSink,
+        )
+    };
+    let plain = run(&mut Bucket::new(1.0, 0.001, 8));
+    // Level-major stage 2: `f` small enough that no slack outweighs one
+    // level step.
+    let mut extended = CascadedSfc::new(CascadeConfig {
+        stage1: Some(Stage1 {
+            curve: CurveKind::Sweep,
+            dims: 1,
+            level_bits: 3,
+        }),
+        stage2: Some(Stage2 {
+            combiner: Stage2Combiner::Weighted { f: 0.01 },
+            horizon_us: 1_000_000,
+            resolution_bits: 8,
+        }),
+        stage3: Some(Stage3 {
+            partitions: 3,
+            resolution_bits: 8,
+            cylinders: 3832,
+            distance: DistanceMode::Absolute,
+        }),
+        dispatch: DispatchConfig::non_preemptive(),
+    })
+    .unwrap();
+    let ext = run(&mut extended);
+    assert!(
+        ext.seek_us < plain.seek_us,
+        "SFC3 extension should reduce seeks: {} vs {}",
+        ext.seek_us,
+        plain.seek_us
+    );
 }
 
 /// §4.1 flexibility: all eight stage on/off combinations build and run.
