@@ -105,9 +105,10 @@ RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo run -q -p oracle --release --bin oracle -- --mode smoke
 
 step "oracle perf-parity gate"
-# The optimized engine (LUT kernels, arena dispatcher) diffed against
-# the naive reference on every committed corpus trace under all four
-# dispatcher regimes (exits 1 on any divergence).
+# The optimized engine (the folded stage-1 table, the 64-bit `Narrow`
+# path, the arena dispatcher) diffed against the naive reference on every
+# committed corpus trace under all four dispatcher regimes (exits 1 on
+# any divergence).
 cargo run -q -p oracle --release --bin oracle -- --mode perf-parity --corpus tests/corpus
 
 step "benchmark trajectory gate"

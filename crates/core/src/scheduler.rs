@@ -253,7 +253,7 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
 mod tests {
     use super::*;
     use crate::config::{DispatchConfig, PreemptionMode, Stage2Combiner};
-    use sched::{Edf, Micros, MultiQueue, QosVector};
+    use sched::{Micros, QosVector};
     use sfc::CurveKind;
 
     fn head() -> HeadState {
@@ -262,65 +262,6 @@ mod tests {
 
     fn req(id: u64, qos: &[u8], deadline: Micros, cyl: u32) -> Request {
         Request::read(id, 0, deadline, cyl, 65536, QosVector::new(qos))
-    }
-
-    /// §4.2 generalization: stage 2 only, f → ∞, fully-preemptive — the
-    /// cascade orders a batch exactly like EDF.
-    #[test]
-    fn generalizes_edf() {
-        let cfg = CascadeConfig::priority_deadline(
-            CurveKind::Diagonal,
-            1,
-            4,
-            Stage2Combiner::Weighted { f: 1e9 },
-            1_000_000,
-        )
-        .with_dispatch(DispatchConfig::fully_preemptive());
-        let mut cascade = CascadedSfc::new(cfg).unwrap();
-        let mut edf = Edf::new();
-        // All requests arrive at t = 0 so slack order = deadline order.
-        let batch = [
-            req(1, &[3], 700_000, 100),
-            req(2, &[0], 200_000, 3000),
-            req(3, &[9], 450_000, 50),
-            req(4, &[1], 90_000, 2000),
-        ];
-        for r in &batch {
-            cascade.enqueue(r.clone(), &head());
-            edf.enqueue(r.clone(), &head());
-        }
-        for _ in 0..batch.len() {
-            assert_eq!(
-                cascade.dequeue(&head()).unwrap().id,
-                edf.dequeue(&head()).unwrap().id
-            );
-        }
-    }
-
-    /// §4.2 generalization: stage 1 only on one dimension — the cascade
-    /// orders a batch like the multi-queue priority scheduler (ignoring
-    /// the intra-level SCAN refinement, which needs SFC3).
-    #[test]
-    fn generalizes_priority_order() {
-        let cfg = CascadeConfig::priority_only(CurveKind::Diagonal, 1, 4);
-        let mut cascade = CascadedSfc::new(cfg).unwrap();
-        let mut mq = MultiQueue::new(0);
-        let batch = [
-            req(1, &[5], u64::MAX, 0),
-            req(2, &[0], u64::MAX, 0),
-            req(3, &[15], u64::MAX, 0),
-            req(4, &[2], u64::MAX, 0),
-        ];
-        for r in &batch {
-            cascade.enqueue(r.clone(), &head());
-            mq.enqueue(r.clone(), &head());
-        }
-        for _ in 0..batch.len() {
-            assert_eq!(
-                cascade.dequeue(&head()).unwrap().id,
-                mq.dequeue(&head()).unwrap().id
-            );
-        }
     }
 
     /// `queue_depths` exposes the `(q, q')` split of §3: arrivals that

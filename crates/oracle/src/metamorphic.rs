@@ -107,7 +107,8 @@ pub fn deadline_monotonicity() -> Result<(), String> {
         }
     }
     // f → ∞: the deadline dominates any priority difference — the EDF
-    // generalization of §4.2 (see core's `generalizes_edf`).
+    // generalization of §4.2 (`tests/generalization.rs` holds
+    // `presets::edf` to batch EDF event for event).
     let cfg = CascadeConfig::priority_deadline(
         CurveKind::Diagonal,
         1,

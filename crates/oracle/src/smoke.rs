@@ -188,11 +188,11 @@ pub fn run(seed: u64) -> Result<SmokeReport, String> {
     Ok(report)
 }
 
-/// Perf-parity gate: after a hot-path optimization (LUT kernels, the
-/// arena dispatcher, the 64-bit cascade), prove the optimized engine is
-/// still *semantically* identical by diffing it against the naive
-/// reference on every committed corpus trace, under all four dispatcher
-/// regimes, and its characterization against
+/// Perf-parity gate: after a hot-path optimization (the folded stage-1
+/// table, the 64-bit `Narrow` path, the arena dispatcher), prove the
+/// optimized engine is still *semantically* identical by diffing it
+/// against the naive reference on every committed corpus trace, under all
+/// four dispatcher regimes, and its characterization against
 /// [`crate::reference_characterize`] — plus each case's own archetype
 /// oracle via replay.
 pub fn perf_parity(corpus: &std::path::Path) -> Result<SmokeReport, String> {

@@ -5,11 +5,9 @@
 //! grid of at most [`SMALL_LUT_MAX_CELLS`] cells — every shape the
 //! scheduler's stage 1 builds — is flattened into a dense rank table, one
 //! load per request whatever the curve family; anything larger stays the
-//! boxed catalogue object (whose 2-D/3-D Hilbert and Gray `index`
-//! already run on the LUT kernels of [`crate::kernels`]).
-//! `CurveKernel::index` is bit-identical to the catalogue curve it
-//! replaces — same value, same out-of-range panics (pinned by
-//! `tests/props.rs`).
+//! boxed catalogue object. `CurveKernel::index` is bit-identical to the
+//! catalogue curve it replaces — same value, same out-of-range panics
+//! (pinned by the tests below and `tests/props.rs`).
 
 use crate::curve::{check_point, CurveKind, SfcError, SpaceFillingCurve};
 
@@ -175,10 +173,14 @@ mod tests {
 
     #[test]
     fn every_kind_matches_its_catalogue_curve() {
+        // Every shape of up to four dimensions that builds a `SmallLut`,
+        // walked whole: the table must be the catalogue curve, cell for
+        // cell.
         for kind in CurveKind::ALL {
-            for dims in 1..=3u32 {
-                for order in 1..=3u32 {
+            for dims in 1..=4u32 {
+                for order in (1..).take_while(|o| 1u128 << (dims * o) <= SMALL_LUT_MAX_CELLS) {
                     let kernel = CurveKernel::build(kind, dims, order).unwrap();
+                    assert!(matches!(kernel, CurveKernel::SmallLut { .. }));
                     let curve = kind.build(dims, order).unwrap();
                     assert_eq!(kernel.dims(), curve.dims());
                     assert_eq!(kernel.side(), curve.side());
@@ -222,7 +224,7 @@ mod tests {
             CurveKernel::SmallLut { .. }
         ));
         // The table is chosen by size, not family: exactly 4096 cells
-        // still fits, for the curves with LUT kernels of their own too.
+        // still fits, whatever the curve.
         assert!(matches!(
             CurveKernel::build(CurveKind::Hilbert, 2, 6).unwrap(),
             CurveKernel::SmallLut { .. }

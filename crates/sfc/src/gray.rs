@@ -29,20 +29,13 @@ impl Gray {
     /// Interleave coordinate bits, dimension 0 most significant within each
     /// bit level, the highest bit level first.
     fn interleave(&self, point: &[u64]) -> u128 {
-        match *point {
-            // Byte-wise spread tables for the shapes the scheduler builds.
-            [x, y] => crate::kernels::morton2(x, y, self.bits),
-            [x, y, z] => crate::kernels::morton3(x, y, z, self.bits),
-            _ => {
-                let mut w: u128 = 0;
-                for level in (0..self.bits).rev() {
-                    for &c in point {
-                        w = (w << 1) | ((c >> level) & 1) as u128;
-                    }
-                }
-                w
+        let mut w: u128 = 0;
+        for level in (0..self.bits).rev() {
+            for &c in point {
+                w = (w << 1) | ((c >> level) & 1) as u128;
             }
         }
+        w
     }
 }
 

@@ -113,11 +113,7 @@ impl SpaceFillingCurve for Hilbert {
             // bits >= 2; order-1 Hilbert is the Gray-code walk.
             return crate::gray::gray_inverse(self.transpose_to_index(point));
         }
-        match *point {
-            [x, y] => crate::kernels::hilbert2(x, y, self.bits),
-            [x, y, z] => crate::kernels::hilbert3(x, y, z, self.bits),
-            _ => self.index_generic(point),
-        }
+        self.index_generic(point)
     }
 }
 
@@ -157,57 +153,6 @@ mod tests {
         for (dims, bits) in [(2u32, 5u32), (3, 3), (6, 2), (12, 1)] {
             let c = Hilbert::new(dims, bits).unwrap();
             assert!(is_bijective(&c).unwrap(), "dims={dims} bits={bits}");
-        }
-    }
-
-    #[test]
-    fn lut_kernels_match_the_generic_skilling_path() {
-        // Exhaustive at small orders, sampled at deep ones; this pins the
-        // 2-D/3-D state-table kernels to the dimension-generic transform
-        // they were derived from.
-        for bits in 2..=6u32 {
-            let c = Hilbert::new(2, bits).unwrap();
-            for x in 0..c.side() {
-                for y in 0..c.side() {
-                    assert_eq!(c.index(&[x, y]), c.index_generic(&[x, y]), "2d bits={bits}");
-                }
-            }
-        }
-        for bits in 2..=3u32 {
-            let c = Hilbert::new(3, bits).unwrap();
-            for x in 0..c.side() {
-                for y in 0..c.side() {
-                    for z in 0..c.side() {
-                        let p = [x, y, z];
-                        assert_eq!(c.index(&p), c.index_generic(&p), "3d bits={bits}");
-                    }
-                }
-            }
-        }
-        // Deep orders, pseudo-random sample (SplitMix64).
-        let mut s = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            s = s.wrapping_add(0x9e3779b97f4a7c15);
-            let mut z = s;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-            z ^ (z >> 31)
-        };
-        for bits in [7u32, 10, 16, 31, 63] {
-            let c = Hilbert::new(2, bits).unwrap();
-            let mask = c.side() - 1;
-            for _ in 0..200 {
-                let p = [next() & mask, next() & mask];
-                assert_eq!(c.index(&p), c.index_generic(&p), "2d deep bits={bits}");
-            }
-        }
-        for bits in [5u32, 10, 21, 42] {
-            let c = Hilbert::new(3, bits).unwrap();
-            let mask = c.side() - 1;
-            for _ in 0..200 {
-                let p = [next() & mask, next() & mask, next() & mask];
-                assert_eq!(c.index(&p), c.index_generic(&p), "3d deep bits={bits}");
-            }
         }
     }
 

@@ -55,7 +55,6 @@ mod diagonal;
 mod fast;
 mod gray;
 mod hilbert;
-mod kernels;
 mod lexicographic;
 pub mod quality;
 mod spiral;

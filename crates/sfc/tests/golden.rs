@@ -1,8 +1,9 @@
 //! Golden tests: the exact cell orders of every catalogue curve on small
-//! grids, written out by hand. These pin the curve *conventions*
-//! (dimension significance, serpentine direction, spiral start corner) so
-//! a refactor cannot silently rotate or mirror a curve — which would
-//! silently change every scheduling experiment downstream.
+//! grids, written out by hand, and Hilbert indices at deep orders. These
+//! pin the curve *conventions* (dimension significance, serpentine
+//! direction, spiral start corner) so a refactor cannot silently rotate or
+//! mirror a curve — which would silently change every scheduling
+//! experiment downstream.
 
 use sfc::{quality, CurveKind};
 
@@ -138,5 +139,85 @@ fn all_walks_are_permutations() {
                 seen[i] = true;
             }
         }
+    }
+}
+
+#[test]
+fn hilbert_deep_orders() {
+    // Indices of sample points at orders far beyond any walkable grid,
+    // recorded when two independent implementations (the Skilling
+    // transform and a Butz-style state-table automaton) both returned
+    // them. The points are SplitMix64 draws.
+    let h2 = |bits| CurveKind::Hilbert.build(2, bits).unwrap();
+    let cases2: [(u32, [u64; 2], u128); 16] = [
+        (7, [116, 79], 12133),
+        (7, [108, 27], 15797),
+        (7, [106, 97], 10317),
+        (7, [60, 67], 8181),
+        (16, [31626, 51029], 1875956599),
+        (16, [3602, 23307], 1000057289),
+        (16, [10385, 17347], 913251078),
+        (16, [37934, 45218], 2360363256),
+        (31, [508845873, 417876343], 197251812799855126),
+        (31, [1892632127, 1617357219], 3146578432624517456),
+        (31, [954194599, 1419619299], 2049299098810529818),
+        (31, [1815787669, 2016713968], 3006892577173585467),
+        (
+            63,
+            [8686417438580215742, 8742203558255171943],
+            56501802925867603919296511174394672065,
+        ),
+        (
+            63,
+            [3152622242298838196, 5200825501676916912],
+            40070827462350827866766934319387675152,
+        ),
+        (
+            63,
+            [8230913408755088203, 4099264889087263854],
+            64368767982999564489828775124121519673,
+        ),
+        (
+            63,
+            [6942527546943719866, 1016676586749368179],
+            81075609803503159652830337537976597065,
+        ),
+    ];
+    for (bits, p, want) in cases2 {
+        assert_eq!(h2(bits).index(&p), want, "2-D bits={bits} p={p:?}");
+    }
+    let h3 = |bits| CurveKind::Hilbert.build(3, bits).unwrap();
+    let cases3: [(u32, [u64; 3], u128); 12] = [
+        (5, [6, 16, 5], 15629),
+        (5, [30, 16, 29], 23995),
+        (5, [23, 24, 25], 22012),
+        (5, [21, 23, 20], 20814),
+        (21, [1807020, 915441, 66713], 8960831342756849908),
+        (21, [1292172, 1221309, 1640236], 5915005705896097603),
+        (21, [778792, 1144206, 1842265], 3277559803834374141),
+        (21, [492480, 304796, 54357], 120821970740341653),
+        (
+            42,
+            [2439761327257, 2561077423548, 458893036499],
+            42665363049457502557254530981604866140,
+        ),
+        (
+            42,
+            [1222573229453, 1315429800127, 2351949130603],
+            15957274599759844202884543409018525477,
+        ),
+        (
+            42,
+            [700306303317, 2549728852359, 2965334081037],
+            22082933630204772945904085786348035917,
+        ),
+        (
+            42,
+            [3119224057688, 4165444200913, 740694366199],
+            47082149402268567060874734141344956266,
+        ),
+    ];
+    for (bits, p, want) in cases3 {
+        assert_eq!(h3(bits).index(&p), want, "3-D bits={bits} p={p:?}");
     }
 }

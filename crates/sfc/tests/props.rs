@@ -20,21 +20,6 @@ fn small_shape() -> impl Strategy<Value = (CurveKind, u32, u32)> {
         })
 }
 
-/// Strategy: the shapes whose `index` runs on the LUT kernels, on either
-/// side of the dense-table cutoff and up to the largest orders the
-/// scheduler builds (dims * order capped at 62 bits so indices stay easy
-/// to sample).
-fn fast_shape() -> impl Strategy<Value = (CurveKind, u32, u32)> {
-    (
-        prop::sample::select(vec![CurveKind::Hilbert, CurveKind::Gray]),
-        2u32..=3,
-        1u32..=31,
-    )
-        .prop_filter("index must fit comfortably", |(_, dims, order)| {
-            dims * order <= 62
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -174,28 +159,6 @@ proptest! {
                 prop_assert_eq!(jump, 1, "{} must take unit steps", kind);
             }
         }
-    }
-
-    #[test]
-    fn fast_kernels_match_dyn_on_the_full_domain(
-        (kind, dims, order) in fast_shape(),
-        seed in 0u64..u64::MAX,
-    ) {
-        // The kernel handle — a dense table below the cutoff, the
-        // catalogue's LUT-kernel `index` above it — must agree with the
-        // generic catalogue curve over the *whole* domain, not just the
-        // small grids the exhaustive unit tests walk.
-        let kernel = sfc::CurveKernel::build(kind, dims, order).unwrap();
-        let curve = kind.build(dims, order).unwrap();
-        let side = kernel.side();
-        let q: Vec<u64> = (0..dims as u64)
-            .map(|i| seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(i.wrapping_mul(1442695040888963407))
-                % side)
-            .collect();
-        prop_assert_eq!(kernel.index(&q), curve.index(&q),
-            "{} dims={} order={} q={:?}", kind, dims, order, q);
     }
 
     #[test]

@@ -52,7 +52,7 @@ mod striped;
 
 pub use backoff::jittered_backoff_us;
 pub use engine::{simulate, SimOptions};
-pub use metrics::{fifo_inversion_baseline, Metrics};
+pub use metrics::Metrics;
 pub use service::{
     DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,
 };

@@ -242,27 +242,6 @@ impl Metrics {
     }
 }
 
-/// Convenience: run FCFS over a trace with the same service model factory
-/// and return its total inversions — the normalization denominator the
-/// paper uses everywhere ("as a percentage of the number of priority
-/// inversions that occurs in the FIFO policy").
-pub fn fifo_inversion_baseline(
-    trace: &[Request],
-    make_service: impl FnOnce() -> Box<dyn crate::ServiceProvider>,
-    options: crate::SimOptions,
-) -> u64 {
-    let mut fifo = sched::Fcfs::new();
-    let mut service = make_service();
-    let m = crate::simulate(
-        &mut fifo,
-        trace,
-        service.as_mut(),
-        options,
-        &mut obs::NullSink,
-    );
-    m.inversions_total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
