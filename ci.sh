@@ -93,16 +93,11 @@ step "oracle smoke gate"
 # farm router vs naive references, and the quiet farm daemon vs a judge
 # built from the naive router replay and one plain simulation per shard,
 # on seeded workloads; one fuzz case per archetype, and the metamorphic
-# quick pass (exits 1 on any divergence).
+# quick pass (exits 1 on any divergence). The same battery runs with
+# integer-overflow checks as `oracle`'s `smoke_gate_passes` under `cargo
+# test` above (the dev profile), so arithmetic on times and deadlines
+# that would wrap silently here panics there.
 cargo run -q -p oracle --release --bin oracle -- --mode smoke
-
-step "oracle smoke gate, release with overflow checks"
-# The same battery once more with integer-overflow checks compiled into
-# the release build (its own target directory, so the flag does not
-# invalidate the ordinary release artifacts): arithmetic on times and
-# deadlines that wraps silently in release panics here.
-RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
-    cargo run -q -p oracle --release --bin oracle -- --mode smoke
 
 step "oracle perf-parity gate"
 # The optimized engine (the folded stage-1 table, the 64-bit `Narrow`

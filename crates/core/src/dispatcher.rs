@@ -975,223 +975,6 @@ mod tests {
         }
     }
 
-    /// The dispatcher's rules over two sorted `Vec`s: front = next to
-    /// serve, back = shed victim.
-    struct Model {
-        cfg: DispatchConfig,
-        q: Vec<(u128, u64)>,
-        q_wait: Vec<(u128, u64)>,
-        base_window: u128,
-        window: u128,
-        current: Option<u128>,
-        sheds: u64,
-        shed_log: Vec<(u64, u128)>,
-    }
-
-    fn insert_sorted(q: &mut Vec<(u128, u64)>, e: (u128, u64)) {
-        let at = q.partition_point(|x| *x < e);
-        q.insert(at, e);
-    }
-
-    impl Model {
-        fn expand(&mut self) {
-            if let Some(e) = self.cfg.expand_factor {
-                self.window = ((self.window as f64 * e) as u128).max(self.window.saturating_add(1));
-            }
-        }
-
-        fn insert(&mut self, id: u64, v: u128) {
-            if matches!(self.cfg.max_queue, Some(cap) if self.q.len() + self.q_wait.len() >= cap) {
-                self.sheds += 1;
-                let from_q = match (self.q.last(), self.q_wait.last()) {
-                    (Some(a), Some(b)) => a >= b,
-                    (a, _) => a.is_some(),
-                };
-                let side = if from_q {
-                    &mut self.q
-                } else {
-                    &mut self.q_wait
-                };
-                match side.last() {
-                    Some(&worst) if worst > (v, id) => {
-                        side.pop();
-                        self.shed_log.push((worst.1, worst.0));
-                    }
-                    _ => {
-                        self.shed_log.push((id, v));
-                        return;
-                    }
-                }
-            }
-            let active = match self.cfg.mode {
-                PreemptionMode::Fully => true,
-                PreemptionMode::NonPreemptive => false,
-                PreemptionMode::Conditional { .. } => match self.current {
-                    None => true,
-                    Some(cur) => {
-                        let preempts = v < cur.saturating_sub(self.window);
-                        if preempts {
-                            self.expand();
-                        }
-                        preempts
-                    }
-                },
-            };
-            insert_sorted(
-                if active {
-                    &mut self.q
-                } else {
-                    &mut self.q_wait
-                },
-                (v, id),
-            );
-        }
-
-        fn pop(&mut self, refresh: Option<fn(u64) -> u128>) -> Option<u64> {
-            if self.q.is_empty() {
-                if self.q_wait.is_empty() {
-                    self.current = None;
-                    return None;
-                }
-                std::mem::swap(&mut self.q, &mut self.q_wait);
-                self.window = self.base_window;
-                if let (true, Some(f)) = (self.cfg.refresh_on_swap, refresh) {
-                    for e in &mut self.q {
-                        e.0 = f(e.1);
-                    }
-                    self.q.sort_unstable();
-                }
-            }
-            if self.cfg.serve_promote {
-                while let Some(&top) = self.q_wait.first() {
-                    if top.0 >= self.q[0].0.saturating_sub(self.window) {
-                        break;
-                    }
-                    self.q_wait.remove(0);
-                    self.expand();
-                    insert_sorted(&mut self.q, top);
-                }
-            }
-            let (v, id) = self.q.remove(0);
-            self.current = Some(v);
-            Some(id)
-        }
-    }
-
-    /// Collects the `(req, v)` of every shed event, in order.
-    struct ShedLog(Vec<(u64, u128)>);
-
-    impl TraceSink for ShedLog {
-        fn emit(&mut self, event: &TraceEvent) {
-            if let TraceEvent::Shed { req, v, .. } = *event {
-                self.0.push((req, v));
-            }
-        }
-    }
-
-    /// Random interleavings of inserts and pops, every regime, every cap:
-    /// the dispatcher and the sorted-`Vec` model agree on pop order, on
-    /// `(q, q')` depths after every call, on who is shed and in which
-    /// order, and `for_each_pending` visits exactly the pending set — at
-    /// both widths.
-    #[test]
-    fn dispatcher_matches_a_sorted_vec_model() {
-        dispatcher_matches_a_sorted_vec_model_at::<u64>();
-        dispatcher_matches_a_sorted_vec_model_at::<u128>();
-    }
-
-    fn dispatcher_matches_a_sorted_vec_model_at<V: Key>() {
-        fn refreshed(id: u64) -> u128 {
-            (id as u128).wrapping_mul(0x9e37_79b9) % 1000
-        }
-        let conditional = |sp: bool, er: Option<f64>, refresh: bool| DispatchConfig {
-            mode: PreemptionMode::Conditional { window: 0.1 },
-            serve_promote: sp,
-            expand_factor: er,
-            refresh_on_swap: refresh,
-            max_queue: None,
-        };
-        let regimes = [
-            DispatchConfig::fully_preemptive(),
-            DispatchConfig::non_preemptive(),
-            conditional(false, None, false),
-            conditional(true, None, true),
-            conditional(false, Some(2.0), true),
-            conditional(true, Some(2.0), true),
-        ];
-        let mut seed = 0x5eed_u64;
-        let mut next = move || {
-            // splitmix64
-            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for base in regimes {
-            for cap in [Some(1), Some(2), Some(16), None] {
-                for with_refresh in [false, true] {
-                    let cfg = DispatchConfig {
-                        max_queue: cap,
-                        ..base
-                    };
-                    let mut d = Dispatcher::<V>::new(cfg, 1000);
-                    let mut m = Model {
-                        cfg,
-                        q: Vec::new(),
-                        q_wait: Vec::new(),
-                        base_window: d.base_window,
-                        window: d.base_window,
-                        current: None,
-                        sheds: 0,
-                        shed_log: Vec::new(),
-                    };
-                    let mut log = ShedLog(Vec::new());
-                    let what = format!("{cfg:?} refresh={with_refresh}");
-                    // Phases of mostly-insert and mostly-pop, so bounded
-                    // queues fill and shed, and every queue drains dry.
-                    for step in 0..1_500u64 {
-                        let filling = (step / 100) % 2 == 0;
-                        if next() % 10 < if filling { 7 } else { 3 } {
-                            // Few distinct values, so ties on `v` are common.
-                            let v = (next() % 40 * 25) as u128;
-                            d.insert_traced(req(step), V::from_wide(v), step, &mut log);
-                            m.insert(step, v);
-                        } else {
-                            let mut f = |r: &Request| V::from_wide(refreshed(r.id));
-                            let got = d.pop_traced(
-                                with_refresh.then_some(&mut f as &mut dyn FnMut(&Request) -> V),
-                                step,
-                                &mut log,
-                            );
-                            let want = m.pop(with_refresh.then_some(refreshed));
-                            assert_eq!(got.map(|r| r.id), want, "{what}: pop at step {step}");
-                        }
-                        assert_eq!(
-                            d.queue_depths(),
-                            (m.q.len(), m.q_wait.len()),
-                            "{what}: depths at step {step}"
-                        );
-                        assert_eq!(d.current_window(), m.window, "{what}: window at {step}");
-                        if step % 16 == 0 {
-                            let mut seen = Vec::new();
-                            d.for_each_pending(&mut |r| seen.push(r.id));
-                            assert_eq!(seen.len(), d.len());
-                            seen.sort_unstable();
-                            let mut pending: Vec<u64> =
-                                m.q.iter().chain(&m.q_wait).map(|e| e.1).collect();
-                            pending.sort_unstable();
-                            assert_eq!(seen, pending, "{what}: pending set at step {step}");
-                        }
-                    }
-                    assert_eq!(d.sheds(), m.sheds, "{what}");
-                    assert_eq!(log.0, m.shed_log, "{what}");
-                    assert_eq!(cap.is_some(), m.sheds > 0, "{what}: sheds {}", m.sheds);
-                }
-            }
-        }
-    }
-
     #[test]
     fn pending_iteration_covers_both_queues() {
         let mut d = conditional(0.0, false, None);

@@ -97,18 +97,16 @@ impl<S: TraceSink> CascadedSfc<S> {
     }
 
     /// Reconfigure the encapsulator in place and rebuild the dispatcher
-    /// around a mutated configuration, re-inserting the pending backlog in
+    /// around `config`, re-inserting the pending backlog in
     /// `(arrival, id)` order anchored at the current head position. Because
     /// the rebuilt dispatcher starts idle (`current == None`), every
     /// re-insert joins the active queue directly — exactly the state a
     /// *fresh* scheduler reaches when fed the same backlog, which is what
     /// makes a retune equivalent to restarting with the new values.
     /// The shed count carries over so the shed ledger stays continuous.
-    /// Returns `false` (leaving the scheduler untouched) when the mutated
-    /// configuration is invalid.
-    fn retune_with(&mut self, head: &HeadState, mutate: impl FnOnce(&mut CascadeConfig)) -> bool {
-        let mut config = self.encapsulator.config().clone();
-        mutate(&mut config);
+    /// Returns `false` (leaving the scheduler untouched) when `config` is
+    /// invalid.
+    fn rebuild(&mut self, head: &HeadState, config: CascadeConfig) -> bool {
         if self.encapsulator.reconfigure(config).is_err() {
             return false;
         }
@@ -126,64 +124,6 @@ impl<S: TraceSink> CascadedSfc<S> {
             self.insert(r, v, head.now_us);
         }
         true
-    }
-
-    /// Retune SFC2's balance factor `f` at a safe epoch boundary.
-    /// Returns `false` (no change) unless the configuration uses the
-    /// weighted stage-2 combiner and `f` is finite and non-negative.
-    /// Setting the current value is a no-op that still returns `true`.
-    pub fn set_balance_factor(&mut self, f: f64, head: &HeadState) -> bool {
-        if !f.is_finite() || f < 0.0 {
-            return false;
-        }
-        match self.encapsulator.config().stage2.map(|s| s.combiner) {
-            Some(Stage2Combiner::Weighted { f: cur }) => {
-                cur == f
-                    || self.retune_with(head, |c| {
-                        c.stage2.as_mut().expect("stage2 present").combiner =
-                            Stage2Combiner::Weighted { f };
-                    })
-            }
-            _ => false,
-        }
-    }
-
-    /// Retune SFC3's scan-partition count `R` at a safe epoch boundary.
-    /// Returns `false` (no change) unless stage 3 is configured and
-    /// `r >= 1`. Setting the current value is a no-op that returns `true`.
-    pub fn set_scan_partitions(&mut self, r: u32, head: &HeadState) -> bool {
-        if r == 0 {
-            return false;
-        }
-        match self.encapsulator.config().stage3 {
-            Some(s3) => {
-                s3.partitions == r
-                    || self.retune_with(head, |c| {
-                        c.stage3.as_mut().expect("stage3 present").partitions = r;
-                    })
-            }
-            None => false,
-        }
-    }
-
-    /// Retune the conditional dispatcher's blocking window `w` (a
-    /// fraction of the value space, `0.0..=1.0`) at a safe epoch
-    /// boundary. Returns `false` (no change) unless the dispatcher runs
-    /// in conditional mode and `w` is in range. Setting the current
-    /// value is a no-op that returns `true`.
-    pub fn set_window(&mut self, w: f64, head: &HeadState) -> bool {
-        if !w.is_finite() || !(0.0..=1.0).contains(&w) {
-            return false;
-        }
-        match self.encapsulator.config().dispatch.mode {
-            PreemptionMode::Conditional { window } => {
-                window == w
-                    || self.retune_with(head, |c| {
-                        c.dispatch.mode = PreemptionMode::Conditional { window: w };
-                    })
-            }
-            _ => false,
-        }
     }
 
     /// The attached trace sink.
@@ -240,12 +180,34 @@ impl<S: TraceSink> DiskScheduler for CascadedSfc<S> {
         self.encapsulator.config().dispatch.max_queue
     }
 
+    /// Retune one knob at a safe epoch boundary: SFC2's balance factor
+    /// `f` (the weighted stage-2 combiner only; finite and non-negative),
+    /// SFC3's scan-partition count `R` (stage 3 only; `R ≥ 1`) or the
+    /// conditional dispatcher's blocking window `w` (conditional mode
+    /// only; a fraction of the value space in `0.0..=1.0`). Anything else
+    /// is refused with `false` and changes nothing. Setting the current
+    /// value is a no-op that returns `true`.
     fn retune(&mut self, knob: &Retune, head: &HeadState) -> bool {
-        match *knob {
-            Retune::BalanceFactor(f) => self.set_balance_factor(f, head),
-            Retune::ScanPartitions(r) => self.set_scan_partitions(r, head),
-            Retune::Window(w) => self.set_window(w, head),
-        }
+        let mut config = self.encapsulator.config().clone();
+        let unchanged = match *knob {
+            Retune::BalanceFactor(f) => match config.stage2.as_mut().map(|s| &mut s.combiner) {
+                Some(Stage2Combiner::Weighted { f: cur }) if f.is_finite() && f >= 0.0 => {
+                    std::mem::replace(cur, f) == f
+                }
+                _ => return false,
+            },
+            Retune::ScanPartitions(r) => match config.stage3.as_mut() {
+                Some(s3) if r >= 1 => std::mem::replace(&mut s3.partitions, r) == r,
+                _ => return false,
+            },
+            Retune::Window(w) => match &mut config.dispatch.mode {
+                PreemptionMode::Conditional { window } if (0.0..=1.0).contains(&w) => {
+                    std::mem::replace(window, w) == w
+                }
+                _ => return false,
+            },
+        };
+        unchanged || self.rebuild(head, config)
     }
 }
 
@@ -358,96 +320,46 @@ mod tests {
         assert_eq!(s.sheds(), 0);
     }
 
-    /// Satellite: a mid-trace retune of all three knobs must behave
-    /// exactly like a fresh scheduler constructed with the new values and
-    /// fed the same queue state — and the rebuild itself must decide
-    /// nothing a counter would see.
+    /// A mid-trace retune of all three knobs must behave exactly like a
+    /// fresh scheduler constructed with the new values and fed the same
+    /// queue state — and the rebuild itself must decide nothing a counter
+    /// would see.
     #[test]
     fn mid_trace_retune_matches_fresh_scheduler() {
-        let mut live =
-            CascadedSfc::with_sink(CascadeConfig::paper_default(3, 3832), obs::Snapshot::new())
-                .unwrap();
-        // Drive the scheduler partway through a trace: 60 arrivals with a
-        // wandering head, 20 interleaved dispatches, so both queues and
-        // the ER window hold real state at the retune point.
-        let mut hd = head();
-        for i in 0..60u64 {
-            let h = HeadState::new(hd.cylinder, i * 1_500, 3832);
-            live.enqueue(
-                req(
-                    i,
-                    &[(i % 16) as u8, ((i * 7) % 16) as u8, ((i * 3) % 16) as u8],
-                    200_000 + i * 9_000,
-                    (i * 173 % 3832) as u32,
-                ),
-                &h,
-            );
-            if i % 3 == 2 {
-                if let Some(r) = live.dequeue(&HeadState::new(hd.cylinder, i * 1_500 + 700, 3832)) {
-                    hd.cylinder = r.cylinder;
-                }
-            }
-        }
-        let at = HeadState::new(hd.cylinder, 120_000, 3832);
-        let before = live.sink().counters;
-
-        // Capture the queue state a fresh scheduler would be fed.
-        let mut backlog = Vec::new();
-        live.for_each_pending(&mut |r| backlog.push(r.clone()));
-        backlog.sort_by_key(|r| (r.arrival_us, r.id));
-        assert!(!backlog.is_empty(), "retune point must have a backlog");
-
-        assert!(live.set_balance_factor(2.5, &at));
-        assert!(live.set_scan_partitions(5, &at));
-        assert!(live.set_window(0.25, &at));
-        // Re-inserting into an idle dispatcher cannot preempt, promote,
-        // swap or shed: the rebuild emits no dispatcher event.
-        assert_eq!(live.sink().counters, before);
-
         let mut cfg = CascadeConfig::paper_default(3, 3832);
         cfg.stage2.as_mut().unwrap().combiner = Stage2Combiner::Weighted { f: 2.5 };
         cfg.stage3.as_mut().unwrap().partitions = 5;
         cfg.dispatch.mode = PreemptionMode::Conditional { window: 0.25 };
-        let mut fresh = CascadedSfc::new(cfg).unwrap();
-        for r in &backlog {
-            fresh.enqueue(
-                r.clone(),
-                &HeadState::new(at.cylinder, r.arrival_us, at.cylinders),
-            );
-        }
-
-        assert_eq!(live.len(), fresh.len());
-        assert_eq!(live.queue_depths(), fresh.queue_depths());
-        // Identical dequeue order down the same head walk.
-        let mut h = at;
-        loop {
-            let a = live.dequeue(&h);
-            let b = fresh.dequeue(&h);
-            assert_eq!(a.as_ref().map(|r| r.id), b.as_ref().map(|r| r.id));
-            match a {
-                Some(r) => h.cylinder = r.cylinder,
-                None => break,
-            }
-        }
+        let knobs = [
+            Retune::BalanceFactor(2.5),
+            Retune::ScanPartitions(5),
+            Retune::Window(0.25),
+        ];
+        retune_matches_fresh(CascadeConfig::paper_default(3, 3832), &knobs, cfg);
     }
 
-    /// Feed `config` a trace with interleaved dispatches, retune `knob`
-    /// mid-way, and require the rest to be served exactly as a fresh
-    /// `retuned` scheduler fed the same backlog serves it. Returns whether
+    /// Feed `config` a trace with interleaved dispatches and a wandering
+    /// head, so both queues and the ER window hold real state, retune
+    /// `knobs` mid-way, and require the rest to be served exactly as a
+    /// fresh `retuned` scheduler fed the same backlog serves it; the
+    /// rebuild emits no dispatcher event (re-inserting into an idle
+    /// dispatcher cannot preempt, promote, swap or shed). Returns whether
     /// the dispatcher held `u128` values before and after the retune.
     fn retune_matches_fresh(
         config: CascadeConfig,
-        knob: Retune,
+        knobs: &[Retune],
         retuned: CascadeConfig,
     ) -> (bool, bool) {
-        let wide = |s: &CascadedSfc| matches!(s.queues, Queues::U128(_));
-        let mut live = CascadedSfc::new(config).unwrap();
-        let before = wide(&live);
+        let wide = |q: &Queues| matches!(q, Queues::U128(_));
+        let dims = config.stage1.map_or(1, |s1| s1.dims as usize);
+        let mut live = CascadedSfc::with_sink(config, obs::Snapshot::new()).unwrap();
+        let before = wide(&live.queues);
         let mut cylinder = 0;
         for i in 0..60u64 {
+            let qos = [(i % 16) as u8, ((i * 7) % 16) as u8, ((i * 3) % 16) as u8];
             let r = req(
                 i,
-                &[(i % 16) as u8],
+                &qos[..dims],
                 200_000 + i * 9_000,
                 (i * 173 % 3832) as u32,
             );
@@ -458,15 +370,21 @@ mod tests {
             }
         }
         let at = HeadState::new(cylinder, 120_000, 3832);
+        let counters = live.sink().counters;
         let mut backlog = Vec::new();
         live.for_each_pending(&mut |r| backlog.push(r.clone()));
         backlog.sort_by_key(|r| (r.arrival_us, r.id));
-        assert!(live.retune(&knob, &at), "{knob:?} refused");
+        assert!(!backlog.is_empty(), "retune point must have a backlog");
+        for knob in knobs {
+            assert!(live.retune(knob, &at), "{knob:?} refused");
+        }
+        assert_eq!(live.sink().counters, counters);
         let mut fresh = CascadedSfc::new(retuned).unwrap();
         for r in backlog {
             let h = HeadState::new(at.cylinder, r.arrival_us, at.cylinders);
             fresh.enqueue(r, &h);
         }
+        assert_eq!(live.queue_depths(), fresh.queue_depths());
         let mut h = at;
         loop {
             let (a, b) = (live.dequeue(&h), fresh.dequeue(&h));
@@ -476,8 +394,8 @@ mod tests {
                 None => break,
             }
         }
-        assert_eq!(wide(&live), wide(&fresh));
-        (before, wide(&live))
+        assert_eq!(wide(&live.queues), wide(&fresh.queues));
+        (before, wide(&live.queues))
     }
 
     /// Configurations whose stage arithmetic would overflow `u128` are
@@ -547,7 +465,7 @@ mod tests {
         };
         let knob = Retune::BalanceFactor(3.0);
         assert_eq!(
-            retune_matches_fresh(stage2_only(1.0), knob, stage2_only(3.0)),
+            retune_matches_fresh(stage2_only(1.0), &[knob], stage2_only(3.0)),
             (true, true)
         );
 
@@ -560,12 +478,12 @@ mod tests {
         };
         let knob = Retune::ScanPartitions(4096);
         assert_eq!(
-            retune_matches_fresh(grid40(1), knob, grid40(4096)),
+            retune_matches_fresh(grid40(1), &[knob], grid40(4096)),
             (true, false)
         );
         let knob = Retune::ScanPartitions(1);
         assert_eq!(
-            retune_matches_fresh(grid40(4096), knob, grid40(1)),
+            retune_matches_fresh(grid40(4096), &[knob], grid40(1)),
             (false, true)
         );
     }
@@ -595,9 +513,9 @@ mod tests {
         assert!(depths.1 > 0, "need a waiting queue to observe the no-op");
         let at = HeadState::new(900, 30_000, 3832);
         // Paper defaults: f = 1.0, R = 3, w = 0.10.
-        assert!(s.set_balance_factor(1.0, &at));
-        assert!(s.set_scan_partitions(3, &at));
-        assert!(s.set_window(0.10, &at));
+        assert!(s.retune(&Retune::BalanceFactor(1.0), &at));
+        assert!(s.retune(&Retune::ScanPartitions(3), &at));
+        assert!(s.retune(&Retune::Window(0.10), &at));
         assert_eq!(s.queue_depths(), depths);
     }
 
@@ -609,21 +527,20 @@ mod tests {
         // Priority-only: no stage2, no stage3, fully-preemptive.
         let mut s =
             CascadedSfc::new(CascadeConfig::priority_only(CurveKind::Diagonal, 2, 4)).unwrap();
-        assert!(!s.set_balance_factor(2.0, &at));
-        assert!(!s.set_scan_partitions(4, &at));
-        assert!(!s.set_window(0.5, &at));
+        assert!(!s.retune(&Retune::BalanceFactor(2.0), &at));
+        assert!(!s.retune(&Retune::ScanPartitions(4), &at));
+        assert!(!s.retune(&Retune::Window(0.5), &at));
         // Full cascade, but out-of-range values.
         let mut s = CascadedSfc::new(CascadeConfig::paper_default(2, 3832)).unwrap();
-        assert!(!s.set_balance_factor(-1.0, &at));
-        assert!(!s.set_balance_factor(f64::NAN, &at));
-        assert!(!s.set_scan_partitions(0, &at));
-        assert!(!s.set_window(1.5, &at));
-        assert!(!s.set_window(f64::NAN, &at));
-        // The trait hook routes to the same setters.
+        assert!(!s.retune(&Retune::BalanceFactor(-1.0), &at));
+        assert!(!s.retune(&Retune::BalanceFactor(f64::NAN), &at));
+        assert!(!s.retune(&Retune::ScanPartitions(0), &at));
+        assert!(!s.retune(&Retune::Window(1.5), &at));
+        assert!(!s.retune(&Retune::Window(f64::NAN), &at));
+        // In-range values for the knobs it has are taken.
         assert!(s.retune(&Retune::BalanceFactor(2.0), &at));
         assert!(s.retune(&Retune::ScanPartitions(4), &at));
         assert!(s.retune(&Retune::Window(0.5), &at));
-        assert!(!s.retune(&Retune::ScanPartitions(0), &at));
     }
 
     /// The invalid knob values, refused mid-trace with both queues

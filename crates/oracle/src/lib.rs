@@ -5,16 +5,17 @@
 //! layers:
 //!
 //! * [`mod@reference`] — **differential testing**: naive, obviously-correct
-//!   restatements of the Cascaded-SFC dispatcher (O(n²) re-sort per
-//!   dispatch), EDF, SSTF and SCAN, run through the same simulator on
-//!   the same seeded traces and required to match the optimized
-//!   implementations bit-for-bit (engine event streams, metrics, and
-//!   the dispatcher events counted against the reference's counters).
-//!   [`routing`] extends this to the farm: a single-threaded replay of
-//!   the routing policies checked against [`farm::OnlineRouter`].
+//!   restatements of the Cascaded-SFC dispatcher ([`ReferenceDispatcher`],
+//!   two `Vec`s kept sorted), EDF, SSTF and SCAN, run through the same
+//!   simulator on the same seeded traces and required to match the
+//!   optimized implementations bit-for-bit (engine event streams,
+//!   metrics, and the dispatcher events counted against the reference's
+//!   counters). [`routing`] extends this to the farm: [`ReferenceRouter`]
+//!   restates the router over per-booking lists, membership included,
+//!   and [`farm::OnlineRouter`] must make every decision it makes.
 //!   [`daemon`] extends it again to continuous operation: the farm
-//!   daemon fed only arrivals must match a judge composed of that replay
-//!   and one plain simulation per shard bit-for-bit, and under a
+//!   daemon fed only arrivals must match a judge composed of that
+//!   router's replay and one plain simulation per shard bit-for-bit, and under a
 //!   membership-churn script it must stay deterministic with a closed
 //!   request ledger and reconciled events. [`ctrl`] extends it to the
 //!   control plane: a self-tuning controller pinned to the seed
@@ -67,7 +68,7 @@ pub use daemon::{check_churn, diff_daemon, diff_daemon_streamed};
 pub use fuzz::{fuzz, minimize, replay_dir, replay_file, Archetype, Scenario};
 pub use reference::{
     diff_baselines, diff_cascade, diff_pair, reference_characterize, ReferenceCascade,
-    ReferenceEdf, ReferenceScan, ReferenceSstf,
+    ReferenceDispatcher, ReferenceEdf, ReferenceScan, ReferenceSstf,
 };
-pub use routing::{diff_routing, replay_route};
+pub use routing::{diff_routing, replay_route, ReferenceRouter};
 pub use telemetry::diff_telemetry;

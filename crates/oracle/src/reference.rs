@@ -2,8 +2,8 @@
 //! harness that pits them against the optimized implementations.
 //!
 //! Every reference here trades all the data structures of the real code
-//! for a flat `Vec` that is linearly re-scanned (and, for the cascade,
-//! fully re-sorted) on every dispatch. The specification each one
+//! for flat `Vec`s: linearly re-scanned on every dispatch, or, for the
+//! cascade's two queues, kept sorted by insertion. The specification each one
 //! implements is written in terms the paper uses — "serve the smallest
 //! characterization value, ties to the oldest id" — not in terms of
 //! heaps, swap-removes or peek orders, so a bug in the optimized queue
@@ -15,7 +15,8 @@
 //! arrival, dispatch, fault and terminal fate, in order, with its time.
 
 use cascade::{
-    CascadeConfig, CascadedSfc, DistanceMode, Encapsulator, PreemptionMode, Stage2Combiner,
+    CascadeConfig, CascadedSfc, DispatchConfig, DistanceMode, Encapsulator, PreemptionMode,
+    Stage2Combiner,
 };
 use obs::{Snapshot, TraceEvent, TraceSink};
 use sched::{DiskScheduler, Edf, HeadState, Request, Scan, Sstf, SweepDirection};
@@ -95,21 +96,18 @@ pub fn reference_characterize(
     Some(height * p_s * p_n + y * p_s + (x - p_s * p_n))
 }
 
-/// O(n²) re-sort-per-dispatch reference for [`cascade::CascadedSfc`].
-///
-/// Same encapsulator (the three SFC stages are shared — they are the
-/// *subject* of [`reference_characterize`], not of this oracle), but the
-/// dispatcher is restated naively: two plain `Vec`s for `q`/`q'`, a full
-/// sort before every dispatch, linear scans for SP promotion and shed
-/// victim selection. Mirrors the documented semantics of
-/// [`cascade::Dispatcher`] exactly: preemption window in absolute value
-/// units resolved per-mille, idle arrivals join `q` without counting a
-/// preemption, ER expansion `w ← max(w·e, w+1)`, window reset and
-/// optional re-characterization at every queue swap, and overload
+/// The §3 dispatcher restated over two `Vec`s sorted by `(v, id)`:
+/// front = next to serve, back = shed victim. Mirrors the documented
+/// semantics of [`cascade::Dispatcher`]: the preemption window in
+/// absolute value units resolved per-mille of the value space, idle
+/// arrivals join `q` without counting a preemption, ER expansion
+/// `w ← max(w·e, w+1)` at every preemption and SP promotion, window reset
+/// and optional re-characterization at every queue swap, and overload
 /// shedding that evicts the largest `(v, id)` among pending *and*
-/// incoming.
-pub struct ReferenceCascade {
-    enc: Encapsulator,
+/// incoming. It counts what the dispatcher's `Preempt`, `SpPromote`,
+/// `QueueSwap` and `Shed` events report.
+pub struct ReferenceDispatcher {
+    config: DispatchConfig,
     q: Vec<(u128, Request)>,
     q_wait: Vec<(u128, Request)>,
     base_window: u128,
@@ -118,25 +116,34 @@ pub struct ReferenceCascade {
     preemptions: u64,
     promotions: u64,
     swaps: u64,
-    sheds: u64,
+    /// `(id, v)` of every request shed, in order.
+    shed_log: Vec<(u64, u128)>,
 }
 
-impl ReferenceCascade {
-    /// Build the reference from the same configuration the optimized
-    /// scheduler takes.
-    pub fn new(config: CascadeConfig) -> Result<Self, SfcError> {
-        let enc = Encapsulator::new(config)?;
-        let max_value = enc.max_value().max(1);
-        let base_window = match enc.config().dispatch.mode {
+/// The order both queues keep.
+fn key(e: &(u128, Request)) -> (u128, u64) {
+    (e.0, e.1.id)
+}
+
+/// Insert `e` behind every entry that does not sort after it.
+fn insert_sorted(queue: &mut Vec<(u128, Request)>, e: (u128, Request)) {
+    let at = queue.partition_point(|x| key(x) <= key(&e));
+    queue.insert(at, e);
+}
+
+impl ReferenceDispatcher {
+    /// An idle dispatcher over a value space of `max_value`.
+    pub fn new(config: DispatchConfig, max_value: u128) -> Self {
+        let base_window = match config.mode {
             PreemptionMode::Conditional { window } => {
-                let w = window.clamp(0.0, 1.0);
-                let permille = (w * 1000.0).round() as u128;
-                max_value / 1000 * permille + (max_value % 1000) * permille / 1000
+                // ⌊max_value · ‰ / 1000⌋, split so the product cannot overflow.
+                let permille = (window.clamp(0.0, 1.0) * 1000.0).round() as u128;
+                max_value / 1000 * permille + max_value % 1000 * permille / 1000
             }
             _ => 0,
         };
-        Ok(ReferenceCascade {
-            enc,
+        ReferenceDispatcher {
+            config,
             q: Vec::new(),
             q_wait: Vec::new(),
             base_window,
@@ -145,51 +152,151 @@ impl ReferenceCascade {
             preemptions: 0,
             promotions: 0,
             swaps: 0,
-            sheds: 0,
-        })
+            shed_log: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.q.len() + self.q_wait.len()
+    }
+
+    /// Depths of the active and waiting queues, `(q, q')`.
+    pub fn queue_depths(&self) -> (usize, usize) {
+        (self.q.len(), self.q_wait.len())
+    }
+
+    /// The current (possibly ER-expanded) blocking window.
+    pub fn window(&self) -> u128 {
+        self.window
+    }
+
+    /// (preemptions, SP promotions, queue swaps).
+    pub fn counters(&self) -> (u64, u64, u64) {
+        (self.preemptions, self.promotions, self.swaps)
+    }
+
+    /// `(id, v)` of every request shed, in order.
+    pub fn shed_log(&self) -> &[(u64, u128)] {
+        &self.shed_log
+    }
+
+    /// Visit every pending request.
+    pub fn for_each_pending(&self, f: &mut dyn FnMut(&Request)) {
+        self.q.iter().chain(&self.q_wait).for_each(|(_, r)| f(r));
+    }
+
+    fn expand_window(&mut self) {
+        if let Some(e) = self.config.expand_factor {
+            let expanded = (self.window as f64 * e) as u128;
+            self.window = expanded.max(self.window.saturating_add(1));
+        }
+    }
+
+    /// Insert an arrival with value `v`. A full dispatcher first sheds
+    /// the largest `(v, id)` among everything pending and the arrival.
+    pub fn insert(&mut self, req: Request, v: u128) {
+        if self.config.max_queue.is_some_and(|cap| self.len() >= cap) {
+            // The larger back, `q`'s on a tie; an empty queue has none.
+            let side = if self.q.last().map(key) >= self.q_wait.last().map(key) {
+                &mut self.q
+            } else {
+                &mut self.q_wait
+            };
+            match side.last() {
+                Some(worst) if key(worst) > (v, req.id) => {
+                    self.shed_log.push((worst.1.id, worst.0));
+                    side.pop();
+                }
+                _ => {
+                    self.shed_log.push((req.id, v));
+                    return;
+                }
+            }
+        }
+        let active = match self.config.mode {
+            PreemptionMode::Fully => true,
+            PreemptionMode::NonPreemptive => false,
+            PreemptionMode::Conditional { .. } => match self.current {
+                None => true, // idle disk: nothing to preempt
+                Some(cur) => {
+                    let preempts = v < cur.saturating_sub(self.window);
+                    if preempts {
+                        self.preemptions += 1;
+                        self.expand_window();
+                    }
+                    preempts
+                }
+            },
+        };
+        let queue = if active {
+            &mut self.q
+        } else {
+            &mut self.q_wait
+        };
+        insert_sorted(queue, (v, req));
+    }
+
+    /// Serve the next request. `refresh` re-characterizes the batch at a
+    /// queue swap when the configuration asks for it.
+    pub fn pop(&mut self, refresh: Option<&mut dyn FnMut(&Request) -> u128>) -> Option<Request> {
+        if self.q.is_empty() {
+            if self.q_wait.is_empty() {
+                self.current = None;
+                return None;
+            }
+            std::mem::swap(&mut self.q, &mut self.q_wait);
+            self.swaps += 1;
+            self.window = self.base_window;
+            if let (true, Some(f)) = (self.config.refresh_on_swap, refresh) {
+                for e in &mut self.q {
+                    e.0 = f(&e.1);
+                }
+                self.q.sort_by_key(key);
+            }
+        }
+        if self.config.serve_promote {
+            // SP: promote any waiter that beats the next candidate by more
+            // than the window.
+            while self
+                .q_wait
+                .first()
+                .is_some_and(|w| w.0 < self.q[0].0.saturating_sub(self.window))
+            {
+                let e = self.q_wait.remove(0);
+                self.promotions += 1;
+                self.expand_window();
+                insert_sorted(&mut self.q, e);
+            }
+        }
+        let (v, req) = self.q.remove(0);
+        self.current = Some(v);
+        Some(req)
+    }
+}
+
+/// Naive reference for [`cascade::CascadedSfc`]: the shared
+/// [`Encapsulator`] (the three SFC stages are the *subject* of
+/// [`reference_characterize`], not of this oracle) in front of a
+/// [`ReferenceDispatcher`].
+pub struct ReferenceCascade {
+    enc: Encapsulator,
+    dispatcher: ReferenceDispatcher,
+}
+
+impl ReferenceCascade {
+    /// Build the reference from the same configuration the optimized
+    /// scheduler takes.
+    pub fn new(config: CascadeConfig) -> Result<Self, SfcError> {
+        let enc = Encapsulator::new(config)?;
+        let dispatcher = ReferenceDispatcher::new(enc.config().dispatch, enc.max_value().max(1));
+        Ok(ReferenceCascade { enc, dispatcher })
     }
 
     /// (preemptions, SP promotions, queue swaps) — what the optimized
     /// dispatcher's `Preempt`, `SpPromote` and `QueueSwap` events count
     /// ([`obs::Counters`]).
     pub fn counters(&self) -> (u64, u64, u64) {
-        (self.preemptions, self.promotions, self.swaps)
-    }
-
-    fn expand_window(&mut self) {
-        if let Some(e) = self.enc.config().dispatch.expand_factor {
-            let expanded = (self.window as f64 * e) as u128;
-            self.window = expanded.max(self.window.saturating_add(1));
-        }
-    }
-
-    /// Overload victim selection: the largest `(v, id)` among everything
-    /// pending and the arrival itself. Returns the arrival when a queued
-    /// request was evicted to make room, `None` when the arrival lost.
-    fn shed_worst(&mut self, v: u128, req: Request) -> Option<(u128, Request)> {
-        self.sheds += 1;
-        let worst_pending = self
-            .q
-            .iter()
-            .chain(self.q_wait.iter())
-            .map(|(pv, pr)| (*pv, pr.id))
-            .max();
-        match worst_pending {
-            Some(worst) if worst > (v, req.id) => {
-                let queue = if self.q.iter().any(|(pv, pr)| (*pv, pr.id) == worst) {
-                    &mut self.q
-                } else {
-                    &mut self.q_wait
-                };
-                let pos = queue
-                    .iter()
-                    .position(|(pv, pr)| (*pv, pr.id) == worst)
-                    .expect("victim is pending");
-                queue.remove(pos);
-                Some((v, req))
-            }
-            _ => None,
-        }
+        self.dispatcher.counters()
     }
 }
 
@@ -200,105 +307,25 @@ impl DiskScheduler for ReferenceCascade {
 
     fn enqueue(&mut self, req: Request, head: &HeadState) {
         let v = self.enc.characterize(&req, head);
-        let full = self
-            .enc
-            .config()
-            .dispatch
-            .max_queue
-            .is_some_and(|cap| self.len() >= cap);
-        let slot = if full {
-            match self.shed_worst(v, req) {
-                Some(slot) => slot,
-                None => return, // the arrival itself was the shed victim
-            }
-        } else {
-            (v, req)
-        };
-        match self.enc.config().dispatch.mode {
-            PreemptionMode::Fully => self.q.push(slot),
-            PreemptionMode::NonPreemptive => self.q_wait.push(slot),
-            PreemptionMode::Conditional { .. } => {
-                let significantly_higher = match self.current {
-                    None => true, // idle disk: nothing to preempt
-                    Some(cur) => slot.0 < cur.saturating_sub(self.window),
-                };
-                if significantly_higher {
-                    if self.current.is_some() {
-                        self.preemptions += 1;
-                        self.expand_window();
-                    }
-                    self.q.push(slot);
-                } else {
-                    self.q_wait.push(slot);
-                }
-            }
-        }
+        self.dispatcher.insert(req, v);
     }
 
     fn dequeue(&mut self, head: &HeadState) -> Option<Request> {
-        if self.q.is_empty() {
-            if self.q_wait.is_empty() {
-                self.current = None;
-                return None;
-            }
-            std::mem::swap(&mut self.q, &mut self.q_wait);
-            self.swaps += 1;
-            self.window = self.base_window;
-            if self.enc.config().dispatch.refresh_on_swap {
-                for slot in &mut self.q {
-                    slot.0 = self.enc.characterize(&slot.1, head);
-                }
-            }
-        }
-        if self.enc.config().dispatch.serve_promote {
-            // SP: promote any waiter that significantly beats the next
-            // candidate; both minima re-scanned from scratch every round.
-            loop {
-                let next_v = self
-                    .q
-                    .iter()
-                    .map(|(v, r)| (*v, r.id))
-                    .min()
-                    .expect("q non-empty")
-                    .0;
-                let Some(wait_best) = self.q_wait.iter().map(|(v, r)| (*v, r.id)).min() else {
-                    break;
-                };
-                if wait_best.0 < next_v.saturating_sub(self.window) {
-                    let pos = self
-                        .q_wait
-                        .iter()
-                        .position(|(v, r)| (*v, r.id) == wait_best)
-                        .expect("minimum is present");
-                    let slot = self.q_wait.remove(pos);
-                    self.promotions += 1;
-                    self.expand_window();
-                    self.q.push(slot);
-                } else {
-                    break;
-                }
-            }
-        }
-        // The naive dispatch itself: re-sort the whole active queue by
-        // (value, id) and serve the front.
-        self.q.sort_by_key(|a| (a.0, a.1.id));
-        let (v, req) = self.q.remove(0);
-        self.current = Some(v);
-        Some(req)
+        let enc = &self.enc;
+        self.dispatcher
+            .pop(Some(&mut |r: &Request| enc.characterize(r, head)))
     }
 
     fn len(&self) -> usize {
-        self.q.len() + self.q_wait.len()
+        self.dispatcher.len()
     }
 
     fn for_each_pending(&self, f: &mut dyn FnMut(&Request)) {
-        for (_, r) in self.q.iter().chain(self.q_wait.iter()) {
-            f(r);
-        }
+        self.dispatcher.for_each_pending(f);
     }
 
     fn sheds(&self) -> u64 {
-        self.sheds
+        self.dispatcher.shed_log().len() as u64
     }
 
     fn queue_capacity(&self) -> Option<usize> {
@@ -701,6 +728,138 @@ mod tests {
         }
         let order: Vec<u64> = std::iter::from_fn(|| s.dequeue(&head()).map(|r| r.id)).collect();
         assert_eq!(order, vec![5, 6, 3, 7, 4]);
+    }
+
+    /// What a dispatcher's events report: the shed log, the window as the
+    /// ER events last set it, and the preemption, promotion and swap
+    /// counts.
+    #[derive(Default)]
+    struct Events {
+        shed_log: Vec<(u64, u128)>,
+        window: u128,
+        counters: (u64, u64, u64),
+    }
+
+    impl TraceSink for Events {
+        fn emit(&mut self, event: &TraceEvent) {
+            match *event {
+                TraceEvent::Shed { req, v, .. } => self.shed_log.push((req, v)),
+                TraceEvent::ErExpand { window, .. } | TraceEvent::ErReset { window, .. } => {
+                    self.window = window
+                }
+                TraceEvent::Preempt { .. } => self.counters.0 += 1,
+                TraceEvent::SpPromote { .. } => self.counters.1 += 1,
+                TraceEvent::QueueSwap { .. } => self.counters.2 += 1,
+                _ => {}
+            }
+        }
+    }
+
+    /// Random interleavings of inserts and pops, every regime, every cap:
+    /// [`cascade::Dispatcher`] at both key widths, in lockstep, and
+    /// [`ReferenceDispatcher`] agree on pop order, on `(q, q')` depths and
+    /// the window after every call, on the pending set, on who is shed and
+    /// in which order, and on the preemption, promotion and swap counts.
+    #[test]
+    fn dispatcher_matches_a_sorted_vec_model() {
+        fn refreshed(r: &Request) -> u128 {
+            (r.id as u128).wrapping_mul(0x9e37_79b9) % 1000
+        }
+        fn ids<F: FnOnce(&mut dyn FnMut(&Request))>(visit: F) -> Vec<u64> {
+            let mut seen = Vec::new();
+            visit(&mut |r| seen.push(r.id));
+            seen.sort_unstable();
+            seen
+        }
+        let conditional = |sp: bool, er: Option<f64>, refresh: bool| DispatchConfig {
+            mode: PreemptionMode::Conditional { window: 0.1 },
+            serve_promote: sp,
+            expand_factor: er,
+            refresh_on_swap: refresh,
+            max_queue: None,
+        };
+        let regimes = [
+            DispatchConfig::fully_preemptive(),
+            DispatchConfig::non_preemptive(),
+            conditional(false, None, false),
+            conditional(true, None, true),
+            conditional(false, Some(2.0), true),
+            conditional(true, Some(2.0), true),
+            // `w·e` truncates back to `w`: only the `w + 1` floor expands.
+            conditional(true, Some(1.001), false),
+        ];
+        let mut seed = 0x5eed_u64;
+        let mut next = move || {
+            // splitmix64
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let req = |id| Request::read(id, 0, u64::MAX, 0, 512, QosVector::none());
+        for base in regimes {
+            for cap in [Some(1), Some(2), Some(16), None] {
+                for with_refresh in [false, true] {
+                    let cfg = DispatchConfig {
+                        max_queue: cap,
+                        ..base
+                    };
+                    let mut narrow = cascade::Dispatcher::<u64>::new(cfg, 1000);
+                    let mut wide = cascade::Dispatcher::<u128>::new(cfg, 1000);
+                    let mut m = ReferenceDispatcher::new(cfg, 1000);
+                    let fresh = || Events {
+                        window: m.window(),
+                        ..Default::default()
+                    };
+                    let (mut narrow_events, mut wide_events) = (fresh(), fresh());
+                    let what = format!("{cfg:?} refresh={with_refresh}");
+                    // Phases of mostly-insert and mostly-pop, so bounded
+                    // queues fill and shed, and every queue drains dry.
+                    for step in 0..1_500u64 {
+                        let filling = (step / 100) % 2 == 0;
+                        if next() % 10 < if filling { 7 } else { 3 } {
+                            // Few distinct values, so ties on `v` are common.
+                            let v = (next() % 40 * 25) as u128;
+                            narrow.insert_traced(req(step), v as u64, step, &mut narrow_events);
+                            wide.insert_traced(req(step), v, step, &mut wide_events);
+                            m.insert(req(step), v);
+                        } else {
+                            let (mut narrow_f, mut f) =
+                                (|r: &Request| refreshed(r) as u64, refreshed);
+                            let refresh = with_refresh.then_some(&mut narrow_f as _);
+                            let got = narrow.pop_traced(refresh, step, &mut narrow_events);
+                            let refresh = with_refresh.then_some(&mut f as _);
+                            let got_wide = wide.pop_traced(refresh, step, &mut wide_events);
+                            let want = m.pop(with_refresh.then_some(&mut f as _)).map(|r| r.id);
+                            assert_eq!(got.map(|r| r.id), want, "{what}: u64 pop at step {step}");
+                            assert_eq!(got_wide.map(|r| r.id), want, "{what}: pop at step {step}");
+                        }
+                        let want = (m.queue_depths(), m.window());
+                        let got = (narrow.queue_depths(), narrow_events.window);
+                        assert_eq!(got, want, "{what}: u64 depths, window at {step}");
+                        let got = (wide.queue_depths(), wide_events.window);
+                        assert_eq!(got, want, "{what}: depths, window at {step}");
+                        if step % 16 == 0 {
+                            let pending = ids(|f| m.for_each_pending(f));
+                            let n = pending.len();
+                            assert_eq!((narrow.len(), wide.len()), (n, n), "{what}: len at {step}");
+                            let seen = ids(|f| narrow.for_each_pending(f));
+                            assert_eq!(seen, pending, "{what}: u64 pending set at step {step}");
+                            let seen = ids(|f| wide.for_each_pending(f));
+                            assert_eq!(seen, pending, "{what}: pending set at step {step}");
+                        }
+                    }
+                    let sheds = m.shed_log().len() as u64;
+                    assert_eq!((narrow.sheds(), wide.sheds()), (sheds, sheds), "{what}");
+                    for events in [narrow_events, wide_events] {
+                        assert_eq!(events.shed_log, m.shed_log(), "{what}");
+                        assert_eq!(events.counters, m.counters(), "{what}");
+                    }
+                    assert_eq!(cap.is_some(), sheds > 0, "{what}: sheds {sheds}");
+                }
+            }
+        }
     }
 
     #[test]
