@@ -40,10 +40,12 @@ cargo build --release
 step "cargo test (whole workspace)"
 # The root package's tests, then farm, sim, the oracle and the rest of
 # the workspace. The daemon farm's ledger and routing quality, its drain
-# and supervision, the fault sweep's reconciliation (its arrival, drop
-# and failure events against the engine's metrics; fault counts exist
-# only as events) and the windowed telemetry's bit-identity are checked
-# here (and by the oracle below), not by a smoke run of their own.
+# and supervision, the reconciliation of a healthy and a faulted striped
+# group (its arrival, drop and failure events against the engine's
+# metrics, in sim::striped; fault counts exist only as events) and the
+# window telemetry (farm's determinism test: every event in the window
+# of its time, deltas summing to the cumulative) are checked here (and
+# by the oracle below), not by a smoke run of their own.
 cargo test -q --workspace
 
 step "inversion-census tests, release"
@@ -125,10 +127,11 @@ benchmark/run.sh --workload all --trace 0 --seconds 3 --history "$tmp/fresh.json
 "${CARGO_TARGET_DIR:-benchmark/target}/release/daemon-bench" --compare "$tmp/committed.jsonl" "$tmp/fresh.jsonl"
 
 step "paper figures"
-# Every table and figure of the paper regenerated at the default seed
-# (~2 s) and byte-compared with the committed results/: any change in
-# simulated behaviour fails here until the CSVs — and the claims
-# crates/bench/tests/paper_claims.rs asserts over them — are re-read.
+# Every table and figure of the paper, and §3's dispatcher ablation,
+# regenerated at the default seed (~2 s) and byte-compared with the
+# committed results/: any change in simulated behaviour fails here until
+# the CSVs — and the claims crates/bench/tests/paper_claims.rs asserts
+# over them — are re-read.
 cargo run -q -p bench --release --bin bench -- experiments --out "$tmp/results"
 diff -r results "$tmp/results"
 

@@ -1,8 +1,8 @@
-//! Ablation of the dispatcher policies of §3: fully-preemptive vs.
+//! §3 — ablation of the dispatcher policies: fully-preemptive vs.
 //! non-preemptive vs. conditionally-preemptive, and the contribution of
 //! the SP (Serve-and-Promote) and ER (Expand-and-Reset) refinements.
 //!
-//! Two scenarios:
+//! Two scenarios, rendered as two `results/` files:
 //!
 //! * **mixed load** — the Figure-5 workload; reports priority inversion
 //!   (% of FIFO) and the maximum response time. Shows the paper's §3.1
@@ -16,6 +16,11 @@
 //!   the fully-preemptive dispatcher is delayed until the stream ends;
 //!   ER expands the window until the scheduler turns effectively
 //!   non-preemptive, bounding the victims' wait.
+//!
+//! [`csv`] (`ablation.csv`) holds one row per dispatcher variant with
+//! both scenarios' readings; [`tuning_csv`] (`ablation_tuning.csv`) maps
+//! the conditional dispatcher's two knobs, the window `w` and the ER
+//! factor `e`, over both.
 
 use crate::fig5::run_fifo;
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, PreemptionMode};
@@ -46,9 +51,17 @@ pub fn variants() -> Vec<(&'static str, DispatchConfig)> {
     ]
 }
 
-/// One measured point of the mixed-load scenario.
+/// Requests of the mixed load behind `ablation.csv`; the tuning map runs
+/// half as many.
+pub const REQUESTS: usize = 10_000;
+
+/// Lengths of the adversarial streams behind `ablation.csv`'s victim
+/// waits.
+pub const STREAMS: [u64; 3] = [200, 400, 800];
+
+/// One dispatcher variant under both scenarios.
 #[derive(Debug, Clone)]
-pub struct MixedRow {
+pub struct Row {
     /// Dispatcher variant.
     pub variant: &'static str,
     /// Priority inversion as % of FIFO.
@@ -57,6 +70,9 @@ pub struct MixedRow {
     pub max_response_ms: f64,
     /// The dispatcher's events, counted: (preemptions, promotions, swaps).
     pub counters: (u64, u64, u64),
+    /// Victim wait (ms) under the adversarial stream of each of
+    /// [`STREAMS`]' lengths.
+    pub victim_wait_ms: [f64; 3],
 }
 
 fn scheduler_with<S: TraceSink>(dispatch: DispatchConfig, sink: S) -> CascadedSfc<S> {
@@ -68,27 +84,29 @@ fn scheduler_with<S: TraceSink>(dispatch: DispatchConfig, sink: S) -> CascadedSf
 }
 
 /// `s` over `trace` at `service_us` per request, untraced.
-fn run(s: &mut dyn DiskScheduler, trace: &[Request], service_us: Micros) -> Metrics {
+fn measure(s: &mut dyn DiskScheduler, trace: &[Request], service_us: Micros) -> Metrics {
     let mut service = TransferDominated::uniform(service_us, 3832);
     let options = SimOptions::with_shape(3, 16);
     simulate(s, trace, &mut service, options, &mut NullSink)
 }
 
-/// Run the mixed-load scenario.
-pub fn mixed_load(seed: u64, requests: usize) -> Vec<MixedRow> {
+/// Run every variant over a mixed load of `requests` and the
+/// adversarial streams.
+pub fn run(seed: u64, requests: usize) -> Vec<Row> {
     let trace: Vec<_> = PoissonConfig::figure5(3, requests).generate(seed).collect();
     let base = run_fifo(&trace, 3, 20_000).inversions_total().max(1) as f64;
     variants()
         .into_iter()
         .map(|(name, dispatch)| {
             let mut s = scheduler_with(dispatch, Snapshot::new());
-            let m = run(&mut s, &trace, 20_000);
+            let m = measure(&mut s, &trace, 20_000);
             let c = s.sink().counters;
-            MixedRow {
+            Row {
                 variant: name,
                 inversion_pct_of_fifo: m.inversions_total() as f64 / base * 100.0,
                 max_response_ms: m.max_response_us as f64 / 1000.0,
                 counters: (c.preemptions, c.sp_promotions, c.queue_swaps),
+                victim_wait_ms: STREAMS.map(|n| victim_wait_ms(dispatch, n)),
             }
         })
         .collect()
@@ -129,7 +147,7 @@ pub fn adversarial_trace(stream_len: u64, service_us: Micros) -> Vec<Request> {
 pub fn victim_wait_ms(dispatch: DispatchConfig, stream_len: u64) -> f64 {
     let service_us: Micros = 10_000;
     let trace = adversarial_trace(stream_len, service_us);
-    let m = run(&mut scheduler_with(dispatch, NullSink), &trace, service_us);
+    let m = measure(&mut scheduler_with(dispatch, NullSink), &trace, service_us);
     // All requests complete; the max response is the victims' (the stream
     // itself is served at arrival pace).
     m.max_response_us as f64 / 1000.0
@@ -166,7 +184,7 @@ pub fn tuning_sweep(seed: u64, requests: usize) -> Vec<TuningRow> {
                 refresh_on_swap: false,
                 max_queue: None,
             };
-            let m = run(&mut scheduler_with(dispatch, NullSink), &trace, 20_000);
+            let m = measure(&mut scheduler_with(dispatch, NullSink), &trace, 20_000);
             rows.push(TuningRow {
                 window,
                 er,
@@ -178,44 +196,36 @@ pub fn tuning_sweep(seed: u64, requests: usize) -> Vec<TuningRow> {
     rows
 }
 
-/// Print both scenario reports, from a 10 000-request mixed load.
-pub fn print_report(seed: u64) {
-    let requests = 10_000;
-    println!("# mixed load: inversion vs response-tail trade-off");
-    println!("variant,inversion_pct_of_fifo,max_response_ms,preemptions,promotions,swaps");
-    for r in mixed_load(seed, requests) {
-        println!(
-            "{},{:.1},{:.1},{},{},{}",
-            r.variant,
-            r.inversion_pct_of_fifo,
-            r.max_response_ms,
-            r.counters.0,
-            r.counters.1,
-            r.counters.2
-        );
+/// Render the variants as `results/ablation.csv` holds them.
+pub fn csv(rows: &[Row]) -> String {
+    let mut out = String::from(
+        "variant,inversion_pct_of_fifo,max_response_ms,preemptions,promotions,swaps,\
+         victim_wait_ms_200,victim_wait_ms_400,victim_wait_ms_800\n",
+    );
+    for r in rows {
+        let (preemptions, promotions, swaps) = r.counters;
+        let [w200, w400, w800] = r.victim_wait_ms;
+        out.push_str(&format!(
+            "{},{:.1},{:.1},{preemptions},{promotions},{swaps},{w200:.0},{w400:.0},{w800:.0}\n",
+            r.variant, r.inversion_pct_of_fifo, r.max_response_ms
+        ));
     }
-    println!();
-    println!("# tuning map: window x ER (SP on) — inversion%ofFIFO / victim wait ms");
-    println!("window_pct,er,inversion_pct_of_fifo,victim_wait_ms");
-    for r in tuning_sweep(seed, requests / 2) {
-        println!(
-            "{:.0},{},{:.1},{:.0}",
+    out
+}
+
+/// Render the tuning map as `results/ablation_tuning.csv` holds it.
+pub fn tuning_csv(rows: &[TuningRow]) -> String {
+    let mut out = String::from("window_pct,er,inversion_pct_of_fifo,victim_wait_ms\n");
+    for r in rows {
+        let er = r.er.map_or_else(|| "off".to_string(), |e| e.to_string());
+        out.push_str(&format!(
+            "{:.0},{er},{:.1},{:.0}\n",
             r.window * 100.0,
-            r.er.map(|e| e.to_string()).unwrap_or_else(|| "off".into()),
             r.inversion_pct_of_fifo,
             r.victim_wait_ms
-        );
+        ));
     }
-    println!();
-    println!("# adversarial high-priority stream: victim wait (ms) by stream length");
-    println!("variant,stream_200,stream_400,stream_800");
-    for (name, dispatch) in variants() {
-        let w: Vec<String> = [200u64, 400, 800]
-            .iter()
-            .map(|&n| format!("{:.0}", victim_wait_ms(dispatch, n)))
-            .collect();
-        println!("{},{}", name, w.join(","));
-    }
+    out
 }
 
 #[cfg(test)]
@@ -224,7 +234,7 @@ mod tests {
 
     #[test]
     fn fully_preemptive_minimizes_inversion() {
-        let rows = mixed_load(7, 4_000);
+        let rows = run(7, 4_000);
         let at = |v: &str| {
             rows.iter()
                 .find(|r| r.variant == v)
@@ -237,7 +247,7 @@ mod tests {
 
     #[test]
     fn sp_helps_the_conditional_dispatcher() {
-        let rows = mixed_load(8, 4_000);
+        let rows = run(8, 4_000);
         let at = |v: &str| {
             rows.iter()
                 .find(|r| r.variant == v)
@@ -249,7 +259,7 @@ mod tests {
 
     #[test]
     fn promotions_only_happen_with_sp() {
-        let rows = mixed_load(9, 3_000);
+        let rows = run(9, 3_000);
         for r in &rows {
             let (_, promotions, _) = r.counters;
             match r.variant {

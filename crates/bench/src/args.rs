@@ -111,11 +111,6 @@ impl Args {
         }
     }
 
-    /// Whether a flag was explicitly provided.
-    pub fn provided(&self, name: &str) -> bool {
-        self.values.contains_key(name)
-    }
-
     /// Fetch a comma-separated list flag parsed element-wise as `T`, or
     /// the default — `--f 0.0,0.5,1.0` for sweep grids. Empty elements
     /// (`1.0,,2.0` or a trailing comma) and unparsable elements exit 2
@@ -184,8 +179,6 @@ mod tests {
         assert_eq!(a.get("seed", 0u64), 7);
         assert_eq!(a.get("requests", 0usize), 100);
         assert_eq!(a.get("dims", 4u32), 4); // default
-        assert!(a.provided("seed"));
-        assert!(!a.provided("dims"));
     }
 
     #[test]

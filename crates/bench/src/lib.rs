@@ -19,7 +19,7 @@
 //! | [`fig10`] | Figure 10 | the scan-partition count `R` in SFC3 |
 //! | [`fig11`] | Figure 11 | NewsByte5 editing server: weighted aggregate losses |
 //! | [`table1`]| Table 1   | the disk model and its calibration |
-//! | [`ablation`] | §3 | dispatcher regimes, SP, ER, starvation bounds |
+//! | [`ablation`] | §3 | dispatcher regimes, SP, ER, starvation bounds; the `w × e` tuning map |
 //!
 //! The subcommands of `bench` (`cargo run -p bench --release --bin bench --
 //! <subcommand> [--flag value]...`; the first `--mode` listed is the
@@ -27,14 +27,10 @@
 //!
 //! | Subcommand | Flags | Output |
 //! |---|---|---|
-//! | `table1`, `fig5`, `fig5_high_load`, `fig6`, `fig7`, `fig8`, `fig9`, `fig9_centroids`, `fig10`, `fig11` | `--seed` | one row of [`FIGURES`] each: the bytes of `results/<name>.csv` on stdout |
+//! | `table1`, `fig5`, `fig5_high_load`, `fig6`, `fig7`, `fig8`, `fig9`, `fig9_centroids`, `fig10`, `fig11`, `ablation`, `ablation_tuning` | `--seed` | one row of [`FIGURES`] each: the bytes of `results/<name>.csv` on stdout |
 //! | `experiments` | `--seed --out` | every row of [`FIGURES`] written into `--out` (default `results`) |
-//! | `ablation` | `--seed` | [`ablation`]: preemption regimes and SP/ER under a mixed load and the adversarial starvation stream |
-//! | `trace` | `--seed --requests --dims --service-us --window --transient-ppm --bad-sector-ppm --retries --max-queue --out` | [`trace`]: a fully-instrumented run's per-request JSONL event timeline into `--out`; histogram summary and reconciliation verdict on stderr |
-//! | `faults` | `--mode sweep\|degraded --seed --members --streams --duration-ms --retries --rate-ppm` | [`fault`]: loss/seek/p99 degradation curves under injected media errors, or the degraded-RAID report |
 //! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |
 //! | `ctrl` | `--mode smoke\|sweep --seed --csv true --f 0,0.5 --r 1,3 --w 0,0.1` | [`ctrl`]: the live-improvement smoke gate, or the `(f, R, w)` convergence sweep against exhaustive search (`--csv true` prints its table) |
-//! | `obsreport` | `--seed` | [`obsreport`]: a quiet daemon farm's per-shard window telemetry as JSONL, and a summary line |
 //! | `perf` | `--seed --budget` | [`perf`]: the self-relative telemetry overhead gate; exits 1 when the live sink costs more than `--budget` (default 0.05) of NullSink throughput |
 //!
 //! All experiments are deterministic given a seed; every subcommand that
@@ -46,7 +42,6 @@
 pub mod ablation;
 pub mod args;
 pub mod ctrl;
-pub mod fault;
 pub mod fig10;
 pub mod fig11;
 pub mod fig5;
@@ -54,11 +49,9 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod obsreport;
 pub mod perf;
 pub mod scenario;
 pub mod table1;
-pub mod trace;
 mod vod;
 
 /// The seven SFC1 curves of the paper's Figure 1 (see DESIGN.md §4 for
@@ -87,7 +80,7 @@ pub type Render = fn(u64) -> String;
 
 /// Every file of `results/` and the function that renders it at a seed:
 /// `bench <stem>` prints one, `bench experiments` writes them all.
-pub const FIGURES: [(&str, Render); 10] = [
+pub const FIGURES: [(&str, Render); 12] = [
     ("table1.csv", |_| table1::csv(&table1::run())),
     ("fig5.csv", figure!(fig5)),
     // "Normal and high system load", §5.1.
@@ -101,6 +94,12 @@ pub const FIGURES: [(&str, Render); 10] = [
     }),
     ("fig10.csv", figure!(fig10)),
     ("fig11.csv", figure!(fig11)),
+    ("ablation.csv", |seed| {
+        ablation::csv(&ablation::run(seed, ablation::REQUESTS))
+    }),
+    ("ablation_tuning.csv", |seed| {
+        ablation::tuning_csv(&ablation::tuning_sweep(seed, ablation::REQUESTS / 2))
+    }),
 ];
 
 fn fig9_rows(seed: u64) -> Vec<fig9::Row> {

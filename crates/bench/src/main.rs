@@ -9,10 +9,8 @@
 //! violation and names it; a malformed command line exits 2.
 
 use bench::args::Args;
-use bench::{ablation, ctrl, fault, obsreport, perf, scenario, trace};
+use bench::{ctrl, perf, scenario};
 use bench::{DEFAULT_SEED, FIGURES};
-use obs::JsonlSink;
-use std::io::Write;
 use std::process::exit;
 
 fn main() {
@@ -27,32 +25,6 @@ fn main() {
     }
     match cmd.as_str() {
         "experiments" => experiments(&parse(&["seed", "out"])),
-        "ablation" => {
-            let seed = parse(&["seed"]).get("seed", DEFAULT_SEED);
-            eprintln!("# dispatcher ablation (seed {seed})");
-            ablation::print_report(seed);
-        }
-        "trace" => run_trace(&parse(&[
-            "seed",
-            "requests",
-            "dims",
-            "service-us",
-            "window",
-            "transient-ppm",
-            "bad-sector-ppm",
-            "retries",
-            "max-queue",
-            "out",
-        ])),
-        "faults" => faults(&parse(&[
-            "mode",
-            "seed",
-            "members",
-            "streams",
-            "duration-ms",
-            "retries",
-            "rate-ppm",
-        ])),
         "scenario" => run_scenario(&parse(&[
             "mode",
             "seed",
@@ -64,13 +36,12 @@ fn main() {
             "trials",
         ])),
         "ctrl" => run_ctrl(&parse(&["mode", "seed", "csv", "f", "r", "w"])),
-        "obsreport" => run_obsreport(&parse(&["seed"])),
         "perf" => run_perf(&parse(&["seed", "budget"])),
         _ => {
             let figures: Vec<&str> = FIGURES.iter().map(|(file, _)| stem(file)).collect();
             eprintln!(
                 "usage: bench <subcommand> [--flag value]...\nsubcommands: {} experiments \
-                 ablation trace faults scenario ctrl obsreport perf",
+                 scenario ctrl perf",
                 figures.join(" ")
             );
             exit(if cmd == "--help" || cmd == "-h" { 0 } else { 2 });
@@ -101,97 +72,6 @@ fn experiments(args: &Args) {
         eprintln!("wrote {}", path.display());
     }
     eprintln!("all experiments complete");
-}
-
-/// Nonzero fault rates switch the service model to the Table-1 disk
-/// behind a fault injector (media errors, retries, remaps appear in the
-/// timeline); `--max-queue` bounds the dispatcher queue and sheds the
-/// lowest-priority victim on overflow. The JSONL timeline goes to
-/// `--out` and everything else to stderr, so the command composes with
-/// `jq` pipelines over the timeline file.
-fn run_trace(args: &Args) {
-    let cfg = trace::Config {
-        seed: args.get("seed", DEFAULT_SEED),
-        requests: args.get("requests", 5_000),
-        dims: args.get("dims", 2),
-        service_us: args.get("service-us", 20_000),
-        window_pct: args.get("window", 10),
-        transient_ppm: args.get("transient-ppm", 0),
-        bad_sector_ppm: args.get("bad-sector-ppm", 0),
-        retries: args.get("retries", 1),
-        max_queue: args.get("max-queue", 0),
-    };
-    let out: String = args.get("out", "trace.jsonl".to_string());
-    let file = std::fs::File::create(&out).unwrap_or_else(|e| {
-        eprintln!("cannot create {out}: {e}");
-        exit(2);
-    });
-    let writer = std::io::BufWriter::new(file);
-
-    eprintln!(
-        "# trace — paper-default cascade, {} requests, {} dims, window {}%, seed {}",
-        cfg.requests, cfg.dims, cfg.window_pct, cfg.seed
-    );
-    let (report, sink) = trace::run_with_sink(&cfg, JsonlSink::new(writer));
-    let events = sink.lines();
-    sink.into_inner().flush().expect("flush timeline");
-
-    eprintln!("# {events} events -> {out}");
-    eprint!("{}", report.snapshot.report());
-    pass("reconciliation", report.reconcile());
-    eprintln!("# reconciliation: events match Metrics and the dispatcher's shed count");
-}
-
-/// `--rate-ppm` replaces the swept rate list with a single rate.
-fn faults(args: &Args) {
-    let mut cfg = fault::Config {
-        seed: args.get("seed", DEFAULT_SEED),
-        members: args.get("members", 5),
-        streams: args.get("streams", 0),
-        duration_us: args.get("duration-ms", 20_000u64) * 1_000,
-        retries: args.get("retries", 4),
-        ..Default::default()
-    };
-    if args.provided("rate-ppm") {
-        cfg.rates_ppm = vec![args.get("rate-ppm", 250_000u32)];
-    }
-    match args.one_of("mode", &["sweep", "degraded"]) {
-        "sweep" => {
-            eprintln!(
-                "# faults sweep — {} members, {} streams, {} ms, {} attempts, seed {}",
-                cfg.members,
-                cfg.effective_streams(),
-                cfg.duration_us / 1_000,
-                cfg.retries,
-                cfg.seed
-            );
-            fault::print_csv(&fault::sweep(&cfg));
-        }
-        _ => {
-            let report = pass("degraded run", fault::degraded(&cfg));
-            let m = &report.metrics;
-            let c = &report.snapshot.counters;
-            eprintln!(
-                "# degraded — member {} died at {} ms; rebuild interleaved",
-                report.failed_member,
-                report.fail_at_us / 1_000
-            );
-            println!(
-                "served,{}\nfailed,{}\nlosses,{}\ndegraded_reads,{}\n\
-                 rebuild_ios,{}\nrebuilt_stripes,{}\nrebuild_ms,{}\n\
-                 p99_response_us,{}\nmakespan_ms,{}",
-                m.served,
-                m.failed,
-                m.losses_total(),
-                c.degraded_reads,
-                c.rebuild_ios,
-                report.rebuilt_stripes,
-                m.rebuild_us / 1_000,
-                report.snapshot.response_us.p99().unwrap_or(0),
-                m.makespan_us / 1_000
-            );
-        }
-    }
 }
 
 fn run_scenario(args: &Args) {
@@ -281,17 +161,6 @@ fn run_ctrl(args: &Args) {
             c.guided_fingerprint
         );
     }
-}
-
-fn run_obsreport(args: &Args) {
-    let cfg = obsreport::Config {
-        seed: args.get("seed", DEFAULT_SEED),
-        ..Default::default()
-    };
-    let mut report = obsreport::run(&cfg);
-    let deltas = obsreport::flush(&mut report);
-    print!("{}", obsreport::render_windows_jsonl(&deltas));
-    print!("{}", obsreport::render_summary_jsonl(&report));
 }
 
 /// Self-relative: telemetry-off vs telemetry-on throughput on the engine

@@ -1,7 +1,7 @@
-//! What the farm-side harnesses (`fault`, `obsreport`, `scenario`,
-//! `ctrl`) share: the MPEG-1 VoD load, the engine options of
-//! its one-dimensional, four-level priority shape, and the paper-default
-//! cascade over the Table-1 disk, with or without a bounded queue.
+//! What the farm-side harnesses (`scenario`, `ctrl`) share: the MPEG-1
+//! VoD load, the engine options of its one-dimensional, four-level
+//! priority shape, and the paper-default cascade over the Table-1 disk,
+//! with or without a bounded queue.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use obs::{FlightRecorder, SharedSink};

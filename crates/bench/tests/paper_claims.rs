@@ -273,3 +273,37 @@ fn fig11_priority_aware_curves_lose_wisely() {
     // drop-late overload, at eight of the nine loads.
     assert_eq!(below(&cost("fcfs"), &cost("sweep-x")), 8);
 }
+
+#[test]
+fn ablation_window_trades_sp_recovers_er_bounds_starvation() {
+    let t = load("ablation.csv");
+    let at = |variant: &str, value: &str| t.series("variant", variant, value)[0];
+    let inversion = |v: &str| at(v, "inversion_pct_of_fifo");
+    let response = |v: &str| at(v, "max_response_ms");
+    let (fully, non) = ("fully-preemptive", "non-preemptive");
+    // The window trades inversion for responsiveness: the conditional
+    // dispatcher sits strictly between the two regimes on both, in
+    // opposite orders.
+    assert!(inversion(fully) < inversion("conditional"));
+    assert!(inversion("conditional") < inversion(non));
+    assert!(response(non) < response("conditional"));
+    assert!(response("conditional") < response(fully));
+    // SP wins back at least half of the inversion the window costs.
+    let gap = inversion("conditional") - inversion(fully);
+    assert!(inversion("conditional") - inversion("conditional+sp") >= gap / 2.0);
+    // ER bounds the victim's wait: without it the wait grows with the
+    // adversarial stream; with it the wait is one constant, below the
+    // shortest stream's fully-preemptive wait.
+    let waits = |v: &str| ["200", "400", "800"].map(|n| at(v, &format!("victim_wait_ms_{n}")));
+    for v in [fully, "conditional+sp"] {
+        assert!(rising(&waits(v)), "{v}");
+    }
+    let er = waits("conditional+sp+er");
+    assert!(er[0] == er[1] && er[1] == er[2] && er[0] < waits(fully)[0]);
+    // Over the whole w × e map, every window with ER on waits less than
+    // every window with it off.
+    let map = load("ablation_tuning.csv");
+    let wait = |er: &str| map.series("er", er, "victim_wait_ms");
+    let on: Vec<f64> = ["1.5", "2", "4"].into_iter().flat_map(wait).collect();
+    assert!(max(&on) < min(&wait("off")));
+}

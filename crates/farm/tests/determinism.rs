@@ -288,19 +288,50 @@ fn per_shard_windows_sum_to_a_cumulative_any_window_width_agrees_on() {
         telemetry(&wide),
         "a member's cumulative telemetry must not depend on its window width"
     );
-    for mut recorder in narrow.recorders {
+    let events: u64 = telemetry(&narrow)
+        .iter()
+        .map(|s| s.counters.total_events())
+        .sum();
+    let summary = (
+        narrow.served(),
+        narrow.aggregate().losses_total(),
+        narrow.sheds(),
+        narrow.redirects,
+        narrow.makespan_us,
+        events,
+    );
+    assert_eq!(
+        summary,
+        (2280, 1017, 299, 60, 10_424_680, 8197),
+        "served, losses, sheds, redirects, makespan, events"
+    );
+    // Every event lands in the window of its own time: each shard reports
+    // every 2^19 µs epoch of the run, each epoch's arrivals over the
+    // shards are the trace's in that epoch, and the windows count every
+    // shed the report does.
+    let (mut arrivals, mut expected) = ([0u64; 20], [0u64; 20]);
+    for r in &trace {
+        expected[(r.arrival_us >> 19) as usize] += 1;
+    }
+    let mut sheds = 0;
+    for (shard, mut recorder) in narrow.recorders.into_iter().enumerate() {
         let cumulative = recorder.windows().cumulative();
         let deltas = recorder.windows_mut().flush();
-        assert!(deltas.len() > 1, "a 10 s shard run spans several windows");
+        let epochs: Vec<u64> = deltas.iter().map(|d| d.epoch).collect();
+        assert_eq!(epochs, (0..20).collect::<Vec<u64>>(), "shard {shard}");
         let mut delta_sum = Snapshot::new();
         for d in &deltas {
             delta_sum.merge(&d.snapshot);
+            arrivals[d.epoch as usize] += d.snapshot.counters.arrivals;
+            sheds += d.snapshot.counters.sheds;
         }
         assert_eq!(
             delta_sum, cumulative,
             "window deltas must sum to the shard's cumulative snapshot"
         );
     }
+    assert_eq!(arrivals, expected);
+    assert_eq!(sheds, summary.2);
 }
 
 #[test]

@@ -11,8 +11,7 @@
 //!   reports, migrations, quarantines and retunes;
 //! * [`TraceSink`] — the consumer contract, with
 //!   [`NullSink`] (free: instrumentation compiles out),
-//!   [`RingSink`] (bounded in-memory tail), [`JsonlSink`] (the raw
-//!   timeline, one JSON object per line), [`Tee`] (duplicate), and
+//!   [`RingSink`] (bounded in-memory tail), [`Tee`] (duplicate), and
 //!   [`SharedSink`] (one stream shared by several layers);
 //! * [`Histogram`] — log₂-bucketed distributions with
 //!   p50/p95/p99/p999, and [`nearest_rank`], the exact percentile the
@@ -66,7 +65,7 @@ mod window;
 pub use event::TraceEvent;
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig, DUMP_RETENTION};
-pub use sink::{FlightRing, JsonlSink, NullSink, RingSink, SharedSink, Tee, TraceSink};
+pub use sink::{FlightRing, NullSink, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
 pub use window::{
     ShardDelta, TelemetryConfig, WindowDelta, WindowedSnapshot, DEFAULT_DEPTH,

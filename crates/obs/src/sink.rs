@@ -17,7 +17,6 @@
 use crate::event::TraceEvent;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::Write;
 use std::rc::Rc;
 
 /// A consumer of [`TraceEvent`]s.
@@ -266,58 +265,9 @@ impl std::fmt::Debug for FlightRing {
     }
 }
 
-/// A sink rendering every event as one JSON object per line (JSONL) into
-/// any [`Write`] target.
-///
-/// # Panics
-///
-/// `emit` panics if the underlying writer fails — a trace explicitly
-/// requested and then lost would silently invalidate an experiment.
-#[derive(Debug)]
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    buf: String,
-    lines: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wrap a writer. Buffer the writer yourself (`BufWriter`) when it is
-    /// a raw file: one write call is issued per event.
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer,
-            buf: String::with_capacity(160),
-            lines: 0,
-        }
-    }
-
-    /// Lines written so far.
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// Flush and return the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        self.writer.flush().expect("trace sink flush failed");
-        self.writer
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn emit(&mut self, event: &TraceEvent) {
-        self.buf.clear();
-        event.write_json(&mut self.buf);
-        self.buf.push('\n');
-        self.writer
-            .write_all(self.buf.as_bytes())
-            .expect("trace sink write failed");
-        self.lines += 1;
-    }
-}
-
 /// A sink duplicating every event into two sinks (e.g. a
-/// [`crate::Snapshot`] for aggregates plus a [`JsonlSink`] for the raw
-/// timeline).
+/// [`crate::Snapshot`] for aggregates plus a [`RingSink`] for the recent
+/// events).
 #[derive(Debug, Clone, Default)]
 pub struct Tee<A, B>(pub A, pub B);
 
@@ -467,18 +417,6 @@ mod tests {
         ring.push(u32::MAX, &swap(1));
         assert_eq!(ring.newest(u32::MAX, 4).len(), 1);
         assert!(ring.newest(0, 4).is_empty());
-    }
-
-    #[test]
-    fn jsonl_writes_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.emit(&swap(1));
-        sink.emit(&swap(2));
-        assert_eq!(sink.lines(), 2);
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"event\":\"queue_swap\""));
     }
 
     #[test]

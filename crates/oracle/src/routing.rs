@@ -216,30 +216,6 @@ pub fn diff_routing(
 mod tests {
     use super::*;
     use sched::QosVector;
-    use workload::VodConfig;
-
-    #[test]
-    fn replay_agrees_with_the_router_across_policies() {
-        let mut wl = VodConfig::mpeg1(40);
-        wl.duration_us = 4_000_000;
-        let trace: Vec<_> = wl.generate(11).collect();
-        for policy in POLICIES {
-            let cfg = FarmConfig::new(4).with_policy(policy);
-            diff_routing(&trace, &cfg, &[None; 4]).expect("replay matches");
-        }
-    }
-
-    #[test]
-    fn replay_agrees_under_redirects() {
-        let mut wl = VodConfig::mpeg1(60);
-        wl.duration_us = 4_000_000;
-        let trace: Vec<_> = wl.generate(12).collect();
-        let cfg = FarmConfig::new(3).with_redirects();
-        let caps = [Some(4), Some(4), Some(4)];
-        let (_, redirects) = replay_route(&trace, &cfg, &caps);
-        assert!(redirects > 0, "capacity 4 should overload");
-        diff_routing(&trace, &cfg, &caps).expect("replay matches");
-    }
 
     #[test]
     fn replay_agrees_up_to_the_last_unsaturated_horizon() {

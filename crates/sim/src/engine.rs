@@ -81,8 +81,8 @@ impl SimOptions {
 /// [`obs::NullSink`] for a run with no events: the emission sites
 /// compile away. To see scheduler-internal events (preemptions, sweep
 /// reversals) in the same stream, build the scheduler over an
-/// [`obs::SharedSink`] clone of `sink` — see the `trace` bench binary for
-/// the full wiring.
+/// [`obs::SharedSink`] clone of `sink` — `tests/fault_tolerance.rs`'s
+/// `shedding_accounts_for_every_arrival` has the full wiring.
 ///
 /// The trace must be sorted by arrival time (see
 /// [`workload::validate_trace`]); ids need not be dense.

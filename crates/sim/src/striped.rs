@@ -260,21 +260,26 @@ mod tests {
     #[test]
     fn observed_snapshot_reconciles_with_aggregate_metrics() {
         let trace = batch(400);
-        let mut snap = Snapshot::new();
-        let out = simulate_striped(
-            &trace,
-            5,
-            || Box::new(Fcfs::new()),
-            SimOptions::with_shape(1, 2),
-            &FaultPlan::none(),
-            &mut snap,
-        );
-        let total = out.aggregate();
-        let c = &snap.counters;
-        assert_eq!(c.arrivals, 400);
-        total.reconcile(c).expect("events match metrics");
-        assert_eq!(snap.response_us.count(), total.served);
-        assert_eq!(snap.response_us.max(), Some(total.max_response_us));
+        let mut tails = Vec::new();
+        for plan in [FaultPlan::none(), FaultPlan::media(77, 250_000, 62_500)] {
+            let mut snap = Snapshot::new();
+            let out = simulate_striped(
+                &trace,
+                5,
+                || Box::new(Fcfs::new()),
+                SimOptions::with_shape(1, 2).with_retries(4),
+                &plan,
+                &mut snap,
+            );
+            let total = out.aggregate();
+            let c = &snap.counters;
+            assert_eq!(c.arrivals, 400);
+            total.reconcile(c).expect("events match metrics");
+            assert_eq!(snap.response_us.count(), total.served);
+            assert_eq!(snap.response_us.max(), Some(total.max_response_us));
+            tails.push(snap.response_us.p99());
+        }
+        assert!(tails[1] >= tails[0], "retries shrank the tail: {tails:?}");
     }
 
     #[test]
