@@ -408,7 +408,7 @@ impl FarmDaemon {
     ) -> Self {
         let mut make_scheduler: SchedulerFactory = Box::new(make_scheduler);
         let mut make_service: ServiceFactory = Box::new(make_service);
-        let ring = FlightRing::new();
+        let ring = FlightRing::with_capacity(cfg.farm.shards.saturating_mul(RECORDER_CAPACITY));
         let members: Vec<Member> = (0..cfg.farm.shards)
             .map(|i| {
                 // A new ring has a tag for every initial member, so only
@@ -892,12 +892,14 @@ impl FarmDaemon {
             // recovery.
             drop(member.scheduler);
             per_shard.push(member.stepper.into_metrics());
-            recorders.push(
-                member
-                    .recorder
-                    .try_unwrap()
-                    .expect("factories must not retain recorder handles"),
-            );
+            let mut recorder = member
+                .recorder
+                .try_unwrap()
+                .expect("factories must not retain recorder handles");
+            // The report keeps windows, counters and dumps; the ring goes
+            // with the daemon.
+            recorder.release_ring();
+            recorders.push(recorder);
         }
         let makespan_us = per_shard.iter().map(|m| m.makespan_us).max().unwrap_or(0);
         // Migrations, quarantines and retunes are counted once, by their
@@ -945,7 +947,9 @@ pub struct DaemonReport {
     pub sheds_per_shard: Vec<u64>,
     /// Final lifecycle state per member.
     pub statuses: Vec<MemberStatus>,
-    /// Each member's flight recorder (dumps + windowed telemetry).
+    /// Each member's flight recorder (dumps + windowed telemetry),
+    /// released from the farm's ring ([`FlightRecorder::release_ring`]):
+    /// a post-mortem of the raw events is taken before shutdown.
     pub recorders: Vec<FlightRecorder>,
     /// Requests offered to the farm (admitted or not).
     pub arrivals: u64,
@@ -1613,6 +1617,11 @@ mod tests {
         });
         let placed: std::rc::Rc<std::cell::RefCell<Vec<_>>> = Default::default();
         let log = placed.clone();
+        // Each member's recorder handle, for the post-mortem dumps taken
+        // before `shutdown` releases the ring.
+        let sinks: std::rc::Rc<std::cell::RefCell<Vec<SharedSink<FlightRecorder>>>> =
+            Default::default();
+        let kept = sinks.clone();
         let mut daemon = FarmDaemon::new(
             cfg,
             move |idx, sink| {
@@ -1621,6 +1630,7 @@ mod tests {
                 let seen = std::rc::Rc::new(std::cell::RefCell::new(HashSet::new()));
                 assert_eq!(log.borrow().len(), idx);
                 log.borrow_mut().push(seen.clone());
+                kept.borrow_mut().push(sink.clone());
                 Box::new(Placed {
                     inner: Box::new(CascadedSfc::with_sink(cascade, sink).expect("valid config")),
                     seen,
@@ -1656,40 +1666,58 @@ mod tests {
             daemon.handle(DaemonEvent::Arrival(r.clone()));
         }
         let drained = drained.expect("some original member was in rotation to drain");
-        let mut report = daemon.shutdown();
-        assert_eq!(report.statuses[drained], MemberStatus::Drained);
-        assert_eq!(report.retunes, 1);
-        assert!(report.quarantines > 0 && report.migrated > 0);
-        // Most of the members' dumps are gone from their recorders by now
-        // (3, 9, 9 and 34 taken, `obs::DUMP_RETENTION` kept), yet the
-        // supervisor saw each one once: the strikes, the refusals and the
-        // placements that follow from their timing are those of the
-        // supervisor that indexed an unbounded dump list.
-        let taken: Vec<u64> = report.recorders.iter().map(|r| r.dumps_total()).collect();
-        assert_eq!(taken, [3, 9, 9, 34]);
-        assert_eq!((report.quarantines, report.refused_events), (22, 33));
-        assert_eq!(report.reroutes, 18_902);
-        assert_eq!(report.routed_per_shard, [396, 648, 666, 18_290]);
-        assert_eq!(report.dumps_missed, 0);
+        let placed: Vec<HashSet<u64>> =
+            placed.borrow().iter().map(|s| s.borrow().clone()).collect();
+        let end = daemon.now_us();
+        let mut named = Vec::new();
+        let mut in_window = Vec::new();
+        for (k, sink) in sinks.borrow().iter().enumerate() {
+            sink.with(|recorder| {
+                in_window.push(
+                    recorder
+                        .dumps()
+                        .iter()
+                        .map(|d| {
+                            assert!(d.events.len() <= RECORDER_CAPACITY);
+                            d.events
+                                .iter()
+                                .filter(|e| e.now_us() >> 16 == d.epoch)
+                                .count()
+                        })
+                        .collect::<Vec<_>>(),
+                );
+                recorder.force_dump(end);
+                assert!(
+                    recorder
+                        .dumps()
+                        .iter()
+                        .any(|d| d.anomaly == Anomaly::ShedBurst),
+                    "member {k} must have shed its way to a dump"
+                );
+                for e in recorder.dumps().iter().flat_map(|d| &d.events) {
+                    let own = match *e {
+                        TraceEvent::Migrate { from_shard, .. }
+                        | TraceEvent::Redirect { from_shard, .. } => from_shard as usize == k,
+                        TraceEvent::Quarantine { shard, .. } | TraceEvent::Retune { shard, .. } => {
+                            shard as usize == k
+                        }
+                        _ => e.req().is_none_or(|req| placed[k].contains(&req)),
+                    };
+                    assert!(own, "member {k}'s dump holds a neighbour's {e:?}");
+                }
+                if k == added {
+                    named.extend(
+                        recorder
+                            .dumps()
+                            .iter()
+                            .flat_map(|d| d.events.iter().filter_map(TraceEvent::req)),
+                    );
+                }
+            });
+        }
         // Every held dump keeps its whole trigger window: these in-epoch
         // event counts are the same at 4096 and 65,536 events a member,
         // and a member's ring of 16 falls short of them.
-        let in_window: Vec<Vec<usize>> = report
-            .recorders
-            .iter()
-            .map(|r| {
-                r.dumps()
-                    .iter()
-                    .map(|d| {
-                        assert!(d.events.len() <= RECORDER_CAPACITY);
-                        d.events
-                            .iter()
-                            .filter(|e| e.now_us() >> 16 == d.epoch)
-                            .count()
-                    })
-                    .collect()
-            })
-            .collect();
         assert_eq!(
             in_window,
             [
@@ -1699,6 +1727,32 @@ mod tests {
                 &[19, 16, 24, 18]
             ]
         );
+        // The member added to a ring already in use sees none of what
+        // was there before it.
+        assert!(!named.is_empty());
+        for (k, theirs) in placed.iter().enumerate().filter(|&(k, _)| k != added) {
+            assert!(
+                named.iter().all(|req| !theirs.contains(req)),
+                "the newcomer's dumps name a request placed on member {k}"
+            );
+        }
+        sinks.borrow_mut().clear();
+        let report = daemon.shutdown();
+        assert_eq!(report.statuses[drained], MemberStatus::Drained);
+        assert_eq!(report.retunes, 1);
+        assert!(report.quarantines > 0 && report.migrated > 0);
+        // Most of the members' dumps are gone from their recorders by now
+        // (3, 9, 9 and 34 taken on anomalies, plus the forced one each,
+        // `obs::DUMP_RETENTION` kept), yet the supervisor saw each one
+        // once: the strikes, the refusals and the placements that follow
+        // from their timing are those of the supervisor that indexed an
+        // unbounded dump list.
+        let taken: Vec<u64> = report.recorders.iter().map(|r| r.dumps_total()).collect();
+        assert_eq!(taken, [4, 10, 10, 35]);
+        assert_eq!((report.quarantines, report.refused_events), (22, 33));
+        assert_eq!(report.reroutes, 18_902);
+        assert_eq!(report.routed_per_shard, [396, 648, 666, 18_290]);
+        assert_eq!(report.dumps_missed, 0);
         report.ledger().expect("ledger closes");
         report.reconcile_events().expect("events reconcile");
         let emitted: u64 = report
@@ -1710,45 +1764,6 @@ mod tests {
             emitted > 2 * 4 * RECORDER_CAPACITY as u64,
             "the shared ring must have wrapped: {emitted} events"
         );
-        let placed: Vec<HashSet<u64>> =
-            placed.borrow().iter().map(|s| s.borrow().clone()).collect();
-        let end = report.makespan_us;
-        for (k, recorder) in report.recorders.iter_mut().enumerate() {
-            recorder.force_dump(end);
-            assert!(
-                recorder
-                    .dumps()
-                    .iter()
-                    .any(|d| d.anomaly == Anomaly::ShedBurst),
-                "member {k} must have shed its way to a dump"
-            );
-            for e in recorder.dumps().iter().flat_map(|d| &d.events) {
-                let own = match *e {
-                    TraceEvent::Migrate { from_shard, .. }
-                    | TraceEvent::Redirect { from_shard, .. } => from_shard as usize == k,
-                    TraceEvent::Quarantine { shard, .. } | TraceEvent::Retune { shard, .. } => {
-                        shard as usize == k
-                    }
-                    _ => e.req().is_none_or(|req| placed[k].contains(&req)),
-                };
-                assert!(own, "member {k}'s dump holds a neighbour's {e:?}");
-            }
-        }
-        // The member added to a ring already in use sees none of what
-        // was there before it.
-        let newcomer = &report.recorders[added];
-        let named: Vec<u64> = newcomer
-            .dumps()
-            .iter()
-            .flat_map(|d| d.events.iter().filter_map(TraceEvent::req))
-            .collect();
-        assert!(!named.is_empty());
-        for (k, theirs) in placed.iter().enumerate().filter(|&(k, _)| k != added) {
-            assert!(
-                named.iter().all(|req| !theirs.contains(req)),
-                "the newcomer's dumps name a request placed on member {k}"
-            );
-        }
     }
 
     #[test]

@@ -208,7 +208,8 @@ impl FlightRecorder {
     /// A recorder retaining `capacity` events in a ring of its own,
     /// aggregating over `telemetry`-shaped windows, firing on `triggers`.
     pub fn new(capacity: usize, telemetry: TelemetryConfig, triggers: TriggerConfig) -> Self {
-        FlightRecorder::attach(&FlightRing::new(), capacity, telemetry, triggers)
+        let ring = FlightRing::with_capacity(capacity.max(1));
+        FlightRecorder::attach(&ring, capacity, telemetry, triggers)
             .expect("a new ring has every tag free")
     }
 
@@ -293,9 +294,21 @@ impl FlightRecorder {
     }
 
     /// Capture a dump right now, bypassing triggers and cooldowns.
+    ///
+    /// After [`FlightRecorder::release_ring`] the dump holds no events,
+    /// so it is `clean` only when nothing was emitted since the last
+    /// dump; take a post-mortem before the recorder is released.
     pub fn force_dump(&mut self, now_us: u64) -> &DumpRecord {
         self.capture(Anomaly::Manual, now_us);
         self.dumps.last().expect("capture just pushed a dump")
+    }
+
+    /// Let go of the shared ring, so that it is freed with its other
+    /// writers rather than with this recorder. The windows, the counters
+    /// and the dumps already taken stay; events emitted from here on are
+    /// counted but not retained.
+    pub fn release_ring(&mut self) {
+        self.ring = FlightRing::new();
     }
 
     fn fire(&mut self, anomaly: Anomaly, now_us: u64) {
@@ -645,6 +658,35 @@ mod tests {
         let mut alone = recorder(8);
         alone.force_dump(0);
         assert_eq!(ring.dumps_total(), sum(&recorders));
+    }
+
+    #[test]
+    fn a_released_recorder_keeps_its_dumps_and_retains_no_more_events() {
+        let ring = FlightRing::with_capacity(8);
+        let mut r =
+            FlightRecorder::attach(&ring, 8, TelemetryConfig::exact(), TriggerConfig::quiet())
+                .expect("tags to spare");
+        for i in 0..3u64 {
+            r.emit(&shed(i, i));
+        }
+        let held = r.force_dump(3).clone();
+        assert_eq!(held.events.len(), 3);
+        r.release_ring();
+        assert_eq!(r.dumps(), [held]);
+        let d = r.force_dump(4).clone();
+        assert!(
+            d.events.is_empty() && d.clean,
+            "nothing since the last dump"
+        );
+        r.emit(&shed(5, 5));
+        let d = r.force_dump(6).clone();
+        assert!(d.events.is_empty());
+        assert_eq!((d.evicted_since_dump, d.clean), (1, false));
+        assert_eq!(r.windows().cumulative_counters().sheds, 4);
+        assert_eq!(r.dumps_total(), 3);
+        // The ring keeps what the recorder wrote before it let go, and
+        // counts none of the dumps taken after.
+        assert_eq!((ring.len(), ring.dumps_total()), (3, 1));
     }
 
     #[test]

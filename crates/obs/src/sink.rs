@@ -150,12 +150,19 @@ impl Slab {
 }
 
 impl FlightRing {
-    /// An empty ring with no room yet: every [`FlightRing::attach`]
-    /// brings its own.
+    /// An empty ring with no room: it keeps nothing until a
+    /// [`FlightRing::attach`] brings some.
     pub fn new() -> Self {
+        FlightRing::with_capacity(0)
+    }
+
+    /// An empty ring whose slab is allocated at once for `entries`
+    /// entries, the retentions of the writers it starts with summed, so
+    /// that attaching them moves nothing.
+    pub fn with_capacity(entries: usize) -> Self {
         FlightRing(Rc::new(RefCell::new(Slab {
-            events: Vec::new(),
-            tags: Vec::new(),
+            events: Vec::with_capacity(entries),
+            tags: Vec::with_capacity(entries),
             cursor: 0,
             capacity: 0,
             next_tag: Some(0),
@@ -169,20 +176,16 @@ impl FlightRing {
     ///
     /// Growing never evicts or reorders: the slab extends the next time
     /// the cursor reaches its end, which is the one place new slots can
-    /// go without breaking the newest-to-oldest order.
+    /// go without breaking the newest-to-oldest order. Past the room
+    /// [`FlightRing::with_capacity`] allocated, it grows by `Vec`'s
+    /// doubling; reserving exactly here would copy the whole slab on
+    /// every attach to a ring in use (`AddShard` 198 -> 1383 us on
+    /// `surge`).
     pub fn attach(&self, retention: usize) -> Option<u32> {
         let slab = &mut *self.0.borrow_mut();
         let tag = slab.next_tag?;
         slab.next_tag = tag.checked_add(1);
         slab.capacity = slab.capacity.saturating_add(retention.max(1));
-        // Preallocate while there is nothing to move, which covers the
-        // writers a farm starts with. A ring in use grows by `Vec`'s
-        // doubling instead: reserving here would copy the whole slab on
-        // every attach (`AddShard` 198 -> 1383 us on `surge`).
-        if slab.events.is_empty() {
-            slab.events.reserve_exact(slab.capacity);
-            slab.tags.reserve_exact(slab.capacity);
-        }
         Some(tag)
     }
 
@@ -195,6 +198,10 @@ impl FlightRing {
         if at == slab.events.len() {
             if at < slab.capacity {
                 return slab.extend(tag, event);
+            }
+            if at == 0 {
+                // A ring with no room (a released recorder's) keeps nothing.
+                return;
             }
             at = 0;
         }

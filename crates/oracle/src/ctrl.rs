@@ -199,6 +199,13 @@ pub fn check_controller_storm(seed: u64, trace: &[Request]) -> Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::cascade_config;
+    use cascade::CascadedSfc;
+    use farm::{DaemonConfig, FarmDaemon};
+    use obs::{DumpRecord, FlightRecorder, SharedSink};
+    use sim::DiskService;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use workload::VodConfig;
 
     fn vod(streams: u32, seed: u64) -> Vec<Request> {
@@ -271,12 +278,24 @@ mod tests {
         // a dump, and every decision the controller took is in its log.
         let trace: Vec<Request> = vod(64, 11).into_iter().take(150).collect();
         let cfg = FarmConfig::new(2).with_policy(RoutePolicy::HashStream);
-        let mut daemon = daemon_shaped(
-            &cfg,
-            SimOptions::with_shape(1, 8).dropping(),
-            Some(8),
-            obs::TriggerConfig::quiet(),
-            obs::TelemetryConfig::exact().window_log2(17).depth(2),
+        // Each member's recorder handle, for the dumps taken before
+        // `shutdown` releases the farm's ring.
+        let sinks: Rc<RefCell<Vec<SharedSink<FlightRecorder>>>> = Default::default();
+        let kept = sinks.clone();
+        let cylinders = cfg.cylinders;
+        let mut daemon = FarmDaemon::new(
+            DaemonConfig::new(cfg.clone(), SimOptions::with_shape(1, 8).dropping()).with_telemetry(
+                obs::TelemetryConfig::exact().window_log2(17).depth(2),
+                obs::TriggerConfig::quiet(),
+            ),
+            move |_, sink| {
+                kept.borrow_mut().push(sink.clone());
+                Box::new(
+                    CascadedSfc::with_sink(cascade_config(cylinders, 8), sink)
+                        .expect("valid cascade config"),
+                )
+            },
+            |_| DiskService::table1(),
         );
         let mut controller = Controller::new(
             cfg.shards,
@@ -291,7 +310,14 @@ mod tests {
             trace.iter().cloned().map(DaemonEvent::Arrival),
             8,
         );
-        let mut report = daemon.shutdown();
+        let end = daemon.now_us();
+        let dumps: Vec<DumpRecord> = sinks
+            .borrow()
+            .iter()
+            .map(|sink| sink.with(|recorder| recorder.force_dump(end).clone()))
+            .collect();
+        sinks.borrow_mut().clear();
+        let report = daemon.shutdown();
         let log = controller.decision_log();
         assert!(log.len() < 32, "the log was trimmed: {}", log.len());
         for knob in 0..3 {
@@ -301,9 +327,8 @@ mod tests {
             );
         }
         assert_eq!(report.retunes, log.len() as u64);
-        let end = report.makespan_us;
-        for (k, recorder) in report.recorders.iter_mut().enumerate() {
-            let dump = recorder.force_dump(end);
+        assert_eq!(dumps.len(), cfg.shards);
+        for (k, dump) in dumps.iter().enumerate() {
             assert!(
                 dump.clean && dump.evicted_since_dump == 0,
                 "member {k}'s ring wrapped"

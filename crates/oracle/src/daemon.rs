@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use sched::{DiskScheduler, Fcfs, Request};
 use sim::{DiskService, Metrics, SimOptions};
 
-fn cascade_config(cylinders: u32, cap: usize) -> CascadeConfig {
+pub(crate) fn cascade_config(cylinders: u32, cap: usize) -> CascadeConfig {
     CascadeConfig::paper_default(1, cylinders)
         .with_dispatch(DispatchConfig::paper_default().with_max_queue(cap))
 }
