@@ -43,9 +43,12 @@ step "cargo test (whole workspace)"
 # and supervision, the reconciliation of a healthy and a faulted striped
 # group (its arrival, drop and failure events against the engine's
 # metrics, in sim::striped; fault counts exist only as events) and the
-# window telemetry (farm's determinism test: every event in the window
-# of its time, deltas summing to the cumulative) are checked here (and
-# by the oracle below), not by a smoke run of their own.
+# window telemetry (farm's determinism test: drained after every event,
+# every window leaves whole and every event lands in the window of its
+# time, the windows summing to the cumulative; farm's ring_memory test:
+# at most depth windows a member and a bounded report in live bytes)
+# are checked here (and by the oracle below), not by a smoke run of
+# their own.
 cargo test -q --workspace
 
 step "inversion-census tests, release"

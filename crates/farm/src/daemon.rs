@@ -592,18 +592,19 @@ impl FarmDaemon {
         pulled
     }
 
-    /// Drain every member's completed telemetry windows, tagged with the
-    /// shard index — the control plane's subscription point. Draining at
+    /// Drain every member's undrained telemetry delta — the windows that
+    /// left its live range since the last drain, merged — tagged with the
+    /// shard index: the control plane's subscription point. Draining at
     /// any cadence yields the same totals (the delta-sum invariant of
-    /// [`obs::WindowedSnapshot`]); windows still open stay put.
+    /// [`obs::WindowedSnapshot`]); windows still live stay put.
     pub fn take_shard_deltas(&mut self) -> Vec<obs::ShardDelta> {
-        let mut out = Vec::new();
-        for (shard, m) in self.members.iter_mut().enumerate() {
-            for delta in m.recorder.with(|r| r.windows_mut().take_deltas()) {
-                out.push(obs::ShardDelta { shard, delta });
-            }
-        }
-        out
+        let members = self.members.iter_mut().enumerate();
+        members
+            .filter_map(|(shard, m)| {
+                let delta = m.recorder.with(|r| r.windows_mut().take_delta())?;
+                Some(obs::ShardDelta { shard, delta })
+            })
+            .collect()
     }
 
     /// Close every drain whose handoff window ends at or before `t`, then

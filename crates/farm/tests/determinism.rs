@@ -12,7 +12,7 @@ use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use farm::{
     DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, OnlineRouter, RoutePolicy,
 };
-use obs::{NullSink, Snapshot, TelemetryConfig, TriggerConfig};
+use obs::{NullSink, ShardDelta, Snapshot, TelemetryConfig, TriggerConfig, WindowDelta};
 use sched::{DiskScheduler, Fcfs, QosVector, Request};
 use sim::{DiskService, SimOptions};
 use workload::{NewsByteConfig, PoissonConfig, TraceSource, VecSource, VodConfig};
@@ -269,12 +269,18 @@ fn per_shard_windows_sum_to_a_cumulative_any_window_width_agrees_on() {
     let cfg = FarmConfig::new(4)
         .with_policy(RoutePolicy::HashStream)
         .with_redirects();
-    let narrow = run(
-        &trace,
-        &cfg,
-        Some(24),
-        TelemetryConfig::exact().window_log2(19),
-    );
+    // The narrow run drains every member's delta after every event, as a
+    // controller does, so each window that leaves a live range leaves
+    // alone and is handed over whole.
+    let mut narrow = daemon(&cfg, Some(24), TelemetryConfig::exact().window_log2(19));
+    let mut drained: Vec<Vec<WindowDelta>> = vec![Vec::new(); cfg.shards];
+    for r in &trace {
+        narrow.handle(DaemonEvent::Arrival(r.clone()));
+        for ShardDelta { shard, delta } in narrow.take_shard_deltas() {
+            drained[shard].push(delta);
+        }
+    }
+    let narrow = narrow.shutdown();
     let wide = run(
         &trace,
         &cfg,
@@ -306,7 +312,8 @@ fn per_shard_windows_sum_to_a_cumulative_any_window_width_agrees_on() {
         "served, losses, sheds, redirects, makespan, events"
     );
     // Every event lands in the window of its own time: each shard reports
-    // every 2^19 µs epoch of the run, each epoch's arrivals over the
+    // every 2^19 µs epoch of the run as a whole window (drained during
+    // the run or still live at its end), each epoch's arrivals over the
     // shards are the trace's in that epoch, and the windows count every
     // shed the report does.
     let (mut arrivals, mut expected) = ([0u64; 20], [0u64; 20]);
@@ -314,16 +321,28 @@ fn per_shard_windows_sum_to_a_cumulative_any_window_width_agrees_on() {
         expected[(r.arrival_us >> 19) as usize] += 1;
     }
     let mut sheds = 0;
-    for (shard, mut recorder) in narrow.recorders.into_iter().enumerate() {
-        let cumulative = recorder.windows().cumulative();
-        let deltas = recorder.windows_mut().flush();
-        let epochs: Vec<u64> = deltas.iter().map(|d| d.epoch).collect();
-        assert_eq!(epochs, (0..20).collect::<Vec<u64>>(), "shard {shard}");
+    for (shard, (mut recorder, mut whole)) in narrow.recorders.into_iter().zip(drained).enumerate()
+    {
+        let windows = recorder.windows_mut();
+        whole.extend(windows.take_delta());
+        assert!(whole.iter().all(|d| !d.partial), "shard {shard}");
+        let mut epochs: Vec<(u64, Snapshot)> =
+            whole.into_iter().map(|d| (d.epoch, d.snapshot)).collect();
+        let mut live = Snapshot::new();
+        for (epoch, s) in windows.windows() {
+            live.merge(s);
+            epochs.push((epoch, s.clone()));
+        }
+        let cumulative = windows.cumulative();
+        let rest = windows.flush().expect("the live range to hand out");
+        assert_eq!(rest.snapshot, live, "the flush hands out the live range");
+        let numbers: Vec<u64> = epochs.iter().map(|(e, _)| *e).collect();
+        assert_eq!(numbers, (0..20).collect::<Vec<u64>>(), "shard {shard}");
         let mut delta_sum = Snapshot::new();
-        for d in &deltas {
-            delta_sum.merge(&d.snapshot);
-            arrivals[d.epoch as usize] += d.snapshot.counters.arrivals;
-            sheds += d.snapshot.counters.sheds;
+        for (epoch, s) in &epochs {
+            delta_sum.merge(s);
+            arrivals[*epoch as usize] += s.counters.arrivals;
+            sheds += s.counters.sheds;
         }
         assert_eq!(
             delta_sum, cumulative,

@@ -1,5 +1,5 @@
-//! What the farm's flight ring costs in live bytes, read off a counting
-//! global allocator rather than the process's RSS.
+//! What the farm's flight ring and telemetry windows cost in live bytes,
+//! read off a counting global allocator rather than the process's RSS.
 //!
 //! A 64-shard daemon with the default telemetry gives each member 1024
 //! ring entries of a [`TraceEvent`] and a 4-byte tag, 3.4 MB in all. The
@@ -7,11 +7,17 @@
 //! built; and it must be freed with the daemon, so that a report kept
 //! after `shutdown` holds none of it.
 //!
+//! A member's telemetry holds at most `depth` windows however long the
+//! run and whether or not anyone drains it: the completed windows of its
+//! live range and one undrained delta. A run through several live ranges
+//! that nobody drains must end with the census's `windows` entry at most
+//! `shards × depth`, and with a report of a bounded size per member.
+//!
 //! The allocator counts every process-wide allocation, so this file
 //! holds a single `#[test]`: no other test shares its counters.
 
-use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon};
-use obs::TraceEvent;
+use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
+use obs::{TelemetryConfig, TraceEvent, TriggerConfig};
 use sched::{Fcfs, Request};
 use sim::{DiskService, SimOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -114,8 +120,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A light VoD load over the whole farm: every member gets arrivals and
-/// events, and nothing overloads.
+/// A light VoD load over the farm, routed by stream hash: nothing
+/// overloads.
 fn trace() -> Vec<Request> {
     let mut cfg = VodConfig::mpeg1(4 * SHARDS as u32);
     cfg.duration_us = 2_000_000;
@@ -123,11 +129,14 @@ fn trace() -> Vec<Request> {
 }
 
 fn build() -> FarmDaemon {
-    FarmDaemon::new(
-        DaemonConfig::new(FarmConfig::new(SHARDS), SimOptions::with_shape(1, 4)),
-        |_, _| Box::new(Fcfs::new()),
-        |_| DiskService::table1(),
-    )
+    build_with(DaemonConfig::new(
+        FarmConfig::new(SHARDS),
+        SimOptions::with_shape(1, 4),
+    ))
+}
+
+fn build_with(cfg: DaemonConfig) -> FarmDaemon {
+    FarmDaemon::new(cfg, |_, _| Box::new(Fcfs::new()), |_| DiskService::table1())
 }
 
 fn scenario(trace: &[Request]) -> DaemonReport {
@@ -137,6 +146,11 @@ fn scenario(trace: &[Request]) -> DaemonReport {
 }
 
 #[test]
+fn the_ring_and_the_windows_are_sized_by_the_farm() {
+    the_flight_ring_is_allocated_once_and_freed_with_the_daemon();
+    a_member_holds_at_most_depth_windows_however_long_the_run();
+}
+
 fn the_flight_ring_is_allocated_once_and_freed_with_the_daemon() {
     let trace = trace();
     let base = LIVE.load(Relaxed);
@@ -180,5 +194,69 @@ fn the_flight_ring_is_allocated_once_and_freed_with_the_daemon() {
     assert!(
         rise < RING,
         "a kept report raised the next run's peak by {rise} B, the ring is {RING} B"
+    );
+}
+
+/// 2^19 µs windows, so that [`LIVE_RANGES`] live ranges pass in 21 s of
+/// simulated time.
+const WINDOW_LOG2: u32 = 19;
+/// The live ranges each member's windows pass through.
+const LIVE_RANGES: u64 = 5;
+/// What a report keeps per member after a run that nobody drains, of
+/// [`LIVE_RANGES`] live ranges and more. A member that held an undrained
+/// queue of up to 32 windows beside its live range kept 28,597 B here;
+/// one that holds a single undrained delta keeps 8,154 B.
+const KEPT_PER_MEMBER: usize = 16 * 1024;
+
+fn a_member_holds_at_most_depth_windows_however_long_the_run() {
+    let telemetry = TelemetryConfig::exact().window_log2(WINDOW_LOG2);
+    let windows = LIVE_RANGES * telemetry.depth as u64 + 2;
+    let mut cfg = VodConfig::mpeg1(4 * SHARDS as u32);
+    cfg.duration_us = windows << WINDOW_LOG2;
+    let trace: Vec<Request> = cfg.generate(7).collect();
+    let base = LIVE.load(Relaxed);
+
+    // Least-loaded routing, so that no member is left without streams.
+    let farm = FarmConfig::new(SHARDS).with_policy(RoutePolicy::LeastLoaded);
+    let mut daemon = build_with(
+        DaemonConfig::new(farm, SimOptions::with_shape(1, 4))
+            .with_telemetry(telemetry, TriggerConfig::default()),
+    );
+    for r in &trace {
+        daemon.handle(DaemonEvent::Arrival(r.clone()));
+    }
+    let held = (daemon.state_census().into_iter())
+        .find(|(name, _)| *name == "windows")
+        .map(|c| c.1);
+    let report = daemon.shutdown();
+    assert_eq!(report.served(), trace.len() as u64);
+    let kept = LIVE.load(Relaxed).saturating_sub(base) / SHARDS;
+    let epochs: Vec<u64> = report
+        .recorders
+        .iter()
+        .map(|r| r.windows().current_epoch().expect("every member recorded"))
+        .collect();
+    drop(report);
+
+    println!(
+        "{} requests, last epochs {:?}; census windows {held:?}; a report \
+         keeps {kept} B a member",
+        trace.len(),
+        (epochs.iter().min(), epochs.iter().max()),
+    );
+    assert!(
+        epochs
+            .iter()
+            .all(|&e| e >= LIVE_RANGES * telemetry.depth as u64),
+        "every member passes through {LIVE_RANGES} live ranges: {epochs:?}"
+    );
+    assert!(
+        held.is_some_and(|n| n <= SHARDS * telemetry.depth),
+        "census windows {held:?}, bound {}",
+        SHARDS * telemetry.depth
+    );
+    assert!(
+        kept < KEPT_PER_MEMBER,
+        "a report keeps {kept} B a member, bound {KEPT_PER_MEMBER} B"
     );
 }

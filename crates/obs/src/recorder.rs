@@ -256,7 +256,7 @@ impl FlightRecorder {
     }
 
     /// Mutable access to the windowed aggregate, so a control plane can
-    /// drain completed-window deltas ([`WindowedSnapshot::take_deltas`])
+    /// drain its window delta ([`WindowedSnapshot::take_delta`])
     /// without disturbing the ring or the dump machinery.
     pub fn windows_mut(&mut self) -> &mut WindowedSnapshot {
         &mut self.windows

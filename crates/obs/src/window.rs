@@ -5,9 +5,11 @@
 //! [`Snapshot`] per window: the **current** window, the last
 //! `depth - 1` **completed** windows (together the live range a control
 //! plane watches), and a **retired** accumulator absorbing everything
-//! older, so the cumulative view is never lost. Completed windows are
-//! additionally queued as [`WindowDelta`]s — the streaming feed a
-//! reporter drains at its own cadence.
+//! older, so the cumulative view is never lost. A window leaving the
+//! live range is also merged into one undrained [`WindowDelta`] — the
+//! streaming feed a reporter drains at its own cadence, handed over
+//! whole when one window left since the last drain and marked partial
+//! when several did.
 //!
 //! Two invariants hold bit-for-bit, by construction, and are enforced by
 //! property tests:
@@ -27,8 +29,8 @@
 //! use. A window boundary costs what the window holds: the window stays
 //! in the box it was recorded into from rotation to drain, retiring it
 //! adds only the buckets it filled ([`crate::Histogram::merge`]), and a
-//! sink nobody drains reopens the boxes its coalescing empties instead
-//! of allocating.
+//! sink nobody drains reopens the boxes its undrained delta absorbs
+//! instead of allocating.
 
 use crate::event::TraceEvent;
 use crate::sink::TraceSink;
@@ -46,28 +48,21 @@ pub const DEFAULT_DEPTH: usize = 8;
 /// The live-plane default stride: 1-in-8 histogram samples.
 pub const DEFAULT_SAMPLE_SHIFT: u32 = 3;
 
-/// Cap on undrained [`WindowDelta`]s: beyond it the two oldest are
-/// coalesced, so a sink nobody drains stays bounded while the delta-sum
-/// invariant keeps holding. Four live ranges: a reader that drains at
-/// least once per 32 completed windows only ever sees whole windows, and
-/// a sink nobody reads holds 32 snapshots (16 KB inline plus their
-/// histograms' bucket spans), not a thousand.
-const PENDING_CAP: usize = 4 * DEFAULT_DEPTH;
-
-/// One completed (or flushed) window, queued for a streaming reporter.
+/// The windows that left a sink's live range since its last drain, for
+/// a streaming reporter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowDelta {
-    /// The window's epoch (`start_us >> window_log2`).
+    /// The oldest window's epoch (`start_us >> window_log2`).
     pub epoch: u64,
-    /// Simulated time at which the window opened (µs).
+    /// Simulated time at which the oldest window opened (µs).
     pub start_us: u64,
     /// Window width (µs).
     pub window_us: u64,
-    /// `true` when the delta is not one whole completed window: the
-    /// final window drained by [`WindowedSnapshot::flush`], or a
-    /// coalesced pair evicted from an undrained queue.
+    /// `true` when the delta is not one whole completed window: several
+    /// windows left the live range between two drains and are merged
+    /// here, or [`WindowedSnapshot::flush`] closed the open window.
     pub partial: bool,
-    /// The window's aggregate.
+    /// The aggregate of every window the delta holds.
     pub snapshot: Snapshot,
 }
 
@@ -164,14 +159,14 @@ pub struct WindowedSnapshot {
     /// `(cur_epoch - depth, cur_epoch)`.
     recent: VecDeque<(u64, Box<Snapshot>)>,
     retired: Snapshot,
-    /// Undrained completed windows as `(epoch, partial, aggregate)`,
-    /// oldest first; [`WindowedSnapshot::take_deltas`] makes
-    /// [`WindowDelta`]s of them.
-    pending: VecDeque<(u64, bool, Box<Snapshot>)>,
-    /// Cleared boxes of windows that were merged away (the second of a
-    /// coalesced pending pair), for the next rotations to open; at most
-    /// [`PENDING_CAP`] of them. A `Vec` of boxes on purpose: it is the
-    /// box that moves on into `cur`.
+    /// The windows that left the live range since the last drain, merged
+    /// into the box of the oldest, as `(oldest epoch, partial,
+    /// aggregate)`; [`WindowedSnapshot::take_delta`] makes a
+    /// [`WindowDelta`] of it.
+    pending: Option<(u64, bool, Box<Snapshot>)>,
+    /// Cleared boxes of windows merged into `pending`, for the next
+    /// rotations to open; at most `depth` of them. A `Vec` of boxes on
+    /// purpose: it is the box that moves on into `cur`.
     #[allow(clippy::vec_box)]
     spare: Vec<Box<Snapshot>>,
 }
@@ -193,7 +188,7 @@ impl WindowedSnapshot {
             cur: Box::default(),
             recent: VecDeque::new(),
             retired: Snapshot::new(),
-            pending: VecDeque::new(),
+            pending: None,
             spare: Vec::new(),
         }
     }
@@ -255,23 +250,23 @@ impl WindowedSnapshot {
         out
     }
 
-    /// Windows held — completed ones in the live range plus undrained
-    /// deltas. Bounded by the live depth and the pending cap however long
-    /// the run; the current window and the retired aggregate are one
-    /// snapshot each, always. Spare boxes are not windows and are not
-    /// counted: they hold nothing, and there are never more of them
-    /// than the pending cap.
+    /// Windows held — completed ones in the live range plus the
+    /// undrained delta: at most `depth` however long the run. The current
+    /// window and the retired aggregate are one snapshot each, always.
+    /// Spare boxes are not windows and are not counted: they hold
+    /// nothing, and there are never more of them than `depth`.
     pub fn state_len(&self) -> usize {
-        self.recent.len() + self.pending.len()
+        self.recent.len() + usize::from(self.pending.is_some())
     }
 
-    /// Drain the completed-window delta queue (oldest first). Draining
-    /// at any cadence — every window, every N windows, or only at the
-    /// end — yields the same totals.
-    pub fn take_deltas(&mut self) -> Vec<WindowDelta> {
+    /// Drain the undrained delta: every window that left the live range
+    /// since the last drain, as one [`WindowDelta`] (`None` if no window
+    /// left). Draining at any cadence — every window, every N windows,
+    /// or only at the end — yields the same totals.
+    pub fn take_delta(&mut self) -> Option<WindowDelta> {
         let window_log2 = self.window_log2;
         self.pending
-            .drain(..)
+            .take()
             .map(|(epoch, partial, snapshot)| WindowDelta {
                 epoch,
                 start_us: epoch << window_log2,
@@ -279,16 +274,15 @@ impl WindowedSnapshot {
                 partial,
                 snapshot: *snapshot,
             })
-            .collect()
     }
 
-    /// Close the books: retire every live window (current included),
-    /// emitting each one as a delta, and drain the whole queue. The
-    /// cumulative view is unchanged, the live range comes back empty,
-    /// and the sum of every delta the sink ever produced now equals
+    /// Close the books: retire every live window (current included) into
+    /// the undrained delta and drain it. The cumulative view is
+    /// unchanged, the live range comes back empty, and the sum of every
+    /// delta the sink ever produced now equals
     /// [`WindowedSnapshot::cumulative`]. Recording may continue
     /// afterwards; reopened windows simply yield further deltas.
-    pub fn flush(&mut self) -> Vec<WindowDelta> {
+    pub fn flush(&mut self) -> Option<WindowDelta> {
         while let Some((epoch, snap)) = self.recent.pop_front() {
             self.retired.merge(&snap);
             self.push_delta(epoch, snap, false);
@@ -300,7 +294,7 @@ impl WindowedSnapshot {
             self.retired.merge(&done);
             self.push_delta(self.cur_epoch, done, true);
         }
-        self.take_deltas()
+        self.take_delta()
     }
 
     /// Open an empty window as the current one and hand back the one it
@@ -312,7 +306,7 @@ impl WindowedSnapshot {
 
     /// Keep the box of a window that was merged into another, emptied.
     fn recycle(&mut self, mut snap: Box<Snapshot>) {
-        if self.spare.len() < PENDING_CAP {
+        if self.spare.len() < self.depth {
             snap.clear();
             self.spare.push(snap);
         }
@@ -337,15 +331,18 @@ impl WindowedSnapshot {
         }
     }
 
+    /// Add a window that left the live range to the undrained delta.
+    /// Windows leave oldest first, so the first one's epoch stays the
+    /// delta's.
     fn push_delta(&mut self, epoch: u64, snapshot: Box<Snapshot>, partial: bool) {
-        if self.pending.len() >= PENDING_CAP {
-            let (_, _, second) = self.pending.remove(1).expect("cap is at least 2");
-            let (_, coalesced, first) = &mut self.pending[0];
-            first.merge(&second);
-            *coalesced = true;
-            self.recycle(second);
+        match &mut self.pending {
+            None => self.pending = Some((epoch, partial, snapshot)),
+            Some((_, merged, held)) => {
+                held.merge(&snapshot);
+                *merged = true;
+                self.recycle(snapshot);
+            }
         }
-        self.pending.push_back((epoch, partial, snapshot));
     }
 
     /// Out-of-line slow path: first event, window rotation, or an event
@@ -458,12 +455,12 @@ mod tests {
             t += 13 + (i % 29);
             w.emit(&complete(t, i));
             if i % 257 == 0 {
-                for d in w.take_deltas() {
+                if let Some(d) = w.take_delta() {
                     drained.merge(&d.snapshot);
                 }
             }
         }
-        for d in w.flush() {
+        if let Some(d) = w.flush() {
             drained.merge(&d.snapshot);
         }
         assert_eq!(drained, w.cumulative());
@@ -477,7 +474,7 @@ mod tests {
         w.emit(&complete(85, 1)); // epoch 5: live, completed window
         assert_eq!(w.cumulative().counters.service_completes, 3);
         let mut drained = Snapshot::new();
-        for d in w.flush() {
+        if let Some(d) = w.flush() {
             drained.merge(&d.snapshot);
         }
         assert_eq!(drained.counters.service_completes, 3);
@@ -500,49 +497,62 @@ mod tests {
     }
 
     #[test]
-    fn an_undrained_queue_coalesces_but_conserves_counts() {
-        let mut w = WindowedSnapshot::new(2, 1);
-        for t in 0..3 * PENDING_CAP as u64 {
+    fn an_undrained_sink_holds_one_delta_and_conserves_counts() {
+        let mut w = WindowedSnapshot::new(2, 4);
+        for t in 0..96u64 {
             w.emit(&complete(t * 4, 1)); // one event per window
+            assert!(w.state_len() <= 4 && w.spare.len() <= 4, "window {t}");
         }
-        let deltas = w.flush();
-        assert!(deltas.len() <= PENDING_CAP + 1, "{} deltas", deltas.len());
-        assert!(deltas[0].partial, "the oldest delta absorbed the overflow");
-        let mut drained = Snapshot::new();
-        for d in &deltas {
-            drained.merge(&d.snapshot);
-        }
-        assert_eq!(drained, w.cumulative());
+        assert_eq!(
+            w.state_len(),
+            4,
+            "three completed live windows and the delta"
+        );
+        let d = w.flush().expect("96 windows to hand out");
+        assert!(d.partial && d.epoch == 0);
+        assert_eq!(d.snapshot.counters.service_completes, 96);
+        assert_eq!(d.snapshot, w.cumulative());
+        assert!(w.spare.len() <= 4);
+        assert_eq!(w.state_len(), 0);
+        assert_eq!(w.take_delta(), None);
     }
 
     #[test]
-    fn a_drain_within_the_cap_sees_only_whole_windows() {
-        // One event per 4 µs window. A control loop draining every few
-        // windows (every window, the live controller's 1–5, and the cap
-        // itself) must never be handed a coalesced delta: the only
-        // partial one is the open window `flush` closes.
-        for cadence in [1, 2, 5, PENDING_CAP as u64] {
-            let mut w = TelemetryConfig::default().window_log2(2).sink();
-            for window in 0..10 * PENDING_CAP as u64 {
-                w.emit(&complete(window * 4, 1));
-                if (window + 1) % cadence == 0 {
-                    let deltas = w.take_deltas();
-                    assert!(deltas.len() as u64 <= cadence);
-                    assert!(deltas.iter().all(|d| !d.partial), "cadence {cadence}");
+    fn a_drain_gets_the_merge_of_the_windows_that_left_whole_only_if_one_did() {
+        // One event per 4 µs window, its response time the window's
+        // number. After window `n` the windows below `n + 1 - depth` have
+        // left the live range, so a drain gets the merge of those it has
+        // not had yet: one whole window when it drains after every
+        // window, `cadence` of them marked partial otherwise.
+        let depth = DEFAULT_DEPTH as u64;
+        for cadence in [1, 2, 5, 32] {
+            let mut w = TelemetryConfig::exact().window_log2(2).sink();
+            let since = |from: u64, to: u64| {
+                let mut s = Snapshot::new();
+                (from..to).for_each(|n| s.emit(&complete(n * 4, n)));
+                s
+            };
+            let mut drained = 0;
+            for n in 0..320 {
+                w.emit(&complete(n * 4, n));
+                if (n + 1) % cadence != 0 {
+                    continue;
                 }
+                let left = (n + 1).saturating_sub(depth);
+                let Some(d) = w.take_delta() else {
+                    assert_eq!(left, drained, "cadence {cadence}, window {n}");
+                    continue;
+                };
+                assert_eq!(d.epoch, drained, "cadence {cadence}");
+                assert_eq!(d.partial, left - drained > 1, "cadence {cadence}");
+                assert_eq!(d.snapshot, since(drained, left), "cadence {cadence}");
+                assert!(cadence > 1 || !d.partial);
+                drained = left;
             }
-            let rest = w.flush();
-            let partial: Vec<u64> = rest.iter().filter(|d| d.partial).map(|d| d.epoch).collect();
-            assert_eq!(partial, [10 * PENDING_CAP as u64 - 1], "cadence {cadence}");
+            let rest = w.flush().expect("the live range to hand out");
+            assert!(rest.partial && rest.epoch == drained, "cadence {cadence}");
+            assert_eq!(rest.snapshot, since(drained, 320), "cadence {cadence}");
         }
-        // One window past the cap between drains is where coalescing starts.
-        let mut w = TelemetryConfig::default().window_log2(2).sink();
-        for window in 0..(DEFAULT_DEPTH + PENDING_CAP) as u64 + 1 {
-            w.emit(&complete(window * 4, 1));
-        }
-        let deltas = w.take_deltas();
-        assert_eq!(deltas.len(), PENDING_CAP);
-        assert!(deltas[0].partial && deltas[1..].iter().all(|d| !d.partial));
     }
 
     /// One event of every histogram-feeding kind (and two counter-only
@@ -579,12 +589,12 @@ mod tests {
         }
     }
 
-    /// Run `3 * PENDING_CAP + 8` windows of 16 µs through a depth-4 sink
-    /// — every seventh epoch skipped, every fifth window followed by a
-    /// late event two epochs back (which opens a slot for a skipped
-    /// epoch) — draining every `drain_every` windows, and hold every
-    /// delta, the cumulative view and the flush against one
-    /// never-recycled [`Snapshot`] per epoch.
+    /// Run 104 windows of 16 µs through a depth-4 sink — every seventh
+    /// epoch skipped, every fifth window followed by a late event two
+    /// epochs back (which opens a slot for a skipped epoch) — draining
+    /// every `drain_every` windows, and hold every delta, the cumulative
+    /// view and the flush against one never-recycled [`Snapshot`] per
+    /// epoch.
     fn check_against_fresh_snapshots(sample_shift: u32, drain_every: Option<u64>) {
         let what = format!("shift {sample_shift}, drained {drain_every:?}");
         let mask = (1u64 << sample_shift) - 1;
@@ -594,7 +604,7 @@ mod tests {
         let mut deltas: Vec<WindowDelta> = Vec::new();
         let mut recycled = false;
         let mut x = 20040330u64;
-        for window in 0..3 * PENDING_CAP as u64 + 8 {
+        for window in 0..104 {
             let late = (window % 5 == 0 && window >= 2).then(|| (window - 2, 1));
             let own = (window % 7 != 3).then(|| (window, 3 + x % 20));
             for (epoch, n) in own.into_iter().chain(late) {
@@ -609,9 +619,9 @@ mod tests {
                 }
             }
             recycled |= !w.spare.is_empty();
-            assert!(w.spare.len() <= PENDING_CAP, "{what}");
+            assert!(w.spare.len() <= 4 && w.state_len() <= 4, "{what}");
             if drain_every.is_some_and(|n| (window + 1) % n == 0) {
-                deltas.extend(w.take_deltas());
+                deltas.extend(w.take_delta());
             }
         }
         let mut whole = Snapshot::new();
@@ -624,7 +634,8 @@ mod tests {
         assert_eq!(w.cumulative(), whole, "{what}: a flush moves nothing");
         assert_eq!(w.state_len(), 0, "{what}");
         // Delta `i` is the windows from its epoch up to the next delta's:
-        // one window, unless it is marked partial.
+        // whole when that is one window, partial when it is several or
+        // the flush closed the open window (the last delta).
         for (i, d) in deltas.iter().enumerate() {
             let until = deltas.get(i + 1).map_or(u64::MAX, |next| next.epoch);
             assert!(d.epoch < until, "{what}: deltas come oldest first");
@@ -636,20 +647,12 @@ mod tests {
             }
             assert_eq!(d.snapshot, covered, "{what}: delta {i}, epoch {}", d.epoch);
             assert_eq!((d.start_us, d.window_us), (d.epoch * 16, 16), "{what}");
-            assert!(d.partial || windows == 1, "{what}: delta {i}");
+            let last = i + 1 == deltas.len();
+            assert_eq!(d.partial, windows > 1 || last, "{what}: delta {i}");
         }
-        match drain_every {
-            None => {
-                assert!(recycled, "an undrained queue coalesces, which recycles");
-                assert!(
-                    deltas[0].partial && deltas.len() <= PENDING_CAP + 4,
-                    "{what}"
-                );
-            }
-            Some(_) => {
-                let partial = deltas.iter().filter(|d| d.partial).count();
-                assert_eq!(partial, 1, "{what}: only the window the flush closed");
-            }
+        assert!(recycled, "{what}: a delta that merges recycles");
+        if drain_every.is_none() {
+            assert_eq!(deltas.len(), 1, "{what}: the flush hands out everything");
         }
     }
 
@@ -682,8 +685,7 @@ mod tests {
         let mut w = WindowedSnapshot::new(4, 2);
         w.emit(&complete(5, 1));
         let first = w.flush();
-        assert_eq!(first.len(), 1);
-        assert!(first[0].partial);
+        assert!(first.as_ref().is_some_and(|d| d.partial));
         w.emit(&complete(6, 1));
         let mut drained = Snapshot::new();
         for d in first.into_iter().chain(w.flush()) {

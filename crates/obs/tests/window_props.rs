@@ -101,7 +101,7 @@ proptest! {
         prop_assert_eq!(windowed.cumulative(), plain.clone());
 
         let mut summed = Snapshot::new();
-        for d in windowed.flush() {
+        if let Some(d) = windowed.flush() {
             summed.merge(&d.snapshot);
         }
         prop_assert_eq!(summed, plain);
@@ -109,7 +109,7 @@ proptest! {
 
     /// Draining deltas mid-stream at any cadence, then flushing the
     /// tail, reproduces the cumulative aggregate exactly — no event is
-    /// lost or double-counted across a `take_deltas` boundary.
+    /// lost or double-counted across a `take_delta` boundary.
     #[test]
     fn polling_cadence_is_invariant(
         events in stream(),
@@ -120,11 +120,11 @@ proptest! {
         let mut polled = Snapshot::new();
         for chunk in events.chunks(poll_every) {
             feed(&mut windowed, chunk);
-            for d in windowed.take_deltas() {
+            if let Some(d) = windowed.take_delta() {
                 polled.merge(&d.snapshot);
             }
         }
-        for d in windowed.flush() {
+        if let Some(d) = windowed.flush() {
             polled.merge(&d.snapshot);
         }
         prop_assert_eq!(polled, windowed.cumulative());

@@ -26,11 +26,7 @@ fn run_with<S: obs::TraceSink>(trace: &[Request], options: SimOptions, sink: &mu
 }
 
 fn drain_summed(sink: &mut WindowedSnapshot) -> Snapshot {
-    let mut sum = Snapshot::new();
-    for d in sink.flush() {
-        sum.merge(&d.snapshot);
-    }
-    sum
+    sink.flush().map_or_else(Snapshot::new, |d| d.snapshot)
 }
 
 /// Check the three telemetry relations on one trace. `poll_every` sets
@@ -72,7 +68,7 @@ pub fn diff_telemetry(
         let mut service = DiskService::table1();
         for chunk in trace.chunks(poll_every.max(1)) {
             simulate(&mut scheduler, chunk, &mut service, options, &mut windowed);
-            for d in windowed.take_deltas() {
+            if let Some(d) = windowed.take_delta() {
                 polled.merge(&d.snapshot);
             }
         }

@@ -1,116 +1,15 @@
 //! Admission control for periodic streams — the question a video server
-//! asks *before* the disk scheduler ever sees a request: how many
-//! concurrent streams can this disk sustain without missing deadlines?
-//!
-//! The classic round-based bound (used by the PanaViss-era VoD
-//! literature): with `n` streams fetching one block per period `T`, a
-//! SCAN-family scheduler serves each round of `n` requests in at most
-//!
-//! ```text
-//! t_round(n) = n · (t_transfer + t_rotation) + t_sweep(n)
-//! ```
-//!
-//! where `t_sweep(n)` bounds the total seek time of one sweep over `n`
-//! requests (a full stroke is split into at most `n + 1` sub-seeks, and
-//! the concave seek curve makes equal splits the worst case). The stream
-//! count is admissible when `t_round(n) ≤ T`.
-//!
-//! The bound is validated against the discrete-event simulator by the
-//! VoD scenario tests: admitted loads must simulate loss-free.
-//!
-//! [`StreamGate`] enforces such a count at run time: the farm daemon asks
-//! it about every arrival. Its state is one recency-list node and one
-//! index entry per stream *holding a slot*, kept in the order the streams
-//! were last seen — a stream that keeps sending only moves its node to the
-//! back, and the streams that idled out are the ones at the front — so a
-//! request costs O(1), whether it takes, refreshes or frees a slot, and
-//! however many requests the stream has sent.
+//! asks *before* the disk scheduler ever sees a request: does this
+//! stream get a slot? [`StreamGate`] caps the concurrently active
+//! streams, and the farm daemon asks it about every arrival.
 
-use diskmodel::{DiskGeometry, SeekModel};
-
-/// Worst-case duration of one service round of `n` block requests under a
-/// sweep-order scheduler, in milliseconds.
-pub fn round_ms(geometry: &DiskGeometry, seek: &SeekModel, n: u32, block_bytes: u64) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    // Worst-case transfer: the innermost (slowest) zone.
-    let slow_cyl = geometry.cylinders() - 1;
-    let transfer = geometry.transfer_ms(slow_cyl, block_bytes);
-    // Full rotational latency per request (worst case).
-    let rotation = geometry.revolution_ms();
-    // One sweep over n requests: n+1 sub-seeks of at most stroke/(n+1)
-    // cylinders each — the concave seek curve peaks at the equal split.
-    let stroke = geometry.cylinders().saturating_sub(1);
-    let sub = stroke.div_ceil(n + 1);
-    let sweep = (n + 1) as f64 * seek.seek_ms(sub.max(1));
-    n as f64 * (transfer + rotation) + sweep
-}
-
-/// Largest stream count `n` such that a round of `n` block fetches fits
-/// within the streams' common period `period_ms`.
-///
-/// The bracket grows by doubling until it contains the answer, then a
-/// binary search over the monotone round bound pins it down — no
-/// arbitrary upper sentinel to saturate at silently.
-///
-/// # Panics
-///
-/// Panics if the bracket cannot be grown to contain the answer (more
-/// than `u32::MAX / 2` streams fit the period) — that means the round
-/// bound is not increasing for this geometry, which is a modeling bug,
-/// not an admission decision.
-pub fn max_streams(
-    geometry: &DiskGeometry,
-    seek: &SeekModel,
-    block_bytes: u64,
-    period_ms: f64,
-) -> u32 {
-    assert!(period_ms > 0.0 && period_ms.is_finite());
-    let fits = |n: u32| round_ms(geometry, seek, n, block_bytes) <= period_ms;
-    // Grow until `hi` no longer fits (so the answer is in [hi/2, hi)).
-    let mut hi = 1u32;
-    while fits(hi) {
-        hi = hi.checked_mul(2).unwrap_or_else(|| {
-            panic!(
-                "max_streams bracket overflow: {hi} streams of {block_bytes} bytes \
-                 still fit a {period_ms} ms period — the round bound is not \
-                 increasing for this geometry"
-            )
-        });
-    }
-    let (mut lo, mut hi) = (hi / 2, hi - 1);
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if fits(mid) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo
-}
-
-/// Admission decision for MPEG-style streams of `bits_per_second`
-/// fetching `block_bytes` blocks: the period is `block_bytes·8/rate`.
-pub fn admissible_streams(
-    geometry: &DiskGeometry,
-    seek: &SeekModel,
-    block_bytes: u64,
-    bits_per_second: u64,
-) -> u32 {
-    let period_ms = block_bytes as f64 * 8.0 / bits_per_second as f64 * 1000.0;
-    max_streams(geometry, seek, block_bytes, period_ms)
-}
-
-/// The *online* side of admission control: the offline bound above says
-/// how many concurrent streams a disk sustains; this gate enforces that
-/// number at ingest, request by request, as the farm daemon sees
-/// arrivals. A stream occupies a slot from its first admitted request
-/// until it has been idle for `idle_timeout_us`; requests from streams
-/// beyond the capacity are rejected at the door (never reaching a
-/// scheduler queue). Entirely deterministic: the decision depends only
-/// on the arrival sequence, never on wall-clock or iteration order.
+/// The online admission gate: it enforces a stream count at ingest,
+/// request by request, as the farm daemon sees arrivals. A stream
+/// occupies a slot from its first admitted request until it has been
+/// idle for `idle_timeout_us`; requests from streams beyond the capacity
+/// are rejected at the door (never reaching a scheduler queue). Entirely
+/// deterministic: the decision depends only on the arrival sequence,
+/// never on wall-clock or iteration order.
 ///
 /// The streams holding a slot form a **recency list**, least recently
 /// seen first, in a slab of at most `max_streams` nodes, and an index
@@ -400,117 +299,6 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     use std::fmt::Debug;
-
-    fn table1() -> (DiskGeometry, SeekModel) {
-        (DiskGeometry::table1(), SeekModel::table1())
-    }
-
-    #[test]
-    fn round_grows_linearly_in_n() {
-        let (g, s) = table1();
-        let r10 = round_ms(&g, &s, 10, 64 * 1024);
-        let r20 = round_ms(&g, &s, 20, 64 * 1024);
-        assert!(r20 > r10 * 1.5 && r20 < r10 * 2.5);
-        assert_eq!(round_ms(&g, &s, 0, 64 * 1024), 0.0);
-    }
-
-    #[test]
-    fn table1_admits_a_plausible_mpeg1_count() {
-        // MPEG-1 at 1.5 Mb/s, 64-KB blocks, period ≈ 349.5 ms. With
-        // ~21 ms worst-case per request (12.6 ms slow-zone transfer +
-        // 8.3 ms rotation) plus sweep overhead, expect roughly 14-16
-        // streams per member disk.
-        let (g, s) = table1();
-        let n = admissible_streams(&g, &s, 64 * 1024, 1_500_000);
-        assert!(
-            (10..20).contains(&n),
-            "admitted {n} streams (round at n: {:.1} ms)",
-            round_ms(&g, &s, n, 64 * 1024)
-        );
-        // The next stream would not fit.
-        let period = 64.0 * 1024.0 * 8.0 / 1_500_000.0 * 1000.0;
-        assert!(round_ms(&g, &s, n + 1, 64 * 1024) > period);
-    }
-
-    #[test]
-    fn admitted_load_simulates_loss_free() {
-        // The whole point of a worst-case bound: anything it admits must
-        // survive the simulator under a SCAN-family scheduler, even with
-        // deadlines of one period.
-        use crate::{simulate, DiskService, SimOptions};
-        use obs::NullSink;
-        use sched::{Batched, CScan};
-        use workload::VodConfig;
-
-        let (g, s) = table1();
-        let n = admissible_streams(&g, &s, 64 * 1024, 1_500_000);
-        let mut cfg = VodConfig::mpeg1(n);
-        cfg.duration_us = 20_000_000;
-        let trace: Vec<_> = cfg.generate(3).collect();
-        let mut sched = Batched::new(CScan::new(), "batched-c-scan");
-        let mut service = DiskService::table1();
-        let m = simulate(
-            &mut sched,
-            &trace,
-            &mut service,
-            SimOptions::with_shape(1, 4).dropping(),
-            &mut NullSink,
-        );
-        assert_eq!(
-            m.losses_total(),
-            0,
-            "admission bound admitted a lossy load of {n} streams"
-        );
-    }
-
-    #[test]
-    fn modern_drive_admits_more_but_rotation_bound() {
-        let n_old = admissible_streams(
-            &DiskGeometry::table1(),
-            &SeekModel::table1(),
-            64 * 1024,
-            1_500_000,
-        );
-        let n_new = admissible_streams(
-            &DiskGeometry::modern(),
-            &SeekModel::modern(),
-            64 * 1024,
-            1_500_000,
-        );
-        // Transfer and seek times collapsed over two decades, but the
-        // worst-case rotation (still 7200 RPM) did not — it now dominates
-        // the per-request bound, so the admitted count only roughly
-        // doubles (13 → 28). A nice illustration of why the bound's
-        // structure matters more than raw bandwidth.
-        assert!(
-            n_new > n_old * 3 / 2,
-            "modern {n_new} vs table-1 {n_old} streams"
-        );
-    }
-
-    #[test]
-    fn huge_periods_are_not_silently_capped() {
-        // The old implementation saturated at a hidden hi = 100_000
-        // sentinel; the growing bracket must push well past it.
-        let (g, s) = table1();
-        let n = max_streams(&g, &s, 64 * 1024, 1.0e8);
-        assert!(n > 100_000, "bracket stuck at the old sentinel: {n}");
-        // And the answer is still tight: one more stream must not fit.
-        assert!(round_ms(&g, &s, n, 64 * 1024) <= 1.0e8);
-        assert!(round_ms(&g, &s, n + 1, 64 * 1024) > 1.0e8);
-    }
-
-    #[test]
-    fn tiny_period_admits_zero() {
-        let (g, s) = table1();
-        assert_eq!(max_streams(&g, &s, 64 * 1024, 0.001), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn rejects_nonpositive_period() {
-        max_streams(&DiskGeometry::table1(), &SeekModel::table1(), 65536, 0.0);
-    }
 
     #[test]
     fn gate_caps_concurrent_streams() {
