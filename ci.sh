@@ -40,9 +40,11 @@ cargo build --release
 step "cargo test (whole workspace)"
 # The root package's tests, then farm, sim, the oracle and the rest of
 # the workspace. The daemon farm's ledger and routing quality, its drain
-# and supervision, the reconciliation of a healthy and a faulted striped
-# group (its arrival, drop and failure events against the engine's
-# metrics, in sim::striped; fault counts exist only as events) and the
+# and supervision, the reconciliation of faulted runs (drop and failure
+# events against the engine's metrics: tests/fault_tolerance.rs's
+# traced_faulted_run_is_bit_identical_to_untraced for one disk, farm's
+# a_farm_of_media_faulted_disks_closes_its_ledger_and_repeats for the
+# daemon; fault counts exist only as events) and the
 # window telemetry (farm's determinism test: drained after every event,
 # every window leaves whole and every event lands in the window of its
 # time, the windows summing to the cumulative; farm's ring_memory test:

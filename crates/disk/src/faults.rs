@@ -1,12 +1,10 @@
 //! Deterministic, seeded fault injection for the disk model.
 //!
-//! Real deployments — the paper's PanaViss server runs every stream over
-//! RAID-5 precisely because member disks fail — see transient media
-//! errors, grown bad sectors, disks that "limp" (serve slowly before
-//! dying), and outright member failures. A [`FaultPlan`] describes all of
-//! these declaratively; a per-member [`FaultInjector`] turns the plan
-//! into a deterministic outcome stream, so two runs of the same trace
-//! under the same plan are bit-identical (the same reproducibility
+//! A real disk sees transient media errors, grown bad sectors, and
+//! spells of "limping" (serving slowly before it dies). A [`FaultPlan`]
+//! describes these for one disk, declaratively; a [`FaultInjector`] turns
+//! the plan into a deterministic outcome stream, so two runs of the same
+//! trace under the same plan are bit-identical (the same reproducibility
 //! guarantee the healthy [`crate::Disk`] gives via its tracked platter
 //! angle).
 //!
@@ -16,45 +14,23 @@
 
 use crate::Micros;
 
-/// A scheduled full failure of one member disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemberFailure {
-    /// Which member dies (index into the RAID group; 0 for a single disk).
-    pub member: usize,
-    /// Simulation time of death (µs). Accesses at or after this instant
-    /// see the member as gone.
-    pub at_us: Micros,
-}
-
-/// A "limping" member: still serving, but slower by a fixed factor
+/// A "limping" disk: still serving, but slower by a fixed factor
 /// (a common pre-failure symptom — remapped tracks, internal retries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LimpSpec {
-    /// Which member limps.
-    pub member: usize,
     /// Service-time multiplier in permille (1500 = 1.5×). Values below
     /// 1000 are clamped to 1000 — a limp never speeds a disk up.
     pub factor_permille: u32,
 }
 
-/// Background rebuild of a failed member onto a hot spare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RebuildSpec {
-    /// Stripes to reconstruct before the rebuild completes.
-    pub stripes: u64,
-    /// Issue one rebuild I/O every `every` foreground requests — the
-    /// bandwidth split between reconstruction and foreground service.
-    pub every: u32,
-}
-
-/// Declarative fault schedule for a disk or RAID group.
+/// Declarative fault schedule for one disk.
 ///
 /// Rates are per-request probabilities in parts-per-million, resolved by
-/// a seeded hash of `(seed, member, request counter)` — deterministic,
-/// independent per member, and insensitive to whether tracing is on.
+/// a seeded hash of `(seed, request counter)` — deterministic and
+/// insensitive to whether tracing is on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    /// Seed of the fault streams.
+    /// Seed of the fault stream.
     pub seed: u64,
     /// Transient media errors (unreadable on this revolution, recoverable
     /// on a retry once the sector comes around again), ppm per request.
@@ -65,12 +41,8 @@ pub struct FaultPlan {
     /// Fixed relocation penalty charged when a bad sector is remapped
     /// (arm movement to the spare-track area and back), µs.
     pub remap_penalty_us: Micros,
-    /// Members serving slowly.
-    pub limp: Vec<LimpSpec>,
-    /// At most one scheduled member death.
-    pub member_failure: Option<MemberFailure>,
-    /// Background rebuild, active once `member_failure` has struck.
-    pub rebuild: Option<RebuildSpec>,
+    /// The disk serves slowly.
+    pub limp: Option<LimpSpec>,
 }
 
 impl FaultPlan {
@@ -79,9 +51,9 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A seeded plan with only probabilistic media faults (no member
-    /// failure): `transient_ppm` transient errors and `bad_sector_ppm`
-    /// remaps per million requests, with a 5 ms relocation penalty.
+    /// A seeded plan with only probabilistic media faults:
+    /// `transient_ppm` transient errors and `bad_sector_ppm` remaps per
+    /// million requests, with a 5 ms relocation penalty.
     pub fn media(seed: u64, transient_ppm: u32, bad_sector_ppm: u32) -> Self {
         FaultPlan {
             seed,
@@ -94,47 +66,17 @@ impl FaultPlan {
 
     /// `true` when the plan can never inject anything.
     pub fn is_zero(&self) -> bool {
-        self.transient_per_million == 0
-            && self.bad_sector_per_million == 0
-            && self.limp.is_empty()
-            && self.member_failure.is_none()
+        self.transient_per_million == 0 && self.bad_sector_per_million == 0 && self.limp.is_none()
     }
 
-    /// Is `member` dead at `now_us`?
-    pub fn member_down(&self, member: usize, now_us: Micros) -> bool {
-        matches!(self.member_failure, Some(f) if f.member == member && now_us >= f.at_us)
+    /// Service-time multiplier, permille (≥ 1000).
+    pub fn limp_permille(&self) -> u32 {
+        self.limp.map_or(1000, |l| l.factor_permille.max(1000))
     }
 
-    /// Service-time multiplier for `member`, permille (≥ 1000).
-    pub fn limp_permille(&self, member: usize) -> u32 {
-        self.limp
-            .iter()
-            .find(|l| l.member == member)
-            .map(|l| l.factor_permille.max(1000))
-            .unwrap_or(1000)
-    }
-
-    /// Schedule `member` to die at `at_us` (builder-style).
-    pub fn with_member_failure(mut self, member: usize, at_us: Micros) -> Self {
-        self.member_failure = Some(MemberFailure { member, at_us });
-        self
-    }
-
-    /// Enable background rebuild (builder-style).
-    pub fn with_rebuild(mut self, stripes: u64, every: u32) -> Self {
-        self.rebuild = Some(RebuildSpec {
-            stripes,
-            every: every.max(1),
-        });
-        self
-    }
-
-    /// Add a limping member (builder-style).
-    pub fn with_limp(mut self, member: usize, factor_permille: u32) -> Self {
-        self.limp.push(LimpSpec {
-            member,
-            factor_permille,
-        });
+    /// Make the disk limp at `factor_permille` (builder-style).
+    pub fn with_limp(mut self, factor_permille: u32) -> Self {
+        self.limp = Some(LimpSpec { factor_permille });
         self
     }
 }
@@ -150,38 +92,23 @@ pub struct FaultDraw {
     pub bad_sector: bool,
 }
 
-/// Per-member deterministic fault stream: the [`FaultPlan`] rates turned
+/// A disk's deterministic fault stream: the [`FaultPlan`] rates turned
 /// into concrete per-attempt outcomes.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    member: usize,
     attempts: u64,
 }
 
 impl FaultInjector {
-    /// A fault stream for `member` under `plan`.
-    pub fn new(plan: FaultPlan, member: usize) -> Self {
-        FaultInjector {
-            plan,
-            member,
-            attempts: 0,
-        }
+    /// The fault stream of `plan`.
+    pub fn new(plan: FaultPlan) -> Self {
+        FaultInjector { plan, attempts: 0 }
     }
 
     /// The plan driving this stream.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
-    }
-
-    /// Is this injector's member dead at `now_us`?
-    pub fn down(&self, now_us: Micros) -> bool {
-        self.plan.member_down(self.member, now_us)
-    }
-
-    /// This member's limp multiplier, permille.
-    pub fn limp_permille(&self) -> u32 {
-        self.plan.limp_permille(self.member)
     }
 
     /// Draw the fault outcome of the next service attempt. Consumes one
@@ -196,7 +123,6 @@ impl FaultInjector {
         let base = self
             .plan
             .seed
-            .wrapping_add((self.member as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
             .wrapping_add(n.wrapping_mul(0xbf58_476d_1ce4_e5b9));
         let transient = ppm_hit(
             splitmix64(base ^ 0x5452_4e53),
@@ -213,9 +139,9 @@ impl FaultInjector {
         }
     }
 
-    /// Scale a duration by this member's limp factor.
+    /// Scale a duration by the disk's limp factor.
     pub fn limp_us(&self, us: Micros) -> Micros {
-        let f = self.limp_permille() as u64;
+        let f = self.plan.limp_permille() as u64;
         if f == 1000 {
             us
         } else {
@@ -225,7 +151,7 @@ impl FaultInjector {
 }
 
 /// SplitMix64 — the standard 64-bit avalanche mix; good enough to turn a
-/// (seed, member, counter) triple into an i.i.d.-looking stream without
+/// (seed, counter) pair into an i.i.d.-looking stream without
 /// pulling in an RNG dependency.
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -246,11 +172,10 @@ mod tests {
 
     #[test]
     fn zero_plan_never_fires() {
-        let mut inj = FaultInjector::new(FaultPlan::none(), 0);
+        let mut inj = FaultInjector::new(FaultPlan::none());
         for _ in 0..10_000 {
             assert_eq!(inj.draw(), FaultDraw::default());
         }
-        assert!(!inj.down(u64::MAX));
         assert_eq!(inj.limp_us(1234), 1234);
         assert!(FaultPlan::none().is_zero());
     }
@@ -258,7 +183,7 @@ mod tests {
     #[test]
     fn rates_land_near_target() {
         // 5% transient: expect ~500 hits in 10k draws, generously bounded.
-        let mut inj = FaultInjector::new(FaultPlan::media(42, 50_000, 20_000), 0);
+        let mut inj = FaultInjector::new(FaultPlan::media(42, 50_000, 20_000));
         let mut transients = 0;
         let mut remaps = 0;
         for _ in 0..10_000 {
@@ -271,38 +196,30 @@ mod tests {
     }
 
     #[test]
-    fn streams_are_deterministic_and_member_distinct() {
-        let run = |member| {
-            let mut inj = FaultInjector::new(FaultPlan::media(7, 100_000, 0), member);
+    fn streams_are_deterministic_and_seed_distinct() {
+        let run = |seed| {
+            let mut inj = FaultInjector::new(FaultPlan::media(seed, 100_000, 0));
             (0..256).map(|_| inj.draw().transient).collect::<Vec<_>>()
         };
-        assert_eq!(run(0), run(0));
-        assert_ne!(run(0), run(1), "member streams must differ");
-    }
-
-    #[test]
-    fn member_failure_schedules() {
-        let plan = FaultPlan::none().with_member_failure(2, 1_000);
-        assert!(!plan.member_down(2, 999));
-        assert!(plan.member_down(2, 1_000));
-        assert!(!plan.member_down(1, 5_000));
-        assert!(!plan.is_zero());
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8), "seeds must give different streams");
     }
 
     #[test]
     fn limp_scales_and_clamps() {
-        let plan = FaultPlan::none().with_limp(1, 2500).with_limp(3, 500);
-        assert_eq!(plan.limp_permille(1), 2500);
-        assert_eq!(plan.limp_permille(3), 1000, "limp never speeds up");
-        assert_eq!(plan.limp_permille(0), 1000);
-        let inj = FaultInjector::new(plan, 1);
-        assert_eq!(inj.limp_us(1000), 2500);
+        let plan = FaultPlan::none().with_limp(2500);
+        assert_eq!(plan.limp_permille(), 2500);
+        assert!(!plan.is_zero());
+        assert_eq!(FaultInjector::new(plan).limp_us(1000), 2500);
+        let plan = FaultPlan::none().with_limp(500);
+        assert_eq!(plan.limp_permille(), 1000, "limp never speeds up");
+        assert_eq!(FaultPlan::none().limp_permille(), 1000);
     }
 
     #[test]
     fn transient_suppresses_bad_sector() {
         // Both rates at 100%: only the transient can fire per attempt.
-        let mut inj = FaultInjector::new(FaultPlan::media(1, 1_000_000, 1_000_000), 0);
+        let mut inj = FaultInjector::new(FaultPlan::media(1, 1_000_000, 1_000_000));
         let d = inj.draw();
         assert!(d.transient && !d.bad_sector);
     }

@@ -3,8 +3,8 @@
 //! A service-time model of the magnetic disk used by the PanaViss video
 //! server (Table 1 of Mokbel et al., ICDE 2004): a Quantum XP-series
 //! 2.1 GB drive with 3832 cylinders, 16 recording zones, 512-byte sectors
-//! and 7200 RPM, accessed in 64-KB file blocks, optionally arranged as a
-//! RAID-5 group of 4 data + 1 parity disks.
+//! and 7200 RPM, accessed in 64-KB file blocks. [`Raid5`] is the block
+//! layout of the 4 data + 1 parity group the server stripes over.
 //!
 //! The model computes per-request *service-time breakdowns*:
 //!
@@ -36,9 +36,9 @@ mod raid;
 mod seek;
 
 pub use disk::{Disk, ServiceBreakdown};
-pub use faults::{FaultDraw, FaultInjector, FaultPlan, LimpSpec, MemberFailure, RebuildSpec};
+pub use faults::{FaultDraw, FaultInjector, FaultPlan, LimpSpec};
 pub use geometry::DiskGeometry;
-pub use raid::{Raid5, WriteBreakdown};
+pub use raid::Raid5;
 pub use seek::SeekModel;
 
 /// Microseconds — the integer time unit shared with the simulator.

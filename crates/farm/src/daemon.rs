@@ -24,11 +24,11 @@
 //! * **Supervision** — each member runs behind its own
 //!   [`FlightRecorder`], all of them writing their raw events into the
 //!   farm's one [`FlightRing`]; when a fresh dump carries an actionable
-//!   anomaly (shed burst, degraded-read storm, or p99 spike) the
-//!   supervisor quarantines the member with a strike-scaled, seeded,
-//!   jittered exponential cooldown ([`sim::jittered_backoff_us`]) and
-//!   reinstates it when the cooldown expires. Quarantined members keep
-//!   draining their residents; only *new* arrivals route around them.
+//!   anomaly (a shed burst or a p99 spike) the supervisor quarantines
+//!   the member with a strike-scaled, seeded, jittered exponential
+//!   cooldown ([`sim::jittered_backoff_us`]) and reinstates it when the
+//!   cooldown expires. Quarantined members keep draining their
+//!   residents; only *new* arrivals route around them.
 //!
 //! The daemon is a deterministic event-loop: feed it a time-ordered
 //! stream of [`DaemonEvent`]s (a `Vec`, an iterator, or an
@@ -692,12 +692,10 @@ impl FarmDaemon {
         for idx in 0..self.members.len() {
             let seen = self.members[idx].dumps_seen;
             let (total, missed, actionable) = self.members[idx].recorder.with(|r| {
-                let actionable = r.dumps_from(seen).iter().any(|d| {
-                    matches!(
-                        d.anomaly,
-                        Anomaly::ShedBurst | Anomaly::DegradedStorm | Anomaly::P99Spike
-                    )
-                });
+                let actionable = r
+                    .dumps_from(seen)
+                    .iter()
+                    .any(|d| matches!(d.anomaly, Anomaly::ShedBurst | Anomaly::P99Spike));
                 let missed = r.dumps_evicted().saturating_sub(seen);
                 (r.dumps_total(), missed, actionable)
             });
@@ -1375,7 +1373,6 @@ mod tests {
         let triggers = TriggerConfig {
             shed_burst: 4,
             redirect_storm: 0,
-            degraded_storm: 0,
             p99_spike_factor: 0.0,
             p99_min_completes: 0,
             cooldown_windows: 1,
@@ -1401,7 +1398,7 @@ mod tests {
                 },
                 move |shard| {
                     if limping == Some(shard) {
-                        let plan = FaultPlan::none().with_limp(0, 2_500);
+                        let plan = FaultPlan::none().with_limp(2_500);
                         DiskService::with_faults(Disk::table1(), plan)
                     } else {
                         DiskService::table1()
@@ -1472,7 +1469,6 @@ mod tests {
         let triggers = TriggerConfig {
             shed_burst: 4,
             redirect_storm: 0,
-            degraded_storm: 0,
             p99_spike_factor: 0.0,
             p99_min_completes: 0,
             cooldown_windows: 1,
@@ -1601,7 +1597,6 @@ mod tests {
         let triggers = TriggerConfig {
             shed_burst: 4,
             redirect_storm: 0,
-            degraded_storm: 0,
             p99_spike_factor: 0.0,
             p99_min_completes: 0,
             cooldown_windows: 8,

@@ -2,13 +2,14 @@
 //!
 //! The farm's contract: placements and outcomes are a pure function of
 //! (trace, config) — metrics *and* every member's telemetry repeat bit
-//! for bit. Redirect and shed accounting must reconcile exactly between
+//! for bit, media faults and retries included. Redirect and shed accounting must reconcile exactly between
 //! the report's counters and the traced events. Tests that check where
 //! requests land drive the [`OnlineRouter`] alone; the rest run the
 //! [`FarmDaemon`] with its anomaly triggers off, so no supervisor
 //! quarantine moves a placement.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
+use diskmodel::{Disk, FaultPlan};
 use farm::{
     DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, OnlineRouter, RoutePolicy,
 };
@@ -240,6 +241,43 @@ fn least_loaded_routing_sheds_less_than_hash_under_overload() {
         ll.sheds(),
         hash.sheds()
     );
+}
+
+#[test]
+fn a_farm_of_media_faulted_disks_closes_its_ledger_and_repeats() {
+    // Each member's disk draws transient errors and bad-sector remaps
+    // from its own seeded plan, and the engines retry within the
+    // deadline; bounded cascades wire their sheds into the recorders.
+    let trace = overload_trace();
+    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::LeastLoaded);
+    let run = || {
+        FarmDaemon::new(
+            DaemonConfig::new(cfg.clone(), SimOptions::with_shape(1, 4).with_retries(3))
+                .with_telemetry(TelemetryConfig::exact(), TriggerConfig::quiet()),
+            |_, sink| -> Box<dyn DiskScheduler> {
+                let cfg = CascadeConfig::paper_default(1, 3832)
+                    .with_dispatch(DispatchConfig::paper_default().with_max_queue(24));
+                Box::new(CascadedSfc::with_sink(cfg, sink).expect("valid config"))
+            },
+            |shard| {
+                let plan = FaultPlan::media(31 + shard as u64, 150_000, 40_000);
+                DiskService::with_faults(Disk::table1(), plan)
+            },
+        )
+        .run(trace.iter().cloned().map(DaemonEvent::Arrival))
+    };
+    let a = run();
+    a.ledger().expect("ledger must close");
+    a.reconcile_events().expect("events must reconcile");
+    let total = a.aggregate();
+    assert!(total.failed > 0, "some request must exhaust its retries");
+    let c = merged(&a).counters;
+    assert!(c.sector_remaps > 0);
+    assert_eq!(c.media_errors, c.retries + total.failed);
+    let b = run();
+    assert_eq!(a.routed_per_shard, b.routed_per_shard);
+    assert_eq!(a.per_shard, b.per_shard);
+    assert_eq!(telemetry(&a), telemetry(&b));
 }
 
 #[test]

@@ -1,37 +1,14 @@
 //! The event taxonomy: everything the scheduler stack can report about
 //! one simulated run, as a flat enum of plain-data variants.
 //!
-//! Events carry only primitives so the crate stays dependency-free and
-//! sinks can render them without reflection. One table below declares
-//! every variant with its stable `snake_case` name and its fields, and
-//! generates the enum, [`TraceEvent::name`], [`TraceEvent::now_us`] and
-//! the JSONL rendering [`TraceEvent::write_json`]. A new event kind is
-//! one row there, one row in the [`crate::Counters`] table, and an arm in
-//! [`TraceEvent::req`] and [`crate::Snapshot::emit_sampled`], the
-//! hand-written exhaustive matches the compiler holds to the table. JSON
-//! fields come out in declaration order. Characterization
-//! values and blocking windows are `u128` (the encapsulator's value
-//! space); they are rendered as strings because they routinely exceed
-//! the 2⁵³ integer range JSON consumers can be trusted with.
-
-use std::fmt::Write as _;
-
-/// How a field's value renders in JSON: bare, except `u128` quoted.
-trait JsonValue: std::fmt::Display + Sized {
-    fn write_json(self, out: &mut String) {
-        let _ = write!(out, "{self}");
-    }
-}
-
-impl JsonValue for u64 {}
-impl JsonValue for u32 {}
-impl JsonValue for i64 {}
-impl JsonValue for bool {}
-impl JsonValue for u128 {
-    fn write_json(self, out: &mut String) {
-        let _ = write!(out, "\"{self}\"");
-    }
-}
+//! Events carry only primitives so the crate stays dependency-free.
+//! One table below declares every variant with its stable `snake_case`
+//! name and its fields, and generates the enum, [`TraceEvent::name`] and
+//! [`TraceEvent::now_us`]. A new event kind is one row there, one row in
+//! the [`crate::Counters`] table, and an arm in [`TraceEvent::req`] and
+//! [`crate::Snapshot::emit_sampled`], the hand-written exhaustive matches
+//! the compiler holds to the table. Characterization values and blocking
+//! windows are `u128`, the encapsulator's value space.
 
 /// Generates [`TraceEvent`] and its per-variant methods from one row per
 /// variant: `Variant "snake_name" { field: ty, … }`. Every variant must
@@ -57,8 +34,7 @@ macro_rules! event_table {
         }
 
         impl TraceEvent {
-            /// Stable `snake_case` name of the variant, used as the
-            /// `event` field of the JSONL rendering.
+            /// Stable `snake_case` name of the variant.
             pub fn name(&self) -> &'static str {
                 match self {
                     $( TraceEvent::$variant { .. } => $name, )*
@@ -73,24 +49,6 @@ macro_rules! event_table {
                 }
             }
 
-            /// Append the event as one JSON object (no trailing newline):
-            /// the `event` name, then every field in declaration order.
-            pub fn write_json(&self, out: &mut String) {
-                out.push_str("{\"event\":\"");
-                out.push_str(self.name());
-                out.push('"');
-                match *self {
-                    $(
-                        TraceEvent::$variant { $($field),* } => {
-                            $(
-                                out.push_str(concat!(",\"", stringify!($field), "\":"));
-                                $field.write_json(out);
-                            )*
-                        }
-                    )*
-                }
-                out.push('}');
-            }
         }
     };
 }
@@ -118,10 +76,8 @@ event_table! {
     /// * the **fault-injection path** emits
     ///   [`MediaError`](TraceEvent::MediaError),
     ///   [`Retry`](TraceEvent::Retry),
-    ///   [`RequestFailed`](TraceEvent::RequestFailed),
-    ///   [`SectorRemap`](TraceEvent::SectorRemap),
-    ///   [`DegradedRead`](TraceEvent::DegradedRead) and
-    ///   [`RebuildIo`](TraceEvent::RebuildIo);
+    ///   [`RequestFailed`](TraceEvent::RequestFailed) and
+    ///   [`SectorRemap`](TraceEvent::SectorRemap);
     /// * the **farm router** emits [`Redirect`](TraceEvent::Redirect);
     /// * the **farm daemon** emits [`Migrate`](TraceEvent::Migrate) when a
     ///   drained shard hands off a resident request,
@@ -229,9 +185,9 @@ event_table! {
             /// Head cylinder at the reversal.
             cylinder: u32,
         },
-        /// A service attempt failed with a media error (transient CRC error,
-        /// or an access to a dead member); the engine's retry policy decides
-        /// what happens next.
+        /// A service attempt failed with a transient media error (the
+        /// sector was unreadable on this revolution); the engine's retry
+        /// policy decides what happens next.
         MediaError "media_error" {
             /// Simulation time (µs).
             now_us: u64,
@@ -239,9 +195,6 @@ event_table! {
             req: u64,
             /// Which attempt failed (1 = first service).
             attempt: u32,
-            /// `true` for a transient (retryable) error, `false` for an
-            /// access to a dead member.
-            transient: bool,
         },
         /// The engine retries a failed attempt within its deadline budget.
         Retry "retry" {
@@ -275,25 +228,6 @@ event_table! {
             req: u64,
             /// Relocation penalty charged (µs).
             penalty_us: u64,
-        },
-        /// A read was served in degraded mode: the data member is dead and
-        /// the block was reconstructed from the surviving members' parity.
-        DegradedRead "degraded_read" {
-            /// Simulation time (µs).
-            now_us: u64,
-            /// Request id.
-            req: u64,
-            /// The dead member reconstructed around.
-            failed_member: u32,
-        },
-        /// One background rebuild I/O competed with foreground service.
-        RebuildIo "rebuild_io" {
-            /// Simulation time (µs).
-            now_us: u64,
-            /// Stripe reconstructed onto the spare.
-            stripe: u64,
-            /// Member bandwidth the step consumed (µs).
-            service_us: u64,
         },
         /// Bounded-queue overload shedding dropped the lowest-priority
         /// pending victim.
@@ -370,7 +304,6 @@ impl TraceEvent {
             | TraceEvent::Retry { req, .. }
             | TraceEvent::RequestFailed { req, .. }
             | TraceEvent::SectorRemap { req, .. }
-            | TraceEvent::DegradedRead { req, .. }
             | TraceEvent::Shed { req, .. }
             | TraceEvent::Redirect { req, .. }
             | TraceEvent::Migrate { req, .. } => Some(req),
@@ -380,7 +313,6 @@ impl TraceEvent {
             | TraceEvent::ErReset { .. }
             | TraceEvent::QueueSwap { .. }
             | TraceEvent::SweepReverse { .. }
-            | TraceEvent::RebuildIo { .. }
             | TraceEvent::Quarantine { .. }
             | TraceEvent::Retune { .. } => None,
         }
@@ -391,10 +323,9 @@ impl TraceEvent {
 pub(crate) mod tests {
     use super::*;
 
-    /// One event of every kind, with its exact JSONL line and request id:
-    /// the rendering contract, and the `Snapshot` tests' "every kind"
-    /// feed.
-    pub(crate) const GOLDEN: [(TraceEvent, &str, Option<u64>); 21] = [
+    /// One event of every kind, with its request id: the `req` contract,
+    /// and the `Snapshot` tests' "every kind" feed.
+    pub(crate) const GOLDEN: [(TraceEvent, Option<u64>); 19] = [
         (
             TraceEvent::Arrival {
                 now_us: 0,
@@ -402,7 +333,6 @@ pub(crate) mod tests {
                 cylinder: 5,
                 deadline_us: u64::MAX,
             },
-            r#"{"event":"arrival","now_us":0,"req":1,"cylinder":5,"deadline_us":18446744073709551615}"#,
             Some(1),
         ),
         (
@@ -414,7 +344,6 @@ pub(crate) mod tests {
                 queue_depth: 3,
                 slack_us: -7,
             },
-            r#"{"event":"service_start","now_us":10,"req":1,"cylinder":5,"seek_cylinders":40,"queue_depth":3,"slack_us":-7}"#,
             Some(1),
         ),
         (
@@ -424,7 +353,6 @@ pub(crate) mod tests {
                 response_us: 30,
                 late: true,
             },
-            r#"{"event":"service_complete","now_us":30,"req":1,"response_us":30,"late":true}"#,
             Some(1),
         ),
         (
@@ -434,7 +362,6 @@ pub(crate) mod tests {
                 missed_by_us: 6,
                 queue_depth: 3,
             },
-            r#"{"event":"drop","now_us":50,"req":2,"missed_by_us":6,"queue_depth":3}"#,
             Some(2),
         ),
         (
@@ -443,20 +370,14 @@ pub(crate) mod tests {
                 preempted_v: u128::MAX,
                 by_v: 2,
             },
-            r#"{"event":"preempt","now_us":31,"preempted_v":"340282366920938463463374607431768211455","by_v":"2"}"#,
             None,
         ),
-        (
-            TraceEvent::SpPromote { now_us: 41, v: 3 },
-            r#"{"event":"sp_promote","now_us":41,"v":"3"}"#,
-            None,
-        ),
+        (TraceEvent::SpPromote { now_us: 41, v: 3 }, None),
         (
             TraceEvent::ErExpand {
                 now_us: 31,
                 window: 8,
             },
-            r#"{"event":"er_expand","now_us":31,"window":"8"}"#,
             None,
         ),
         (
@@ -464,7 +385,6 @@ pub(crate) mod tests {
                 now_us: 40,
                 window: 4,
             },
-            r#"{"event":"er_reset","now_us":40,"window":"4"}"#,
             None,
         ),
         (
@@ -472,7 +392,6 @@ pub(crate) mod tests {
                 now_us: 40,
                 batch: 2,
             },
-            r#"{"event":"queue_swap","now_us":40,"batch":2}"#,
             None,
         ),
         (
@@ -480,7 +399,6 @@ pub(crate) mod tests {
                 now_us: 60,
                 cylinder: 5,
             },
-            r#"{"event":"sweep_reverse","now_us":60,"cylinder":5}"#,
             None,
         ),
         (
@@ -488,9 +406,7 @@ pub(crate) mod tests {
                 now_us: 70,
                 req: 3,
                 attempt: 1,
-                transient: false,
             },
-            r#"{"event":"media_error","now_us":70,"req":3,"attempt":1,"transient":false}"#,
             Some(3),
         ),
         (
@@ -500,7 +416,6 @@ pub(crate) mod tests {
                 attempt: 2,
                 slack_us: 12,
             },
-            r#"{"event":"retry","now_us":71,"req":3,"attempt":2,"slack_us":12}"#,
             Some(3),
         ),
         (
@@ -509,7 +424,6 @@ pub(crate) mod tests {
                 req: 3,
                 attempts: 2,
             },
-            r#"{"event":"request_failed","now_us":80,"req":3,"attempts":2}"#,
             Some(3),
         ),
         (
@@ -518,26 +432,7 @@ pub(crate) mod tests {
                 req: 4,
                 penalty_us: 5_000,
             },
-            r#"{"event":"sector_remap","now_us":81,"req":4,"penalty_us":5000}"#,
             Some(4),
-        ),
-        (
-            TraceEvent::DegradedRead {
-                now_us: 82,
-                req: 5,
-                failed_member: 2,
-            },
-            r#"{"event":"degraded_read","now_us":82,"req":5,"failed_member":2}"#,
-            Some(5),
-        ),
-        (
-            TraceEvent::RebuildIo {
-                now_us: 83,
-                stripe: 9,
-                service_us: 1_500,
-            },
-            r#"{"event":"rebuild_io","now_us":83,"stripe":9,"service_us":1500}"#,
-            None,
         ),
         (
             TraceEvent::Shed {
@@ -545,7 +440,6 @@ pub(crate) mod tests {
                 req: 6,
                 v: 77,
             },
-            r#"{"event":"shed","now_us":84,"req":6,"v":"77"}"#,
             Some(6),
         ),
         (
@@ -556,7 +450,6 @@ pub(crate) mod tests {
                 to_shard: 3,
                 queue_depth: 16,
             },
-            r#"{"event":"redirect","now_us":85,"req":7,"from_shard":0,"to_shard":3,"queue_depth":16}"#,
             Some(7),
         ),
         (
@@ -566,7 +459,6 @@ pub(crate) mod tests {
                 from_shard: 1,
                 to_shard: 2,
             },
-            r#"{"event":"migrate","now_us":86,"req":8,"from_shard":1,"to_shard":2}"#,
             Some(8),
         ),
         (
@@ -575,7 +467,6 @@ pub(crate) mod tests {
                 shard: 2,
                 until_us: 187,
             },
-            r#"{"event":"quarantine","now_us":87,"shard":2,"until_us":187}"#,
             None,
         ),
         (
@@ -584,21 +475,15 @@ pub(crate) mod tests {
                 shard: 1,
                 knob: 2,
             },
-            r#"{"event":"retune","now_us":88,"shard":1,"knob":2}"#,
             None,
         ),
     ];
 
     #[test]
-    fn every_kind_renders_its_golden_jsonl_line() {
+    fn every_kind_reports_its_request() {
         let mut names = Vec::new();
-        for (e, line, req) in GOLDEN {
-            let mut s = String::new();
-            e.write_json(&mut s);
-            assert_eq!(s, line);
-            let head = format!("{{\"event\":\"{}\",\"now_us\":{},", e.name(), e.now_us());
-            assert!(line.starts_with(&head), "{line}");
-            assert_eq!(e.req(), req, "{line}");
+        for (e, req) in GOLDEN {
+            assert_eq!(e.req(), req, "{}", e.name());
             names.push(e.name());
         }
         names.sort_unstable();

@@ -3,12 +3,11 @@
 //! A zero-dependency layer the rest of the workspace threads through the
 //! dispatcher, the baseline schedulers and the simulation engine:
 //!
-//! * [`TraceEvent`] — the event taxonomy, 22 kinds generated from one
+//! * [`TraceEvent`] — the event taxonomy, 19 kinds generated from one
 //!   table: arrivals, service starts/completions, drops, preemptions, SP
 //!   promotions, ER expand/reset, queue swaps, sweep reversals, the
-//!   fault path (media errors, retries, failures, remaps, degraded
-//!   reads, rebuild I/O), sheds, and the farm's redirects, shard
-//!   reports, migrations, quarantines and retunes;
+//!   fault path (media errors, retries, failures, remaps), sheds, and
+//!   the farm's redirects, migrations, quarantines and retunes;
 //! * [`TraceSink`] — the consumer contract, with
 //!   [`NullSink`] (free: instrumentation compiles out),
 //!   [`RingSink`] (bounded in-memory tail), [`Tee`] (duplicate), and
@@ -17,9 +16,9 @@
 //!   p50/p95/p99/p999, and [`nearest_rank`], the exact percentile the
 //!   analysis code shares;
 //! * [`Snapshot`] — counters + histograms, itself a sink, mergeable
-//!   across the striped/RAID members. Its [`Counters`] are the only
-//!   count of what the events carry: the engine's `sim::Metrics` keeps
-//!   no media-error, retry, remap, degraded-read or rebuild-I/O count,
+//!   across a farm's shards. Its [`Counters`] are the only count of
+//!   what the events carry: the engine's `sim::Metrics` keeps no
+//!   media-error, retry or remap count,
 //!   and the cascade dispatcher none of its preemptions, SP promotions
 //!   or queue swaps, so a caller that wants them attaches a `Snapshot`
 //!   as the sink.

@@ -10,9 +10,8 @@
 //! `capacity` entries of room ([`FlightRecorder::attach`]) — or the
 //! recorder's alone ([`FlightRecorder::new`]); it is the same code
 //! either way, a stand-alone recorder being a farm of one.
-//! When an anomaly fires — a shed burst, a redirect storm, a
-//! degraded-read storm, or a deadline-miss p99 spike against the recent
-//! baseline — it freezes a [`DumpRecord`]: the recorder's newest events
+//! When an anomaly fires — a shed burst, a redirect storm, or a
+//! deadline-miss p99 spike against the recent baseline — it freezes a [`DumpRecord`]: the recorder's newest events
 //! still in the ring (at most `capacity` of them), the cumulative
 //! counters, and their difference against a checkpoint taken at the
 //! previous dump, with **exact event-vs-counter reconciliation**: the
@@ -34,7 +33,6 @@ use crate::hist::Histogram;
 use crate::sink::{FlightRing, TraceSink};
 use crate::snapshot::{Counters, Snapshot};
 use crate::window::{TelemetryConfig, WindowedSnapshot};
-use std::fmt::Write as _;
 
 /// What fired a flight-recorder dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,28 +41,15 @@ pub enum Anomaly {
     ShedBurst = 0,
     /// Redirects in the current window crossed the threshold.
     RedirectStorm = 1,
-    /// Degraded reads in the current window crossed the threshold.
-    DegradedStorm = 2,
     /// The current window's response p99 spiked against the recent
     /// completed-window baseline.
-    P99Spike = 3,
+    P99Spike = 2,
     /// An explicit [`FlightRecorder::force_dump`] call.
-    Manual = 4,
+    Manual = 3,
 }
 
 impl Anomaly {
-    const COUNT: usize = 5;
-
-    /// Stable `snake_case` name, used in dump renderings.
-    pub fn name(self) -> &'static str {
-        match self {
-            Anomaly::ShedBurst => "shed_burst",
-            Anomaly::RedirectStorm => "redirect_storm",
-            Anomaly::DegradedStorm => "degraded_storm",
-            Anomaly::P99Spike => "p99_spike",
-            Anomaly::Manual => "manual",
-        }
-    }
+    const COUNT: usize = 4;
 }
 
 /// Trigger thresholds; a threshold of 0 (or factor of 0.0) disables
@@ -75,8 +60,6 @@ pub struct TriggerConfig {
     pub shed_burst: u64,
     /// Redirects within the current window that constitute a storm.
     pub redirect_storm: u64,
-    /// Degraded reads within the current window that constitute a storm.
-    pub degraded_storm: u64,
     /// Fire when the current window's response p99 exceeds the recent
     /// completed-window baseline p99 by this factor.
     pub p99_spike_factor: f64,
@@ -93,7 +76,6 @@ impl Default for TriggerConfig {
         TriggerConfig {
             shed_burst: 32,
             redirect_storm: 64,
-            degraded_storm: 32,
             p99_spike_factor: 4.0,
             p99_min_completes: 64,
             cooldown_windows: 4,
@@ -108,7 +90,6 @@ impl TriggerConfig {
         TriggerConfig {
             shed_burst: 0,
             redirect_storm: 0,
-            degraded_storm: 0,
             p99_spike_factor: 0.0,
             p99_min_completes: 0,
             cooldown_windows: 0,
@@ -149,34 +130,6 @@ pub struct DumpRecord {
     /// How many of the events `delta` counts are missing from `events`,
     /// overwritten in the ring — when nonzero, `clean` cannot hold.
     pub evicted_since_dump: u64,
-}
-
-impl DumpRecord {
-    /// Render the dump as JSONL: one header object, then one line per
-    /// retained event.
-    pub fn write_jsonl(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"record\":\"flight_dump\",\"anomaly\":\"{}\",\"seq\":{},\"now_us\":{},\
-             \"epoch\":{},\"clean\":{},\"evicted_since_dump\":{},\"events\":{}",
-            self.anomaly.name(),
-            self.seq,
-            self.now_us,
-            self.epoch,
-            self.clean,
-            self.evicted_since_dump,
-            self.events.len(),
-        );
-        out.push_str(",\"delta\":");
-        self.delta.write_json(out);
-        out.push_str(",\"cumulative\":");
-        self.cumulative.write_json(out);
-        out.push_str("}\n");
-        for e in &self.events {
-            e.write_json(out);
-            out.push('\n');
-        }
-    }
 }
 
 /// A per-shard flight recorder (see the module docs). Not `Clone`: a
@@ -394,11 +347,6 @@ impl TraceSink for FlightRecorder {
             {
                 self.fire(Anomaly::RedirectStorm, now_us);
             }
-            TraceEvent::DegradedRead { now_us, .. }
-                if t.degraded_storm > 0 && cur.degraded_reads >= t.degraded_storm =>
-            {
-                self.fire(Anomaly::DegradedStorm, now_us);
-            }
             TraceEvent::ServiceComplete { now_us, .. }
                 if cur.service_completes == t.p99_min_completes && self.p99_spiked() =>
             {
@@ -440,7 +388,6 @@ mod tests {
             TriggerConfig {
                 shed_burst: 4,
                 redirect_storm: 3,
-                degraded_storm: 3,
                 p99_spike_factor: 3.0,
                 p99_min_completes: 8,
                 cooldown_windows: 2,
@@ -741,7 +688,6 @@ mod tests {
             let anomaly = match event {
                 TraceEvent::Shed { .. } => Anomaly::ShedBurst,
                 TraceEvent::Redirect { .. } => Anomaly::RedirectStorm,
-                TraceEvent::DegradedRead { .. } => Anomaly::DegradedStorm,
                 _ => return,
             };
             let epoch = event.now_us() >> Self::WINDOW_LOG2;
@@ -784,7 +730,6 @@ mod tests {
                 TriggerConfig {
                     shed_burst: UnboundedModel::THRESHOLD,
                     redirect_storm: UnboundedModel::THRESHOLD,
-                    degraded_storm: UnboundedModel::THRESHOLD,
                     p99_spike_factor: 0.0,
                     p99_min_completes: 0,
                     cooldown_windows: UnboundedModel::COOLDOWN,
@@ -800,17 +745,12 @@ mod tests {
                 now_us += x >> 61; // 0..8 µs a step, 16 µs windows
                 let event = match (x >> 32) % 8 {
                     0 | 1 => TraceEvent::Shed { now_us, req, v: 1 },
-                    2 => TraceEvent::Redirect {
+                    2 | 3 => TraceEvent::Redirect {
                         now_us,
                         req,
                         from_shard: 0,
                         to_shard: 1,
                         queue_depth: 9,
-                    },
-                    3 => TraceEvent::DegradedRead {
-                        now_us,
-                        req,
-                        failed_member: 2,
                     },
                     _ => TraceEvent::QueueSwap { now_us, batch: req },
                 };
@@ -905,35 +845,5 @@ mod tests {
             r.emit(&complete(32 + i, 50_000));
         }
         assert!(r.dumps().is_empty());
-    }
-
-    #[test]
-    fn forced_dump_renders_jsonl() {
-        let mut r = recorder(16);
-        r.emit(&shed(3, 9));
-        let d = r.force_dump(5).clone();
-        assert_eq!(d.anomaly, Anomaly::Manual);
-        assert!(d.clean);
-        let mut out = String::new();
-        d.write_jsonl(&mut out);
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 2);
-        // One shed, so the delta and the cumulative counters agree.
-        let counters = "{\"arrivals\":0,\"service_starts\":0,\"service_completes\":0,\
-                        \"late_completions\":0,\"drops\":0,\"preemptions\":0,\"sp_promotions\":0,\
-                        \"er_expands\":0,\"er_resets\":0,\"queue_swaps\":0,\"sweep_reversals\":0,\
-                        \"media_errors\":0,\"retries\":0,\"request_failures\":0,\
-                        \"sector_remaps\":0,\"degraded_reads\":0,\"rebuild_ios\":0,\"sheds\":1,\
-                        \"redirects\":0,\"migrations\":0,\"quarantines\":0,\
-                        \"retunes\":0}";
-        assert_eq!(
-            lines[0],
-            format!(
-                "{{\"record\":\"flight_dump\",\"anomaly\":\"manual\",\"seq\":0,\"now_us\":5,\
-                 \"epoch\":0,\"clean\":true,\"evicted_since_dump\":0,\"events\":1,\
-                 \"delta\":{counters},\"cumulative\":{counters}}}"
-            )
-        );
-        assert!(lines[1].starts_with("{\"event\":\"shed\""));
     }
 }

@@ -41,7 +41,7 @@ macro_rules! counter_table {
 
             /// Every counter as a `(stable_name, value)` pair, in
             /// declaration order — the iteration base for the event
-            /// total and the JSON rendering.
+            /// total.
             pub fn items(&self) -> [(&'static str, u64); COUNTERS] {
                 [ $( (stringify!($field), self.$field), )* ]
             }
@@ -84,10 +84,6 @@ counter_table! {
         request_failures,
         /// `SectorRemap` events.
         sector_remaps,
-        /// `DegradedRead` events.
-        degraded_reads,
-        /// `RebuildIo` events.
-        rebuild_ios,
         /// `Shed` events (bounded-queue overload drops).
         sheds,
         /// `Redirect` events (farm router overload redirections).
@@ -110,28 +106,14 @@ impl Counters {
         let all: u64 = self.items().iter().map(|&(_, v)| v).sum();
         all - self.late_completions
     }
-
-    /// Append the counters as one JSON object of `"name":value` pairs in
-    /// [`Counters::items`] order (no trailing newline): the one rendering
-    /// flight dumps and window streams share.
-    pub fn write_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (name, value)) in self.items().into_iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push('}');
-    }
 }
 
 /// Aggregated observations of one (or, after [`Snapshot::merge`],
 /// several) traced runs: event counters and the four distribution
 /// histograms the paper's analysis cares about.
 ///
-/// Mergeability is the point: the striped/RAID path runs one simulation
-/// per member disk and folds the members' snapshots into one group view.
+/// Mergeability is the point: a farm keeps one per shard and folds the
+/// shards' snapshots into one farm view.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Event counts.
@@ -234,8 +216,6 @@ impl Snapshot {
             TraceEvent::Retry { .. } => c.retries += 1,
             TraceEvent::RequestFailed { .. } => c.request_failures += 1,
             TraceEvent::SectorRemap { .. } => c.sector_remaps += 1,
-            TraceEvent::DegradedRead { .. } => c.degraded_reads += 1,
-            TraceEvent::RebuildIo { .. } => c.rebuild_ios += 1,
             TraceEvent::Shed { .. } => c.sheds += 1,
             TraceEvent::Redirect { .. } => c.redirects += 1,
             TraceEvent::Migrate { .. } => c.migrations += 1,
@@ -265,25 +245,12 @@ impl Snapshot {
             c.queue_swaps,
             c.sweep_reversals
         );
-        let faults = c.media_errors
-            + c.retries
-            + c.request_failures
-            + c.sector_remaps
-            + c.degraded_reads
-            + c.rebuild_ios
-            + c.sheds;
+        let faults = c.media_errors + c.retries + c.request_failures + c.sector_remaps + c.sheds;
         if faults > 0 {
             let _ = writeln!(
                 out,
-                "  media-errors {}  retries {}  failures {}  remaps {}  \
-                 degraded-reads {}  rebuild-ios {}  sheds {}",
-                c.media_errors,
-                c.retries,
-                c.request_failures,
-                c.sector_remaps,
-                c.degraded_reads,
-                c.rebuild_ios,
-                c.sheds
+                "  media-errors {}  retries {}  failures {}  remaps {}  sheds {}",
+                c.media_errors, c.retries, c.request_failures, c.sector_remaps, c.sheds
             );
         }
         if c.redirects + c.migrations + c.quarantines + c.retunes > 0 {
@@ -333,7 +300,7 @@ mod tests {
 
     /// One event of every kind.
     fn feed(s: &mut Snapshot) {
-        for (e, _, _) in crate::event::tests::GOLDEN {
+        for (e, _) in crate::event::tests::GOLDEN {
             s.emit(&e);
         }
     }
@@ -354,13 +321,10 @@ mod tests {
         );
         assert_eq!((c.queue_swaps, c.sweep_reversals), (1, 1));
         assert_eq!((c.media_errors, c.retries, c.request_failures), (1, 1, 1));
-        assert_eq!(
-            (c.sector_remaps, c.degraded_reads, c.rebuild_ios, c.sheds),
-            (1, 1, 1, 1)
-        );
+        assert_eq!((c.sector_remaps, c.sheds), (1, 1));
         assert_eq!(c.redirects, 1);
         assert_eq!((c.migrations, c.quarantines, c.retunes), (1, 1, 1));
-        assert_eq!(c.total_events(), 21);
+        assert_eq!(c.total_events(), 19);
         assert_eq!(s.response_us.count(), 1);
         assert_eq!(s.seek_cylinders.max(), Some(40));
         // The service start and the drop both sample the dispatch-time
@@ -416,7 +380,7 @@ mod tests {
         assert!(r.contains("preemptions 1"));
         assert!(r.contains("response_us"));
         assert!(r.contains("sweep-reversals 1"));
-        assert!(r.contains("degraded-reads 1"));
+        assert!(r.contains("remaps 1"));
         assert!(r.contains("sheds 1"));
         assert!(r.contains("redirects 1"));
         // Empty histogram branch renders too — and a fault-free snapshot
@@ -428,12 +392,12 @@ mod tests {
 
     #[test]
     fn a_snapshot_is_its_counters_and_four_histogram_headers() {
-        // 22 eight-byte counters and four 80-byte histogram headers, whose
-        // buckets live in spans on the heap: 22 × 8 + 4 × 80 = 496 bytes.
+        // 20 eight-byte counters and four 80-byte histogram headers, whose
+        // buckets live in spans on the heap: 20 × 8 + 4 × 80 = 480 bytes.
         // A farm holds 41 of these a member, so a counter more is 328
         // bytes a member and has to show up here.
-        assert_eq!(std::mem::size_of::<Counters>(), 22 * 8);
-        assert_eq!(std::mem::size_of::<Snapshot>(), 496);
+        assert_eq!(std::mem::size_of::<Counters>(), 20 * 8);
+        assert_eq!(std::mem::size_of::<Snapshot>(), 480);
     }
 
     #[test]
@@ -449,7 +413,7 @@ mod tests {
 events
   arrivals 1  service 1/1  late 1  drops 1
   preemptions 1  sp-promotions 1  er-expands 1  er-resets 1  queue-swaps 1  sweep-reversals 1
-  media-errors 1  retries 1  failures 1  remaps 1  degraded-reads 1  rebuild-ios 1  sheds 1
+  media-errors 1  retries 1  failures 1  remaps 1  sheds 1
   redirects 1  migrations 1  quarantines 1  retunes 1
 response_us: n 1  mean 30.0µs  p50 30  p95 30  p99 30  p999 30  min 30  max 30
 seek_cylinders: n 1  mean 40.0cyl  p50 40  p95 40  p99 40  p999 40  min 40  max 40

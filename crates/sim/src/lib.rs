@@ -53,10 +53,8 @@ mod striped;
 pub use backoff::jittered_backoff_us;
 pub use engine::{simulate, SimOptions};
 pub use metrics::Metrics;
-pub use service::{
-    DiskService, Raid5Service, ServiceFault, ServiceOutcome, ServiceProvider, TransferDominated,
-};
+pub use service::{DiskService, ServiceOutcome, ServiceProvider, TransferDominated};
 pub use step::EngineStepper;
-pub use striped::{simulate_striped, StripedOutcome};
+pub use striped::simulate_striped;
 
 pub use sched::Micros;

@@ -7,10 +7,10 @@ use sched::{Micros, Request};
 /// disk-time breakdown and response times, and the loss classes an
 /// engine run ends each request in.
 ///
-/// It holds only what no event carries. How many media errors, retries,
-/// sector remaps, degraded reads and rebuild I/Os a run saw is counted
-/// once, by the event stream: attach an [`obs::Snapshot`] as the run's
-/// sink and read its [`obs::Counters`].
+/// It holds only what no event carries. How many media errors, retries
+/// and sector remaps a run saw is counted once, by the event stream:
+/// attach an [`obs::Snapshot`] as the run's sink and read its
+/// [`obs::Counters`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Requests actually serviced by the disk.
@@ -20,11 +20,10 @@ pub struct Metrics {
     pub dropped: u64,
     /// Requests whose service *completed* after their deadline.
     pub late: u64,
-    /// Requests abandoned after exhausting their retry budget (or hitting
-    /// an unrecoverable fault) — the fault-layer loss class.
+    /// Requests abandoned after exhausting their retry budget (or when
+    /// their deadline passed before a retry) — the fault-layer loss
+    /// class.
     pub failed: u64,
-    /// Member time consumed by background rebuild I/Os (µs).
-    pub rebuild_us: Micros,
     /// Priority inversions per QoS dimension: serving `T` counts, for
     /// each dimension `k`, the waiting requests with higher priority in
     /// `k` (§5.1's definition).
@@ -82,15 +81,15 @@ impl Metrics {
 
     /// Fold another accumulator into this one, as if both runs' events
     /// had been recorded here: counts and times add, extrema take the
-    /// max, per-dimension tables widen to the larger shape. The striped
-    /// RAID path uses this to aggregate per-member runs into one group
-    /// view (`makespan_us` becomes the slowest member's makespan).
+    /// max, per-dimension tables widen to the larger shape. The farm and
+    /// the striped RAID path use this to aggregate per-shard or
+    /// per-member runs into one group view (`makespan_us` becomes the
+    /// slowest one's makespan).
     pub fn merge(&mut self, other: &Metrics) {
         self.served += other.served;
         self.dropped += other.dropped;
         self.late += other.late;
         self.failed += other.failed;
-        self.rebuild_us += other.rebuild_us;
         if self.inversions_per_dim.len() < other.inversions_per_dim.len() {
             self.inversions_per_dim
                 .resize(other.inversions_per_dim.len(), 0);

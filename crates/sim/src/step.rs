@@ -78,7 +78,7 @@ use sched::{DiskScheduler, HeadState, Micros, Request};
 
 use crate::engine::SimOptions;
 use crate::metrics::Metrics;
-use crate::service::{ServiceFault, ServiceProvider};
+use crate::service::ServiceProvider;
 
 /// Dispatch slack as the events carry it: signed, clamped to `i64`.
 #[inline]
@@ -423,29 +423,25 @@ impl EngineStepper {
         let max_attempts = self.options.max_attempts.max(1);
         let mut attempt: u32 = 1;
         let outcome = loop {
-            let o = service.service(&req, self.now);
+            let o = service.service(&req);
             self.now = self.now.saturating_add(o.breakdown.total_us());
             self.metrics.seek_us += o.breakdown.seek_us;
             self.metrics.rotation_us += o.breakdown.rotation_us;
             self.metrics.transfer_us += o.breakdown.transfer_us;
-            let Some(fault) = o.fault else {
+            if !o.failed {
                 break Some(o);
-            };
+            }
             if S::ENABLED {
                 sink.emit(&TraceEvent::MediaError {
                     now_us: self.now,
                     req: req.id,
                     attempt,
-                    transient: fault == ServiceFault::Transient,
                 });
             }
             // Never retry past the deadline: a retry that cannot
             // complete in time only steals bandwidth from requests that
             // still can.
-            let retryable = fault == ServiceFault::Transient
-                && attempt < max_attempts
-                && !req.is_late(self.now);
-            if !retryable {
+            if attempt >= max_attempts || req.is_late(self.now) {
                 break None;
             }
             attempt += 1;
@@ -459,8 +455,8 @@ impl EngineStepper {
             }
         };
         let Some(o) = outcome else {
-            // Retry budget exhausted (or the error was not recoverable):
-            // the request is abandoned — a loss, never a hang.
+            // Retry budget exhausted (or the deadline passed): the
+            // request is abandoned — a loss, never a hang.
             if S::ENABLED {
                 sink.emit(&TraceEvent::RequestFailed {
                     now_us: self.now,
@@ -479,15 +475,6 @@ impl EngineStepper {
                 penalty_us: o.remap_penalty_us,
             });
         }
-        if let Some(member) = o.degraded {
-            if S::ENABLED {
-                sink.emit(&TraceEvent::DegradedRead {
-                    now_us: self.now,
-                    req: req.id,
-                    failed_member: member,
-                });
-            }
-        }
         let late = req.is_late(self.now);
         let response = self.now.saturating_sub(req.arrival_us);
         if S::ENABLED {
@@ -505,19 +492,6 @@ impl EngineStepper {
         if late {
             self.metrics.late += 1;
             self.metrics.record_loss(&req);
-        }
-        // A background rebuild I/O towed behind this request occupies the
-        // member after the foreground completion.
-        if let Some((stripe, service_us)) = o.rebuild {
-            self.now = self.now.saturating_add(service_us);
-            if S::ENABLED {
-                sink.emit(&TraceEvent::RebuildIo {
-                    now_us: self.now,
-                    stripe,
-                    service_us,
-                });
-            }
-            self.metrics.rebuild_us += service_us;
         }
     }
 }
@@ -881,9 +855,7 @@ mod tests {
     #[test]
     fn arrivals_at_the_end_of_time_saturate_the_clock() {
         // Ten microseconds before the end of time: the first service
-        // already runs the clock past `u64::MAX`. With a member failed at
-        // t=0 and one rebuild stripe per completion, both additions to
-        // the clock (service time, rebuild I/O) are exercised.
+        // already runs the clock past `u64::MAX`.
         let arrival = Micros::MAX - 10;
         let t: Vec<Request> = (0..4)
             .map(|i| {
@@ -891,10 +863,7 @@ mod tests {
                 Request::read(i, arrival, Micros::MAX, (i * 500) as u32, 64 * 1024, qos)
             })
             .collect();
-        let plan = diskmodel::FaultPlan::none()
-            .with_member_failure(2, 0)
-            .with_rebuild(4, 1);
-        let mut service = crate::Raid5Service::with_faults(plan);
+        let mut service = crate::DiskService::table1();
         let mut scheduler = Fcfs::new();
         let mut stepper = EngineStepper::new(SimOptions::with_shape(1, 2), service.cylinders());
         for r in &t {
@@ -915,7 +884,7 @@ mod tests {
             .collect();
         assert_eq!(completions, [Micros::MAX; 4]);
         let m = stepper.into_metrics();
-        assert_eq!((m.served, snapshot.counters.rebuild_ios), (4, 4));
+        assert_eq!(m.served, 4);
         assert!(m.makespan_us >= arrival && m.max_response_us <= 10);
         m.reconcile(&snapshot.counters).expect("ledger closed");
     }

@@ -77,8 +77,7 @@ fn main() {
     );
 
     // Beyond the means: rerun the cascade with a trace sink attached and
-    // print the full response/seek/queue-depth distributions (the same
-    // machinery `cargo run -p bench --bin trace` streams to JSONL).
+    // print the full response/seek/queue-depth distributions.
     let sink = SharedSink::new(Snapshot::new());
     let mut s =
         CascadedSfc::with_sink(CascadeConfig::paper_default(2, 3832), sink.clone()).unwrap();

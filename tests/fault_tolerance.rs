@@ -1,11 +1,7 @@
 //! Property-based invariants of the fault-injection layer:
 //!
-//! * a degraded RAID-5 read really is the *max of the survivors* — the
-//!   public result matches a mirror reconstruction from independent
-//!   member-disk clones,
 //! * the zero [`FaultPlan`] is bit-identical to the unfaulted baseline
-//!   (pay-for-what-you-use), for both the single-disk and the grouped
-//!   RAID-5 service,
+//!   (pay-for-what-you-use),
 //! * tracing a fault-injected run changes nothing — `NullSink` and
 //!   snapshot-sink runs produce identical metrics,
 //! * media-error bookkeeping balances exactly: every `MediaError` event
@@ -14,12 +10,10 @@
 //!   shed, never both, never neither.
 
 use cascaded_sfc::cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
-use cascaded_sfc::diskmodel::{Disk, FaultPlan, Raid5, ServiceBreakdown};
+use cascaded_sfc::diskmodel::{Disk, FaultPlan};
 use cascaded_sfc::obs::{NullSink, SharedSink, Snapshot};
 use cascaded_sfc::sched::{QosVector, Request};
-use cascaded_sfc::sim::{
-    simulate, DiskService, Metrics, Raid5Service, ServiceProvider, SimOptions,
-};
+use cascaded_sfc::sim::{simulate, DiskService, Metrics, ServiceProvider, SimOptions};
 use proptest::prelude::*;
 
 const BLOCK: u64 = 64 * 1024;
@@ -65,16 +59,6 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
         .prop_map(|(seed, t, b)| FaultPlan::media(seed, t, b))
 }
 
-/// The member-disk cylinder [`Raid5`] maps a stripe to (the layout is
-/// deterministic: average blocks-per-cylinder, spread sequentially).
-fn stripe_cylinder(stripe: u64) -> u32 {
-    let g = Disk::table1();
-    let g = g.geometry();
-    let cyls = g.cylinders() as u64;
-    let per_cyl = (g.capacity_bytes() / BLOCK / cyls).max(1);
-    ((stripe / per_cyl) % cyls) as u32
-}
-
 fn paper_scheduler() -> CascadedSfc {
     CascadedSfc::new(CascadeConfig::paper_default(1, 3832)).unwrap()
 }
@@ -82,44 +66,9 @@ fn paper_scheduler() -> CascadedSfc {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Degraded reads pay exactly the slowest survivor: a mirror of
-    /// five independent member-disk clones, fed the same operations,
-    /// predicts every breakdown the group returns.
-    #[test]
-    fn degraded_read_is_max_of_survivors(
-        lbas in prop::collection::vec(0u64..20_000, 1..50),
-        failed in 0usize..5,
-    ) {
-        let mut raid = Raid5::table1();
-        let mut mirror: Vec<Disk> = (0..5).map(|_| Disk::table1()).collect();
-        for lba in lbas {
-            let loc = raid.locate(lba);
-            let cyl = stripe_cylinder(loc.stripe);
-            let want = if loc.data_disk == failed {
-                // Reconstruction: every survivor reads, the slowest gates.
-                let mut worst = ServiceBreakdown::default();
-                for (m, disk) in mirror.iter_mut().enumerate() {
-                    if m == failed {
-                        continue;
-                    }
-                    let b = disk.service(cyl, BLOCK);
-                    if b.total_us() > worst.total_us() {
-                        worst = b;
-                    }
-                }
-                worst
-            } else {
-                // Healthy member: a plain read of the data disk.
-                mirror[loc.data_disk].service(cyl, BLOCK)
-            };
-            let got = raid.degraded_read(lba, BLOCK, failed);
-            prop_assert_eq!(got, want, "lba {} (data disk {})", lba, loc.data_disk);
-        }
-    }
-
     /// The zero plan injects nothing: running through the fault layer —
     /// even with a retry budget armed — is bit-identical to the plain
-    /// service, for both the single disk and the grouped RAID-5.
+    /// service.
     #[test]
     fn zero_fault_plan_is_bit_identical_to_baseline(
         trace in arb_trace(),
@@ -143,10 +92,6 @@ proptest! {
         )));
         prop_assert_eq!(&plain, &zeroed, "single-disk zero plan diverged");
         prop_assert_eq!(plain.1, 0);
-
-        let plain = run(Box::new(Raid5Service::table1()));
-        let zeroed = run(Box::new(Raid5Service::with_faults(FaultPlan::none())));
-        prop_assert_eq!(&plain, &zeroed, "RAID-5 zero plan diverged");
     }
 
     /// Observers never change outcomes: a fault-injected run through a

@@ -3,10 +3,9 @@
 //! receiving `1/stripe_width` of every stream. Here the *whole group* is
 //! simulated instead, and the two views must agree on the loss picture.
 
-use cascaded_sfc::diskmodel::FaultPlan;
 use cascaded_sfc::obs::NullSink;
 use cascaded_sfc::sched::{Batched, CScan, DiskScheduler};
-use cascaded_sfc::sim::{simulate, simulate_striped, DiskService, SimOptions};
+use cascaded_sfc::sim::{simulate, simulate_striped, DiskService, Metrics, SimOptions};
 use cascaded_sfc::workload::NewsByteConfig;
 
 fn scheduler() -> Box<dyn DiskScheduler> {
@@ -40,25 +39,14 @@ fn one_member_view_approximates_the_full_group() {
         wl.stripe_width = 1; // full stream hits the group
         wl.duration_us = 30_000_000;
         let trace: Vec<_> = wl.generate(7).collect();
-        simulate_striped(
-            &trace,
-            5,
-            scheduler,
-            SimOptions::with_shape(1, 8).dropping(),
-            &FaultPlan::none(),
-            &mut NullSink,
-        )
+        simulate_striped(&trace, scheduler, SimOptions::with_shape(1, 8).dropping())
     };
 
     let single_ratio = single_view.loss_ratio();
-    let group_ratio = group_view.aggregate().loss_ratio();
+    let group_ratio = Metrics::merged(&group_view).loss_ratio();
     // The group sees 4x the requests...
     let singles = single_view.requests_total();
-    let groups: u64 = group_view
-        .per_member
-        .iter()
-        .map(|m| m.requests_total())
-        .sum();
+    let groups: u64 = group_view.iter().map(|m| m.requests_total()).sum();
     assert!(
         (3.5..4.6).contains(&(groups as f64 / singles as f64)),
         "group {groups} vs single-view {singles}"
@@ -84,43 +72,12 @@ fn group_members_share_the_load_evenly() {
     wl.stripe_width = 1;
     wl.duration_us = 20_000_000;
     let trace: Vec<_> = wl.generate(9).collect();
-    let out = simulate_striped(
-        &trace,
-        5,
-        scheduler,
-        SimOptions::with_shape(1, 8).dropping(),
-        &FaultPlan::none(),
-        &mut NullSink,
-    );
-    let loads: Vec<u64> = out.per_member.iter().map(|m| m.requests_total()).collect();
+    let per_member = simulate_striped(&trace, scheduler, SimOptions::with_shape(1, 8).dropping());
+    let loads: Vec<u64> = per_member.iter().map(|m| m.requests_total()).collect();
     let max = *loads.iter().max().unwrap() as f64;
     let min = *loads.iter().min().unwrap() as f64;
     assert!(
         min / max > 0.6,
         "parity rotation should balance members: {loads:?}"
-    );
-}
-
-/// The per-member striped path cannot express a member failure (that
-/// needs the grouped RAID-5 timeline), so handing it such a plan must
-/// fail fast with the documented message — not silently ignore the
-/// failure and report healthy-looking numbers.
-#[test]
-#[should_panic(
-    expected = "member failure needs the grouped timeline: use Raid5Service::with_faults"
-)]
-fn striped_faulted_rejects_member_failure_plans() {
-    let mut wl = NewsByteConfig::paper(10);
-    wl.stripe_width = 1;
-    wl.duration_us = 2_000_000;
-    let trace: Vec<_> = wl.generate(11).collect();
-    let plan = FaultPlan::none().with_member_failure(1, 0);
-    simulate_striped(
-        &trace,
-        5,
-        scheduler,
-        SimOptions::with_shape(1, 8).dropping(),
-        &plan,
-        &mut NullSink,
     );
 }
