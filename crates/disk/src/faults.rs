@@ -64,11 +64,6 @@ impl FaultPlan {
         }
     }
 
-    /// `true` when the plan can never inject anything.
-    pub fn is_zero(&self) -> bool {
-        self.transient_per_million == 0 && self.bad_sector_per_million == 0 && self.limp.is_none()
-    }
-
     /// Service-time multiplier, permille (≥ 1000).
     pub fn limp_permille(&self) -> u32 {
         self.limp.map_or(1000, |l| l.factor_permille.max(1000))
@@ -177,7 +172,6 @@ mod tests {
             assert_eq!(inj.draw(), FaultDraw::default());
         }
         assert_eq!(inj.limp_us(1234), 1234);
-        assert!(FaultPlan::none().is_zero());
     }
 
     #[test]
@@ -209,7 +203,6 @@ mod tests {
     fn limp_scales_and_clamps() {
         let plan = FaultPlan::none().with_limp(2500);
         assert_eq!(plan.limp_permille(), 2500);
-        assert!(!plan.is_zero());
         assert_eq!(FaultInjector::new(plan).limp_us(1000), 2500);
         let plan = FaultPlan::none().with_limp(500);
         assert_eq!(plan.limp_permille(), 1000, "limp never speeds up");

@@ -255,8 +255,8 @@ impl Default for SupervisorConfig {
 /// Sized by what a dump carries: every dump measured on the benchmark
 /// workloads keeps as many events of its trigger window at 1024 events a
 /// member as at 65,536 (at most 883 of them, on `surge`); only history
-/// from before the window is shorter (DESIGN.md §6g). A ring entry is a
-/// 48-byte event and a 4-byte tag, so this is 52 KB a member.
+/// from before the window is shorter (DESIGN.md §6g). The ring packs an
+/// entry into a 24-byte slot, so this is 24 KB a member.
 const RECORDER_CAPACITY: usize = 1 << 10;
 
 /// Full daemon configuration.

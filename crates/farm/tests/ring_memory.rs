@@ -2,10 +2,12 @@
 //! read off a counting global allocator rather than the process's RSS.
 //!
 //! A 64-shard daemon with the default telemetry gives each member 1024
-//! ring entries of a [`TraceEvent`] and a 4-byte tag, 3.4 MB in all. The
-//! ring must be allocated once, as its two arrays, when the daemon is
-//! built; and it must be freed with the daemon, so that a report kept
-//! after `shutdown` holds none of it.
+//! ring entries, 65,536 in all. The ring keeps them packed in one slab
+//! of at most [`SLAB_BYTES_PER_ENTRY`] bytes an entry. The slab is
+//! allocated once, when the daemon is built, never grown member by
+//! member; no event of a light run is too wide to pack, so the ring
+//! allocates nothing more during it; and the slab is freed with the
+//! daemon, so that a report kept after `shutdown` holds none of it.
 //!
 //! A member's telemetry holds at most `depth` windows however long the
 //! run and whether or not anyone drains it: the completed windows of its
@@ -17,7 +19,7 @@
 //! holds a single `#[test]`: no other test shares its counters.
 
 use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
-use obs::{TelemetryConfig, TraceEvent, TriggerConfig};
+use obs::{TelemetryConfig, TriggerConfig};
 use sched::{Fcfs, Request};
 use sim::{DiskService, SimOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -27,13 +29,10 @@ use workload::VodConfig;
 const SHARDS: usize = 64;
 /// Ring entries a member brings with the default telemetry.
 const PER_MEMBER: usize = 1024;
-/// The ring's two arrays at full size: the events and the tags.
-const ARRAYS: [usize; 2] = [
-    SHARDS * PER_MEMBER * std::mem::size_of::<TraceEvent>(),
-    SHARDS * PER_MEMBER * std::mem::size_of::<u32>(),
-];
-/// The whole ring in bytes.
-const RING: usize = ARRAYS[0] + ARRAYS[1];
+/// Ring entries of the whole farm.
+const ENTRIES: usize = SHARDS * PER_MEMBER;
+/// The most slab bytes the ring may hold per entry: one packed slot.
+const SLAB_BYTES_PER_ENTRY: usize = 24;
 
 struct Counting;
 
@@ -42,16 +41,21 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 /// Set while `FarmDaemon::new` runs.
 static BUILDING: AtomicBool = AtomicBool::new(false);
-/// Per array, while building: allocations of exactly its full size.
-static FULL_ALLOCS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-/// Per array, while building: reallocations from a whole number of
-/// members' entries to one member's more, the steps of a ring grown
-/// member by member.
-static MEMBER_STEPS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-/// Per array: the block its full-size allocation returned, and the
-/// reallocations of that block since.
-static BLOCK: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
-static BLOCK_REALLOCS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+/// While building: allocations and reallocations to at least a byte per
+/// ring entry, the size of the ring's slab.
+static RING_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+/// The slab's block and its size, from the first of those allocations
+/// until it is freed. Any allocation at least its size made while it is
+/// held is taken for the ring growing: a successor the slab moves into
+/// before it is freed, or the array of events too wide to pack.
+static SLAB: AtomicUsize = AtomicUsize::new(0);
+static SLAB_BYTES: AtomicUsize = AtomicUsize::new(0);
+static SUCCESSOR: AtomicUsize = AtomicUsize::new(0);
+static SUCCESSOR_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Successors allocated and reallocations that grew the slab, and the
+/// largest size it reached.
+static SLAB_GROWTHS: AtomicUsize = AtomicUsize::new(0);
+static SLAB_PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -60,14 +64,18 @@ fn grow(bytes: usize) {
 
 fn allocated(ptr: *mut u8, size: usize) {
     grow(size);
-    if !BUILDING.load(Relaxed) {
-        return;
-    }
-    for (k, &full) in ARRAYS.iter().enumerate() {
-        if size == full {
-            FULL_ALLOCS[k].fetch_add(1, Relaxed);
-            BLOCK[k].store(ptr as usize, Relaxed);
+    if BUILDING.load(Relaxed) && size >= ENTRIES {
+        RING_ALLOCS.fetch_add(1, Relaxed);
+        if SLAB.load(Relaxed) == 0 {
+            SLAB.store(ptr as usize, Relaxed);
+            SLAB_BYTES.store(size, Relaxed);
+            SLAB_PEAK.fetch_max(size, Relaxed);
         }
+    } else if SLAB.load(Relaxed) != 0 && size >= SLAB_BYTES.load(Relaxed) {
+        SLAB_GROWTHS.fetch_add(1, Relaxed);
+        SUCCESSOR.store(ptr as usize, Relaxed);
+        SUCCESSOR_BYTES.store(size, Relaxed);
+        SLAB_PEAK.fetch_max(size, Relaxed);
     }
 }
 
@@ -91,20 +99,18 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Relaxed);
+        if SLAB.load(Relaxed) == ptr as usize {
+            SLAB.store(SUCCESSOR.swap(0, Relaxed), Relaxed);
+            SLAB_BYTES.store(SUCCESSOR_BYTES.swap(0, Relaxed), Relaxed);
+        }
         // SAFETY: `ptr` came from `System` via the methods above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let old = layout.size();
-        for k in 0..ARRAYS.len() {
-            let step = ARRAYS[k] / SHARDS;
-            if BUILDING.load(Relaxed) && old.is_multiple_of(step) && new_size == old + step {
-                MEMBER_STEPS[k].fetch_add(1, Relaxed);
-            }
-            if BLOCK[k].load(Relaxed) == ptr as usize {
-                BLOCK_REALLOCS[k].fetch_add(1, Relaxed);
-            }
+        if BUILDING.load(Relaxed) && new_size >= ENTRIES {
+            RING_ALLOCS.fetch_add(1, Relaxed);
         }
         // SAFETY: `ptr` came from `System` via the methods above and the
         // caller's obligations are passed through unchanged.
@@ -112,6 +118,12 @@ unsafe impl GlobalAlloc for Counting {
         if !moved.is_null() {
             LIVE.fetch_sub(old, Relaxed);
             grow(new_size);
+            if SLAB.load(Relaxed) == ptr as usize {
+                SLAB.store(moved as usize, Relaxed);
+                SLAB_BYTES.store(new_size, Relaxed);
+                SLAB_PEAK.fetch_max(new_size, Relaxed);
+                SLAB_GROWTHS.fetch_add(usize::from(new_size > old), Relaxed);
+            }
         }
         moved
     }
@@ -124,7 +136,7 @@ static GLOBAL: Counting = Counting;
 /// overloads.
 fn trace() -> Vec<Request> {
     let mut cfg = VodConfig::mpeg1(4 * SHARDS as u32);
-    cfg.duration_us = 2_000_000;
+    cfg.duration_us = 64_000_000;
     cfg.generate(7).collect()
 }
 
@@ -155,18 +167,26 @@ fn the_flight_ring_is_allocated_once_and_freed_with_the_daemon() {
     let trace = trace();
     let base = LIVE.load(Relaxed);
 
-    // (a) One allocation per array, made while the daemon is built.
+    // (a) One allocation, made while the daemon is built.
     BUILDING.store(true, Relaxed);
     let daemon = build();
     BUILDING.store(false, Relaxed);
-    let full_allocs = FULL_ALLOCS.each_ref().map(|c| c.load(Relaxed));
-    let member_steps = MEMBER_STEPS.each_ref().map(|c| c.load(Relaxed));
+    let ring_allocs = RING_ALLOCS.load(Relaxed);
+    let ring = SLAB_BYTES.load(Relaxed);
     let built = LIVE.load(Relaxed).saturating_sub(base);
-    let report = daemon.run(trace.iter().cloned().map(DaemonEvent::Arrival));
+    let mut daemon = daemon;
+    for r in &trace {
+        daemon.handle(DaemonEvent::Arrival(r.clone()));
+    }
+    let held = (daemon.state_census().into_iter())
+        .find(|(name, _)| *name == "flight_ring")
+        .map(|c| c.1);
+    let report = daemon.shutdown();
     assert_eq!(report.served(), trace.len() as u64);
-    let block_reallocs = BLOCK_REALLOCS.each_ref().map(|c| c.load(Relaxed));
+    let (growths, ring_peak) = (SLAB_GROWTHS.load(Relaxed), SLAB_PEAK.load(Relaxed));
     // (b) What the report holds once the daemon is gone.
     let kept = LIVE.load(Relaxed).saturating_sub(base);
+    let freed = SLAB.load(Relaxed) == 0;
     drop(report);
 
     // (c) The same scenario again, with the first report still alive.
@@ -177,23 +197,27 @@ fn the_flight_ring_is_allocated_once_and_freed_with_the_daemon() {
     drop((first, second));
 
     println!(
-        "ring {RING} B; built {built} B, full-size allocations {full_allocs:?}, \
-         member-by-member growths {member_steps:?}, reallocations of the ring \
-         {block_reallocs:?}; a report keeps {kept} B; a second run with the \
-         first report alive raises the peak by {rise} B"
+        "{} requests, {held:?} entries held; ring {ring} B for {ENTRIES} entries when built, {ring_peak} B at most; \
+         built {built} B, ring-sized allocations {ring_allocs}, growths during \
+         the run {growths}; a report keeps {kept} B; a second run with the \
+         first report alive raises the peak by {rise} B",
+        trace.len()
     );
     assert_eq!(
-        full_allocs,
-        [1, 1],
-        "each array allocated once, at full size"
+        ring_allocs, 1,
+        "the ring allocated once, at full size, and not grown member by member"
     );
-    assert_eq!(member_steps, [0, 0], "no array grown member by member");
-    assert_eq!(block_reallocs, [0, 0], "the ring is never reallocated");
-    assert!(built >= RING, "the daemon holds its ring: {built} B");
-    assert!(kept < RING, "a report holds {kept} B, the ring is {RING} B");
+    assert_eq!(growths, 0, "the slab grew during the run, to {ring_peak} B");
     assert!(
-        rise < RING,
-        "a kept report raised the next run's peak by {rise} B, the ring is {RING} B"
+        ring_peak <= SLAB_BYTES_PER_ENTRY * ENTRIES,
+        "the ring held {ring_peak} B, over {SLAB_BYTES_PER_ENTRY} B for each of {ENTRIES} entries"
+    );
+    assert!(freed, "the daemon's slab outlived it");
+    assert!(built >= ring, "the daemon holds its ring: {built} B");
+    assert!(kept < ring, "a report holds {kept} B, the ring is {ring} B");
+    assert!(
+        rise < ring,
+        "a kept report raised the next run's peak by {rise} B, the ring is {ring} B"
     );
 }
 

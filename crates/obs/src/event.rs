@@ -3,16 +3,19 @@
 //!
 //! Events carry only primitives so the crate stays dependency-free.
 //! One table below declares every variant with its stable `snake_case`
-//! name and its fields, and generates the enum, [`TraceEvent::name`] and
-//! [`TraceEvent::now_us`]. A new event kind is one row there, one row in
+//! name and its fields, and generates the enum, [`TraceEvent::name`],
+//! [`TraceEvent::now_us`] and the packed form a [`crate::FlightRing`]
+//! keeps (`crate::pack`). A new event kind is one row there, one row in
 //! the [`crate::Counters`] table, and an arm in [`TraceEvent::req`] and
 //! [`crate::Snapshot::emit_sampled`], the hand-written exhaustive matches
 //! the compiler holds to the table. Characterization values and blocking
 //! windows are `u128`, the encapsulator's value space.
 
+use crate::pack::{record_len, Field, Packer, Unpacker, SLOT};
+
 /// Generates [`TraceEvent`] and its per-variant methods from one row per
-/// variant: `Variant "snake_name" { field: ty, … }`. Every variant must
-/// have a `now_us: u64` field.
+/// variant: `Variant "snake_name" { now_us: u64, field: ty, … }`. Every
+/// variant starts with its `now_us`.
 macro_rules! event_table {
     (
         $(#[$meta:meta])*
@@ -20,6 +23,7 @@ macro_rules! event_table {
             $(
                 $(#[$vmeta:meta])*
                 $variant:ident $name:literal {
+                    $(#[$nmeta:meta])* now_us: u64,
                     $( $(#[$fmeta:meta])* $field:ident: $ty:ty, )*
                 },
             )*
@@ -29,9 +33,23 @@ macro_rules! event_table {
         pub enum TraceEvent {
             $(
                 $(#[$vmeta])*
-                $variant { $( $(#[$fmeta])* $field: $ty, )* },
+                $variant {
+                    $(#[$nmeta])* now_us: u64,
+                    $( $(#[$fmeta])* $field: $ty, )*
+                },
             )*
         }
+
+        /// Each variant's kind byte in a packed record: its row number.
+        #[repr(u8)]
+        enum Kind {
+            $( $variant, )*
+        }
+
+        // Every variant's record fits a ring slot.
+        const _: () = {
+            $( assert!(record_len(&[$( <$ty as Field>::BYTES ),*]) <= SLOT); )*
+        };
 
         impl TraceEvent {
             /// Stable `snake_case` name of the variant.
@@ -49,7 +67,103 @@ macro_rules! event_table {
                 }
             }
 
+            /// The kind byte of the event's record.
+            pub(crate) fn kind(&self) -> u8 {
+                match *self {
+                    $( TraceEvent::$variant { .. } => Kind::$variant as u8, )*
+                }
+            }
+
+            /// Whether every value of the record of this event by `tag`
+            /// fits its width.
+            #[inline(always)]
+            pub(crate) fn narrow(&self, tag: u32) -> bool {
+                match *self {
+                    $( TraceEvent::$variant { now_us, $( $field, )* } => {
+                        Field::narrow(tag) & Packer::narrow_now(now_us)
+                            $( & narrow_field!($field $field, now_us) )*
+                    } )*
+                }
+            }
+
+            /// Write the kind byte, the tag and the fields, in table
+            /// order.
+            #[inline(always)]
+            pub(crate) fn pack(&self, out: &mut Packer) {
+                match *self {
+                    $( TraceEvent::$variant { now_us, $( $field, )* } => {
+                        out.start(Kind::$variant as u8, now_us);
+                        $( pack_field!($field $field, now_us, out); )*
+                    } )*
+                }
+            }
+
+            /// The event of kind `kind` whose fields [`TraceEvent::pack`]
+            /// wrote at the front of `input`.
+            pub(crate) fn unpack(kind: u8, input: &mut Unpacker) -> TraceEvent {
+                $( if kind == Kind::$variant as u8 {
+                    let now_us = input.now();
+                    return TraceEvent::$variant {
+                        now_us,
+                        $( $field: unpack_field!($field, now_us, input), )*
+                    };
+                } )*
+                unreachable!("no variant has kind byte {kind}")
+            }
+
+            /// An event of this one's kind at `now_us` with every other
+            /// field at extreme `k` of its type ([`tests::Extreme`]).
+            #[cfg(test)]
+            pub(crate) fn at_extreme(&self, now_us: u64, k: usize) -> TraceEvent {
+                match *self {
+                    $( TraceEvent::$variant { .. } => TraceEvent::$variant {
+                        now_us,
+                        $( $field: tests::Extreme::extreme(k), )*
+                    }, )*
+                }
+            }
         }
+    };
+}
+
+/// Whether field `$v`, named as in the table, of an event at `now_us`
+/// fits its width: an absolute time by its distance from `now_us`, any
+/// other field by its type.
+macro_rules! narrow_field {
+    (deadline_us $v:ident, $now:ident) => {
+        Packer::narrow_since($now, $v)
+    };
+    (until_us $v:ident, $now:ident) => {
+        Packer::narrow_since($now, $v)
+    };
+    ($field:ident $v:ident, $now:ident) => {
+        Field::narrow($v)
+    };
+}
+
+/// Packs what [`narrow_field`] checked.
+macro_rules! pack_field {
+    (deadline_us $v:ident, $now:ident, $out:ident) => {
+        $out.since($now, $v)
+    };
+    (until_us $v:ident, $now:ident, $out:ident) => {
+        $out.since($now, $v)
+    };
+    ($field:ident $v:ident, $now:ident, $out:ident) => {
+        Field::pack($v, $out)
+    };
+}
+
+/// Unpacks what [`pack_field`] packed.
+macro_rules! unpack_field {
+    (deadline_us, $now:ident, $input:ident) => {
+        $input.since($now)
+    };
+    (until_us, $now:ident, $input:ident) => {
+        $input.since($now)
+    };
+    ($field:ident, $now:ident, $input:ident) => {
+        Field::unpack($input)
     };
 }
 
@@ -322,6 +436,44 @@ impl TraceEvent {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    /// A field type's extreme values: its largest, its smallest, and the
+    /// two either side of the bound of its packed width.
+    pub(crate) trait Extreme {
+        const EXTREMES: usize = 4;
+
+        fn extreme(k: usize) -> Self;
+    }
+
+    impl Extreme for u64 {
+        fn extreme(k: usize) -> Self {
+            [u64::MAX, 0, u32::MAX.into(), 1 << 32][k]
+        }
+    }
+
+    impl Extreme for u32 {
+        fn extreme(k: usize) -> Self {
+            [u32::MAX, 0, u16::MAX.into(), 1 << 16][k]
+        }
+    }
+
+    impl Extreme for i64 {
+        fn extreme(k: usize) -> Self {
+            [i64::MAX, i64::MIN, i32::MIN.into(), 1 << 31][k]
+        }
+    }
+
+    impl Extreme for u128 {
+        fn extreme(k: usize) -> Self {
+            [u128::MAX, 0, u64::MAX.into(), 1 << 64][k]
+        }
+    }
+
+    impl Extreme for bool {
+        fn extreme(k: usize) -> Self {
+            k.is_multiple_of(2)
+        }
+    }
 
     /// One event of every kind, with its request id: the `req` contract,
     /// and the `Snapshot` tests' "every kind" feed.

@@ -56,6 +56,7 @@
 
 mod event;
 mod hist;
+mod pack;
 mod recorder;
 mod sink;
 mod snapshot;

@@ -264,6 +264,10 @@ impl FlightRecorder {
         self.ring = FlightRing::new();
     }
 
+    /// Take a dump for `anomaly` unless it is cooling down. Out of line,
+    /// as is [`FlightRecorder::p99_spiked`]: every emission site inlines
+    /// `emit`, and these are its rare paths.
+    #[inline(never)]
     fn fire(&mut self, anomaly: Anomaly, now_us: u64) {
         let epoch = self.windows.epoch_of(now_us);
         if let Some(last) = self.last_fired_epoch[anomaly as usize] {
@@ -303,6 +307,7 @@ impl FlightRecorder {
 
     /// The current window's response p99 against the completed recent
     /// windows' p99, when both sides have enough samples.
+    #[inline(never)]
     fn p99_spiked(&mut self) -> bool {
         let t = &self.triggers;
         if t.p99_spike_factor <= 0.0 {
@@ -333,6 +338,10 @@ impl FlightRecorder {
 }
 
 impl TraceSink for FlightRecorder {
+    /// Inline, so that where the event is built the ring packs it, the
+    /// windows count it and the triggers test it with that one kind's
+    /// code, without a dispatch on the kind.
+    #[inline(always)]
     fn emit(&mut self, event: &TraceEvent) {
         self.ring.push(self.tag, event);
         self.windows.emit(event);

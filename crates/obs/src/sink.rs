@@ -15,6 +15,7 @@
 //! and the instrumented hot path is byte-for-byte the uninstrumented one.
 
 use crate::event::TraceEvent;
+use crate::pack::{pack, slot_tag, unpack, SLOT};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -118,16 +119,22 @@ impl TraceSink for RingSink {
 /// [`crate::FlightRecorder`] of a farm.
 ///
 /// Unlike [`RingSink`] it is a handle: a clone writes into the same
-/// slab. The slab is preallocated and overwritten at a cursor, with the
-/// tags in a parallel array (a `(u32, TraceEvent)` pair would pad each
-/// entry from 48 to 64 bytes; apart, an entry is 52), so N writers lay
-/// down one sequential stream instead of N interleaved ones.
+/// slab. The slab is preallocated and overwritten at a cursor, so N
+/// writers lay down one sequential stream instead of N interleaved
+/// ones. An entry is packed into one 24-byte slot — its kind, its tag
+/// and its fields at widths fixed by their types (`crate::pack`) — and
+/// only a dump unpacks it. An event with a value too wide to pack is
+/// kept whole in a second array, one [`TraceEvent`] a slot, which the
+/// slab allocates the first time it meets one; no benchmark workload
+/// does.
 #[derive(Clone)]
 pub struct FlightRing(Rc<RefCell<Slab>>);
 
 struct Slab {
-    events: Vec<TraceEvent>,
-    tags: Vec<u32>,
+    slots: Vec<[u8; SLOT]>,
+    /// The events of the slots [`pack`] could not pack, by slot; empty
+    /// until the first.
+    whole: Vec<TraceEvent>,
     /// Where the next entry goes; the newest one sits just before it.
     cursor: usize,
     capacity: usize,
@@ -137,15 +144,38 @@ struct Slab {
 }
 
 impl Slab {
+    /// Pack `event` by `tag` into slot `at`.
+    #[inline(always)]
+    fn store(&mut self, at: usize, tag: u32, event: &TraceEvent) {
+        if !pack(tag, event, &mut self.slots[at]) {
+            self.keep_whole(at, event);
+        }
+    }
+
+    /// Keep the event of slot `at` whole.
+    #[cold]
+    fn keep_whole(&mut self, at: usize, event: &TraceEvent) {
+        self.whole.resize(self.slots.len(), *event);
+        self.whole[at] = *event;
+    }
+
     /// Append while the slab is short of its capacity. Out of line: a
     /// ring fills once and is overwritten ever after, and `Vec::push`'s
     /// growth path inlined into every recorder's `emit` is what made the
     /// one-shard `deep` workload dearer than a private `VecDeque` ring.
     #[cold]
     fn extend(&mut self, tag: u32, event: &TraceEvent) {
-        self.events.push(*event);
-        self.tags.push(tag);
-        self.cursor = self.events.len();
+        self.slots.push([0; SLOT]);
+        if !self.whole.is_empty() {
+            self.whole.push(*event);
+        }
+        self.cursor = self.slots.len();
+        self.store(self.cursor - 1, tag, event);
+    }
+
+    /// The event in slot `at`.
+    fn event(&self, at: usize) -> TraceEvent {
+        unpack(&self.slots[at]).unwrap_or_else(|| self.whole[at])
     }
 }
 
@@ -161,8 +191,8 @@ impl FlightRing {
     /// that attaching them moves nothing.
     pub fn with_capacity(entries: usize) -> Self {
         FlightRing(Rc::new(RefCell::new(Slab {
-            events: Vec::with_capacity(entries),
-            tags: Vec::with_capacity(entries),
+            slots: Vec::with_capacity(entries),
+            whole: Vec::new(),
             cursor: 0,
             capacity: 0,
             next_tag: Some(0),
@@ -190,12 +220,12 @@ impl FlightRing {
     }
 
     /// Record `event` as written by `tag`, over the oldest entry when
-    /// the ring is full: one event store and one tag store.
-    #[inline]
+    /// the ring is full.
+    #[inline(always)]
     pub fn push(&self, tag: u32, event: &TraceEvent) {
         let slab = &mut *self.0.borrow_mut();
         let mut at = slab.cursor;
-        if at == slab.events.len() {
+        if at == slab.slots.len() {
             if at < slab.capacity {
                 return slab.extend(tag, event);
             }
@@ -205,30 +235,31 @@ impl FlightRing {
             }
             at = 0;
         }
-        slab.events[at] = *event;
-        slab.tags[at] = tag;
+        slab.store(at, tag, event);
         slab.cursor = at + 1;
     }
 
     /// The newest `limit` entries `tag` still has in the ring (fewer if
-    /// it has fewer), oldest first.
+    /// it has fewer), oldest first, in a vector of exactly their length.
     pub fn newest(&self, tag: u32, limit: usize) -> Vec<TraceEvent> {
         let slab = self.0.borrow();
-        let newest_first = (0..slab.cursor)
-            .rev()
-            .chain((slab.cursor..slab.events.len()).rev());
-        let mut out: Vec<TraceEvent> = newest_first
-            .filter(|&i| slab.tags[i] == tag)
-            .take(limit)
-            .map(|i| slab.events[i])
-            .collect();
+        let mine = || {
+            let newest_first = (0..slab.cursor)
+                .rev()
+                .chain((slab.cursor..slab.slots.len()).rev());
+            newest_first
+                .filter(|&i| slot_tag(&slab.slots[i]) == tag)
+                .take(limit)
+        };
+        let mut out = Vec::with_capacity(mine().count());
+        out.extend(mine().map(|i| slab.event(i)));
         out.reverse();
         out
     }
 
     /// Entries currently held, all writers together.
     pub fn len(&self) -> usize {
-        self.0.borrow().events.len()
+        self.0.borrow().slots.len()
     }
 
     /// `true` when nothing has been retained.
@@ -343,6 +374,7 @@ impl<S: TraceSink> SharedSink<S> {
 impl<S: TraceSink> TraceSink for SharedSink<S> {
     const ENABLED: bool = S::ENABLED;
 
+    #[inline(always)]
     fn emit(&mut self, event: &TraceEvent) {
         self.0.borrow_mut().emit(event);
     }
@@ -424,6 +456,65 @@ mod tests {
         ring.push(u32::MAX, &swap(1));
         assert_eq!(ring.newest(u32::MAX, 4).len(), 1);
         assert!(ring.newest(0, 4).is_empty());
+    }
+
+    #[test]
+    fn a_ring_returns_every_kind_at_its_extremes_bit_for_bit() {
+        use crate::event::tests::{Extreme, GOLDEN};
+        let nows = [0, (1 << 40) - 1, 1 << 40, u64::MAX];
+        let extremes: Vec<TraceEvent> = (GOLDEN.iter())
+            .flat_map(|(e, _)| {
+                let kinds = move |now| (0..u64::EXTREMES).map(move |k| e.at_extreme(now, k));
+                nows.into_iter().flat_map(kinds)
+            })
+            .collect();
+        // Rings of a third of the extremes, on which laps of short entries
+        // come first, so that the extremes, some too wide to pack, arrive
+        // once the cursor wraps. One writer on a ring of its own, whose
+        // first event kept whole overwrites a slot; then three on one
+        // ring, their tags at both ends of the range, whose first such
+        // event (any by tag `u32::MAX - 1`, too wide a tag to pack)
+        // extends the slab.
+        let cap = extremes.len() / 3;
+        let events: Vec<TraceEvent> = (0..8 * cap as u64).map(swap).chain(extremes).collect();
+        let private = FlightRing::with_capacity(cap);
+        let mine = private.attach(cap).unwrap();
+        let shared = FlightRing::with_capacity(cap);
+        let mut tags = vec![shared.attach(cap / 3).unwrap()];
+        shared.0.borrow_mut().next_tag = Some(u32::MAX - 1);
+        tags.push(shared.attach(cap / 3).unwrap());
+        tags.push(shared.attach(cap - cap / 3 * 2).unwrap());
+        assert_eq!(tags, [0, u32::MAX - 1, u32::MAX]);
+        for (ring, tags, overwriting) in [(private, vec![mine], true), (shared, tags, false)] {
+            assert_eq!(ring.capacity(), cap);
+            let mut first_whole = None;
+            let mut pushed: Vec<(u32, TraceEvent)> = Vec::new();
+            for (i, event) in events.iter().enumerate() {
+                let tag = tags[i % tags.len()];
+                let full = ring.len() == cap;
+                ring.push(tag, event);
+                pushed.push((tag, *event));
+                if first_whole.is_none() && !ring.0.borrow().whole.is_empty() {
+                    first_whole = Some(full);
+                }
+                assert_eq!(ring.len(), pushed.len().min(cap));
+                let held = &pushed[pushed.len() - ring.len()..];
+                for &tag in &tags {
+                    let mine: Vec<TraceEvent> =
+                        (held.iter()).filter(|p| p.0 == tag).map(|p| p.1).collect();
+                    let what = format!("tag {tag}, event {i}");
+                    assert_eq!(ring.newest(tag, usize::MAX), mine, "{what}");
+                    let newest = ring.newest(tag, 5);
+                    assert_eq!(newest, mine[mine.len().saturating_sub(5)..], "{what}");
+                    assert_eq!(newest.capacity(), newest.len(), "{what}");
+                }
+            }
+            assert_eq!(
+                first_whole,
+                Some(overwriting),
+                "where an event is first kept whole"
+            );
+        }
     }
 
     #[test]

@@ -402,9 +402,10 @@ mod tests {
 
     #[test]
     fn a_trace_event_is_forty_eight_bytes() {
-        // A flight-ring entry is an event and a 4-byte tag, so a farm
-        // member's ring is its capacity × 52 B: one fatter variant would
-        // grow every farm's ring with it.
+        // A dump copies up to its recorder's capacity of events out of
+        // the flight ring, so a member's held dumps weigh up to
+        // DUMP_RETENTION × capacity × 48 B: one fatter variant would grow
+        // every farm's post-mortems with it.
         assert_eq!(std::mem::size_of::<TraceEvent>(), 48);
     }
 
