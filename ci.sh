@@ -71,15 +71,6 @@ step "bounded-state census gate, release"
 # the traffic that has passed through. Prints the census.
 cargo test -q --release -p bench --test state_census -- --nocapture
 
-step "scenario smoke run"
-# Million-session closed-loop population (diurnal base + flash crowd,
-# mixed VoD/NewsByte tenants) streamed through the farm daemon in
-# bounded memory: exact ledger closure, the admission gate and bounded
-# queues both exercised by the surge, reduced-scale bit-identity, and
-# the cascade's measured batch seek converging monotonically onto the
-# analytic closed form (exits 1 on violation).
-cargo run -q -p bench --release --bin bench -- scenario --mode smoke
-
 step "ctrl smoke run"
 # Overloaded farm started from a detuned static configuration, run with
 # and without the live controller: the controlled run must beat the

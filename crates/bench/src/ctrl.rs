@@ -25,8 +25,7 @@
 //!
 //! Everything is deterministic given `--seed`.
 
-use crate::vod;
-use cascade::{CascadeConfig, CascadedSfc, PreemptionMode, Stage2Combiner};
+use cascade::{CascadeConfig, CascadedSfc, DispatchConfig, PreemptionMode, Stage2Combiner};
 use ctrl::{
     drive, Controller, ControllerConfig, Grid, GridPoint, Objective, SearchConfig, TunerSearch,
 };
@@ -34,6 +33,17 @@ use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, Rout
 use obs::{Snapshot, TelemetryConfig, TriggerConfig};
 use sched::Request;
 use sim::{simulate, DiskService, SimOptions};
+use workload::VodConfig;
+
+/// Cylinders of the Table-1 disk.
+const CYLINDERS: u32 = 3832;
+
+/// `streams` concurrent MPEG-1 streams over `duration_us`.
+fn vod_trace(streams: u32, duration_us: u64, seed: u64) -> Vec<Request> {
+    let mut wl = VodConfig::mpeg1(streams.max(1));
+    wl.duration_us = duration_us;
+    wl.generate(seed).collect()
+}
 
 /// Harness parameters, shared by both modes.
 #[derive(Debug, Clone)]
@@ -148,7 +158,8 @@ pub struct SmokeSummary {
 /// single-dimension VoD shape with the three searched knobs substituted
 /// and a bounded queue so overload sheds.
 fn cascade_at(p: GridPoint) -> CascadeConfig {
-    let mut cfg = vod::bounded_cascade(MAX_QUEUE);
+    let mut cfg = CascadeConfig::paper_default(1, CYLINDERS)
+        .with_dispatch(DispatchConfig::paper_default().with_max_queue(MAX_QUEUE));
     if let Some(s2) = cfg.stage2.as_mut() {
         s2.combiner = Stage2Combiner::Weighted { f: p.f };
     }
@@ -160,7 +171,7 @@ fn cascade_at(p: GridPoint) -> CascadeConfig {
 }
 
 fn sweep_trace(cfg: &Config) -> Vec<Request> {
-    vod::trace(cfg.streams, cfg.duration_us, cfg.seed)
+    vod_trace(cfg.streams, cfg.duration_us, cfg.seed)
 }
 
 /// Evaluate one grid point: re-simulate the trace on a Table-1 disk
@@ -365,7 +376,7 @@ fn controlled_run(cfg: &Config, trace: &[Request]) -> (DaemonReport, Controller)
 /// The `ctrl` CI smoke gate (module docs). Returns the measured
 /// [`SmokeSummary`] on success; the error names the violated claim.
 pub fn smoke(cfg: &Config) -> Result<SmokeSummary, String> {
-    let trace = vod::trace(cfg.smoke_streams, cfg.smoke_duration_us, cfg.seed);
+    let trace = vod_trace(cfg.smoke_streams, cfg.smoke_duration_us, cfg.seed);
 
     let static_report = daemon_at(DETUNED).run(trace.iter().cloned().map(DaemonEvent::Arrival));
     let (static_miss, static_p99) = run_metrics(&static_report);

@@ -29,7 +29,6 @@
 //! |---|---|---|
 //! | `table1`, `fig5`, `fig5_high_load`, `fig6`, `fig7`, `fig8`, `fig9`, `fig9_centroids`, `fig10`, `fig11`, `ablation`, `ablation_tuning` | `--seed` | one row of [`FIGURES`] each: the bytes of `results/<name>.csv` on stdout |
 //! | `experiments` | `--seed --out` | every row of [`FIGURES`] written into `--out` (default `results`) |
-//! | `scenario` | `--mode smoke\|scale --seed --sessions --horizon-s --shards --max-queue --max-streams --trials` | [`scenario`]: the million-stream closed-loop gate; `scale` also prints the analytic seek-convergence table as CSV |
 //! | `ctrl` | `--mode smoke\|sweep --seed --csv true --f 0,0.5 --r 1,3 --w 0,0.1` | [`ctrl`]: the live-improvement smoke gate, or the `(f, R, w)` convergence sweep against exhaustive search (`--csv true` prints its table) |
 //! | `perf` | `--seed --budget` | [`perf`]: the self-relative telemetry overhead gate; exits 1 when the live sink costs more than `--budget` (default 0.05) of NullSink throughput |
 //!
@@ -50,9 +49,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod fig9;
 pub mod perf;
-pub mod scenario;
 pub mod table1;
-mod vod;
 
 /// The seven SFC1 curves of the paper's Figure 1 (see DESIGN.md §4 for
 /// the reconstruction of the OCR-dropped labels).

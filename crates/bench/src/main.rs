@@ -9,7 +9,7 @@
 //! violation and names it; a malformed command line exits 2.
 
 use bench::args::Args;
-use bench::{ctrl, perf, scenario};
+use bench::{ctrl, perf};
 use bench::{DEFAULT_SEED, FIGURES};
 use std::process::exit;
 
@@ -25,23 +25,13 @@ fn main() {
     }
     match cmd.as_str() {
         "experiments" => experiments(&parse(&["seed", "out"])),
-        "scenario" => run_scenario(&parse(&[
-            "mode",
-            "seed",
-            "sessions",
-            "horizon-s",
-            "shards",
-            "max-queue",
-            "max-streams",
-            "trials",
-        ])),
         "ctrl" => run_ctrl(&parse(&["mode", "seed", "csv", "f", "r", "w"])),
         "perf" => run_perf(&parse(&["seed", "budget"])),
         _ => {
             let figures: Vec<&str> = FIGURES.iter().map(|(file, _)| stem(file)).collect();
             eprintln!(
                 "usage: bench <subcommand> [--flag value]...\nsubcommands: {} experiments \
-                 scenario ctrl perf",
+                 ctrl perf",
                 figures.join(" ")
             );
             exit(if cmd == "--help" || cmd == "-h" { 0 } else { 2 });
@@ -72,46 +62,6 @@ fn experiments(args: &Args) {
         eprintln!("wrote {}", path.display());
     }
     eprintln!("all experiments complete");
-}
-
-fn run_scenario(args: &Args) {
-    let defaults = scenario::Config::default();
-    let cfg = scenario::Config {
-        seed: args.get("seed", DEFAULT_SEED),
-        sessions: args.get("sessions", defaults.sessions),
-        horizon_us: args.get("horizon-s", defaults.horizon_us / 1_000_000) * 1_000_000,
-        shards: args.get("shards", defaults.shards),
-        max_queue: args.get("max-queue", defaults.max_queue),
-        max_streams: args.get("max-streams", defaults.max_streams),
-        trials: args.get("trials", defaults.trials),
-        ..defaults
-    };
-    let mode = args.one_of("mode", &["smoke", "scale"]);
-    let s = pass(mode, scenario::smoke(&cfg));
-    let last = s.convergence.last().expect("non-empty sweep");
-    let census: Vec<String> = s.census.iter().map(|(k, n)| format!("{k} {n}")).collect();
-    eprintln!(
-        "# {mode} OK: {} sessions ({:.0}/s wall) emitted {} requests over \
-         {:.1} simulated hours; served {}, shed {}, rejected {}; peak live \
-         {} ({}x below total), peak backlog {}, entries held at the end: {}; \
-         seek law converged to rel err {:.5} at n={}",
-        s.sessions,
-        s.sessions_per_s,
-        s.arrivals,
-        s.makespan_us as f64 / 3.6e9,
-        s.served,
-        s.sheds,
-        s.rejections,
-        s.peak_live,
-        s.sessions as usize / s.peak_live.max(1),
-        s.peak_backlog,
-        census.join(", "),
-        last.rel_err(),
-        last.batch
-    );
-    if mode == "scale" {
-        print!("{}", scenario::convergence_csv(&s.convergence));
-    }
 }
 
 fn run_ctrl(args: &Args) {

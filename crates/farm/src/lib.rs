@@ -59,7 +59,7 @@ pub use daemon::{
     DaemonConfig, DaemonEvent, DaemonReport, FarmDaemon, MemberStatus, SupervisorConfig,
 };
 pub use online::{OnlineRouter, RouteDecision};
-pub use router::{least_loaded, least_loaded_among, RoutePolicy, ShardLoad};
+pub use router::RoutePolicy;
 
 /// Configuration of a farm run.
 #[derive(Debug, Clone)]

@@ -23,7 +23,7 @@
 use obs::TraceEvent;
 use sched::Request;
 
-use crate::router::{least_loaded_among, ShardLoad};
+use crate::router::ShardLoad;
 use crate::{FarmConfig, RoutePolicy};
 
 /// Modeled shard occupancy during routing, in closed form: each
@@ -227,9 +227,16 @@ impl OnlineRouter {
 
     /// The least-loaded eligible shard right now — where a reroute or an
     /// overload redirect goes, and the migration target a closing drain
-    /// hands its backlog to.
+    /// hands its backlog to. The least-loaded policy's order, `(drain
+    /// horizon, index)`, over the rotation list only.
     pub fn least_loaded_eligible(&self) -> usize {
-        least_loaded_among(self.model.loads(), &self.rotation).expect("at least one eligible shard")
+        let loads = self.model.loads();
+        self.rotation
+            .iter()
+            .map(|&i| (loads[i].busy_until_us, i))
+            .min()
+            .expect("at least one eligible shard")
+            .1
     }
 
     /// Overload redirects taken so far (reported as

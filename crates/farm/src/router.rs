@@ -27,15 +27,15 @@ use sched::Request;
 /// are the ones completing after it, and their number follows from the
 /// horizon alone — see [`ShardLoad::depth_at`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardLoad {
+pub(crate) struct ShardLoad {
     /// Modeled time at which the shard drains everything assigned so far
     /// (µs). `u64::MAX` is the saturated horizon: bookings ran past the
     /// end of time, their spacing is lost, and the shard reads as full
     /// and never idle again.
-    pub busy_until_us: u64,
+    pub(crate) busy_until_us: u64,
     /// Bounded-queue capacity of the shard's scheduler, if it has one
     /// (probed via [`sched::DiskScheduler::queue_capacity`]).
-    pub capacity: Option<usize>,
+    pub(crate) capacity: Option<usize>,
 }
 
 impl ShardLoad {
@@ -46,7 +46,7 @@ impl ShardLoad {
     ///
     /// # Panics
     /// If `est` is 0 and the shard is busy.
-    pub fn depth_at(&self, now: u64, est: u64) -> usize {
+    pub(crate) fn depth_at(&self, now: u64, est: u64) -> usize {
         if self.busy_until_us == u64::MAX {
             return usize::MAX;
         }
@@ -61,7 +61,7 @@ impl ShardLoad {
     /// `depth_at(now, est) ≥ cap` without the division: `cap` bookings
     /// are pending exactly when the horizon lies more than `cap − 1`
     /// service times ahead.
-    pub fn projected_full_at(&self, now: u64, est: u64) -> bool {
+    pub(crate) fn projected_full_at(&self, now: u64, est: u64) -> bool {
         let Some(cap) = self.capacity else {
             return false;
         };
@@ -89,7 +89,8 @@ pub enum RoutePolicy {
     /// wins, then the lower index (so the choice is deterministic). That
     /// is the order "fewest modeled pending requests, ties toward the
     /// earlier drain time, then the lower index": depth is non-decreasing
-    /// in the horizon ([`ShardLoad::depth_at`]), so a shard with an
+    /// in the horizon (the router's load model counts the bookings still
+    /// to complete, `est` apart, back from it), so a shard with an
     /// earlier horizon has no more pending and wins either the depth
     /// comparison or its tie-break.
     LeastLoaded,
@@ -109,7 +110,7 @@ impl RoutePolicy {
     /// entry per shard; the result indexes into them). `cylinders` is the
     /// cylinder space the range policy partitions. A pure function of its
     /// arguments: same request sequence, same placements.
-    pub fn route(self, req: &Request, loads: &[ShardLoad], cylinders: u32) -> usize {
+    pub(crate) fn route(self, req: &Request, loads: &[ShardLoad], cylinders: u32) -> usize {
         match self {
             RoutePolicy::HashStream => (splitmix64(req.stream) % loads.len() as u64) as usize,
             RoutePolicy::CylinderRange => {
@@ -117,7 +118,9 @@ impl RoutePolicy {
                 let band = u64::from(req.cylinder) * shards / u64::from(cylinders.max(1));
                 (band as usize).min(loads.len() - 1)
             }
-            RoutePolicy::LeastLoaded => least_loaded(loads),
+            RoutePolicy::LeastLoaded => (0..loads.len())
+                .min_by_key(|&i| (loads[i].busy_until_us, i))
+                .expect("at least one shard"),
         }
     }
 }
@@ -131,153 +134,14 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The shard with the least modeled load: earliest horizon, then lowest
-/// index (see [`RoutePolicy::LeastLoaded`] for why no depth is needed).
-/// Shared by the least-loaded policy and by redirect-on-overload target
-/// selection.
-pub fn least_loaded(loads: &[ShardLoad]) -> usize {
-    loads
-        .iter()
-        .enumerate()
-        .min_by_key(|(i, l)| (l.busy_until_us, *i))
-        .map(|(i, _)| i)
-        .expect("at least one shard")
-}
-
-/// [`least_loaded`] restricted to the shards listed in `among` — the
-/// selection the online router uses when membership events have taken
-/// shards out of rotation, over its list of the shards still in it. Same
-/// order, `(busy_until_us, index)`, whatever the list's order; `None`
-/// when the list is empty. With every shard listed this is exactly
-/// [`least_loaded`], which the parity tests pin down.
-pub fn least_loaded_among(loads: &[ShardLoad], among: &[usize]) -> Option<usize> {
-    among
-        .iter()
-        .map(|&i| (loads[i].busy_until_us, i))
-        .min()
-        .map(|(_, i)| i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sched::QosVector;
-
-    fn req(stream: u64, cylinder: u32) -> Request {
-        Request::read(0, 0, u64::MAX, cylinder, 65536, QosVector::none()).with_stream(stream)
-    }
-
-    fn idle(shards: usize) -> Vec<ShardLoad> {
-        vec![
-            ShardLoad {
-                busy_until_us: 0,
-                capacity: None,
-            };
-            shards
-        ]
-    }
-
-    #[test]
-    fn hash_is_sticky_per_stream_and_spreads_streams() {
-        let r =
-            |req: &Request, loads: &[ShardLoad]| RoutePolicy::HashStream.route(req, loads, 3832);
-        let loads = idle(8);
-        let mut used = std::collections::HashSet::new();
-        for stream in 0..64u64 {
-            let first = r(&req(stream, 0), &loads);
-            assert!(first < 8);
-            // Sticky: the same stream always routes the same way.
-            assert_eq!(r(&req(stream, 999), &loads), first);
-            used.insert(first);
-        }
-        assert!(used.len() >= 6, "poor spread: {used:?}");
-    }
-
-    #[test]
-    fn range_partitions_the_cylinder_space_in_order() {
-        let loads = idle(4);
-        let r = |cyl: u32| RoutePolicy::CylinderRange.route(&req(0, cyl), &loads, 4000);
-        assert_eq!(r(0), 0);
-        assert_eq!(r(999), 0);
-        assert_eq!(r(1000), 1);
-        assert_eq!(r(3999), 3);
-        // Monotone in the cylinder.
-        let mut last = 0;
-        for cyl in (0..4000).step_by(7) {
-            let s = r(cyl);
-            assert!(s >= last);
-            last = s;
-        }
-    }
 
     /// The tests' clock and service estimate: a horizon of
     /// `NOW + k * EST` is a queue of depth `k`.
     const NOW: u64 = 1_000;
     const EST: u64 = 100;
-
-    #[test]
-    fn least_loaded_picks_the_shallowest_queue() {
-        let mut loads = idle(3);
-        loads[0].busy_until_us = NOW + 5 * EST;
-        loads[1].busy_until_us = NOW + EST + 1;
-        loads[2].busy_until_us = NOW + 2 * EST;
-        let depths = |loads: &[ShardLoad]| -> Vec<usize> {
-            loads.iter().map(|l| l.depth_at(NOW, EST)).collect()
-        };
-        assert_eq!(depths(&loads), [5, 2, 2]);
-        // Depth ties break on drain horizon: shard 1 drains sooner.
-        let r = |loads: &[ShardLoad]| RoutePolicy::LeastLoaded.route(&req(0, 0), loads, 3832);
-        assert_eq!(r(&loads), 1);
-        loads[1].busy_until_us = NOW + 9 * EST;
-        assert_eq!(depths(&loads), [5, 9, 2]);
-        assert_eq!(r(&loads), 2);
-        // Horizons already passed are all depth 0; the earliest still wins.
-        let past = [NOW, NOW - 1, NOW - 1].map(|busy_until_us| ShardLoad {
-            busy_until_us,
-            capacity: None,
-        });
-        assert_eq!(depths(&past), [0, 0, 0]);
-        assert_eq!(r(&past), 1);
-    }
-
-    #[test]
-    fn horizon_order_is_depth_then_horizon_then_index_order() {
-        // Every multiset of four horizons around NOW, saturation included.
-        let horizons = [0, NOW - 1, NOW, NOW + 1, NOW + EST, NOW + EST + 1, u64::MAX];
-        let n = horizons.len();
-        for code in 0..n.pow(4) {
-            let loads: Vec<ShardLoad> = (0..4)
-                .map(|i| ShardLoad {
-                    busy_until_us: horizons[code / n.pow(i) % n],
-                    capacity: None,
-                })
-                .collect();
-            let explicit = (0..4)
-                .min_by_key(|&i| (loads[i].depth_at(NOW, EST), loads[i].busy_until_us, i))
-                .unwrap();
-            assert_eq!(least_loaded(&loads), explicit, "{loads:?}");
-        }
-    }
-
-    #[test]
-    fn least_loaded_among_matches_unrestricted_when_all_listed() {
-        let mut loads = idle(5);
-        for (i, l) in loads.iter_mut().enumerate() {
-            l.busy_until_us = NOW + ((i as u64 * 13 + 7) % 5) * EST + (i as u64 * 31) % 3;
-        }
-        assert_eq!(
-            least_loaded_among(&loads, &[0, 1, 2, 3, 4]),
-            Some(least_loaded(&loads))
-        );
-        // Restricting to one shard picks it, and to none picks nothing.
-        assert_eq!(least_loaded_among(&loads, &[3]), Some(3));
-        assert_eq!(least_loaded_among(&loads, &[]), None);
-        // Equal horizons go to the lowest index, in whatever order the
-        // shards are listed.
-        let tied = idle(5);
-        assert_eq!(least_loaded_among(&tied, &[4, 2, 3]), Some(2));
-        assert_eq!(least_loaded_among(&tied, &[1, 4]), Some(1));
-    }
 
     #[test]
     fn depth_is_the_ceiling_of_the_backlog_in_service_times() {

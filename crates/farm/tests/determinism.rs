@@ -1,18 +1,16 @@
-//! Routing determinism, routing quality and per-shard telemetry.
+//! Farm determinism, routing quality and per-shard telemetry.
 //!
 //! The farm's contract: placements and outcomes are a pure function of
 //! (trace, config) — metrics *and* every member's telemetry repeat bit
 //! for bit, media faults and retries included. Redirect and shed accounting must reconcile exactly between
-//! the report's counters and the traced events. Tests that check where
-//! requests land drive the [`OnlineRouter`] alone; the rest run the
+//! the report's counters and the traced events. Every test runs the
 //! [`FarmDaemon`] with its anomaly triggers off, so no supervisor
-//! quarantine moves a placement.
+//! quarantine moves a placement; where each request lands is held to
+//! the routing rules by `oracle::routing`, decision by decision.
 
 use cascade::{CascadeConfig, CascadedSfc, DispatchConfig};
 use diskmodel::{Disk, FaultPlan};
-use farm::{
-    DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, OnlineRouter, RoutePolicy,
-};
+use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
 use obs::{NullSink, ShardDelta, Snapshot, TelemetryConfig, TriggerConfig, WindowDelta};
 use sched::{DiskScheduler, Fcfs, QosVector, Request};
 use sim::{DiskService, SimOptions};
@@ -107,13 +105,6 @@ fn merged(report: &DaemonReport) -> Snapshot {
     all
 }
 
-/// Shard of each request, routed by a fresh router with every shard
-/// eligible and unbounded.
-fn placements(trace: &[Request], cfg: &FarmConfig) -> Vec<usize> {
-    let mut router = OnlineRouter::new(cfg, &vec![None; cfg.shards]);
-    trace.iter().map(|r| router.route(r).shard).collect()
-}
-
 #[test]
 fn repeat_runs_are_deterministic() {
     let trace = light_trace();
@@ -168,51 +159,6 @@ fn sharding_shortens_the_makespan() {
         speedup > 2.0,
         "4 shards should beat 1 disk: speedup {speedup:.2}"
     );
-}
-
-#[test]
-fn least_loaded_balances_the_load() {
-    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::LeastLoaded);
-    let mut routed = [0u64; 4];
-    for shard in placements(&batch(400), &cfg) {
-        routed[shard] += 1;
-    }
-    let (min, max) = (routed.iter().min().unwrap(), routed.iter().max().unwrap());
-    assert!(
-        max - min <= 8,
-        "feedback routing should balance: {routed:?}"
-    );
-}
-
-#[test]
-fn hash_routing_is_sticky_per_stream() {
-    let trace = light_trace();
-    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::HashStream);
-    let mut home = std::collections::HashMap::new();
-    for (r, shard) in trace.iter().zip(placements(&trace, &cfg)) {
-        let first = *home.entry(r.stream).or_insert(shard);
-        assert_eq!(first, shard, "stream {} split across shards", r.stream);
-    }
-    assert!(home.len() > 1);
-}
-
-#[test]
-fn range_routing_bands_the_cylinder_space() {
-    let trace = light_trace();
-    let cfg = FarmConfig::new(4).with_policy(RoutePolicy::CylinderRange);
-    let mut ranges = [(u32::MAX, 0u32); 4];
-    for (r, shard) in trace.iter().zip(placements(&trace, &cfg)) {
-        let (lo, hi) = &mut ranges[shard];
-        (*lo, *hi) = ((*lo).min(r.cylinder), (*hi).max(r.cylinder));
-    }
-    // Every shard gets a band, and shard i's cylinders all precede shard i+1's.
-    assert!(
-        ranges.iter().all(|&(lo, hi)| lo <= hi),
-        "a shard received no request: {ranges:?}"
-    );
-    for w in ranges.windows(2) {
-        assert!(w[0].1 <= w[1].0, "bands overlap: {ranges:?}");
-    }
 }
 
 #[test]

@@ -428,59 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn cumulative_matches_plain_snapshot_bit_for_bit() {
-        let mut w = WindowedSnapshot::new(4, 2);
-        let mut plain = Snapshot::new();
-        let mut t = 0u64;
-        let mut x = 7u64;
-        for _ in 0..5_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            t += x % 37;
-            let e = complete(t, x % 100_000);
-            w.emit(&e);
-            plain.emit(&e);
-        }
-        assert_eq!(w.cumulative(), plain);
-        assert_eq!(w.cumulative_counters(), plain.counters);
-    }
-
-    #[test]
-    fn deltas_sum_to_cumulative() {
-        let mut w = WindowedSnapshot::new(6, 4);
-        let mut drained = Snapshot::new();
-        let mut t = 0u64;
-        for i in 0..2_000u64 {
-            t += 13 + (i % 29);
-            w.emit(&complete(t, i));
-            if i % 257 == 0 {
-                if let Some(d) = w.take_delta() {
-                    drained.merge(&d.snapshot);
-                }
-            }
-        }
-        if let Some(d) = w.flush() {
-            drained.merge(&d.snapshot);
-        }
-        assert_eq!(drained, w.cumulative());
-    }
-
-    #[test]
-    fn late_events_stay_in_the_stream() {
-        let mut w = WindowedSnapshot::new(4, 2);
-        w.emit(&complete(100, 1)); // epoch 6
-        w.emit(&complete(40, 1)); // epoch 2: older than the live range
-        w.emit(&complete(85, 1)); // epoch 5: live, completed window
-        assert_eq!(w.cumulative().counters.service_completes, 3);
-        let mut drained = Snapshot::new();
-        if let Some(d) = w.flush() {
-            drained.merge(&d.snapshot);
-        }
-        assert_eq!(drained.counters.service_completes, 3);
-    }
-
-    #[test]
     fn sampling_thins_histograms_but_not_counters() {
         let mut exact = WindowedSnapshot::new(8, 4);
         let mut thin = WindowedSnapshot::new(8, 4).with_sample_shift(3);

@@ -85,8 +85,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Rotation and retirement never lose counts: with decimation off,
-    /// the windowed cumulative equals a plain snapshot of the same
-    /// stream, and so does the sum of every flushed delta.
+    /// the windowed cumulative (and its counters alone) equals a plain
+    /// snapshot of the same stream, and so does the sum of every flushed
+    /// delta.
     #[test]
     fn rotation_never_loses_counts(
         events in stream(),
@@ -99,6 +100,7 @@ proptest! {
         let mut windowed = WindowedSnapshot::new(window_log2, depth);
         feed(&mut windowed, &events);
         prop_assert_eq!(windowed.cumulative(), plain.clone());
+        prop_assert_eq!(windowed.cumulative_counters(), plain.counters);
 
         let mut summed = Snapshot::new();
         if let Some(d) = windowed.flush() {

@@ -84,11 +84,14 @@ pub fn check_seek_law(seed: u64) -> Result<u64, String> {
     }
 
     // 2. Convergence of the cascade's measured mean onto the closed
-    // form, inside the shrinking band.
-    let batches = [8u64, 32, 128, 512];
+    // form, inside the shrinking band. The 2,048 batch fills the
+    // dispatcher's heaps past ten levels, deeper than any other input of
+    // the test suite: a sift that stops ten levels down passes every
+    // smaller batch.
+    let batches = [8u64, 32, 128, 512, 2_048];
     let trials = 20;
     let points = sweep_convergence(&mut cascade, seed, &batches, trials, CYLINDERS);
-    check_convergence(&points, CYLINDERS, trials, 0.01).map_err(|e| format!("[analytic] {e}"))?;
+    check_convergence(&points, CYLINDERS, trials).map_err(|e| format!("[analytic] {e}"))?;
     runs += batches.len() as u64;
 
     // 3. Separation: FCFS pays the linear law — within a loose factor

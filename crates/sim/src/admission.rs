@@ -300,74 +300,6 @@ mod tests {
     use std::collections::BinaryHeap;
     use std::fmt::Debug;
 
-    #[test]
-    fn gate_caps_concurrent_streams() {
-        let mut g = StreamGate::new(2, 1_000);
-        assert!(g.admit(10, 0));
-        assert!(g.admit(11, 10));
-        // A third stream is over capacity; existing ones keep flowing.
-        assert!(!g.admit(12, 20));
-        assert!(g.admit(10, 30));
-        assert_eq!(g.active_streams(), 2);
-        assert_eq!(g.rejections(), 1);
-    }
-
-    #[test]
-    fn gate_retires_idle_streams_at_the_timeout() {
-        let mut g = StreamGate::new(1, 1_000);
-        assert!(g.admit(1, 0));
-        // Stream 2 is blocked until stream 1 has idled a full timeout —
-        // the boundary instant itself retires it.
-        assert!(!g.admit(2, 999));
-        assert!(g.admit(2, 1_000));
-        assert_eq!(g.active_streams(), 1);
-    }
-
-    #[test]
-    fn gate_refresh_extends_the_slot() {
-        let mut g = StreamGate::new(1, 1_000);
-        assert!(g.admit(1, 0));
-        assert!(g.admit(1, 900)); // refresh: idle clock restarts
-        assert!(!g.admit(2, 1_500)); // 1 only idle 600 µs — still active
-        assert!(g.admit(2, 1_900)); // now idle a full timeout
-    }
-
-    #[test]
-    fn zero_stream_gate_rejects_everything() {
-        // max_streams = 0 is a valid configuration (a quarantined
-        // member): every request bounces, nothing ever holds a slot,
-        // and the rejection ledger counts each one.
-        let mut g = StreamGate::new(0, 1_000);
-        for (i, (s, t)) in [(1u64, 0u64), (1, 500), (2, 2_000), (3, 9_999)]
-            .into_iter()
-            .enumerate()
-        {
-            assert!(!g.admit(s, t), "request {i} slipped through a 0-slot gate");
-            assert_eq!(g.active_streams(), 0);
-        }
-        assert_eq!(g.rejections(), 4);
-    }
-
-    #[test]
-    fn single_stream_slot_cycles_through_reclamation() {
-        // One slot, many claimants: the slot must pass cleanly from
-        // stream to stream across idle reclamations, each holder's
-        // timeout counted from its latest refresh, not its first request.
-        let mut g = StreamGate::new(1, 1_000);
-        assert!(g.admit(1, 0));
-        assert!(g.admit(1, 400)); // refresh: expiry moves from 1_000 to 1_400
-        assert!(!g.admit(2, 1_000)); // the first request's expiry frees nothing
-        assert!(g.admit(2, 1_400)); // true expiry: slot reclaimed, handed over
-        assert_eq!(g.active_streams(), 1);
-        // The slot's new holder is subject to the same clock: stream 1
-        // cannot barge back in before 2 idles out…
-        assert!(!g.admit(1, 2_000));
-        // …but reclaims its old slot once 2 has idled a full timeout.
-        assert!(g.admit(1, 2_400));
-        assert_eq!(g.active_streams(), 1);
-        assert_eq!(g.rejections(), 2);
-    }
-
     /// The gate by definition: a list of `(stream, last_seen)` scanned end
     /// to end on every request.
     struct ScanGate {

@@ -18,7 +18,7 @@
 //! these laws, [`sweep_convergence`] sweeps batch sizes over seeded
 //! uniform batches, and [`check_convergence`] asserts the measured
 //! means land inside a [`seek_tolerance`] band that *shrinks* as the
-//! batch grows — the scenario suite's theory-backed gate.
+//! batch grows — `oracle::analytic`'s theory-backed check.
 
 use sched::{DiskScheduler, HeadState};
 
@@ -148,13 +148,12 @@ pub fn sweep_convergence(
 
 /// The convergence gate: measured means must sit inside the shrinking
 /// [`seek_tolerance`] band at every batch size, climb strictly
-/// monotonically, close their gap to the [`sweep_asymptote`] strictly
-/// monotonically, and end below `final_rel_err` at the largest batch.
+/// monotonically, and close their gap to the [`sweep_asymptote`]
+/// strictly monotonically.
 pub fn check_convergence(
     points: &[ConvergencePoint],
     cylinders: u32,
     trials: u64,
-    final_rel_err: f64,
 ) -> Result<(), String> {
     if points.len() < 2 {
         return Err("convergence needs at least two batch sizes".into());
@@ -198,14 +197,6 @@ pub fn check_convergence(
             ));
         }
     }
-    let last = points.last().unwrap();
-    if last.rel_err() > final_rel_err {
-        return Err(format!(
-            "largest batch n={} has rel err {:.4}, above the {final_rel_err:.4} threshold",
-            last.batch,
-            last.rel_err()
-        ));
-    }
     Ok(())
 }
 
@@ -246,7 +237,7 @@ mod tests {
             trials,
             cylinders,
         );
-        check_convergence(&points, cylinders, trials, 0.01).expect("SSTF follows the sweep law");
+        check_convergence(&points, cylinders, trials).expect("SSTF follows the sweep law");
 
         // FCFS violates the law loudly: at n=128 its measured seek is
         // orders of magnitude past the sweep expectation.
@@ -258,7 +249,7 @@ mod tests {
             cylinders,
         );
         assert!(fcfs[0].mean_seek > 20.0 * fcfs[0].expected);
-        assert!(check_convergence(&fcfs, cylinders, 4, 0.01).is_err());
+        assert!(check_convergence(&fcfs, cylinders, 4).is_err());
     }
 
     #[test]
@@ -270,20 +261,17 @@ mod tests {
             expected: expected_sweep_seek(n, c),
         };
         let series = vec![good(8), good(64), good(512)];
-        check_convergence(&series, c, 16, 0.01).expect("the exact law passes");
+        check_convergence(&series, c, 16).expect("the exact law passes");
 
         let mut stalled = series.clone();
         stalled[2].mean_seek = stalled[1].mean_seek; // convergence stalls
-        assert!(check_convergence(&stalled, c, 16, 0.01).is_err());
+        assert!(check_convergence(&stalled, c, 16).is_err());
 
         let mut biased = series;
         biased[2].mean_seek = biased[2].expected * 1.2; // off the band
-        assert!(check_convergence(&biased, c, 16, 0.01).is_err());
+        assert!(check_convergence(&biased, c, 16).is_err());
 
-        assert!(
-            check_convergence(&[good(8)], c, 16, 0.01).is_err(),
-            "one point"
-        );
+        assert!(check_convergence(&[good(8)], c, 16).is_err(), "one point");
     }
 
     #[test]

@@ -300,51 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn traced_run_reconciles_with_metrics() {
-        use obs::Snapshot;
-        // A deadline mix that produces served, late and dropped requests.
-        let trace: Vec<Request> = (0..30)
-            .map(|i| {
-                let deadline = if i % 3 == 0 { 1 + i * 10 } else { u64::MAX };
-                req(i, i * 500, deadline, ((i * 733) % 3832) as u32, &[0])
-            })
-            .collect();
-        let options = SimOptions::with_shape(1, 2).dropping();
-        let plain = {
-            let mut service = TransferDominated::uniform(2_000, 3832);
-            simulate(
-                &mut Fcfs::new(),
-                &trace,
-                &mut service,
-                options,
-                &mut NullSink,
-            )
-        };
-        let mut snapshot = Snapshot::new();
-        let traced = {
-            let mut service = TransferDominated::uniform(2_000, 3832);
-            simulate(
-                &mut Fcfs::new(),
-                &trace,
-                &mut service,
-                options,
-                &mut snapshot,
-            )
-        };
-        // Tracing must not change the simulation.
-        assert_eq!(plain, traced);
-        // And the event counters must reconcile with the metrics exactly.
-        let c = snapshot.counters;
-        assert_eq!(c.arrivals, 30);
-        traced.reconcile(&c).expect("events match metrics");
-        assert!(traced.dropped > 0, "workload produced no drops");
-        assert_eq!(snapshot.response_us.count(), traced.served);
-        assert_eq!(snapshot.response_us.max(), Some(traced.max_response_us));
-        assert_eq!(snapshot.seek_cylinders.count(), traced.served);
-        assert_eq!(snapshot.queue_depth.count(), c.service_starts + c.drops);
-    }
-
-    #[test]
     fn traced_timeline_orders_each_request() {
         use obs::{RingSink, TraceEvent};
         let trace: Vec<Request> = (0..10)
@@ -384,48 +339,6 @@ mod tests {
             .map(TraceEvent::now_us)
             .collect();
         assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn zero_fault_plan_is_bit_identical() {
-        use crate::DiskService;
-        use diskmodel::{Disk, FaultPlan};
-        let trace: Vec<Request> = (0..50)
-            .map(|i| {
-                req(
-                    i,
-                    i * 800,
-                    60_000 + i * 800,
-                    ((i * 977) % 3832) as u32,
-                    &[0],
-                )
-            })
-            .collect();
-        let options = SimOptions::with_shape(1, 2).dropping().with_retries(3);
-        let plain = {
-            let mut service = DiskService::table1();
-            simulate(
-                &mut Fcfs::new(),
-                &trace,
-                &mut service,
-                options,
-                &mut NullSink,
-            )
-        };
-        let mut snapshot = obs::Snapshot::new();
-        let faulted = {
-            let mut service = DiskService::with_faults(Disk::table1(), FaultPlan::none());
-            simulate(
-                &mut Fcfs::new(),
-                &trace,
-                &mut service,
-                options,
-                &mut snapshot,
-            )
-        };
-        assert_eq!(plain, faulted, "zero-fault plan must cost nothing");
-        assert_eq!(snapshot.counters.media_errors, 0);
-        assert_eq!(faulted.failed, 0);
     }
 
     #[test]
@@ -505,29 +418,6 @@ mod tests {
         // Termination + accounting: everything is served, dropped, or
         // failed — never hung.
         assert_eq!(m.served + m.failed, 150);
-    }
-
-    #[test]
-    fn fault_run_reconciles_events_with_metrics() {
-        use crate::DiskService;
-        use diskmodel::{Disk, FaultPlan};
-        use obs::Snapshot;
-        let trace: Vec<Request> = (0..300)
-            .map(|i| req(i, i * 200, u64::MAX, ((i * 311) % 3832) as u32, &[0]))
-            .collect();
-        let mut snapshot = Snapshot::new();
-        let mut service =
-            DiskService::with_faults(Disk::table1(), FaultPlan::media(11, 100_000, 50_000));
-        let m = simulate(
-            &mut Fcfs::new(),
-            &trace,
-            &mut service,
-            SimOptions::with_shape(1, 2).with_retries(3),
-            &mut snapshot,
-        );
-        let c = snapshot.counters;
-        assert!(c.media_errors > 0 && c.sector_remaps > 0);
-        m.reconcile(&c).expect("events match metrics");
     }
 
     #[test]

@@ -720,53 +720,10 @@ mod tests {
         (stepper.metrics, events(&ring))
     }
 
-    // The next three tests hold one pump pattern each against the batch
-    // entry points, so the patterns agree with each other as well: the
-    // metrics and the event stream of a run do not depend on how it was
-    // pumped.
-
-    #[test]
-    fn full_submission_matches_batch_engine() {
-        let t = trace(300);
-        for mut s in schedulers() {
-            let expected = batch(s.as_mut(), &t);
-            assert!(expected.0.dropped > 0 && expected.0.served > 0);
-            let got = pumped(s.as_mut(), |stepper, scheduler, service, ring| {
-                for r in &t {
-                    stepper.submit(r.clone());
-                }
-                stepper.finish(scheduler, service, ring);
-            });
-            assert_eq!(got, expected, "policy {}", s.name());
-        }
-    }
-
-    #[test]
-    fn incremental_pumping_matches_batch_engine() {
-        // Submit arrivals in dribbles and pump to a ragged ladder of
-        // horizons: the chunk boundaries must not move.
-        let t = trace(200);
-        for mut s in schedulers() {
-            let expected = batch(s.as_mut(), &t);
-            let got = pumped(s.as_mut(), |stepper, scheduler, service, ring| {
-                for (i, r) in t.iter().enumerate() {
-                    // Pump to each arrival's time before submitting it —
-                    // the streaming contract.
-                    stepper.run_until(r.arrival_us, scheduler, service, ring);
-                    stepper.submit(r.clone());
-                    if i % 7 == 3 {
-                        // An extra pump, capped at the next arrival's time
-                        // so every arrival before the horizon is submitted.
-                        let cap = t.get(i + 1).map_or(Micros::MAX, |n| n.arrival_us);
-                        let horizon = cap.min(r.arrival_us + 11_000);
-                        stepper.run_until(horizon, scheduler, service, ring);
-                    }
-                }
-                stepper.finish(scheduler, service, ring);
-            });
-            assert_eq!(got, expected, "policy {}", s.name());
-        }
-    }
+    // The metrics and the event stream of a run do not depend on how it
+    // was pumped. The pattern of pumping to each arrival's time and then
+    // submitting it is the farm daemon's, and `oracle::daemon` holds
+    // that to the batch engine; this one is `run_source`'s.
 
     #[test]
     fn lazy_source_matches_batch_engine_bit_for_bit() {

@@ -96,8 +96,8 @@ proptest! {
 
     /// Observers never change outcomes: a fault-injected run through a
     /// `NullSink` equals the same run streaming into a live snapshot —
-    /// and the snapshot's dispatch and loss counters agree with the
-    /// metrics.
+    /// and the snapshot's dispatch and loss counters and its histograms
+    /// agree with the metrics.
     #[test]
     fn traced_faulted_run_is_bit_identical_to_untraced(
         trace in arb_trace(),
@@ -131,6 +131,13 @@ proptest! {
         let c = &snap.counters;
         prop_assert_eq!(c.request_failures, traced.failed);
         prop_assert_eq!(traced.reconcile(c), Ok(()));
+        // The histograms are fed by the same events: one response per
+        // completion, its maximum the metrics' own, one seek per
+        // dispatch and one queue depth per dispatch or drop.
+        prop_assert_eq!(snap.response_us.count(), traced.served);
+        prop_assert_eq!(snap.response_us.max().unwrap_or(0), traced.max_response_us);
+        prop_assert_eq!(snap.seek_cylinders.count(), c.service_starts);
+        prop_assert_eq!(snap.queue_depth.count(), c.service_starts + c.drops);
     }
 
     /// The retry ledger balances: every media error either bought a
