@@ -48,9 +48,10 @@ step "cargo test (whole workspace)"
 # window telemetry (farm's determinism test: drained after every event,
 # every window leaves whole and every event lands in the window of its
 # time, the windows summing to the cumulative; farm's ring_memory test:
-# at most depth windows a member and a bounded report in live bytes)
-# are checked here (and by the oracle below), not by a smoke run of
-# their own.
+# at most depth windows a member and a bounded report in live bytes;
+# obs's dump_memory test: a held flight-recorder dump at most 24 bytes
+# an event, the ring's packed slot, in live bytes) are checked here (and
+# by the oracle below), not by a smoke run of their own.
 cargo test -q --workspace
 
 step "inversion-census tests, release"

@@ -1690,8 +1690,8 @@ mod tests {
                         .any(|d| d.anomaly == Anomaly::ShedBurst),
                     "member {k} must have shed its way to a dump"
                 );
-                for e in recorder.dumps().iter().flat_map(|d| &d.events) {
-                    let own = match *e {
+                for e in recorder.dumps().iter().flat_map(|d| d.events.iter()) {
+                    let own = match e {
                         TraceEvent::Migrate { from_shard, .. }
                         | TraceEvent::Redirect { from_shard, .. } => from_shard as usize == k,
                         TraceEvent::Quarantine { shard, .. } | TraceEvent::Retune { shard, .. } => {
@@ -1706,7 +1706,7 @@ mod tests {
                         recorder
                             .dumps()
                             .iter()
-                            .flat_map(|d| d.events.iter().filter_map(TraceEvent::req)),
+                            .flat_map(|d| d.events.iter().filter_map(|e| e.req())),
                     );
                 }
             });

@@ -65,7 +65,7 @@ mod window;
 pub use event::TraceEvent;
 pub use hist::{nearest_rank, Histogram, HISTOGRAM_BUCKETS};
 pub use recorder::{Anomaly, DumpRecord, FlightRecorder, TriggerConfig, DUMP_RETENTION};
-pub use sink::{FlightRing, NullSink, RingSink, SharedSink, Tee, TraceSink};
+pub use sink::{FlightRing, NullSink, PackedEvents, RingSink, SharedSink, Tee, TraceSink};
 pub use snapshot::{Counters, Snapshot};
 pub use window::{
     ShardDelta, TelemetryConfig, WindowDelta, WindowedSnapshot, DEFAULT_DEPTH,

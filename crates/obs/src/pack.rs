@@ -71,16 +71,21 @@ fn pack_wide(tag: u32, event: &TraceEvent, slot: &mut [u8; SLOT]) -> bool {
 /// The tag of the entry in `slot`.
 pub(crate) fn slot_tag(slot: &[u8; SLOT]) -> u32 {
     let mut input = Unpacker(&slot[1..]);
-    if slot[0] & WIDE != 0 {
+    if kept_whole(slot) {
         u32::from_le_bytes(input.take())
     } else {
         Field::unpack(&mut input)
     }
 }
 
+/// Whether the event of `slot` is kept whole.
+pub(crate) fn kept_whole(slot: &[u8; SLOT]) -> bool {
+    slot[0] & WIDE != 0
+}
+
 /// The event packed in `slot`; `None` when it is kept whole.
 pub(crate) fn unpack(slot: &[u8; SLOT]) -> Option<TraceEvent> {
-    if slot[0] & WIDE != 0 {
+    if kept_whole(slot) {
         return None;
     }
     let mut input = Unpacker(&slot[1..]);

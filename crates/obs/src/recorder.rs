@@ -30,7 +30,7 @@
 
 use crate::event::TraceEvent;
 use crate::hist::Histogram;
-use crate::sink::{FlightRing, TraceSink};
+use crate::sink::{FlightRing, PackedEvents, TraceSink};
 use crate::snapshot::{Counters, Snapshot};
 use crate::window::{TelemetryConfig, WindowedSnapshot};
 
@@ -98,11 +98,12 @@ impl TriggerConfig {
 }
 
 /// Dumps a [`FlightRecorder`] keeps. Each one copies up to the
-/// recorder's capacity of events out of the ring, so a list nobody trims
-/// is memory in proportion to how long an overload has lasted. A reader
-/// that looks after every few events (the farm's supervisor looks at the
-/// next daemon event) finds one new dump, rarely two; it can count the
-/// times four was not enough ([`FlightRecorder::dumps_from`]).
+/// recorder's capacity of events out of the ring, at the ring's 24 bytes
+/// an event ([`PackedEvents`]), so a list nobody trims is memory in
+/// proportion to how long an overload has lasted. A reader that looks
+/// after every few events (the farm's supervisor looks at the next
+/// daemon event) finds one new dump, rarely two; it can count the times
+/// four was not enough ([`FlightRecorder::dumps_from`]).
 pub const DUMP_RETENTION: usize = 4;
 
 /// One frozen post-mortem capture.
@@ -117,8 +118,10 @@ pub struct DumpRecord {
     /// Window epoch of the triggering event.
     pub epoch: u64,
     /// The recorder's newest events still in the ring at the dump, at
-    /// most its own capacity of them, oldest first.
-    pub events: Vec<TraceEvent>,
+    /// most its own capacity of them, oldest first: copied out in the
+    /// ring's packed slots and unpacked when read
+    /// ([`PackedEvents::iter`]).
+    pub events: PackedEvents,
     /// Exactly what was counted since the previous dump (or the start
     /// of the run).
     pub delta: Counters,
@@ -369,14 +372,14 @@ impl TraceSink for FlightRecorder {
 /// Replay `events`' tail into fresh counters and check it reproduces
 /// `delta` exactly. The tail length is the event count the delta itself
 /// claims — the reconciliation is event-vs-counter on both axes.
-fn reconciles(events: &[TraceEvent], delta: &Counters) -> bool {
+fn reconciles(events: &PackedEvents, delta: &Counters) -> bool {
     let n = delta.total_events() as usize;
     if n > events.len() {
         return false;
     }
     let mut replayed = Snapshot::new();
-    for e in &events[events.len() - n..] {
-        replayed.emit(e);
+    for e in events.iter().skip(events.len() - n) {
+        replayed.emit(&e);
     }
     replayed.counters == *delta
 }
@@ -509,10 +512,13 @@ mod tests {
 
     /// One emission of the model test: unique by `step`, so a dump's
     /// events can be compared against a stream position by position.
+    /// Two in five carry a batch too wide to pack, so that every
+    /// recorder's dumps hold events kept whole between packed ones.
     fn step_event(step: usize, tag: usize) -> TraceEvent {
+        let wide = if step % 5 < 2 { 1 << 32 } else { 0 };
         TraceEvent::QueueSwap {
             now_us: step as u64,
-            batch: tag as u64,
+            batch: tag as u64 | wide,
         }
     }
 
@@ -556,7 +562,11 @@ mod tests {
                 let stream = &streams[tag];
                 let what = format!("cap {cap}, step {i}, recorder {tag}");
                 assert_eq!(d.events.len(), held.min(cap), "{what}");
-                assert_eq!(d.events, stream[stream.len() - d.events.len()..], "{what}");
+                assert_eq!(
+                    d.events.to_vec(),
+                    stream[stream.len() - d.events.len()..],
+                    "{what}"
+                );
                 let gap = stream.len() - dumped[tag];
                 dumped[tag] = stream.len();
                 assert_eq!(d.delta.total_events(), gap as u64, "{what}");
@@ -657,7 +667,7 @@ mod tests {
                 reference.emit(&event);
                 if i % (cap / 2 + 1) == 0 {
                     assert_eq!(
-                        r.force_dump(i as u64).events,
+                        r.force_dump(i as u64).events.to_vec(),
                         reference.to_vec(),
                         "cap {cap}"
                     );
@@ -722,7 +732,11 @@ mod tests {
             assert_eq!(d.epoch, now_us >> Self::WINDOW_LOG2, "{what}");
             assert_eq!(d.delta, Self::counters(&self.stream[since..at]), "{what}");
             assert_eq!((at, d.cumulative), (self.stream.len(), self.total.counters));
-            assert_eq!(d.events, self.stream[at - at.min(cap)..at], "{what}");
+            assert_eq!(
+                d.events.to_vec(),
+                self.stream[at - at.min(cap)..at],
+                "{what}"
+            );
             assert_eq!(d.clean, at - since <= cap, "{what}");
         }
     }

@@ -15,7 +15,7 @@
 //! and the instrumented hot path is byte-for-byte the uninstrumented one.
 
 use crate::event::TraceEvent;
-use crate::pack::{pack, slot_tag, unpack, SLOT};
+use crate::pack::{kept_whole, pack, slot_tag, unpack, SLOT};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -123,10 +123,11 @@ impl TraceSink for RingSink {
 /// writers lay down one sequential stream instead of N interleaved
 /// ones. An entry is packed into one 24-byte slot — its kind, its tag
 /// and its fields at widths fixed by their types (`crate::pack`) — and
-/// only a dump unpacks it. An event with a value too wide to pack is
-/// kept whole in a second array, one [`TraceEvent`] a slot, which the
-/// slab allocates the first time it meets one; no benchmark workload
-/// does.
+/// a dump copies the slot out as it is ([`PackedEvents`]), so an entry
+/// is unpacked only when a dump is read. An event with a value too wide
+/// to pack is kept whole in a second array, one [`TraceEvent`] a slot,
+/// which the slab allocates the first time it meets one; no benchmark
+/// workload does.
 #[derive(Clone)]
 pub struct FlightRing(Rc<RefCell<Slab>>);
 
@@ -171,11 +172,6 @@ impl Slab {
         }
         self.cursor = self.slots.len();
         self.store(self.cursor - 1, tag, event);
-    }
-
-    /// The event in slot `at`.
-    fn event(&self, at: usize) -> TraceEvent {
-        unpack(&self.slots[at]).unwrap_or_else(|| self.whole[at])
     }
 }
 
@@ -240,8 +236,9 @@ impl FlightRing {
     }
 
     /// The newest `limit` entries `tag` still has in the ring (fewer if
-    /// it has fewer), oldest first, in a vector of exactly their length.
-    pub fn newest(&self, tag: u32, limit: usize) -> Vec<TraceEvent> {
+    /// it has fewer), oldest first, copied out as they are packed, in a
+    /// vector of exactly their length.
+    pub fn newest(&self, tag: u32, limit: usize) -> PackedEvents {
         let slab = self.0.borrow();
         let mine = || {
             let newest_first = (0..slab.cursor)
@@ -251,9 +248,19 @@ impl FlightRing {
                 .filter(|&i| slot_tag(&slab.slots[i]) == tag)
                 .take(limit)
         };
-        let mut out = Vec::with_capacity(mine().count());
-        out.extend(mine().map(|i| slab.event(i)));
-        out.reverse();
+        let mut out = PackedEvents {
+            slots: Vec::with_capacity(mine().count()),
+            whole: Vec::new(),
+        };
+        for i in mine() {
+            let slot = &slab.slots[i];
+            if kept_whole(slot) {
+                out.whole.push(slab.whole[i]);
+            }
+            out.slots.push(*slot);
+        }
+        out.slots.reverse();
+        out.whole.reverse();
         out
     }
 
@@ -300,6 +307,56 @@ impl std::fmt::Debug for FlightRing {
             .field("len", &self.len())
             .field("capacity", &self.capacity())
             .finish_non_exhaustive()
+    }
+}
+
+/// Events copied out of a [`FlightRing`] as the ring keeps them, one
+/// 24-byte slot each, oldest first: what a [`crate::DumpRecord`] holds.
+/// They are unpacked only when read ([`PackedEvents::iter`]).
+#[derive(Clone, Default)]
+pub struct PackedEvents {
+    slots: Vec<[u8; SLOT]>,
+    /// The events of the slots kept whole, in the slots' order.
+    whole: Vec<TraceEvent>,
+}
+
+impl PackedEvents {
+    /// Number of events held.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// `true` when nothing is held.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The events, unpacked, oldest first.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
+        let mut whole = self.whole.iter();
+        self.slots.iter().map(move |slot| {
+            unpack(slot).unwrap_or_else(|| *whole.next().expect("an event for each wide slot"))
+        })
+    }
+
+    /// The events, unpacked, as an owned vector, oldest first.
+    pub fn to_vec(&self) -> Vec<TraceEvent> {
+        self.iter().collect()
+    }
+}
+
+/// Equal when the events are: a record may be shorter than its slot,
+/// and the bytes after it are left over from whatever the ring held
+/// there before.
+impl PartialEq for PackedEvents {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl std::fmt::Debug for PackedEvents {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -503,10 +560,11 @@ mod tests {
                     let mine: Vec<TraceEvent> =
                         (held.iter()).filter(|p| p.0 == tag).map(|p| p.1).collect();
                     let what = format!("tag {tag}, event {i}");
-                    assert_eq!(ring.newest(tag, usize::MAX), mine, "{what}");
+                    assert_eq!(ring.newest(tag, usize::MAX).to_vec(), mine, "{what}");
                     let newest = ring.newest(tag, 5);
-                    assert_eq!(newest, mine[mine.len().saturating_sub(5)..], "{what}");
-                    assert_eq!(newest.capacity(), newest.len(), "{what}");
+                    let tail = &mine[mine.len().saturating_sub(5)..];
+                    assert_eq!(newest.to_vec(), tail, "{what}");
+                    assert_eq!(newest.slots.capacity(), newest.len(), "{what}");
                 }
             }
             assert_eq!(
@@ -515,6 +573,32 @@ mod tests {
                 "where an event is first kept whole"
             );
         }
+    }
+
+    #[test]
+    fn packed_events_are_equal_when_their_events_are() {
+        let start = TraceEvent::ServiceStart {
+            now_us: 1,
+            req: 2,
+            cylinder: 3,
+            seek_cylinders: 4,
+            queue_depth: 5,
+            slack_us: -6,
+        };
+        let (overwritten, fresh) = (FlightRing::new(), FlightRing::new());
+        for ring in [&overwritten, &fresh] {
+            assert_eq!(ring.attach(1), Some(0));
+        }
+        overwritten.push(0, &start);
+        for ring in [&overwritten, &fresh] {
+            ring.push(0, &swap(7));
+        }
+        let (a, b) = (overwritten.newest(0, 1), fresh.newest(0, 1));
+        assert_ne!(a.slots, b.slots, "the longer record's tail is left over");
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{:?}", [swap(7)]));
+        fresh.push(0, &swap(8));
+        assert_ne!(a, fresh.newest(0, 1));
     }
 
     #[test]

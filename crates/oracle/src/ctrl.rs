@@ -336,7 +336,7 @@ mod tests {
             let traced: Vec<u32> = dump
                 .events
                 .iter()
-                .filter_map(|e| match *e {
+                .filter_map(|e| match e {
                     obs::TraceEvent::Retune { knob, .. } => Some(knob),
                     _ => None,
                 })

@@ -860,6 +860,56 @@ mod tests {
                 }
             }
         }
+        // One batch of `BATCH` swapped in from `q'` at once, as it waited
+        // and re-keyed: the phases above never leave more than a few
+        // hundred requests waiting.
+        const BATCH: u64 = 2_500;
+        let pop = |narrow: &mut cascade::Dispatcher<u64>,
+                   wide: &mut cascade::Dispatcher<u128>,
+                   m: &mut ReferenceDispatcher,
+                   with_refresh: bool,
+                   what: &str| {
+            let (mut narrow_f, mut f) = (|r: &Request| refreshed(r) as u64, refreshed);
+            let got = narrow.pop(with_refresh.then_some(&mut narrow_f as _));
+            let got_wide = wide.pop(with_refresh.then_some(&mut f as _));
+            let want = m.pop(with_refresh.then_some(&mut f as _)).map(|r| r.id);
+            let got = (got.map(|r| r.id), got_wide.map(|r| r.id));
+            assert_eq!(got, (want, want), "{what}: pop");
+            assert_eq!(
+                narrow.queue_depths(),
+                m.queue_depths(),
+                "{what}: u64 depths"
+            );
+            assert_eq!(wide.queue_depths(), m.queue_depths(), "{what}: depths");
+            want
+        };
+        for (cfg, with_refresh) in [
+            (DispatchConfig::non_preemptive(), false),
+            (conditional(true, None, true), true),
+        ] {
+            let mut narrow = cascade::Dispatcher::<u64>::new(cfg, 1000);
+            let mut wide = cascade::Dispatcher::<u128>::new(cfg, 1000);
+            let mut m = ReferenceDispatcher::new(cfg, 1000);
+            let what = format!("{cfg:?} refresh={with_refresh}, one batch of {BATCH}");
+            for id in 0..=BATCH {
+                let v = if id == 0 { 0 } else { next() % 40 * 25 };
+                narrow.insert(req(id), v);
+                wide.insert(req(id), v.into());
+                m.insert(req(id), v.into());
+                if id == 0 {
+                    // Served at once, so that a conditional dispatcher has
+                    // a current value that no later arrival beats.
+                    let served = pop(&mut narrow, &mut wide, &mut m, with_refresh, &what);
+                    assert_eq!(served, Some(0), "{what}");
+                }
+            }
+            assert_eq!(m.queue_depths(), (0, BATCH as usize), "{what}");
+            let mut served = 0;
+            while pop(&mut narrow, &mut wide, &mut m, with_refresh, &what).is_some() {
+                served += 1;
+            }
+            assert_eq!(served, BATCH, "{what}");
+        }
     }
 
     #[test]
