@@ -9,6 +9,13 @@
 //! allocates nothing more during it; and the slab is freed with the
 //! daemon, so that a report kept after `shutdown` holds none of it.
 //!
+//! A ring already in use grows when members join it, one at a time:
+//! to the capacity attached, or by an eighth if that is more. A daemon
+//! that starts with 4 members and adds 15, the ring filled between
+//! adds, must end with a slab of at most 9/8 of its entries' slots; and
+//! 256 writers attached one at a time to a bare ring, filled between
+//! attaches, must move at most a few times its final slab in all.
+//!
 //! A member's telemetry holds at most `depth` windows however long the
 //! run and whether or not anyone drains it: the completed windows of its
 //! live range and one undrained delta. A run through several live ranges
@@ -19,7 +26,7 @@
 //! holds a single `#[test]`: no other test shares its counters.
 
 use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
-use obs::{TelemetryConfig, TriggerConfig};
+use obs::{FlightRing, TelemetryConfig, TraceEvent, TriggerConfig};
 use sched::{Fcfs, Request};
 use sim::{DiskService, SimOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -56,6 +63,10 @@ static SUCCESSOR_BYTES: AtomicUsize = AtomicUsize::new(0);
 /// largest size it reached.
 static SLAB_GROWTHS: AtomicUsize = AtomicUsize::new(0);
 static SLAB_PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Set while only a bare ring allocates: every reallocation is then the
+/// slab's, and `MOVED` sums the sizes it left, the most it copied.
+static BARE: AtomicBool = AtomicBool::new(false);
+static MOVED: AtomicUsize = AtomicUsize::new(0);
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
@@ -115,6 +126,9 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `ptr` came from `System` via the methods above and the
         // caller's obligations are passed through unchanged.
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if BARE.load(Relaxed) {
+            MOVED.fetch_add(old, Relaxed);
+        }
         if !moved.is_null() {
             LIVE.fetch_sub(old, Relaxed);
             grow(new_size);
@@ -160,6 +174,7 @@ fn scenario(trace: &[Request]) -> DaemonReport {
 #[test]
 fn the_ring_and_the_windows_are_sized_by_the_farm() {
     the_flight_ring_is_allocated_once_and_freed_with_the_daemon();
+    a_ring_joined_member_by_member_grows_by_an_eighth_at_least();
     a_member_holds_at_most_depth_windows_however_long_the_run();
 }
 
@@ -218,6 +233,95 @@ fn the_flight_ring_is_allocated_once_and_freed_with_the_daemon() {
     assert!(
         rise < ring,
         "a kept report raised the next run's peak by {rise} B, the ring is {ring} B"
+    );
+}
+
+/// The members of a `surge`-shaped daemon when built, and those it adds.
+const FIRST: usize = 4;
+const ADDED: usize = 15;
+/// Writers attached one at a time to a bare ring, and the entries each
+/// brings.
+const WRITERS: usize = 256;
+const PER_WRITER: usize = 64;
+/// The most a ring of [`WRITERS`] may move in all, in slabs of its
+/// entries' slots: a slab that grows by an eighth at least has moved at
+/// most 8 times its last size, itself at most 9/8 of those slots.
+/// Growing to the capacity attached and no more moves 127 of them.
+const MOVED_SLABS: usize = 9;
+
+/// The held entries the daemon's census reports for its ring.
+fn ring_held(daemon: &FarmDaemon) -> usize {
+    (daemon.state_census().into_iter())
+        .find(|(name, _)| *name == "flight_ring")
+        .map_or(0, |c| c.1)
+}
+
+fn a_ring_joined_member_by_member_grows_by_an_eighth_at_least() {
+    let mut cfg = VodConfig::mpeg1(16 * (FIRST + ADDED) as u32);
+    cfg.duration_us = 256_000_000;
+    let trace: Vec<Request> = cfg.generate(11).collect();
+    let mut arrivals = trace.iter();
+    SLAB_PEAK.store(0, Relaxed);
+    BUILDING.store(true, Relaxed);
+    let mut daemon = build_with(DaemonConfig::new(
+        FarmConfig::new(FIRST).with_policy(RoutePolicy::LeastLoaded),
+        SimOptions::with_shape(1, 4),
+    ));
+    BUILDING.store(false, Relaxed);
+    let built = SLAB_PEAK.load(Relaxed);
+    for members in FIRST..=FIRST + ADDED {
+        if members > FIRST {
+            let at_us = daemon.now_us();
+            daemon.handle(DaemonEvent::AddShard { at_us });
+        }
+        // Fill the ring, so that the next member's room is one the slab
+        // must grow into.
+        while ring_held(&daemon) < members * PER_MEMBER {
+            let r = arrivals
+                .next()
+                .expect("a trace long enough to fill the ring");
+            daemon.handle(DaemonEvent::Arrival(r.clone()));
+        }
+    }
+    assert_eq!(daemon.shards(), FIRST + ADDED);
+    let slab = SLAB_PEAK.load(Relaxed);
+    drop(daemon.shutdown());
+    let bound = 9 * (FIRST + ADDED) * PER_MEMBER * SLAB_BYTES_PER_ENTRY / 8;
+
+    // A bare ring, so that every reallocation is the slab's.
+    let ring = FlightRing::new();
+    let swap = |i: usize| TraceEvent::QueueSwap {
+        now_us: i as u64,
+        batch: 1,
+    };
+    BARE.store(true, Relaxed);
+    for writer in 0..WRITERS {
+        let tag = ring.attach(PER_WRITER).expect("tags to spare");
+        assert_eq!(tag as usize, writer);
+        for i in 0..ring.capacity() {
+            ring.push(tag, &swap(i));
+        }
+    }
+    BARE.store(false, Relaxed);
+    let entries = ring.len();
+    drop(ring);
+    let last = SLAB_BYTES_PER_ENTRY * entries;
+    let moved = MOVED.load(Relaxed);
+
+    println!(
+        "{FIRST} + {ADDED} members: slab {built} B when built, {slab} B at most, bound {bound} B; \
+         {WRITERS} writers of {PER_WRITER} entries: {moved} B moved, {:.2} final slabs of {last} B",
+        moved as f64 / last as f64
+    );
+    assert_eq!(entries, WRITERS * PER_WRITER);
+    assert!(
+        slab <= bound,
+        "the slab of {} members reached {slab} B, over 9/8 of their slots, {bound} B",
+        FIRST + ADDED
+    );
+    assert!(
+        moved <= MOVED_SLABS * last,
+        "{WRITERS} attaches moved {moved} B, over {MOVED_SLABS} final slabs of {last} B"
     );
 }
 

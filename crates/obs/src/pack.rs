@@ -78,6 +78,15 @@ pub(crate) fn slot_tag(slot: &[u8; SLOT]) -> u32 {
     }
 }
 
+/// The `now_us` packed in `slot`, read in place; `None` when its event
+/// is kept whole.
+pub(crate) fn slot_now(slot: &[u8; SLOT]) -> Option<u64> {
+    if kept_whole(slot) {
+        return None;
+    }
+    Some(Unpacker(&slot[1 + <u32 as Field>::BYTES..]).now())
+}
+
 /// Whether the event of `slot` is kept whole.
 pub(crate) fn kept_whole(slot: &[u8; SLOT]) -> bool {
     slot[0] & WIDE != 0

@@ -11,14 +11,17 @@
 //! recorder's alone ([`FlightRecorder::new`]); it is the same code
 //! either way, a stand-alone recorder being a farm of one.
 //! When an anomaly fires — a shed burst, a redirect storm, or a
-//! deadline-miss p99 spike against the recent baseline — it freezes a [`DumpRecord`]: the recorder's newest events
-//! still in the ring (at most `capacity` of them), the cumulative
-//! counters, and their difference against a checkpoint taken at the
-//! previous dump, with **exact event-vs-counter reconciliation**: the
-//! retained events are replayed into fresh counters and must reproduce
-//! that delta exactly (`clean` records whether they did; events the
-//! delta counts that the ring no longer holds are the one legitimate
-//! reason they cannot).
+//! deadline-miss p99 spike against the recent baseline — it freezes a
+//! [`DumpRecord`]: the cumulative counters, their difference against a
+//! checkpoint taken at the previous dump, and the recorder's events of
+//! the trigger window, with **exact event-vs-counter reconciliation**:
+//! the recorder's newest events still in the ring (at most `capacity` of
+//! them) are replayed into fresh counters and must reproduce that delta
+//! exactly (`clean` records whether they did; events the delta counts
+//! that the ring no longer holds are the one legitimate reason they
+//! cannot). A clean dump keeps the delta's events as well as its window,
+//! so that its replay can be repeated; the rest of the history the ring
+//! held is not kept.
 //!
 //! The dumps are a ring too: a recorder keeps its newest
 //! [`DUMP_RETENTION`] records and counts the rest. Every dump carries its
@@ -98,9 +101,10 @@ impl TriggerConfig {
 }
 
 /// Dumps a [`FlightRecorder`] keeps. Each one copies up to the
-/// recorder's capacity of events out of the ring, at the ring's 24 bytes
-/// an event ([`PackedEvents`]), so a list nobody trims is memory in
-/// proportion to how long an overload has lasted. A reader that looks
+/// recorder's capacity of events out of the ring (its trigger window,
+/// and a clean dump's delta), at the ring's 24 bytes an event
+/// ([`PackedEvents`]), so a list nobody trims is memory in proportion
+/// to how long an overload has lasted. A reader that looks
 /// after every few events (the farm's supervisor looks at the next
 /// daemon event) finds one new dump, rarely two; it can count the times
 /// four was not enough ([`FlightRecorder::dumps_from`]).
@@ -118,20 +122,25 @@ pub struct DumpRecord {
     /// Window epoch of the triggering event.
     pub epoch: u64,
     /// The recorder's newest events still in the ring at the dump, at
-    /// most its own capacity of them, oldest first: copied out in the
-    /// ring's packed slots and unpacked when read
-    /// ([`PackedEvents::iter`]).
+    /// most its own capacity of them, from the oldest one stamped in
+    /// `epoch` or later (its trigger window) or, when `evicted_since_dump`
+    /// is 0 and that is more, from the first one `delta` counts. Oldest
+    /// first, copied out in the ring's packed slots and unpacked when
+    /// read ([`PackedEvents::iter`]).
     pub events: PackedEvents,
     /// Exactly what was counted since the previous dump (or the start
     /// of the run).
     pub delta: Counters,
     /// Cumulative counters over the whole run so far.
     pub cumulative: Counters,
-    /// Whether replaying the retained events reproduced `delta`
-    /// exactly.
+    /// Whether replaying the recorder's newest events still in the ring
+    /// (at most its capacity of them) reproduced `delta` exactly. When it
+    /// did, `events` holds the events replayed.
     pub clean: bool,
-    /// How many of the events `delta` counts are missing from `events`,
-    /// overwritten in the ring — when nonzero, `clean` cannot hold.
+    /// How many of the events `delta` counts were missing from the
+    /// recorder's newest events still in the ring, overwritten — when
+    /// nonzero, `clean` cannot hold, and `events` holds the trigger
+    /// window alone.
     pub evicted_since_dump: u64,
 }
 
@@ -171,13 +180,12 @@ impl FlightRecorder {
 
     /// A recorder writing into `ring` beside the ones already attached.
     /// The ring grows by `capacity` entries, and a dump of this recorder
-    /// holds its newest events still in the ring, at most `capacity` of
+    /// reads its newest events still in the ring, at most `capacity` of
     /// them however much of the ring it has come to fill. That is not
-    /// what a private ring of `capacity` would keep: a busier neighbour
-    /// overwrites a quiet recorder's older entries sooner, so the history
-    /// before a dump's trigger window can be shorter. `None` when the
-    /// ring has no tag left to tell this recorder's entries from the
-    /// others'.
+    /// what a private ring of `capacity` would hold: a busier neighbour
+    /// overwrites a quiet recorder's older entries sooner, so a dump's
+    /// delta is more often missing events. `None` when the ring has no
+    /// tag left to tell this recorder's entries from the others'.
     pub fn attach(
         ring: &FlightRing,
         capacity: usize,
@@ -282,12 +290,25 @@ impl FlightRecorder {
         self.capture(anomaly, now_us);
     }
 
+    /// Freeze a dump. What the ring holds of the recorder (its newest
+    /// `capacity` entries) decides `evicted_since_dump` and `clean`;
+    /// what the dump keeps of it is the trigger window, from the oldest
+    /// entry stamped in the dump's epoch or later, and, when nothing the
+    /// delta counts is missing, the delta's events too.
     fn capture(&mut self, anomaly: Anomaly, now_us: u64) {
         let cumulative = self.windows.cumulative_counters();
         let delta = cumulative.since(&self.counters_at_dump);
         self.counters_at_dump = cumulative;
-        let events = self.ring.newest(self.tag, self.capacity);
-        let evicted_since_dump = delta.total_events().saturating_sub(events.len() as u64);
+        let epoch = self.windows.epoch_of(now_us);
+        let since_us = self.windows.epoch_start(epoch);
+        let (held, window) = self.ring.count_since(self.tag, self.capacity, since_us);
+        let evicted_since_dump = delta.total_events().saturating_sub(held as u64);
+        let keep = if evicted_since_dump == 0 {
+            window.max(delta.total_events() as usize)
+        } else {
+            window
+        };
+        let events = self.ring.newest(self.tag, keep);
         let clean = evicted_since_dump == 0 && reconciles(&events, &delta);
         if self.dumps.len() >= DUMP_RETENTION {
             self.dumps.remove(0);
@@ -299,7 +320,7 @@ impl FlightRecorder {
             seq: self.dumps_total - 1,
             anomaly,
             now_us,
-            epoch: self.windows.epoch_of(now_us),
+            epoch,
             events,
             delta,
             cumulative,
@@ -525,15 +546,23 @@ mod tests {
     /// Drive three recorders on one ring — the `i`-th emission made by
     /// recorder `who(i)`, the third recorder attached only at step `join`
     /// — and check every dump against one unbounded `Vec` per recorder.
-    fn check_against_model(cap: usize, join: usize, who: impl Fn(usize) -> usize) {
+    /// Windows of about `2 × cap` steps, so that a dump's trigger window
+    /// is sometimes shorter than its gap and sometimes longer. Returns
+    /// how many dumps kept more than their window (the whole gap), more
+    /// than their gap (the window), and less than the ring held (a window
+    /// cut short of a gap already missing events).
+    fn check_against_model(cap: usize, join: usize, who: impl Fn(usize) -> usize) -> [usize; 3] {
+        let window_log2 = cap.ilog2() + 1;
         let attach = |ring: &FlightRing| {
-            FlightRecorder::attach(ring, cap, TelemetryConfig::exact(), TriggerConfig::quiet())
+            let telemetry = TelemetryConfig::exact().window_log2(window_log2);
+            FlightRecorder::attach(ring, cap, telemetry, TriggerConfig::quiet())
                 .expect("tags to spare")
         };
         let ring = FlightRing::new();
         let mut recorders = vec![attach(&ring), attach(&ring)];
         let mut streams: Vec<Vec<TraceEvent>> = vec![Vec::new(); 3];
-        let mut dumped = [0usize; 3];
+        let (mut dumped, mut seqs) = ([0usize; 3], [0u64; 3]);
+        let mut cuts = [0usize; 3];
         let mut log: Vec<usize> = Vec::new();
         let steps = 15 * cap;
         let dump_every = cap + cap / 2 + 1;
@@ -558,21 +587,43 @@ mod tests {
                 let held = log[log.len() - ring.len()..]
                     .iter()
                     .filter(|&&t| t == tag)
-                    .count();
+                    .count()
+                    .min(cap);
                 let stream = &streams[tag];
                 let what = format!("cap {cap}, step {i}, recorder {tag}");
-                assert_eq!(d.events.len(), held.min(cap), "{what}");
+                let epoch = (i >> window_log2) as u64;
+                let head = (d.seq, d.anomaly, d.now_us, d.epoch);
                 assert_eq!(
-                    d.events.to_vec(),
-                    stream[stream.len() - d.events.len()..],
+                    head,
+                    (seqs[tag], Anomaly::Manual, i as u64, epoch),
                     "{what}"
                 );
-                let gap = stream.len() - dumped[tag];
+                seqs[tag] += 1;
+                let gap = &stream[dumped[tag]..];
                 dumped[tag] = stream.len();
-                assert_eq!(d.delta.total_events(), gap as u64, "{what}");
-                let missing = gap.saturating_sub(d.events.len());
+                let counters = UnboundedModel::counters;
+                assert_eq!(d.delta, counters(gap), "{what}");
+                assert_eq!(d.cumulative, counters(stream), "{what}");
+                let missing = gap.len().saturating_sub(held);
                 assert_eq!(d.evicted_since_dump, missing as u64, "{what}");
                 assert_eq!(d.clean, missing == 0, "{what}");
+                // What the ring holds of the recorder, cut at the oldest
+                // event in the dump's window, or at the gap's first when
+                // the gap is whole and longer.
+                let held = &stream[stream.len() - held..];
+                let window = (held.iter())
+                    .position(|e| e.now_us() >> window_log2 >= epoch)
+                    .map_or(0, |first| held.len() - first);
+                let keep = if missing == 0 {
+                    window.max(gap.len())
+                } else {
+                    window
+                };
+                let kept = &stream[stream.len() - keep..];
+                assert_eq!(d.events.to_vec(), kept, "{what}");
+                cuts[0] += usize::from(keep > window);
+                cuts[1] += usize::from(missing == 0 && keep > gap.len());
+                cuts[2] += usize::from(missing > 0 && keep < held.len());
             }
         }
         assert_eq!(
@@ -580,21 +631,28 @@ mod tests {
             3 * cap,
             "a late joiner's room is used in the end"
         );
+        cuts
     }
 
     #[test]
     fn tagged_dumps_match_one_unbounded_stream_per_recorder() {
         for cap in [1usize, 8, 4096] {
             let third = 5 * cap;
-            // Round-robin.
-            check_against_model(cap, 0, |i| i % 3);
-            // One hot recorder: its gaps outgrow `cap`, the others' dumps
-            // must not grow into the room it fills.
-            check_against_model(cap, 0, |i| if i % 16 == 0 { 1 + i / 16 % 2 } else { 0 });
-            // A recorder joining a ring that is full and mid-wrap.
-            check_against_model(cap, third, |i| if i < third { i % 2 } else { i % 3 });
-            // A recorder going silent while the others overwrite it.
-            check_against_model(cap, 0, |i| if i < third { i % 3 } else { i % 2 });
+            let cuts = [
+                // Round-robin.
+                check_against_model(cap, 0, |i| i % 3),
+                // One hot recorder: its gaps outgrow `cap`, the others'
+                // dumps must not grow into the room it fills.
+                check_against_model(cap, 0, |i| if i % 16 == 0 { 1 + i / 16 % 2 } else { 0 }),
+                // A recorder joining a ring that is full and mid-wrap.
+                check_against_model(cap, third, |i| if i < third { i % 2 } else { i % 3 }),
+                // A recorder going silent while the others overwrite it.
+                check_against_model(cap, 0, |i| if i < third { i % 3 } else { i % 2 }),
+            ];
+            let sum = |k: usize| cuts.iter().map(|c| c[k]).sum::<usize>();
+            if cap > 1 {
+                assert!((0..3).all(|k| sum(k) > 0), "cap {cap}: cuts {cuts:?}");
+            }
         }
     }
 
@@ -728,16 +786,27 @@ mod tests {
         fn check(&self, i: usize, d: &DumpRecord, cap: usize, what: &str) {
             let (anomaly, now_us, at) = self.dumps[i];
             let since = if i == 0 { 0 } else { self.dumps[i - 1].2 };
+            let epoch = now_us >> Self::WINDOW_LOG2;
             assert_eq!((d.seq, d.anomaly, d.now_us), (i as u64, anomaly, now_us));
-            assert_eq!(d.epoch, now_us >> Self::WINDOW_LOG2, "{what}");
+            assert_eq!(d.epoch, epoch, "{what}");
             assert_eq!(d.delta, Self::counters(&self.stream[since..at]), "{what}");
             assert_eq!((at, d.cumulative), (self.stream.len(), self.total.counters));
-            assert_eq!(
-                d.events.to_vec(),
-                self.stream[at - at.min(cap)..at],
-                "{what}"
-            );
-            assert_eq!(d.clean, at - since <= cap, "{what}");
+            let missing = (at - since).saturating_sub(cap);
+            assert_eq!(d.evicted_since_dump, missing as u64, "{what}");
+            assert_eq!(d.clean, missing == 0, "{what}");
+            // Of the `cap` newest events the ring holds, the dump keeps
+            // those from the oldest one stamped in its epoch or later, and
+            // the whole gap when none of it is missing.
+            let held = &self.stream[at - at.min(cap)..at];
+            let window = (held.iter())
+                .position(|e| e.now_us() >> Self::WINDOW_LOG2 >= epoch)
+                .map_or(0, |first| held.len() - first);
+            let keep = if missing == 0 {
+                window.max(at - since)
+            } else {
+                window
+            };
+            assert_eq!(d.events.to_vec(), self.stream[at - keep..at], "{what}");
         }
     }
 

@@ -15,7 +15,7 @@
 //! and the instrumented hot path is byte-for-byte the uninstrumented one.
 
 use crate::event::TraceEvent;
-use crate::pack::{kept_whole, pack, slot_tag, unpack, SLOT};
+use crate::pack::{kept_whole, pack, slot_now, slot_tag, unpack, SLOT};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -160,18 +160,39 @@ impl Slab {
         self.whole[at] = *event;
     }
 
-    /// Append while the slab is short of its capacity. Out of line: a
-    /// ring fills once and is overwritten ever after, and `Vec::push`'s
-    /// growth path inlined into every recorder's `emit` is what made the
-    /// one-shard `deep` workload dearer than a private `VecDeque` ring.
+    /// Append while the slab is short of its capacity. A full slab grows
+    /// to the capacity attached, or by an eighth if that is more: never
+    /// past 9/8 of the capacity, and a ring that writers join one at a
+    /// time, filling it in between, moves a number of times logarithmic
+    /// in their count, not one per writer. Out of line: a ring fills
+    /// once and is overwritten ever after, and `Vec::push`'s growth path
+    /// inlined into every recorder's `emit` is what made the one-shard
+    /// `deep` workload dearer than a private `VecDeque` ring.
     #[cold]
     fn extend(&mut self, tag: u32, event: &TraceEvent) {
+        let len = self.slots.len();
+        if len == self.slots.capacity() {
+            self.slots.reserve_exact((self.capacity - len).max(len / 8));
+        }
         self.slots.push([0; SLOT]);
         if !self.whole.is_empty() {
             self.whole.push(*event);
         }
         self.cursor = self.slots.len();
         self.store(self.cursor - 1, tag, event);
+    }
+
+    /// The slots `tag` holds, newest first.
+    fn newest_first(&self, tag: u32) -> impl Iterator<Item = usize> + '_ {
+        let newest_first = (0..self.cursor)
+            .rev()
+            .chain((self.cursor..self.slots.len()).rev());
+        newest_first.filter(move |&i| slot_tag(&self.slots[i]) == tag)
+    }
+
+    /// The `now_us` of the entry in slot `at`, unpacking nothing.
+    fn now_us(&self, at: usize) -> u64 {
+        slot_now(&self.slots[at]).unwrap_or_else(|| self.whole[at].now_us())
     }
 }
 
@@ -203,10 +224,10 @@ impl FlightRing {
     /// Growing never evicts or reorders: the slab extends the next time
     /// the cursor reaches its end, which is the one place new slots can
     /// go without breaking the newest-to-oldest order. Past the room
-    /// [`FlightRing::with_capacity`] allocated, it grows by `Vec`'s
-    /// doubling; reserving exactly here would copy the whole slab on
-    /// every attach to a ring in use (`AddShard` 198 -> 1383 us on
-    /// `surge`).
+    /// [`FlightRing::with_capacity`] allocated, it grows there to the
+    /// capacity attached, or by an eighth of itself if that is more.
+    /// Nothing is reserved here: that would copy the whole slab on every
+    /// attach to a ring in use (`AddShard` 198 -> 1383 us on `surge`).
     pub fn attach(&self, retention: usize) -> Option<u32> {
         let slab = &mut *self.0.borrow_mut();
         let tag = slab.next_tag?;
@@ -240,14 +261,7 @@ impl FlightRing {
     /// vector of exactly their length.
     pub fn newest(&self, tag: u32, limit: usize) -> PackedEvents {
         let slab = self.0.borrow();
-        let mine = || {
-            let newest_first = (0..slab.cursor)
-                .rev()
-                .chain((slab.cursor..slab.slots.len()).rev());
-            newest_first
-                .filter(|&i| slot_tag(&slab.slots[i]) == tag)
-                .take(limit)
-        };
+        let mine = || slab.newest_first(tag).take(limit);
         let mut out = PackedEvents {
             slots: Vec::with_capacity(mine().count()),
             whole: Vec::new(),
@@ -262,6 +276,22 @@ impl FlightRing {
         out.slots.reverse();
         out.whole.reverse();
         out
+    }
+
+    /// Of the newest `limit` entries `tag` has in the ring, how many
+    /// there are and how many lie from the oldest one stamped at
+    /// `since_us` or later on, that one included: `(held, since)`. Read
+    /// off the stamps as they are packed.
+    pub(crate) fn count_since(&self, tag: u32, limit: usize, since_us: u64) -> (usize, usize) {
+        let slab = self.0.borrow();
+        let (mut held, mut since) = (0, 0);
+        for i in slab.newest_first(tag).take(limit) {
+            held += 1;
+            if slab.now_us(i) >= since_us {
+                since = held;
+            }
+        }
+        (held, since)
     }
 
     /// Entries currently held, all writers together.

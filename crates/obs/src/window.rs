@@ -208,6 +208,11 @@ impl WindowedSnapshot {
         now_us >> self.window_log2
     }
 
+    /// The first µs of window `epoch`.
+    pub(crate) fn epoch_start(&self, epoch: u64) -> u64 {
+        epoch << self.window_log2
+    }
+
     /// The current window's epoch, once anything has been recorded.
     pub fn current_epoch(&self) -> Option<u64> {
         self.started.then_some(self.cur_epoch)
