@@ -22,14 +22,17 @@
 //! that nobody drains must end with the census's `windows` entry at most
 //! `shards × depth`, and with a report of a bounded size per member.
 //!
-//! The allocator counts every process-wide allocation, so this file
-//! holds a single `#[test]`: no other test shares its counters.
+//! The allocator counts the allocations of the test's own thread only,
+//! so that another thread's cannot land inside a measured span; and
+//! this file holds a single `#[test]`: no other test shares its
+//! counters.
 
 use farm::{DaemonConfig, DaemonEvent, DaemonReport, FarmConfig, FarmDaemon, RoutePolicy};
 use obs::{FlightRing, TelemetryConfig, TraceEvent, TriggerConfig};
 use sched::{Fcfs, Request};
 use sim::{DiskService, SimOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use workload::VodConfig;
 
@@ -68,6 +71,16 @@ static SLAB_PEAK: AtomicUsize = AtomicUsize::new(0);
 static BARE: AtomicBool = AtomicBool::new(false);
 static MOVED: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Set on the test's thread: the one whose allocations count.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread's allocations count.
+fn counted() -> bool {
+    COUNTED.try_with(Cell::get).unwrap_or(false)
+}
+
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
@@ -97,22 +110,28 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's obligations are passed through unchanged.
         let ptr = unsafe { System.alloc(layout) };
-        allocated(ptr, layout.size());
+        if counted() {
+            allocated(ptr, layout.size());
+        }
         ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         // SAFETY: the caller's obligations are passed through unchanged.
         let ptr = unsafe { System.alloc_zeroed(layout) };
-        allocated(ptr, layout.size());
+        if counted() {
+            allocated(ptr, layout.size());
+        }
         ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        if SLAB.load(Relaxed) == ptr as usize {
-            SLAB.store(SUCCESSOR.swap(0, Relaxed), Relaxed);
-            SLAB_BYTES.store(SUCCESSOR_BYTES.swap(0, Relaxed), Relaxed);
+        if counted() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            if SLAB.load(Relaxed) == ptr as usize {
+                SLAB.store(SUCCESSOR.swap(0, Relaxed), Relaxed);
+                SLAB_BYTES.store(SUCCESSOR_BYTES.swap(0, Relaxed), Relaxed);
+            }
         }
         // SAFETY: `ptr` came from `System` via the methods above.
         unsafe { System.dealloc(ptr, layout) }
@@ -120,12 +139,16 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let old = layout.size();
-        if BUILDING.load(Relaxed) && new_size >= ENTRIES {
+        let counted = counted();
+        if counted && BUILDING.load(Relaxed) && new_size >= ENTRIES {
             RING_ALLOCS.fetch_add(1, Relaxed);
         }
         // SAFETY: `ptr` came from `System` via the methods above and the
         // caller's obligations are passed through unchanged.
         let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !counted {
+            return moved;
+        }
         if BARE.load(Relaxed) {
             MOVED.fetch_add(old, Relaxed);
         }
@@ -173,6 +196,7 @@ fn scenario(trace: &[Request]) -> DaemonReport {
 
 #[test]
 fn the_ring_and_the_windows_are_sized_by_the_farm() {
+    COUNTED.set(true);
     the_flight_ring_is_allocated_once_and_freed_with_the_daemon();
     a_ring_joined_member_by_member_grows_by_an_eighth_at_least();
     a_member_holds_at_most_depth_windows_however_long_the_run();

@@ -32,6 +32,7 @@ impl QosVector {
     /// # Panics
     ///
     /// Panics if more than [`MAX_QOS_DIMS`] dimensions are given.
+    #[inline]
     pub fn new(levels: &[u8]) -> Self {
         assert!(
             levels.len() <= MAX_QOS_DIMS,
@@ -47,21 +48,25 @@ impl QosVector {
     }
 
     /// A request with a single priority dimension.
+    #[inline]
     pub fn single(level: u8) -> Self {
         Self::new(&[level])
     }
 
     /// A request with no priority-like parameters at all.
+    #[inline]
     pub fn none() -> Self {
         Self::new(&[])
     }
 
     /// Number of QoS dimensions.
+    #[inline]
     pub fn dims(&self) -> usize {
         self.dims as usize
     }
 
     /// The levels as a slice.
+    #[inline]
     pub fn levels(&self) -> &[u8] {
         &self.levels[..self.dims as usize]
     }
@@ -71,6 +76,7 @@ impl QosVector {
     /// # Panics
     ///
     /// Panics if `k >= dims()`.
+    #[inline]
     pub fn level(&self, k: usize) -> u8 {
         assert!(k < self.dims as usize, "QoS dimension {k} out of range");
         self.levels[k]
@@ -79,6 +85,7 @@ impl QosVector {
     /// `true` when `self` has a strictly higher priority (lower level) than
     /// `other` in dimension `k`. Serving `other` before `self` would be a
     /// priority inversion in that dimension.
+    #[inline]
     pub fn beats_in_dim(&self, other: &QosVector, k: usize) -> bool {
         self.level(k) < other.level(k)
     }

@@ -61,9 +61,9 @@ impl Metrics {
 
     /// Record that `request` exists (fills the per-level denominators).
     pub fn record_request(&mut self, request: &Request) {
-        for k in 0..self.requests_by_dim_level.len().min(request.qos.dims()) {
-            let level = request.qos.level(k) as usize;
-            if let Some(slot) = self.requests_by_dim_level[k].get_mut(level) {
+        let levels = request.qos.levels();
+        for (row, &level) in self.requests_by_dim_level.iter_mut().zip(levels) {
+            if let Some(slot) = row.get_mut(level as usize) {
                 *slot += 1;
             }
         }
@@ -71,9 +71,9 @@ impl Metrics {
 
     /// Record a deadline loss (drop or late completion) for `request`.
     pub fn record_loss(&mut self, request: &Request) {
-        for k in 0..self.losses_by_dim_level.len().min(request.qos.dims()) {
-            let level = request.qos.level(k) as usize;
-            if let Some(slot) = self.losses_by_dim_level[k].get_mut(level) {
+        let levels = request.qos.levels();
+        for (row, &level) in self.losses_by_dim_level.iter_mut().zip(levels) {
+            if let Some(slot) = row.get_mut(level as usize) {
                 *slot += 1;
             }
         }

@@ -286,8 +286,9 @@ fn every_scheduler_tolerates_repeated_empty_dequeues() {
 /// What an [`Audited`] scheduler saw.
 #[derive(Default)]
 struct Audit {
-    /// §5.1 recounted by hand at every dequeue.
-    inversions: [u64; 3],
+    /// §5.1 recounted by hand at every dequeue, one slot per dimension
+    /// the engine tracks.
+    inversions: Vec<u64>,
     /// Calls the engine made to `for_each_pending`.
     walks: u64,
     /// Dequeues that left somebody waiting.
@@ -295,6 +296,16 @@ struct Audit {
     /// Chunks in which a queued request was evicted *and* the chunk's
     /// last arrival was turned away on the spot.
     chunks_shedding_both_ways: u64,
+}
+
+impl Audit {
+    /// An audit of an engine that tracks `dims` dimensions.
+    fn tracking(dims: usize) -> Self {
+        Audit {
+            inversions: vec![0; dims],
+            ..Audit::default()
+        }
+    }
 }
 
 /// Forwards everything to `inner`, keeping an [`Audit`]. It looks at
@@ -421,7 +432,7 @@ fn inversion_census_matches_a_naive_recount() {
     });
     let trace = census_trace();
     for inner in all_schedulers().into_iter().chain(bounded) {
-        let audit = std::rc::Rc::new(std::cell::RefCell::new(Audit::default()));
+        let audit = std::rc::Rc::new(std::cell::RefCell::new(Audit::tracking(3)));
         let mut scheduler = Audited {
             inner,
             audit: audit.clone(),
@@ -489,7 +500,7 @@ fn inversion_census_matches_a_naive_recount() {
 #[test]
 fn inversion_census_never_walks_an_unbounded_queue() {
     let trace = poisson_trace(5_000);
-    let audit = std::rc::Rc::new(std::cell::RefCell::new(Audit::default()));
+    let audit = std::rc::Rc::new(std::cell::RefCell::new(Audit::tracking(3)));
     let mut scheduler = Audited {
         inner: Box::new(Fcfs::new()),
         audit: audit.clone(),
@@ -515,4 +526,99 @@ fn inversion_census_never_walks_an_unbounded_queue() {
         0
     };
     assert_eq!(audit.walks, checks);
+}
+
+/// `n` arrivals, 4 ms apart (faster than the disk serves them), whose
+/// QoS vectors are ragged against an engine tracking `dims` dimensions
+/// of 8 levels: a third carry fewer dimensions and one in nine none at
+/// all, and about one level in eleven lies past the engine's initial row
+/// width, up to 255. Deadlines of 50 ms to 1.55 s make some requests
+/// complete late.
+fn ragged_qos_trace(dims: usize, n: u64) -> Vec<Request> {
+    (0..n)
+        .map(|i| {
+            let mix = |salt: u64| ((i << 5) | salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+            let carried = if i % 9 == 4 {
+                0
+            } else if i % 3 == 1 {
+                1 + mix(0) as usize % dims
+            } else {
+                dims
+            };
+            let qos: Vec<u8> = (0..carried as u64)
+                .map(|k| match mix(k + 1) {
+                    m if m % 11 == 0 => (8 + m / 11 % 248) as u8,
+                    m => (m % 8) as u8,
+                })
+                .collect();
+            let at = i * 4_000;
+            let slack = 50_000 + mix(30) % 1_500_000;
+            let cylinder = (mix(31) % 3832) as u32;
+            Request::read(i, at, at + slack, cylinder, 64 * 1024, QosVector::new(&qos))
+        })
+        .collect()
+}
+
+/// The engine's per-dimension tables at 1, 3 and the most dimensions a
+/// request can carry, held to a recount by definition: the requests and
+/// losses at each level of each tracked dimension (a level past the
+/// tables' width is not counted), and §5.1's inversions per dimension
+/// at every dequeue. (The audit cannot tell a dequeue the engine drops
+/// from one it serves, so nothing is dropped here: the losses are late
+/// completions.)
+#[test]
+fn inversion_census_and_level_tables_match_a_naive_recount_at_any_shape() {
+    const LEVELS: usize = 8;
+    for dims in [1, 3, cascaded_sfc::sched::MAX_QOS_DIMS] {
+        let trace = ragged_qos_trace(dims, 600);
+        let past_width = |r: &Request| r.qos.levels().get(dims - 1) >= Some(&(LEVELS as u8));
+        assert!(trace.iter().any(|r| r.qos.dims() < dims), "{dims}");
+        assert!(trace.iter().any(past_width), "{dims}");
+        let policies: [Box<dyn DiskScheduler>; 2] = [Box::new(Fcfs::new()), Box::new(Edf::new())];
+        for inner in policies {
+            let audit = std::rc::Rc::new(std::cell::RefCell::new(Audit::tracking(dims)));
+            let mut scheduler = Audited {
+                inner,
+                audit: audit.clone(),
+            };
+            let at = format!("{} at {dims} dimensions", scheduler.name());
+            let mut sink = RingSink::new(1 << 16);
+            let m = simulate(
+                &mut scheduler,
+                &trace,
+                &mut DiskService::table1(),
+                SimOptions::with_shape(dims, LEVELS),
+                &mut sink,
+            );
+            assert_eq!(sink.evicted(), 0, "{at}");
+            let lost: std::collections::HashSet<u64> = sink
+                .events()
+                .filter_map(|e| match *e {
+                    TraceEvent::ServiceComplete {
+                        req, late: true, ..
+                    } => Some(req),
+                    _ => None,
+                })
+                .collect();
+            assert!(m.late > 0, "{at}");
+            assert_eq!(lost.len() as u64, m.late, "{at}");
+
+            let mut requests = vec![vec![0u64; LEVELS]; dims];
+            let mut losses = vec![vec![0u64; LEVELS]; dims];
+            for r in &trace {
+                for k in 0..dims.min(r.qos.dims()) {
+                    let level = r.qos.level(k) as usize;
+                    if level < LEVELS {
+                        requests[k][level] += 1;
+                        losses[k][level] += u64::from(lost.contains(&r.id));
+                    }
+                }
+            }
+            assert_eq!(m.requests_by_dim_level, requests, "{at}");
+            assert_eq!(m.losses_by_dim_level, losses, "{at}");
+            let audit = audit.borrow();
+            assert_eq!(m.inversions_per_dim, audit.inversions, "{at}");
+            assert!(audit.inversions[dims - 1] > 0, "{at}");
+        }
+    }
 }
